@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§6) at CI scale, plus ablation micro-benchmarks for the design choices
-// DESIGN.md calls out (pointer-based join, selection-vector pruning,
-// operator fusion, factorized vs flat expansion).
+// (§6) at CI scale, plus micro-benchmarks for the design choices DESIGN.md
+// calls out: the paper's own ablations (pointer-based join, selection-vector
+// pruning, factorized vs flat vs fused) and one benchmark per read path.
 //
 // Run everything:
 //
@@ -25,7 +25,6 @@ import (
 
 	"ges/internal/bench"
 	"ges/internal/catalog"
-	"ges/internal/cypher"
 	"ges/internal/driver"
 	"ges/internal/exec"
 	"ges/internal/expr"
@@ -191,109 +190,51 @@ func BenchmarkAblation_SelectionPruning_Off(b *testing.B) { benchPrune(b, true) 
 func benchFilterPred() expr.Expr { return expr.Le(expr.C("f.id"), expr.LInt(20)) }
 
 // ---------------------------------------------------------------------------
-// Vectorized gather benchmarks (§5 batch property access).
+// Read-path micro-benchmarks (the CI bench smoke): one benchmark per path,
+// each on the engine's only configuration. Per-layer numbers under real
+// traffic are the repository benchmark's (benchmark/).
 // ---------------------------------------------------------------------------
 
-// BenchmarkGatherScan sweeps the gather ablation ladder (scalar → batch
-// gather → dictionary codes → zone maps) over the string-equality
-// fused-filter scan behind BENCH_gather.json. All ops in the plan are pure
-// configuration, so the plan is built once outside the timer.
+// benchPlan times one pure-configuration plan, built once outside the timer,
+// on the factorized engine.
+func benchPlan(b *testing.B, ds *ldbc.Dataset, p plan.Plan) {
+	eng := exec.New(exec.ModeFactorized)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(ds.Graph, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGatherScan is the vectorized property read path (§5): shared
+// columns, dictionary-code string equality and a zone-mapped date range over
+// the comment table.
 func BenchmarkGatherScan(b *testing.B) {
 	ds := dataset(b)
-	for _, v := range bench.GatherVariants {
-		b.Run(v.Name, func(b *testing.B) {
-			eng := v.Engine(exec.ModeFactorized, 1)
-			p := bench.GatherScanPlan(ds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ds.Graph, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchPlan(b, ds, bench.GatherScanPlan(ds))
 }
 
-// BenchmarkGatherHorizon measures the zone-map fast exit: a date predicate
-// past the stored horizon is proven empty from the zone summaries alone.
-func BenchmarkGatherHorizon(b *testing.B) {
-	ds := dataset(b)
-	for _, v := range bench.GatherVariants {
-		b.Run(v.Name, func(b *testing.B) {
-			eng := v.Engine(exec.ModeFactorized, 1)
-			p := bench.GatherHorizonPlan(ds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ds.Graph, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// CSR snapshot benchmarks (batched expand + intersection-based cyclic joins).
-// ---------------------------------------------------------------------------
-
-// sealedDataset returns the shared benchmark dataset with its adjacency
-// families sealed into CSR snapshots (idempotent across benchmarks).
-func sealedDataset(b *testing.B) *ldbc.Dataset {
-	ds := dataset(b)
-	ds.Graph.SealCSR()
-	return ds
-}
-
-// BenchmarkCSRExpand compares the two-hop expansion with the batched
-// adjacency kernel off (per-source scalar walks) and on (one NeighborsBatch
-// per morsel over the sealed CSR).
+// BenchmarkCSRExpand is the two-hop expansion through the batched adjacency
+// kernel (one NeighborsBatch per morsel over the sealed CSR).
 func BenchmarkCSRExpand(b *testing.B) {
-	ds := sealedDataset(b)
-	for _, v := range bench.CSRVariants[:2] {
-		b.Run(v.Name, func(b *testing.B) {
-			eng := v.Engine(exec.ModeFactorized, 1)
-			p := bench.CSRExpandPlan(ds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ds.Graph, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	ds := dataset(b)
+	benchPlan(b, ds, bench.CSRExpandPlan(ds))
 }
 
-// BenchmarkCSRTriangle sweeps the closure ladder behind BENCH_csr.json: the
-// pre-ExpandInto flat hash join first, then ExpandInto under each knob
-// combination (scalar+hash → csr+hash → csr+intersect).
+// BenchmarkCSRTriangle is the cyclic join closed in place by ExpandInto over
+// sorted CSR runs.
 func BenchmarkCSRTriangle(b *testing.B) {
-	ds := sealedDataset(b)
-	b.Run("hashjoin-flat", func(b *testing.B) {
-		eng := bench.CSRVariants[0].Engine(exec.ModeFactorized, 1)
-		p := bench.CSRTriangleJoinPlan(ds)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(ds.Graph, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, v := range bench.CSRVariants {
-		b.Run(v.Name, func(b *testing.B) {
-			eng := v.Engine(exec.ModeFactorized, 1)
-			p := bench.CSRTrianglePlan(ds)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ds.Graph, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	ds := dataset(b)
+	benchPlan(b, ds, bench.CSRTrianglePlan(ds))
+}
+
+// BenchmarkWCOJ is the multiway intersection on each cyclic pattern.
+func BenchmarkWCOJ(b *testing.B) {
+	ds := dataset(b)
+	for _, pat := range bench.WCOJPatterns {
+		b.Run(pat.Name, func(b *testing.B) { benchPlan(b, ds, pat.Build(ds)) })
 	}
 }
 
@@ -455,66 +396,4 @@ func BenchmarkAblation_MV2PLOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPlanner sweeps the cost-based planning ladder behind
-// BENCH_planner.json: each adversarially-phrased query compiled as written
-// (syntactic) and through the statistics-backed cost model, which re-anchors
-// at the selective end and reverses the expansions.
-func BenchmarkPlanner(b *testing.B) {
-	ds := sealedDataset(b)
-	cm := plan.NewCostModel(ds.Graph.Stats())
-	for _, pq := range bench.PlannerQueries {
-		text := fmt.Sprintf(pq.Text, 1)
-		for _, variant := range []struct {
-			name string
-			cost *plan.CostModel
-		}{{"syntactic", nil}, {"cost", cm}} {
-			b.Run(pq.Name+"/"+variant.name, func(b *testing.B) {
-				c, err := cypher.CompileWith(text, ds.H.Cat, cypher.Options{Cost: variant.cost})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := exec.New(exec.ModeFused).Run(ds.Graph, c.Plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkWCOJ sweeps the multiway-intersection ladder behind
-// BENCH_wcoj.json on each cyclic pattern: the de-fused binary-join baseline
-// (no-wcoj), the multiway operator over hash-set probes (wcoj+hash), then
-// the full leapfrog intersection over sorted CSR runs (wcoj).
-func BenchmarkWCOJ(b *testing.B) {
-	ds := sealedDataset(b)
-	patterns := []struct {
-		name  string
-		build func(*ldbc.Dataset) plan.Plan
-	}{
-		{"Triangle", bench.WCOJTrianglePlan},
-		{"Diamond", bench.WCOJDiamondPlan},
-		{"FourCycle", bench.WCOJFourCyclePlan},
-		{"FourClique", bench.WCOJFourCliquePlan},
-	}
-	for _, pat := range patterns {
-		for _, v := range bench.WCOJVariants {
-			b.Run(pat.name+"/"+v.Name, func(b *testing.B) {
-				eng := v.Engine(exec.ModeFactorized, 1)
-				p := pat.build(ds)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(ds.Graph, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }

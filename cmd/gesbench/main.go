@@ -7,12 +7,8 @@
 //	gesbench -exp all               # the whole evaluation section
 //	gesbench -exp fig11 -quick      # CI-sized configuration
 //	gesbench -list                  # enumerate experiment IDs
-//	gesbench -exp parallel -quick -json BENCH_parallel.json
+//	gesbench -exp parallel -quick -json parallel.json
 //	                                # morsel-runtime scaling + JSON artifact
-//	gesbench -exp csr -quick -json BENCH_csr.json
-//	                                # CSR batched expand + intersection joins
-//	gesbench -exp mem -quick -json BENCH_mem.json
-//	                                # memory recycling vs -no-recycle ablation
 package main
 
 import (
@@ -28,22 +24,14 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		quick    = flag.Bool("quick", false, "CI-sized configuration")
-		list     = flag.Bool("list", false, "list experiment ids")
-		sfs      = flag.String("sf", "", "comma-separated simulated scale factors (overrides preset)")
-		runs     = flag.Int("runs", 0, "parameter draws per query measurement (overrides preset)")
-		workers  = flag.Int("workers", 0, "workers for throughput runs (overrides preset)")
-		ops      = flag.Int("ops", 0, "operations per throughput run (overrides preset)")
-		jsonOut  = flag.String("json", "", "path for machine-readable output (e.g. BENCH_parallel.json for -exp parallel)")
-		noGather = flag.Bool("no-gather", false, "disable the vectorized gather path (batch column access, dict-code compares, zone maps); every experiment then runs the scalar per-row reference")
-		noCSR    = flag.Bool("no-csr", false, "disable the batched adjacency kernel (NeighborsBatch over sealed CSR snapshots); expansion runs the per-source scalar reference")
-		noInter  = flag.Bool("no-intersect", false, "disable the merge/galloping intersection in ExpandInto; cyclic joins close through the hash-set probe")
-		noWCOJ   = flag.Bool("no-wcoj", false, "de-fuse ExpandIntersect into the classical binary-join plan (expand then per-edge ExpandInto)")
-		noCost   = flag.Bool("no-cost", false, "disable cost-based Cypher planning; plans bind in syntactic order, as written")
-		noRecyc  = flag.Bool("no-recycle", false, "disable executor memory recycling (query arenas, reusable f-Trees, pooled morsel scratch); every scratch request allocates fresh")
-		noOvl    = flag.Bool("no-overlay", false, "disable the delta-overlay CSR in -exp update; sealed images invalidate on mutation and the harness serializes readers against the writer")
-		resealFr = flag.Float64("reseal-frac", 0, "background-reseal threshold for -exp update: reseal a family once its delta exceeds this fraction of its sealed entries (0 = storage default)")
+		exp     = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		quick   = flag.Bool("quick", false, "CI-sized configuration")
+		list    = flag.Bool("list", false, "list experiment ids")
+		sfs     = flag.String("sf", "", "comma-separated simulated scale factors (overrides preset)")
+		runs    = flag.Int("runs", 0, "parameter draws per query measurement (overrides preset)")
+		workers = flag.Int("workers", 0, "workers for throughput runs (overrides preset)")
+		ops     = flag.Int("ops", 0, "operations per throughput run (overrides preset)")
+		jsonOut = flag.String("json", "", "path for machine-readable output (-exp parallel, -exp update)")
 	)
 	flag.Parse()
 
@@ -78,14 +66,6 @@ func main() {
 		cfg.MixOps = *ops
 	}
 	cfg.JSONPath = *jsonOut
-	cfg.NoGather = *noGather
-	cfg.NoCSR = *noCSR
-	cfg.NoIntersect = *noInter
-	cfg.NoWCOJ = *noWCOJ
-	cfg.NoCost = *noCost
-	cfg.NoRecycle = *noRecyc
-	cfg.NoOverlay = *noOvl
-	cfg.ResealFraction = *resealFr
 
 	exps := bench.All()
 	if *exp != "all" {

@@ -34,7 +34,6 @@ func main() {
 		mode     = flag.String("mode", "fused", "engine variant: flat | factorized | fused")
 		parallel = flag.Int("parallel", 1, "intra-query worker count per request (morsel runtime)")
 		cacheSz  = flag.Int("plan-cache", service.DefaultPlanCacheSize, "compiled-plan LRU capacity")
-		noCost   = flag.Bool("no-cost", false, "disable cost-based planning (bind patterns as written)")
 	)
 	flag.Parse()
 
@@ -57,7 +56,7 @@ func main() {
 	}
 	log.Printf("dataset ready: %s", ds.Stats())
 
-	srv := service.NewWith(ds, m, service.Options{Parallel: *parallel, PlanCacheSize: *cacheSz, NoCost: *noCost})
+	srv := service.NewWith(ds, m, service.Options{Parallel: *parallel, PlanCacheSize: *cacheSz})
 	log.Printf("gesd (%s engine) listening on %s", m, *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.Mux()))
 }

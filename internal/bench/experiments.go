@@ -34,53 +34,8 @@ type Config struct {
 	TraceBucket time.Duration
 	Seed        int64
 	// JSONPath, when non-empty, is where experiments that produce a
-	// machine-readable artifact ("parallel", "gather") write it.
+	// machine-readable artifact ("parallel", "update") write it.
 	JSONPath string
-	// NoGather disables the vectorized property-gather path (§5) on every
-	// engine the experiments build — the scalar ablation baseline.
-	NoGather bool
-	// NoCSR disables the batched adjacency kernel (NeighborsBatch over the
-	// sealed CSR snapshots); expansion falls back to per-source segment walks.
-	NoCSR bool
-	// NoIntersect disables the merge/galloping intersection in ExpandInto;
-	// cyclic pattern edges close through the hash-set probe instead.
-	NoIntersect bool
-	// NoWCOJ de-fuses ExpandIntersect into the classical binary-join plan
-	// (expand the candidate set, close each edge with ExpandInto).
-	NoWCOJ bool
-	// NoCost disables cost-based Cypher planning: the planner experiment
-	// (and any cypher compilation the experiments perform) binds plans in
-	// syntactic order, exactly as written.
-	NoCost bool
-	// NoRecycle disables executor memory recycling on every engine the
-	// experiments build: arenas allocate fresh and return nothing to the
-	// pool — the §5 memory-pool ablation baseline.
-	NoRecycle bool
-	// NoOverlay disables the delta-overlay CSR in the update experiment:
-	// sealed images invalidate on mutation (the pre-overlay behavior) and the
-	// harness serializes readers against the writer behind a RWMutex. The
-	// experiment then measures only the ablation side.
-	NoOverlay bool
-	// ResealFraction, when > 0, overrides the background-reseal threshold in
-	// the update experiment: a family reseals once its delta exceeds this
-	// fraction of its sealed entry count (storage.DefaultResealFraction
-	// otherwise).
-	ResealFraction float64
-}
-
-// newEngine returns an engine honoring the ablation switches.
-func (cfg Config) newEngine(mode exec.Mode) *exec.Engine {
-	e := exec.New(mode)
-	e.NoGather, e.NoDictCmp, e.NoZoneMap = cfg.NoGather, cfg.NoGather, cfg.NoGather
-	e.NoCSR, e.NoIntersect, e.NoWCOJ = cfg.NoCSR, cfg.NoIntersect, cfg.NoWCOJ
-	e.NoCost = cfg.NoCost
-	e.NoRecycle = cfg.NoRecycle
-	return e
-}
-
-// newRunner wires a workload runner around a config-built engine.
-func (cfg Config) newRunner(ds *ldbc.Dataset, mode exec.Mode) *queries.Runner {
-	return queries.NewRunnerWith(ds, cfg.newEngine(mode), nil)
 }
 
 // Quick returns a configuration sized for CI / `go test -bench`.
@@ -198,7 +153,7 @@ func fig2(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	r := cfg.newRunner(ds, exec.ModeFlat)
+	r := queries.NewRunner(ds, exec.ModeFlat, nil)
 	fmt.Fprintf(w, "flat GES engine, simSF=%.4g, %d runs per query, single worker\n", sf, cfg.Runs)
 	fmt.Fprintln(w, "query   total(ms)    avg(ms)")
 	for _, name := range icNames() {
@@ -218,7 +173,7 @@ func fig3(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	r := cfg.newRunner(ds, exec.ModeFlat)
+	r := queries.NewRunner(ds, exec.ModeFlat, nil)
 	fmt.Fprintf(w, "operator breakdown of long-running queries, flat engine, simSF=%.4g\n", sf)
 	for _, name := range []string{"IC5", "IC6", "IC9", "IC12"} {
 		q := mustQuery(name)
@@ -260,7 +215,7 @@ func fig11(w io.Writer, cfg Config) error {
 			q := mustQuery(name)
 			var avg [3]time.Duration
 			for mi, mode := range Modes {
-				r := cfg.newRunner(ds, mode)
+				r := queries.NewRunner(ds, mode, nil)
 				st, err := driver.MeasureQuery(r, q, cfg.Runs, cfg.Seed, false)
 				if err != nil {
 					return fmt.Errorf("%s %s: %w", name, mode, err)
@@ -288,7 +243,7 @@ func fig12(w io.Writer, cfg Config) error {
 		q := mustQuery(name)
 		var p99, p999 [3]time.Duration
 		for mi, mode := range Modes {
-			r := cfg.newRunner(ds, mode)
+			r := queries.NewRunner(ds, mode, nil)
 			st, err := driver.MeasureQuery(r, q, runs, cfg.Seed, false)
 			if err != nil {
 				return err
@@ -314,7 +269,7 @@ func table2(w io.Writer, cfg Config) error {
 			q := mustQuery(name)
 			var mem [3]int
 			for mi, mode := range Modes {
-				r := cfg.newRunner(ds, mode)
+				r := queries.NewRunner(ds, mode, nil)
 				st, err := driver.MeasureQuery(r, q, cfg.Runs, cfg.Seed, false)
 				if err != nil {
 					return err
@@ -342,7 +297,7 @@ func table3(w io.Writer, cfg Config) error {
 		}
 		var tp [3]float64
 		for mi, mode := range Modes {
-			r := cfg.newRunner(ds, mode)
+			r := queries.NewRunner(ds, mode, nil)
 			res := driver.Run(r, driver.Options{Workers: cfg.Workers, Ops: cfg.MixOps, Seed: cfg.Seed})
 			if res.Failed > 0 {
 				return fmt.Errorf("table3: %d failed queries in %s", res.Failed, mode)
@@ -380,7 +335,7 @@ func fig13(w io.Writer, cfg Config) error {
 		}
 		line := fmt.Sprintf("%-8.4g", sf)
 		for _, n := range workerSweep {
-			r := cfg.newRunner(ds, exec.ModeFused)
+			r := queries.NewRunner(ds, exec.ModeFused, nil)
 			res := driver.Run(r, driver.Options{Workers: n, Ops: cfg.MixOps, Seed: cfg.Seed})
 			line += fmt.Sprintf(" %10.0f", res.Throughput)
 		}
@@ -395,7 +350,7 @@ func fig14(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	r := cfg.newRunner(ds, exec.ModeFused)
+	r := queries.NewRunner(ds, exec.ModeFused, nil)
 	fmt.Fprintf(w, "GES_f* throughput trace, simSF=%.4g, %d workers, %v buckets\n",
 		sf, cfg.Workers, cfg.TraceBucket)
 	fmt.Fprintf(w, "%-10s %8s %8s %8s %8s\n", "t", "IC/s", "IS/s", "IU/s", "all/s")
@@ -412,12 +367,12 @@ func fig14(w io.Writer, cfg Config) error {
 // experiments: volcano (tuple-at-a-time iterator, Neo4j-style) plus the
 // three GES variants (GES flat also stands in for block-based relational
 // engines — see DESIGN.md §3).
-func crossEngines(cfg Config, ds *ldbc.Dataset) map[string]*queries.Runner {
+func crossEngines(ds *ldbc.Dataset) map[string]*queries.Runner {
 	return map[string]*queries.Runner{
 		"volcano": queries.NewRunnerWith(ds, volcano.New(), nil),
-		"GES":     cfg.newRunner(ds, exec.ModeFlat),
-		"GES_f":   cfg.newRunner(ds, exec.ModeFactorized),
-		"GES_f*":  cfg.newRunner(ds, exec.ModeFused),
+		"GES":     queries.NewRunner(ds, exec.ModeFlat, nil),
+		"GES_f":   queries.NewRunner(ds, exec.ModeFactorized, nil),
+		"GES_f*":  queries.NewRunner(ds, exec.ModeFused, nil),
 	}
 }
 
@@ -429,7 +384,7 @@ func fig15(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		engines := crossEngines(cfg, ds)
+		engines := crossEngines(ds)
 		fmt.Fprintf(w, "--- average latency (ms), simSF=%.4g ---\n", sf)
 		fmt.Fprintf(w, "%-7s %12s %12s %12s %12s\n", "query", crossOrder[0], crossOrder[1], crossOrder[2], crossOrder[3])
 		var names []string
@@ -465,7 +420,7 @@ func table4(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		engines := crossEngines(cfg, ds)
+		engines := crossEngines(ds)
 		line := fmt.Sprintf("%-8.4g", sf)
 		for _, eng := range crossOrder {
 			res := driver.Run(engines[eng], driver.Options{Workers: cfg.Workers, Ops: cfg.MixOps, Seed: cfg.Seed})

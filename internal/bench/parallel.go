@@ -92,7 +92,7 @@ func parallelExp(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "%-9s %12s %9s\n", "workers", "avg(ms)", "speedup")
 	var base time.Duration
 	for _, n := range parallelWorkerSweep {
-		eng := cfg.newEngine(exec.ModeFactorized)
+		eng := exec.New(exec.ModeFactorized)
 		eng.Parallel = n
 		// One warmup run outside the measurement.
 		if _, err := eng.Run(ds.Graph, fusedParallelPlan(ds)); err != nil {

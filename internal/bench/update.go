@@ -1,13 +1,10 @@
 // The "update" experiment measures the delta-overlay CSR under the paper's
 // sustained-IU regime (§2.3): reader workers stream batched KNOWS expansions
-// while a writer continuously inserts and deletes edges. With the overlay on,
-// readers stay lock-free on the sealed images and mutations land in per-image
-// deltas drained by background reseals; the -no-overlay ablation restores
-// invalidate-on-mutation, where correctness under concurrent writes requires
-// the harness to serialize readers and the writer behind a RWMutex and reads
-// degrade to the unsorted live-slot fallback. A quiesced full reseal after
-// each overlay run must reproduce the overlay reads byte-for-byte. Emits the
-// BENCH_update.json artifact when Config.JSONPath is set.
+// while a writer continuously inserts and deletes edges. Readers stay
+// lock-free on the sealed images and mutations land in per-image deltas
+// drained by background reseals. A quiesced full reseal after each run must
+// reproduce the overlay reads byte-for-byte. Emits a JSON artifact when
+// Config.JSONPath is set.
 package bench
 
 import (
@@ -28,7 +25,7 @@ import (
 )
 
 func init() {
-	register(Experiment{"update", "read throughput under sustained IU writes: delta overlay vs -no-overlay", updateExp})
+	register(Experiment{"update", "read throughput under sustained IU writes through the delta overlay", updateExp})
 }
 
 // updateWorkerSweep is the reader worker ladder.
@@ -89,9 +86,8 @@ func buildWriterPairs(ds *ldbc.Dataset, n int, seed int64) []*writerPair {
 }
 
 // updateRun is one measured point: `workers` readers batch-expanding KNOWS
-// while one writer toggles pairs for `dur`. lock is non-nil in -no-overlay
-// mode, where the harness must serialize readers against the writer.
-func updateRun(ds *ldbc.Dataset, workers int, dur time.Duration, lock *sync.RWMutex, seed int64) (readSrcs, writes int64) {
+// while one writer toggles pairs for `dur`.
+func updateRun(ds *ldbc.Dataset, workers int, dur time.Duration, seed int64) (readSrcs, writes int64) {
 	g, h := ds.Graph, ds.H
 	pairs := buildWriterPairs(ds, 4*len(ds.Persons), seed)
 
@@ -117,13 +113,7 @@ func updateRun(ds *ldbc.Dataset, workers int, dur time.Duration, lock *sync.RWMu
 				}
 				chunk := ds.Persons[at:hi]
 				at = hi % len(ds.Persons)
-				if lock != nil {
-					lock.RLock()
-				}
 				g.NeighborsBatch(chunk, h.Knows, catalog.Out, h.Person, true, &b)
-				if lock != nil {
-					lock.RUnlock()
-				}
 				n += int64(len(chunk))
 			}
 			totalReads.Add(n)
@@ -139,18 +129,12 @@ func updateRun(ds *ldbc.Dataset, workers int, dur time.Duration, lock *sync.RWMu
 		for !stop.Load() {
 			for i := 0; i < updateWriteBatch; i++ {
 				p := pairs[rng.Intn(len(pairs))]
-				if lock != nil {
-					lock.Lock()
-				}
 				if p.present {
 					if g.DeleteEdge(h.Knows, p.src, p.dst) {
 						n++
 					}
 				} else if g.AddEdge(h.Knows, p.src, p.dst, updateProp(p.src, p.dst)) == nil {
 					n++
-				}
-				if lock != nil {
-					lock.Unlock()
 				}
 				p.present = !p.present
 			}
@@ -177,30 +161,23 @@ func captureExpand(ds *ldbc.Dataset) [][]vector.VID {
 	return out
 }
 
-// updatePoint is one worker-count row of BENCH_update.json.
+// updatePoint is one worker-count row of the JSON artifact.
 type updatePoint struct {
-	Workers            int     `json:"workers"`
-	OverlayReadsPerSec float64 `json:"overlayReadsPerSec"` // sources expanded per second, all readers
-	OverlayWritesSec   float64 `json:"overlayWritesPerSec"`
-	NoOverlayReadsSec  float64 `json:"noOverlayReadsPerSec"`
-	NoOverlayWritesSec float64 `json:"noOverlayWritesPerSec"`
-	Speedup            float64 `json:"speedup"` // overlay / no-overlay reader throughput
+	Workers      int     `json:"workers"`
+	ReadsPerSec  float64 `json:"readsPerSec"` // sources expanded per second, all readers
+	WritesPerSec float64 `json:"writesPerSec"`
 }
 
-// updateReport is the schema of BENCH_update.json.
+// updateReport is the schema of the JSON artifact.
 type updateReport struct {
 	SimSF      float64       `json:"simSF"`
 	DurationMs float64       `json:"durationMs"` // per measured point
 	Points     []updatePoint `json:"points"`
-	MinSpeedup float64       `json:"minSpeedup"`
-	// Reseal counters from the last (widest) overlay run.
+	// Reseal counters from the last (widest) run.
 	Reseals          int64   `json:"reseals"`
 	ResealMs         float64 `json:"resealMs"`
 	MaxDeltaFraction float64 `json:"maxDeltaFraction"`
 	StatsEpoch       uint64  `json:"statsEpoch"`
-	// CrossCheck is true when overlay reads after the writer quiesced were
-	// byte-identical to a full reseal, at every worker count.
-	CrossCheck bool `json:"crossCheck"`
 }
 
 func updateExp(w io.Writer, cfg Config) error {
@@ -209,73 +186,40 @@ func updateExp(w io.Writer, cfg Config) error {
 	if dur <= 0 {
 		dur = 400 * time.Millisecond
 	}
-	report := updateReport{SimSF: sf, DurationMs: ms(dur), CrossCheck: true}
+	report := updateReport{SimSF: sf, DurationMs: ms(dur)}
 	fmt.Fprintf(w, "mixed read/write KNOWS workload, simSF=%.4g, %v per point, 1 writer, chunk=%d\n",
 		sf, dur, updateChunk)
-	fmt.Fprintf(w, "%-8s %16s %16s %16s %16s %9s\n",
-		"readers", "overlay reads/s", "overlay wr/s", "no-ovl reads/s", "no-ovl wr/s", "speedup")
+	fmt.Fprintf(w, "%-8s %16s %16s\n", "readers", "reads/s", "writes/s")
 
 	for _, workers := range updateWorkerSweep {
-		pt := updatePoint{Workers: workers}
-
-		if !cfg.NoOverlay {
-			// Fresh private dataset per point: the workload mutates it, so the
-			// shared cache must never see it.
-			ds, err := ldbc.Generate(ldbc.Config{SF: sf, Seed: cfg.Seed})
-			if err != nil {
-				return err
-			}
-			if cfg.ResealFraction > 0 {
-				ds.Graph.SetResealPolicy(cfg.ResealFraction, 0)
-			}
-			r, wr := updateRun(ds, workers, dur, nil, cfg.Seed+int64(workers))
-			pt.OverlayReadsPerSec = float64(r) / dur.Seconds()
-			pt.OverlayWritesSec = float64(wr) / dur.Seconds()
-			ov := ds.Graph.Overlay()
-			report.Reseals = ov.Reseals
-			report.ResealMs = ms(ov.ResealTime)
-			report.MaxDeltaFraction = ov.MaxDeltaFraction
-			report.StatsEpoch = ov.StatsEpoch
-
-			// Quiesced cross-check: overlay reads vs a full reseal.
-			before := captureExpand(ds)
-			ds.Graph.CompactAdjacency()
-			ds.Graph.SealCSR()
-			if !reflect.DeepEqual(before, captureExpand(ds)) {
-				report.CrossCheck = false
-				return fmt.Errorf("update: overlay reads diverge from the quiesced reseal at %d workers", workers)
-			}
-		}
-
-		// -no-overlay ablation: invalidate-on-mutation, RWMutex-serialized.
+		// Fresh private dataset per point: the workload mutates it, so the
+		// shared cache must never see it.
 		ds, err := ldbc.Generate(ldbc.Config{SF: sf, Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}
-		ds.Graph.SetOverlayDisabled(true)
-		var mu sync.RWMutex
-		r, wr := updateRun(ds, workers, dur, &mu, cfg.Seed+int64(workers))
-		pt.NoOverlayReadsSec = float64(r) / dur.Seconds()
-		pt.NoOverlayWritesSec = float64(wr) / dur.Seconds()
+		r, wr := updateRun(ds, workers, dur, cfg.Seed+int64(workers))
+		pt := updatePoint{Workers: workers, ReadsPerSec: float64(r) / dur.Seconds(), WritesPerSec: float64(wr) / dur.Seconds()}
+		ov := ds.Graph.Overlay()
+		report.Reseals = ov.Reseals
+		report.ResealMs = ms(ov.ResealTime)
+		report.MaxDeltaFraction = ov.MaxDeltaFraction
+		report.StatsEpoch = ov.StatsEpoch
 
-		if pt.NoOverlayReadsSec > 0 {
-			pt.Speedup = pt.OverlayReadsPerSec / pt.NoOverlayReadsSec
-		}
-		if report.MinSpeedup == 0 || pt.Speedup < report.MinSpeedup {
-			report.MinSpeedup = pt.Speedup
+		// Quiesced cross-check: overlay reads vs a full reseal. A divergence
+		// fails the experiment, so a written artifact implies it held.
+		before := captureExpand(ds)
+		ds.Graph.CompactAdjacency()
+		ds.Graph.SealCSR()
+		if !reflect.DeepEqual(before, captureExpand(ds)) {
+			return fmt.Errorf("update: overlay reads diverge from the quiesced reseal at %d workers", workers)
 		}
 		report.Points = append(report.Points, pt)
-		fmt.Fprintf(w, "%-8d %16.0f %16.0f %16.0f %16.0f %8.1fx\n",
-			workers, pt.OverlayReadsPerSec, pt.OverlayWritesSec,
-			pt.NoOverlayReadsSec, pt.NoOverlayWritesSec, pt.Speedup)
+		fmt.Fprintf(w, "%-8d %16.0f %16.0f\n", workers, pt.ReadsPerSec, pt.WritesPerSec)
 	}
-
-	if !cfg.NoOverlay {
-		fmt.Fprintf(w, "cross-check: overlay reads byte-identical to the quiesced reseal at workers %v\n", updateWorkerSweep)
-		fmt.Fprintf(w, "reseals: %d (%.1fms total), peak delta fraction %.4f, stats epoch %d\n",
-			report.Reseals, report.ResealMs, report.MaxDeltaFraction, report.StatsEpoch)
-		fmt.Fprintf(w, "min reader-throughput speedup over -no-overlay: %.1fx\n", report.MinSpeedup)
-	}
+	fmt.Fprintf(w, "cross-check: overlay reads byte-identical to the quiesced reseal at workers %v\n", updateWorkerSweep)
+	fmt.Fprintf(w, "reseals: %d (%.1fms total), peak delta fraction %.4f, stats epoch %d\n",
+		report.Reseals, report.ResealMs, report.MaxDeltaFraction, report.StatsEpoch)
 
 	if cfg.JSONPath != "" {
 		raw, err := json.MarshalIndent(report, "", "  ")

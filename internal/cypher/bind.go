@@ -26,8 +26,8 @@ func Compile(src string, cat *catalog.Catalog) (plan.Plan, error) {
 
 // Options configures compilation.
 type Options struct {
-	// Cost is the statistics-driven cost model; nil (or Engine.NoCost)
-	// binds the syntactic plan exactly as written.
+	// Cost is the statistics-driven cost model; nil (no statistics
+	// snapshot published yet) binds the syntactic plan exactly as written.
 	Cost *plan.CostModel
 	// Params carries the values for $k placeholders in the query text
 	// (slot k = Params[k-1]), as produced by Normalize. The binder uses
@@ -101,7 +101,7 @@ func BindWith(q *Query, cat *catalog.Catalog, opts Options) (*Compiled, error) {
 	}
 	// Cyclic subpatterns with >= 2 edges constraining one new vertex bind as
 	// Expand + ExpandInto chains; lower them to worst-case-optimal multiway
-	// intersections (exec's NoWCOJ knob restores the classical chain).
+	// intersections.
 	return &Compiled{
 		Plan: plan.LowerWCOJ(b.plan),
 		Est:  plan.Estimate{Rows: b.rows, CostBased: b.cost != nil, Anchor: b.anchor},

@@ -8,6 +8,8 @@ import (
 	"ges/internal/core"
 	"ges/internal/cypher"
 	"ges/internal/exec"
+	"ges/internal/paritytest"
+	"ges/internal/plan"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
 )
@@ -230,7 +232,7 @@ func triangleFixture(t *testing.T) *testgraph.Fixture {
 // TestCyclicPatternCompilesToExpandIntersect checks that a triangle pattern —
 // whose closing relationship targets an already-bound variable — lowers to
 // the multiway intersection operator and returns the right count in every
-// mode, with and without the WCOJ lowering enabled.
+// mode and at every worker count, in agreement with the volcano oracle.
 func TestCyclicPatternCompilesToExpandIntersect(t *testing.T) {
 	f := triangleFixture(t)
 	src := `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)-[:KNOWS]->(a)
@@ -242,29 +244,15 @@ func TestCyclicPatternCompilesToExpandIntersect(t *testing.T) {
 	if !strings.Contains(p.String(), "ExpandIntersect") {
 		t.Fatalf("cyclic pattern did not lower to ExpandIntersect: %s", p)
 	}
-	for _, mode := range []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused} {
-		fb := runCypher(t, f, mode, src)
-		// Two triangles, six ordered traversals each.
-		if fb.NumRows() != 1 || fb.Rows[0][0].I != 12 {
-			t.Fatalf("mode %s: got %v, want one row with n=12", mode, fb.Rows)
-		}
-		// The NoWCOJ knob de-fuses inside the operator; the count must not
-		// change.
-		e := exec.New(mode)
-		e.NoWCOJ = true
-		res, err := e.Run(f.Graph, p)
-		if err != nil {
-			t.Fatalf("no-wcoj run: %v", err)
-		}
-		if res.Block.NumRows() != 1 || res.Block.Rows[0][0].I != 12 {
-			t.Fatalf("mode %s no-wcoj: got %v", mode, res.Block.Rows)
-		}
+	// Two triangles, six ordered traversals each.
+	rows := paritytest.Check(t, f.Graph, func() plan.Plan { return p }, true)
+	if want := []string{"n", "12|"}; !reflect.DeepEqual(rows, want) {
+		t.Fatalf("got %v, want %v", rows, want)
 	}
 }
 
 // TestDiamondLowersToExpandIntersect pins the lowering for a two-closure
-// diamond pattern and cross-checks the WCOJ plan against the de-fused
-// execution path.
+// diamond pattern and cross-checks the WCOJ plan against the oracle.
 func TestDiamondLowersToExpandIntersect(t *testing.T) {
 	f := triangleFixture(t)
 	src := `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(d:Person)
@@ -277,23 +265,9 @@ func TestDiamondLowersToExpandIntersect(t *testing.T) {
 	if !strings.Contains(p.String(), "ExpandIntersect") {
 		t.Fatalf("diamond did not lower to ExpandIntersect: %s", p)
 	}
-	var want int64 = -1
-	for _, mode := range []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused} {
-		for _, noWCOJ := range []bool{false, true} {
-			e := exec.New(mode)
-			e.NoWCOJ = noWCOJ
-			res, err := e.Run(f.Graph, p)
-			if err != nil {
-				t.Fatalf("mode %s no-wcoj=%v: %v", mode, noWCOJ, err)
-			}
-			got := res.Block.Rows[0][0].I
-			if want < 0 {
-				want = got
-			}
-			if got != want || got <= 0 {
-				t.Fatalf("mode %s no-wcoj=%v: count = %d, want %d", mode, noWCOJ, got, want)
-			}
-		}
+	rows := paritytest.Check(t, f.Graph, func() plan.Plan { return p }, true)
+	if len(rows) != 2 || rows[1] == "0|" {
+		t.Fatalf("diamond count = %v, want one positive row", rows)
 	}
 }
 

@@ -88,32 +88,6 @@ type Engine struct {
 	// Sched is the worker pool intra-query morsels run on; nil uses the
 	// process-wide scheduler.
 	Sched *sched.Scheduler
-	// NoGather / NoDictCmp / NoZoneMap disable the vectorized property
-	// gather path, dictionary-code comparisons, and zone-map skipping — the
-	// §5 ablation knobs. Results are byte-identical either way.
-	NoGather  bool
-	NoDictCmp bool
-	NoZoneMap bool
-	// NoCSR / NoIntersect disable the batched CSR expand kernel and the
-	// intersection-based cyclic join — the CSR ablation knobs. Results are
-	// byte-identical either way.
-	NoCSR       bool
-	NoIntersect bool
-	// NoWCOJ makes ExpandIntersect run its de-fused classical plan (Expand +
-	// per-side ExpandInto) instead of the worst-case-optimal k-way
-	// intersection — the WCOJ ablation knob. Results are identical.
-	NoWCOJ bool
-	// NoRecycle disables executor memory recycling: Run still brackets the
-	// query with an arena, but every scratch request falls through to plain
-	// allocation and nothing returns to the pool — the §5 memory-pool
-	// ablation knob. Results are byte-identical either way.
-	NoRecycle bool
-	// NoCost makes the cypher binder emit today's syntactic plan instead
-	// of consulting the statistics-driven cost model — the planner
-	// ablation knob. Plans differ in shape but results are identical. The
-	// knob lives on the engine for gesbench/Config conformity; it is read
-	// by the compile helpers, not by Run.
-	NoCost bool
 	// Params is the per-execution parameter vector for plans compiled
 	// from normalized query text ($k placeholders). Bound once per Run via
 	// plan.BindParams, before fusion, so every downstream operator and
@@ -140,11 +114,9 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	// wholesale release — even on error paths. The arena struct itself is
 	// recycled too, so its ownership-tracking slices keep their capacity
 	// across queries.
-	arena := e.Pool.GetArena(e.NoRecycle)
+	arena := e.Pool.GetArena()
 	defer e.Pool.PutArena(arena)
-	ctx := &op.Ctx{View: view, Pool: e.Pool, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel, Sched: e.Sched,
-		NoGather: e.NoGather, NoDictCmp: e.NoDictCmp, NoZoneMap: e.NoZoneMap,
-		NoCSR: e.NoCSR, NoIntersect: e.NoIntersect, NoWCOJ: e.NoWCOJ}
+	ctx := &op.Ctx{View: view, Pool: e.Pool, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel, Sched: e.Sched}
 	start := time.Now()
 
 	var ch *core.Chunk

@@ -14,10 +14,11 @@ import (
 //	    go through the vectorized gather path; files implementing the
 //	    deliberate scalar fallback opt out with //geslint:scalar-ok.
 //	    View.Neighbors must go through the batched expand kernel
-//	    (View.NeighborsBatch); because every operator keeps a deliberate
-//	    scalar branch for the NoCSR ablation, the opt-out is line-scope only —
-//	    //geslint:scalar-ok on or above the call — so a file-level directive
-//	    cannot silently exempt new per-source adjacency loops.
+//	    (View.NeighborsBatch); the two per-source walks that remain (the
+//	    ExpandInto probe and the path-semantics DFS) are each deliberate, so
+//	    the opt-out is line-scope only — //geslint:scalar-ok on or above the
+//	    call — and a file-level directive cannot silently exempt new
+//	    per-source adjacency loops.
 //	R2  lock acquisition in internal/storage and internal/txn must follow the
 //	    partial order declared by //geslint:lockorder A < B comments; both
 //	    inversions and undeclared nestings are findings. Acquire sets come

@@ -21,7 +21,7 @@ func LeakDropped(a *storage.Arena) int {
 // LeakArena checks the pool-level pairing: an arena checked out of the
 // shared pool must go back (the engine's per-query bracket).
 func LeakArena(p *storage.Pool) {
-	ar := p.GetArena(false) // want R11
+	ar := p.GetArena() // want R11
 	ar.GetVals(0)           // want R11
 }
 

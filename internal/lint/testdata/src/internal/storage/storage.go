@@ -42,7 +42,7 @@ func (p *Pool) GetVIDs(n int) []vector.VID { return make([]vector.VID, 0, n) }
 func (p *Pool) PutVIDs(buf []vector.VID) {}
 
 // GetArena acquires a query arena (R11 obligation).
-func (p *Pool) GetArena(noRecycle bool) *Arena { return &Arena{} }
+func (p *Pool) GetArena() *Arena { return &Arena{} }
 
 // PutArena releases a query arena wholesale (R11 discharge).
 func (p *Pool) PutArena(a *Arena) {}

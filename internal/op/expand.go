@@ -98,8 +98,6 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan) (
 	// The index vector lands in the new f-Tree node, so it is query-lifetime
 	// arena memory, released wholesale when the engine ends the query.
 	index := ctx.Arena.OwnRanges(parent.Block.NumRows())
-	var segBuf []storage.Segment
-
 	if lazyOK {
 		if ctx.Parallel > 1 && parent.Block.NumRows() >= parallelMinRows {
 			toCol, pidx := parallelLazyExpand(ctx, o.To, parent, fromCol, o.Et, o.Dir, o.DstLabel)
@@ -108,49 +106,23 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan) (
 			return ctx.FTChunk(ft), nil
 		}
 		toCol := ctx.Arena.OwnLazyVIDColumn(o.To)
-		if !ctx.NoCSR {
-			// Batched kernel: one NeighborsBatch call resolves every parent
-			// row (prefix-sum lookups on a sealed CSR, no per-row family
-			// map probes); each non-empty run appends as one lazy segment.
-			// The lazy column retains run sub-slices of the batch, so the
-			// batch is query-lifetime (OwnBatch), not morsel scratch.
-			b := ctx.Arena.OwnBatch()
-			srcs := expandSrcs(parent, fromCol, 0, parent.Block.NumRows(),
-				ctx.Arena.GetVIDs(parent.Block.NumRows()))
-			ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
-			ctx.Arena.PutVIDs(srcs)
-			total := 0
-			for i, r := range b.Runs {
-				start := total
-				if r.End > r.Start {
-					_, total = toCol.AppendSegment(b.VIDs[r.Start:r.End])
-				}
-				index[i] = core.Range{Start: int32(start), End: int32(total)}
-			}
-			ft.AddChild(parent, ctx.NewFBlock(toCol), index)
-			assertFTree(ft)
-			return ctx.FTChunk(ft), nil
-		}
-		// NoCSR reference path: scalar per-source lookups, byte-identical
-		// to the batched kernel.
+		// Batched kernel: one NeighborsBatch call resolves every parent
+		// row (prefix-sum lookups on a sealed CSR, no per-row family
+		// map probes); each non-empty run appends as one lazy segment.
+		// The lazy column retains run sub-slices of the batch, so the
+		// batch is query-lifetime (OwnBatch), not morsel scratch.
+		b := ctx.Arena.OwnBatch()
+		srcs := expandSrcs(parent, fromCol, 0, parent.Block.NumRows(),
+			ctx.Arena.GetVIDs(parent.Block.NumRows()))
+		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
+		ctx.Arena.PutVIDs(srcs)
 		total := 0
-		for i := 0; i < parent.Block.NumRows(); i++ {
-			if !parent.Valid(i) {
-				index[i] = core.Range{Start: int32(total), End: int32(total)}
-				continue
-			}
-			src := fromCol.VIDAt(i)
-			//geslint:scalar-ok
-			segBuf = ctx.View.Neighbors(segBuf[:0], src, o.Et, o.Dir, o.DstLabel, false)
+		for i, r := range b.Runs {
 			start := total
-			for _, seg := range segBuf {
-				_, total = toCol.AppendSegment(seg.VIDs)
+			if r.End > r.Start {
+				_, total = toCol.AppendSegment(b.VIDs[r.Start:r.End])
 			}
-			if len(segBuf) == 0 {
-				index[i] = core.Range{Start: int32(start), End: int32(start)}
-			} else {
-				index[i] = core.Range{Start: int32(start), End: int32(total)}
-			}
+			index[i] = core.Range{Start: int32(start), End: int32(total)}
 		}
 		ft.AddChild(parent, ctx.NewFBlock(toCol), index)
 		assertFTree(ft)
@@ -202,9 +174,7 @@ func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vec
 // which keeps parallel output byte-identical to sequential execution.
 //
 // Candidates come from one batched NeighborsBatch call per invocation (one
-// prefix-sum pass on a sealed CSR); ctx.NoCSR falls back to scalar
-// per-source lookups. Both paths feed identical candidate sequences to the
-// predicate/property logic below.
+// prefix-sum pass on a sealed CSR).
 func (o *Expand) expandRows(ctx *Ctx, pred VertexPred, parent *core.Node, fromCol *vector.Column,
 	epp edgePropPlan, lo, hi int, toCol *vector.Column, propCols []*vector.Column, index []core.Range) []core.Range {
 
@@ -216,106 +186,47 @@ func (o *Expand) expandRows(ctx *Ctx, pred VertexPred, parent *core.Node, fromCo
 	}
 	total := toCol.Len()
 
-	if !ctx.NoCSR {
-		// Materializing path: every value is copied out of the batch before
-		// this call returns, so the batch is transient scratch.
-		b := ctx.Arena.GetBatch()
-		defer ctx.Arena.PutBatch(b)
-		srcs := expandSrcs(parent, fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
-		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
-		ctx.Arena.PutVIDs(srcs)
-		for ri := range b.Runs {
-			start := total
-			r := b.Runs[ri]
-			cands := b.VIDs[r.Start:r.End]
-			// Large runs evaluate the fused predicate in one batch
-			// (zone-map skip + gather + kernels, predbatch.go); the keep
-			// mask is indexed by run position. Small runs and predicates
-			// without a batch path test per row.
-			keep := testVertexBatch(ctx, pred, cands)
-			for k, v := range cands {
-				if pred != nil {
-					if keep != nil {
-						if !keep[k] {
-							continue
-						}
-					} else if !pred.Test(ctx, v) {
-						continue
-					}
-				}
-				for p := range o.EdgeProps {
-					propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
-				}
-				if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
-					continue
-				}
-				toCol.AppendVID(v)
-				for p, pc := range propCols {
-					pc.Append(propVals[p])
-				}
-				total++
-			}
-			index = append(index, core.Range{Start: int32(start), End: int32(total)})
-		}
-		return index
-	}
-
-	var segBuf []storage.Segment
-	for i := lo; i < hi; i++ {
+	// Materializing path: every value is copied out of the batch before
+	// this call returns, so the batch is transient scratch.
+	b := ctx.Arena.GetBatch()
+	defer ctx.Arena.PutBatch(b)
+	srcs := expandSrcs(parent, fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
+	ctx.Arena.PutVIDs(srcs)
+	for ri := range b.Runs {
 		start := total
-		if !parent.Valid(i) {
-			index = append(index, core.Range{Start: int32(start), End: int32(start)})
-			continue
-		}
-		src := fromCol.VIDAt(i)
-		//geslint:scalar-ok
-		segBuf = ctx.View.Neighbors(segBuf[:0], src, o.Et, o.Dir, o.DstLabel, withProps)
-		for _, seg := range segBuf {
-			keep := testVertexBatch(ctx, pred, seg.VIDs)
-			for k, v := range seg.VIDs {
-				if pred != nil {
-					if keep != nil {
-						if !keep[k] {
-							continue
-						}
-					} else if !pred.Test(ctx, v) {
+		r := b.Runs[ri]
+		cands := b.VIDs[r.Start:r.End]
+		// Large runs evaluate the fused predicate in one batch
+		// (zone-map skip + gather + kernels, predbatch.go); the keep
+		// mask is indexed by run position. Small runs and predicates
+		// without a batch path test per row.
+		keep := testVertexBatch(ctx, pred, cands)
+		for k, v := range cands {
+			if pred != nil {
+				if keep != nil {
+					if !keep[k] {
 						continue
 					}
-				}
-				for p := range o.EdgeProps {
-					propVals[p] = segPropValue(seg, epp, p, k)
-				}
-				if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+				} else if !pred.Test(ctx, v) {
 					continue
 				}
-				toCol.AppendVID(v)
-				for p, pc := range propCols {
-					pc.Append(propVals[p])
-				}
-				total++
 			}
+			for p := range o.EdgeProps {
+				propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
+			}
+			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+				continue
+			}
+			toCol.AppendVID(v)
+			for p, pc := range propCols {
+				pc.Append(propVals[p])
+			}
+			total++
 		}
 		index = append(index, core.Range{Start: int32(start), End: int32(total)})
 	}
 	return index
-}
-
-// segPropValue extracts edge property p (plan position) for neighbor k of a
-// segment.
-func segPropValue(seg storage.Segment, epp edgePropPlan, p, k int) vector.Value {
-	si := epp.idx[p]
-	switch epp.kind[p] {
-	case vector.KindInt64:
-		return vector.Int64(seg.PropI64[si][k])
-	case vector.KindDate:
-		return vector.Date(seg.PropI64[si][k])
-	case vector.KindFloat64:
-		return vector.Float64(seg.PropF64[si][k])
-	case vector.KindString:
-		return vector.String_(seg.PropStr[si][k])
-	default:
-		return vector.Value{}
-	}
 }
 
 // batchPropValue extracts edge property p (plan position) for the neighbor
@@ -366,8 +277,7 @@ func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan) (*c
 
 // expandFlatRows expands input rows [lo,hi) into out — the single flat-path
 // implementation behind the sequential path and each parallel morsel.
-// Candidates come from one batched neighbor call per invocation; ctx.NoCSR
-// falls back to scalar per-source lookups.
+// Candidates come from one batched neighbor call per invocation.
 func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, fromIdx int,
 	epp edgePropPlan, lo, hi int, names []string, out *core.FlatBlock) error {
 
@@ -387,68 +297,36 @@ func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, f
 		out.AppendOwned(nr)
 	}
 
-	if !ctx.NoCSR {
-		srcs := ctx.Arena.GetVIDs(hi - lo)
-		for i := lo; i < hi; i++ {
-			srcs = append(srcs, in.Rows[i][fromIdx].AsVID())
-		}
-		b := ctx.Arena.GetBatch()
-		defer ctx.Arena.PutBatch(b)
-		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
-		ctx.Arena.PutVIDs(srcs)
-		for ri := range b.Runs {
-			row := in.Rows[lo+ri]
-			r := b.Runs[ri]
-			cands := b.VIDs[r.Start:r.End]
-			keep := testVertexBatch(ctx, pred, cands)
-			for k, v := range cands {
-				if pred != nil {
-					if keep != nil {
-						if !keep[k] {
-							continue
-						}
-					} else if !pred.Test(ctx, v) {
-						continue
-					}
-				}
-				for p := range o.EdgeProps {
-					propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
-				}
-				if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
-					continue
-				}
-				emit(row, v)
-			}
-		}
-		return nil
+	srcs := ctx.Arena.GetVIDs(hi - lo)
+	for i := lo; i < hi; i++ {
+		srcs = append(srcs, in.Rows[i][fromIdx].AsVID())
 	}
-
-	var segBuf []storage.Segment
-	for ri := lo; ri < hi; ri++ {
-		row := in.Rows[ri]
-		src := row[fromIdx].AsVID()
-		//geslint:scalar-ok
-		segBuf = ctx.View.Neighbors(segBuf[:0], src, o.Et, o.Dir, o.DstLabel, withProps)
-		for _, seg := range segBuf {
-			keep := testVertexBatch(ctx, pred, seg.VIDs)
-			for k, v := range seg.VIDs {
-				if pred != nil {
-					if keep != nil {
-						if !keep[k] {
-							continue
-						}
-					} else if !pred.Test(ctx, v) {
+	b := ctx.Arena.GetBatch()
+	defer ctx.Arena.PutBatch(b)
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
+	ctx.Arena.PutVIDs(srcs)
+	for ri := range b.Runs {
+		row := in.Rows[lo+ri]
+		r := b.Runs[ri]
+		cands := b.VIDs[r.Start:r.End]
+		keep := testVertexBatch(ctx, pred, cands)
+		for k, v := range cands {
+			if pred != nil {
+				if keep != nil {
+					if !keep[k] {
 						continue
 					}
-				}
-				for p := range o.EdgeProps {
-					propVals[p] = segPropValue(seg, epp, p, k)
-				}
-				if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+				} else if !pred.Test(ctx, v) {
 					continue
 				}
-				emit(row, v)
 			}
+			for p := range o.EdgeProps {
+				propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
+			}
+			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+				continue
+			}
+			emit(row, v)
 		}
 	}
 	return nil

@@ -34,10 +34,10 @@ type IntersectSide struct {
 //
 // Sides[0] is the base: its adjacency enumeration order (with multiplicity)
 // defines the output, so results are byte-identical to the de-fused
-// Expand(Sides[0]) + ExpandInto(Sides[1:]) reference — which is exactly
-// what executeReference runs under ctx.NoWCOJ. Sorted runs intersect by
-// leapfrog/galloping (storage.Intersector), unsealed or overlay segments
-// fall back to per-source hash sets, byte-identical either way.
+// Expand(Sides[0]) + ExpandInto(Sides[1:]) chain. Sorted runs intersect by
+// leapfrog/galloping (storage.Intersector); runs a view returns unsorted
+// (unsealed graph, overlay merges, multi-family AnyLabel) probe per-source
+// hash sets instead, byte-identical either way.
 //
 // The new f-Tree child hangs under the deepest side owner — the LCA-closed
 // placement: every other side owner must be an ancestor of it so each deep
@@ -55,9 +55,6 @@ func (o *ExpandIntersect) Name() string { return "ExpandIntersect" }
 func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if len(o.Sides) < 2 {
 		return nil, fmt.Errorf("op: expand-intersect needs >= 2 sides, got %d", len(o.Sides))
-	}
-	if ctx.NoWCOJ {
-		return o.executeReference(ctx, in)
 	}
 	if in.IsFlat() {
 		return o.executeFlat(ctx, in.Flat)
@@ -126,17 +123,6 @@ func sideSrcs(deep *core.Node, col *vector.Column, owner []int32, lo, hi int, bu
 	return srcs
 }
 
-// fillSide resolves one side's adjacency for a source column: the batched
-// CSR kernel, or the scalar reference path under ctx.NoCSR. Both fill runs
-// aligned with srcs and are byte-identical.
-func fillSide(ctx *Ctx, s IntersectSide, srcs []vector.VID, out *storage.Batch) {
-	if ctx.NoCSR {
-		storage.AppendNeighborsBatch(ctx.View, srcs, s.Et, s.Dir, s.DstLabel, false, out)
-		return
-	}
-	ctx.View.NeighborsBatch(srcs, s.Et, s.Dir, s.DstLabel, false, out)
-}
-
 // intersectRows intersects deep rows [lo,hi), appending survivors to toCol
 // and one range per row to index (ranges relative to toCol's state at
 // entry). It is the single implementation behind the sequential path and
@@ -152,7 +138,8 @@ func (o *ExpandIntersect) intersectRows(ctx *Ctx, deep *core.Node, cols []*vecto
 	defer ctx.Arena.PutBatch(base)
 	srcs0 := sideSrcs(deep, cols[0], owners[0], lo, hi, ctx.Arena.GetVIDs(hi-lo))
 	defer ctx.Arena.PutVIDs(srcs0)
-	fillSide(ctx, o.Sides[0], srcs0, base)
+	s0 := o.Sides[0]
+	ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
 	probes := make([]*storage.Batch, len(o.Sides)-1)
 	probeSrcs := make([][]vector.VID, len(o.Sides)-1)
 	defer func() {
@@ -164,10 +151,11 @@ func (o *ExpandIntersect) intersectRows(ctx *Ctx, deep *core.Node, cols []*vecto
 	for p := range probes {
 		probeSrcs[p] = sideSrcs(deep, cols[p+1], owners[p+1], lo, hi, ctx.Arena.GetVIDs(hi-lo))
 		probes[p] = ctx.Arena.GetBatch()
-		fillSide(ctx, o.Sides[p+1], probeSrcs[p], probes[p])
+		s := o.Sides[p+1]
+		ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
 	}
 	var x storage.Intersector
-	x.Reset(base, probes, probeSrcs, !ctx.NoIntersect)
+	x.Reset(base, probes, probeSrcs, true)
 	return probeLoop(&x, hi-lo, toCol, index)
 }
 
@@ -251,7 +239,8 @@ func (o *ExpandIntersect) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 		}
 		srcs0 := srcsOf(0)
 		defer ctx.Arena.PutVIDs(srcs0)
-		fillSide(ctx, o.Sides[0], srcs0, base)
+		s0 := o.Sides[0]
+		ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
 		defer func() {
 			for p := range probes {
 				ctx.Arena.PutBatch(probes[p])
@@ -261,10 +250,11 @@ func (o *ExpandIntersect) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 		for p := range probes {
 			probeSrcs[p] = srcsOf(p + 1)
 			probes[p] = ctx.Arena.GetBatch()
-			fillSide(ctx, o.Sides[p+1], probeSrcs[p], probes[p])
+			s := o.Sides[p+1]
+			ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
 		}
 		var x storage.Intersector
-		x.Reset(base, probes, probeSrcs, !ctx.NoIntersect)
+		x.Reset(base, probes, probeSrcs, true)
 		var buf []vector.VID
 		for i := 0; i < hi-lo; i++ {
 			buf = x.Row(buf[:0], i)
@@ -296,32 +286,4 @@ func (o *ExpandIntersect) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 		return nil, errRowLimit("flat expand-intersect", out.NumRows(), ctx.MaxRows)
 	}
 	return ctx.FlatChunk(out), nil
-}
-
-// executeReference runs the de-fused classical plan — Expand along side 0,
-// then one ExpandInto closure per remaining side — in place of the
-// intersection. This is the ctx.NoWCOJ ablation baseline: it reproduces the
-// exact operator chain the planner would emit without WCOJ lowering
-// (including the de-factored flat fallback when a closure's endpoints land
-// on sibling branches), and its final results are byte-identical to the
-// intersection paths.
-func (o *ExpandIntersect) executeReference(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	s0 := o.Sides[0]
-	ops := []Operator{
-		&Expand{From: s0.Var, To: o.To, Et: s0.Et, Dir: s0.Dir, DstLabel: s0.DstLabel},
-	}
-	for _, s := range o.Sides[1:] {
-		ops = append(ops, &ExpandInto{From: s.Var, To: o.To, Et: s.Et, Dir: s.Dir,
-			DstLabel: s.DstLabel, SrcLabel: s.SrcLabel})
-	}
-	ch := in
-	for _, sub := range ops {
-		var err error
-		ch, err = sub.Execute(ctx, ch)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Observe(ch)
-	}
-	return ch, nil
 }

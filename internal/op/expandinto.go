@@ -20,9 +20,9 @@ import (
 // no new f-Tree node and no intermediate materialization.
 //
 // When the adjacency run is CSR-sorted the membership probes run as a
-// merge/galloping intersection with a monotone cursor; otherwise (or with
-// ctx.NoIntersect) a per-source hash set answers the probes. Results are
-// byte-identical either way.
+// merge/galloping intersection with a monotone cursor; otherwise a
+// per-source hash set answers the probes. Results are byte-identical either
+// way.
 //
 // The probe side is chosen from the tree shape: candidates iterate on the
 // deeper of the two nodes, and the adjacency of the shallower node's vertex
@@ -62,7 +62,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	// vectors — so the edge check is a per-row predicate on the deep node.
 	var deep, shallow *core.Node
 	var deepCol, shallowCol *vector.Column
-	probe := adjProbe{ctx: ctx, et: o.Et, intersect: !ctx.NoIntersect}
+	probe := adjProbe{ctx: ctx, et: o.Et}
 	switch {
 	case ancestorOf(nt, nf): // covers nf == nt: probe From's adjacency
 		deep, deepCol = nf, fromCol
@@ -106,7 +106,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		// filterMorselSize is a multiple of 64, so concurrent morsels never
 		// write the same selection word; each morsel owns its probe state.
 		ctx.RunMorsels(n, filterMorselSize, func(m sched.Morsel) {
-			p := adjProbe{ctx: ctx, et: probe.et, dir: probe.dir, dstLabel: probe.dstLabel, intersect: probe.intersect}
+			p := adjProbe{ctx: ctx, et: probe.et, dir: probe.dir, dstLabel: probe.dstLabel}
 			apply(m.Start, m.End, &p)
 		})
 	} else {
@@ -128,7 +128,7 @@ func (o *ExpandInto) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, err
 		return nil, errNoColumn("expand-into", o.To)
 	}
 	out := core.NewFlatBlock(in.Names, in.Kinds)
-	p := adjProbe{ctx: ctx, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, intersect: !ctx.NoIntersect}
+	p := adjProbe{ctx: ctx, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel}
 	for _, row := range in.Rows {
 		p.load(row[fi].AsVID())
 		if p.contains(row[ti].AsVID()) {
@@ -188,13 +188,12 @@ func ownerMap(deep, shallow *core.Node) []int32 {
 // answer through a galloping search with a monotone cursor — consecutive
 // candidates from a CSR-sorted child run advance the cursor instead of
 // restarting, so a whole run intersects in a single merge pass. Unsorted
-// runs, multi-family lookups, and ctx.NoIntersect fall back to a hash set.
+// runs and multi-family lookups fall back to a hash set.
 type adjProbe struct {
-	ctx       *Ctx
-	et        catalog.EdgeTypeID
-	dir       catalog.Direction
-	dstLabel  catalog.LabelID
-	intersect bool
+	ctx      *Ctx
+	et       catalog.EdgeTypeID
+	dir      catalog.Direction
+	dstLabel catalog.LabelID
 
 	src    vector.VID
 	loaded bool
@@ -220,7 +219,9 @@ func (p *adjProbe) load(src vector.VID) {
 	// skipped.
 	//geslint:scalar-ok
 	p.segs = p.ctx.View.Neighbors(p.segs, src, p.et, p.dir, p.dstLabel, false)
-	if p.intersect && len(p.segs) == 1 && p.segs[0].Sorted {
+	// A single sorted run (sealed CSR, one family) probes by cursor; unsorted
+	// or multi-segment adjacency (unsealed graph, overlay, AnyLabel) by set.
+	if len(p.segs) == 1 && p.segs[0].Sorted {
 		p.sorted = true
 		p.cur.Reset(p.segs[0].VIDs)
 		return

@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"ges/internal/catalog"
-	"ges/internal/driver"
 	"ges/internal/exec"
 	"ges/internal/op"
 	"ges/internal/plan"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
-	"ges/internal/volcano"
 )
 
 // triangleFixture is the standard fixture plus two extra symmetric KNOWS
@@ -92,9 +90,9 @@ func trianglePlan(s *testgraph.Schema) plan.Plan {
 	}
 }
 
-// TestExpandIntoTriangles checks the semi-join against brute force across
-// every engine mode × worker count × ablation-knob combination, sealed and
-// unsealed — all must produce the identical multiset.
+// TestExpandIntoTriangles checks the semi-join against brute force and the
+// volcano oracle in every engine mode × worker count, sealed (cursor probe)
+// and unsealed (hash-set probe) — all must produce the identical multiset.
 func TestExpandIntoTriangles(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := triangleFixture(t)
@@ -106,34 +104,8 @@ func TestExpandIntoTriangles(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatal("fixture has no triangles; test is vacuous")
 		}
-		for _, mode := range modes {
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, noCSR := range []bool{false, true} {
-					for _, noIntersect := range []bool{false, true} {
-						e := exec.New(mode)
-						e.Parallel = workers
-						e.NoCSR, e.NoIntersect = noCSR, noIntersect
-						res, err := e.Run(f.Graph, trianglePlan(f.Schema))
-						if err != nil {
-							t.Fatalf("sealed=%v %s w=%d nocsr=%v noint=%v: %v",
-								sealed, mode, workers, noCSR, noIntersect, err)
-						}
-						if got := rowsAsStrings(res.Block); !reflect.DeepEqual(got, want) {
-							t.Fatalf("sealed=%v %s w=%d nocsr=%v noint=%v:\n got %v\nwant %v",
-								sealed, mode, workers, noCSR, noIntersect, got, want)
-						}
-					}
-				}
-			}
-		}
-		// Volcano engine interprets the same plan.
-		res, err := volcano.New().Run(f.Graph, trianglePlan(f.Schema))
-		if err != nil {
-			t.Fatalf("volcano: %v", err)
-		}
-		if got := rowsAsStrings(res.Block); !reflect.DeepEqual(got, want) {
-			t.Fatalf("volcano disagrees:\n got %v\nwant %v", got, want)
-		}
+		checkRows(t, f.Graph, func() plan.Plan { return trianglePlan(f.Schema) },
+			want, fmt.Sprintf("sealed=%v", sealed))
 	}
 }
 
@@ -219,54 +191,6 @@ func TestExpandIntoSiblingFallback(t *testing.T) {
 	want := bruteTriangles(f)
 	if got := rowsAsStrings(fb); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sibling fallback:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestExpandIntoParallelDeterministic closes triangles over the LDBC knows
-// graph — large enough to cross the morsel threshold — and checks the count
-// is byte-identical across worker counts and ablation knobs.
-func TestExpandIntoParallelDeterministic(t *testing.T) {
-	ds, err := driver.SharedDataset(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ds.H
-	buildPlan := func() plan.Plan {
-		return plan.Plan{
-			&op.NodeScan{Var: "a", Label: h.Person},
-			&op.Expand{From: "a", To: "b", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			&op.Expand{From: "b", To: "c", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			&op.ExpandInto{From: "c", To: "a", Et: h.Knows, Dir: catalog.Out,
-				DstLabel: h.Person, SrcLabel: h.Person},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "c", As: "c.id", ExtID: true}}},
-			&op.Aggregate{Aggs: []op.AggSpec{
-				{Func: op.Count, As: "n"},
-				{Func: op.Sum, Arg: "c.id", As: "sum"},
-			}},
-		}
-	}
-	var want []string
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, noCSR := range []bool{false, true} {
-			for _, noIntersect := range []bool{false, true} {
-				eng := exec.New(exec.ModeFactorized)
-				eng.Parallel = workers
-				eng.NoCSR, eng.NoIntersect = noCSR, noIntersect
-				res, err := eng.Run(ds.Graph, buildPlan())
-				if err != nil {
-					t.Fatalf("workers=%d nocsr=%v noint=%v: %v", workers, noCSR, noIntersect, err)
-				}
-				got := rowsAsStrings(res.Block)
-				if want == nil {
-					want = got
-					continue
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d nocsr=%v noint=%v diverges: %v vs %v",
-						workers, noCSR, noIntersect, got, want)
-				}
-			}
-		}
 	}
 }
 

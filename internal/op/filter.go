@@ -227,7 +227,7 @@ func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
 	// with one word-ranged selection clear, and zones entirely inside the
 	// range are not scanned at all. Zone boundaries are multiples of 2048,
 	// so parallel zone morsels never share a selection word.
-	if zm := col.ZoneMap(); zm != nil && !ctx.NoZoneMap && zm.Rows() == len(vals) {
+	if zm := col.ZoneMap(); zm != nil && zm.Rows() == len(vals) {
 		if lo, hi, prunable, never := cmpRange(op, threshold); never {
 			sel.ClearRange(0, len(vals))
 			return true
@@ -276,7 +276,7 @@ func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
 // a uint32 code-compare kernel: one dictionary lookup replaces the per-row
 // string comparison. Non-equality string operators fall back.
 func dictStringFilter(ctx *Ctx, node *core.Node, col *vector.Column, lit expr.Lit, op expr.CmpOp) bool {
-	if !col.DictEncoded() || ctx.NoDictCmp || lit.Val.Kind != vector.KindString {
+	if !col.DictEncoded() || lit.Val.Kind != vector.KindString {
 		return false
 	}
 	if op != expr.EQ && op != expr.NE {

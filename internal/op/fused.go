@@ -40,21 +40,14 @@ func (o *SeekExpand) Name() string { return "SeekExpand(fused)" }
 func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	col := ctx.Arena.OwnLazyVIDColumn(o.To)
 	if src, ok := ctx.View.VertexByExt(o.Label, o.ExtID); ok {
-		if !ctx.NoCSR {
-			// The lazy column retains a view of the batch's VID run, so the
-			// batch is query-lifetime (Own scope), not morsel scratch.
-			b := ctx.Arena.OwnBatch()
-			srcs := append(ctx.Arena.GetVIDs(1), src)
-			ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
-			ctx.Arena.PutVIDs(srcs)
-			if run := b.Run(0); len(run) > 0 {
-				col.AppendSegment(run)
-			}
-		} else {
-			//geslint:scalar-ok
-			for _, seg := range ctx.View.Neighbors(nil, src, o.Et, o.Dir, o.DstLabel, false) {
-				col.AppendSegment(seg.VIDs)
-			}
+		// The lazy column retains a view of the batch's VID run, so the
+		// batch is query-lifetime (Own scope), not morsel scratch.
+		b := ctx.Arena.OwnBatch()
+		srcs := append(ctx.Arena.GetVIDs(1), src)
+		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
+		ctx.Arena.PutVIDs(srcs)
+		if run := b.Run(0); len(run) > 0 {
+			col.AppendSegment(run)
 		}
 	}
 	return ctx.FTChunk(ctx.NewFTree(col)), nil
@@ -154,7 +147,7 @@ func (o *AggregateProjectTop) weightedAggregate(ctx *Ctx, ft *core.FTree, node *
 	// row is exactly one tuple. The batch path skips the per-node weight
 	// slices; w == nil means "selection vector is the weight".
 	var w []int64
-	if ctx.NoGather || len(ft.Nodes()) > 1 {
+	if len(ft.Nodes()) > 1 {
 		w = tupleWeights(ft)[node.ID()]
 	}
 	block := node.Block
@@ -192,7 +185,7 @@ func (o *AggregateProjectTop) weightedAggregate(ctx *Ctx, ft *core.FTree, node *
 	// same aggState instances land in the rowKey-keyed map, so emission (and
 	// its deterministic ordering) is unchanged.
 	var fastKey func(i int) int64
-	if len(groupCols) == 1 && !ctx.NoGather {
+	if len(groupCols) == 1 {
 		switch c := groupCols[0]; {
 		case c.Lazy():
 		case c.Kind == vector.KindInt64 || c.Kind == vector.KindDate:

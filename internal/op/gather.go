@@ -10,9 +10,7 @@ import (
 // hand the storage layer a whole VID column and receive a whole property
 // column back. Projection attaches the gathered column outright; fused
 // predicates gather into reusable scratch columns and evaluate tight kernels
-// over the raw slices. Every batch path falls back to the scalar per-row
-// path (returning nil) when the context disables gathering, so the scalar
-// implementation remains the semantic reference.
+// over the raw slices.
 
 // materializedVIDs returns the VID slice of col, copying lazy segments into
 // buf when needed (batch gathers index vids randomly).
@@ -83,12 +81,8 @@ func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []labelPid {
 // gatherColumn builds the property column of g for every row of vidCol in one
 // batch. Tier 1 shares the storage column zero-copy when vidCol is exactly
 // the label's scan order; tier 2 bulk-gathers into a fresh column (one pass
-// per defining label, so mixed-label variables work). Returns nil when batch
-// gathering is disabled; the caller then runs the scalar path.
+// per defining label, so mixed-label variables work).
 func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *vector.Column {
-	if ctx.NoGather || len(g.labels) == 0 {
-		return nil
-	}
 	// Lazy columns materialize into arena scratch; non-lazy columns return
 	// their own storage, so only buf (never vids) goes back to the pool.
 	var buf []vector.VID
@@ -118,12 +112,8 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	return out
 }
 
-// gatherExtIDColumn batch-resolves external identifiers. Returns nil when
-// gathering is disabled.
+// gatherExtIDColumn batch-resolves external identifiers.
 func gatherExtIDColumn(ctx *Ctx, vidCol *vector.Column, as string) *vector.Column {
-	if ctx.NoGather {
-		return nil
-	}
 	var buf []vector.VID
 	if vidCol.Lazy() {
 		buf = ctx.Arena.GetVIDs(vidCol.Len())

@@ -35,8 +35,8 @@ type Ctx struct {
 	// query-lifetime structures (index vectors, f-Block columns, lazy
 	// batches) come from Own* and are released wholesale when the engine
 	// ends the query; transient morsel scratch cycles through Get*/Put*.
-	// A nil arena is valid and allocates fresh memory everywhere — the
-	// NoRecycle ablation reference — so operators call through it
+	// A nil arena is valid and allocates fresh memory everywhere (operator
+	// unit tests build a Ctx without one), so operators call through it
 	// unconditionally.
 	Arena *storage.Arena
 
@@ -59,32 +59,6 @@ type Ctx struct {
 	// process-wide scheduler. Intra-query morsels and inter-query tasks
 	// draw from the same budget.
 	Sched *sched.Scheduler
-
-	// Vectorized-gather ablation knobs (§5, Vectorization). NoGather forces
-	// the scalar per-row property path everywhere, NoDictCmp disables
-	// dictionary-code string comparisons, and NoZoneMap disables zone-map
-	// filter skipping. All three paths produce byte-identical results; the
-	// knobs exist so benchmarks can attribute the speedup.
-	NoGather  bool
-	NoDictCmp bool
-	NoZoneMap bool
-
-	// CSR ablation knobs. NoCSR forces every expansion back onto the
-	// scalar per-source Neighbors path (per-row family map lookups instead
-	// of the batched prefix-sum kernel), and NoIntersect makes ExpandInto
-	// close cyclic edges with hash-set membership instead of
-	// merge/galloping intersection of sorted adjacency runs. Results are
-	// byte-identical either way; the knobs exist so benchmarks can
-	// attribute the speedup.
-	NoCSR       bool
-	NoIntersect bool
-
-	// NoWCOJ makes ExpandIntersect run its de-fused classical plan (Expand
-	// along side 0, then per-side ExpandInto closures — de-factoring to a
-	// flat hash join when the closure endpoints land on sibling branches)
-	// instead of the worst-case-optimal k-way intersection. Results are
-	// identical; the knob exists so benchmarks can attribute the speedup.
-	NoWCOJ bool
 
 	// Gather counts batch-gather activity. Counters are atomic because fused
 	// predicates batch inside parallel morsels.
@@ -238,9 +212,10 @@ func newPropGetter(view storage.View, name string) (*propGetter, error) {
 }
 
 // get returns the property value of vertex v (typed zero when v's label
-// lacks the property). This per-row interface call is the NoGather reference
-// path of the §5 ablation — the batch gather must match it bit for bit — so
-// the scalar lookups in this file are deliberate.
+// lacks the property). Row-at-a-time consumers — the flat-path projection,
+// fused predicates on runs below batchPredMinRows, and the volcano oracle via
+// NewPropReader — have no column to batch over, so the scalar lookup is
+// deliberate; the batch gather must match it bit for bit.
 //
 //geslint:scalar-ok
 func (g *propGetter) get(v vector.VID) vector.Value {

@@ -10,6 +10,7 @@ import (
 	"ges/internal/exec"
 	"ges/internal/expr"
 	"ges/internal/op"
+	"ges/internal/paritytest"
 	"ges/internal/plan"
 	"ges/internal/storage"
 	"ges/internal/testgraph"
@@ -61,6 +62,17 @@ func assertModesAgree(t *testing.T, f *testgraph.Fixture, build func() plan.Plan
 		}
 	}
 	return ref
+}
+
+// checkRows runs the plan through the parity check (every mode at 1/2/4/8
+// workers, equal to the volcano oracle) and compares the rows with an
+// independently computed, sorted expectation.
+func checkRows(t *testing.T, view storage.View, build func() plan.Plan, want []string, label string) {
+	t.Helper()
+	got := paritytest.Check(t, view, build, false)[1:] // drop the header row
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("%s:\n got %v\nwant %v", label, got, want)
+	}
 }
 
 func TestNodeByIdSeek(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/sched"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
@@ -56,36 +55,19 @@ func parallelLazyExpand(ctx *Ctx, name string, parent *core.Node, fromCol *vecto
 			sh := &shards[m.Index]
 			sh.index = ctx.Arena.GetRanges(m.End - m.Start)
 			total := 0
-			if !ctx.NoCSR {
-				// One batched call per morsel. The Batch is query-lifetime
-				// arena memory (never reset mid-query), so the run sub-slices
-				// the shard retains stay valid through the merge and beyond —
-				// the lazy column keeps referencing them (shared mode aliases
-				// the immutable CSR array; owned mode keeps its pack buffer).
-				b := ctx.Arena.OwnBatch()
-				srcs := expandSrcs(parent, fromCol, m.Start, m.End, sc.([]vector.VID))
-				ctx.View.NeighborsBatch(srcs, et, dir, dstLabel, false, b)
-				for i := range b.Runs {
-					start := total
-					if r := b.Runs[i]; r.End > r.Start {
-						sh.segs = append(sh.segs, b.VIDs[r.Start:r.End])
-						total += int(r.End - r.Start)
-					}
-					sh.index = append(sh.index, core.Range{Start: int32(start), End: int32(total)})
-				}
-				sh.rows = total
-				return
-			}
-			var segBuf []storage.Segment
-			for i := m.Start; i < m.End; i++ {
+			// One batched call per morsel. The Batch is query-lifetime
+			// arena memory (never reset mid-query), so the run sub-slices
+			// the shard retains stay valid through the merge and beyond —
+			// the lazy column keeps referencing them (shared mode aliases
+			// the immutable CSR array; owned mode keeps its pack buffer).
+			b := ctx.Arena.OwnBatch()
+			srcs := expandSrcs(parent, fromCol, m.Start, m.End, sc.([]vector.VID))
+			ctx.View.NeighborsBatch(srcs, et, dir, dstLabel, false, b)
+			for i := range b.Runs {
 				start := total
-				if parent.Valid(i) {
-					//geslint:scalar-ok
-					segBuf = ctx.View.Neighbors(segBuf[:0], fromCol.VIDAt(i), et, dir, dstLabel, false)
-					for _, seg := range segBuf {
-						sh.segs = append(sh.segs, seg.VIDs)
-						total += len(seg.VIDs)
-					}
+				if r := b.Runs[i]; r.End > r.Start {
+					sh.segs = append(sh.segs, b.VIDs[r.Start:r.End])
+					total += int(r.End - r.Start)
 				}
 				sh.index = append(sh.index, core.Range{Start: int32(start), End: int32(total)})
 			}
@@ -187,9 +169,8 @@ func parallelFlatExpand(ctx *Ctx, o *Expand, in *core.FlatBlock, fromIdx int,
 			pred = pred.Fork()
 		}
 		sh := core.NewFlatBlock(names, kinds)
-		// expandFlatRows handles both the batched (one NeighborsBatch per
-		// morsel) and the NoCSR scalar paths; errors cannot occur because the
-		// row limit is checked once after the merge.
+		// One NeighborsBatch per morsel; errors cannot occur because the row
+		// limit is checked once after the merge.
 		//geslint:err-ok the row limit is enforced once after the merge; expandFlatRows has no other failure path
 		_ = o.expandFlatRows(ctx, pred, in, fromIdx, epp, m.Start, m.End, names, sh)
 		shards[m.Index] = sh

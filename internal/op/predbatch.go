@@ -154,7 +154,7 @@ func (p *propPred) buildBatch(ctx *Ctx) *predBatch {
 	}
 	b.block = core.NewFBlock(scratch...)
 	for _, c := range splitAnd(p.pred, nil) {
-		cj, ok := b.classify(ctx, c)
+		cj, ok := b.classify(c)
 		if !ok {
 			return nil
 		}
@@ -165,7 +165,7 @@ func (p *propPred) buildBatch(ctx *Ctx) *predBatch {
 
 // classify maps one conjunct to its kernel, defaulting to the compiled
 // closure.
-func (b *predBatch) classify(ctx *Ctx, e expr.Expr) (conjunct, bool) {
+func (b *predBatch) classify(e expr.Expr) (conjunct, bool) {
 	switch n := e.(type) {
 	case expr.Cmp:
 		colRef, okL := n.L.(expr.Col)
@@ -186,7 +186,7 @@ func (b *predBatch) classify(ctx *Ctx, e expr.Expr) (conjunct, bool) {
 			cj := conjunct{kind: conjIntCmp, col: colRef.Name, op: op, threshold: lit.Val.I}
 			cj.lo, cj.hi, cj.prune, cj.never = cmpRange(op, lit.Val.I)
 			return cj, true
-		case col.Kind == vector.KindString && col.DictEncoded() && !ctx.NoDictCmp &&
+		case col.Kind == vector.KindString && col.DictEncoded() &&
 			lit.Val.Kind == vector.KindString && (op == expr.EQ || op == expr.NE):
 			return conjunct{kind: conjStrEq, col: colRef.Name, op: op, litStr: lit.Val.S}, true
 		}
@@ -194,7 +194,7 @@ func (b *predBatch) classify(ctx *Ctx, e expr.Expr) (conjunct, bool) {
 	case expr.In:
 		if colRef, ok := n.X.(expr.Col); ok {
 			col := b.cols[colRef.Name]
-			if col.Kind == vector.KindString && col.DictEncoded() && !ctx.NoDictCmp {
+			if col.Kind == vector.KindString && col.DictEncoded() {
 				list := make([]string, 0, len(n.List))
 				allStr := true
 				for _, v := range n.List {
@@ -225,7 +225,7 @@ func (b *predBatch) fallback(e expr.Expr) (conjunct, bool) {
 
 // TestBatch implements batchVertexPred on the fused property predicate.
 func (p *propPred) TestBatch(ctx *Ctx, vids []vector.VID) []bool {
-	if ctx.NoGather || len(vids) < batchPredMinRows {
+	if len(vids) < batchPredMinRows {
 		return nil
 	}
 	if !p.batchInit {
@@ -243,23 +243,21 @@ func (p *propPred) TestBatch(ctx *Ctx, vids []vector.VID) []bool {
 	// Zone pruning first: every prunable range conjunct is ANDed at the top
 	// level, so a candidate in a zone that cannot contain a satisfying value
 	// is rejected before a single value is gathered.
-	if !ctx.NoZoneMap {
-		if zp, ok := ctx.View.(storage.ZonePruner); ok {
-			for i := range b.conjs {
-				c := &b.conjs[i]
-				if c.kind != conjIntCmp || !c.prune {
-					continue
-				}
-				g := b.getters[c.col]
-				if g == nil {
-					// External IDs carry no zone maps.
-					continue
-				}
-				for _, lp := range g.labels {
-					pruned, total := zp.PruneZones(vids, lp.label, lp.pid, c.lo, c.hi, &b.sel)
-					ctx.Gather.ZonesPruned.Add(int64(pruned))
-					ctx.Gather.ZonesTotal.Add(int64(total))
-				}
+	if zp, ok := ctx.View.(storage.ZonePruner); ok {
+		for i := range b.conjs {
+			c := &b.conjs[i]
+			if c.kind != conjIntCmp || !c.prune {
+				continue
+			}
+			g := b.getters[c.col]
+			if g == nil {
+				// External IDs carry no zone maps.
+				continue
+			}
+			for _, lp := range g.labels {
+				pruned, total := zp.PruneZones(vids, lp.label, lp.pid, c.lo, c.hi, &b.sel)
+				ctx.Gather.ZonesPruned.Add(int64(pruned))
+				ctx.Gather.ZonesTotal.Add(int64(total))
 			}
 		}
 	}

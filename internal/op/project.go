@@ -24,9 +24,8 @@ type ProjSpec struct {
 // (§4.3, Projection) — and lazy neighbor columns are read through their
 // segment views without being materialized.
 //
-// The per-row View.ExtID / propGetter.get calls below are the scalar
-// fallback the NoGather ablation knob selects (and the per-row half of
-// parallelGather morsels); the batch path takes over in gatherColumn.
+// The flat path extends materialized rows in place, one View.ExtID /
+// propGetter.get call per row — there is no VID column to batch over.
 //
 //geslint:scalar-ok
 type ProjectProps struct {
@@ -47,56 +46,17 @@ func (o *ProjectProps) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Batch gather first (§5): the whole column is filled by bulk copies
-		// from storage (or shared zero-copy when the VID column is the scan
-		// order). The scalar per-row path below remains the fallback and the
-		// semantic reference — both produce byte-identical columns.
-		if spec.ExtID {
-			if out := gatherExtIDColumn(ctx, col, spec.As); out != nil {
-				node.Block.AddColumn(out)
-				continue
-			}
-		} else {
-			g, err := newPropGetter(ctx.View, spec.Prop)
-			if err != nil {
-				return nil, err
-			}
-			if out := g.gatherColumn(ctx, col, spec.As); out != nil {
-				node.Block.AddColumn(out)
-				continue
-			}
-		}
-		// Property reads through the storage view are concurrency-safe, so
-		// large columns gather across morsels (workers fill disjoint slices
-		// of one pre-sized buffer — output order is positional).
-		parallel := ctx.Parallel > 1 && col.Len() >= parallelMinRows
+		// Batch gather (§5): the whole column is filled by bulk copies from
+		// storage (or shared zero-copy when the VID column is the scan order).
 		var out *vector.Column
 		if spec.ExtID {
-			if parallel {
-				out = parallelGather(ctx, spec.As, vector.KindInt64, col.Len(), func(i int) vector.Value {
-					return vector.Int64(ctx.View.ExtID(col.VIDAt(i)))
-				})
-			} else {
-				out = ctx.Arena.OwnColumn(spec.As, vector.KindInt64)
-				col.EachVID(func(_ int, v vector.VID) {
-					out.AppendInt64(ctx.View.ExtID(v))
-				})
-			}
+			out = gatherExtIDColumn(ctx, col, spec.As)
 		} else {
 			g, err := newPropGetter(ctx.View, spec.Prop)
 			if err != nil {
 				return nil, err
 			}
-			if parallel {
-				out = parallelGather(ctx, spec.As, g.kind, col.Len(), func(i int) vector.Value {
-					return g.get(col.VIDAt(i))
-				})
-			} else {
-				out = ctx.Arena.OwnColumn(spec.As, g.kind)
-				col.EachVID(func(_ int, v vector.VID) {
-					out.Append(g.get(v))
-				})
-			}
+			out = g.gatherColumn(ctx, col, spec.As)
 		}
 		node.Block.AddColumn(out)
 	}

@@ -51,18 +51,9 @@ func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if in != nil {
 		return nil, fmt.Errorf("op: NodeScan must be a source operator")
 	}
-	vids := ctx.View.ScanLabel(o.Label)
-	var col *vector.Column
-	if ctx.NoGather {
-		col = ctx.Arena.OwnColumn(o.Var, vector.KindVID)
-		for _, v := range vids {
-			col.AppendVID(v)
-		}
-	} else {
-		// Batch path: expose the scan order zero-copy; filters narrow the
-		// selection vector instead of rewriting the column.
-		col = vector.ShareVIDs(o.Var, vids)
-	}
+	// Expose the scan order zero-copy; filters narrow the selection vector
+	// instead of rewriting the column.
+	col := vector.ShareVIDs(o.Var, ctx.View.ScanLabel(o.Label))
 	return ctx.FTChunk(ctx.NewFTree(col)), nil
 }
 

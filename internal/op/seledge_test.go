@@ -11,6 +11,7 @@ import (
 	"ges/internal/storage"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
+	"ges/internal/volcano"
 )
 
 // These tests pin down the selection-vector edge cases the runtime assertion
@@ -80,8 +81,7 @@ func bigPersonGraph(t *testing.T, n int) (*storage.Graph, *testgraph.Schema) {
 // TestZoneMapPrunesAllZones drives an unsatisfiable range predicate through
 // the zone-mapped filter fast path: every zone is ruled out by its min/max
 // summary, the selection vector is cleared in word-ranged sweeps, and the
-// all-cleared block must then expand and aggregate to zero — matching the
-// NoZoneMap ablation bit for bit.
+// all-cleared block must then expand and aggregate to zero.
 func TestZoneMapPrunesAllZones(t *testing.T) {
 	const n = 3*vector.ZoneSize + 123 // several full zones plus a ragged tail
 	g, s := bigPersonGraph(t, n)
@@ -122,24 +122,20 @@ func TestZoneMapPrunesAllZones(t *testing.T) {
 		t.Fatalf("pruned %d of %d zones, want all", res.ZonesPruned, res.ZonesTotal)
 	}
 
-	// The ablated engine must agree without consulting any zones.
-	off := exec.New(exec.ModeFactorized)
-	off.NoZoneMap = true
-	gotOff, resOff := count(off, 0)
-	if gotOff != 0 || resOff.ZonesTotal != 0 {
-		t.Fatalf("NoZoneMap run: count=%d zonesTotal=%d, want 0 and 0", gotOff, resOff.ZonesTotal)
-	}
-
-	// A mid-range threshold prunes a proper subset of zones; both paths and
-	// the parallel runtime must agree on the surviving count.
+	// A mid-range threshold prunes a proper subset of zones; the oracle (which
+	// reads no zone map) and the parallel runtime must agree on the count.
 	const mid = int64(vector.ZoneSize + 50) // knows edges exist only below row 100
-	want, _ := count(off, mid)
+	oracle, err := volcano.New().Run(g, build(mid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracle.Block.Rows[0][0].I
 	if want == 0 {
 		t.Fatal("mid-range threshold should keep some edges")
 	}
 	gotMid, resMid := count(exec.New(exec.ModeFactorized), mid)
 	if gotMid != want {
-		t.Fatalf("zone-mapped count = %d, ablation = %d", gotMid, want)
+		t.Fatalf("zone-mapped count = %d, oracle = %d", gotMid, want)
 	}
 	if resMid.ZonesPruned == 0 || resMid.ZonesPruned >= resMid.ZonesTotal {
 		t.Fatalf("mid-range prune = %d of %d zones, want a proper nonzero subset",

@@ -227,7 +227,7 @@ func (h *topK) sorted() [][]vector.Value {
 // vector.Compare), so its output is byte-identical; only the boxing of
 // rejected rows is gone.
 func columnarTopK(ctx *Ctx, ft *core.FTree, refs []core.ColRef, cols []string, kinds []vector.Kind, keys []keyIdx, limit int) *core.FlatBlock {
-	if ctx.NoGather || len(ft.Nodes()) != 1 {
+	if len(ft.Nodes()) != 1 {
 		return nil
 	}
 	node := ft.Nodes()[0]

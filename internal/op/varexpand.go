@@ -101,7 +101,6 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred VertexPred, src vector.VID, em
 		// returned to the pool when the BFS finishes (values are copied into
 		// the emit sink, never retained).
 		frontier := append(ctx.Arena.GetVIDs(8), src)
-		var segBuf []storage.Segment
 		b := ctx.Arena.GetBatch()
 		visit := func(v vector.VID, depth int, next []vector.VID) []vector.VID {
 			if _, ok := seen[v]; ok {
@@ -116,27 +115,13 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred VertexPred, src vector.VID, em
 		}
 		for depth := 1; depth <= o.MaxHops && len(frontier) > 0; depth++ {
 			next := ctx.Arena.GetVIDs(len(frontier))
-			if !ctx.NoCSR {
-				// One batched call per BFS level: run i holds frontier[i]'s
-				// neighbors in the same order the scalar loop sees them.
-				ctx.View.NeighborsBatch(frontier, o.Et, o.Dir, o.DstLabel, false, b)
-				for i := range b.Runs {
-					r := b.Runs[i]
-					for _, v := range b.VIDs[r.Start:r.End] {
-						next = visit(v, depth, next)
-					}
-				}
-				ctx.Arena.PutVIDs(frontier)
-				frontier = next
-				continue
-			}
-			for _, u := range frontier {
-				//geslint:scalar-ok
-				segBuf = ctx.View.Neighbors(segBuf[:0], u, o.Et, o.Dir, o.DstLabel, false)
-				for _, seg := range segBuf {
-					for _, v := range seg.VIDs {
-						next = visit(v, depth, next)
-					}
+			// One batched call per BFS level: run i holds frontier[i]'s
+			// neighbors in adjacency order.
+			ctx.View.NeighborsBatch(frontier, o.Et, o.Dir, o.DstLabel, false, b)
+			for i := range b.Runs {
+				r := b.Runs[i]
+				for _, v := range b.VIDs[r.Start:r.End] {
+					next = visit(v, depth, next)
 				}
 			}
 			ctx.Arena.PutVIDs(frontier)

@@ -5,6 +5,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -33,9 +34,7 @@ type Server struct {
 	mode     exec.Mode
 	pool     *storage.Pool
 	parallel int
-	cache     *planCache
-	noCost    bool
-	noRecycle bool
+	cache    *planCache
 	// now is injectable for deterministic tests.
 	now func() time.Time
 
@@ -57,14 +56,10 @@ type Options struct {
 	// PlanCacheSize bounds the compiled-plan LRU; values < 1 use
 	// DefaultPlanCacheSize.
 	PlanCacheSize int
-	// NoCost disables cost-based planning for /query: plans bind in
-	// syntactic order, as written. Mirrors gesbench -no-cost.
-	NoCost bool
-	// NoRecycle disables executor memory recycling: every request's engine
-	// allocates fresh instead of drawing from the shared pool. Mirrors
-	// gesbench -no-recycle; the ablation knob for the §5 memory pool.
-	NoRecycle bool
 }
+
+// MaxRequestBytes caps a POST body; a larger one is answered with 413.
+const MaxRequestBytes = 1 << 20
 
 // New wires a server for a dataset in the given engine mode with default
 // options.
@@ -80,17 +75,15 @@ func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 		mode:     mode,
 		pool:     storage.NewPool(),
 		parallel: opts.Parallel,
-		cache:     newPlanCache(opts.PlanCacheSize),
-		noCost:    opts.NoCost,
-		noRecycle: opts.NoRecycle,
-		now:       time.Now,
+		cache:    newPlanCache(opts.PlanCacheSize),
+		now:      time.Now,
 	}
 }
 
 // newEngine returns a fresh per-request engine sharing the server's pool, so
 // arenas released at end-of-request recycle into the next request.
 func (s *Server) newEngine() *exec.Engine {
-	return &exec.Engine{Mode: s.mode, Pool: s.pool, Parallel: s.parallel, NoRecycle: s.noRecycle}
+	return &exec.Engine{Mode: s.mode, Pool: s.pool, Parallel: s.parallel}
 }
 
 // Mux returns the HTTP handler.
@@ -119,7 +112,7 @@ type Result struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -142,10 +135,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	p, est, ok := s.cache.get(key)
 	if !ok {
-		var cm *plan.CostModel
-		if !s.noCost {
-			cm = plan.NewCostModel(s.ds.Graph.Stats())
-		}
+		// A nil cost model (no statistics before the first seal) binds syntactically.
+		cm := plan.NewCostModel(s.ds.Graph.Stats())
 		c, err := cypher.CompileWith(norm, s.ds.H.Cat, cypher.Options{Cost: cm, Params: params})
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
@@ -201,7 +192,7 @@ type LDBCRequest struct {
 
 func (s *Server) handleLDBC(w http.ResponseWriter, r *http.Request) {
 	var req LDBCRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -287,7 +278,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"overlay":    s.overlaySection(),
 		"memory":     s.memorySection(),
 		"planner": map[string]any{
-			"costBased":     !s.noCost,
+			"costBased":     s.ds.Graph.Stats() != nil,
 			"estQueries":    s.estQueries.Load(),
 			"estimatedRows": s.estRows.Load(),
 			"actualRows":    s.actRows.Load(),
@@ -356,7 +347,6 @@ func (s *Server) memorySection() map[string]any {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return map[string]any{
-		"recycling":      !s.noRecycle,
 		"poolGets":       st.Gets,
 		"poolPuts":       st.Puts,
 		"poolHitRate":    st.HitRate(),
@@ -455,7 +445,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// httpError answers with code, or 413 when err is a body over MaxRequestBytes.
 func httpError(w http.ResponseWriter, code int, err error) {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

@@ -11,6 +11,7 @@ import (
 	"ges/internal/exec"
 	"ges/internal/ldbc"
 	"ges/internal/service"
+	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
@@ -271,9 +272,6 @@ func TestStatsEndpointMemorySection(t *testing.T) {
 
 	// Shape first: the gauges exist even before any query traffic.
 	mem := getMemory()
-	if mem["recycling"] != true {
-		t.Fatalf("recycling = %v, want true by default", mem["recycling"])
-	}
 	for _, k := range []string{"poolGets", "poolPuts", "poolHitRate", "liveArenaBytes", "classes", "objects", "gc"} {
 		if _, ok := mem[k]; !ok {
 			t.Fatalf("memory section missing %q: %v", k, mem)
@@ -311,5 +309,81 @@ func TestStatsEndpointMemorySection(t *testing.T) {
 	// The repeated identical query recycles its predecessor's buffers.
 	if mem["poolHitRate"].(float64) <= 0 {
 		t.Fatalf("poolHitRate = %v after repeated queries", mem["poolHitRate"])
+	}
+}
+
+// TestStatsCostBasedFollowsStatistics pins /stats planner.costBased to what
+// the binder actually does: before the first seal no statistics snapshot is
+// published, NewCostModel(nil) is nil and /query binds syntactically; once
+// sealed, plans are cost-based and carry an estimate.
+func TestStatsCostBasedFollowsStatistics(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sealed {
+			// A save/load round trip yields the same graph, never sealed.
+			var buf bytes.Buffer
+			if err := ds.Graph.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if ds.Graph, _, err = storage.Load(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(service.New(ds, exec.ModeFused).Mux())
+		resp, out := post(t, ts, "/query", service.QueryRequest{
+			Query: `MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 1 RETURN COUNT(*) AS c`,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sealed=%v: status = %d: %v", sealed, resp.StatusCode, out)
+		}
+		if _, ok := out["stats"].(map[string]any)["estimatedRows"]; ok != sealed {
+			t.Fatalf("sealed=%v: query stats carry an estimate = %v", sealed, ok)
+		}
+		r, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st map[string]any
+		err = json.NewDecoder(r.Body).Decode(&st)
+		r.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st["planner"].(map[string]any)["costBased"]; got != sealed {
+			t.Fatalf("sealed=%v: planner.costBased = %v", sealed, got)
+		}
+	}
+}
+
+// TestOversizeBodyRejected sends a body past MaxRequestBytes to both POST
+// endpoints: each must answer 413 without reading it all, and the server must
+// keep serving. Driven through the mux in-process so the verdict does not
+// depend on how a socket handles an early close.
+func TestOversizeBodyRejected(t *testing.T) {
+	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := service.New(ds, exec.ModeFused).Mux()
+	do := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	pad := strings.Repeat("x", service.MaxRequestBytes)
+	for path, key := range map[string]string{"/query": "query", "/ldbc": "name"} {
+		if rec := do(path, `{"`+key+`":"`+pad+`"}`); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversize body answered %d, want 413: %s", path, rec.Code, rec.Body)
+		}
+	}
+	if rec := do("/query", `{"query":"MATCH (p:Person) WHERE id(p) = 1 RETURN id(p)"}`); rec.Code != http.StatusOK {
+		t.Fatalf("/query after an oversize body: %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do("/ldbc", `{"name":"IS1"}`); rec.Code != http.StatusOK {
+		t.Fatalf("/ldbc after an oversize body: %d: %s", rec.Code, rec.Body)
 	}
 }

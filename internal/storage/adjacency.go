@@ -67,7 +67,7 @@ type AdjList struct {
 	// and the background reseal's rebuild. Readers never take it: sealed
 	// reads go through snap (plus its delta's own synchronization), and
 	// live-slot reads only happen while the family is single-writer by
-	// contract (bulk load, or the -no-overlay ablation).
+	// contract (bulk load).
 	wmu sync.Mutex
 
 	// resealing is the claim flag for the family's background reseal: set
@@ -76,9 +76,9 @@ type AdjList struct {
 	resealing atomic.Bool
 
 	// snap is the sealed CSR image (csr.go), carrying its delta overlay;
-	// nil while unsealed or after an overlay-disabled mutation invalidated
-	// it. Readers load it once per operation so a concurrent re-seal can
-	// never mix layouts within one Segment.
+	// nil until the family is first sealed. Readers load it once per
+	// operation so a concurrent re-seal can never mix layouts within one
+	// Segment.
 	snap atomic.Pointer[csr] //geslint:atomicptr
 }
 
@@ -121,48 +121,33 @@ func (a *AdjList) growProps(n int) {
 	}
 }
 
-// insert routes one edge append through the overlay policy. While a sealed
-// image is published and the overlay is enabled, the mutation lands in both
-// the live arrays (the canonical store the next reseal rebuilds from) and
-// the image's delta, so readers keep the sealed fast paths; with the
-// overlay disabled the image is invalidated wholesale (the pre-overlay
-// behavior, kept as the -no-overlay ablation); unsealed families take the
-// plain bulk path.
-//
-//geslint:seal overlay-disabled topology change invalidates the CSR snapshot (publishes nil)
-func (a *AdjList) insert(src, dst vector.VID, props []vector.Value, overlay bool) {
+// insert appends one edge. While a sealed image is published the mutation
+// lands in both the live arrays (the canonical store the next reseal
+// rebuilds from) and the image's delta, so readers keep the sealed fast
+// paths; a family with no image (bulk phase, or first created after the
+// seal) takes the plain live-array path.
+func (a *AdjList) insert(src, dst vector.VID, props []vector.Value) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
-		if overlay {
-			c.delta.insert(src, dst, props)
-			a.append(src, dst, props)
-			return
-		}
-		a.snap.Store(nil)
+		c.delta.insert(src, dst, props)
 	}
 	a.append(src, dst, props)
 }
 
-// del routes one edge removal through the overlay policy (see insert). The
-// delta picks the occurrence to hide and reports its property tuple, and
-// the live removal targets the matching tuple, keeping both sides' content
-// in lockstep.
-//
-//geslint:seal overlay-disabled topology change invalidates the CSR snapshot (publishes nil)
-func (a *AdjList) del(src, dst vector.VID, overlay bool) bool {
+// del removes one edge (see insert). The delta picks the occurrence to hide
+// and reports its property tuple, and the live removal targets the matching
+// tuple, keeping both sides' content in lockstep.
+func (a *AdjList) del(src, dst vector.VID) bool {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
-		if overlay {
-			tuple, ok := c.delta.remove(c, src, dst)
-			if !ok {
-				return false
-			}
-			a.removeMatching(src, dst, tuple)
-			return true
+		tuple, ok := c.delta.remove(c, src, dst)
+		if !ok {
+			return false
 		}
-		a.snap.Store(nil)
+		a.removeMatching(src, dst, tuple)
+		return true
 	}
 	return a.remove(src, dst)
 }

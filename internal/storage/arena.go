@@ -27,13 +27,11 @@ import (
 //
 // A nil *Arena is valid and recycles nothing: every getter falls back to
 // plain allocation and every release is a no-op, so operator code calls
-// through unconditionally. The NoRecycle engine knob produces the same
-// behavior with the arena present, for byte-identity ablations.
+// through unconditionally. An arena over a nil pool behaves the same.
 //
 // Own* and Get*/Put* are safe for concurrent use by parallel morsel workers.
 type Arena struct {
-	pool      *Pool
-	noRecycle bool
+	pool *Pool
 
 	mu      sync.Mutex
 	ranges  [][]core.Range
@@ -47,18 +45,14 @@ type Arena struct {
 	chunks  []*core.Chunk
 }
 
-// NewArena returns an arena over pool. A nil pool or noRecycle=true yields
-// an arena that allocates fresh memory and recycles nothing — the ablation
-// reference behavior.
-func NewArena(pool *Pool, noRecycle bool) *Arena {
-	if pool == nil {
-		noRecycle = true
-	}
-	return &Arena{pool: pool, noRecycle: noRecycle}
+// NewArena returns an arena over pool. A nil pool yields an arena that
+// allocates fresh memory and recycles nothing.
+func NewArena(pool *Pool) *Arena {
+	return &Arena{pool: pool}
 }
 
 // recycling reports whether the arena actually pools memory.
-func (a *Arena) recycling() bool { return a != nil && !a.noRecycle }
+func (a *Arena) recycling() bool { return a != nil && a.pool != nil }
 
 // OwnRanges returns a query-lifetime index vector of length n, zeroed.
 func (a *Arena) OwnRanges(n int) []core.Range {

@@ -50,7 +50,7 @@ func TestZeroOnGetRegression(t *testing.T) {
 // Release finds nothing to do.
 func TestArenaReleaseIdempotent(t *testing.T) {
 	p := NewPool()
-	a := NewArena(p, false)
+	a := NewArena(p)
 	a.OwnRanges(32)
 	a.OwnVals(8)
 	a.OwnColumn("c", vector.KindInt64)
@@ -74,7 +74,7 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	}
 }
 
-// TestNilArenaAllocates checks the nil-arena and NoRecycle fallbacks: every
+// TestNilArenaAllocates checks the nil-arena and nil-pool fallbacks: every
 // getter must still hand out working memory, every put must be a no-op, and
 // nothing may touch a pool.
 func TestNilArenaAllocates(t *testing.T) {
@@ -99,12 +99,15 @@ func TestNilArenaAllocates(t *testing.T) {
 		t.Fatal("nil arena OwnFBlock returned nil")
 	}
 
-	nr := NewArena(NewPool(), true) // NoRecycle: arena present, pooling off
-	nr.OwnRanges(4)
-	nr.Release()
-	if gets, puts := nr.pool.Stats(); gets != 0 || puts != 0 {
-		t.Fatalf("NoRecycle arena touched the pool: gets=%d puts=%d", gets, puts)
+	// An arena over a nil pool (what a nil *Pool's GetArena hands out)
+	// behaves the same with the arena present.
+	var np *Pool
+	nr := np.GetArena()
+	if s := nr.OwnRanges(4); len(s) != 4 {
+		t.Fatalf("pool-less arena OwnRanges len %d", len(s))
 	}
+	nr.Release()
+	np.PutArena(nr)
 }
 
 // TestPoolArenaRecycling checks that released arenas themselves recycle:
@@ -112,10 +115,10 @@ func TestNilArenaAllocates(t *testing.T) {
 // slices rather than allocating fresh ones.
 func TestPoolArenaRecycling(t *testing.T) {
 	p := NewPool()
-	a := p.GetArena(false)
+	a := p.GetArena()
 	a.OwnRanges(8)
 	p.PutArena(a)
-	b := p.GetArena(false)
+	b := p.GetArena()
 	if b != a {
 		t.Fatal("GetArena did not reuse the released arena")
 	}
@@ -126,10 +129,10 @@ func TestPoolArenaRecycling(t *testing.T) {
 	p.PutArena(b)
 
 	// A foreign arena (different pool) must not be adopted.
-	other := NewArena(NewPool(), false)
+	other := NewArena(NewPool())
 	other.OwnRanges(8)
 	p.PutArena(other) // must release other's memory but not pool the arena
-	if c := p.GetArena(false); c == other {
+	if c := p.GetArena(); c == other {
 		t.Fatal("PutArena adopted an arena owned by another pool")
 	}
 }

@@ -26,21 +26,28 @@ func TestAssertDoublePutPanics(t *testing.T) {
 
 // TestAssertUseAfterReleasePanics checks the companion half: a caller that
 // keeps writing through a buffer after Put breaks the sentinel and is caught
-// the next time the pool hands that buffer out.
+// the next time the pool hands that buffer out. Under the race detector
+// sync.Pool drops a random quarter of its puts, so one tampered buffer may
+// simply never come back; the attempt repeats until one does.
 func TestAssertUseAfterReleasePanics(t *testing.T) {
 	p := NewPool()
-	buf := p.GetVIDs(32)
-	p.PutVIDs(buf)
-	buf = buf[:1]
-	buf[0] = 42 // illegal write-after-release
-	defer func() {
-		if recover() == nil {
-			t.Fatal("use-after-release was not detected on the next Get")
+	caught := func() (panicked bool) {
+		buf := p.GetVIDs(32)
+		p.PutVIDs(buf)
+		buf = buf[:1]
+		buf[0] = 42 // illegal write-after-release
+		defer func() { panicked = recover() != nil }()
+		// The same goroutine's next Get drains sync.Pool's private slot, so
+		// the tampered buffer comes straight back and checkPoison fires.
+		p.GetVIDs(32)
+		return false
+	}
+	for try := 0; try < 32; try++ {
+		if caught() {
+			return
 		}
-	}()
-	// The same goroutine's next Get drains sync.Pool's private slot, so the
-	// tampered buffer comes straight back and checkPoison fires.
-	p.GetVIDs(32)
+	}
+	t.Fatal("use-after-release was not detected on the next Get")
 }
 
 // TestAssertCleanCycleQuiet checks the discipline's false-positive guard: a

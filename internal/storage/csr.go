@@ -16,9 +16,10 @@ package storage
 // land in the delta instead of invalidating the image, readers merge the
 // two sides without losing the sorted-run contract, and a background reseal
 // (graph.go) swaps in a rebuilt image — one atomic store, concurrent
-// readers keep whichever image they already loaded. Only the -no-overlay
-// ablation and pre-seal bulk loading still publish nil (readers fall back
-// to the live slot layout).
+// readers keep whichever image they already loaded. Only families that
+// have never been sealed (bulk loading, or a family first created by a
+// post-seal mutation) have no image; readers then fall back to the live
+// slot layout.
 
 import (
 	"sort"

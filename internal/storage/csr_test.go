@@ -268,16 +268,6 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 	g.SealCSR()
 	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
 
-	// The -no-overlay ablation restores invalidate-wholesale.
-	g2, ps2, cs2, _, _, livesIn2 := csrGraph(t)
-	g2.SetOverlayDisabled(true)
-	g2.SealCSR()
-	if !g2.DeleteEdge(livesIn2, ps2[0], cs2[0]) {
-		t.Fatal("DeleteEdge failed")
-	}
-	if g2.CSRSealed() {
-		t.Fatal("-no-overlay mutation must invalidate the snapshot")
-	}
 }
 
 func TestNeighborsBatchEmptyFamily(t *testing.T) {

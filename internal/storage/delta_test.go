@@ -280,30 +280,140 @@ func TestOverlayBackgroundResealSwap(t *testing.T) {
 	}
 }
 
-// TestCompactResealsInvalidatedFamilies covers the Compact maintenance fix:
-// after overlay-disabled mutations drop a family's image, CompactAdjacency
-// schedules the reseal path, so post-Compact reads are sealed and sorted —
-// never the unsorted live-slot fallback.
-func TestCompactResealsInvalidatedFamilies(t *testing.T) {
-	g, ps, cs, city, livesIn := overlayGraph(t, 16, 4)
-	g.SetOverlayDisabled(true)
-	// Invalidate images the pre-overlay way, leaving dead slots behind.
-	for _, p := range ps[:8] {
-		g.DeleteEdge(livesIn, p, cs[0])
+// TestCompactSealsPostSealFamilies covers the one way a family can lack an
+// image in the sealed phase: a mutation creates its (src,et,dst,dir) key
+// after SealCSR, so it starts on the live slot layout (unsorted, no delta).
+// CompactAdjacency schedules the reseal path for it, so post-Compact reads
+// are sealed and sorted.
+func TestCompactSealsPostSealFamilies(t *testing.T) {
+	g, _, cs, city, livesIn := overlayGraph(t, 16, 4)
+	// City→City LIVES_IN edges: a family no bulk-phase edge ever touched.
+	for _, c := range cs[1:] {
+		if err := g.AddEdge(livesIn, cs[0], c, edgeProp(cs[0], c)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g.CSRSealed() {
-		t.Fatal("overlay-disabled deletes must invalidate")
+		t.Fatal("a family first created after the seal must start unsealed")
+	}
+	var b Batch
+	g.NeighborsBatch(cs, livesIn, catalog.Out, city, false, &b)
+	if b.Sorted || len(b.Run(0)) != len(cs)-1 {
+		t.Fatalf("unsealed family: Sorted=%v run=%v", b.Sorted, b.Run(0))
 	}
 	g.CompactAdjacency()
 	if !g.CSRSealed() {
-		t.Fatal("CompactAdjacency must reseal invalidated families")
+		t.Fatal("CompactAdjacency must seal families created after the seal")
 	}
-	var b Batch
-	g.NeighborsBatch(ps, livesIn, catalog.Out, city, false, &b)
+	g.NeighborsBatch(cs, livesIn, catalog.Out, city, false, &b)
 	if !b.Sorted {
 		t.Fatal("post-Compact batch must be Sorted")
 	}
-	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, true)
+	batchMatchesScalar(t, g, cs, livesIn, catalog.Out, city, true)
+}
+
+// TestOverlayMatchesRebuiltGraph is the overlay's differential: each
+// mutation script runs against a sealed graph (landing in the deltas, with
+// and without mid-script reseals) while a sequential model tracks the edge
+// multiset; the overlay's read image must then be byte-identical to a graph
+// rebuilt from the model's edge list and sealed, and equal as a multiset to
+// the same graph left unsealed.
+func TestOverlayMatchesRebuiltGraph(t *testing.T) {
+	const nPersons, nCities = 24, 8
+	type pair struct{ p, c int }
+	type step struct {
+		add  bool
+		edge pair
+	}
+	random := func(seed int64, n int) []step {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]step, n)
+		for i := range out {
+			out[i] = step{add: rng.Intn(2) == 0, edge: pair{rng.Intn(nPersons), rng.Intn(nCities)}}
+		}
+		return out
+	}
+	scripts := []struct {
+		name     string
+		steps    []step
+		resealAt int // delta depth that triggers an inline reseal; 0 = never
+	}{
+		{"delete-then-readd", []step{{false, pair{0, 0}}, {true, pair{0, 0}}}, 0},
+		{"insert-then-retract", []step{{true, pair{0, 1}}, {false, pair{0, 1}}}, 0},
+		{"duplicate-inserts", []step{{true, pair{0, 0}}, {true, pair{0, 0}}, {false, pair{0, 0}}}, 0},
+		{"random-deltas-kept", random(1, 600), 0},
+		{"random-with-reseals", random(2, 600), 8},
+	}
+	for _, sc := range scripts {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			g, ps, cs, city, livesIn := overlayGraph(t, nPersons, nCities)
+			if sc.resealAt > 0 {
+				g.SetResealPolicy(1e-9, sc.resealAt)
+			} else {
+				g.SetResealPolicy(1e9, 1<<30)
+			}
+			// The model starts from overlayGraph's deterministic edge set.
+			model := make(map[pair]int)
+			for pi := range ps {
+				for ci := range cs {
+					if (pi*7+ci*3)%2 == 0 {
+						model[pair{pi, ci}] = 1
+					}
+				}
+			}
+			for _, st := range sc.steps {
+				src, dst := ps[st.edge.p], cs[st.edge.c]
+				if st.add {
+					if err := g.AddEdge(livesIn, src, dst, edgeProp(src, dst)); err != nil {
+						t.Fatal(err)
+					}
+					model[st.edge]++
+				} else if ok := g.DeleteEdge(livesIn, src, dst); ok != (model[st.edge] > 0) {
+					t.Fatalf("DeleteEdge(%v) = %v with %d occurrences in the model", st.edge, ok, model[st.edge])
+				} else if ok {
+					model[st.edge]--
+				}
+			}
+			if sc.resealAt > 0 && g.Overlay().Reseals == 0 {
+				t.Fatal("policy should have forced mid-script reseals")
+			}
+
+			rebuilt, person, rcity, rlives := twoLabelGraph(t)
+			var rps, rcs []vector.VID
+			for i := range ps {
+				v, _ := rebuilt.AddVertex(person, int64(1000+i), vector.String_("p"), vector.Int64(int64(i)))
+				rps = append(rps, v)
+			}
+			for i := range cs {
+				v, _ := rebuilt.AddVertex(rcity, int64(9000+i), vector.String_("c"))
+				rcs = append(rcs, v)
+			}
+			for pi := range rps {
+				for ci := range rcs {
+					for k := 0; k < model[pair{pi, ci}]; k++ {
+						if err := rebuilt.AddEdge(rlives, rps[pi], rcs[ci], edgeProp(rps[pi], rcs[ci])); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			unsealedImg := captureImage(rebuilt, rps, rlives, rcity)
+			rebuilt.SealCSR()
+			want := captureImage(rebuilt, rps, rlives, rcity)
+			got := captureImage(g, ps, livesIn, city)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("overlay read image diverges from the graph rebuilt and sealed from the same edge list")
+			}
+			for i := range unsealedImg.Runs {
+				run := append([]vector.VID(nil), unsealedImg.Runs[i]...)
+				sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+				if !reflect.DeepEqual(run, append([]vector.VID(nil), want.Runs[i]...)) {
+					t.Fatalf("unsealed run %d is not the sealed run's multiset: %v vs %v", i, run, want.Runs[i])
+				}
+			}
+		})
+	}
 }
 
 // TestOverlayMixedDirections exercises the In direction and Both through the

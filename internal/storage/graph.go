@@ -102,11 +102,6 @@ type Graph struct {
 	// from bulk loading to the overlay write path.
 	sealedPhase atomic.Bool
 
-	// overlayOff restores the pre-overlay behavior (every mutation
-	// invalidates the CSR and statistics wholesale) — the -no-overlay
-	// ablation. Set before concurrent readers start.
-	overlayOff bool
-
 	// resealFrac/resealMin gate the background reseal: a family rebuilds
 	// once its delta holds at least resealMin entries and more than
 	// resealFrac of its sealed entry count. resealSubmit, when set, runs
@@ -121,10 +116,9 @@ type Graph struct {
 
 	// statsSnap is the planner's statistics snapshot (stats.go): rebuilt
 	// by SealCSR, rebased (fresh epoch, one family's summary replaced) by
-	// background reseals, and cleared only by bulk-phase or
-	// overlay-disabled mutations. statsEpoch outlives invalidations so
-	// every publication uses a fresh epoch; statsMu serializes the
-	// publishers. statsStale counts mutations since the last publication.
+	// background reseals, never cleared once published. statsEpoch gives
+	// every publication a fresh epoch; statsMu serializes the publishers.
+	// statsStale counts mutations since the last publication.
 	statsSnap  atomic.Pointer[stats.Snapshot] //geslint:atomicptr
 	statsEpoch atomic.Uint64
 	statsMu    sync.Mutex
@@ -176,13 +170,6 @@ func NewGraph(cat *catalog.Catalog) *Graph {
 	return g
 }
 
-// SetOverlayDisabled turns the delta overlay off: mutations after SealCSR
-// invalidate the per-family CSR images and the statistics snapshot
-// wholesale — the pre-overlay behavior, kept as the -no-overlay ablation.
-// Set before concurrent readers start; with the overlay off, mutations and
-// reads must not overlap.
-func (g *Graph) SetOverlayDisabled(off bool) { g.overlayOff = off }
-
 // SetResealPolicy overrides the background-reseal trigger: a family reseals
 // once its delta holds at least minDelta entries and more than frac times
 // its sealed entry count. Non-positive arguments keep the defaults. Set
@@ -201,10 +188,6 @@ func (g *Graph) SetResealPolicy(frac float64, minDelta int) {
 // saturated, reseals inline on the mutating goroutine. Set before
 // concurrent readers start.
 func (g *Graph) SetResealSubmit(submit func(task func()) bool) { g.resealSubmit = submit }
-
-// overlayEnabled reports whether edge mutations take the delta-overlay
-// write path.
-func (g *Graph) overlayEnabled() bool { return !g.overlayOff && g.sealedPhase.Load() }
 
 // Catalog returns the graph's catalog.
 func (g *Graph) Catalog() *catalog.Catalog { return g.cat }
@@ -233,9 +216,8 @@ func (g *Graph) AddVertex(label catalog.LabelID, extID int64, props ...vector.Va
 
 // AddEdge inserts a directed edge src→dst of type et with edge-property
 // values ordered per the edge type's schema. Both the forward (Out) and
-// reverse (In) adjacency families are maintained. After SealCSR (overlay
-// enabled) the insert lands in the sealed images' deltas and may run
-// concurrently with readers.
+// reverse (In) adjacency families are maintained. After SealCSR the insert
+// lands in the sealed images' deltas and may run concurrently with readers.
 func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
 	if int(src) >= len(g.labelOf) || int(dst) >= len(g.labelOf) {
 		return fmt.Errorf("storage: AddEdge with unknown vertex (src=%d dst=%d)", src, dst)
@@ -244,22 +226,18 @@ func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vec
 	outKey := AdjKey{Src: sl, Et: et, Dst: dl, Dir: catalog.Out}
 	inKey := AdjKey{Src: dl, Et: et, Dst: sl, Dir: catalog.In}
 	lo, li := g.family(outKey), g.family(inKey)
-	overlay := g.overlayEnabled()
-	lo.insert(src, dst, props, overlay)
-	li.insert(dst, src, props, overlay)
+	lo.insert(src, dst, props)
+	li.insert(dst, src, props)
 	g.edgeCount.Add(1)
 	g.noteMutation()
-	if overlay {
-		g.maybeReseal(outKey, lo)
-		g.maybeReseal(inKey, li)
-	}
+	g.maybeReseal(outKey, lo)
+	g.maybeReseal(inKey, li)
 	return nil
 }
 
 // DeleteEdge removes the edge src→dst of type et from both directions.
-// After SealCSR (overlay enabled) the removal tombstones the sealed images'
-// entries (or retracts delta inserts) and may run concurrently with
-// readers.
+// After SealCSR the removal tombstones the sealed images' entries (or
+// retracts delta inserts) and may run concurrently with readers.
 func (g *Graph) DeleteEdge(et catalog.EdgeTypeID, src, dst vector.VID) bool {
 	if int(src) >= len(g.labelOf) || int(dst) >= len(g.labelOf) {
 		return false
@@ -268,16 +246,13 @@ func (g *Graph) DeleteEdge(et catalog.EdgeTypeID, src, dst vector.VID) bool {
 	outKey := AdjKey{Src: sl, Et: et, Dst: dl, Dir: catalog.Out}
 	inKey := AdjKey{Src: dl, Et: et, Dst: sl, Dir: catalog.In}
 	lo, li := g.family(outKey), g.family(inKey)
-	overlay := g.overlayEnabled()
-	okOut := lo.del(src, dst, overlay)
-	okIn := li.del(dst, src, overlay)
+	okOut := lo.del(src, dst)
+	okIn := li.del(dst, src)
 	if okOut && okIn {
 		g.edgeCount.Add(-1)
 		g.noteMutation()
-		if overlay {
-			g.maybeReseal(outKey, lo)
-			g.maybeReseal(inKey, li)
-		}
+		g.maybeReseal(outKey, lo)
+		g.maybeReseal(inKey, li)
 		return true
 	}
 	return false
@@ -512,9 +487,9 @@ func (g *Graph) AdjSlotStats() (slots, dead int) {
 // exceeds 25%, reclaiming regions abandoned by slot relocation. At
 // bulk-load finish it runs before the first SealCSR as always; called as a
 // maintenance pass after sealing, it also schedules the background reseal
-// path for any family left without a published image (e.g. after
-// overlay-disabled mutations), so a post-Compact read never falls back to
-// the unsorted live layout for longer than one rebuild. Live-slot readers
+// path for any family left without a published image (one first created by
+// a post-seal mutation), so a post-Compact read never falls back to the
+// unsorted live layout for longer than one rebuild. Live-slot readers
 // must not run concurrently. Returns the number of families rebuilt.
 func (g *Graph) CompactAdjacency() int {
 	n := 0

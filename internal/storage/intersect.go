@@ -8,8 +8,8 @@
 // (the probes). When every batch is CSR-sorted the reduction is a leapfrog
 // merge with galloping seeks (vector.IntersectSorted); sorted probes under
 // an unsorted base answer through monotone cursors; unsorted probes
-// (overlay segments, merged families, the scalar reference path) answer
-// through per-source hash sets. All paths are byte-identical — the sorted
+// (overlay segments, merged families, unsealed graphs) answer through
+// per-source hash sets. All paths are byte-identical — the sorted
 // kernels are pure speedups, never semantic changes.
 package storage
 
@@ -44,7 +44,8 @@ type probeSet struct {
 // Reset points the intersector at freshly filled batches, all covering the
 // same row range. probeSrcs[p] is the source column probes[p] was filled
 // from, used to key the per-source set cache. intersect=false forces the
-// hash-set path for every probe (the NoIntersect ablation).
+// hash-set path even for sorted probes; the engine always passes true and
+// lets Batch.Sorted select.
 func (x *Intersector) Reset(base *Batch, probes []*Batch, probeSrcs [][]vector.VID, intersect bool) {
 	x.base, x.probes, x.probeSrcs, x.intersect = base, probes, probeSrcs, intersect
 	x.allSorted = intersect && base.Sorted

@@ -356,13 +356,12 @@ func (p *Pool) PutChunk(c *core.Chunk) {
 // arena's ownership-tracking slices when one is pooled — so steady-state
 // query execution allocates neither the arena struct nor its bookkeeping.
 // A nil pool yields a fresh non-recycling arena (NewArena semantics).
-func (p *Pool) GetArena(noRecycle bool) *Arena {
+func (p *Pool) GetArena() *Arena {
 	if p == nil {
-		return NewArena(nil, true)
+		return NewArena(nil)
 	}
 	a := p.arenas.get()
 	a.pool = p
-	a.noRecycle = noRecycle
 	return a
 }
 
@@ -377,7 +376,6 @@ func (p *Pool) PutArena(a *Arena) {
 	if p == nil || a.pool != p {
 		return
 	}
-	a.noRecycle = false
 	p.arenas.put(a)
 }
 

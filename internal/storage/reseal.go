@@ -58,8 +58,8 @@ func (g *Graph) resealFamily(key AdjKey, l *AdjList) {
 
 // rebaseStats republishes the statistics snapshot with one family's degree
 // summary recomputed from its freshly sealed image, under a bumped epoch —
-// the overlay-phase alternative to dropping the snapshot. No-op while no
-// snapshot is published (bulk phase, or after overlay-disabled mutations).
+// the alternative to dropping the snapshot. No-op while no snapshot is
+// published (a reseal racing the tail of the first SealCSR).
 //
 //geslint:seal reseal publishes the rebased statistics snapshot under a fresh epoch
 func (g *Graph) rebaseStats(key AdjKey, c *csr) {

@@ -12,9 +12,8 @@ import (
 // per-family degree histograms from the adjacency slot descriptors, and
 // per-column selectivity summaries rolled up from the zone maps and string
 // dictionaries the gather path already maintains. Published behind the same
-// atomic-pointer discipline as the CSR: bulk-phase (or overlay-disabled)
-// mutations clear it and the next SealCSR rebuilds it under a bumped epoch,
-// while overlay-phase mutations leave it published and background reseals
+// atomic-pointer discipline as the CSR: every SealCSR rebuilds it under a
+// bumped epoch, later mutations leave it published and background reseals
 // rebase it family by family (reseal.go). Runs on the single-writer bulk
 // path — it reads the live slot descriptors unlocked.
 //
@@ -46,15 +45,14 @@ func (g *Graph) sealStats() {
 	g.statsStale.Store(0)
 }
 
-// Stats returns the current statistics snapshot, or nil while invalidated
-// (after a bulk-phase or overlay-disabled mutation, before the next
-// SealCSR). Overlay-phase mutations leave the snapshot published — mildly
-// stale between reseals — so cost-based planning never degrades to the
-// syntactic fallback under sustained writes.
+// Stats returns the current statistics snapshot, or nil before the first
+// SealCSR. Later mutations leave the snapshot published — mildly stale
+// between reseals — so cost-based planning never degrades to the syntactic
+// fallback under sustained writes.
 func (g *Graph) Stats() *stats.Snapshot { return g.statsSnap.Load() }
 
-// StatsEpoch returns the epoch of the current snapshot, or 0 while
-// invalidated. The service folds it into plan-cache keys; background
+// StatsEpoch returns the epoch of the current snapshot, or 0 before the
+// first SealCSR. The service folds it into plan-cache keys; background
 // reseals bump it monotonically, so cached plans shaped for pre-reseal
 // cardinalities retire on the next lookup.
 func (g *Graph) StatsEpoch() uint64 {
@@ -64,17 +62,12 @@ func (g *Graph) StatsEpoch() uint64 {
 	return 0
 }
 
-// noteMutation records a base mutation against the statistics snapshot.
-// Before the first SealCSR, or with the overlay disabled, the snapshot is
-// dropped wholesale (the pre-overlay behavior); overlay-phase mutations
-// only bump the staleness gauge — the snapshot stays published and
-// background reseals rebase the families that actually drift.
-//
-//geslint:seal bulk-phase mutation clears the published statistics (publishes nil)
+// noteMutation records a base mutation against the statistics snapshot:
+// once one is published (first SealCSR) it stays published, mutations only
+// bump the staleness gauge, and background reseals rebase the families that
+// actually drift. Bulk-phase mutations have no snapshot to be stale against.
 func (g *Graph) noteMutation() {
-	if !g.overlayEnabled() {
-		g.statsSnap.Store(nil)
-		return
+	if g.sealedPhase.Load() {
+		g.statsStale.Add(1)
 	}
-	g.statsStale.Add(1)
 }

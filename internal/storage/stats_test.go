@@ -93,9 +93,9 @@ func TestOverlayMutationKeepsStatsPublished(t *testing.T) {
 	}
 }
 
-func TestBulkMutationInvalidatesStats(t *testing.T) {
-	// Before the first SealCSR the graph is in bulk-load phase: there is no
-	// overlay, so mutations keep the old contract of clearing the snapshot.
+func TestBulkPhaseHasNoStats(t *testing.T) {
+	// Before the first SealCSR the graph is in bulk-load phase: no snapshot
+	// is published, so mutations have nothing to go stale against.
 	g, person, city, livesIn := twoLabelGraph(t)
 	p1, _ := g.AddVertex(person, 1, vector.String_("a"), vector.Int64(30))
 	c1, _ := g.AddVertex(city, 100, vector.String_("rome"))
@@ -105,19 +105,22 @@ func TestBulkMutationInvalidatesStats(t *testing.T) {
 	if g.Stats() != nil || g.StatsEpoch() != 0 {
 		t.Fatal("bulk-phase graph must have no snapshot")
 	}
-	// -no-overlay keeps the invalidation contract even after sealing.
-	g.SealCSR()
-	g.SetOverlayDisabled(true)
-	g.SetProp(p1, 1, vector.Int64(31))
-	if g.Stats() != nil {
-		t.Fatal("-no-overlay SetProp must drop the snapshot")
+	if got := g.Overlay().StatsStale; got != 0 {
+		t.Fatalf("bulk-phase mutations counted as staleness: %d", got)
 	}
+	// Once published the snapshot is never dropped: SetProp and DeleteEdge
+	// leave it in place and bump the staleness gauge instead.
 	g.SealCSR()
+	epoch := g.StatsEpoch()
+	g.SetProp(p1, 1, vector.Int64(31))
 	if !g.DeleteEdge(livesIn, p1, c1) {
 		t.Fatal("DeleteEdge failed")
 	}
-	if g.Stats() != nil {
-		t.Fatal("-no-overlay DeleteEdge must drop the snapshot")
+	if g.Stats() == nil || g.StatsEpoch() != epoch {
+		t.Fatal("sealed-phase mutation dropped the snapshot")
+	}
+	if got := g.Overlay().StatsStale; got != 2 {
+		t.Fatalf("staleness = %d after two sealed-phase mutations, want 2", got)
 	}
 }
 

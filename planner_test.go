@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"ges/internal/bench"
 	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/ldbc"
@@ -80,37 +79,5 @@ func TestEstimateQError(t *testing.T) {
 			}
 			t.Logf("est %.0f actual %.0f q-error %.3f", est, actual, q)
 		})
-	}
-}
-
-// TestCostPlanMatchesSyntactic cross-checks the adversarial ladder in both
-// planning modes across 1/2/4/8 workers on the sealed base graph: the cost
-// model may reshape the plan, never the rows.
-func TestCostPlanMatchesSyntactic(t *testing.T) {
-	ds := plannerDataset(t)
-	cm := plan.NewCostModel(ds.Graph.Stats())
-	refs, err := bench.PlannerCrossCheck(ds, ds.Graph, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ref := range refs {
-		if ref == "" {
-			t.Fatalf("%s produced no reference rows", bench.PlannerQueries[i].Name)
-		}
-	}
-}
-
-// TestCostPlanMatchesSyntacticOverlay repeats the cross-check on a
-// transaction-overlay view (committed IU updates layered over the sealed
-// CSR), covering the merged base+delta read path.
-func TestCostPlanMatchesSyntacticOverlay(t *testing.T) {
-	ds := plannerDataset(t)
-	cm := plan.NewCostModel(ds.Graph.Stats())
-	view, err := bench.PlannerOverlayView(ds, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bench.PlannerCrossCheck(ds, view, cm); err != nil {
-		t.Fatal(err)
 	}
 }
