@@ -365,6 +365,55 @@ func BenchmarkServicePlanCache(b *testing.B) {
 	}
 }
 
+// BenchmarkISAfterIC serves IS1 through the service mux at simSF 1 on a
+// server that has served nothing else (fresh) and on one that has just served
+// one IC5 (after). The two must cost the same: what an IC left in the
+// recycled columns and buffers is not the next request's bill.
+func BenchmarkISAfterIC(b *testing.B) {
+	ds, err := ldbc.Generate(ldbc.Config{SF: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	serve := func(b *testing.B, mux http.Handler, body string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ldbc", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /ldbc %s: status %d: %s", body, rec.Code, rec.Body)
+		}
+	}
+	for _, c := range []struct{ name, before string }{
+		{"fresh", ""},
+		{"after", `{"name":"IC5","params":{"personId":1,"minDate":0}}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			mux := service.NewWith(ds, exec.ModeFused, service.Options{}).Mux()
+			if c.before != "" {
+				serve(b, mux, c.before)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, mux, `{"name":"IS1","params":{"personId":1}}`)
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate builds the LDBC dataset at simSF 1 and 3; the time per
+// operation must grow with the scale, not with its square.
+func BenchmarkGenerate(b *testing.B) {
+	for _, sf := range []float64{1, 3} {
+		b.Run(fmt.Sprintf("simSF=%v", sf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ldbc.Generate(ldbc.Config{SF: sf, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblation_MV2PLOverhead compares reads on the raw base graph with
 // reads through a snapshot carrying committed overlays.
 func BenchmarkAblation_MV2PLOverhead(b *testing.B) {

@@ -38,10 +38,8 @@ func (sc *enumScratch) grow(n, cols int) (projs [][]proj, parentIdx, cur, end []
 	if cap(sc.projs) < n {
 		sc.projs = make([][]proj, n)
 	}
-	projs = sc.projs[:n]
-	for i := range projs {
-		projs[i] = projs[i][:0]
-	}
+	sc.projs = sc.projs[:n]
+	projs = sc.projs
 	if cap(sc.idx) < 3*n {
 		sc.idx = make([]int, 3*n)
 	}
@@ -51,19 +49,21 @@ func (sc *enumScratch) grow(n, cols int) (projs [][]proj, parentIdx, cur, end []
 	if cap(sc.buf) < cols {
 		sc.buf = make([]vector.Value, cols)
 	}
-	buf = sc.buf[:cols]
+	sc.buf = sc.buf[:cols]
+	buf = sc.buf
 	return
 }
 
 // release drops every column and value reference the scratch picked up — so
 // a pooled scratch never pins graph or intermediate memory — and returns it
-// to the pool.
+// to the pool. Both slices are cut to what this call used (grow), so the
+// sweep follows this tree's width, not the widest tree the scratch has seen.
 func (sc *enumScratch) release() {
 	for i := range sc.projs {
 		clear(sc.projs[i])
 		sc.projs[i] = sc.projs[i][:0]
 	}
-	clear(sc.buf[:cap(sc.buf)])
+	clear(sc.buf)
 	enumPool.Put(sc)
 }
 

@@ -24,10 +24,11 @@ import (
 	"ges/internal/vector"
 )
 
-// Server serves one dataset. Each request runs through its own engine value
-// (engines carry per-run mutable state such as stats collection, so sharing
-// one across concurrent requests would race); the memory pool and the
-// compiled-plan cache are the shared, concurrency-safe pieces.
+// Server serves one dataset. A /query request runs through its own engine
+// value (it carries the request's parameter vector); /ldbc requests share the
+// runner's. Both draw from the server's one memory pool, so /stats memory
+// describes every request; the pool and the compiled-plan cache are the
+// shared, concurrency-safe pieces.
 type Server struct {
 	ds       *ldbc.Dataset
 	runner   *queries.Runner
@@ -69,19 +70,20 @@ func New(ds *ldbc.Dataset, mode exec.Mode) *Server {
 
 // NewWith wires a server with explicit options.
 func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
-	return &Server{
+	s := &Server{
 		ds:       ds,
-		runner:   queries.NewRunner(ds, mode, nil),
 		mode:     mode,
 		pool:     storage.NewPool(),
 		parallel: opts.Parallel,
 		cache:    newPlanCache(opts.PlanCacheSize),
 		now:      time.Now,
 	}
+	s.runner = queries.NewRunnerWith(ds, s.newEngine(), nil)
+	return s
 }
 
-// newEngine returns a fresh per-request engine sharing the server's pool, so
-// arenas released at end-of-request recycle into the next request.
+// newEngine returns a fresh engine sharing the server's pool, so arenas
+// released at end-of-request recycle into the next request.
 func (s *Server) newEngine() *exec.Engine {
 	return &exec.Engine{Mode: s.mode, Pool: s.pool, Parallel: s.parallel}
 }
@@ -323,8 +325,9 @@ func (s *Server) overlaySection() map[string]any {
 }
 
 // memorySection renders the executor recycling gauges: aggregate and
-// per-class pool hit rates, live checked-out buffer bytes, per-object-pool
-// counters, and the process GC totals the recycling exists to relieve.
+// per-class pool hit rates, buffer bytes drawn by running queries, bytes
+// zeroed on get/put, per-object-pool counters, and the process GC totals the
+// recycling exists to relieve.
 func (s *Server) memorySection() map[string]any {
 	st := s.pool.DetailedStats()
 	classes := make([]map[string]any, 0, len(st.Classes))
@@ -351,6 +354,7 @@ func (s *Server) memorySection() map[string]any {
 		"poolPuts":       st.Puts,
 		"poolHitRate":    st.HitRate(),
 		"liveArenaBytes": st.LiveBytes,
+		"clearedBytes":   st.ClearedBytes,
 		"classes":        classes,
 		"objects": map[string]any{
 			"columns": obj(st.Columns),

@@ -272,7 +272,7 @@ func TestStatsEndpointMemorySection(t *testing.T) {
 
 	// Shape first: the gauges exist even before any query traffic.
 	mem := getMemory()
-	for _, k := range []string{"poolGets", "poolPuts", "poolHitRate", "liveArenaBytes", "classes", "objects", "gc"} {
+	for _, k := range []string{"poolGets", "poolPuts", "poolHitRate", "liveArenaBytes", "clearedBytes", "classes", "objects", "gc"} {
 		if _, ok := mem[k]; !ok {
 			t.Fatalf("memory section missing %q: %v", k, mem)
 		}
@@ -309,6 +309,59 @@ func TestStatsEndpointMemorySection(t *testing.T) {
 	// The repeated identical query recycles its predecessor's buffers.
 	if mem["poolHitRate"].(float64) <= 0 {
 		t.Fatalf("poolHitRate = %v after repeated queries", mem["poolHitRate"])
+	}
+}
+
+// memoryGauge reads one number of the /stats memory section.
+func memoryGauge(t *testing.T, ts *httptest.Server, key string) float64 {
+	t.Helper()
+	return getStats(t, ts)["memory"].(map[string]any)[key].(float64)
+}
+
+func runLDBC(t *testing.T, ts *httptest.Server, name string, params map[string]any) {
+	t.Helper()
+	if resp, out := post(t, ts, "/ldbc", service.LDBCRequest{Name: name, Params: params}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: status = %d: %v", name, resp.StatusCode, out)
+	}
+}
+
+// TestStatsMemoryCoversLDBC pins the one-pool-per-server wiring: /ldbc
+// requests draw from the pool /stats reports, and the live-bytes gauge is
+// exactly zero once they have returned — reads that grow their buffers and
+// an update included.
+func TestStatsMemoryCoversLDBC(t *testing.T) {
+	ts := testServer(t)
+	runLDBC(t, ts, "ic9", map[string]any{"personId": 1, "maxDate": 40000})
+	runLDBC(t, ts, "is1", map[string]any{"personId": 1})
+	runLDBC(t, ts, "iu2", nil)
+	runLDBC(t, ts, "ic5", map[string]any{"personId": 1, "minDate": 0})
+	if gets := memoryGauge(t, ts, "poolGets"); gets <= 0 {
+		t.Fatalf("poolGets = %v after /ldbc-only traffic", gets)
+	}
+	if live := memoryGauge(t, ts, "liveArenaBytes"); live != 0 {
+		t.Fatalf("liveArenaBytes = %v at quiesce, want 0", live)
+	}
+}
+
+// TestISClearsWhatItUsesAfterIC is the deterministic form of "IS inside the
+// mix costs what IS alone costs": the bytes the pool zeroes for IS1–IS3 must
+// not depend on what earlier requests grew the recycled objects to. (The
+// count is per call, not per sync.Pool hit, so it holds under -race too.)
+func TestISClearsWhatItUsesAfterIC(t *testing.T) {
+	shortReads := func(ts *httptest.Server) float64 {
+		before := memoryGauge(t, ts, "clearedBytes")
+		for _, name := range []string{"is1", "is2", "is3"} {
+			runLDBC(t, ts, name, map[string]any{"personId": 1})
+		}
+		return memoryGauge(t, ts, "clearedBytes") - before
+	}
+	alone := shortReads(testServer(t))
+
+	ts := testServer(t)
+	runLDBC(t, ts, "ic5", map[string]any{"personId": 1, "minDate": 0})
+	runLDBC(t, ts, "ic9", map[string]any{"personId": 1, "maxDate": 40000})
+	if after := shortReads(ts); alone <= 0 || after > 2*alone {
+		t.Fatalf("IS1–IS3 cleared %v bytes after IC5+IC9, %v on a fresh server", after, alone)
 	}
 }
 

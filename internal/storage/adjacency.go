@@ -95,8 +95,21 @@ func newAdjList(propDefs []catalog.PropDef) *AdjList {
 
 // ensure makes meta addressable for vid.
 func (a *AdjList) ensure(vid vector.VID) {
-	for int(vid) >= len(a.meta) {
-		a.meta = append(a.meta, adjMeta{})
+	if d := int(vid) + 1 - len(a.meta); d > 0 {
+		a.meta = append(a.meta, make([]adjMeta, d)...)
+	}
+}
+
+// trim drops the append slack of the live arrays. meta spans the global VID
+// range in every family, so after a bulk load its slack alone is a few
+// percent of the graph. Caller holds wmu (or is the single bulk writer).
+func (a *AdjList) trim() {
+	a.meta = vector.Clipped(a.meta)
+	a.arr = vector.Clipped(a.arr)
+	for i := range a.propKinds {
+		a.propI64[i] = vector.Clipped(a.propI64[i])
+		a.propF64[i] = vector.Clipped(a.propF64[i])
+		a.propStr[i] = vector.Clipped(a.propStr[i])
 	}
 }
 

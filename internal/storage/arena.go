@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ges/internal/core"
 	"ges/internal/vector"
@@ -33,10 +34,13 @@ import (
 type Arena struct {
 	pool *Pool
 
+	// drawn is the slice-buffer bytes this arena has added to pool.live —
+	// owned and transient alike — and Release subtracts again.
+	drawn atomic.Int64
+
 	mu      sync.Mutex
 	ranges  [][]core.Range
 	vals    [][]vector.Value
-	vids    [][]vector.VID
 	cols    []*vector.Column
 	bits    []*vector.Bitset
 	trees   []*core.FTree
@@ -54,12 +58,23 @@ func NewArena(pool *Pool) *Arena {
 // recycling reports whether the arena actually pools memory.
 func (a *Arena) recycling() bool { return a != nil && a.pool != nil }
 
+// charge books a buffer drawn from the pool on the live-bytes gauge. The
+// arena remembers the sum rather than the buffers: a transient buffer may
+// come back grown, or not at all, so a per-buffer credit on put could never
+// be made to balance — the per-arena sum does by construction.
+func charge[T any](a *Arena, buf []T, elemSize int) []T {
+	b := int64(cap(buf) * elemSize)
+	a.drawn.Add(b)
+	a.pool.live.Add(b)
+	return buf
+}
+
 // OwnRanges returns a query-lifetime index vector of length n, zeroed.
 func (a *Arena) OwnRanges(n int) []core.Range {
 	if !a.recycling() {
 		return make([]core.Range, n)
 	}
-	s := a.pool.GetRanges(n)[:n] // full capacity is zeroed on get
+	s := charge(a, a.pool.GetRanges(n), rangeSize)[:n] // the first n slots are zeroed on get
 	a.mu.Lock()
 	a.ranges = append(a.ranges, s)
 	a.mu.Unlock()
@@ -71,7 +86,7 @@ func (a *Arena) OwnVals(n int) []vector.Value {
 	if !a.recycling() {
 		return make([]vector.Value, n)
 	}
-	s := a.pool.GetVals(n)[:n]
+	s := charge(a, a.pool.GetVals(n), valueSize)[:n]
 	a.mu.Lock()
 	a.vals = append(a.vals, s)
 	a.mu.Unlock()
@@ -192,7 +207,7 @@ func (a *Arena) GetVIDs(n int) []vector.VID {
 	if !a.recycling() {
 		return make([]vector.VID, 0, n)
 	}
-	return a.pool.GetVIDs(n)
+	return charge(a, a.pool.GetVIDs(n), vidSize)
 }
 
 // PutVIDs releases transient VID scratch.
@@ -208,7 +223,7 @@ func (a *Arena) GetRanges(n int) []core.Range {
 	if !a.recycling() {
 		return make([]core.Range, 0, n)
 	}
-	return a.pool.GetRanges(n)
+	return charge(a, a.pool.GetRanges(n), rangeSize)
 }
 
 // PutRanges releases transient index-vector scratch.
@@ -224,7 +239,7 @@ func (a *Arena) GetVals(n int) []vector.Value {
 	if !a.recycling() {
 		return make([]vector.Value, n)
 	}
-	return a.pool.GetVals(n)[:n]
+	return charge(a, a.pool.GetVals(n), valueSize)[:n]
 }
 
 // PutVals releases transient boxed-value scratch.
@@ -263,6 +278,7 @@ func (a *Arena) Release() {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.pool.live.Add(-a.drawn.Swap(0))
 	for _, s := range a.ranges {
 		a.pool.PutRanges(s)
 	}
@@ -273,11 +289,6 @@ func (a *Arena) Release() {
 	}
 	clear(a.vals)
 	a.vals = a.vals[:0]
-	for _, s := range a.vids {
-		a.pool.PutVIDs(s)
-	}
-	clear(a.vids)
-	a.vids = a.vids[:0]
 	for _, c := range a.cols {
 		a.pool.PutColumn(c)
 	}

@@ -7,9 +7,10 @@ import (
 	"ges/internal/vector"
 )
 
-// TestZeroOnGetRegression pins the stale-VID fix: a recycled buffer must be
-// zeroed across its FULL capacity, so even a caller that (incorrectly)
-// reslices past len can never observe a previous owner's contents.
+// TestZeroOnGetRegression pins the stale-VID fix in its length-proportional
+// form: the slots a get was asked for are zero whatever the previous owner
+// left in the buffer, for every pooled element type. (The capacity past the
+// request is deliberately not swept — see TestClearedBytesFollowUse.)
 func TestZeroOnGetRegression(t *testing.T) {
 	p := NewPool()
 	buf := p.GetVIDs(64)
@@ -17,31 +18,117 @@ func TestZeroOnGetRegression(t *testing.T) {
 		buf = append(buf, vector.VID(i+1))
 	}
 	p.PutVIDs(buf)
-	got := p.GetVIDs(64)
-	full := got[:cap(got)]
-	for i, v := range full {
+	got := p.GetVIDs(40) // same class as 64
+	for i, v := range got[:40] {
 		if v != 0 {
-			t.Fatalf("stale VID %d at index %d after recycle (capacity must be zeroed on get)", v, i)
+			t.Fatalf("stale VID %d at index %d after recycle (the requested slots must be zeroed on get)", v, i)
 		}
 	}
-	// Same contract for the other pooled element types.
 	rg := p.GetRanges(16)
-	rg = append(rg, core.Range{Start: 1, End: 2})
+	for i := 0; i < 16; i++ {
+		rg = append(rg, core.Range{Start: 1, End: 2})
+	}
 	p.PutRanges(rg)
-	rg = p.GetRanges(16)
-	for i, r := range rg[:cap(rg)] {
+	rg = p.GetRanges(12)
+	for i, r := range rg[:12] {
 		if r != (core.Range{}) {
 			t.Fatalf("stale Range %+v at index %d after recycle", r, i)
 		}
 	}
-	vals := p.GetVals(8)
-	vals = append(vals[:0], vector.Int64(9))
+	// Boxed values hold string pointers, so put drops them as well: nothing
+	// of the previous owner survives anywhere in a pooled buffer.
+	vals := p.GetVals(8)[:8]
+	for i := range vals {
+		vals[i] = vector.String_("pinned")
+	}
 	p.PutVals(vals)
+	if !core.AssertEnabled { // assert builds stamp the release sentinel instead
+		for i, v := range vals[:cap(vals)] {
+			if v != (vector.Value{}) {
+				t.Fatalf("Value %+v still at index %d after PutVals", v, i)
+			}
+		}
+	}
 	vals = p.GetVals(8)
-	for i, v := range vals[:cap(vals)] {
+	for i, v := range vals[:8] {
 		if v != (vector.Value{}) {
 			t.Fatalf("stale Value %+v at index %d after recycle", v, i)
 		}
+	}
+}
+
+// TestLiveBytesExact pins the live-bytes gauge: positive while an arena holds
+// buffers, and exactly zero after Release whatever became of them — grown by
+// append into another class, oversize, or never put back.
+func TestLiveBytesExact(t *testing.T) {
+	p := NewPool()
+	a := p.GetArena()
+	a.OwnRanges(100)
+	a.OwnVals(3)
+	grown := a.GetVIDs(8)
+	for i := 0; i < 5000; i++ { // leaves its class: put credits a different capacity than get drew
+		grown = append(grown, vector.VID(i))
+	}
+	a.PutVIDs(grown)
+	a.PutVIDs(a.GetVIDs(1 << 20)) // oversize: served by make, never pooled
+	a.GetRanges(64)               // dropped: never put back
+	if live := p.DetailedStats().LiveBytes; live <= 0 {
+		t.Fatalf("LiveBytes = %d with an arena holding buffers", live)
+	}
+	p.PutArena(a)
+	if live := p.DetailedStats().LiveBytes; live != 0 {
+		t.Fatalf("LiveBytes = %d after the only arena was released, want 0", live)
+	}
+}
+
+// smallQuery draws what a point lookup draws and reports the bytes the pool
+// zeroed for it.
+func smallQuery(p *Pool) int64 {
+	before := p.DetailedStats().ClearedBytes
+	a := p.GetArena()
+	a.OwnRanges(8)
+	c := a.OwnColumn("name", vector.KindString)
+	c.AppendString("a")
+	c.AppendString("b")
+	lz := a.OwnLazyVIDColumn("n")
+	lz.AppendSegment([]vector.VID{1})
+	vals := a.GetVals(2)
+	vals[0] = vector.String_("x")
+	a.PutVals(vals)
+	a.PutVIDs(append(a.GetVIDs(1), 7))
+	p.PutArena(a)
+	return p.DetailedStats().ClearedBytes - before
+}
+
+// TestClearedBytesFollowUse is the deterministic form of "a short query in
+// the mix costs what it costs alone": after a query that grew every recycled
+// shape to 10^4–10^5 slots, the pool zeroes exactly as many bytes for a small
+// query as it does on a pool that has seen nothing else.
+func TestClearedBytesFollowUse(t *testing.T) {
+	fresh := NewPool()
+	smallQuery(fresh)
+	alone := smallQuery(fresh)
+
+	p := NewPool()
+	smallQuery(p)
+	a := p.GetArena()
+	a.OwnRanges(100_000)
+	a.OwnVals(10_000)
+	str := a.OwnColumn("s", vector.KindString)
+	lz := a.OwnLazyVIDColumn("l")
+	seg := []vector.VID{1, 2, 3}
+	for i := 0; i < 50_000; i++ {
+		str.AppendString("s")
+		lz.AppendSegment(seg)
+	}
+	big := a.GetVIDs(8)
+	for i := 0; i < 100_000; i++ {
+		big = append(big, vector.VID(i))
+	}
+	a.PutVIDs(big)
+	p.PutArena(a)
+	if after := smallQuery(p); after != alone || alone <= 0 {
+		t.Fatalf("small query cleared %d bytes after a large one, %d alone", after, alone)
 	}
 }
 
@@ -119,6 +206,11 @@ func TestPoolArenaRecycling(t *testing.T) {
 	a.OwnRanges(8)
 	p.PutArena(a)
 	b := p.GetArena()
+	for try := 0; b != a && try < 32; try++ { // sync.Pool drops some puts under -race
+		a = b
+		p.PutArena(a)
+		b = p.GetArena()
+	}
 	if b != a {
 		t.Fatal("GetArena did not reuse the released arena")
 	}

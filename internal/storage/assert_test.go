@@ -51,7 +51,8 @@ func TestAssertUseAfterReleasePanics(t *testing.T) {
 }
 
 // TestAssertCleanCycleQuiet checks the discipline's false-positive guard: a
-// legal get/use/put/get cycle must not trip either panic.
+// legal get/use/put/get cycle must not trip either panic — including a
+// buffer that was asked for with length zero and never written.
 func TestAssertCleanCycleQuiet(t *testing.T) {
 	p := NewPool()
 	for i := 0; i < 100; i++ {
@@ -60,5 +61,36 @@ func TestAssertCleanCycleQuiet(t *testing.T) {
 			buf = append(buf, vector.VID(k))
 		}
 		p.PutVIDs(buf)
+		p.PutVIDs(p.GetVIDs(0))
 	}
+}
+
+// TestAssertTailKeepsSentinel checks what a get leaves past the length it was
+// asked for: the release sentinel, so code that reslices a recycled buffer
+// beyond its request reads 0xDEADBEEF rather than a plausible zero. Pointer
+// bearing buffers keep the double-release check although put drops their
+// contents.
+func TestAssertTailKeepsSentinel(t *testing.T) {
+	p := NewPool()
+	for try := 0; try < 32; try++ { // sync.Pool drops some puts under -race
+		p.PutVIDs(append(p.GetVIDs(64), 1, 2, 3))
+		got := p.GetVIDs(40)
+		if tail := got[40:cap(got)]; tail[0] == poisonVID {
+			for i, v := range tail {
+				if v != poisonVID {
+					t.Fatalf("tail slot %d holds %d, want the release sentinel", 40+i, v)
+				}
+			}
+			vals := p.GetVals(4)[:4]
+			p.PutVals(vals)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("double PutVals did not panic under -tags gesassert")
+				}
+			}()
+			p.PutVals(vals)
+			return
+		}
+	}
+	t.Fatal("no recycled buffer came back in 32 tries")
 }

@@ -192,6 +192,7 @@ func (c *csr) memBytes() int {
 func (a *AdjList) Seal() {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
+	a.trim()
 	a.snap.Store(a.sealCSR())
 }
 
@@ -205,6 +206,11 @@ func (a *AdjList) Sealed() bool { return a.snap.Load() != nil }
 // deltas instead of invalidating the images. Returns the number of
 // families sealed.
 func (g *Graph) SealCSR() int {
+	if !g.sealedPhase.Load() {
+		// Bulk-load finish: vertex inserts are over (they are single-writer
+		// and pre-seal by contract), so their arrays shed their slack too.
+		g.trimVertexArrays()
+	}
 	n := 0
 	for _, l := range g.fams.Load().adj {
 		l.Seal()

@@ -459,6 +459,21 @@ func (g *Graph) MemBytes() int {
 	return n
 }
 
+// trimVertexArrays drops the append slack the bulk load left in the
+// per-vertex arrays and the property tables.
+func (g *Graph) trimVertexArrays() {
+	g.labelOf, g.rowOf, g.extOf = vector.Clipped(g.labelOf), vector.Clipped(g.rowOf), vector.Clipped(g.extOf)
+	for _, t := range g.tables {
+		if t == nil {
+			continue
+		}
+		t.vids, t.ext = vector.Clipped(t.vids), vector.Clipped(t.ext)
+		for _, c := range t.cols {
+			c.Clip()
+		}
+	}
+}
+
 // DeadSlots reports adjacency entries abandoned by slot relocation across
 // all families — the cost of the regrow-on-full update strategy.
 func (g *Graph) DeadSlots() int {

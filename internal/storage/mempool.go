@@ -30,15 +30,22 @@ type Pool struct {
 	chunks  objPool[core.Chunk]
 	arenas  objPool[Arena]
 
-	// live approximates the bytes currently checked out of the slice pools
-	// (capacity × element size); the /stats memory section reports it as
-	// live arena bytes.
+	// live is the slice-buffer bytes (capacity × element size) drawn by
+	// arenas that have not been released yet; the /stats memory section
+	// reports it as live arena bytes. Only Arena moves it: each arena adds
+	// what it draws and Release subtracts that same sum, so the gauge is
+	// exactly zero whenever no query is running, whatever became of the
+	// individual buffers (grown by append, demoted, dropped, oversize).
 	live atomic.Int64
+
+	// cleared counts the bytes get and put zeroed to hand memory over clean
+	// — see PoolStats.ClearedBytes.
+	cleared atomic.Int64
 }
 
 const numClasses = 16 // class i holds buffers of capacity 8<<i, up to 256Ki
 
-// Element sizes for live-byte accounting (struct layouts on 64-bit targets).
+// Element sizes for byte accounting (struct layouts on 64-bit targets).
 const (
 	vidSize   = 4
 	rangeSize = 8
@@ -60,7 +67,8 @@ func NewPool() *Pool {
 	p.vids.poison, p.vids.elemSize = poisonVID, vidSize
 	p.ranges.poison, p.ranges.elemSize = poisonRange, rangeSize
 	p.vals.poison, p.vals.elemSize = poisonValue, valueSize
-	p.vids.live, p.ranges.live, p.vals.live = &p.live, &p.live, &p.live
+	p.vals.hasPtrs = true
+	p.vids.cleared, p.ranges.cleared, p.vals.cleared = &p.cleared, &p.cleared, &p.cleared
 	return p
 }
 
@@ -89,16 +97,20 @@ type slicePool[T comparable] struct {
 
 	poison   T
 	elemSize int
-	live     *atomic.Int64
+	hasPtrs  bool // elements hold pointers: put must drop them
+	cleared  *atomic.Int64
 }
 
 // sliceBox boxes a slice so sync.Pool stores a pointer-shaped value.
 type sliceBox[T any] struct{ s []T }
 
-// get returns a zero-length buffer with capacity at least n. The full
-// capacity is zeroed, so stale contents from a previous owner are never
-// observable — even to callers that reslice past len (the GetVIDs stale-VID
-// fix).
+// get returns a zero-length buffer with capacity at least n whose first n
+// slots are zero, so a caller that reslices to the length it asked for never
+// observes a previous owner's contents (the GetVIDs stale-VID fix). The
+// capacity past n is not touched: a recycled buffer may be a demoted one of
+// up to twice the class, and zeroing what nobody asked for would make a get
+// cost what an earlier query grew, not what this one needs. In assert builds
+// that tail still carries the release sentinel.
 func (p *slicePool[T]) get(n int) []T {
 	c := classFor(n)
 	if c < 0 {
@@ -106,9 +118,10 @@ func (p *slicePool[T]) get(n int) []T {
 		return make([]T, 0, n)
 	}
 	p.gets[c].Add(1)
-	if p.live != nil {
-		p.live.Add(int64((8 << uint(c)) * p.elemSize))
-	}
+	// At least one slot, so an unused buffer does not go back still wearing
+	// the whole release stamp (put would take it for a double release).
+	k := max(n, 1)
+	p.cleared.Add(int64(k * p.elemSize))
 	if v := p.classes[c].Get(); v != nil {
 		p.hits[c].Add(1)
 		box := v.(*sliceBox[T])
@@ -116,7 +129,7 @@ func (p *slicePool[T]) get(n int) []T {
 		box.s = nil
 		p.boxes.Put(box)
 		checkPoison(s, p.poison)
-		clear(s)
+		clear(s[:k])
 		return s[:0]
 	}
 	return make([]T, 0, 8<<uint(c))
@@ -137,8 +150,16 @@ func (p *slicePool[T]) put(buf []T) {
 		}
 	}
 	p.puts[c].Add(1)
-	if p.live != nil {
-		p.live.Add(-int64((8 << uint(c)) * p.elemSize))
+	if p.hasPtrs {
+		// Drop what the owner stored, so a pooled buffer pins nothing; the
+		// slots past len(buf) were never handed out dirty (get zeroes what
+		// it hands out, append writes below len). Assert builds skip the
+		// clear: the stamp below overwrites every slot, and has to find a
+		// first release's stamp intact to catch a second.
+		p.cleared.Add(int64(len(buf) * p.elemSize))
+		if !core.AssertEnabled {
+			clear(buf)
+		}
 	}
 	s := buf[:cap(buf)]
 	applyPoison(s, p.poison)
@@ -226,21 +247,21 @@ func (p *objPool[T]) stats() ObjStat {
 }
 
 // GetVIDs returns a zero-length VID buffer with capacity at least n, its
-// full capacity zeroed.
+// first n slots zeroed.
 func (p *Pool) GetVIDs(n int) []vector.VID { return p.vids.get(n) }
 
 // PutVIDs returns a buffer obtained from GetVIDs to the pool.
 func (p *Pool) PutVIDs(buf []vector.VID) { p.vids.put(buf) }
 
 // GetRanges returns a zero-length index-vector buffer with capacity at
-// least n, its full capacity zeroed.
+// least n, its first n slots zeroed.
 func (p *Pool) GetRanges(n int) []core.Range { return p.ranges.get(n) }
 
 // PutRanges returns a buffer obtained from GetRanges to the pool.
 func (p *Pool) PutRanges(buf []core.Range) { p.ranges.put(buf) }
 
 // GetVals returns a zero-length boxed-value buffer with capacity at least n,
-// its full capacity zeroed.
+// its first n slots zeroed.
 func (p *Pool) GetVals(n int) []vector.Value { return p.vals.get(n) }
 
 // PutVals returns a buffer obtained from GetVals to the pool.
@@ -269,12 +290,14 @@ func (p *Pool) GetDictColumn(name string, d *vector.Dict) *vector.Column {
 }
 
 // PutColumn returns a column to the pool. The caller must not retain any
-// reference to it or to its backing slices.
+// reference to it or to its backing slices. This is where a column's
+// strings and lazy segments are dropped — once, over the rows it held; the
+// Reinit of the next GetColumn finds it empty (see Column.Reinit).
 func (p *Pool) PutColumn(c *vector.Column) {
 	if c == nil {
 		return
 	}
-	c.Reinit("", vector.KindInvalid)
+	p.cleared.Add(int64(c.Reinit("", vector.KindInvalid)))
 	p.cols.put(c)
 }
 
@@ -383,24 +406,15 @@ func (p *Pool) PutArena(a *Arena) {
 // capacity from previous use; NeighborsBatch overwrites them in place.
 func (p *Pool) GetBatch() *Batch { return p.batches.get() }
 
-// PutBatch returns a batch to the pool. Shared batches alias storage-owned
-// snapshot memory, so their views are dropped rather than recycled — a
-// pooled batch must never pin a snapshot alive.
+// PutBatch returns a batch to the pool, keeping only its Runs capacity.
+// Shared views alias storage-owned snapshot memory and owned buffers are
+// replaced, never reused, by the next fill (Batch.reset), so both are
+// dropped — a pooled batch pins neither a snapshot nor a query's strings.
 func (p *Pool) PutBatch(b *Batch) {
 	if b == nil {
 		return
 	}
-	if b.Shared {
-		*b = Batch{Runs: b.Runs[:0]}
-	} else {
-		b.VIDs = b.VIDs[:0]
-		b.Runs = b.Runs[:0]
-		for i := range b.PropStr {
-			clear(b.PropStr[i])
-		}
-		b.PropI64, b.PropF64, b.PropStr = b.PropI64[:0], b.PropF64[:0], b.PropStr[:0]
-		b.Sorted = false
-	}
+	*b = Batch{Runs: b.Runs[:0]}
 	p.batches.put(b)
 }
 
@@ -430,18 +444,24 @@ type ObjStat struct {
 // PoolStats is the full counter snapshot the /stats memory section and the
 // mem experiment report.
 type PoolStats struct {
-	Gets      int64       `json:"gets"`
-	Hits      int64       `json:"hits"`
-	Puts      int64       `json:"puts"`
-	LiveBytes int64       `json:"liveBytes"`
-	Classes   []ClassStat `json:"classes,omitempty"`
-	Columns   ObjStat     `json:"columns"`
-	Bitsets   ObjStat     `json:"bitsets"`
-	Trees     ObjStat     `json:"ftrees"`
-	Batches   ObjStat     `json:"batches"`
-	Blocks    ObjStat     `json:"fblocks"`
-	Chunks    ObjStat     `json:"chunks"`
-	Arenas    ObjStat     `json:"arenas"`
+	Gets      int64 `json:"gets"`
+	Hits      int64 `json:"hits"`
+	Puts      int64 `json:"puts"`
+	LiveBytes int64 `json:"liveBytes"`
+	// ClearedBytes is the cumulative bytes get and put zeroed: the slots a
+	// slice get was asked for, the used rows of pointer-bearing buffers
+	// and columns on put. It is counted per call, not per sync.Pool hit, so
+	// it repeats exactly for a request sequence, and it follows the sizes
+	// the requests use — never the capacity recycled objects retain.
+	ClearedBytes int64       `json:"clearedBytes"`
+	Classes      []ClassStat `json:"classes,omitempty"`
+	Columns      ObjStat     `json:"columns"`
+	Bitsets      ObjStat     `json:"bitsets"`
+	Trees        ObjStat     `json:"ftrees"`
+	Batches      ObjStat     `json:"batches"`
+	Blocks       ObjStat     `json:"fblocks"`
+	Chunks       ObjStat     `json:"chunks"`
+	Arenas       ObjStat     `json:"arenas"`
 }
 
 // HitRate returns hits/gets, or 0 before any traffic.
@@ -488,5 +508,6 @@ func (p *Pool) DetailedStats() PoolStats {
 		s.Puts += o.Puts
 	}
 	s.LiveBytes = p.live.Load()
+	s.ClearedBytes = p.cleared.Load()
 	return s
 }

@@ -38,7 +38,6 @@ type extEntry struct {
 //geslint:lockorder Manager.commitMu < Catalog.mu
 type Manager struct {
 	graph *storage.Graph
-	pool  *storage.Pool
 
 	version atomic.Uint64 // last committed version
 	nextVID atomic.Uint64 // next VID for transactionally created vertices
@@ -49,10 +48,17 @@ type Manager struct {
 
 	mu       sync.RWMutex // guards the maps below
 	overlays map[vector.VID]*vertexOverlay
-	byExt    map[extKey]extEntry
-	byLabel  map[catalog.LabelID][]extEntry // created vertices per label
-	created  []extEntry                     // all created vertices, version-ascending
-	count    atomic.Int64                   // number of overlay vertices (fast emptiness check)
+	// hasOverlay has one bit per base vertex, set (under mu, before the
+	// map entry exists) once the vertex gets an overlay and never cleared.
+	// Most base vertices are never written, and every expand source,
+	// gathered row and Prop asks; a clear bit answers with one atomic load
+	// instead of the shared lock and a map probe. Created vertices
+	// (VID >= base count) always take the map.
+	hasOverlay []atomic.Uint64
+	byExt      map[extKey]extEntry
+	byLabel    map[catalog.LabelID][]extEntry // created vertices per label
+	created    []extEntry                     // all created vertices, version-ascending
+	count      atomic.Int64                   // number of overlay vertices (fast emptiness check)
 
 	pinMu  sync.Mutex
 	pins   map[uint64]int // pinned snapshot versions -> refcount
@@ -63,12 +69,12 @@ type Manager struct {
 // once transactions begin.
 func NewManager(g *storage.Graph) *Manager {
 	m := &Manager{
-		graph:    g,
-		pool:     storage.NewPool(),
-		overlays: make(map[vector.VID]*vertexOverlay),
-		byExt:    make(map[extKey]extEntry),
-		byLabel:  make(map[catalog.LabelID][]extEntry),
-		pins:     make(map[uint64]int),
+		graph:      g,
+		overlays:   make(map[vector.VID]*vertexOverlay),
+		hasOverlay: make([]atomic.Uint64, (g.NumVertices()+63)/64),
+		byExt:      make(map[extKey]extEntry),
+		byLabel:    make(map[catalog.LabelID][]extEntry),
+		pins:       make(map[uint64]int),
 	}
 	m.nextVID.Store(uint64(g.NumVertices()))
 	return m
@@ -76,9 +82,6 @@ func NewManager(g *storage.Graph) *Manager {
 
 // Graph returns the underlying base graph.
 func (m *Manager) Graph() *storage.Graph { return m.graph }
-
-// Pool returns the manager's memory pool.
-func (m *Manager) Pool() *storage.Pool { return m.pool }
 
 // Version returns the last committed version.
 func (m *Manager) Version() uint64 { return m.version.Load() }
@@ -97,6 +100,9 @@ func (m *Manager) SnapshotAt(ver uint64) *Snapshot {
 
 // overlayOf returns the overlay of v, or nil.
 func (m *Manager) overlayOf(v vector.VID) *vertexOverlay {
+	if w := int(v >> 6); w < len(m.hasOverlay) && m.hasOverlay[w].Load()&(1<<(v&63)) == 0 {
+		return nil
+	}
 	m.mu.RLock()
 	vo := m.overlays[v]
 	m.mu.RUnlock()
@@ -110,6 +116,9 @@ func (m *Manager) ensureOverlay(v vector.VID) *vertexOverlay {
 	vo, ok := m.overlays[v]
 	if !ok {
 		vo = &vertexOverlay{adj: make(map[adjKey]*overlayAdj)}
+		if w := int(v >> 6); w < len(m.hasOverlay) {
+			m.hasOverlay[w].Store(m.hasOverlay[w].Load() | 1<<(v&63)) // writers hold mu
+		}
 		m.overlays[v] = vo
 		m.count.Add(1)
 	}

@@ -337,6 +337,94 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 }
 
+// TestOverlayPresenceUnderWriters races the lock-free presence probe in front
+// of the overlay map against IU-shaped commits: writers attach new posts to
+// every other person while readers ask overlayOf for every base vertex. A
+// reader that found an overlay in the map must get that same overlay from
+// the probe from then on; once the writers are done the probe and the map
+// agree on every vertex, written or not, base or created.
+func TestOverlayPresenceUnderWriters(t *testing.T) {
+	f := testgraph.New()
+	m := NewManager(f.Graph)
+	s := f.Schema
+	base := f.Graph.NumVertices()
+
+	const writers = 4
+	const txPerWriter = 50
+	var wg sync.WaitGroup
+	wg.Add(writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < txPerWriter; i++ {
+				target := f.Persons[2*((w+i)%(len(f.Persons)/2))]
+				tx := m.Begin([]vector.VID{target})
+				ext := int64(20_000 + w*txPerWriter + i)
+				post, err := tx.AddVertex(s.Post, ext, vector.String_("c"), vector.Int64(ext), vector.Date(ext))
+				if err == nil {
+					err = tx.AddEdge(s.HasCreator, post, target)
+				}
+				if err != nil {
+					t.Error(err)
+					tx.Abort()
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	inMap := func(v vector.VID) *vertexOverlay {
+		m.mu.RLock()
+		defer m.mu.RUnlock()
+		return m.overlays[v]
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	rg.Add(4)
+	for r := 0; r < 4; r++ {
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for v := vector.VID(0); int(v) < base; v++ {
+					if want := inMap(v); want != nil && m.overlayOf(v) != want {
+						t.Errorf("vertex %d: overlayOf missed an overlay the map already holds", v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	written := make(map[vector.VID]bool)
+	for i := 0; i < len(f.Persons)/2; i++ {
+		written[f.Persons[2*i]] = true
+	}
+	total, _ := m.Stats()
+	for v := vector.VID(0); int(v) < base+writers*txPerWriter; v++ {
+		got := m.overlayOf(v)
+		if got != inMap(v) {
+			t.Fatalf("vertex %d: overlayOf and the overlay map disagree at quiesce", v)
+		}
+		if want := written[v] || int(v) >= base; (got != nil) != want {
+			t.Fatalf("vertex %d: overlay present = %v, want %v", v, got != nil, want)
+		}
+	}
+	if want := len(written) + writers*txPerWriter; total != want {
+		t.Fatalf("overlay vertices = %d, want %d", total, want)
+	}
+}
+
 // TestConcurrentSameVertexWriters checks write-write serialization on one
 // vertex: all increments survive.
 func TestConcurrentSameVertexWriters(t *testing.T) {

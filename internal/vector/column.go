@@ -1,6 +1,9 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Column is a typed, contiguous column of singletons — one column of an
 // f-Block (§4.2). Exactly one backing slice is in use, selected by Kind.
@@ -365,17 +368,16 @@ func (c *Column) AppendBool(v bool) {
 }
 
 // growZeroed resizes s to n elements, zeroing every slot (stale rows from a
-// recycled scratch column must not leak into unselected gather rows).
+// recycled scratch column must not leak into unselected gather rows). Rows
+// the resize cuts off are zeroed too, which keeps the tail invariant of
+// Reinit for the pointer-bearing slices.
 func growZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
-	return s
+	s = s[:max(n, len(s))]
+	clear(s)
+	return s[:n]
 }
 
 // Grow resizes the column to n zero-valued rows, reusing capacity — the
@@ -543,28 +545,66 @@ func (c *Column) Reset() {
 		*c = Column{Name: c.Name, Kind: c.Kind}
 		return
 	}
-	c.i64 = c.i64[:0]
-	c.f64 = c.f64[:0]
-	c.str = c.str[:0]
-	c.bl = c.bl[:0]
-	c.vid = c.vid[:0]
-	c.codes = c.codes[:0]
+	c.truncate()
 	if c.zm != nil {
 		c.zm.Reset()
 	}
-	c.segs = c.segs[:0]
+}
+
+// Pointer-bearing slots retired by truncate hold these in assert builds.
+var (
+	poisonStr = "\xde\xad"
+	poisonSeg = []VID{0xDEADBEEF}
+)
+
+// retire drops the references held by the used rows of a pointer-bearing
+// slice and truncates it. Assert builds (-tags gesassert) stamp the rows
+// with poison instead of zero, so code that reslices a recycled column past
+// its length reads a sentinel, not a plausible empty value.
+func retire[T any](s []T, poison T) []T {
+	if assertEnabled {
+		for i := range s {
+			s[i] = poison
+		}
+	} else {
+		clear(s)
+	}
+	return s[:0]
+}
+
+// truncate cuts every backing slice to zero rows, retaining capacity, and
+// returns the bytes it had to zero. Only the rows in use are touched — see
+// the invariant on Reinit.
+func (c *Column) truncate() (cleared int) {
+	cleared = len(c.str)*16 + len(c.segs)*24
+	c.i64 = c.i64[:0]
+	c.f64 = c.f64[:0]
+	c.bl = c.bl[:0]
+	c.vid = c.vid[:0]
+	c.codes = c.codes[:0]
+	c.str = retire(c.str, poisonStr)
+	c.segs = retire(c.segs, poisonSeg)
 	c.segOff = c.segOff[:0]
 	c.segLen = 0
+	return cleared
 }
 
 // Reinit retargets a recycled column to a fresh identity, truncating every
-// backing slice but retaining capacity. It is the pooled counterpart of
-// NewColumn (§5, memory pool): Reset preserves Name/Kind for within-query
-// reuse, Reinit additionally clears the lazy/dict/shared/zone-map state a
-// previous owner may have left behind, and drops pointer-bearing slots
-// (string headers, lazy segment references) so a pooled column never pins a
-// prior query's storage snapshot alive.
-func (c *Column) Reinit(name string, kind Kind) {
+// backing slice but retaining capacity, and returns the bytes it zeroed. It
+// is the pooled counterpart of NewColumn (§5, memory pool): Reset preserves
+// Name/Kind for within-query reuse, Reinit additionally clears the
+// lazy/dict/shared/zone-map state a previous owner may have left behind.
+//
+// Invariant: in a column that is not a shared view, the pointer-bearing
+// slots (string headers, lazy segment references) at or past the slice
+// length are nil (or, in assert builds, the poison retire leaves). Appends
+// only ever write below the length, and every truncation — here, Reset, a
+// shrinking Grow — zeroes the rows it cuts off. So a pooled column never pins a prior query's strings or
+// storage snapshot, and recycling costs what the last owner used, not what
+// some earlier owner grew the capacity to: a Reinit of an empty column
+// touches nothing. Pool.PutColumn is the one place that pays; the Reinit on
+// the way out of the pool finds the column already empty.
+func (c *Column) Reinit(name string, kind Kind) (cleared int) {
 	if c.shared {
 		*c = Column{}
 	}
@@ -572,17 +612,7 @@ func (c *Column) Reinit(name string, kind Kind) {
 	c.lazy = false
 	c.dict = nil
 	c.zm = nil
-	c.i64 = c.i64[:0]
-	c.f64 = c.f64[:0]
-	c.bl = c.bl[:0]
-	c.vid = c.vid[:0]
-	c.codes = c.codes[:0]
-	clear(c.str[:cap(c.str)])
-	c.str = c.str[:0]
-	clear(c.segs[:cap(c.segs)])
-	c.segs = c.segs[:0]
-	c.segOff = c.segOff[:0]
-	c.segLen = 0
+	return c.truncate()
 }
 
 // ReinitLazyVID retargets a recycled column as an empty lazy VID column —
@@ -597,6 +627,23 @@ func (c *Column) ReinitLazyVID(name string) {
 func (c *Column) ReinitDict(name string, d *Dict) {
 	c.Reinit(name, KindString)
 	c.dict = d
+}
+
+// Clipped returns s without its spare capacity, reallocating only when
+// append growth left some behind.
+func Clipped[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
+}
+
+// Clip drops the spare capacity of a materialized column — storage calls it
+// on its property columns when a bulk load ends.
+func (c *Column) Clip() {
+	c.mutCheck()
+	c.i64, c.f64, c.str = Clipped(c.i64), Clipped(c.f64), Clipped(c.str)
+	c.bl, c.vid, c.codes = Clipped(c.bl), Clipped(c.vid), Clipped(c.codes)
 }
 
 // MemBytes returns the accounted intermediate-result memory of the column.

@@ -141,6 +141,64 @@ func TestColumnReset(t *testing.T) {
 	}
 }
 
+// TestReinitDropsUsedRowsOnly is white-box on the invariant Reinit documents:
+// pointer-bearing slots at or past the length are nil (rows a truncation
+// retired carry the poison in assert builds), recycling pays for the rows the
+// last owner used, and a second Reinit of the empty column touches nothing.
+func TestReinitDropsUsedRowsOnly(t *testing.T) {
+	const n = 1000
+	// Rows [0,n) get retired below: zeroed, or stamped in assert builds.
+	stamped := func(i int) bool { return assertEnabled && i < n }
+	str := NewColumn("s", KindString)
+	lazy := NewLazyVIDColumn("l")
+	seg := []VID{1, 2}
+	for i := 0; i < n; i++ {
+		str.AppendString("x")
+		lazy.AppendSegment(seg)
+	}
+	if got := str.Reinit("", KindInvalid); got != n*16 {
+		t.Fatalf("string column: Reinit cleared %d bytes, want %d", got, n*16)
+	}
+	if got := lazy.Reinit("", KindInvalid); got != n*24 {
+		t.Fatalf("lazy column: Reinit cleared %d bytes, want %d", got, n*24)
+	}
+	if cap(str.str) < n || cap(lazy.segs) < n {
+		t.Fatal("Reinit dropped the capacity it is meant to retain")
+	}
+	for i, v := range str.str[:cap(str.str)] {
+		want := ""
+		if stamped(i) {
+			want = poisonStr
+		}
+		if v != want {
+			t.Fatalf("string slot %d of %d holds %q after Reinit, want %q", i, cap(str.str), v, want)
+		}
+	}
+	for i, v := range lazy.segs[:cap(lazy.segs)] {
+		if isPoison := len(v) == 1 && &v[0] == &poisonSeg[0]; isPoison != stamped(i) || (!isPoison && v != nil) {
+			t.Fatalf("segment slot %d of %d holds %v after Reinit", i, cap(lazy.segs), v)
+		}
+	}
+	if a, b := str.Reinit("again", KindString), lazy.Reinit("again", KindVID); a != 0 || b != 0 {
+		t.Fatalf("Reinit of an empty column cleared %d and %d bytes, want 0", a, b)
+	}
+
+	// Reset and a shrinking Grow keep the same invariant.
+	for i := 0; i < n; i++ {
+		str.AppendString("y")
+	}
+	str.Grow(10)
+	str.Reset()
+	for i, v := range str.str[:cap(str.str)] {
+		if assertEnabled && i < 10 {
+			continue // retired by Reset: stamped
+		}
+		if v != "" {
+			t.Fatalf("string slot %d holds %q after Grow(10)+Reset", i, v)
+		}
+	}
+}
+
 func TestColumnClone(t *testing.T) {
 	col := NewColumn("s", KindString)
 	col.AppendString("a")

@@ -12,12 +12,21 @@ import (
 // comparisons and sorts must resolve through Str.
 //
 // Interning takes a mutex (bulk load is single-writer; transactional overlay
-// patches are rare), while Str is lock-free via an atomically published slice
-// snapshot so the hot code→string resolution path never contends.
+// patches are rare), while Str and Len are lock-free, so the hot code→string
+// resolution path never contends.
+//
+// Publication protocol: tab points at the code→string table sliced to its
+// full capacity and n counts the published codes. Intern writes slot n —
+// which no reader may index yet — and then stores n+1; a full table is
+// first replaced by a larger copy, stored before the new n. A reader loads
+// n and then tab, so the table it gets holds at least n slots, every one
+// written before the store of n that it observed. Interning is therefore
+// O(1) amortized and allocates only when the table or the map grows.
 type Dict struct {
 	mu    sync.Mutex
 	byStr map[string]uint32
-	strs  atomic.Pointer[[]string]
+	tab   atomic.Pointer[[]string]
+	n     atomic.Uint32
 }
 
 // NewDict returns a dictionary with the empty string pre-interned as code 0,
@@ -26,7 +35,8 @@ type Dict struct {
 func NewDict() *Dict {
 	d := &Dict{byStr: map[string]uint32{"": 0}}
 	zero := []string{""}
-	d.strs.Store(&zero)
+	d.tab.Store(&zero)
+	d.n.Store(1)
 	return d
 }
 
@@ -35,15 +45,17 @@ func (d *Dict) Intern(s string) uint32 {
 	d.mu.Lock()
 	code, ok := d.byStr[s]
 	if !ok {
-		cur := *d.strs.Load()
-		code = uint32(len(cur))
+		tab := *d.tab.Load()
+		code = d.n.Load()
 		d.byStr[s] = code
-		// Publish a fresh snapshot: readers may hold the old slice, so never
-		// append in place past a published length.
-		next := make([]string, len(cur)+1)
-		copy(next, cur)
-		next[len(cur)] = s
-		d.strs.Store(&next)
+		if int(code) == len(tab) {
+			grown := append(tab, "")
+			grown = grown[:cap(grown)]
+			d.tab.Store(&grown)
+			tab = grown
+		}
+		tab[code] = s
+		d.n.Store(code + 1)
 	}
 	d.mu.Unlock()
 	return code
@@ -60,11 +72,12 @@ func (d *Dict) Lookup(s string) (code uint32, ok bool) {
 
 // Str resolves a code to its string. Lock-free.
 func (d *Dict) Str(code uint32) string {
-	return (*d.strs.Load())[code]
+	n := d.n.Load()
+	return (*d.tab.Load())[:n][code]
 }
 
 // Len returns the number of distinct strings.
-func (d *Dict) Len() int { return len(*d.strs.Load()) }
+func (d *Dict) Len() int { return int(d.n.Load()) }
 
 // MemBytes returns the accounted memory of the dictionary payload (string
 // headers + bytes + map overhead).

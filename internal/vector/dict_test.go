@@ -37,29 +37,68 @@ func TestDictEmptyStringIsCodeZero(t *testing.T) {
 	}
 }
 
-// TestDictConcurrentReaders races lock-free Str/Len against interning.
+// TestDictConcurrentReaders races lock-free Str/Len against interning: the
+// interner appends within the table's capacity while readers resolve every
+// code they have seen, and each must resolve to the string it was given.
 func TestDictConcurrentReaders(t *testing.T) {
+	const n = 5000
 	d := NewDict()
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			d.Intern(fmt.Sprintf("s%d", i))
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			n := d.Len()
-			for c := 0; c < n; c++ {
-				_ = d.Str(uint32(c))
+		for i := 1; i <= n; i++ {
+			if c := d.Intern(fmt.Sprintf("s%d", i)); c != uint32(i) {
+				t.Errorf("Intern(s%d) = %d", i, c)
+				return
 			}
 		}
 	}()
+	for r := 0; r < 2; r++ {
+		go func() {
+			defer wg.Done()
+			for seen := 0; seen <= n; {
+				seen = d.Len()
+				for c := 1; c < seen; c += 1 + seen/64 {
+					if got, want := d.Str(uint32(c)), fmt.Sprintf("s%d", c); got != want {
+						t.Errorf("Str(%d) = %q with Len %d, want %q", c, got, seen, want)
+						return
+					}
+				}
+			}
+		}()
+	}
 	wg.Wait()
-	if d.Len() != 501 { // "" + 500 interned
-		t.Fatalf("Len = %d, want 501", d.Len())
+	if d.Len() != n+1 { // "" + n interned
+		t.Fatalf("Len = %d, want %d", d.Len(), n+1)
+	}
+}
+
+// TestDictInternAmortized pins interning at O(1) amortized: 4 096 new strings
+// into a dictionary of 32 768 may allocate only when the table or the map
+// grows — a table copy per string would be two allocations per string.
+func TestDictInternAmortized(t *testing.T) {
+	const base, batch = 32768, 4096
+	d := NewDict()
+	for i := 0; i < base; i++ {
+		d.Intern(fmt.Sprintf("base%d", i))
+	}
+	fresh := make([]string, 2*batch) // AllocsPerRun calls the function twice
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("fresh%d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, s := range fresh[next : next+batch] {
+			d.Intern(s)
+		}
+		next += batch
+	})
+	if d.Len() != 1+base+2*batch {
+		t.Fatalf("Len = %d, want %d", d.Len(), 1+base+2*batch)
+	}
+	if allocs > 64 {
+		t.Fatalf("interning %d new strings into %d made %.0f allocations, want at most 64", batch, base, allocs)
 	}
 }
 
