@@ -93,62 +93,13 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan) (
 	if err != nil {
 		return nil, err
 	}
-	lazyOK := !o.NoLazy && len(o.EdgeProps) == 0 && o.VertexPred == nil && o.EdgePropPred == nil
-
-	// The index vector lands in the new f-Tree node, so it is query-lifetime
-	// arena memory, released wholesale when the engine ends the query.
-	index := ctx.Arena.OwnRanges(parent.Block.NumRows())
-	if lazyOK {
-		if ctx.Parallel > 1 && parent.Block.NumRows() >= parallelMinRows {
-			toCol, pidx := parallelLazyExpand(ctx, o.To, parent, fromCol, o.Et, o.Dir, o.DstLabel)
-			ft.AddChild(parent, ctx.NewFBlock(toCol), pidx)
-			assertFTree(ft)
-			return ctx.FTChunk(ft), nil
-		}
-		toCol := ctx.Arena.OwnLazyVIDColumn(o.To)
-		// Batched kernel: one NeighborsBatch call resolves every parent
-		// row (prefix-sum lookups on a sealed CSR, no per-row family
-		// map probes); each non-empty run appends as one lazy segment.
-		// The lazy column retains run sub-slices of the batch, so the
-		// batch is query-lifetime (OwnBatch), not morsel scratch.
-		b := ctx.Arena.OwnBatch()
-		srcs := expandSrcs(parent, fromCol, 0, parent.Block.NumRows(),
-			ctx.Arena.GetVIDs(parent.Block.NumRows()))
-		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
-		ctx.Arena.PutVIDs(srcs)
-		total := 0
-		for i, r := range b.Runs {
-			start := total
-			if r.End > r.Start {
-				_, total = toCol.AppendSegment(b.VIDs[r.Start:r.End])
-			}
-			index[i] = core.Range{Start: int32(start), End: int32(total)}
-		}
-		ft.AddChild(parent, ctx.NewFBlock(toCol), index)
-		assertFTree(ft)
-		return ctx.FTChunk(ft), nil
+	if !o.NoLazy && len(o.EdgeProps) == 0 && o.VertexPred == nil && o.EdgePropPred == nil {
+		return produceChild(ctx, ft, parent, childCols{to: o.To, lazy: true},
+			lazyExpandBody{o, ctx, parent, fromCol}), nil
 	}
-
 	// Materializing path: edge properties or fused predicates requested.
-	if ctx.Parallel > 1 && parent.Block.NumRows() >= parallelMinRows {
-		block, pidx := parallelMaterialExpand(ctx, o, parent, fromCol, epp)
-		ft.AddChild(parent, block, pidx)
-		assertFTree(ft)
-		return ctx.FTChunk(ft), nil
-	}
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	propCols := make([]*vector.Column, len(o.EdgeProps))
-	for i, ep := range o.EdgeProps {
-		propCols[i] = ctx.Arena.OwnColumn(ep.As, epp.kind[i])
-	}
-	index = o.expandRows(ctx, o.VertexPred, parent, fromCol, epp, 0, parent.Block.NumRows(), toCol, propCols, index[:0])
-	block := ctx.NewFBlock(toCol)
-	for _, pc := range propCols {
-		block.AddColumn(pc)
-	}
-	ft.AddChild(parent, block, index)
-	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
+	return produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
+		expandBody{o, ctx, parent, fromCol, epp}), nil
 }
 
 // expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
@@ -167,36 +118,71 @@ func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vec
 	return srcs
 }
 
-// expandRows runs the materializing expansion for parent rows [lo,hi),
-// appending neighbors to toCol/propCols and one range per parent row to
-// index (ranges are relative to toCol's state at entry). It is the single
-// implementation behind both the sequential path and each parallel morsel,
-// which keeps parallel output byte-identical to sequential execution.
-//
-// Candidates come from one batched NeighborsBatch call per invocation (one
-// prefix-sum pass on a sealed CSR).
-func (o *Expand) expandRows(ctx *Ctx, pred VertexPred, parent *core.Node, fromCol *vector.Column,
-	epp edgePropPlan, lo, hi int, toCol *vector.Column, propCols []*vector.Column, index []core.Range) []core.Range {
+// lazyExpandBody is the pointer-based-join range body: the child column
+// records references into storage adjacency instead of copying neighbor IDs.
+type lazyExpandBody struct {
+	o       *Expand
+	ctx     *Ctx
+	parent  *core.Node
+	fromCol *vector.Column
+}
 
+// rows resolves parent rows [lo,hi) with one NeighborsBatch call (prefix-sum
+// lookups on a sealed CSR, no per-row family map probes); each non-empty run
+// appends as one lazy segment. The lazy column retains run sub-slices of the
+// batch (shared mode aliases the immutable CSR array; owned mode keeps its
+// pack buffer), so the batch is query-lifetime (OwnBatch), not morsel
+// scratch.
+func (b lazyExpandBody) rows(lo, hi int, s childSink) {
+	o, ctx := b.o, b.ctx
+	batch := ctx.Arena.OwnBatch()
+	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, batch)
+	ctx.Arena.PutVIDs(srcs)
+	total := s.toCol.Len()
+	for i, r := range batch.Runs {
+		start := total
+		if r.End > r.Start {
+			_, total = s.toCol.AppendSegment(batch.VIDs[r.Start:r.End])
+		}
+		s.index[i] = core.Range{Start: int32(start), End: int32(total)}
+	}
+}
+
+// expandBody is the materializing range body (edge properties and/or fused
+// predicates).
+type expandBody struct {
+	o       *Expand
+	ctx     *Ctx
+	parent  *core.Node
+	fromCol *vector.Column
+	epp     edgePropPlan
+}
+
+// rows expands parent rows [lo,hi). Candidates come from one batched
+// NeighborsBatch call per invocation (one prefix-sum pass on a sealed CSR).
+func (b expandBody) rows(lo, hi int, s childSink) {
+	o, ctx, epp := b.o, b.ctx, b.epp
+	pred := shardPred(o.VertexPred, lo, hi, b.parent.Block.NumRows())
 	withProps := len(o.EdgeProps) > 0
 	var propVals []vector.Value
 	if withProps {
 		propVals = ctx.Arena.GetVals(len(o.EdgeProps))
 		defer ctx.Arena.PutVals(propVals)
 	}
-	total := toCol.Len()
+	total := s.toCol.Len()
 
-	// Materializing path: every value is copied out of the batch before
-	// this call returns, so the batch is transient scratch.
-	b := ctx.Arena.GetBatch()
-	defer ctx.Arena.PutBatch(b)
-	srcs := expandSrcs(parent, fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
+	// Every value is copied out of the batch before this call returns, so
+	// the batch is transient scratch.
+	batch := ctx.Arena.GetBatch()
+	defer ctx.Arena.PutBatch(batch)
+	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, batch)
 	ctx.Arena.PutVIDs(srcs)
-	for ri := range b.Runs {
+	for ri := range batch.Runs {
 		start := total
-		r := b.Runs[ri]
-		cands := b.VIDs[r.Start:r.End]
+		r := batch.Runs[ri]
+		cands := batch.VIDs[r.Start:r.End]
 		// Large runs evaluate the fused predicate in one batch
 		// (zone-map skip + gather + kernels, predbatch.go); the keep
 		// mask is indexed by run position. Small runs and predicates
@@ -213,20 +199,19 @@ func (o *Expand) expandRows(ctx *Ctx, pred VertexPred, parent *core.Node, fromCo
 				}
 			}
 			for p := range o.EdgeProps {
-				propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
+				propVals[p] = batchPropValue(batch, epp, p, int(r.Start)+k)
 			}
 			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
 				continue
 			}
-			toCol.AppendVID(v)
-			for p, pc := range propCols {
+			s.toCol.AppendVID(v)
+			for p, pc := range s.propCols {
 				pc.Append(propVals[p])
 			}
 			total++
 		}
-		index = append(index, core.Range{Start: int32(start), End: int32(total)})
+		s.index[ri] = core.Range{Start: int32(start), End: int32(total)}
 	}
-	return index
 }
 
 // batchPropValue extracts edge property p (plan position) for the neighbor
@@ -258,29 +243,27 @@ func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan) (*c
 		names = append(names, ep.As)
 		kinds = append(kinds, epp.kind[i])
 	}
-	if ctx.Parallel > 1 && len(in.Rows) >= parallelMinRows {
-		fb, err := parallelFlatExpand(ctx, o, in, fromIdx, names, kinds, epp)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.FlatChunk(fb), nil
-	}
-	out := core.NewFlatBlock(names, kinds)
-	if err := o.expandFlatRows(ctx, o.VertexPred, in, fromIdx, epp, 0, len(in.Rows), names, out); err != nil {
-		return nil, err
-	}
+	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatExpandBody{o, ctx, in, fromIdx, epp})
 	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
 		return nil, errRowLimit("flat expand", out.NumRows(), ctx.MaxRows)
 	}
 	return ctx.FlatChunk(out), nil
 }
 
-// expandFlatRows expands input rows [lo,hi) into out — the single flat-path
-// implementation behind the sequential path and each parallel morsel.
-// Candidates come from one batched neighbor call per invocation.
-func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, fromIdx int,
-	epp edgePropPlan, lo, hi int, names []string, out *core.FlatBlock) error {
+// flatExpandBody is the flat-path expansion range body.
+type flatExpandBody struct {
+	o       *Expand
+	ctx     *Ctx
+	in      *core.FlatBlock
+	fromIdx int
+	epp     edgePropPlan
+}
 
+// rows expands input rows [lo,hi) into out. Candidates come from one batched
+// neighbor call per invocation.
+func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
+	o, ctx, in, epp := b.o, b.ctx, b.in, b.epp
+	pred := shardPred(o.VertexPred, lo, hi, len(in.Rows))
 	withProps := len(o.EdgeProps) > 0
 	var propVals []vector.Value
 	if withProps {
@@ -290,7 +273,7 @@ func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, f
 	emit := func(row []vector.Value, v vector.VID) {
 		// The output row escapes into the result block, so it is never
 		// pooled.
-		nr := make([]vector.Value, 0, len(names))
+		nr := make([]vector.Value, 0, len(out.Names))
 		nr = append(nr, row...)
 		nr = append(nr, vector.VIDValue(v))
 		nr = append(nr, propVals...)
@@ -299,16 +282,16 @@ func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, f
 
 	srcs := ctx.Arena.GetVIDs(hi - lo)
 	for i := lo; i < hi; i++ {
-		srcs = append(srcs, in.Rows[i][fromIdx].AsVID())
+		srcs = append(srcs, in.Rows[i][b.fromIdx].AsVID())
 	}
-	b := ctx.Arena.GetBatch()
-	defer ctx.Arena.PutBatch(b)
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, b)
+	batch := ctx.Arena.GetBatch()
+	defer ctx.Arena.PutBatch(batch)
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, batch)
 	ctx.Arena.PutVIDs(srcs)
-	for ri := range b.Runs {
+	for ri := range batch.Runs {
 		row := in.Rows[lo+ri]
-		r := b.Runs[ri]
-		cands := b.VIDs[r.Start:r.End]
+		r := batch.Runs[ri]
+		cands := batch.VIDs[r.Start:r.End]
 		keep := testVertexBatch(ctx, pred, cands)
 		for k, v := range cands {
 			if pred != nil {
@@ -321,7 +304,7 @@ func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, f
 				}
 			}
 			for p := range o.EdgeProps {
-				propVals[p] = batchPropValue(b, epp, p, int(r.Start)+k)
+				propVals[p] = batchPropValue(batch, epp, p, int(r.Start)+k)
 			}
 			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
 				continue
@@ -329,5 +312,4 @@ func (o *Expand) expandFlatRows(ctx *Ctx, pred VertexPred, in *core.FlatBlock, f
 			emit(row, v)
 		}
 	}
-	return nil
 }

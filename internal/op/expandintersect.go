@@ -5,7 +5,6 @@ import (
 
 	"ges/internal/catalog"
 	"ges/internal/core"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -94,18 +93,7 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 		owners[i] = ownerMap(deep, nodes[i])
 	}
 
-	n := deep.Block.NumRows()
-	if ctx.Parallel > 1 && n >= parallelMinRows {
-		toCol, index := o.parallelIntersect(ctx, deep, cols, owners)
-		ft.AddChild(deep, ctx.NewFBlock(toCol), index)
-		assertFTree(ft)
-		return ctx.FTChunk(ft), nil
-	}
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	index := o.intersectRows(ctx, deep, cols, owners, 0, n, toCol, ctx.Arena.OwnRanges(n)[:0])
-	ft.AddChild(deep, ctx.NewFBlock(toCol), index)
-	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
+	return produceChild(ctx, ft, deep, childCols{to: o.To}, intersectBody{o, ctx, deep, cols, owners}), nil
 }
 
 // sideSrcs builds side si's source column for deep rows [lo,hi) in buf
@@ -123,20 +111,24 @@ func sideSrcs(deep *core.Node, col *vector.Column, owner []int32, lo, hi int, bu
 	return srcs
 }
 
-// intersectRows intersects deep rows [lo,hi), appending survivors to toCol
-// and one range per row to index (ranges relative to toCol's state at
-// entry). It is the single implementation behind the sequential path and
-// each parallel morsel, so parallel output is byte-identical by
-// construction.
-func (o *ExpandIntersect) intersectRows(ctx *Ctx, deep *core.Node, cols []*vector.Column,
-	owners [][]int32, lo, hi int, toCol *vector.Column, index []core.Range) []core.Range {
+// intersectBody is the factorized ExpandIntersect range body.
+type intersectBody struct {
+	o      *ExpandIntersect
+	ctx    *Ctx
+	deep   *core.Node
+	cols   []*vector.Column
+	owners [][]int32
+}
 
+// rows intersects deep rows [lo,hi).
+func (b intersectBody) rows(lo, hi int, s childSink) {
+	o, ctx := b.o, b.ctx
 	// Side batches and source buffers are morsel-transient: the survivors are
-	// copied into toCol before this call returns, so everything cycles back
-	// through the arena here.
+	// copied into the sink before this call returns, so everything cycles
+	// back through the arena here.
 	base := ctx.Arena.GetBatch()
 	defer ctx.Arena.PutBatch(base)
-	srcs0 := sideSrcs(deep, cols[0], owners[0], lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	srcs0 := sideSrcs(b.deep, b.cols[0], b.owners[0], lo, hi, ctx.Arena.GetVIDs(hi-lo))
 	defer ctx.Arena.PutVIDs(srcs0)
 	s0 := o.Sides[0]
 	ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
@@ -149,67 +141,35 @@ func (o *ExpandIntersect) intersectRows(ctx *Ctx, deep *core.Node, cols []*vecto
 		}
 	}()
 	for p := range probes {
-		probeSrcs[p] = sideSrcs(deep, cols[p+1], owners[p+1], lo, hi, ctx.Arena.GetVIDs(hi-lo))
+		probeSrcs[p] = sideSrcs(b.deep, b.cols[p+1], b.owners[p+1], lo, hi, ctx.Arena.GetVIDs(hi-lo))
 		probes[p] = ctx.Arena.GetBatch()
-		s := o.Sides[p+1]
-		ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
+		side := o.Sides[p+1]
+		ctx.View.NeighborsBatch(probeSrcs[p], side.Et, side.Dir, side.DstLabel, false, probes[p])
 	}
 	var x storage.Intersector
 	x.Reset(base, probes, probeSrcs, true)
-	return probeLoop(&x, hi-lo, toCol, index)
+	probeLoop(&x, s.toCol, s.index)
 }
 
 // probeLoop is the ExpandIntersect inner loop: one Intersector reduction
-// per deep row, survivors appended to toCol and one range per row to index
-// (ranges relative to toCol's state at entry). Split out of intersectRows
-// so the hot loop is a checkable kernel, separate from the per-morsel batch
-// fills and Intersector setup that legitimately allocate.
+// per deep row, survivors appended to toCol and row i's range written to
+// index[i] (ranges relative to toCol's state at entry). Split out of the
+// range body so the hot loop is a checkable kernel, separate from the
+// per-morsel batch fills and Intersector setup that legitimately allocate.
 //
 //geslint:kernel
-func probeLoop(x *storage.Intersector, n int, toCol *vector.Column, index []core.Range) []core.Range {
+func probeLoop(x *storage.Intersector, toCol *vector.Column, index []core.Range) {
 	total := toCol.Len()
 	var buf []vector.VID
-	for i := 0; i < n; i++ {
+	for i := range index {
 		start := total
 		buf = x.Row(buf[:0], i)
 		for _, v := range buf {
 			toCol.AppendVID(v)
 		}
 		total += len(buf)
-		//geslint:alloc-ok callers pre-size index to the morsel row count; append rarely grows
-		index = append(index, core.Range{Start: int32(start), End: int32(total)})
+		index[i] = core.Range{Start: int32(start), End: int32(total)}
 	}
-	return index
-}
-
-// parallelIntersect shards deep rows into morsels, each with its own side
-// batches and intersector, and merges shard outputs in morsel order.
-func (o *ExpandIntersect) parallelIntersect(ctx *Ctx, deep *core.Node, cols []*vector.Column,
-	owners [][]int32) (*vector.Column, []core.Range) {
-
-	n := deep.Block.NumRows()
-	shards := make([]matShard, sched.NumMorsels(n, expandMorselSize))
-	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-		sh := &shards[m.Index]
-		sh.toCol = ctx.Arena.OwnColumn(o.To, vector.KindVID)
-		sh.index = o.intersectRows(ctx, deep, cols, owners, m.Start, m.End,
-			sh.toCol, ctx.Arena.GetRanges(m.End-m.Start))
-	})
-
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	index := ctx.Arena.OwnRanges(n)[:0]
-	offset := int32(0)
-	for si := range shards {
-		sh := &shards[si]
-		toCol.Extend(sh.toCol)
-		for _, rg := range sh.index {
-			index = append(index, core.Range{Start: rg.Start + offset, End: rg.End + offset})
-		}
-		offset += int32(sh.toCol.Len())
-		ctx.Arena.PutRanges(sh.index)
-		sh.index = nil
-	}
-	return toCol, index
 }
 
 // executeFlat intersects over materialized rows, appending one output row
@@ -225,65 +185,60 @@ func (o *ExpandIntersect) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 	names := append(append([]string(nil), in.Names...), o.To)
 	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
 
-	emitRows := func(lo, hi int, out *core.FlatBlock) {
-		base := ctx.Arena.GetBatch()
-		defer ctx.Arena.PutBatch(base)
-		probes := make([]*storage.Batch, len(o.Sides)-1)
-		probeSrcs := make([][]vector.VID, len(o.Sides)-1)
-		srcsOf := func(si int) []vector.VID {
-			srcs := ctx.Arena.GetVIDs(hi - lo)[:hi-lo]
-			for i := lo; i < hi; i++ {
-				srcs[i-lo] = in.Rows[i][idxs[si]].AsVID()
-			}
-			return srcs
-		}
-		srcs0 := srcsOf(0)
-		defer ctx.Arena.PutVIDs(srcs0)
-		s0 := o.Sides[0]
-		ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
-		defer func() {
-			for p := range probes {
-				ctx.Arena.PutBatch(probes[p])
-				ctx.Arena.PutVIDs(probeSrcs[p])
-			}
-		}()
-		for p := range probes {
-			probeSrcs[p] = srcsOf(p + 1)
-			probes[p] = ctx.Arena.GetBatch()
-			s := o.Sides[p+1]
-			ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
-		}
-		var x storage.Intersector
-		x.Reset(base, probes, probeSrcs, true)
-		var buf []vector.VID
-		for i := 0; i < hi-lo; i++ {
-			buf = x.Row(buf[:0], i)
-			for _, v := range buf {
-				nr := make([]vector.Value, 0, len(names))
-				nr = append(nr, in.Rows[lo+i]...)
-				nr = append(nr, vector.VIDValue(v))
-				out.AppendOwned(nr)
-			}
-		}
-	}
-
-	n := len(in.Rows)
-	out := core.NewFlatBlock(names, kinds)
-	if ctx.Parallel > 1 && n >= parallelMinRows {
-		shards := make([]*core.FlatBlock, sched.NumMorsels(n, expandMorselSize))
-		ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-			sh := core.NewFlatBlock(names, kinds)
-			emitRows(m.Start, m.End, sh)
-			shards[m.Index] = sh
-		})
-		for _, sh := range shards {
-			out.Rows = append(out.Rows, sh.Rows...)
-		}
-	} else {
-		emitRows(0, n, out)
-	}
+	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatIntersectBody{o, ctx, in, idxs})
 	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
 		return nil, errRowLimit("flat expand-intersect", out.NumRows(), ctx.MaxRows)
 	}
 	return ctx.FlatChunk(out), nil
+}
+
+// flatIntersectBody is the flat ExpandIntersect range body.
+type flatIntersectBody struct {
+	o    *ExpandIntersect
+	ctx  *Ctx
+	in   *core.FlatBlock
+	idxs []int // column of each side's variable
+}
+
+func (b flatIntersectBody) rows(lo, hi int, out *core.FlatBlock) {
+	o, ctx, in := b.o, b.ctx, b.in
+	base := ctx.Arena.GetBatch()
+	defer ctx.Arena.PutBatch(base)
+	probes := make([]*storage.Batch, len(o.Sides)-1)
+	probeSrcs := make([][]vector.VID, len(o.Sides)-1)
+	srcsOf := func(si int) []vector.VID {
+		srcs := ctx.Arena.GetVIDs(hi - lo)[:hi-lo]
+		for i := lo; i < hi; i++ {
+			srcs[i-lo] = in.Rows[i][b.idxs[si]].AsVID()
+		}
+		return srcs
+	}
+	srcs0 := srcsOf(0)
+	defer ctx.Arena.PutVIDs(srcs0)
+	s0 := o.Sides[0]
+	ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
+	defer func() {
+		for p := range probes {
+			ctx.Arena.PutBatch(probes[p])
+			ctx.Arena.PutVIDs(probeSrcs[p])
+		}
+	}()
+	for p := range probes {
+		probeSrcs[p] = srcsOf(p + 1)
+		probes[p] = ctx.Arena.GetBatch()
+		s := o.Sides[p+1]
+		ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
+	}
+	var x storage.Intersector
+	x.Reset(base, probes, probeSrcs, true)
+	var buf []vector.VID
+	for i := 0; i < hi-lo; i++ {
+		buf = x.Row(buf[:0], i)
+		for _, v := range buf {
+			nr := make([]vector.Value, 0, len(out.Names))
+			nr = append(nr, in.Rows[lo+i]...)
+			nr = append(nr, vector.VIDValue(v))
+			out.AppendOwned(nr)
+		}
+	}
 }

@@ -6,7 +6,6 @@ package op
 import (
 	"ges/internal/catalog"
 	"ges/internal/core"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -90,8 +89,10 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	}
 	owner := ownerMap(deep, shallow)
 
-	n := deep.Block.NumRows()
-	apply := func(lo, hi int, p *adjProbe) {
+	// filterMorselSize is a multiple of 64, so concurrent ranges never write
+	// the same selection word; each range owns its probe state.
+	forRanges(ctx, deep.Block.NumRows(), filterMorselSize, func(lo, hi int) {
+		p := probe
 		for i := lo; i < hi; i++ {
 			if !deep.Sel.Get(i) {
 				continue
@@ -101,17 +102,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 				deep.Sel.Clear(i)
 			}
 		}
-	}
-	if ctx.Parallel > 1 && n >= parallelMinRows {
-		// filterMorselSize is a multiple of 64, so concurrent morsels never
-		// write the same selection word; each morsel owns its probe state.
-		ctx.RunMorsels(n, filterMorselSize, func(m sched.Morsel) {
-			p := adjProbe{ctx: ctx, et: probe.et, dir: probe.dir, dstLabel: probe.dstLabel}
-			apply(m.Start, m.End, &p)
-		})
-	} else {
-		apply(0, n, &probe)
-	}
+	})
 	ft.PruneUp(deep)
 	assertFTree(ft)
 	return ctx.FTChunk(ft), nil

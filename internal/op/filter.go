@@ -3,7 +3,6 @@ package op
 import (
 	"ges/internal/core"
 	"ges/internal/expr"
-	"ges/internal/sched"
 	"ges/internal/vector"
 )
 
@@ -49,55 +48,38 @@ func (o *Filter) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := in.Flat.Rows
-	out := core.NewFlatBlock(in.Flat.Names, in.Flat.Kinds)
-	if ctx.Parallel > 1 && len(rows) >= parallelMinRows {
-		// Per-morsel keep lists, concatenated in morsel order — same row
-		// order as the sequential loop. BindFlat getters are pure, so one
-		// getter serves all morsels.
-		shards := make([][][]vector.Value, sched.NumMorsels(len(rows), filterMorselSize))
-		ctx.RunMorsels(len(rows), filterMorselSize, func(m sched.Morsel) {
-			var keep [][]vector.Value
-			for i := m.Start; i < m.End; i++ {
-				if get(i).AsBool() {
-					keep = append(keep, rows[i])
-				}
-			}
-			shards[m.Index] = keep
-		})
-		for _, sh := range shards {
-			out.Rows = append(out.Rows, sh...)
-		}
-		return ctx.FlatChunk(out), nil
-	}
-	for i, row := range rows {
-		if get(i).AsBool() {
-			out.AppendOwned(row)
-		}
-	}
+	// BindFlat getters are pure, so one getter serves all morsels.
+	out := produceFlat(ctx, len(in.Flat.Rows), filterMorselSize, in.Flat.Names, in.Flat.Kinds,
+		flatFilterBody{get, in.Flat.Rows})
 	return ctx.FlatChunk(out), nil
 }
 
+// flatFilterBody keeps the input rows of [lo,hi) that pass the predicate.
+type flatFilterBody struct {
+	get expr.Getter
+	in  [][]vector.Value
+}
+
+func (b flatFilterBody) rows(lo, hi int, out *core.FlatBlock) {
+	for i := lo; i < hi; i++ {
+		if b.get(i).AsBool() {
+			out.AppendOwned(b.in[i])
+		}
+	}
+}
+
 // applySelFilter clears the selection bit of every selected row failing the
-// compiled predicate, sharding rows into word-aligned morsels when the
-// context allows parallel execution. Compiled getters read block state by
-// row index only, so one getter serves all morsels; filterMorselSize is a
-// multiple of 64, so concurrent morsels never write the same selection-vector
-// word.
+// compiled predicate. Compiled getters read block state by row index only,
+// so one getter serves all morsels; filterMorselSize is a multiple of 64, so
+// concurrent morsels never write the same selection-vector word.
 func applySelFilter(ctx *Ctx, node *core.Node, get expr.Getter) {
-	n := node.Block.NumRows()
-	apply := func(lo, hi int) {
+	forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if node.Sel.Get(i) && !get(i).AsBool() {
 				node.Sel.Clear(i)
 			}
 		}
-	}
-	if ctx.Parallel > 1 && n >= parallelMinRows {
-		ctx.RunMorsels(n, filterMorselSize, func(m sched.Morsel) { apply(m.Start, m.End) })
-		return
-	}
-	apply(0, n)
+	})
 }
 
 // Defactor explicitly converts a factorized chunk into a flat block holding
@@ -133,9 +115,8 @@ func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // vectorizedFilter is the §5 vectorization fast path: single-column
 // comparisons against integer/date literals run as a tight loop over the
 // contiguous column slice — the pattern modern compilers auto-vectorize —
-// instead of through the compiled expression closure. Large blocks shard the
-// loop into word-aligned morsels. It reports whether it handled the
-// predicate.
+// instead of through the compiled expression closure, over word-aligned row
+// ranges (forRanges). It reports whether it handled the predicate.
 func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
 	cmp, ok := pred.(expr.Cmp)
 	if !ok {
@@ -225,15 +206,14 @@ func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
 	// Zone-map skipping (§5): columns shared from storage carry the per-zone
 	// min/max summaries, so zones that cannot contain a match are dropped
 	// with one word-ranged selection clear, and zones entirely inside the
-	// range are not scanned at all. Zone boundaries are multiples of 2048,
-	// so parallel zone morsels never share a selection word.
+	// range are not scanned at all. Ranges are whole zones (multiples of
+	// 2048 rows), so concurrent ranges never share a selection word.
 	if zm := col.ZoneMap(); zm != nil && zm.Rows() == len(vals) {
 		if lo, hi, prunable, never := cmpRange(op, threshold); never {
 			sel.ClearRange(0, len(vals))
 			return true
 		} else if prunable {
-			zones := zm.Zones()
-			ctx.Gather.ZonesTotal.Add(int64(zones))
+			ctx.Gather.ZonesTotal.Add(int64(zm.Zones()))
 			scanZone := func(z int) {
 				zlo := z << vector.ZoneShift
 				zhi := zlo + vector.ZoneSize
@@ -250,25 +230,16 @@ func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
 					apply(zlo, zhi)
 				}
 			}
-			if ctx.Parallel > 1 && len(vals) >= parallelMinRows {
-				ctx.RunMorsels(zones, 8, func(m sched.Morsel) {
-					for z := m.Start; z < m.End; z++ {
-						scanZone(z)
-					}
-				})
-			} else {
-				for z := 0; z < zones; z++ {
+			// Eight zones to a morsel.
+			forRanges(ctx, len(vals), 8*vector.ZoneSize, func(lo, hi int) {
+				for z := lo >> vector.ZoneShift; z<<vector.ZoneShift < hi; z++ {
 					scanZone(z)
 				}
-			}
+			})
 			return true
 		}
 	}
-	if ctx.Parallel > 1 && len(vals) >= parallelMinRows {
-		ctx.RunMorsels(len(vals), filterMorselSize, func(m sched.Morsel) { apply(m.Start, m.End) })
-	} else {
-		apply(0, len(vals))
-	}
+	forRanges(ctx, len(vals), filterMorselSize, apply)
 	return true
 }
 
@@ -310,11 +281,7 @@ func dictStringFilter(ctx *Ctx, node *core.Node, col *vector.Column, lit expr.Li
 			}
 		}
 	}
-	if ctx.Parallel > 1 && len(codes) >= parallelMinRows {
-		ctx.RunMorsels(len(codes), filterMorselSize, func(m sched.Morsel) { apply(m.Start, m.End) })
-	} else {
-		apply(0, len(codes))
-	}
+	forRanges(ctx, len(codes), filterMorselSize, apply)
 	return true
 }
 

@@ -52,7 +52,7 @@ type Ctx struct {
 	// Parallel is the intra-query parallelism degree (§2.1, Runtime): the
 	// expansion, filter, projection and de-factoring operators shard large
 	// parent blocks into morsels claimed by up to this many workers. Values
-	// <= 1 run sequentially.
+	// <= 1 drive every range body with one shard (parallel.go).
 	Parallel int
 
 	// Sched is the worker pool morsels are scheduled on; nil uses the
@@ -80,23 +80,14 @@ type GatherStats struct {
 
 // RunMorsels shards [0,n) into size-row morsels executed on the shared
 // worker pool with up to Parallel claimants (the caller participates; see
-// sched.Scheduler.RunMorsels for the determinism contract).
+// sched.Scheduler.RunMorsels for the determinism contract). Only the three
+// shard drivers in parallel.go call it.
 func (c *Ctx) RunMorsels(n, size int, fn func(m sched.Morsel)) {
 	s := c.Sched
 	if s == nil {
 		s = sched.Global()
 	}
 	s.RunMorsels(c.Parallel, n, size, fn)
-}
-
-// RunMorselsScratch is RunMorsels with claimant-local scratch reused across
-// every morsel a worker claims (see sched.Scheduler.RunMorselsScratch).
-func (c *Ctx) RunMorselsScratch(n, size int, mk func() any, done func(any), fn func(m sched.Morsel, scratch any)) {
-	s := c.Sched
-	if s == nil {
-		s = sched.Global()
-	}
-	s.RunMorselsScratch(c.Parallel, n, size, mk, done, fn)
 }
 
 // NewFTree returns the query's root f-Tree over a block of the given

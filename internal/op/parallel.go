@@ -1,23 +1,31 @@
 package op
 
 import (
-	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/sched"
 	"ges/internal/vector"
 )
 
-// Intra-query parallelism (§2.1, Runtime): the operators shard their parent
-// rows into fixed-size morsels claimed off the shared worker pool
-// (internal/sched), then merge the per-morsel outputs in morsel order —
-// results are byte-identical to the sequential path regardless of worker
-// count or scheduling. Stateful fused predicates are forked once per morsel
-// so no predicate state crosses goroutines.
+// Intra-query parallelism (§2.1, Runtime). Every morsel-capable operator has
+// exactly one range body — the work for rows [lo,hi) of its input, written
+// into a sink — and this file alone decides how many shards drive it. One
+// shard is sequential execution: the body runs once over [0,n) on the calling
+// goroutine, straight into the operator's final output, with no scheduler
+// call, shard object or merge copy. k shards run the same body once per
+// morsel on the shared worker pool (internal/sched) into per-morsel sinks
+// that one index-ordered merge concatenates — results are byte-identical at
+// every worker count because there is no other code to diverge from.
+// Stateful fused predicates are forked once per morsel (shardPred) so no
+// predicate state crosses goroutines.
 //
-// Parallel execution engages when ctx.Parallel > 1 and the parent block is
-// large enough to amortize the fork/join (parallelMinRows).
+// Three drivers cover the operators: forRanges for in-place kernels that
+// write disjoint positions of pre-sized state and need no merge,
+// produceChild for operators that grow the f-Tree by one node, produceFlat
+// for operators that emit flat rows.
 
 const (
+	// parallelMinRows is the input size below which the fork/join cannot be
+	// amortized and one shard drives the body whatever the worker budget.
 	parallelMinRows = 512
 
 	// expandMorselSize shards parent rows for the expansion, traversal, and
@@ -31,257 +39,190 @@ const (
 	filterMorselSize = 4096
 )
 
-// expandShard is one morsel's output for the lazy (pointer-join) path.
-type expandShard struct {
-	segs  [][]vector.VID // per-append storage-owned segments
-	index []core.Range   // ranges local to this shard (0-based)
-	rows  int            // total child rows produced
-}
-
-// parallelLazyExpand runs the pointer-based-join expansion across morsels.
-// It returns the merged child column and index vector.
-func parallelLazyExpand(ctx *Ctx, name string, parent *core.Node, fromCol *vector.Column,
-	et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) (*vector.Column, []core.Range) {
-
-	n := parent.Block.NumRows()
-	shards := make([]expandShard, sched.NumMorsels(n, expandMorselSize))
-	// Each claimant reuses one pooled source-VID buffer across every morsel
-	// it drains (worker-local scratch); shard index vectors are pooled per
-	// morsel and released after the merge below.
-	ctx.RunMorselsScratch(n, expandMorselSize,
-		func() any { return ctx.Arena.GetVIDs(expandMorselSize) },
-		func(sc any) { ctx.Arena.PutVIDs(sc.([]vector.VID)) },
-		func(m sched.Morsel, sc any) {
-			sh := &shards[m.Index]
-			sh.index = ctx.Arena.GetRanges(m.End - m.Start)
-			total := 0
-			// One batched call per morsel. The Batch is query-lifetime
-			// arena memory (never reset mid-query), so the run sub-slices
-			// the shard retains stay valid through the merge and beyond —
-			// the lazy column keeps referencing them (shared mode aliases
-			// the immutable CSR array; owned mode keeps its pack buffer).
-			b := ctx.Arena.OwnBatch()
-			srcs := expandSrcs(parent, fromCol, m.Start, m.End, sc.([]vector.VID))
-			ctx.View.NeighborsBatch(srcs, et, dir, dstLabel, false, b)
-			for i := range b.Runs {
-				start := total
-				if r := b.Runs[i]; r.End > r.Start {
-					sh.segs = append(sh.segs, b.VIDs[r.Start:r.End])
-					total += int(r.End - r.Start)
-				}
-				sh.index = append(sh.index, core.Range{Start: int32(start), End: int32(total)})
-			}
-			sh.rows = total
-		})
-
-	// Deterministic merge: append shard segments in morsel order, offsetting
-	// ranges. The merged index lands in the f-Tree, so it is query-lifetime
-	// arena memory; the per-shard vectors return to the pool here.
-	toCol := ctx.Arena.OwnLazyVIDColumn(name)
-	index := ctx.Arena.OwnRanges(n)[:0]
-	offset := int32(0)
-	for si := range shards {
-		sh := &shards[si]
-		for _, seg := range sh.segs {
-			toCol.AppendSegment(seg)
-		}
-		for _, rg := range sh.index {
-			index = append(index, core.Range{Start: rg.Start + offset, End: rg.End + offset})
-		}
-		offset += int32(sh.rows)
-		ctx.Arena.PutRanges(sh.index)
-		sh.index = nil
+// shards is the one shard decision: how many morsels of size rows drive a
+// range body over n input rows. 1 means the caller runs the body itself over
+// [0,n). Parallel is a deployment resource setting (gesd -parallel,
+// DB.SetParallelism); the sizes are constants.
+func (c *Ctx) shards(n, size int) int {
+	if c.Parallel > 1 && n >= parallelMinRows {
+		return sched.NumMorsels(n, size)
 	}
-	return toCol, index
+	return 1
 }
 
-// matShard is one morsel's output for the materializing/fused-predicate
-// expansion path.
-type matShard struct {
+// forRanges drives an in-place range kernel: fn writes only positions
+// [lo,hi) of state sized before the call (selection bits, row slots, column
+// slots), so ranges need no merge. size must keep concurrent ranges off
+// shared words — filterMorselSize for anything touching a selection vector.
+func forRanges(ctx *Ctx, n, size int, fn func(lo, hi int)) {
+	if ctx.shards(n, size) == 1 {
+		fn(0, n)
+		return
+	}
+	ctx.RunMorsels(n, size, func(m sched.Morsel) { fn(m.Start, m.End) })
+}
+
+// shardPred returns the fused-predicate instance a range body over [lo,hi)
+// of n rows must use. The range covering the whole input is the one shard on
+// the calling goroutine and keeps the plan's own instance (and whatever it
+// has compiled); any narrower range is one morsel of several and gets a fork,
+// so predicate state is never shared across workers.
+func shardPred(pred VertexPred, lo, hi, n int) VertexPred {
+	if pred == nil || (lo == 0 && hi == n) {
+		return pred
+	}
+	return pred.Fork()
+}
+
+// childCols names the columns of the f-Tree node a producer adds: the new
+// variable's VID column — lazy when it only references storage adjacency
+// (the pointer-based join of §5) — and one column per projected edge
+// property.
+type childCols struct {
+	to    string
+	lazy  bool
+	props []EdgeProj
+	kinds []vector.Kind
+}
+
+// childSink is where a range body over parent rows [lo,hi) writes: children
+// append to toCol (edge properties to propCols in step), and index[i-lo]
+// receives parent row i's child range, relative to toCol's length when the
+// body was entered. The one shard's sink is the node itself; a morsel's sink
+// is a private set of columns plus its own sub-slice of the node's index
+// vector.
+type childSink struct {
 	toCol    *vector.Column
 	propCols []*vector.Column
 	index    []core.Range
 }
 
-// parallelMaterialExpand runs the materializing expansion (edge properties
-// and/or fused predicates) across morsels and merges the shard outputs in
-// morsel order.
-func parallelMaterialExpand(ctx *Ctx, o *Expand, parent *core.Node, fromCol *vector.Column,
-	epp edgePropPlan) (*core.FBlock, []core.Range) {
+// sink returns empty query-lifetime columns over index.
+func (cc childCols) sink(ctx *Ctx, index []core.Range) childSink {
+	s := childSink{index: index, propCols: make([]*vector.Column, len(cc.props))}
+	if cc.lazy {
+		s.toCol = ctx.Arena.OwnLazyVIDColumn(cc.to)
+	} else {
+		s.toCol = ctx.Arena.OwnColumn(cc.to, vector.KindVID)
+	}
+	for p, ep := range cc.props {
+		s.propCols[p] = ctx.Arena.OwnColumn(ep.As, cc.kinds[p])
+	}
+	return s
+}
 
+// childBody is the range body of an operator that adds one f-Tree node.
+// Bodies are small value structs rather than closures: a closure handed to
+// the pool would be heap-allocated on every call, including the one-shard
+// call that never leaves this goroutine.
+type childBody interface {
+	rows(lo, hi int, s childSink)
+}
+
+// produceChild runs body over every row of parent and hangs the result under
+// it as a new node. Shard sinks concatenate in morsel order, each morsel's
+// ranges rebased by the number of children the morsels before it produced.
+func produceChild[B childBody](ctx *Ctx, ft *core.FTree, parent *core.Node, cols childCols, body B) *core.Chunk {
 	n := parent.Block.NumRows()
-	shards := make([]matShard, sched.NumMorsels(n, expandMorselSize))
-	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-		sh := &shards[m.Index]
-		pred := o.VertexPred
-		if pred != nil {
-			pred = pred.Fork()
+	// The index vector lands in the new f-Tree node, so it is query-lifetime
+	// arena memory, released wholesale when the engine ends the query. There
+	// is one per call at every shard count: morsels fill disjoint sub-slices.
+	index := ctx.Arena.OwnRanges(n)
+	out := cols.sink(ctx, index)
+	if k := ctx.shards(n, expandMorselSize); k == 1 {
+		body.rows(0, n, out)
+	} else {
+		// The closure below escapes to the pool; capturing copies made here
+		// keeps that cost out of the one-shard call whatever a body's size.
+		body, cols := body, cols
+		shards := make([]childSink, k)
+		ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
+			shards[m.Index] = cols.sink(ctx, index[m.Start:m.End])
+			body.rows(m.Start, m.End, shards[m.Index])
+		})
+		offset := int32(0)
+		for _, sh := range shards {
+			out.toCol.Extend(sh.toCol)
+			for p, pc := range out.propCols {
+				pc.Extend(sh.propCols[p])
+			}
+			for i := range sh.index {
+				sh.index[i].Start += offset
+				sh.index[i].End += offset
+			}
+			offset += int32(sh.toCol.Len())
 		}
-		// Shard columns feed the merged block below and die with the query;
-		// expandRows draws its batch/source/value scratch from the arena
-		// internally.
-		sh.toCol = ctx.Arena.OwnColumn(o.To, vector.KindVID)
-		sh.propCols = make([]*vector.Column, len(o.EdgeProps))
-		for p, ep := range o.EdgeProps {
-			sh.propCols[p] = ctx.Arena.OwnColumn(ep.As, epp.kind[p])
-		}
-		sh.index = o.expandRows(ctx, pred, parent, fromCol, epp, m.Start, m.End,
-			sh.toCol, sh.propCols, ctx.Arena.GetRanges(m.End-m.Start))
-	})
-
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	propCols := make([]*vector.Column, len(o.EdgeProps))
-	for p, ep := range o.EdgeProps {
-		propCols[p] = ctx.Arena.OwnColumn(ep.As, epp.kind[p])
 	}
-	index := ctx.Arena.OwnRanges(n)[:0]
-	offset := int32(0)
-	for si := range shards {
-		sh := &shards[si]
-		toCol.Extend(sh.toCol)
-		for p := range propCols {
-			propCols[p].Extend(sh.propCols[p])
-		}
-		for _, rg := range sh.index {
-			index = append(index, core.Range{Start: rg.Start + offset, End: rg.End + offset})
-		}
-		offset += int32(sh.toCol.Len())
-		ctx.Arena.PutRanges(sh.index)
-		sh.index = nil
-	}
-	block := ctx.NewFBlock(toCol)
-	for _, pc := range propCols {
+	block := ctx.NewFBlock(out.toCol)
+	for _, pc := range out.propCols {
 		block.AddColumn(pc)
 	}
-	return block, index
+	ft.AddChild(parent, block, index)
+	assertFTree(ft)
+	return ctx.FTChunk(ft)
 }
 
-// parallelFlatExpand runs the flat-path expansion across morsels of input
-// rows, merging per-morsel row blocks in morsel order.
-func parallelFlatExpand(ctx *Ctx, o *Expand, in *core.FlatBlock, fromIdx int,
-	names []string, kinds []vector.Kind, epp edgePropPlan) (*core.FlatBlock, error) {
+// flatBody is the range body of an operator that emits flat rows: the rows
+// produced from input rows [lo,hi), appended to out in input order.
+type flatBody interface {
+	rows(lo, hi int, out *core.FlatBlock)
+}
 
-	n := len(in.Rows)
-	shards := make([]*core.FlatBlock, sched.NumMorsels(n, expandMorselSize))
-	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-		pred := o.VertexPred
-		if pred != nil {
-			pred = pred.Fork()
-		}
-		sh := core.NewFlatBlock(names, kinds)
-		// One NeighborsBatch per morsel; errors cannot occur because the row
-		// limit is checked once after the merge.
-		//geslint:err-ok the row limit is enforced once after the merge; expandFlatRows has no other failure path
-		_ = o.expandFlatRows(ctx, pred, in, fromIdx, epp, m.Start, m.End, names, sh)
-		shards[m.Index] = sh
-	})
-
+// produceFlat runs body over n input rows into a block of the given schema,
+// concatenating per-morsel blocks in morsel order. Row limits are the
+// caller's single check on the merged block.
+func produceFlat[B flatBody](ctx *Ctx, n, size int, names []string, kinds []vector.Kind, body B) *core.FlatBlock {
 	out := core.NewFlatBlock(names, kinds)
-	for _, sh := range shards {
-		out.Rows = append(out.Rows, sh.Rows...)
+	if k := ctx.shards(n, size); k == 1 {
+		body.rows(0, n, out)
+	} else {
+		body := body // as in produceChild
+		shards := make([]*core.FlatBlock, k)
+		ctx.RunMorsels(n, size, func(m sched.Morsel) {
+			shards[m.Index] = core.NewFlatBlock(names, kinds)
+			body.rows(m.Start, m.End, shards[m.Index])
+		})
+		for _, sh := range shards {
+			out.Rows = append(out.Rows, sh.Rows...)
+		}
 	}
-	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
-		return nil, errRowLimit("flat expand", out.NumRows(), ctx.MaxRows)
-	}
-	return out, nil
+	return out
 }
 
-// traverseShard is one morsel's var-length output.
-type traverseShard struct {
-	perRow [][]vector.VID // reachable vertices per parent row in the shard
+// defactorBody enumerates the tuples under root rows [lo,hi). Consecutive
+// ranges concatenate to the full enumeration (core.EnumerateRange).
+type defactorBody struct {
+	ft   *core.FTree
+	refs []core.ColRef
 }
 
-// parallelTraverse runs the bounded BFS/DFS of VarLengthExpand across
-// morsels of source rows. Fused vertex predicates are forked per morsel, so
-// predicate-carrying var-expands parallelize like plain ones.
-func parallelTraverse(ctx *Ctx, o *VarLengthExpand, parent *core.Node, fromCol *vector.Column) (*vector.Column, []core.Range) {
-	n := parent.Block.NumRows()
-	shards := make([]traverseShard, sched.NumMorsels(n, expandMorselSize))
-	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-		sh := &shards[m.Index]
-		pred := o.VertexPred
-		if pred != nil {
-			pred = pred.Fork()
-		}
-		sh.perRow = make([][]vector.VID, m.End-m.Start)
-		// The view is safe for concurrent reads; traversal scratch state is
-		// local to each call.
-		for i := m.Start; i < m.End; i++ {
-			if !parent.Valid(i) {
-				continue
-			}
-			row := i - m.Start
-			o.traverse(ctx, pred, fromCol.VIDAt(i), func(v vector.VID) {
-				sh.perRow[row] = append(sh.perRow[row], v)
-			})
-		}
+func (b defactorBody) rows(lo, hi int, out *core.FlatBlock) {
+	b.ft.EnumerateRange(b.refs, lo, hi, func(row []vector.Value) bool {
+		out.Append(row)
+		return true
 	})
-
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	index := ctx.Arena.OwnRanges(n)[:0]
-	total := int32(0)
-	for _, sh := range shards {
-		for _, vs := range sh.perRow {
-			start := total
-			for _, v := range vs {
-				toCol.AppendVID(v)
-				total++
-			}
-			index = append(index, core.Range{Start: start, End: total})
-		}
-	}
-	return toCol, index
 }
 
 // DefactorNames materializes the named attributes (the full schema when
-// names is nil) of every valid tuple, sharding root rows into morsels when
-// the context allows parallel execution. Per-morsel blocks are concatenated
-// in morsel order, so output is byte-identical to FTree.Defactor.
+// names is nil) of every valid tuple — FTree.Defactor, driven by root-row
+// range.
 func DefactorNames(ctx *Ctx, ft *core.FTree, names []string) (*core.FlatBlock, error) {
 	if names == nil {
 		names = ft.Schema()
 	}
-	n := ft.Root.Block.NumRows()
-	if ctx == nil || ctx.Parallel <= 1 || n < parallelMinRows {
-		return ft.Defactor(names)
-	}
-	// Resolve once up front so per-morsel calls cannot fail.
-	if _, err := ft.Resolve(names); err != nil {
+	refs, err := ft.Resolve(names)
+	if err != nil {
 		return nil, err
 	}
-	shards := make([]*core.FlatBlock, sched.NumMorsels(n, expandMorselSize))
-	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
-		//geslint:err-ok Resolve validated the name set above; DefactorRange cannot fail for a resolved schema
-		fb, _ := ft.DefactorRange(names, m.Start, m.End)
-		shards[m.Index] = fb
-	})
-	out := shards[0]
-	for _, sh := range shards[1:] {
-		out.Rows = append(out.Rows, sh.Rows...)
+	kinds := make([]vector.Kind, len(refs))
+	for i, r := range refs {
+		kinds[i] = ft.Nodes()[r.Node].Block.Column(r.Col).Kind
 	}
-	return out, nil
+	return produceFlat(ctx, ft.Root.Block.NumRows(), expandMorselSize,
+		append([]string(nil), names...), kinds, defactorBody{ft, refs}), nil
 }
 
-// DefactorAll materializes every attribute of the tree, in parallel when the
-// context allows it.
+// DefactorAll materializes every attribute of the tree.
 func DefactorAll(ctx *Ctx, ft *core.FTree) (*core.FlatBlock, error) {
 	return DefactorNames(ctx, ft, nil)
-}
-
-// parallelGather fills a column of n rows by evaluating get per row across
-// morsels — the Projection property-gather port. get must be safe for
-// concurrent calls on distinct rows (property reads through the storage
-// view are).
-func parallelGather(ctx *Ctx, name string, kind vector.Kind, n int, get func(i int) vector.Value) *vector.Column {
-	// The staging buffer is transient: NewColumnFromValues copies every
-	// value into typed storage, so the boxed rows return to the pool here.
-	vals := ctx.Arena.GetVals(n)
-	ctx.RunMorsels(n, filterMorselSize, func(m sched.Morsel) {
-		for i := m.Start; i < m.End; i++ {
-			vals[i] = get(i)
-		}
-	})
-	col := vector.NewColumnFromValues(name, kind, vals)
-	ctx.Arena.PutVals(vals)
-	return col
 }

@@ -31,48 +31,6 @@ func runPlanAt(t *testing.T, ds *ldbc.Dataset, mode exec.Mode, workers int, p pl
 	return rowsAsStrings(res.Block)
 }
 
-// TestParallelFusedExpandDeterministic asserts the tentpole determinism
-// contract on the materializing expansion path: a fused-predicate Expand
-// (FilterPushDown) over a block large enough to shard into morsels produces
-// byte-identical output at every worker count. Stateful predicate instances
-// are forked per morsel, so this also races predicate state under -race.
-func TestParallelFusedExpandDeterministic(t *testing.T) {
-	ds, err := driver.SharedDataset(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ds.H
-	pred := func() op.VertexPred {
-		return op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))), nil)
-	}
-	buildPlan := func() plan.Plan {
-		return plan.Plan{
-			&op.NodeScan{Var: "p", Label: h.Person},
-			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			// ~800 f rows cross the morsel threshold; the predicate keeps
-			// roughly half the neighbors, so merge offsets are exercised.
-			&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-				VertexPred: pred()},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
-			&op.Defactor{Cols: []string{"g.id"}},
-		}
-	}
-	var want []string
-	for _, workers := range []int{1, 2, 8} {
-		got := runPlanAt(t, ds, exec.ModeFactorized, workers, buildPlan())
-		if want == nil {
-			if len(got) == 0 {
-				t.Fatal("fused expand produced no rows; predicate threshold broken")
-			}
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: fused expand diverges from sequential", workers)
-		}
-	}
-}
-
 // TestParallelVarExpandPredicateAgrees covers the former sequential fallback:
 // a VarLengthExpand carrying a fused VertexPred must take the parallel path
 // and agree with sequential execution at Parallel=8.
@@ -100,74 +58,5 @@ func TestParallelVarExpandPredicateAgrees(t *testing.T) {
 	got := runPlanAt(t, ds, exec.ModeFactorized, 8, buildPlan())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Parallel=8 var-expand with VertexPred diverges: %d vs %d rows", len(got), len(want))
-	}
-}
-
-// TestParallelFlatExpandDeterministic exercises the flat-path expansion port
-// (ModeFlat materializes between operators): fused predicate plus edge
-// properties across morsels of input rows.
-func TestParallelFlatExpandDeterministic(t *testing.T) {
-	ds, err := driver.SharedDataset(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ds.H
-	buildPlan := func() plan.Plan {
-		return plan.Plan{
-			&op.NodeScan{Var: "p", Label: h.Person},
-			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			// The flat second expansion sees ~1600 input rows — over the
-			// morsel threshold — with a fused predicate and an edge-property
-			// projection.
-			&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-				VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))), nil),
-				EdgeProps:  []op.EdgeProj{{Prop: "creationDate", As: "since"}}},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
-			&op.Defactor{Cols: []string{"g.id", "since"}},
-		}
-	}
-	want := runPlanAt(t, ds, exec.ModeFlat, 1, buildPlan())
-	if len(want) == 0 {
-		t.Fatal("flat fused expand produced no rows")
-	}
-	for _, workers := range []int{2, 8} {
-		got := runPlanAt(t, ds, exec.ModeFlat, workers, buildPlan())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: flat expand diverges from sequential", workers)
-		}
-	}
-}
-
-// TestParallelFilterProjectDefactorDeterministic covers the remaining ported
-// operators in one plan: a morsel-parallel Projection gather, a word-aligned
-// parallel selection-vector Filter (vectorized int64 fast path), and the
-// morsel-parallel DefactorAll enumeration.
-func TestParallelFilterProjectDefactorDeterministic(t *testing.T) {
-	ds, err := driver.SharedDataset(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ds.H
-	buildPlan := func() plan.Plan {
-		return plan.Plan{
-			&op.NodeScan{Var: "p", Label: h.Person},
-			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			&op.ProjectProps{Specs: []op.ProjSpec{
-				{Var: "f", As: "f.id", ExtID: true},
-				{Var: "f", Prop: "firstName", As: "f.firstName"},
-			}},
-			&op.Filter{Pred: expr.Le(expr.C("f.id"), expr.LInt(midID(ds)))},
-			&op.Defactor{},
-		}
-	}
-	want := runPlanAt(t, ds, exec.ModeFactorized, 1, buildPlan())
-	if len(want) == 0 {
-		t.Fatal("filter kept no rows")
-	}
-	for _, workers := range []int{2, 8} {
-		got := runPlanAt(t, ds, exec.ModeFactorized, workers, buildPlan())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: filter/project/defactor pipeline diverges", workers)
-		}
 	}
 }

@@ -13,51 +13,6 @@ import (
 	"ges/internal/storage"
 )
 
-// TestParallelExpandDeterministic asserts the §2.1 intra-query parallelism
-// contract: expansion results are byte-identical across worker counts, both
-// for single-hop (lazy pointer-join) and var-length traversal, on a dataset
-// large enough to cross the morsel threshold.
-func TestParallelExpandDeterministic(t *testing.T) {
-	ds, err := driver.SharedDataset(0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := ds.H
-	buildPlan := func() plan.Plan {
-		return plan.Plan{
-			// NodeScan yields all persons; the first expansion yields ~800
-			// rows, crossing the 512-row morsel threshold for both the
-			// lazy Expand and the VarLengthExpand.
-			&op.NodeScan{Var: "p", Label: h.Person},
-			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			&op.VarLengthExpand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out,
-				DstLabel: h.Person, MinHops: 1, MaxHops: 1, Distinct: true},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
-			&op.Aggregate{GroupBy: nil, Aggs: []op.AggSpec{
-				{Func: op.Count, As: "n"},
-				{Func: op.Sum, Arg: "g.id", As: "sum"},
-			}},
-		}
-	}
-	var want []string
-	for _, workers := range []int{1, 4} {
-		eng := exec.New(exec.ModeFactorized)
-		eng.Parallel = workers
-		res, err := eng.Run(ds.Graph, buildPlan())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := rowsAsStrings(res.Block)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d diverges: %v vs %v", workers, got, want)
-		}
-	}
-}
-
 // TestParallelWorkloadQueriesAgree runs the heavier IC queries with
 // parallelism enabled and compares against sequential execution.
 func TestParallelWorkloadQueriesAgree(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"ges/internal/core"
 	"ges/internal/expr"
-	"ges/internal/sched"
 	"ges/internal/vector"
 )
 
@@ -98,7 +97,7 @@ func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, e
 	// projection extends rows in place instead of re-copying the table.
 	// Each row is a distinct slice, so morsels over disjoint row ranges
 	// never share state.
-	extend := func(lo, hi int) {
+	forRanges(ctx, len(out.Rows), filterMorselSize, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := out.Rows[i]
 			for _, p := range plans {
@@ -111,12 +110,7 @@ func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, e
 			}
 			out.Rows[i] = row
 		}
-	}
-	if ctx.Parallel > 1 && len(out.Rows) >= parallelMinRows {
-		ctx.RunMorsels(len(out.Rows), filterMorselSize, func(m sched.Morsel) { extend(m.Start, m.End) })
-	} else {
-		extend(0, len(out.Rows))
-	}
+	})
 	return ctx.FlatChunk(out), nil
 }
 
@@ -141,18 +135,16 @@ func (o *ProjectExpr) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 			if err != nil {
 				return nil, err
 			}
-			n := node.Block.NumRows()
-			var out *vector.Column
-			if ctx.Parallel > 1 && n >= parallelMinRows {
-				out = parallelGather(ctx, o.As, o.Kind, n, func(i int) vector.Value {
-					return coerce(get(i), o.Kind)
-				})
-			} else {
-				out = ctx.Arena.OwnColumn(o.As, o.Kind)
-				for i := 0; i < n; i++ {
-					out.Append(coerce(get(i), o.Kind))
+			// The output column is query-lifetime arena memory sized up front;
+			// compiled getters read block state by row index only, so ranges
+			// fill disjoint slots of it with one getter.
+			out := ctx.Arena.OwnColumn(o.As, o.Kind)
+			out.Grow(node.Block.NumRows())
+			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out.Set(i, coerce(get(i), o.Kind))
 				}
-			}
+			})
 			node.Block.AddColumn(out)
 			assertFTree(in.FT)
 			return in, nil

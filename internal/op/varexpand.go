@@ -39,31 +39,33 @@ func (o *VarLengthExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 	if err != nil {
 		return nil, err
 	}
-	// Morsel-parallel traversal for large frontiers. Fused predicates are
-	// forked per morsel (see VertexPred.Fork), so predicate-carrying
-	// var-expands take the parallel path too.
-	if ctx.Parallel > 1 && parent.Block.NumRows() >= parallelMinRows {
-		toCol, index := parallelTraverse(ctx, o, parent, fromCol)
-		ft.AddChild(parent, ctx.NewFBlock(toCol), index)
-		assertFTree(ft)
-		return ctx.FTChunk(ft), nil
-	}
-	toCol := ctx.Arena.OwnColumn(o.To, vector.KindVID)
-	index := ctx.Arena.OwnRanges(parent.Block.NumRows())
-	total := 0
-	for i := 0; i < parent.Block.NumRows(); i++ {
+	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol}), nil
+}
+
+// traverseBody is the var-length range body: one bounded traversal per valid
+// parent row, emitted straight into the sink column.
+type traverseBody struct {
+	o       *VarLengthExpand
+	ctx     *Ctx
+	parent  *core.Node
+	fromCol *vector.Column
+}
+
+func (b traverseBody) rows(lo, hi int, s childSink) {
+	pred := shardPred(b.o.VertexPred, lo, hi, b.parent.Block.NumRows())
+	total := s.toCol.Len()
+	for i := lo; i < hi; i++ {
 		start := total
-		if parent.Valid(i) {
-			o.traverse(ctx, o.VertexPred, fromCol.VIDAt(i), func(v vector.VID) {
-				toCol.AppendVID(v)
+		if b.parent.Valid(i) {
+			// The view is safe for concurrent reads; traversal scratch state
+			// is local to each call.
+			b.o.traverse(b.ctx, pred, b.fromCol.VIDAt(i), func(v vector.VID) {
+				s.toCol.AppendVID(v)
 				total++
 			})
 		}
-		index[i] = core.Range{Start: int32(start), End: int32(total)}
+		s.index[i-lo] = core.Range{Start: int32(start), End: int32(total)}
 	}
-	ft.AddChild(parent, ctx.NewFBlock(toCol), index)
-	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
 }
 
 func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
@@ -86,9 +88,8 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 }
 
 // traverse runs the bounded BFS (distinct) or DFS path walk (non-distinct)
-// from src, emitting qualifying vertices. pred is the (possibly forked)
-// vertex predicate instance to apply; parallel morsels each pass their own
-// fork so no predicate state is shared across workers.
+// from src, emitting qualifying vertices. pred is the vertex predicate
+// instance to apply (see shardPred).
 func (o *VarLengthExpand) traverse(ctx *Ctx, pred VertexPred, src vector.VID, emit func(vector.VID)) {
 	maybeEmit := func(v vector.VID) {
 		if pred == nil || pred.Test(ctx, v) {

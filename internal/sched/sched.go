@@ -11,6 +11,10 @@
 // Morsel.Index. Callers confine writes to morsel-indexed state and merge
 // shard outputs in index order, which reproduces sequential output exactly —
 // results are byte-identical regardless of worker count or scheduling order.
+//
+// There is one morsel loop, RunMorselsScratch: the claim counter, the panic
+// accounting and the two-phase claimant-gate barrier exist once, RunMorsels
+// is its no-scratch form, and a single claimant is a plain inline loop.
 package sched
 
 import (
@@ -118,20 +122,57 @@ func Global() *Scheduler {
 // fn runs concurrently with itself; it must confine writes to state indexed
 // by Morsel.Index (or to non-overlapping row ranges). A panic in fn is
 // re-raised on the calling goroutine after all claimants stop.
+//
+// It is RunMorselsScratch with no scratch: there is one claim loop and one
+// barrier.
 func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
+	s.RunMorselsScratch(parallel, n, size, func() any { return nil }, nil, func(m Morsel, _ any) { fn(m) })
+}
+
+// RunMorselsScratch is RunMorsels with claimant-local scratch: every
+// claimant (the caller and each helper that starts) calls mk once before its
+// claim loop, passes the value to fn for every morsel it claims, and runs
+// done on it when its loop ends — so worker buffers are allocated once per
+// claimant and reused across all the morsels that claimant drains, instead
+// of once per morsel (§5, memory pool). fn owns scratch exclusively for the
+// duration of one morsel; done (nil allowed) typically returns pooled
+// buffers to the query arena. done runs even when fn panics.
+//
+// The determinism contract of RunMorsels carries over unchanged: fn still
+// runs once per morsel with a stable Morsel.Index, and scratch must never
+// leak state between morsels that affects output.
+//
+// The barrier is two-phase. doneCh closes when every morsel has run, but a
+// claimant's done — and a late-queued helper's whole mk/done bracket — can
+// still be in flight at that instant, and both typically touch the query
+// arena. So after doneCh the caller seals the claimant gate and waits for
+// every registered claimant to exit; helpers that reach the gate after
+// sealing return without ever calling mk. Only then may the caller release
+// the arena (the engine recycles it into the next query, so a straggler
+// touching it would corrupt that query's scratch).
+func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done func(any), fn func(Morsel, any)) {
 	if n <= 0 {
 		return
 	}
 	if size <= 0 {
 		size = DefaultMorselSize
 	}
-	nm := (n + size - 1) / size
+	nm := NumMorsels(n, size)
 	if parallel > nm {
 		parallel = nm
 	}
+	release := func(sc any) {
+		if done != nil {
+			done(sc)
+		}
+	}
 	if parallel <= 1 {
+		// One claimant: a plain loop on the calling goroutine, in index
+		// order — no goroutine, channel or gate.
+		sc := mk()
+		defer release(sc)
 		for i := 0; i < nm; i++ {
-			fn(morselAt(i, size, n))
+			fn(morselAt(i, size, n), sc)
 		}
 		return
 	}
@@ -140,11 +181,11 @@ func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
 	// goroutines: a helper queued behind long-running pool tasks may never
 	// start, and the caller must not wait on it once every morsel is done.
 	var (
-		next, done atomic.Int64
-		closeOnce  sync.Once
-		pmu        sync.Mutex
-		pval       any
-		pseen      bool
+		next, finished atomic.Int64
+		closeOnce      sync.Once
+		pmu            sync.Mutex
+		pval           any
+		pseen          bool
 
 		gmu    sync.Mutex
 		active int
@@ -153,15 +194,12 @@ func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
 	doneCh := make(chan struct{})
 	idleCh := make(chan struct{})
 	finish := func(k int64) {
-		if done.Add(k) >= int64(nm) {
+		if finished.Add(k) >= int64(nm) {
 			closeOnce.Do(func() { close(doneCh) })
 		}
 	}
 	claim := func() {
-		// Entry gate (see runMorselsPerClaimant): on the panic path doneCh
-		// can close while another claimant is still inside fn, so the caller
-		// must be able to wait out every registered claimant before it
-		// releases (and the engine recycles) the query arena fn draws from.
+		// Entry gate: register as a claimant unless the caller has sealed.
 		gmu.Lock()
 		if sealed {
 			gmu.Unlock()
@@ -178,6 +216,8 @@ func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
 				close(idleCh)
 			}
 		}()
+		sc := mk()
+		defer release(sc)
 		defer func() {
 			if r := recover(); r != nil {
 				pmu.Lock()
@@ -199,7 +239,7 @@ func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
 			if i >= nm {
 				return
 			}
-			fn(morselAt(i, size, n))
+			fn(morselAt(i, size, n), sc)
 			finish(1)
 		}
 	}
@@ -207,134 +247,6 @@ func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
 	for h := 0; h < parallel-1; h++ {
 		if !s.trySubmit(claim) {
 			break // pool saturated; the caller's loop below still drains everything
-		}
-	}
-	claim()
-	<-doneCh
-	gmu.Lock()
-	sealed = true
-	idle := active == 0
-	gmu.Unlock()
-	if !idle {
-		<-idleCh
-	}
-	if pseen {
-		panic(pval)
-	}
-}
-
-// RunMorselsScratch is RunMorsels with claimant-local scratch: every
-// claimant (the caller and each helper that starts) calls mk once before its
-// claim loop, passes the value to fn for every morsel it claims, and runs
-// done on it when its loop ends — so worker buffers are allocated once per
-// claimant and reused across all the morsels that claimant drains, instead
-// of once per morsel (§5, memory pool). fn owns scratch exclusively for the
-// duration of one morsel; done (nil allowed) typically returns pooled
-// buffers to the query arena. done runs even when fn panics.
-//
-// The determinism contract of RunMorsels carries over unchanged: fn still
-// runs once per morsel with a stable Morsel.Index, and scratch must never
-// leak state between morsels that affects output.
-func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done func(any), fn func(Morsel, any)) {
-	if n <= 0 {
-		return
-	}
-	release := func(sc any) {
-		if done != nil {
-			done(sc)
-		}
-	}
-	if size <= 0 {
-		size = DefaultMorselSize
-	}
-	if nm := (n + size - 1) / size; parallel > nm {
-		parallel = nm
-	}
-	if parallel <= 1 {
-		sc := mk()
-		defer release(sc)
-		s.RunMorsels(1, n, size, func(m Morsel) { fn(m, sc) })
-		return
-	}
-	s.runMorselsPerClaimant(parallel, n, size, mk, release, fn)
-}
-
-// runMorselsPerClaimant mirrors RunMorsels' claim loop but brackets each
-// claimant with mk/release.
-//
-// The barrier is two-phase. doneCh closes when every morsel has run, but a
-// claimant's release — and a late-queued helper's whole mk/release bracket —
-// can still be in flight at that instant, and both typically touch the query
-// arena. So after doneCh the caller seals the claimant gate and waits for
-// every registered claimant to exit; helpers that reach the gate after
-// sealing return without ever calling mk. Only then may the caller release
-// the arena (the engine recycles it into the next query, so a straggler
-// touching it would corrupt that query's scratch).
-func (s *Scheduler) runMorselsPerClaimant(parallel, n, size int, mk func() any, release func(any), fn func(Morsel, any)) {
-	nm := (n + size - 1) / size
-	var (
-		next, done atomic.Int64
-		closeOnce  sync.Once
-		pmu        sync.Mutex
-		pval       any
-		pseen      bool
-
-		gmu    sync.Mutex
-		active int
-		sealed bool
-	)
-	doneCh := make(chan struct{})
-	idleCh := make(chan struct{})
-	finish := func(k int64) {
-		if done.Add(k) >= int64(nm) {
-			closeOnce.Do(func() { close(doneCh) })
-		}
-	}
-	claim := func() {
-		gmu.Lock()
-		if sealed {
-			gmu.Unlock()
-			return
-		}
-		active++
-		gmu.Unlock()
-		defer func() {
-			gmu.Lock()
-			active--
-			last := sealed && active == 0
-			gmu.Unlock()
-			if last {
-				close(idleCh)
-			}
-		}()
-		sc := mk()
-		defer release(sc)
-		defer func() {
-			if r := recover(); r != nil {
-				pmu.Lock()
-				if !pseen {
-					pseen, pval = true, r
-				}
-				pmu.Unlock()
-				old := next.Swap(int64(nm))
-				if old > int64(nm) {
-					old = int64(nm)
-				}
-				finish(int64(nm) - old + 1)
-			}
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= nm {
-				return
-			}
-			fn(morselAt(i, size, n), sc)
-			finish(1)
-		}
-	}
-	for h := 0; h < parallel-1; h++ {
-		if !s.trySubmit(claim) {
-			break
 		}
 	}
 	claim()

@@ -469,13 +469,20 @@ func (c *Column) decodeDict() {
 // Extend appends every row of src (same kind) to c. It backs the
 // deterministic morsel-order merge of the parallel operators: each worker
 // fills a private column and the coordinator extends the output shard by
-// shard. Lazy columns are not supported — the lazy expansion path merges
-// segments directly. Dict-encoded shards sharing one dictionary merge by
-// code; mismatched dictionaries fall back to decoded strings.
+// shard. A lazy column extends only by another lazy column, segment by
+// segment (nothing is copied; c references the same storage runs).
+// Dict-encoded shards sharing one dictionary merge by code; mismatched
+// dictionaries fall back to decoded strings.
 func (c *Column) Extend(src *Column) {
 	c.mutCheck()
-	if c.lazy || src.lazy {
-		panic("vector: Extend on a lazy column")
+	if c.lazy != src.lazy {
+		panic("vector: Extend between a lazy and a materialized column")
+	}
+	if c.lazy {
+		for _, seg := range src.segs {
+			c.AppendSegment(seg)
+		}
+		return
 	}
 	if c.Kind == KindString {
 		switch {
@@ -498,43 +505,6 @@ func (c *Column) Extend(src *Column) {
 	c.str = append(c.str, src.str...)
 	c.bl = append(c.bl, src.bl...)
 	c.vid = append(c.vid, src.vid...)
-}
-
-// NewColumnFromValues builds a column of the given kind from boxed values —
-// the merge step of parallel property gathers, where workers fill disjoint
-// slices of a pre-sized value buffer.
-func NewColumnFromValues(name string, kind Kind, vals []Value) *Column {
-	c := NewColumn(name, kind)
-	switch kind {
-	case KindInt64, KindDate:
-		c.i64 = make([]int64, len(vals))
-		for i, v := range vals {
-			c.i64[i] = v.I
-		}
-	case KindVID:
-		c.vid = make([]VID, len(vals))
-		for i, v := range vals {
-			c.vid[i] = VID(v.I)
-		}
-	case KindFloat64:
-		c.f64 = make([]float64, len(vals))
-		for i, v := range vals {
-			c.f64[i] = v.F
-		}
-	case KindString:
-		c.str = make([]string, len(vals))
-		for i, v := range vals {
-			c.str[i] = v.S
-		}
-	case KindBool:
-		c.bl = make([]bool, len(vals))
-		for i, v := range vals {
-			c.bl[i] = v.I != 0
-		}
-	default:
-		panic(fmt.Sprintf("vector: NewColumnFromValues with invalid kind for %q", name))
-	}
-	return c
 }
 
 // Reset truncates the column to zero rows, retaining capacity. This backs
