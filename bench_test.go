@@ -280,6 +280,63 @@ func BenchmarkOverlayExpand(b *testing.B) {
 	b.Run("resealed", expand)
 }
 
+// BenchmarkSnapshotExpand prices one batched neighbor read, in ns per edge
+// returned, on every route a view can take: the shared sealed array, the two
+// packed shapes of a pristine graph (AnyLabel fan-out over two families, and
+// sources of two labels), and a transaction snapshot whose committed overlays
+// miss the request's sources (must stay the shared array) or touch one source
+// in eight (packed with the overlay prefixes spliced in).
+func BenchmarkSnapshotExpand(b *testing.B) {
+	ds, err := ldbc.Generate(ldbc.Config{SF: 0.1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, h := ds.Graph, ds.H
+	expand := func(v storage.View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dst catalog.LabelID) func(*testing.B) {
+		return func(b *testing.B) {
+			var bt storage.Batch
+			v.NeighborsBatch(srcs, et, dir, dst, false, &bt)
+			edges := 0
+			for _, r := range bt.Runs {
+				edges += r.Len()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.NeighborsBatch(srcs, et, dir, dst, false, &bt)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edges), "ns/edge")
+		}
+	}
+	msgs := append(append([]vector.VID(nil), ds.Posts...), ds.Comments...)
+	b.Run("sealed", expand(g, ds.Persons, h.Knows, catalog.Out, h.Person))
+	b.Run("anylabel", expand(g, ds.Persons, h.HasCreator, catalog.In, storage.AnyLabel))
+	b.Run("mixed-labels", expand(g, msgs, h.IsLocatedIn, catalog.Out, h.Country))
+
+	// Overlays on the second half of the persons only, then on every eighth
+	// person of the first half.
+	mgr := txn.NewManager(g)
+	half := ds.Persons[:len(ds.Persons)/2]
+	befriend := func(a, c vector.VID) {
+		tx := mgr.Begin([]vector.VID{a, c})
+		if err := tx.AddEdge(h.Knows, a, c, vector.Date(20000)); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rest := ds.Persons[len(half):]
+	for i := 0; i+1 < len(rest); i += 2 {
+		befriend(rest[i], rest[i+1])
+	}
+	b.Run("snapshot-untouched", expand(mgr.Snapshot(), half, h.Knows, catalog.Out, h.Person))
+	for i := 0; i < len(half); i += 8 {
+		befriend(half[i], rest[i%len(rest)])
+	}
+	b.Run("snapshot-touched", expand(mgr.Snapshot(), half, h.Knows, catalog.Out, h.Person))
+}
+
 // ---------------------------------------------------------------------------
 // Morsel-runtime benchmarks (parallel expansion and service plan cache).
 // ---------------------------------------------------------------------------

@@ -105,14 +105,15 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan) (
 // expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
 // buf (typically pooled VID scratch; the caller releases it after the batch
 // call returns): the From VID per valid row, NilVID (an empty run) for
-// invalid rows, so the returned runs stay aligned with the row range.
+// invalid rows, so the returned runs stay aligned with the row range. The
+// column is read as one range — a lazy From column is walked segment by
+// segment, not searched per row.
 func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vector.VID) []vector.VID {
-	srcs := buf[:0]
-	for i := lo; i < hi; i++ {
-		if parent.Valid(i) {
-			srcs = append(srcs, fromCol.VIDAt(i))
-		} else {
-			srcs = append(srcs, vector.NilVID)
+	srcs := buf[:0] // kept as its own statement: geslint R11 follows the pooled buffer through this alias
+	srcs = fromCol.AppendVIDRange(srcs, lo, hi)
+	for i := range srcs {
+		if !parent.Valid(lo + i) {
+			srcs[i] = vector.NilVID
 		}
 	}
 	return srcs

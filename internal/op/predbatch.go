@@ -27,7 +27,12 @@ type batchVertexPred interface {
 }
 
 // batchPredMinRows is the candidate count below which per-row Test beats the
-// batch setup cost.
+// batch setup cost. The unit is one neighbor run, on purpose: a scratch
+// prototype that evaluated the predicate once per morsel (all runs of a
+// NeighborsBatch together) was 5–8 % slower on the benchmark's ldbc_mix —
+// its runs hold 1–5 candidates, and gather + overlay patch + mask conversion
+// over the lot cost more than a Test that short-circuits on the first
+// failing conjunct.
 const batchPredMinRows = 16
 
 // testVertexBatch routes a candidate segment through the predicate's batch

@@ -10,6 +10,7 @@ import (
 	"ges/internal/plan"
 	"ges/internal/storage"
 	"ges/internal/testgraph"
+	"ges/internal/txn"
 	"ges/internal/vector"
 	"ges/internal/volcano"
 )
@@ -174,5 +175,72 @@ func TestZeroRowFBlockThroughOperators(t *testing.T) {
 	agg := assertModesAgree(t, f, withAgg)
 	if agg.NumRows() != 1 || agg.Rows[0][0].I != 0 {
 		t.Fatalf("global count over 0-row f-Block = %v, want one row of 0", agg.Rows)
+	}
+}
+
+// TestFusedPredPrunesZonesUnderOverlays: committed transaction overlays must
+// not switch zone pruning off for the rows they do not touch, and a pruned
+// zone must not swallow a row whose committed value now matches. A hub's
+// neighbor run spans every zone; the fused range predicate rules the low
+// zones out; one neighbor in a ruled-out zone is moved into range by a
+// transaction, another vertex gets an unrelated overlay.
+func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
+	const n = 3*vector.ZoneSize + 123
+	g, s := bigPersonGraph(t, n) // VID i has creationDate i
+	hub, moved := vector.VID(0), vector.VID(97)
+	for j := int(moved); j < n; j += 97 {
+		if err := g.AddEdge(s.Knows, hub, vector.VID(j), vector.Date(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.CompactAdjacency()
+	g.SealCSR()
+	const threshold = int64(2 * vector.ZoneSize)
+	build := func() plan.Plan {
+		return plan.Plan{
+			&op.NodeScan{Var: "p", Label: s.Person},
+			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
+				VertexPred: op.VertexPropPred(expr.Ge(expr.C("creationDate"), expr.LDate(threshold)), nil)},
+			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
+		}
+	}
+	count := func(view storage.View) (int64, *exec.Result) {
+		t.Helper()
+		res, err := exec.New(exec.ModeFactorized).Run(view, build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Block.Rows[0][0].I, res
+	}
+	base, baseRes := count(g)
+	if baseRes.ZonesPruned == 0 {
+		t.Fatal("fixture does not prune on the base graph")
+	}
+
+	m := txn.NewManager(g)
+	tx := m.Begin([]vector.VID{moved, 5})
+	if err := tx.SetProp(moved, s.PCreation, vector.Date(threshold+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetProp(5, s.PFirstName, vector.String_("unrelated")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	got, res := count(snap)
+	if got <= base {
+		t.Fatalf("count on the snapshot = %d, base graph %d: the overlaid neighbor now matches and must survive its pruned zone", got, base)
+	}
+	if res.ZonesPruned != baseRes.ZonesPruned {
+		t.Fatalf("snapshot pruned %d zones, base graph %d: overlays elsewhere must not disable pruning", res.ZonesPruned, baseRes.ZonesPruned)
+	}
+	oracle, err := volcano.New().Run(snap, build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracle.Block.Rows[0][0].I; got != want {
+		t.Fatalf("count = %d, oracle = %d", got, want)
 	}
 }

@@ -5,8 +5,9 @@
 // a sealed CSR graph, an unsealed graph (live slot arrays, unsorted runs), a
 // sealed graph carrying a storage delta overlay, and a transaction snapshot
 // carrying committed overlays. The representations, not engine switches, are
-// what select the fallback paths (AppendNeighborsBatch, the hash-set probe,
-// the patched gather), so sweeping them keeps those paths covered.
+// what select the fallback paths (AppendNeighborsBatch, the packed and merged
+// batches, the hash-set probe, the patched gather), so sweeping them keeps
+// those paths covered.
 package paritytest
 
 import (

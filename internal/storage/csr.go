@@ -299,14 +299,15 @@ func (b *Batch) reset(n int) {
 // source, filling out's runs aligned with srcs. NilVID sources produce empty
 // runs, so callers can pass invalid parent rows without re-aligning.
 //
-// The fast path engages when the request maps to a single sealed family
-// (one direction, concrete dstLabel, uniform source label): runs are pure
-// prefix-sum lookups into the shared CSR arrays — no per-source map lookup,
-// no copying — and Sorted is guaranteed. A sealed family with a non-empty
-// delta takes the owned merged-batch path (delta.go), which still
-// guarantees Sorted. Everything else (AnyLabel fan-out, Both, unsealed
-// families, mixed source labels) takes the copying reference path, which
-// preserves exactly the scalar Neighbors segment order.
+// Every sealed request is served from the CSR images. One direction, a
+// concrete dstLabel and one source label map to a single family: runs are
+// pure prefix-sum lookups into its shared arrays — no per-source map lookup,
+// no copying — and Sorted is guaranteed; with a non-empty delta that family
+// takes the owned merged-batch path (delta.go), Sorted still. Any other
+// shape (AnyLabel fan-out, Both, mixed source labels) packs owned runs out of
+// the images in the scalar Neighbors segment order (PackNeighborsBatch).
+// Only a request that meets an unsealed family, or a live delta outside the
+// single-family case, takes the per-source reference path.
 func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
 	if dir != catalog.Both && dstLabel != AnyLabel {
 		switch st, c, label := g.csrBatch(srcs, et, dir, dstLabel, withProps, out); st {
@@ -318,7 +319,9 @@ func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir cat
 			}
 		}
 	}
-	AppendNeighborsBatch(g, srcs, et, dir, dstLabel, withProps, out)
+	if !g.PackNeighborsBatch(srcs, et, dir, dstLabel, withProps, nil, out) {
+		AppendNeighborsBatch(g, srcs, et, dir, dstLabel, withProps, out)
+	}
 }
 
 // csrBatch outcomes: the request was served from the shared CSR arrays, the
@@ -330,58 +333,47 @@ const (
 	csrFallback
 )
 
-// csrBatch attempts the zero-copy CSR fast path.
+// csrBatch attempts the zero-copy CSR fast path. Sources outside the base
+// VID range (NilVID, or a vertex only a layered view knows) have no label and
+// no base run: they get empty runs and do not count towards uniformity.
 //
 //geslint:kernel
 func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) (int, *csr, catalog.LabelID) {
-	// Resolve the single family off the first live source's label; bail to
+	// Resolve the single family off the first base source's label; bail to
 	// the general path when source labels mix.
+	nv := vector.VID(len(g.labelOf))
 	var label catalog.LabelID
 	first := -1
 	for i, s := range srcs {
-		if s != vector.NilVID {
+		if s < nv {
 			label = g.labelOf[s]
 			first = i
 			break
 		}
 	}
-	if first < 0 {
-		// All-NilVID request: empty runs, trivially sorted.
-		out.reset(len(srcs))
-		for i := range out.Runs {
-			out.Runs[i] = NeighborRun{}
-		}
-		out.Sorted = true
-		return csrServed, nil, label
-	}
-	l, ok := g.fams.Load().adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]
-	if !ok {
-		// No family for this label: verify uniformity, then emit empty runs.
-		for _, s := range srcs[first:] {
-			if s != vector.NilVID && g.labelOf[s] != label {
+	var c *csr
+	if first >= 0 {
+		l, ok := g.fams.Load().adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]
+		if ok {
+			if c = l.snap.Load(); c == nil {
 				return csrFallback, nil, label
 			}
+			if !c.delta.isEmpty() {
+				// Live overlay: the caller merges sealed and delta runs into
+				// owned buffers (Sorted still holds).
+				return csrDelta, c, label
+			}
 		}
-		out.reset(len(srcs))
-		for i := range out.Runs {
-			out.Runs[i] = NeighborRun{}
-		}
-		out.Sorted = true
-		return csrServed, nil, label
 	}
-	c := l.snap.Load()
-	if c == nil {
-		return csrFallback, nil, label
-	}
-	if !c.delta.isEmpty() {
-		// Live overlay: the caller merges sealed and delta runs into owned
-		// buffers (Sorted still holds).
-		return csrDelta, c, label
-	}
+	// c == nil from here on means no base source or no family for the label:
+	// every run is empty, trivially sorted (uniformity is still verified).
 	out.reset(len(srcs))
-	last := vector.VID(len(c.offsets) - 1)
+	last := vector.VID(0)
+	if c != nil {
+		last = vector.VID(len(c.offsets) - 1)
+	}
 	for i, s := range srcs {
-		if s == vector.NilVID {
+		if s >= nv {
 			out.Runs[i] = NeighborRun{}
 			continue
 		}
@@ -394,10 +386,13 @@ func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.D
 		}
 		out.Runs[i] = NeighborRun{Start: int32(c.offsets[s]), End: int32(c.offsets[s+1])}
 	}
-	out.VIDs = c.neighbors
-	out.Shared, out.Sorted = true, true
-	if withProps {
-		out.PropI64, out.PropF64, out.PropStr = c.propI64, c.propF64, c.propStr
+	out.Sorted = true
+	if c != nil {
+		out.VIDs = c.neighbors
+		out.Shared = true
+		if withProps {
+			out.PropI64, out.PropF64, out.PropStr = c.propI64, c.propF64, c.propStr
+		}
 	}
 	return csrServed, nil, label
 }

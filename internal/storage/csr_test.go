@@ -128,55 +128,163 @@ func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 	_ = cs
 }
 
-// batchMatchesScalar asserts the NeighborsBatch byte-identity contract for
-// one parameterization.
+// batchMatchesScalar asserts the NeighborsBatch contract for one
+// parameterization against the per-source scalar reference
+// (AppendNeighborsBatch): every run byte-identical, edge-property rows of
+// every kind aligned, Sorted exactly when the reference says so (a run that
+// joins two segments or holds an overlay segment voids it) and Shared only on
+// a Sorted batch. It returns the batch.
 func batchMatchesScalar(t *testing.T, v View, srcs []vector.VID, et catalog.EdgeTypeID,
-	dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) {
+	dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *Batch {
 	t.Helper()
-	var b Batch
+	var b, ref Batch
 	v.NeighborsBatch(srcs, et, dir, dstLabel, withProps, &b)
+	AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, &ref)
 	if len(b.Runs) != len(srcs) {
 		t.Fatalf("got %d runs for %d srcs", len(b.Runs), len(srcs))
 	}
+	if b.Sorted != ref.Sorted || (b.Shared && !b.Sorted) {
+		t.Fatalf("dir=%v dst=%v: Sorted=%v Shared=%v, reference Sorted=%v", dir, dstLabel, b.Sorted, b.Shared, ref.Sorted)
+	}
 	for i, src := range srcs {
-		var want []vector.VID
-		var wantProps [][]int64
-		if src != vector.NilVID {
-			for _, s := range v.Neighbors(nil, src, et, dir, dstLabel, withProps) {
-				want = append(want, s.VIDs...)
-				for pi, col := range s.PropI64 {
-					if len(wantProps) <= pi {
-						wantProps = append(wantProps, nil)
-					}
-					if col != nil {
-						wantProps[pi] = append(wantProps[pi], col...)
-					}
+		got, want := b.Run(i), ref.Run(i)
+		if !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
+			t.Fatalf("src %d (dir=%v dst=%v): run %v want %v", src, dir, dstLabel, got, want)
+		}
+		if !withProps {
+			continue
+		}
+		r, w := b.Runs[i], ref.Runs[i]
+		for p := range ref.PropI64 {
+			switch {
+			case ref.PropI64[p] != nil:
+				if !reflect.DeepEqual(append([]int64{}, b.PropI64[p][r.Start:r.End]...), append([]int64{}, ref.PropI64[p][w.Start:w.End]...)) {
+					t.Fatalf("src %d: i64 prop %d = %v want %v", src, p, b.PropI64[p][r.Start:r.End], ref.PropI64[p][w.Start:w.End])
+				}
+			case ref.PropF64[p] != nil:
+				if !reflect.DeepEqual(append([]float64{}, b.PropF64[p][r.Start:r.End]...), append([]float64{}, ref.PropF64[p][w.Start:w.End]...)) {
+					t.Fatalf("src %d: f64 prop %d = %v want %v", src, p, b.PropF64[p][r.Start:r.End], ref.PropF64[p][w.Start:w.End])
+				}
+			case ref.PropStr[p] != nil:
+				if !reflect.DeepEqual(append([]string{}, b.PropStr[p][r.Start:r.End]...), append([]string{}, ref.PropStr[p][w.Start:w.End]...)) {
+					t.Fatalf("src %d: str prop %d = %v want %v", src, p, b.PropStr[p][r.Start:r.End], ref.PropStr[p][w.Start:w.End])
 				}
 			}
 		}
-		got := b.Run(i)
-		if len(got) != len(want) {
-			t.Fatalf("src %d (dir=%v dst=%v): run length %d want %d", src, dir, dstLabel, len(got), len(want))
+	}
+	return &b
+}
+
+// matrixGraph is the equivalence-matrix fixture: labels A and B, one edge
+// type carrying a property of every kind, and edges between all four label
+// pairs (duplicates and descending insert order included), so a request from
+// either label fans out over two families under AnyLabel, over four under
+// Both, and a request from A ∪ B mixes source labels.
+func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.LabelID, et catalog.EdgeTypeID) {
+	t.Helper()
+	cat := catalog.New()
+	a = catalog.Must(cat.AddLabel("A"))
+	b = catalog.Must(cat.AddLabel("B"))
+	et = catalog.Must(cat.AddEdgeType("E",
+		catalog.PropDef{Name: "since", Kind: vector.KindDate},
+		catalog.PropDef{Name: "w", Kind: vector.KindFloat64},
+		catalog.PropDef{Name: "note", Kind: vector.KindString}))
+	g = NewGraph(cat)
+	var all []vector.VID
+	for i := 0; i < 11; i++ {
+		label := a
+		if i%2 == 1 {
+			label = b
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("src %d: run[%d] = %d want %d", src, k, got[k], want[k])
+		v, err := g.AddVertex(label, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, v)
+		if label == a {
+			as = append(as, v)
+		} else {
+			bs = append(bs, v)
+		}
+	}
+	n := 0
+	for i := range all {
+		for j := len(all) - 1; j >= 0; j-- {
+			if (i*2+j)%3 != 0 || i == 10 { // all[10] has in-edges only
+				continue
+			}
+			for rep := 0; rep <= (i+j)%2; rep++ { // every other pair twice
+				n++
+				if err := g.AddEdge(et, all[i], all[j], vector.Date(int64(n)), vector.Float64(float64(n)/2), vector.String_(string(rune('a'+n%26)))); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		if withProps {
-			r := b.Runs[i]
-			for pi := range wantProps {
-				for k := range want {
-					if b.PropI64[pi] == nil {
-						t.Fatalf("src %d: batch missing i64 prop column %d", src, pi)
-					}
-					if got, w := b.PropI64[pi][int(r.Start)+k], wantProps[pi][k]; got != w {
-						t.Fatalf("src %d: prop[%d][%d] = %d want %d", src, pi, k, got, w)
+	}
+	return g, as, bs, a, b, et
+}
+
+// TestNeighborsBatchMatrix runs {concrete, AnyLabel} × {Out, In, Both} ×
+// {uniform, mixed source labels} × {no props, props} over source lists with
+// NilVID holes and VIDs beyond the base range (empty runs), on a pristine sealed graph
+// (zero-copy or packed) and again with a live storage delta (merged or
+// reference path).
+func TestNeighborsBatchMatrix(t *testing.T) {
+	g, as, bs, a, b, et := matrixGraph(t)
+	g.SealCSR()
+	beyond := vector.VID(g.NumVertices() + 3)
+	holes := func(vs []vector.VID) []vector.VID {
+		out := []vector.VID{vector.NilVID}
+		for i, v := range vs {
+			out = append(out, v)
+			if i%2 == 0 {
+				out = append(out, vector.NilVID, beyond)
+			}
+		}
+		return out
+	}
+	var mixed []vector.VID
+	for i := range bs {
+		mixed = append(mixed, as[i], bs[i], bs[(i+1)%len(bs)])
+	}
+	sources := map[string][]vector.VID{
+		"uniform-A": holes(as), "uniform-B": holes(bs), "mixed": holes(mixed),
+		"only-holes": {vector.NilVID, beyond}, "empty": nil,
+	}
+	run := func(t *testing.T, pristine bool) {
+		for name, srcs := range sources {
+			for _, dst := range []catalog.LabelID{a, b, AnyLabel} {
+				for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
+					for _, withProps := range []bool{false, true} {
+						got := batchMatchesScalar(t, g, srcs, et, dir, dst, withProps)
+						single := dst != AnyLabel && dir != catalog.Both && name != "mixed"
+						if pristine && got.Shared != (single && name != "only-holes" && name != "empty") {
+							t.Fatalf("%s dst=%v dir=%v: Shared=%v; only a single-family request shares the CSR arrays", name, dst, dir, got.Shared)
+						}
+						if !pristine && got.Shared {
+							t.Fatalf("%s dst=%v dir=%v: Shared over a live delta", name, dst, dir)
+						}
 					}
 				}
 			}
 		}
 	}
+	t.Run("sealed", func(t *testing.T) { run(t, true) })
+
+	// A live delta in every family the requests touch.
+	g.SetResealPolicy(1e9, 1<<30)
+	for i := range bs { // tombstones where the edge exists, no-ops elsewhere
+		g.DeleteEdge(et, as[i], bs[i])
+		g.DeleteEdge(et, bs[i], as[i])
+	}
+	for i := range bs {
+		for _, e := range [][2]vector.VID{{as[i], bs[0]}, {bs[i], as[0]}, {as[i], as[1]}, {bs[i], bs[1]}} {
+			if err := g.AddEdge(et, e[0], e[1], vector.Date(int64(900+i)), vector.Float64(9), vector.String_("z")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("delta", func(t *testing.T) { run(t, false) })
 }
 
 func TestNeighborsBatchMatchesScalar(t *testing.T) {

@@ -493,8 +493,9 @@ func (c *csr) mergedSegment(src vector.VID, withProps bool) (Segment, bool) {
 // preserved so intersection joins keep galloping. Returns false on mixed
 // source labels — the reference path handles those.
 func (c *csr) mergedBatch(g *Graph, srcs []vector.VID, label catalog.LabelID, withProps bool, out *Batch) bool {
+	nv := vector.VID(len(g.labelOf))
 	for _, s := range srcs {
-		if s != vector.NilVID && g.labelOf[s] != label {
+		if s < nv && g.labelOf[s] != label {
 			return false
 		}
 	}
@@ -503,7 +504,7 @@ func (c *csr) mergedBatch(g *Graph, srcs []vector.VID, label catalog.LabelID, wi
 	m.init()
 	for i, s := range srcs {
 		start := int32(len(m.vids))
-		if s != vector.NilVID {
+		if s < nv {
 			m.merge(s)
 		}
 		out.Runs[i] = NeighborRun{Start: start, End: int32(len(m.vids))}

@@ -368,6 +368,11 @@ func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, 
 		buf = g.Neighbors(buf, src, et, catalog.Out, dstLabel, withProps)
 		return g.Neighbors(buf, src, et, catalog.In, dstLabel, withProps)
 	}
+	if int(src) >= len(g.labelOf) {
+		// A vertex only a layered view knows (a transaction-created source
+		// reaching the reference batch path) has no base adjacency.
+		return buf
+	}
 	srcLabel := g.labelOf[src]
 	ft := g.fams.Load()
 	if dstLabel != AnyLabel {

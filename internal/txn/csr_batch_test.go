@@ -1,6 +1,9 @@
 package txn
 
 import (
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ges/internal/catalog"
@@ -9,75 +12,284 @@ import (
 	"ges/internal/vector"
 )
 
-// assertBatchMatchesScalar checks the NeighborsBatch contract on a view: run
-// i must be the exact concatenation of the scalar Neighbors segments of
-// srcs[i].
-func assertBatchMatchesScalar(t *testing.T, v storage.View, srcs []vector.VID,
-	et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) {
+// assertBatchMatchesScalar checks the NeighborsBatch contract on a view
+// against the per-source scalar reference (storage.AppendNeighborsBatch):
+// every run byte-identical with its edge-property rows, Sorted exactly when
+// the reference says so (a spliced or multi-family run voids it), Shared
+// only on a Sorted batch. It returns the batch.
+func assertBatchMatchesScalar(t testing.TB, v storage.View, srcs []vector.VID,
+	et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *storage.Batch {
 	t.Helper()
-	var b storage.Batch
-	v.NeighborsBatch(srcs, et, dir, dstLabel, false, &b)
+	var b, ref storage.Batch
+	v.NeighborsBatch(srcs, et, dir, dstLabel, withProps, &b)
+	storage.AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, &ref)
 	if len(b.Runs) != len(srcs) {
 		t.Fatalf("runs = %d, srcs = %d", len(b.Runs), len(srcs))
 	}
+	if b.Sorted != ref.Sorted || (b.Shared && !b.Sorted) {
+		t.Fatalf("et=%d dir=%v dst=%v: Sorted=%v Shared=%v, reference Sorted=%v", et, dir, dstLabel, b.Sorted, b.Shared, ref.Sorted)
+	}
 	for i, src := range srcs {
-		var want []vector.VID
-		if src != vector.NilVID {
-			for _, seg := range v.Neighbors(nil, src, et, dir, dstLabel, false) {
-				want = append(want, seg.VIDs...)
+		got, want := b.Run(i), ref.Run(i)
+		if !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
+			t.Fatalf("src %d (et=%d dir=%v dst=%v): run %v want %v", src, et, dir, dstLabel, got, want)
+		}
+		if !withProps {
+			continue
+		}
+		r, w := b.Runs[i], ref.Runs[i]
+		for p, col := range ref.PropI64 { // the fixture's edge properties are all dates
+			if col == nil {
+				continue // the reference appended no row at all
+			}
+			if !reflect.DeepEqual(append([]int64{}, b.PropI64[p][r.Start:r.End]...), append([]int64{}, col[w.Start:w.End]...)) {
+				t.Fatalf("src %d: prop %d = %v want %v", src, p, b.PropI64[p][r.Start:r.End], col[w.Start:w.End])
 			}
 		}
-		got := b.Run(i)
-		if len(got) != len(want) {
-			t.Fatalf("src %d: run length %d want %d", src, len(got), len(want))
+	}
+	return &b
+}
+
+// overlayFixture is the sealed test graph under a manager that has committed
+// one write of every shape the read path distinguishes, each in its own
+// version:
+//
+//	v1  p0 KNOWS p9 (both directions)          overlay lists on two base sources
+//	v2  new post np by p1                       a created source; p1 gains (HAS_CREATOR, In, Post)
+//	v3  new comment nc by p1, reply to np       p1 gains a second family of the same edge type
+//	v4  p2 LIKES m0, p3 LIKES np                overlay edge onto a created vertex
+//	v5  p0 KNOWS p8 (both directions)           a second entry in v1's lists
+type overlayFixture struct {
+	f      *testgraph.Fixture
+	m      *Manager
+	np, nc vector.VID
+}
+
+func newOverlayFixture(t testing.TB) *overlayFixture {
+	t.Helper()
+	f := testgraph.New()
+	f.Graph.CompactAdjacency()
+	f.Graph.SealCSR()
+	o := &overlayFixture{f: f, m: NewManager(f.Graph)}
+	s, p := f.Schema, f.Persons
+	commit := func(ws []vector.VID, body func(tx *Txn) error) {
+		t.Helper()
+		tx := o.m.Begin(ws)
+		if err := body(tx); err != nil {
+			t.Fatal(err)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("src %d: run[%d] = %d want %d", src, k, got[k], want[k])
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	knows := func(a, b vector.VID, d int64) func(tx *Txn) error {
+		return func(tx *Txn) error {
+			if err := tx.AddEdge(s.Knows, a, b, vector.Date(d)); err != nil {
+				return err
 			}
+			return tx.AddEdge(s.Knows, b, a, vector.Date(d))
+		}
+	}
+	commit([]vector.VID{p[0], p[9]}, knows(p[0], p[9], 20001))
+	commit([]vector.VID{p[1]}, func(tx *Txn) (err error) {
+		if o.np, err = tx.AddVertex(s.Post, 900, vector.String_("new post"), vector.Int64(8), vector.Date(20002)); err != nil {
+			return err
+		}
+		return tx.AddEdge(s.HasCreator, o.np, p[1])
+	})
+	commit([]vector.VID{p[1], o.np}, func(tx *Txn) (err error) {
+		if o.nc, err = tx.AddVertex(s.Comment, 901, vector.String_("new comment"), vector.Int64(11), vector.Date(20003)); err != nil {
+			return err
+		}
+		if err = tx.AddEdge(s.HasCreator, o.nc, p[1]); err != nil {
+			return err
+		}
+		return tx.AddEdge(s.ReplyOf, o.nc, o.np)
+	})
+	commit([]vector.VID{p[2], p[3], f.Posts[0], o.np}, func(tx *Txn) error {
+		if err := tx.AddEdge(s.Likes, p[2], f.Posts[0], vector.Date(20004)); err != nil {
+			return err
+		}
+		return tx.AddEdge(s.Likes, p[3], o.np, vector.Date(20004))
+	})
+	commit([]vector.VID{p[0], p[8]}, knows(p[0], p[8], 20005))
+	return o
+}
+
+// sources returns the request shapes of the matrix: uniform and mixed source
+// labels, each with NilVID holes, touched and untouched base vertices, and
+// the two transaction-created vertices.
+func (o *overlayFixture) sources() map[string][]vector.VID {
+	f := o.f
+	nilv := vector.NilVID
+	persons := append([]vector.VID{nilv}, f.Persons...)
+	msgs := []vector.VID{f.Posts[0], f.Comments[0], o.np, nilv, f.Posts[1], o.nc, f.Comments[1], f.Posts[2]}
+	return map[string][]vector.VID{
+		"persons":        append(persons, nilv),
+		"untouched":      {f.Persons[4], f.Persons[5], nilv, f.Persons[6], f.Persons[7]},
+		"one-touched":    {f.Persons[1]},
+		"messages-mixed": msgs,
+		"everything":     append(append([]vector.VID{o.nc}, persons...), msgs...),
+		"created-only":   {o.np, o.nc},
+	}
+}
+
+// TestSnapshotNeighborsBatchMatrix runs {concrete, AnyLabel} × {Out, In,
+// Both} × {uniform, mixed source labels} × {no props, props} × {no overlay,
+// overlay on some sources, txn-created sources, NilVID holes} at every
+// committed version: a snapshot must never see an overlay entry newer than
+// itself, and must read exactly what the scalar path reads.
+func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
+	o := newOverlayFixture(t)
+	s := o.f.Schema
+	ets := []catalog.EdgeTypeID{s.Knows, s.HasCreator, s.Likes, s.ReplyOf}
+	dsts := []catalog.LabelID{s.Person, s.Post, s.Comment, storage.AnyLabel}
+	for ver := uint64(0); ver <= o.m.Version(); ver++ {
+		snap := o.m.SnapshotAt(ver)
+		for name, srcs := range o.sources() {
+			t.Run(fmt.Sprintf("v%d/%s", ver, name), func(t *testing.T) {
+				for _, et := range ets {
+					for _, dst := range dsts {
+						for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
+							assertBatchMatchesScalar(t, snap, srcs, et, dir, dst, false)
+							assertBatchMatchesScalar(t, snap, srcs, et, dir, dst, true)
+						}
+					}
+				}
+			})
+		}
+	}
+
+	// Version visibility, spelled out on one source: p0's KNOWS run grows by
+	// exactly the entries committed at or below the snapshot.
+	p := o.f.Persons
+	for ver, want := range map[uint64][]vector.VID{0: nil, 1: {p[9]}, 4: {p[9]}, 5: {p[9], p[8]}} {
+		var b storage.Batch
+		o.m.SnapshotAt(ver).NeighborsBatch([]vector.VID{p[0]}, s.Knows, catalog.Out, s.Person, false, &b)
+		base := len(o.f.Graph.Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false)[0].VIDs)
+		if got := b.Run(0)[base:]; !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
+			t.Fatalf("snapshot v%d: p0 overlay neighbors %v, want %v", ver, got, want)
+		}
+		if b.Sorted == (len(want) > 0) || b.Shared == (len(want) > 0) {
+			t.Fatalf("snapshot v%d: Sorted=%v Shared=%v with %d spliced entries", ver, b.Sorted, b.Shared, len(want))
 		}
 	}
 }
 
-// TestSnapshotNeighborsBatch covers the three snapshot regimes: no overlays
-// (delegates to the base graph, CSR fast path included), overlays present
-// (reference path preserving base-then-overlay order), and a sealed base
-// under an overlay snapshot.
-func TestSnapshotNeighborsBatch(t *testing.T) {
-	f := testgraph.New()
-	s := f.Schema
-	f.Graph.CompactAdjacency()
-	f.Graph.SealCSR()
-	m := NewManager(f.Graph)
-
-	clean := m.Snapshot()
-	assertBatchMatchesScalar(t, clean, f.Persons, s.Knows, catalog.Out, s.Person)
-	assertBatchMatchesScalar(t, clean, f.Persons, s.Knows, catalog.Out, storage.AnyLabel)
-
-	// Commit new edges through the overlay; the sealed base stays untouched.
-	p0, p9 := f.Persons[0], f.Persons[9]
-	tx := m.Begin([]vector.VID{p0, p9})
-	if err := tx.AddEdge(s.Knows, p0, p9, vector.Date(20000)); err != nil {
-		t.Fatal(err)
+// TestSnapshotBatchSharedWhenUntouched is the regression guard for the
+// per-vertex decision: committed overlays that touch none of a request's
+// sources — or touch them only in other families — leave the request on the
+// shared, zero-copy, Sorted base batch.
+func TestSnapshotBatchSharedWhenUntouched(t *testing.T) {
+	o := newOverlayFixture(t)
+	s, p := o.f.Schema, o.f.Persons
+	snap := o.m.Snapshot()
+	for name, srcs := range map[string][]vector.VID{
+		"no overlay at all":      o.sources()["untouched"],
+		"overlay, other family":  {p[1], p[2], p[3]}, // HAS_CREATOR-In and LIKES lists only
+		"created, other family":  {o.np, p[4]},       // a created post has no KNOWS list
+		"untouched with NilVIDs": {vector.NilVID, p[5], vector.NilVID},
+	} {
+		b := assertBatchMatchesScalar(t, snap, srcs, s.Knows, catalog.Out, s.Person, true)
+		if !b.Shared || !b.Sorted {
+			t.Fatalf("%s: Shared=%v Sorted=%v, want the shared sealed batch", name, b.Shared, b.Sorted)
+		}
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	// One touched source in the request is what it takes to pack.
+	b := assertBatchMatchesScalar(t, snap, []vector.VID{p[4], p[0]}, s.Knows, catalog.Out, s.Person, false)
+	if b.Shared || b.Sorted {
+		t.Fatalf("spliced batch: Shared=%v Sorted=%v", b.Shared, b.Sorted)
 	}
-	if !f.Graph.CSRSealed() {
-		t.Fatal("overlay commit must not unseal the base CSR")
-	}
+}
 
-	after := m.Snapshot()
-	assertBatchMatchesScalar(t, after, f.Persons, s.Knows, catalog.Out, storage.AnyLabel)
-	assertBatchMatchesScalar(t, after, f.Persons, s.Knows, catalog.In, storage.AnyLabel)
-	assertBatchMatchesScalar(t, after, f.Persons, s.Knows, catalog.Both, storage.AnyLabel)
-
-	// Overlay-contributed runs must not claim sortedness.
-	var b storage.Batch
-	after.NeighborsBatch([]vector.VID{p0}, s.Knows, catalog.Out, storage.AnyLabel, false, &b)
-	if b.Sorted {
-		t.Fatal("overlay-merged batch must not be flagged Sorted")
+// TestOverlayFamilyOrderDeterministic: a vertex holding two overlay families
+// of one edge type (p1: a new post and a new comment on HAS_CREATOR/In) must
+// return them in first-commit order on every read, scalar and batched.
+func TestOverlayFamilyOrderDeterministic(t *testing.T) {
+	o := newOverlayFixture(t)
+	s, p1 := o.f.Schema, o.f.Persons[1]
+	snap := o.m.Snapshot()
+	base := 0
+	for _, seg := range o.f.Graph.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
+		base += len(seg.VIDs)
 	}
-	// The pre-commit snapshot still matches its own scalar view.
-	assertBatchMatchesScalar(t, clean, f.Persons, s.Knows, catalog.Out, storage.AnyLabel)
+	want := []vector.VID{o.np, o.nc}
+	for i := 0; i < 100; i++ {
+		var scalar []vector.VID
+		for _, seg := range snap.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
+			scalar = append(scalar, seg.VIDs...)
+		}
+		if got := scalar[base:]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %d: scalar overlay order %v, want %v", i, got, want)
+		}
+		b := assertBatchMatchesScalar(t, snap, []vector.VID{p1}, s.HasCreator, catalog.In, storage.AnyLabel, false)
+		if got := b.Run(0)[base:]; !reflect.DeepEqual(append([]vector.VID{}, got...), want) {
+			t.Fatalf("read %d: batch overlay order %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSnapshotBatchUnderCommits runs batched snapshot readers against a
+// committer (run with -race): whatever the committer publishes meanwhile, a
+// snapshot's batched read equals its own scalar read.
+func TestSnapshotBatchUnderCommits(t *testing.T) {
+	o := newOverlayFixture(t)
+	s, p := o.f.Schema, o.f.Persons
+	const readers, reads = 3, 150
+	var readersWG, wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() { // the committer runs for as long as any reader does
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a, b := p[i%len(p)], p[(i*3+1)%len(p)]
+			tx := o.m.Begin([]vector.VID{a, b})
+			err := tx.AddEdge(s.Knows, a, b, vector.Date(int64(21000+i)))
+			if err == nil && i%4 == 0 {
+				var nv vector.VID
+				if nv, err = tx.AddVertex(s.Post, int64(1000+i), vector.String_("p"), vector.Int64(1), vector.Date(int64(21000+i))); err == nil {
+					err = tx.AddEdge(s.HasCreator, nv, a)
+				}
+			}
+			if err == nil {
+				err = tx.Commit()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			srcs := append([]vector.VID{vector.NilVID, o.np}, p...)
+			for i := 0; i < reads; i++ {
+				snap := o.m.Snapshot()
+				dir := []catalog.Direction{catalog.Out, catalog.In, catalog.Both}[(i+r)%3]
+				var b, ref storage.Batch
+				for _, et := range []catalog.EdgeTypeID{s.Knows, s.HasCreator} {
+					snap.NeighborsBatch(srcs, et, dir, storage.AnyLabel, true, &b)
+					storage.AppendNeighborsBatch(snap, srcs, et, dir, storage.AnyLabel, true, &ref)
+					for k := range srcs {
+						if !reflect.DeepEqual(append([]vector.VID{}, b.Run(k)...), append([]vector.VID{}, ref.Run(k)...)) {
+							t.Errorf("reader %d, snapshot v%d, src %d: batch %v, scalar %v", r, snap.Version(), srcs[k], b.Run(k), ref.Run(k))
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	readersWG.Wait()
+	close(stop)
+	wg.Wait()
+	// The quiesced end state is the sequential one.
+	assertBatchMatchesScalar(t, o.m.Snapshot(), p, s.Knows, catalog.Both, storage.AnyLabel, true)
 }

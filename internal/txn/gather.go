@@ -7,8 +7,9 @@ import (
 
 // Batch gather over a snapshot: one bulk copy from the immutable base, then
 // committed overlay rows are patched on top. With no overlays the snapshot
-// gathers at exactly base-graph speed (and keeps the zero-copy and zone-map
-// tiers); with overlays the patch loop mirrors Snapshot.Prop row by row.
+// gathers at exactly base-graph speed (and keeps the zero-copy tier); with
+// overlays the patch loop mirrors Snapshot.Prop row by row. The zone-map
+// tier holds either way (PruneZones).
 
 // GatherProps implements storage.View.
 func (s *Snapshot) GatherProps(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, sel *vector.Bitset, out *vector.Column) {
@@ -98,11 +99,27 @@ func (s *Snapshot) PropDict(label catalog.LabelID, pid catalog.PropID) *vector.D
 }
 
 // PruneZones implements storage.ZonePruner. Base zone maps describe base
-// values only, so pruning is disabled as soon as overlays exist — an
-// overlaid row could match even though its base zone cannot.
+// values only, so an overlaid row could match even though its base zone
+// cannot: the candidates are pruned against the base maps and every selected
+// candidate that has an overlay gets its bit back (created vertices sit
+// outside the base maps and are never pruned). Untouched rows — nearly all
+// of them — keep the zone-map tier however many writes have committed.
 func (s *Snapshot) PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int) {
-	if s.hasOverlays {
-		return 0, 0
+	g := s.m.graph
+	if !s.hasOverlays || sel == nil {
+		return g.PruneZones(vids, label, pid, lo, hi, sel)
 	}
-	return s.m.graph.PruneZones(vids, label, pid, lo, hi, sel)
+	base := vector.VID(s.baseCount())
+	var keepBuf [32]int // rows to restore; rarely more than a handful
+	keep := keepBuf[:0]
+	for i, v := range vids {
+		if v < base && !s.m.untouched(v) && sel.Get(i) {
+			keep = append(keep, i)
+		}
+	}
+	pruned, total = g.PruneZones(vids, label, pid, lo, hi, sel)
+	for _, i := range keep {
+		sel.Set(i)
+	}
+	return pruned, total
 }

@@ -86,11 +86,12 @@ func TestGatherAcrossOverlays(t *testing.T) {
 	}
 }
 
-// TestGatherTiersDegradeWithOverlays pins the optional-interface contract:
-// a clean snapshot keeps the zero-copy share and zone pruning tiers, and
-// both shut off as soon as overlays exist (an overlaid row could match even
-// though its base zone cannot).
-func TestGatherTiersDegradeWithOverlays(t *testing.T) {
+// TestGatherTiersUnderOverlays pins the optional-interface contract: a clean
+// snapshot keeps the zero-copy share and zone pruning tiers; once overlays
+// exist the share tier shuts off, and zone pruning goes on per vertex — base
+// zones still rule out untouched rows, while a row with an overlay keeps its
+// selection bit (its new value could match even though its base zone cannot).
+func TestGatherTiersUnderOverlays(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
 	s := f.Schema
@@ -102,12 +103,19 @@ func TestGatherTiersDegradeWithOverlays(t *testing.T) {
 	}
 	var sel vector.Bitset
 	sel.Resize(len(scan), true)
-	if _, total := clean.PruneZones(scan, s.Person, s.PCreation, 0, 1, &sel); total == 0 {
-		t.Fatal("clean snapshot refused zone pruning")
+	cleanPruned, total := clean.PruneZones(scan, s.Person, s.PCreation, 0, 10, &sel)
+	if total == 0 || cleanPruned == 0 || sel.Any() {
+		t.Fatalf("clean snapshot: pruned %d of %d zones, %d rows left; want every zone ruled out", cleanPruned, total, sel.Count())
 	}
 
-	tx := m.Begin([]vector.VID{f.Persons[0]})
-	if err := tx.SetProp(f.Persons[0], s.PCreation, vector.Date(7)); err != nil {
+	// The write moves Persons[0] into the probed range; Persons[1] gets an
+	// overlay that leaves the probed property alone.
+	p0, p1 := f.Persons[0], f.Persons[1]
+	tx := m.Begin([]vector.VID{p0, p1})
+	if err := tx.SetProp(p0, s.PCreation, vector.Date(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.SetProp(p1, s.PFirstName, vector.String_("Renamed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -117,7 +125,23 @@ func TestGatherTiersDegradeWithOverlays(t *testing.T) {
 	if dirty.ShareScanColumn(s.Person, s.PCreation, scan) != nil {
 		t.Fatal("overlaid snapshot must not share the base column")
 	}
-	if pruned, total := dirty.PruneZones(scan, s.Person, s.PCreation, 0, 1, &sel); pruned != 0 || total != 0 {
-		t.Fatal("overlaid snapshot must not prune zones")
+	sel.Resize(len(scan), true)
+	sel.SetAll()
+	sel.Clear(2) // a row the caller had already rejected stays rejected
+	pruned, total := dirty.PruneZones(scan, s.Person, s.PCreation, 0, 10, &sel)
+	if pruned != cleanPruned || total == 0 {
+		t.Fatalf("overlaid snapshot pruned %d of %d zones, want %d: unrelated overlays must not switch pruning off", pruned, total, cleanPruned)
+	}
+	for i, v := range scan {
+		if want := v == p0 || v == p1; sel.Get(i) != want {
+			t.Fatalf("row %d (vid %d): selected=%v, want %v (only rows with an overlay survive)", i, v, sel.Get(i), want)
+		}
+	}
+	// The surviving candidates are then decided by their snapshot values.
+	col := vector.NewColumn("creationDate", vector.KindDate)
+	col.Grow(len(scan))
+	dirty.GatherProps(scan, s.Person, s.PCreation, &sel, col)
+	if got := col.Int64s()[0]; scan[0] != p0 || got != 7 {
+		t.Fatalf("overlaid row gathered %d, want the committed 7", got)
 	}
 }

@@ -98,9 +98,17 @@ func (m *Manager) SnapshotAt(ver uint64) *Snapshot {
 	return &Snapshot{m: m, ver: ver, hasOverlays: m.count.Load() > 0}
 }
 
+// untouched reports, with one atomic load, that base vertex v has never had
+// an overlay. False for a touched vertex and for any VID outside the base
+// range (created vertices always take the map).
+func (m *Manager) untouched(v vector.VID) bool {
+	w := int(v >> 6)
+	return w < len(m.hasOverlay) && m.hasOverlay[w].Load()&(1<<(v&63)) == 0
+}
+
 // overlayOf returns the overlay of v, or nil.
 func (m *Manager) overlayOf(v vector.VID) *vertexOverlay {
-	if w := int(v >> 6); w < len(m.hasOverlay) && m.hasOverlay[w].Load()&(1<<(v&63)) == 0 {
+	if m.untouched(v) {
 		return nil
 	}
 	m.mu.RLock()
@@ -115,7 +123,7 @@ func (m *Manager) ensureOverlay(v vector.VID) *vertexOverlay {
 	defer m.mu.Unlock()
 	vo, ok := m.overlays[v]
 	if !ok {
-		vo = &vertexOverlay{adj: make(map[adjKey]*overlayAdj)}
+		vo = &vertexOverlay{}
 		if w := int(v >> 6); w < len(m.hasOverlay) {
 			m.hasOverlay[w].Store(m.hasOverlay[w].Load() | 1<<(v&63)) // writers hold mu
 		}

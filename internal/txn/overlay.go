@@ -131,7 +131,22 @@ type vertexOverlay struct {
 	baseProps  []vector.Value // creation-time property row (schema order)
 
 	props []propVersion
-	adj   map[adjKey]*overlayAdj
+	// adj holds the vertex's overlay families in first-commit order (one to
+	// three in practice), so an AnyLabel read visits them in the same order
+	// every time and a lookup is a short scan, not a hash.
+	adj []overlayFamily
+}
+
+// overlayFamily is one overlay adjacency family of a vertex.
+type overlayFamily struct {
+	key  adjKey
+	list *overlayAdj
+}
+
+// matches reports whether the family answers a read of edge type et in
+// direction dir (never Both) toward dstLabel, AnyLabel included.
+func (k adjKey) matches(et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) bool {
+	return k.et == et && k.dir == dir && (dstLabel == storage.AnyLabel || k.dst == dstLabel)
 }
 
 // visibleNew reports whether a created vertex exists at snapshot s.
@@ -142,14 +157,13 @@ func (vo *vertexOverlay) visibleNew(s uint64) bool {
 // adjFor returns (creating on demand) the overlay adjacency for key. The
 // caller must hold vo.mu.
 func (vo *vertexOverlay) adjFor(key adjKey, defs []catalog.PropDef) *overlayAdj {
-	if vo.adj == nil {
-		vo.adj = make(map[adjKey]*overlayAdj)
+	for _, f := range vo.adj {
+		if f.key == key {
+			return f.list
+		}
 	}
-	a, ok := vo.adj[key]
-	if !ok {
-		a = newOverlayAdj(defs)
-		vo.adj[key] = a
-	}
+	a := newOverlayAdj(defs)
+	vo.adj = append(vo.adj, overlayFamily{key: key, list: a})
 	return a
 }
 

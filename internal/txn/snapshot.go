@@ -126,40 +126,76 @@ func (s *Snapshot) Neighbors(buf []storage.Segment, src vector.VID, et catalog.E
 	}
 	vo.mu.RLock()
 	defer vo.mu.RUnlock()
-	if vo.isNew && vo.createdVer > s.ver {
+	if !vo.visibleNew(s.ver) {
 		return buf
 	}
-	if dstLabel != storage.AnyLabel {
-		if a, ok := vo.adj[adjKey{et: et, dir: dir, dst: dstLabel}]; ok {
-			if seg, ok := a.segment(a.visiblePrefix(s.ver), withProps); ok {
-				buf = append(buf, seg)
-			}
-		}
-		return buf
-	}
-	for key, a := range vo.adj {
-		if key.et != et || key.dir != dir {
+	for _, f := range vo.adj {
+		if !f.key.matches(et, dir, dstLabel) {
 			continue
 		}
-		if seg, ok := a.segment(a.visiblePrefix(s.ver), withProps); ok {
+		if seg, ok := f.list.segment(f.list.visiblePrefix(s.ver), withProps); ok {
 			buf = append(buf, seg)
 		}
 	}
 	return buf
 }
 
-// NeighborsBatch implements storage.View. Without overlays the call
-// delegates to the base graph's batched kernel (zero-copy CSR fast path
-// included). With overlays it takes the per-source reference path, which
-// preserves the scalar merge order — base segments first, then the visible
-// overlay prefixes — so batched and scalar reads stay byte-identical;
-// Sorted then reports false for any run an overlay contributed to.
+// NeighborsBatch implements storage.View. Every request is answered by the
+// base graph's batched kernels; what the snapshot adds is decided per source.
+// A source whose presence bit is clear costs one atomic load, and when no
+// source of the request has a visible overlay list for the family the base
+// batch is returned as it is — shared, zero-copy and Sorted on a single
+// sealed family. Otherwise the visible overlay prefixes of the sources that
+// have one are spliced into the packed batch after their base runs, the
+// scalar merge order, so batched and scalar reads stay byte-identical and
+// Sorted is false. Only a base that cannot pack (an unsealed family, a live
+// storage delta) takes the per-source reference path.
 func (s *Snapshot) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *storage.Batch) {
-	if !s.hasOverlays {
-		s.m.graph.NeighborsBatch(srcs, et, dir, dstLabel, withProps, out)
-		return
+	g := s.m.graph
+	if s.hasOverlays {
+		if over := s.overlayRuns(srcs, et, dir, dstLabel, withProps); len(over) > 0 {
+			if !g.PackNeighborsBatch(srcs, et, dir, dstLabel, withProps, over, out) {
+				storage.AppendNeighborsBatch(s, srcs, et, dir, dstLabel, withProps, out)
+			}
+			return
+		}
 	}
-	storage.AppendNeighborsBatch(s, srcs, et, dir, dstLabel, withProps, out)
+	g.NeighborsBatch(srcs, et, dir, dstLabel, withProps, out)
+}
+
+// overlayRuns collects, in request order, the visible overlay segments of
+// the sources that have any for the requested family (Out before In under
+// Both) — nil, without allocating, when none does.
+func (s *Snapshot) overlayRuns(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []storage.OverlayRun {
+	dirs := []catalog.Direction{dir}
+	if dir == catalog.Both {
+		dirs = []catalog.Direction{catalog.Out, catalog.In}
+	}
+	var over []storage.OverlayRun
+	for i, v := range srcs {
+		if v == vector.NilVID {
+			continue
+		}
+		vo := s.m.overlayOf(v)
+		if vo == nil {
+			continue
+		}
+		vo.mu.RLock()
+		if vo.visibleNew(s.ver) {
+			for _, d := range dirs {
+				for _, f := range vo.adj {
+					if !f.key.matches(et, d, dstLabel) {
+						continue
+					}
+					if seg, ok := f.list.segment(f.list.visiblePrefix(s.ver), withProps); ok {
+						over = append(over, storage.OverlayRun{Row: int32(i), Dir: d, Seg: seg})
+					}
+				}
+			}
+		}
+		vo.mu.RUnlock()
+	}
+	return over
 }
 
 // Degree implements storage.View.

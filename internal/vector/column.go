@@ -185,8 +185,8 @@ func (c *Column) Materialize() {
 	c.segs, c.segOff, c.segLen = nil, nil, 0
 }
 
-// segAt locates the segment containing logical row i via binary search.
-func (c *Column) segAt(i int) (seg []VID, local int) {
+// segIndex locates the segment containing logical row i via binary search.
+func (c *Column) segIndex(i int) int {
 	lo, hi := 0, len(c.segOff)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -196,16 +196,38 @@ func (c *Column) segAt(i int) (seg []VID, local int) {
 			hi = mid - 1
 		}
 	}
-	return c.segs[lo], i - c.segOff[lo]
+	return lo
 }
 
 // VIDAt returns the VID at row i; the column must be of KindVID.
 func (c *Column) VIDAt(i int) VID {
 	if c.lazy {
-		seg, local := c.segAt(i)
-		return seg[local]
+		si := c.segIndex(i)
+		return c.segs[si][i-c.segOff[si]]
 	}
 	return c.vid[i]
+}
+
+// AppendVIDRange appends rows [lo,hi) of a VID column to dst. On a lazy
+// column that is one binary search for lo and then a walk over the segments
+// the range covers, instead of a search per row.
+func (c *Column) AppendVIDRange(dst []VID, lo, hi int) []VID {
+	if !c.lazy {
+		return append(dst, c.vid[lo:hi]...)
+	}
+	if lo >= hi {
+		return dst
+	}
+	si := c.segIndex(lo)
+	seg := c.segs[si][lo-c.segOff[si]:]
+	n := hi - lo
+	for len(seg) < n {
+		dst = append(dst, seg...)
+		n -= len(seg)
+		si++
+		seg = c.segs[si]
+	}
+	return append(dst, seg[:n]...)
 }
 
 // Int64At returns the int64 at row i for KindInt64/KindDate columns.

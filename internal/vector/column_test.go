@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,6 +67,20 @@ func TestLazyColumnSegments(t *testing.T) {
 	for i, w := range want {
 		if walked[i] != w {
 			t.Fatalf("EachVID walk mismatch at %d", i)
+		}
+	}
+	// Every sub-range, read as one range, equals the per-row reads — on the
+	// lazy column and on its materialized twin.
+	flat := col.Clone()
+	flat.Materialize()
+	for lo := 0; lo <= len(want); lo++ {
+		for hi := lo; hi <= len(want); hi++ {
+			for _, c := range []*Column{col, flat} {
+				got := c.AppendVIDRange([]VID{42}, lo, hi)
+				if got[0] != 42 || !slices.Equal(got[1:], want[lo:hi]) {
+					t.Fatalf("AppendVIDRange(%d,%d) lazy=%v = %v, want 42 then %v", lo, hi, c.Lazy(), got, want[lo:hi])
+				}
+			}
 		}
 	}
 }
