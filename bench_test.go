@@ -275,7 +275,6 @@ func BenchmarkOverlayExpand(b *testing.B) {
 		}
 	}
 	b.Run("overlay", expand)
-	g.CompactAdjacency()
 	g.SealCSR()
 	b.Run("resealed", expand)
 }

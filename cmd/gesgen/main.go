@@ -37,6 +37,5 @@ func main() {
 			id := catalog.LabelID(l)
 			fmt.Printf("  %-12s %d\n", cat.LabelName(id), ds.Graph.CountLabel(id))
 		}
-		fmt.Printf("\nadjacency slots abandoned by regrowth: %d\n", ds.Graph.DeadSlots())
 	}
 }

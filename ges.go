@@ -265,13 +265,16 @@ func (db *DB) AddEdge(etype, srcLabel string, srcID int64, dstLabel string, dstI
 	return tx.Commit()
 }
 
-// Seal freezes the base graph: subsequent writes run as MV2PL transactions
-// and queries read consistent snapshots. The first Query seals implicitly.
+// Seal freezes the base graph: its adjacency is sealed into sorted CSR images
+// (with the planner statistics derived from them), subsequent writes run as
+// MV2PL transactions and queries read consistent snapshots. The first Query
+// seals implicitly.
 func (db *DB) Seal() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if !db.sealed {
 		db.sealed = true
+		db.graph.SealCSR()
 		db.mgr = txn.NewManager(db.graph)
 	}
 }

@@ -43,7 +43,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"fig15":    "volcano",
 		"table4":   "volcano",
 		"parallel": "hit rate",
-		"update":   "byte-identical",
+		"update":   "reseals:",
 	}
 	if len(bench.All()) != len(wantFragments) {
 		t.Fatalf("registry has %d experiments, want %d (one per table/figure + parallel + update)",

@@ -224,7 +224,6 @@ func triangleFixture(t *testing.T) *testgraph.Fixture {
 			t.Fatal(err)
 		}
 	}
-	f.Graph.CompactAdjacency()
 	f.Graph.SealCSR()
 	return f
 }

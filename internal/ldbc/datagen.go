@@ -129,10 +129,9 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 
-	// Bulk-load leaves relocated adjacency slots behind; reclaim families
-	// past the dead-fraction threshold, then seal every family into its
-	// sorted CSR snapshot so queries run on the read-optimized layout.
-	g.CompactAdjacency()
+	// End of the bulk phase: seal every family into its sorted CSR snapshot
+	// (which releases the builder slots the load filled) so queries run on
+	// the read-optimized layout.
 	g.SealCSR()
 	// Post-seal edge mutations land in delta overlays; route the resulting
 	// background family reseals through the shared worker pool so they

@@ -130,7 +130,6 @@ func TestExpandIntersectTriangle(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := cyclicFixture(t)
 		if sealed {
-			f.Graph.CompactAdjacency()
 			f.Graph.SealCSR()
 		}
 		want := bruteTriangles(f)
@@ -148,7 +147,6 @@ func TestExpandIntersectDiamond(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := cyclicFixture(t)
 		if sealed {
-			f.Graph.CompactAdjacency()
 			f.Graph.SealCSR()
 		}
 		want := bruteDiamonds(f)
@@ -173,7 +171,6 @@ func TestExpandIntersectDiamond(t *testing.T) {
 // 3-way intersections — the k>2 leapfrog path.
 func TestExpandIntersectThreeWay(t *testing.T) {
 	f := cyclicFixture(t)
-	f.Graph.CompactAdjacency()
 	f.Graph.SealCSR()
 	s := f.Schema
 	build := func() plan.Plan {
@@ -282,7 +279,6 @@ func TestExpandIntersectAnyLabel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.Graph.CompactAdjacency()
 	f.Graph.SealCSR()
 	build := func() plan.Plan {
 		return plan.Plan{
@@ -335,7 +331,6 @@ func TestExpandIntersectAnyLabel(t *testing.T) {
 func TestExpandIntersectOverlay(t *testing.T) {
 	f := cyclicFixture(t)
 	s := f.Schema
-	f.Graph.CompactAdjacency()
 	f.Graph.SealCSR()
 	m := txn.NewManager(f.Graph)
 	tx := m.Begin([]vector.VID{f.Persons[6], f.Persons[7], f.Persons[8]})

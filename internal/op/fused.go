@@ -310,15 +310,19 @@ func (o *AggregateProjectTop) streamingAggregate(ft *core.FTree, needed []string
 // tupleWeights computes, for every f-Tree row, the number of valid full
 // tuples of R_FT that the row participates in. One bottom-up ("down") pass
 // computes subtree counts and one top-down ("up") pass distributes the
-// context of the rest of the tree; weight = down × up.
+// context of the rest of the tree; weight = down × up. The passes work in two
+// buffers per node — the weights are folded into the up buffers — and one
+// scratch the sibling sums of every node share.
 func tupleWeights(ft *core.FTree) [][]int64 {
 	nodes := ft.Nodes()
 	n := len(nodes)
 	down := make([][]int64, n)
+	maxSums := 0
 	// Bottom-up: children have larger IDs than parents (preorder append).
 	for i := n - 1; i >= 0; i-- {
 		nd := nodes[i]
 		rows := nd.Block.NumRows()
+		maxSums = max(maxSums, rows*len(nd.Children))
 		d := make([]int64, rows)
 		for r := 0; r < rows; r++ {
 			if !nd.Sel.Get(r) {
@@ -350,15 +354,17 @@ func tupleWeights(ft *core.FTree) [][]int64 {
 		}
 	}
 	// Top-down in preorder: parents are processed before children.
+	scratch := make([]int64, maxSums)
+	var sums [][]int64
 	for _, nd := range nodes {
 		if len(nd.Children) == 0 {
 			continue
 		}
 		rows := nd.Block.NumRows()
 		// Per-row sibling sums.
-		sums := make([][]int64, len(nd.Children))
+		sums = sums[:0]
 		for ci, c := range nd.Children {
-			s := make([]int64, rows)
+			s := scratch[ci*rows : (ci+1)*rows]
 			for r := 0; r < rows; r++ {
 				rg := c.Index[r]
 				var sum int64
@@ -367,7 +373,7 @@ func tupleWeights(ft *core.FTree) [][]int64 {
 				}
 				s[r] = sum
 			}
-			sums[ci] = s
+			sums = append(sums, s)
 		}
 		for ci, c := range nd.Children {
 			for r := 0; r < rows; r++ {
@@ -396,14 +402,10 @@ func tupleWeights(ft *core.FTree) [][]int64 {
 			}
 		}
 	}
-	w := make([][]int64, n)
-	for i := range w {
-		rows := nodes[i].Block.NumRows()
-		wi := make([]int64, rows)
-		for r := 0; r < rows; r++ {
-			wi[r] = down[i][r] * up[i][r]
+	for i, w := range up {
+		for r := range w {
+			w[r] *= down[i][r]
 		}
-		w[i] = wi
 	}
-	return w
+	return up
 }

@@ -193,7 +193,6 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g.CompactAdjacency()
 	g.SealCSR()
 	const threshold = int64(2 * vector.ZoneSize)
 	build := func() plan.Plan {

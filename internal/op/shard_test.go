@@ -56,7 +56,6 @@ func ringGraph(t testing.TB, n int) (*storage.Graph, *testgraph.Schema) {
 			add((i+1)%n, i)
 		}
 	}
-	g.CompactAdjacency()
 	g.SealCSR()
 	return g, s
 }

@@ -198,7 +198,6 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	// Sealed: mutations applied, then a quiesced rebuild — empty deltas.
 	del(ds.Graph)
 	add(ds.Graph)
-	ds.Graph.CompactAdjacency()
 	ds.Graph.SealCSR()
 
 	// Unsealed: a save/load round trip yields a graph that was never sealed.
@@ -226,7 +225,6 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	// and the inserts and property writes commit through MV2PL.
 	base := gen().Graph
 	del(base)
-	base.CompactAdjacency()
 	base.SealCSR()
 	mgr := txn.NewManager(base)
 	tx := mgr.Begin(ps)

@@ -16,7 +16,7 @@ const DefaultPlanCacheSize = 128
 // (literals replaced by $k placeholders, so literal-differing requests
 // share one entry), the catalog schema version it was bound against, the
 // statistics epoch that shaped it, and the parameter-kind fingerprint. A
-// schema change or a re-seal (Compact + SealCSR publishes fresh
+// schema change or a reseal (which publishes fresh
 // cardinalities under a new epoch) makes stale plans stop being hit and
 // age out of the LRU; the kind fingerprint keeps a request whose literal
 // kinds differ (e.g. a string where the cached plan seeks an integer id)

@@ -257,7 +257,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.ds.Stats()
 	overlays, version := s.runner.Mgr.Stats()
 	hits, misses := s.cache.counters()
-	slots, dead := s.ds.Graph.AdjSlotStats()
 	writeJSON(w, map[string]any{
 		"simSF":           st.SF,
 		"persons":         st.Persons,
@@ -266,10 +265,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"bytes":           st.Bytes,
 		"overlayVertices": overlays,
 		"commitVersion":   version,
-		"adjacency": map[string]any{
-			"slots":     slots,
-			"deadSlots": dead,
-		},
 		"planCache": map[string]any{
 			"hits":     hits,
 			"misses":   misses,

@@ -65,7 +65,7 @@ type Column struct {
 // Snapshot is one immutable statistics image of a sealed base graph.
 type Snapshot struct {
 	// Epoch increments on every rebuild; the service folds it into plan
-	// cache keys so a re-seal (e.g. after Compact) invalidates plans
+	// cache keys so a reseal invalidates plans
 	// shaped for stale cardinalities.
 	Epoch uint64
 	// Build is how long the one-pass derivation took.

@@ -1,16 +1,22 @@
 // Package storage implements the GES graph storage layer (§5): adjacency
-// lists held as an array-of-arrays (adjMeta indexing segments of a large
-// adjArray), columnar vertex property tables, edge property arrays aligned
+// families, columnar vertex property tables, edge property arrays aligned
 // with the adjacency array, dense internal vertex IDs with external-ID maps,
 // and a size-classed memory pool supporting the copy-on-write transaction
 // layer.
 //
-// The store is optimized for the read-dominant workloads the paper targets:
-// Neighbors hands out (pointer,length) views of adjArray segments that the
-// executor's pointer-based join consumes without copying. Topology updates
-// use the paper's "allocate larger space once insertions take all slots"
-// scheme: a full slot is relocated to the tail of adjArray with doubled
-// capacity and the old region is marked dead.
+// The phase decides how a family's adjacency is held, and at any time it is
+// held exactly once. While bulk loading, a family is the paper's
+// array-of-arrays (adjMeta indexing slots of a large adjArray, this file):
+// an append relocates a full slot to the tail with doubled capacity, "allocate
+// larger space once insertions take all slots". Sealing sorts the slots into
+// an immutable CSR image (csr.go) and releases them; from then on the image
+// plus its small mutable delta (delta.go) is the store — edge mutations land
+// in the delta, readers merge the two sides, and a reseal folds the delta
+// into a fresh image.
+//
+// Either way the store is optimized for the read-dominant workloads the paper
+// targets: Neighbors hands out (pointer,length) views of storage-owned runs
+// that the executor's pointer-based join consumes without copying.
 package storage
 
 import (
@@ -38,9 +44,12 @@ type adjMeta struct {
 	cap uint32 // allocated entries (len <= cap)
 }
 
-// AdjList is one adjacency family. meta is indexed by *global* VID (the
-// paper's adjMeta of size |V|); arr is the shared neighbor array; per-edge
-// property columns run parallel to arr.
+// AdjList is one adjacency family. Until the family is sealed it is the bulk
+// builder: meta is indexed by *global* VID (the paper's adjMeta of size |V|),
+// arr is the shared neighbor array and the per-edge property columns run
+// parallel to arr. Seal moves the content into snap and drops the builder
+// arrays, so a sealed family holds nothing but its image and that image's
+// delta.
 //
 // Lock order (checked by geslint rule R2): mutators hold wmu and publish
 // delta-run replacements under the delta's map lock (adjDelta.mu); family
@@ -55,19 +64,17 @@ type AdjList struct {
 	arr  []vector.VID
 
 	// Edge properties, aligned with arr. propKinds comes from the catalog
-	// schema of the edge type; each present kind uses the matching slice.
+	// schema of the edge type (it outlives the builder: images and deltas
+	// share it); each present kind uses the matching slice.
 	propKinds []vector.Kind
 	propI64   [][]int64
 	propF64   [][]float64
 	propStr   [][]string
 
-	deadSlots int // entries abandoned by slot relocation
-
-	// wmu serializes every mutator of the family — insert/del, Compact,
-	// and the background reseal's rebuild. Readers never take it: sealed
-	// reads go through snap (plus its delta's own synchronization), and
-	// live-slot reads only happen while the family is single-writer by
-	// contract (bulk load).
+	// wmu serializes every mutator of the family — insert/del and the
+	// reseal's rebuild. Readers never take it: sealed reads go through snap
+	// (plus its delta's own synchronization), and live-slot reads only
+	// happen while the family is single-writer by contract (bulk load).
 	wmu sync.Mutex
 
 	// resealing is the claim flag for the family's background reseal: set
@@ -76,9 +83,9 @@ type AdjList struct {
 	resealing atomic.Bool
 
 	// snap is the sealed CSR image (csr.go), carrying its delta overlay;
-	// nil until the family is first sealed. Readers load it once per
-	// operation so a concurrent re-seal can never mix layouts within one
-	// Segment.
+	// nil exactly while the family is in the bulk phase. Readers load it
+	// once per operation so a concurrent reseal can never mix images within
+	// one Segment.
 	snap atomic.Pointer[csr] //geslint:atomicptr
 }
 
@@ -97,19 +104,6 @@ func newAdjList(propDefs []catalog.PropDef) *AdjList {
 func (a *AdjList) ensure(vid vector.VID) {
 	if d := int(vid) + 1 - len(a.meta); d > 0 {
 		a.meta = append(a.meta, make([]adjMeta, d)...)
-	}
-}
-
-// trim drops the append slack of the live arrays. meta spans the global VID
-// range in every family, so after a bulk load its slack alone is a few
-// percent of the graph. Caller holds wmu (or is the single bulk writer).
-func (a *AdjList) trim() {
-	a.meta = vector.Clipped(a.meta)
-	a.arr = vector.Clipped(a.arr)
-	for i := range a.propKinds {
-		a.propI64[i] = vector.Clipped(a.propI64[i])
-		a.propF64[i] = vector.Clipped(a.propF64[i])
-		a.propStr[i] = vector.Clipped(a.propStr[i])
 	}
 }
 
@@ -134,41 +128,32 @@ func (a *AdjList) growProps(n int) {
 	}
 }
 
-// insert appends one edge. While a sealed image is published the mutation
-// lands in both the live arrays (the canonical store the next reseal
-// rebuilds from) and the image's delta, so readers keep the sealed fast
-// paths; a family with no image (bulk phase, or first created after the
-// seal) takes the plain live-array path.
+// insert appends one edge to the phase's store: the published image's delta
+// once the family is sealed, the builder slots before.
 func (a *AdjList) insert(src, dst vector.VID, props []vector.Value) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
 		c.delta.insert(src, dst, props)
+		return
 	}
 	a.append(src, dst, props)
 }
 
-// del removes one edge (see insert). The delta picks the occurrence to hide
-// and reports its property tuple, and the live removal targets the matching
-// tuple, keeping both sides' content in lockstep.
+// del removes one edge from the phase's store (see insert).
 func (a *AdjList) del(src, dst vector.VID) bool {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
-		tuple, ok := c.delta.remove(c, src, dst)
-		if !ok {
-			return false
-		}
-		a.removeMatching(src, dst, tuple)
-		return true
+		return c.delta.remove(c, src, dst)
 	}
 	return a.remove(src, dst)
 }
 
 // append adds dst (with optional edge property values) to src's slot,
-// relocating the slot with doubled capacity when full. Callers go through
-// insert (or the single-writer bulk path) — append itself never touches
-// the published snapshot.
+// relocating the slot with doubled capacity when full (the abandoned region
+// stays behind until the seal copies the live slots out). Callers go through
+// insert: append is the bulk phase's half of it.
 func (a *AdjList) append(src, dst vector.VID, props []vector.Value) {
 	a.ensure(src)
 	m := &a.meta[src]
@@ -192,7 +177,6 @@ func (a *AdjList) append(src, dst vector.VID, props []vector.Value) {
 				copy(a.propStr[i][newOff:], a.propStr[i][m.off:m.off+m.len])
 			}
 		}
-		a.deadSlots += int(m.cap)
 		m.off, m.cap = newOff, newCap
 	}
 	pos := m.off + m.len
@@ -214,70 +198,9 @@ func (a *AdjList) append(src, dst vector.VID, props []vector.Value) {
 	m.len++
 }
 
-// compactDeadFraction is the dead-entry share of arr above which Compact
-// actually rebuilds the family.
-const compactDeadFraction = 0.25
-
-// Compact rebuilds arr and the aligned edge-property columns when more than
-// compactDeadFraction of the entries are dead regions abandoned by slot
-// relocation. Slots keep their allocated capacity (the paper's doubled-slot
-// headroom), they are just packed back to back, preserving within-slot
-// entry order — the rebuild changes the layout, never the content, so a
-// published CSR image (and its delta, whose positions reference the image,
-// not arr) stays valid throughout. Live-slot readers must not run
-// concurrently (outstanding views of the old array remain valid — the old
-// memory is simply dropped); sealed readers are unaffected. Returns true
-// on rebuild.
-func (a *AdjList) Compact() bool {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	if len(a.arr) == 0 || float64(a.deadSlots) <= compactDeadFraction*float64(len(a.arr)) {
-		return false
-	}
-	liveCap := 0
-	for i := range a.meta {
-		liveCap += int(a.meta[i].cap)
-	}
-	newArr := make([]vector.VID, liveCap)
-	newI64 := make([][]int64, len(a.propI64))
-	newF64 := make([][]float64, len(a.propF64))
-	newStr := make([][]string, len(a.propStr))
-	for i, k := range a.propKinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			newI64[i] = make([]int64, liveCap)
-		case vector.KindFloat64:
-			newF64[i] = make([]float64, liveCap)
-		case vector.KindString:
-			newStr[i] = make([]string, liveCap)
-		}
-	}
-	off := uint32(0)
-	for i := range a.meta {
-		m := &a.meta[i]
-		copy(newArr[off:off+m.len], a.arr[m.off:m.off+m.len])
-		for p, k := range a.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				copy(newI64[p][off:off+m.len], a.propI64[p][m.off:m.off+m.len])
-			case vector.KindFloat64:
-				copy(newF64[p][off:off+m.len], a.propF64[p][m.off:m.off+m.len])
-			case vector.KindString:
-				copy(newStr[p][off:off+m.len], a.propStr[p][m.off:m.off+m.len])
-			}
-		}
-		m.off = off
-		off += m.cap
-	}
-	a.arr = newArr
-	a.propI64, a.propF64, a.propStr = newI64, newF64, newStr
-	a.deadSlots = 0
-	return true
-}
-
 // remove deletes the first occurrence of dst in src's slot by shifting the
-// last live entry into its place (compacting mark-for-deletion). Callers
-// go through del (or the single-writer bulk path).
+// last live entry into its place (compacting mark-for-deletion). Callers go
+// through del: remove is the bulk phase's half of it.
 func (a *AdjList) remove(src, dst vector.VID) bool {
 	if int(src) >= len(a.meta) {
 		return false
@@ -310,69 +233,6 @@ func (a *AdjList) removeAt(m *adjMeta, i int) {
 	m.len--
 }
 
-// removeMatching deletes the occurrence of dst in src's slot whose property
-// tuple equals want. The overlay may tombstone a different duplicate than
-// the slot-order scan would pick, so matching on the tuple keeps the live
-// multiset identical to the merged view. Falls back to the first
-// occurrence when no tuple matches (only reachable if the two sides ever
-// diverged).
-func (a *AdjList) removeMatching(src, dst vector.VID, want []vector.Value) bool {
-	if len(a.propKinds) == 0 {
-		return a.remove(src, dst)
-	}
-	if int(src) >= len(a.meta) {
-		return false
-	}
-	m := &a.meta[src]
-	match, firstAny := -1, -1
-	for i := m.off; i < m.off+m.len; i++ {
-		if a.arr[i] != dst {
-			continue
-		}
-		if firstAny < 0 {
-			firstAny = int(i)
-		}
-		if a.propsEqualAt(int(i), want) {
-			match = int(i)
-			break
-		}
-	}
-	if match < 0 {
-		match = firstAny
-	}
-	if match < 0 {
-		return false
-	}
-	a.removeAt(m, match)
-	return true
-}
-
-// propsEqualAt reports whether entry i's property tuple equals want
-// (schema-position-aligned Values).
-func (a *AdjList) propsEqualAt(i int, want []vector.Value) bool {
-	for p, k := range a.propKinds {
-		var v vector.Value
-		if p < len(want) {
-			v = want[p]
-		}
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			if a.propI64[p][i] != v.I {
-				return false
-			}
-		case vector.KindFloat64:
-			if a.propF64[p][i] != v.F {
-				return false
-			}
-		case vector.KindString:
-			if a.propStr[p][i] != v.S {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // neighbors returns the live segment of src's slot as a view into arr.
 func (a *AdjList) neighbors(src vector.VID) []vector.VID {
 	if int(src) >= len(a.meta) {
@@ -380,14 +240,6 @@ func (a *AdjList) neighbors(src vector.VID) []vector.VID {
 	}
 	m := a.meta[src]
 	return a.arr[m.off : m.off+m.len : m.off+m.len]
-}
-
-// degree returns the number of live neighbors of src.
-func (a *AdjList) degree(src vector.VID) int {
-	if int(src) >= len(a.meta) {
-		return 0
-	}
-	return int(a.meta[src].len)
 }
 
 // edgePropI64 returns the int64/date edge-property segment aligned with
@@ -416,7 +268,7 @@ func (a *AdjList) edgePropStr(src vector.VID, p int) []string {
 	return a.propStr[p][m.off : m.off+m.len : m.off+m.len]
 }
 
-// memBytes returns the approximate resident size of the adjacency family.
+// memBytes returns the approximate resident size of the builder arrays.
 func (a *AdjList) memBytes() int {
 	n := len(a.meta)*12 + len(a.arr)*4
 	for i, k := range a.propKinds {
@@ -435,8 +287,11 @@ func (a *AdjList) memBytes() int {
 	return n
 }
 
-// edgeCount returns the number of live edges in the family.
-func (a *AdjList) edgeCount() int {
+// liveEdges returns the number of edges a reader of the family sees.
+func (a *AdjList) liveEdges() int {
+	if c := a.snap.Load(); c != nil {
+		return c.liveEntries()
+	}
 	n := 0
 	for i := range a.meta {
 		n += int(a.meta[i].len)

@@ -1,7 +1,8 @@
 package storage
 
 // CSR adjacency snapshots: an immutable, read-optimized image of one
-// adjacency family, sealed from the AdjList at bulk-load finish. The layout
+// adjacency family, sealed out of the AdjList's builder slots at bulk-load
+// finish and, with its delta, the family's only store from then on. The layout
 // is the classic compressed sparse row form — offsets[v] .. offsets[v+1]
 // delimit v's neighbor run inside one dense array — with two additions the
 // executor exploits:
@@ -15,11 +16,11 @@ package storage
 // carries a delta overlay (delta.go): once SealCSR has run, edge mutations
 // land in the delta instead of invalidating the image, readers merge the
 // two sides without losing the sorted-run contract, and a background reseal
-// (graph.go) swaps in a rebuilt image — one atomic store, concurrent
-// readers keep whichever image they already loaded. Only families that
-// have never been sealed (bulk loading, or a family first created by a
-// post-seal mutation) have no image; readers then fall back to the live
-// slot layout.
+// (reseal.go) swaps in the merge of the two as a fresh image — one atomic
+// store, concurrent readers keep whichever image they already loaded. Only
+// the bulk phase has families without an image (one first created by a
+// post-seal mutation is born with an empty one); readers then use the
+// builder's live slot layout.
 
 import (
 	"sort"
@@ -49,11 +50,10 @@ type csr struct {
 	delta *adjDelta
 }
 
-// sealCSR builds the sorted CSR image of the family's current live entries.
-// The per-run sort is stable so entries sharing a destination keep their
-// slot order — the order the delta overlay's sealed-first tie break
-// reproduces, which keeps merged reads byte-identical to a reseal. Caller
-// holds wmu (or is the single bulk writer).
+// sealCSR builds the sorted CSR image of the builder's live entries. The
+// per-run sort is stable so entries sharing a destination keep their slot
+// order — insertion order, the order the delta overlay's sealed-first tie
+// break continues. Caller holds wmu (or is the single bulk writer).
 func (a *AdjList) sealCSR() *csr {
 	total := 0
 	for i := range a.meta {
@@ -164,6 +164,12 @@ func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
 	return seg, true
 }
 
+// liveEntries is the merged view's entry count: the image's entries less
+// tombstones plus delta inserts.
+func (c *csr) liveEntries() int {
+	return len(c.neighbors) - int(c.delta.nTombs.Load()) + int(c.delta.nIns.Load())
+}
+
 // memBytes approximates the snapshot's resident size.
 func (c *csr) memBytes() int {
 	n := len(c.offsets)*4 + len(c.neighbors)*4
@@ -183,28 +189,62 @@ func (c *csr) memBytes() int {
 	return n
 }
 
-// Seal (re)builds the family's CSR snapshot (with a fresh empty delta) and
-// publishes it atomically. Used by the bulk path and by background reseals;
-// concurrent readers keep serving from whichever image (or the live slots)
-// they already resolved.
+// resealed folds the image's delta into a fresh image with an empty delta:
+// the per-source two-cursor merge readers already run, over every source,
+// into exactly sized arrays. Sealed entries precede delta inserts of the same
+// destination, so duplicates stay in insertion order across any number of
+// reseals — the image is what sealing a graph rebuilt from the surviving edge
+// list would give. Caller holds wmu, which freezes the delta.
+func (c *csr) resealed() *csr {
+	d := c.delta
+	n := len(c.offsets) - 1
+	for src := range d.ins { // bare read is safe: wmu serializes all map writers
+		if int(src) >= n {
+			n = int(src) + 1
+		}
+	}
+	m := runMerger{c: c, withProps: len(c.propKinds) > 0}
+	m.init(c.liveEntries())
+	nc := &csr{offsets: make([]uint32, n+1), propKinds: c.propKinds}
+	for v := 0; v < n; v++ {
+		nc.offsets[v] = uint32(len(m.vids))
+		m.merge(vector.VID(v))
+	}
+	nc.offsets[n] = uint32(len(m.vids))
+	nc.neighbors, nc.propI64, nc.propF64, nc.propStr = m.vids, m.pi64, m.pf64, m.pstr
+	nc.delta = newAdjDelta(len(nc.neighbors), c.propKinds)
+	return nc
+}
+
+// Seal publishes the family's next image (with a fresh empty delta)
+// atomically. The first call ends the family's bulk phase: the image is
+// sorted out of the builder slots, which are then released. Every later call
+// is a reseal: the published image merged with its delta. Concurrent readers
+// keep serving from whichever image they already resolved.
 //
 //geslint:seal publishes the freshly built CSR image
 func (a *AdjList) Seal() {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	a.trim()
+	if c := a.snap.Load(); c != nil {
+		a.snap.Store(c.resealed())
+		return
+	}
 	a.snap.Store(a.sealCSR())
+	a.meta, a.arr = nil, nil
+	a.propI64, a.propF64, a.propStr = nil, nil, nil
 }
 
-// Sealed reports whether a current CSR snapshot is published.
+// Sealed reports whether the family has left the bulk phase: a CSR snapshot
+// is published and the builder slots are gone.
 func (a *AdjList) Sealed() bool { return a.snap.Load() != nil }
 
 // SealCSR seals every adjacency family into a sorted CSR snapshot. Call it
-// at bulk-load finish (after CompactAdjacency) and again after any
-// single-writer maintenance pass; each family swaps in atomically. It also
-// opens the overlay phase: subsequent edge mutations land in per-image
-// deltas instead of invalidating the images. Returns the number of
-// families sealed.
+// at bulk-load finish; calling it again folds every family's delta into a
+// fresh image (a quiesced reseal); each family swaps in atomically. The
+// first call also opens the overlay phase: subsequent edge mutations land in
+// per-image deltas instead of invalidating the images, and families they
+// create are born sealed. Returns the number of families sealed.
 func (g *Graph) SealCSR() int {
 	if !g.sealedPhase.Load() {
 		// Bulk-load finish: vertex inserts are over (they are single-writer
@@ -306,7 +346,7 @@ func (b *Batch) reset(n int) {
 // takes the owned merged-batch path (delta.go), Sorted still. Any other
 // shape (AnyLabel fan-out, Both, mixed source labels) packs owned runs out of
 // the images in the scalar Neighbors segment order (PackNeighborsBatch).
-// Only a request that meets an unsealed family, or a live delta outside the
+// Only a bulk-phase request, or one that meets a live delta outside the
 // single-family case, takes the per-source reference path.
 func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
 	if dir != catalog.Both && dstLabel != AnyLabel {

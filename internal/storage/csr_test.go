@@ -228,7 +228,7 @@ func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.Labe
 // {uniform, mixed source labels} × {no props, props} over source lists with
 // NilVID holes and VIDs beyond the base range (empty runs), on a pristine sealed graph
 // (zero-copy or packed) and again with a live storage delta (merged or
-// reference path).
+// reference path). Degree must agree with every run, holes included.
 func TestNeighborsBatchMatrix(t *testing.T) {
 	g, as, bs, a, b, et := matrixGraph(t)
 	g.SealCSR()
@@ -257,6 +257,11 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 				for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
 					for _, withProps := range []bool{false, true} {
 						got := batchMatchesScalar(t, g, srcs, et, dir, dst, withProps)
+						for i, s := range srcs { // NilVID and beyond-range rows included
+							if d := g.Degree(s, et, dir, dst); d != len(got.Run(i)) {
+								t.Fatalf("%s dst=%v dir=%v: Degree(%d) = %d, run holds %d", name, dst, dir, s, d, len(got.Run(i)))
+							}
+						}
 						single := dst != AnyLabel && dir != catalog.Both && name != "mixed"
 						if pristine && got.Shared != (single && name != "only-holes" && name != "empty") {
 							t.Fatalf("%s dst=%v dir=%v: Shared=%v; only a single-family request shares the CSR arrays", name, dst, dir, got.Shared)
@@ -293,7 +298,6 @@ func TestNeighborsBatchMatchesScalar(t *testing.T) {
 
 	for _, sealed := range []bool{false, true} {
 		if sealed {
-			g.CompactAdjacency()
 			g.SealCSR()
 		}
 		name := map[bool]string{false: "unsealed", true: "sealed"}[sealed]
@@ -372,7 +376,6 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 
 	// A quiesced re-seal after compaction must agree with what the overlay
 	// already served.
-	g.CompactAdjacency()
 	g.SealCSR()
 	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
 
@@ -406,15 +409,26 @@ func TestNeighborsBatchEmptyFamily(t *testing.T) {
 	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, false)
 }
 
+// TestMemBytesAccountsCSR: a family is held once. Sealing trades the builder
+// slots (12 B of adjMeta per vertex plus regrowth slack) for the image (4 B of
+// offset per vertex, exact-length arrays), so the accounted size drops, and
+// delta entries are accounted on top of the image.
 func TestMemBytesAccountsCSR(t *testing.T) {
-	g, _, _, _, _, _ := csrGraph(t)
-	before := g.MemBytes()
-	if before <= 0 {
+	g, ps, cs, _, _, livesIn := csrGraph(t)
+	bulk := g.MemBytes()
+	if bulk <= 0 {
 		t.Fatal("MemBytes must be positive")
 	}
 	g.SealCSR()
-	after := g.MemBytes()
-	if after <= before {
-		t.Fatalf("MemBytes must grow after sealing: before=%d after=%d", before, after)
+	sealed := g.MemBytes()
+	if sealed <= 0 || sealed >= bulk {
+		t.Fatalf("sealing must replace the builder slots with the smaller image: bulk=%d sealed=%d", bulk, sealed)
+	}
+	g.SetResealPolicy(1e9, 1<<30)
+	if err := g.AddEdge(livesIn, ps[0], cs[0], vector.Date(1)); err != nil {
+		t.Fatal(err)
+	}
+	if withDelta := g.MemBytes(); withDelta <= sealed {
+		t.Fatalf("a delta insert must be accounted: sealed=%d with delta=%d", sealed, withDelta)
 	}
 }

@@ -7,9 +7,10 @@
 // neighbor position (or retracts a delta insert), and readers merge the two
 // sides with a per-source two-cursor walk that preserves the ascending-VID
 // order — so galloping intersection and the WCOJ path keep engaging instead
-// of falling back to hash sets. When the delta outgrows the reseal policy,
-// graph.go rebuilds just that family's image off the read path and swaps a
-// fresh (empty-delta) one in atomically.
+// of falling back to hash sets. The delta is the sealed phase's only write
+// target: when it outgrows the reseal policy, reseal.go runs the same merge
+// over every source of just that family, off the read path, and swaps the
+// result in atomically as a fresh (empty-delta) image.
 //
 // Concurrency contract: all mutators hold AdjList.wmu, so delta writes are
 // serialized; readers never lock it. Published deltaRuns are immutable —
@@ -20,7 +21,6 @@
 package storage
 
 import (
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,8 +36,8 @@ import (
 //
 //geslint:snapshot-owner paired 1:1 with its sealed image and published behind the same atomic pointer; mutated only under AdjList.wmu through atomics and copy-on-write runs
 type adjDelta struct {
-	mu  sync.RWMutex                // guards the ins map (readers: lookup only)
-	ins map[vector.VID]*deltaRun    // per-source insert runs, copy-on-write
+	mu  sync.RWMutex             // guards the ins map (readers: lookup only)
+	ins map[vector.VID]*deltaRun // per-source insert runs, copy-on-write
 
 	// tombs is a fixed-size bitmap over the sealed image's neighbor
 	// positions: bit set = entry deleted. Written only under AdjList.wmu
@@ -91,24 +91,6 @@ func (d *adjDelta) setTombstone(pos int) {
 	w.Store(w.Load() | 1<<uint(pos&63))
 }
 
-// tombsInRange counts tombstoned positions in [lo, hi).
-func (d *adjDelta) tombsInRange(lo, hi int) int {
-	n := 0
-	for pos := lo; pos < hi; {
-		end := (pos | 63) + 1
-		if end > hi {
-			end = hi
-		}
-		mask := ^uint64(0) << uint(pos&63)
-		if r := end & 63; r != 0 {
-			mask &= 1<<uint(r) - 1
-		}
-		n += bits.OnesCount64(d.tombs[pos>>6].Load() & mask)
-		pos = end
-	}
-	return n
-}
-
 // insert records one appended edge src→dst (props ordered per the edge
 // schema) by replacing src's run with its copy-on-write successor. Caller
 // holds AdjList.wmu.
@@ -123,11 +105,9 @@ func (d *adjDelta) insert(src, dst vector.VID, props []vector.Value) {
 // remove hides one occurrence of src→dst from the merged view: the first
 // non-tombstoned sealed position when one exists (sealed entries die by
 // tombstone), otherwise the earliest delta insert (inserts die by
-// copy-on-write retraction). Returns the removed occurrence's property
-// tuple so the caller can mirror the removal in the live arrays — keeping
-// the live multiset, which the next reseal rebuilds from, in lockstep with
-// what readers see. Caller holds AdjList.wmu.
-func (d *adjDelta) remove(c *csr, src, dst vector.VID) ([]vector.Value, bool) {
+// copy-on-write retraction) — always the occurrence inserted first. Caller
+// holds AdjList.wmu.
+func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 	if int(src) < len(c.offsets)-1 {
 		lo, hi := int(c.offsets[src]), int(c.offsets[src+1])
 		run := c.neighbors[lo:hi]
@@ -138,16 +118,16 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) ([]vector.Value, bool) {
 			}
 			d.setTombstone(pos)
 			d.nTombs.Add(1)
-			return c.propsAt(pos), true
+			return true
 		}
 	}
 	old := d.ins[src] // bare read is safe: wmu serializes all map writers
 	if old == nil {
-		return nil, false
+		return false
 	}
-	nr, tuple, ok := old.withRemove(dst, d.propKinds)
+	nr, ok := old.withRemove(dst, d.propKinds)
 	if !ok {
-		return nil, false
+		return false
 	}
 	d.mu.Lock()
 	if nr == nil {
@@ -157,7 +137,7 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) ([]vector.Value, bool) {
 	}
 	d.mu.Unlock()
 	d.nIns.Add(-1)
-	return tuple, true
+	return true
 }
 
 // memBytes approximates the delta's resident size.
@@ -185,7 +165,8 @@ func (d *adjDelta) memBytes() int {
 }
 
 // deltaRun is one source's overlay insert run: destinations sorted ascending
-// (insertion order among equal VIDs, matching the stable reseal sort) with
+// (insertion order among equal VIDs, as the bulk seal's stable sort leaves
+// them) with
 // edge-property columns aligned element-for-element, indexed by schema
 // position like csr.prop*.
 //
@@ -198,9 +179,8 @@ type deltaRun struct {
 }
 
 // withInsert returns the run's successor with dst inserted after any equal
-// destinations (stable: delta entries keep insertion order on ties, which
-// is exactly where the reseal's stable sort puts them). A nil receiver
-// yields a one-entry run.
+// destinations (stable: delta entries keep insertion order on ties). A nil
+// receiver yields a one-entry run.
 func (r *deltaRun) withInsert(dst vector.VID, props []vector.Value, kinds []vector.Kind) *deltaRun {
 	n, at := 0, 0
 	if r != nil {
@@ -255,23 +235,22 @@ func (r *deltaRun) withInsert(dst vector.VID, props []vector.Value, kinds []vect
 }
 
 // withRemove returns the run's successor with the earliest occurrence of
-// dst retracted, plus that occurrence's property tuple. ok=false when dst
-// is absent; a nil successor means the run emptied.
-func (r *deltaRun) withRemove(dst vector.VID, kinds []vector.Kind) (*deltaRun, []vector.Value, bool) {
+// dst retracted. ok=false when dst is absent; a nil successor means the run
+// emptied.
+func (r *deltaRun) withRemove(dst vector.VID, kinds []vector.Kind) (*deltaRun, bool) {
 	at := sort.Search(len(r.dsts), func(i int) bool { return r.dsts[i] >= dst })
 	if at == len(r.dsts) || r.dsts[at] != dst {
-		return r, nil, false
+		return r, false
 	}
-	tuple := r.tupleAt(at, kinds)
 	n := len(r.dsts)
 	if n == 1 {
-		return nil, tuple, true
+		return nil, true
 	}
 	nr := &deltaRun{dsts: make([]vector.VID, n-1)}
 	copy(nr.dsts[:at], r.dsts[:at])
 	copy(nr.dsts[at:], r.dsts[at+1:])
 	if len(kinds) == 0 {
-		return nr, tuple, true
+		return nr, true
 	}
 	nr.propI64 = make([][]int64, len(kinds))
 	nr.propF64 = make([][]float64, len(kinds))
@@ -295,82 +274,15 @@ func (r *deltaRun) withRemove(dst vector.VID, kinds []vector.Kind) (*deltaRun, [
 			nr.propStr[p] = col
 		}
 	}
-	return nr, tuple, true
-}
-
-// tupleAt materializes entry j's property tuple, one Value per schema
-// position.
-func (r *deltaRun) tupleAt(j int, kinds []vector.Kind) []vector.Value {
-	if len(kinds) == 0 {
-		return nil
-	}
-	tuple := make([]vector.Value, len(kinds))
-	for p, k := range kinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			tuple[p] = vector.Value{Kind: k, I: r.propI64[p][j]}
-		case vector.KindFloat64:
-			tuple[p] = vector.Value{Kind: k, F: r.propF64[p][j]}
-		case vector.KindString:
-			tuple[p] = vector.Value{Kind: k, S: r.propStr[p][j]}
-		}
-	}
-	return tuple
-}
-
-// propsAt materializes sealed position pos's property tuple, one Value per
-// schema position.
-func (c *csr) propsAt(pos int) []vector.Value {
-	if len(c.propKinds) == 0 {
-		return nil
-	}
-	tuple := make([]vector.Value, len(c.propKinds))
-	for p, k := range c.propKinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			tuple[p] = vector.Value{Kind: k, I: c.propI64[p][pos]}
-		case vector.KindFloat64:
-			tuple[p] = vector.Value{Kind: k, F: c.propF64[p][pos]}
-		case vector.KindString:
-			tuple[p] = vector.Value{Kind: k, S: c.propStr[p][pos]}
-		}
-	}
-	return tuple
-}
-
-// viewDegree is src's degree in the merged view: sealed entries minus
-// tombstones plus delta inserts.
-func (c *csr) viewDegree(src vector.VID) int {
-	lo, hi := 0, 0
-	if int(src) < len(c.offsets)-1 {
-		lo, hi = int(c.offsets[src]), int(c.offsets[src+1])
-	}
-	n := hi - lo
-	d := c.delta
-	if !d.isEmpty() {
-		n -= d.tombsInRange(lo, hi)
-		if r := d.runOf(src); r != nil {
-			n += len(r.dsts)
-		}
-	}
-	return n
-}
-
-// viewDegree is the overlay-aware Degree: the merged view when a sealed
-// image is published, the live slot otherwise.
-func (a *AdjList) viewDegree(src vector.VID) int {
-	if c := a.snap.Load(); c != nil {
-		return c.viewDegree(src)
-	}
-	return a.degree(src)
+	return nr, true
 }
 
 // runMerger packs per-source two-cursor merges of sealed and delta runs
 // back to back into owned buffers — the delta-overlay analogue of the
-// shared CSR batch. Ties between a sealed entry and a delta insert emit the
-// sealed entry first, matching where the reseal's stable sort would place
-// them, so a merged read is byte-identical to a read after a quiesced
-// reseal.
+// shared CSR batch, and the whole of a reseal (csr.resealed). Ties between a
+// sealed entry and a delta insert emit the sealed entry first: it was
+// inserted first, so duplicates stay in insertion order and a merged read is
+// byte-identical to a read after a reseal.
 type runMerger struct {
 	c         *csr
 	withProps bool
@@ -380,7 +292,11 @@ type runMerger struct {
 	pstr      [][]string
 }
 
-func (m *runMerger) init() {
+// init readies the buffers with room for rows entries: 0 for a reader, which
+// appends as it goes, the exact merged count for a reseal, whose long-lived
+// image must carry no slack.
+func (m *runMerger) init(rows int) {
+	m.vids = make([]vector.VID, 0, rows)
 	if !m.withProps {
 		return
 	}
@@ -388,6 +304,16 @@ func (m *runMerger) init() {
 	m.pi64 = make([][]int64, n)
 	m.pf64 = make([][]float64, n)
 	m.pstr = make([][]string, n)
+	for p, k := range m.c.propKinds {
+		switch k {
+		case vector.KindInt64, vector.KindDate:
+			m.pi64[p] = make([]int64, 0, rows)
+		case vector.KindFloat64:
+			m.pf64[p] = make([]float64, 0, rows)
+		case vector.KindString:
+			m.pstr[p] = make([]string, 0, rows)
+		}
+	}
 }
 
 func (m *runMerger) emitSealed(pos int) {
@@ -461,7 +387,7 @@ func (m *runMerger) merge(src vector.VID) {
 // by construction; ok=false when the merged run is empty.
 func (c *csr) mergedSegment(src vector.VID, withProps bool) (Segment, bool) {
 	m := runMerger{c: c, withProps: withProps}
-	m.init()
+	m.init(0)
 	m.merge(src)
 	if len(m.vids) == 0 {
 		return Segment{}, false
@@ -501,7 +427,7 @@ func (c *csr) mergedBatch(g *Graph, srcs []vector.VID, label catalog.LabelID, wi
 	}
 	out.reset(len(srcs))
 	m := runMerger{c: c, withProps: withProps}
-	m.init()
+	m.init(0)
 	for i, s := range srcs {
 		start := int32(len(m.vids))
 		if s < nv {

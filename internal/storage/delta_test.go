@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -14,9 +15,7 @@ import (
 
 // overlayGraph builds a sealed two-label graph sized for concurrency tests:
 // nPersons persons, nCities cities, and a deterministic ~half-dense LIVES_IN
-// edge set. Edge props are f(src,dst) so duplicate (src,dst) occurrences
-// always carry identical tuples — the regime where overlay reads are
-// byte-identical to a reseal (see the delta.go package doc).
+// edge set, with edge props f(src,dst).
 func overlayGraph(t *testing.T, nPersons, nCities int) (*Graph, []vector.VID, []vector.VID, catalog.LabelID, catalog.EdgeTypeID) {
 	t.Helper()
 	g, person, city, livesIn := twoLabelGraph(t)
@@ -44,7 +43,6 @@ func overlayGraph(t *testing.T, nPersons, nCities int) (*Graph, []vector.VID, []
 			}
 		}
 	}
-	g.CompactAdjacency()
 	g.SealCSR()
 	return g, ps, cs, city, livesIn
 }
@@ -56,9 +54,10 @@ func edgeProp(src, dst vector.VID) vector.Value {
 }
 
 // readImage captures everything a reader can observe for the given sources —
-// batched runs with props, scalar segments, and view degrees — as one
-// comparable value.
+// batched runs with props (and whether they are Sorted), scalar segments, and
+// view degrees — as one comparable value.
 type readImage struct {
+	Sorted  bool
 	Runs    [][]vector.VID
 	Props   [][]int64
 	Scalar  [][]vector.VID
@@ -66,9 +65,14 @@ type readImage struct {
 }
 
 func captureImage(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dstLabel catalog.LabelID) readImage {
+	return captureImageDir(g, srcs, et, catalog.Out, dstLabel)
+}
+
+func captureImageDir(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) readImage {
 	var img readImage
 	var b Batch
-	g.NeighborsBatch(srcs, et, catalog.Out, dstLabel, true, &b)
+	g.NeighborsBatch(srcs, et, dir, dstLabel, true, &b)
+	img.Sorted = b.Sorted
 	for i := range b.Runs {
 		r := b.Runs[i]
 		img.Runs = append(img.Runs, append([]vector.VID(nil), b.Run(i)...))
@@ -78,8 +82,8 @@ func captureImage(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dstLabel c
 	}
 	for _, src := range srcs {
 		img.Scalar = append(img.Scalar, append([]vector.VID(nil),
-			flattenSegs(g.Neighbors(nil, src, et, catalog.Out, dstLabel, false))...))
-		img.Degrees = append(img.Degrees, g.Degree(src, et, catalog.Out, dstLabel))
+			flattenSegs(g.Neighbors(nil, src, et, dir, dstLabel, false))...))
+		img.Degrees = append(img.Degrees, g.Degree(src, et, dir, dstLabel))
 	}
 	return img
 }
@@ -111,7 +115,6 @@ func TestOverlayDeleteThenReadd(t *testing.T) {
 	}
 	// Byte-identical to the quiesced reseal.
 	before := captureImage(g, ps, livesIn, city)
-	g.CompactAdjacency()
 	g.SealCSR()
 	after := captureImage(g, ps, livesIn, city)
 	if !reflect.DeepEqual(before, after) {
@@ -137,7 +140,6 @@ func TestOverlayDeleteRetractsInsert(t *testing.T) {
 		t.Fatal("second delete of the same edge must fail")
 	}
 	before := captureImage(g, ps, livesIn, city)
-	g.CompactAdjacency()
 	g.SealCSR()
 	if after := captureImage(g, ps, livesIn, city); !reflect.DeepEqual(before, after) {
 		t.Fatal("overlay image diverges from resealed image after insert retraction")
@@ -219,7 +221,6 @@ func TestOverlayConcurrentReadersMatchReseal(t *testing.T) {
 			}
 
 			before := captureImage(g, ps, livesIn, city)
-			g.CompactAdjacency()
 			g.SealCSR()
 			after := captureImage(g, ps, livesIn, city)
 			if !reflect.DeepEqual(before, after) {
@@ -273,143 +274,205 @@ func TestOverlayBackgroundResealSwap(t *testing.T) {
 	}
 
 	before := captureImage(g, ps, livesIn, city)
-	g.CompactAdjacency()
 	g.SealCSR()
 	if after := captureImage(g, ps, livesIn, city); !reflect.DeepEqual(before, after) {
 		t.Fatal("background-resealed overlay diverges from the quiesced reseal")
 	}
 }
 
-// TestCompactSealsPostSealFamilies covers the one way a family can lack an
-// image in the sealed phase: a mutation creates its (src,et,dst,dir) key
-// after SealCSR, so it starts on the live slot layout (unsorted, no delta).
-// CompactAdjacency schedules the reseal path for it, so post-Compact reads
-// are sealed and sorted.
-func TestCompactSealsPostSealFamilies(t *testing.T) {
-	g, _, cs, city, livesIn := overlayGraph(t, 16, 4)
-	// City→City LIVES_IN edges: a family no bulk-phase edge ever touched.
-	for _, c := range cs[1:] {
-		if err := g.AddEdge(livesIn, cs[0], c, edgeProp(cs[0], c)); err != nil {
-			t.Fatal(err)
+// TestOverlayMatchesRebuiltGraph is the overlay's differential, and the only
+// thing that vouches for a reseal now that a reseal is the readers' own
+// merge: each mutation script runs against a sealed graph (landing in the
+// deltas, with and without mid-script reseals) while a sequential model
+// tracks the edge list in insertion order (a delete drops the earliest
+// occurrence); the read image — every family, props included — must be
+// byte-identical to a graph rebuilt from the model's edge list and sealed,
+// never to the reseal itself. The same holds after a forced reseal and after
+// a Save/Load round trip taken while the deltas are live, and the bulk-phase
+// read of the rebuilt graph is the same multiset.
+func TestOverlayMatchesRebuiltGraph(t *testing.T) {
+	// Vertices by index: persons 0..nPersons-1, one late person with no
+	// bulk edge (a source beyond every image's offsets), then the cities.
+	const nPersons, nCities = 24, 8
+	const late, city0 = nPersons, nPersons + 1
+	type edge struct {
+		src, dst int
+		prop     int64
+	}
+	type step struct {
+		op byte // '+' add, '-' delete the (src,dst) of e, 'R' quiesced reseal
+		e  edge
+	}
+	build := func(t *testing.T, edges []edge) (*Graph, []vector.VID, catalog.LabelID, catalog.LabelID, catalog.EdgeTypeID) {
+		t.Helper()
+		g, person, city, livesIn := twoLabelGraph(t)
+		var vs []vector.VID
+		for i := 0; i <= nPersons; i++ {
+			v, err := g.AddVertex(person, int64(1000+i), vector.String_("p"), vector.Int64(int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, v)
+		}
+		for i := 0; i < nCities; i++ {
+			v, err := g.AddVertex(city, int64(9000+i), vector.String_("c"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, v)
+		}
+		for _, e := range edges {
+			if err := g.AddEdge(livesIn, vs[e.src], vs[e.dst], vector.Date(e.prop)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g, vs, person, city, livesIn
+	}
+	var initial []edge
+	for pi := 0; pi < nPersons; pi++ {
+		for ci := 0; ci < nCities; ci++ {
+			if (pi*7+ci*3)%2 == 0 {
+				initial = append(initial, edge{pi, city0 + ci, int64(pi*100 + ci)})
+			}
 		}
 	}
-	if g.CSRSealed() {
-		t.Fatal("a family first created after the seal must start unsealed")
-	}
-	var b Batch
-	g.NeighborsBatch(cs, livesIn, catalog.Out, city, false, &b)
-	if b.Sorted || len(b.Run(0)) != len(cs)-1 {
-		t.Fatalf("unsealed family: Sorted=%v run=%v", b.Sorted, b.Run(0))
-	}
-	g.CompactAdjacency()
-	if !g.CSRSealed() {
-		t.Fatal("CompactAdjacency must seal families created after the seal")
-	}
-	g.NeighborsBatch(cs, livesIn, catalog.Out, city, false, &b)
-	if !b.Sorted {
-		t.Fatal("post-Compact batch must be Sorted")
-	}
-	batchMatchesScalar(t, g, cs, livesIn, catalog.Out, city, true)
-}
-
-// TestOverlayMatchesRebuiltGraph is the overlay's differential: each
-// mutation script runs against a sealed graph (landing in the deltas, with
-// and without mid-script reseals) while a sequential model tracks the edge
-// multiset; the overlay's read image must then be byte-identical to a graph
-// rebuilt from the model's edge list and sealed, and equal as a multiset to
-// the same graph left unsealed.
-func TestOverlayMatchesRebuiltGraph(t *testing.T) {
-	const nPersons, nCities = 24, 8
-	type pair struct{ p, c int }
-	type step struct {
-		add  bool
-		edge pair
+	// capture reads every family the scripts can touch through its
+	// single-family batch path, both directions.
+	capture := func(g *Graph, vs []vector.VID, person, city catalog.LabelID, et catalog.EdgeTypeID) []readImage {
+		ps, cs := vs[:city0], vs[city0:]
+		return []readImage{
+			captureImageDir(g, ps, et, catalog.Out, city),
+			captureImageDir(g, cs, et, catalog.In, person),
+			captureImageDir(g, cs, et, catalog.Out, city),
+			captureImageDir(g, cs, et, catalog.In, city),
+		}
 	}
 	random := func(seed int64, n int) []step {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]step, n)
 		for i := range out {
-			out[i] = step{add: rng.Intn(2) == 0, edge: pair{rng.Intn(nPersons), rng.Intn(nCities)}}
+			// Three prop values: duplicates of a pair usually differ.
+			out[i] = step{"+-"[rng.Intn(2)], edge{rng.Intn(nPersons + 1), city0 + rng.Intn(nCities), int64(rng.Intn(3))}}
 		}
 		return out
 	}
+	p0c0, p0c1 := edge{0, city0, 7}, edge{0, city0 + 1, 7}
 	scripts := []struct {
 		name     string
 		steps    []step
 		resealAt int // delta depth that triggers an inline reseal; 0 = never
 	}{
-		{"delete-then-readd", []step{{false, pair{0, 0}}, {true, pair{0, 0}}}, 0},
-		{"insert-then-retract", []step{{true, pair{0, 1}}, {false, pair{0, 1}}}, 0},
-		{"duplicate-inserts", []step{{true, pair{0, 0}}, {true, pair{0, 0}}, {false, pair{0, 0}}}, 0},
+		{"delete-then-readd", []step{{'-', p0c0}, {'+', p0c0}}, 0},
+		{"insert-then-retract", []step{{'+', p0c1}, {'-', p0c1}}, 0},
+		{"duplicate-inserts", []step{{'+', p0c0}, {'+', p0c0}, {'-', p0c0}}, 0},
+		// Duplicates of one pair carrying distinct props: each delete takes
+		// the oldest survivor, whichever side (image or delta) holds it.
+		{"distinct-prop-duplicates", []step{
+			{'+', edge{0, city0, 111}}, {'+', edge{0, city0, 222}},
+			{'-', p0c0}, {op: 'R'},
+			{'+', edge{0, city0, 333}}, {'-', p0c0}, {op: 'R'},
+			{'-', p0c0}, {'+', edge{0, city0, 444}},
+		}, 0},
+		// City→City: a family no bulk-phase edge ever touched.
+		{"family-born-sealed", []step{
+			{'+', edge{city0, city0 + 2, 1}}, {'+', edge{city0, city0 + 1, 2}}, {'+', edge{city0 + 3, city0, 3}},
+			{'-', edge{src: city0, dst: city0 + 2}},
+		}, 0},
+		{"source-beyond-offsets", []step{
+			{'+', edge{late, city0 + 5, 1}}, {'+', edge{late, city0 + 2, 2}}, {op: 'R'},
+			{'+', edge{late, city0 + 3, 3}}, {'-', edge{src: late, dst: city0 + 5}},
+		}, 0},
 		{"random-deltas-kept", random(1, 600), 0},
 		{"random-with-reseals", random(2, 600), 8},
 	}
 	for _, sc := range scripts {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			g, ps, cs, city, livesIn := overlayGraph(t, nPersons, nCities)
+			g, vs, person, city, livesIn := build(t, initial)
+			g.SealCSR()
 			if sc.resealAt > 0 {
 				g.SetResealPolicy(1e-9, sc.resealAt)
 			} else {
 				g.SetResealPolicy(1e9, 1<<30)
 			}
-			// The model starts from overlayGraph's deterministic edge set.
-			model := make(map[pair]int)
-			for pi := range ps {
-				for ci := range cs {
-					if (pi*7+ci*3)%2 == 0 {
-						model[pair{pi, ci}] = 1
-					}
-				}
-			}
+			model := append([]edge(nil), initial...)
 			for _, st := range sc.steps {
-				src, dst := ps[st.edge.p], cs[st.edge.c]
-				if st.add {
-					if err := g.AddEdge(livesIn, src, dst, edgeProp(src, dst)); err != nil {
+				switch st.op {
+				case '+':
+					if err := g.AddEdge(livesIn, vs[st.e.src], vs[st.e.dst], vector.Date(st.e.prop)); err != nil {
 						t.Fatal(err)
 					}
-					model[st.edge]++
-				} else if ok := g.DeleteEdge(livesIn, src, dst); ok != (model[st.edge] > 0) {
-					t.Fatalf("DeleteEdge(%v) = %v with %d occurrences in the model", st.edge, ok, model[st.edge])
-				} else if ok {
-					model[st.edge]--
+					model = append(model, st.e)
+				case '-':
+					at := -1
+					for i, e := range model {
+						if e.src == st.e.src && e.dst == st.e.dst {
+							at = i
+							break
+						}
+					}
+					if ok := g.DeleteEdge(livesIn, vs[st.e.src], vs[st.e.dst]); ok != (at >= 0) {
+						t.Fatalf("DeleteEdge(%d,%d) = %v, model has it: %v", st.e.src, st.e.dst, ok, at >= 0)
+					}
+					if at >= 0 {
+						model = append(model[:at], model[at+1:]...)
+					}
+				case 'R':
+					g.SealCSR()
 				}
 			}
 			if sc.resealAt > 0 && g.Overlay().Reseals == 0 {
 				t.Fatal("policy should have forced mid-script reseals")
 			}
+			if !g.CSRSealed() {
+				t.Fatal("the sealed phase has no unsealed family, however it was created")
+			}
+			if g.NumEdges() != len(model) {
+				t.Fatalf("NumEdges = %d, model holds %d", g.NumEdges(), len(model))
+			}
 
-			rebuilt, person, rcity, rlives := twoLabelGraph(t)
-			var rps, rcs []vector.VID
-			for i := range ps {
-				v, _ := rebuilt.AddVertex(person, int64(1000+i), vector.String_("p"), vector.Int64(int64(i)))
-				rps = append(rps, v)
-			}
-			for i := range cs {
-				v, _ := rebuilt.AddVertex(rcity, int64(9000+i), vector.String_("c"))
-				rcs = append(rcs, v)
-			}
-			for pi := range rps {
-				for ci := range rcs {
-					for k := 0; k < model[pair{pi, ci}]; k++ {
-						if err := rebuilt.AddEdge(rlives, rps[pi], rcs[ci], edgeProp(rps[pi], rcs[ci])); err != nil {
-							t.Fatal(err)
-						}
-					}
+			rebuilt, rvs, rperson, rcity, rlives := build(t, model)
+			bulk := capture(rebuilt, rvs, rperson, rcity, rlives)
+			rebuilt.SealCSR()
+			want := capture(rebuilt, rvs, rperson, rcity, rlives)
+			for _, img := range want {
+				if !img.Sorted {
+					t.Fatal("a sealed single-family batch must be Sorted")
 				}
 			}
-			unsealedImg := captureImage(rebuilt, rps, rlives, rcity)
-			rebuilt.SealCSR()
-			want := captureImage(rebuilt, rps, rlives, rcity)
-			got := captureImage(g, ps, livesIn, city)
-			if !reflect.DeepEqual(got, want) {
+			if got := capture(g, vs, person, city, livesIn); !reflect.DeepEqual(got, want) {
 				t.Fatal("overlay read image diverges from the graph rebuilt and sealed from the same edge list")
 			}
-			for i := range unsealedImg.Runs {
-				run := append([]vector.VID(nil), unsealedImg.Runs[i]...)
-				sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-				if !reflect.DeepEqual(run, append([]vector.VID(nil), want.Runs[i]...)) {
-					t.Fatalf("unsealed run %d is not the sealed run's multiset: %v vs %v", i, run, want.Runs[i])
+
+			// Save with the deltas live, load, seal.
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := Load(&buf) // label-grouped vertex order: same VIDs, same IDs
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded.SealCSR()
+			if got := capture(loaded, vs, person, city, livesIn); !reflect.DeepEqual(got, want) {
+				t.Fatal("Save/Load of the sealed graph with a live delta diverges from the rebuilt graph")
+			}
+
+			g.SealCSR()
+			if ov := g.Overlay(); ov.Inserts != 0 || ov.Tombstones != 0 {
+				t.Fatalf("a reseal leaves empty deltas, got %+v", ov)
+			}
+			if got := capture(g, vs, person, city, livesIn); !reflect.DeepEqual(got, want) {
+				t.Fatal("resealed read image diverges from the graph rebuilt and sealed from the same edge list")
+			}
+
+			for f := range bulk {
+				for i := range bulk[f].Runs {
+					run := append([]vector.VID(nil), bulk[f].Runs[i]...)
+					sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
+					if !reflect.DeepEqual(run, append([]vector.VID(nil), want[f].Runs[i]...)) {
+						t.Fatalf("bulk-phase run %d/%d is not the sealed run's multiset: %v vs %v", f, i, run, want[f].Runs[i])
+					}
 				}
 			}
 		})

@@ -61,65 +61,6 @@ func TestRemoveKeepsEdgePropsAligned(t *testing.T) {
 	}
 }
 
-// TestCompactReclaimsDeadSlots drives enough relocations to cross the dead
-// fraction threshold, compacts, and verifies (a) the dead count drops to
-// zero, (b) topology and aligned edge properties survive byte-identically,
-// and (c) further appends after compaction still work.
-func TestCompactReclaimsDeadSlots(t *testing.T) {
-	g, person, city, livesIn := twoLabelGraph(t)
-	const fanout = 33 // past several slot doublings
-	persons := make([]vector.VID, 8)
-	for i := range persons {
-		persons[i], _ = g.AddVertex(person, int64(i+1))
-	}
-	cities := make([]vector.VID, fanout)
-	for i := range cities {
-		cities[i], _ = g.AddVertex(city, int64(100+i))
-	}
-	for _, p := range persons {
-		for i, c := range cities {
-			if err := g.AddEdge(livesIn, p, c, vector.Date(int64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	slots, dead := g.AdjSlotStats()
-	if dead == 0 {
-		t.Fatal("expected dead slots after repeated doubling")
-	}
-	if slots == 0 {
-		t.Fatal("expected live slot accounting")
-	}
-	if n := g.CompactAdjacency(); n == 0 {
-		t.Fatalf("no family compacted (dead=%d of %d)", dead, slots)
-	}
-	if _, dead := g.AdjSlotStats(); dead != 0 {
-		t.Fatalf("dead slots after compact = %d", dead)
-	}
-	for _, p := range persons {
-		total := 0
-		for _, seg := range g.Neighbors(nil, p, livesIn, catalog.Out, city, true) {
-			for k, v := range seg.VIDs {
-				if seg.PropI64[0][k] != int64(v-cities[0]) {
-					t.Fatalf("edge prop misaligned after compact: vid %d since %d", v, seg.PropI64[0][k])
-				}
-				total++
-			}
-		}
-		if total != fanout {
-			t.Fatalf("neighbors after compact = %d, want %d", total, fanout)
-		}
-	}
-	// The compacted layout must keep accepting appends.
-	extra, _ := g.AddVertex(city, 999)
-	if err := g.AddEdge(livesIn, persons[0], extra, vector.Date(999)); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Degree(persons[0], livesIn, catalog.Out, city); got != fanout+1 {
-		t.Fatalf("degree after post-compact append = %d", got)
-	}
-}
-
 // gatherFixture builds a graph with enough persons to span several zones and
 // two labels so cross-label gathers leave foreign rows untouched.
 func gatherFixture(t *testing.T, n int) (*Graph, catalog.LabelID, catalog.LabelID) {

@@ -99,7 +99,8 @@ type Graph struct {
 	edgeCount atomic.Int64
 
 	// sealedPhase turns true at the first SealCSR and marks the switch
-	// from bulk loading to the overlay write path.
+	// from bulk loading (builder slots) to the overlay write path (sealed
+	// image + delta): no family created after it ever has slots.
 	sealedPhase atomic.Bool
 
 	// resealFrac/resealMin gate the background reseal: a family rebuilds
@@ -280,6 +281,11 @@ func (g *Graph) addFamily(key AdjKey) *AdjList {
 		return l
 	}
 	l := newAdjList(g.cat.EdgeTypeProps(key.Et))
+	if g.sealedPhase.Load() {
+		// The sealed phase has no builder: the family is born with an empty
+		// image and its first edge is a delta insert like any other.
+		l.snap.Store(l.sealCSR())
+	}
 	nt := &famTable{
 		adj:    make(map[AdjKey]*AdjList, len(old.adj)+1),
 		famIdx: make(map[famKey][]famEntry, len(old.famIdx)+1),
@@ -328,7 +334,8 @@ func (g *Graph) SetProp(v vector.VID, p catalog.PropID, val vector.Value) {
 // fillSegment populates a Segment (with optional edge props) for src in l.
 // A sealed family serves the sorted CSR run (loaded once, so neighbors and
 // properties always come from the same image), merged with the image's
-// delta overlay when one is live; otherwise the live slot layout is used.
+// delta overlay when one is live; in the bulk phase the builder's live slot
+// is used.
 func fillSegment(l *AdjList, src vector.VID, withProps bool) (Segment, bool) {
 	if c := l.snap.Load(); c != nil {
 		if c.delta.isEmpty() {
@@ -393,20 +400,9 @@ func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, 
 
 // Degree implements View.
 func (g *Graph) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
-	if dir == catalog.Both {
-		return g.Degree(src, et, catalog.Out, dstLabel) + g.Degree(src, et, catalog.In, dstLabel)
-	}
-	srcLabel := g.labelOf[src]
-	ft := g.fams.Load()
-	if dstLabel != AnyLabel {
-		if l, ok := ft.adj[AdjKey{Src: srcLabel, Et: et, Dst: dstLabel, Dir: dir}]; ok {
-			return l.viewDegree(src)
-		}
-		return 0
-	}
 	n := 0
-	for _, fe := range ft.famIdx[famKey{src: srcLabel, et: et, dir: dir}] {
-		n += fe.list.viewDegree(src)
+	for _, seg := range g.Neighbors(nil, src, et, dir, dstLabel, false) {
+		n += len(seg.VIDs)
 	}
 	return n
 }
@@ -433,9 +429,10 @@ func (g *Graph) CountLabel(label catalog.LabelID) int {
 	return len(g.tables[label].vids)
 }
 
-// MemBytes returns the approximate resident size of the base graph,
-// including topology, properties, the family indexes and any sealed CSR
-// snapshots — the paper's "graph size" (Table 1).
+// MemBytes returns the approximate resident size of the base graph —
+// topology (each family's sealed image and delta, or its builder slots in
+// the bulk phase), properties and the family indexes: the paper's "graph
+// size" (Table 1).
 func (g *Graph) MemBytes() int {
 	n := len(g.labelOf)*2 + len(g.rowOf)*4 + len(g.extOf)*8
 	for _, t := range g.tables {
@@ -445,11 +442,10 @@ func (g *Graph) MemBytes() int {
 	}
 	ft := g.fams.Load()
 	for _, l := range ft.adj {
-		l.wmu.Lock()
-		n += l.memBytes()
-		l.wmu.Unlock()
 		if c := l.snap.Load(); c != nil {
 			n += c.memBytes() + c.delta.memBytes()
+		} else {
+			n += l.memBytes()
 		}
 	}
 	// Family hash table: AdjKey (8 bytes) + pointer + bucket overhead per
@@ -477,49 +473,4 @@ func (g *Graph) trimVertexArrays() {
 			c.Clip()
 		}
 	}
-}
-
-// DeadSlots reports adjacency entries abandoned by slot relocation across
-// all families — the cost of the regrow-on-full update strategy.
-func (g *Graph) DeadSlots() int {
-	n := 0
-	for _, l := range g.fams.Load().adj {
-		l.wmu.Lock()
-		n += l.deadSlots
-		l.wmu.Unlock()
-	}
-	return n
-}
-
-// AdjSlotStats reports total adjacency entries and the dead ones among them
-// across all families (exposed via the service's /stats endpoint).
-func (g *Graph) AdjSlotStats() (slots, dead int) {
-	for _, l := range g.fams.Load().adj {
-		l.wmu.Lock()
-		slots += len(l.arr)
-		dead += l.deadSlots
-		l.wmu.Unlock()
-	}
-	return slots, dead
-}
-
-// CompactAdjacency rebuilds every adjacency family whose dead fraction
-// exceeds 25%, reclaiming regions abandoned by slot relocation. At
-// bulk-load finish it runs before the first SealCSR as always; called as a
-// maintenance pass after sealing, it also schedules the background reseal
-// path for any family left without a published image (one first created by
-// a post-seal mutation), so a post-Compact read never falls back to the
-// unsorted live layout for longer than one rebuild. Live-slot readers
-// must not run concurrently. Returns the number of families rebuilt.
-func (g *Graph) CompactAdjacency() int {
-	n := 0
-	for key, l := range g.fams.Load().adj {
-		if l.Compact() {
-			n++
-		}
-		if g.sealedPhase.Load() && !l.Sealed() {
-			g.scheduleReseal(key, l)
-		}
-	}
-	return n
 }

@@ -32,7 +32,7 @@ type labelImages struct {
 
 // appendImages appends the sealed images Neighbors(label, et, dir, dstLabel)
 // would visit, in its order. ok is false when one of them cannot serve a
-// packed read: the family has never been sealed, or its image has a live
+// packed read: the family is still in the bulk phase, or its image has a live
 // delta.
 func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) (_ []*csr, ok bool) {
 	add := func(l *AdjList) bool {
@@ -65,7 +65,7 @@ func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.
 // two segments or contains an overlay segment.
 //
 // It returns false, leaving out unspecified, when a family the request needs
-// has no sealed image or has a live delta; the caller then takes the
+// is still in the bulk phase or has a live delta; the caller then takes the
 // reference path.
 func (g *Graph) PackNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, over []OverlayRun, out *Batch) bool {
 	dirs := [2]catalog.Direction{dir, dir}

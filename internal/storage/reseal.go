@@ -1,6 +1,6 @@
 // Background reseal: when a family's delta overlay outgrows the reseal
-// policy, its CSR image is rebuilt from the live arrays off the read path
-// and swapped in atomically with a fresh empty delta. Readers never block —
+// policy, image and delta are merged off the read path into a fresh image
+// that is swapped in atomically with an empty delta. Readers never block —
 // in-flight operations finish against the image they loaded; the published
 // statistics snapshot is rebased (the resealed family's summary replaced,
 // epoch bumped) rather than dropped, so the plan cache degrades to
@@ -42,18 +42,17 @@ func (g *Graph) scheduleReseal(key AdjKey, l *AdjList) {
 	}
 }
 
-// resealFamily rebuilds one family's sorted image (Seal excludes writers
-// via wmu; readers keep the old image until the atomic swap) and rebases
-// the statistics snapshot with the family's fresh degree summary.
+// resealFamily merges one family's image and delta into its next image
+// (Seal excludes writers via wmu; readers keep the old image until the
+// atomic swap) and rebases the statistics snapshot with the family's fresh
+// degree summary.
 func (g *Graph) resealFamily(key AdjKey, l *AdjList) {
 	start := time.Now()
 	l.Seal()
 	l.resealing.Store(false)
 	g.resealCount.Add(1)
 	g.resealNanos.Add(int64(time.Since(start)))
-	if c := l.snap.Load(); c != nil {
-		g.rebaseStats(key, c)
-	}
+	g.rebaseStats(key, l.snap.Load())
 }
 
 // rebaseStats republishes the statistics snapshot with one family's degree

@@ -190,22 +190,24 @@ func (g *Graph) Save(w io.Writer) error {
 		sw.uvarint(uint64(f.key.Et))
 		sw.uvarint(uint64(f.key.Dst))
 		defs := cat.EdgeTypeProps(f.key.Et)
-		sw.uvarint(uint64(f.list.edgeCount()))
-		for src := range f.list.meta {
-			srcVID := vector.VID(src)
-			ns := f.list.neighbors(srcVID)
-			for i, dst := range ns {
-				sw.varint(g.ExtID(srcVID))
+		sw.uvarint(uint64(f.list.liveEdges()))
+		// Only a vertex of the family's source label can be a source. Each
+		// run is read the way Neighbors reads it: the sealed image merged
+		// with its delta, or the builder slot in the bulk phase.
+		for _, src := range g.ScanLabel(f.key.Src) {
+			seg, _ := fillSegment(f.list, src, true)
+			for i, dst := range seg.VIDs {
+				sw.varint(g.ExtID(src))
 				sw.varint(g.ExtID(dst))
 				for p, d := range defs {
 					var v vector.Value
 					switch d.Kind {
 					case vector.KindInt64, vector.KindDate:
-						v = vector.Value{Kind: d.Kind, I: f.list.edgePropI64(srcVID, p)[i]}
+						v = vector.Value{Kind: d.Kind, I: seg.PropI64[p][i]}
 					case vector.KindFloat64:
-						v = vector.Float64(f.list.edgePropF64(srcVID, p)[i])
+						v = vector.Float64(seg.PropF64[p][i])
 					case vector.KindString:
-						v = vector.String_(f.list.edgePropStr(srcVID, p)[i])
+						v = vector.String_(seg.PropStr[p][i])
 					}
 					sw.value(v, d.Kind)
 				}

@@ -9,13 +9,14 @@ import (
 
 // sealStats derives the planner's statistics snapshot in one pass over the
 // freshly sealed graph: label cardinalities from the property tables,
-// per-family degree histograms from the adjacency slot descriptors, and
-// per-column selectivity summaries rolled up from the zone maps and string
+// per-family degree histograms from the images' offsets, and per-column
+// selectivity summaries rolled up from the zone maps and string
 // dictionaries the gather path already maintains. Published behind the same
 // atomic-pointer discipline as the CSR: every SealCSR rebuilds it under a
 // bumped epoch, later mutations leave it published and background reseals
-// rebase it family by family (reseal.go). Runs on the single-writer bulk
-// path — it reads the live slot descriptors unlocked.
+// rebase it family by family (reseal.go). SealCSR calls it right after
+// sealing every family, so the images it reads are the current ones; a write
+// racing a later SealCSR counts toward the staleness gauge instead.
 //
 //geslint:seal publishes the rebuilt statistics snapshot under a fresh epoch
 func (g *Graph) sealStats() {
@@ -37,8 +38,9 @@ func (g *Graph) sealStats() {
 	}
 	for key, l := range g.fams.Load().adj {
 		fk := stats.FamKey{Src: key.Src, Et: key.Et, Dst: key.Dst, Dir: key.Dir}
-		for i := range l.meta {
-			b.AddDegree(fk, int(l.meta[i].len))
+		c := l.snap.Load()
+		for v := 0; v+1 < len(c.offsets); v++ {
+			b.AddDegree(fk, int(c.offsets[v+1]-c.offsets[v]))
 		}
 	}
 	g.statsSnap.Store(b.Finish(time.Since(start)))

@@ -68,7 +68,6 @@ type overlayFixture struct {
 func newOverlayFixture(t testing.TB) *overlayFixture {
 	t.Helper()
 	f := testgraph.New()
-	f.Graph.CompactAdjacency()
 	f.Graph.SealCSR()
 	o := &overlayFixture{f: f, m: NewManager(f.Graph)}
 	s, p := f.Schema, f.Persons

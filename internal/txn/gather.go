@@ -113,7 +113,7 @@ func (s *Snapshot) PruneZones(vids []vector.VID, label catalog.LabelID, pid cata
 	var keepBuf [32]int // rows to restore; rarely more than a handful
 	keep := keepBuf[:0]
 	for i, v := range vids {
-		if v < base && !s.m.untouched(v) && sel.Get(i) {
+		if v < base && s.m.base[v].Load() != nil && sel.Get(i) {
 			keep = append(keep, i)
 		}
 	}

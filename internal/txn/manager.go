@@ -48,17 +48,17 @@ type Manager struct {
 
 	mu       sync.RWMutex // guards the maps below
 	overlays map[vector.VID]*vertexOverlay
-	// hasOverlay has one bit per base vertex, set (under mu, before the
-	// map entry exists) once the vertex gets an overlay and never cleared.
-	// Most base vertices are never written, and every expand source,
-	// gathered row and Prop asks; a clear bit answers with one atomic load
-	// instead of the shared lock and a map probe. Created vertices
-	// (VID >= base count) always take the map.
-	hasOverlay []atomic.Uint64
-	byExt      map[extKey]extEntry
-	byLabel    map[catalog.LabelID][]extEntry // created vertices per label
-	created    []extEntry                     // all created vertices, version-ascending
-	count      atomic.Int64                   // number of overlay vertices (fast emptiness check)
+	// base has one slot per base vertex, set (under mu) once the vertex gets
+	// an overlay and never cleared. Every expand source, gathered row and
+	// Prop asks, most base vertices are never written, and the written ones
+	// are the hot ones: one atomic load answers either way, so a reader of
+	// base vertices never touches the lock the committer takes. Created
+	// vertices (VID >= base count) take the map.
+	base    []atomic.Pointer[vertexOverlay]
+	byExt   map[extKey]extEntry
+	byLabel map[catalog.LabelID][]extEntry // created vertices per label
+	created []extEntry                     // all created vertices, version-ascending
+	count   atomic.Int64                   // number of overlay vertices (fast emptiness check)
 
 	pinMu  sync.Mutex
 	pins   map[uint64]int // pinned snapshot versions -> refcount
@@ -69,12 +69,12 @@ type Manager struct {
 // once transactions begin.
 func NewManager(g *storage.Graph) *Manager {
 	m := &Manager{
-		graph:      g,
-		overlays:   make(map[vector.VID]*vertexOverlay),
-		hasOverlay: make([]atomic.Uint64, (g.NumVertices()+63)/64),
-		byExt:      make(map[extKey]extEntry),
-		byLabel:    make(map[catalog.LabelID][]extEntry),
-		pins:       make(map[uint64]int),
+		graph:    g,
+		overlays: make(map[vector.VID]*vertexOverlay),
+		base:     make([]atomic.Pointer[vertexOverlay], g.NumVertices()),
+		byExt:    make(map[extKey]extEntry),
+		byLabel:  make(map[catalog.LabelID][]extEntry),
+		pins:     make(map[uint64]int),
 	}
 	m.nextVID.Store(uint64(g.NumVertices()))
 	return m
@@ -98,18 +98,10 @@ func (m *Manager) SnapshotAt(ver uint64) *Snapshot {
 	return &Snapshot{m: m, ver: ver, hasOverlays: m.count.Load() > 0}
 }
 
-// untouched reports, with one atomic load, that base vertex v has never had
-// an overlay. False for a touched vertex and for any VID outside the base
-// range (created vertices always take the map).
-func (m *Manager) untouched(v vector.VID) bool {
-	w := int(v >> 6)
-	return w < len(m.hasOverlay) && m.hasOverlay[w].Load()&(1<<(v&63)) == 0
-}
-
 // overlayOf returns the overlay of v, or nil.
 func (m *Manager) overlayOf(v vector.VID) *vertexOverlay {
-	if m.untouched(v) {
-		return nil
+	if int(v) < len(m.base) {
+		return m.base[v].Load()
 	}
 	m.mu.RLock()
 	vo := m.overlays[v]
@@ -119,13 +111,18 @@ func (m *Manager) overlayOf(v vector.VID) *vertexOverlay {
 
 // ensureOverlay returns (creating if needed) the overlay of v.
 func (m *Manager) ensureOverlay(v vector.VID) *vertexOverlay {
+	// Most writes land on a vertex that already has one; only a first write
+	// takes the exclusive lock, which is what makes readers wait.
+	if vo := m.overlayOf(v); vo != nil {
+		return vo
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	vo, ok := m.overlays[v]
 	if !ok {
 		vo = &vertexOverlay{}
-		if w := int(v >> 6); w < len(m.hasOverlay) {
-			m.hasOverlay[w].Store(m.hasOverlay[w].Load() | 1<<(v&63)) // writers hold mu
+		if int(v) < len(m.base) {
+			m.base[v].Store(vo)
 		}
 		m.overlays[v] = vo
 		m.count.Add(1)

@@ -69,9 +69,14 @@ func (a *overlayAdj) append(dst vector.VID, ver uint64, props []vector.Value) {
 	}
 }
 
-// visiblePrefix returns how many leading entries have version <= s.
+// visiblePrefix returns how many leading entries have version <= s. A
+// snapshot is nearly always newer than a list's last entry, so that is
+// checked first: one load instead of a search through a cold array.
 func (a *overlayAdj) visiblePrefix(s uint64) int {
 	lo, hi := 0, len(a.vers)
+	if hi == 0 || a.vers[hi-1] <= s {
+		return hi
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if a.vers[mid] <= s {

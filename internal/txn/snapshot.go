@@ -2,6 +2,7 @@ package txn
 
 import (
 	"sort"
+	"sync"
 
 	"ges/internal/catalog"
 	"ges/internal/storage"
@@ -142,7 +143,7 @@ func (s *Snapshot) Neighbors(buf []storage.Segment, src vector.VID, et catalog.E
 
 // NeighborsBatch implements storage.View. Every request is answered by the
 // base graph's batched kernels; what the snapshot adds is decided per source.
-// A source whose presence bit is clear costs one atomic load, and when no
+// A source whose overlay slot is empty costs one atomic load, and when no
 // source of the request has a visible overlay list for the family the base
 // batch is returned as it is — shared, zero-copy and Sorted on a single
 // sealed family. Otherwise the visible overlay prefixes of the sources that
@@ -153,25 +154,37 @@ func (s *Snapshot) Neighbors(buf []storage.Segment, src vector.VID, et catalog.E
 func (s *Snapshot) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *storage.Batch) {
 	g := s.m.graph
 	if s.hasOverlays {
-		if over := s.overlayRuns(srcs, et, dir, dstLabel, withProps); len(over) > 0 {
-			if !g.PackNeighborsBatch(srcs, et, dir, dstLabel, withProps, over, out) {
-				storage.AppendNeighborsBatch(s, srcs, et, dir, dstLabel, withProps, out)
-			}
+		buf := overlayRunBufs.Get().(*[]storage.OverlayRun)
+		over := s.overlayRuns((*buf)[:0], srcs, et, dir, dstLabel, withProps)
+		spliced := len(over) > 0
+		if spliced && !g.PackNeighborsBatch(srcs, et, dir, dstLabel, withProps, over, out) {
+			storage.AppendNeighborsBatch(s, srcs, et, dir, dstLabel, withProps, out)
+		}
+		clear(over) // a pooled buffer pins no overlay list
+		*buf = over
+		overlayRunBufs.Put(buf)
+		if spliced {
 			return
 		}
 	}
 	g.NeighborsBatch(srcs, et, dir, dstLabel, withProps, out)
 }
 
-// overlayRuns collects, in request order, the visible overlay segments of
-// the sources that have any for the requested family (Out before In under
-// Both) — nil, without allocating, when none does.
-func (s *Snapshot) overlayRuns(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []storage.OverlayRun {
+// overlayRunBufs recycles overlayRuns' result buffers. PackNeighborsBatch
+// copies the segments out, so a buffer is free again when the call returns —
+// and a request over thousands of written sources reuses the one the last
+// such request grew, instead of growing (and zeroing) a fresh one by doubling
+// on every expand.
+var overlayRunBufs = sync.Pool{New: func() any { return new([]storage.OverlayRun) }}
+
+// overlayRuns appends to over, in request order, the visible overlay
+// segments of the sources that have any for the requested family (Out before
+// In under Both).
+func (s *Snapshot) overlayRuns(over []storage.OverlayRun, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []storage.OverlayRun {
 	dirs := []catalog.Direction{dir}
 	if dir == catalog.Both {
 		dirs = []catalog.Direction{catalog.Out, catalog.In}
 	}
-	var over []storage.OverlayRun
 	for i, v := range srcs {
 		if v == vector.NilVID {
 			continue
