@@ -421,6 +421,30 @@ func BenchmarkServicePlanCache(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceQuery serves POST /query through the service mux: the
+// cypher_adhoc workload's fat projection (a LIMIT without ORDER BY, enumerated
+// straight into the response encoder) and a COUNT(*) over two hops (folded on
+// the f-Tree, never enumerated).
+func BenchmarkServiceQuery(b *testing.B) {
+	mux := service.NewWith(dataset(b), exec.ModeFused, service.Options{}).Mux()
+	for _, c := range []struct{ name, ret string }{
+		{"fat", "id(f) AS f, id(g) AS g, g.firstName AS firstName, g.lastName AS lastName, g.locationIP AS ip, g.browserUsed AS browser LIMIT 600"},
+		{"count", "COUNT(*) AS n"},
+	} {
+		body := `{"query":"MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WHERE id(p) = 3 RETURN ` + c.ret + `"}`
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("POST /query %s: status %d: %s", body, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkISAfterIC serves IS1 through the service mux at simSF 1 on a
 // server that has served nothing else (fresh) and on one that has just served
 // one IC5 (after). The two must cost the same: what an IC left in the

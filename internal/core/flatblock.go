@@ -15,7 +15,15 @@ type FlatBlock struct {
 	Names []string
 	Kinds []vector.Kind
 	Rows  [][]vector.Value
+
+	// slab is the unused tail of the value array Append carves rows from.
+	slab []vector.Value
 }
+
+// slabRows bounds the rows one slab holds. A new slab holds half as many rows
+// as the block already has (at least 8), so an n-row block costs O(log n)
+// allocations and leaves at most a third of its slab values unused.
+const slabRows = 1024
 
 // NewFlatBlock returns an empty flat block with the given schema.
 func NewFlatBlock(names []string, kinds []vector.Kind) *FlatBlock {
@@ -42,9 +50,18 @@ func (f *FlatBlock) ColIndex(name string) int {
 }
 
 // Append adds one tuple. The row is copied so callers may reuse their
-// buffer.
+// buffer; the copy is carved from a shared slab rather than allocated on its
+// own. Each carved row is capped at its length, so appending to it
+// reallocates instead of overwriting the next row.
 func (f *FlatBlock) Append(row []vector.Value) {
-	f.Rows = append(f.Rows, append([]vector.Value(nil), row...))
+	n := len(row)
+	if len(f.slab) < n {
+		f.slab = make([]vector.Value, n*min(max(len(f.Rows)/2, 8), slabRows))
+	}
+	r := f.slab[:n:n]
+	f.slab = f.slab[n:]
+	copy(r, row)
+	f.Rows = append(f.Rows, r)
 }
 
 // AppendOwned adds one tuple without copying; the caller yields ownership.
@@ -81,8 +98,9 @@ func (f *FlatBlock) Project(names []string) (*FlatBlock, error) {
 	}
 	out := NewFlatBlock(append([]string(nil), names...), kinds)
 	out.Rows = make([][]vector.Value, 0, len(f.Rows))
-	for _, row := range f.Rows {
-		nr := make([]vector.Value, len(idx))
+	vals := make([]vector.Value, len(f.Rows)*len(idx))
+	for r, row := range f.Rows {
+		nr := vals[r*len(idx) : (r+1)*len(idx) : (r+1)*len(idx)]
 		for i, j := range idx {
 			nr[i] = row[j]
 		}

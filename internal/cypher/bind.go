@@ -526,7 +526,7 @@ func (b *binder) bindReturn(r *ReturnClause) error {
 			if err != nil {
 				return err
 			}
-			b.plan = append(b.plan, &op.ProjectExpr{Expr: ce, As: name, Kind: vector.KindInt64})
+			b.plan = append(b.plan, &op.ProjectExpr{Expr: ce, As: name, Kind: b.kindOf(it.Expr)})
 			b.projected[name] = true
 			outNames[i] = name
 		}
@@ -603,14 +603,19 @@ func (b *binder) bindReturn(r *ReturnClause) error {
 			ob.Limit = r.Limit
 		}
 		b.plan = append(b.plan, ob)
-		if r.Skip > 0 || (r.Limit > 0 && ob.Limit == 0) {
+		// OrderBy's Limit 0 means "sort everything", so LIMIT 0 — like any
+		// SKIP — is a Limit of its own.
+		if r.Skip > 0 || (r.Limit >= 0 && ob.Limit == 0) {
 			b.plan = append(b.plan, pagination(r))
 		}
+	} else if r.Skip >= 0 || r.Limit >= 0 {
+		// The limit is the de-factor: it enumerates only the returned
+		// columns and stops after SKIP + LIMIT tuples.
+		lm := pagination(r)
+		lm.Cols = outNames
+		b.plan = append(b.plan, lm)
 	} else {
 		b.plan = append(b.plan, &op.Defactor{Cols: outNames})
-		if r.Skip >= 0 || r.Limit >= 0 {
-			b.plan = append(b.plan, pagination(r))
-		}
 	}
 	if len(renFrom) > 0 {
 		b.plan = append(b.plan, &op.Rename{From: renFrom, To: renTo})
@@ -618,7 +623,7 @@ func (b *binder) bindReturn(r *ReturnClause) error {
 	return nil
 }
 
-func pagination(r *ReturnClause) op.Operator {
+func pagination(r *ReturnClause) *op.Limit {
 	limit := r.Limit
 	if limit < 0 {
 		limit = math.MaxInt32
@@ -628,4 +633,36 @@ func pagination(r *ReturnClause) op.Operator {
 		skip = 0
 	}
 	return &op.Limit{N: limit, Skip: skip}
+}
+
+// kindOf types a computed RETURN expression: arithmetic is float when an
+// operand is (a float literal, parameter or property), a date when its left
+// operand is one, an integer otherwise.
+func (b *binder) kindOf(e Expr) vector.Kind {
+	switch n := e.(type) {
+	case PropRef:
+		l := b.labels[n.Var]
+		for i := 0; i < b.cat.NumLabels(); i++ {
+			if l == storage.AnyLabel || catalog.LabelID(i) == l {
+				if _, k, ok := b.cat.PropIndex(catalog.LabelID(i), n.Prop); ok {
+					return k
+				}
+			}
+		}
+		return vector.KindInt64
+	case Lit:
+		return b.litValue(n).Kind
+	case Bin:
+		switch n.Op {
+		case "+", "-", "*", "/":
+			l, r := b.kindOf(n.L), b.kindOf(n.R)
+			switch {
+			case l == vector.KindFloat64 || r == vector.KindFloat64:
+				return vector.KindFloat64
+			case l == vector.KindDate:
+				return vector.KindDate
+			}
+		}
+	}
+	return vector.KindInt64
 }

@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/paritytest"
 	"ges/internal/plan"
+	"ges/internal/storage"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
 )
@@ -308,6 +310,86 @@ func TestCyclicVarLengthRewriteWorkaround(t *testing.T) {
 		}
 		if got.Rows[0][0].I != want.Rows[0][0].I || want.Rows[0][0].I <= 0 {
 			t.Fatalf("mode %s: rewrite = %d, direct cycle = %d", mode, got.Rows[0][0].I, want.Rows[0][0].I)
+		}
+	}
+}
+
+// fourP is a 4-vertex graph: label P, ext ids 1..4, one float property w.
+func fourP(t *testing.T) (*catalog.Catalog, *storage.Graph) {
+	t.Helper()
+	cat := catalog.New()
+	p := catalog.Must(cat.AddLabel("P", catalog.PropDef{Name: "w", Kind: vector.KindFloat64}))
+	g := storage.NewGraph(cat)
+	for i := int64(1); i <= 4; i++ {
+		if _, err := g.AddVertex(p, i, vector.Float64(float64(i)/4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.SealCSR()
+	return cat, g
+}
+
+// TestPaginationBounds pins SKIP/LIMIT at their edges, with and without
+// ORDER BY, in every mode against the volcano oracle. LIMIT 0 used to answer
+// every row under ORDER BY (OrderBy's Limit 0 means "sort everything") and one
+// row without it once the limit ran on the f-Tree.
+func TestPaginationBounds(t *testing.T) {
+	cat, g := fourP(t)
+	for _, c := range []struct {
+		tail string
+		rows int
+	}{
+		{"LIMIT 0", 0},
+		{"SKIP 4 LIMIT 2", 0},
+		{"SKIP 9", 0},
+		{"LIMIT 9", 4},
+		{"SKIP 1 LIMIT 9", 3},
+	} {
+		for _, order := range []string{"", "ORDER BY a "} {
+			src := "MATCH (a:P) RETURN id(a) AS a " + order + c.tail
+			p, err := cypher.Compile(src, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows := paritytest.Check(t, g, func() plan.Plan { return p }, order != ""); len(rows)-1 != c.rows {
+				t.Errorf("%s: %d rows, want %d", src, len(rows)-1, c.rows)
+			}
+		}
+	}
+}
+
+// TestComputedReturnKinds types computed RETURN columns from the expression:
+// float when an operand is a float, integer otherwise. Every one used to be
+// an integer, truncating id(a) * 2.5 to 2.
+func TestComputedReturnKinds(t *testing.T) {
+	cat, g := fourP(t)
+	for _, c := range []struct {
+		ret  string
+		kind vector.Kind
+		row1 string
+	}{
+		{"id(a) * 2.5", vector.KindFloat64, "2.5|"},
+		{"a.w + 1", vector.KindFloat64, "1.25|"},
+		{"id(a) + 1", vector.KindInt64, "2|"},
+		{"id(a) / 2", vector.KindInt64, "0|"},
+	} {
+		src := "MATCH (a:P) WHERE id(a) = 1 RETURN " + c.ret + " AS x"
+		p, err := cypher.Compile(src, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := paritytest.Check(t, g, func() plan.Plan { return p }, true)
+		if want := []string{"x", c.row1}; !reflect.DeepEqual(rows, want) {
+			t.Errorf("%s: %v, want %v", src, rows, want)
+		}
+		for _, mode := range []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused} {
+			res, err := exec.New(mode).Run(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k := res.Block.Kinds[0]; k != c.kind {
+				t.Errorf("%s (%s): column kind %s, want %s", src, mode, k, c.kind)
+			}
 		}
 	}
 }

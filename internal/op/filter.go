@@ -1,6 +1,8 @@
 package op
 
 import (
+	"slices"
+
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/vector"
@@ -96,7 +98,7 @@ func (o *Defactor) Name() string { return "Defactor" }
 // Execute implements Operator.
 func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if in.IsFlat() {
-		if o.Cols == nil {
+		if o.Cols == nil || slices.Equal(o.Cols, in.Flat.Names) {
 			return in, nil
 		}
 		fb, err := in.Flat.Project(o.Cols)

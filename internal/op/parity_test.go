@@ -75,6 +75,15 @@ func TestOperatorParity(t *testing.T) {
 		R: expr.Lt(expr.C("creationDate"), expr.LDate(midDate())),
 	}
 
+	// twoHop ends a two-hop pattern with every variable's id projected.
+	twoHop := func(tail ...op.Operator) plan.Plan {
+		return append(plan.Plan{scan("p"), knows("p", "f"), knows("f", "g"),
+			&op.ProjectProps{Specs: []op.ProjSpec{
+				{Var: "p", As: "p.id", ExtID: true}, {Var: "f", As: "f.id", ExtID: true},
+				{Var: "g", As: "g.id", ExtID: true}}}}, tail...)
+	}
+	count := op.AggSpec{Func: op.Count, As: "n"}
+	agg := func(fn op.AggFunc, arg string) op.AggSpec { return op.AggSpec{Func: fn, Arg: arg, As: fn.String()} }
 	shapes := []struct {
 		name    string
 		ordered bool // the plan ends in a total order
@@ -254,10 +263,69 @@ func TestOperatorParity(t *testing.T) {
 					Limit:   10},
 			}
 		}},
+
+		// Aggregation over the f-Tree: COUNT(*) anchors at the root, arguments
+		// and group keys on one node fold that node weighted, anything spanning
+		// nodes — and a float SUM/AVG, which must add in enumeration order —
+		// streams the enumeration into the group table.
+		{"agg/count-star-two-hop", false, func() plan.Plan {
+			return twoHop(&op.Aggregate{Aggs: []op.AggSpec{count}})
+		}},
+		{"agg/count-star-var-length", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.VarLengthExpand{From: "p", To: "r", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
+					MinHops: 1, MaxHops: 2, Distinct: true},
+				&op.Aggregate{Aggs: []op.AggSpec{count}}}
+		}},
+		{"agg/sum-leaf", false, func() plan.Plan {
+			return twoHop(&op.Aggregate{Aggs: []op.AggSpec{agg(op.Sum, "g.id")}})
+		}},
+		{"agg/group-by-middle", false, func() plan.Plan {
+			return twoHop(&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "f.id")}})
+		}},
+		{"agg/group-by-middle-sum-leaf", false, func() plan.Plan {
+			return twoHop(&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "g.id")}})
+		}},
+		{"agg/min-max-avg-distinct", false, func() plan.Plan {
+			return twoHop(&op.Aggregate{Aggs: []op.AggSpec{agg(op.Min, "g.id"), agg(op.Max, "g.id"),
+				agg(op.Avg, "g.id"), agg(op.CountDistinct, "g.id")}})
+		}},
+		{"agg/empty-input", false, func() plan.Plan {
+			return twoHop(&op.Filter{Pred: expr.Lt(expr.C("p.id"), expr.LInt(0))},
+				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "g.id"), agg(op.Sum, "g.id")}})
+		}},
 	}
 	for _, sh := range shapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) { paritytest.Sweep(t, views, sh.build, sh.ordered) })
+	}
+
+	// Rows whose answer depends on the order a view lists neighbors in, so
+	// each view is checked against the oracle on its own. LIMIT without ORDER
+	// BY de-factors only its columns and stops after SKIP + LIMIT tuples.
+	limit := func(n, skip int) func() plan.Plan {
+		return func() plan.Plan { return twoHop(&op.Limit{N: n, Skip: skip, Cols: []string{"g.id", "p.id"}}) }
+	}
+	perView := []struct {
+		name  string
+		rows  int // -1: not pinned
+		build func() plan.Plan
+	}{
+		{"agg/float-sum", -1, func() plan.Plan {
+			return twoHop(
+				// On the middle node, where a row stands for several tuples.
+				&op.ProjectExpr{Expr: expr.Arith{Op: expr.Mul, L: expr.C("f.id"), R: expr.Lit{Val: vector.Float64(0.1)}},
+					As: "f.w", Kind: vector.KindFloat64},
+				&op.Aggregate{Aggs: []op.AggSpec{agg(op.Sum, "f.w"), agg(op.Avg, "f.w")}})
+		}},
+		{"limit/zero", 0, limit(0, 0)},
+		{"limit/one", 1, limit(1, 0)},
+		{"limit/skip-window", 50, limit(50, 100)},
+		{"limit/skip-past-end", 0, limit(5, 1<<30)},
+	}
+	for _, sh := range perView {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) { paritytest.SweepViews(t, views, sh.build, sh.rows) })
 	}
 }
 

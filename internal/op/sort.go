@@ -2,6 +2,7 @@ package op
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -389,12 +390,14 @@ func (h *topK) MemBytes() int {
 	return n
 }
 
-// Limit truncates to the first N tuples (after an optional Skip). On a
-// factorized chunk it enumerates at most Skip+N tuples — constant-delay
-// early exit — rather than de-factoring everything.
+// Limit keeps tuples Skip+1 … Skip+N, narrowed to Cols (the full schema when
+// nil) — the de-factor of a RETURN … LIMIT without ORDER BY. On a factorized
+// chunk the constant-delay enumeration resolves only Cols and stops after
+// Skip+N tuples (Lemma 4.4) instead of materializing the relation first.
 type Limit struct {
 	N    int
 	Skip int
+	Cols []string
 }
 
 // Name implements Operator.
@@ -404,19 +407,22 @@ func (o *Limit) Name() string { return "Limit" }
 func (o *Limit) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if in.IsFlat() {
 		fb := in.Flat
-		lo := o.Skip
-		if lo > fb.NumRows() {
-			lo = fb.NumRows()
-		}
-		hi := lo + o.N
-		if hi > fb.NumRows() {
-			hi = fb.NumRows()
-		}
+		lo := min(o.Skip, fb.NumRows())
+		hi := lo + min(max(o.N, 0), fb.NumRows()-lo)
 		out := core.NewFlatBlock(fb.Names, fb.Kinds)
 		out.Rows = fb.Rows[lo:hi]
+		if o.Cols != nil && !slices.Equal(o.Cols, fb.Names) {
+			var err error
+			if out, err = out.Project(o.Cols); err != nil {
+				return nil, err
+			}
+		}
 		return ctx.FlatChunk(out), nil
 	}
-	cols := in.FT.Schema()
+	cols := o.Cols
+	if cols == nil {
+		cols = in.FT.Schema()
+	}
 	refs, err := in.FT.Resolve(cols)
 	if err != nil {
 		return nil, err
@@ -425,16 +431,18 @@ func (o *Limit) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	for i, r := range refs {
 		kinds[i] = in.FT.Nodes()[r.Node].Block.Column(r.Col).Kind
 	}
-	out := core.NewFlatBlock(cols, kinds)
-	seen := 0
-	in.FT.Enumerate(refs, func(row []vector.Value) bool {
-		seen++
-		if seen <= o.Skip {
-			return true
-		}
-		out.Append(row)
-		return out.NumRows() < o.N
-	})
+	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
+	if o.N > 0 {
+		skip := o.Skip
+		in.FT.Enumerate(refs, func(row []vector.Value) bool {
+			if skip > 0 {
+				skip--
+				return true
+			}
+			out.Append(row)
+			return out.NumRows() < o.N
+		})
+	}
 	return ctx.FlatChunk(out), nil
 }
 

@@ -150,7 +150,8 @@ func fuseAggregateProjectTop(p Plan) (Plan, bool) {
 		limit := ob.Limit
 		consumed := 2
 		if limit == 0 && i+2 < len(p) {
-			if lm, ok := p[i+2].(*op.Limit); ok && lm.Skip == 0 {
+			// A Limit 0 stays: the fused operator's 0 means "keep every group".
+			if lm, ok := p[i+2].(*op.Limit); ok && lm.Skip == 0 && lm.N > 0 && lm.Cols == nil {
 				limit = lm.N
 				consumed = 3
 			}

@@ -94,7 +94,9 @@ func refs(o op.Operator) []string {
 		}
 		return n.Cols
 	case *op.Limit:
-		return nil
+		// Without Cols a Limit passes its input through; it follows the
+		// operator that narrowed it.
+		return n.Cols
 	default:
 		// Unknown operators are assumed to read everything.
 		return []string{wildcard}

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ges/internal/core"
 	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/ldbc"
@@ -105,7 +104,9 @@ type QueryRequest struct {
 	Query string `json:"query"`
 }
 
-// Result is the JSON result table.
+// Result is the JSON result table. The handlers write it straight from the
+// engine's block (encode.go); the type documents the response shape and
+// decodes it.
 type Result struct {
 	Columns []string       `json:"columns"`
 	Rows    [][]any        `json:"rows"`
@@ -168,7 +169,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reqStats["estimatedRows"] = est.Rows
 		reqStats["anchor"] = est.Anchor
 	}
-	writeJSON(w, toResult(res.Block, reqStats))
+	writeResult(w, res.Block, reqStats)
 }
 
 // paramKinds fingerprints the extracted literal kinds so a query whose
@@ -214,10 +215,10 @@ func (s *Server) handleLDBC(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, toResult(fb, map[string]any{
+	writeResult(w, fb, map[string]any{
 		"durationMs": float64(s.now().Sub(start).Microseconds()) / 1000,
 		"params":     renderParams(params),
-	}))
+	})
 }
 
 func (s *Server) bindParams(q *queries.Query, raw map[string]any) (queries.Params, error) {
@@ -410,31 +411,6 @@ func (s *Server) statsSection() map[string]any {
 		"labels":   labels,
 		"families": fams,
 	}
-}
-
-func toResult(fb *core.FlatBlock, stats map[string]any) Result {
-	resp := Result{Columns: []string{}, Rows: [][]any{}, Stats: stats}
-	if fb == nil {
-		return resp
-	}
-	resp.Columns = fb.Names
-	for _, row := range fb.Rows {
-		r := make([]any, len(row))
-		for j, v := range row {
-			switch v.Kind {
-			case vector.KindInt64, vector.KindDate, vector.KindVID:
-				r[j] = v.I
-			case vector.KindFloat64:
-				r[j] = v.F
-			case vector.KindString:
-				r[j] = v.S
-			case vector.KindBool:
-				r[j] = v.I != 0
-			}
-		}
-		resp.Rows = append(resp.Rows, r)
-	}
-	return resp
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

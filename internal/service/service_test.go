@@ -440,3 +440,25 @@ func TestOversizeBodyRejected(t *testing.T) {
 		t.Fatalf("/ldbc after an oversize body: %d: %s", rec.Code, rec.Body)
 	}
 }
+
+// TestQueryComputedFloats sends computed float expressions through POST
+// /query: id(p) * 2.5 used to answer 2 (every computed column was an
+// integer), and a product overflowing to +Inf answers null — encoding/json
+// refused it and the handler answered 200 with an empty body.
+func TestQueryComputedFloats(t *testing.T) {
+	ts := testServer(t)
+	big := "1" + strings.Repeat("0", 300) + ".0"
+	resp, out := post(t, ts, "/query", service.QueryRequest{
+		Query: `MATCH (p:Person) WHERE id(p) = 1 RETURN id(p) * 2.5 AS x, id(p) * ` + big + ` * ` + big + ` AS y`,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %v", resp.StatusCode, out)
+	}
+	rows := out["rows"].([]any)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %v", rows)
+	}
+	if row := rows[0].([]any); len(row) != 2 || row[0] != 2.5 || row[1] != nil {
+		t.Fatalf("row = %v, want [2.5 <nil>]", row)
+	}
+}

@@ -129,6 +129,12 @@ func (e *Engine) buildOp(view storage.View, in iter, o op.Operator) (iter, error
 	case *op.OrderBy:
 		return newSortIter(e, in, n)
 	case *op.Limit:
+		if n.Cols != nil {
+			var err error
+			if in, err = newNarrowIter(in, n.Cols); err != nil {
+				return nil, err
+			}
+		}
 		return &limitIter{in: in, skip: n.Skip, n: n.N}, nil
 	case *op.Distinct:
 		return newDistinctIter(in, n.Cols)
