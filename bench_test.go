@@ -343,7 +343,6 @@ func BenchmarkSnapshotExpand(b *testing.B) {
 // fusedExpandScalePlan is the morsel-runtime workload: a full-scan two-hop
 // expansion whose second hop carries a fused vertex predicate keeping roughly
 // half the neighbors, then a parallel property gather and defactorization.
-// Rebuilt per iteration so fused predicate state never leaks across runs.
 func fusedExpandScalePlan(ds *ldbc.Dataset) plan.Plan {
 	h := ds.H
 	mid := int64(ds.Stats().Persons / 2)
@@ -351,7 +350,7 @@ func fusedExpandScalePlan(ds *ldbc.Dataset) plan.Plan {
 		&op.NodeScan{Var: "p", Label: h.Person},
 		&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
 		&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-			VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)), nil)},
+			VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)))},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 		&op.Defactor{Cols: []string{"g.id"}},
 	}

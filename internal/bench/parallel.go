@@ -37,8 +37,7 @@ var parallelWorkerSweep = []int{1, 2, 4, 8}
 // fusedParallelPlan is the canonical morsel-runtime workload: a full-scan
 // two-hop expansion whose second hop carries a fused vertex predicate keeping
 // roughly half the neighbors, followed by a parallel property gather and a
-// parallel defactorization. Rebuilt per run so fused predicate state never
-// leaks across executions.
+// parallel defactorization.
 func fusedParallelPlan(ds *ldbc.Dataset) plan.Plan {
 	h := ds.H
 	mid := int64(ds.Stats().Persons / 2)
@@ -46,7 +45,7 @@ func fusedParallelPlan(ds *ldbc.Dataset) plan.Plan {
 		&op.NodeScan{Var: "p", Label: h.Person},
 		&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
 		&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-			VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)), nil)},
+			VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)))},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 		&op.Defactor{Cols: []string{"g.id"}},
 	}

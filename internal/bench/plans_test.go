@@ -27,7 +27,7 @@ func fusedExpandPlan(ds *ldbc.Dataset) plan.Plan {
 	}
 	g := knows("f", "g")
 	mid := int64(ds.Stats().Persons / 2)
-	g.VertexPred = op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)), nil)
+	g.VertexPred = op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)))
 	return plan.Plan{
 		&op.NodeScan{Var: "p", Label: h.Person}, knows("p", "f"), g,
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
@@ -72,12 +72,13 @@ func TestWorkloadPlanParity(t *testing.T) {
 }
 
 // Ceilings on steady-state allocations per fused two-hop query through one
-// engine. With every put honoured the query allocates 17 times (the result
-// block, the aggregate's group table, a few per-operator closures). The race
-// detector's sync.Pool drops one put in four at random, so the same code
-// measures 52-62 there; with no pool behind the arena at all it is 96. A
-// regression that stops recycling, or starts allocating per row (110 persons
-// scanned, each expanded twice), goes through either ceiling.
+// engine. With every put honoured the query allocates 21 times (the result
+// block, the aggregate's group table, the fused predicate's binding, a few
+// per-operator closures). The race detector's sync.Pool drops one put in
+// four at random, so the same code measures 57-76 there, with or without
+// gesassert; with no pool behind the arena at all it is 105. A regression
+// that stops recycling, or starts allocating per row (110 persons scanned,
+// each expanded twice), goes through either ceiling.
 const (
 	recycleAllocCeiling         = 40
 	recycleAllocCeilingDropping = 80

@@ -72,12 +72,14 @@ func (t *FTree) Invariants() error {
 				return fmt.Errorf("node %d: %w", pos, err)
 			}
 		}
-		// I4: disjoint schema partition.
-		for _, name := range n.Block.Schema() {
-			if owner, dup := seen[name]; dup {
-				return fmt.Errorf("attribute %q owned by nodes %d and %d (schema partition not disjoint)", name, owner, pos)
+		// I4: disjoint schema partition. The names are read off the columns
+		// rather than Schema, which allocates: debug builds run this at every
+		// operator boundary, and the alloc-budget tests run in them too.
+		for _, c := range n.Block.Columns() {
+			if owner, dup := seen[c.Name]; dup {
+				return fmt.Errorf("attribute %q owned by nodes %d and %d (schema partition not disjoint)", c.Name, owner, pos)
 			}
-			seen[name] = pos
+			seen[c.Name] = pos
 		}
 	}
 	return nil

@@ -14,6 +14,7 @@ import (
 	"ges/internal/storage"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
+	"ges/internal/volcano"
 )
 
 func runCypher(t *testing.T, f *testgraph.Fixture, mode exec.Mode, src string) *core.FlatBlock {
@@ -182,6 +183,34 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%q: error %q does not mention %q", c.src, err, c.frag)
 		}
 	}
+}
+
+// TestUnknownPropertyFailsInEveryMode: a WHERE on a property no label
+// defines fails the query in every mode, and in the oracle — also where
+// FilterPushDown has folded the predicate into the Expand and dropped the
+// projection that would have reported it.
+func TestUnknownPropertyFailsInEveryMode(t *testing.T) {
+	f := testgraph.New()
+	p, err := cypher.Compile(`MATCH (p:Person)-[:KNOWS]->(f:Person)
+		WHERE id(p) = 100 AND f.nosuch = 1 RETURN id(f)`, f.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused := plan.Fuse(p).String(); !strings.Contains(fused, "Expand(fused-filter)") {
+		t.Fatalf("fused plan %s does not fold the filter into the expand", fused)
+	}
+	const want = `property "nosuch" not defined by any label`
+	check := func(name string, err error) {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
+	}
+	for _, mode := range []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused} {
+		_, err := exec.New(mode).Run(f.Graph, p)
+		check(mode.String(), err)
+	}
+	_, err = volcano.New().Run(f.Graph, plan.Fuse(p))
+	check("volcano (fused plan)", err)
 }
 
 func TestCountDistinct(t *testing.T) {

@@ -277,30 +277,18 @@ func compile(e Expr, bind Binding) (Getter, error) {
 		if err != nil {
 			return nil, err
 		}
+		op := n.Op
+		// A literal right operand is compared in place: no getter of its own
+		// to allocate when binding, or to call per row.
+		if lit, ok := n.R.(Lit); ok {
+			v := lit.Val
+			return func(i int) vector.Value { return vector.Bool(holds(op, vector.Compare(l(i), v))) }, nil
+		}
 		r, err := compile(n.R, bind)
 		if err != nil {
 			return nil, err
 		}
-		op := n.Op
-		return func(i int) vector.Value {
-			c := vector.Compare(l(i), r(i))
-			var ok bool
-			switch op {
-			case EQ:
-				ok = c == 0
-			case NE:
-				ok = c != 0
-			case LT:
-				ok = c < 0
-			case LE:
-				ok = c <= 0
-			case GT:
-				ok = c > 0
-			case GE:
-				ok = c >= 0
-			}
-			return vector.Bool(ok)
-		}, nil
+		return func(i int) vector.Value { return vector.Bool(holds(op, vector.Compare(l(i), r(i)))) }, nil
 	case And:
 		l, err := compile(n.L, bind)
 		if err != nil {
@@ -387,6 +375,26 @@ func compile(e Expr, bind Binding) (Getter, error) {
 	default:
 		return nil, fmt.Errorf("expr: unsupported expression %T", e)
 	}
+}
+
+// holds reports whether a comparison whose vector.Compare result is c
+// satisfies op.
+func holds(op CmpOp, c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	case GE:
+		return c >= 0
+	}
+	return false
 }
 
 func evalArith(op ArithOp, a, b vector.Value) vector.Value {

@@ -80,7 +80,7 @@ var selWriters = map[string]bool{
 // bitsetWrites are the vector.Bitset mutators R3 polices.
 var bitsetWrites = map[string]bool{
 	"Set": true, "Clear": true, "SetTo": true, "SetAll": true, "ClearAll": true,
-	"ClearRange": true, "And": true, "Append": true, "Resize": true,
+	"ClearRange": true, "ClearWord": true, "And": true, "Append": true, "Resize": true,
 }
 
 // columnAppends are the vector.Column cardinality-changing mutators R4

@@ -21,14 +21,16 @@ type EdgeProj struct {
 //
 // On the factorized path each execution adds exactly one f-Tree node under
 // From's node: neighbor IDs land in a new f-Block and the per-parent row
-// ranges form the index vector of the new edge. When no edge properties or
-// fused predicates are requested, the neighbor column stays *lazy* — it
+// ranges form the index vector of the new edge. When neither edge properties
+// nor a fused predicate are requested, the neighbor column stays *lazy* — it
 // records (pointer,length) references into the storage adjacency array, the
 // pointer-based join of §5.
 //
-// VertexPred / EdgePropPred implement the FilterPushDown (ExpandFilter)
-// fusion: predicates are applied while expanding so rejected neighbors are
-// never materialized at all.
+// VertexPred implements the FilterPushDown (ExpandFilter) fusion: bound when
+// the operator starts (a property no label defines fails it there), it
+// decides each run of candidate neighbors while expanding — per candidate,
+// or for a run of batchPredMinRows through Filter's conjunct kernels over
+// gathered columns — so rejected neighbors are never materialized at all.
 type Expand struct {
 	From, To string
 	Et       catalog.EdgeTypeID
@@ -38,10 +40,7 @@ type Expand struct {
 	EdgeProps []EdgeProj
 
 	// VertexPred filters candidate neighbors by their own vertex data.
-	VertexPred VertexPred
-	// EdgePropPred filters candidates by the projected edge-property values
-	// (ordered per EdgeProps).
-	EdgePropPred func(props []vector.Value) bool
+	VertexPred *VertexPred
 
 	// NoLazy disables the pointer-based join (lazy neighbor segments) and
 	// forces materialized neighbor IDs — the ablation knob for §5's
@@ -51,7 +50,7 @@ type Expand struct {
 
 // Name implements Operator.
 func (o *Expand) Name() string {
-	if o.VertexPred != nil || o.EdgePropPred != nil {
+	if o.VertexPred != nil {
 		return "Expand(fused-filter)"
 	}
 	return "Expand"
@@ -82,24 +81,28 @@ func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat, epp)
+	pred, err := o.VertexPred.filter(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return o.executeFactorized(ctx, in.FT, epp)
+	if in.IsFlat() {
+		return o.executeFlat(ctx, in.Flat, epp, pred)
+	}
+	return o.executeFactorized(ctx, in.FT, epp, pred)
 }
 
-func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan) (*core.Chunk, error) {
+func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, pred *vertexFilter) (*core.Chunk, error) {
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
 	}
-	if !o.NoLazy && len(o.EdgeProps) == 0 && o.VertexPred == nil && o.EdgePropPred == nil {
+	if !o.NoLazy && len(o.EdgeProps) == 0 && pred == nil {
 		return produceChild(ctx, ft, parent, childCols{to: o.To, lazy: true},
 			lazyExpandBody{o, ctx, parent, fromCol}), nil
 	}
-	// Materializing path: edge properties or fused predicates requested.
+	// Materializing path: edge properties or a fused predicate requested.
 	return produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
-		expandBody{o, ctx, parent, fromCol, epp}), nil
+		expandBody{o, ctx, parent, fromCol, epp, pred}), nil
 }
 
 // expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
@@ -150,27 +153,22 @@ func (b lazyExpandBody) rows(lo, hi int, s childSink) {
 	}
 }
 
-// expandBody is the materializing range body (edge properties and/or fused
-// predicates).
+// expandBody is the materializing range body (edge properties and/or a
+// fused predicate).
 type expandBody struct {
 	o       *Expand
 	ctx     *Ctx
 	parent  *core.Node
 	fromCol *vector.Column
 	epp     edgePropPlan
+	pred    *vertexFilter
 }
 
 // rows expands parent rows [lo,hi). Candidates come from one batched
 // NeighborsBatch call per invocation (one prefix-sum pass on a sealed CSR).
 func (b expandBody) rows(lo, hi int, s childSink) {
 	o, ctx, epp := b.o, b.ctx, b.epp
-	pred := shardPred(o.VertexPred, lo, hi, b.parent.Block.NumRows())
-	withProps := len(o.EdgeProps) > 0
-	var propVals []vector.Value
-	if withProps {
-		propVals = ctx.Arena.GetVals(len(o.EdgeProps))
-		defer ctx.Arena.PutVals(propVals)
-	}
+	pred := shardPred(ctx, b.pred, lo, hi, b.parent.Block.NumRows())
 	total := s.toCol.Len()
 
 	// Every value is copied out of the batch before this call returns, so
@@ -178,36 +176,19 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 	batch := ctx.Arena.GetBatch()
 	defer ctx.Arena.PutBatch(batch)
 	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, batch)
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
-	for ri := range batch.Runs {
+	for ri, r := range batch.Runs {
 		start := total
-		r := batch.Runs[ri]
 		cands := batch.VIDs[r.Start:r.End]
-		// Large runs evaluate the fused predicate in one batch
-		// (zone-map skip + gather + kernels, predbatch.go); the keep
-		// mask is indexed by run position. Small runs and predicates
-		// without a batch path test per row.
-		keep := testVertexBatch(ctx, pred, cands)
+		keep := pred.keep(ctx, cands)
 		for k, v := range cands {
-			if pred != nil {
-				if keep != nil {
-					if !keep[k] {
-						continue
-					}
-				} else if !pred.Test(ctx, v) {
-					continue
-				}
-			}
-			for p := range o.EdgeProps {
-				propVals[p] = batchPropValue(batch, epp, p, int(r.Start)+k)
-			}
-			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+			if keep != nil && !keep.Get(k) {
 				continue
 			}
 			s.toCol.AppendVID(v)
 			for p, pc := range s.propCols {
-				pc.Append(propVals[p])
+				pc.Append(batchPropValue(batch, epp, p, int(r.Start)+k))
 			}
 			total++
 		}
@@ -233,7 +214,7 @@ func batchPropValue(b *storage.Batch, epp edgePropPlan, p, k int) vector.Value {
 	}
 }
 
-func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan) (*core.Chunk, error) {
+func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan, pred *vertexFilter) (*core.Chunk, error) {
 	fromIdx := in.ColIndex(o.From)
 	if fromIdx < 0 {
 		return nil, errNoColumn("expand", o.From)
@@ -244,7 +225,7 @@ func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan) (*c
 		names = append(names, ep.As)
 		kinds = append(kinds, epp.kind[i])
 	}
-	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatExpandBody{o, ctx, in, fromIdx, epp})
+	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatExpandBody{o, ctx, in, fromIdx, epp, pred})
 	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
 		return nil, errRowLimit("flat expand", out.NumRows(), ctx.MaxRows)
 	}
@@ -258,59 +239,39 @@ type flatExpandBody struct {
 	in      *core.FlatBlock
 	fromIdx int
 	epp     edgePropPlan
+	pred    *vertexFilter
 }
 
 // rows expands input rows [lo,hi) into out. Candidates come from one batched
 // neighbor call per invocation.
 func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
 	o, ctx, in, epp := b.o, b.ctx, b.in, b.epp
-	pred := shardPred(o.VertexPred, lo, hi, len(in.Rows))
-	withProps := len(o.EdgeProps) > 0
-	var propVals []vector.Value
-	if withProps {
-		propVals = ctx.Arena.GetVals(len(o.EdgeProps))
-		defer ctx.Arena.PutVals(propVals)
-	}
-	emit := func(row []vector.Value, v vector.VID) {
-		// The output row escapes into the result block, so it is never
-		// pooled.
-		nr := make([]vector.Value, 0, len(out.Names))
-		nr = append(nr, row...)
-		nr = append(nr, vector.VIDValue(v))
-		nr = append(nr, propVals...)
-		out.AppendOwned(nr)
-	}
-
+	pred := shardPred(ctx, b.pred, lo, hi, len(in.Rows))
 	srcs := ctx.Arena.GetVIDs(hi - lo)
 	for i := lo; i < hi; i++ {
 		srcs = append(srcs, in.Rows[i][b.fromIdx].AsVID())
 	}
 	batch := ctx.Arena.GetBatch()
 	defer ctx.Arena.PutBatch(batch)
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, withProps, batch)
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
-	for ri := range batch.Runs {
+	for ri, r := range batch.Runs {
 		row := in.Rows[lo+ri]
-		r := batch.Runs[ri]
 		cands := batch.VIDs[r.Start:r.End]
-		keep := testVertexBatch(ctx, pred, cands)
+		keep := pred.keep(ctx, cands)
 		for k, v := range cands {
-			if pred != nil {
-				if keep != nil {
-					if !keep[k] {
-						continue
-					}
-				} else if !pred.Test(ctx, v) {
-					continue
-				}
-			}
-			for p := range o.EdgeProps {
-				propVals[p] = batchPropValue(batch, epp, p, int(r.Start)+k)
-			}
-			if o.EdgePropPred != nil && !o.EdgePropPred(propVals) {
+			if keep != nil && !keep.Get(k) {
 				continue
 			}
-			emit(row, v)
+			// The output row escapes into the result block, so it is never
+			// pooled.
+			nr := make([]vector.Value, 0, len(out.Names))
+			nr = append(nr, row...)
+			nr = append(nr, vector.VIDValue(v))
+			for p := range o.EdgeProps {
+				nr = append(nr, batchPropValue(batch, epp, p, int(r.Start)+k))
+			}
+			out.AppendOwned(nr)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package op
 
 import (
+	"math"
 	"slices"
 
 	"ges/internal/core"
@@ -11,7 +12,11 @@ import (
 // Filter evaluates a predicate. On the factorized path the disjoint schema
 // partition property locates the single f-Tree node owning the predicate's
 // attributes and the selection vector is updated in place — no data moves
-// (§4.3, Filter). Predicates spanning several nodes force a de-factor.
+// (§4.3, Filter): the predicate's conjuncts compile against that node's
+// block into the conjunct kernels below, the ones the fused VertexPred runs
+// too, driven over word-aligned row ranges (forRanges). Predicates spanning
+// several nodes force a de-factor; a flat chunk evaluates the compiled
+// predicate row by row.
 type Filter struct {
 	Pred expr.Expr
 	// NoPrune disables upward selection-vector pruning (used by ablation
@@ -27,13 +32,13 @@ func (o *Filter) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if !in.IsFlat() {
 		cols := o.Pred.Columns(nil)
 		if node := in.FT.NodeOfColumns(cols); node != nil {
-			if !vectorizedFilter(ctx, node, o.Pred) {
-				get, err := expr.BindBlock(o.Pred, node.Block)
-				if err != nil {
-					return nil, err
-				}
-				applySelFilter(ctx, node, get)
+			conjs, err := compileConjuncts(o.Pred, node.Block, nil)
+			if err != nil {
+				return nil, err
 			}
+			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
+				filterRows(ctx, conjs, node.Sel, lo, hi)
+			})
 			if !o.NoPrune {
 				in.FT.PruneUp(node)
 			}
@@ -70,20 +75,6 @@ func (b flatFilterBody) rows(lo, hi int, out *core.FlatBlock) {
 	}
 }
 
-// applySelFilter clears the selection bit of every selected row failing the
-// compiled predicate. Compiled getters read block state by row index only,
-// so one getter serves all morsels; filterMorselSize is a multiple of 64, so
-// concurrent morsels never write the same selection-vector word.
-func applySelFilter(ctx *Ctx, node *core.Node, get expr.Getter) {
-	forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if node.Sel.Get(i) && !get(i).AsBool() {
-				node.Sel.Clear(i)
-			}
-		}
-	})
-}
-
 // Defactor explicitly converts a factorized chunk into a flat block holding
 // the named columns (all columns when Cols is nil). Plans insert it ahead of
 // blocking logic; it is a no-op on already-flat chunks unless Cols narrows
@@ -114,177 +105,228 @@ func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	return ctx.FlatChunk(fb), nil
 }
 
-// vectorizedFilter is the §5 vectorization fast path: single-column
-// comparisons against integer/date literals run as a tight loop over the
-// contiguous column slice — the pattern modern compilers auto-vectorize —
-// instead of through the compiled expression closure, over word-aligned row
-// ranges (forRanges). It reports whether it handled the predicate.
-func vectorizedFilter(ctx *Ctx, node *core.Node, pred expr.Expr) bool {
-	cmp, ok := pred.(expr.Cmp)
-	if !ok {
-		return false
-	}
-	colRef, okL := cmp.L.(expr.Col)
-	lit, okR := cmp.R.(expr.Lit)
-	op := cmp.Op
-	if !okL || !okR {
-		// Try the mirrored form: literal <op> column.
-		lit, okL = cmp.L.(expr.Lit)
-		colRef, okR = cmp.R.(expr.Col)
-		if !okL || !okR {
-			return false
-		}
-		op = mirror(op)
-	}
-	col := node.Block.ColumnByName(colRef.Name)
-	if col == nil || col.Lazy() {
-		return false
-	}
-	if col.Kind == vector.KindString {
-		return dictStringFilter(ctx, node, col, lit, op)
-	}
-	if col.Kind != vector.KindInt64 && col.Kind != vector.KindDate {
-		return false
-	}
-	if lit.Val.Kind != vector.KindInt64 && lit.Val.Kind != vector.KindDate {
-		return false
-	}
-	vals := col.Int64s()
-	threshold := lit.Val.I
-	sel := node.Sel
-	var apply func(lo, hi int)
-	switch op {
-	case expr.LT:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v >= threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	case expr.LE:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v > threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	case expr.GT:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v <= threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	case expr.GE:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v < threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	case expr.EQ:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v != threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	case expr.NE:
-		apply = func(lo, hi int) {
-			for i, v := range vals[lo:hi] {
-				if v == threshold {
-					sel.Clear(lo + i)
-				}
-			}
-		}
-	default:
-		return false
-	}
-	// Zone-map skipping (§5): columns shared from storage carry the per-zone
-	// min/max summaries, so zones that cannot contain a match are dropped
-	// with one word-ranged selection clear, and zones entirely inside the
-	// range are not scanned at all. Ranges are whole zones (multiples of
-	// 2048 rows), so concurrent ranges never share a selection word.
-	if zm := col.ZoneMap(); zm != nil && zm.Rows() == len(vals) {
-		if lo, hi, prunable, never := cmpRange(op, threshold); never {
-			sel.ClearRange(0, len(vals))
-			return true
-		} else if prunable {
-			ctx.Gather.ZonesTotal.Add(int64(zm.Zones()))
-			scanZone := func(z int) {
-				zlo := z << vector.ZoneShift
-				zhi := zlo + vector.ZoneSize
-				if zhi > len(vals) {
-					zhi = len(vals)
-				}
-				switch {
-				case !zm.OverlapsInt(z, lo, hi):
-					sel.ClearRange(zlo, zhi)
-					ctx.Gather.ZonesPruned.Add(1)
-				case zm.ContainedInt(z, lo, hi):
-					// Every row in the zone satisfies the predicate.
-				default:
-					apply(zlo, zhi)
-				}
-			}
-			// Eight zones to a morsel.
-			forRanges(ctx, len(vals), 8*vector.ZoneSize, func(lo, hi int) {
-				for z := lo >> vector.ZoneShift; z<<vector.ZoneShift < hi; z++ {
-					scanZone(z)
-				}
-			})
-			return true
-		}
-	}
-	forRanges(ctx, len(vals), filterMorselSize, apply)
-	return true
+// The conjunct kernels (§5, Vectorization). A predicate's top-level AND
+// splits into conjuncts, and each compiles against the f-Block it reads — a
+// node's block for Filter, the gathered scratch block for the fused
+// VertexPred — into one of three kernels:
+//
+//   - an int/date range: column <op> int/date literal keeps the rows whose
+//     value lies in [lo,hi] (cmpRange), or outside it for NE. Over a column
+//     carrying a zone map of its length, zones disjoint from the range are
+//     cleared and zones inside it kept without a scan; the fused predicate
+//     prunes through View.PruneZones instead, before it gathers;
+//   - a dictionary-code set: EQ, NE or IN against string literals over a
+//     dictionary-encoded column compares 4-byte codes with the literals'
+//     codes, looked up per run (a gather may intern overlay strings); a
+//     literal never interned has no code and matches no row;
+//   - the conjunct's compiled closure, for every other shape.
+type kernel uint8
+
+const (
+	kernClosure kernel = iota
+	kernRange
+	kernCodes
+)
+
+// conjunct is one compiled conjunct.
+type conjunct struct {
+	kernel kernel
+	col    *vector.Column // read by the range and code-set kernels
+	negate bool           // keep the rows outside the range / code set
+
+	lo, hi int64
+	zm     *vector.ZoneMap // range over a column zone-mapped at block length
+
+	lit  vector.Value   // code set of EQ / NE
+	lits []vector.Value // code set of IN
+
+	eval expr.Getter // closure
 }
 
-// dictStringFilter runs string equality over a dictionary-encoded column as
-// a uint32 code-compare kernel: one dictionary lookup replaces the per-row
-// string comparison. Non-equality string operators fall back.
-func dictStringFilter(ctx *Ctx, node *core.Node, col *vector.Column, lit expr.Lit, op expr.CmpOp) bool {
-	if !col.DictEncoded() || lit.Val.Kind != vector.KindString {
-		return false
-	}
-	if op != expr.EQ && op != expr.NE {
-		return false
-	}
-	sel := node.Sel
-	codes := col.Codes()
-	code, ok := col.Dict().Lookup(lit.Val.S)
-	if !ok {
-		// The literal was never interned: EQ matches nothing, NE everything.
-		if op == expr.EQ {
-			sel.ClearRange(0, len(codes))
+// The zone loop of filterRows starts at the ranges forRanges hands out, so a
+// filter morsel must cover whole zones (this fails to compile otherwise).
+var _ = [1]struct{}{}[filterMorselSize%vector.ZoneSize]
+
+// compileConjuncts appends the top-level conjuncts of e, compiled against
+// b, to dst — the one classifier of Filter and the fused predicate.
+func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, error) {
+	if and, ok := e.(expr.And); ok {
+		dst, err := compileConjuncts(and.L, b, dst)
+		if err != nil {
+			return nil, err
 		}
-		return true
+		return compileConjuncts(and.R, b, dst)
 	}
-	var apply func(lo, hi int)
-	if op == expr.EQ {
-		apply = func(lo, hi int) {
-			for i, c := range codes[lo:hi] {
-				if c != code {
-					sel.Clear(lo + i)
-				}
+	switch n := e.(type) {
+	case expr.Cmp:
+		name, lit, op, ok := colOpLit(n)
+		col := b.ColumnByName(name)
+		switch {
+		case !ok || col == nil:
+		case intOrDate(col.Kind) && intOrDate(lit.Kind):
+			c := conjunct{kernel: kernRange, col: col}
+			c.lo, c.hi, c.negate = cmpRange(op, lit.I)
+			if zm := col.ZoneMap(); zm != nil && !c.negate && zm.Rows() == col.Len() {
+				c.zm = zm
+			}
+			return append(dst, c), nil
+		case col.DictEncoded() && lit.Kind == vector.KindString && (op == expr.EQ || op == expr.NE):
+			return append(dst, conjunct{kernel: kernCodes, col: col, negate: op == expr.NE, lit: lit}), nil
+		}
+	case expr.In:
+		if x, ok := n.X.(expr.Col); ok {
+			if col := b.ColumnByName(x.Name); col != nil && col.DictEncoded() {
+				// A non-string literal never equals a string value. An empty
+				// list keeps lits nil, so the set is the zero lit's: empty.
+				return append(dst, conjunct{kernel: kernCodes, col: col, lits: n.List}), nil
 			}
 		}
-	} else {
-		apply = func(lo, hi int) {
-			for i, c := range codes[lo:hi] {
-				if c == code {
-					sel.Clear(lo + i)
-				}
+	}
+	get, err := expr.BindBlock(e, b)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, conjunct{kernel: kernClosure, eval: get}), nil
+}
+
+// filterRows clears, over rows [lo,hi) of sel, every row some conjunct
+// rejects. Conjuncts run in order, so a closure only evaluates rows the
+// conjuncts before it kept. lo starts a zone whenever a conjunct is
+// zone-mapped.
+func filterRows(ctx *Ctx, conjs []conjunct, sel *vector.Bitset, lo, hi int) {
+	for i := range conjs {
+		c := &conjs[i]
+		if c.zm == nil {
+			c.run(sel, lo, hi)
+			continue
+		}
+		for zlo := lo; zlo < hi; zlo += vector.ZoneSize {
+			z, zhi := zlo>>vector.ZoneShift, min(zlo+vector.ZoneSize, hi)
+			ctx.Gather.ZonesTotal.Add(1)
+			switch {
+			case !c.zm.OverlapsInt(z, c.lo, c.hi):
+				sel.ClearRange(zlo, zhi)
+				ctx.Gather.ZonesPruned.Add(1)
+			case !c.zm.ContainedInt(z, c.lo, c.hi):
+				c.run(sel, zlo, zhi)
 			}
 		}
 	}
-	forRanges(ctx, len(codes), filterMorselSize, apply)
-	return true
+}
+
+// run clears, over rows [lo,hi) of sel, the rows the conjunct rejects. lo
+// is a multiple of 64 (forRanges, the zone loop and the fused predicate's
+// [0,n) all start on a selection word), so the range and code-set kernels
+// test 64 rows branch-free into a mask of the rows in the range or set and
+// clear the rejected ones with one word store.
+func (c *conjunct) run(sel *vector.Bitset, lo, hi int) {
+	var negMask uint64
+	if c.negate {
+		negMask = ^negMask
+	}
+	switch c.kernel {
+	case kernRange:
+		// One unsigned compare tests first <= v <= first+span.
+		vals, first, span := c.col.Int64s(), c.lo, uint64(c.hi-c.lo)
+		for w := lo; w < hi; w += 64 {
+			var in uint64
+			for i, v := range vals[w:min(w+64, hi)] {
+				in |= b2u(uint64(v-first) <= span) << i
+			}
+			clearRejected(sel, w, hi, in, negMask)
+		}
+	case kernCodes:
+		lits := c.lits
+		if lits == nil {
+			lits = []vector.Value{c.lit}
+		}
+		var buf [8]uint32
+		want, d := buf[:0], c.col.Dict()
+		for _, v := range lits {
+			if code, ok := d.Lookup(v.S); ok && v.Kind == vector.KindString {
+				want = append(want, code)
+			}
+		}
+		codes := c.col.Codes()
+		for w := lo; w < hi; w += 64 {
+			var in uint64
+			chunk := codes[w:min(w+64, hi)]
+			for _, x := range want {
+				for i, code := range chunk {
+					in |= b2u(code == x) << i
+				}
+			}
+			clearRejected(sel, w, hi, in, negMask)
+		}
+	default:
+		for i := lo; i < hi; i++ {
+			if sel.Get(i) && !c.eval(i).AsBool() {
+				sel.Clear(i)
+			}
+		}
+	}
+}
+
+// clearRejected clears the rejected rows of the selection word starting at
+// row w: a row is kept when its in bit is set — clear, when negMask is all
+// ones. Rows at or past hi are left alone.
+func clearRejected(sel *vector.Bitset, w, hi int, in, negMask uint64) {
+	reject := ^(in ^ negMask)
+	if n := hi - w; n < 64 {
+		reject &= 1<<n - 1
+	}
+	sel.ClearWord(w, reject)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// colOpLit matches column <op> literal in either operand order, mirroring
+// op for the literal-first form.
+func colOpLit(c expr.Cmp) (string, vector.Value, expr.CmpOp, bool) {
+	if col, ok := c.L.(expr.Col); ok {
+		if lit, ok := c.R.(expr.Lit); ok {
+			return col.Name, lit.Val, c.Op, true
+		}
+	}
+	if lit, ok := c.L.(expr.Lit); ok {
+		if col, ok := c.R.(expr.Col); ok {
+			return col.Name, lit.Val, mirror(c.Op), true
+		}
+	}
+	return "", vector.Value{}, 0, false
+}
+
+func intOrDate(k vector.Kind) bool { return k == vector.KindInt64 || k == vector.KindDate }
+
+// cmpRange is the range [lo,hi] of the values v with v <op> t, or its
+// complement when negate is set (NE is not a contiguous range). LT MinInt64
+// and GT MaxInt64 hold for no value: the complement of the full range.
+func cmpRange(op expr.CmpOp, t int64) (lo, hi int64, negate bool) {
+	switch op {
+	case expr.NE:
+		return t, t, true
+	case expr.LT:
+		if t == math.MinInt64 {
+			return math.MinInt64, math.MaxInt64, true
+		}
+		return math.MinInt64, t - 1, false
+	case expr.LE:
+		return math.MinInt64, t, false
+	case expr.GT:
+		if t == math.MaxInt64 {
+			return math.MinInt64, math.MaxInt64, true
+		}
+		return t + 1, math.MaxInt64, false
+	case expr.GE:
+		return t, math.MaxInt64, false
+	default: // EQ
+		return t, t, false
+	}
 }
 
 // mirror flips a comparison for the literal-first form.

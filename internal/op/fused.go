@@ -17,7 +17,7 @@ import (
 //     single-node factorized pass) and the top-k heap bounds the output —
 //     the full flat relation is never materialized.
 //
-// FilterPushDown fusion lives on Expand itself (VertexPred / EdgePropPred).
+// FilterPushDown fusion lives on Expand itself (Expand.VertexPred).
 
 // SeekExpand fuses NodeByIdSeek with the first Expand: it resolves the start
 // vertex and immediately produces its neighbor set as the root f-Block,

@@ -23,28 +23,19 @@ func materializedVIDs(col *vector.Column, buf []vector.VID) []vector.VID {
 	return buf
 }
 
-// newGatherOutput returns the output column shape for a batch gather over
-// the given defining labels: single-label string properties share the
-// storage dictionary so the gather moves 4-byte codes; everything else is a
-// plain typed column. own draws the column from the query arena —
-// Projection's f-Block-bound outputs use that — while predicate scratch
-// passes own=false because cached plans keep their batch columns (and the
-// compiled getters bound to them) alive across queries, beyond any arena.
-func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []labelPid, own bool) *vector.Column {
+// newGatherOutput returns the query-lifetime output column for a batch
+// gather over the given defining labels: single-label string properties
+// share the storage dictionary so the gather moves 4-byte codes; everything
+// else is a plain typed column.
+func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []labelPid) *vector.Column {
 	if g.kind == vector.KindString && len(labels) == 1 {
 		if dp, ok := ctx.View.(storage.DictProvider); ok {
 			if d := dp.PropDict(labels[0].label, labels[0].pid); d != nil {
-				if own {
-					return ctx.Arena.OwnDictColumn(as, d)
-				}
-				return vector.NewDictColumn(as, d)
+				return ctx.Arena.OwnDictColumn(as, d)
 			}
 		}
 	}
-	if own {
-		return ctx.Arena.OwnColumn(as, g.kind)
-	}
-	return vector.NewColumn(as, g.kind)
+	return ctx.Arena.OwnColumn(as, g.kind)
 }
 
 // presentLabels narrows g's defining labels to those a vertex in vids
@@ -103,7 +94,7 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 		}
 	}
 	labels := g.presentLabels(ctx, vids)
-	out := g.newGatherOutput(ctx, as, labels, true)
+	out := g.newGatherOutput(ctx, as, labels)
 	out.Grow(len(vids))
 	for _, lp := range labels {
 		ctx.View.GatherProps(vids, lp.label, lp.pid, nil, out)

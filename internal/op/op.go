@@ -100,8 +100,7 @@ func (c *Ctx) NewFTree(cols ...*vector.Column) *core.FTree {
 // NewFBlock returns a query-lifetime f-Block over cols, drawn from the arena
 // so the block struct and its column-pointer slice recycle across queries.
 // Columns attach one at a time — the variadic slice never escapes, so
-// call sites keep it on the stack. Blocks that must outlive the query —
-// cached-plan predicate scratch — use core.NewFBlock directly.
+// call sites keep it on the stack.
 func (c *Ctx) NewFBlock(cols ...*vector.Column) *core.FBlock {
 	b := c.Arena.OwnFBlock()
 	for _, col := range cols {

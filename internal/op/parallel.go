@@ -15,8 +15,8 @@ import (
 // morsel on the shared worker pool (internal/sched) into per-morsel sinks
 // that one index-ordered merge concatenates — results are byte-identical at
 // every worker count because there is no other code to diverge from.
-// Stateful fused predicates are forked once per morsel (shardPred) so no
-// predicate state crosses goroutines.
+// A fused predicate's batch scratch is forked once per morsel (shardPred) so
+// no predicate state crosses goroutines.
 //
 // Three drivers cover the operators: forRanges for in-place kernels that
 // write disjoint positions of pre-sized state and need no merge,
@@ -64,14 +64,14 @@ func forRanges(ctx *Ctx, n, size int, fn func(lo, hi int)) {
 
 // shardPred returns the fused-predicate instance a range body over [lo,hi)
 // of n rows must use. The range covering the whole input is the one shard on
-// the calling goroutine and keeps the plan's own instance (and whatever it
-// has compiled); any narrower range is one morsel of several and gets a fork,
-// so predicate state is never shared across workers.
-func shardPred(pred VertexPred, lo, hi, n int) VertexPred {
+// the calling goroutine and keeps the instance the operator bound; any
+// narrower range is one morsel of several and gets a fork, so batch scratch
+// is never shared across workers.
+func shardPred(ctx *Ctx, pred *vertexFilter, lo, hi, n int) *vertexFilter {
 	if pred == nil || (lo == 0 && hi == n) {
 		return pred
 	}
-	return pred.Fork()
+	return pred.fork(ctx)
 }
 
 // childCols names the columns of the f-Tree node a producer adds: the new

@@ -89,17 +89,16 @@ func TestOperatorParity(t *testing.T) {
 		ordered bool // the plan ends in a total order
 		build   func() plan.Plan
 	}{
-		// Expansion: lazy, materializing (edge props + both fused predicate
-		// kinds), flat, BFS levels, and the seek fusion.
+		// Expansion: lazy, materializing (edge props + a fused vertex
+		// predicate), flat, BFS levels, and the seek fusion.
 		{"expand/two-hop-lazy", false, func() plan.Plan {
 			return append(plan.Plan{scan("p"), knows("p", "f"), knows("f", "g")}, countSum("g")...)
 		}},
 		{"expand/edge-props-fused-preds", false, func() plan.Plan {
 			return plan.Plan{scan("p"),
 				&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-					EdgeProps:    []op.EdgeProj{{Prop: "creationDate", As: "since"}},
-					VertexPred:   op.VertexPropPred(genderAndDate, nil),
-					EdgePropPred: func(p []vector.Value) bool { return p[0].I >= midDate() }},
+					EdgeProps:  []op.EdgeProj{{Prop: "creationDate", As: "since"}},
+					VertexPred: op.VertexPropPred(genderAndDate)},
 				&op.ProjectProps{Specs: []op.ProjSpec{
 					{Var: "p", As: "p.id", ExtID: true}, {Var: "f", As: "f.id", ExtID: true}}},
 				&op.Defactor{Cols: []string{"p.id", "f.id", "since"}},
@@ -113,7 +112,7 @@ func TestOperatorParity(t *testing.T) {
 		{"expand/second-hop-fused-pred", false, func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"),
 				&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-					VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))), nil)},
+					VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))))},
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 				&op.Defactor{Cols: []string{"g.id"}},
 			}
@@ -121,7 +120,7 @@ func TestOperatorParity(t *testing.T) {
 		{"expand/second-hop-fused-pred-edge-props", false, func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"),
 				&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-					VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))), nil),
+					VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds)))),
 					EdgeProps:  []op.EdgeProj{{Prop: "creationDate", As: "since"}}},
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 				&op.Defactor{Cols: []string{"g.id", "since"}},
@@ -214,10 +213,40 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id"}},
 			}
 		}},
+		// Unfused scan filters through each conjunct kernel: two zone-mapped
+		// date ranges ANDed, a dictionary-code set for IN (one literal never
+		// interned) and for NE.
+		{"filter/and-of-date-ranges", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", Prop: "creationDate", As: "p.creationDate"}, {Var: "p", As: "p.id", ExtID: true}}},
+				&op.Filter{Pred: expr.And{
+					L: expr.Ge(expr.C("p.creationDate"), expr.LDate(midDate()-200)),
+					R: expr.Gt(expr.LDate(midDate()+200), expr.C("p.creationDate"))}},
+				&op.Defactor{Cols: []string{"p.id", "p.creationDate"}},
+			}
+		}},
+		{"filter/dict-in", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", Prop: "browserUsed", As: "p.browserUsed"}, {Var: "p", As: "p.id", ExtID: true}}},
+				&op.Filter{Pred: expr.In{X: expr.C("p.browserUsed"),
+					List: []vector.Value{vector.String_("Firefox"), vector.String_("Opera"), vector.String_("Lynx")}}},
+				&op.Defactor{Cols: []string{"p.id", "p.browserUsed"}},
+			}
+		}},
+		{"filter/dict-ne", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", Prop: "browserUsed", As: "p.browserUsed"}, {Var: "p", As: "p.id", ExtID: true}}},
+				&op.Filter{Pred: expr.Ne(expr.C("p.browserUsed"), expr.LStr("Chrome"))},
+				&op.Defactor{Cols: []string{"p.id"}},
+			}
+		}},
 		{"gather/fused-expand-pred", false, func() plan.Plan {
 			return plan.Plan{scan("p"),
 				&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-					VertexPred: op.VertexPropPred(genderAndDate, nil)},
+					VertexPred: op.VertexPropPred(genderAndDate)},
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 				&op.Defactor{Cols: []string{"f.id"}},
 			}

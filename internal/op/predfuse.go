@@ -1,106 +1,204 @@
 package op
 
 import (
+	"slices"
+
+	"ges/internal/core"
 	"ges/internal/expr"
+	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
-// ExtIDProp is the pseudo-property name that VertexPropPred maps to a
-// vertex's external identifier.
+// ExtIDProp is the pseudo-property name a VertexPred maps to a vertex's
+// external identifier.
 const ExtIDProp = "@id"
 
-// VertexPred filters candidate neighbors during fused expansion
-// (FilterPushDown, §5). Test reports whether v passes. Fork returns an
-// instance safe for exclusive use by one worker goroutine: predicates that
-// carry per-instance state (compiled expression bindings, scratch cursors)
-// return a fresh copy, while stateless predicates return themselves. The
-// morsel-parallel expansion paths fork once per morsel so predicate state
-// is never shared across workers.
-type VertexPred interface {
-	Test(ctx *Ctx, v vector.VID) bool
-	Fork() VertexPred
+// VertexPred is the FilterPushDown predicate (§4.3, §5): an Expand applies
+// it to candidate neighbors by their own vertex data, so rejected neighbors
+// are never materialized, and a VarLengthExpand to the vertices it emits.
+// Column names in the expression are vertex property names (or ExtIDProp).
+// The value is immutable: operators bind it when they start, and a name no
+// label defines fails the query there.
+type VertexPred struct {
+	pred  expr.Expr
+	names []string // the distinct names pred reads
 }
 
-// PredFunc adapts a stateless, concurrency-safe function to VertexPred.
-type PredFunc func(*Ctx, vector.VID) bool
-
-// Test implements VertexPred.
-func (f PredFunc) Test(ctx *Ctx, v vector.VID) bool { return f(ctx, v) }
-
-// Fork implements VertexPred; the function is stateless, so the same value
-// serves every worker.
-func (f PredFunc) Fork() VertexPred { return f }
-
-// VertexPropPred compiles a predicate expression into an Expand vertex
-// predicate for the FilterPushDown fusion. propOf maps each column name
-// appearing in pred to the vertex property it denotes (or ExtIDProp). The
-// expression binds lazily on first call, when the execution context (and
-// thus the catalog) is available.
-func VertexPropPred(pred expr.Expr, propOf map[string]string) VertexPred {
-	_ = propOf // column names are rewritten to property names by the planner
-	return &propPred{pred: pred}
+// VertexPropPred returns the fused predicate over pred, whose column names
+// the planner has already rewritten to property names.
+func VertexPropPred(pred expr.Expr) *VertexPred {
+	names := pred.Columns(nil)
+	slices.Sort(names)
+	return &VertexPred{pred: pred, names: slices.Compact(names)}
 }
 
-// propPred is the stateful property-predicate instance: the compiled getter
-// closes over cur, so each instance serves exactly one goroutine (parallel
-// expansion forks one instance per morsel).
-type propPred struct {
-	pred     expr.Expr
-	compiled expr.Getter
-	initErr  error
-	cur      vector.VID
-
-	// Batch evaluation state (predbatch.go): scratch gather columns,
-	// decomposed conjunct kernels, and the per-batch selection vector.
-	batch     *predBatch
-	batchInit bool
-}
-
-// Test implements VertexPred.
-func (p *propPred) Test(ctx *Ctx, v vector.VID) bool {
-	if p.compiled == nil && p.initErr == nil {
-		p.compiled, p.initErr = expr.Bind(p.pred, vertexBinding{ctx: ctx, cur: &p.cur})
+// Bind compiles the predicate for one vertex at a time: the getter's row
+// index is the VID of the vertex to test. It holds no state, so goroutines
+// share it. It is the per-candidate path, and the volcano oracle's. A nil
+// VertexPred binds to a nil getter: there is nothing to test.
+func (p *VertexPred) Bind(view storage.View) (expr.Getter, error) {
+	if p == nil {
+		return nil, nil
 	}
-	if p.initErr != nil {
-		// Surface binding failures as "reject everything"; the unfused
-		// plan path reports the same error loudly, and tests cover it.
-		return false
-	}
-	p.cur = v
-	return p.compiled(0).AsBool()
+	return p.bind(&vertexBinding{view: view})
 }
 
-// Fork implements VertexPred with a fresh, unbound instance.
-func (p *propPred) Fork() VertexPred { return &propPred{pred: p.pred} }
+// bind resolves each name p reads once, into b.getters (where the fused
+// Expand's batch face gathers them from), and compiles the per-vertex test
+// through b.
+func (p *VertexPred) bind(b *vertexBinding) (expr.Getter, error) {
+	for _, name := range p.names {
+		g := extIDGetter
+		if name != ExtIDProp {
+			var err error
+			if g, err = newPropGetter(b.view, name); err != nil {
+				return nil, err
+			}
+		}
+		b.getters = append(b.getters, g)
+	}
+	return expr.Bind(p.pred, b)
+}
 
-// vertexBinding resolves predicate column names to property reads of the
-// vertex currently pointed at by cur.
+// vertexBinding binds predicate column names, resolved into getters, to
+// property reads of the vertex whose VID is the row index.
 type vertexBinding struct {
-	ctx *Ctx
-	cur *vector.VID
+	view    storage.View
+	getters []*propGetter
 }
 
-// Bind implements expr.Binding. The map-based indirection happens at
-// VertexPropPred construction: column names in the expression have already
-// been rewritten to property names by the planner, so Bind receives property
-// names (or ExtIDProp) directly. Fused predicates bound here evaluate during
-// the expansion walk, one candidate vertex at a time — there is no batch to
-// gather over, so the scalar View calls are deliberate.
+// extIDGetter is the resolution of ExtIDProp: it defines no label, so the
+// batch face gathers external IDs for it and prunes no zones.
+var extIDGetter = &propGetter{name: ExtIDProp, kind: vector.KindInt64}
+
+// Bind implements expr.Binding. A getter bound here reads one candidate
+// vertex — a run shorter than batchPredMinRows, a var-length emission, the
+// oracle — so there is no column to gather over and the scalar View calls
+// are deliberate.
 //
 //geslint:scalar-ok
-func (b vertexBinding) Bind(name string) (expr.Getter, error) {
-	if name == ExtIDProp {
-		view, cur := b.ctx.View, b.cur
-		return func(int) vector.Value {
-			return vector.Int64(view.ExtID(*cur))
-		}, nil
+func (b *vertexBinding) Bind(name string) (expr.Getter, error) {
+	// VertexPred.bind resolved every name the expression reads.
+	view, g := b.view, b.getters[slices.IndexFunc(b.getters, func(g *propGetter) bool { return g.name == name })]
+	if g == extIDGetter {
+		return func(v int) vector.Value { return vector.Int64(view.ExtID(vector.VID(v))) }, nil
 	}
-	g, err := newPropGetter(b.ctx.View, name)
-	if err != nil {
+	return func(v int) vector.Value { return g.get(vector.VID(v)) }, nil
+}
+
+// vertexFilter is a VertexPred bound for one Expand execution, as one
+// goroutine applies it to runs of candidate neighbors.
+type vertexFilter struct {
+	pred  expr.Expr
+	bound vertexBinding  // every name resolved; read-only, shared by forks
+	test  expr.Getter    // likewise
+	sel   *vector.Bitset // keep's answer, reused run to run
+
+	// The batch face, built by the first run of batchPredMinRows: column i
+	// of block gathers bound.getters[i], and the conjuncts compile against
+	// the block.
+	built bool
+	block *core.FBlock
+	conjs []conjunct
+	// Most fused predicates reference one or two names.
+	getterBuf [2]*propGetter
+	conjBuf   [2]conjunct
+}
+
+// batchPredMinRows is the candidate count below which per-row tests beat the
+// batch setup cost. The unit is one neighbor run, on purpose: a scratch
+// prototype that evaluated the predicate once per morsel (all runs of a
+// NeighborsBatch together) was 5–8 % slower on the benchmark's ldbc_mix —
+// its runs hold 1–5 candidates, and gather + overlay patch + mask conversion
+// over the lot cost more than a test that short-circuits on the first
+// failing conjunct.
+const batchPredMinRows = 16
+
+// filter binds p for one execution over ctx's view; nil when p is nil.
+func (p *VertexPred) filter(ctx *Ctx) (*vertexFilter, error) {
+	if p == nil {
+		return nil, nil
+	}
+	f := &vertexFilter{pred: p.pred, sel: ctx.Arena.OwnBitset(0, true)}
+	f.bound = vertexBinding{view: ctx.View, getters: f.getterBuf[:0]}
+	var err error
+	if f.test, err = p.bind(&f.bound); err != nil {
 		return nil, err
 	}
-	cur := b.cur
-	return func(int) vector.Value { return g.get(*cur) }, nil
+	return f, nil
+}
+
+// fork returns the instance for one morsel of several: the binding is
+// shared, the batch scratch is its own.
+func (f *vertexFilter) fork(ctx *Ctx) *vertexFilter {
+	return &vertexFilter{pred: f.pred, bound: f.bound, test: f.test, sel: ctx.Arena.OwnBitset(0, true)}
+}
+
+// keep reports which candidates of one neighbor run pass, as a bitset over
+// run positions valid until the next call; nil when there is no predicate.
+// A run shorter than batchPredMinRows tests each candidate. A longer one is
+// evaluated in batch (§5): range conjuncts first drop candidates whose
+// storage zone cannot match, each referenced property is then gathered once
+// for the survivors, and the conjunct kernels run over the run.
+func (f *vertexFilter) keep(ctx *Ctx, cands []vector.VID) *vector.Bitset {
+	if f == nil {
+		return nil
+	}
+	f.sel.Reinit(len(cands), true)
+	if len(cands) < batchPredMinRows || !f.batchReady(ctx) {
+		for k, v := range cands {
+			if !f.test(int(v)).AsBool() {
+				f.sel.Clear(k)
+			}
+		}
+		return f.sel
+	}
+	if zp, ok := ctx.View.(storage.ZonePruner); ok {
+		for i := range f.conjs {
+			c := &f.conjs[i]
+			if c.kernel != kernRange || c.negate {
+				continue
+			}
+			for _, lp := range f.bound.getters[slices.Index(f.block.Columns(), c.col)].labels {
+				pruned, total := zp.PruneZones(cands, lp.label, lp.pid, c.lo, c.hi, f.sel)
+				ctx.Gather.ZonesPruned.Add(int64(pruned))
+				ctx.Gather.ZonesTotal.Add(int64(total))
+			}
+		}
+	}
+	for i, col := range f.block.Columns() {
+		col.Grow(len(cands))
+		g := f.bound.getters[i]
+		if g == extIDGetter {
+			ctx.View.GatherExtIDs(cands, f.sel, col.Int64s())
+		}
+		for _, lp := range g.labels {
+			ctx.View.GatherProps(cands, lp.label, lp.pid, f.sel, col)
+		}
+	}
+	ctx.Gather.Gathers.Add(1)
+	filterRows(ctx, f.conjs, f.sel, 0, len(cands))
+	return f.sel
+}
+
+// batchReady builds the batch face on its first call and reports whether it
+// exists. The scratch columns keep their pointers from run to run (Grow
+// resizes in place), so compiled closures stay bound to them.
+func (f *vertexFilter) batchReady(ctx *Ctx) bool {
+	if !f.built {
+		f.built = true
+		f.block = ctx.NewFBlock()
+		for _, g := range f.bound.getters {
+			f.block.AddColumn(g.newGatherOutput(ctx, g.name, g.labels))
+		}
+		// bind compiled the same expression over the same names, so this
+		// cannot fail; were it to, runs would be tested per candidate, with
+		// the same answer.
+		if conjs, err := compileConjuncts(f.pred, f.block, f.conjBuf[:0]); err == nil {
+			f.conjs = conjs
+		}
+	}
+	return f.conjs != nil
 }
 
 // RewriteCols returns a copy of e with every column reference renamed

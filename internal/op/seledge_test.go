@@ -199,7 +199,7 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 		return plan.Plan{
 			&op.NodeScan{Var: "p", Label: s.Person},
 			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
-				VertexPred: op.VertexPropPred(expr.Ge(expr.C("creationDate"), expr.LDate(threshold)), nil)},
+				VertexPred: op.VertexPropPred(expr.Ge(expr.C("creationDate"), expr.LDate(threshold)))},
 			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
 		}
 	}

@@ -74,8 +74,8 @@ func TestShardBoundaries(t *testing.T) {
 		knows := func(to string) *op.Expand {
 			return &op.Expand{From: "p", To: to, Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person}
 		}
-		early := func() op.VertexPred {
-			return op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(int64(19000+n/2))), nil)
+		early := func() *op.VertexPred {
+			return op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(int64(19000+n/2))))
 		}
 		// Rows 256..511 and the last row are invalid below the filter.
 		sel := expr.And{
@@ -104,7 +104,6 @@ func TestShardBoundaries(t *testing.T) {
 			{"expand/edge-props", func() plan.Plan {
 				e := knows("f")
 				e.EdgeProps = []op.EdgeProj{{Prop: "creationDate", As: "since"}}
-				e.EdgePropPred = func(p []vector.Value) bool { return p[0].I%2 == 0 }
 				return shape(e, fID, &op.Defactor{Cols: []string{"p.id", "f.id", "since"}})()
 			}},
 			{"varexpand/bfs", shape(
@@ -175,7 +174,7 @@ func TestShardResourcesIndependentOfWorkers(t *testing.T) {
 		return &op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person}
 	}
 	fused := knows()
-	fused.VertexPred = op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(19000+n/2)), nil)
+	fused.VertexPred = op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(19000+n/2)))
 	for name, e := range map[string]*op.Expand{"lazy": knows(), "fused": fused} {
 		// One shard: the index vector and the whole-block source buffer.
 		// k shards: the index vector alone — morsels fill sub-slices of it

@@ -3,6 +3,7 @@ package op
 import (
 	"ges/internal/catalog"
 	"ges/internal/core"
+	"ges/internal/expr"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -23,7 +24,7 @@ type VarLengthExpand struct {
 
 	// VertexPred, when set, filters emitted vertices (fused filter); the
 	// traversal itself still passes through unfiltered vertices.
-	VertexPred VertexPred
+	VertexPred *VertexPred
 }
 
 // Name implements Operator.
@@ -31,15 +32,21 @@ func (o *VarLengthExpand) Name() string { return "VarLengthExpand" }
 
 // Execute implements Operator.
 func (o *VarLengthExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+	// The emission test reads one vertex at a time and holds no state, so
+	// every morsel shares it.
+	pred, err := o.VertexPred.Bind(ctx.View)
+	if err != nil {
+		return nil, err
+	}
 	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat)
+		return o.executeFlat(ctx, in.Flat, pred)
 	}
 	ft := in.FT
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
 	}
-	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol}), nil
+	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol, pred}), nil
 }
 
 // traverseBody is the var-length range body: one bounded traversal per valid
@@ -49,17 +56,17 @@ type traverseBody struct {
 	ctx     *Ctx
 	parent  *core.Node
 	fromCol *vector.Column
+	pred    expr.Getter
 }
 
 func (b traverseBody) rows(lo, hi int, s childSink) {
-	pred := shardPred(b.o.VertexPred, lo, hi, b.parent.Block.NumRows())
 	total := s.toCol.Len()
 	for i := lo; i < hi; i++ {
 		start := total
 		if b.parent.Valid(i) {
 			// The view is safe for concurrent reads; traversal scratch state
 			// is local to each call.
-			b.o.traverse(b.ctx, pred, b.fromCol.VIDAt(i), func(v vector.VID) {
+			b.o.traverse(b.ctx, b.pred, b.fromCol.VIDAt(i), func(v vector.VID) {
 				s.toCol.AppendVID(v)
 				total++
 			})
@@ -68,7 +75,7 @@ func (b traverseBody) rows(lo, hi int, s childSink) {
 	}
 }
 
-func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
+func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Getter) (*core.Chunk, error) {
 	fromIdx := in.ColIndex(o.From)
 	if fromIdx < 0 {
 		return nil, errNoColumn("var-expand", o.From)
@@ -77,7 +84,7 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
 	out := core.NewFlatBlock(names, kinds)
 	for _, row := range in.Rows {
-		o.traverse(ctx, o.VertexPred, row[fromIdx].AsVID(), func(v vector.VID) {
+		o.traverse(ctx, pred, row[fromIdx].AsVID(), func(v vector.VID) {
 			nr := make([]vector.Value, 0, len(names))
 			nr = append(nr, row...)
 			nr = append(nr, vector.VIDValue(v))
@@ -88,11 +95,11 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk
 }
 
 // traverse runs the bounded BFS (distinct) or DFS path walk (non-distinct)
-// from src, emitting qualifying vertices. pred is the vertex predicate
-// instance to apply (see shardPred).
-func (o *VarLengthExpand) traverse(ctx *Ctx, pred VertexPred, src vector.VID, emit func(vector.VID)) {
+// from src, emitting the vertices that pass pred (VertexPred.Bind; nil
+// passes every vertex).
+func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, emit func(vector.VID)) {
 	maybeEmit := func(v vector.VID) {
-		if pred == nil || pred.Test(ctx, v) {
+		if pred == nil || pred(int(v)).AsBool() {
 			emit(v)
 		}
 	}
@@ -167,7 +174,9 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred VertexPred, src vector.VID, em
 }
 
 // Traverse exposes the bounded traversal for alternative executors (the
-// volcano comparison engine interprets the same plan structs).
+// volcano comparison engine interprets the same plan structs). It emits
+// every reachable vertex: the caller applies VertexPred, which filters
+// emissions only.
 func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VID)) {
-	o.traverse(ctx, o.VertexPred, src, emit)
+	o.traverse(ctx, nil, src, emit)
 }

@@ -47,7 +47,7 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 		}
 		// Only plain expands fuse; predicate-carrying expands keep their
 		// own shape.
-		if ex.VertexPred != nil || ex.EdgePropPred != nil || len(ex.EdgeProps) > 0 {
+		if ex.VertexPred != nil || len(ex.EdgeProps) > 0 {
 			continue
 		}
 		if referencedLater(p[i+2:], seek.Var) {
@@ -117,7 +117,7 @@ func fuseFilterPushDown(p Plan) (Plan, bool) {
 		}
 		rewritten := op.RewriteCols(flt.Pred, propOf)
 		fusedExpand := *ex
-		fusedExpand.VertexPred = op.VertexPropPred(rewritten, propOf)
+		fusedExpand.VertexPred = op.VertexPropPred(rewritten)
 
 		q := append(Plan(nil), p[:i]...)
 		q = append(q, &fusedExpand)

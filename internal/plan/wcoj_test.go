@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ges/internal/catalog"
+	"ges/internal/expr"
 	"ges/internal/op"
 )
 
@@ -110,7 +111,7 @@ func TestLowerWCOJLeavesNonCyclicAlone(t *testing.T) {
 }
 
 func TestLowerWCOJSkipsFusedExpands(t *testing.T) {
-	pred := op.VertexPropPred(nil, nil)
+	pred := op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(1)))
 	p := Plan{
 		&op.NodeScan{Var: "a", Label: 0},
 		&op.Expand{From: "a", To: "b", Et: 0, Dir: catalog.Out, DstLabel: 0, VertexPred: pred},

@@ -101,6 +101,26 @@ func TestQueryEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestQueryUnknownPropertyIs422: a predicate on an undefined property is an
+// execution error on the fused server whether it filters a scan or is
+// folded into an Expand — not an empty result.
+func TestQueryUnknownPropertyIs422(t *testing.T) {
+	ts := testServer(t)
+	for _, q := range []string{
+		`MATCH (p:Person) WHERE p.nosuch = 1 RETURN id(p)`,
+		`MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) = 1 AND f.nosuch = 1 RETURN id(f)`,
+	} {
+		resp, out := post(t, ts, "/query", service.QueryRequest{Query: q})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d, want 422: %v", q, resp.StatusCode, out)
+			continue
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, `"nosuch"`) {
+			t.Errorf("%s: error = %v", q, out["error"])
+		}
+	}
+}
+
 func TestLDBCEndpointWithExplicitParams(t *testing.T) {
 	ts := testServer(t)
 	resp, out := post(t, ts, "/ldbc", service.LDBCRequest{

@@ -144,6 +144,11 @@ func (b *Bitset) ClearRange(lo, hi int) {
 	b.words[wHi] &^= rangeMask(0, uint(hi-1)&63+1)
 }
 
+// ClearWord clears bit i+k for every set bit k of mask; i is a multiple of
+// 64. A vectorized kernel decides 64 rows into a mask and drops the
+// rejected ones with one store.
+func (b *Bitset) ClearWord(i int, mask uint64) { b.words[i>>6] &^= mask }
+
 // And intersects b with other in place. Both must have the same length.
 func (b *Bitset) And(other *Bitset) {
 	for i := range b.words {

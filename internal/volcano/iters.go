@@ -26,7 +26,7 @@ type expandIter struct {
 	fromIdx int
 	epIdx   []int
 	epKind  []vector.Kind
-	ctx     *op.Ctx
+	pred    expr.Getter // the bound VertexPred; nil without one
 
 	curRow []vector.Value
 	segs   []storage.Segment
@@ -39,8 +39,10 @@ func newExpandIter(view storage.View, in iter, spec *op.Expand) (iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &expandIter{view: view, in: in, spec: spec, fromIdx: fromIdx,
-		ctx: &op.Ctx{View: view}}
+	it := &expandIter{view: view, in: in, spec: spec, fromIdx: fromIdx}
+	if it.pred, err = spec.VertexPred.Bind(view); err != nil {
+		return nil, err
+	}
 	it.names = append(append([]string(nil), in.schema()...), spec.To)
 	it.ks = append(append([]vector.Kind(nil), in.kinds()...), vector.KindVID)
 	cat := view.Catalog()
@@ -81,29 +83,24 @@ func (it *expandIter) next() ([]vector.Value, bool, error) {
 			k := it.offPos
 			it.offPos++
 			v := seg.VIDs[k]
-			if it.spec.VertexPred != nil && !it.spec.VertexPred.Test(it.ctx, v) {
-				continue
-			}
-			props := make([]vector.Value, len(it.epIdx))
-			for p, si := range it.epIdx {
-				switch it.epKind[p] {
-				case vector.KindInt64:
-					props[p] = vector.Int64(seg.PropI64[si][k])
-				case vector.KindDate:
-					props[p] = vector.Date(seg.PropI64[si][k])
-				case vector.KindFloat64:
-					props[p] = vector.Float64(seg.PropF64[si][k])
-				case vector.KindString:
-					props[p] = vector.String_(seg.PropStr[si][k])
-				}
-			}
-			if it.spec.EdgePropPred != nil && !it.spec.EdgePropPred(props) {
+			if it.pred != nil && !it.pred(int(v)).AsBool() {
 				continue
 			}
 			out := make([]vector.Value, 0, len(it.names))
 			out = append(out, it.curRow...)
 			out = append(out, vector.VIDValue(v))
-			out = append(out, props...)
+			for p, si := range it.epIdx {
+				switch it.epKind[p] {
+				case vector.KindInt64:
+					out = append(out, vector.Int64(seg.PropI64[si][k]))
+				case vector.KindDate:
+					out = append(out, vector.Date(seg.PropI64[si][k]))
+				case vector.KindFloat64:
+					out = append(out, vector.Float64(seg.PropF64[si][k]))
+				case vector.KindString:
+					out = append(out, vector.String_(seg.PropStr[si][k]))
+				}
+			}
 			return out, true, nil
 		}
 		// Pull the next input row.
@@ -130,6 +127,7 @@ type varExpandIter struct {
 	ks      []vector.Kind
 	fromIdx int
 	ctx     *op.Ctx
+	pred    expr.Getter // the bound VertexPred; nil without one
 
 	curRow []vector.Value
 	queue  []vector.VID
@@ -141,8 +139,12 @@ func newVarExpandIter(view storage.View, in iter, spec *op.VarLengthExpand) (ite
 	if err != nil {
 		return nil, err
 	}
+	pred, err := spec.VertexPred.Bind(view)
+	if err != nil {
+		return nil, err
+	}
 	return &varExpandIter{
-		view: view, in: in, spec: spec, fromIdx: fromIdx,
+		view: view, in: in, spec: spec, fromIdx: fromIdx, pred: pred,
 		ctx:   &op.Ctx{View: view},
 		names: append(append([]string(nil), in.schema()...), spec.To),
 		ks:    append(append([]vector.Kind(nil), in.kinds()...), vector.KindVID),
@@ -196,14 +198,10 @@ func (it *varExpandIter) next() ([]vector.Value, bool, error) {
 		it.curRow = row
 		it.queue = it.queue[:0]
 		it.pos = 0
-		spec := *it.spec
-		collect := &op.VarLengthExpand{
-			From: spec.From, To: spec.To, Et: spec.Et, Dir: spec.Dir,
-			DstLabel: spec.DstLabel, MinHops: spec.MinHops, MaxHops: spec.MaxHops,
-			Distinct: spec.Distinct, VertexPred: spec.VertexPred,
-		}
-		collect.Traverse(it.ctx, row[it.fromIdx].AsVID(), func(v vector.VID) {
-			it.queue = append(it.queue, v)
+		it.spec.Traverse(it.ctx, row[it.fromIdx].AsVID(), func(v vector.VID) {
+			if it.pred == nil || it.pred(int(v)).AsBool() {
+				it.queue = append(it.queue, v)
+			}
 		})
 	}
 }
