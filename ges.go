@@ -279,8 +279,8 @@ func (db *DB) Seal() {
 	}
 }
 
-// view returns the read view: the base graph before sealing, the latest
-// snapshot afterwards.
+// view returns the view writes resolve vertices in: the graph before sealing,
+// the latest snapshot afterwards.
 func (db *DB) view() storage.View {
 	db.mu.Lock()
 	sealed, mgr := db.sealed, db.mgr
@@ -326,10 +326,17 @@ func (db *DB) Explain(src string) (string, error) {
 	return p.String(), nil
 }
 
+// runPlan executes a plan on a snapshot pinned for the call (Query has
+// sealed the database).
 func (db *DB) runPlan(p plan.Plan) (*Result, error) {
+	db.mu.Lock()
+	mgr := db.mgr
+	db.mu.Unlock()
+	snap := mgr.AcquireSnapshot()
+	defer mgr.Release(snap)
 	eng := exec.New(db.mode)
 	eng.Parallel = db.parallel
-	res, err := eng.Run(db.view(), p)
+	res, err := eng.Run(snap, p)
 	if err != nil {
 		return nil, err
 	}
@@ -373,14 +380,18 @@ func (db *DB) SetMode(mode Mode) { db.mode = mode.internal() }
 // identical either way.
 func (db *DB) SetParallelism(n int) { db.parallel = n }
 
-// Stats reports database-level gauges.
+// Stats reports database-level gauges: the vertices and directed edges the
+// latest committed version holds — committed writes included — and the
+// approximate resident size of the graph storage (the properties of vertices
+// added after sealing live outside it and are not counted).
 func (db *DB) Stats() (vertices, edges, bytes int) {
-	return db.graph.NumVertices(), db.graph.NumEdges(), db.graph.MemBytes()
+	return db.view().NumVertices(), db.graph.NumEdges(), db.graph.MemBytes()
 }
 
-// Save writes a snapshot of the database (catalog + base graph) to w. The
-// database should be quiesced: transactional overlays committed after
-// sealing are not included in the snapshot.
+// Save writes a snapshot of the database (catalog + graph, every committed
+// edge included) to w. The database should be quiesced. Vertices added after
+// sealing are not storage's to write, so Save fails once there is one; a
+// database that only added edges after sealing saves.
 func (db *DB) Save(w io.Writer) error {
 	return db.graph.Save(w)
 }

@@ -213,6 +213,44 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// Writes after sealing are in Stats; Save writes the committed edges and
+// refuses a database holding a vertex added after sealing.
+func TestSaveAndStatsAfterSealedWrites(t *testing.T) {
+	db := socialDB(t, ges.Fused)
+	db.Seal()
+	if err := db.AddEdge("KNOWS", "Person", 4, "Person", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, e, _ := db.Stats(); v != 10 || e != 11 {
+		t.Fatalf("stats after a committed edge = %d %d", v, e)
+	}
+	path := t.TempDir() + "/snap.ges"
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := ges.LoadFile(path, ges.Fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db2.Query(`MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 4 RETURN id(f) AS f`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
+		t.Fatalf("reloaded committed edge: rows = %v", res.Rows)
+	}
+
+	if err := db.AddVertex("Person", 99, ges.Props{"name": "eve", "age": 19}); err != nil {
+		t.Fatal(err)
+	}
+	if v, e, _ := db.Stats(); v != 11 || e != 11 {
+		t.Fatalf("stats after a committed vertex = %d %d", v, e)
+	}
+	if err := db.SaveFile(path); err == nil {
+		t.Fatal("Save of a database holding a vertex added after sealing must fail")
+	}
+}
+
 func TestParallelismKnob(t *testing.T) {
 	db := socialDB(t, ges.Factorized)
 	db.SetParallelism(4)

@@ -20,8 +20,8 @@ type Engine interface {
 }
 
 // Runner executes workload queries against one dataset: plan queries run
-// through the engine, stored procedures run directly over a snapshot, and
-// updates run through the transaction manager. A Runner is safe for
+// through the engine and stored procedures directly, both over a pinned
+// snapshot, and updates run through the transaction manager. A Runner is safe for
 // concurrent use — the engine and manager are; per-call state is local.
 type Runner struct {
 	DS     *ldbc.Dataset
@@ -30,8 +30,8 @@ type Runner struct {
 }
 
 // NewRunner wires a runner for the dataset in the given engine mode. When
-// mgr is nil a fresh transaction manager is created over the dataset's
-// graph.
+// mgr is nil the runner uses the dataset graph's transaction manager
+// (txn.NewManager).
 func NewRunner(ds *ldbc.Dataset, mode exec.Mode, mgr *txn.Manager) *Runner {
 	return NewRunnerWith(ds, exec.New(mode), mgr)
 }
@@ -44,39 +44,39 @@ func NewRunnerWith(ds *ldbc.Dataset, eng Engine, mgr *txn.Manager) *Runner {
 	return &Runner{DS: ds, Mgr: mgr, Engine: eng}
 }
 
-// view returns the read view for a query: the latest snapshot when any
-// transaction has committed, otherwise the base graph (zero overhead).
-func (r *Runner) view() storage.View {
-	if _, ver := r.Mgr.Stats(); ver > 0 {
-		return r.Mgr.Snapshot()
+// Execute runs one query invocation and returns its result block (nil for
+// updates) and the engine result when a plan was executed. Reads run on a
+// snapshot pinned for the call, so no reseal folds a commit made meanwhile
+// into what they read.
+func (r *Runner) Execute(q *Query, p Params) (*core.FlatBlock, *exec.Result, error) {
+	if q.Build != nil || q.Proc != nil {
+		snap := r.Mgr.AcquireSnapshot()
+		defer r.Mgr.Release(snap)
+		return r.read(snap, q, p)
 	}
-	return r.DS.Graph
+	if q.Update == nil {
+		return nil, nil, fmt.Errorf("%s: query has no implementation", q.Name)
+	}
+	start := time.Now()
+	if err := q.Update(r.Mgr, r.DS, p); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
+	}
+	return nil, &exec.Result{Duration: time.Since(start)}, nil
 }
 
-// Execute runs one query invocation and returns its result block (nil for
-// updates) and the engine result when a plan was executed.
-func (r *Runner) Execute(q *Query, p Params) (*core.FlatBlock, *exec.Result, error) {
-	switch {
-	case q.Build != nil:
-		res, err := r.Engine.Run(r.view(), q.Build(r.DS.H, p))
+// read runs a plan query or a stored procedure on view.
+func (r *Runner) read(view storage.View, q *Query, p Params) (*core.FlatBlock, *exec.Result, error) {
+	if q.Build != nil {
+		res, err := r.Engine.Run(view, q.Build(r.DS.H, p))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		return res.Block, res, nil
-	case q.Proc != nil:
-		start := time.Now()
-		fb, err := q.Proc(r.view(), r.DS.H, p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
-		}
-		return fb, &exec.Result{Block: fb, Duration: time.Since(start), PeakMem: fb.MemBytes()}, nil
-	case q.Update != nil:
-		start := time.Now()
-		if err := q.Update(r.Mgr, r.DS, p); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
-		}
-		return nil, &exec.Result{Duration: time.Since(start)}, nil
-	default:
-		return nil, nil, fmt.Errorf("%s: query has no implementation", q.Name)
 	}
+	start := time.Now()
+	fb, err := q.Proc(view, r.DS.H, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", q.Name, err)
+	}
+	return fb, &exec.Result{Block: fb, Duration: time.Since(start), PeakMem: fb.MemBytes()}, nil
 }

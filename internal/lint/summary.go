@@ -108,6 +108,13 @@ func (a *Analysis) isModuleFunc(fn *types.Func) bool {
 // package boundaries. nil means the callee is dynamic (function value,
 // interface method dispatch) or not a function at all.
 func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	if fn := calleeInstance(pkg, call); fn != nil {
+		return fn.Origin() // a generic callee's summary is its declaration's
+	}
+	return nil
+}
+
+func calleeInstance(pkg *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {

@@ -325,13 +325,14 @@ func TestExpandIntersectAnyLabel(t *testing.T) {
 }
 
 // TestExpandIntersectOverlay runs the triangle intersection through a
-// transaction snapshot whose committed overlay adds new closing edges —
-// overlay segments are unsorted, so sealed-CSR runs and overlay runs mix in
-// one query.
+// transaction snapshot whose committed edges add new closing edges — entries
+// of the sealed images' deltas, merged into the sorted runs at the snapshot's
+// version.
 func TestExpandIntersectOverlay(t *testing.T) {
 	f := cyclicFixture(t)
 	s := f.Schema
 	f.Graph.SealCSR()
+	base := bruteTriangles(f) // the graph reads every committed edge: count before the commit
 	m := txn.NewManager(f.Graph)
 	tx := m.Begin([]vector.VID{f.Persons[6], f.Persons[7], f.Persons[8]})
 	// A brand-new triangle 6→7→8→6, symmetric, entirely in the overlay.
@@ -376,7 +377,6 @@ func TestExpandIntersectOverlay(t *testing.T) {
 		}
 	}
 	want = sortedCopy(want)
-	base := bruteTriangles(f)
 	if len(want) <= len(base) {
 		t.Fatal("overlay added no triangles; test is vacuous")
 	}

@@ -367,7 +367,7 @@ func TestParityViewsReachFallbacks(t *testing.T) {
 		"sealed":        {true, true},
 		"unsealed":      {false, false},
 		"delta-overlay": {true, false},
-		"txn-overlay":   {false, false},
+		"txn-overlay":   {true, false}, // committed edges are delta entries too
 	}
 	for _, v := range views {
 		var b storage.Batch

@@ -158,7 +158,9 @@ func clip(rows []string) []string {
 // and returns it behind the four representations. The mutations reach each
 // view the way that view's writes do — storage deletes and inserts into the
 // delta overlay, inserts and property writes through a committed
-// transaction — so all four hold the same logical graph. The dataset is
+// transaction — so all four hold the same logical graph; the transaction
+// view is a pinned snapshot with a later commit's edges in the deltas it
+// reads, hidden by their version. The dataset is
 // returned for its handles; plans must address vertices by label scan or
 // external id, because the unsealed view's load renumbers VIDs.
 func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
@@ -258,11 +260,24 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// The view is the snapshot pinned after that commit. A second commit then
+	// adds KNOWS edges no other view holds, into the same deltas: every table
+	// that compares the views checks that the snapshot never sees them.
+	snap := mgr.AcquireSnapshot()
+	later := mgr.Begin(ps)
+	for i := 0; i+1 < len(ps); i += 3 {
+		if err := later.AddEdge(h.Knows, ps[i], ps[i+1], date(edge{ps[i], ps[i+1]})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
 	return ds, []View{
 		{"sealed", ds.Graph},
 		{"unsealed", unsealed},
 		{"delta-overlay", delta},
-		{"txn-overlay", mgr.Snapshot()},
+		{"txn-overlay", snap},
 	}
 }

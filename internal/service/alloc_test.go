@@ -15,11 +15,13 @@ import (
 // allocCeilings are absolute allocs/op budgets for one request through
 // Mux().ServeHTTP, request and recorder included, at simSF 0.1 in a build
 // whose sync.Pool keeps what is put (no race detector): measured (140 / 84 /
-// 99 with Go 1.24) plus a third, like internal/bench's recycleAllocCeiling.
-// The parent of this gate measured 4 056 / 1 020 / 269: a request that boxes
-// its rows again, de-factors before its aggregate or allocates per row goes
-// through them. The first two are the cypher_adhoc workload's fat projection
-// (a LIMIT without ORDER BY) and a COUNT(*) over two hops.
+// 99 / 90 with Go 1.24) plus a third, like internal/bench's
+// recycleAllocCeiling. The parent of this gate measured 4 056 / 1 020 / 269:
+// a request that boxes its rows again, de-factors before its aggregate or
+// allocates per row goes through them. The first two are the cypher_adhoc
+// workload's fat projection (a LIMIT without ORDER BY) and a COUNT(*) over
+// two hops; the last commits a KNOWS pair, both directions, into the graph's
+// deltas.
 var allocCeilings = []struct {
 	name, path, body string
 	ceiling          int
@@ -27,6 +29,7 @@ var allocCeilings = []struct {
 	{"query-fat", "/query", `{"query":"MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WHERE id(p) = 3 RETURN id(f) AS f, id(g) AS g, g.firstName AS firstName, g.lastName AS lastName, g.locationIP AS ip, g.browserUsed AS browser LIMIT 600"}`, 190},
 	{"query-count", "/query", `{"query":"MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WHERE id(p) = 3 RETURN COUNT(*) AS n"}`, 115},
 	{"ldbc-is3", "/ldbc", `{"name":"IS3","params":{"personId":3}}`, 135},
+	{"ldbc-iu8", "/ldbc", `{"name":"IU8","params":{"person1Id":3,"person2Id":5,"date":20000}}`, 120},
 }
 
 // poolKeepsPuts reports whether this build's sync.Pool returns a value just

@@ -151,7 +151,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	eng := s.newEngine()
 	eng.Params = params
 	start := s.now()
-	res, err := eng.Run(s.runner.Mgr.Snapshot(), p)
+	snap := s.runner.Mgr.AcquireSnapshot()
+	defer s.runner.Mgr.Release(snap)
+	res, err := eng.Run(snap, p)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -285,12 +287,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // overlaySection renders the delta-overlay and background-reseal gauges:
-// aggregate depth and reseal counters, stats-epoch staleness, and per-family
-// overlay state in deterministic key order.
+// aggregate depth and reseal counters, the fold's state — live pinned
+// snapshots and foldLag, how many committed versions the fold horizon trails
+// the newest by — stats-epoch staleness, and per-family overlay state in
+// deterministic key order.
 func (s *Server) overlaySection() map[string]any {
 	g := s.ds.Graph
 	cat := s.ds.H.Cat
 	ov := g.Overlay()
+	mgr := s.runner.Mgr
+	version := mgr.Version()
 	fams := make([]map[string]any, 0, ov.Families)
 	for _, f := range g.OverlayFamilies() {
 		fams = append(fams, map[string]any{
@@ -314,6 +320,8 @@ func (s *Server) overlaySection() map[string]any {
 		"maxDeltaFraction": ov.MaxDeltaFraction,
 		"reseals":          ov.Reseals,
 		"resealMs":         float64(ov.ResealTime.Microseconds()) / 1000,
+		"pins":             mgr.Pins(),
+		"foldLag":          version - min(mgr.GCHorizon(), version),
 		"statsEpoch":       ov.StatsEpoch,
 		"statsStaleOps":    ov.StatsStale,
 		"perFamily":        fams,

@@ -52,12 +52,10 @@ type adjMeta struct {
 // delta.
 //
 // Lock order (checked by geslint rule R2): mutators hold wmu and publish
-// delta-run replacements under the delta's map lock (adjDelta.mu); family
+// delta-run replacements with atomic stores, taking no further lock; family
 // creation holds Graph.famMu and reads the catalog's edge schemas
-// (Catalog.mu is a leaf read lock no catalog path nests further). Neither
-// inner lock ever nests with the other or back into an outer one.
+// (Catalog.mu is a leaf read lock no catalog path nests further).
 //
-//geslint:lockorder AdjList.wmu < adjDelta.mu
 //geslint:lockorder Graph.famMu < Catalog.mu
 type AdjList struct {
 	meta []adjMeta
@@ -73,8 +71,8 @@ type AdjList struct {
 
 	// wmu serializes every mutator of the family — insert/del and the
 	// reseal's rebuild. Readers never take it: sealed reads go through snap
-	// (plus its delta's own synchronization), and live-slot reads only
-	// happen while the family is single-writer by contract (bulk load).
+	// (plus its delta's atomics), and live-slot reads only happen while the
+	// family is single-writer by contract (bulk load).
 	wmu sync.Mutex
 
 	// resealing is the claim flag for the family's background reseal: set
@@ -128,13 +126,14 @@ func (a *AdjList) growProps(n int) {
 	}
 }
 
-// insert appends one edge to the phase's store: the published image's delta
-// once the family is sealed, the builder slots before.
-func (a *AdjList) insert(src, dst vector.VID, props []vector.Value) {
+// insert appends one edge, stamped ver, to the phase's store: the published
+// image's delta once the family is sealed, the builder slots (which carry no
+// versions: the bulk phase has no transactions) before.
+func (a *AdjList) insert(src, dst vector.VID, ver uint64, props []vector.Value) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
-		c.delta.insert(src, dst, props)
+		c.delta.insert(src, dst, ver, props)
 		return
 	}
 	a.append(src, dst, props)

@@ -13,14 +13,14 @@ package storage
 //     aligned-run contract of Segment holds unchanged.
 //
 // The snapshot hangs off the AdjList behind an atomic pointer. Each image
-// carries a delta overlay (delta.go): once SealCSR has run, edge mutations
-// land in the delta instead of invalidating the image, readers merge the
-// two sides without losing the sorted-run contract, and a background reseal
-// (reseal.go) swaps in the merge of the two as a fresh image — one atomic
-// store, concurrent readers keep whichever image they already loaded. Only
-// the bulk phase has families without an image (one first created by a
-// post-seal mutation is born with an empty one); readers then use the
-// builder's live slot layout.
+// carries a delta overlay (delta.go): once SealCSR has run, edge mutations —
+// committed transactions included — land in the delta instead of invalidating
+// the image, readers merge the two sides (at their version) without losing the
+// sorted-run contract, and a background reseal (reseal.go) swaps in the merge
+// of the two as a fresh image — one atomic store, concurrent readers keep
+// whichever image they already loaded. Only the bulk phase has families
+// without an image (one first created by a post-seal mutation is born with an
+// empty one); readers then use the builder's live slot layout.
 
 import (
 	"sort"
@@ -124,21 +124,46 @@ func (a *AdjList) sealCSR() *csr {
 	return c
 }
 
-// run returns src's sorted neighbor run (nil when src has none).
-func (c *csr) run(src vector.VID) []vector.VID {
+// span returns the bounds of src's run in neighbors ([0,0) past the image's
+// sources).
+//
+//geslint:kernel
+func (c *csr) span(src vector.VID) (lo, hi int) {
 	if int(src) >= len(c.offsets)-1 {
-		return nil
+		return 0, 0
 	}
-	lo, hi := c.offsets[src], c.offsets[src+1]
-	return c.neighbors[lo:hi:hi]
+	return int(c.offsets[src]), int(c.offsets[src+1])
 }
 
-// segment builds the Segment view of src's run, Sorted by construction.
-func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
-	if int(src) >= len(c.offsets)-1 {
-		return Segment{}, false
+// runLen returns the length of src's run as a read at ver sees it, and
+// whether the delta changes the image's run there — a tombstone in its range
+// or an entry visible at ver — so that it must be merged, not shared.
+//
+//geslint:kernel
+func (c *csr) runLen(src vector.VID, ver uint64) (n int, merged bool) {
+	lo, hi := c.span(src)
+	return c.count(lo, hi, c.delta.runs.Load(src), ver)
+}
+
+// count is runLen for one source's image run [lo,hi) and delta run r.
+//
+//geslint:kernel
+func (c *csr) count(lo, hi int, r *deltaRun, ver uint64) (n int, merged bool) {
+	n = hi - lo
+	if t := c.delta.tombsIn(lo, hi); t > 0 {
+		n -= t
+		merged = true
 	}
-	lo, hi := c.offsets[src], c.offsets[src+1]
+	if k := r.visible(ver); k > 0 {
+		n += k
+		merged = true
+	}
+	return n, merged
+}
+
+// segment builds the Segment view of src's image run, Sorted by construction.
+func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
+	lo, hi := c.span(src)
 	if lo == hi {
 		return Segment{}, false
 	}
@@ -162,6 +187,32 @@ func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
 		}
 	}
 	return seg, true
+}
+
+// segmentAt builds the Segment of src's run as a read at ver sees it: a view
+// of the image where the delta leaves the run alone, an owned merge where it
+// does not. Sorted either way.
+func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bool) {
+	lo, hi := c.span(src)
+	for {
+		r := c.delta.runs.Load(src)
+		n, merged := c.count(lo, hi, r, ver)
+		if !merged {
+			return c.segment(src, withProps)
+		}
+		if n == 0 {
+			return Segment{}, false
+		}
+		var b Batch
+		p := packer{out: &b}
+		if withProps {
+			p.kinds = c.propKinds
+		}
+		p.alloc(n)
+		if p.merge(c, lo, hi, r, ver, n) { // else an unversioned write raced the count: read again
+			return Segment{VIDs: b.VIDs, PropI64: b.PropI64, PropF64: b.PropF64, PropStr: b.PropStr, Sorted: true}, true
+		}
+	}
 }
 
 // liveEntries is the merged view's entry count: the image's entries less
@@ -189,50 +240,65 @@ func (c *csr) memBytes() int {
 	return n
 }
 
-// resealed folds the image's delta into a fresh image with an empty delta:
-// the per-source two-cursor merge readers already run, over every source,
-// into exactly sized arrays. Sealed entries precede delta inserts of the same
-// destination, so duplicates stay in insertion order across any number of
-// reseals — the image is what sealing a graph rebuilt from the surviving edge
-// list would give. Caller holds wmu, which freezes the delta.
-func (c *csr) resealed() *csr {
+// resealed folds into a fresh image the delta entries a read at horizon h
+// sees — tombstones, unversioned inserts and commits at or below h — with the
+// merge readers already run, over every source, into exactly sized arrays;
+// the entries stamped after h are carried into the fresh image's delta.
+// Image entries precede delta entries of the same destination, so duplicates
+// stay in insertion order across any number of reseals — the image is what
+// sealing a graph rebuilt from the edge list visible at h would give. Caller
+// holds wmu, which freezes the delta.
+func (c *csr) resealed(h uint64) *csr {
 	d := c.delta
 	n := len(c.offsets) - 1
-	for src := range d.ins { // bare read is safe: wmu serializes all map writers
-		if int(src) >= n {
-			n = int(src) + 1
-		}
+	d.runs.Range(func(src vector.VID, _ *deltaRun) { n = max(n, int(src)+1) })
+	total := 0
+	for v := 0; v < n; v++ {
+		k, _ := c.runLen(vector.VID(v), h)
+		total += k
 	}
-	m := runMerger{c: c, withProps: len(c.propKinds) > 0}
-	m.init(c.liveEntries())
+	var b Batch
+	p := packer{out: &b, kinds: c.propKinds}
+	p.alloc(total)
 	nc := &csr{offsets: make([]uint32, n+1), propKinds: c.propKinds}
 	for v := 0; v < n; v++ {
-		nc.offsets[v] = uint32(len(m.vids))
-		m.merge(vector.VID(v))
+		nc.offsets[v] = uint32(p.at)
+		k, merged := c.runLen(vector.VID(v), h)
+		p.emit(c, vector.VID(v), h, k, merged, total) // cannot fail: wmu freezes the delta
 	}
-	nc.offsets[n] = uint32(len(m.vids))
-	nc.neighbors, nc.propI64, nc.propF64, nc.propStr = m.vids, m.pi64, m.pf64, m.pstr
+	nc.offsets[n] = uint32(p.at)
+	nc.neighbors, nc.propI64, nc.propF64, nc.propStr = b.VIDs, b.PropI64, b.PropF64, b.PropStr
 	nc.delta = newAdjDelta(len(nc.neighbors), c.propKinds)
+	d.runs.Range(func(src vector.VID, r *deltaRun) {
+		if nr := r.newerThan(h, c.propKinds); nr != nil {
+			nc.delta.carry(src, nr)
+		}
+	})
 	return nc
 }
 
-// Seal publishes the family's next image (with a fresh empty delta)
-// atomically. The first call ends the family's bulk phase: the image is
-// sorted out of the builder slots, which are then released. Every later call
-// is a reseal: the published image merged with its delta. Concurrent readers
-// keep serving from whichever image they already resolved.
+// seal publishes the family's next image (with a fresh delta) atomically and
+// reports whether it did. The first call ends the family's bulk phase: the
+// image is sorted out of the builder slots, which are then released. Every
+// later call is a reseal at fold horizon h, and a delta holding nothing at or
+// below h is left as it is. Concurrent readers keep serving from whichever
+// image they already resolved.
 //
 //geslint:seal publishes the freshly built CSR image
-func (a *AdjList) Seal() {
+func (a *AdjList) seal(h uint64) bool {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if c := a.snap.Load(); c != nil {
-		a.snap.Store(c.resealed())
-		return
+		if !c.delta.canFold(h) {
+			return false
+		}
+		a.snap.Store(c.resealed(h))
+		return true
 	}
 	a.snap.Store(a.sealCSR())
 	a.meta, a.arr = nil, nil
 	a.propI64, a.propF64, a.propStr = nil, nil, nil
+	return true
 }
 
 // Sealed reports whether the family has left the bulk phase: a CSR snapshot
@@ -240,20 +306,21 @@ func (a *AdjList) Seal() {
 func (a *AdjList) Sealed() bool { return a.snap.Load() != nil }
 
 // SealCSR seals every adjacency family into a sorted CSR snapshot. Call it
-// at bulk-load finish; calling it again folds every family's delta into a
-// fresh image (a quiesced reseal); each family swaps in atomically. The
-// first call also opens the overlay phase: subsequent edge mutations land in
-// per-image deltas instead of invalidating the images, and families they
-// create are born sealed. Returns the number of families sealed.
+// at bulk-load finish; calling it again folds every family's delta, up to the
+// fold horizon, into a fresh image (a quiesced reseal); each family swaps in
+// atomically. The first call also opens the overlay phase: subsequent edge
+// mutations land in per-image deltas instead of invalidating the images, and
+// families they create are born sealed. Returns the number of families.
 func (g *Graph) SealCSR() int {
 	if !g.sealedPhase.Load() {
 		// Bulk-load finish: vertex inserts are over (they are single-writer
 		// and pre-seal by contract), so their arrays shed their slack too.
 		g.trimVertexArrays()
 	}
+	h := g.foldHorizon()
 	n := 0
 	for _, l := range g.fams.Load().adj {
-		l.Seal()
+		l.seal(h)
 		n++
 	}
 	g.sealedPhase.Store(true)
@@ -301,8 +368,9 @@ type Batch struct {
 	// Shared marks VIDs/Prop* as views of storage-owned memory.
 	Shared bool
 	// Sorted guarantees every run is ascending by VID — the precondition
-	// for intersection-based joins. Cleared whenever a run merges multiple
-	// families or includes transaction-overlay entries.
+	// for intersection-based joins. It holds for every sealed single-family
+	// read, committed delta entries included, and is cleared only when a run
+	// joins the runs of two families (AnyLabel, Both) or a bulk-phase slot.
 	Sorted bool
 
 	// Edge-property columns aligned with VIDs (populated when requested),
@@ -339,92 +407,79 @@ func (b *Batch) reset(n int) {
 // source, filling out's runs aligned with srcs. NilVID sources produce empty
 // runs, so callers can pass invalid parent rows without re-aligning.
 //
-// Every sealed request is served from the CSR images. One direction, a
-// concrete dstLabel and one source label map to a single family: runs are
+// Every sealed request is served from the CSR images, each merged with its
+// delta. One direction, a concrete dstLabel and one source label map to a
+// single family: when the delta changes none of the request's runs, they are
 // pure prefix-sum lookups into its shared arrays — no per-source map lookup,
-// no copying — and Sorted is guaranteed; with a non-empty delta that family
-// takes the owned merged-batch path (delta.go), Sorted still. Any other
-// shape (AnyLabel fan-out, Both, mixed source labels) packs owned runs out of
-// the images in the scalar Neighbors segment order (PackNeighborsBatch).
-// Only a bulk-phase request, or one that meets a live delta outside the
-// single-family case, takes the per-source reference path.
+// no copying — and Sorted is guaranteed. Any other request (a run the delta
+// changes, AnyLabel fan-out, Both, mixed source labels) packs owned runs out
+// of the images, merging the changed ones in place, in the scalar Neighbors
+// segment order (pack.go). Only a bulk-phase request takes the per-source
+// reference path.
 func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
-	if dir != catalog.Both && dstLabel != AnyLabel {
-		switch st, c, label := g.csrBatch(srcs, et, dir, dstLabel, withProps, out); st {
-		case csrServed:
-			return
-		case csrDelta:
-			if c.mergedBatch(g, srcs, label, withProps, out) {
-				return
-			}
-		}
+	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, Latest, out)
+}
+
+// neighborsBatch is NeighborsBatch as a read at version ver sees it.
+func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) {
+	if dir != catalog.Both && dstLabel != AnyLabel && g.csrBatch(srcs, et, dir, dstLabel, withProps, ver, out) {
+		return
 	}
-	if !g.PackNeighborsBatch(srcs, et, dir, dstLabel, withProps, nil, out) {
-		AppendNeighborsBatch(g, srcs, et, dir, dstLabel, withProps, out)
+	if !g.packNeighborsBatch(srcs, et, dir, dstLabel, withProps, ver, out) {
+		var v View = g
+		if ver != Latest {
+			v = g.At(ver)
+		}
+		AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, out)
 	}
 }
 
-// csrBatch outcomes: the request was served from the shared CSR arrays, the
-// sealed image has a live delta the caller must merge, or no single sealed
-// family matched and the reference path must answer.
-const (
-	csrServed = iota
-	csrDelta
-	csrFallback
-)
-
-// csrBatch attempts the zero-copy CSR fast path. Sources outside the base
-// VID range (NilVID, or a vertex only a layered view knows) have no label and
-// no base run: they get empty runs and do not count towards uniformity.
+// csrBatch attempts the zero-copy CSR fast path and reports whether it served
+// the request: its sources meet one sealed family, and the delta changes none
+// of their runs at ver. A source with no run in any family — NilVID, a VID the
+// graph holds no vertex for, a label without the requested family, a created
+// vertex past the image's offsets before the reseal that gives it one — gets
+// an empty run and does not count towards uniformity.
 //
 //geslint:kernel
-func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) (int, *csr, catalog.LabelID) {
-	// Resolve the single family off the first base source's label; bail to
-	// the general path when source labels mix.
-	nv := vector.VID(len(g.labelOf))
-	var label catalog.LabelID
-	first := -1
-	for i, s := range srcs {
-		if s < nv {
-			label = g.labelOf[s]
-			first = i
-			break
-		}
-	}
+func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) bool {
+	adj := g.fams.Load().adj
+	key := AdjKey{Et: et, Dst: dstLabel, Dir: dir}
+	// label is the family's source label once a source meets it; famless is
+	// the last label found to have no such family.
+	label, famless := noLabel, noLabel
 	var c *csr
-	if first >= 0 {
-		l, ok := g.fams.Load().adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]
-		if ok {
-			if c = l.snap.Load(); c == nil {
-				return csrFallback, nil, label
-			}
-			if !c.delta.isEmpty() {
-				// Live overlay: the caller merges sealed and delta runs into
-				// owned buffers (Sorted still holds).
-				return csrDelta, c, label
-			}
-		}
-	}
-	// c == nil from here on means no base source or no family for the label:
-	// every run is empty, trivially sorted (uniformity is still verified).
+	last, live := 0, false
 	out.reset(len(srcs))
-	last := vector.VID(0)
-	if c != nil {
-		last = vector.VID(len(c.offsets) - 1)
-	}
 	for i, s := range srcs {
-		if s >= nv {
-			out.Runs[i] = NeighborRun{}
+		out.Runs[i] = NeighborRun{}
+		l := g.labelAt(s)
+		if l == noLabel || l == famless {
 			continue
 		}
-		if g.labelOf[s] != label {
-			return csrFallback, nil, label
+		if l != label {
+			key.Src = l
+			fam, has := adj[key]
+			if !has {
+				famless = l
+				continue
+			}
+			if c != nil {
+				return false // a second family: the pack path joins them
+			}
+			if c = fam.snap.Load(); c == nil {
+				return false
+			}
+			label, last, live = l, len(c.offsets)-1, !c.delta.isEmpty()
 		}
-		if s >= last {
-			out.Runs[i] = NeighborRun{}
-			continue
+		if live {
+			if _, merged := c.runLen(s, ver); merged {
+				return false
+			}
 		}
-		out.Runs[i] = NeighborRun{Start: int32(c.offsets[s]), End: int32(c.offsets[s+1])}
+		if int(s) < last {
+			out.Runs[i] = NeighborRun{Start: int32(c.offsets[s]), End: int32(c.offsets[s+1])}
+		}
 	}
 	out.Sorted = true
 	if c != nil {
@@ -434,7 +489,7 @@ func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.D
 			out.PropI64, out.PropF64, out.PropStr = c.propI64, c.propF64, c.propStr
 		}
 	}
-	return csrServed, nil, label
+	return true
 }
 
 // AppendNeighborsBatch is the reference implementation of the batched
@@ -474,8 +529,8 @@ func AppendNeighborsBatch(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir 
 				}
 				total += int32(len(seg.VIDs))
 			}
-			// A run stays sorted only as a single sorted segment; merged
-			// families and overlay entries void the guarantee.
+			// A run stays sorted only as a single sorted segment; a run
+			// joining families (or a bulk-phase slot) voids the guarantee.
 			if len(segBuf) > 1 || (len(segBuf) == 1 && !segBuf[0].Sorted) {
 				sorted = false
 			}

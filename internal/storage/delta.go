@@ -1,33 +1,40 @@
-// Delta overlay: the small mutable side of a sealed CSR image, the piece
-// that lets the sealed read paths survive sustained incremental updates
-// (§5's tombstone-and-regrow design under MV2PL). Every image sealCSR
-// builds carries an adjDelta; while it is empty the image serves exactly as
-// before (zero-copy shared batches, sorted runs). An AddEdge lands in a
-// per-source copy-on-write insert run, a DeleteEdge tombstones one sealed
-// neighbor position (or retracts a delta insert), and readers merge the two
-// sides with a per-source two-cursor walk that preserves the ascending-VID
-// order — so galloping intersection and the WCOJ path keep engaging instead
-// of falling back to hash sets. The delta is the sealed phase's only write
-// target: when it outgrows the reseal policy, reseal.go runs the same merge
-// over every source of just that family, off the read path, and swaps the
-// result in atomically as a fresh (empty-delta) image.
+// Delta overlay: the small mutable side of a sealed CSR image, and the home of
+// every edge written since the image was built (§5's tombstone-and-regrow
+// design under MV2PL). Every image sealCSR builds carries an adjDelta; while
+// it is empty the image serves exactly as before (zero-copy shared batches,
+// sorted runs). An insert — a transaction's committed edge, stamped with its
+// commit version, or an unversioned AddEdge — lands in a per-source
+// copy-on-write run, a DeleteEdge tombstones one sealed neighbor position (or
+// retracts a delta insert), and readers merge the two sides with a per-source
+// two-cursor walk that keeps the ascending-VID order and skips the entries
+// stamped after the version they read at — so galloping intersection and the
+// WCOJ path keep engaging. The delta is the sealed phase's only write target:
+// when it outgrows the reseal policy, reseal.go folds the entries at or below
+// the fold horizon (the oldest pinned snapshot) into a fresh image with the
+// same merge, off the read path, and carries the newer ones into the fresh
+// image's delta.
 //
 // Concurrency contract: all mutators hold AdjList.wmu, so delta writes are
-// serialized; readers never lock it. Published deltaRuns are immutable —
-// an insert or retraction replaces the run wholesale under adjDelta.mu,
-// which readers take only in read mode and only to look the run up.
-// Tombstone words are atomics: a reader observes each set bit or not,
-// either way seeing a consistent point-in-time view of its source's run.
+// serialized; readers never lock. Runs sit in a VIDMap keyed by source — a
+// lookup is a lock-free probe — and are immutable once published: an insert or
+// retraction replaces the run wholesale. Tombstone words are atomics: a
+// reader observes each set bit or not. A read at a version is therefore
+// stable while commits continue (their entries carry newer versions); a read
+// racing an unversioned mutation sees the count change and reads again
+// (pack.go).
 package storage
 
 import (
+	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"ges/internal/catalog"
 	"ges/internal/vector"
 )
+
+// Latest is the version a Graph's own reads see: every delta entry, whatever
+// its stamp.
+const Latest = ^uint64(0)
 
 // adjDelta overlays one sealed csr image: per-source sorted insert runs plus
 // a tombstone bitmap over the image's neighbor positions. It is paired 1:1
@@ -36,27 +43,28 @@ import (
 //
 //geslint:snapshot-owner paired 1:1 with its sealed image and published behind the same atomic pointer; mutated only under AdjList.wmu through atomics and copy-on-write runs
 type adjDelta struct {
-	mu  sync.RWMutex             // guards the ins map (readers: lookup only)
-	ins map[vector.VID]*deltaRun // per-source insert runs, copy-on-write
+	runs VIDMap[deltaRun] // per-source insert runs, copy-on-write
 
 	// tombs is a fixed-size bitmap over the sealed image's neighbor
 	// positions: bit set = entry deleted. Written only under AdjList.wmu
 	// (Load|Store read-modify-write is race-free there); read lock-free.
-	tombs []atomic.Uint64
-
-	nIns   atomic.Int64 // live delta insert entries
+	tombs  []atomic.Uint64
 	nTombs atomic.Int64 // tombstoned sealed positions
 
 	propKinds []vector.Kind // shared with the owning family's schema
+
+	nIns atomic.Int64 // live delta insert entries
+	// minVer is the lowest version among the live inserts (Latest while there
+	// are none; a retraction may leave it lower than it is): a reseal at a
+	// horizon below it would fold nothing.
+	minVer atomic.Uint64
 }
 
 // newAdjDelta sizes an empty delta for an image of sealedLen neighbors.
 func newAdjDelta(sealedLen int, kinds []vector.Kind) *adjDelta {
-	return &adjDelta{
-		ins:       make(map[vector.VID]*deltaRun),
-		tombs:     make([]atomic.Uint64, (sealedLen+63)/64),
-		propKinds: kinds,
-	}
+	d := &adjDelta{tombs: make([]atomic.Uint64, (sealedLen+63)/64), propKinds: kinds}
+	d.minVer.Store(Latest)
+	return d
 }
 
 // isEmpty reports whether the delta holds no inserts and no tombstones —
@@ -66,20 +74,51 @@ func (d *adjDelta) isEmpty() bool { return d.nIns.Load() == 0 && d.nTombs.Load()
 // depth is the total overlay entry count (inserts plus tombstones).
 func (d *adjDelta) depth() int64 { return d.nIns.Load() + d.nTombs.Load() }
 
-// runOf returns src's published insert run, or nil.
-func (d *adjDelta) runOf(src vector.VID) *deltaRun {
-	if d.nIns.Load() == 0 {
-		return nil
-	}
-	d.mu.RLock()
-	r := d.ins[src]
-	d.mu.RUnlock()
-	return r
+// canFold reports whether a reseal at horizon h would move anything into the
+// image: a tombstone, or an insert stamped at or below h.
+func (d *adjDelta) canFold(h uint64) bool {
+	return d.nTombs.Load() > 0 || (d.nIns.Load() > 0 && d.minVer.Load() <= h)
 }
 
 // tombstoned reports whether sealed neighbor position pos is deleted.
 func (d *adjDelta) tombstoned(pos int) bool {
 	return d.tombs[pos>>6].Load()&(1<<uint(pos&63)) != 0
+}
+
+// tombsIn counts the tombstoned positions in [lo,hi).
+func (d *adjDelta) tombsIn(lo, hi int) int {
+	if lo >= hi || d.nTombs.Load() == 0 {
+		return 0
+	}
+	n := 0
+	for w, last := lo>>6, (hi-1)>>6; w <= last; w++ {
+		word := d.tombs[w].Load()
+		if w == lo>>6 {
+			word &^= 1<<uint(lo&63) - 1
+		}
+		if w == last && hi&63 != 0 {
+			word &= 1<<uint(hi&63) - 1
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// nextTomb returns the first tombstoned position in [lo,hi), or hi.
+func (d *adjDelta) nextTomb(lo, hi int) int {
+	if lo >= hi || d.nTombs.Load() == 0 {
+		return hi
+	}
+	for w, last := lo>>6, (hi-1)>>6; w <= last; w++ {
+		word := d.tombs[w].Load()
+		if w == lo>>6 {
+			word &^= 1<<uint(lo&63) - 1
+		}
+		if word != 0 {
+			return min(w<<6+bits.TrailingZeros64(word), hi)
+		}
+	}
+	return hi
 }
 
 // setTombstone marks sealed position pos dead. The Load|Store
@@ -91,15 +130,25 @@ func (d *adjDelta) setTombstone(pos int) {
 	w.Store(w.Load() | 1<<uint(pos&63))
 }
 
-// insert records one appended edge src→dst (props ordered per the edge
+// insert records one edge src→dst stamped ver (props ordered per the edge
 // schema) by replacing src's run with its copy-on-write successor. Caller
 // holds AdjList.wmu.
-func (d *adjDelta) insert(src, dst vector.VID, props []vector.Value) {
-	nr := d.ins[src].withInsert(dst, props, d.propKinds) // bare read is safe: wmu serializes all map writers
-	d.mu.Lock()
-	d.ins[src] = nr
-	d.mu.Unlock()
+func (d *adjDelta) insert(src, dst vector.VID, ver uint64, props []vector.Value) {
+	d.runs.Store(src, d.runs.Load(src).withInsert(dst, ver, props, d.propKinds))
 	d.nIns.Add(1)
+	if ver < d.minVer.Load() {
+		d.minVer.Store(ver)
+	}
+}
+
+// carry installs r, a run a reseal did not fold, as src's run. Caller holds
+// AdjList.wmu.
+func (d *adjDelta) carry(src vector.VID, r *deltaRun) {
+	d.runs.Store(src, r)
+	d.nIns.Add(int64(len(r.dsts)))
+	if r.minVer < d.minVer.Load() {
+		d.minVer.Store(r.minVer)
+	}
 }
 
 // remove hides one occurrence of src→dst from the merged view: the first
@@ -121,7 +170,7 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 			return true
 		}
 	}
-	old := d.ins[src] // bare read is safe: wmu serializes all map writers
+	old := d.runs.Load(src)
 	if old == nil {
 		return false
 	}
@@ -129,13 +178,7 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 	if !ok {
 		return false
 	}
-	d.mu.Lock()
-	if nr == nil {
-		delete(d.ins, src)
-	} else {
-		d.ins[src] = nr
-	}
-	d.mu.Unlock()
+	d.runs.Store(src, nr)
 	d.nIns.Add(-1)
 	return true
 }
@@ -143,9 +186,8 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 // memBytes approximates the delta's resident size.
 func (d *adjDelta) memBytes() int {
 	n := len(d.tombs) * 8
-	d.mu.RLock()
-	for _, r := range d.ins {
-		n += 48 + len(r.dsts)*4
+	d.runs.Range(func(_ vector.VID, r *deltaRun) {
+		n += 160 + len(r.dsts)*12
 		for p, k := range d.propKinds {
 			switch k {
 			case vector.KindInt64, vector.KindDate:
@@ -159,46 +201,69 @@ func (d *adjDelta) memBytes() int {
 				}
 			}
 		}
-	}
-	d.mu.RUnlock()
+	})
 	return n
 }
 
 // deltaRun is one source's overlay insert run: destinations sorted ascending
 // (insertion order among equal VIDs, as the bulk seal's stable sort leaves
-// them) with
-// edge-property columns aligned element-for-element, indexed by schema
-// position like csr.prop*.
+// them), each stamped with the version that wrote it, with edge-property
+// columns aligned element-for-element, indexed by schema position like
+// csr.prop*.
 //
-//geslint:snapshot-owner immutable once published in adjDelta.ins; mutation replaces the run wholesale under AdjList.wmu
+//geslint:snapshot-owner immutable once published in adjDelta.runs; mutation replaces the run wholesale under AdjList.wmu
 type deltaRun struct {
-	dsts    []vector.VID
-	propI64 [][]int64
-	propF64 [][]float64
-	propStr [][]string
+	dsts []vector.VID
+	// vers is each entry's commit version (0 for an unversioned insert, which
+	// every read sees); minVer and maxVer bound it, so a run wholly at or
+	// below a read's version is taken whole and one wholly above it skipped.
+	vers           []uint64
+	minVer, maxVer uint64
+	propI64        [][]int64
+	propF64        [][]float64
+	propStr        [][]string
+}
+
+// visible counts the entries a read at ver sees.
+//
+//geslint:kernel
+func (r *deltaRun) visible(ver uint64) int {
+	switch {
+	case r == nil || r.minVer > ver:
+		return 0
+	case r.maxVer <= ver:
+		return len(r.dsts)
+	}
+	n := 0
+	for _, v := range r.vers {
+		if v <= ver {
+			n++
+		}
+	}
+	return n
 }
 
 // withInsert returns the run's successor with dst inserted after any equal
 // destinations (stable: delta entries keep insertion order on ties). A nil
 // receiver yields a one-entry run.
-func (r *deltaRun) withInsert(dst vector.VID, props []vector.Value, kinds []vector.Kind) *deltaRun {
-	n, at := 0, 0
+func (r *deltaRun) withInsert(dst vector.VID, ver uint64, props []vector.Value, kinds []vector.Kind) *deltaRun {
+	var cur deltaRun
 	if r != nil {
-		n = len(r.dsts)
-		at = sort.Search(n, func(i int) bool { return r.dsts[i] > dst })
+		cur = *r
+	} else {
+		cur.minVer, cur.maxVer = ver, ver
 	}
-	nr := &deltaRun{dsts: make([]vector.VID, n+1)}
-	if r != nil {
-		copy(nr.dsts[:at], r.dsts[:at])
-		copy(nr.dsts[at+1:], r.dsts[at:])
+	at := sort.Search(len(cur.dsts), func(i int) bool { return cur.dsts[i] > dst })
+	nr := &deltaRun{
+		dsts:   insertAt(cur.dsts, at, dst),
+		vers:   insertAt(cur.vers, at, ver),
+		minVer: min(cur.minVer, ver),
+		maxVer: max(cur.maxVer, ver),
 	}
-	nr.dsts[at] = dst
 	if len(kinds) == 0 {
 		return nr
 	}
-	nr.propI64 = make([][]int64, len(kinds))
-	nr.propF64 = make([][]float64, len(kinds))
-	nr.propStr = make([][]string, len(kinds))
+	nr.allocProps(kinds)
 	for p, k := range kinds {
 		var v vector.Value
 		if p < len(props) {
@@ -206,29 +271,11 @@ func (r *deltaRun) withInsert(dst vector.VID, props []vector.Value, kinds []vect
 		}
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			col := make([]int64, n+1)
-			if r != nil {
-				copy(col[:at], r.propI64[p][:at])
-				copy(col[at+1:], r.propI64[p][at:])
-			}
-			col[at] = v.I
-			nr.propI64[p] = col
+			nr.propI64[p] = insertAt(column(cur.propI64, p), at, v.I)
 		case vector.KindFloat64:
-			col := make([]float64, n+1)
-			if r != nil {
-				copy(col[:at], r.propF64[p][:at])
-				copy(col[at+1:], r.propF64[p][at:])
-			}
-			col[at] = v.F
-			nr.propF64[p] = col
+			nr.propF64[p] = insertAt(column(cur.propF64, p), at, v.F)
 		case vector.KindString:
-			col := make([]string, n+1)
-			if r != nil {
-				copy(col[:at], r.propStr[p][:at])
-				copy(col[at+1:], r.propStr[p][at:])
-			}
-			col[at] = v.S
-			nr.propStr[p] = col
+			nr.propStr[p] = insertAt(column(cur.propStr, p), at, v.S)
 		}
 	}
 	return nr
@@ -242,203 +289,116 @@ func (r *deltaRun) withRemove(dst vector.VID, kinds []vector.Kind) (*deltaRun, b
 	if at == len(r.dsts) || r.dsts[at] != dst {
 		return r, false
 	}
-	n := len(r.dsts)
-	if n == 1 {
+	if len(r.dsts) == 1 {
 		return nil, true
 	}
-	nr := &deltaRun{dsts: make([]vector.VID, n-1)}
-	copy(nr.dsts[:at], r.dsts[:at])
-	copy(nr.dsts[at:], r.dsts[at+1:])
+	nr := &deltaRun{dsts: removeAt(r.dsts, at), vers: removeAt(r.vers, at)}
+	nr.minVer, nr.maxVer = Latest, 0
+	for _, v := range nr.vers {
+		nr.minVer, nr.maxVer = min(nr.minVer, v), max(nr.maxVer, v)
+	}
 	if len(kinds) == 0 {
 		return nr, true
 	}
-	nr.propI64 = make([][]int64, len(kinds))
-	nr.propF64 = make([][]float64, len(kinds))
-	nr.propStr = make([][]string, len(kinds))
+	nr.allocProps(kinds)
 	for p, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			col := make([]int64, n-1)
-			copy(col[:at], r.propI64[p][:at])
-			copy(col[at:], r.propI64[p][at+1:])
-			nr.propI64[p] = col
+			nr.propI64[p] = removeAt(r.propI64[p], at)
 		case vector.KindFloat64:
-			col := make([]float64, n-1)
-			copy(col[:at], r.propF64[p][:at])
-			copy(col[at:], r.propF64[p][at+1:])
-			nr.propF64[p] = col
+			nr.propF64[p] = removeAt(r.propF64[p], at)
 		case vector.KindString:
-			col := make([]string, n-1)
-			copy(col[:at], r.propStr[p][:at])
-			copy(col[at:], r.propStr[p][at+1:])
-			nr.propStr[p] = col
+			nr.propStr[p] = removeAt(r.propStr[p], at)
 		}
 	}
 	return nr, true
 }
 
-// runMerger packs per-source two-cursor merges of sealed and delta runs
-// back to back into owned buffers — the delta-overlay analogue of the
-// shared CSR batch, and the whole of a reseal (csr.resealed). Ties between a
-// sealed entry and a delta insert emit the sealed entry first: it was
-// inserted first, so duplicates stay in insertion order and a merged read is
-// byte-identical to a read after a reseal.
-type runMerger struct {
-	c         *csr
-	withProps bool
-	vids      []vector.VID
-	pi64      [][]int64
-	pf64      [][]float64
-	pstr      [][]string
-}
-
-// init readies the buffers with room for rows entries: 0 for a reader, which
-// appends as it goes, the exact merged count for a reseal, whose long-lived
-// image must carry no slack.
-func (m *runMerger) init(rows int) {
-	m.vids = make([]vector.VID, 0, rows)
-	if !m.withProps {
-		return
+// newerThan returns the entries stamped after h, in order — what a reseal at
+// horizon h leaves in the delta — or nil when there are none.
+func (r *deltaRun) newerThan(h uint64, kinds []vector.Kind) *deltaRun {
+	switch {
+	case r.maxVer <= h:
+		return nil
+	case r.minVer > h:
+		return r
 	}
-	n := len(m.c.propKinds)
-	m.pi64 = make([][]int64, n)
-	m.pf64 = make([][]float64, n)
-	m.pstr = make([][]string, n)
-	for p, k := range m.c.propKinds {
+	nr := &deltaRun{dsts: newer(r.dsts, r.vers, h), vers: newer(r.vers, r.vers, h)}
+	nr.minVer, nr.maxVer = Latest, r.maxVer
+	for _, v := range nr.vers {
+		nr.minVer = min(nr.minVer, v)
+	}
+	if len(kinds) == 0 {
+		return nr
+	}
+	nr.allocProps(kinds)
+	for p, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			m.pi64[p] = make([]int64, 0, rows)
+			nr.propI64[p] = newer(r.propI64[p], r.vers, h)
 		case vector.KindFloat64:
-			m.pf64[p] = make([]float64, 0, rows)
+			nr.propF64[p] = newer(r.propF64[p], r.vers, h)
 		case vector.KindString:
-			m.pstr[p] = make([]string, 0, rows)
+			nr.propStr[p] = newer(r.propStr[p], r.vers, h)
 		}
 	}
+	return nr
 }
 
-func (m *runMerger) emitSealed(pos int) {
-	m.vids = append(m.vids, m.c.neighbors[pos])
-	if !m.withProps {
-		return
-	}
-	for p, k := range m.c.propKinds {
+// allocProps sizes the run's property columns for the schema: only the
+// column sets of kinds the schema has are allocated.
+func (r *deltaRun) allocProps(kinds []vector.Kind) {
+	for _, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			m.pi64[p] = append(m.pi64[p], m.c.propI64[p][pos])
+			if r.propI64 == nil {
+				r.propI64 = make([][]int64, len(kinds))
+			}
 		case vector.KindFloat64:
-			m.pf64[p] = append(m.pf64[p], m.c.propF64[p][pos])
+			if r.propF64 == nil {
+				r.propF64 = make([][]float64, len(kinds))
+			}
 		case vector.KindString:
-			m.pstr[p] = append(m.pstr[p], m.c.propStr[p][pos])
-		}
-	}
-}
-
-func (m *runMerger) emitDelta(r *deltaRun, j int) {
-	m.vids = append(m.vids, r.dsts[j])
-	if !m.withProps {
-		return
-	}
-	for p, k := range m.c.propKinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			m.pi64[p] = append(m.pi64[p], r.propI64[p][j])
-		case vector.KindFloat64:
-			m.pf64[p] = append(m.pf64[p], r.propF64[p][j])
-		case vector.KindString:
-			m.pstr[p] = append(m.pstr[p], r.propStr[p][j])
-		}
-	}
-}
-
-// merge appends src's merged run: sealed positions (skipping tombstones)
-// interleaved with the delta insert run, ascending by VID, sealed first on
-// ties.
-func (m *runMerger) merge(src vector.VID) {
-	c := m.c
-	d := c.delta
-	lo, hi := 0, 0
-	if int(src) < len(c.offsets)-1 {
-		lo, hi = int(c.offsets[src]), int(c.offsets[src+1])
-	}
-	r := d.runOf(src)
-	rn := 0
-	if r != nil {
-		rn = len(r.dsts)
-	}
-	i, j := lo, 0
-	for {
-		for i < hi && d.tombstoned(i) {
-			i++
-		}
-		if i >= hi && j >= rn {
-			return
-		}
-		if j >= rn || (i < hi && c.neighbors[i] <= r.dsts[j]) {
-			m.emitSealed(i)
-			i++
-		} else {
-			m.emitDelta(r, j)
-			j++
-		}
-	}
-}
-
-// mergedSegment builds the owned merged Segment of src's run. Sorted holds
-// by construction; ok=false when the merged run is empty.
-func (c *csr) mergedSegment(src vector.VID, withProps bool) (Segment, bool) {
-	m := runMerger{c: c, withProps: withProps}
-	m.init(0)
-	m.merge(src)
-	if len(m.vids) == 0 {
-		return Segment{}, false
-	}
-	seg := Segment{VIDs: m.vids, Sorted: true}
-	if withProps {
-		for p, k := range c.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				seg.PropI64 = append(seg.PropI64, m.pi64[p])
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindFloat64:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, m.pf64[p])
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindString:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, m.pstr[p])
+			if r.propStr == nil {
+				r.propStr = make([][]string, len(kinds))
 			}
 		}
 	}
-	return seg, true
 }
 
-// mergedBatch is the owned-buffer batch path for a sealed family with a
-// live delta: one merged run per source, packed back to back, Sorted
-// preserved so intersection joins keep galloping. Returns false on mixed
-// source labels — the reference path handles those.
-func (c *csr) mergedBatch(g *Graph, srcs []vector.VID, label catalog.LabelID, withProps bool, out *Batch) bool {
-	nv := vector.VID(len(g.labelOf))
-	for _, s := range srcs {
-		if s < nv && g.labelOf[s] != label {
-			return false
+// column returns property column p of cols, nil for a run that has none yet
+// (the zero run a first insert starts from).
+func column[E any](cols [][]E, p int) []E {
+	if cols == nil {
+		return nil
+	}
+	return cols[p]
+}
+
+// insertAt returns a copy of s with x inserted at i.
+func insertAt[E any](s []E, i int, x E) []E {
+	out := make([]E, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// removeAt returns a copy of s without element i.
+func removeAt[E any](s []E, i int) []E {
+	out := make([]E, len(s)-1)
+	copy(out, s[:i])
+	copy(out[i:], s[i+1:])
+	return out
+}
+
+// newer returns the elements of s whose aligned version is above h.
+func newer[E any](s []E, vers []uint64, h uint64) []E {
+	var out []E
+	for j, v := range vers {
+		if v > h {
+			out = append(out, s[j])
 		}
 	}
-	out.reset(len(srcs))
-	m := runMerger{c: c, withProps: withProps}
-	m.init(0)
-	for i, s := range srcs {
-		start := int32(len(m.vids))
-		if s < nv {
-			m.merge(s)
-		}
-		out.Runs[i] = NeighborRun{Start: start, End: int32(len(m.vids))}
-	}
-	out.VIDs = m.vids
-	if withProps {
-		out.PropI64, out.PropF64, out.PropStr = m.pi64, m.pf64, m.pstr
-	}
-	out.Sorted = true
-	return true
+	return out
 }

@@ -68,7 +68,7 @@ func captureImage(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dstLabel c
 	return captureImageDir(g, srcs, et, catalog.Out, dstLabel)
 }
 
-func captureImageDir(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) readImage {
+func captureImageDir(g View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) readImage {
 	var img readImage
 	var b Batch
 	g.NeighborsBatch(srcs, et, dir, dstLabel, true, &b)
@@ -303,7 +303,10 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		op byte // '+' add, '-' delete the (src,dst) of e, 'R' quiesced reseal
 		e  edge
 	}
-	build := func(t *testing.T, edges []edge) (*Graph, []vector.VID, catalog.LabelID, catalog.LabelID, catalog.EdgeTypeID) {
+	// build adds the persons, the cities, then one vertex per extra label (the
+	// versioned scripts' created vertices, here as base vertices with the
+	// same VIDs), then the edges.
+	build := func(t *testing.T, edges []edge, extra ...catalog.LabelID) (*Graph, []vector.VID, catalog.LabelID, catalog.LabelID, catalog.EdgeTypeID) {
 		t.Helper()
 		g, person, city, livesIn := twoLabelGraph(t)
 		var vs []vector.VID
@@ -316,6 +319,13 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		}
 		for i := 0; i < nCities; i++ {
 			v, err := g.AddVertex(city, int64(9000+i), vector.String_("c"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs = append(vs, v)
+		}
+		for i, l := range extra {
+			v, err := g.AddVertex(l, int64(5000+i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,7 +487,232 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			}
 		})
 	}
+
+	// Versioned scripts — storage's side of transaction commits: inserts
+	// stamped with ascending versions, vertices created past the base (the
+	// labels a commit registers), pins, and reseals at the fold horizon (the
+	// oldest pin, as a transaction manager bound to the graph reports it) in
+	// the middle of the script, so folds happen under pinned reads. After
+	// every step, the read at every still-pinned version and at the newest
+	// must be byte-identical — batched, scalar and packed (AnyLabel, Both,
+	// mixed source labels), Sorted included — to the graph rebuilt from the
+	// model's edges stamped at or below that version. An 'N' step reseals at a
+	// horizon nothing unfolded sits at or below: every image must stay.
+	type vedge struct {
+		edge
+		ver uint64
+	}
+	type vstep struct {
+		// '+' commit e at the next version, '-' delete (src,dst) of e, 'C'
+		// create a vertex (a person when e.src is 0, else a city), 'P' pin
+		// the newest version, 'U' drop the oldest pin, 'R' reseal at the
+		// horizon, 'N' reseal at horizon 0.
+		op byte
+		e  edge
+	}
+	const created0 = city0 + nCities
+	vrandom := func(seed int64, n int) []vstep {
+		rng := rand.New(rand.NewSource(seed))
+		var out []vstep
+		var cps, ccs []int // created persons and cities, by index
+		for len(out) < n {
+			srcs := append([]int{late, rng.Intn(nPersons)}, cps...)
+			dsts := append([]int{city0 + rng.Intn(nCities)}, ccs...)
+			e := edge{srcs[rng.Intn(len(srcs))], dsts[rng.Intn(len(dsts))], int64(rng.Intn(3))}
+			switch r := rng.Intn(100); {
+			case r < 55:
+				out = append(out, vstep{'+', e})
+			case r < 65:
+				out = append(out, vstep{'-', e})
+			case r < 73:
+				at := created0 + len(cps) + len(ccs)
+				if rng.Intn(2) == 0 {
+					cps = append(cps, at)
+					out = append(out, vstep{op: 'C'})
+				} else {
+					ccs = append(ccs, at)
+					out = append(out, vstep{'C', edge{src: 1}})
+				}
+			case r < 83:
+				out = append(out, vstep{op: 'P'})
+			case r < 91:
+				out = append(out, vstep{op: 'U'})
+			default:
+				out = append(out, vstep{op: 'R'})
+			}
+		}
+		return out
+	}
+	cp, cc := created0, created0+1 // the hand script creates a person, then a city
+	vscripts := []struct {
+		name     string
+		steps    []vstep
+		resealAt int // delta depth that triggers an inline reseal; 0 = never
+	}{
+		{"versioned-created-endpoints", []vstep{
+			{op: 'C'}, {'C', edge{src: 1}},
+			{'+', edge{cp, city0, 1}}, {op: 'P'},
+			{'+', edge{0, cc, 2}}, {'+', edge{cp, cc, 3}}, {op: 'P'},
+			{op: 'N'}, // three commits unfolded, none at or below 0
+			{op: 'R'}, // folds the first commit only: the oldest pin
+			{'+', edge{cp, cc, 4}}, {'-', edge{src: cp, dst: cc}},
+			{op: 'U'}, {op: 'R'}, {op: 'U'}, {op: 'R'},
+			{'+', edge{cp, city0 + 2, 5}},
+		}, 0},
+		{"versioned-random", vrandom(3, 300), 0},
+		{"versioned-random-with-reseals", vrandom(4, 300), 6},
+	}
+	for _, sc := range vscripts {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			g, vs, person, city, livesIn := build(t, initial)
+			g.SealCSR()
+			horizon := &fakeVersions{}
+			if g.BindVersions(horizon) != horizon {
+				t.Fatal("a fresh graph binds the first version source")
+			}
+			if sc.resealAt > 0 {
+				g.SetResealPolicy(1e-9, sc.resealAt)
+			} else {
+				g.SetResealPolicy(1e9, 1<<30)
+			}
+			model := make([]vedge, 0, len(initial))
+			for _, e := range initial {
+				model = append(model, vedge{e, 0})
+			}
+			var created []catalog.LabelID
+			var pins []uint64
+			cur := uint64(0)
+			setHorizon := func() {
+				horizon.h = cur
+				if len(pins) > 0 {
+					horizon.h = pins[0]
+				}
+			}
+			read := func(v View, vs []vector.VID, person, city catalog.LabelID, et catalog.EdgeTypeID) []readImage {
+				var ps, cs []vector.VID
+				for i, v := range vs {
+					if i < city0 || (i >= created0 && created[i-created0] == person) {
+						ps = append(ps, v)
+					} else {
+						cs = append(cs, v)
+					}
+				}
+				return []readImage{
+					captureImageDir(v, ps, et, catalog.Out, city),
+					captureImageDir(v, cs, et, catalog.In, person),
+					captureImageDir(v, ps, et, catalog.Out, AnyLabel),
+					captureImageDir(v, cs, et, catalog.Both, AnyLabel),
+					captureImageDir(v, append(ps, cs...), et, catalog.Both, person),
+				}
+			}
+			check := func(ver uint64) {
+				t.Helper()
+				var upTo []edge
+				for _, e := range model {
+					if e.ver <= ver {
+						upTo = append(upTo, e.edge)
+					}
+				}
+				rebuilt, rvs, rperson, rcity, rlives := build(t, upTo, created...)
+				rebuilt.SealCSR()
+				want := read(rebuilt, rvs, rperson, rcity, rlives)
+				for _, img := range want[:2] {
+					if !img.Sorted {
+						t.Fatal("a sealed single-family batch must be Sorted")
+					}
+				}
+				if got := read(g.At(ver), vs, person, city, livesIn); !reflect.DeepEqual(got, want) {
+					t.Fatalf("read at v%d (newest v%d, pins %v) diverges from the graph rebuilt from the edges at or below it", ver, cur, pins)
+				}
+			}
+			for si, st := range sc.steps {
+				switch st.op {
+				case '+':
+					cur++
+					setHorizon()
+					if err := g.CommitEdge(cur, livesIn, vs[st.e.src], vs[st.e.dst], vector.Date(st.e.prop)); err != nil {
+						t.Fatal(err)
+					}
+					model = append(model, vedge{st.e, cur})
+				case '-':
+					at := -1
+					for i, e := range model {
+						if e.src == st.e.src && e.dst == st.e.dst {
+							at = i
+							break
+						}
+					}
+					if ok := g.DeleteEdge(livesIn, vs[st.e.src], vs[st.e.dst]); ok != (at >= 0) {
+						t.Fatalf("step %d: DeleteEdge(%d,%d) = %v, model has it: %v", si, st.e.src, st.e.dst, ok, at >= 0)
+					}
+					if at >= 0 {
+						model = append(model[:at], model[at+1:]...)
+					}
+				case 'C':
+					l := person
+					if st.e.src != 0 {
+						l = city
+					}
+					v := vector.VID(created0 + len(created))
+					if err := g.AddCreatedVertex(v, l); err != nil {
+						t.Fatal(err)
+					}
+					vs = append(vs, v)
+					created = append(created, l)
+				case 'P':
+					pins = append(pins, cur)
+				case 'U':
+					if len(pins) > 0 {
+						pins = pins[1:]
+					}
+					setHorizon()
+				case 'R':
+					setHorizon()
+					g.SealCSR()
+				case 'N':
+					before := map[AdjKey]*csr{}
+					for k, l := range g.fams.Load().adj {
+						before[k] = l.snap.Load()
+					}
+					horizon.h = 0
+					g.SealCSR()
+					setHorizon()
+					for k, l := range g.fams.Load().adj {
+						if before[k] != l.snap.Load() {
+							t.Fatalf("step %d: a reseal with nothing at or below its horizon replaced family %v's image", si, k)
+						}
+					}
+				}
+				for _, p := range pins {
+					check(p)
+				}
+				check(cur)
+			}
+			if sc.resealAt > 0 && g.Overlay().Reseals == 0 {
+				t.Fatal("policy should have forced mid-script reseals")
+			}
+			var buf bytes.Buffer
+			if err := g.Save(&buf); (err != nil) != (len(created) > 0) {
+				t.Fatalf("Save with %d created vertices: %v", len(created), err)
+			}
+			pins = nil
+			setHorizon()
+			g.SealCSR()
+			if ov := g.Overlay(); ov.Inserts != 0 || ov.Tombstones != 0 {
+				t.Fatalf("a reseal at the newest version leaves empty deltas, got %+v", ov)
+			}
+			check(cur)
+			check(Latest)
+		})
+	}
 }
+
+// fakeVersions is a settable fold horizon, standing in for the transaction
+// manager a graph binds.
+type fakeVersions struct{ h uint64 }
+
+func (f *fakeVersions) GCHorizon() uint64 { return f.h }
 
 // TestOverlayMixedDirections exercises the In direction and Both through the
 // overlay, cross-checked against the scalar reference path.

@@ -31,9 +31,10 @@ type Segment struct {
 	Sorted bool
 }
 
-// View is the read interface the executor runs against. The base *Graph
-// implements it directly; transactional snapshots implement it by merging
-// the immutable base with committed overlays (§5, Concurrency Control).
+// View is the read interface the executor runs against. The *Graph
+// implements it directly, reading every committed edge; transactional
+// snapshots implement it over the graph's adjacency at their version (At) and
+// the transaction layer's vertex records (§5, Concurrency Control).
 type View interface {
 	// Catalog returns the shared name catalog.
 	Catalog() *catalog.Catalog
@@ -73,13 +74,17 @@ type View interface {
 	NumVertices() int
 }
 
-// Graph is the base storage. Bulk loading (AddVertex / AddEdge) is
-// single-writer; after SealCSR, *edge* mutations may run concurrently with
-// readers — they land in per-image delta overlays (delta.go) while the
-// sealed CSR images stay published — and everything else (vertex inserts,
-// property writes) remains single-writer by contract. Transactional
-// mutation flows through the transaction layer's overlays and never
-// touches the base.
+// Graph is the storage. Bulk loading (AddVertex / AddEdge) is single-writer;
+// after SealCSR, *edge* mutations may run concurrently with readers — they
+// land in per-image delta overlays (delta.go) while the sealed CSR images stay
+// published — and everything else (vertex inserts, property writes) remains
+// single-writer by contract. A committed transaction writes its edges here
+// too, stamped with its commit version (CommitEdge): the graph is their only
+// home, snapshots hide the entries newer than themselves (At), and reseals
+// fold them into the images up to the bound manager's horizon
+// (BindVersions). The vertices and properties a transaction writes stay in
+// the transaction layer; the graph knows only the labels of the vertices it
+// created (AddCreatedVertex).
 type Graph struct {
 	cat *catalog.Catalog
 
@@ -95,6 +100,18 @@ type Graph struct {
 	// swap that concurrent readers never observe mid-update.
 	fams  atomic.Pointer[famTable] //geslint:atomicptr
 	famMu sync.Mutex
+
+	// created is the append-only label array of the vertices transactions
+	// created: chunk i holds label+1 (0: none) of VIDs NumVertices()+i*1024
+	// onward. Chunks never move and only the chunk list is copied when it
+	// grows, so adjacency reads resolve a created source's family with two
+	// loads and no lock. nCreated counts the labels stored.
+	created  atomic.Pointer[[]*labelChunk]
+	nCreated atomic.Int64
+
+	// versions is the bound transaction manager (BindVersions): the source of
+	// the fold horizon reseals fold delta entries up to. Nil until one binds.
+	versions atomic.Pointer[versionBinding]
 
 	edgeCount atomic.Int64
 
@@ -184,6 +201,37 @@ func (g *Graph) SetResealPolicy(frac float64, minDelta int) {
 	}
 }
 
+// VersionSource is the transaction manager a graph's commits come from: a
+// reseal folds the delta entries stamped at or below its GCHorizon — the
+// oldest version a live snapshot may still read — and no newer ones.
+type VersionSource interface {
+	GCHorizon() uint64
+}
+
+type versionBinding struct{ src VersionSource }
+
+// BindVersions makes src the graph's transaction manager and returns the
+// manager the graph is bound to: src, or the one an earlier call bound, for a
+// graph has one version sequence. Binding seals a graph still in the bulk
+// phase, because commits write into the sealed images' deltas. It is wiring,
+// like SetResealSubmit: bind before transactions start.
+func (g *Graph) BindVersions(src VersionSource) VersionSource {
+	if !g.sealedPhase.Load() {
+		g.SealCSR()
+	}
+	g.versions.CompareAndSwap(nil, &versionBinding{src: src})
+	return g.versions.Load().src
+}
+
+// foldHorizon is the version up to which a reseal folds: the bound manager's
+// GC horizon, or every entry when none is bound.
+func (g *Graph) foldHorizon() uint64 {
+	if b := g.versions.Load(); b != nil {
+		return b.src.GCHorizon()
+	}
+	return Latest
+}
+
 // SetResealSubmit injects the executor background reseals run on (the
 // scheduler's non-blocking submit); nil, or a false return when the pool is
 // saturated, reseals inline on the mutating goroutine. Set before
@@ -218,17 +266,27 @@ func (g *Graph) AddVertex(label catalog.LabelID, extID int64, props ...vector.Va
 // AddEdge inserts a directed edge src→dst of type et with edge-property
 // values ordered per the edge type's schema. Both the forward (Out) and
 // reverse (In) adjacency families are maintained. After SealCSR the insert
-// lands in the sealed images' deltas and may run concurrently with readers.
+// lands in the sealed images' deltas, unversioned — every read sees it — and
+// may run concurrently with readers.
 func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
-	if int(src) >= len(g.labelOf) || int(dst) >= len(g.labelOf) {
-		return fmt.Errorf("storage: AddEdge with unknown vertex (src=%d dst=%d)", src, dst)
+	return g.CommitEdge(0, et, src, dst, props...)
+}
+
+// CommitEdge is AddEdge for a committed transaction: the edge is stamped with
+// the commit version ver, so reads at an older version (At) do not see it
+// until a reseal at a horizon of at least ver folds it into the image.
+// Endpoints may be base vertices or vertices transactions created
+// (AddCreatedVertex).
+func (g *Graph) CommitEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
+	sl, dl := g.labelAt(src), g.labelAt(dst)
+	if sl == noLabel || dl == noLabel {
+		return fmt.Errorf("storage: edge with unknown vertex (src=%d dst=%d)", src, dst)
 	}
-	sl, dl := g.labelOf[src], g.labelOf[dst]
 	outKey := AdjKey{Src: sl, Et: et, Dst: dl, Dir: catalog.Out}
 	inKey := AdjKey{Src: dl, Et: et, Dst: sl, Dir: catalog.In}
 	lo, li := g.family(outKey), g.family(inKey)
-	lo.insert(src, dst, props)
-	li.insert(dst, src, props)
+	lo.insert(src, dst, ver, props)
+	li.insert(dst, src, ver, props)
 	g.edgeCount.Add(1)
 	g.noteMutation()
 	g.maybeReseal(outKey, lo)
@@ -236,14 +294,78 @@ func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vec
 	return nil
 }
 
+// labelChunk is one chunk of the created-vertex label array.
+type labelChunk [1024]atomic.Uint32
+
+// AddCreatedVertex records the label of v, a vertex a transaction created
+// (VIDs from NumVertices() up): a commit calls it before it writes any edge
+// naming v. Its properties and external id stay with the transaction layer.
+// Calls are serialized by the caller.
+func (g *Graph) AddCreatedVertex(v vector.VID, label catalog.LabelID) error {
+	if int(v) < len(g.labelOf) || v == vector.NilVID || int(label) >= g.cat.NumLabels() {
+		return fmt.Errorf("storage: created vertex %d with label %d", v, label)
+	}
+	i := int(v) - len(g.labelOf)
+	var chunks []*labelChunk
+	if p := g.created.Load(); p != nil {
+		chunks = *p
+	}
+	if c := i >> 10; c >= len(chunks) {
+		next := make([]*labelChunk, c+1)
+		copy(next, chunks)
+		for k := len(chunks); k <= c; k++ {
+			next[k] = new(labelChunk)
+		}
+		g.created.Store(&next)
+		chunks = next
+	}
+	chunks[i>>10][i&1023].Store(uint32(label) + 1)
+	g.nCreated.Add(1)
+	return nil
+}
+
+// noLabel is labelAt's answer for NilVID and every other VID the graph holds
+// no vertex for (no vertex carries the wildcard label).
+const noLabel = AnyLabel
+
+// labelAt returns v's label — a base vertex or one a transaction created —
+// or noLabel. Small enough to inline: a base vertex costs one bounds check
+// and one load.
+//
+//geslint:kernel
+func (g *Graph) labelAt(v vector.VID) catalog.LabelID {
+	if int(v) < len(g.labelOf) {
+		return g.labelOf[v]
+	}
+	return g.createdLabel(v)
+}
+
+// createdLabel is labelAt past the base.
+//
+//geslint:kernel
+func (g *Graph) createdLabel(v vector.VID) catalog.LabelID {
+	p := g.created.Load()
+	if p == nil {
+		return noLabel
+	}
+	i := uint(v) - uint(len(g.labelOf))
+	if c := i >> 10; c < uint(len(*p)) {
+		if l := (*p)[c][i&1023].Load(); l != 0 {
+			return catalog.LabelID(l - 1)
+		}
+	}
+	return noLabel
+}
+
 // DeleteEdge removes the edge src→dst of type et from both directions.
 // After SealCSR the removal tombstones the sealed images' entries (or
-// retracts delta inserts) and may run concurrently with readers.
+// retracts delta inserts) and may run concurrently with readers; it is
+// unversioned, like AddEdge.
 func (g *Graph) DeleteEdge(et catalog.EdgeTypeID, src, dst vector.VID) bool {
-	if int(src) >= len(g.labelOf) || int(dst) >= len(g.labelOf) {
+	sl, dl := g.labelAt(src), g.labelAt(dst)
+	if sl == noLabel || dl == noLabel {
 		return false
 	}
-	sl, dl := g.labelOf[src], g.labelOf[dst]
 	outKey := AdjKey{Src: sl, Et: et, Dst: dl, Dir: catalog.Out}
 	inKey := AdjKey{Src: dl, Et: et, Dst: sl, Dir: catalog.In}
 	lo, li := g.family(outKey), g.family(inKey)
@@ -304,8 +426,14 @@ func (g *Graph) addFamily(key AdjKey) *AdjList {
 	return l
 }
 
-// LabelOf implements View.
-func (g *Graph) LabelOf(v vector.VID) catalog.LabelID { return g.labelOf[v] }
+// LabelOf implements View: the label of a base vertex or of one a
+// transaction created, 0 for a VID the graph holds no vertex for.
+func (g *Graph) LabelOf(v vector.VID) catalog.LabelID {
+	if l := g.labelAt(v); l != noLabel {
+		return l
+	}
+	return 0
+}
 
 // ExtID implements View.
 func (g *Graph) ExtID(v vector.VID) int64 { return g.extOf[v] }
@@ -331,17 +459,14 @@ func (g *Graph) SetProp(v vector.VID, p catalog.PropID, val vector.Value) {
 	g.noteMutation()
 }
 
-// fillSegment populates a Segment (with optional edge props) for src in l.
-// A sealed family serves the sorted CSR run (loaded once, so neighbors and
-// properties always come from the same image), merged with the image's
-// delta overlay when one is live; in the bulk phase the builder's live slot
-// is used.
-func fillSegment(l *AdjList, src vector.VID, withProps bool) (Segment, bool) {
+// fillSegment populates a Segment (with optional edge props) for src in l as a
+// read at ver sees it. A sealed family serves the sorted CSR run (loaded once,
+// so neighbors and properties always come from the same image), merged with
+// the image's delta where it changes the run; in the bulk phase the builder's
+// live slot is used.
+func fillSegment(l *AdjList, src vector.VID, withProps bool, ver uint64) (Segment, bool) {
 	if c := l.snap.Load(); c != nil {
-		if c.delta.isEmpty() {
-			return c.segment(src, withProps)
-		}
-		return c.mergedSegment(src, withProps)
+		return c.segmentAt(src, withProps, ver)
 	}
 	ns := l.neighbors(src)
 	if len(ns) == 0 {
@@ -369,42 +494,87 @@ func fillSegment(l *AdjList, src vector.VID, withProps bool) (Segment, bool) {
 	return seg, true
 }
 
-// Neighbors implements View.
-func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
+// families calls fn for every family Neighbors(src, et, dir, dstLabel) visits,
+// in its segment order (Out before In under Both).
+func (g *Graph) families(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, fn func(*AdjList)) {
 	if dir == catalog.Both {
-		buf = g.Neighbors(buf, src, et, catalog.Out, dstLabel, withProps)
-		return g.Neighbors(buf, src, et, catalog.In, dstLabel, withProps)
+		g.families(src, et, catalog.Out, dstLabel, fn)
+		g.families(src, et, catalog.In, dstLabel, fn)
+		return
 	}
-	if int(src) >= len(g.labelOf) {
-		// A vertex only a layered view knows (a transaction-created source
-		// reaching the reference batch path) has no base adjacency.
-		return buf
+	srcLabel := g.labelAt(src)
+	if srcLabel == noLabel {
+		return
 	}
-	srcLabel := g.labelOf[src]
 	ft := g.fams.Load()
 	if dstLabel != AnyLabel {
 		if l, ok := ft.adj[AdjKey{Src: srcLabel, Et: et, Dst: dstLabel, Dir: dir}]; ok {
-			if seg, ok := fillSegment(l, src, withProps); ok {
-				buf = append(buf, seg)
-			}
+			fn(l)
 		}
-		return buf
+		return
 	}
 	for _, fe := range ft.famIdx[famKey{src: srcLabel, et: et, dir: dir}] {
-		if seg, ok := fillSegment(fe.list, src, withProps); ok {
+		fn(fe.list)
+	}
+}
+
+// Neighbors implements View.
+func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
+	return g.neighbors(buf, src, et, dir, dstLabel, withProps, Latest)
+}
+
+func (g *Graph) neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64) []Segment {
+	g.families(src, et, dir, dstLabel, func(l *AdjList) {
+		if seg, ok := fillSegment(l, src, withProps, ver); ok {
 			buf = append(buf, seg)
 		}
-	}
+	})
 	return buf
 }
 
 // Degree implements View.
 func (g *Graph) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
+	return g.degree(src, et, dir, dstLabel, Latest)
+}
+
+func (g *Graph) degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, ver uint64) int {
 	n := 0
-	for _, seg := range g.Neighbors(nil, src, et, dir, dstLabel, false) {
-		n += len(seg.VIDs)
-	}
+	g.families(src, et, dir, dstLabel, func(l *AdjList) {
+		if c := l.snap.Load(); c != nil {
+			k, _ := c.runLen(src, ver)
+			n += k
+		} else {
+			n += len(l.neighbors(src))
+		}
+	})
 	return n
+}
+
+// VersionView is the graph as a read at one commit version sees it: delta
+// entries stamped after the version are hidden from every adjacency read, and
+// every other read is the graph's own. Transaction snapshots read adjacency
+// through it.
+type VersionView struct {
+	*Graph
+	ver uint64
+}
+
+// At returns the graph's view at commit version ver.
+func (g *Graph) At(ver uint64) VersionView { return VersionView{Graph: g, ver: ver} }
+
+// Neighbors implements View at the view's version.
+func (v VersionView) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
+	return v.Graph.neighbors(buf, src, et, dir, dstLabel, withProps, v.ver)
+}
+
+// NeighborsBatch implements View at the view's version.
+func (v VersionView) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
+	v.Graph.neighborsBatch(srcs, et, dir, dstLabel, withProps, v.ver, out)
+}
+
+// Degree implements View at the view's version.
+func (v VersionView) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
+	return v.Graph.degree(src, et, dir, dstLabel, v.ver)
 }
 
 // ScanLabel implements View.
@@ -415,10 +585,12 @@ func (g *Graph) ScanLabel(label catalog.LabelID) []vector.VID {
 	return g.tables[label].vids
 }
 
-// NumVertices implements View.
+// NumVertices implements View: the vertices of the base, not those
+// transactions created.
 func (g *Graph) NumVertices() int { return len(g.labelOf) }
 
-// NumEdges returns the number of live directed edges in the base graph.
+// NumEdges returns the number of live directed edges, committed ones
+// included.
 func (g *Graph) NumEdges() int { return int(g.edgeCount.Load()) }
 
 // CountLabel returns how many vertices carry the given label.

@@ -1,10 +1,12 @@
-// Background reseal: when a family's delta overlay outgrows the reseal
-// policy, image and delta are merged off the read path into a fresh image
-// that is swapped in atomically with an empty delta. Readers never block —
-// in-flight operations finish against the image they loaded; the published
-// statistics snapshot is rebased (the resealed family's summary replaced,
-// epoch bumped) rather than dropped, so the plan cache degrades to
-// mildly-stale estimates instead of syntactic planning.
+// Background reseal — the fold of committed writes into the images: when a
+// family's delta overlay outgrows the reseal policy and holds something at or
+// below the fold horizon, image and delta are merged off the read path into a
+// fresh image that is swapped in atomically, the entries newer than the
+// horizon carried into its delta. Readers never block — in-flight operations
+// finish against the image they loaded; the published statistics snapshot is
+// rebased (the resealed family's summary replaced, epoch bumped) rather than
+// dropped, so the plan cache degrades to mildly-stale estimates instead of
+// syntactic planning.
 package storage
 
 import (
@@ -16,14 +18,15 @@ import (
 
 // maybeReseal schedules a background rebuild of one family once its delta
 // crosses the reseal policy (at least resealMin entries and more than
-// resealFrac of the sealed entry count).
+// resealFrac of the sealed entry count) and the fold horizon lets it fold
+// something.
 func (g *Graph) maybeReseal(key AdjKey, l *AdjList) {
 	c := l.snap.Load()
 	if c == nil {
 		return
 	}
 	n := int(c.delta.depth())
-	if n < g.resealMin || float64(n) <= g.resealFrac*float64(len(c.neighbors)) {
+	if n < g.resealMin || float64(n) <= g.resealFrac*float64(len(c.neighbors)) || !c.delta.canFold(g.foldHorizon()) {
 		return
 	}
 	g.scheduleReseal(key, l)
@@ -42,14 +45,17 @@ func (g *Graph) scheduleReseal(key AdjKey, l *AdjList) {
 	}
 }
 
-// resealFamily merges one family's image and delta into its next image
-// (Seal excludes writers via wmu; readers keep the old image until the
+// resealFamily folds one family's delta, up to the fold horizon, into its next
+// image (seal excludes writers via wmu; readers keep the old image until the
 // atomic swap) and rebases the statistics snapshot with the family's fresh
 // degree summary.
 func (g *Graph) resealFamily(key AdjKey, l *AdjList) {
 	start := time.Now()
-	l.Seal()
+	folded := l.seal(g.foldHorizon())
 	l.resealing.Store(false)
+	if !folded {
+		return
+	}
 	g.resealCount.Add(1)
 	g.resealNanos.Add(int64(time.Since(start)))
 	g.rebaseStats(key, l.snap.Load())

@@ -116,10 +116,14 @@ func (s *snapReader) value(k vector.Kind) vector.Value {
 	}
 }
 
-// Save writes the catalog and the base graph as a snapshot. Transactional
-// overlays are not included: callers persist a quiesced (or freshly loaded)
-// graph.
+// Save writes the catalog and the graph as a snapshot: every edge, committed
+// ones included. Vertices a transaction created are not storage's to write
+// (their properties live with the transaction layer), so a graph holding any
+// is refused. Callers persist a quiesced (or freshly loaded) graph.
 func (g *Graph) Save(w io.Writer) error {
+	if n := g.nCreated.Load(); n > 0 {
+		return fmt.Errorf("storage: Save of a graph holding %d transaction-created vertices", n)
+	}
 	sw := &snapWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := sw.w.WriteString(snapshotMagic); err != nil {
 		return err
@@ -195,7 +199,7 @@ func (g *Graph) Save(w io.Writer) error {
 		// run is read the way Neighbors reads it: the sealed image merged
 		// with its delta, or the builder slot in the bulk phase.
 		for _, src := range g.ScanLabel(f.key.Src) {
-			seg, _ := fillSegment(f.list, src, true)
+			seg, _ := fillSegment(f.list, src, true, Latest)
 			for i, dst := range seg.VIDs {
 				sw.varint(g.ExtID(src))
 				sw.varint(g.ExtID(dst))

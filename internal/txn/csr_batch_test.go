@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -54,11 +55,11 @@ func assertBatchMatchesScalar(t testing.TB, v storage.View, srcs []vector.VID,
 // one write of every shape the read path distinguishes, each in its own
 // version:
 //
-//	v1  p0 KNOWS p9 (both directions)          overlay lists on two base sources
+//	v1  p0 KNOWS p9 (both directions)          delta runs on two base sources
 //	v2  new post np by p1                       a created source; p1 gains (HAS_CREATOR, In, Post)
 //	v3  new comment nc by p1, reply to np       p1 gains a second family of the same edge type
-//	v4  p2 LIKES m0, p3 LIKES np                overlay edge onto a created vertex
-//	v5  p0 KNOWS p8 (both directions)           a second entry in v1's lists
+//	v4  p2 LIKES m0, p3 LIKES np                a committed edge onto a created vertex
+//	v5  p0 KNOWS p8 (both directions)           a second entry in v1's runs
 type overlayFixture struct {
 	f      *testgraph.Fixture
 	m      *Manager
@@ -159,18 +160,24 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 		}
 	}
 
-	// Version visibility, spelled out on one source: p0's KNOWS run grows by
-	// exactly the entries committed at or below the snapshot.
+	// Version visibility, spelled out on one source: p0's KNOWS run is the
+	// sealed run merged with exactly the entries committed at or below the
+	// snapshot — Sorted always, Shared only while none is visible.
 	p := o.f.Persons
-	for ver, want := range map[uint64][]vector.VID{0: nil, 1: {p[9]}, 4: {p[9]}, 5: {p[9], p[8]}} {
+	var sealed []vector.VID
+	for _, seg := range o.m.SnapshotAt(0).Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false) {
+		sealed = append(sealed, seg.VIDs...)
+	}
+	for ver, added := range map[uint64][]vector.VID{0: nil, 1: {p[9]}, 4: {p[9]}, 5: {p[9], p[8]}} {
 		var b storage.Batch
 		o.m.SnapshotAt(ver).NeighborsBatch([]vector.VID{p[0]}, s.Knows, catalog.Out, s.Person, false, &b)
-		base := len(o.f.Graph.Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false)[0].VIDs)
-		if got := b.Run(0)[base:]; !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
-			t.Fatalf("snapshot v%d: p0 overlay neighbors %v, want %v", ver, got, want)
+		want := append(append([]vector.VID{}, sealed...), added...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := append([]vector.VID{}, b.Run(0)...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot v%d: p0 neighbors %v, want %v", ver, got, want)
 		}
-		if b.Sorted == (len(want) > 0) || b.Shared == (len(want) > 0) {
-			t.Fatalf("snapshot v%d: Sorted=%v Shared=%v with %d spliced entries", ver, b.Sorted, b.Shared, len(want))
+		if !b.Sorted || b.Shared == (len(added) > 0) {
+			t.Fatalf("snapshot v%d: Sorted=%v Shared=%v with %d committed entries visible", ver, b.Sorted, b.Shared, len(added))
 		}
 	}
 }
@@ -194,38 +201,57 @@ func TestSnapshotBatchSharedWhenUntouched(t *testing.T) {
 			t.Fatalf("%s: Shared=%v Sorted=%v, want the shared sealed batch", name, b.Shared, b.Sorted)
 		}
 	}
-	// One touched source in the request is what it takes to pack.
+	// One touched source in the request is what it takes to merge — and the
+	// merged batch stays Sorted.
 	b := assertBatchMatchesScalar(t, snap, []vector.VID{p[4], p[0]}, s.Knows, catalog.Out, s.Person, false)
-	if b.Shared || b.Sorted {
-		t.Fatalf("spliced batch: Shared=%v Sorted=%v", b.Shared, b.Sorted)
+	if b.Shared || !b.Sorted {
+		t.Fatalf("merged batch: Shared=%v Sorted=%v", b.Shared, b.Sorted)
 	}
 }
 
-// TestOverlayFamilyOrderDeterministic: a vertex holding two overlay families
-// of one edge type (p1: a new post and a new comment on HAS_CREATOR/In) must
-// return them in first-commit order on every read, scalar and batched.
+// TestOverlayFamilyOrderDeterministic: a vertex whose committed edges of one
+// edge type land in two families (p1: a new post and a new comment on
+// HAS_CREATOR/In) must return them in the graph's family order on every read,
+// scalar and batched — each inside its family's sorted run.
 func TestOverlayFamilyOrderDeterministic(t *testing.T) {
 	o := newOverlayFixture(t)
 	s, p1 := o.f.Schema, o.f.Persons[1]
 	snap := o.m.Snapshot()
-	base := 0
+	// The graph reads every committed entry, as the latest snapshot does.
+	var want []vector.VID
 	for _, seg := range o.f.Graph.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
-		base += len(seg.VIDs)
+		if !seg.Sorted {
+			t.Fatalf("family run %v is not sorted", seg.VIDs)
+		}
+		want = append(want, seg.VIDs...)
 	}
-	want := []vector.VID{o.np, o.nc}
+	for _, v := range []vector.VID{o.np, o.nc} {
+		if !containsVID(want, v) {
+			t.Fatalf("created vertex %d missing from %v", v, want)
+		}
+	}
 	for i := 0; i < 100; i++ {
 		var scalar []vector.VID
 		for _, seg := range snap.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
 			scalar = append(scalar, seg.VIDs...)
 		}
-		if got := scalar[base:]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("read %d: scalar overlay order %v, want %v", i, got, want)
+		if !reflect.DeepEqual(scalar, want) {
+			t.Fatalf("read %d: scalar order %v, want %v", i, scalar, want)
 		}
 		b := assertBatchMatchesScalar(t, snap, []vector.VID{p1}, s.HasCreator, catalog.In, storage.AnyLabel, false)
-		if got := b.Run(0)[base:]; !reflect.DeepEqual(append([]vector.VID{}, got...), want) {
-			t.Fatalf("read %d: batch overlay order %v, want %v", i, got, want)
+		if got := append([]vector.VID{}, b.Run(0)...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("read %d: batch order %v, want %v", i, got, want)
 		}
 	}
+}
+
+func containsVID(vs []vector.VID, v vector.VID) bool {
+	for _, x := range vs {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSnapshotBatchUnderCommits runs batched snapshot readers against a
@@ -270,7 +296,7 @@ func TestSnapshotBatchUnderCommits(t *testing.T) {
 			defer readersWG.Done()
 			srcs := append([]vector.VID{vector.NilVID, o.np}, p...)
 			for i := 0; i < reads; i++ {
-				snap := o.m.Snapshot()
+				snap := o.m.AcquireSnapshot() // pinned: no reseal folds past it mid-read
 				dir := []catalog.Direction{catalog.Out, catalog.In, catalog.Both}[(i+r)%3]
 				var b, ref storage.Batch
 				for _, et := range []catalog.EdgeTypeID{s.Knows, s.HasCreator} {
@@ -283,6 +309,7 @@ func TestSnapshotBatchUnderCommits(t *testing.T) {
 						}
 					}
 				}
+				o.m.Release(snap)
 			}
 		}(r)
 	}

@@ -1,22 +1,25 @@
 package txn
 
-import "sort"
+import (
+	"ges/internal/catalog"
+	"ges/internal/vector"
+)
 
-// Version-chain garbage collection. Long-running GES instances accumulate
-// property versions on hot vertices; GC folds every chain prefix at or below
-// a horizon version into its newest entry. Snapshots at versions older than
-// the horizon must no longer be read — the standard MVCC GC contract — so
-// the manager tracks pinned snapshot versions and exposes the safe horizon.
+// Version collection. Committed edges are collected by the graph: a reseal
+// folds the delta entries at or below the GC horizon into the next image
+// (storage.Graph.BindVersions makes this manager the horizon's source).
+// Property versions are collected here: long-running GES instances
+// accumulate them on hot vertices, and GC folds every chain prefix at or
+// below the horizon into its newest entry. Snapshots at versions older than
+// the horizon must no longer be read — the standard MVCC GC contract — so the
+// manager tracks pinned snapshot versions and derives the horizon from them.
 
 // pin tracking ------------------------------------------------------------
 
 // AcquireSnapshot returns a snapshot whose version is pinned until Release
-// is called; GC never advances past a pinned version.
+// is called: neither GC nor a reseal advances past a pinned version.
 func (m *Manager) AcquireSnapshot() *Snapshot {
-	s := m.Snapshot()
-	m.pinMu.Lock()
-	m.pins[s.ver]++
-	m.pinMu.Unlock()
+	s := m.SnapshotAt(m.pin())
 	s.pinned = true
 	return s
 }
@@ -28,11 +31,39 @@ func (m *Manager) Release(s *Snapshot) {
 		return
 	}
 	s.pinned = false
+	m.unpin(s.ver)
+}
+
+// pin pins the current version and returns it. The version is read under
+// pinMu, the lock GCHorizon reads it under, so no horizon ever passes a
+// version that is being pinned. Pins are appended at the newest version, so
+// the list stays ascending; once its capacity has grown, pinning allocates
+// nothing.
+func (m *Manager) pin() uint64 {
 	m.pinMu.Lock()
-	if m.pins[s.ver] > 1 {
-		m.pins[s.ver]--
+	ver := m.version.Load()
+	if k := len(m.pins); k > 0 && m.pins[k-1].ver == ver {
+		m.pins[k-1].n++
 	} else {
-		delete(m.pins, s.ver)
+		m.pins = append(m.pins, pin{ver: ver, n: 1})
+	}
+	m.pinned++
+	m.pinMu.Unlock()
+	return ver
+}
+
+// unpin drops one pin of ver, in place.
+func (m *Manager) unpin(ver uint64) {
+	m.pinMu.Lock()
+	for i := range m.pins {
+		if m.pins[i].ver != ver {
+			continue
+		}
+		if m.pins[i].n--; m.pins[i].n == 0 {
+			m.pins = append(m.pins[:i], m.pins[i+1:]...)
+		}
+		m.pinned--
+		break
 	}
 	m.pinMu.Unlock()
 }
@@ -41,75 +72,64 @@ func (m *Manager) Release(s *Snapshot) {
 // smallest pinned snapshot version (or the current version when nothing is
 // pinned).
 func (m *Manager) GCHorizon() uint64 {
-	cur := m.version.Load()
 	m.pinMu.Lock()
 	defer m.pinMu.Unlock()
-	min := cur
-	for v := range m.pins {
-		if v < min {
-			min = v
-		}
+	if len(m.pins) > 0 {
+		return m.pins[0].ver
 	}
-	return min
+	return m.version.Load()
 }
 
-// GC compacts every vertex overlay's property version chain below the safe
-// horizon: for each property, versions at or below the horizon collapse
-// into the single newest one. It returns the number of property versions
-// dropped. Edge overlay entries are pure inserts and are never dropped.
+// Pins returns the number of live pinned snapshots.
+func (m *Manager) Pins() int {
+	m.pinMu.Lock()
+	defer m.pinMu.Unlock()
+	return m.pinned
+}
+
+// GC compacts every record's property version chain below the safe horizon:
+// for each property, versions at or below the horizon collapse into the
+// single newest one. It returns the number of property versions dropped.
 func (m *Manager) GC() int {
 	horizon := m.GCHorizon()
-	m.mu.RLock()
-	overlays := make([]*vertexOverlay, 0, len(m.overlays))
-	for _, vo := range m.overlays {
-		overlays = append(overlays, vo)
-	}
-	m.mu.RUnlock()
-
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	dropped := 0
-	for _, vo := range overlays {
-		vo.mu.Lock()
-		dropped += compactProps(vo, horizon)
-		vo.mu.Unlock()
-	}
+	m.overlays.Range(func(v vector.VID, vo *vertexOverlay) {
+		props, n := compactProps(vo.props, horizon)
+		if n == 0 {
+			return
+		}
+		next := *vo
+		next.props = props
+		m.overlays.Store(v, &next)
+		dropped += n
+	})
 	m.gcRuns.Add(1)
 	return dropped
 }
 
-// compactProps rewrites the chain, keeping for each property only the
-// newest entry at or below horizon, plus everything above it. The caller
-// holds vo.mu.
-func compactProps(vo *vertexOverlay, horizon uint64) int {
-	if len(vo.props) == 0 {
-		return 0
-	}
+// compactProps returns the chain keeping, for each property, only the newest
+// entry at or below horizon, plus everything above it — and how many entries
+// it dropped.
+func compactProps(props []propVersion, horizon uint64) ([]propVersion, int) {
 	// Newest survivor per pid at or below the horizon.
-	survivors := map[uint16]int{}
-	for i, pv := range vo.props {
+	survivors := map[catalog.PropID]int{}
+	for i, pv := range props {
 		if pv.version > horizon {
 			continue
 		}
-		if cur, ok := survivors[uint16(pv.pid)]; !ok || vo.props[cur].version < pv.version {
-			survivors[uint16(pv.pid)] = i
+		if cur, ok := survivors[pv.pid]; !ok || props[cur].version < pv.version {
+			survivors[pv.pid] = i
 		}
 	}
-	keep := make([]int, 0, len(vo.props))
-	for i, pv := range vo.props {
-		if pv.version > horizon || survivors[uint16(pv.pid)] == i {
-			keep = append(keep, i)
+	var next []propVersion
+	for i, pv := range props {
+		if pv.version > horizon || survivors[pv.pid] == i {
+			next = append(next, pv)
 		}
 	}
-	if len(keep) == len(vo.props) {
-		return 0
-	}
-	sort.Ints(keep)
-	next := make([]propVersion, len(keep))
-	for j, i := range keep {
-		next[j] = vo.props[i]
-	}
-	dropped := len(vo.props) - len(next)
-	vo.props = next
-	return dropped
+	return next, len(props) - len(next)
 }
 
 // GCRuns reports how many GC passes have completed.

@@ -22,112 +22,113 @@ type extEntry struct {
 	ver uint64
 }
 
+// createdIndex lists the vertices transactions created, in commit order — all
+// of them and per label — for NumVertices and ScanLabel. A commit that creates
+// vertices publishes a successor that appends to the same backing arrays:
+// readers read only below their own lengths, so none locks and no commit
+// copies a list.
+type createdIndex struct {
+	all     []extEntry
+	byLabel [][]extEntry
+}
+
+// visiblePrefix is how many entries of a commit-ordered list exist at s.
+func visiblePrefix(list []extEntry, s uint64) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].ver > s })
+}
+
+// pin is one pinned snapshot version and how many live snapshots hold it.
+type pin struct {
+	ver uint64
+	n   int
+}
+
 // Manager is the version manager of §5: it owns the global version counter
-// (initialized to zero), the vertex lock table, and the overlay store.
+// (initialized to zero), the vertex lock table, the vertex records, and the
+// pins that hold back the graph's fold horizon.
 //
 // Lock order (checked by geslint rule R2): commit publication holds commitMu
-// while installing committed values into per-vertex overlays (vertexOverlay.mu)
-// and registering new overlays in the maps (Manager.mu, also via
-// ensureOverlay). No path acquires commitMu while holding either inner lock,
-// and the two inner locks never nest with each other. Commit also reads the
-// catalog (edge-type schemas) under commitMu; Catalog.mu is a leaf read
-// lock that no catalog path nests further, so the order is safe.
+// while writing edges into the graph (AdjList.wmu per family, Graph.famMu
+// when a commit creates a family) and, when a write crosses the reseal
+// policy with no executor to hand it to, while resealing inline (the rebased
+// statistics publish under Graph.statsMu). No graph path acquires commitMu.
+// Family creation reads the catalog (edge-type schemas); Catalog.mu is a leaf
+// read lock that no catalog path nests further, so the order is safe.
 //
-//geslint:lockorder Manager.commitMu < Manager.mu
-//geslint:lockorder Manager.commitMu < vertexOverlay.mu
+//geslint:lockorder Manager.commitMu < AdjList.wmu
+//geslint:lockorder Manager.commitMu < Graph.famMu
+//geslint:lockorder Manager.commitMu < Graph.statsMu
 //geslint:lockorder Manager.commitMu < Catalog.mu
 type Manager struct {
 	graph *storage.Graph
+	base  vector.VID // the graph's vertex count: created VIDs start here
+
+	// overlays holds the published record of every vertex that has one —
+	// created vertices and vertices with property versions — indexed by VID,
+	// base and created alike: one lock-free probe per row, and most rows have
+	// none. written is the number of base vertices among them: while it is
+	// zero a base row needs no probe at all.
+	overlays storage.VIDMap[vertexOverlay]
+	written  atomic.Int64
+	created  atomic.Pointer[createdIndex] // nil until a commit creates a vertex
+	byExt    sync.Map                     // extKey -> extEntry of created vertices
 
 	version atomic.Uint64 // last committed version
 	nextVID atomic.Uint64 // next VID for transactionally created vertices
+	count   atomic.Int64  // records published
 
-	commitMu sync.Mutex // serializes version assignment + publication
+	// commitMu serializes version assignment and publication, and GC's
+	// record rewrites with both.
+	commitMu sync.Mutex
 
 	locks lockTable
 
-	mu       sync.RWMutex // guards the maps below
-	overlays map[vector.VID]*vertexOverlay
-	// base has one slot per base vertex, set (under mu) once the vertex gets
-	// an overlay and never cleared. Every expand source, gathered row and
-	// Prop asks, most base vertices are never written, and the written ones
-	// are the hot ones: one atomic load answers either way, so a reader of
-	// base vertices never touches the lock the committer takes. Created
-	// vertices (VID >= base count) take the map.
-	base    []atomic.Pointer[vertexOverlay]
-	byExt   map[extKey]extEntry
-	byLabel map[catalog.LabelID][]extEntry // created vertices per label
-	created []extEntry                     // all created vertices, version-ascending
-	count   atomic.Int64                   // number of overlay vertices (fast emptiness check)
-
 	pinMu  sync.Mutex
-	pins   map[uint64]int // pinned snapshot versions -> refcount
+	pins   []pin // pinned versions, ascending
+	pinned int   // live pinned snapshots
 	gcRuns atomic.Int64
 }
 
-// NewManager wraps a bulk-loaded base graph. The base must not be mutated
-// once transactions begin.
+// NewManager returns g's transaction manager: a fresh one bound as the
+// graph's version source — which seals a graph still in the bulk phase, since
+// commits write into the sealed images' deltas — or the one bound before, for
+// a graph has one version sequence.
 func NewManager(g *storage.Graph) *Manager {
-	m := &Manager{
-		graph:    g,
-		overlays: make(map[vector.VID]*vertexOverlay),
-		base:     make([]atomic.Pointer[vertexOverlay], g.NumVertices()),
-		byExt:    make(map[extKey]extEntry),
-		byLabel:  make(map[catalog.LabelID][]extEntry),
-		pins:     make(map[uint64]int),
-	}
-	m.nextVID.Store(uint64(g.NumVertices()))
-	return m
+	m := &Manager{graph: g, base: vector.VID(g.NumVertices())}
+	m.nextVID.Store(uint64(m.base))
+	return g.BindVersions(m).(*Manager)
 }
 
-// Graph returns the underlying base graph.
+// Graph returns the underlying graph.
 func (m *Manager) Graph() *storage.Graph { return m.graph }
 
 // Version returns the last committed version.
 func (m *Manager) Version() uint64 { return m.version.Load() }
 
-// Snapshot returns a non-blocking read view at the current committed
-// version.
-func (m *Manager) Snapshot() *Snapshot {
-	return &Snapshot{m: m, ver: m.version.Load(), hasOverlays: m.count.Load() > 0}
-}
+// Snapshot returns an unpinned read view at the current committed version. It
+// reads exactly that version only while nothing folds past it: a read that
+// may overlap later commits — and the reseals they trigger — pins its version
+// with AcquireSnapshot.
+func (m *Manager) Snapshot() *Snapshot { return m.SnapshotAt(m.version.Load()) }
 
-// SnapshotAt returns a read view at an explicit version (time travel for
-// tests and auditing).
+// SnapshotAt returns an unpinned read view at an explicit version (time
+// travel for tests and auditing), under Snapshot's caveat.
 func (m *Manager) SnapshotAt(ver uint64) *Snapshot {
-	return &Snapshot{m: m, ver: ver, hasOverlays: m.count.Load() > 0}
+	return &Snapshot{m: m, ver: ver, at: m.graph.At(ver)}
 }
 
-// overlayOf returns the overlay of v, or nil.
-func (m *Manager) overlayOf(v vector.VID) *vertexOverlay {
-	if int(v) < len(m.base) {
-		return m.base[v].Load()
-	}
-	m.mu.RLock()
-	vo := m.overlays[v]
-	m.mu.RUnlock()
-	return vo
-}
+// overlayOf returns the record of v, or nil.
+func (m *Manager) overlayOf(v vector.VID) *vertexOverlay { return m.overlays.Load(v) }
 
-// ensureOverlay returns (creating if needed) the overlay of v.
-func (m *Manager) ensureOverlay(v vector.VID) *vertexOverlay {
-	// Most writes land on a vertex that already has one; only a first write
-	// takes the exclusive lock, which is what makes readers wait.
-	if vo := m.overlayOf(v); vo != nil {
-		return vo
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	vo, ok := m.overlays[v]
-	if !ok {
-		vo = &vertexOverlay{}
-		if int(v) < len(m.base) {
-			m.base[v].Store(vo)
-		}
-		m.overlays[v] = vo
+// publish installs rec as v's record. Caller holds commitMu.
+func (m *Manager) publish(v vector.VID, rec *vertexOverlay) {
+	if m.overlays.Load(v) == nil {
 		m.count.Add(1)
+		if v < m.base {
+			m.written.Add(1)
+		}
 	}
-	return vo
+	m.overlays.Store(v, rec)
 }
 
 // Begin starts a write transaction whose write set (the vertices it will
@@ -189,7 +190,8 @@ func (lt *lockTable) release(vs []vector.VID) {
 	}
 }
 
-// Stats reports overlay-store gauges (instrumentation).
+// Stats reports the record count — created vertices plus vertices with
+// property versions — and the last committed version (instrumentation).
 func (m *Manager) Stats() (overlayVertices int, version uint64) {
 	return int(m.count.Load()), m.version.Load()
 }

@@ -1,119 +1,25 @@
 // Package txn implements GES's concurrency control (§5): Multi-Version
 // Two-Phase Locking with vertex-level versioning. Write transactions declare
 // their write sets up front and acquire vertex locks in canonical order
-// (two-phase locking without deadlocks); commits publish copy-on-write
-// overlays stamped with a global version. Read queries run against
-// Snapshots — immutable views combining the base graph with all overlays at
-// or below the snapshot version — and never block.
+// (two-phase locking without deadlocks); a commit publishes all its writes
+// under one global version. Read queries run against Snapshots — views at one
+// version — and never block.
 //
-// The base storage.Graph stays immutable once transactions start; all
-// mutation lives in overlays. Overlay edge lists are append-only and
-// version-ascending per vertex, so a snapshot's view of a list is a prefix —
-// readers borrow zero-copy prefix views under a brief read lock.
+// Committed edges live in the storage graph: a commit writes them, stamped
+// with its version, into the sealed images' deltas (storage.Graph.CommitEdge),
+// a snapshot reads the graph's adjacency as of its version
+// (storage.Graph.At), and a reseal folds them into the images up to the GC
+// horizon — the oldest pinned snapshot — which the manager is the graph's
+// source of. What stays here is per vertex: the creation metadata of vertices
+// a transaction created and every vertex's property versions, held in
+// immutable records published behind a lock-free slot array. A commit or GC
+// replaces a record wholesale, so readers take no lock.
 package txn
 
 import (
-	"sync"
-
 	"ges/internal/catalog"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
-
-// adjKey identifies an overlay adjacency family of one vertex.
-type adjKey struct {
-	et  catalog.EdgeTypeID
-	dir catalog.Direction
-	dst catalog.LabelID
-}
-
-// overlayAdj is a per-vertex, per-family append-only edge list. Entries are
-// version-ascending, so visibility at snapshot version s is a prefix.
-type overlayAdj struct {
-	dsts []vector.VID
-	vers []uint64
-
-	propKinds []vector.Kind
-	propI64   [][]int64
-	propF64   [][]float64
-	propStr   [][]string
-}
-
-func newOverlayAdj(defs []catalog.PropDef) *overlayAdj {
-	a := &overlayAdj{}
-	for _, d := range defs {
-		a.propKinds = append(a.propKinds, d.Kind)
-		a.propI64 = append(a.propI64, nil)
-		a.propF64 = append(a.propF64, nil)
-		a.propStr = append(a.propStr, nil)
-	}
-	return a
-}
-
-func (a *overlayAdj) append(dst vector.VID, ver uint64, props []vector.Value) {
-	a.dsts = append(a.dsts, dst)
-	a.vers = append(a.vers, ver)
-	for i, k := range a.propKinds {
-		var v vector.Value
-		if i < len(props) {
-			v = props[i]
-		}
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			a.propI64[i] = append(a.propI64[i], v.I)
-		case vector.KindFloat64:
-			a.propF64[i] = append(a.propF64[i], v.F)
-		case vector.KindString:
-			a.propStr[i] = append(a.propStr[i], v.S)
-		}
-	}
-}
-
-// visiblePrefix returns how many leading entries have version <= s. A
-// snapshot is nearly always newer than a list's last entry, so that is
-// checked first: one load instead of a search through a cold array.
-func (a *overlayAdj) visiblePrefix(s uint64) int {
-	lo, hi := 0, len(a.vers)
-	if hi == 0 || a.vers[hi-1] <= s {
-		return hi
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.vers[mid] <= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// segment renders the visible prefix as a storage segment (views, no copy).
-func (a *overlayAdj) segment(n int, withProps bool) (storage.Segment, bool) {
-	if n == 0 {
-		return storage.Segment{}, false
-	}
-	seg := storage.Segment{VIDs: a.dsts[:n:n]}
-	if withProps {
-		for i, k := range a.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				seg.PropI64 = append(seg.PropI64, a.propI64[i][:n:n])
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindFloat64:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, a.propF64[i][:n:n])
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindString:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, a.propStr[i][:n:n])
-			}
-		}
-	}
-	return seg, true
-}
 
 // propVersion is one committed property write.
 type propVersion struct {
@@ -122,13 +28,11 @@ type propVersion struct {
 	val     vector.Value
 }
 
-// vertexOverlay is the copy-on-write version chain of one vertex (§5,
-// Concurrency Control): new snapshots of the vertex's adjacency and
-// properties, never touching the base arrays.
+// vertexOverlay is the published record of one vertex (§5, Concurrency
+// Control): the copy-on-write version chain of its properties and, for a
+// vertex born in a transaction, its creation metadata. It is immutable once
+// published; a commit or GC publishes a modified copy.
 type vertexOverlay struct {
-	mu sync.RWMutex
-
-	// Creation metadata for vertices born in a transaction.
 	isNew      bool
 	createdVer uint64
 	label      catalog.LabelID
@@ -136,40 +40,17 @@ type vertexOverlay struct {
 	baseProps  []vector.Value // creation-time property row (schema order)
 
 	props []propVersion
-	// adj holds the vertex's overlay families in first-commit order (one to
-	// three in practice), so an AnyLabel read visits them in the same order
-	// every time and a lookup is a short scan, not a hash.
-	adj []overlayFamily
 }
 
-// overlayFamily is one overlay adjacency family of a vertex.
-type overlayFamily struct {
-	key  adjKey
-	list *overlayAdj
-}
-
-// matches reports whether the family answers a read of edge type et in
-// direction dir (never Both) toward dstLabel, AnyLabel included.
-func (k adjKey) matches(et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) bool {
-	return k.et == et && k.dir == dir && (dstLabel == storage.AnyLabel || k.dst == dstLabel)
-}
-
-// visibleNew reports whether a created vertex exists at snapshot s.
-func (vo *vertexOverlay) visibleNew(s uint64) bool {
-	return !vo.isNew || vo.createdVer <= s
-}
-
-// adjFor returns (creating on demand) the overlay adjacency for key. The
-// caller must hold vo.mu.
-func (vo *vertexOverlay) adjFor(key adjKey, defs []catalog.PropDef) *overlayAdj {
-	for _, f := range vo.adj {
-		if f.key == key {
-			return f.list
-		}
+// withProp returns a copy of the record (a fresh one for nil) with pv
+// appended to its property chain.
+func (vo *vertexOverlay) withProp(pv propVersion) *vertexOverlay {
+	var next vertexOverlay
+	if vo != nil {
+		next = *vo
 	}
-	a := newOverlayAdj(defs)
-	vo.adj = append(vo.adj, overlayFamily{key: key, list: a})
-	return a
+	next.props = append(next.props[:len(next.props):len(next.props)], pv)
+	return &next
 }
 
 // propAt returns the newest committed value of pid at or below version s.
@@ -181,4 +62,23 @@ func (vo *vertexOverlay) propAt(pid catalog.PropID, s uint64) (vector.Value, boo
 		}
 	}
 	return vector.Value{}, false
+}
+
+// createdProp returns property pid of a created vertex at version s: its
+// newest committed write, else its creation-row value — the typed zero of the
+// label's schema where the row has none.
+func (vo *vertexOverlay) createdProp(cat *catalog.Catalog, pid catalog.PropID, s uint64) vector.Value {
+	if val, ok := vo.propAt(pid, s); ok {
+		return val
+	}
+	var val vector.Value
+	if int(pid) < len(vo.baseProps) {
+		val = vo.baseProps[pid]
+	}
+	if val.Kind == vector.KindInvalid {
+		if defs := cat.LabelProps(vo.label); int(pid) < len(defs) {
+			val = vector.Value{Kind: defs[pid].Kind}
+		}
+	}
+	return val
 }

@@ -51,6 +51,9 @@ func (t *Txn) AddVertex(label catalog.LabelID, ext int64, props ...vector.Value)
 	if t.done {
 		return vector.NilVID, errTxnDone
 	}
+	if int(label) >= t.m.graph.Catalog().NumLabels() {
+		return vector.NilVID, fmt.Errorf("txn: unknown label %d", label)
+	}
 	vid := vector.VID(t.m.nextVID.Add(1) - 1)
 	t.newVerts = append(t.newVerts, pendingVertex{
 		vid: vid, label: label, ext: ext,
@@ -108,93 +111,70 @@ func (t *Txn) requireWritable(v vector.VID) error {
 	return fmt.Errorf("txn: vertex %d is not in the declared write set", v)
 }
 
-// labelOfAny resolves a vertex label from the base graph, committed
-// overlays, or this transaction's pending vertices.
-func (t *Txn) labelOfAny(v vector.VID) (catalog.LabelID, error) {
-	if l, ok := t.newLabels[v]; ok {
-		return l, nil
+// known reports whether v can be an edge endpoint at commit: a vertex of the
+// base graph, one this transaction creates, or one a committed transaction
+// created.
+func (t *Txn) known(v vector.VID) bool {
+	if _, ok := t.newLabels[v]; ok || v < t.m.base {
+		return true
 	}
-	if int(v) < t.m.graph.NumVertices() {
-		return t.m.graph.LabelOf(v), nil
-	}
-	if vo := t.m.overlayOf(v); vo != nil && vo.isNew {
-		return vo.label, nil
-	}
-	return 0, fmt.Errorf("txn: unknown vertex %d", v)
+	vo := t.m.overlayOf(v)
+	return vo != nil && vo.isNew
 }
 
 // Commit atomically publishes all buffered writes under a fresh version and
-// releases the locks.
+// releases the locks: created vertices and property versions as records, and
+// edges, both directions, into the graph's deltas stamped with the version.
+// Nothing is visible before the version is published, and snapshots at older
+// versions never see any of it.
 func (t *Txn) Commit() error {
 	if t.done {
 		return errTxnDone
 	}
 	t.done = true
 	defer t.m.locks.release(t.locked)
-
-	// Resolve edge endpoint labels before publication.
-	type resolvedEdge struct {
-		pendingEdge
-		srcLabel, dstLabel catalog.LabelID
-	}
-	edges := make([]resolvedEdge, len(t.edgeWrites))
-	for i, e := range t.edgeWrites {
-		sl, err := t.labelOfAny(e.src)
-		if err != nil {
-			return err
+	for _, e := range t.edgeWrites {
+		for _, v := range [2]vector.VID{e.src, e.dst} {
+			if !t.known(v) {
+				return fmt.Errorf("txn: unknown vertex %d", v)
+			}
 		}
-		dl, err := t.labelOfAny(e.dst)
-		if err != nil {
-			return err
-		}
-		edges[i] = resolvedEdge{pendingEdge: e, srcLabel: sl, dstLabel: dl}
 	}
 
-	m := t.m
+	m, g := t.m, t.m.graph
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	ver := m.version.Load() + 1
 
-	// Publish created vertices.
-	for _, nv := range t.newVerts {
-		vo := m.ensureOverlay(nv.vid)
-		vo.mu.Lock()
-		vo.isNew = true
-		vo.createdVer = ver
-		vo.label = nv.label
-		vo.ext = nv.ext
-		vo.baseProps = nv.props
-		vo.mu.Unlock()
-
-		m.mu.Lock()
-		entry := extEntry{vid: nv.vid, ver: ver}
-		m.byExt[extKey{label: nv.label, ext: nv.ext}] = entry
-		m.byLabel[nv.label] = append(m.byLabel[nv.label], entry)
-		m.created = append(m.created, entry)
-		m.mu.Unlock()
+	// Created vertices: the graph learns each label before an edge names it.
+	if len(t.newVerts) > 0 {
+		idx := &createdIndex{}
+		if cur := m.created.Load(); cur != nil {
+			idx.all = cur.all
+			idx.byLabel = append(idx.byLabel, cur.byLabel...)
+		}
+		for _, nv := range t.newVerts {
+			if err := g.AddCreatedVertex(nv.vid, nv.label); err != nil {
+				return err // unreachable: AddVertex checked the label
+			}
+			m.publish(nv.vid, &vertexOverlay{isNew: true, createdVer: ver, label: nv.label, ext: nv.ext, baseProps: nv.props})
+			e := extEntry{vid: nv.vid, ver: ver}
+			m.byExt.Store(extKey{label: nv.label, ext: nv.ext}, e)
+			idx.all = append(idx.all, e)
+			for int(nv.label) >= len(idx.byLabel) {
+				idx.byLabel = append(idx.byLabel, nil)
+			}
+			idx.byLabel[nv.label] = append(idx.byLabel[nv.label], e)
+		}
+		m.created.Store(idx)
 	}
-	// Publish property versions.
 	for _, pw := range t.propWrites {
-		vo := m.ensureOverlay(pw.vid)
-		vo.mu.Lock()
-		vo.props = append(vo.props, propVersion{version: ver, pid: pw.pid, val: pw.val})
-		vo.mu.Unlock()
+		m.publish(pw.vid, m.overlayOf(pw.vid).withProp(propVersion{version: ver, pid: pw.pid, val: pw.val}))
 	}
-	// Publish edges in both directions.
-	cat := m.graph.Catalog()
-	for _, e := range edges {
-		defs := cat.EdgeTypeProps(e.et)
-		fwd := m.ensureOverlay(e.src)
-		fwd.mu.Lock()
-		fwdAdj := fwd.adjFor(adjKey{et: e.et, dir: catalog.Out, dst: e.dstLabel}, defs)
-		fwdAdj.append(e.dst, ver, e.props)
-		fwd.mu.Unlock()
-
-		rev := m.ensureOverlay(e.dst)
-		rev.mu.Lock()
-		revAdj := rev.adjFor(adjKey{et: e.et, dir: catalog.In, dst: e.srcLabel}, defs)
-		revAdj.append(e.src, ver, e.props)
-		rev.mu.Unlock()
+	for _, e := range t.edgeWrites {
+		if err := g.CommitEdge(ver, e.et, e.src, e.dst, e.props...); err != nil {
+			return err // unreachable: both endpoints were checked above
+		}
 	}
 	// Release point: snapshots taken after this see version ver.
 	m.version.Store(ver)
