@@ -444,6 +444,28 @@ func BenchmarkServiceQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceLDBC serves POST /ldbc short reads through the service mux:
+// a profile (IS1, one vertex's properties), the ten newest messages (IS2, an
+// ORDER BY LIMIT over one f-Tree node) and all friends by date (IS3, a full
+// ORDER BY). At this size what a request costs beyond its rows — decoding,
+// binding, plan building, ordering — is most of its time.
+func BenchmarkServiceLDBC(b *testing.B) {
+	mux := service.NewWith(dataset(b), exec.ModeFused, service.Options{}).Mux()
+	for _, name := range []string{"IS1", "IS2", "IS3"} {
+		body := `{"name":"` + name + `","params":{"personId":3}}`
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ldbc", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("POST /ldbc %s: status %d: %s", body, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkISAfterIC serves IS1 through the service mux at simSF 1 on a
 // server that has served nothing else (fresh) and on one that has just served
 // one IC5 (after). The two must cost the same: what an IC left in the

@@ -4,9 +4,12 @@
 // Endpoints:
 //
 //	POST /query   {"query": "MATCH ... RETURN ..."}            → result table
-//	POST /ldbc    {"name": "IC9", "params": {"personId": 42}}  → workload query
+//	POST /ldbc    {"name": "IS3", "params": {"personId": 42}}  → workload query
 //	GET  /stats                                                → dataset gauges
 //	GET  /healthz                                              → liveness
+//
+// /ldbc params must be exactly the query's parameters; omitted, they are
+// drawn from the dataset's parameter pools.
 //
 // Example:
 //

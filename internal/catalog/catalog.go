@@ -204,16 +204,28 @@ func (c *Catalog) EdgeTypeProps(id EdgeTypeID) []PropDef {
 	return c.edgeProps[id]
 }
 
-// PropIndex resolves a property name within a label's schema.
-func (c *Catalog) PropIndex(label LabelID, prop string) (PropID, vector.Kind, bool) {
+// LabelProp is one label's definition of a property name.
+type LabelProp struct {
+	Label LabelID
+	Prop  PropID
+	Kind  vector.Kind
+}
+
+// PropLabels resolves a property name across the whole schema in one read:
+// every label defining it, in label order, and the number of labels.
+func (c *Catalog) PropLabels(prop string) ([]LabelProp, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for i, p := range c.labelProps[label] {
-		if p.Name == prop {
-			return PropID(i), p.Kind, true
+	out := make([]LabelProp, 0, len(c.labels))
+	for l, props := range c.labelProps {
+		for i, p := range props {
+			if p.Name == prop {
+				out = append(out, LabelProp{Label: LabelID(l), Prop: PropID(i), Kind: p.Kind})
+				break
+			}
 		}
 	}
-	return 0, vector.KindInvalid, false
+	return out, len(c.labels)
 }
 
 // EdgePropIndex resolves a property name within an edge type's schema.

@@ -44,15 +44,22 @@ func TestPropResolution(t *testing.T) {
 	p, _ := c.AddLabel("Person",
 		PropDef{Name: "name", Kind: vector.KindString},
 		PropDef{Name: "age", Kind: vector.KindInt64})
-	pid, kind, ok := c.PropIndex(p, "age")
-	if !ok || pid != 1 || kind != vector.KindInt64 {
-		t.Fatalf("PropIndex(age) = %d %s %v", pid, kind, ok)
+	if got, n := c.PropLabels("age"); n != 1 || len(got) != 1 || got[0] != (LabelProp{Label: p, Prop: 1, Kind: vector.KindInt64}) {
+		t.Fatalf("PropLabels(age) = %v, %d labels", got, n)
 	}
-	if _, _, ok := c.PropIndex(p, "ghost"); ok {
-		t.Fatal("phantom property")
+	if got, _ := c.PropLabels("ghost"); len(got) != 0 {
+		t.Fatalf("phantom property: %v", got)
 	}
 	if got := c.LabelProps(p); len(got) != 2 || got[0].Name != "name" {
 		t.Fatalf("LabelProps = %v", got)
+	}
+	// Across labels: every definer, in label order, with its own pid and kind.
+	c.AddLabel("Tag")
+	post, _ := c.AddLabel("Post", PropDef{Name: "len", Kind: vector.KindInt64}, PropDef{Name: "name", Kind: vector.KindDate})
+	got, n := c.PropLabels("name")
+	want := []LabelProp{{Label: p, Prop: 0, Kind: vector.KindString}, {Label: post, Prop: 1, Kind: vector.KindDate}}
+	if n != 3 || len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("PropLabels(name) = %v, %d labels; want %v, 3", got, n, want)
 	}
 }
 

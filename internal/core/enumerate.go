@@ -20,9 +20,10 @@ type proj struct {
 	bufPos int
 }
 
-// enumScratch is the reusable per-call state of EnumerateRange: the
-// per-node projection plan, one backing array split into the parent-index /
-// cursor / end stacks, and the row buffer handed to the callback.
+// enumScratch is the reusable per-call state of an enumeration: the
+// per-node projection plan and the row buffer EnumerateRange hands its
+// callback, and one backing array split into the walk's parent-index /
+// cursor / end stacks.
 type enumScratch struct {
 	projs [][]proj
 	idx   []int
@@ -32,26 +33,28 @@ type enumScratch struct {
 var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
 
 // grow sizes the scratch for an n-node tree projecting cols attributes and
-// returns the individual views, full-length-capped so appends cannot bleed
-// between the three stacks.
-func (sc *enumScratch) grow(n, cols int) (projs [][]proj, parentIdx, cur, end []int, buf []vector.Value) {
+// returns the projection plan and the row buffer.
+func (sc *enumScratch) grow(n, cols int) (projs [][]proj, buf []vector.Value) {
 	if cap(sc.projs) < n {
 		sc.projs = make([][]proj, n)
 	}
 	sc.projs = sc.projs[:n]
-	projs = sc.projs
+	if cap(sc.buf) < cols {
+		sc.buf = make([]vector.Value, cols)
+	}
+	sc.buf = sc.buf[:cols]
+	return sc.projs, sc.buf
+}
+
+// cursor returns the walk's three stacks for an n-node tree, zeroed and
+// full-length-capped so appends cannot bleed between them.
+func (sc *enumScratch) cursor(n int) (parentIdx, cur, end []int) {
 	if cap(sc.idx) < 3*n {
 		sc.idx = make([]int, 3*n)
 	}
 	idx := sc.idx[:3*n]
 	clear(idx)
-	parentIdx, cur, end = idx[:n:n], idx[n:2*n:2*n], idx[2*n:]
-	if cap(sc.buf) < cols {
-		sc.buf = make([]vector.Value, cols)
-	}
-	sc.buf = sc.buf[:cols]
-	buf = sc.buf
-	return
+	return idx[:n:n], idx[n : 2*n : 2*n], idx[2*n:]
 }
 
 // release drops every column and value reference the scratch picked up — so
@@ -101,7 +104,8 @@ func (t *FTree) Enumerate(refs []ColRef, fn func(row []vector.Value) bool) {
 // EnumerateRange is Enumerate restricted to root rows [lo,hi). Tuples are
 // produced in the same order Enumerate would produce them, so enumerating
 // consecutive ranges and concatenating yields exactly the full enumeration —
-// the property the morsel-parallel de-factoring relies on.
+// the property the morsel-parallel de-factoring relies on. It boxes from the
+// cursor of EnumerateRows's walk, re-reading only the nodes whose row changed.
 func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.Value) bool) {
 	n := len(t.nodes)
 	if n == 0 || t.Root.Block.NumRows() == 0 || lo >= hi {
@@ -114,17 +118,48 @@ func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.V
 	// enumerates disjoint ranges of one tree concurrently.
 	sc := enumPool.Get().(*enumScratch)
 	defer sc.release()
-	projs, parentIdx, cur, end, buf := sc.grow(n, len(refs))
+	projs, buf := sc.grow(n, len(refs))
 	for pos, r := range refs {
 		projs[r.Node] = append(projs[r.Node], proj{col: t.nodes[r.Node].Block.Column(r.Col), bufPos: pos})
 	}
 	sc.projs = projs // retain any inner-slice growth for reuse
+	t.walk(sc, lo, hi, func(cur []int, from int) bool {
+		for d := from; d < n; d++ {
+			for _, p := range projs[d] {
+				buf[p.bufPos] = p.col.Get(cur[d])
+			}
+		}
+		return fn(buf)
+	})
+}
+
+// EnumerateRows walks the valid tuples of root rows [lo,hi) in Enumerate's
+// order without boxing a value: fn receives the cursor, rows[id] being the
+// current row of the node with that ID, and from, the lowest node ID whose
+// row changed since the previous tuple (0 for the first). fn must not retain
+// or modify rows, and may return false to stop.
+func (t *FTree) EnumerateRows(lo, hi int, fn func(rows []int, from int) bool) {
+	if len(t.nodes) == 0 || t.Root.Block.NumRows() == 0 || lo >= hi {
+		return
+	}
+	sc := enumPool.Get().(*enumScratch)
+	defer sc.release()
+	sc.grow(0, 0) // nothing projected: release has nothing to sweep
+	t.walk(sc, lo, hi, fn)
+}
+
+// walk is the constant-delay enumeration of Lemma 4.4 realized as a preorder
+// backtracking loop: each node's row iterator ranges over the index-vector
+// interval selected by its parent's current row, so the work per tuple is
+// O(|nodes|). It emits the cursor at every valid tuple.
+func (t *FTree) walk(sc *enumScratch, lo, hi int, emit func(cur []int, from int) bool) {
+	n := len(t.nodes)
+	parentIdx, cur, end := sc.cursor(n)
 	for i := 1; i < n; i++ {
 		parentIdx[i] = t.nodes[i].Parent.id
 	}
-
 	cur[0], end[0] = lo, hi
-	d := 0
+	d, from := 0, 0
 	for d >= 0 {
 		// Advance node d's iterator to its next valid row.
 		node := t.nodes[d]
@@ -143,13 +178,12 @@ func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.V
 			continue
 		}
 		cur[d] = r
-		for _, p := range projs[d] {
-			buf[p.bufPos] = p.col.Get(r)
-		}
+		from = min(from, d)
 		if d == n-1 {
-			if !fn(buf) {
+			if !emit(cur, from) {
 				return
 			}
+			from = n
 			cur[d]++
 			continue
 		}

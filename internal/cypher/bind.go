@@ -642,11 +642,10 @@ func (b *binder) kindOf(e Expr) vector.Kind {
 	switch n := e.(type) {
 	case PropRef:
 		l := b.labels[n.Var]
-		for i := 0; i < b.cat.NumLabels(); i++ {
-			if l == storage.AnyLabel || catalog.LabelID(i) == l {
-				if _, k, ok := b.cat.PropIndex(catalog.LabelID(i), n.Prop); ok {
-					return k
-				}
+		defs, _ := b.cat.PropLabels(n.Prop)
+		for _, d := range defs {
+			if l == storage.AnyLabel || d.Label == l {
+				return d.Kind
 			}
 		}
 		return vector.KindInt64

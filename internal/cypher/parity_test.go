@@ -80,14 +80,26 @@ func TestCompiledPlanParity(t *testing.T) {
 	}
 	// LIMIT without ORDER BY keeps the first tuples of the enumeration, which
 	// follows each view's neighbor order, so each view is checked on its own.
+	// So does an ORDER BY LIMIT that cuts through a group of equal keys: the
+	// group's first tuples in input order are kept, in that order.
 	for _, q := range []struct {
-		name string
-		rows int
-		text string
+		name    string
+		ordered bool
+		rows    int
+		text    string
 	}{
-		{"limit-zero", 0, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(a) AS a, id(b) AS b LIMIT 0`},
-		{"limit-one", 1, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(b) AS b, id(a) AS a LIMIT 1`},
-		{"skip-past-end", 0, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(a) AS a SKIP 1000000 LIMIT 3`},
+		{"limit-zero", false, 0, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(a) AS a, id(b) AS b LIMIT 0`},
+		{"limit-one", false, 1, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(b) AS b, id(a) AS a LIMIT 1`},
+		{"skip-past-end", false, 0, `MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN id(a) AS a SKIP 1000000 LIMIT 3`},
+		{"order-ties-single-node", true, 10, `MATCH (a:Person) RETURN id(a) AS a, a.gender AS g ORDER BY g LIMIT 10`},
+		{"order-ties-multi-node", true, 25, `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)
+			RETURN id(c) AS c, id(a) AS a, b.gender AS g, a.browserUsed AS br ORDER BY g DESC, br LIMIT 25`},
+		{"order-ties-aggregate-top-1", true, 1, `MATCH (a:Person)-[:KNOWS]->(b:Person)
+			RETURN id(b) AS b, COUNT(*) AS n ORDER BY n DESC LIMIT 1`},
+		{"order-ties-aggregate-top-k", true, 7, `MATCH (a:Person)-[:KNOWS]->(b:Person)
+			RETURN id(b) AS b, COUNT(*) AS n ORDER BY n DESC LIMIT 7`},
+		{"order-ties-aggregate-all", true, -1, `MATCH (a:Person)-[:KNOWS]->(b:Person)
+			RETURN id(b) AS b, COUNT(*) AS n ORDER BY n DESC`},
 	} {
 		for _, cost := range []*plan.CostModel{nil, cm} {
 			c, err := cypher.CompileWith(q.text, ds.H.Cat, cypher.Options{Cost: cost})
@@ -95,7 +107,7 @@ func TestCompiledPlanParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("%s/cost=%v", q.name, cost != nil), func(t *testing.T) {
-				paritytest.SweepViews(t, views, func() plan.Plan { return c.Plan }, q.rows)
+				paritytest.SweepViews(t, views, func() plan.Plan { return c.Plan }, q.ordered, q.rows)
 			})
 		}
 	}

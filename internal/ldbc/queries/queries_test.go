@@ -65,6 +65,33 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestGenParamsSchemaIsStable: a query's GenParams draws the same parameter
+// names and kinds every time. The service binds /ldbc parameters by the
+// schema of one draw, so a draw that varied would reject requests another
+// draw produces.
+func TestGenParamsSchemaIsStable(t *testing.T) {
+	ds := smallDataset(t)
+	pg := ds.NewParamGen(5)
+	schema := func(p queries.Params) map[string]vector.Kind {
+		out := make(map[string]vector.Kind, len(p))
+		for name, v := range p {
+			out[name] = v.Kind
+		}
+		return out
+	}
+	for _, q := range queries.All() {
+		want := schema(q.GenParams(ds, pg))
+		if len(want) == 0 {
+			t.Errorf("%s draws no parameters", q.Name)
+		}
+		for draw := 1; draw < 100; draw++ {
+			if got := schema(q.GenParams(ds, pg)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s draw %d: parameters %v, first draw %v", q.Name, draw, got, want)
+			}
+		}
+	}
+}
+
 // TestAllReadQueriesAgreeAcrossModes is the workload-level differential
 // test: every read query, over many parameter draws, must return identical
 // result multisets under GES (flat), GES_f and GES_f*. Ordered queries also

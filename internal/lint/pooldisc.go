@@ -39,6 +39,7 @@ import (
 // storage.Arena to the release method that discharges them.
 var poolPairs = map[string]string{
 	"GetVIDs":   "PutVIDs",
+	"GetInt32s": "PutInt32s",
 	"GetRanges": "PutRanges",
 	"GetVals":   "PutVals",
 	"GetBatch":  "PutBatch",

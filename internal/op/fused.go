@@ -1,8 +1,6 @@
 package op
 
 import (
-	"sort"
-
 	"ges/internal/catalog"
 	"ges/internal/core"
 )
@@ -14,8 +12,8 @@ import (
 //     root directly.
 //   - AggregateProjectTop: Aggregation + Projection + Top-K fused so the
 //     aggregate consumes the constant-delay enumeration (or a weighted
-//     single-node factorized pass) and the top-k heap bounds the output —
-//     the full flat relation is never materialized.
+//     single-node factorized pass) and the ordering kernel's bounded heap
+//     cuts the groups — the full flat relation is never materialized.
 //
 // FilterPushDown fusion lives on Expand itself (Expand.VertexPred).
 
@@ -55,9 +53,10 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // AggregateProjectTop is the paper's flagship fusion: Aggregate → Project →
 // Top-K collapsed into one operator. It is the aggregation kernel (aggregate,
 // aggregate.go) — a weighted pass over one f-Tree node or the enumeration
-// streamed into the group table, never a materialized relation — feeding a
-// bounded top-k heap, so peak memory is the group table plus the heap:
-// compare Table 2's IC5 collapse from hundreds of megabytes to under 2 KB.
+// streamed into the group table, never a materialized relation — feeding the
+// ordering kernel (tupleOrder) over the group table's row indices, so peak
+// memory is the group table plus the kept ids: compare Table 2's IC5
+// collapse from hundreds of megabytes to under 2 KB.
 type AggregateProjectTop struct {
 	GroupBy []string
 	Aggs    []AggSpec
@@ -74,35 +73,9 @@ func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, er
 	if err != nil {
 		return nil, err
 	}
-	if len(o.Keys) == 0 {
-		return ctx.FlatChunk(grouped), nil
-	}
-	keyIdx, err := keyIndices(grouped.Names, o.Keys)
+	out, err := orderFlat(ctx, grouped, o.Keys, o.Limit, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The group table is this operator's own: it is ordered and cut in place.
-	rows := grouped.Rows
-	switch {
-	case o.Limit == 1 && len(rows) > 0:
-		// Degenerate top-k: a strict-less max scan replays exactly the
-		// comparison sequence of a size-1 heap (first row seeds, later rows
-		// replace only when strictly less), without the heap machinery.
-		best := 0
-		for i := 1; i < len(rows); i++ {
-			if rowLess(rows[i], rows[best], keyIdx) {
-				best = i
-			}
-		}
-		grouped.Rows = rows[best : best+1]
-	case o.Limit > 1:
-		h := newTopK(o.Limit, keyIdx)
-		for _, row := range rows {
-			h.offer(row)
-		}
-		grouped.Rows = h.sorted()
-	case o.Limit <= 0:
-		sort.SliceStable(rows, func(a, b int) bool { return rowLess(rows[a], rows[b], keyIdx) })
-	}
-	return ctx.FlatChunk(grouped), nil
+	return ctx.FlatChunk(out), nil
 }

@@ -1,6 +1,7 @@
 package op
 
 import (
+	"ges/internal/catalog"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -27,10 +28,10 @@ func materializedVIDs(col *vector.Column, buf []vector.VID) []vector.VID {
 // gather over the given defining labels: single-label string properties
 // share the storage dictionary so the gather moves 4-byte codes; everything
 // else is a plain typed column.
-func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []labelPid) *vector.Column {
+func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []catalog.LabelProp) *vector.Column {
 	if g.kind == vector.KindString && len(labels) == 1 {
 		if dp, ok := ctx.View.(storage.DictProvider); ok {
-			if d := dp.PropDict(labels[0].label, labels[0].pid); d != nil {
+			if d := dp.PropDict(labels[0].Label, labels[0].Prop); d != nil {
 				return ctx.Arena.OwnDictColumn(as, d)
 			}
 		}
@@ -42,7 +43,7 @@ func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []labelPid) *ve
 // actually carries. Schema names like creationDate are defined on several
 // labels, but a scan or typed expansion produces a single-label column —
 // narrowing restores the dictionary-code and zero-copy tiers for them.
-func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []labelPid {
+func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []catalog.LabelProp {
 	if len(g.labels) <= 1 {
 		return g.labels
 	}
@@ -51,7 +52,7 @@ func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []labelPid {
 	for _, v := range vids {
 		l := ctx.View.LabelOf(v)
 		for i, lp := range g.labels {
-			if lp.label == l && !seen[i] {
+			if lp.Label == l && !seen[i] {
 				seen[i] = true
 				n++
 			}
@@ -60,7 +61,7 @@ func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []labelPid {
 			break
 		}
 	}
-	out := make([]labelPid, 0, n)
+	out := make([]catalog.LabelProp, 0, n)
 	for i, lp := range g.labels {
 		if seen[i] {
 			out = append(out, lp)
@@ -86,7 +87,7 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	// probing every defining label is cheap (length mismatches reject in O(1)).
 	if sc, ok := ctx.View.(storage.ColumnSharer); ok {
 		for _, lp := range g.labels {
-			if col := sc.ShareScanColumn(lp.label, lp.pid, vids); col != nil {
+			if col := sc.ShareScanColumn(lp.Label, lp.Prop, vids); col != nil {
 				ctx.Gather.Gathers.Add(1)
 				ctx.Gather.SharedCols.Add(1)
 				return col.ShareAs(as)
@@ -97,7 +98,7 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	out := g.newGatherOutput(ctx, as, labels)
 	out.Grow(len(vids))
 	for _, lp := range labels {
-		ctx.View.GatherProps(vids, lp.label, lp.pid, nil, out)
+		ctx.View.GatherProps(vids, lp.Label, lp.Prop, nil, out)
 	}
 	ctx.Gather.Gathers.Add(1)
 	return out

@@ -161,42 +161,30 @@ func errRowLimit(op string, rows, limit int) error {
 // propGetter resolves a property name across every label that defines it,
 // returning a per-vertex accessor. Mixed-label columns (e.g. LDBC Message =
 // Post ∪ Comment) resolve the property ID per row through the vertex label.
+// labels is the unit the batch gather path iterates (one GatherProps pass
+// per defining label).
 type propGetter struct {
 	name   string
 	kind   vector.Kind
 	pids   []int32 // per label; -1 when the label lacks the property
-	labels []labelPid
+	labels []catalog.LabelProp
 	view   storage.View
 }
 
-// labelPid is one (label, property) resolution of a property name — the unit
-// the batch gather path iterates (one GatherProps pass per defining label).
-type labelPid struct {
-	label catalog.LabelID
-	pid   catalog.PropID
-}
-
 func newPropGetter(view storage.View, name string) (*propGetter, error) {
-	cat := view.Catalog()
-	g := &propGetter{name: name, view: view, pids: make([]int32, cat.NumLabels()),
-		labels: make([]labelPid, 0, cat.NumLabels())}
-	found := false
-	for l := 0; l < cat.NumLabels(); l++ {
-		pid, kind, ok := cat.PropIndex(catalog.LabelID(l), name)
-		if !ok {
-			g.pids[l] = -1
-			continue
-		}
-		if found && kind != g.kind {
+	labels, numLabels := view.Catalog().PropLabels(name)
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("op: property %q not defined by any label", name)
+	}
+	g := &propGetter{name: name, kind: labels[0].Kind, pids: make([]int32, numLabels), labels: labels, view: view}
+	for i := range g.pids {
+		g.pids[i] = -1
+	}
+	for _, lp := range labels {
+		if lp.Kind != g.kind {
 			return nil, fmt.Errorf("op: property %q has conflicting kinds across labels", name)
 		}
-		g.pids[l] = int32(pid)
-		g.labels = append(g.labels, labelPid{label: catalog.LabelID(l), pid: pid})
-		g.kind = kind
-		found = true
-	}
-	if !found {
-		return nil, fmt.Errorf("op: property %q not defined by any label", name)
+		g.pids[lp.Label] = int32(lp.Prop)
 	}
 	return g, nil
 }

@@ -335,26 +335,66 @@ func TestOperatorParity(t *testing.T) {
 	limit := func(n, skip int) func() plan.Plan {
 		return func() plan.Plan { return twoHop(&op.Limit{N: n, Skip: skip, Cols: []string{"g.id", "p.id"}}) }
 	}
+	// An ORDER BY whose keys repeat, cut by its LIMIT inside a group of equal
+	// keys: the kept tuples of that group are the first in input order, and
+	// they come out in input order, as a stable sort followed by truncation
+	// would have them.
+	props := func(v string, names ...string) *op.ProjectProps {
+		specs := []op.ProjSpec{{Var: v, As: v + ".id", ExtID: true}}
+		for _, n := range names {
+			specs = append(specs, op.ProjSpec{Var: v, Prop: n, As: v + "." + n})
+		}
+		return &op.ProjectProps{Specs: specs}
+	}
+	degree := func(limit int) func() plan.Plan {
+		return func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"), props("f"),
+				&op.AggregateProjectTop{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count},
+					Keys: []op.SortKey{{Col: "n", Desc: true}}, Limit: limit}}
+		}
+	}
 	perView := []struct {
-		name  string
-		rows  int // -1: not pinned
-		build func() plan.Plan
+		name    string
+		ordered bool
+		rows    int // -1: not pinned
+		build   func() plan.Plan
 	}{
-		{"agg/float-sum", -1, func() plan.Plan {
+		{"agg/float-sum", false, -1, func() plan.Plan {
 			return twoHop(
 				// On the middle node, where a row stands for several tuples.
 				&op.ProjectExpr{Expr: expr.Arith{Op: expr.Mul, L: expr.C("f.id"), R: expr.Lit{Val: vector.Float64(0.1)}},
 					As: "f.w", Kind: vector.KindFloat64},
 				&op.Aggregate{Aggs: []op.AggSpec{agg(op.Sum, "f.w"), agg(op.Avg, "f.w")}})
 		}},
-		{"limit/zero", 0, limit(0, 0)},
-		{"limit/one", 1, limit(1, 0)},
-		{"limit/skip-window", 50, limit(50, 100)},
-		{"limit/skip-past-end", 0, limit(5, 1<<30)},
+		{"limit/zero", false, 0, limit(0, 0)},
+		{"limit/one", false, 1, limit(1, 0)},
+		{"limit/skip-window", false, 50, limit(50, 100)},
+		{"limit/skip-past-end", false, 0, limit(5, 1<<30)},
+		{"order-ties/single-node", true, 10, func() plan.Plan {
+			return plan.Plan{scan("p"), props("p", "gender"),
+				&op.OrderBy{Keys: []op.SortKey{{Col: "p.gender", Desc: true}}, Limit: 10, Cols: []string{"p.id", "p.gender"}}}
+		}},
+		{"order-ties/multi-node", true, 40, func() plan.Plan {
+			return plan.Plan{scan("p"), props("p", "browserUsed"), knows("p", "f"), props("f", "gender"),
+				knows("f", "g"), props("g"),
+				&op.OrderBy{Keys: []op.SortKey{{Col: "f.gender"}, {Col: "p.browserUsed", Desc: true}}, Limit: 40,
+					Cols: []string{"g.id", "f.id", "p.id"}}}
+		}},
+		{"order-ties/flat-after-join", true, 20, func() plan.Plan {
+			return plan.Plan{scan("p"), props("p", "gender"),
+				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
+					Right: []op.Operator{scan("q"), props("q", "browserUsed"), knows("q", "f"), props("f"),
+						&op.Defactor{Cols: []string{"f.id", "q.id", "q.browserUsed"}}}},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "q.browserUsed"}, {Col: "p.gender"}}, Limit: 20,
+					Cols: []string{"p.id", "q.id"}}}
+		}},
+		{"order-ties/aggregate-top-1", true, 1, degree(1)},
+		{"order-ties/aggregate-top-k", true, 7, degree(7)},
+		{"order-ties/aggregate-all", true, -1, degree(0)},
 	}
 	for _, sh := range perView {
 		sh := sh
-		t.Run(sh.name, func(t *testing.T) { paritytest.SweepViews(t, views, sh.build, sh.rows) })
+		t.Run(sh.name, func(t *testing.T) { paritytest.SweepViews(t, views, sh.build, sh.ordered, sh.rows) })
 	}
 }
 

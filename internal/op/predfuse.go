@@ -160,7 +160,7 @@ func (f *vertexFilter) keep(ctx *Ctx, cands []vector.VID) *vector.Bitset {
 				continue
 			}
 			for _, lp := range f.bound.getters[slices.Index(f.block.Columns(), c.col)].labels {
-				pruned, total := zp.PruneZones(cands, lp.label, lp.pid, c.lo, c.hi, f.sel)
+				pruned, total := zp.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
 				ctx.Gather.ZonesPruned.Add(int64(pruned))
 				ctx.Gather.ZonesTotal.Add(int64(total))
 			}
@@ -173,7 +173,7 @@ func (f *vertexFilter) keep(ctx *Ctx, cands []vector.VID) *vector.Bitset {
 			ctx.View.GatherExtIDs(cands, f.sel, col.Int64s())
 		}
 		for _, lp := range g.labels {
-			ctx.View.GatherProps(cands, lp.label, lp.pid, f.sel, col)
+			ctx.View.GatherProps(cands, lp.Label, lp.Prop, f.sel, col)
 		}
 	}
 	ctx.Gather.Gathers.Add(1)

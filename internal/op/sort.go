@@ -1,13 +1,15 @@
 package op
 
 import (
-	"container/heap"
+	"cmp"
+	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
 	"ges/internal/core"
+	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
@@ -17,12 +19,12 @@ type SortKey struct {
 	Desc bool
 }
 
-// OrderBy is a blocking operator: ordering is defined over whole tuples, so
-// when the sort keys span f-Tree nodes the chunk must be de-factored
-// (§4.3, Order-By). The crucial optimization — used heavily by the paper's
-// long-running queries — is that with a Limit the de-factoring enumerates
-// tuples with constant delay *directly into a bounded top-k heap*, never
-// materializing the full flat relation (Figure 8(b)(vi)).
+// OrderBy is a blocking operator: ordering is defined over whole tuples
+// (§4.3, Order-By). It never materializes the flat relation: an f-Tree's
+// enumeration hands the ordering kernel (tupleOrder) the rows of just the
+// nodes the keys and Cols read, a flat block hands it row indices, and with
+// a Limit a bounded heap keeps only the best Limit tuples — Figure 8(b)(vi).
+// Only the returned tuples are boxed.
 type OrderBy struct {
 	Keys  []SortKey
 	Limit int      // 0 = sort everything
@@ -34,242 +36,289 @@ func (o *OrderBy) Name() string { return "OrderBy" }
 
 // Execute implements Operator.
 func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	var fb *core.FlatBlock
+	var out *core.FlatBlock
+	var err error
 	if in.IsFlat() {
-		fb = in.Flat
-		if o.Cols != nil {
-			// Sort first over the full rows, then project, so keys not in
-			// Cols still apply? Keys must be within Cols for projection;
-			// sort happens below on fb, project after.
-			var err error
-			if fb, err = projectKeepingKeys(fb, o.Cols, o.Keys); err != nil {
-				return nil, err
-			}
-		}
+		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, o.Cols)
 	} else {
-		cols := o.Cols
-		if cols == nil {
-			cols = in.FT.Schema()
-		} else {
-			cols = mergeKeyCols(cols, o.Keys)
-		}
-		keyIdx, err := keyIndices(cols, o.Keys)
-		if err != nil {
-			return nil, err
-		}
-		refs, err := in.FT.Resolve(cols)
-		if err != nil {
-			return nil, err
-		}
-		kinds := make([]vector.Kind, len(refs))
-		for i, r := range refs {
-			kinds[i] = in.FT.Nodes()[r.Node].Block.Column(r.Col).Kind
-		}
-		if o.Limit > 0 {
-			// Vectorized Top-K (§5): a single-node tree keeps row *indices*
-			// in the heap and compares sort keys directly against the
-			// gathered columns — rejected rows are never boxed or copied.
-			if out := columnarTopK(ctx, in.FT, refs, cols, kinds, keyIdx, o.Limit); out != nil {
-				return o.projectOut(ctx, out)
-			}
-			// Constant-delay enumeration into a bounded heap.
-			h := newTopK(o.Limit, keyIdx)
-			in.FT.Enumerate(refs, func(row []vector.Value) bool {
-				h.offer(row)
-				return true
-			})
-			out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
-			out.Rows = h.sorted()
-			return o.projectOut(ctx, out)
-		}
-		fb = core.NewFlatBlock(append([]string(nil), cols...), kinds)
-		in.FT.Enumerate(refs, func(row []vector.Value) bool {
-			fb.Append(row)
-			return true
-		})
+		out, err = o.orderTree(ctx, in.FT)
 	}
-	keyIdx, err := keyIndices(fb.Names, o.Keys)
-	if err != nil {
-		return nil, err
-	}
-	if o.Limit > 0 && fb.NumRows() > o.Limit {
-		h := newTopK(o.Limit, keyIdx)
-		for _, row := range fb.Rows {
-			h.offer(row)
-		}
-		out := core.NewFlatBlock(fb.Names, fb.Kinds)
-		out.Rows = h.sorted()
-		return o.projectOut(ctx, out)
-	}
-	sorted := core.NewFlatBlock(fb.Names, fb.Kinds)
-	sorted.Rows = append([][]vector.Value(nil), fb.Rows...)
-	sort.SliceStable(sorted.Rows, func(a, b int) bool {
-		return rowLess(sorted.Rows[a], sorted.Rows[b], keyIdx)
-	})
-	return o.projectOut(ctx, sorted)
-}
-
-// projectOut narrows to o.Cols when set.
-func (o *OrderBy) projectOut(ctx *Ctx, fb *core.FlatBlock) (*core.Chunk, error) {
-	if o.Cols == nil {
-		return ctx.FlatChunk(fb), nil
-	}
-	out, err := fb.Project(o.Cols)
 	if err != nil {
 		return nil, err
 	}
 	return ctx.FlatChunk(out), nil
 }
 
-func mergeKeyCols(cols []string, keys []SortKey) []string {
-	out := append([]string(nil), cols...)
-	for _, k := range keys {
-		found := false
-		for _, c := range out {
-			if c == k.Col {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, k.Col)
-		}
+// orderTree orders the tuples of an f-Tree. A tuple is the row of every node
+// a key or an output column lives on; the enumeration writes those rows into
+// the kernel's slot and the keys compare the node columns directly.
+func (o *OrderBy) orderTree(ctx *Ctx, ft *core.FTree) (*core.FlatBlock, error) {
+	cols := o.Cols
+	if cols == nil {
+		cols = ft.Schema()
 	}
-	return out
-}
-
-func projectKeepingKeys(fb *core.FlatBlock, cols []string, keys []SortKey) (*core.FlatBlock, error) {
-	return fb.Project(mergeKeyCols(cols, keys))
-}
-
-// keyIdx pairs a column position with its direction.
-type keyIdx struct {
-	pos  int
-	desc bool
-}
-
-func keyIndices(names []string, keys []SortKey) ([]keyIdx, error) {
-	out := make([]keyIdx, len(keys))
-	for i, k := range keys {
-		pos := -1
-		for j, n := range names {
-			if n == k.Col {
-				pos = j
-				break
-			}
-		}
-		if pos < 0 {
+	var nodeBuf [8]int
+	nodes := nodeBuf[:0] // node ID behind each position of a tuple
+	keys := make([]orderKey, len(o.Keys))
+	for i, k := range o.Keys {
+		n, c := ft.FindColumn(k.Col)
+		if c == nil {
 			return nil, errNoColumn("order-by", k.Col)
 		}
-		out[i] = keyIdx{pos: pos, desc: k.Desc}
+		keys[i] = orderKey{desc: k.Desc, cmp: columnComparator(c)}
+		nodes, keys[i].pos = tuplePos(nodes, n)
+	}
+	type outCol struct {
+		pos int
+		col *vector.Column
+	}
+	outs := make([]outCol, len(cols))
+	kinds := make([]vector.Kind, len(cols))
+	for i, name := range cols {
+		n, c := ft.FindColumn(name)
+		if c == nil {
+			return nil, errNoColumn("order-by", name)
+		}
+		outs[i].col, kinds[i] = c, c.Kind
+		nodes, outs[i].pos = tuplePos(nodes, n)
+	}
+	ord := newTupleOrder(ctx, len(nodes), o.Limit, keys)
+	defer ord.release()
+	full := false
+	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
+		if full = ord.n == math.MaxInt32; full {
+			return false
+		}
+		t := ord.next()
+		for j, id := range nodes {
+			t[j] = int32(rows[id])
+		}
+		ord.offer()
+		return true
+	})
+	if full {
+		return nil, fmt.Errorf("op: order-by: more than %d tuples", math.MaxInt32-1)
+	}
+	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
+	ids := ord.sorted()
+	out.Rows = make([][]vector.Value, len(ids))
+	w := len(cols)
+	vals := make([]vector.Value, len(ids)*w)
+	for i, id := range ids {
+		t, row := ord.tuple(id), vals[i*w:(i+1)*w:(i+1)*w]
+		for c, oc := range outs {
+			row[c] = oc.col.Get(int(t[oc.pos]))
+		}
+		out.Rows[i] = row
 	}
 	return out, nil
 }
 
-// rowLess orders rows by the key list.
-func rowLess(a, b []vector.Value, keys []keyIdx) bool {
-	for _, k := range keys {
-		c := vector.Compare(a[k.pos], b[k.pos])
-		if c == 0 {
+// tuplePos returns the tuple position of node n's row, adding the node to
+// nodes when it has none yet.
+func tuplePos(nodes []int, n *core.Node) ([]int, int) {
+	if i := slices.Index(nodes, n.ID()); i >= 0 {
+		return nodes, i
+	}
+	return append(nodes, n.ID()), len(nodes)
+}
+
+// orderFlat orders the rows of a flat block by keys, keeps the first limit
+// (all when limit <= 0) and narrows them to cols (every column when nil).
+// A tuple is one row index; keys compare row values. A kept row is shared,
+// not copied, when cols is the block's own schema.
+func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols []string) (*core.FlatBlock, error) {
+	keys := make([]orderKey, len(sortKeys))
+	for i, k := range sortKeys {
+		j := fb.ColIndex(k.Col)
+		if j < 0 {
+			return nil, errNoColumn("order-by", k.Col)
+		}
+		rows := fb.Rows
+		keys[i] = orderKey{desc: k.Desc, cmp: func(a, b int32) int { return vector.Compare(rows[a][j], rows[b][j]) }}
+	}
+	out := core.NewFlatBlock(fb.Names, fb.Kinds)
+	var idx []int
+	if cols != nil && !slices.Equal(cols, fb.Names) {
+		idx = make([]int, len(cols))
+		kinds := make([]vector.Kind, len(cols))
+		for i, name := range cols {
+			if idx[i] = fb.ColIndex(name); idx[i] < 0 {
+				return nil, errNoColumn("order-by", name)
+			}
+			kinds[i] = fb.Kinds[idx[i]]
+		}
+		out = core.NewFlatBlock(append([]string(nil), cols...), kinds)
+	}
+	ord := newTupleOrder(ctx, 1, limit, keys)
+	defer ord.release()
+	for r := range fb.Rows {
+		ord.next()[0] = int32(r)
+		ord.offer()
+	}
+	ids := ord.sorted()
+	out.Rows = make([][]vector.Value, len(ids))
+	w := len(idx)
+	vals := make([]vector.Value, len(ids)*w)
+	for i, id := range ids {
+		src := fb.Rows[ord.tuple(id)[0]]
+		if idx == nil {
+			out.Rows[i] = src
 			continue
 		}
-		if k.desc {
-			return c > 0
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		for c, j := range idx {
+			row[c] = src[j]
 		}
-		return c < 0
+		out.Rows[i] = row
 	}
-	return false
+	return out, nil
 }
 
-// topK is a bounded max-heap keeping the K smallest rows under the key
-// order (the heap root is the current worst retained row).
-type topK struct {
-	k    int
-	keys []keyIdx
-	rows [][]vector.Value
+// tupleOrder is the one ordering kernel: OrderBy, over an f-Tree or a flat
+// block, and AggregateProjectTop, over its group table, sort and cut int32
+// tuple ids with it. The caller writes each tuple, in input order, into the
+// slot next returns — m int32 row positions — and offers it; sorted returns
+// the kept slots in order. Keys compare positions through per-column
+// comparators and a tie goes to the tuple offered first: the order of a
+// stable sort followed by truncation to limit. With limit > 0 at most
+// limit+1 slots exist: the kept tuples form a bounded max-heap whose root,
+// the worst of them, a better tuple replaces.
+type tupleOrder struct {
+	arena *storage.Arena
+	keys  []orderKey
+	m     int
+	limit int
+	n     int32   // tuples offered
+	pos   []int32 // slot s holds pos[s*m : s*m+m]
+	seq   []int32 // input order of the tuple in each slot
+	kept  []int32 // slots kept; a max-heap while limit > 0
+	spare int32   // the slot next hands out
 }
 
-func newTopK(k int, keys []keyIdx) *topK { return &topK{k: k, keys: keys} }
-
-func (h *topK) Len() int           { return len(h.rows) }
-func (h *topK) Less(i, j int) bool { return rowLess(h.rows[j], h.rows[i], h.keys) }
-func (h *topK) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *topK) Push(x any)         { h.rows = append(h.rows, x.([]vector.Value)) }
-func (h *topK) Pop() any {
-	last := h.rows[len(h.rows)-1]
-	h.rows = h.rows[:len(h.rows)-1]
-	return last
+// orderKey is one sort key: the tuple position it reads and a comparator of
+// two such positions.
+type orderKey struct {
+	pos  int
+	desc bool
+	cmp  func(a, b int32) int
 }
 
-// offer considers one row (copying it only if retained).
-func (h *topK) offer(row []vector.Value) {
-	if len(h.rows) < h.k {
-		heap.Push(h, append([]vector.Value(nil), row...))
+// orderSlots is the kernel's initial slot capacity when no limit bounds it.
+const orderSlots = 64
+
+func newTupleOrder(ctx *Ctx, m, limit int, keys []orderKey) tupleOrder {
+	slots := orderSlots
+	if limit > 0 {
+		slots = min(limit+1, orderSlots)
+	}
+	return tupleOrder{arena: ctx.Arena, keys: keys, m: m, limit: limit,
+		pos: ctx.Arena.GetInt32s(slots * m), seq: ctx.Arena.GetInt32s(slots), kept: ctx.Arena.GetInt32s(slots)}
+}
+
+// next returns the spare slot for the caller to fill with a tuple.
+func (o *tupleOrder) next() []int32 {
+	if int(o.spare) == len(o.seq) {
+		o.seq = append(o.seq, 0)
+		o.pos = slices.Grow(o.pos, o.m)[:len(o.pos)+o.m]
+	}
+	return o.tuple(o.spare)
+}
+
+// offer considers the tuple written into the spare slot.
+func (o *tupleOrder) offer() {
+	s := o.spare
+	o.seq[s] = o.n
+	o.n++
+	if o.limit <= 0 || len(o.kept) < o.limit {
+		o.kept = append(o.kept, s)
+		if o.limit > 0 {
+			o.up(len(o.kept) - 1)
+		}
+		o.spare = int32(len(o.kept))
 		return
 	}
-	if rowLess(row, h.rows[0], h.keys) {
-		h.rows[0] = append([]vector.Value(nil), row...)
-		heap.Fix(h, 0)
+	if o.compare(s, o.kept[0]) < 0 {
+		o.kept[0], o.spare = s, o.kept[0]
+		o.down(0)
 	}
 }
 
-// sorted drains the heap into ascending key order.
-func (h *topK) sorted() [][]vector.Value {
-	out := make([][]vector.Value, len(h.rows))
-	for i := len(h.rows) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).([]vector.Value)
-	}
-	return out
+// tuple returns the positions held by a slot.
+func (o *tupleOrder) tuple(s int32) []int32 {
+	lo := int(s) * o.m
+	return o.pos[lo : lo+o.m]
 }
 
-// columnarTopK is the vectorized Top-K fast path over a single-node tree.
-// The heap replays exactly the comparison sequence of the enumeration path
-// (same rows offered in the same order, compared by the same semantics as
-// vector.Compare), so its output is byte-identical; only the boxing of
-// rejected rows is gone.
-func columnarTopK(ctx *Ctx, ft *core.FTree, refs []core.ColRef, cols []string, kinds []vector.Kind, keys []keyIdx, limit int) *core.FlatBlock {
-	if len(ft.Nodes()) != 1 {
-		return nil
-	}
-	node := ft.Nodes()[0]
-	colAt := make([]*vector.Column, len(refs))
-	for i, r := range refs {
-		colAt[i] = node.Block.Column(r.Col)
-	}
-	cmps := make([]func(a, b int) int, len(keys))
-	for ki, k := range keys {
-		if cmps[ki] = columnComparator(colAt[k.pos]); cmps[ki] == nil {
-			return nil
+// compare orders two slots: by the keys, then by input order.
+func (o *tupleOrder) compare(a, b int32) int {
+	ta, tb := o.tuple(a), o.tuple(b)
+	for _, k := range o.keys {
+		if c := k.cmp(ta[k.pos], tb[k.pos]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
 		}
 	}
-	h := &idxTopK{k: limit, keys: keys, cmps: cmps}
-	for i, n := 0, node.Block.NumRows(); i < n; i++ {
-		if node.Sel.Get(i) {
-			h.offer(i)
-		}
-	}
-	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
-	for _, ri := range h.sortedIdx() {
-		row := make([]vector.Value, len(colAt))
-		for j, c := range colAt {
-			row[j] = c.Get(ri)
-		}
-		out.AppendOwned(row)
-	}
-	return out
+	return cmp.Compare(o.seq[a], o.seq[b])
 }
 
-// columnComparator returns a row-index comparator matching vector.Compare on
-// same-kind values, reading the column storage directly (dict strings
-// resolve lazily — codes are not order-preserving).
-func columnComparator(c *vector.Column) func(a, b int) int {
+// up and down restore the max-heap after kept[i] was added or replaced.
+func (o *tupleOrder) up(i int) {
+	h := o.kept
+	for i > 0 {
+		p := (i - 1) / 2
+		if o.compare(h[p], h[i]) >= 0 {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+func (o *tupleOrder) down(i int) {
+	h := o.kept
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && o.compare(h[r], h[c]) > 0 {
+			c = r
+		}
+		if o.compare(h[i], h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sorted returns the kept slots in order.
+func (o *tupleOrder) sorted() []int32 {
+	slices.SortFunc(o.kept, o.compare)
+	return o.kept
+}
+
+// release returns the kernel's scratch to the arena.
+func (o *tupleOrder) release() {
+	o.arena.PutInt32s(o.pos)
+	o.arena.PutInt32s(o.seq)
+	o.arena.PutInt32s(o.kept)
+}
+
+// columnComparator returns a row-position comparator matching vector.Compare
+// on a column's values, reading typed storage directly where the kind has
+// one (dict strings resolve lazily — codes are not order-preserving).
+func columnComparator(c *vector.Column) func(a, b int32) int {
 	switch c.Kind {
 	case vector.KindInt64, vector.KindDate:
 		vals := c.Int64s()
-		return func(a, b int) int { return cmpI64(vals[a], vals[b]) }
+		return func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) }
 	case vector.KindFloat64:
 		vals := c.Float64s()
-		return func(a, b int) int {
+		return func(a, b int32) int {
 			switch {
 			case vals[a] < vals[b]:
 				return -1
@@ -280,114 +329,12 @@ func columnComparator(c *vector.Column) func(a, b int) int {
 			}
 		}
 	case vector.KindVID:
-		return func(a, b int) int { return cmpI64(int64(c.VIDAt(a)), int64(c.VIDAt(b))) }
+		return func(a, b int32) int { return cmp.Compare(c.VIDAt(int(a)), c.VIDAt(int(b))) }
 	case vector.KindString:
-		return func(a, b int) int {
-			sa, sb := c.StringAt(a), c.StringAt(b)
-			switch {
-			case sa < sb:
-				return -1
-			case sa > sb:
-				return 1
-			default:
-				return 0
-			}
-		}
-	case vector.KindBool:
-		vals := c.Bools()
-		return func(a, b int) int {
-			var ia, ib int64
-			if vals[a] {
-				ia = 1
-			}
-			if vals[b] {
-				ib = 1
-			}
-			return cmpI64(ia, ib)
-		}
+		return func(a, b int32) int { return strings.Compare(c.StringAt(int(a)), c.StringAt(int(b))) }
 	default:
-		return nil
+		return func(a, b int32) int { return vector.Compare(c.Get(int(a)), c.Get(int(b))) }
 	}
-}
-
-func cmpI64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-// idxTopK is topK over row indices with columnar key comparators. The heap
-// mechanics are identical to topK, so retained rows and output order match
-// the boxed heap exactly.
-type idxTopK struct {
-	k    int
-	keys []keyIdx
-	cmps []func(a, b int) int
-	idx  []int
-}
-
-// idxLess orders row a before row b under the key list.
-func (h *idxTopK) idxLess(a, b int) bool {
-	for ki, k := range h.keys {
-		c := h.cmps[ki](a, b)
-		if c == 0 {
-			continue
-		}
-		if k.desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-func (h *idxTopK) Len() int           { return len(h.idx) }
-func (h *idxTopK) Less(i, j int) bool { return h.idxLess(h.idx[j], h.idx[i]) }
-func (h *idxTopK) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *idxTopK) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *idxTopK) Pop() any {
-	last := h.idx[len(h.idx)-1]
-	h.idx = h.idx[:len(h.idx)-1]
-	return last
-}
-
-// offer considers one row index.
-func (h *idxTopK) offer(i int) {
-	if len(h.idx) < h.k {
-		heap.Push(h, i)
-		return
-	}
-	if h.idxLess(i, h.idx[0]) {
-		h.idx[0] = i
-		heap.Fix(h, 0)
-	}
-}
-
-// sortedIdx drains the heap into ascending key order.
-func (h *idxTopK) sortedIdx() []int {
-	out := make([]int, len(h.idx))
-	for i := len(h.idx) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(int)
-	}
-	return out
-}
-
-// MemBytes reports the retained heap size (used by the fused operator's
-// memory accounting).
-func (h *topK) MemBytes() int {
-	n := 48
-	for _, row := range h.rows {
-		n += 24
-		for _, v := range row {
-			n += v.Kind.Width() + len(v.S)
-		}
-	}
-	return n
 }
 
 // Limit keeps tuples Skip+1 … Skip+N, narrowed to Cols (the full schema when

@@ -131,14 +131,16 @@ func Sweep(t *testing.T, views []View, build func() plan.Plan, ordered bool) {
 
 // SweepViews is Check on every view without Sweep's cross-view comparison,
 // for plans whose answer depends on the order a view lists neighbors in: a
-// LIMIT without ORDER BY keeps the enumeration's first tuples, a float SUM
-// rounds in enumeration order. rows >= 0 pins every view's row count, which
-// is how an empty answer (LIMIT 0, a SKIP past the end) is checked.
-func SweepViews(t *testing.T, views []View, build func() plan.Plan, rows int) {
+// LIMIT without ORDER BY keeps the enumeration's first tuples, an ORDER BY
+// LIMIT that cuts through a group of equal keys keeps its first tuples in
+// input order, a float SUM rounds in enumeration order. rows >= 0 pins every
+// view's row count, which is how an empty answer (LIMIT 0, a SKIP past the
+// end) is checked.
+func SweepViews(t *testing.T, views []View, build func() plan.Plan, ordered bool, rows int) {
 	t.Helper()
 	for _, v := range views {
 		t.Run(v.Name, func(t *testing.T) {
-			if got := Check(t, v.View, build, false); rows >= 0 && len(got)-1 != rows {
+			if got := Check(t, v.View, build, ordered); rows >= 0 && len(got)-1 != rows {
 				t.Fatalf("want %d rows, got %v", rows, clip(got))
 			}
 		})

@@ -14,13 +14,18 @@ import (
 
 // allocCeilings are absolute allocs/op budgets for one request through
 // Mux().ServeHTTP, request and recorder included, at simSF 0.1 in a build
-// whose sync.Pool keeps what is put (no race detector): measured (140 / 84 /
-// 99 / 90 with Go 1.24) plus a third, like internal/bench's
-// recycleAllocCeiling. The parent of this gate measured 4 056 / 1 020 / 269:
-// a request that boxes its rows again, de-factors before its aggregate or
-// allocates per row goes through them. The first two are the cypher_adhoc
-// workload's fat projection (a LIMIT without ORDER BY) and a COUNT(*) over
-// two hops; the last commits a KNOWS pair, both directions, into the graph's
+// whose sync.Pool keeps what is put (no race detector): measured (140 / 80 /
+// 74 / 71 / 65 / 87 / 65 with Go 1.24) plus about a third, like
+// internal/bench's recycleAllocCeiling. The parent of this gate measured
+// 4 056 / 1 020 / 269 for the fat, count and IS3 requests, and the /ldbc
+// requests cost 91 / 117 / 100 / 116 / 90 before their bodies were scanned
+// by hand and their ORDER BY sorted tuple ids: a request that boxes its rows
+// again, de-factors before its aggregate, allocates per row or decodes its
+// body into interface values goes through them. The first two are the
+// cypher_adhoc workload's fat projection (a LIMIT without ORDER BY) and a
+// COUNT(*) over two hops; IS1–IS7 are the is_point workload's shapes (a
+// property read, an ORDER BY LIMIT, a full ORDER BY, one over two f-Tree
+// nodes); the last commits a KNOWS pair, both directions, into the graph's
 // deltas.
 var allocCeilings = []struct {
 	name, path, body string
@@ -28,8 +33,11 @@ var allocCeilings = []struct {
 }{
 	{"query-fat", "/query", `{"query":"MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WHERE id(p) = 3 RETURN id(f) AS f, id(g) AS g, g.firstName AS firstName, g.lastName AS lastName, g.locationIP AS ip, g.browserUsed AS browser LIMIT 600"}`, 190},
 	{"query-count", "/query", `{"query":"MATCH (p:Person)-[:KNOWS]->(f:Person)-[:KNOWS]->(g:Person) WHERE id(p) = 3 RETURN COUNT(*) AS n"}`, 115},
-	{"ldbc-is3", "/ldbc", `{"name":"IS3","params":{"personId":3}}`, 135},
-	{"ldbc-iu8", "/ldbc", `{"name":"IU8","params":{"person1Id":3,"person2Id":5,"date":20000}}`, 120},
+	{"ldbc-is1", "/ldbc", `{"name":"IS1","params":{"personId":3}}`, 96},
+	{"ldbc-is2", "/ldbc", `{"name":"IS2","params":{"personId":3}}`, 92},
+	{"ldbc-is3", "/ldbc", `{"name":"IS3","params":{"personId":3}}`, 85},
+	{"ldbc-is7", "/ldbc", `{"name":"IS7","params":{"messageId":3,"isPost":1}}`, 113},
+	{"ldbc-iu8", "/ldbc", `{"name":"IU8","params":{"person1Id":3,"person2Id":5,"date":20000}}`, 85},
 }
 
 // poolKeepsPuts reports whether this build's sync.Pool returns a value just

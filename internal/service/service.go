@@ -35,6 +35,7 @@ type Server struct {
 	pool     *storage.Pool
 	parallel int
 	cache    *planCache
+	ldbc     map[string]*ldbcQuery // by query name, with its parameter schema
 	// now is injectable for deterministic tests.
 	now func() time.Time
 
@@ -75,6 +76,7 @@ func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 		pool:     storage.NewPool(),
 		parallel: opts.Parallel,
 		cache:    newPlanCache(opts.PlanCacheSize),
+		ldbc:     ldbcSchemas(ds),
 		now:      time.Now,
 	}
 	s.runner = queries.NewRunnerWith(ds, s.newEngine(), nil)
@@ -188,31 +190,47 @@ func paramKinds(params []vector.Value) string {
 	return string(b)
 }
 
-// LDBCRequest is the body of POST /ldbc. Params may be omitted to draw
-// parameters from the curated pools.
+// LDBCRequest is the body of POST /ldbc. Params may be omitted (or null) to
+// draw parameters from the curated pools; given, they must be exactly the
+// query's parameters, integers as integer literals and strings as strings.
+// The handler scans the body itself (ldbcreq.go); the type documents the
+// shape and encodes it.
 type LDBCRequest struct {
 	Name   string         `json:"name"`
 	Params map[string]any `json:"params"`
 }
 
 func (s *Server) handleLDBC(w http.ResponseWriter, r *http.Request) {
-	var req LDBCRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
+	body := ldbcBodies.Get().(*ldbcBody)
+	defer putLDBCBody(body)
+	if _, err := body.buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxRequestBytes)); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	q, err := queries.ByName(strings.ToUpper(req.Name))
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	params, err := s.bindParams(q, req.Params)
-	if err != nil {
+	if err := body.scan(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
+	}
+	lq, ok := s.ldbc[string(body.name)]
+	if !ok {
+		upper := strings.ToUpper(string(body.name))
+		if lq, ok = s.ldbc[upper]; !ok {
+			httpError(w, http.StatusNotFound, fmt.Errorf("unknown query %q", upper))
+			return
+		}
+	}
+	var params queries.Params
+	if body.hasParams {
+		var err error
+		if params, err = lq.bind(body); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+	} else {
+		params = lq.q.GenParams(s.ds, s.ds.NewParamGen(s.now().UnixNano()))
 	}
 	start := s.now()
-	fb, _, err := s.runner.Execute(q, params)
+	fb, _, err := s.runner.Execute(lq.q, params)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -221,31 +239,6 @@ func (s *Server) handleLDBC(w http.ResponseWriter, r *http.Request) {
 		"durationMs": float64(s.now().Sub(start).Microseconds()) / 1000,
 		"params":     renderParams(params),
 	})
-}
-
-func (s *Server) bindParams(q *queries.Query, raw map[string]any) (queries.Params, error) {
-	if raw == nil {
-		pg := s.ds.NewParamGen(s.now().UnixNano())
-		return q.GenParams(s.ds, pg), nil
-	}
-	params := make(queries.Params, len(raw))
-	for k, v := range raw {
-		switch x := v.(type) {
-		case float64:
-			if strings.Contains(strings.ToLower(k), "date") {
-				params[k] = vector.Date(int64(x))
-			} else {
-				params[k] = vector.Int64(int64(x))
-			}
-		case string:
-			params[k] = vector.String_(x)
-		case bool:
-			params[k] = vector.Bool(x)
-		default:
-			return nil, fmt.Errorf("parameter %q has unsupported type %T", k, v)
-		}
-	}
-	return params, nil
 }
 
 func renderParams(p queries.Params) map[string]any {

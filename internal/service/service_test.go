@@ -188,6 +188,64 @@ func TestLDBCEndpointBadParamType(t *testing.T) {
 	}
 }
 
+// postRaw posts body as is and decodes the JSON answer.
+func postRaw(t *testing.T, ts *httptest.Server, path, body string) (*http.Response, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
+}
+
+// TestLDBCParamsBindByQuerySchema: /ldbc binds params by the names and kinds
+// the query's own GenParams draws. A misspelled, missing, extra or mistyped
+// parameter is a 400 naming it, never a zero or rounded value the query runs
+// with; an integer past 2^53 binds exactly.
+func TestLDBCParamsBindByQuerySchema(t *testing.T) {
+	ts := testServer(t)
+	for _, c := range []struct{ body, param string }{
+		{`{"name":"IS1","params":{"personID":1}}`, "personID"},
+		{`{"name":"IS1","params":{}}`, "personId"},
+		{`{"name":"IS1","params":{"personId":1,"extra":2}}`, "extra"},
+		{`{"name":"IS1","params":{"personId":"1"}}`, "personId"},
+		{`{"name":"IS1","params":{"personId":1.5}}`, "personId"},
+		{`{"name":"IS1","params":{"personId":1e2}}`, "personId"},
+		{`{"name":"IS1","params":{"personId":9223372036854775808}}`, "personId"},
+		{`{"name":"IC1","params":{"personId":1,"firstName":7}}`, "firstName"},
+		{`{"name":"IC2","params":{"personId":1,"maxDate":null}}`, "maxDate"},
+	} {
+		resp, out := postRaw(t, ts, "/ldbc", c.body)
+		msg, _ := out["error"].(string)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, `"`+c.param+`"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", c.body, resp.StatusCode, msg, c.param)
+		}
+	}
+	for _, body := range []string{
+		`{"name":"IS1","param":{"personId":1}}`, // unknown field: no silent draw
+		`{"name":"IS1","params":{"personId":1}} {}`,
+		`{"name":"IS1","params":{"personId":01}}`,
+		``,
+	} {
+		if resp, out := postRaw(t, ts, "/ldbc", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: status %d: %v; want 400", body, resp.StatusCode, out)
+		}
+	}
+	const big = "9007199254740993" // 2^53 + 1: float64 would round it
+	resp, out := postRaw(t, ts, "/ldbc", `{"name":"IS1","params":{"personId":`+big+`}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	if got := out["stats"].(map[string]any)["params"].(map[string]any)["personId"]; got != big {
+		t.Fatalf("stats.params.personId = %v, want %s", got, big)
+	}
+}
+
 func TestStatsEndpointOverlaySection(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
 	if err != nil {

@@ -217,6 +217,22 @@ func (a *Arena) PutVIDs(buf []vector.VID) {
 	}
 }
 
+// GetInt32s returns transient int32 scratch (tuple ids, row positions); the
+// caller must PutInt32s it on every path (geslint R11).
+func (a *Arena) GetInt32s(n int) []int32 {
+	if !a.recycling() {
+		return make([]int32, 0, n)
+	}
+	return charge(a, a.pool.GetInt32s(n), int32Size)
+}
+
+// PutInt32s releases transient int32 scratch.
+func (a *Arena) PutInt32s(buf []int32) {
+	if a.recycling() {
+		a.pool.PutInt32s(buf)
+	}
+}
+
 // GetRanges returns transient index-vector scratch; the caller must
 // PutRanges it on every path (geslint R11).
 func (a *Arena) GetRanges(n int) []core.Range {

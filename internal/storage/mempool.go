@@ -19,6 +19,7 @@ import (
 // lives in Arena (arena.go).
 type Pool struct {
 	vids   slicePool[vector.VID]
+	ints   slicePool[int32]
 	ranges slicePool[core.Range]
 	vals   slicePool[vector.Value]
 
@@ -48,6 +49,7 @@ const numClasses = 16 // class i holds buffers of capacity 8<<i, up to 256Ki
 // Element sizes for byte accounting (struct layouts on 64-bit targets).
 const (
 	vidSize   = 4
+	int32Size = 4
 	rangeSize = 8
 	valueSize = 40
 )
@@ -57,6 +59,7 @@ const (
 // effectively impossible.
 var (
 	poisonVID   = vector.VID(0xDEADBEEF)
+	poisonInt32 = int32(-0x21524111)
 	poisonRange = core.Range{Start: -0x21524111, End: -0x21524111}
 	poisonValue = vector.Value{Kind: vector.Kind(0xEE), I: -0x21524111_21524111, F: -6.51e151, S: "\xde\xad"}
 )
@@ -65,10 +68,11 @@ var (
 func NewPool() *Pool {
 	p := &Pool{}
 	p.vids.poison, p.vids.elemSize = poisonVID, vidSize
+	p.ints.poison, p.ints.elemSize = poisonInt32, int32Size
 	p.ranges.poison, p.ranges.elemSize = poisonRange, rangeSize
 	p.vals.poison, p.vals.elemSize = poisonValue, valueSize
 	p.vals.hasPtrs = true
-	p.vids.cleared, p.ranges.cleared, p.vals.cleared = &p.cleared, &p.cleared, &p.cleared
+	p.vids.cleared, p.ints.cleared, p.ranges.cleared, p.vals.cleared = &p.cleared, &p.cleared, &p.cleared, &p.cleared
 	return p
 }
 
@@ -252,6 +256,13 @@ func (p *Pool) GetVIDs(n int) []vector.VID { return p.vids.get(n) }
 
 // PutVIDs returns a buffer obtained from GetVIDs to the pool.
 func (p *Pool) PutVIDs(buf []vector.VID) { p.vids.put(buf) }
+
+// GetInt32s returns a zero-length int32 buffer with capacity at least n, its
+// first n slots zeroed.
+func (p *Pool) GetInt32s(n int) []int32 { return p.ints.get(n) }
+
+// PutInt32s returns a buffer obtained from GetInt32s to the pool.
+func (p *Pool) PutInt32s(buf []int32) { p.ints.put(buf) }
 
 // GetRanges returns a zero-length index-vector buffer with capacity at
 // least n, its first n slots zeroed.
@@ -480,6 +491,7 @@ func (p *Pool) DetailedStats() PoolStats {
 		cs := ClassStat{Cap: 8 << uint(c)}
 		for _, sp := range []*struct{ g, h, pu *atomic.Int64 }{
 			{&p.vids.gets[c], &p.vids.hits[c], &p.vids.puts[c]},
+			{&p.ints.gets[c], &p.ints.hits[c], &p.ints.puts[c]},
 			{&p.ranges.gets[c], &p.ranges.hits[c], &p.ranges.puts[c]},
 			{&p.vals.gets[c], &p.vals.hits[c], &p.vals.puts[c]},
 		} {
@@ -494,7 +506,7 @@ func (p *Pool) DetailedStats() PoolStats {
 		s.Hits += cs.Hits
 		s.Puts += cs.Puts
 	}
-	s.Gets += p.vids.big.Load() + p.ranges.big.Load() + p.vals.big.Load()
+	s.Gets += p.vids.big.Load() + p.ints.big.Load() + p.ranges.big.Load() + p.vals.big.Load()
 	s.Columns = p.cols.stats()
 	s.Bitsets = p.bits.stats()
 	s.Trees = p.trees.stats()
