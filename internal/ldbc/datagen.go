@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"ges/internal/catalog"
 	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
@@ -119,19 +118,19 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := ds.genPersons(rng); err != nil {
 		return nil, err
 	}
-	if err := ds.genKnows(rng); err != nil {
+	lists := &genLists{}
+	if err := ds.genKnows(rng, lists); err != nil {
 		return nil, err
 	}
-	if err := ds.genForums(rng); err != nil {
+	if err := ds.genForums(rng, lists); err != nil {
 		return nil, err
 	}
-	if err := ds.genLikes(rng); err != nil {
+	if err := ds.genLikes(rng, lists); err != nil {
 		return nil, err
 	}
 
-	// End of the bulk phase: seal every family into its sorted CSR snapshot
-	// (which releases the builder slots the load filled) so queries run on
-	// the read-optimized layout.
+	// End of the bulk phase: seal every family's edge log into its sorted
+	// CSR snapshot so queries run on the read-optimized layout.
 	g.SealCSR()
 	// Post-seal edge mutations land in delta overlays; route the resulting
 	// background family reseals through the shared worker pool so they
@@ -144,6 +143,16 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds.nextPostExt.Store(int64(len(ds.Posts)))
 	ds.nextCommentExt.Store(int64(len(ds.Comments)))
 	return ds, nil
+}
+
+// genLists is what generation remembers of its own edges, so that it never
+// reads the graph it is still loading: each person's KNOWS friends, indexed by
+// position in Persons (persons take consecutive VIDs) and appended in AddEdge
+// order, and the creator of every post and comment, aligned with Posts and
+// Comments. It lives only inside Generate.
+type genLists struct {
+	friends                     [][]vector.VID
+	postCreator, commentCreator []vector.VID
 }
 
 type placeIDs struct {
@@ -296,9 +305,10 @@ func (ds *Dataset) genPersons(rng *rand.Rand) error {
 	return nil
 }
 
-func (ds *Dataset) genKnows(rng *rand.Rand) error {
+func (ds *Dataset) genKnows(rng *rand.Rand, lists *genLists) error {
 	h, g := ds.H, ds.Graph
 	n := len(ds.Persons)
+	lists.friends = make([][]vector.VID, n)
 	type edge struct{ a, b int }
 	seen := make(map[edge]bool)
 	addKnows := func(a, b int) error {
@@ -316,6 +326,8 @@ func (ds *Dataset) genKnows(rng *rand.Rand) error {
 		if err := g.AddEdge(h.Knows, ds.Persons[a], ds.Persons[b], d); err != nil {
 			return err
 		}
+		lists.friends[a] = append(lists.friends[a], ds.Persons[b])
+		lists.friends[b] = append(lists.friends[b], ds.Persons[a])
 		return g.AddEdge(h.Knows, ds.Persons[b], ds.Persons[a], d)
 	}
 	// Power-law degrees: a zipf-skew over targets plus locality bias gives
@@ -361,12 +373,13 @@ func zipfDegree(rng *rand.Rand, mean int) int {
 	return d
 }
 
-func (ds *Dataset) genForums(rng *rand.Rand) error {
+func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 	h, g := ds.H, ds.Graph
 	nForums := len(ds.Persons)
 	postExt, commentExt := int64(1), int64(1)
 	for i := 0; i < nForums; i++ {
-		mod := ds.Persons[rng.Intn(len(ds.Persons))]
+		modAt := rng.Intn(len(ds.Persons))
+		mod := ds.Persons[modAt]
 		forum, err := g.AddVertex(h.Forum, int64(i+1),
 			vector.String_(fmt.Sprintf("Forum %d of %s", i+1, tagThemes[i%len(tagThemes)])),
 			vector.Date(int64(DayStart+rng.Intn(365))),
@@ -385,11 +398,9 @@ func (ds *Dataset) genForums(rng *rand.Rand) error {
 
 		// Membership: moderator's friends plus zipf-skewed randoms.
 		members := map[vector.VID]bool{mod: true}
-		for _, seg := range g.Neighbors(nil, mod, h.Knows, catalog.Out, h.Person, false) {
-			for _, f := range seg.VIDs {
-				if rng.Intn(2) == 0 {
-					members[f] = true
-				}
+		for _, f := range lists.friends[modAt] {
+			if rng.Intn(2) == 0 {
+				members[f] = true
 			}
 		}
 		extra := zipfDegree(rng, ds.Config.MembersPerForum/2)
@@ -429,6 +440,7 @@ func (ds *Dataset) genForums(rng *rand.Rand) error {
 			}
 			postExt++
 			ds.Posts = append(ds.Posts, post)
+			lists.postCreator = append(lists.postCreator, author)
 			if err := g.AddEdge(h.HasCreator, post, author); err != nil {
 				return err
 			}
@@ -471,6 +483,7 @@ func (ds *Dataset) genForums(rng *rand.Rand) error {
 				}
 				commentExt++
 				ds.Comments = append(ds.Comments, comm)
+				lists.commentCreator = append(lists.commentCreator, commAuthor)
 				if err := g.AddEdge(h.HasCreator, comm, commAuthor); err != nil {
 					return err
 				}
@@ -489,23 +502,12 @@ func (ds *Dataset) genForums(rng *rand.Rand) error {
 	return nil
 }
 
-func (ds *Dataset) genLikes(rng *rand.Rand) error {
+func (ds *Dataset) genLikes(rng *rand.Rand, lists *genLists) error {
 	h, g := ds.H, ds.Graph
-	like := func(msg vector.VID, when int64) error {
+	like := func(msg, creator vector.VID, when int64) error {
 		// Likers: friends of the creator, falling back to random persons.
-		var creator vector.VID = vector.NilVID
-		for _, seg := range g.Neighbors(nil, msg, h.HasCreator, catalog.Out, h.Person, false) {
-			if len(seg.VIDs) > 0 {
-				creator = seg.VIDs[0]
-			}
-		}
 		n := poisson(rng, float64(ds.Config.LikesPerMessage))
-		var candidates []vector.VID
-		if creator != vector.NilVID {
-			for _, seg := range g.Neighbors(nil, creator, h.Knows, catalog.Out, h.Person, false) {
-				candidates = append(candidates, seg.VIDs...)
-			}
-		}
+		candidates := lists.friends[creator-ds.Persons[0]]
 		seen := map[vector.VID]bool{}
 		for k := 0; k < n; k++ {
 			var liker vector.VID
@@ -528,13 +530,13 @@ func (ds *Dataset) genLikes(rng *rand.Rand) error {
 		}
 		return nil
 	}
-	for _, p := range ds.Posts {
-		if err := like(p, g.Prop(p, ds.H.MCreation).I); err != nil {
+	for i, p := range ds.Posts {
+		if err := like(p, lists.postCreator[i], g.Prop(p, ds.H.MCreation).I); err != nil {
 			return err
 		}
 	}
-	for _, c := range ds.Comments {
-		if err := like(c, g.Prop(c, ds.H.MCreation).I); err != nil {
+	for i, c := range ds.Comments {
+		if err := like(c, lists.commentCreator[i], g.Prop(c, ds.H.MCreation).I); err != nil {
 			return err
 		}
 	}

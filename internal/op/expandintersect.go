@@ -35,8 +35,8 @@ type IntersectSide struct {
 // defines the output, so results are byte-identical to the de-fused
 // Expand(Sides[0]) + ExpandInto(Sides[1:]) chain. Sorted runs intersect by
 // leapfrog/galloping (storage.Intersector); runs a view returns unsorted
-// (unsealed graph, overlay merges, multi-family AnyLabel) probe per-source
-// hash sets instead, byte-identical either way.
+// (the runs of several families joined under Both or AnyLabel) probe
+// per-source hash sets instead, byte-identical either way.
 //
 // The new f-Tree child hangs under the deepest side owner — the LCA-closed
 // placement: every other side owner must be an ancestor of it so each deep

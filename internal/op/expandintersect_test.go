@@ -124,8 +124,8 @@ func bruteDiamonds(f *testgraph.Fixture) []string {
 }
 
 // TestExpandIntersectTriangle checks the 2-way intersection against brute
-// force and the oracle, sealed (leapfrog) and unsealed (hash-set probes),
-// across every mode × worker count.
+// force and the oracle, on a graph sealed explicitly and on one its first read
+// seals, across every mode × worker count.
 func TestExpandIntersectTriangle(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := cyclicFixture(t)

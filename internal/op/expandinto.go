@@ -175,11 +175,11 @@ func ownerMap(deep, shallow *core.Node) []int32 {
 
 // adjProbe answers edge-membership queries against one source vertex's
 // adjacency, caching the loaded run across consecutive probes of the same
-// source (owner rows repeat along the deep node). Sorted single-family runs
-// answer through a galloping search with a monotone cursor — consecutive
-// candidates from a CSR-sorted child run advance the cursor instead of
-// restarting, so a whole run intersects in a single merge pass. Unsorted
-// runs and multi-family lookups fall back to a hash set.
+// source (owner rows repeat along the deep node). A single-family run is
+// sorted and answers through a galloping search with a monotone cursor —
+// consecutive candidates from a CSR-sorted child run advance the cursor
+// instead of restarting, so a whole run intersects in a single merge pass.
+// Multi-family lookups fall back to a hash set.
 type adjProbe struct {
 	ctx      *Ctx
 	et       catalog.EdgeTypeID
@@ -189,7 +189,7 @@ type adjProbe struct {
 	src    vector.VID
 	loaded bool
 	segs   []storage.Segment
-	sorted bool // true: cur answers probes over the single sorted run
+	sorted bool // true: cur answers probes over the single run
 	cur    vector.RunCursor
 	set    map[vector.VID]struct{}
 }
@@ -210,9 +210,9 @@ func (p *adjProbe) load(src vector.VID) {
 	// skipped.
 	//geslint:scalar-ok
 	p.segs = p.ctx.View.Neighbors(p.segs, src, p.et, p.dir, p.dstLabel, false)
-	// A single sorted run (sealed CSR, one family) probes by cursor; unsorted
-	// or multi-segment adjacency (unsealed graph, overlay, AnyLabel) by set.
-	if len(p.segs) == 1 && p.segs[0].Sorted {
+	// A single segment (one family) is sorted and probes by cursor; the runs
+	// of several families (Both, AnyLabel) probe by set.
+	if len(p.segs) == 1 {
 		p.sorted = true
 		p.cur.Reset(p.segs[0].VIDs)
 		return

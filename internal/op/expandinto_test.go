@@ -91,8 +91,9 @@ func trianglePlan(s *testgraph.Schema) plan.Plan {
 }
 
 // TestExpandIntoTriangles checks the semi-join against brute force and the
-// volcano oracle in every engine mode × worker count, sealed (cursor probe)
-// and unsealed (hash-set probe) — all must produce the identical multiset.
+// volcano oracle in every engine mode × worker count, on a graph sealed
+// explicitly and on one its first read seals — all must produce the identical
+// multiset.
 func TestExpandIntoTriangles(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := triangleFixture(t)

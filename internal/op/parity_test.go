@@ -15,13 +15,13 @@ import (
 )
 
 // The operators have one implementation per observable input condition: a
-// sealed single-family run is zero-copy and sorted, an unsealed graph or a
-// transaction snapshot answers NeighborsBatch through AppendNeighborsBatch
-// with unsorted runs (so cyclic joins probe hash sets), a delta overlay
-// merges two cursors, a property overlay patches the bulk gather. This table
-// runs every plan shape that reaches one of those branches over all four
-// representations of one logical LDBC graph, large enough to cross the
-// morsel threshold, against the volcano oracle.
+// single-family run with an empty delta is zero-copy and sorted, a delta
+// overlay (storage's own or a transaction's committed edges) merges two
+// cursors, the runs of several families (Both, AnyLabel) are unsorted so
+// cyclic joins probe hash sets, a property overlay patches the bulk gather.
+// This table runs every plan shape that reaches one of those branches over
+// all four representations of one logical LDBC graph, large enough to cross
+// the morsel threshold, against the volcano oracle.
 
 var parityLDBC struct {
 	once  sync.Once
@@ -156,6 +156,14 @@ func TestOperatorParity(t *testing.T) {
 		{"expand-into/triangle", false, func() plan.Plan {
 			return append(plan.Plan{scan("a"), knows("a", "b"), knows("b", "c"),
 				&op.ExpandInto{From: "c", To: "a", Et: h.Knows, Dir: catalog.Out,
+					DstLabel: h.Person, SrcLabel: h.Person}},
+				countSum("c")...)
+		}},
+		// Both directions: each probe joins two families' runs, so it is a
+		// hash set on every view.
+		{"expand-into/both-directions", false, func() plan.Plan {
+			return append(plan.Plan{scan("a"), knows("a", "b"), knows("b", "c"),
+				&op.ExpandInto{From: "c", To: "a", Et: h.Knows, Dir: catalog.Both,
 					DstLabel: h.Person, SrcLabel: h.Person}},
 				countSum("c")...)
 		}},
@@ -399,13 +407,16 @@ func TestOperatorParity(t *testing.T) {
 }
 
 // TestParityViewsReachFallbacks pins the premise of the table above: the
-// views differ in exactly the observable conditions the operators branch on.
+// views differ in exactly the observable conditions the operators branch on,
+// and every view serves the runs of several families unsorted — which is
+// what sends ExpandInto's "expand-into/both-directions" probes and
+// ExpandIntersect's "intersect/any-label" sides to their hash sets.
 func TestParityViewsReachFallbacks(t *testing.T) {
 	ds, views := parityViews(t)
 	h := ds.H
 	want := map[string]struct{ sorted, shared bool }{
 		"sealed":        {true, true},
-		"unsealed":      {false, false},
+		"unsealed":      {true, true}, // sealed by its first read, deltas empty
 		"delta-overlay": {true, false},
 		"txn-overlay":   {true, false}, // committed edges are delta entries too
 	}
@@ -419,6 +430,14 @@ func TestParityViewsReachFallbacks(t *testing.T) {
 		}
 		if w := want[v.Name]; b.Sorted != w.sorted || b.Shared != w.shared {
 			t.Errorf("%s: KNOWS batch Sorted=%v Shared=%v, want %v/%v", v.Name, b.Sorted, b.Shared, w.sorted, w.shared)
+		}
+		v.View.NeighborsBatch(v.View.ScanLabel(h.Person), h.Knows, catalog.Both, h.Person, false, &b)
+		if b.Sorted {
+			t.Errorf("%s: KNOWS Both batch is Sorted; ExpandInto's hash-set probe would go unreached", v.Name)
+		}
+		v.View.NeighborsBatch(v.View.ScanLabel(h.Person), h.Likes, catalog.Out, storage.AnyLabel, false, &b)
+		if b.Sorted {
+			t.Errorf("%s: LIKES AnyLabel batch is Sorted; ExpandIntersect's unsorted-side probe would go unreached", v.Name)
 		}
 	}
 }

@@ -2,12 +2,13 @@
 // cypher and bench test suites. It checks the vectorized engine against the
 // one reference the repository keeps — the tuple-at-a-time volcano
 // interpreter — over every physical representation a storage view can take:
-// a sealed CSR graph, an unsealed graph (live slot arrays, unsorted runs), a
-// sealed graph carrying a storage delta overlay, and a transaction snapshot
-// carrying committed overlays. The representations, not engine switches, are
-// what select the fallback paths (AppendNeighborsBatch, the packed and merged
-// batches, the hash-set probe, the patched gather), so sweeping them keeps
-// those paths covered.
+// a sealed CSR graph, a reloaded graph handed out unsealed (its first read
+// seals it, with its VIDs renumbered by the reload), a sealed graph carrying a
+// storage delta overlay, and a transaction snapshot carrying committed
+// overlays. The representations, not engine switches, are what select the
+// fallback paths (the packed and merged batches, the patched gather), so
+// sweeping them keeps those paths covered; the hash-set probes are reached on
+// every view by plans over Both or AnyLabel, whose runs join two families.
 package paritytest
 
 import (
@@ -165,6 +166,9 @@ func clip(rows []string) []string {
 // reads, hidden by their version. The dataset is
 // returned for its handles; plans must address vertices by label scan or
 // external id, because the unsealed view's load renumbers VIDs.
+//
+// The unsealed view is a Save→Load round trip: it is handed out still in the
+// bulk phase, and the first read of it seals it.
 func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	t.Helper()
 	gen := func() *ldbc.Dataset {
@@ -220,7 +224,7 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	add(ds.Graph)
 	ds.Graph.SealCSR()
 
-	// Unsealed: a save/load round trip yields a graph that was never sealed.
+	// Unsealed: a save/load round trip yields a graph its first read seals.
 	var buf bytes.Buffer
 	if err := ds.Graph.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -230,7 +234,7 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		t.Fatal(err)
 	}
 	if unsealed.CSRSealed() {
-		t.Fatal("paritytest: loaded graph is sealed; the unsealed view would not reach the fallbacks")
+		t.Fatal("paritytest: loaded graph is sealed; the unsealed view would not reach the first-read seal")
 	}
 
 	// Delta overlay: the same mutations after the seal stay in the deltas.

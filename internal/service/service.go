@@ -297,7 +297,6 @@ func (s *Server) overlaySection() map[string]any {
 			"type":          cat.EdgeTypeName(f.Key.Et),
 			"dst":           cat.LabelName(f.Key.Dst),
 			"dir":           f.Key.Dir.String(),
-			"sealed":        f.Sealed,
 			"sealedEntries": f.SealedEntries,
 			"inserts":       f.Inserts,
 			"tombstones":    f.Tombstones,
@@ -306,7 +305,6 @@ func (s *Server) overlaySection() map[string]any {
 	}
 	return map[string]any{
 		"families":         ov.Families,
-		"sealed":           ov.Sealed,
 		"withDelta":        ov.WithDelta,
 		"inserts":          ov.Inserts,
 		"tombstones":       ov.Tombstones,

@@ -1,8 +1,8 @@
 package storage
 
 // CSR adjacency snapshots: an immutable, read-optimized image of one
-// adjacency family, sealed out of the AdjList's builder slots at bulk-load
-// finish and, with its delta, the family's only store from then on. The layout
+// adjacency family, sealed out of the AdjList's edge log when the bulk phase
+// ends and, with its delta, the family's only readable store. The layout
 // is the classic compressed sparse row form — offsets[v] .. offsets[v+1]
 // delimit v's neighbor run inside one dense array — with two additions the
 // executor exploits:
@@ -20,10 +20,10 @@ package storage
 // of the two as a fresh image — one atomic store, concurrent readers keep
 // whichever image they already loaded. Only the bulk phase has families
 // without an image (one first created by a post-seal mutation is born with an
-// empty one); readers then use the builder's live slot layout.
+// empty one), and no read reaches them: the graph seals at its first read.
 
 import (
-	"sort"
+	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/vector"
@@ -31,14 +31,15 @@ import (
 
 // csr is the sealed image of one adjacency family.
 type csr struct {
-	// offsets has len(meta)+1 entries: vertex v's neighbors occupy
+	// offsets has one entry per source up to the highest plus one: vertex
+	// v's neighbors occupy
 	// neighbors[offsets[v]:offsets[v+1]], sorted ascending by VID.
 	offsets   []uint32
 	neighbors []vector.VID
 
 	// Edge-property columns aligned with neighbors, permuted by the same
-	// per-run sort. Indexed like AdjList.prop*: one entry per schema
-	// position, only the slice matching propKinds[p] populated.
+	// per-run sort. Indexed by schema position: one entry per property, only
+	// the slice matching propKinds[p] populated.
 	propKinds []vector.Kind
 	propI64   [][]int64
 	propF64   [][]float64
@@ -50,78 +51,68 @@ type csr struct {
 	delta *adjDelta
 }
 
-// sealCSR builds the sorted CSR image of the builder's live entries. The
-// per-run sort is stable so entries sharing a destination keep their slot
-// order — insertion order, the order the delta overlay's sealed-first tie
-// break continues. Caller holds wmu (or is the single bulk writer).
+// sealCSR builds the sorted CSR image of the family's edge log: a stable
+// counting sort on the source groups each source's entries in arrival order,
+// and a per-run sort of (destination, arrival index) keys — the stable sort on
+// the destination — orders each run, so entries sharing a destination keep
+// their insertion order, the order the delta overlay's sealed-first tie break
+// continues. A family without a log seals empty. Caller holds wmu.
 func (a *AdjList) sealCSR() *csr {
-	total := 0
-	for i := range a.meta {
-		total += int(a.meta[i].len)
+	l := a.log
+	if l == nil {
+		l = newEdgeLog(len(a.propKinds))
 	}
-	c := &csr{
-		offsets:   make([]uint32, len(a.meta)+1),
-		neighbors: make([]vector.VID, total),
-		propKinds: a.propKinds,
+	n := 0 // one past the highest source
+	for _, s := range l.src {
+		n = max(n, int(s)+1)
 	}
-	hasProps := len(a.propKinds) > 0
-	if hasProps {
+	c := &csr{offsets: make([]uint32, n+1), propKinds: a.propKinds}
+	for _, s := range l.src {
+		c.offsets[s+1]++
+	}
+	for v := 0; v < n; v++ {
+		c.offsets[v+1] += c.offsets[v]
+	}
+	next := slices.Clone(c.offsets[:n])
+	keys := make([]uint64, len(l.src))
+	for i, s := range l.src {
+		keys[next[s]] = uint64(l.dst[i])<<32 | uint64(i)
+		next[s]++
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(keys[c.offsets[v]:c.offsets[v+1]])
+	}
+	c.neighbors = make([]vector.VID, len(keys))
+	for k, key := range keys {
+		c.neighbors[k] = vector.VID(key >> 32)
+	}
+	if len(a.propKinds) > 0 {
 		c.propI64 = make([][]int64, len(a.propKinds))
 		c.propF64 = make([][]float64, len(a.propKinds))
 		c.propStr = make([][]string, len(a.propKinds))
 		for p, k := range a.propKinds {
 			switch k {
 			case vector.KindInt64, vector.KindDate:
-				c.propI64[p] = make([]int64, total)
+				c.propI64[p] = permuted(l.propI64[p], keys)
 			case vector.KindFloat64:
-				c.propF64[p] = make([]float64, total)
+				c.propF64[p] = permuted(l.propF64[p], keys)
 			case vector.KindString:
-				c.propStr[p] = make([]string, total)
+				c.propStr[p] = permuted(l.propStr[p], keys)
 			}
 		}
 	}
-	off := uint32(0)
-	var perm []int
-	for i := range a.meta {
-		c.offsets[i] = off
-		m := a.meta[i]
-		if m.len == 0 {
-			continue
-		}
-		src := a.arr[m.off : m.off+m.len]
-		dst := c.neighbors[off : off+m.len]
-		if !hasProps {
-			copy(dst, src)
-			sort.SliceStable(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		} else {
-			// Sort a permutation so the property columns move with their
-			// neighbors.
-			perm = perm[:0]
-			for j := 0; j < int(m.len); j++ {
-				perm = append(perm, j)
-			}
-			sort.SliceStable(perm, func(x, y int) bool { return src[perm[x]] < src[perm[y]] })
-			for j, pj := range perm {
-				dst[j] = src[pj]
-				at := int(off) + j
-				from := int(m.off) + pj
-				for p, k := range a.propKinds {
-					switch k {
-					case vector.KindInt64, vector.KindDate:
-						c.propI64[p][at] = a.propI64[p][from]
-					case vector.KindFloat64:
-						c.propF64[p][at] = a.propF64[p][from]
-					case vector.KindString:
-						c.propStr[p][at] = a.propStr[p][from]
-					}
-				}
-			}
-		}
-		off += m.len
-	}
-	c.offsets[len(a.meta)] = off
-	c.delta = newAdjDelta(total, a.propKinds)
+	c.delta = newAdjDelta(len(keys), a.propKinds)
 	return c
+}
+
+// permuted returns col's entries in image order: entry k is col at the
+// arrival index in keys[k]'s low word.
+func permuted[E any](col []E, keys []uint64) []E {
+	out := make([]E, len(keys))
+	for k, key := range keys {
+		out[k] = col[uint32(key)]
+	}
+	return out
 }
 
 // span returns the bounds of src's run in neighbors ([0,0) past the image's
@@ -161,13 +152,13 @@ func (c *csr) count(lo, hi int, r *deltaRun, ver uint64) (n int, merged bool) {
 	return n, merged
 }
 
-// segment builds the Segment view of src's image run, Sorted by construction.
+// segment builds the Segment view of src's image run.
 func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
 	lo, hi := c.span(src)
 	if lo == hi {
 		return Segment{}, false
 	}
-	seg := Segment{VIDs: c.neighbors[lo:hi:hi], Sorted: true}
+	seg := Segment{VIDs: c.neighbors[lo:hi:hi]}
 	if withProps {
 		for p, k := range c.propKinds {
 			switch k {
@@ -191,7 +182,7 @@ func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
 
 // segmentAt builds the Segment of src's run as a read at ver sees it: a view
 // of the image where the delta leaves the run alone, an owned merge where it
-// does not. Sorted either way.
+// does not.
 func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bool) {
 	lo, hi := c.span(src)
 	for {
@@ -210,7 +201,7 @@ func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bo
 		}
 		p.alloc(n)
 		if p.merge(c, lo, hi, r, ver, n) { // else an unversioned write raced the count: read again
-			return Segment{VIDs: b.VIDs, PropI64: b.PropI64, PropF64: b.PropF64, PropStr: b.PropStr, Sorted: true}, true
+			return Segment{VIDs: b.VIDs, PropI64: b.PropI64, PropF64: b.PropF64, PropStr: b.PropStr}, true
 		}
 	}
 }
@@ -223,21 +214,7 @@ func (c *csr) liveEntries() int {
 
 // memBytes approximates the snapshot's resident size.
 func (c *csr) memBytes() int {
-	n := len(c.offsets)*4 + len(c.neighbors)*4
-	for p, k := range c.propKinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			n += len(c.propI64[p]) * 8
-		case vector.KindFloat64:
-			n += len(c.propF64[p]) * 8
-		case vector.KindString:
-			n += len(c.propStr[p]) * 16
-			for _, s := range c.propStr[p] {
-				n += len(s)
-			}
-		}
-	}
-	return n
+	return len(c.offsets)*4 + len(c.neighbors)*4 + propBytes(c.propKinds, c.propI64, c.propF64, c.propStr)
 }
 
 // resealed folds into a fresh image the delta entries a read at horizon h
@@ -279,7 +256,7 @@ func (c *csr) resealed(h uint64) *csr {
 
 // seal publishes the family's next image (with a fresh delta) atomically and
 // reports whether it did. The first call ends the family's bulk phase: the
-// image is sorted out of the builder slots, which are then released. Every
+// image is sorted out of the edge log, which is then dropped. Every
 // later call is a reseal at fold horizon h, and a delta holding nothing at or
 // below h is left as it is. Concurrent readers keep serving from whichever
 // image they already resolved.
@@ -296,21 +273,16 @@ func (a *AdjList) seal(h uint64) bool {
 		return true
 	}
 	a.snap.Store(a.sealCSR())
-	a.meta, a.arr = nil, nil
-	a.propI64, a.propF64, a.propStr = nil, nil, nil
+	a.log = nil
 	return true
 }
 
-// Sealed reports whether the family has left the bulk phase: a CSR snapshot
-// is published and the builder slots are gone.
-func (a *AdjList) Sealed() bool { return a.snap.Load() != nil }
-
-// SealCSR seals every adjacency family into a sorted CSR snapshot. Call it
-// at bulk-load finish; calling it again folds every family's delta, up to the
-// fold horizon, into a fresh image (a quiesced reseal); each family swaps in
-// atomically. The first call also opens the overlay phase: subsequent edge
-// mutations land in per-image deltas instead of invalidating the images, and
-// families they create are born sealed. Returns the number of families.
+// SealCSR seals every adjacency family into a sorted CSR snapshot. The
+// graph's first read or delete calls it when the bulk load did not; calling it
+// again folds every family's delta, up to the fold horizon, into a fresh image
+// (a quiesced reseal); each family swaps in atomically. The first call also
+// opens the overlay phase: subsequent edge mutations land in per-image deltas,
+// and families they create are born sealed. Returns the number of families.
 func (g *Graph) SealCSR() int {
 	if !g.sealedPhase.Load() {
 		// Bulk-load finish: vertex inserts are over (they are single-writer
@@ -330,15 +302,21 @@ func (g *Graph) SealCSR() int {
 	return n
 }
 
-// CSRSealed reports whether every adjacency family currently serves from a
-// CSR snapshot (true for an edgeless graph).
-func (g *Graph) CSRSealed() bool {
-	for _, l := range g.fams.Load().adj {
-		if !l.Sealed() {
-			return false
-		}
+// CSRSealed reports whether the graph has left the bulk phase: every
+// adjacency family serves from a CSR snapshot.
+func (g *Graph) CSRSealed() bool { return g.sealedPhase.Load() }
+
+// sealBulk ends the bulk phase at the graph's first read or delete. The check
+// is one atomic load; concurrent first readers seal exactly once, and each
+// returns only after the seal has published every image.
+func (g *Graph) sealBulk() {
+	if !g.sealedPhase.Load() {
+		g.bulkSeal.Do(func() {
+			if !g.sealedPhase.Load() {
+				g.SealCSR()
+			}
+		})
 	}
-	return true
 }
 
 // NeighborRun delimits one source's rows inside a Batch: Batch.VIDs[Start:End]
@@ -368,9 +346,9 @@ type Batch struct {
 	// Shared marks VIDs/Prop* as views of storage-owned memory.
 	Shared bool
 	// Sorted guarantees every run is ascending by VID — the precondition
-	// for intersection-based joins. It holds for every sealed single-family
-	// read, committed delta entries included, and is cleared only when a run
-	// joins the runs of two families (AnyLabel, Both) or a bulk-phase slot.
+	// for intersection-based joins. It holds for every single-family read,
+	// committed delta entries included, and is cleared only when a run joins
+	// the runs of two families (AnyLabel, Both).
 	Sorted bool
 
 	// Edge-property columns aligned with VIDs (populated when requested),
@@ -414,9 +392,9 @@ func (b *Batch) reset(n int) {
 // no copying — and Sorted is guaranteed. Any other request (a run the delta
 // changes, AnyLabel fan-out, Both, mixed source labels) packs owned runs out
 // of the images, merging the changed ones in place, in the scalar Neighbors
-// segment order (pack.go). Only a bulk-phase request takes the per-source
-// reference path.
+// segment order (pack.go). A graph still in the bulk phase is sealed first.
 func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
+	g.sealBulk()
 	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, Latest, out)
 }
 
@@ -426,6 +404,7 @@ func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir cat
 		return
 	}
 	if !g.packNeighborsBatch(srcs, et, dir, dstLabel, withProps, ver, out) {
+		// The copy pass met an unversioned write: read per source.
 		var v View = g
 		if ver != Latest {
 			v = g.At(ver)
@@ -435,7 +414,7 @@ func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir cat
 }
 
 // csrBatch attempts the zero-copy CSR fast path and reports whether it served
-// the request: its sources meet one sealed family, and the delta changes none
+// the request: its sources meet one family, and the delta changes none
 // of their runs at ver. A source with no run in any family — NilVID, a VID the
 // graph holds no vertex for, a label without the requested family, a created
 // vertex past the image's offsets before the reseal that gives it one — gets
@@ -467,9 +446,7 @@ func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.D
 			if c != nil {
 				return false // a second family: the pack path joins them
 			}
-			if c = fam.snap.Load(); c == nil {
-				return false
-			}
+			c = fam.snap.Load()
 			label, last, live = l, len(c.offsets)-1, !c.delta.isEmpty()
 		}
 		if live {
@@ -529,9 +506,8 @@ func AppendNeighborsBatch(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir 
 				}
 				total += int32(len(seg.VIDs))
 			}
-			// A run stays sorted only as a single sorted segment; a run
-			// joining families (or a bulk-phase slot) voids the guarantee.
-			if len(segBuf) > 1 || (len(segBuf) == 1 && !segBuf[0].Sorted) {
+			// Every segment is sorted; a run joining two families is not.
+			if len(segBuf) > 1 {
 				sorted = false
 			}
 		}

@@ -30,12 +30,12 @@ func csrGraph(t *testing.T) (*Graph, []vector.VID, []vector.VID, catalog.LabelID
 		}
 		cs = append(cs, v)
 	}
-	// Descending destination order per source, so pre-seal adjacency is
+	// Descending destination order per source, so the edge log is
 	// reverse-sorted.
 	for pi := range ps {
 		for ci := len(cs) - 1; ci >= 0; ci-- {
-			if (pi+ci)%2 == 0 {
-				if err := g.AddEdge(livesIn, ps[pi], cs[ci], vector.Date(int64(1000*pi+ci))); err != nil {
+			if csrEdge(pi, ci) {
+				if err := g.AddEdge(livesIn, ps[pi], cs[ci], vector.Date(csrSince(pi, ci))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -43,6 +43,11 @@ func csrGraph(t *testing.T) (*Graph, []vector.VID, []vector.VID, catalog.LabelID
 	}
 	return g, ps, cs, person, city, livesIn
 }
+
+// csrEdge reports whether csrGraph links person pi to city ci, and csrSince is
+// that edge's date.
+func csrEdge(pi, ci int) bool   { return (pi+ci)%2 == 0 }
+func csrSince(pi, ci int) int64 { return int64(1000*pi + ci) }
 
 // flattenSegs concatenates scalar segments in order.
 func flattenSegs(segs []Segment) []vector.VID {
@@ -63,11 +68,7 @@ func flattenBatch(b *Batch) []vector.VID {
 }
 
 func TestSealCSRSortsNeighbors(t *testing.T) {
-	g, ps, _, _, city, livesIn := csrGraph(t)
-	before := map[vector.VID][]vector.VID{}
-	for _, p := range ps {
-		before[p] = append([]vector.VID(nil), flattenSegs(g.Neighbors(nil, p, livesIn, catalog.Out, city, false))...)
-	}
+	g, ps, cs, _, city, livesIn := csrGraph(t)
 	if g.CSRSealed() {
 		t.Fatal("graph sealed before SealCSR")
 	}
@@ -77,19 +78,14 @@ func TestSealCSRSortsNeighbors(t *testing.T) {
 	if !g.CSRSealed() {
 		t.Fatal("CSRSealed false after SealCSR")
 	}
-	for _, p := range ps {
-		segs := g.Neighbors(nil, p, livesIn, catalog.Out, city, false)
-		after := flattenSegs(segs)
-		if !sort.SliceIsSorted(after, func(i, j int) bool { return after[i] < after[j] }) {
-			t.Fatalf("src %d: sealed neighbors not sorted: %v", p, after)
-		}
-		for _, s := range segs {
-			if !s.Sorted {
-				t.Fatalf("src %d: sealed segment not flagged Sorted", p)
+	for pi, p := range ps {
+		after := flattenSegs(g.Neighbors(nil, p, livesIn, catalog.Out, city, false))
+		var want []vector.VID
+		for ci, c := range cs {
+			if csrEdge(pi, ci) {
+				want = append(want, c)
 			}
 		}
-		want := append([]vector.VID(nil), before[p]...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if !reflect.DeepEqual(after, want) {
 			t.Fatalf("src %d: sealed neighbor set changed: got %v want %v", p, after, want)
 		}
@@ -98,16 +94,15 @@ func TestSealCSRSortsNeighbors(t *testing.T) {
 
 func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 	g, ps, cs, _, city, livesIn := csrGraph(t)
-	// Record (dst, since) pairs per source before sealing.
 	type edge struct {
 		dst   vector.VID
 		since int64
 	}
 	want := map[vector.VID][]edge{}
-	for _, p := range ps {
-		for _, s := range g.Neighbors(nil, p, livesIn, catalog.Out, city, true) {
-			for k, d := range s.VIDs {
-				want[p] = append(want[p], edge{dst: d, since: s.PropI64[0][k]})
+	for pi, p := range ps {
+		for ci := len(cs) - 1; ci >= 0; ci-- {
+			if csrEdge(pi, ci) {
+				want[p] = append(want[p], edge{dst: cs[ci], since: csrSince(pi, ci)})
 			}
 		}
 	}
@@ -125,7 +120,6 @@ func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 			t.Fatalf("src %d: props misaligned after seal: got %v want %v", p, got, w)
 		}
 	}
-	_ = cs
 }
 
 // batchMatchesScalar asserts the NeighborsBatch contract for one
@@ -292,11 +286,12 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 	t.Run("delta", func(t *testing.T) { run(t, false) })
 }
 
+// TestNeighborsBatchMatchesScalar checks the batch contract on a graph whose
+// first read seals it ("unsealed") and on one sealed explicitly.
 func TestNeighborsBatchMatchesScalar(t *testing.T) {
-	g, ps, cs, person, city, livesIn := csrGraph(t)
-	srcs := append(append([]vector.VID{vector.NilVID}, ps...), vector.NilVID)
-
 	for _, sealed := range []bool{false, true} {
+		g, ps, cs, person, city, livesIn := csrGraph(t)
+		srcs := append(append([]vector.VID{vector.NilVID}, ps...), vector.NilVID)
 		if sealed {
 			g.SealCSR()
 		}
@@ -312,6 +307,9 @@ func TestNeighborsBatchMatchesScalar(t *testing.T) {
 			batchMatchesScalar(t, g, mixed, livesIn, catalog.Out, city, false)
 			// Empty src list.
 			batchMatchesScalar(t, g, nil, livesIn, catalog.Out, city, false)
+			if !g.CSRSealed() {
+				t.Fatal("the first read must seal the graph")
+			}
 		})
 	}
 }
@@ -327,14 +325,17 @@ func TestNeighborsBatchSharedZeroCopy(t *testing.T) {
 	if !b.Sorted {
 		t.Fatal("shared batch should be Sorted")
 	}
-	// Unsealed path must not claim sharing.
+	// The first read of a graph still in the bulk phase seals it and shares
+	// the same way.
 	g2, ps2, _, _, city2, livesIn2 := csrGraph(t)
 	var b2 Batch
 	g2.NeighborsBatch(ps2, livesIn2, catalog.Out, city2, false, &b2)
-	if b2.Shared {
-		t.Fatal("unsealed batch must not be Shared")
+	if !b2.Shared || !g2.CSRSealed() {
+		t.Fatalf("first read: Shared=%v sealed=%v, want both", b2.Shared, g2.CSRSealed())
 	}
-	_ = city2
+	if !reflect.DeepEqual(flattenBatch(&b), flattenBatch(&b2)) {
+		t.Fatal("the first read's seal serves a different image than SealCSR")
+	}
 }
 
 func TestCSRPersistsAcrossMutation(t *testing.T) {
@@ -409,20 +410,40 @@ func TestNeighborsBatchEmptyFamily(t *testing.T) {
 	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, false)
 }
 
-// TestMemBytesAccountsCSR: a family is held once. Sealing trades the builder
-// slots (12 B of adjMeta per vertex plus regrowth slack) for the image (4 B of
-// offset per vertex, exact-length arrays), so the accounted size drops, and
-// delta entries are accounted on top of the image.
+// TestMemBytesAccountsCSR: a family is held once. The bulk phase accounts its
+// edge log (source, destination and the date property: 16 B per directed
+// entry), sealing trades it for the image (4 B of offset per source, 12 B per
+// entry, one tombstone word per 64 entries), and delta entries are accounted
+// on top of the image.
 func TestMemBytesAccountsCSR(t *testing.T) {
 	g, ps, cs, _, _, livesIn := csrGraph(t)
-	bulk := g.MemBytes()
-	if bulk <= 0 {
-		t.Fatal("MemBytes must be positive")
+	topology := func() int {
+		n := 0
+		for _, l := range g.fams.Load().adj {
+			n += l.memBytes()
+		}
+		return n
 	}
+	entries := 2 * g.NumEdges()
+	if got := topology(); got != 16*entries {
+		t.Fatalf("bulk phase accounts %d B of edge log, want %d", got, 16*entries)
+	}
+	bulk := g.MemBytes()
 	g.SealCSR()
+	if n := FamiliesHoldingLog(g); n != 0 {
+		t.Fatalf("%d families keep their log after the seal", n)
+	}
+	image := 0
+	for _, l := range g.fams.Load().adj {
+		c := l.snap.Load()
+		image += 4*len(c.offsets) + 12*len(c.neighbors) + 8*len(c.delta.tombs)
+	}
+	if got := topology(); got != image {
+		t.Fatalf("sealed families account %d B, their images hold %d", got, image)
+	}
 	sealed := g.MemBytes()
-	if sealed <= 0 || sealed >= bulk {
-		t.Fatalf("sealing must replace the builder slots with the smaller image: bulk=%d sealed=%d", bulk, sealed)
+	if sealed-bulk != image-16*entries {
+		t.Fatalf("sealing must trade the log for the image: bulk=%d sealed=%d", bulk, sealed)
 	}
 	g.SetResealPolicy(1e9, 1<<30)
 	if err := g.AddEdge(livesIn, ps[0], cs[0], vector.Date(1)); err != nil {

@@ -187,29 +187,15 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 func (d *adjDelta) memBytes() int {
 	n := len(d.tombs) * 8
 	d.runs.Range(func(_ vector.VID, r *deltaRun) {
-		n += 160 + len(r.dsts)*12
-		for p, k := range d.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				n += len(r.propI64[p]) * 8
-			case vector.KindFloat64:
-				n += len(r.propF64[p]) * 8
-			case vector.KindString:
-				n += len(r.propStr[p]) * 16
-				for _, s := range r.propStr[p] {
-					n += len(s)
-				}
-			}
-		}
+		n += 160 + len(r.dsts)*12 + propBytes(d.propKinds, r.propI64, r.propF64, r.propStr)
 	})
 	return n
 }
 
 // deltaRun is one source's overlay insert run: destinations sorted ascending
-// (insertion order among equal VIDs, as the bulk seal's stable sort leaves
-// them), each stamped with the version that wrote it, with edge-property
-// columns aligned element-for-element, indexed by schema position like
-// csr.prop*.
+// (insertion order among equal VIDs, as the bulk seal leaves them), each
+// stamped with the version that wrote it, with edge-property columns aligned
+// element-for-element, indexed by schema position like csr.prop*.
 //
 //geslint:snapshot-owner immutable once published in adjDelta.runs; mutation replaces the run wholesale under AdjList.wmu
 type deltaRun struct {

@@ -15,20 +15,16 @@ import (
 // over supertypes (e.g. LDBC "Message" = Post ∪ Comment) rely on this.
 const AnyLabel = catalog.LabelID(0xFFFF)
 
-// Segment is one contiguous run of neighbors handed to the executor's
-// pointer-based join: VIDs is a view into storage-owned memory (never copy,
-// never mutate), and the Prop* slices — populated only when requested — are
-// the edge-property runs aligned element-for-element with VIDs.
+// Segment is one family's run of neighbors handed to the executor's
+// pointer-based join: VIDs is ascending and a view into storage-owned memory
+// (never copy, never mutate), and the Prop* slices — populated only when
+// requested — are the edge-property runs aligned element-for-element with
+// VIDs.
 type Segment struct {
 	VIDs    []vector.VID
 	PropI64 [][]int64
 	PropF64 [][]float64
 	PropStr [][]string
-
-	// Sorted guarantees VIDs is ascending — true when the segment serves
-	// from a sealed CSR snapshot. Intersection joins require it; consumers
-	// that don't care ignore it.
-	Sorted bool
 }
 
 // View is the read interface the executor runs against. The *Graph
@@ -74,8 +70,10 @@ type View interface {
 	NumVertices() int
 }
 
-// Graph is the storage. Bulk loading (AddVertex / AddEdge) is single-writer;
-// after SealCSR, *edge* mutations may run concurrently with readers — they
+// Graph is the storage. Bulk loading (AddVertex / AddEdge) is single-writer
+// and ends at the first SealCSR, which the graph's first read or delete
+// performs if the loader did not; after it, *edge* mutations may run
+// concurrently with readers — they
 // land in per-image delta overlays (delta.go) while the sealed CSR images stay
 // published — and everything else (vertex inserts, property writes) remains
 // single-writer by contract. A committed transaction writes its edges here
@@ -116,9 +114,11 @@ type Graph struct {
 	edgeCount atomic.Int64
 
 	// sealedPhase turns true at the first SealCSR and marks the switch
-	// from bulk loading (builder slots) to the overlay write path (sealed
-	// image + delta): no family created after it ever has slots.
+	// from bulk loading (edge logs) to the overlay write path (sealed image +
+	// delta): no family created after it ever has a log. bulkSeal runs that
+	// first SealCSR once for the first readers (sealBulk).
 	sealedPhase atomic.Bool
+	bulkSeal    sync.Once
 
 	// resealFrac/resealMin gate the background reseal: a family rebuilds
 	// once its delta holds at least resealMin entries and more than
@@ -216,9 +216,7 @@ type versionBinding struct{ src VersionSource }
 // phase, because commits write into the sealed images' deltas. It is wiring,
 // like SetResealSubmit: bind before transactions start.
 func (g *Graph) BindVersions(src VersionSource) VersionSource {
-	if !g.sealedPhase.Load() {
-		g.SealCSR()
-	}
+	g.sealBulk()
 	g.versions.CompareAndSwap(nil, &versionBinding{src: src})
 	return g.versions.Load().src
 }
@@ -357,11 +355,13 @@ func (g *Graph) createdLabel(v vector.VID) catalog.LabelID {
 	return noLabel
 }
 
-// DeleteEdge removes the edge src→dst of type et from both directions.
-// After SealCSR the removal tombstones the sealed images' entries (or
-// retracts delta inserts) and may run concurrently with readers; it is
-// unversioned, like AddEdge.
+// DeleteEdge removes the edge src→dst of type et from both directions — the
+// occurrence inserted first. A graph still in the bulk phase is sealed first;
+// the removal tombstones the sealed images' entries (or retracts delta
+// inserts) and may run concurrently with readers; it is unversioned, like
+// AddEdge.
 func (g *Graph) DeleteEdge(et catalog.EdgeTypeID, src, dst vector.VID) bool {
+	g.sealBulk()
 	sl, dl := g.labelAt(src), g.labelAt(dst)
 	if sl == noLabel || dl == noLabel {
 		return false
@@ -404,7 +404,7 @@ func (g *Graph) addFamily(key AdjKey) *AdjList {
 	}
 	l := newAdjList(g.cat.EdgeTypeProps(key.Et))
 	if g.sealedPhase.Load() {
-		// The sealed phase has no builder: the family is born with an empty
+		// The sealed phase has no log: the family is born with an empty
 		// image and its first edge is a delta insert like any other.
 		l.snap.Store(l.sealCSR())
 	}
@@ -435,8 +435,15 @@ func (g *Graph) LabelOf(v vector.VID) catalog.LabelID {
 	return 0
 }
 
-// ExtID implements View.
-func (g *Graph) ExtID(v vector.VID) int64 { return g.extOf[v] }
+// ExtID implements View. A vertex a transaction created keeps its external
+// id in the transaction layer; the graph answers 0 for it, as GatherExtIDs
+// does.
+func (g *Graph) ExtID(v vector.VID) int64 {
+	if int(v) < len(g.extOf) {
+		return g.extOf[v]
+	}
+	return 0
+}
 
 // VertexByExt implements View.
 func (g *Graph) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool) {
@@ -447,9 +454,19 @@ func (g *Graph) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool)
 	return vid, ok
 }
 
-// Prop implements View.
+// Prop implements View. A vertex a transaction created keeps its properties
+// in the transaction layer; the graph answers the typed zero of its label's
+// schema for it, as GatherProps leaves such rows.
 func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
-	return g.tables[g.labelOf[v]].get(g.rowOf[v], p)
+	if int(v) < len(g.labelOf) {
+		return g.tables[g.labelOf[v]].get(g.rowOf[v], p)
+	}
+	if l := g.createdLabel(v); l != noLabel {
+		if defs := g.cat.LabelProps(l); int(p) < len(defs) {
+			return vector.Value{Kind: defs[p].Kind}
+		}
+	}
+	return vector.Value{}
 }
 
 // SetProp overwrites a vertex property in the base store. It is part of the
@@ -457,41 +474,6 @@ func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 func (g *Graph) SetProp(v vector.VID, p catalog.PropID, val vector.Value) {
 	g.tables[g.labelOf[v]].set(g.rowOf[v], p, val)
 	g.noteMutation()
-}
-
-// fillSegment populates a Segment (with optional edge props) for src in l as a
-// read at ver sees it. A sealed family serves the sorted CSR run (loaded once,
-// so neighbors and properties always come from the same image), merged with
-// the image's delta where it changes the run; in the bulk phase the builder's
-// live slot is used.
-func fillSegment(l *AdjList, src vector.VID, withProps bool, ver uint64) (Segment, bool) {
-	if c := l.snap.Load(); c != nil {
-		return c.segmentAt(src, withProps, ver)
-	}
-	ns := l.neighbors(src)
-	if len(ns) == 0 {
-		return Segment{}, false
-	}
-	seg := Segment{VIDs: ns}
-	if withProps {
-		for p, k := range l.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				seg.PropI64 = append(seg.PropI64, l.edgePropI64(src, p))
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindFloat64:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, l.edgePropF64(src, p))
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindString:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, l.edgePropStr(src, p))
-			}
-		}
-	}
-	return seg, true
 }
 
 // families calls fn for every family Neighbors(src, et, dir, dstLabel) visits,
@@ -518,34 +500,36 @@ func (g *Graph) families(src vector.VID, et catalog.EdgeTypeID, dir catalog.Dire
 	}
 }
 
-// Neighbors implements View.
+// Neighbors implements View. A graph still in the bulk phase is sealed
+// first.
 func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
+	g.sealBulk()
 	return g.neighbors(buf, src, et, dir, dstLabel, withProps, Latest)
 }
 
+// neighbors serves each family's sorted CSR run (loaded once, so neighbors
+// and properties always come from the same image) as a read at ver sees it,
+// merged with the image's delta where it changes the run.
 func (g *Graph) neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64) []Segment {
 	g.families(src, et, dir, dstLabel, func(l *AdjList) {
-		if seg, ok := fillSegment(l, src, withProps, ver); ok {
+		if seg, ok := l.snap.Load().segmentAt(src, withProps, ver); ok {
 			buf = append(buf, seg)
 		}
 	})
 	return buf
 }
 
-// Degree implements View.
+// Degree implements View. A graph still in the bulk phase is sealed first.
 func (g *Graph) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
+	g.sealBulk()
 	return g.degree(src, et, dir, dstLabel, Latest)
 }
 
 func (g *Graph) degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, ver uint64) int {
 	n := 0
 	g.families(src, et, dir, dstLabel, func(l *AdjList) {
-		if c := l.snap.Load(); c != nil {
-			k, _ := c.runLen(src, ver)
-			n += k
-		} else {
-			n += len(l.neighbors(src))
-		}
+		k, _ := l.snap.Load().runLen(src, ver)
+		n += k
 	})
 	return n
 }
@@ -602,9 +586,9 @@ func (g *Graph) CountLabel(label catalog.LabelID) int {
 }
 
 // MemBytes returns the approximate resident size of the base graph —
-// topology (each family's sealed image and delta, or its builder slots in
-// the bulk phase), properties and the family indexes: the paper's "graph
-// size" (Table 1).
+// topology (each family's sealed image and delta, or its edge log in the bulk
+// phase), properties and the family indexes: the paper's "graph size"
+// (Table 1).
 func (g *Graph) MemBytes() int {
 	n := len(g.labelOf)*2 + len(g.rowOf)*4 + len(g.extOf)*8
 	for _, t := range g.tables {
@@ -614,11 +598,7 @@ func (g *Graph) MemBytes() int {
 	}
 	ft := g.fams.Load()
 	for _, l := range ft.adj {
-		if c := l.snap.Load(); c != nil {
-			n += c.memBytes() + c.delta.memBytes()
-		} else {
-			n += l.memBytes()
-		}
+		n += l.memBytes()
 	}
 	// Family hash table: AdjKey (8 bytes) + pointer + bucket overhead per
 	// entry.

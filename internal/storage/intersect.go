@@ -7,8 +7,8 @@
 // order with multiplicity, filtered by membership in the remaining sides
 // (the probes). When every batch is CSR-sorted the reduction is a leapfrog
 // merge with galloping seeks (vector.IntersectSorted); sorted probes under
-// an unsorted base answer through monotone cursors; unsorted probes
-// (overlay segments, merged families, unsealed graphs) answer through
+// an unsorted base answer through monotone cursors; unsorted probes (the
+// runs of several families joined under Both or AnyLabel) answer through
 // per-source hash sets. All paths are byte-identical — the sorted
 // kernels are pure speedups, never semantic changes.
 package storage

@@ -10,8 +10,8 @@ import (
 )
 
 // knowsGraph builds a single-label random digraph: n persons (ext 100+i),
-// KNOWS edges with deliberately descending insert order so the pre-seal
-// adjacency is unsorted.
+// KNOWS edges with deliberately descending insert order so the seal has to
+// sort the edge log.
 func knowsGraph(t *testing.T, n int, prob float64, seed int64) (*Graph, []vector.VID, catalog.LabelID, catalog.EdgeTypeID) {
 	t.Helper()
 	cat := catalog.New()
@@ -76,9 +76,10 @@ func naiveRowIntersect(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir cat
 	return out
 }
 
-// TestIntersectorMatchesScalar sweeps sealed × scalar-fill × intersect-knob
-// combinations over random 2-way and 3-way fan-outs and checks every path
-// yields the scalar reference byte for byte.
+// TestIntersectorMatchesScalar sweeps sealed (explicitly, or by the first
+// read) × scalar-fill × intersect-knob combinations over random 2-way and
+// 3-way fan-outs and checks every path yields the scalar reference byte for
+// byte.
 func TestIntersectorMatchesScalar(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		for _, scalarFill := range []bool{false, true} {
@@ -144,7 +145,6 @@ func TestIntersectorMatchesScalar(t *testing.T) {
 // fallback and checks results stay correct when the cached set is reused.
 func TestIntersectorSetCacheReuse(t *testing.T) {
 	g, vs, person, knows := knowsGraph(t, 12, 0.4, 3)
-	// Unsealed → unsorted probes → hash sets even with intersect=true.
 	rows := 20
 	base0, probe0 := vs[1], vs[2]
 	baseSrcs := make([]vector.VID, rows)
@@ -156,6 +156,9 @@ func TestIntersectorSetCacheReuse(t *testing.T) {
 	base, probe := new(Batch), new(Batch)
 	g.NeighborsBatch(baseSrcs, knows, catalog.Out, person, false, base)
 	g.NeighborsBatch(probeSrcs, knows, catalog.Out, person, false, probe)
+	// An unsorted probe answers through its hash set even with
+	// intersect=true.
+	probe.Sorted = false
 	var x Intersector
 	x.Reset(base, []*Batch{probe}, [][]vector.VID{probeSrcs}, true)
 	want := fmt.Sprint(naiveRowIntersect(g, []vector.VID{base0, probe0}, knows, catalog.Out, person))

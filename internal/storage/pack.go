@@ -24,27 +24,18 @@ type labelImages struct {
 }
 
 // appendImages appends the sealed images Neighbors(label, et, dir, dstLabel)
-// would visit, in its order. ok is false when one of them is still in the
-// bulk phase.
-func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) (_ []*csr, ok bool) {
-	add := func(l *AdjList) bool {
-		c := l.snap.Load()
-		if c == nil {
-			return false
-		}
-		imgs = append(imgs, c)
-		return true
-	}
+// would visit, in its order.
+func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) []*csr {
 	if dstLabel != AnyLabel {
-		l, found := ft.adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]
-		return imgs, !found || add(l)
+		if l, found := ft.adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]; found {
+			imgs = append(imgs, l.snap.Load())
+		}
+		return imgs
 	}
 	for _, fe := range ft.famIdx[famKey{src: label, et: et, dir: dir}] {
-		if !add(fe.list) {
-			return imgs, false
-		}
+		imgs = append(imgs, fe.list.snap.Load())
 	}
-	return imgs, true
+	return imgs
 }
 
 // packNeighborsBatch fills out with owned runs packed from the sealed CSR
@@ -54,10 +45,9 @@ func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.
 // byte-identical to AppendNeighborsBatch over the same view; Sorted holds
 // when no run joins two non-empty segments.
 //
-// It returns false, leaving out unspecified, when a family the request needs
-// is still in the bulk phase, or when an unversioned mutation changed a merged
-// run between the sizing and the copy pass; the caller then takes the
-// reference path.
+// It returns false, leaving out unspecified, when an unversioned mutation
+// changed a merged run between the sizing and the copy pass; the caller then
+// takes the reference path.
 func (g *Graph) packNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) bool {
 	dirs := []catalog.Direction{dir}
 	if dir == catalog.Both {
@@ -74,22 +64,18 @@ func (g *Graph) packNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir
 	// first sight. The loops below test labels[cur] first: a stretch of
 	// sources with one label costs one compare each.
 	cur := 0
-	resolve := func(label catalog.LabelID) bool {
+	resolve := func(label catalog.LabelID) {
 		for cur = 0; cur < len(labels); cur++ {
 			if labels[cur].label == label {
-				return true
+				return
 			}
 		}
 		e := labelImages{label: label, lo: len(imgs)}
 		for _, d := range dirs {
-			ok := true
-			if imgs, ok = ft.appendImages(imgs, label, et, d, dstLabel); !ok {
-				return false
-			}
+			imgs = ft.appendImages(imgs, label, et, d, dstLabel)
 		}
 		e.hi = len(imgs)
 		labels = append(labels, e)
-		return true
 	}
 
 	// Pass 1: run boundaries, so the copy pass writes into exactly sized
@@ -100,8 +86,8 @@ func (g *Graph) packNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir
 	for i, s := range srcs {
 		start, segs := total, 0
 		if l := g.labelAt(s); l != noLabel {
-			if (cur == len(labels) || labels[cur].label != l) && !resolve(l) {
-				return false
+			if cur == len(labels) || labels[cur].label != l {
+				resolve(l)
 			}
 			for _, c := range imgs[labels[cur].lo:labels[cur].hi] {
 				if n, _ := c.runLen(s, ver); n > 0 {
@@ -132,8 +118,8 @@ func (g *Graph) packNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir
 		if l == noLabel {
 			continue
 		}
-		if (cur == len(labels) || labels[cur].label != l) && !resolve(l) {
-			return false
+		if cur == len(labels) || labels[cur].label != l {
+			resolve(l)
 		}
 		end := int(out.Runs[i].End)
 		for _, c := range imgs[labels[cur].lo:labels[cur].hi] {

@@ -87,7 +87,6 @@ func (g *Graph) rebaseStats(key AdjKey, c *csr) {
 // endpoint.
 type OverlayFamilyStats struct {
 	Key           AdjKey
-	Sealed        bool
 	SealedEntries int     // neighbor entries in the published image
 	Inserts       int64   // live delta insert entries
 	Tombstones    int64   // tombstoned sealed positions
@@ -97,8 +96,7 @@ type OverlayFamilyStats struct {
 // OverlayStats aggregates delta-overlay and reseal gauges across families.
 type OverlayStats struct {
 	Families         int // adjacency families
-	Sealed           int // families with a published image
-	WithDelta        int // sealed families with a non-empty delta
+	WithDelta        int // families with a non-empty delta
 	Inserts          int64
 	Tombstones       int64
 	MaxDeltaFraction float64
@@ -130,9 +128,8 @@ func (g *Graph) Overlay() OverlayStats {
 		o.Families++
 		c := l.snap.Load()
 		if c == nil {
-			continue
+			continue // the bulk phase: nothing is sealed yet
 		}
-		o.Sealed++
 		ins, tombs := c.delta.nIns.Load(), c.delta.nTombs.Load()
 		if ins+tombs > 0 {
 			o.WithDelta++
@@ -154,7 +151,6 @@ func (g *Graph) OverlayFamilies() []OverlayFamilyStats {
 	for key, l := range adj {
 		fs := OverlayFamilyStats{Key: key}
 		if c := l.snap.Load(); c != nil {
-			fs.Sealed = true
 			fs.SealedEntries = len(c.neighbors)
 			fs.Inserts = c.delta.nIns.Load()
 			fs.Tombstones = c.delta.nTombs.Load()

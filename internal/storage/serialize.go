@@ -119,8 +119,10 @@ func (s *snapReader) value(k vector.Kind) vector.Value {
 // Save writes the catalog and the graph as a snapshot: every edge, committed
 // ones included. Vertices a transaction created are not storage's to write
 // (their properties live with the transaction layer), so a graph holding any
-// is refused. Callers persist a quiesced (or freshly loaded) graph.
+// is refused. Callers persist a quiesced (or freshly loaded) graph; one still
+// in the bulk phase is sealed first.
 func (g *Graph) Save(w io.Writer) error {
+	g.sealBulk()
 	if n := g.nCreated.Load(); n > 0 {
 		return fmt.Errorf("storage: Save of a graph holding %d transaction-created vertices", n)
 	}
@@ -194,12 +196,13 @@ func (g *Graph) Save(w io.Writer) error {
 		sw.uvarint(uint64(f.key.Et))
 		sw.uvarint(uint64(f.key.Dst))
 		defs := cat.EdgeTypeProps(f.key.Et)
-		sw.uvarint(uint64(f.list.liveEdges()))
+		c := f.list.snap.Load()
+		sw.uvarint(uint64(c.liveEntries()))
 		// Only a vertex of the family's source label can be a source. Each
 		// run is read the way Neighbors reads it: the sealed image merged
-		// with its delta, or the builder slot in the bulk phase.
+		// with its delta.
 		for _, src := range g.ScanLabel(f.key.Src) {
-			seg, _ := fillSegment(f.list, src, true, Latest)
+			seg, _ := c.segmentAt(src, true, Latest)
 			for i, dst := range seg.VIDs {
 				sw.varint(g.ExtID(src))
 				sw.varint(g.ExtID(dst))

@@ -220,7 +220,7 @@ func TestOverlayFamilyOrderDeterministic(t *testing.T) {
 	// The graph reads every committed entry, as the latest snapshot does.
 	var want []vector.VID
 	for _, seg := range o.f.Graph.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
-		if !seg.Sorted {
+		if !sort.SliceIsSorted(seg.VIDs, func(i, j int) bool { return seg.VIDs[i] < seg.VIDs[j] }) {
 			t.Fatalf("family run %v is not sorted", seg.VIDs)
 		}
 		want = append(want, seg.VIDs...)
