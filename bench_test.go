@@ -118,9 +118,13 @@ func benchQuery(b *testing.B, name string, mode exec.Mode) {
 func BenchmarkIC2_Flat(b *testing.B)          { benchQuery(b, "IC2", exec.ModeFlat) }
 func BenchmarkIC2_Factorized(b *testing.B)    { benchQuery(b, "IC2", exec.ModeFactorized) }
 func BenchmarkIC2_Fused(b *testing.B)         { benchQuery(b, "IC2", exec.ModeFused) }
+func BenchmarkIC3_Factorized(b *testing.B)    { benchQuery(b, "IC3", exec.ModeFactorized) }
+func BenchmarkIC3_Fused(b *testing.B)         { benchQuery(b, "IC3", exec.ModeFused) }
 func BenchmarkIC5_Flat(b *testing.B)          { benchQuery(b, "IC5", exec.ModeFlat) }
 func BenchmarkIC5_Factorized(b *testing.B)    { benchQuery(b, "IC5", exec.ModeFactorized) }
 func BenchmarkIC5_Fused(b *testing.B)         { benchQuery(b, "IC5", exec.ModeFused) }
+func BenchmarkIC6_Factorized(b *testing.B)    { benchQuery(b, "IC6", exec.ModeFactorized) }
+func BenchmarkIC6_Fused(b *testing.B)         { benchQuery(b, "IC6", exec.ModeFused) }
 func BenchmarkIC9_Flat(b *testing.B)          { benchQuery(b, "IC9", exec.ModeFlat) }
 func BenchmarkIC9_Factorized(b *testing.B)    { benchQuery(b, "IC9", exec.ModeFactorized) }
 func BenchmarkIC9_Fused(b *testing.B)         { benchQuery(b, "IC9", exec.ModeFused) }

@@ -26,11 +26,10 @@ type EdgeProj struct {
 // records (pointer,length) references into the storage adjacency array, the
 // pointer-based join of §5.
 //
-// VertexPred implements the FilterPushDown (ExpandFilter) fusion: bound when
-// the operator starts (a property no label defines fails it there), it
-// decides each run of candidate neighbors while expanding — per candidate,
-// or for a run of batchPredMinRows through Filter's conjunct kernels over
-// gathered columns — so rejected neighbors are never materialized at all.
+// VertexPred implements the FilterPushDown (ExpandFilter) fusion, bound when
+// the operator starts (a property no label defines fails it there): Filter's
+// conjunct kernels decide a whole NeighborsBatch at once, rejected neighbors
+// are never materialized, and a parent that kept none is pruned (PruneUp).
 type Expand struct {
 	From, To string
 	Et       catalog.EdgeTypeID
@@ -81,7 +80,7 @@ func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := o.VertexPred.filter(ctx)
+	pred, err := o.VertexPred.filter(ctx, o.DstLabel)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +100,12 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, p
 			lazyExpandBody{o, ctx, parent, fromCol}), nil
 	}
 	// Materializing path: edge properties or a fused predicate requested.
-	return produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
-		expandBody{o, ctx, parent, fromCol, epp, pred}), nil
+	out := produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
+		expandBody{o, ctx, parent, fromCol, epp, pred})
+	if pred != nil {
+		ft.PruneUp(ft.Nodes()[ft.NumNodes()-1])
+	}
+	return out, nil
 }
 
 // expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
@@ -178,12 +181,12 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
 	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
+	// keep numbers all runs' candidates in run order, run ri's from base.
+	keep, base := pred.keep(ctx, batch), 0
 	for ri, r := range batch.Runs {
 		start := total
-		cands := batch.VIDs[r.Start:r.End]
-		keep := pred.keep(ctx, cands)
-		for k, v := range cands {
-			if keep != nil && !keep.Get(k) {
+		for k, v := range batch.VIDs[r.Start:r.End] {
+			if keep != nil && !keep.Get(base+k) {
 				continue
 			}
 			s.toCol.AppendVID(v)
@@ -193,6 +196,7 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 			total++
 		}
 		s.index[ri] = core.Range{Start: int32(start), End: int32(total)}
+		base += int(r.End - r.Start)
 	}
 }
 
@@ -255,12 +259,11 @@ func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
 	defer ctx.Arena.PutBatch(batch)
 	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
+	keep, base := pred.keep(ctx, batch), 0 // as in expandBody.rows
 	for ri, r := range batch.Runs {
 		row := in.Rows[lo+ri]
-		cands := batch.VIDs[r.Start:r.End]
-		keep := pred.keep(ctx, cands)
-		for k, v := range cands {
-			if keep != nil && !keep.Get(k) {
+		for k, v := range batch.VIDs[r.Start:r.End] {
+			if keep != nil && !keep.Get(base+k) {
 				continue
 			}
 			// The output row escapes into the result block, so it is never
@@ -273,5 +276,6 @@ func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
 			}
 			out.AppendOwned(nr)
 		}
+		base += int(r.End - r.Start)
 	}
 }

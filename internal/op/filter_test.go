@@ -147,13 +147,13 @@ func kernelGraph(t *testing.T, r kernelRows, runs []int) (*storage.Graph, catalo
 // dictionary-code set, compiled closure — to the compiled closure row by
 // row, through Filter (with and without zone maps, with a pre-cleared
 // selection, at one and four workers) and through the fused VertexPred on
-// candidate runs either side of batchPredMinRows (per-candidate and batch
-// evaluation must agree) and on a run spanning every zone.
+// candidate runs from empty to one spanning every zone: every non-empty run
+// is evaluated in batch, however short.
 func TestPredicateKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const n = 3*vector.ZoneSize + 123
 	rows := newKernelRows(n, rng)
-	runs := []int{15, 16, 17, 400}
+	runs := []int{0, 1, 5, 16, 17, 400}
 	g, label, knows, targets := kernelGraph(t, rows, runs)
 
 	type kcase struct {
@@ -246,7 +246,7 @@ func TestPredicateKernels(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(expect) {
 						t.Fatalf("fused, run of %d, %s: kept %v, reference %v", l, mode, got, expect)
 					}
-					if batched := res.Gathers > 0; batched != (l >= 16) {
+					if batched := res.Gathers > 0; batched != (l > 0) {
 						t.Fatalf("fused, run of %d, %s: batch evaluation = %v", l, mode, batched)
 					}
 					fusedZones += res.ZonesPruned
@@ -256,6 +256,35 @@ func TestPredicateKernels(t *testing.T) {
 	}
 	if filterZones == 0 || fusedZones == 0 {
 		t.Fatalf("zones pruned: Filter %d, fused %d; both zone paths must engage", filterZones, fusedZones)
+	}
+}
+
+// TestFusedExpandPrunesDeadParents: after a fused Expand, a parent row whose
+// run kept no neighbor — an empty run, or one the predicate emptied — is
+// invalid, so later expands from its ancestors skip it. Only the hub whose
+// run holds the one accepted vertex stays valid.
+func TestFusedExpandPrunesDeadParents(t *testing.T) {
+	const n = 200
+	rows := newKernelRows(n, rand.New(rand.NewSource(5)))
+	g, label, knows, targets := kernelGraph(t, rows, []int{3, 40})
+	keepExt := int64(targets[40][1]) // vertex k has external id k; not in the run of 3
+	hub, _ := g.VertexByExt(label, n+40)
+	ctx := &op.Ctx{View: g}
+	ch, err := (&op.NodeScan{Var: "v", Label: label}).Execute(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err = (&op.Expand{From: "v", To: "w", Et: knows, Dir: catalog.Out, DstLabel: label,
+		VertexPred: op.VertexPropPred(expr.Eq(expr.C(op.ExtIDProp), expr.LInt(keepExt)))}).Execute(ctx, ch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := ch.FT.Root
+	vids := root.Block.ColumnByName("v")
+	for i := 0; i < root.Block.NumRows(); i++ {
+		if v := vids.VIDAt(i); root.Sel.Get(i) != (v == hub) {
+			t.Fatalf("parent %d (hub %v): valid = %v after the fused expand", v, v == hub, root.Sel.Get(i))
+		}
 	}
 }
 

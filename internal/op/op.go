@@ -191,8 +191,8 @@ func newPropGetter(view storage.View, name string) (*propGetter, error) {
 
 // get returns the property value of vertex v (typed zero when v's label
 // lacks the property). Row-at-a-time consumers — the flat-path projection,
-// fused predicates on runs below batchPredMinRows, and the volcano oracle via
-// NewPropReader — have no column to batch over, so the scalar lookup is
+// var-length emissions and the volcano oracle (VertexPred.Bind,
+// NewPropReader) — have no column to batch over, so the scalar lookup is
 // deliberate; the batch gather must match it bit for bit.
 //
 //geslint:scalar-ok

@@ -70,6 +70,9 @@ func TestOperatorParity(t *testing.T) {
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: v, As: "anchor.id", ExtID: true}}},
 			&op.Filter{Pred: expr.Le(expr.C("anchor.id"), expr.LInt(20))}}
 	}
+	pg := ds.NewParamGen(3)
+	popularTag := pg.TagName()
+	countryX, countryY := pg.TwoCountries()
 	genderAndDate := expr.And{
 		L: expr.Eq(expr.C("gender"), expr.LStr("male")),
 		R: expr.Lt(expr.C("creationDate"), expr.LDate(midDate())),
@@ -257,6 +260,59 @@ func TestOperatorParity(t *testing.T) {
 					VertexPred: op.VertexPropPred(genderAndDate)},
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 				&op.Defactor{Cols: []string{"f.id"}},
+			}
+		}},
+		// The fused predicate evaluates a whole batch through the dictionary
+		// kernels: IC6's two expands off one parent (a selective = prunes the
+		// posts the second expand then skips, a <> keeps most of the rest), a
+		// name several labels define narrowed to the Expand's one label, and
+		// AnyLabel expands narrowed to the labels present — one label (the
+		// dictionary applies) or two (it does not).
+		{"expand/fused-two-off-one-parent", false, func() plan.Plan {
+			hasTag := func(to string, pred expr.Expr) *op.Expand {
+				return &op.Expand{From: "post", To: to, Et: h.HasTag, Dir: catalog.Out, DstLabel: h.Tag,
+					VertexPred: op.VertexPropPred(pred)}
+			}
+			return plan.Plan{scan("p"),
+				&op.Expand{From: "p", To: "post", Et: h.HasCreator, Dir: catalog.In, DstLabel: h.Post},
+				hasTag("t1", expr.Eq(expr.C("name"), expr.LStr(popularTag))),
+				hasTag("t2", expr.Ne(expr.C("name"), expr.LStr(popularTag))),
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "post", As: "post.id", ExtID: true}, {Var: "t2", Prop: "name", As: "t2.name"}}},
+				&op.Defactor{Cols: []string{"post.id", "t2.name"}},
+			}
+		}},
+		{"expand/fused-name-on-several-labels", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.Expand{From: "p", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
+				&op.Expand{From: "m", To: "c", Et: h.IsLocatedIn, Dir: catalog.Out, DstLabel: h.Country,
+					VertexPred: op.VertexPropPred(expr.In{X: expr.C("name"),
+						List: []vector.Value{vector.String_(countryX), vector.String_(countryY)}})},
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "m", As: "m.id", ExtID: true}, {Var: "c", Prop: "name", As: "c.name"}}},
+				&op.Defactor{Cols: []string{"m.id", "c.name"}},
+			}
+		}},
+		{"expand/fused-any-label-one-present", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.Expand{From: "p", To: "t", Et: h.HasInterest, Dir: catalog.Out, DstLabel: storage.AnyLabel,
+					VertexPred: op.VertexPropPred(expr.Ne(expr.C("name"), expr.LStr(popularTag)))},
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", As: "p.id", ExtID: true}, {Var: "t", Prop: "name", As: "t.name"}}},
+				&op.Defactor{Cols: []string{"p.id", "t.name"}},
+			}
+		}},
+		// From every person's friends: past the morsel threshold, so each
+		// morsel narrows its own fork's labels.
+		{"expand/fused-any-label-mixed", false, func() plan.Plan {
+			return plan.Plan{scan("f"), knows("f", "p"),
+				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel,
+					VertexPred: op.VertexPropPred(expr.And{
+						L: expr.Lt(expr.C("creationDate"), expr.LDate(midDate())),
+						R: expr.Ne(expr.C("browserUsed"), expr.LStr("Chrome"))})},
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", As: "p.id", ExtID: true}, {Var: "m", As: "m.id", ExtID: true}}},
+				&op.Defactor{Cols: []string{"p.id", "m.id"}},
 			}
 		}},
 		{"gather/lazy-column-props", false, func() plan.Plan {

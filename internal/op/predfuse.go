@@ -1,8 +1,10 @@
 package op
 
 import (
+	"fmt"
 	"slices"
 
+	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/storage"
@@ -34,30 +36,35 @@ func VertexPropPred(pred expr.Expr) *VertexPred {
 
 // Bind compiles the predicate for one vertex at a time: the getter's row
 // index is the VID of the vertex to test. It holds no state, so goroutines
-// share it. It is the per-candidate path, and the volcano oracle's. A nil
-// VertexPred binds to a nil getter: there is nothing to test.
+// share it. It serves var-length emissions and the volcano oracle; the fused
+// Expand evaluates whole morsels instead (vertexFilter). A nil VertexPred
+// binds to a nil getter: there is nothing to test.
 func (p *VertexPred) Bind(view storage.View) (expr.Getter, error) {
 	if p == nil {
 		return nil, nil
 	}
-	return p.bind(&vertexBinding{view: view})
+	getters, err := p.resolve(view)
+	if err != nil {
+		return nil, err
+	}
+	return expr.Bind(p.pred, vertexBinding{view, getters})
 }
 
-// bind resolves each name p reads once, into b.getters (where the fused
-// Expand's batch face gathers them from), and compiles the per-vertex test
-// through b.
-func (p *VertexPred) bind(b *vertexBinding) (expr.Getter, error) {
-	for _, name := range p.names {
-		g := extIDGetter
-		if name != ExtIDProp {
-			var err error
-			if g, err = newPropGetter(b.view, name); err != nil {
-				return nil, err
-			}
+// resolve returns one getter per name p reads, in p.names order.
+func (p *VertexPred) resolve(view storage.View) ([]*propGetter, error) {
+	getters := make([]*propGetter, len(p.names))
+	for i, name := range p.names {
+		if name == ExtIDProp {
+			getters[i] = extIDGetter
+			continue
 		}
-		b.getters = append(b.getters, g)
+		g, err := newPropGetter(view, name)
+		if err != nil {
+			return nil, err
+		}
+		getters[i] = g
 	}
-	return expr.Bind(p.pred, b)
+	return getters, nil
 }
 
 // vertexBinding binds predicate column names, resolved into getters, to
@@ -71,14 +78,13 @@ type vertexBinding struct {
 // batch face gathers external IDs for it and prunes no zones.
 var extIDGetter = &propGetter{name: ExtIDProp, kind: vector.KindInt64}
 
-// Bind implements expr.Binding. A getter bound here reads one candidate
-// vertex — a run shorter than batchPredMinRows, a var-length emission, the
-// oracle — so there is no column to gather over and the scalar View calls
-// are deliberate.
+// Bind implements expr.Binding. A getter bound here reads one vertex — a
+// var-length emission, the oracle — so there is no column to gather over and
+// the scalar View calls are deliberate.
 //
 //geslint:scalar-ok
-func (b *vertexBinding) Bind(name string) (expr.Getter, error) {
-	// VertexPred.bind resolved every name the expression reads.
+func (b vertexBinding) Bind(name string) (expr.Getter, error) {
+	// VertexPred.resolve resolved every name the expression reads.
 	view, g := b.view, b.getters[slices.IndexFunc(b.getters, func(g *propGetter) bool { return g.name == name })]
 	if g == extIDGetter {
 		return func(v int) vector.Value { return vector.Int64(view.ExtID(vector.VID(v))) }, nil
@@ -87,144 +93,144 @@ func (b *vertexBinding) Bind(name string) (expr.Getter, error) {
 }
 
 // vertexFilter is a VertexPred bound for one Expand execution, as one
-// goroutine applies it to runs of candidate neighbors.
+// goroutine applies it to the candidates of one NeighborsBatch at a time.
+//
+// Its batch face: column i of block gathers getters[i] over labels[i], and
+// conjs compile against the block. A single-label string column shares that
+// label's dictionary, so an equality or IN on it compares codes. Under
+// AnyLabel a string name several labels define narrows per batch to the
+// labels present, and the face is rebuilt when they change. labels[i] is
+// replaced then, never written in place, so forks share it.
 type vertexFilter struct {
-	pred  expr.Expr
-	bound vertexBinding  // every name resolved; read-only, shared by forks
-	test  expr.Getter    // likewise
-	sel   *vector.Bitset // keep's answer, reused run to run
-
-	// The batch face, built by the first run of batchPredMinRows: column i
-	// of block gathers bound.getters[i], and the conjuncts compile against
-	// the block.
-	built bool
-	block *core.FBlock
-	conjs []conjunct
-	// Most fused predicates reference one or two names.
-	getterBuf [2]*propGetter
-	conjBuf   [2]conjunct
+	pred     expr.Expr
+	getters  []*propGetter // one per name pred reads
+	labels   [][]catalog.LabelProp
+	anyLabel bool
+	sel      *vector.Bitset
+	block    *core.FBlock
+	conjs    []conjunct
 }
 
-// batchPredMinRows is the candidate count below which per-row tests beat the
-// batch setup cost. The unit is one neighbor run, on purpose: a scratch
-// prototype that evaluated the predicate once per morsel (all runs of a
-// NeighborsBatch together) was 5–8 % slower on the benchmark's ldbc_mix —
-// its runs hold 1–5 candidates, and gather + overlay patch + mask conversion
-// over the lot cost more than a test that short-circuits on the first
-// failing conjunct.
-const batchPredMinRows = 16
-
-// filter binds p for one execution over ctx's view; nil when p is nil.
-func (p *VertexPred) filter(ctx *Ctx) (*vertexFilter, error) {
+// filter binds p for one execution over ctx's view, each name read from
+// the labels among dst that define it (every one under AnyLabel); nil when
+// p is nil. The face is built here, so a predicate that does not compile
+// fails the query before any batch runs.
+func (p *VertexPred) filter(ctx *Ctx, dst catalog.LabelID) (*vertexFilter, error) {
 	if p == nil {
 		return nil, nil
 	}
-	f := &vertexFilter{pred: p.pred, sel: ctx.Arena.OwnBitset(0, true)}
-	f.bound = vertexBinding{view: ctx.View, getters: f.getterBuf[:0]}
-	var err error
-	if f.test, err = p.bind(&f.bound); err != nil {
+	getters, err := p.resolve(ctx.View)
+	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	f := &vertexFilter{pred: p.pred, getters: getters, labels: make([][]catalog.LabelProp, len(getters)),
+		anyLabel: dst == storage.AnyLabel, sel: ctx.Arena.OwnBitset(0, true)}
+	for i, g := range getters {
+		for _, lp := range g.labels {
+			if f.anyLabel || lp.Label == dst {
+				f.labels[i] = append(f.labels[i], lp)
+			}
+		}
+	}
+	return f, f.build(ctx)
 }
 
-// fork returns the instance for one morsel of several: the binding is
-// shared, the batch scratch is its own.
+// fork returns the instance for one morsel of several, with its own face
+// and selection.
 func (f *vertexFilter) fork(ctx *Ctx) *vertexFilter {
-	return &vertexFilter{pred: f.pred, bound: f.bound, test: f.test, sel: ctx.Arena.OwnBitset(0, true)}
+	g := *f
+	g.labels, g.sel = slices.Clone(f.labels), ctx.Arena.OwnBitset(0, true)
+	g.mustBuild(ctx)
+	return &g
 }
 
-// keep reports which candidates of one neighbor run pass, as a bitset over
-// run positions valid until the next call; nil when there is no predicate.
-// A run shorter than batchPredMinRows tests each candidate. A longer one is
-// evaluated in batch (§5): range conjuncts first drop candidates whose
-// storage zone cannot match, each referenced property is then gathered once
-// for the survivors, and the conjunct kernels run over the run.
-func (f *vertexFilter) keep(ctx *Ctx, cands []vector.VID) *vector.Bitset {
+// build (re)creates the face over the current labels. The scratch columns
+// keep their pointers from batch to batch (Grow resizes in place), so the
+// compiled conjuncts stay bound to them.
+func (f *vertexFilter) build(ctx *Ctx) (err error) {
+	f.block = ctx.NewFBlock()
+	for i, g := range f.getters {
+		f.block.AddColumn(g.newGatherOutput(ctx, g.name, f.labels[i]))
+	}
+	f.conjs, err = compileConjuncts(f.pred, f.block, nil)
+	return err
+}
+
+// mustBuild rebuilds the face after filter has built it once. Compiling
+// depends only on the column names and kinds, which no narrowing changes, so
+// an error here is a broken invariant, not a query error.
+func (f *vertexFilter) mustBuild(ctx *Ctx) {
+	if err := f.build(ctx); err != nil {
+		panic(fmt.Sprintf("op: fused predicate failed to recompile: %v", err))
+	}
+}
+
+// keep evaluates the predicate over every candidate of b's runs at once
+// (§5) and reports which pass, as a bitset over the runs' candidates taken
+// in run order, valid until the next call; nil when there is no predicate.
+// Names narrow first, range conjuncts then drop candidates whose storage
+// zone cannot match, each name is gathered once for the survivors, and the
+// conjunct kernels run over the whole batch.
+func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 	if f == nil {
 		return nil
 	}
-	f.sel.Reinit(len(cands), true)
-	if len(cands) < batchPredMinRows || !f.batchReady(ctx) {
-		for k, v := range cands {
-			if !f.test(int(v)).AsBool() {
-				f.sel.Clear(k)
-			}
-		}
+	n := 0
+	for _, r := range b.Runs {
+		n += int(r.End - r.Start)
+	}
+	f.sel.Reinit(n, true)
+	if n == 0 {
 		return f.sel
 	}
+	cands := ctx.Arena.GetVIDs(n)
+	defer ctx.Arena.PutVIDs(cands)
+	for _, r := range b.Runs {
+		cands = append(cands, b.VIDs[r.Start:r.End]...)
+	}
+	f.narrow(ctx, cands)
+	cols := f.block.Columns()
 	if zp, ok := ctx.View.(storage.ZonePruner); ok {
 		for i := range f.conjs {
-			c := &f.conjs[i]
-			if c.kernel != kernRange || c.negate {
-				continue
-			}
-			for _, lp := range f.bound.getters[slices.Index(f.block.Columns(), c.col)].labels {
-				pruned, total := zp.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
-				ctx.Gather.ZonesPruned.Add(int64(pruned))
-				ctx.Gather.ZonesTotal.Add(int64(total))
+			if c := &f.conjs[i]; c.kernel == kernRange && !c.negate {
+				for _, lp := range f.labels[slices.Index(cols, c.col)] {
+					pruned, total := zp.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
+					ctx.Gather.ZonesPruned.Add(int64(pruned))
+					ctx.Gather.ZonesTotal.Add(int64(total))
+				}
 			}
 		}
 	}
-	for i, col := range f.block.Columns() {
-		col.Grow(len(cands))
-		g := f.bound.getters[i]
-		if g == extIDGetter {
+	for i, col := range cols {
+		col.Grow(n)
+		if f.getters[i] == extIDGetter {
 			ctx.View.GatherExtIDs(cands, f.sel, col.Int64s())
 		}
-		for _, lp := range g.labels {
+		for _, lp := range f.labels[i] {
 			ctx.View.GatherProps(cands, lp.Label, lp.Prop, f.sel, col)
 		}
 	}
 	ctx.Gather.Gathers.Add(1)
-	filterRows(ctx, f.conjs, f.sel, 0, len(cands))
+	filterRows(ctx, f.conjs, f.sel, 0, n)
 	return f.sel
 }
 
-// batchReady builds the batch face on its first call and reports whether it
-// exists. The scratch columns keep their pointers from run to run (Grow
-// resizes in place), so compiled closures stay bound to them.
-func (f *vertexFilter) batchReady(ctx *Ctx) bool {
-	if !f.built {
-		f.built = true
-		f.block = ctx.NewFBlock()
-		for _, g := range f.bound.getters {
-			f.block.AddColumn(g.newGatherOutput(ctx, g.name, g.labels))
+// narrow points labels[i] at the labels of getters[i] some candidate
+// carries, under AnyLabel, for a string name several labels define: one
+// label present gives its column the dictionary. Any other name gathers
+// over every label that defines it — a pass over a label no candidate
+// carries costs less than the per-candidate label scan that would skip it.
+func (f *vertexFilter) narrow(ctx *Ctx, cands []vector.VID) {
+	changed := false
+	for i, g := range f.getters {
+		if !f.anyLabel || g.kind != vector.KindString || len(g.labels) <= 1 {
+			continue
 		}
-		// bind compiled the same expression over the same names, so this
-		// cannot fail; were it to, runs would be tested per candidate, with
-		// the same answer.
-		if conjs, err := compileConjuncts(f.pred, f.block, f.conjBuf[:0]); err == nil {
-			f.conjs = conjs
+		if present := g.presentLabels(ctx, cands); !slices.Equal(present, f.labels[i]) {
+			f.labels[i], changed = present, true
 		}
 	}
-	return f.conjs != nil
-}
-
-// RewriteCols returns a copy of e with every column reference renamed
-// through the mapping (identity when absent).
-func RewriteCols(e expr.Expr, rename map[string]string) expr.Expr {
-	switch n := e.(type) {
-	case expr.Col:
-		if to, ok := rename[n.Name]; ok {
-			return expr.Col{Name: to}
-		}
-		return n
-	case expr.Cmp:
-		return expr.Cmp{Op: n.Op, L: RewriteCols(n.L, rename), R: RewriteCols(n.R, rename)}
-	case expr.And:
-		return expr.And{L: RewriteCols(n.L, rename), R: RewriteCols(n.R, rename)}
-	case expr.Or:
-		return expr.Or{L: RewriteCols(n.L, rename), R: RewriteCols(n.R, rename)}
-	case expr.Not:
-		return expr.Not{X: RewriteCols(n.X, rename)}
-	case expr.Arith:
-		return expr.Arith{Op: n.Op, L: RewriteCols(n.L, rename), R: RewriteCols(n.R, rename)}
-	case expr.In:
-		return expr.In{X: RewriteCols(n.X, rename), List: n.List}
-	case expr.StrPred:
-		return expr.StrPred{Op: n.Op, L: RewriteCols(n.L, rename), R: n.R}
-	default:
-		return e
+	if changed {
+		f.mustBuild(ctx)
 	}
 }

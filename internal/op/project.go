@@ -1,8 +1,6 @@
 package op
 
 import (
-	"fmt"
-
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/vector"
@@ -188,13 +186,4 @@ func coerce(v vector.Value, k vector.Kind) vector.Value {
 		return vector.Value{Kind: k, I: v.I, S: v.S}
 	}
 	return v
-}
-
-// errIfNotVID asserts a flat value is a VID (defensive helper shared by flat
-// operator paths).
-func errIfNotVID(v vector.Value, where string) error {
-	if v.Kind != vector.KindVID {
-		return fmt.Errorf("op: %s: expected vid value, got %s", where, v.Kind)
-	}
-	return nil
 }

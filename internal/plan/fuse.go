@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"ges/internal/expr"
 	"ges/internal/op"
 )
 
@@ -115,7 +116,7 @@ func fuseFilterPushDown(p Plan) (Plan, bool) {
 		if !predOK {
 			continue
 		}
-		rewritten := op.RewriteCols(flt.Pred, propOf)
+		rewritten := rewriteCols(flt.Pred, propOf)
 		fusedExpand := *ex
 		fusedExpand.VertexPred = op.VertexPropPred(rewritten)
 
@@ -133,6 +134,34 @@ func fuseFilterPushDown(p Plan) (Plan, bool) {
 		return q, true
 	}
 	return p, false
+}
+
+// rewriteCols returns a copy of e with every column reference renamed
+// through the mapping (identity when absent).
+func rewriteCols(e expr.Expr, rename map[string]string) expr.Expr {
+	switch n := e.(type) {
+	case expr.Col:
+		if to, ok := rename[n.Name]; ok {
+			return expr.Col{Name: to}
+		}
+		return n
+	case expr.Cmp:
+		return expr.Cmp{Op: n.Op, L: rewriteCols(n.L, rename), R: rewriteCols(n.R, rename)}
+	case expr.And:
+		return expr.And{L: rewriteCols(n.L, rename), R: rewriteCols(n.R, rename)}
+	case expr.Or:
+		return expr.Or{L: rewriteCols(n.L, rename), R: rewriteCols(n.R, rename)}
+	case expr.Not:
+		return expr.Not{X: rewriteCols(n.X, rename)}
+	case expr.Arith:
+		return expr.Arith{Op: n.Op, L: rewriteCols(n.L, rename), R: rewriteCols(n.R, rename)}
+	case expr.In:
+		return expr.In{X: rewriteCols(n.X, rename), List: n.List}
+	case expr.StrPred:
+		return expr.StrPred{Op: n.Op, L: rewriteCols(n.L, rename), R: n.R}
+	default:
+		return e
+	}
 }
 
 // fuseAggregateProjectTop rewrites [Aggregate, OrderBy(limit k)] and

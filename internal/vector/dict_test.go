@@ -102,6 +102,68 @@ func TestDictInternAmortized(t *testing.T) {
 	}
 }
 
+// TestDictIndexRoundTrips drives the open-addressing index through every
+// growth step from its initial eight slots — so probes collide and wrap —
+// while readers resolve published codes lock-free and look strings up under
+// the lock. Every string must keep the code it was first given: Intern of a
+// seen string, Lookup and Str all round-trip at every size.
+func TestDictIndexRoundTrips(t *testing.T) {
+	const n = 3000
+	d := NewDict()
+	key := func(i int) string { return fmt.Sprintf("k%d", i%1000) + string(rune('a'+i/1000)) }
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			if c := d.Intern(key(i)); c != uint32(i+1) {
+				t.Errorf("Intern(%s) = %d, want %d", key(i), c, i+1)
+				return
+			}
+			// Every earlier string still resolves through the grown index.
+			if j := i / 2; d.Intern(key(j)) != uint32(j+1) {
+				t.Errorf("re-Intern(%s) after %d strings changed its code", key(j), i+1)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for seen := 1; seen <= n; {
+			seen = d.Len()
+			for c := 1; c < seen; c += 1 + seen/97 {
+				if got, want := d.Str(uint32(c)), key(c-1); got != want {
+					t.Errorf("Str(%d) = %q with Len %d, want %q", c, got, seen, want)
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for seen := 1; seen <= n; {
+			seen = d.Len()
+			c, ok := d.Lookup(key(seen - 2))
+			if seen > 1 && (!ok || c != uint32(seen-1)) {
+				t.Errorf("Lookup(%s) = (%d, %v) with Len %d", key(seen-2), c, ok, seen)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if c, ok := d.Lookup(key(i)); !ok || c != uint32(i+1) || d.Str(c) != key(i) {
+			t.Fatalf("Lookup(%s) = (%d, %v)", key(i), c, ok)
+		}
+	}
+	if c, ok := d.Lookup("never"); ok {
+		t.Fatalf(`Lookup("never") = (%d, true)`, c)
+	}
+	if c, ok := d.Lookup(""); !ok || c != 0 {
+		t.Fatalf(`Lookup("") = (%d, %v), want (0, true)`, c, ok)
+	}
+}
+
 // TestSharedColumnPanicsOnMutation pins the zero-copy share contract:
 // operators must never write through a column shared from storage.
 func TestSharedColumnPanicsOnMutation(t *testing.T) {
