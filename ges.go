@@ -382,16 +382,13 @@ func (db *DB) SetParallelism(n int) { db.parallel = n }
 
 // Stats reports database-level gauges: the vertices and directed edges the
 // latest committed version holds — committed writes included — and the
-// approximate resident size of the graph storage (the properties of vertices
-// added after sealing live outside it and are not counted).
+// approximate resident size of the graph storage.
 func (db *DB) Stats() (vertices, edges, bytes int) {
 	return db.view().NumVertices(), db.graph.NumEdges(), db.graph.MemBytes()
 }
 
 // Save writes a snapshot of the database (catalog + graph, every committed
-// edge included) to w. The database should be quiesced. Vertices added after
-// sealing are not storage's to write, so Save fails once there is one; a
-// database that only added edges after sealing saves.
+// vertex and edge included) to w. The database should be quiesced.
 func (db *DB) Save(w io.Writer) error {
 	return db.graph.Save(w)
 }

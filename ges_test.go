@@ -246,8 +246,19 @@ func TestSaveAndStatsAfterSealedWrites(t *testing.T) {
 	if v, e, _ := db.Stats(); v != 11 || e != 11 {
 		t.Fatalf("stats after a committed vertex = %d %d", v, e)
 	}
-	if err := db.SaveFile(path); err == nil {
-		t.Fatal("Save of a database holding a vertex added after sealing must fail")
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	db3, err := ges.LoadFile(path, ges.Fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = db3.Query(`MATCH (p:Person) WHERE id(p) = 99 RETURN p.name AS name, p.age AS age`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "eve" || res.Rows[0][1] != int64(19) {
+		t.Fatalf("reloaded committed vertex: rows = %v", res.Rows)
 	}
 }
 

@@ -333,8 +333,9 @@ func TestStatsEndpointOverlaySection(t *testing.T) {
 // graph's deltas (overlay.inserts), the reseal policy has folded some into
 // the images (overlay.reseals), nothing is pinned once the requests are done
 // so the fold horizon has caught up with the newest version (foldLag 0), no
-// arena is still checked out, and the transaction layer holds one record per
-// created vertex and nothing else (overlayVertices).
+// arena is still checked out, the created vertices are graph vertices
+// (vertices), and the transaction layer holds no record, since no IU writes
+// a property version (overlayVertices).
 func TestStatsShowTheFold(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
 	if err != nil {
@@ -343,6 +344,7 @@ func TestStatsShowTheFold(t *testing.T) {
 	ds.Graph.SetResealSubmit(nil) // inline reseals: the counters are final when the requests return
 	ts := httptest.NewServer(service.New(ds, exec.ModeFused).Mux())
 	t.Cleanup(ts.Close)
+	base := ds.Graph.NumVertices()
 	const updates = 500
 	created := 0
 	for i := 0; i < updates; i++ {
@@ -379,8 +381,11 @@ func TestStatsShowTheFold(t *testing.T) {
 	if live := st["memory"].(map[string]any)["liveArenaBytes"].(float64); live != 0 {
 		t.Fatalf("liveArenaBytes = %v after the requests returned", live)
 	}
-	if got := st["overlayVertices"].(float64); got != float64(created) {
-		t.Fatalf("overlayVertices = %v, want the %d created vertices", got, created)
+	if got := st["vertices"].(float64); got != float64(base+created) {
+		t.Fatalf("vertices = %v, want %d base + %d created", got, base, created)
+	}
+	if got := st["overlayVertices"].(float64); got != 0 {
+		t.Fatalf("overlayVertices = %v, want none", got)
 	}
 	if got := st["commitVersion"].(float64); got != updates {
 		t.Fatalf("commitVersion = %v, want %d", got, updates)

@@ -45,11 +45,8 @@ type ZonePruner interface {
 
 // propColumn resolves the storage column for (label, pid), nil when absent.
 func (g *Graph) propColumn(label catalog.LabelID, pid catalog.PropID) *vector.Column {
-	if int(label) >= len(g.tables) || g.tables[label] == nil {
-		return nil
-	}
-	t := g.tables[label]
-	if int(pid) >= len(t.cols) {
+	t := g.table(label)
+	if t == nil || int(pid) >= len(t.cols) {
 		return nil
 	}
 	return t.cols[pid]
@@ -57,9 +54,10 @@ func (g *Graph) propColumn(label catalog.LabelID, pid catalog.PropID) *vector.Co
 
 // GatherProps implements View: for every selected row i whose vertex vids[i]
 // carries the given label, the value of property pid is written to out[i];
-// rows of other labels (or out-of-range VIDs, e.g. overlay-created vertices)
-// are left untouched, so multi-label columns are filled by one pass per
-// label. out must already have len(vids) rows (see Column.Grow).
+// rows of other labels (or VIDs the graph holds no vertex for) are left
+// untouched, so multi-label columns are filled by one pass per label. out
+// must already have len(vids) rows (see Column.Grow). Base rows take the
+// typed loops; created vertices' tail rows, a second pass.
 func (g *Graph) GatherProps(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, sel *vector.Bitset, out *vector.Column) {
 	col := g.propColumn(label, pid)
 	if col == nil {
@@ -108,18 +106,38 @@ func (g *Graph) GatherProps(vids []vector.VID, label catalog.LabelID, pid catalo
 			out.Set(i, col.Get(int(rowOf[v])))
 		}
 	}
+	t := g.table(label)
+	if t.nTail.Load() == 0 {
+		return
+	}
+	codes := col.DictEncoded() && out.Dict() == col.Dict()
+	for i, v := range vids {
+		if v < nBase || (sel != nil && !sel.Get(i)) {
+			continue
+		}
+		switch l, r := g.tailAt(v); {
+		case l != label:
+		case codes:
+			out.Codes()[i] = uint32(t.tailWord(r, pid))
+		default:
+			out.Set(i, t.tailValue(r, pid))
+		}
+	}
 }
 
 // GatherExtIDs implements View: the external identifier of every selected
-// in-range vertex is written to out[i]; out must have len(vids) entries.
+// vertex is written to out[i]; out must have len(vids) entries.
 func (g *Graph) GatherExtIDs(vids []vector.VID, sel *vector.Bitset, out []int64) {
 	extOf := g.extOf
 	n := vector.VID(len(extOf))
 	for i, v := range vids {
-		if v >= n || (sel != nil && !sel.Get(i)) {
-			continue
+		switch {
+		case sel != nil && !sel.Get(i):
+		case v < n:
+			out[i] = extOf[v]
+		case g.HasVertex(v):
+			out[i] = g.ExtID(v)
 		}
-		out[i] = extOf[v]
 	}
 }
 
@@ -131,7 +149,7 @@ func (g *Graph) ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids 
 	if col == nil {
 		return nil
 	}
-	scan := g.tables[label].vids
+	scan := g.table(label).vids
 	if len(vids) != len(scan) {
 		return nil
 	}

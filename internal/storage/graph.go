@@ -28,9 +28,10 @@ type Segment struct {
 }
 
 // View is the read interface the executor runs against. The *Graph
-// implements it directly, reading every committed edge; transactional
-// snapshots implement it over the graph's adjacency at their version (At) and
-// the transaction layer's vertex records (§5, Concurrency Control).
+// implements it directly, reading every committed vertex and edge;
+// transactional snapshots implement it over the graph as of their version
+// (At) and the transaction layer's property versions (§5, Concurrency
+// Control).
 type View interface {
 	// Catalog returns the shared name catalog.
 	Catalog() *catalog.Catalog
@@ -75,22 +76,24 @@ type View interface {
 // performs if the loader did not; after it, *edge* mutations may run
 // concurrently with readers — they
 // land in per-image delta overlays (delta.go) while the sealed CSR images stay
-// published — and everything else (vertex inserts, property writes) remains
-// single-writer by contract. A committed transaction writes its edges here
-// too, stamped with its commit version (CommitEdge): the graph is their only
-// home, snapshots hide the entries newer than themselves (At), and reseals
-// fold them into the images up to the bound manager's horizon
-// (BindVersions). The vertices and properties a transaction writes stay in
-// the transaction layer; the graph knows only the labels of the vertices it
-// created (AddCreatedVertex).
+// published — and bulk property writes remain single-writer by contract. A
+// committed transaction writes here too, stamped with its commit version:
+// the vertices it created as rows past the base arrays (CommitVertex), its
+// edges into the images' deltas (CommitEdge). The graph is their only home,
+// reads at an older version do not see them (At), and reseals fold the edges
+// into the images up to the bound manager's horizon (BindVersions). Only the
+// property versions a transaction writes stay in the transaction layer.
 type Graph struct {
 	cat *catalog.Catalog
 
+	// The base vertices' arrays, frozen once a transaction manager binds.
 	labelOf []catalog.LabelID
 	rowOf   []uint32
 	extOf   []int64
 
-	tables []*propTable // per label
+	// tables is the per-label property table directory, republished
+	// extended when a commit creates the first vertex of a label past it.
+	tables atomic.Pointer[[]*propTable]
 
 	// fams is the immutable family directory, republished copy-on-write
 	// (under famMu) when a mutation first touches a (src,et,dst,dir)
@@ -99,13 +102,12 @@ type Graph struct {
 	fams  atomic.Pointer[famTable] //geslint:atomicptr
 	famMu sync.Mutex
 
-	// created is the append-only label array of the vertices transactions
-	// created: chunk i holds label+1 (0: none) of VIDs NumVertices()+i*1024
+	// tail is the per-VID array of the vertices transactions created, past
+	// the base's: chunk i holds the entries of VIDs len(labelOf)+i*1024
 	// onward. Chunks never move and only the chunk list is copied when it
-	// grows, so adjacency reads resolve a created source's family with two
-	// loads and no lock. nCreated counts the labels stored.
-	created  atomic.Pointer[[]*labelChunk]
-	nCreated atomic.Int64
+	// grows, so a read resolves a created vertex's label and row with two
+	// loads and no lock.
+	tail atomic.Pointer[[]*vidChunk]
 
 	// versions is the bound transaction manager (BindVersions): the source of
 	// the fold horizon reseals fold delta entries up to. Nil until one binds.
@@ -185,6 +187,7 @@ func NewGraph(cat *catalog.Catalog) *Graph {
 		adj:    make(map[AdjKey]*AdjList),
 		famIdx: make(map[famKey][]famEntry),
 	})
+	g.tables.Store(new([]*propTable))
 	return g
 }
 
@@ -240,15 +243,17 @@ func (g *Graph) SetResealSubmit(submit func(task func()) bool) { g.resealSubmit 
 func (g *Graph) Catalog() *catalog.Catalog { return g.cat }
 
 // AddVertex inserts a vertex with an external identifier and property values
-// ordered per the label's schema, returning its dense VID.
+// ordered per the label's schema, returning its dense VID. It is the bulk
+// path: once a transaction manager binds the graph, the VIDs past the base
+// are the manager's, and vertices are created in transactions.
 func (g *Graph) AddVertex(label catalog.LabelID, extID int64, props ...vector.Value) (vector.VID, error) {
 	if int(label) >= g.cat.NumLabels() {
 		return vector.NilVID, fmt.Errorf("storage: unknown label %d", label)
 	}
-	for len(g.tables) <= int(label) {
-		g.tables = append(g.tables, newPropTable(g.cat.LabelProps(catalog.LabelID(len(g.tables)))))
+	if g.versions.Load() != nil {
+		return vector.NilVID, fmt.Errorf("storage: AddVertex on a graph a transaction manager is bound to")
 	}
-	t := g.tables[label]
+	t := g.tableFor(label)
 	if _, dup := t.byExt[extID]; dup {
 		return vector.NilVID, fmt.Errorf("storage: duplicate external id %d for label %s", extID, g.cat.LabelName(label))
 	}
@@ -274,7 +279,7 @@ func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vec
 // the commit version ver, so reads at an older version (At) do not see it
 // until a reseal at a horizon of at least ver folds it into the image.
 // Endpoints may be base vertices or vertices transactions created
-// (AddCreatedVertex).
+// (CommitVertex).
 func (g *Graph) CommitEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
 	sl, dl := g.labelAt(src), g.labelAt(dst)
 	if sl == noLabel || dl == noLabel {
@@ -292,33 +297,47 @@ func (g *Graph) CommitEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VI
 	return nil
 }
 
-// labelChunk is one chunk of the created-vertex label array.
-type labelChunk [1024]atomic.Uint32
+// vidChunk is one chunk of the created vertices' per-VID array: row<<16 |
+// label+1 — the row in the label table's tail — or 0 for a VID no committed
+// vertex holds (one an aborted transaction allocated is a hole for ever).
+type vidChunk [1024]atomic.Uint64
 
-// AddCreatedVertex records the label of v, a vertex a transaction created
-// (VIDs from NumVertices() up): a commit calls it before it writes any edge
-// naming v. Its properties and external id stay with the transaction layer.
-// Calls are serialized by the caller.
-func (g *Graph) AddCreatedVertex(v vector.VID, label catalog.LabelID) error {
+// CommitVertex appends v, a vertex a committed transaction created, stamped
+// with the commit version ver: its label table's tail row (the external id
+// and the properties in the label's schema order) and its per-VID entry.
+// Its VID is past the base; reads at versions below ver (At) do not scan or
+// look it up. A commit calls it before it writes any edge naming v. Calls
+// are serialized by the caller.
+func (g *Graph) CommitVertex(ver uint64, v vector.VID, label catalog.LabelID, ext int64, props ...vector.Value) error {
 	if int(v) < len(g.labelOf) || v == vector.NilVID || int(label) >= g.cat.NumLabels() {
 		return fmt.Errorf("storage: created vertex %d with label %d", v, label)
 	}
+	r := g.tableFor(label).appendTail(v, ext, ver, props)
 	i := int(v) - len(g.labelOf)
-	var chunks []*labelChunk
-	if p := g.created.Load(); p != nil {
-		chunks = *p
+	chunkAt(&g.tail, i>>10, func() *vidChunk { return new(vidChunk) })[i&1023].Store(uint64(r)<<16 | uint64(label) + 1)
+	return nil
+}
+
+// tableFor returns label's property table, first publishing a directory
+// extended up to it when the label has none. Callers are serialized.
+func (g *Graph) tableFor(label catalog.LabelID) *propTable {
+	ts := *g.tables.Load()
+	if int(label) < len(ts) {
+		return ts[label]
 	}
-	if c := i >> 10; c >= len(chunks) {
-		next := make([]*labelChunk, c+1)
-		copy(next, chunks)
-		for k := len(chunks); k <= c; k++ {
-			next[k] = new(labelChunk)
-		}
-		g.created.Store(&next)
-		chunks = next
+	next := append([]*propTable(nil), ts...)
+	for len(next) <= int(label) {
+		next = append(next, newPropTable(g.cat.LabelProps(catalog.LabelID(len(next)))))
 	}
-	chunks[i>>10][i&1023].Store(uint32(label) + 1)
-	g.nCreated.Add(1)
+	g.tables.Store(&next)
+	return next[label]
+}
+
+// table returns label's property table, or nil.
+func (g *Graph) table(label catalog.LabelID) *propTable {
+	if ts := *g.tables.Load(); int(label) < len(ts) {
+		return ts[label]
+	}
 	return nil
 }
 
@@ -335,24 +354,26 @@ func (g *Graph) labelAt(v vector.VID) catalog.LabelID {
 	if int(v) < len(g.labelOf) {
 		return g.labelOf[v]
 	}
-	return g.createdLabel(v)
+	l, _ := g.tailAt(v)
+	return l
 }
 
-// createdLabel is labelAt past the base.
+// tailAt returns the label and tail row of v, a VID past the base, or
+// noLabel.
 //
 //geslint:kernel
-func (g *Graph) createdLabel(v vector.VID) catalog.LabelID {
-	p := g.created.Load()
+func (g *Graph) tailAt(v vector.VID) (catalog.LabelID, int) {
+	p := g.tail.Load()
 	if p == nil {
-		return noLabel
+		return noLabel, 0
 	}
 	i := uint(v) - uint(len(g.labelOf))
 	if c := i >> 10; c < uint(len(*p)) {
-		if l := (*p)[c][i&1023].Load(); l != 0 {
-			return catalog.LabelID(l - 1)
+		if e := (*p)[c][i&1023].Load(); e != 0 {
+			return catalog.LabelID(e&0xFFFF - 1), int(e >> 16)
 		}
 	}
-	return noLabel
+	return noLabel, 0
 }
 
 // DeleteEdge removes the edge src→dst of type et from both directions — the
@@ -435,44 +456,41 @@ func (g *Graph) LabelOf(v vector.VID) catalog.LabelID {
 	return 0
 }
 
-// ExtID implements View. A vertex a transaction created keeps its external
-// id in the transaction layer; the graph answers 0 for it, as GatherExtIDs
-// does.
+// HasVertex reports whether the graph holds a vertex at v.
+func (g *Graph) HasVertex(v vector.VID) bool { return g.labelAt(v) != noLabel }
+
+// ExtID implements View: 0 for a VID the graph holds no vertex for.
 func (g *Graph) ExtID(v vector.VID) int64 {
 	if int(v) < len(g.extOf) {
 		return g.extOf[v]
+	}
+	if l, r := g.tailAt(v); l != noLabel {
+		return g.table(l).tailExt(r)
 	}
 	return 0
 }
 
 // VertexByExt implements View.
 func (g *Graph) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool) {
-	if int(label) >= len(g.tables) || g.tables[label] == nil {
-		return vector.NilVID, false
-	}
-	vid, ok := g.tables[label].byExt[ext]
-	return vid, ok
+	return g.At(Latest).VertexByExt(label, ext)
 }
 
-// Prop implements View. A vertex a transaction created keeps its properties
-// in the transaction layer; the graph answers the typed zero of its label's
-// schema for it, as GatherProps leaves such rows.
+// Prop implements View: the zero Value for a VID the graph holds no vertex
+// for.
 func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 	if int(v) < len(g.labelOf) {
-		return g.tables[g.labelOf[v]].get(g.rowOf[v], p)
+		return g.table(g.labelOf[v]).get(g.rowOf[v], p)
 	}
-	if l := g.createdLabel(v); l != noLabel {
-		if defs := g.cat.LabelProps(l); int(p) < len(defs) {
-			return vector.Value{Kind: defs[p].Kind}
-		}
+	if l, r := g.tailAt(v); l != noLabel {
+		return g.table(l).tailValue(r, p)
 	}
 	return vector.Value{}
 }
 
-// SetProp overwrites a vertex property in the base store. It is part of the
-// single-writer bulk path; transactional updates go through overlays.
+// SetProp overwrites a base vertex's property. It is part of the
+// single-writer bulk path; transactional updates are property versions.
 func (g *Graph) SetProp(v vector.VID, p catalog.PropID, val vector.Value) {
-	g.tables[g.labelOf[v]].set(g.rowOf[v], p, val)
+	g.table(g.labelOf[v]).set(g.rowOf[v], p, val)
 	g.noteMutation()
 }
 
@@ -536,8 +554,10 @@ func (g *Graph) degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direct
 
 // VersionView is the graph as a read at one commit version sees it: delta
 // entries stamped after the version are hidden from every adjacency read, and
-// every other read is the graph's own. Transaction snapshots read adjacency
-// through it.
+// vertices committed after it from scans, counts and external-id lookups.
+// Every other read is the graph's own: a vertex is reached only through
+// those, so its label, external id and properties need no version check.
+// Transaction snapshots read the graph through it.
 type VersionView struct {
 	*Graph
 	ver uint64
@@ -561,40 +581,84 @@ func (v VersionView) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.D
 	return v.Graph.degree(src, et, dir, dstLabel, v.ver)
 }
 
-// ScanLabel implements View.
-func (g *Graph) ScanLabel(label catalog.LabelID) []vector.VID {
-	if int(label) >= len(g.tables) || g.tables[label] == nil {
+// ScanLabel implements View at the view's version: the base rows, then the
+// visible tail rows in commit order. With none of the latter it is the base
+// slice itself (zero copy).
+func (v VersionView) ScanLabel(label catalog.LabelID) []vector.VID {
+	t := v.table(label)
+	if t == nil {
 		return nil
 	}
-	return g.tables[label].vids
+	n := t.visible(v.ver)
+	if n == 0 {
+		return t.vids
+	}
+	out := make([]vector.VID, len(t.vids), len(t.vids)+n)
+	copy(out, t.vids)
+	for r := 0; r < n; r++ {
+		c, i := t.tailRow(r)
+		out = append(out, c.vid[i])
+	}
+	return out
 }
 
-// NumVertices implements View: the vertices of the base, not those
-// transactions created.
-func (g *Graph) NumVertices() int { return len(g.labelOf) }
+// NumVertices implements View at the view's version.
+func (v VersionView) NumVertices() int {
+	n := len(v.labelOf)
+	for _, t := range *v.tables.Load() {
+		n += t.visible(v.ver)
+	}
+	return n
+}
+
+// VertexByExt implements View at the view's version.
+func (v VersionView) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool) {
+	t := v.table(label)
+	if t == nil {
+		return vector.NilVID, false
+	}
+	if vid, ok := t.byExt[ext]; ok {
+		return vid, true
+	}
+	if ix := t.index.Load(); ix != nil {
+		if s := t.slot(ix, ext).Load(); s != 0 {
+			if c, i := t.tailRow(int(s - 1)); c.ver[i] <= v.ver {
+				return c.vid[i], true
+			}
+		}
+	}
+	return vector.NilVID, false
+}
+
+// ScanLabel implements View.
+func (g *Graph) ScanLabel(label catalog.LabelID) []vector.VID { return g.At(Latest).ScanLabel(label) }
+
+// NumVertices implements View: every committed vertex.
+func (g *Graph) NumVertices() int { return g.At(Latest).NumVertices() }
 
 // NumEdges returns the number of live directed edges, committed ones
 // included.
 func (g *Graph) NumEdges() int { return int(g.edgeCount.Load()) }
 
-// CountLabel returns how many vertices carry the given label.
+// CountLabel returns how many committed vertices carry the given label.
 func (g *Graph) CountLabel(label catalog.LabelID) int {
-	if int(label) >= len(g.tables) || g.tables[label] == nil {
-		return 0
+	if t := g.table(label); t != nil {
+		return len(t.vids) + int(t.nTail.Load())
 	}
-	return len(g.tables[label].vids)
+	return 0
 }
 
-// MemBytes returns the approximate resident size of the base graph —
-// topology (each family's sealed image and delta, or its edge log in the bulk
-// phase), properties and the family indexes: the paper's "graph size"
-// (Table 1).
+// MemBytes returns the approximate resident size of the graph — topology
+// (each family's sealed image and delta, or its edge log in the bulk phase),
+// vertices and their properties, and the family indexes: the paper's "graph
+// size" (Table 1).
 func (g *Graph) MemBytes() int {
 	n := len(g.labelOf)*2 + len(g.rowOf)*4 + len(g.extOf)*8
-	for _, t := range g.tables {
-		if t != nil {
-			n += t.memBytes()
-		}
+	if p := g.tail.Load(); p != nil {
+		n += len(*p) * 8 * 1024
+	}
+	for _, t := range *g.tables.Load() {
+		n += t.memBytes()
 	}
 	ft := g.fams.Load()
 	for _, l := range ft.adj {
@@ -616,11 +680,8 @@ func (g *Graph) MemBytes() int {
 // per-vertex arrays and the property tables.
 func (g *Graph) trimVertexArrays() {
 	g.labelOf, g.rowOf, g.extOf = vector.Clipped(g.labelOf), vector.Clipped(g.rowOf), vector.Clipped(g.extOf)
-	for _, t := range g.tables {
-		if t == nil {
-			continue
-		}
-		t.vids, t.ext = vector.Clipped(t.vids), vector.Clipped(t.ext)
+	for _, t := range *g.tables.Load() {
+		t.vids = vector.Clipped(t.vids)
 		for _, c := range t.cols {
 			c.Clip()
 		}

@@ -116,16 +116,13 @@ func (s *snapReader) value(k vector.Kind) vector.Value {
 	}
 }
 
-// Save writes the catalog and the graph as a snapshot: every edge, committed
-// ones included. Vertices a transaction created are not storage's to write
-// (their properties live with the transaction layer), so a graph holding any
-// is refused. Callers persist a quiesced (or freshly loaded) graph; one still
+// Save writes the catalog and the graph as a snapshot: every vertex and
+// edge, committed ones included. Vertices are written by external id, so
+// Load renumbers them densely and the VIDs aborted transactions left unused
+// disappear. Callers persist a quiesced (or freshly loaded) graph; one still
 // in the bulk phase is sealed first.
 func (g *Graph) Save(w io.Writer) error {
 	g.sealBulk()
-	if n := g.nCreated.Load(); n > 0 {
-		return fmt.Errorf("storage: Save of a graph holding %d transaction-created vertices", n)
-	}
 	sw := &snapWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := sw.w.WriteString(snapshotMagic); err != nil {
 		return err

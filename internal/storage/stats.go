@@ -24,10 +24,7 @@ func (g *Graph) sealStats() {
 	defer g.statsMu.Unlock()
 	start := time.Now()
 	b := stats.NewBuilder(g.statsEpoch.Add(1))
-	for label, t := range g.tables {
-		if t == nil {
-			continue
-		}
+	for label, t := range *g.tables.Load() {
 		b.Label(catalog.LabelID(label), len(t.vids))
 		for i, c := range t.cols {
 			b.Column(

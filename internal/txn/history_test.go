@@ -72,6 +72,31 @@ func TestPinnedVersionBoundsHorizon(t *testing.T) {
 	if m.Pins() != 0 || m.GCHorizon() != m.Version() {
 		t.Fatalf("after every release: %d pins, horizon %d, version %d", m.Pins(), m.GCHorizon(), m.Version())
 	}
+
+	// Quiesced: the horizon is exactly the oldest pin while commits pass it,
+	// a second Release of one snapshot is a no-op, and the horizon returns to
+	// the newest version once nothing is pinned.
+	commit := func() {
+		tx := m.Begin([]vector.VID{p[0], p[1]})
+		mustOK(t, tx.AddEdge(s.Knows, p[0], p[1], vector.Date(1)))
+		mustOK(t, tx.Commit())
+	}
+	older := m.AcquireSnapshot()
+	commit()
+	newer := m.AcquireSnapshot()
+	commit()
+	if h := m.GCHorizon(); h != older.Version() {
+		t.Fatalf("horizon %d, want the oldest pin %d", h, older.Version())
+	}
+	m.Release(older)
+	m.Release(older)
+	if h, n := m.GCHorizon(), m.Pins(); h != newer.Version() || n != 1 {
+		t.Fatalf("after releasing the oldest pin twice: horizon %d, %d pins; want %d, 1", h, n, newer.Version())
+	}
+	m.Release(newer)
+	if h := m.GCHorizon(); h != m.Version() {
+		t.Fatalf("horizon %d with nothing pinned, want version %d", h, m.Version())
+	}
 }
 
 // TestPinAllocatesNothing: pinning and unpinning run per request, so once the
@@ -99,17 +124,41 @@ func TestPinAllocatesNothing(t *testing.T) {
 
 // historyImage is everything the history test reads through one view: the
 // IU-shaped families, batched (with edge properties and Sorted), scalar and
-// by degree, from every person and every post the view holds.
+// by degree, from every person and every post the view holds; the posts'
+// external ids and creation dates, gathered and scalar; the lookup of every
+// external id a post may be created with; and the vertex count.
 type historyImage struct {
 	Sorted  []bool
 	Runs    [][][]vector.VID
 	Props   [][][]int64
 	Scalar  [][][]vector.VID
 	Degrees [][]int
+
+	PostExts, PostDates, ScalarDates []int64
+	ByExt                            []vector.VID
+	NumVertices                      int
 }
 
-func captureHistory(v storage.View, s *testgraph.Schema) historyImage {
+func captureHistory(v storage.View, s *testgraph.Schema, exts []int64) historyImage {
 	persons, posts := v.ScanLabel(s.Person), v.ScanLabel(s.Post)
+	var img historyImage
+	img.PostExts = make([]int64, len(posts))
+	v.GatherExtIDs(posts, nil, img.PostExts)
+	dates := vector.NewColumn("creationDate", vector.KindDate)
+	dates.Grow(len(posts))
+	v.GatherProps(posts, s.Post, s.MCreation, nil, dates)
+	img.PostDates = dates.Int64s()
+	for _, p := range posts {
+		img.ScalarDates = append(img.ScalarDates, v.Prop(p, s.MCreation).I)
+	}
+	for _, ext := range exts {
+		vid, ok := v.VertexByExt(s.Post, ext)
+		if !ok {
+			vid = vector.NilVID
+		}
+		img.ByExt = append(img.ByExt, vid)
+	}
+	img.NumVertices = v.NumVertices()
 	reads := []struct {
 		srcs     []vector.VID
 		et       catalog.EdgeTypeID
@@ -124,7 +173,6 @@ func captureHistory(v storage.View, s *testgraph.Schema) historyImage {
 		{posts, s.HasCreator, catalog.Out, s.Person, false},
 		{posts, s.Likes, catalog.In, s.Person, true},
 	}
-	var img historyImage
 	for _, r := range reads {
 		var b storage.Batch
 		v.NeighborsBatch(r.srcs, r.et, r.dir, r.dst, r.withProp, &b)
@@ -159,7 +207,8 @@ func captureHistory(v storage.View, s *testgraph.Schema) historyImage {
 // folds the deltas every few commits, each reseal on its own goroutine, up to
 // the oldest pin), and read it again. The two reads must be byte-identical, and equal to the
 // fixture plus the transactions committed at or below the snapshot, replayed
-// in commit order into a fresh graph and sealed.
+// in commit order into a fresh graph and sealed — posts created, scanned,
+// gathered and looked up by external id included.
 func TestConcurrentHistoryMatchesModel(t *testing.T) {
 	f := testgraph.New()
 	var pending sync.WaitGroup
@@ -187,6 +236,10 @@ func TestConcurrentHistoryMatchesModel(t *testing.T) {
 	// bound on commits), so commits, reseals and reads overlap however the
 	// goroutines are scheduled.
 	const committers, maxPerCommitter, straddles = 2, 1500, 6
+	var exts []int64 // every external id a committed post may carry
+	for i := 0; i < committers*maxPerCommitter; i += 2 {
+		exts = append(exts, int64(5000+i))
+	}
 	var done atomic.Bool
 	var resealed atomic.Int64
 	var wg sync.WaitGroup
@@ -240,7 +293,7 @@ func TestConcurrentHistoryMatchesModel(t *testing.T) {
 			defer readers.Done()
 			for !done.Load() {
 				snap := m.AcquireSnapshot()
-				first := captureHistory(snap, s)
+				first := captureHistory(snap, s, exts)
 				// Wait for a reseal, but not for ever: one can fold only what
 				// is at or below the oldest pin, which may be this one.
 				r0, v0 := f.Graph.Overlay().Reseals, m.Version()
@@ -248,7 +301,7 @@ func TestConcurrentHistoryMatchesModel(t *testing.T) {
 					runtime.Gosched()
 				}
 				crossed := f.Graph.Overlay().Reseals > r0
-				second := captureHistory(snap, s)
+				second := captureHistory(snap, s, exts)
 				m.Release(snap)
 				if !reflect.DeepEqual(first, second) {
 					t.Errorf("snapshot v%d read differently across a reseal", snap.Version())
@@ -276,7 +329,7 @@ func TestConcurrentHistoryMatchesModel(t *testing.T) {
 		t.Fatal("no pinned read straddled a reseal")
 	}
 	last := m.AcquireSnapshot()
-	obs = append(obs, observed{last.Version(), captureHistory(last, s)})
+	obs = append(obs, observed{last.Version(), captureHistory(last, s, exts)})
 	m.Release(last)
 
 	for _, o := range obs {
@@ -300,7 +353,7 @@ func TestConcurrentHistoryMatchesModel(t *testing.T) {
 			mustOK(t, g.AddEdge(s.Likes, c.b, c.post, vector.Date(c.date)))
 		}
 		model.Graph.SealCSR()
-		if want := captureHistory(model.Graph, s); !reflect.DeepEqual(o.img, want) {
+		if want := captureHistory(model.Graph, s, exts); !reflect.DeepEqual(o.img, want) {
 			t.Fatalf("snapshot v%d diverges from the sequential model replayed up to it", o.ver)
 		}
 	}

@@ -2,40 +2,13 @@ package txn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"ges/internal/catalog"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
-
-// extKey indexes transactionally created vertices by (label, external id).
-type extKey struct {
-	label catalog.LabelID
-	ext   int64
-}
-
-type extEntry struct {
-	vid vector.VID
-	ver uint64
-}
-
-// createdIndex lists the vertices transactions created, in commit order — all
-// of them and per label — for NumVertices and ScanLabel. A commit that creates
-// vertices publishes a successor that appends to the same backing arrays:
-// readers read only below their own lengths, so none locks and no commit
-// copies a list.
-type createdIndex struct {
-	all     []extEntry
-	byLabel [][]extEntry
-}
-
-// visiblePrefix is how many entries of a commit-ordered list exist at s.
-func visiblePrefix(list []extEntry, s uint64) int {
-	return sort.Search(len(list), func(i int) bool { return list[i].ver > s })
-}
 
 // pin is one pinned snapshot version and how many live snapshots hold it.
 type pin struct {
@@ -44,14 +17,16 @@ type pin struct {
 }
 
 // Manager is the version manager of §5: it owns the global version counter
-// (initialized to zero), the vertex lock table, the vertex records, and the
-// pins that hold back the graph's fold horizon.
+// (initialized to zero), the vertex lock table, the property-version records,
+// and the pins that hold back the graph's fold horizon.
 //
 // Lock order (checked by geslint rule R2): commit publication holds commitMu
-// while writing edges into the graph (AdjList.wmu per family, Graph.famMu
-// when a commit creates a family) and, when a write crosses the reseal
-// policy with no executor to hand it to, while resealing inline (the rebased
-// statistics publish under Graph.statsMu). No graph path acquires commitMu.
+// while appending created vertices to the graph (Dict.mu, interning their
+// string properties) and writing edges into it (AdjList.wmu per family,
+// Graph.famMu when a commit creates a family) and, when a write crosses the
+// reseal policy with no executor to hand it to, while resealing inline (the
+// rebased statistics publish under Graph.statsMu). No graph path acquires
+// commitMu.
 // Family creation reads the catalog (edge-type schemas); Catalog.mu is a leaf
 // read lock that no catalog path nests further, so the order is safe.
 //
@@ -59,26 +34,20 @@ type pin struct {
 //geslint:lockorder Manager.commitMu < Graph.famMu
 //geslint:lockorder Manager.commitMu < Graph.statsMu
 //geslint:lockorder Manager.commitMu < Catalog.mu
+//geslint:lockorder Manager.commitMu < Dict.mu
 type Manager struct {
 	graph *storage.Graph
-	base  vector.VID // the graph's vertex count: created VIDs start here
 
-	// overlays holds the published record of every vertex that has one —
-	// created vertices and vertices with property versions — indexed by VID,
-	// base and created alike: one lock-free probe per row, and most rows have
-	// none. written is the number of base vertices among them: while it is
-	// zero a base row needs no probe at all.
+	// overlays holds the published record of every vertex with property
+	// versions, indexed by VID: one lock-free probe per row, and most rows
+	// have none. While count is zero no row needs a probe at all.
 	overlays storage.VIDMap[vertexOverlay]
-	written  atomic.Int64
-	created  atomic.Pointer[createdIndex] // nil until a commit creates a vertex
-	byExt    sync.Map                     // extKey -> extEntry of created vertices
+	count    atomic.Int64 // records published
 
 	version atomic.Uint64 // last committed version
 	nextVID atomic.Uint64 // next VID for transactionally created vertices
-	count   atomic.Int64  // records published
 
-	// commitMu serializes version assignment and publication, and GC's
-	// record rewrites with both.
+	// commitMu serializes version assignment and publication.
 	commitMu sync.Mutex
 
 	locks lockTable
@@ -86,16 +55,16 @@ type Manager struct {
 	pinMu  sync.Mutex
 	pins   []pin // pinned versions, ascending
 	pinned int   // live pinned snapshots
-	gcRuns atomic.Int64
 }
 
 // NewManager returns g's transaction manager: a fresh one bound as the
 // graph's version source — which seals a graph still in the bulk phase, since
 // commits write into the sealed images' deltas — or the one bound before, for
-// a graph has one version sequence.
+// a graph has one version sequence. The VIDs past the graph's vertices are
+// the manager's to allocate.
 func NewManager(g *storage.Graph) *Manager {
-	m := &Manager{graph: g, base: vector.VID(g.NumVertices())}
-	m.nextVID.Store(uint64(m.base))
+	m := &Manager{graph: g}
+	m.nextVID.Store(uint64(g.NumVertices()))
 	return g.BindVersions(m).(*Manager)
 }
 
@@ -124,9 +93,6 @@ func (m *Manager) overlayOf(v vector.VID) *vertexOverlay { return m.overlays.Loa
 func (m *Manager) publish(v vector.VID, rec *vertexOverlay) {
 	if m.overlays.Load(v) == nil {
 		m.count.Add(1)
-		if v < m.base {
-			m.written.Add(1)
-		}
 	}
 	m.overlays.Store(v, rec)
 }
@@ -137,19 +103,11 @@ func (m *Manager) publish(v vector.VID, rec *vertexOverlay) {
 // canonical order, and held until Commit or Abort — two-phase locking
 // without deadlock risk.
 func (m *Manager) Begin(writeSet []vector.VID) *Txn {
-	set := append([]vector.VID(nil), writeSet...)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	// Deduplicate after sorting.
-	uniq := set[:0]
-	var prev vector.VID = vector.NilVID
-	for _, v := range set {
-		if v != prev {
-			uniq = append(uniq, v)
-			prev = v
-		}
-	}
-	m.locks.acquire(uniq)
-	return &Txn{m: m, locked: uniq, readVer: m.version.Load()}
+	set := slices.Clone(writeSet)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	m.locks.acquire(set)
+	return &Txn{m: m, locked: set, readVer: m.version.Load()}
 }
 
 // lockTable is a striped vertex lock table.
@@ -163,17 +121,12 @@ func (lt *lockTable) stripeOf(v vector.VID) int { return int(v) & 255 }
 // ascending order — the canonical acquisition order shared by all writers,
 // which rules out deadlocks.
 func (lt *lockTable) stripesOf(vs []vector.VID) []int {
-	seen := make(map[int]struct{}, len(vs))
-	stripes := make([]int, 0, len(vs))
-	for _, v := range vs {
-		s := lt.stripeOf(v)
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			stripes = append(stripes, s)
-		}
+	stripes := make([]int, len(vs))
+	for i, v := range vs {
+		stripes[i] = lt.stripeOf(v)
 	}
-	sort.Ints(stripes)
-	return stripes
+	slices.Sort(stripes)
+	return slices.Compact(stripes)
 }
 
 // acquire locks the stripes covering the vertex set in canonical order.
@@ -190,8 +143,8 @@ func (lt *lockTable) release(vs []vector.VID) {
 	}
 }
 
-// Stats reports the record count — created vertices plus vertices with
-// property versions — and the last committed version (instrumentation).
+// Stats reports the record count — the vertices with property versions —
+// and the last committed version (instrumentation).
 func (m *Manager) Stats() (overlayVertices int, version uint64) {
 	return int(m.count.Load()), m.version.Load()
 }

@@ -5,15 +5,16 @@
 // under one global version. Read queries run against Snapshots — views at one
 // version — and never block.
 //
-// Committed edges live in the storage graph: a commit writes them, stamped
-// with its version, into the sealed images' deltas (storage.Graph.CommitEdge),
-// a snapshot reads the graph's adjacency as of its version
-// (storage.Graph.At), and a reseal folds them into the images up to the GC
-// horizon — the oldest pinned snapshot — which the manager is the graph's
-// source of. What stays here is per vertex: the creation metadata of vertices
-// a transaction created and every vertex's property versions, held in
-// immutable records published behind a lock-free slot array. A commit or GC
-// replaces a record wholesale, so readers take no lock.
+// A commit writes its vertices and edges into the storage graph, stamped with
+// its version: each created vertex as a row past the base arrays
+// (storage.Graph.CommitVertex), each edge into the sealed images' deltas
+// (storage.Graph.CommitEdge). A snapshot reads the graph as of its version
+// (storage.Graph.At), and a reseal folds the edges into the images up to the
+// GC horizon — the oldest pinned snapshot — which the manager is the graph's
+// source of: the fold is how old versions are collected. What stays here is
+// the one per-vertex versioned state, the property versions SetProp commits,
+// held in immutable records published behind a lock-free slot array. A
+// commit replaces a record wholesale, so readers take no lock.
 package txn
 
 import (
@@ -29,16 +30,9 @@ type propVersion struct {
 }
 
 // vertexOverlay is the published record of one vertex (§5, Concurrency
-// Control): the copy-on-write version chain of its properties and, for a
-// vertex born in a transaction, its creation metadata. It is immutable once
-// published; a commit or GC publishes a modified copy.
+// Control): the copy-on-write version chain of its properties. It is
+// immutable once published; a commit publishes a modified copy.
 type vertexOverlay struct {
-	isNew      bool
-	createdVer uint64
-	label      catalog.LabelID
-	ext        int64
-	baseProps  []vector.Value // creation-time property row (schema order)
-
 	props []propVersion
 }
 
@@ -62,23 +56,4 @@ func (vo *vertexOverlay) propAt(pid catalog.PropID, s uint64) (vector.Value, boo
 		}
 	}
 	return vector.Value{}, false
-}
-
-// createdProp returns property pid of a created vertex at version s: its
-// newest committed write, else its creation-row value — the typed zero of the
-// label's schema where the row has none.
-func (vo *vertexOverlay) createdProp(cat *catalog.Catalog, pid catalog.PropID, s uint64) vector.Value {
-	if val, ok := vo.propAt(pid, s); ok {
-		return val
-	}
-	var val vector.Value
-	if int(pid) < len(vo.baseProps) {
-		val = vo.baseProps[pid]
-	}
-	if val.Kind == vector.KindInvalid {
-		if defs := cat.LabelProps(vo.label); int(pid) < len(defs) {
-			val = vector.Value{Kind: defs[pid].Kind}
-		}
-	}
-	return val
 }

@@ -16,12 +16,10 @@ import (
 )
 
 // TestRawGraphAnswersCreatedVertices: the graph's own view reaches a vertex a
-// transaction created through its committed edges. The graph holds neither
-// the vertex's external id nor its properties (the transaction layer does),
-// so it answers as its gathers do for such rows — external id 0 and the typed
-// zero of the label's schema — instead of indexing past its vertex arrays.
-// Scalar calls, a flat-mode engine run and the volcano oracle all project
-// the new neighbour.
+// transaction created through its committed edges, and answers it like a
+// base vertex: the commit appended its row — external id and properties —
+// to the graph. Scalar calls, a flat-mode engine run and the volcano oracle
+// all project the new neighbour's id, name and creation date.
 func TestRawGraphAnswersCreatedVertices(t *testing.T) {
 	f := testgraph.New()
 	s, g := f.Schema, f.Graph
@@ -46,14 +44,14 @@ func TestRawGraphAnswersCreatedVertices(t *testing.T) {
 	if want := []vector.VID{f.Persons[1], f.Persons[2], f.Persons[3], nv}; fmt.Sprint(friends) != fmt.Sprint(want) {
 		t.Fatalf("raw graph KNOWS of p0 = %v, want %v", friends, want)
 	}
-	if ext := g.ExtID(nv); ext != 0 {
-		t.Fatalf("raw ExtID of a created vertex = %d, want 0", ext)
+	if ext := g.ExtID(nv); ext != 555 {
+		t.Fatalf("raw ExtID of a created vertex = %d, want 555", ext)
 	}
-	if v := g.Prop(nv, s.PFirstName); v != (vector.Value{Kind: vector.KindString}) {
-		t.Fatalf("raw Prop of a created vertex = %#v, want the typed zero", v)
+	if v := g.Prop(nv, s.PFirstName); v != vector.String_("Zed") {
+		t.Fatalf("raw Prop of a created vertex = %#v, want Zed", v)
 	}
-	if v := g.Prop(nv, s.PCreation); v != (vector.Value{Kind: vector.KindDate}) {
-		t.Fatalf("raw Prop of a created vertex = %#v, want the typed zero", v)
+	if v := g.Prop(nv, s.PCreation); v != vector.Date(20001) {
+		t.Fatalf("raw Prop of a created vertex = %#v, want its creation date", v)
 	}
 
 	build := func() plan.Plan {
@@ -61,11 +59,14 @@ func TestRawGraphAnswersCreatedVertices(t *testing.T) {
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.ProjectProps{Specs: []op.ProjSpec{
-				{Var: "f", As: "f.id", ExtID: true}, {Var: "f", Prop: "firstName", As: "f.firstName"}}},
-			&op.Defactor{Cols: []string{"f.id", "f.firstName"}},
+				{Var: "f", As: "f.id", ExtID: true}, {Var: "f", Prop: "firstName", As: "f.firstName"},
+				{Var: "f", Prop: "creationDate", As: "f.creationDate"}}},
+			&op.Defactor{Cols: []string{"f.id", "f.firstName", "f.creationDate"}},
 		}
 	}
-	want := "[[101 Bob] [102 Cyn] [103 Dan] [0 ]]"
+	want := fmt.Sprint([][]string{
+		{"101", "Bob", vector.Date(19001).String()}, {"102", "Cyn", vector.Date(19002).String()},
+		{"103", "Dan", vector.Date(19003).String()}, {"555", "Zed", vector.Date(20001).String()}})
 	flat, err := exec.New(exec.ModeFlat).Run(g, build())
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestRawGraphAnswersCreatedVertices(t *testing.T) {
 	for name, fb := range map[string][][]vector.Value{"flat": flat.Block.Rows, "volcano": oracle.Block.Rows} {
 		var rows [][]string
 		for _, row := range fb {
-			rows = append(rows, []string{row[0].String(), row[1].String()})
+			rows = append(rows, []string{row[0].String(), row[1].String(), row[2].String()})
 		}
 		if got := fmt.Sprint(rows); got != want {
 			t.Errorf("%s over the raw graph: %s, want %s", name, got, want)

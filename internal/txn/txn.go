@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/vector"
@@ -17,7 +18,6 @@ type Txn struct {
 	done    bool
 
 	newVerts   []pendingVertex
-	newLabels  map[vector.VID]catalog.LabelID
 	propWrites []pendingProp
 	edgeWrites []pendingEdge
 }
@@ -45,8 +45,9 @@ type pendingEdge struct {
 func (t *Txn) ReadVersion() uint64 { return t.readVer }
 
 // AddVertex buffers a new vertex with properties in the label's schema
-// order and returns its provisional VID, usable immediately as an edge
-// endpoint within this transaction.
+// order and returns its VID, allocated now and usable immediately as an edge
+// endpoint within this transaction. An aborted transaction leaves its VIDs
+// unused.
 func (t *Txn) AddVertex(label catalog.LabelID, ext int64, props ...vector.Value) (vector.VID, error) {
 	if t.done {
 		return vector.NilVID, errTxnDone
@@ -59,10 +60,6 @@ func (t *Txn) AddVertex(label catalog.LabelID, ext int64, props ...vector.Value)
 		vid: vid, label: label, ext: ext,
 		props: append([]vector.Value(nil), props...),
 	})
-	if t.newLabels == nil {
-		t.newLabels = make(map[vector.VID]catalog.LabelID)
-	}
-	t.newLabels[vid] = label
 	return vid, nil
 }
 
@@ -100,33 +97,23 @@ func (t *Txn) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vecto
 
 // requireWritable enforces the declared-write-set discipline.
 func (t *Txn) requireWritable(v vector.VID) error {
-	if _, created := t.newLabels[v]; created {
+	if t.creates(v) || slices.Contains(t.locked, v) {
 		return nil
-	}
-	for _, l := range t.locked {
-		if l == v {
-			return nil
-		}
 	}
 	return fmt.Errorf("txn: vertex %d is not in the declared write set", v)
 }
 
-// known reports whether v can be an edge endpoint at commit: a vertex of the
-// base graph, one this transaction creates, or one a committed transaction
-// created.
-func (t *Txn) known(v vector.VID) bool {
-	if _, ok := t.newLabels[v]; ok || v < t.m.base {
-		return true
-	}
-	vo := t.m.overlayOf(v)
-	return vo != nil && vo.isNew
+// creates reports whether this transaction creates v.
+func (t *Txn) creates(v vector.VID) bool {
+	return slices.ContainsFunc(t.newVerts, func(nv pendingVertex) bool { return nv.vid == v })
 }
 
 // Commit atomically publishes all buffered writes under a fresh version and
-// releases the locks: created vertices and property versions as records, and
-// edges, both directions, into the graph's deltas stamped with the version.
-// Nothing is visible before the version is published, and snapshots at older
-// versions never see any of it.
+// releases the locks: created vertices as graph rows and edges, both
+// directions, into the graph's deltas, stamped with the version, and
+// property versions as records. Nothing is visible to a snapshot before the
+// version is published, and snapshots at older versions never see any of
+// it.
 func (t *Txn) Commit() error {
 	if t.done {
 		return errTxnDone
@@ -135,7 +122,7 @@ func (t *Txn) Commit() error {
 	defer t.m.locks.release(t.locked)
 	for _, e := range t.edgeWrites {
 		for _, v := range [2]vector.VID{e.src, e.dst} {
-			if !t.known(v) {
+			if !t.creates(v) && !t.m.graph.HasVertex(v) {
 				return fmt.Errorf("txn: unknown vertex %d", v)
 			}
 		}
@@ -146,27 +133,11 @@ func (t *Txn) Commit() error {
 	defer m.commitMu.Unlock()
 	ver := m.version.Load() + 1
 
-	// Created vertices: the graph learns each label before an edge names it.
-	if len(t.newVerts) > 0 {
-		idx := &createdIndex{}
-		if cur := m.created.Load(); cur != nil {
-			idx.all = cur.all
-			idx.byLabel = append(idx.byLabel, cur.byLabel...)
+	// Created vertices first: the graph holds each before an edge names it.
+	for _, nv := range t.newVerts {
+		if err := g.CommitVertex(ver, nv.vid, nv.label, nv.ext, nv.props...); err != nil {
+			return err // unreachable: AddVertex checked the label
 		}
-		for _, nv := range t.newVerts {
-			if err := g.AddCreatedVertex(nv.vid, nv.label); err != nil {
-				return err // unreachable: AddVertex checked the label
-			}
-			m.publish(nv.vid, &vertexOverlay{isNew: true, createdVer: ver, label: nv.label, ext: nv.ext, baseProps: nv.props})
-			e := extEntry{vid: nv.vid, ver: ver}
-			m.byExt.Store(extKey{label: nv.label, ext: nv.ext}, e)
-			idx.all = append(idx.all, e)
-			for int(nv.label) >= len(idx.byLabel) {
-				idx.byLabel = append(idx.byLabel, nil)
-			}
-			idx.byLabel[nv.label] = append(idx.byLabel[nv.label], e)
-		}
-		m.created.Store(idx)
 	}
 	for _, pw := range t.propWrites {
 		m.publish(pw.vid, m.overlayOf(pw.vid).withProp(propVersion{version: ver, pid: pw.pid, val: pw.val}))

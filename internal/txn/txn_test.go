@@ -332,22 +332,29 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	if total != want {
 		t.Fatalf("final creator edges = %d, want %d", total, want)
 	}
-	if ov, ver := m.Stats(); ov == 0 || ver != writers*txPerWriter {
+	if got, want := len(snap.ScanLabel(s.Post)), len(f.Posts)+writers*txPerWriter; got != want {
+		t.Fatalf("posts = %d, want %d", got, want)
+	}
+	// The commits wrote vertices and edges into the graph and no property
+	// version: no vertex has a record.
+	if ov, ver := m.Stats(); ov != 0 || ver != writers*txPerWriter {
 		t.Fatalf("stats = %d overlays, version %d", ov, ver)
 	}
 }
 
-// TestOverlayPresenceUnderWriters races the lock-free record probe against
+// TestOverlayPresenceUnderWriters races the lock-free vertex probes against
 // IU-shaped commits: writers attach new posts to every other person while
-// readers probe overlayOf for every base and created VID. Records are replaced,
-// never removed, so a record a reader once saw is there on every later probe;
-// at quiesce exactly the created vertices have one — the edges the commits
-// wrote live in the graph and leave no record behind on the persons.
+// readers probe the graph — HasVertex and ExtID — for every base and created
+// VID. A commit appends a vertex and never moves or removes one, so a vertex a
+// reader once saw is there, with the same external id, on every later probe;
+// at quiesce every created VID holds its post, and no vertex has a property
+// record — the commits wrote rows and edges into the graph and left nothing
+// behind in the transaction layer.
 func TestOverlayPresenceUnderWriters(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
-	s := f.Schema
-	base := f.Graph.NumVertices()
+	s, g := f.Schema, f.Graph
+	base := g.NumVertices()
 
 	const writers = 4
 	const txPerWriter = 50
@@ -383,7 +390,7 @@ func TestOverlayPresenceUnderWriters(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		go func() {
 			defer rg.Done()
-			seen := make([]bool, base+created)
+			seen := make([]int64, base+created) // ext id seen, 0: no vertex yet
 			for {
 				select {
 				case <-stop:
@@ -391,12 +398,15 @@ func TestOverlayPresenceUnderWriters(t *testing.T) {
 				default:
 				}
 				for v := range seen {
-					present := m.overlayOf(vector.VID(v)) != nil
-					if seen[v] && !present {
-						t.Errorf("vertex %d: a record the probe returned before is gone", v)
+					var ext int64
+					if g.HasVertex(vector.VID(v)) {
+						ext = g.ExtID(vector.VID(v))
+					}
+					if seen[v] != 0 && ext != seen[v] {
+						t.Errorf("vertex %d: ext %d seen before, now %d", v, seen[v], ext)
 						return
 					}
-					seen[v] = present
+					seen[v] = ext
 				}
 			}
 		}()
@@ -405,13 +415,16 @@ func TestOverlayPresenceUnderWriters(t *testing.T) {
 	close(stop)
 	rg.Wait()
 
-	for v := vector.VID(0); int(v) < base+created; v++ {
-		if got, want := m.overlayOf(v) != nil, int(v) >= base; got != want {
-			t.Fatalf("vertex %d: record present = %v, want %v", v, got, want)
+	for v := vector.VID(base); int(v) < base+created; v++ {
+		if !g.HasVertex(v) || g.LabelOf(v) != s.Post || g.Prop(v, s.MLength).I != g.ExtID(v) {
+			t.Fatalf("created vertex %d: present %v, label %d, ext %d", v, g.HasVertex(v), g.LabelOf(v), g.ExtID(v))
 		}
 	}
-	if total, _ := m.Stats(); total != created {
-		t.Fatalf("overlay vertices = %d, want the %d created ones", total, created)
+	if g.HasVertex(vector.VID(base + created)) {
+		t.Fatal("a VID no transaction allocated holds a vertex")
+	}
+	if total, _ := m.Stats(); total != 0 {
+		t.Fatalf("overlay vertices = %d, want none", total)
 	}
 }
 
