@@ -128,6 +128,7 @@ func BenchmarkIC6_Fused(b *testing.B)         { benchQuery(b, "IC6", exec.ModeFu
 func BenchmarkIC9_Flat(b *testing.B)          { benchQuery(b, "IC9", exec.ModeFlat) }
 func BenchmarkIC9_Factorized(b *testing.B)    { benchQuery(b, "IC9", exec.ModeFactorized) }
 func BenchmarkIC9_Fused(b *testing.B)         { benchQuery(b, "IC9", exec.ModeFused) }
+func BenchmarkIC14(b *testing.B)              { benchQuery(b, "IC14", exec.ModeFused) }
 func BenchmarkIS2_Fused(b *testing.B)         { benchQuery(b, "IS2", exec.ModeFused) }
 func BenchmarkIC13_ShortestPath(b *testing.B) { benchQuery(b, "IC13", exec.ModeFused) }
 
@@ -284,11 +285,11 @@ func BenchmarkOverlayExpand(b *testing.B) {
 }
 
 // BenchmarkSnapshotExpand prices one batched neighbor read, in ns per edge
-// returned, on every route a view can take: the shared sealed array, the two
-// packed shapes of a pristine graph (AnyLabel fan-out over two families, and
-// sources of two labels), and a transaction snapshot whose committed overlays
-// miss the request's sources (must stay the shared array) or touch one source
-// in eight (packed with the overlay prefixes spliced in).
+// returned, on every shape a request can take: one family of a sealed image,
+// AnyLabel fan-out over two families and sources of two labels (several
+// images, still viewed in place), and a transaction snapshot whose committed
+// overlays miss the request's sources (every run a view) or touch one source
+// in eight (that run merged, the others views).
 func BenchmarkSnapshotExpand(b *testing.B) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 0.1, Seed: 1})
 	if err != nil {
@@ -300,8 +301,8 @@ func BenchmarkSnapshotExpand(b *testing.B) {
 			var bt storage.Batch
 			v.NeighborsBatch(srcs, et, dir, dst, false, &bt)
 			edges := 0
-			for _, r := range bt.Runs {
-				edges += r.Len()
+			for i := range bt.Runs {
+				edges += bt.RunLen(i)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

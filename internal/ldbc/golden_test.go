@@ -75,18 +75,21 @@ func datasetDigest(ds *ldbc.Dataset) string {
 					word(uint64(src)<<48 | uint64(et)<<32 | uint64(dst)<<16 | uint64(dir))
 					for i, s := range srcs {
 						r := b.Runs[i]
-						for k := r.Start; k < r.End; k++ {
-							word(uint64(g.ExtID(s)))
-							word(uint64(g.ExtID(b.VIDs[k])))
-							for p, d := range defs {
-								switch d.Kind {
-								case vector.KindInt64, vector.KindDate:
-									word(uint64(b.PropI64[p][k]))
-								case vector.KindFloat64:
-									word(math.Float64bits(b.PropF64[p][k]))
-								case vector.KindString:
-									word(uint64(len(b.PropStr[p][k])))
-									h.Write([]byte(b.PropStr[p][k]))
+						for _, pc := range b.Pieces[r.Start:r.End] {
+							cols, off := b.PieceCols(pc)
+							for k, v := range b.PieceVIDs(pc) {
+								word(uint64(g.ExtID(s)))
+								word(uint64(g.ExtID(v)))
+								for p, d := range defs {
+									switch d.Kind {
+									case vector.KindInt64, vector.KindDate:
+										word(uint64(cols.I64[p][off+k]))
+									case vector.KindFloat64:
+										word(math.Float64bits(cols.F64[p][off+k]))
+									case vector.KindString:
+										word(uint64(len(cols.Str[p][off+k])))
+										h.Write([]byte(cols.Str[p][off+k]))
+									}
 								}
 							}
 						}

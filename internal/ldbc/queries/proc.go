@@ -157,11 +157,20 @@ var IC14 = register(&Query{
 		}
 		walk(src, []vector.VID{src})
 
+		// Paths share edges: each pair is weighed once per query, and each path
+		// still sums its weights in path order.
+		memo := make(map[[2]vector.VID]float64)
 		weights := make([]float64, len(paths))
 		for i, path := range paths {
 			w := 0.0
 			for k := 0; k+1 < len(path); k++ {
-				w += interactionWeight(view, h, path[k], path[k+1])
+				pair := [2]vector.VID{path[k], path[k+1]}
+				pw, ok := memo[pair]
+				if !ok {
+					pw = interactionWeight(view, h, pair[0], pair[1])
+					memo[pair] = pw
+				}
+				w += pw
 			}
 			weights[i] = w
 		}

@@ -47,7 +47,7 @@ import (
 //	    lock-, and spawn-free with no unanalyzable calls; individual sites
 //	    are waived by //geslint:alloc-ok <why> on or above the line.
 //	R8  values reachable from a sealed snapshot (internal/stats Snapshot, a
-//	    zero-copy storage.Batch run, a shared scan column) must not escape
+//	    storage.Batch run or piece, a shared scan column) must not escape
 //	    into struct fields, package variables, channels, or goroutines that
 //	    outlive the morsel, outside types annotated //geslint:snapshot-owner
 //	    <why>. Escapes through module-internal calls are caught via the

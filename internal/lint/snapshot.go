@@ -9,8 +9,9 @@ import (
 // immutable until the next seal swaps it out — at which point anything
 // still aliasing the old image reads stale (or, for shared Batch columns,
 // concurrently re-packed) memory. So values *derived from* a snapshot
-// source — a zero-copy storage.Batch run (VIDs/Runs/Prop* fields, Run
-// calls), a Segment served from CSR memory, a shared scan column
+// source — a storage.Batch piece viewing an image (the VIDs/Runs/Pieces
+// fields, the Run/PieceVIDs/PieceCols calls), a Segment served from CSR
+// memory, a shared scan column
 // (ShareScanColumn / its ShareAs rename), or a *stats.Snapshot — must stay
 // morsel-scoped: they may not escape into package-level variables, struct
 // fields reachable from the caller, channels, or goroutines.
@@ -53,7 +54,7 @@ func (a *Analysis) snapshotSrc(pkg *Package, env *maskEnv) func(ast.Expr) uint64
 		case *ast.SelectorExpr:
 			if s := pkg.Info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
 				switch x.Sel.Name {
-				case "VIDs", "Runs", "PropI64", "PropF64", "PropStr":
+				case "VIDs", "Runs", "Pieces", "PropI64", "PropF64", "PropStr":
 					t := pkg.Info.TypeOf(x.X)
 					if a.isType(t, "internal/storage", "Batch") ||
 						a.isType(t, "internal/storage", "Segment") {
@@ -67,7 +68,7 @@ func (a *Analysis) snapshotSrc(pkg *Package, env *maskEnv) func(ast.Expr) uint64
 			}
 			if recv, fn, ok := methodCall(pkg, x); ok {
 				switch fn.Name() {
-				case "Run":
+				case "Run", "PieceVIDs", "PieceCols":
 					if a.isType(pkg.Info.TypeOf(recv), "internal/storage", "Batch") {
 						return snapMask
 					}

@@ -188,8 +188,9 @@ func (m *maskEnv) captureMask(fl *ast.FuncLit) uint64 {
 
 // solve closes the environment over the body's assignments: an object
 // assigned a labelled expression carries the label from then on
-// (flow-insensitively), including through := declarations and range
-// statements over labelled collections.
+// (flow-insensitively), including through := declarations, multi-value
+// assignments from a labelled call and range statements over labelled
+// collections.
 func (m *maskEnv) solve(body ast.Node) {
 	add := func(id *ast.Ident, mask uint64) bool {
 		if mask == 0 || id == nil {
@@ -213,6 +214,15 @@ func (m *maskEnv) solve(body ast.Node) {
 							if add(id, m.exprMask(st.Rhs[i])) {
 								changed = true
 							}
+						}
+					}
+				} else if len(st.Rhs) == 1 {
+					// a, b := f(): every result that can alias carries the
+					// call's labels.
+					mask := m.exprMask(st.Rhs[0])
+					for _, lhs := range st.Lhs {
+						if id, ok := lhs.(*ast.Ident); ok && hasRefs(m.pkg.Info.TypeOf(id)) && add(id, mask) {
+							changed = true
 						}
 					}
 				}

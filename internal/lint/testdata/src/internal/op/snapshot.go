@@ -1,5 +1,5 @@
 // Snapshot-lifetime fixtures (R8): values derived from a sealed snapshot —
-// a zero-copy storage.Batch run, a shared scan column, the published
+// a storage.Batch run or piece, a shared scan column, the published
 // *stats.Snapshot — must stay morsel-scoped. Positive cases escape into a
 // package-level variable, caller-owned struct fields, a channel, a
 // goroutine, and (interprocedurally) a callee that retains its parameter;
@@ -26,7 +26,7 @@ type Holder struct {
 	Keep []vector.VID
 }
 
-// LeakGlobal parks a zero-copy batch run in a package-level variable.
+// LeakGlobal parks a batch's image view in a package-level variable.
 func LeakGlobal(b *storage.Batch) {
 	snapSink = b.VIDs // want R8
 }
@@ -91,6 +91,44 @@ func OKLocal(b *storage.Batch) int {
 func OKWaived(b *storage.Batch) {
 	//geslint:retain-ok fixture: deliberate retention, justified
 	snapSink = b.VIDs
+}
+
+// pieceSink and colsSink are where the leaked-piece cases park a piece.
+var (
+	pieceSink []vector.VID
+	colsSink  *storage.EdgeCols
+)
+
+// LeakPiece parks a batch piece's neighbors, which view a sealed image.
+func LeakPiece(b *storage.Batch) {
+	for _, p := range b.Pieces {
+		pieceSink = b.PieceVIDs(p) // want R8
+	}
+}
+
+// LeakPieceField parks a piece's neighbors in caller-owned memory.
+func LeakPieceField(h *Holder, b *storage.Batch) {
+	h.Keep = b.PieceVIDs(b.Pieces[0]) // want R8
+}
+
+// LeakPieceCols parks the property columns a piece reads.
+func LeakPieceCols(b *storage.Batch) {
+	cols, _ := b.PieceCols(b.Pieces[0])
+	colsSink = cols // want R8
+}
+
+// OKPieceMorsel reads every piece in place within the morsel and keeps
+// only what it copied out (R8 negative).
+func OKPieceMorsel(b *storage.Batch, out []vector.VID) []vector.VID {
+	for _, p := range b.Pieces {
+		cols, off := b.PieceCols(p)
+		for k, v := range b.PieceVIDs(p) {
+			if cols.I64[0][off+k] > 0 {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // LeakStats parks the published statistics snapshot (call-typed source).

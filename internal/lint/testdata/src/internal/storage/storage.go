@@ -19,15 +19,33 @@ type View interface {
 	Neighbors(buf []Segment, v vector.VID, et int32, dir int32, dstLabel int32, withProps bool) []Segment
 }
 
-// Batch is the zero-copy adjacency batch stub: its fields alias sealed CSR
-// memory, so values derived from them are R8 snapshot sources.
+// Batch is the adjacency batch stub: its pieces view sealed CSR memory, so
+// values derived from its fields are R8 snapshot sources.
 type Batch struct {
-	VIDs []vector.VID
-	Runs []Segment
+	VIDs   []vector.VID
+	Runs   []Segment
+	Pieces []Piece
+}
+
+// Piece is one family run of a batch: rows [Lo,Hi) of a sealed image.
+type Piece struct {
+	Lo, Hi int32
+}
+
+// EdgeCols are edge-property columns aligned with a piece's neighbors.
+type EdgeCols struct {
+	I64 [][]int64
 }
 
 // Run returns one run of the batch, aliasing sealed memory (R8 source).
 func (b *Batch) Run(i int) []vector.VID { return b.Runs[i].VIDs }
+
+// PieceVIDs returns a piece's neighbors, aliasing sealed memory (R8 source).
+func (b *Batch) PieceVIDs(p Piece) []vector.VID { return b.VIDs[p.Lo:p.Hi] }
+
+// PieceCols returns the columns holding a piece's edge properties and its
+// offset in them, aliasing sealed memory (R8 source).
+func (b *Batch) PieceCols(p Piece) (*EdgeCols, int) { return &EdgeCols{}, int(p.Lo) }
 
 // Stats returns the published statistics snapshot (R8 call-typed source).
 func Stats() *stats.Snapshot { return nil }

@@ -23,8 +23,9 @@ type EdgeProj struct {
 // From's node: neighbor IDs land in a new f-Block and the per-parent row
 // ranges form the index vector of the new edge. When neither edge properties
 // nor a fused predicate are requested, the neighbor column stays *lazy* — it
-// records (pointer,length) references into the storage adjacency array, the
-// pointer-based join of §5.
+// records one (pointer,length) reference per batch piece — the pointer-based
+// join of §5 — and the materializing paths read the pieces in place, edge
+// properties at each piece's offset, copying a neighbor once, into the output.
 //
 // VertexPred implements the FilterPushDown (ExpandFilter) fusion, bound when
 // the operator starts (a property no label defines fails it there): Filter's
@@ -134,12 +135,10 @@ type lazyExpandBody struct {
 	fromCol *vector.Column
 }
 
-// rows resolves parent rows [lo,hi) with one NeighborsBatch call (prefix-sum
-// lookups on a sealed CSR, no per-row family map probes); each non-empty run
-// appends as one lazy segment. The lazy column retains run sub-slices of the
-// batch (shared mode aliases the immutable CSR array; owned mode keeps its
-// pack buffer), so the batch is query-lifetime (OwnBatch), not morsel
-// scratch.
+// rows resolves parent rows [lo,hi) with one NeighborsBatch call; each piece
+// appends as one lazy segment, uncopied. The lazy column retains the
+// pieces' VIDs (a view aliases the immutable image; merged rows belong to
+// the batch), so the batch is query-lifetime (OwnBatch), not morsel scratch.
 func (b lazyExpandBody) rows(lo, hi int, s childSink) {
 	o, ctx := b.o, b.ctx
 	batch := ctx.Arena.OwnBatch()
@@ -149,8 +148,8 @@ func (b lazyExpandBody) rows(lo, hi int, s childSink) {
 	total := s.toCol.Len()
 	for i, r := range batch.Runs {
 		start := total
-		if r.End > r.Start {
-			_, total = s.toCol.AppendSegment(batch.VIDs[r.Start:r.End])
+		for _, pc := range batch.Pieces[r.Start:r.End] {
+			_, total = s.toCol.AppendSegment(batch.PieceVIDs(pc))
 		}
 		s.index[i] = core.Range{Start: int32(start), End: int32(total)}
 	}
@@ -168,7 +167,7 @@ type expandBody struct {
 }
 
 // rows expands parent rows [lo,hi). Candidates come from one batched
-// NeighborsBatch call per invocation (one prefix-sum pass on a sealed CSR).
+// NeighborsBatch call per invocation, read piece by piece in place.
 func (b expandBody) rows(lo, hi int, s childSink) {
 	o, ctx, epp := b.o, b.ctx, b.epp
 	pred := shardPred(ctx, b.pred, lo, hi, b.parent.Block.NumRows())
@@ -181,38 +180,40 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
 	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
-	// keep numbers all runs' candidates in run order, run ri's from base.
+	// keep numbers all pieces' candidates in piece order, piece pc's from base.
 	keep, base := pred.keep(ctx, batch), 0
 	for ri, r := range batch.Runs {
 		start := total
-		for k, v := range batch.VIDs[r.Start:r.End] {
-			if keep != nil && !keep.Get(base+k) {
-				continue
+		for _, pc := range batch.Pieces[r.Start:r.End] {
+			cols, off := batch.PieceCols(pc)
+			for k, v := range batch.PieceVIDs(pc) {
+				if keep != nil && !keep.Get(base+k) {
+					continue
+				}
+				s.toCol.AppendVID(v)
+				for p, c := range s.propCols {
+					c.Append(edgePropValue(cols, epp, p, off+k))
+				}
+				total++
 			}
-			s.toCol.AppendVID(v)
-			for p, pc := range s.propCols {
-				pc.Append(batchPropValue(batch, epp, p, int(r.Start)+k))
-			}
-			total++
+			base += pc.Len()
 		}
 		s.index[ri] = core.Range{Start: int32(start), End: int32(total)}
-		base += int(r.End - r.Start)
 	}
 }
 
-// batchPropValue extracts edge property p (plan position) for the neighbor
-// at absolute batch index k.
-func batchPropValue(b *storage.Batch, epp edgePropPlan, p, k int) vector.Value {
+// edgePropValue extracts edge property p (plan position) of row k of cols.
+func edgePropValue(cols *storage.EdgeCols, epp edgePropPlan, p, k int) vector.Value {
 	si := epp.idx[p]
 	switch epp.kind[p] {
 	case vector.KindInt64:
-		return vector.Int64(b.PropI64[si][k])
+		return vector.Int64(cols.I64[si][k])
 	case vector.KindDate:
-		return vector.Date(b.PropI64[si][k])
+		return vector.Date(cols.I64[si][k])
 	case vector.KindFloat64:
-		return vector.Float64(b.PropF64[si][k])
+		return vector.Float64(cols.F64[si][k])
 	case vector.KindString:
-		return vector.String_(b.PropStr[si][k])
+		return vector.String_(cols.Str[si][k])
 	default:
 		return vector.Value{}
 	}
@@ -262,20 +263,23 @@ func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
 	keep, base := pred.keep(ctx, batch), 0 // as in expandBody.rows
 	for ri, r := range batch.Runs {
 		row := in.Rows[lo+ri]
-		for k, v := range batch.VIDs[r.Start:r.End] {
-			if keep != nil && !keep.Get(base+k) {
-				continue
+		for _, pc := range batch.Pieces[r.Start:r.End] {
+			cols, off := batch.PieceCols(pc)
+			for k, v := range batch.PieceVIDs(pc) {
+				if keep != nil && !keep.Get(base+k) {
+					continue
+				}
+				// The output row escapes into the result block, so it is never
+				// pooled.
+				nr := make([]vector.Value, 0, len(out.Names))
+				nr = append(nr, row...)
+				nr = append(nr, vector.VIDValue(v))
+				for p := range o.EdgeProps {
+					nr = append(nr, edgePropValue(cols, epp, p, off+k))
+				}
+				out.AppendOwned(nr)
 			}
-			// The output row escapes into the result block, so it is never
-			// pooled.
-			nr := make([]vector.Value, 0, len(out.Names))
-			nr = append(nr, row...)
-			nr = append(nr, vector.VIDValue(v))
-			for p := range o.EdgeProps {
-				nr = append(nr, batchPropValue(batch, epp, p, int(r.Start)+k))
-			}
-			out.AppendOwned(nr)
+			base += pc.Len()
 		}
-		base += int(r.End - r.Start)
 	}
 }

@@ -37,14 +37,14 @@ func (o *SeekExpand) Name() string { return "SeekExpand(fused)" }
 func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	col := ctx.Arena.OwnLazyVIDColumn(o.To)
 	if src, ok := ctx.View.VertexByExt(o.Label, o.ExtID); ok {
-		// The lazy column retains a view of the batch's VID run, so the
-		// batch is query-lifetime (Own scope), not morsel scratch.
+		// The lazy column retains the batch's pieces, so the batch is
+		// query-lifetime (Own scope), not morsel scratch.
 		b := ctx.Arena.OwnBatch()
 		srcs := append(ctx.Arena.GetVIDs(1), src)
 		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
 		ctx.Arena.PutVIDs(srcs)
-		if run := b.Run(0); len(run) > 0 {
-			col.AppendSegment(run)
+		for _, pc := range b.Pieces {
+			col.AppendSegment(b.PieceVIDs(pc))
 		}
 	}
 	return ctx.FTChunk(ctx.NewFTree(col)), nil

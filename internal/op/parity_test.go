@@ -11,6 +11,7 @@ import (
 	"ges/internal/paritytest"
 	"ges/internal/plan"
 	"ges/internal/storage"
+	"ges/internal/testgraph"
 	"ges/internal/vector"
 )
 
@@ -139,6 +140,18 @@ func TestOperatorParity(t *testing.T) {
 				&op.VarLengthExpand{From: "p", To: "r", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
 					MinHops: 1, MaxHops: 2, Distinct: true}},
 				countSum("r")...)
+		}},
+		// The created person sits past the base VID range on every view but
+		// the reloaded one: the BFS's visited stamps must grow to reach it.
+		{"varexpand/bfs-reaches-created-person", false, func() plan.Plan {
+			return plan.Plan{scan("p"),
+				&op.VarLengthExpand{From: "p", To: "r", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
+					MinHops: 2, MaxHops: 2, Distinct: true},
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "p", As: "p.id", ExtID: true}, {Var: "r", As: "r.id", ExtID: true}}},
+				&op.Filter{Pred: expr.Eq(expr.C("r.id"), expr.LInt(paritytest.CreatedPerson))},
+				&op.Defactor{Cols: []string{"p.id", "r.id"}},
+			}
 		}},
 		{"varexpand/bfs-after-expand", false, func() plan.Plan {
 			return append(plan.Plan{scan("p"), knows("p", "f"),
@@ -315,6 +328,18 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id", "m.id"}},
 			}
 		}},
+		// IC9's shape: a date several labels define (Person, Post, Comment,
+		// Forum) under AnyLabel narrows to the two message labels the pieces
+		// carry; a non-string column keeps its face.
+		{"expand/fused-any-label-date", false, func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"),
+				&op.Expand{From: "f", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel,
+					VertexPred: op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(midDate())))},
+				&op.ProjectProps{Specs: []op.ProjSpec{
+					{Var: "f", As: "f.id", ExtID: true}, {Var: "m", As: "m.id", ExtID: true}}},
+				&op.Defactor{Cols: []string{"f.id", "m.id"}},
+			}
+		}},
 		{"gather/lazy-column-props", false, func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"),
 				&op.ProjectProps{Specs: []op.ProjSpec{
@@ -466,34 +491,46 @@ func TestOperatorParity(t *testing.T) {
 // views differ in exactly the observable conditions the operators branch on,
 // and every view serves the runs of several families unsorted — which is
 // what sends ExpandInto's "expand-into/both-directions" probes and
-// ExpandIntersect's "intersect/any-label" sides to their hash sets.
+// ExpandIntersect's "intersect/any-label" sides to their hash sets. On every
+// view a batch equals the scalar reference piece for piece, props included
+// (testgraph.CheckBatch): a run the view's delta leaves alone aliases the
+// image, and only the overlay views (whose adds touch every person's run)
+// own merged ones.
 func TestParityViewsReachFallbacks(t *testing.T) {
 	ds, views := parityViews(t)
 	h := ds.H
-	want := map[string]struct{ sorted, shared bool }{
-		"sealed":        {true, true},
-		"unsealed":      {true, true}, // sealed by its first read, deltas empty
-		"delta-overlay": {true, false},
-		"txn-overlay":   {true, false}, // committed edges are delta entries too
+	merges := map[string]bool{
+		"sealed":        false,
+		"unsealed":      false, // sealed by its first read, deltas empty
+		"delta-overlay": true,
+		"txn-overlay":   true, // committed edges are delta entries too
 	}
 	for _, v := range views {
-		var b storage.Batch
-		v.View.NeighborsBatch(v.View.ScanLabel(h.Person), h.Knows, catalog.Out, h.Person, false, &b)
+		persons := v.View.ScanLabel(h.Person)
+		b := testgraph.CheckBatch(t, v.View, persons, h.Knows, catalog.Out, h.Person, true)
 		// The "second-hop" and "two-hop" rows shard only if every person's
 		// friends together pass the 512-row threshold.
-		if len(b.VIDs) < 512 {
-			t.Fatalf("%s: %d KNOWS edges; the second-hop rows would run as one shard", v.Name, len(b.VIDs))
+		edges, owned := 0, 0
+		for i := range b.Runs {
+			edges += b.RunLen(i)
 		}
-		if w := want[v.Name]; b.Sorted != w.sorted || b.Shared != w.shared {
-			t.Errorf("%s: KNOWS batch Sorted=%v Shared=%v, want %v/%v", v.Name, b.Sorted, b.Shared, w.sorted, w.shared)
+		for _, p := range b.Pieces {
+			if int(p.Lo) >= len(b.VIDs) || &b.PieceVIDs(p)[0] != &b.VIDs[p.Lo] {
+				owned++
+			}
 		}
-		v.View.NeighborsBatch(v.View.ScanLabel(h.Person), h.Knows, catalog.Both, h.Person, false, &b)
-		if b.Sorted {
+		if edges < 512 {
+			t.Fatalf("%s: %d KNOWS edges; the second-hop rows would run as one shard", v.Name, edges)
+		}
+		if !b.Sorted || (owned > 0) != merges[v.Name] {
+			t.Errorf("%s: KNOWS batch Sorted=%v with %d of %d pieces owned", v.Name, b.Sorted, owned, len(b.Pieces))
+		}
+		if b := testgraph.CheckBatch(t, v.View, persons, h.Knows, catalog.Both, h.Person, true); b.Sorted {
 			t.Errorf("%s: KNOWS Both batch is Sorted; ExpandInto's hash-set probe would go unreached", v.Name)
 		}
-		v.View.NeighborsBatch(v.View.ScanLabel(h.Person), h.Likes, catalog.Out, storage.AnyLabel, false, &b)
-		if b.Sorted {
+		if b := testgraph.CheckBatch(t, v.View, persons, h.Likes, catalog.Out, storage.AnyLabel, true); b.Sorted {
 			t.Errorf("%s: LIKES AnyLabel batch is Sorted; ExpandIntersect's unsorted-side probe would go unreached", v.Name)
 		}
+		testgraph.CheckBatch(t, v.View, persons, h.HasCreator, catalog.In, storage.AnyLabel, false)
 	}
 }

@@ -98,14 +98,15 @@ func (b vertexBinding) Bind(name string) (expr.Getter, error) {
 // Its batch face: column i of block gathers getters[i] over labels[i], and
 // conjs compile against the block. A single-label string column shares that
 // label's dictionary, so an equality or IN on it compares codes. Under
-// AnyLabel a string name several labels define narrows per batch to the
-// labels present, and the face is rebuilt when they change. labels[i] is
-// replaced then, never written in place, so forks share it.
+// AnyLabel a name several labels define narrows per batch to the labels its
+// pieces carry, and the face is rebuilt when a string name's labels change.
+// labels[i] is replaced then, never written in place, so forks share it.
 type vertexFilter struct {
 	pred     expr.Expr
 	getters  []*propGetter // one per name pred reads
 	labels   [][]catalog.LabelProp
 	anyLabel bool
+	present  uint64 // the piece labels labels[i] were narrowed to
 	sel      *vector.Bitset
 	block    *core.FBlock
 	conjs    []conjunct
@@ -166,8 +167,8 @@ func (f *vertexFilter) mustBuild(ctx *Ctx) {
 }
 
 // keep evaluates the predicate over every candidate of b's runs at once
-// (§5) and reports which pass, as a bitset over the runs' candidates taken
-// in run order, valid until the next call; nil when there is no predicate.
+// (§5) and reports which pass, as a bitset over the pieces' candidates taken
+// in piece order, valid until the next call; nil when there is no predicate.
 // Names narrow first, range conjuncts then drop candidates whose storage
 // zone cannot match, each name is gathered once for the survivors, and the
 // conjunct kernels run over the whole batch.
@@ -176,8 +177,8 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 		return nil
 	}
 	n := 0
-	for _, r := range b.Runs {
-		n += int(r.End - r.Start)
+	for _, pc := range b.Pieces {
+		n += pc.Len()
 	}
 	f.sel.Reinit(n, true)
 	if n == 0 {
@@ -185,10 +186,12 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 	}
 	cands := ctx.Arena.GetVIDs(n)
 	defer ctx.Arena.PutVIDs(cands)
-	for _, r := range b.Runs {
-		cands = append(cands, b.VIDs[r.Start:r.End]...)
+	var present uint64
+	for _, pc := range b.Pieces {
+		cands = append(cands, b.PieceVIDs(pc)...)
+		present |= labelBit(pc.Label)
 	}
-	f.narrow(ctx, cands)
+	f.narrow(ctx, present)
 	cols := f.block.Columns()
 	if zp, ok := ctx.View.(storage.ZonePruner); ok {
 		for i := range f.conjs {
@@ -215,22 +218,29 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 	return f.sel
 }
 
-// narrow points labels[i] at the labels of getters[i] some candidate
-// carries, under AnyLabel, for a string name several labels define: one
-// label present gives its column the dictionary. Any other name gathers
-// over every label that defines it — a pass over a label no candidate
-// carries costs less than the per-candidate label scan that would skip it.
-func (f *vertexFilter) narrow(ctx *Ctx, cands []vector.VID) {
-	changed := false
+// narrow points labels[i], under AnyLabel, at the labels of getters[i] the
+// batch's pieces carry (present, their labelBit mask), so each name gathers
+// only over labels some candidate carries, and a string name left with one
+// label compares its dictionary codes. Only a string column's face depends
+// on its labels, so only its change rebuilds the face.
+func (f *vertexFilter) narrow(ctx *Ctx, present uint64) {
+	if !f.anyLabel || present == f.present {
+		return
+	}
+	f.present = present
+	rebuild := false
 	for i, g := range f.getters {
-		if !f.anyLabel || g.kind != vector.KindString || len(g.labels) <= 1 {
-			continue
-		}
-		if present := g.presentLabels(ctx, cands); !slices.Equal(present, f.labels[i]) {
-			f.labels[i], changed = present, true
+		next := slices.DeleteFunc(slices.Clone(g.labels), func(lp catalog.LabelProp) bool { return present&labelBit(lp.Label) == 0 })
+		if len(g.labels) > 1 && !slices.Equal(next, f.labels[i]) {
+			f.labels[i] = next
+			rebuild = rebuild || g.kind == vector.KindString
 		}
 	}
-	if changed {
+	if rebuild {
 		f.mustBuild(ctx)
 	}
 }
+
+// labelBit is label l's bit in a mask of labels; the labels from 63 up share
+// the top bit, so a mask may over-report them, never under-report.
+func labelBit(l catalog.LabelID) uint64 { return 1 << min(l, 63) }

@@ -1,6 +1,8 @@
 package op
 
 import (
+	"sync"
+
 	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/expr"
@@ -12,7 +14,9 @@ import (
 // between MinHops and MaxHops edges of one type — the KNOWS*1..2 pattern of
 // the paper's running example (§4.3). With Distinct (the LDBC-typical
 // semantics) each reachable vertex appears once per source, and the source
-// itself is excluded; without it every distinct path contributes one row.
+// itself is excluded: a BFS reads each level's pieces in place, with one
+// NeighborsBatch, and marks visits in a recycled epoch-stamped array.
+// Without it every distinct path contributes one row.
 type VarLengthExpand struct {
 	From, To string
 	Et       catalog.EdgeTypeID
@@ -104,32 +108,32 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 		}
 	}
 	if o.Distinct {
-		seen := map[vector.VID]int{src: 0}
+		seen := visits.Get().(*visitSet)
+		if seen.epoch++; seen.epoch == 0 { // wrapped: stale stamps could match
+			clear(seen.stamp)
+			seen.epoch = 1
+		}
+		if src != vector.NilVID {
+			seen.visit(src)
+		}
 		// Frontier buffers and the per-level batch are transient scratch,
 		// returned to the pool when the BFS finishes (values are copied into
 		// the emit sink, never retained).
 		frontier := append(ctx.Arena.GetVIDs(8), src)
 		b := ctx.Arena.GetBatch()
-		visit := func(v vector.VID, depth int, next []vector.VID) []vector.VID {
-			if _, ok := seen[v]; ok {
-				return next
-			}
-			seen[v] = depth
-			next = append(next, v)
-			if depth >= o.MinHops {
-				maybeEmit(v)
-			}
-			return next
-		}
 		for depth := 1; depth <= o.MaxHops && len(frontier) > 0; depth++ {
 			next := ctx.Arena.GetVIDs(len(frontier))
 			// One batched call per BFS level: run i holds frontier[i]'s
 			// neighbors in adjacency order.
 			ctx.View.NeighborsBatch(frontier, o.Et, o.Dir, o.DstLabel, false, b)
-			for i := range b.Runs {
-				r := b.Runs[i]
-				for _, v := range b.VIDs[r.Start:r.End] {
-					next = visit(v, depth, next)
+			for _, pc := range b.Pieces {
+				for _, v := range b.PieceVIDs(pc) {
+					if seen.visit(v) {
+						next = append(next, v)
+						if depth >= o.MinHops {
+							maybeEmit(v)
+						}
+					}
 				}
 			}
 			ctx.Arena.PutVIDs(frontier)
@@ -137,6 +141,7 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 		}
 		ctx.Arena.PutVIDs(frontier)
 		ctx.Arena.PutBatch(b)
+		visits.Put(seen)
 		return
 	}
 	// Path semantics: depth-first enumeration of all paths up to MaxHops
@@ -179,4 +184,28 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 // emissions only.
 func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VID)) {
 	o.traverse(ctx, nil, src, emit)
+}
+
+// visitSet is the distinct BFS's visited set: v is visited by the current
+// traversal iff stamp[v] == epoch, so the next one starts with an epoch bump,
+// not a clear or an allocation. It grows to the highest VID reached (created
+// vertices past the base range included) and is recycled across traversals
+// and queries.
+type visitSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+var visits = sync.Pool{New: func() any { return new(visitSet) }}
+
+// visit marks v visited and reports whether it was not already.
+func (s *visitSet) visit(v vector.VID) bool {
+	if int(v) >= len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, int(v)+1)...)
+	}
+	if s.stamp[v] == s.epoch {
+		return false
+	}
+	s.stamp[v] = s.epoch
+	return true
 }

@@ -6,7 +6,7 @@
 // seals it, with its VIDs renumbered by the reload), a sealed graph carrying a
 // storage delta overlay, and a transaction snapshot carrying committed
 // overlays. The representations, not engine switches, are what select the
-// fallback paths (the packed and merged batches, the patched gather), so
+// fallback paths (the merged batch pieces, the patched gather), so
 // sweeping them keeps those paths covered; the hash-set probes are reached on
 // every view by plans over Both or AnyLabel, whose runs join two families.
 package paritytest
@@ -156,8 +156,13 @@ func clip(rows []string) []string {
 	return rows
 }
 
+// CreatedPerson is the external id of the person LDBCViews creates after the
+// load.
+const CreatedPerson = 1 << 40
+
 // LDBCViews generates one LDBC graph, applies a fixed post-load mutation set
-// (KNOWS edges deleted, KNOWS edges added, two person properties rewritten)
+// (KNOWS edges deleted, KNOWS edges added, two person properties rewritten,
+// a person created — past the base VID range — with a KNOWS edge each way)
 // and returns it behind the four representations. The mutations reach each
 // view the way that view's writes do — storage deletes and inserts into the
 // delta overlay, inserts and property writes through a committed
@@ -201,6 +206,25 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		}
 	}
 	date := func(e edge) vector.Value { return vector.Date(int64(ldbc.DayStart) + int64(e.src+e.dst)%1000) }
+	// The created person copies ps[4]'s properties; it knows ps[5] and ps[4]
+	// knows it, so ps[4]'s followers reach it at hop 2. Its edges carry one
+	// date whatever VID a view gives it.
+	var person []vector.Value
+	for p := range ds.Graph.Catalog().LabelProps(h.Person) {
+		person = append(person, ds.Graph.Prop(ps[4], catalog.PropID(p)))
+	}
+	createdDate := vector.Date(int64(ldbc.DayStart) + 17)
+	create := func(g *storage.Graph) {
+		v := vector.VID(g.NumVertices())
+		if err := g.CommitVertex(0, v, h.Person, CreatedPerson, person...); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []edge{{ps[4], v}, {v, ps[5]}} {
+			if err := g.AddEdge(h.Knows, e.src, e.dst, createdDate); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	name, created := vector.String_("Overlay"), vector.Date(int64(ldbc.DayEnd+100))
 	del := func(g *storage.Graph) {
 		for _, e := range dels {
@@ -222,6 +246,7 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	// Sealed: mutations applied, then a quiesced rebuild — empty deltas.
 	del(ds.Graph)
 	add(ds.Graph)
+	create(ds.Graph)
 	ds.Graph.SealCSR()
 
 	// Unsealed: a save/load round trip yields a graph its first read seals.
@@ -241,6 +266,7 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	delta := gen().Graph
 	del(delta)
 	add(delta)
+	create(delta)
 	if ov := delta.Overlay(); ov.Inserts == 0 || ov.Tombstones == 0 {
 		t.Fatalf("paritytest: delta view carries no overlay (%+v)", ov)
 	}
@@ -254,6 +280,15 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	tx := mgr.Begin(ps)
 	for _, e := range adds {
 		if err := tx.AddEdge(h.Knows, e.src, e.dst, date(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nv, err := tx.AddVertex(h.Person, CreatedPerson, person...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []edge{{ps[4], nv}, {nv, ps[5]}} {
+		if err := tx.AddEdge(h.Knows, e.src, e.dst, createdDate); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,8 +13,10 @@
 // a graph still in the bulk phase performs that seal first.
 //
 // The store is optimized for the read-dominant workloads the paper targets:
-// Neighbors hands out (pointer,length) views of storage-owned runs that the
-// executor's pointer-based join consumes without copying.
+// Neighbors hands out (pointer,length) views of storage-owned runs, and
+// NeighborsBatch (pack.go) answers a whole morsel as pieces — a view of the
+// image for every run the delta leaves alone, merged rows only for a run it
+// changes — that the executor's pointer-based join consumes without copying.
 package storage
 
 import (
@@ -78,18 +80,16 @@ func newAdjList(propDefs []catalog.PropDef) *AdjList {
 }
 
 // edgeLog is one family's bulk-phase edges in arrival order: source and
-// destination with the edge-property columns aligned, indexed by schema
-// position like csr.prop*. It is appended to and sealed, never read.
+// destination with the edge-property columns aligned. It is appended to and
+// sealed, never read.
 type edgeLog struct {
 	src, dst []vector.VID
-	propI64  [][]int64
-	propF64  [][]float64
-	propStr  [][]string
+	props    EdgeCols
 }
 
 // newEdgeLog returns an empty log for a schema of nProps edge properties.
 func newEdgeLog(nProps int) *edgeLog {
-	return &edgeLog{propI64: make([][]int64, nProps), propF64: make([][]float64, nProps), propStr: make([][]string, nProps)}
+	return &edgeLog{props: newEdgeCols(nProps)}
 }
 
 // insert adds one edge, stamped ver, to the phase's store: the published
@@ -115,11 +115,11 @@ func (a *AdjList) insert(src, dst vector.VID, ver uint64, props []vector.Value) 
 		}
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			l.propI64[p] = append(l.propI64[p], v.I)
+			l.props.I64[p] = append(l.props.I64[p], v.I)
 		case vector.KindFloat64:
-			l.propF64[p] = append(l.propF64[p], v.F)
+			l.props.F64[p] = append(l.props.F64[p], v.F)
 		case vector.KindString:
-			l.propStr[p] = append(l.propStr[p], v.S)
+			l.props.Str[p] = append(l.props.Str[p], v.S)
 		}
 	}
 }
@@ -143,21 +143,56 @@ func (a *AdjList) memBytes() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.src)*8 + propBytes(a.propKinds, l.propI64, l.propF64, l.propStr)
+	return len(l.src)*8 + l.props.bytes(a.propKinds)
 }
 
-// propBytes approximates the resident size of aligned edge-property columns.
-func propBytes(kinds []vector.Kind, pi64 [][]int64, pf64 [][]float64, pstr [][]string) int {
+// EdgeCols are the edge-property columns aligned element-for-element with
+// one neighbour array — an edge log's, an image's, a delta run's, or a
+// batch's merged rows — indexed by schema position: only the slice matching
+// a property's kind is populated.
+type EdgeCols struct {
+	I64 [][]int64
+	F64 [][]float64
+	Str [][]string
+}
+
+// newEdgeCols returns empty columns for a schema of nProps properties.
+func newEdgeCols(nProps int) EdgeCols {
+	return EdgeCols{I64: make([][]int64, nProps), F64: make([][]float64, nProps), Str: make([][]string, nProps)}
+}
+
+// rows returns views of rows [lo,hi) of every column (no columns for a
+// schema without properties).
+func (e *EdgeCols) rows(kinds []vector.Kind, lo, hi int) EdgeCols {
+	if len(kinds) == 0 {
+		return EdgeCols{}
+	}
+	out := newEdgeCols(len(kinds))
+	for p, k := range kinds {
+		switch k {
+		case vector.KindInt64, vector.KindDate:
+			out.I64[p] = e.I64[p][lo:hi:hi]
+		case vector.KindFloat64:
+			out.F64[p] = e.F64[p][lo:hi:hi]
+		case vector.KindString:
+			out.Str[p] = e.Str[p][lo:hi:hi]
+		}
+	}
+	return out
+}
+
+// bytes approximates the columns' resident size.
+func (e *EdgeCols) bytes(kinds []vector.Kind) int {
 	n := 0
 	for p, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			n += len(pi64[p]) * 8
+			n += len(e.I64[p]) * 8
 		case vector.KindFloat64:
-			n += len(pf64[p]) * 8
+			n += len(e.F64[p]) * 8
 		case vector.KindString:
-			n += len(pstr[p]) * 16
-			for _, s := range pstr[p] {
+			n += len(e.Str[p]) * 16
+			for _, s := range e.Str[p] {
 				n += len(s)
 			}
 		}

@@ -25,7 +25,6 @@ package storage
 import (
 	"slices"
 
-	"ges/internal/catalog"
 	"ges/internal/vector"
 )
 
@@ -38,12 +37,10 @@ type csr struct {
 	neighbors []vector.VID
 
 	// Edge-property columns aligned with neighbors, permuted by the same
-	// per-run sort. Indexed by schema position: one entry per property, only
-	// the slice matching propKinds[p] populated.
+	// per-run sort; one struct, so a batch piece viewing the image points at
+	// them without allocating.
 	propKinds []vector.Kind
-	propI64   [][]int64
-	propF64   [][]float64
-	propStr   [][]string
+	props     EdgeCols
 
 	// delta is the image's mutable overlay (delta.go), allocated empty at
 	// seal time. Pairing it with the image — rather than the AdjList —
@@ -87,17 +84,15 @@ func (a *AdjList) sealCSR() *csr {
 		c.neighbors[k] = vector.VID(key >> 32)
 	}
 	if len(a.propKinds) > 0 {
-		c.propI64 = make([][]int64, len(a.propKinds))
-		c.propF64 = make([][]float64, len(a.propKinds))
-		c.propStr = make([][]string, len(a.propKinds))
+		c.props = newEdgeCols(len(a.propKinds))
 		for p, k := range a.propKinds {
 			switch k {
 			case vector.KindInt64, vector.KindDate:
-				c.propI64[p] = permuted(l.propI64[p], keys)
+				c.props.I64[p] = permuted(l.props.I64[p], keys)
 			case vector.KindFloat64:
-				c.propF64[p] = permuted(l.propF64[p], keys)
+				c.props.F64[p] = permuted(l.props.F64[p], keys)
 			case vector.KindString:
-				c.propStr[p] = permuted(l.propStr[p], keys)
+				c.props.Str[p] = permuted(l.props.Str[p], keys)
 			}
 		}
 	}
@@ -152,58 +147,38 @@ func (c *csr) count(lo, hi int, r *deltaRun, ver uint64) (n int, merged bool) {
 	return n, merged
 }
 
-// segment builds the Segment view of src's image run.
-func (c *csr) segment(src vector.VID, withProps bool) (Segment, bool) {
-	lo, hi := c.span(src)
-	if lo == hi {
-		return Segment{}, false
-	}
-	seg := Segment{VIDs: c.neighbors[lo:hi:hi]}
-	if withProps {
-		for p, k := range c.propKinds {
-			switch k {
-			case vector.KindInt64, vector.KindDate:
-				seg.PropI64 = append(seg.PropI64, c.propI64[p][lo:hi:hi])
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindFloat64:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, c.propF64[p][lo:hi:hi])
-				seg.PropStr = append(seg.PropStr, nil)
-			case vector.KindString:
-				seg.PropI64 = append(seg.PropI64, nil)
-				seg.PropF64 = append(seg.PropF64, nil)
-				seg.PropStr = append(seg.PropStr, c.propStr[p][lo:hi:hi])
-			}
-		}
-	}
-	return seg, true
-}
-
 // segmentAt builds the Segment of src's run as a read at ver sees it: a view
 // of the image where the delta leaves the run alone, an owned merge where it
 // does not.
 func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bool) {
 	lo, hi := c.span(src)
+	rows := edgeRows{vids: c.neighbors, cols: c.props}
 	for {
 		r := c.delta.runs.Load(src)
 		n, merged := c.count(lo, hi, r, ver)
 		if !merged {
-			return c.segment(src, withProps)
+			break
 		}
-		if n == 0 {
-			return Segment{}, false
-		}
-		var b Batch
-		p := packer{out: &b}
+		var owned edgeRows
+		p := packer{out: &owned}
 		if withProps {
 			p.kinds = c.propKinds
 		}
-		p.alloc(n)
+		p.reserve(n)
 		if p.merge(c, lo, hi, r, ver, n) { // else an unversioned write raced the count: read again
-			return Segment{VIDs: b.VIDs, PropI64: b.PropI64, PropF64: b.PropF64, PropStr: b.PropStr}, true
+			rows, lo, hi = owned, 0, n
+			break
 		}
 	}
+	if lo == hi {
+		return Segment{}, false
+	}
+	seg := Segment{VIDs: rows.vids[lo:hi:hi]}
+	if withProps {
+		cols := rows.cols.rows(c.propKinds, lo, hi)
+		seg.PropI64, seg.PropF64, seg.PropStr = cols.I64, cols.F64, cols.Str
+	}
+	return seg, true
 }
 
 // liveEntries is the merged view's entry count: the image's entries less
@@ -214,7 +189,7 @@ func (c *csr) liveEntries() int {
 
 // memBytes approximates the snapshot's resident size.
 func (c *csr) memBytes() int {
-	return len(c.offsets)*4 + len(c.neighbors)*4 + propBytes(c.propKinds, c.propI64, c.propF64, c.propStr)
+	return len(c.offsets)*4 + len(c.neighbors)*4 + c.props.bytes(c.propKinds)
 }
 
 // resealed folds into a fresh image the delta entries a read at horizon h
@@ -234,17 +209,24 @@ func (c *csr) resealed(h uint64) *csr {
 		k, _ := c.runLen(vector.VID(v), h)
 		total += k
 	}
-	var b Batch
-	p := packer{out: &b, kinds: c.propKinds}
-	p.alloc(total)
+	var rows edgeRows
+	p := packer{out: &rows, kinds: c.propKinds}
+	p.reserve(total)
 	nc := &csr{offsets: make([]uint32, n+1), propKinds: c.propKinds}
 	for v := 0; v < n; v++ {
 		nc.offsets[v] = uint32(p.at)
-		k, merged := c.runLen(vector.VID(v), h)
-		p.emit(c, vector.VID(v), h, k, merged, total) // cannot fail: wmu freezes the delta
+		src := vector.VID(v)
+		lo, hi := c.span(src)
+		r := d.runs.Load(src)
+		k, merged := c.count(lo, hi, r, h)
+		if merged {
+			p.merge(c, lo, hi, r, h, k) // cannot fail: wmu freezes the delta
+		} else {
+			p.copy(c, lo, hi)
+		}
 	}
 	nc.offsets[n] = uint32(p.at)
-	nc.neighbors, nc.propI64, nc.propF64, nc.propStr = b.VIDs, b.PropI64, b.PropF64, b.PropStr
+	nc.neighbors, nc.props = rows.vids, rows.cols
 	nc.delta = newAdjDelta(len(nc.neighbors), c.propKinds)
 	d.runs.Range(func(src vector.VID, r *deltaRun) {
 		if nr := r.newerThan(h, c.propKinds); nr != nil {
@@ -317,201 +299,4 @@ func (g *Graph) sealBulk() {
 			}
 		})
 	}
-}
-
-// NeighborRun delimits one source's rows inside a Batch: Batch.VIDs[Start:End]
-// (and the aligned Prop* rows) are that source's neighbors.
-type NeighborRun struct {
-	Start, End int32
-}
-
-// Len returns the run's neighbor count.
-func (r NeighborRun) Len() int { return int(r.End - r.Start) }
-
-// Batch is the result of one batched neighbor expansion: Runs is aligned
-// with the request's source slice (empty run for NilVID or isolated
-// sources), and every run's rows live in VIDs with edge properties aligned
-// element-for-element.
-//
-// Two storage modes exist. When Shared is set, VIDs and the Prop* columns
-// reference storage-owned CSR arrays directly (zero copy — never mutate)
-// and Runs index into them; otherwise they are buffers owned by the Batch,
-// packed back to back in run order. Either way a consumer may retain
-// sub-slices (lazy columns do): owned buffers are replaced, not recycled,
-// by the next fill.
-type Batch struct {
-	VIDs []vector.VID
-	Runs []NeighborRun
-
-	// Shared marks VIDs/Prop* as views of storage-owned memory.
-	Shared bool
-	// Sorted guarantees every run is ascending by VID — the precondition
-	// for intersection-based joins. It holds for every single-family read,
-	// committed delta entries included, and is cleared only when a run joins
-	// the runs of two families (AnyLabel, Both).
-	Sorted bool
-
-	// Edge-property columns aligned with VIDs (populated when requested),
-	// indexed by schema position like Segment.Prop*.
-	PropI64 [][]int64
-	PropF64 [][]float64
-	PropStr [][]string
-}
-
-// Run returns the neighbors of request row i.
-//
-//geslint:kernel
-func (b *Batch) Run(i int) []vector.VID {
-	r := b.Runs[i]
-	return b.VIDs[r.Start:r.End]
-}
-
-// reset prepares the batch for refilling with n runs. Owned buffers are
-// dropped rather than reused: consumers may retain sub-slices of the
-// previous fill.
-func (b *Batch) reset(n int) {
-	b.VIDs = nil
-	b.PropI64, b.PropF64, b.PropStr = nil, nil, nil
-	b.Shared, b.Sorted = false, false
-	if cap(b.Runs) < n {
-		//geslint:alloc-ok Runs buffer reallocated only on growth; steady-state batches reuse capacity
-		b.Runs = make([]NeighborRun, n)
-	} else {
-		b.Runs = b.Runs[:n]
-	}
-}
-
-// NeighborsBatch implements View: one call resolves the neighbors of every
-// source, filling out's runs aligned with srcs. NilVID sources produce empty
-// runs, so callers can pass invalid parent rows without re-aligning.
-//
-// Every sealed request is served from the CSR images, each merged with its
-// delta. One direction, a concrete dstLabel and one source label map to a
-// single family: when the delta changes none of the request's runs, they are
-// pure prefix-sum lookups into its shared arrays — no per-source map lookup,
-// no copying — and Sorted is guaranteed. Any other request (a run the delta
-// changes, AnyLabel fan-out, Both, mixed source labels) packs owned runs out
-// of the images, merging the changed ones in place, in the scalar Neighbors
-// segment order (pack.go). A graph still in the bulk phase is sealed first.
-func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
-	g.sealBulk()
-	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, Latest, out)
-}
-
-// neighborsBatch is NeighborsBatch as a read at version ver sees it.
-func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) {
-	if dir != catalog.Both && dstLabel != AnyLabel && g.csrBatch(srcs, et, dir, dstLabel, withProps, ver, out) {
-		return
-	}
-	if !g.packNeighborsBatch(srcs, et, dir, dstLabel, withProps, ver, out) {
-		// The copy pass met an unversioned write: read per source.
-		var v View = g
-		if ver != Latest {
-			v = g.At(ver)
-		}
-		AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, out)
-	}
-}
-
-// csrBatch attempts the zero-copy CSR fast path and reports whether it served
-// the request: its sources meet one family, and the delta changes none
-// of their runs at ver. A source with no run in any family — NilVID, a VID the
-// graph holds no vertex for, a label without the requested family, a created
-// vertex past the image's offsets before the reseal that gives it one — gets
-// an empty run and does not count towards uniformity.
-//
-//geslint:kernel
-func (g *Graph) csrBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) bool {
-	adj := g.fams.Load().adj
-	key := AdjKey{Et: et, Dst: dstLabel, Dir: dir}
-	// label is the family's source label once a source meets it; famless is
-	// the last label found to have no such family.
-	label, famless := noLabel, noLabel
-	var c *csr
-	last, live := 0, false
-	out.reset(len(srcs))
-	for i, s := range srcs {
-		out.Runs[i] = NeighborRun{}
-		l := g.labelAt(s)
-		if l == noLabel || l == famless {
-			continue
-		}
-		if l != label {
-			key.Src = l
-			fam, has := adj[key]
-			if !has {
-				famless = l
-				continue
-			}
-			if c != nil {
-				return false // a second family: the pack path joins them
-			}
-			c = fam.snap.Load()
-			label, last, live = l, len(c.offsets)-1, !c.delta.isEmpty()
-		}
-		if live {
-			if _, merged := c.runLen(s, ver); merged {
-				return false
-			}
-		}
-		if int(s) < last {
-			out.Runs[i] = NeighborRun{Start: int32(c.offsets[s]), End: int32(c.offsets[s+1])}
-		}
-	}
-	out.Sorted = true
-	if c != nil {
-		out.VIDs = c.neighbors
-		out.Shared = true
-		if withProps {
-			out.PropI64, out.PropF64, out.PropStr = c.propI64, c.propF64, c.propStr
-		}
-	}
-	return true
-}
-
-// AppendNeighborsBatch is the reference implementation of the batched
-// neighbor API: per-source scalar Neighbors calls appended back to back into
-// out's owned buffers. It defines the batch/scalar equivalence contract —
-// run i holds exactly the concatenation of Neighbors(srcs[i])'s segments, in
-// segment order — and any View can use it to satisfy NeighborsBatch.
-func AppendNeighborsBatch(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
-	out.reset(len(srcs))
-	nProps := 0
-	var kinds []catalog.PropDef
-	if withProps {
-		kinds = v.Catalog().EdgeTypeProps(et)
-		nProps = len(kinds)
-		out.PropI64 = make([][]int64, nProps)
-		out.PropF64 = make([][]float64, nProps)
-		out.PropStr = make([][]string, nProps)
-	}
-	sorted := true
-	var segBuf []Segment
-	total := int32(0)
-	for i, s := range srcs {
-		start := total
-		if s != vector.NilVID {
-			segBuf = v.Neighbors(segBuf[:0], s, et, dir, dstLabel, withProps)
-			for _, seg := range segBuf {
-				out.VIDs = append(out.VIDs, seg.VIDs...)
-				for p := 0; p < nProps; p++ {
-					switch kinds[p].Kind {
-					case vector.KindInt64, vector.KindDate:
-						out.PropI64[p] = append(out.PropI64[p], seg.PropI64[p]...)
-					case vector.KindFloat64:
-						out.PropF64[p] = append(out.PropF64[p], seg.PropF64[p]...)
-					case vector.KindString:
-						out.PropStr[p] = append(out.PropStr[p], seg.PropStr[p]...)
-					}
-				}
-				total += int32(len(seg.VIDs))
-			}
-			// Every segment is sorted; a run joining two families is not.
-			if len(segBuf) > 1 {
-				sorted = false
-			}
-		}
-		out.Runs[i] = NeighborRun{Start: start, End: total}
-	}
-	out.Sorted = sorted
 }

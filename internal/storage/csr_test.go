@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"ges/internal/catalog"
@@ -124,10 +126,13 @@ func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 
 // batchMatchesScalar asserts the NeighborsBatch contract for one
 // parameterization against the per-source scalar reference
-// (AppendNeighborsBatch): every run byte-identical, edge-property rows of
-// every kind aligned, Sorted exactly when the reference says so (a run that
-// joins two segments or holds an overlay segment voids it) and Shared only on
-// a Sorted batch. It returns the batch.
+// (AppendNeighborsBatch): the same pieces — destination label, neighbors and,
+// with props, every edge-property row of every kind — and Sorted exactly
+// when the reference says so (a run of two pieces voids it). The rule of
+// the pieces is per run: one the delta leaves alone at the read's version
+// aliases its family's image (pointer identity, ViewsImage) exactly where
+// the scalar read of the run does, and only a changed run is owned. It
+// returns the batch.
 func batchMatchesScalar(t *testing.T, v View, srcs []vector.VID, et catalog.EdgeTypeID,
 	dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *Batch {
 	t.Helper()
@@ -137,36 +142,62 @@ func batchMatchesScalar(t *testing.T, v View, srcs []vector.VID, et catalog.Edge
 	if len(b.Runs) != len(srcs) {
 		t.Fatalf("got %d runs for %d srcs", len(b.Runs), len(srcs))
 	}
-	if b.Sorted != ref.Sorted || (b.Shared && !b.Sorted) {
-		t.Fatalf("dir=%v dst=%v: Sorted=%v Shared=%v, reference Sorted=%v", dir, dstLabel, b.Sorted, b.Shared, ref.Sorted)
+	if b.Sorted != ref.Sorted {
+		t.Fatalf("dir=%v dst=%v: Sorted=%v, reference Sorted=%v", dir, dstLabel, b.Sorted, ref.Sorted)
 	}
+	if got, want := pieceLines(&b, withProps), pieceLines(&ref, withProps); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dir=%v dst=%v: pieces\n%v\nwant\n%v", dir, dstLabel, got, want)
+	}
+	g := graphOf(v)
 	for i, src := range srcs {
-		got, want := b.Run(i), ref.Run(i)
-		if !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
-			t.Fatalf("src %d (dir=%v dst=%v): run %v want %v", src, dir, dstLabel, got, want)
-		}
-		if !withProps {
+		if src == vector.NilVID {
 			continue
 		}
-		r, w := b.Runs[i], ref.Runs[i]
-		for p := range ref.PropI64 {
-			switch {
-			case ref.PropI64[p] != nil:
-				if !reflect.DeepEqual(append([]int64{}, b.PropI64[p][r.Start:r.End]...), append([]int64{}, ref.PropI64[p][w.Start:w.End]...)) {
-					t.Fatalf("src %d: i64 prop %d = %v want %v", src, p, b.PropI64[p][r.Start:r.End], ref.PropI64[p][w.Start:w.End])
-				}
-			case ref.PropF64[p] != nil:
-				if !reflect.DeepEqual(append([]float64{}, b.PropF64[p][r.Start:r.End]...), append([]float64{}, ref.PropF64[p][w.Start:w.End]...)) {
-					t.Fatalf("src %d: f64 prop %d = %v want %v", src, p, b.PropF64[p][r.Start:r.End], ref.PropF64[p][w.Start:w.End])
-				}
-			case ref.PropStr[p] != nil:
-				if !reflect.DeepEqual(append([]string{}, b.PropStr[p][r.Start:r.End]...), append([]string{}, ref.PropStr[p][w.Start:w.End]...)) {
-					t.Fatalf("src %d: str prop %d = %v want %v", src, p, b.PropStr[p][r.Start:r.End], ref.PropStr[p][w.Start:w.End])
-				}
+		segs := v.Neighbors(nil, src, et, dir, dstLabel, false)
+		r := b.Runs[i]
+		for k, p := range b.Pieces[r.Start:r.End] {
+			got, seg := b.PieceVIDs(p), segs[k].VIDs
+			view := ViewsImage(g, seg)
+			if ViewsImage(g, got) != view || view && &got[0] != &seg[0] {
+				t.Fatalf("src %d (dir=%v dst=%v) piece %d: views the image %v, its scalar run %v", src, dir, dstLabel, k, ViewsImage(g, got), view)
 			}
 		}
 	}
 	return &b
+}
+
+// pieceLines renders b one line per piece: row, label, neighbors and, with
+// props, every property column's rows.
+func pieceLines(b *Batch, withProps bool) []string {
+	var out []string
+	for i, r := range b.Runs {
+		for _, p := range b.Pieces[r.Start:r.End] {
+			line := fmt.Sprint(i, p.Label, b.PieceVIDs(p))
+			if withProps {
+				cols, off := b.PieceCols(p)
+				for q := range cols.I64 {
+					switch {
+					case cols.I64[q] != nil:
+						line += fmt.Sprint(cols.I64[q][off : off+p.Len()])
+					case cols.F64[q] != nil:
+						line += fmt.Sprint(cols.F64[q][off : off+p.Len()])
+					case cols.Str[q] != nil:
+						line += fmt.Sprintf("%q", cols.Str[q][off:off+p.Len()])
+					}
+				}
+			}
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// graphOf returns the graph a storage view reads.
+func graphOf(v View) *Graph {
+	if vv, ok := v.(VersionView); ok {
+		return vv.Graph
+	}
+	return v.(*Graph)
 }
 
 // matrixGraph is the equivalence-matrix fixture: labels A and B, one edge
@@ -220,9 +251,10 @@ func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.Labe
 
 // TestNeighborsBatchMatrix runs {concrete, AnyLabel} × {Out, In, Both} ×
 // {uniform, mixed source labels} × {no props, props} over source lists with
-// NilVID holes and VIDs beyond the base range (empty runs), on a pristine sealed graph
-// (zero-copy or packed) and again with a live storage delta (merged or
-// reference path). Degree must agree with every run, holes included.
+// NilVID holes and VIDs beyond the base range (empty runs), on a pristine
+// sealed graph (every piece a view of its image, labelled with its family's
+// destination) and again with a live storage delta (changed runs merged).
+// Degree must agree with every run, holes included.
 func TestNeighborsBatchMatrix(t *testing.T) {
 	g, as, bs, a, b, et := matrixGraph(t)
 	g.SealCSR()
@@ -246,6 +278,7 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 		"only-holes": {vector.NilVID, beyond}, "empty": nil,
 	}
 	run := func(t *testing.T, pristine bool) {
+		t.Helper()
 		for name, srcs := range sources {
 			for _, dst := range []catalog.LabelID{a, b, AnyLabel} {
 				for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
@@ -257,11 +290,19 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 							}
 						}
 						single := dst != AnyLabel && dir != catalog.Both && name != "mixed"
-						if pristine && got.Shared != (single && name != "only-holes" && name != "empty") {
-							t.Fatalf("%s dst=%v dir=%v: Shared=%v; only a single-family request shares the CSR arrays", name, dst, dir, got.Shared)
+						for k, p := range got.Pieces {
+							if pristine && !ViewsImage(g, got.PieceVIDs(p)) {
+								t.Fatalf("%s dst=%v dir=%v: piece %d copied from a pristine image", name, dst, dir, k)
+							}
+							if dst == AnyLabel && p.Label != g.LabelOf(got.PieceVIDs(p)[0]) {
+								t.Fatalf("%s dir=%v: piece %d labelled %d", name, dir, k, p.Label)
+							}
 						}
-						if !pristine && got.Shared {
-							t.Fatalf("%s dst=%v dir=%v: Shared over a live delta", name, dst, dir)
+						if single && name != "only-holes" && name != "empty" && got.VIDs == nil {
+							t.Fatalf("%s dst=%v dir=%v: a single-family request names no image", name, dst, dir)
+						}
+						if !single && got.VIDs != nil {
+							t.Fatalf("%s dst=%v dir=%v: a request over several families names one image", name, dst, dir)
 						}
 					}
 				}
@@ -314,24 +355,28 @@ func TestNeighborsBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestNeighborsBatchSharedZeroCopy(t *testing.T) {
+// TestNeighborsBatchViewsImage: a sealed single-family batch is pieces
+// viewing the image, which VIDs names, and Sorted.
+func TestNeighborsBatchViewsImage(t *testing.T) {
 	g, ps, _, _, city, livesIn := csrGraph(t)
 	g.SealCSR()
 	var b Batch
 	g.NeighborsBatch(ps, livesIn, catalog.Out, city, false, &b)
-	if !b.Shared {
-		t.Fatal("sealed single-family batch should share the CSR array")
+	if b.VIDs == nil || !b.Sorted || len(b.Pieces) == 0 {
+		t.Fatalf("sealed single-family batch: VIDs=%v Sorted=%v pieces=%d", b.VIDs, b.Sorted, len(b.Pieces))
 	}
-	if !b.Sorted {
-		t.Fatal("shared batch should be Sorted")
+	for _, p := range b.Pieces {
+		if got := b.PieceVIDs(p); &got[0] != &b.VIDs[p.Lo] {
+			t.Fatalf("piece %+v does not alias the image", p)
+		}
 	}
-	// The first read of a graph still in the bulk phase seals it and shares
+	// The first read of a graph still in the bulk phase seals it and views
 	// the same way.
 	g2, ps2, _, _, city2, livesIn2 := csrGraph(t)
 	var b2 Batch
 	g2.NeighborsBatch(ps2, livesIn2, catalog.Out, city2, false, &b2)
-	if !b2.Shared || !g2.CSRSealed() {
-		t.Fatalf("first read: Shared=%v sealed=%v, want both", b2.Shared, g2.CSRSealed())
+	if b2.VIDs == nil || !ViewsImage(g2, b2.PieceVIDs(b2.Pieces[0])) || !g2.CSRSealed() {
+		t.Fatalf("first read: VIDs=%v sealed=%v, want an image view", b2.VIDs, g2.CSRSealed())
 	}
 	if !reflect.DeepEqual(flattenBatch(&b), flattenBatch(&b2)) {
 		t.Fatal("the first read's seal serves a different image than SealCSR")
@@ -360,8 +405,8 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 	srcs := append([]vector.VID(nil), ps...)
 	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
 
-	// Adding an edge keeps the snapshot too, and the merged batch stays
-	// sorted (never Shared while the delta is live).
+	// Adding an edge keeps the snapshot too, and the batch stays sorted: ps[0]'s
+	// run is merged, every other one still views the image.
 	if err := g.AddEdge(livesIn, ps[0], cs[0], vector.Date(7)); err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +415,13 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 	}
 	var b Batch
 	g.NeighborsBatch(srcs, livesIn, catalog.Out, city, true, &b)
-	if !b.Sorted || b.Shared {
-		t.Fatalf("overlay batch Sorted=%v Shared=%v, want Sorted, not Shared", b.Sorted, b.Shared)
+	if !b.Sorted {
+		t.Fatal("overlay batch is not Sorted")
+	}
+	for i, p := range b.Pieces {
+		if ViewsImage(g, b.PieceVIDs(p)) != (i > 0) {
+			t.Fatalf("piece %d views the image: %v; only ps[0]'s run is changed", i, !(i > 0))
+		}
 	}
 	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
 
@@ -452,4 +502,92 @@ func TestMemBytesAccountsCSR(t *testing.T) {
 	if withDelta := g.MemBytes(); withDelta <= sealed {
 		t.Fatalf("a delta insert must be accounted: sealed=%d with delta=%d", sealed, withDelta)
 	}
+}
+
+// TestBatchUnderUnversionedWrites races batched readers against unversioned
+// AddEdges (run with -race): a merged run whose count an insert overtakes is
+// read again, that run alone, so every run a reader sees is the scalar read
+// of its source at some moment — the run before the writes, plus a prefix of
+// the edges written to it, with their properties.
+func TestBatchUnderUnversionedWrites(t *testing.T) {
+	g, ps, cs, city, livesIn := overlayGraph(t, 12, 5)
+	g.SetResealPolicy(1e9, 1<<30)
+	g.DeleteEdge(livesIn, ps[0], cs[0]) // a tombstone under the writes too
+	type row struct {
+		dst  vector.VID
+		date int64
+	}
+	read := func(src vector.VID) []row {
+		var out []row
+		for _, seg := range g.Neighbors(nil, src, livesIn, catalog.Out, city, true) {
+			for k, d := range seg.VIDs {
+				out = append(out, row{d, seg.PropI64[0][k]})
+			}
+		}
+		return out
+	}
+	const writes = 40
+	base := make([][]row, len(ps))
+	adds := make([][]row, len(ps)) // the edges each source gains, in write order
+	for i, p := range ps {
+		base[i] = read(p)
+		for k := 0; k < writes; k++ {
+			adds[i] = append(adds[i], row{cs[(i+k)%len(cs)], int64(i)<<32 | int64(k)})
+		}
+	}
+	// model is src i's run once its first c writes have landed: image entries
+	// first among equal destinations, then the writes in order.
+	model := func(i, c int) []row {
+		m := append(append([]row(nil), base[i]...), adds[i][:c]...)
+		sort.SliceStable(m, func(a, b int) bool { return m[a].dst < m[b].dst })
+		return m
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < writes; k++ {
+				for i := w; i < len(ps); i += 2 {
+					if err := g.AddEdge(livesIn, ps[i], adds[i][k].dst, vector.Date(adds[i][k].date)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func() {
+		var b Batch
+		g.NeighborsBatch(ps, livesIn, catalog.Out, city, true, &b)
+		for i, r := range b.Runs {
+			var got []row
+			for _, p := range b.Pieces[r.Start:r.End] {
+				cols, off := b.PieceCols(p)
+				for k, d := range b.PieceVIDs(p) {
+					got = append(got, row{d, cols.I64[0][off+k]})
+				}
+			}
+			c := len(got) - len(base[i])
+			if c < 0 || c > writes || !reflect.DeepEqual(got, model(i, c)) {
+				t.Fatalf("src %d: batch run %v is no moment of its scalar read", ps[i], got)
+			}
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check()
+	}
+	for i, p := range ps {
+		if got := read(p); !reflect.DeepEqual(got, model(i, writes)) {
+			t.Fatalf("src %d: quiesced scalar run %v", p, got)
+		}
+	}
+	check()
 }

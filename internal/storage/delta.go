@@ -1,8 +1,8 @@
 // Delta overlay: the small mutable side of a sealed CSR image, and the home of
 // every edge written since the image was built (§5's tombstone-and-regrow
 // design under MV2PL). Every image sealCSR builds carries an adjDelta; while
-// it is empty the image serves exactly as before (zero-copy shared batches,
-// sorted runs). An insert — a transaction's committed edge, stamped with its
+// it is empty the image serves exactly as before (every batch piece a view of
+// the image, sorted runs). An insert — a transaction's committed edge, stamped with its
 // commit version, or an unversioned AddEdge — lands in a per-source
 // copy-on-write run, a DeleteEdge tombstones one sealed neighbor position (or
 // retracts a delta insert), and readers merge the two sides with a per-source
@@ -20,8 +20,8 @@
 // retraction replaces the run wholesale. Tombstone words are atomics: a
 // reader observes each set bit or not. A read at a version is therefore
 // stable while commits continue (their entries carry newer versions); a read
-// racing an unversioned mutation sees the count change and reads again
-// (pack.go).
+// racing an unversioned mutation sees the count change and reads the run
+// again (pack.go).
 package storage
 
 import (
@@ -67,8 +67,8 @@ func newAdjDelta(sealedLen int, kinds []vector.Kind) *adjDelta {
 	return d
 }
 
-// isEmpty reports whether the delta holds no inserts and no tombstones —
-// the gate for the zero-copy shared batch path.
+// isEmpty reports whether the delta holds no inserts and no tombstones: a
+// batched read then takes every run of the image as it is, unprobed.
 func (d *adjDelta) isEmpty() bool { return d.nIns.Load() == 0 && d.nTombs.Load() == 0 }
 
 // depth is the total overlay entry count (inserts plus tombstones).
@@ -187,7 +187,7 @@ func (d *adjDelta) remove(c *csr, src, dst vector.VID) bool {
 func (d *adjDelta) memBytes() int {
 	n := len(d.tombs) * 8
 	d.runs.Range(func(_ vector.VID, r *deltaRun) {
-		n += 160 + len(r.dsts)*12 + propBytes(d.propKinds, r.propI64, r.propF64, r.propStr)
+		n += 160 + len(r.dsts)*12 + r.props.bytes(d.propKinds)
 	})
 	return n
 }
@@ -195,7 +195,7 @@ func (d *adjDelta) memBytes() int {
 // deltaRun is one source's overlay insert run: destinations sorted ascending
 // (insertion order among equal VIDs, as the bulk seal leaves them), each
 // stamped with the version that wrote it, with edge-property columns aligned
-// element-for-element, indexed by schema position like csr.prop*.
+// element-for-element.
 //
 //geslint:snapshot-owner immutable once published in adjDelta.runs; mutation replaces the run wholesale under AdjList.wmu
 type deltaRun struct {
@@ -205,9 +205,7 @@ type deltaRun struct {
 	// below a read's version is taken whole and one wholly above it skipped.
 	vers           []uint64
 	minVer, maxVer uint64
-	propI64        [][]int64
-	propF64        [][]float64
-	propStr        [][]string
+	props          EdgeCols
 }
 
 // visible counts the entries a read at ver sees.
@@ -257,11 +255,11 @@ func (r *deltaRun) withInsert(dst vector.VID, ver uint64, props []vector.Value, 
 		}
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			nr.propI64[p] = insertAt(column(cur.propI64, p), at, v.I)
+			nr.props.I64[p] = insertAt(column(cur.props.I64, p), at, v.I)
 		case vector.KindFloat64:
-			nr.propF64[p] = insertAt(column(cur.propF64, p), at, v.F)
+			nr.props.F64[p] = insertAt(column(cur.props.F64, p), at, v.F)
 		case vector.KindString:
-			nr.propStr[p] = insertAt(column(cur.propStr, p), at, v.S)
+			nr.props.Str[p] = insertAt(column(cur.props.Str, p), at, v.S)
 		}
 	}
 	return nr
@@ -290,11 +288,11 @@ func (r *deltaRun) withRemove(dst vector.VID, kinds []vector.Kind) (*deltaRun, b
 	for p, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			nr.propI64[p] = removeAt(r.propI64[p], at)
+			nr.props.I64[p] = removeAt(r.props.I64[p], at)
 		case vector.KindFloat64:
-			nr.propF64[p] = removeAt(r.propF64[p], at)
+			nr.props.F64[p] = removeAt(r.props.F64[p], at)
 		case vector.KindString:
-			nr.propStr[p] = removeAt(r.propStr[p], at)
+			nr.props.Str[p] = removeAt(r.props.Str[p], at)
 		}
 	}
 	return nr, true
@@ -321,11 +319,11 @@ func (r *deltaRun) newerThan(h uint64, kinds []vector.Kind) *deltaRun {
 	for p, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			nr.propI64[p] = newer(r.propI64[p], r.vers, h)
+			nr.props.I64[p] = newer(r.props.I64[p], r.vers, h)
 		case vector.KindFloat64:
-			nr.propF64[p] = newer(r.propF64[p], r.vers, h)
+			nr.props.F64[p] = newer(r.props.F64[p], r.vers, h)
 		case vector.KindString:
-			nr.propStr[p] = newer(r.propStr[p], r.vers, h)
+			nr.props.Str[p] = newer(r.props.Str[p], r.vers, h)
 		}
 	}
 	return nr
@@ -337,16 +335,16 @@ func (r *deltaRun) allocProps(kinds []vector.Kind) {
 	for _, k := range kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			if r.propI64 == nil {
-				r.propI64 = make([][]int64, len(kinds))
+			if r.props.I64 == nil {
+				r.props.I64 = make([][]int64, len(kinds))
 			}
 		case vector.KindFloat64:
-			if r.propF64 == nil {
-				r.propF64 = make([][]float64, len(kinds))
+			if r.props.F64 == nil {
+				r.props.F64 = make([][]float64, len(kinds))
 			}
 		case vector.KindString:
-			if r.propStr == nil {
-				r.propStr = make([][]string, len(kinds))
+			if r.props.Str == nil {
+				r.props.Str = make([][]string, len(kinds))
 			}
 		}
 	}

@@ -73,12 +73,15 @@ func captureImageDir(g View, srcs []vector.VID, et catalog.EdgeTypeID, dir catal
 	var b Batch
 	g.NeighborsBatch(srcs, et, dir, dstLabel, true, &b)
 	img.Sorted = b.Sorted
-	for i := range b.Runs {
-		r := b.Runs[i]
+	for i, r := range b.Runs {
 		img.Runs = append(img.Runs, append([]vector.VID(nil), b.Run(i)...))
-		if len(b.PropI64) > 0 && b.PropI64[0] != nil {
-			img.Props = append(img.Props, append([]int64(nil), b.PropI64[0][r.Start:r.End]...))
+		var props []int64
+		for _, p := range b.Pieces[r.Start:r.End] {
+			if cols, off := b.PieceCols(p); len(cols.I64) > 0 && cols.I64[0] != nil {
+				props = append(props, cols.I64[0][off:off+p.Len()]...)
+			}
 		}
+		img.Props = append(img.Props, props)
 	}
 	for _, src := range srcs {
 		img.Scalar = append(img.Scalar, append([]vector.VID(nil),
@@ -519,8 +522,8 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 	// oldest pin, as a transaction manager bound to the graph reports it) in
 	// the middle of the script, so folds happen under pinned reads. After
 	// every step, the read at every still-pinned version and at the newest
-	// must be byte-identical — batched, scalar and packed (AnyLabel, Both,
-	// mixed source labels), Sorted included — to the graph rebuilt from the
+	// must be byte-identical — batched and scalar, one family or several
+	// (AnyLabel, Both, mixed source labels), Sorted included — to the graph rebuilt from the
 	// model's edges stamped at or below that version. An 'N' step reseals at a
 	// horizon nothing unfolded sits at or below: every image must stay.
 	type vedge struct {

@@ -57,10 +57,12 @@ type View interface {
 	Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment
 	// NeighborsBatch resolves the neighbors of every source in one call,
 	// filling out with one run per source (aligned with srcs; NilVID
-	// sources yield empty runs). Run i holds exactly the concatenation of
-	// Neighbors(srcs[i])'s segments — the batched and scalar paths are
-	// byte-identical — and out.Sorted reports whether every run is
-	// ascending by VID (the precondition for intersection joins).
+	// sources yield empty runs). Run i holds one piece per segment of
+	// Neighbors(srcs[i]), in order and labelled with its destination — the
+	// batched and scalar paths are byte-identical — each a view of storage
+	// where the scalar segment is one; out.Sorted reports whether every run
+	// is ascending by VID (one piece: the precondition for intersection
+	// joins).
 	NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch)
 	// Degree returns the total neighbor count that Neighbors would yield.
 	Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int

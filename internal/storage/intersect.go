@@ -83,7 +83,7 @@ func (x *Intersector) Row(dst []vector.VID, i int) []vector.VID {
 			return dst
 		}
 	}
-	// Cheap per-row cardinality heuristic read off the CSR runs: evaluate
+	// Cheap per-row cardinality heuristic read off the pieces: evaluate
 	// probes in ascending run-length (degree) order so the most selective
 	// side short-circuits first. Conjunction commutes, so this is a pure
 	// evaluation-order change — results are unchanged.
@@ -93,7 +93,7 @@ func (x *Intersector) Row(dst []vector.VID, i int) []vector.VID {
 		x.order = append(x.order, pi)
 	}
 	for a := 1; a < len(x.order); a++ {
-		for c := a; c > 0 && runLen(x.probes[x.order[c]], i) < runLen(x.probes[x.order[c-1]], i); c-- {
+		for c := a; c > 0 && x.probes[x.order[c]].RunLen(i) < x.probes[x.order[c-1]].RunLen(i); c-- {
 			x.order[c], x.order[c-1] = x.order[c-1], x.order[c]
 		}
 	}
@@ -132,12 +132,6 @@ outer:
 		dst = append(dst, v)
 	}
 	return dst
-}
-
-// runLen is the adjacency degree of probe p's source at row i.
-func runLen(p *Batch, i int) int {
-	r := p.Runs[i]
-	return int(r.End - r.Start)
 }
 
 // loadSet materializes probe pi's run for row i into a hash set, reusing the

@@ -417,15 +417,16 @@ func (p *Pool) PutArena(a *Arena) {
 // capacity from previous use; NeighborsBatch overwrites them in place.
 func (p *Pool) GetBatch() *Batch { return p.batches.get() }
 
-// PutBatch returns a batch to the pool, keeping only its Runs capacity.
-// Shared views alias storage-owned snapshot memory and owned buffers are
-// replaced, never reused, by the next fill (Batch.reset), so both are
-// dropped — a pooled batch pins neither a snapshot nor a query's strings.
+// PutBatch returns a batch to the pool, keeping the capacity of its runs,
+// pieces and backing table. The pieces are cleared with the backings they
+// index, and merged rows are replaced, never reused, by the next fill
+// (Batch.reset), so both go — a pooled batch pins neither a sealed image nor
+// a query's strings.
 func (p *Pool) PutBatch(b *Batch) {
 	if b == nil {
 		return
 	}
-	*b = Batch{Runs: b.Runs[:0]}
+	b.reset(0)
 	p.batches.put(b)
 }
 

@@ -1,221 +1,361 @@
 package storage
 
-// The packed batch: every batched neighbor read that is not one shared CSR
-// array — AnyLabel fan-out, Both, mixed source labels, a source whose run the
-// delta changes at the read's version — is built here by copying sub-slices of
-// the sealed images back to back, in exactly the order the scalar Neighbors
-// call emits its segments, and merging in place the runs the delta changes.
-// The family list is resolved once per distinct source label per call; a
-// source costs, per pass, one label load and two offsets loads plus one
-// lock-free delta probe per family, no Go map probe and no Segment. The same packer writes a reseal's next
-// image (csr.resealed) and a scalar merged segment (csr.segmentAt).
+// The batched neighbor read (§5's pointer-based join): per source, one piece
+// per non-empty family run in scalar Neighbors segment order. A run the
+// delta leaves alone at the read's version is a piece viewing its sealed
+// image — the paper's (pointer, length) — and only a run the delta changes
+// is merged into rows the batch owns. The same packer writes a reseal's
+// next image (csr.resealed) and a scalar merged segment (csr.segmentAt).
 
 import (
 	"ges/internal/catalog"
 	"ges/internal/vector"
 )
 
-// labelImages is one source label's entry in a call's family table:
-// imgs[lo:hi] are the sealed images Neighbors visits for the label, in its
-// segment order (the Out side before the In side of a Both request).
-type labelImages struct {
+// NeighborRun delimits one source's pieces inside a Batch:
+// Batch.Pieces[Start:End], in Neighbors segment order.
+type NeighborRun struct {
+	Start, End int32
+}
+
+// Piece is one family's run for one source: rows [Lo,Hi) of the batch's
+// backing Back — a sealed image, or the rows the batch merged — whose
+// neighbours all carry destination label Label. Its VIDs ascend.
+type Piece struct {
+	Lo, Hi int32
+	Back   uint16
+	Label  catalog.LabelID
+}
+
+// Len returns the piece's neighbor count.
+func (p Piece) Len() int { return int(p.Hi - p.Lo) }
+
+// backing is one neighbour array pieces index, with its property columns.
+type backing struct {
+	vids []vector.VID
+	cols *EdgeCols
+}
+
+// Batch is the result of one batched neighbor expansion: Runs is aligned
+// with the request's source slice (an empty run for NilVID or isolated
+// sources) and indexes Pieces. A piece viewing a sealed image aliases
+// storage-owned memory (never mutate it); merged rows are owned by the
+// batch and replaced, not recycled, by the next fill. Either way a consumer
+// may retain a piece's VIDs (lazy columns do).
+type Batch struct {
+	// VIDs is the one sealed image every view piece aliases when the request
+	// met a single family, nil otherwise.
+	VIDs   []vector.VID
+	Runs   []NeighborRun
+	Pieces []Piece
+	// Sorted guarantees every run is ascending by VID — the precondition
+	// for intersection-based joins. It holds iff no run has more than one
+	// piece: a run joining the runs of two families (AnyLabel, Both) is not.
+	Sorted bool
+
+	backs  []backing    // backs[0] is merged, then the images met
+	merged edgeRows     // the rows of the runs the delta changes
+	concat []vector.VID // Run's scratch for a run of several pieces
+}
+
+// PieceVIDs returns piece p's neighbors.
+//
+//geslint:kernel
+func (b *Batch) PieceVIDs(p Piece) []vector.VID {
+	return b.backs[p.Back].vids[p.Lo:p.Hi:p.Hi]
+}
+
+// PieceCols returns the columns holding piece p's edge properties and the
+// row of its first neighbor in them: property q of its k-th neighbor is
+// cols.I64[q][off+k] (F64, Str by kind). Only a read that requested edge
+// properties may use them.
+func (b *Batch) PieceCols(p Piece) (cols *EdgeCols, off int) {
+	return b.backs[p.Back].cols, int(p.Lo)
+}
+
+// RunLen returns the neighbor count of request row i.
+//
+//geslint:kernel
+func (b *Batch) RunLen(i int) (n int) {
+	for _, p := range b.Pieces[b.Runs[i].Start:b.Runs[i].End] {
+		n += p.Len()
+	}
+	return n
+}
+
+// Run returns the neighbors of request row i: the piece itself when the run
+// has one, their concatenation in batch scratch — valid until the next Run
+// call — when it has several.
+//
+//geslint:kernel
+func (b *Batch) Run(i int) []vector.VID {
+	r := b.Runs[i]
+	switch r.End - r.Start {
+	case 0:
+		return nil
+	case 1:
+		return b.PieceVIDs(b.Pieces[r.Start])
+	}
+	b.concat = b.concat[:0]
+	for _, p := range b.Pieces[r.Start:r.End] {
+		//geslint:alloc-ok Run's concatenation scratch; capacity stabilizes after the first multi-piece runs
+		b.concat = append(b.concat, b.PieceVIDs(p)...)
+	}
+	return b.concat
+}
+
+// reset prepares the batch for refilling with n runs. Merged rows are
+// dropped, not reused (a consumer may retain their VIDs), and the backings
+// cleared, so a batch pins no image it no longer reads.
+func (b *Batch) reset(n int) {
+	b.VIDs, b.Sorted, b.merged = nil, false, edgeRows{}
+	b.Runs, b.Pieces = append(b.Runs[:0], make([]NeighborRun, n)...), b.Pieces[:0]
+	clear(b.backs)
+	b.backs = append(b.backs[:0], backing{cols: &b.merged.cols})
+}
+
+// NeighborsBatch implements View: one call resolves the neighbors of every
+// source, filling out's runs aligned with srcs (NilVID sources get empty
+// runs) with pieces viewing the sealed images, merged into the batch's own
+// rows only where the delta changes a run. A graph still in the bulk phase
+// is sealed first.
+func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
+	g.sealBulk()
+	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, Latest, out)
+}
+
+// batchFam is one family in a call's table: its image, the backing its view
+// pieces index, its destination label, and whether its delta is non-empty.
+type batchFam struct {
+	c    *csr
+	back uint16
+	dst  catalog.LabelID
+	live bool
+}
+
+// labelFams is one source label's entry in a call's table: fams[lo:hi], in
+// Neighbors segment order.
+type labelFams struct {
 	label  catalog.LabelID
 	lo, hi int
 }
 
-// appendImages appends the sealed images Neighbors(label, et, dir, dstLabel)
-// would visit, in its order.
-func (ft *famTable) appendImages(imgs []*csr, label catalog.LabelID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) []*csr {
-	if dstLabel != AnyLabel {
-		if l, found := ft.adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: dir}]; found {
-			imgs = append(imgs, l.snap.Load())
-		}
-		return imgs
-	}
-	for _, fe := range ft.famIdx[famKey{src: label, et: et, dir: dir}] {
-		imgs = append(imgs, fe.list.snap.Load())
-	}
-	return imgs
-}
-
-// packNeighborsBatch fills out with owned runs packed from the sealed CSR
-// images as a read at ver sees them: run i is the concatenation, per direction
-// (Out then In for Both), of srcs[i]'s runs in family order, each the image's
-// run merged with the delta entries visible at ver. The result is
-// byte-identical to AppendNeighborsBatch over the same view; Sorted holds
-// when no run joins two non-empty segments.
-//
-// It returns false, leaving out unspecified, when an unversioned mutation
-// changed a merged run between the sizing and the copy pass; the caller then
-// takes the reference path.
-func (g *Graph) packNeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) bool {
+// neighborsBatch is NeighborsBatch as a read at version ver sees it, in one
+// pass: the family list is resolved once per distinct source label, and a
+// source costs one label load and, per family, one offsets span plus at most
+// one lock-free delta probe (none while the image's delta is empty). It
+// equals AppendNeighborsBatch over the same view, piece for piece.
+func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) {
 	dirs := []catalog.Direction{dir}
 	if dir == catalog.Both {
 		dirs = []catalog.Direction{catalog.Out, catalog.In}
 	}
 	ft := g.fams.Load()
+	out.reset(len(srcs))
+	p := packer{out: &out.merged}
 	var (
-		labelBuf [4]labelImages
-		imgBuf   [8]*csr
+		labelBuf [4]labelFams
+		famBuf   [8]batchFam
 		labels   = labelBuf[:0]
-		imgs     = imgBuf[:0]
+		fams     = famBuf[:0]
 	)
 	// resolve points cur at label's table entry, resolving its families on
-	// first sight. The loops below test labels[cur] first: a stretch of
-	// sources with one label costs one compare each.
+	// first sight; a stretch of sources with one label costs one compare.
 	cur := 0
+	add := func(l *AdjList, dst catalog.LabelID) {
+		c := l.snap.Load()
+		fams = append(fams, batchFam{c: c, back: uint16(len(out.backs)), dst: dst, live: !c.delta.isEmpty()})
+		out.backs = append(out.backs, backing{vids: c.neighbors, cols: &c.props})
+		if withProps {
+			p.kinds = c.propKinds // one edge type, one schema
+		}
+	}
 	resolve := func(label catalog.LabelID) {
 		for cur = 0; cur < len(labels); cur++ {
 			if labels[cur].label == label {
 				return
 			}
 		}
-		e := labelImages{label: label, lo: len(imgs)}
+		e := labelFams{label: label, lo: len(fams)}
 		for _, d := range dirs {
-			imgs = ft.appendImages(imgs, label, et, d, dstLabel)
+			if dstLabel != AnyLabel {
+				if l, found := ft.adj[AdjKey{Src: label, Et: et, Dst: dstLabel, Dir: d}]; found {
+					add(l, dstLabel)
+				}
+				continue
+			}
+			for _, fe := range ft.famIdx[famKey{src: label, et: et, dir: d}] {
+				add(fe.list, fe.dst)
+			}
 		}
-		e.hi = len(imgs)
+		e.hi = len(fams)
 		labels = append(labels, e)
 	}
 
-	// Pass 1: run boundaries, so the copy pass writes into exactly sized
-	// buffers.
-	out.reset(len(srcs))
 	sorted := true
-	total := 0
 	for i, s := range srcs {
-		start, segs := total, 0
+		start := len(out.Pieces)
 		if l := g.labelAt(s); l != noLabel {
 			if cur == len(labels) || labels[cur].label != l {
 				resolve(l)
 			}
-			for _, c := range imgs[labels[cur].lo:labels[cur].hi] {
-				if n, _ := c.runLen(s, ver); n > 0 {
-					total += n
-					segs++
+			for k := labels[cur].lo; k < labels[cur].hi; k++ {
+				if f := &fams[k]; f.live {
+					out.addPiece(&p, f, s, ver)
+				} else if lo, hi := f.c.span(s); lo < hi {
+					out.Pieces = append(out.Pieces, Piece{Lo: int32(lo), Hi: int32(hi), Back: f.back, Label: f.dst})
 				}
 			}
 		}
-		if segs > 1 {
-			sorted = false
-		}
-		out.Runs[i] = NeighborRun{Start: int32(start), End: int32(total)}
+		end := len(out.Pieces)
+		sorted = sorted && end-start <= 1
+		out.Runs[i] = NeighborRun{Start: int32(start), End: int32(end)}
 	}
 	out.Sorted = sorted
+	out.backs[0].vids = out.merged.vids[:p.at]
+	if len(fams) == 1 {
+		out.VIDs = fams[0].c.neighbors
+	}
+}
 
-	// Pass 2: copy, merging where the delta changes a run.
-	p := packer{out: out}
-	var kindBuf [8]vector.Kind
+// addPiece appends src's run of family f, whose delta is not empty, as a
+// read at ver sees it: nothing for an empty run, a view of the image for one
+// the delta leaves alone, and otherwise the merge of the two, carved from the
+// batch's merged rows. A merge an unversioned write raced is read again,
+// that run alone.
+func (b *Batch) addPiece(p *packer, f *batchFam, src vector.VID, ver uint64) {
+	c := f.c
+	lo, hi := c.span(src)
+	for {
+		r := c.delta.runs.Load(src)
+		n, merged := c.count(lo, hi, r, ver)
+		if !merged {
+			break
+		}
+		if n == 0 {
+			return
+		}
+		at := p.at
+		p.reserve(n)
+		if p.merge(c, lo, hi, r, ver, n) {
+			b.Pieces = append(b.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Back: 0, Label: f.dst})
+			return
+		}
+		p.at = at
+	}
+	if lo < hi {
+		b.Pieces = append(b.Pieces, Piece{Lo: int32(lo), Hi: int32(hi), Back: f.back, Label: f.dst})
+	}
+}
+
+// AppendNeighborsBatch is the reference implementation of the batched
+// neighbor API: per-source scalar Neighbors calls, each segment copied into
+// out's owned rows as one piece labelled with its neighbors' label. It
+// defines the batch/scalar equivalence contract — run i holds exactly
+// Neighbors(srcs[i])'s segments, in segment order — and any View can use it
+// to satisfy NeighborsBatch.
+func AppendNeighborsBatch(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
+	out.reset(len(srcs))
+	p := packer{out: &out.merged}
 	if withProps {
-		p.kinds = kindBuf[:0]
-		for _, d := range g.cat.EdgeTypeProps(et) {
+		for _, d := range v.Catalog().EdgeTypeProps(et) {
 			p.kinds = append(p.kinds, d.Kind)
 		}
 	}
-	p.alloc(total)
+	sorted := true
+	var segBuf []Segment
 	for i, s := range srcs {
-		l := g.labelAt(s)
-		if l == noLabel {
-			continue
-		}
-		if cur == len(labels) || labels[cur].label != l {
-			resolve(l)
-		}
-		end := int(out.Runs[i].End)
-		for _, c := range imgs[labels[cur].lo:labels[cur].hi] {
-			n, merged := c.runLen(s, ver)
-			if !p.emit(c, s, ver, n, merged, end) {
-				return false
+		start := len(out.Pieces)
+		if s != vector.NilVID {
+			segBuf = v.Neighbors(segBuf[:0], s, et, dir, dstLabel, withProps)
+			for _, seg := range segBuf {
+				at := p.at
+				p.reserve(len(seg.VIDs))
+				p.rows(seg.VIDs, &EdgeCols{I64: seg.PropI64, F64: seg.PropF64, Str: seg.PropStr}, 0, len(seg.VIDs))
+				out.Pieces = append(out.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Back: 0, Label: v.LabelOf(seg.VIDs[0])})
 			}
+			sorted = sorted && len(segBuf) <= 1 // a run joining two families is not sorted
 		}
-		if p.at != end {
-			return false
-		}
+		out.Runs[i] = NeighborRun{Start: int32(start), End: int32(len(out.Pieces))}
 	}
-	return true
+	out.Sorted = sorted
+	out.backs[0].vids = out.merged.vids[:p.at]
 }
 
-// packer writes runs back to back into a Batch's owned buffers.
+// edgeRows is an owned neighbour array with its aligned property columns.
+type edgeRows struct {
+	vids []vector.VID
+	cols EdgeCols
+}
+
+// packer writes rows back to back into an edgeRows from row at on.
 type packer struct {
-	out   *Batch
+	out   *edgeRows
 	kinds []vector.Kind // nil unless edge properties were requested
 	at    int
 }
 
-// alloc sizes the owned buffers for total rows.
-func (p *packer) alloc(total int) {
-	out := p.out
-	if total > 0 {
-		out.VIDs = make([]vector.VID, total)
-	}
+// reserve makes room for n more rows from at on.
+func (p *packer) reserve(n int) {
+	out, end := p.out, p.at+n
+	out.vids = fit(out.vids, end)
 	if p.kinds == nil {
 		return
 	}
-	out.PropI64 = make([][]int64, len(p.kinds))
-	out.PropF64 = make([][]float64, len(p.kinds))
-	out.PropStr = make([][]string, len(p.kinds))
+	if out.cols.I64 == nil {
+		out.cols = newEdgeCols(len(p.kinds))
+	}
 	for i, k := range p.kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			out.PropI64[i] = make([]int64, total)
+			out.cols.I64[i] = fit(out.cols.I64[i], end)
 		case vector.KindFloat64:
-			out.PropF64[i] = make([]float64, total)
+			out.cols.F64[i] = fit(out.cols.F64[i], end)
 		case vector.KindString:
-			out.PropStr[i] = make([]string, total)
+			out.cols.Str[i] = fit(out.cols.Str[i], end)
 		}
 	}
 }
 
-// emit appends src's run of image c as counted (runLen) for a read at ver —
-// n rows, merged where the delta changes the run — provided it ends at or
-// before row end. A run the delta left alone is the image's and cannot
-// change; false means an unversioned mutation changed a merged run since it
-// was counted, and the buffers are unusable.
-func (p *packer) emit(c *csr, src vector.VID, ver uint64, n int, merged bool, end int) bool {
-	lo, hi := c.span(src)
-	if !merged {
-		n = hi - lo
+// fit returns s extended to at least n elements.
+func fit[E any](s []E, n int) []E {
+	if n <= len(s) {
+		return s
 	}
-	if p.at+n > end {
-		return false
-	}
-	if !merged {
-		p.copy(c, lo, hi)
-		return true
-	}
-	return p.merge(c, lo, hi, c.delta.runs.Load(src), ver, n)
+	return append(s, make([]E, n-len(s))...)
 }
 
 // copy appends image rows [lo,hi) with the aligned property rows.
 func (p *packer) copy(c *csr, lo, hi int) {
-	p.rows(c.neighbors, c.propI64, c.propF64, c.propStr, lo, hi)
+	p.rows(c.neighbors, &c.props, lo, hi)
 }
 
-// rows appends rows [lo,hi) of one run's columns — an image's or a delta
-// run's.
-func (p *packer) rows(vids []vector.VID, pi64 [][]int64, pf64 [][]float64, pstr [][]string, lo, hi int) {
+// rows appends rows [lo,hi) of one run's columns — an image's, a delta
+// run's or a segment's.
+func (p *packer) rows(vids []vector.VID, cols *EdgeCols, lo, hi int) {
 	out := p.out
-	copy(out.VIDs[p.at:], vids[lo:hi])
+	copy(out.vids[p.at:], vids[lo:hi])
 	for i, k := range p.kinds {
 		switch k {
 		case vector.KindInt64, vector.KindDate:
-			copy(out.PropI64[i][p.at:], pi64[i][lo:hi])
+			copy(out.cols.I64[i][p.at:], cols.I64[i][lo:hi])
 		case vector.KindFloat64:
-			copy(out.PropF64[i][p.at:], pf64[i][lo:hi])
+			copy(out.cols.F64[i][p.at:], cols.F64[i][lo:hi])
 		case vector.KindString:
-			copy(out.PropStr[i][p.at:], pstr[i][lo:hi])
+			copy(out.cols.Str[i][p.at:], cols.Str[i][lo:hi])
 		}
 	}
 	p.at += hi - lo
 }
 
-// merge appends n rows: one source's image run [lo,hi) (tombstones skipped)
-// interleaved with the entries of its delta run r stamped at or before ver,
-// ascending by VID, image first on ties. Every image entry was inserted before
-// every delta entry, so duplicates of a destination stay in insertion order
-// and a merged read is byte-identical to a read after a reseal. It reports
-// false, having written no more than n rows, when the run does not hold
-// exactly n — an unversioned mutation changed it since it was counted.
+// merge appends n rows, reserved: one source's image run [lo,hi)
+// (tombstones skipped) interleaved with the entries of its delta run r
+// stamped at or before ver, ascending by VID, image first on ties. Every
+// image entry was inserted before every delta entry, so duplicates of a
+// destination stay in insertion order and a merged read is byte-identical to
+// a read after a reseal. It reports false, having written no more than n
+// rows, when the run does not hold exactly n — an unversioned mutation
+// changed it since it was counted.
 func (p *packer) merge(c *csr, lo, hi int, r *deltaRun, ver uint64, n int) bool {
 	d := c.delta
 	rn := 0
@@ -254,7 +394,7 @@ func (p *packer) merge(c *csr, lo, hi int, r *deltaRun, ver uint64, n int) bool 
 		}
 		p.copy(c, i, k)
 		if e > j {
-			p.rows(r.dsts, r.propI64, r.propF64, r.propStr, j, e)
+			p.rows(r.dsts, &r.props, j, e)
 		}
 		i, j = k, e
 	}

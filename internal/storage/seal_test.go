@@ -12,6 +12,7 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/ldbc"
 	"ges/internal/storage"
+	"ges/internal/testgraph"
 	"ges/internal/vector"
 )
 
@@ -196,11 +197,7 @@ func TestFirstReadsSealOnce(t *testing.T) {
 					switch (first + k) % 3 {
 					case 0:
 						g.NeighborsBatch(vs, et, dir, dst, true, &b)
-						fmt.Fprintln(&sb, b.Sorted)
-						for i := range vs {
-							r := b.Runs[i]
-							fmt.Fprintln(&sb, b.Run(i), b.PropI64[0][r.Start:r.End], b.PropStr[1][r.Start:r.End])
-						}
+						fmt.Fprintln(&sb, b.Sorted, testgraph.BatchPieces(&b, true))
 					case 1:
 						for _, v := range vs {
 							for _, seg := range g.Neighbors(nil, v, et, dir, dst, true) {

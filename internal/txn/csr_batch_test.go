@@ -14,41 +14,25 @@ import (
 )
 
 // assertBatchMatchesScalar checks the NeighborsBatch contract on a view
-// against the per-source scalar reference (storage.AppendNeighborsBatch):
-// every run byte-identical with its edge-property rows, Sorted exactly when
-// the reference says so (a spliced or multi-family run voids it), Shared
-// only on a Sorted batch. It returns the batch.
+// against the per-source scalar reference (testgraph.CheckBatch): the same
+// pieces with their labels and edge-property rows, Sorted exactly when the
+// reference says so (a multi-family run voids it), and a piece aliasing the
+// image exactly where the scalar read of its run does. It returns the batch.
 func assertBatchMatchesScalar(t testing.TB, v storage.View, srcs []vector.VID,
 	et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *storage.Batch {
 	t.Helper()
-	var b, ref storage.Batch
-	v.NeighborsBatch(srcs, et, dir, dstLabel, withProps, &b)
-	storage.AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, &ref)
-	if len(b.Runs) != len(srcs) {
-		t.Fatalf("runs = %d, srcs = %d", len(b.Runs), len(srcs))
-	}
-	if b.Sorted != ref.Sorted || (b.Shared && !b.Sorted) {
-		t.Fatalf("et=%d dir=%v dst=%v: Sorted=%v Shared=%v, reference Sorted=%v", et, dir, dstLabel, b.Sorted, b.Shared, ref.Sorted)
-	}
-	for i, src := range srcs {
-		got, want := b.Run(i), ref.Run(i)
-		if !reflect.DeepEqual(append([]vector.VID{}, got...), append([]vector.VID{}, want...)) {
-			t.Fatalf("src %d (et=%d dir=%v dst=%v): run %v want %v", src, et, dir, dstLabel, got, want)
-		}
-		if !withProps {
-			continue
-		}
-		r, w := b.Runs[i], ref.Runs[i]
-		for p, col := range ref.PropI64 { // the fixture's edge properties are all dates
-			if col == nil {
-				continue // the reference appended no row at all
-			}
-			if !reflect.DeepEqual(append([]int64{}, b.PropI64[p][r.Start:r.End]...), append([]int64{}, col[w.Start:w.End]...)) {
-				t.Fatalf("src %d: prop %d = %v want %v", src, p, b.PropI64[p][r.Start:r.End], col[w.Start:w.End])
-			}
+	return testgraph.CheckBatch(t, v, srcs, et, dir, dstLabel, withProps)
+}
+
+// viewsImage reports whether every piece of b aliases b.VIDs, the image of
+// the one family a single-family request met.
+func viewsImage(b *storage.Batch) bool {
+	for _, p := range b.Pieces {
+		if &b.PieceVIDs(p)[0] != &b.VIDs[p.Lo] {
+			return false
 		}
 	}
-	return &b
+	return b.VIDs != nil
 }
 
 // overlayFixture is the sealed test graph under a manager that has committed
@@ -162,7 +146,8 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 
 	// Version visibility, spelled out on one source: p0's KNOWS run is the
 	// sealed run merged with exactly the entries committed at or below the
-	// snapshot — Sorted always, Shared only while none is visible.
+	// snapshot — Sorted always, a view of the image only while none is
+	// visible.
 	p := o.f.Persons
 	var sealed []vector.VID
 	for _, seg := range o.m.SnapshotAt(0).Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false) {
@@ -176,17 +161,18 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 		if got := append([]vector.VID{}, b.Run(0)...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("snapshot v%d: p0 neighbors %v, want %v", ver, got, want)
 		}
-		if !b.Sorted || b.Shared == (len(added) > 0) {
-			t.Fatalf("snapshot v%d: Sorted=%v Shared=%v with %d committed entries visible", ver, b.Sorted, b.Shared, len(added))
+		if !b.Sorted || viewsImage(&b) == (len(added) > 0) {
+			t.Fatalf("snapshot v%d: Sorted=%v view=%v with %d committed entries visible", ver, b.Sorted, viewsImage(&b), len(added))
 		}
 	}
 }
 
-// TestSnapshotBatchSharedWhenUntouched is the regression guard for the
-// per-vertex decision: committed overlays that touch none of a request's
-// sources — or touch them only in other families — leave the request on the
-// shared, zero-copy, Sorted base batch.
-func TestSnapshotBatchSharedWhenUntouched(t *testing.T) {
+// TestSnapshotBatchViewsUntouchedRuns is the regression guard for the
+// per-run decision: committed overlays that touch none of a request's
+// sources — or touch them only in other families — leave every run a view
+// of the sealed image, and a touched source makes its own run, and only
+// that one, owned merged rows.
+func TestSnapshotBatchViewsUntouchedRuns(t *testing.T) {
 	o := newOverlayFixture(t)
 	s, p := o.f.Schema, o.f.Persons
 	snap := o.m.Snapshot()
@@ -197,15 +183,45 @@ func TestSnapshotBatchSharedWhenUntouched(t *testing.T) {
 		"untouched with NilVIDs": {vector.NilVID, p[5], vector.NilVID},
 	} {
 		b := assertBatchMatchesScalar(t, snap, srcs, s.Knows, catalog.Out, s.Person, true)
-		if !b.Shared || !b.Sorted {
-			t.Fatalf("%s: Shared=%v Sorted=%v, want the shared sealed batch", name, b.Shared, b.Sorted)
+		if !viewsImage(b) || !b.Sorted {
+			t.Fatalf("%s: view=%v Sorted=%v, want image views", name, viewsImage(b), b.Sorted)
 		}
 	}
-	// One touched source in the request is what it takes to merge — and the
-	// merged batch stays Sorted.
+	// One touched source in the request merges its own run alone — and the
+	// batch stays Sorted.
 	b := assertBatchMatchesScalar(t, snap, []vector.VID{p[4], p[0]}, s.Knows, catalog.Out, s.Person, false)
-	if b.Shared || !b.Sorted {
-		t.Fatalf("merged batch: Shared=%v Sorted=%v", b.Shared, b.Sorted)
+	untouched, touched := b.Pieces[b.Runs[0].Start], b.Pieces[b.Runs[1].Start]
+	if !b.Sorted || &b.PieceVIDs(untouched)[0] != &b.VIDs[untouched.Lo] || &b.PieceVIDs(touched)[0] == &b.VIDs[touched.Lo] {
+		t.Fatalf("merged batch: Sorted=%v pieces %+v", b.Sorted, b.Pieces)
+	}
+}
+
+// TestSnapshotPiecesAcrossFamilies: under AnyLabel and Both a run holds one
+// piece per non-empty family run, labelled with that family's destination,
+// and a run is merged only in the family a commit touched. p1's
+// HAS_CREATOR-In run at the latest snapshot spans the untouched Post and
+// Comment images and the created post and comment merged into each.
+func TestSnapshotPiecesAcrossFamilies(t *testing.T) {
+	o := newOverlayFixture(t)
+	s, p := o.f.Schema, o.f.Persons
+	for ver := uint64(0); ver <= o.m.Version(); ver++ {
+		snap := o.m.SnapshotAt(ver)
+		for _, dir := range []catalog.Direction{catalog.In, catalog.Both} {
+			b := assertBatchMatchesScalar(t, snap, p, s.HasCreator, dir, storage.AnyLabel, false)
+			for _, pc := range b.Pieces {
+				if l := snap.LabelOf(b.PieceVIDs(pc)[0]); l != pc.Label {
+					t.Fatalf("v%d dir=%v: piece labelled %d holds a vertex of label %d", ver, dir, pc.Label, l)
+				}
+			}
+		}
+		b := assertBatchMatchesScalar(t, snap, p[1:2], s.HasCreator, catalog.In, storage.AnyLabel, false)
+		var labels []catalog.LabelID
+		for _, pc := range b.Pieces {
+			labels = append(labels, pc.Label)
+		}
+		if want := []catalog.LabelID{s.Post, s.Comment}; !reflect.DeepEqual(labels, want) {
+			t.Fatalf("v%d: p1's pieces carry labels %v, want %v", ver, labels, want)
+		}
 	}
 }
 

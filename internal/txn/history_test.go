@@ -182,7 +182,12 @@ func captureHistory(v storage.View, s *testgraph.Schema, exts []int64) historyIm
 		for i, src := range r.srcs {
 			runs = append(runs, append([]vector.VID{}, b.Run(i)...))
 			if r.withProp {
-				props = append(props, append([]int64{}, b.PropI64[0][b.Runs[i].Start:b.Runs[i].End]...))
+				var row []int64
+				for _, p := range b.Pieces[b.Runs[i].Start:b.Runs[i].End] {
+					cols, off := b.PieceCols(p)
+					row = append(row, cols.I64[0][off:off+p.Len()]...)
+				}
+				props = append(props, row)
 			}
 			var sc []vector.VID
 			for _, seg := range v.Neighbors(nil, src, r.et, r.dir, r.dst, false) {

@@ -51,9 +51,9 @@ func (s *Snapshot) Neighbors(buf []storage.Segment, src vector.VID, et catalog.E
 	return s.at.Neighbors(buf, src, et, dir, dstLabel, withProps)
 }
 
-// NeighborsBatch implements storage.View: the graph's batched kernels as of
-// the snapshot, which decide per source — a request none of whose runs a
-// visible delta entry changes is the shared, zero-copy, Sorted batch.
+// NeighborsBatch implements storage.View: the graph's batched read as of
+// the snapshot, which decides per run — a run no visible delta entry
+// changes is a piece viewing the sealed image, only a changed one is merged.
 func (s *Snapshot) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *storage.Batch) {
 	s.at.NeighborsBatch(srcs, et, dir, dstLabel, withProps, out)
 }
