@@ -1,13 +1,16 @@
-// Command geslint is the GES invariant analyzer: eleven rules (R1–R11, see
-// internal/lint) enforced over the whole module with nothing but the
-// standard library's go/ast, go/parser and go/types — no x/tools
-// dependency, so it builds wherever the engine does.
+// Command geslint is the GES invariant analyzer: nine rules (R0–R3, R5,
+// R7, R8, R10, R11, see internal/lint; R4 and R6 merged into R3, R9 was
+// deleted) enforced over the whole module with nothing but the standard
+// library's go/ast, go/parser and go/types and the go command — no x/tools
+// dependency, so it builds wherever the engine does. Module packages are
+// type-checked from source; the standard library is read from the export
+// data one `go list -export` call locates.
 //
-// R1–R6 are structural ownership rules; R7–R11 are interprocedural,
-// answered from module-wide per-function summaries (allocations, lock
-// acquisitions, spawns, parameter retention, discarded errors, pool
-// discharges) computed to a fixed point over the call graph by
-// internal/lint.
+// R0, R1, R2, R3 and R5 are structural (R0: every //geslint: directive is
+// a live one; R3: owner-only mutation); R7–R11 are interprocedural, from
+// module-wide per-function summaries (allocations, lock acquisitions,
+// spawns, parameter retention, discarded errors, pool discharges) computed
+// to a fixed point over the call graph by internal/lint.
 //
 // Usage:
 //
@@ -21,19 +24,15 @@
 //
 // Deliberate exceptions and markers are annotated in source; directives
 // marked <why> require a one-line justification or they are inert and
-// themselves a finding:
+// themselves a finding, as is any directive not in this table (R0):
 //
 //	//geslint:scalar-ok               file may use scalar View.Prop/ExtID (R1)
 //	//geslint:lockorder A < B         declares lock A is acquired before B (R2)
-//	//geslint:selwrite-ok             file may write selection vectors (R3)
 //	//geslint:go-ok                   the go statement on/below this line (R5)
-//	//geslint:statswrite-ok           file may write internal/stats values (R6)
 //	//geslint:kernel                  func must be transitively pure (R7)
 //	//geslint:alloc-ok <why>          waives one impure site in a kernel path (R7)
 //	//geslint:snapshot-owner <why>    type may hold snapshot-derived values (R8)
 //	//geslint:retain-ok <why>         waives one snapshot escape site (R8)
-//	//geslint:atomicptr               field read via Load, written at seals (R9)
-//	//geslint:seal <why>              func is a sanctioned publication site (R9)
 //	//geslint:err-ok <why>            waives one discarded-error site (R10)
 //	//geslint:leak-ok <why>           waives one undischarged pool acquire (R11)
 package main

@@ -36,7 +36,7 @@ func TestInvariantsCatchesViolations(t *testing.T) {
 			mut: func() *FTree {
 				ft := NewFTree(NewFBlock(intCol("a", 1, 2)))
 				// Append behind the block's back, bypassing AddColumn's check —
-				// exactly the mutation rule R4 forbids statically.
+				// exactly the mutation rule R3 forbids statically.
 				ft.Root.Block.Column(0).AppendInt64(3)
 				return ft
 			},

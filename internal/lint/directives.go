@@ -9,45 +9,50 @@ import (
 // Directive grammar: `//geslint:<name> <argument...>`. Three attachment
 // scopes exist, resolved purely by position:
 //
-//   - file scope: anywhere in the file (scalar-ok, selwrite-ok,
-//     statswrite-ok);
+//   - file scope: anywhere in the file (scalar-ok for Prop/ExtID);
 //   - line scope: on, or on the line directly above, the statement it
 //     waives (scalar-ok for Neighbors, go-ok, alloc-ok, retain-ok, err-ok,
 //     leak-ok);
 //   - declaration scope: inside the doc comment of (or on the line directly
-//     above) a func, type, or struct field (kernel, seal, snapshot-owner,
-//     atomicptr), or in the declaration's same-line comment.
+//     above) a func or type (kernel, snapshot-owner), or in the
+//     declaration's same-line comment.
 //
-// Opt-outs that silence an interprocedural rule must say why: alloc-ok,
-// retain-ok, err-ok, leak-ok, seal, and snapshot-owner require a non-empty
-// justification argument, enforced by checkJustifications. A bare directive
-// is inert (the site it would waive is still reported) and is itself a
+// lockorder is a module-wide declaration. Opt-outs that silence an
+// interprocedural rule must say why: alloc-ok, retain-ok, err-ok, leak-ok
+// and snapshot-owner require a non-empty justification argument. A bare
+// one is inert (the site it would waive is still reported) and is itself a
 // finding, so an opt-out can never silently rot into a blanket exemption.
-var directiveRe = regexp.MustCompile(`^//geslint:([a-z-]+)\s*(.*?)\s*$`)
+// So is a directive whose name is not in the table: a misspelt marker
+// would otherwise turn its check off without a word.
+var directiveRe = regexp.MustCompile(`^//geslint:(\S*)\s*(.*?)\s*$`)
 var lockOrderRe = regexp.MustCompile(`^(\S+)\s*<\s*(\S+)$`)
 
-// needsReason maps the directives whose argument is a mandatory one-line
-// justification to the rule that owns them (for the finding's rule tag).
-var needsReason = map[string]string{
-	"alloc-ok":       "R7",
-	"retain-ok":      "R8",
-	"snapshot-owner": "R8",
-	"seal":           "R9",
-	"err-ok":         "R10",
-	"leak-ok":        "R11",
+// directives maps every live directive to the rule that owns it (the tag of
+// its findings) and whether its argument is a mandatory justification.
+var directives = map[string]struct {
+	rule   string
+	reason bool
+}{
+	"scalar-ok":      {"R1", false},
+	"lockorder":      {"R2", false},
+	"go-ok":          {"R5", false},
+	"kernel":         {"R7", false},
+	"alloc-ok":       {"R7", true},
+	"retain-ok":      {"R8", true},
+	"snapshot-owner": {"R8", true},
+	"err-ok":         {"R10", true},
+	"leak-ok":        {"R11", true},
 }
 
-// fileDirectives collects the file-scope geslint directives of a file.
-func fileDirectives(f *ast.File) map[string]bool {
-	out := map[string]bool{}
+// eachDirective visits every //geslint: directive comment of f.
+func eachDirective(f *ast.File, visit func(c *ast.Comment, name, arg string)) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			if m := directiveRe.FindStringSubmatch(c.Text); m != nil {
-				out[m[1]] = true
+				visit(c, m[1], m[2])
 			}
 		}
 	}
-	return out
 }
 
 // directiveLines maps source lines carrying the named line-scope directive.
@@ -63,74 +68,58 @@ func directiveLines(fset *token.FileSet, f *ast.File, name string) map[int]bool 
 // argument text (the justification; possibly empty).
 func lineReasons(fset *token.FileSet, f *ast.File, name string) map[int]string {
 	out := map[int]string{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if m := directiveRe.FindStringSubmatch(c.Text); m != nil && m[1] == name {
-				out[fset.Position(c.Pos()).Line] = m[2]
-			}
+	eachDirective(f, func(c *ast.Comment, n, arg string) {
+		if n == name {
+			out[fset.Position(c.Pos()).Line] = arg
 		}
-	}
+	})
 	return out
 }
 
 // waivedAt reports whether a site at the given line is waived by a
 // justified directive on that line or the line above. Unjustified
-// directives do not waive (checkJustifications flags them separately).
+// directives do not waive (checkDirectives flags them separately).
 func waivedAt(lines map[int]string, line int) bool {
-	if r, ok := lines[line]; ok && r != "" {
-		return true
-	}
-	if r, ok := lines[line-1]; ok && r != "" {
-		return true
-	}
-	return false
+	return lines[line] != "" || lines[line-1] != ""
 }
 
 // declDirective returns the argument of the named directive attached to a
-// declaration spanning [declPos, endPos]: a directive line within the doc
-// comment range, on the line directly above the declaration, or on the
-// declaration's own line. nil means the directive is absent.
+// declaration: a directive line within the doc comment range, on the line
+// directly above the declaration, or on the declaration's own line. nil
+// means the directive is absent.
 func declDirective(fset *token.FileSet, f *ast.File, name string, docPos, declPos token.Pos) *string {
 	declLine := fset.Position(declPos).Line
 	lo := declLine - 1
 	if docPos.IsValid() {
 		lo = fset.Position(docPos).Line
 	}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			m := directiveRe.FindStringSubmatch(c.Text)
-			if m == nil || m[1] != name {
-				continue
-			}
-			line := fset.Position(c.Pos()).Line
-			if line >= lo && line <= declLine {
-				arg := m[2]
-				return &arg
-			}
+	lines := lineReasons(fset, f, name)
+	for line := lo; line <= declLine; line++ {
+		if arg, ok := lines[line]; ok {
+			return &arg
 		}
 	}
 	return nil
 }
 
-// checkJustifications flags every reason-requiring directive that carries
-// no justification text. The finding lands on the directive's own line
-// under the owning rule, and the directive stays inert until justified.
-func (a *Analysis) checkJustifications() {
+// checkDirectives flags every directive whose name is not live (R0) and
+// every reason-requiring directive that carries no justification text (under
+// the owning rule). The finding lands on the directive's own line, and the
+// directive stays inert.
+func (a *Analysis) checkDirectives() {
 	for _, pkg := range a.mod.Pkgs {
 		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := directiveRe.FindStringSubmatch(c.Text)
-					if m == nil || m[2] != "" {
-						continue
-					}
-					if rule, ok := needsReason[m[1]]; ok {
-						a.report(c.Pos(), rule,
-							"//geslint:%s requires a one-line justification; a bare opt-out does not waive anything",
-							m[1])
-					}
+			eachDirective(f, func(c *ast.Comment, name, arg string) {
+				if d, live := directives[name]; !live {
+					a.report(c.Pos(), "R0",
+						"unknown directive //geslint:%s is inert; the live directives are listed in cmd/geslint",
+						name)
+				} else if d.reason && arg == "" {
+					a.report(c.Pos(), d.rule,
+						"//geslint:%s requires a one-line justification; a bare opt-out does not waive anything",
+						name)
 				}
-			}
+			})
 		}
 	}
 }

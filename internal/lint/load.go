@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +9,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -26,7 +29,8 @@ type Package struct {
 }
 
 // Module is the fully loaded module: every non-test package, parsed with
-// comments and type-checked from source using only the standard library —
+// comments and type-checked from source, against the standard library's
+// export data, using only the standard library and the go command —
 // geslint deliberately avoids x/tools so it builds anywhere the toolchain
 // does.
 type Module struct {
@@ -61,71 +65,64 @@ func findModuleRoot(dir string) (root, modpath string, err error) {
 	}
 }
 
-// loader resolves imports for the module: module-internal packages are
-// type-checked from source recursively (memoized); everything else — the
-// standard library — is delegated to the stdlib source importer, which works
-// on toolchains that no longer ship precompiled export data.
+// loader resolves imports for the module: module packages are type-checked
+// from source (the rules need their ASTs), recursively and memoized;
+// everything else — the standard library — is read from the compiler's
+// export data, which one `go list -export` call locates.
 type loader struct {
 	root    string
 	modpath string
 	fset    *token.FileSet
 	std     types.Importer
-	pkgs    map[string]*Package // import path -> loaded (nil while in flight)
-	order   []string            // load completion order (dependencies first)
+	pkgs    map[string]*Package // import path -> parsed package
 }
 
-func newLoader(root, modpath string) *loader {
-	fset := token.NewFileSet()
-	return &loader{
-		root:    root,
-		modpath: modpath,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    make(map[string]*Package),
-	}
+func (ld *loader) inModule(path string) bool {
+	return path == ld.modpath || strings.HasPrefix(path, ld.modpath+"/")
 }
 
 // Import implements types.Importer.
 func (ld *loader) Import(path string) (*types.Package, error) {
-	if path == ld.modpath || strings.HasPrefix(path, ld.modpath+"/") {
-		pkg, err := ld.load(path)
+	if !ld.inModule(path) {
+		return ld.std.Import(path)
+	}
+	pkg, err := ld.check(path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
+}
+
+// parse parses the named files of one module directory.
+func (ld *loader) parse(dir string, names []string) (*Package, error) {
+	rel, _ := filepath.Rel(ld.root, dir)
+	pkg := &Package{ImportPath: ld.modpath, Dir: dir}
+	if rel != "." {
+		pkg.Rel = filepath.ToSlash(rel)
+		pkg.ImportPath += "/" + pkg.Rel
+	}
+	for _, name := range names {
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		return pkg.Types, nil
-	}
-	return ld.std.Import(path)
-}
-
-// load parses and type-checks one module-internal package (memoized).
-func (ld *loader) load(path string) (*Package, error) {
-	if pkg, ok := ld.pkgs[path]; ok {
-		if pkg == nil {
-			return nil, fmt.Errorf("geslint: import cycle through %s", path)
-		}
-		return pkg, nil
-	}
-	ld.pkgs[path] = nil // cycle marker
-
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, ld.modpath), "/")
-	dir := filepath.Join(ld.root, filepath.FromSlash(rel))
-	// build.ImportDir applies the build constraints of the default context:
-	// _test files, other-platform files, and files behind custom tags (the
-	// gesassert pair) are resolved exactly as a release `go build` would.
-	bpkg, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("geslint: %s: %w", path, err)
-	}
-
-	pkg := &Package{ImportPath: path, Rel: rel, Dir: dir}
-	for _, name := range bpkg.GoFiles {
-		f, perr := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if perr != nil {
-			return nil, perr
-		}
 		pkg.Files = append(pkg.Files, f)
 	}
+	return pkg, nil
+}
 
+// check type-checks one parsed module package (memoized: a package with
+// Info but no Types is in flight).
+func (ld *loader) check(path string) (*Package, error) {
+	pkg := ld.pkgs[path]
+	switch {
+	case pkg == nil:
+		return nil, fmt.Errorf("geslint: %s is not a package of the module at %s", path, ld.root)
+	case pkg.Types != nil:
+		return pkg, nil
+	case pkg.Info != nil:
+		return nil, fmt.Errorf("geslint: import cycle through %s", path)
+	}
 	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -138,9 +135,40 @@ func (ld *loader) load(path string) (*Package, error) {
 		return nil, fmt.Errorf("geslint: type-check %s: %w", path, err)
 	}
 	pkg.Types = tpkg
-	ld.pkgs[path] = pkg
-	ld.order = append(ld.order, path)
 	return pkg, nil
+}
+
+// stdImporter returns an importer reading the standard library from the
+// compiler's export data: one `go list -export -deps` call builds (or finds
+// in the build cache) the export file of every listed package and its
+// dependencies. Type-checking the standard library from source instead
+// costs more than all the rules together.
+func stdImporter(fset *token.FileSet, dir string, paths []string) (types.Importer, error) {
+	exports := map[string]string{}
+	if len(paths) > 0 { // an empty list would name the package in dir
+		args := append([]string{"list", "-export", "-deps",
+			"-f", "{{if .Standard}}{{.ImportPath}} {{.Export}}{{end}}"}, paths...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("geslint: go list -export: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("geslint: no export data for %q", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 // skipDir reports whether a directory subtree is outside the analysis scope.
@@ -149,53 +177,59 @@ func skipDir(name string) bool {
 		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// loadModule loads every non-test package of the module rooted at (or above)
-// dir. Directories without buildable Go files are skipped silently.
+// LoadModule loads every non-test package under the module rooted at (or
+// above) dir. Directories without buildable Go files are skipped silently.
 func LoadModule(dir string) (*Module, error) {
 	root, modpath, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
 	}
-	ld := newLoader(root, modpath)
-
-	var dirs []string
+	ld := &loader{root: root, modpath: modpath, fset: token.NewFileSet(), pkgs: map[string]*Package{}}
+	var paths, std []string
+	seen := map[string]bool{}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, werr error) error {
-		if werr != nil {
+		if werr != nil || !d.IsDir() {
 			return werr
-		}
-		if !d.IsDir() {
-			return nil
 		}
 		if path != root && skipDir(d.Name()) {
 			return filepath.SkipDir
 		}
-		dirs = append(dirs, path)
+		// build.ImportDir applies the build constraints of the default
+		// context: _test files, other-platform files, and files behind
+		// custom tags (the gesassert pair) are resolved exactly as a release
+		// `go build` would.
+		bpkg, berr := build.Default.ImportDir(path, 0)
+		if berr != nil || len(bpkg.GoFiles) == 0 {
+			return nil // no buildable non-test Go files here
+		}
+		pkg, perr := ld.parse(path, bpkg.GoFiles)
+		if perr != nil {
+			return perr
+		}
+		ld.pkgs[pkg.ImportPath] = pkg
+		paths = append(paths, pkg.ImportPath)
+		for _, imp := range bpkg.Imports {
+			if imp != "C" && !ld.inModule(imp) && !seen[imp] {
+				seen[imp] = true
+				std = append(std, imp)
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(dirs)
-
-	for _, d := range dirs {
-		bpkg, berr := build.Default.ImportDir(d, 0)
-		if berr != nil || len(bpkg.GoFiles) == 0 {
-			continue // no buildable non-test Go files here
-		}
-		rel, _ := filepath.Rel(root, d)
-		path := modpath
-		if rel != "." {
-			path = modpath + "/" + filepath.ToSlash(rel)
-		}
-		if _, err := ld.load(path); err != nil {
+	if ld.std, err = stdImporter(ld.fset, root, std); err != nil {
+		return nil, err
+	}
+	sort.Strings(paths)
+	mod := &Module{Root: root, Path: modpath, Fset: ld.fset}
+	for _, path := range paths {
+		pkg, err := ld.check(path)
+		if err != nil {
 			return nil, err
 		}
+		mod.Pkgs = append(mod.Pkgs, pkg)
 	}
-
-	mod := &Module{Root: root, Path: modpath, Fset: ld.fset}
-	for _, path := range ld.order {
-		mod.Pkgs = append(mod.Pkgs, ld.pkgs[path])
-	}
-	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].ImportPath < mod.Pkgs[j].ImportPath })
 	return mod, nil
 }

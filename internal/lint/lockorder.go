@@ -29,20 +29,14 @@ func collectLockOrder(mod *Module) *lockOrder {
 	o := &lockOrder{edges: map[string]map[string]bool{}}
 	for _, pkg := range mod.Pkgs {
 		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := directiveRe.FindStringSubmatch(c.Text)
-					if m == nil || m[1] != "lockorder" {
-						continue
+			eachDirective(f, func(_ *ast.Comment, name, arg string) {
+				if lm := lockOrderRe.FindStringSubmatch(arg); name == "lockorder" && lm != nil {
+					if o.edges[lm[1]] == nil {
+						o.edges[lm[1]] = map[string]bool{}
 					}
-					if lm := lockOrderRe.FindStringSubmatch(m[2]); lm != nil {
-						if o.edges[lm[1]] == nil {
-							o.edges[lm[1]] = map[string]bool{}
-						}
-						o.edges[lm[1]][lm[2]] = true
-					}
+					o.edges[lm[1]][lm[2]] = true
 				}
-			}
+			})
 		}
 	}
 	return o
@@ -110,24 +104,11 @@ func (a *Analysis) lockName(pkg *Package, e ast.Expr) string {
 	return "?"
 }
 
-// checkLockOrder runs R2 over one package. The per-function acquire sets
-// come from the interprocedural summaries (already closed module-wide by
-// closeAcquires), replacing the old same-package-only fixpoint.
-func (a *Analysis) checkLockOrder(pkg *Package) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.scanHeldLocks(pkg, fd)
-		}
-	}
-}
-
-// scanHeldLocks walks one function body in source order, maintaining the
-// stack of held locks and checking every new acquisition — direct or through
-// a resolved callee's transitive acquire set — against the declared order.
+// scanHeldLocks runs R2 over one function of internal/storage or
+// internal/txn: it walks the body in source order, maintaining the stack of
+// held locks and checking every new acquisition — direct or through a
+// resolved callee's transitive acquire set, already closed module-wide by
+// closeAcquires — against the declared order.
 func (a *Analysis) scanHeldLocks(pkg *Package, fd *ast.FuncDecl) {
 	var held []string
 	heldHas := func(lock string) bool {

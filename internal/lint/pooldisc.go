@@ -145,62 +145,42 @@ func (a *Analysis) passthroughSrc(pkg *Package, env *maskEnv, ret map[*FuncInfo]
 	}
 }
 
+// poolPut decomposes a call into a storage Pool/Arena Put*: the release
+// method's name and the released buffer.
+func (a *Analysis) poolPut(pkg *Package, n ast.Node) (string, ast.Expr, bool) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return "", nil, false
+	}
+	recv, fn, ok := methodCall(pkg, call)
+	if !ok || !poolPuts[fn.Name()] || len(call.Args) == 0 || !a.isPoolRecv(pkg, recv) {
+		return "", nil, false
+	}
+	return fn.Name(), call.Args[0], true
+}
+
 // closePoolDischarges computes, to a fixed point over the call graph, which
 // parameters each function discharges: a param-derived value handed to a
 // Put* call, or passed on to a callee that discharges or retains it. The
 // per-function R11 check consults this map so a Get handed to a helper that
 // releases it is not a finding.
-func (a *Analysis) closePoolDischarges() map[*FuncInfo][]bool {
+func (a *Analysis) closePoolDischarges() (takes func(callee *FuncInfo, j int, arg ast.Expr) bool) {
 	dis := map[*FuncInfo][]bool{}
 	for _, fi := range a.funcOrder {
 		d := make([]bool, len(fi.Params))
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, fn, ok := methodCall(fi.Pkg, call)
-			if !ok || !poolPuts[fn.Name()] || len(call.Args) == 0 ||
-				!a.isPoolRecv(fi.Pkg, recv) {
-				return true
-			}
-			m := fi.env.exprMask(call.Args[0])
-			for i := range fi.Params {
-				if i < 63 && m&(1<<uint(i)) != 0 {
-					d[i] = true
-				}
+			if _, arg, ok := a.poolPut(fi.Pkg, n); ok {
+				flagParams(d, fi.env.exprMask(arg))
 			}
 			return true
 		})
 		dis[fi] = d
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range a.funcOrder {
-			for _, c := range fi.Calls {
-				callee := a.funcs[c.Callee]
-				if callee == nil {
-					continue
-				}
-				cd := dis[callee]
-				for j, arg := range c.Args {
-					takes := j < len(cd) && cd[j] ||
-						j < len(callee.Retains) && callee.Retains[j]
-					if !takes {
-						continue
-					}
-					m := fi.env.exprMask(arg)
-					for i := range fi.Params {
-						if i < 63 && m&(1<<uint(i)) != 0 && !dis[fi][i] {
-							dis[fi][i] = true
-							changed = true
-						}
-					}
-				}
-			}
-		}
+	takes = func(callee *FuncInfo, j int, _ ast.Expr) bool {
+		return dis[callee][j] || callee.Retains[j]
 	}
-	return dis
+	a.closeParams(func(fi *FuncInfo) []bool { return dis[fi] }, takes)
+	return takes
 }
 
 // poolObligation is one transient acquire site awaiting discharge.
@@ -218,7 +198,7 @@ type poolObligation struct {
 // it.
 func (a *Analysis) checkPoolDiscipline() {
 	fset := a.mod.Fset
-	discharges := a.closePoolDischarges()
+	takes := a.closePoolDischarges()
 	retMasks := a.closeReturnMasks()
 	for _, fi := range a.funcOrder {
 		if fi.Pkg.Rel == "internal/storage" {
@@ -269,19 +249,15 @@ func (a *Analysis) checkPoolDiscipline() {
 		// Pass 2: collect discharges.
 		var discharged uint64
 		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.CallExpr:
-				recv, fn, ok := methodCall(fi.Pkg, x)
-				if !ok || !poolPuts[fn.Name()] || len(x.Args) == 0 ||
-					!a.isPoolRecv(fi.Pkg, recv) {
-					return true
-				}
-				m := env.exprMask(x.Args[0])
+			if put, arg, ok := a.poolPut(fi.Pkg, n); ok {
+				m := env.exprMask(arg)
 				for _, ob := range obs {
-					if m&ob.bit != 0 && fn.Name() == ob.put {
+					if m&ob.bit != 0 && put == ob.put {
 						discharged |= ob.bit
 					}
 				}
+			}
+			switch x := n.(type) {
 			case *ast.ReturnStmt:
 				// Ownership transfers to the caller.
 				for _, r := range x.Results {
@@ -306,20 +282,9 @@ func (a *Analysis) checkPoolDiscipline() {
 		})
 		// Interprocedural hand-offs: a labelled argument flowing into a
 		// parameter the callee discharges or retains.
-		for _, c := range fi.Calls {
-			callee := a.funcs[c.Callee]
-			if callee == nil {
-				continue
-			}
-			cd := discharges[callee]
-			for j, arg := range c.Args {
-				takes := j < len(cd) && cd[j] ||
-					j < len(callee.Retains) && callee.Retains[j]
-				if takes {
-					discharged |= env.exprMask(arg)
-				}
-			}
-		}
+		a.takenArgs(fi, takes, func(_ *FuncInfo, _ int, arg ast.Expr) {
+			discharged |= env.exprMask(arg)
+		})
 
 		okLines := lineReasons(fset, fi.File, "leak-ok")
 		for _, ob := range obs {

@@ -8,8 +8,15 @@ import (
 	"strings"
 )
 
-// The eleven invariant rules geslint enforces over the engine:
+// The invariant rules geslint enforces over the engine. Tags keep their
+// history and are not reused: R3 is the one owner-only-mutation rule that
+// replaced the former R3 (selection vectors), R4 (f-Block column appends)
+// and R6 (statistics values), whose findings it reports under R3; R9
+// (atomic publication) was deleted.
 //
+//	R0  directive hygiene: a //geslint:<name> comment whose name is not a
+//	    live directive (a misspelling, or a deleted directive such as
+//	    atomicptr, seal, selwrite-ok, statswrite-ok) is inert and a finding.
 //	R1  no scalar storage reads in internal/op. View.Prop / View.ExtID must
 //	    go through the vectorized gather path; files implementing the
 //	    deliberate scalar fallback opt out with //geslint:scalar-ok.
@@ -24,25 +31,19 @@ import (
 //	    inversions and undeclared nestings are findings. Acquire sets come
 //	    from the interprocedural summaries, so nesting hidden behind a helper
 //	    in another package is still seen.
-//	R3  selection vectors (core.Node.Sel) are written only by internal/core
-//	    and the operators sanctioned by name in selWriters (filter.go, and
-//	    expandinto.go whose in-place closure narrows the child selection);
-//	    //geslint:selwrite-ok opts a file out.
-//	R4  f-Block columns are never appended to outside internal/core — growing
-//	    a column breaks the equal-cardinality invariant (I1) behind the
-//	    block's back.
+//	R3  owner-only mutation: each value in ownedValues is mutated only inside
+//	    its owner package (and, for selection vectors, the internal/op files
+//	    named in selWriters) — directly or through a local alias. Selection
+//	    vectors (core.Node.Sel) and f-Block columns belong to internal/core:
+//	    a foreign Bitset write breaks selection ownership, a foreign column
+//	    append the equal-cardinality invariant (I1). internal/stats values
+//	    are immutable once published behind the atomic pointer, so no field
+//	    or element store goes through one outside internal/stats —
+//	    copy-conservatively, because a copied Family still shares bucket
+//	    storage with the published snapshot. There is no opt-out directive.
 //	R5  internal/{op,exec,service,driver,bench} spawn goroutines only through
 //	    internal/sched; a raw go statement escapes the scheduler's budget.
 //	    //geslint:go-ok on or above the line opts a single statement out.
-//	R6  statistics snapshots follow the CSR image's ownership discipline:
-//	    once published behind the atomic pointer they are immutable, so the
-//	    fields, maps and histogram buckets of internal/stats value types
-//	    (Snapshot, Family, Column, Histogram, Bucket) are written only
-//	    inside internal/stats, where the Builder assembles them privately.
-//	    The rule is deliberately copy-conservative — mutating even a
-//	    by-value copy of a Family is flagged, because its Histogram shares
-//	    bucket storage with the published snapshot. //geslint:statswrite-ok
-//	    opts a file out. Sites are collected during summary construction.
 //	R7  functions annotated //geslint:kernel are transitively allocation-,
 //	    lock-, and spawn-free with no unanalyzable calls; individual sites
 //	    are waived by //geslint:alloc-ok <why> on or above the line.
@@ -52,9 +53,6 @@ import (
 //	    outlive the morsel, outside types annotated //geslint:snapshot-owner
 //	    <why>. Escapes through module-internal calls are caught via the
 //	    retention summaries; //geslint:retain-ok <why> waives a line.
-//	R9  struct fields annotated //geslint:atomicptr are read only through
-//	    atomic Load and published (Store/Swap/CompareAndSwap) only inside
-//	    functions annotated //geslint:seal <why>.
 //	R10 errors returned by module-internal functions are never silently
 //	    discarded — neither by a bare call statement nor a blank assign —
 //	    outside lines annotated //geslint:err-ok <why>.
@@ -67,14 +65,13 @@ import (
 //	    retention summaries). //geslint:leak-ok <why> waives a line. Arena
 //	    Own* calls are exempt: Release returns them wholesale.
 
-// selWriters are the internal/op files sanctioned by name to write selection
-// vectors (R3): the Filter operator, and ExpandInto, whose intersection
-// closure narrows the child node's selection in place instead of copying the
-// tree through a Filter. New operators must earn a named entry here — a
-// file-scope directive would also exempt future unrelated writes in the file.
+// selWriters are the files sanctioned by name to write selection vectors
+// (R3): the Filter operator, and ExpandInto, whose intersection closure
+// narrows the child node's selection in place instead of copying the tree
+// through a Filter. New operators must earn a named entry here.
 var selWriters = map[string]bool{
-	"filter.go":     true,
-	"expandinto.go": true,
+	"internal/op/filter.go":     true,
+	"internal/op/expandinto.go": true,
 }
 
 // bitsetWrites are the vector.Bitset mutators R3 polices.
@@ -83,7 +80,7 @@ var bitsetWrites = map[string]bool{
 	"ClearRange": true, "ClearWord": true, "And": true, "Append": true, "Resize": true,
 }
 
-// columnAppends are the vector.Column cardinality-changing mutators R4
+// columnAppends are the vector.Column cardinality-changing mutators R3
 // polices.
 var columnAppends = map[string]bool{
 	"Append": true, "AppendVID": true, "AppendInt64": true, "AppendFloat64": true,
@@ -98,15 +95,13 @@ var goScope = []string{"internal/op", "internal/exec", "internal/service",
 
 // Analysis holds the module-wide analysis state: the lock order, the
 // per-function summaries and their deterministic order, the annotated
-// snapshot-owner types and atomic-pointer fields, and the findings.
+// snapshot-owner types, and the findings.
 type Analysis struct {
 	mod       *Module
 	order     *lockOrder
 	funcs     map[*types.Func]*FuncInfo
 	funcOrder []*FuncInfo
-	sealDecls map[*ast.FuncDecl]bool
 	owners    map[types.Object]string // snapshot-owner types -> justification
-	atomics   map[types.Object]bool   // atomicptr-annotated fields
 	diags     []Diag
 }
 
@@ -114,22 +109,17 @@ type Analysis struct {
 // per-function summaries, and the fixed-point closures over the call graph.
 func Analyze(mod *Module) *Analysis {
 	a := &Analysis{
-		mod:       mod,
-		order:     collectLockOrder(mod),
-		funcs:     map[*types.Func]*FuncInfo{},
-		sealDecls: map[*ast.FuncDecl]bool{},
-		owners:    map[types.Object]string{},
-		atomics:   map[types.Object]bool{},
+		mod:    mod,
+		order:  collectLockOrder(mod),
+		funcs:  map[*types.Func]*FuncInfo{},
+		owners: map[types.Object]string{},
 	}
-	a.collectMarkers()
+	a.collectOwners()
 	a.buildSummaries()
-	for _, fi := range a.funcOrder {
-		if fi.Seal {
-			a.sealDecls[fi.Decl] = true
-		}
-	}
 	a.closeAcquires()
-	a.closeRetains()
+	// Parameter retention: passing a parameter-derived value into a
+	// retaining parameter retains it here too.
+	a.closeParams(func(fi *FuncInfo) []bool { return fi.Retains }, retainsArg)
 	a.closeImpurity()
 	return a
 }
@@ -137,19 +127,18 @@ func Analyze(mod *Module) *Analysis {
 // Run applies every rule and returns the sorted findings.
 func (a *Analysis) Run() []Diag {
 	a.diags = nil
-	a.checkJustifications()
+	a.checkDirectives()
 	for _, pkg := range a.mod.Pkgs {
 		rel := pkg.Rel
 		for _, f := range pkg.Files {
-			dirs := fileDirectives(f)
 			if hasPrefix(rel, "internal/op") {
-				a.checkScalarProps(pkg, f, dirs["scalar-ok"])
+				a.checkScalarProps(pkg, f)
 			}
-			if rel != "internal/core" && !dirs["selwrite-ok"] {
-				a.checkSelWrites(pkg, f)
-			}
-			if rel != "internal/core" {
-				a.checkColumnAppends(pkg, f)
+			file := rel + "/" + filepath.Base(a.mod.Fset.Position(f.Pos()).Filename)
+			for i := range ownedValues {
+				if ov := &ownedValues[i]; rel != ov.owner && !ov.files[file] {
+					a.checkOwnedMutations(pkg, f, ov)
+				}
 			}
 			for _, scope := range goScope {
 				if hasPrefix(rel, scope) {
@@ -157,13 +146,13 @@ func (a *Analysis) Run() []Diag {
 					break
 				}
 			}
-			a.checkAtomicPtr(pkg, f)
-		}
-		if rel == "internal/storage" || rel == "internal/txn" {
-			a.checkLockOrder(pkg)
 		}
 	}
-	a.checkStatsSummaries()
+	for _, fi := range a.funcOrder {
+		if fi.Pkg.Rel == "internal/storage" || fi.Pkg.Rel == "internal/txn" {
+			a.scanHeldLocks(fi.Pkg, fi.Decl)
+		}
+	}
 	a.checkKernels()
 	a.checkSnapshotLifetime()
 	a.checkErrDiscards()
@@ -244,10 +233,9 @@ func methodCall(pkg *Package, call *ast.CallExpr) (recv ast.Expr, obj *types.Fun
 	return sel.X, fn, true
 }
 
-// collectMarkers gathers the declaration-scope annotations rules key on:
-// //geslint:snapshot-owner on type declarations (R8) and //geslint:atomicptr
-// on struct fields (R9). Kernel and seal markers live on FuncInfo.
-func (a *Analysis) collectMarkers() {
+// collectOwners gathers the //geslint:snapshot-owner type declarations R8
+// keys on. Kernel markers live on FuncInfo.
+func (a *Analysis) collectOwners() {
 	fset := a.mod.Fset
 	for _, pkg := range a.mod.Pkgs {
 		for _, f := range pkg.Files {
@@ -257,10 +245,7 @@ func (a *Analysis) collectMarkers() {
 					continue
 				}
 				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
+					ts := spec.(*ast.TypeSpec)
 					docPos := token.NoPos
 					if ts.Doc != nil {
 						docPos = ts.Doc.Pos()
@@ -272,40 +257,10 @@ func (a *Analysis) collectMarkers() {
 							a.owners[obj] = *r
 						}
 					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						if !fieldHasDirective(field, "atomicptr") {
-							continue
-						}
-						for _, name := range field.Names {
-							if obj := pkg.Info.Defs[name]; obj != nil {
-								a.atomics[obj] = true
-							}
-						}
-					}
 				}
 			}
 		}
 	}
-}
-
-// fieldHasDirective reports an atomicptr-style directive in a struct field's
-// doc or trailing same-line comment.
-func fieldHasDirective(field *ast.Field, name string) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if m := directiveRe.FindStringSubmatch(c.Text); m != nil && m[1] == name {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------- R1
@@ -313,12 +268,13 @@ func fieldHasDirective(field *ast.Field, name string) bool {
 // checkScalarProps flags scalar storage reads resolved to internal/storage:
 // View.Prop / View.ExtID (the per-row calls the §5 vectorized gather path
 // exists to batch away) and View.Neighbors (the per-source call the batched
-// expand kernel replaces). fileOK is the file-scope scalar-ok directive; it
+// expand kernel replaces). A scalar-ok directive anywhere in the file
 // exempts Prop/ExtID only. Neighbors accepts just the line-scope form — a
 // //geslint:scalar-ok comment on or directly above the call — so each
 // deliberate scalar adjacency loop stays individually annotated.
-func (a *Analysis) checkScalarProps(pkg *Package, f *ast.File, fileOK bool) {
+func (a *Analysis) checkScalarProps(pkg *Package, f *ast.File) {
 	okLines := directiveLines(a.mod.Fset, f, "scalar-ok")
+	fileOK := len(okLines) > 0
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -362,53 +318,35 @@ func recvTypeName(pkg *Package, call *ast.CallExpr) string {
 	return "View"
 }
 
-// ---------------------------------------------------------------- R3 / R4
+// ---------------------------------------------------------------- R3
+
+// ownedValue is one row of R3: values matched by src, and local aliases of
+// them, are mutated only inside the owner package and the named files.
+type ownedValue struct {
+	what     string
+	src      func(a *Analysis, pkg *Package, e ast.Expr) bool
+	mutators map[string]bool // mutating methods; nil means field and element stores
+	owner    string          // module-relative owner package
+	files    map[string]bool // module-relative files sanctioned by name
+	hint     string
+}
+
+var ownedValues = []ownedValue{
+	{what: "a selection vector (core.Node.Sel)", src: (*Analysis).isSelField,
+		mutators: bitsetWrites, owner: "internal/core", files: selWriters,
+		hint: "route through Filter, or name the file in selWriters"},
+	{what: "an f-Block column", src: (*Analysis).isBlockColumn,
+		mutators: columnAppends, owner: "internal/core",
+		hint: "growing a column breaks the equal-cardinality invariant (I1); build columns before AddColumn"},
+	{what: "an internal/stats value", src: (*Analysis).isStatsValue,
+		owner: "internal/stats",
+		hint:  "published snapshots are immutable; assemble through stats.Builder"},
+}
 
 // isSelField matches `<expr>.Sel` where <expr> is a core.Node.
 func (a *Analysis) isSelField(pkg *Package, e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Sel" {
-		return false
-	}
-	return a.isType(pkg.Info.TypeOf(sel.X), "internal/core", "Node")
-}
-
-// checkSelWrites flags Bitset mutators applied to a selection vector
-// (core.Node.Sel, directly or through a local alias) outside the sanctioned
-// writers.
-func (a *Analysis) checkSelWrites(pkg *Package, f *ast.File) {
-	fname := a.mod.Fset.Position(f.Pos()).Filename
-	if pkg.Rel == "internal/op" && selWriters[filepath.Base(fname)] {
-		return
-	}
-	isSel := func(e ast.Expr) bool { return a.isSelField(pkg, e) }
-	tainted := taintedObjs(pkg, f, isSel)
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, fn, ok := methodCall(pkg, call)
-		if !ok || !bitsetWrites[fn.Name()] {
-			return true
-		}
-		if a.relOf(fn.Pkg()) != "internal/vector" || namedOf(pkg.Info.TypeOf(recv)) == nil ||
-			!a.isType(pkg.Info.TypeOf(recv), "internal/vector", "Bitset") {
-			return true
-		}
-		selRecv := isSel(recv)
-		if !selRecv {
-			if id, isID := recv.(*ast.Ident); isID {
-				selRecv = tainted[pkg.Info.ObjectOf(id)]
-			}
-		}
-		if selRecv {
-			a.report(call.Pos(), "R3",
-				"selection-vector write %s outside internal/core and the sanctioned internal/op writers (filter.go, expandinto.go); route through Filter or annotate the file //geslint:selwrite-ok",
-				fn.Name())
-		}
-		return true
-	})
+	return ok && sel.Sel.Name == "Sel" && a.isType(pkg.Info.TypeOf(sel.X), "internal/core", "Node")
 }
 
 // isBlockColumn matches expressions yielding a column owned by an f-Block:
@@ -427,72 +365,71 @@ func (a *Analysis) isBlockColumn(pkg *Package, e ast.Expr) bool {
 	}
 	switch fn.Name() {
 	case "Column", "ColumnByName", "Columns":
-	default:
-		return false
+		return a.isType(pkg.Info.TypeOf(recv), "internal/core", "FBlock")
 	}
-	return a.isType(pkg.Info.TypeOf(recv), "internal/core", "FBlock")
+	return false
 }
 
-// checkColumnAppends flags cardinality-changing Column mutators applied to a
-// column reached through an f-Block accessor — the runtime counterpart is
-// invariant I1 in core.(*FTree).Invariants.
-func (a *Analysis) checkColumnAppends(pkg *Package, f *ast.File) {
-	isBlockCol := func(e ast.Expr) bool { return a.isBlockColumn(pkg, e) }
-	tainted := taintedObjs(pkg, f, isBlockCol)
+// isStatsValue matches a value of an internal/stats named type (possibly
+// behind pointers), or a field reached through one.
+func (a *Analysis) isStatsValue(pkg *Package, e ast.Expr) bool {
+	if sel, ok := e.(*ast.SelectorExpr); ok && a.isStatsValue(pkg, sel.X) {
+		return true
+	}
+	n := namedOf(pkg.Info.TypeOf(e))
+	return n != nil && n.Obj().Pkg() != nil && a.relOf(n.Obj().Pkg()) == "internal/stats"
+}
+
+// checkOwnedMutations reports, in one file outside ov's owners, every
+// mutator call on a guarded receiver — or, for a store-guarded row, every
+// assignment or ++/-- through a guarded value.
+func (a *Analysis) checkOwnedMutations(pkg *Package, f *ast.File, ov *ownedValue) {
+	src := func(e ast.Expr) bool { return ov.src(a, pkg, e) }
+	tainted := taintedObjs(pkg, f, src)
+	guarded := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && tainted[pkg.Info.ObjectOf(id)] || src(e)
+	}
+	report := func(pos token.Pos, how string) {
+		a.report(pos, "R3", "%s mutates %s outside %s; %s", how, ov.what, ov.owner, ov.hint)
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, fn, ok := methodCall(pkg, call)
-		if !ok || !columnAppends[fn.Name()] {
-			return true
-		}
-		if !a.isType(pkg.Info.TypeOf(recv), "internal/vector", "Column") {
-			return true
-		}
-		bad := isBlockCol(recv)
-		if !bad {
-			if id, isID := recv.(*ast.Ident); isID {
-				bad = tainted[pkg.Info.ObjectOf(id)]
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			if recv, fn, ok := methodCall(pkg, x); ok && ov.mutators[fn.Name()] && guarded(recv) {
+				report(x.Pos(), fn.Name())
 			}
-		}
-		if bad {
-			a.report(call.Pos(), "R4",
-				"%s on an f-Block column outside internal/core breaks the equal-cardinality invariant (I1); build columns before AddColumn",
-				fn.Name())
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				if ov.mutators == nil && storesThrough(lhs, guarded) {
+					report(lhs.Pos(), "store")
+				}
+			}
+		case *ast.IncDecStmt:
+			if ov.mutators == nil && storesThrough(x.X, guarded) {
+				report(x.X.Pos(), "store")
+			}
 		}
 		return true
 	})
 }
 
-// ---------------------------------------------------------------- R6
-
-// isStatsValue reports whether e's type (possibly behind pointers) is a
-// named type of internal/stats.
-func (a *Analysis) isStatsValue(pkg *Package, e ast.Expr) bool {
-	n := namedOf(pkg.Info.TypeOf(e))
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return a.relOf(n.Obj().Pkg()) == "internal/stats"
-}
-
-// checkStatsSummaries is R6 as a summary query: the write sites were
-// collected during summary construction (sharing the single AST pass), and
-// the rule just filters them by package and file directive.
-func (a *Analysis) checkStatsSummaries() {
-	for _, fi := range a.funcOrder {
-		if fi.Pkg.Rel == "internal/stats" || len(fi.StatsWrites) == 0 {
-			continue
+// storesThrough reports whether a store to target writes through a guarded
+// value: some proper prefix of its field, element or dereference chain.
+func storesThrough(target ast.Expr, guarded func(ast.Expr) bool) bool {
+	for {
+		switch x := ast.Unparen(target).(type) {
+		case *ast.StarExpr:
+			target = x.X
+		case *ast.IndexExpr:
+			target = x.X
+		case *ast.SelectorExpr:
+			target = x.X
+		default:
+			return false
 		}
-		if fileDirectives(fi.File)["statswrite-ok"] {
-			continue
-		}
-		for _, pos := range fi.StatsWrites {
-			a.report(pos, "R6",
-				"write through an internal/stats value in %s; published snapshots are immutable — assemble through stats.Builder or annotate the file //geslint:statswrite-ok",
-				fi.Pkg.Rel)
+		if guarded(ast.Unparen(target)) {
+			return true
 		}
 	}
 }

@@ -117,28 +117,13 @@ func (a *Analysis) checkSnapshotLifetime() {
 
 		// Interprocedural half: snapshot-derived arguments flowing into
 		// parameters the callee transitively retains.
-		for _, c := range fi.Calls {
-			callee := a.funcs[c.Callee]
-			if callee == nil {
-				continue
+		a.takenArgs(fi, retainsArg, func(callee *FuncInfo, j int, arg ast.Expr) {
+			if env.exprMask(arg)&snapMask == 0 || waivedAt(okLines, fset.Position(arg.Pos()).Line) {
+				return
 			}
-			for j, arg := range c.Args {
-				if j >= len(callee.Retains) || !callee.Retains[j] {
-					continue
-				}
-				if _, isLit := ast.Unparen(arg).(*ast.FuncLit); isLit {
-					continue // call-synchronous closures (RunMorsels); async is R5's beat
-				}
-				if env.exprMask(arg)&snapMask == 0 {
-					continue
-				}
-				if waivedAt(okLines, fset.Position(arg.Pos()).Line) {
-					continue
-				}
-				a.report(arg.Pos(), "R8",
-					"snapshot-derived value passed to %s, which retains parameter %q beyond the call; copy it out or annotate //geslint:retain-ok <why>",
-					funcLabel(c.Callee), callee.Params[j].Name())
-			}
-		}
+			a.report(arg.Pos(), "R8",
+				"snapshot-derived value passed to %s, which retains parameter %q beyond the call; copy it out or annotate //geslint:retain-ok <why>",
+				funcLabel(callee.Fn), callee.Params[j].Name())
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // The interprocedural substrate: every declared function in the module gets
-// one FuncInfo summary — its allocation, lock, spawn, opaque-call, error-
-// discard and stats-write sites, its resolved module-internal call sites,
+// one FuncInfo summary — its allocation, lock, spawn, opaque-call and
+// error-discard sites, its resolved module-internal call sites,
 // the lock names it acquires, and which of its parameters it retains in
 // memory that outlives the call. Summaries are collected in one AST pass
 // per function and then closed to a fixed point over the module-wide call
@@ -49,7 +49,6 @@ type FuncInfo struct {
 	Fn   *types.Func
 
 	Kernel bool // //geslint:kernel — must be transitively pure (R7)
-	Seal   bool // //geslint:seal — sanctioned atomic publication site (R9)
 
 	Allocs []Site // allocation sites (waivable //geslint:alloc-ok)
 	Locks  []Site // mutex acquisitions
@@ -59,8 +58,7 @@ type FuncInfo struct {
 	Calls    []CallSite
 	Acquires map[string]bool // lock names, closed transitively (R2)
 
-	StatsWrites []token.Pos // writes through internal/stats values (R6)
-	ErrDiscards []Site      // silently discarded errors (R10)
+	ErrDiscards []Site // silently discarded errors (R10)
 
 	Params  []*types.Var // receiver-first
 	Retains []bool       // param escapes into long-lived memory (R8)
@@ -105,20 +103,14 @@ func (a *Analysis) isModuleFunc(fn *types.Func) bool {
 }
 
 // calleeFunc resolves a call expression to its static callee, across
-// package boundaries. nil means the callee is dynamic (function value,
+// package boundaries; a generic callee resolves to its declaration, whose
+// summary it shares. nil means the callee is dynamic (function value,
 // interface method dispatch) or not a function at all.
 func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	if fn := calleeInstance(pkg, call); fn != nil {
-		return fn.Origin() // a generic callee's summary is its declaration's
-	}
-	return nil
-}
-
-func calleeInstance(pkg *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if s := pkg.Info.Selections[fun]; s != nil {
@@ -129,13 +121,13 @@ func calleeInstance(pkg *Package, call *ast.CallExpr) *types.Func {
 							return nil // interface dispatch is dynamic
 						}
 					}
-					return fn
+					return fn.Origin()
 				}
 			}
 			return nil
 		}
 		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn // package-qualified call
+			return fn.Origin() // package-qualified call
 		}
 	}
 	return nil
@@ -150,10 +142,6 @@ func (a *Analysis) buildSummaries() {
 			fctx := &fileCtx{
 				allocOK: lineReasons(a.mod.Fset, f, "alloc-ok"),
 				errOK:   lineReasons(a.mod.Fset, f, "err-ok"),
-				statsTaint: taintedObjs(pkg, f, func(e ast.Expr) bool {
-					sel, ok := e.(*ast.SelectorExpr)
-					return ok && a.isStatsValue(pkg, sel.X)
-				}),
 			}
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -172,13 +160,11 @@ func (a *Analysis) buildSummaries() {
 	}
 }
 
-// fileCtx carries the per-file precomputed state every summary in the file
-// shares: waiver lines and the file-scope stats-alias taint (R6 keeps its
-// original file-scope aliasing semantics).
+// fileCtx carries the per-file waiver lines every summary in the file
+// shares.
 type fileCtx struct {
-	allocOK    map[int]string
-	errOK      map[int]string
-	statsTaint map[types.Object]bool
+	allocOK map[int]string
+	errOK   map[int]string
 }
 
 // summarize collects one function's direct facts in a single AST pass.
@@ -190,9 +176,6 @@ func (a *Analysis) summarize(pkg *Package, f *ast.File, fd *ast.FuncDecl, fn *ty
 		docPos = fd.Doc.Pos()
 	}
 	fi.Kernel = declDirective(fset, f, "kernel", docPos, fd.Pos()) != nil
-	if r := declDirective(fset, f, "seal", docPos, fd.Pos()); r != nil && *r != "" {
-		fi.Seal = true
-	}
 
 	sig := fn.Type().(*types.Signature)
 	if recv := sig.Recv(); recv != nil {
@@ -246,16 +229,7 @@ func (a *Analysis) summarize(pkg *Package, f *ast.File, fd *ast.FuncDecl, fn *ty
 		case *ast.CallExpr:
 			a.summarizeCall(pkg, fi, x, fctx, site)
 		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if a.statsWriteTarget(pkg, fctx.statsTaint, lhs) {
-					fi.StatsWrites = append(fi.StatsWrites, lhs.Pos())
-				}
-			}
 			a.blankErrDiscards(pkg, fi, x, fctx, site)
-		case *ast.IncDecStmt:
-			if a.statsWriteTarget(pkg, fctx.statsTaint, x.X) {
-				fi.StatsWrites = append(fi.StatsWrites, x.X.Pos())
-			}
 		case *ast.ExprStmt:
 			if call, ok := x.X.(*ast.CallExpr); ok {
 				a.bareErrDiscard(pkg, fi, call, fctx, site)
@@ -269,12 +243,7 @@ func (a *Analysis) summarize(pkg *Package, f *ast.File, fd *ast.FuncDecl, fn *ty
 	// Direct parameter retention: a parameter-derived value stored into
 	// caller-visible or package-level memory escapes the call.
 	for _, esc := range a.scanEscapes(pkg, fd.Body, fi.env) {
-		retained := esc.mask &^ esc.rootMask // self-stores don't retain the root
-		for i := range fi.Params {
-			if i < 63 && retained&(1<<uint(i)) != 0 {
-				fi.Retains[i] = true
-			}
-		}
+		flagParams(fi.Retains, esc.mask&^esc.rootMask) // self-stores don't retain the root
 	}
 	return fi
 }
@@ -311,13 +280,7 @@ func (a *Analysis) summarizeCall(pkg *Package, fi *FuncInfo, call *ast.CallExpr,
 		return
 	}
 	if a.isModuleFunc(fn) {
-		args := call.Args
-		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-			if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
-				args = append([]ast.Expr{sel.X}, call.Args...)
-			}
-		}
-		fi.Calls = append(fi.Calls, CallSite{Callee: fn, Pos: call.Pos(), Args: args})
+		fi.Calls = append(fi.Calls, CallSite{Callee: fn, Pos: call.Pos(), Args: callArgs(pkg, call)})
 		return
 	}
 	if fn.Pkg() != nil && !pureExternal[fn.Pkg().Path()] {
@@ -380,69 +343,22 @@ func (a *Analysis) bareErrDiscard(pkg *Package, fi *FuncInfo, call *ast.CallExpr
 }
 
 // blankErrDiscards flags `_ = f()` and `v, _ := g()` assignments that blank
-// a module function's error result (R10).
+// a module function's error result (R10). Result k of the call at Rhs[i]
+// lands in Lhs[i+k]: a 1:1 assignment has single-result calls, a tuple
+// assignment one call.
 func (a *Analysis) blankErrDiscards(pkg *Package, fi *FuncInfo, as *ast.AssignStmt, fctx *fileCtx, site func(token.Pos, string, map[int]string) Site) {
-	isBlank := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == "_"
-	}
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, lhs := range as.Lhs {
-			if !isBlank(lhs) {
-				continue
-			}
-			call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			fn, errIdx := a.callErrResults(pkg, call)
-			if len(errIdx) == 0 {
-				continue
-			}
-			fi.ErrDiscards = append(fi.ErrDiscards,
-				site(as.Pos(), "error from "+funcLabel(fn)+" assigned to _", fctx.errOK))
+	for i, rhs := range as.Rhs {
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok {
+			continue
 		}
-		return
-	}
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn, errIdx := a.callErrResults(pkg, call)
-	for _, i := range errIdx {
-		if i < len(as.Lhs) && isBlank(as.Lhs[i]) {
-			fi.ErrDiscards = append(fi.ErrDiscards,
-				site(as.Pos(), "error from "+funcLabel(fn)+" assigned to _", fctx.errOK))
-			return
-		}
-	}
-}
-
-// statsWriteTarget peels a write target down to the expression that makes
-// it a statistics write (R6), if any: a field of an internal/stats value or
-// an index through a tainted alias of one.
-func (a *Analysis) statsWriteTarget(pkg *Package, tainted map[types.Object]bool, e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			if id, ok := x.X.(*ast.Ident); ok && tainted[pkg.Info.ObjectOf(id)] {
-				return true
+		fn, errIdx := a.callErrResults(pkg, call)
+		for _, k := range errIdx {
+			if id, ok := as.Lhs[i+k].(*ast.Ident); ok && id.Name == "_" {
+				fi.ErrDiscards = append(fi.ErrDiscards,
+					site(as.Pos(), "error from "+funcLabel(fn)+" assigned to _", fctx.errOK))
+				break
 			}
-			e = x.X
-		case *ast.SelectorExpr:
-			if a.isStatsValue(pkg, x.X) {
-				return true
-			}
-			e = x.X
-		default:
-			return false
 		}
 	}
 }
@@ -472,35 +388,53 @@ func (a *Analysis) closeAcquires() {
 	}
 }
 
-// closeRetains propagates parameter retention through call sites: passing a
-// parameter-derived value into a retaining parameter retains it here too.
-func (a *Analysis) closeRetains() {
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range a.funcOrder {
-			for _, c := range fi.Calls {
-				callee := a.funcs[c.Callee]
-				if callee == nil {
-					continue
-				}
-				for j, arg := range c.Args {
-					if j >= len(callee.Retains) || !callee.Retains[j] {
-						continue
-					}
-					if _, isLit := ast.Unparen(arg).(*ast.FuncLit); isLit {
-						continue // call-synchronous closure arguments (see R8 notes)
-					}
-					mask := fi.env.exprMask(arg)
-					for i := range fi.Params {
-						if i < 63 && mask&(1<<uint(i)) != 0 && !fi.Retains[i] {
-							fi.Retains[i] = true
-							changed = true
-						}
-					}
+// flagParams sets flags[i] for every parameter label i in mask and reports
+// whether any flag was new.
+func flagParams(flags []bool, mask uint64) bool {
+	changed := false
+	for i := range flags {
+		if i < 63 && mask&(1<<uint(i)) != 0 && !flags[i] {
+			flags[i] = true
+			changed = true
+		}
+	}
+	return changed
+}
+
+// takenArgs visits every argument j of fi's module calls that the callee
+// takes, as takes decides.
+func (a *Analysis) takenArgs(fi *FuncInfo, takes func(callee *FuncInfo, j int, arg ast.Expr) bool, visit func(callee *FuncInfo, j int, arg ast.Expr)) {
+	for _, c := range fi.Calls {
+		if callee := a.funcs[c.Callee]; callee != nil {
+			for j, arg := range c.Args {
+				if j < len(callee.Params) && takes(callee, j, arg) {
+					visit(callee, j, arg)
 				}
 			}
 		}
 	}
+}
+
+// closeParams closes a per-parameter flag over the call graph to a fixed
+// point: a function flags parameter i when it passes a value derived from i
+// to a callee that takes it.
+func (a *Analysis) closeParams(flags func(*FuncInfo) []bool, takes func(callee *FuncInfo, j int, arg ast.Expr) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, fi := range a.funcOrder {
+			a.takenArgs(fi, takes, func(_ *FuncInfo, _ int, arg ast.Expr) {
+				changed = flagParams(flags(fi), fi.env.exprMask(arg)) || changed
+			})
+		}
+	}
+}
+
+// retainsArg reports whether callee keeps argument j beyond the call. A
+// function-literal argument is call-synchronous (RunMorsels) and does not
+// count; a spawned one is R5's beat.
+func retainsArg(callee *FuncInfo, j int, arg ast.Expr) bool {
+	_, isLit := ast.Unparen(arg).(*ast.FuncLit)
+	return callee.Retains[j] && !isLit
 }
 
 // closeImpurity computes transitive purity: a function is impure when it

@@ -35,13 +35,13 @@ func (b *FBlock) ColumnByName(name string) *vector.Column {
 func (b *FBlock) Columns() []*vector.Column { return b.cols }
 
 // AddColumn appends a column; core is the sanctioned writer, so the appends
-// inside this package must NOT be flagged by R4.
+// inside this package must NOT be flagged by R3.
 func (b *FBlock) AddColumn(c *vector.Column) {
 	b.cols = append(b.cols, c)
 }
 
-// Renumber exercises core's own right to write selection vectors (R3
-// negative case) and grow block columns (R4 negative case).
+// Renumber exercises core's own right to write selection vectors and grow
+// block columns (R3 negative cases).
 func (b *FBlock) Renumber(n *Node) {
 	n.Sel.Set(0)
 	b.Column(0).AppendInt64(0)

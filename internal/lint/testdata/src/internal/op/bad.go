@@ -1,5 +1,5 @@
 // Package op holds the positive fixture cases: one deliberate violation per
-// rule (R1, R3, R4, R5), marked with `// want Rn` comments the self-test
+// rule (R1, R3, R5), marked with `// want Rn` comments the self-test
 // matches against geslint's findings.
 package op
 
@@ -36,10 +36,10 @@ func BadSelWrite(n *core.Node) {
 // BadAppend grows f-Block columns behind the block's back, through each
 // accessor form.
 func BadAppend(b *core.FBlock) {
-	b.Column(0).AppendInt64(7) // want R4
+	b.Column(0).AppendInt64(7) // want R3
 	c := b.ColumnByName("x")
-	c.Append(vector.Value{}) // want R4
-	b.Columns()[0].Extend(c) // want R4
+	c.Append(vector.Value{}) // want R3
+	b.Columns()[0].Extend(c) // want R3
 }
 
 // BadSpawn launches a goroutine without going through internal/sched.

@@ -38,7 +38,7 @@ func OKScratchBitset(n int) *vector.Bitset {
 	return b
 }
 
-// OKFreshColumn appends to a column no f-Block owns yet (R4 negative).
+// OKFreshColumn appends to a column no f-Block owns yet (R3 negative).
 func OKFreshColumn() *vector.Column {
 	c := vector.NewColumn("x", 0)
 	c.AppendInt64(1)

@@ -141,8 +141,8 @@ func LeakShared(c *vector.Column) {
 	colSink = c.ShareScanColumn() // want R8
 }
 
-// BadStatsWrite mutates a published snapshot in place — R6, the write-side
+// BadStatsWrite mutates a published snapshot in place — R3, the write-side
 // complement of R8's lifetime discipline.
 func BadStatsWrite(s *stats.Snapshot) {
-	s.Vertices = 0 // want R6
+	s.Vertices = 0 // want R3
 }

@@ -1,5 +1,5 @@
-// Package stats is the fixture stub for R6: a statistics snapshot whose
-// fields may only be written inside this package.
+// Package stats is the fixture stub for R3's statistics row: a statistics
+// snapshot whose fields may only be written inside this package.
 package stats
 
 // Snapshot is an immutable-once-published statistics image.

@@ -122,3 +122,11 @@ func KBareWaiver(n int) []int {
 	//geslint:alloc-ok
 	return make([]int, n)
 }
+
+// KMisspelt carries a misspelt kernel marker. The unknown directive is a
+// finding (R0) rather than a silent opt-out of R7.
+//
+//geslint:kernal // want R0
+func KMisspelt(n int) []int {
+	return make([]int, n)
+}

@@ -8,7 +8,7 @@
 // Finish, and published behind an atomic pointer in internal/storage.
 // After publication nothing may mutate it — any base-graph mutation
 // invalidates the pointer and the next seal rebuilds from scratch. geslint
-// rule R6 enforces the no-write-outside-stats part statically.
+// rule R3 enforces the no-write-outside-stats part statically.
 package stats
 
 import (
@@ -220,7 +220,7 @@ func (h Histogram) Quantile(q float64) int {
 
 // SummarizeColumn rolls a property column's zone map (ordered kinds) or
 // dictionary (strings) into the single-column summary the cost model reads.
-// It lives here, not in the caller, so geslint R6 can hold that stats types
+// It lives here, not in the caller, so geslint R3 can hold that stats types
 // are only ever written inside this package.
 func SummarizeColumn(c *vector.Column) Column {
 	s := Column{Kind: c.Kind, Rows: c.Len()}
@@ -270,7 +270,7 @@ type Builder struct {
 // exported (unlike the Builder's internal use of it) so the storage layer's
 // reseal path can fold a freshly rebuilt family into an existing snapshot
 // via Rebase — the accumulation lives here, not in the caller, so geslint
-// R6 can hold that stats types are only ever written inside this package.
+// R3 can hold that stats types are only ever written inside this package.
 type FamilyAcc struct {
 	cells   []int
 	edges   int

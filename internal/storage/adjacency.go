@@ -68,7 +68,7 @@ type AdjList struct {
 	// nil exactly while the family is in the bulk phase. Readers load it
 	// once per operation so a concurrent reseal can never mix images within
 	// one Segment.
-	snap atomic.Pointer[csr] //geslint:atomicptr
+	snap atomic.Pointer[csr]
 }
 
 func newAdjList(propDefs []catalog.PropDef) *AdjList {

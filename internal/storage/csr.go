@@ -242,8 +242,6 @@ func (c *csr) resealed(h uint64) *csr {
 // later call is a reseal at fold horizon h, and a delta holding nothing at or
 // below h is left as it is. Concurrent readers keep serving from whichever
 // image they already resolved.
-//
-//geslint:seal publishes the freshly built CSR image
 func (a *AdjList) seal(h uint64) bool {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()

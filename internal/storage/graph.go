@@ -101,7 +101,7 @@ type Graph struct {
 	// (under famMu) when a mutation first touches a (src,et,dst,dir)
 	// combination — so a rare sealed-phase family creation is one atomic
 	// swap that concurrent readers never observe mid-update.
-	fams  atomic.Pointer[famTable] //geslint:atomicptr
+	fams  atomic.Pointer[famTable]
 	famMu sync.Mutex
 
 	// tail is the per-VID array of the vertices transactions created, past
@@ -141,7 +141,7 @@ type Graph struct {
 	// background reseals, never cleared once published. statsEpoch gives
 	// every publication a fresh epoch; statsMu serializes the publishers.
 	// statsStale counts mutations since the last publication.
-	statsSnap  atomic.Pointer[stats.Snapshot] //geslint:atomicptr
+	statsSnap  atomic.Pointer[stats.Snapshot]
 	statsEpoch atomic.Uint64
 	statsMu    sync.Mutex
 	statsStale atomic.Int64
@@ -177,8 +177,6 @@ const DefaultResealFraction = 1.0 / 16
 const DefaultResealMinDelta = 64
 
 // NewGraph returns an empty base graph over the catalog.
-//
-//geslint:seal constructor publishes the initial empty family directory
 func NewGraph(cat *catalog.Catalog) *Graph {
 	g := &Graph{
 		cat:        cat,
@@ -416,8 +414,6 @@ func (g *Graph) family(key AdjKey) *AdjList {
 // The maps inside a published famTable are immutable, so the copy (plus a
 // fresh slice for the one famIdx bucket that grows) is what makes the rare
 // sealed-phase family creation safe under concurrent readers.
-//
-//geslint:seal family creation publishes the copied directory atomically
 func (g *Graph) addFamily(key AdjKey) *AdjList {
 	g.famMu.Lock()
 	defer g.famMu.Unlock()

@@ -65,8 +65,6 @@ func (g *Graph) resealFamily(key AdjKey, l *AdjList) {
 // summary recomputed from its freshly sealed image, under a bumped epoch —
 // the alternative to dropping the snapshot. No-op while no snapshot is
 // published (a reseal racing the tail of the first SealCSR).
-//
-//geslint:seal reseal publishes the rebased statistics snapshot under a fresh epoch
 func (g *Graph) rebaseStats(key AdjKey, c *csr) {
 	g.statsMu.Lock()
 	defer g.statsMu.Unlock()

@@ -17,8 +17,6 @@ import (
 // rebase it family by family (reseal.go). SealCSR calls it right after
 // sealing every family, so the images it reads are the current ones; a write
 // racing a later SealCSR counts toward the staleness gauge instead.
-//
-//geslint:seal publishes the rebuilt statistics snapshot under a fresh epoch
 func (g *Graph) sealStats() {
 	g.statsMu.Lock()
 	defer g.statsMu.Unlock()
