@@ -36,7 +36,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "dataset seed")
 		mode     = flag.String("mode", "fused", "engine variant: flat | factorized | fused")
 		parallel = flag.Int("parallel", 1, "intra-query worker count per request (morsel runtime)")
-		cacheSz  = flag.Int("plan-cache", service.DefaultPlanCacheSize, "compiled-plan LRU capacity")
 	)
 	flag.Parse()
 
@@ -59,7 +58,7 @@ func main() {
 	}
 	log.Printf("dataset ready: %s", ds.Stats())
 
-	srv := service.NewWith(ds, m, service.Options{Parallel: *parallel, PlanCacheSize: *cacheSz})
+	srv := service.NewWith(ds, m, service.Options{Parallel: *parallel})
 	log.Printf("gesd (%s engine) listening on %s", m, *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.Mux()))
 }

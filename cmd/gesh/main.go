@@ -25,7 +25,6 @@ import (
 	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/ldbc"
-	"ges/internal/plan"
 	"ges/internal/storage"
 	"ges/internal/txn"
 	"ges/internal/vector"
@@ -40,7 +39,7 @@ func main() {
 	flag.Parse()
 
 	var (
-		compile func(string) (plan.Plan, error)
+		g       *storage.Graph
 		view    storage.View
 		statsFn func() string
 	)
@@ -50,14 +49,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		g, cat, err := storage.Load(f)
+		g, _, err = storage.Load(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		mgr := txn.NewManager(g)
-		view = mgr.Snapshot()
-		compile = func(src string) (plan.Plan, error) { return cypher.Compile(src, cat) }
+		view = txn.NewManager(g).Snapshot() // the manager seals the loaded graph
 		statsFn = func() string {
 			return fmt.Sprintf("%d vertices, %d edges, %s", g.NumVertices(), g.NumEdges(),
 				ldbc.FmtBytes(g.MemBytes()))
@@ -72,10 +69,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		view = ds.Graph
-		compile = func(src string) (plan.Plan, error) { return cypher.Compile(src, ds.H.Cat) }
+		g, view = ds.Graph, ds.Graph
 		statsFn = func() string { return ds.Stats().String() }
 	}
+	cache := cypher.NewCache(g)
 
 	mode := exec.ModeFused
 	in := bufio.NewScanner(os.Stdin)
@@ -110,25 +107,21 @@ func main() {
 			default:
 				fmt.Println("usage: :mode flat|factorized|fused")
 			}
-		case strings.HasPrefix(line, ":explain"):
-			p, err := compile(strings.TrimSpace(strings.TrimPrefix(line, ":explain")))
+		default:
+			explain := strings.HasPrefix(line, ":explain")
+			pr, err := cache.Prepare(strings.TrimPrefix(line, ":explain"))
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			if mode == exec.ModeFused {
-				p = plan.Fuse(p)
-			}
-			fmt.Println(p)
-		default:
-			p, err := compile(line)
-			if err != nil {
-				fmt.Println("error:", err)
+			if explain {
+				fmt.Println(exec.Physical(mode, pr.Plan, pr.Params))
 				continue
 			}
 			eng := exec.New(mode)
+			eng.Params = pr.Params
 			start := time.Now()
-			res, err := eng.Run(view, p)
+			res, err := eng.Run(view, pr.Plan)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

@@ -33,7 +33,6 @@ import (
 	"ges/internal/core"
 	"ges/internal/cypher"
 	"ges/internal/exec"
-	"ges/internal/plan"
 	"ges/internal/storage"
 	"ges/internal/txn"
 	"ges/internal/vector"
@@ -106,20 +105,21 @@ type Props map[string]any
 // freezes and all further writes flow through MV2PL transactions, so reads
 // and writes may proceed concurrently from any number of goroutines.
 type DB struct {
-	cat      *catalog.Catalog
-	graph    *storage.Graph
+	cat   *catalog.Catalog
+	graph *storage.Graph
+	cache *cypher.Cache
+
+	mu       sync.Mutex
 	mode     exec.Mode
 	parallel int
-
-	mu     sync.Mutex
-	sealed bool
-	mgr    *txn.Manager
+	mgr      *txn.Manager // nil until the seal
 }
 
 // Open creates an empty database using the given engine variant.
 func Open(mode Mode) *DB {
 	cat := catalog.New()
-	return &DB{cat: cat, graph: storage.NewGraph(cat), mode: mode.internal()}
+	g := storage.NewGraph(cat)
+	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), mode: mode.internal()}
 }
 
 // DefineVertexType registers a vertex label and its property schema.
@@ -207,10 +207,8 @@ func (db *DB) AddVertex(label string, id int64, props Props) error {
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	sealed, mgr := db.sealed, db.mgr
-	db.mu.Unlock()
-	if !sealed {
+	mgr := db.manager()
+	if mgr == nil {
 		_, err := db.graph.AddVertex(l, id, row...)
 		return err
 	}
@@ -241,10 +239,7 @@ func (db *DB) AddEdge(etype, srcLabel string, srcID int64, dstLabel string, dstI
 	if !ok {
 		return fmt.Errorf("ges: unknown label %q", dstLabel)
 	}
-	db.mu.Lock()
-	sealed, mgr := db.sealed, db.mgr
-	db.mu.Unlock()
-
+	mgr := db.manager()
 	view := db.view()
 	src, ok := view.VertexByExt(sl, srcID)
 	if !ok {
@@ -254,7 +249,7 @@ func (db *DB) AddEdge(etype, srcLabel string, srcID int64, dstLabel string, dstI
 	if !ok {
 		return fmt.Errorf("ges: no %s vertex with id %d", dstLabel, dstID)
 	}
-	if !sealed {
+	if mgr == nil {
 		return db.graph.AddEdge(et, src, dst, row...)
 	}
 	tx := mgr.Begin([]vector.VID{src, dst})
@@ -268,24 +263,33 @@ func (db *DB) AddEdge(etype, srcLabel string, srcID int64, dstLabel string, dstI
 // Seal freezes the base graph: its adjacency is sealed into sorted CSR images
 // (with the planner statistics derived from them), subsequent writes run as
 // MV2PL transactions and queries read consistent snapshots. The first Query
-// seals implicitly.
-func (db *DB) Seal() {
+// or Explain seals implicitly.
+func (db *DB) Seal() { db.session() }
+
+// session seals the database on first use and returns what one query reads:
+// the transaction manager and the engine mode and parallelism, read once
+// under db.mu so SetMode and SetParallelism apply from the next call on.
+func (db *DB) session() (*txn.Manager, exec.Mode, int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !db.sealed {
-		db.sealed = true
+	if db.mgr == nil {
 		db.graph.SealCSR()
 		db.mgr = txn.NewManager(db.graph)
 	}
+	return db.mgr, db.mode, db.parallel
+}
+
+// manager returns the transaction manager, nil before the seal.
+func (db *DB) manager() *txn.Manager {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.mgr
 }
 
 // view returns the view writes resolve vertices in: the graph before sealing,
 // the latest snapshot afterwards.
 func (db *DB) view() storage.View {
-	db.mu.Lock()
-	sealed, mgr := db.sealed, db.mgr
-	db.mu.Unlock()
-	if sealed {
+	if mgr := db.manager(); mgr != nil {
 		return mgr.Snapshot()
 	}
 	return db.graph
@@ -302,41 +306,20 @@ type Result struct {
 	}
 }
 
-// Query compiles and executes a Cypher query, sealing the database on first
-// use.
+// Query prepares a Cypher query through the plan cache — cost-planned from
+// the statistics the seal publishes — and executes it on a snapshot pinned
+// for the call, sealing the database on first use.
 func (db *DB) Query(src string) (*Result, error) {
-	db.Seal()
-	p, err := cypher.Compile(src, db.cat)
+	mgr, mode, parallel := db.session()
+	pr, err := db.cache.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return db.runPlan(p)
-}
-
-// Explain returns the (fused, when applicable) physical plan of a query as
-// a string, without executing it.
-func (db *DB) Explain(src string) (string, error) {
-	p, err := cypher.Compile(src, db.cat)
-	if err != nil {
-		return "", err
-	}
-	if db.mode == exec.ModeFused {
-		p = plan.Fuse(p)
-	}
-	return p.String(), nil
-}
-
-// runPlan executes a plan on a snapshot pinned for the call (Query has
-// sealed the database).
-func (db *DB) runPlan(p plan.Plan) (*Result, error) {
-	db.mu.Lock()
-	mgr := db.mgr
-	db.mu.Unlock()
 	snap := mgr.AcquireSnapshot()
 	defer mgr.Release(snap)
-	eng := exec.New(db.mode)
-	eng.Parallel = db.parallel
-	res, err := eng.Run(snap, p)
+	eng := exec.New(mode)
+	eng.Parallel, eng.Params = parallel, pr.Params
+	res, err := eng.Run(snap, pr.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -370,15 +353,35 @@ func blockRows(fb *core.FlatBlock) [][]any {
 	return rows
 }
 
+// Explain returns the physical plan Query would run for a query — prepared
+// the same way, so cost-planned and, in Fused mode, fused — as a string,
+// without executing it. Like Query, it seals the database on first use.
+func (db *DB) Explain(src string) (string, error) {
+	_, mode, _ := db.session()
+	pr, err := db.cache.Prepare(src)
+	if err != nil {
+		return "", err
+	}
+	return exec.Physical(mode, pr.Plan, pr.Params).String(), nil
+}
+
 // SetMode switches the engine variant for subsequent queries (queries in
 // flight keep the variant they started with).
-func (db *DB) SetMode(mode Mode) { db.mode = mode.internal() }
+func (db *DB) SetMode(mode Mode) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.mode = mode.internal()
+}
 
 // SetParallelism sets the intra-query parallelism degree: expansion
 // operators over large intermediate blocks shard their work across this
 // many goroutines. Values <= 1 (the default) run sequentially. Results are
 // identical either way.
-func (db *DB) SetParallelism(n int) { db.parallel = n }
+func (db *DB) SetParallelism(n int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.parallel = n
+}
 
 // Stats reports database-level gauges: the vertices and directed edges the
 // latest committed version holds — committed writes included — and the
@@ -412,7 +415,7 @@ func Load(r io.Reader, mode Mode) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{cat: cat, graph: g, mode: mode.internal()}, nil
+	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), mode: mode.internal()}, nil
 }
 
 // LoadFile opens a database from a snapshot file.

@@ -129,6 +129,48 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSetModeDuringQueries switches the engine variant and parallelism while
+// other goroutines query and explain: each call reads both once under the
+// database's lock, so this passes under -race, and every variant returns
+// the same rows.
+func TestSetModeDuringQueries(t *testing.T) {
+	db := socialDB(t, ges.Fused)
+	const q = `MATCH (p:Person)-[:KNOWS*1..2]->(f) WHERE id(p) = 1 RETURN COUNT(*) AS n`
+	ref, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Rows[0][0]
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				res, err := db.Query(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := res.Rows[0][0]; got != want {
+					t.Errorf("count = %v, want %v", got, want)
+					return
+				}
+				if _, err := db.Explain(q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	modes := []ges.Mode{ges.Flat, ges.Factorized, ges.Fused}
+	for i := 0; i < 60; i++ {
+		db.SetMode(modes[i%len(modes)])
+		db.SetParallelism(1 + i%4)
+	}
+	wg.Wait()
+}
+
 func TestSchemaErrors(t *testing.T) {
 	db := ges.Open(ges.Fused)
 	if err := db.DefineVertexType("P"); err != nil {

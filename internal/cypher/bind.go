@@ -14,8 +14,9 @@ import (
 
 // Compile parses and binds a Cypher query against a catalog, producing a
 // physical plan for the GES engine (any variant) or the volcano engine.
-// The plan is the syntactic one — anchored and oriented as written; use
-// CompileWith to let the cost model shape it.
+// The plan is the syntactic one — anchored and oriented as written — which
+// the oracles compare against; frontends prepare queries through
+// Cache.Prepare, which lets the cost model shape them.
 func Compile(src string, cat *catalog.Catalog) (plan.Plan, error) {
 	c, err := CompileWith(src, cat, Options{})
 	if err != nil {
@@ -43,45 +44,17 @@ type Compiled struct {
 	Est  plan.Estimate
 }
 
-// CompileWith parses and binds a query under the given options.
+// CompileWith parses and binds a query under the given options. With a
+// cost model the binder picks the scan anchor, orients every Expand and
+// orders the frontier by estimated cardinality; the chosen anchor also
+// becomes the f-Tree root, minimizing de-factoring under the highest-fanout
+// prefix. Without one it binds the pattern as written. Both shapes return
+// identical results.
 func CompileWith(src string, cat *catalog.Catalog, opts Options) (*Compiled, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return BindWith(q, cat, opts)
-}
-
-// binder carries binding state.
-type binder struct {
-	cat       *catalog.Catalog
-	plan      plan.Plan
-	bound     map[string]bool            // pattern variables bound so far
-	labels    map[string]catalog.LabelID // var -> label (AnyLabel when free)
-	projected map[string]bool            // canonical columns already projected
-
-	cost   *plan.CostModel // nil = syntactic binding
-	params []vector.Value  // $k slot values (may be empty)
-	rows   float64         // running cardinality estimate (cost mode)
-	anchor string          // first clause's chosen anchor variable
-}
-
-// Bind lowers a parsed query to the syntactic physical plan.
-func Bind(q *Query, cat *catalog.Catalog) (plan.Plan, error) {
-	c, err := BindWith(q, cat, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return c.Plan, nil
-}
-
-// BindWith lowers a parsed query to a physical plan under the given
-// options. With a cost model the binder picks the scan anchor, orients
-// every Expand and orders the frontier by estimated cardinality; the
-// chosen anchor also becomes the f-Tree root, minimizing de-factoring
-// under the highest-fanout prefix. Without one it binds the pattern as
-// written. Both shapes return identical results.
-func BindWith(q *Query, cat *catalog.Catalog, opts Options) (*Compiled, error) {
 	b := &binder{
 		cat:       cat,
 		bound:     map[string]bool{},
@@ -106,6 +79,20 @@ func BindWith(q *Query, cat *catalog.Catalog, opts Options) (*Compiled, error) {
 		Plan: plan.LowerWCOJ(b.plan),
 		Est:  plan.Estimate{Rows: b.rows, CostBased: b.cost != nil, Anchor: b.anchor},
 	}, nil
+}
+
+// binder carries binding state.
+type binder struct {
+	cat       *catalog.Catalog
+	plan      plan.Plan
+	bound     map[string]bool            // pattern variables bound so far
+	labels    map[string]catalog.LabelID // var -> label (AnyLabel when free)
+	projected map[string]bool            // canonical columns already projected
+
+	cost   *plan.CostModel // nil = syntactic binding
+	params []vector.Value  // $k slot values (may be empty)
+	rows   float64         // running cardinality estimate (cost mode)
+	anchor string          // first clause's chosen anchor variable
 }
 
 // bindMatch lowers one MATCH clause, dispatching on the planning mode.

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzCompile asserts the frontend never panics: every input either
-// compiles or returns an error. Run longer with:
+// compiles (as written, and prepared through the plan cache) or returns an
+// error. Run longer with:
 //
 //	go test -fuzz=FuzzCompile ./internal/cypher
 func FuzzCompile(f *testing.F) {
@@ -32,8 +33,13 @@ func FuzzCompile(f *testing.F) {
 		f.Add(s)
 	}
 	cat := testgraph.New().Cat
+	sealed := testgraph.New()
+	sealed.Graph.SealCSR()
+	cache := NewCache(sealed.Graph)
 	f.Fuzz(func(t *testing.T, src string) {
-		// Must not panic; errors are fine.
+		// Must not panic; errors are fine. Prepare adds normalization and
+		// the cost-based binder over the sealed graph's statistics.
 		_, _ = Compile(src, cat)
+		_, _ = cache.Prepare(src)
 	})
 }

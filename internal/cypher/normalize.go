@@ -10,7 +10,7 @@ import (
 // Normalize rewrites a query's parameterizable literals into $k
 // placeholders and returns the normalized text plus the extracted values in
 // slot order (slot k = params[k-1]). Literal-differing queries normalize to
-// the same text, so the service's plan cache can serve one compiled
+// the same text, so the plan cache (Cache) can serve one compiled
 // skeleton for all of them and re-bind the values per request.
 //
 // The normalized text is a canonical token rendering (single spaces,

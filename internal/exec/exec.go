@@ -89,8 +89,8 @@ type Engine struct {
 	// process-wide scheduler.
 	Sched *sched.Scheduler
 	// Params is the per-execution parameter vector for plans compiled
-	// from normalized query text ($k placeholders). Bound once per Run via
-	// plan.BindParams, before fusion, so every downstream operator and
+	// from normalized query text ($k placeholders). Bound once per Run
+	// (Physical), before fusion, so every downstream operator and
 	// vectorized fast path sees plain literals.
 	Params []vector.Value
 }
@@ -100,14 +100,23 @@ func New(mode Mode) *Engine {
 	return &Engine{Mode: mode, Pool: storage.NewPool()}
 }
 
-// Run executes the plan and returns the flat result block.
-func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
-	if len(e.Params) > 0 {
-		p = plan.BindParams(p, e.Params)
+// Physical returns the plan an engine in mode runs for a plan skeleton:
+// params bound into its $k slots, then, in ModeFused, the fusion rewrite.
+// Engine.Run and every EXPLAIN go through it, so a printed plan is the one
+// that runs.
+func Physical(mode Mode, p plan.Plan, params []vector.Value) plan.Plan {
+	if len(params) > 0 {
+		p = plan.BindParams(p, params)
 	}
-	if e.Mode == ModeFused {
+	if mode == ModeFused {
 		p = plan.Fuse(p)
 	}
+	return p
+}
+
+// Run executes the plan and returns the flat result block.
+func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
+	p = Physical(e.Mode, p, e.Params)
 	// The arena brackets plan execution: operators draw all scratch from
 	// it, and once the result is flattened into row values (which alias no
 	// arena memory) everything goes back to the engine's shared pool in one

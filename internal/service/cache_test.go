@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/ldbc"
 	"ges/internal/service"
@@ -81,51 +82,8 @@ func TestPlanCacheHitCounter(t *testing.T) {
 	if size != 1 {
 		t.Fatalf("size = %d, want 1", size)
 	}
-	if capacity != service.DefaultPlanCacheSize {
-		t.Fatalf("capacity = %d, want default %d", capacity, service.DefaultPlanCacheSize)
-	}
-}
-
-// TestPlanCacheEviction bounds the cache: with capacity 2, a third distinct
-// query evicts the least recently used entry and the size never exceeds the
-// bound. The queries differ structurally (not just in literals — those
-// normalize onto one entry).
-func TestPlanCacheEviction(t *testing.T) {
-	ts := testServerWith(t, service.Options{PlanCacheSize: 2})
-	shapes := []string{
-		`MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 1 RETURN COUNT(*) AS friends`,
-		`MATCH (p:Person) RETURN COUNT(*) AS persons`,
-		`MATCH (p:Person)-[:KNOWS]->(f)-[:KNOWS]->(g) WHERE id(p) = 1 RETURN COUNT(*) AS fof`,
-	}
-	queryFor := func(id int) string { return shapes[id-1] }
-	for id := 1; id <= 3; id++ {
-		resp, out := post(t, ts, "/query", service.QueryRequest{Query: queryFor(id)})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("query %d: status %d: %v", id, resp.StatusCode, out)
-		}
-	}
-	_, misses, size, capacity := planCacheStats(t, ts)
-	if capacity != 2 {
-		t.Fatalf("capacity = %d, want 2", capacity)
-	}
-	if size != 2 {
-		t.Fatalf("size = %d, want 2 (bounded by capacity)", size)
-	}
-	if misses != 3 {
-		t.Fatalf("misses = %d, want 3", misses)
-	}
-	// Query 1 was evicted (LRU): re-running it must miss, while query 3 hits.
-	post(t, ts, "/query", service.QueryRequest{Query: queryFor(3)})
-	post(t, ts, "/query", service.QueryRequest{Query: queryFor(1)})
-	hits, misses, size, _ := planCacheStats(t, ts)
-	if hits != 1 {
-		t.Fatalf("hits = %d, want 1 (only the re-run of query 3)", hits)
-	}
-	if misses != 4 {
-		t.Fatalf("misses = %d, want 4 (query 1 was evicted)", misses)
-	}
-	if size != 2 {
-		t.Fatalf("size = %d after re-insertions, want 2", size)
+	if capacity != cypher.PlanCacheSize {
+		t.Fatalf("capacity = %d, want %d", capacity, cypher.PlanCacheSize)
 	}
 }
 

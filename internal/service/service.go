@@ -18,9 +18,7 @@ import (
 	"ges/internal/exec"
 	"ges/internal/ldbc"
 	"ges/internal/ldbc/queries"
-	"ges/internal/plan"
 	"ges/internal/storage"
-	"ges/internal/vector"
 )
 
 // Server serves one dataset. A /query request runs through its own engine
@@ -34,7 +32,7 @@ type Server struct {
 	mode     exec.Mode
 	pool     *storage.Pool
 	parallel int
-	cache    *planCache
+	cache    *cypher.Cache
 	ldbc     map[string]*ldbcQuery // by query name, with its parameter schema
 	// now is injectable for deterministic tests.
 	now func() time.Time
@@ -54,9 +52,6 @@ type Options struct {
 	// Parallel is the intra-query parallelism degree given to each
 	// request's engine (<= 1 = sequential).
 	Parallel int
-	// PlanCacheSize bounds the compiled-plan LRU; values < 1 use
-	// DefaultPlanCacheSize.
-	PlanCacheSize int
 }
 
 // MaxRequestBytes caps a POST body; a larger one is answered with 413.
@@ -75,7 +70,7 @@ func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 		mode:     mode,
 		pool:     storage.NewPool(),
 		parallel: opts.Parallel,
-		cache:    newPlanCache(opts.PlanCacheSize),
+		cache:    cypher.NewCache(ds.Graph),
 		ldbc:     ldbcSchemas(ds),
 		now:      time.Now,
 	}
@@ -121,41 +116,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Literals are normalized into $k placeholders so literal-differing
-	// requests share one plan skeleton; the cache keys on the normalized
-	// text plus the catalog version, the statistics epoch and the parameter
-	// kind fingerprint. A hit skips the lex/parse/bind pipeline and only
-	// re-binds the literal values; schema changes and statistics re-seals
-	// invalidate by key mismatch.
-	norm, params, err := cypher.Normalize(req.Query)
+	// A plan-cache hit skips the lex/parse/bind pipeline; the engine
+	// re-binds the request's literal values either way.
+	pr, err := s.cache.Prepare(req.Query)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := planKey{
-		query:   norm,
-		catalog: s.ds.H.Cat.Version(),
-		stats:   s.ds.Graph.StatsEpoch(),
-		kinds:   paramKinds(params),
-	}
-	p, est, ok := s.cache.get(key)
-	if !ok {
-		// A nil cost model (no statistics before the first seal) binds syntactically.
-		cm := plan.NewCostModel(s.ds.Graph.Stats())
-		c, err := cypher.CompileWith(norm, s.ds.H.Cat, cypher.Options{Cost: cm, Params: params})
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		p, est = c.Plan, c.Est
-		s.cache.put(key, p, est)
-	}
 	eng := s.newEngine()
-	eng.Params = params
+	eng.Params = pr.Params
 	start := s.now()
 	snap := s.runner.Mgr.AcquireSnapshot()
 	defer s.runner.Mgr.Release(snap)
-	res, err := eng.Run(snap, p)
+	res, err := eng.Run(snap, pr.Plan)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -164,7 +137,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		"durationMs":            float64(s.now().Sub(start).Microseconds()) / 1000,
 		"peakIntermediateBytes": res.PeakMem,
 	}
-	if est.CostBased {
+	if est := pr.Est; est.CostBased {
 		s.estQueries.Add(1)
 		s.estRows.Add(uint64(est.Rows + 0.5))
 		if res.Block != nil {
@@ -174,20 +147,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		reqStats["anchor"] = est.Anchor
 	}
 	writeResult(w, res.Block, reqStats)
-}
-
-// paramKinds fingerprints the extracted literal kinds so a query whose
-// literals re-lex to different types cannot reuse a plan skeleton shaped
-// for other kinds (e.g. an id() seek compiled against an integer).
-func paramKinds(params []vector.Value) string {
-	if len(params) == 0 {
-		return ""
-	}
-	b := make([]byte, len(params))
-	for i, p := range params {
-		b[i] = byte('0' + int(p.Kind))
-	}
-	return string(b)
 }
 
 // LDBCRequest is the body of POST /ldbc. Params may be omitted (or null) to
@@ -252,7 +211,7 @@ func renderParams(p queries.Params) map[string]any {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.ds.Stats()
 	overlays, version := s.runner.Mgr.Stats()
-	hits, misses := s.cache.counters()
+	hits, misses, size, capacity := s.cache.Stats()
 	writeJSON(w, map[string]any{
 		"simSF":           st.SF,
 		"persons":         st.Persons,
@@ -264,8 +223,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"planCache": map[string]any{
 			"hits":     hits,
 			"misses":   misses,
-			"size":     s.cache.size(),
-			"capacity": s.cache.capacity(),
+			"size":     size,
+			"capacity": capacity,
 		},
 		"statistics": s.statsSection(),
 		"overlay":    s.overlaySection(),

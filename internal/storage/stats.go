@@ -49,7 +49,7 @@ func (g *Graph) sealStats() {
 func (g *Graph) Stats() *stats.Snapshot { return g.statsSnap.Load() }
 
 // StatsEpoch returns the epoch of the current snapshot, or 0 before the
-// first SealCSR. The service folds it into plan-cache keys; background
+// first SealCSR. The plan cache (cypher.Cache) keys on it; background
 // reseals bump it monotonically, so cached plans shaped for pre-reseal
 // cardinalities retire on the next lookup.
 func (g *Graph) StatsEpoch() uint64 {
