@@ -204,6 +204,26 @@ func TestExplainShowsFusion(t *testing.T) {
 	if !strings.Contains(s, "SeekExpand(fused)") {
 		t.Fatalf("fused plan missing SeekExpand: %s", s)
 	}
+	// Posts only counted become their authors' run lengths; an output column
+	// no sort key reads is gathered after the cut.
+	s, err = db.Explain(`
+		MATCH (p:Person)-[:KNOWS]->(f:Person)-[:WROTE]->(post:Post) WHERE id(p) = 1
+		RETURN id(f) AS fid, COUNT(*) AS n ORDER BY n DESC LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, "Expand(count) -> AggregateProjectTop(fused)") {
+		t.Fatalf("fused plan missing the count-only leaf: %s", s)
+	}
+	s, err = db.Explain(`
+		MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) = 1
+		RETURN f.name, f.age ORDER BY f.age DESC LIMIT 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, "OrderBy(late f.name)") {
+		t.Fatalf("fused plan does not gather f.name after the cut: %s", s)
+	}
 }
 
 func TestStats(t *testing.T) {

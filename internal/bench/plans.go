@@ -19,9 +19,9 @@ import (
 // countOnly is the fused global count every expansion workload ends in.
 func countOnly() op.Operator {
 	return &op.AggregateProjectTop{
-		Aggs:  []op.AggSpec{{Func: op.Count, As: "n"}},
-		Keys:  []op.SortKey{{Col: "n"}},
-		Limit: 1,
+		Aggregate: op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
+		Keys:      []op.SortKey{{Col: "n"}},
+		Limit:     1,
 	}
 }
 
@@ -61,10 +61,9 @@ func GatherScanPlan(ds *ldbc.Dataset) plan.Plan {
 		&op.Filter{Pred: expr.Eq(expr.C("c.browserUsed"), expr.LStr("Chrome"))},
 		&op.Filter{Pred: expr.Ge(expr.C("c.creationDate"), expr.LDate((ldbc.DayStart+ldbc.DayEnd)/2))},
 		&op.AggregateProjectTop{
-			GroupBy: []string{"c.browserUsed"},
-			Aggs:    []op.AggSpec{{Func: op.Count, As: "n"}},
-			Keys:    []op.SortKey{{Col: "n", Desc: true}},
-			Limit:   1,
+			Aggregate: op.Aggregate{GroupBy: []string{"c.browserUsed"}, Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
+			Keys:      []op.SortKey{{Col: "n", Desc: true}},
+			Limit:     1,
 		},
 	}
 }

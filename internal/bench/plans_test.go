@@ -32,9 +32,9 @@ func fusedExpandPlan(ds *ldbc.Dataset) plan.Plan {
 		&op.NodeScan{Var: "p", Label: h.Person}, knows("p", "f"), g,
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 		&op.AggregateProjectTop{
-			Aggs:  []op.AggSpec{{Func: op.Count, As: "n"}},
-			Keys:  []op.SortKey{{Col: "n"}},
-			Limit: 1,
+			Aggregate: op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
+			Keys:      []op.SortKey{{Col: "n"}},
+			Limit:     1,
 		},
 	}
 }

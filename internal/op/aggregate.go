@@ -1,9 +1,11 @@
 package op
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
-	"strings"
+	"sync"
 
 	"ges/internal/core"
 	"ges/internal/vector"
@@ -41,6 +43,15 @@ type AggSpec struct {
 type Aggregate struct {
 	GroupBy []string
 	Aggs    []AggSpec
+
+	// Weights name the columns count-only expands (Expand.Count) leave in
+	// place of their leaves: a row stands for as many tuples as the product
+	// of its weights. plan.Fuse sets them.
+	Weights []string
+	// KeyVar, set by plan.Fuse, is the single-label variable whose id() the
+	// lone GroupBy column is. The table then keys groups by the variable's
+	// VID in a dense array and reads each group's id once, when it emits.
+	KeyVar string
 }
 
 // Name implements Operator.
@@ -48,32 +59,35 @@ func (o *Aggregate) Name() string { return "Aggregate" }
 
 // Execute implements Operator.
 func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	out, err := aggregate(in, o.GroupBy, o.Aggs)
+	t, err := o.group(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.FlatChunk(out), nil
+	defer t.release()
+	return ctx.FlatChunk(t.block(t.slots(ctx, true))), nil
 }
 
-// aggregate is the one aggregation kernel; Aggregate and AggregateProjectTop
+// group is the one aggregation kernel; Aggregate and AggregateProjectTop
 // both call it. A flat block folds row by row. An f-Tree folds only the
 // columns the aggregates read:
 //
-//   - when every group-by column and argument lives on one node (COUNT(*)
-//     alone anchors at the root), each row of that node is folded once,
-//     weighted by the number of full tuples it takes part in (tupleWeights)
-//     — no tuple is enumerated;
-//   - otherwise the constant-delay enumeration of just those columns streams
-//     into the group table. So does a float SUM or AVG over a tree of several
-//     nodes: a weight multiplies what the enumeration adds tuple by tuple,
-//     and float addition does not associate.
-func aggregate(in *core.Chunk, groupBy []string, aggs []AggSpec) (*core.FlatBlock, error) {
-	t, err := newAggTable(groupBy, aggs)
+//   - when every group-by column and argument lies on one root-to-leaf chain
+//     (COUNT(*) alone anchors at the root), each row of the chain's deepest
+//     node is folded once, weighted by the number of full tuples it takes
+//     part in (tupleWeights), and the columns of its ancestors are read
+//     through parent-row maps — no tuple is enumerated;
+//   - otherwise, for columns on sibling branches, the constant-delay
+//     enumeration of just those columns streams into the group table. So
+//     does a float SUM or AVG over a tree of several nodes: a weight
+//     multiplies what the enumeration adds tuple by tuple, and float
+//     addition does not associate.
+func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
+	t, err := newAggTable(o)
 	if err != nil {
 		return nil, err
 	}
 	if in.IsFlat() {
-		return t.foldFlat(in.Flat)
+		return t, t.foldFlat(in.Flat)
 	}
 	ft := in.FT
 	if ft == nil {
@@ -84,85 +98,136 @@ func aggregate(in *core.Chunk, groupBy []string, aggs []AggSpec) (*core.FlatBloc
 	if err != nil {
 		return nil, err
 	}
+	nodes := ft.Nodes()
 	kinds := make([]vector.Kind, len(refs))
 	for i, r := range refs {
-		kinds[i] = ft.Nodes()[r.Node].Block.Column(r.Col).Kind
+		kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
 	}
 	t.bind(kinds)
-	node := ft.Root
-	if len(refs) > 0 {
-		node = ft.NodeOfColumns(t.cols)
-	}
-	multi := len(ft.Nodes()) > 1
-	if node == nil || (multi && t.floatSum()) {
+	nf := len(refs) - len(o.Weights)
+	node := foldNode(ft, refs[:nf])
+	if node == nil || (len(nodes) > 1 && t.floatSum()) {
 		ft.Enumerate(refs, func(row []vector.Value) bool {
-			t.fold(row, 1)
+			t.foldValues(row)
 			return true
 		})
-		return t.emit(), nil
+		return t, nil
 	}
-	// A single-node tree needs no weights: every selected row is one tuple.
-	var w []int64
-	if multi {
-		w = tupleWeights(ft, node)
-	}
-	cols := make([]*vector.Column, len(refs))
-	for i, r := range refs {
-		cols[i] = node.Block.Column(r.Col)
-	}
-	row := make([]vector.Value, len(cols))
-	for i, n := 0, node.Block.NumRows(); i < n; i++ {
-		wi := int64(1)
-		if w != nil {
-			if wi = w[i]; wi == 0 {
-				continue
-			}
-		} else if !node.Sel.Get(i) {
-			continue
+	buf := weightBufs.Get().(*[]int64)
+	defer weightBufs.Put(buf)
+	w := tupleWeights(ft, node, refs[nf:], buf)
+	t.bindColumns(ctx, ft, node, refs[:nf])
+	defer func() {
+		for _, m := range t.held {
+			ctx.Arena.PutInt32s(m)
 		}
-		for k, c := range cols {
-			row[k] = c.Get(i)
+	}()
+	for i, wi := range w {
+		if wi != 0 {
+			t.foldAt(i, wi)
 		}
-		t.fold(row, wi)
 	}
-	return t.emit(), nil
+	return t, nil
+}
+
+// foldNode returns the deepest node of the root-to-leaf chain holding every
+// referenced column — the root when there are none — or nil when they lie on
+// sibling branches.
+func foldNode(ft *core.FTree, refs []core.ColRef) *core.Node {
+	deep := ft.Root
+	for _, r := range refs {
+		if n := ft.Nodes()[r.Node]; depth(n) > depth(deep) {
+			deep = n
+		}
+	}
+	for _, r := range refs {
+		n := deep
+		for n != nil && n.ID() != r.Node {
+			n = n.Parent
+		}
+		if n == nil {
+			return nil
+		}
+	}
+	return deep
+}
+
+func depth(n *core.Node) (d int) {
+	for ; n.Parent != nil; n = n.Parent {
+		d++
+	}
+	return d
 }
 
 // aggTable is the group table every aggregation path folds into. A folded
-// row holds cols — the distinct group-by and argument columns — and carries
-// a weight, the number of tuples it stands for.
+// row holds cols — the key columns, the distinct arguments, then the
+// weights — and stands for a number of tuples.
+//
+// Groups are slots numbered in first-seen order, and their states live in
+// slabs indexed by slot (times the number of aggregates), so opening a
+// group allocates nothing of its own. A global aggregate has one slot,
+// folded into with no key at all; a KeyVar table finds a slot by VID in a
+// dense array (visitSet); a lone integer-like or string column finds it by
+// value in a map; anything else by rowKey.
 type aggTable struct {
-	groupBy  []string
-	aggs     []AggSpec
+	o        *Aggregate
 	cols     []string
 	kinds    []vector.Kind // of cols
-	groupIdx []int         // position in cols of each group-by column
+	groupIdx []int         // position in cols of each key column
 	argIdx   []int         // position in cols of each argument; -1 for COUNT(*)
 
-	// groups holds one state per group in first-seen order; a global
-	// aggregate has exactly one, folded into with no key at all. A lone
-	// integer-like group column keys byInt by its value, a lone string
-	// column keys byKey by its value, anything else keys byKey by rowKey.
-	groups []*aggState
-	byInt  map[int64]*aggState
-	byKey  map[string]*aggState
-	keyed  keyMode
-	vals   []vector.Value // group-value scratch
+	keyed keyMode
+	n     int32            // groups
+	byVID *visitSet        // keyVID
+	byInt map[int64]int32  // keyInt
+	byKey map[string]int32 // keyString, keyRow
+	vids  []vector.VID     // keyVID: each group's key
+	keys  []vector.Value   // each group's key values; keyVID's ids once read (slots)
+	vals  []vector.Value   // key scratch
+
+	count    []int64 // slabs: slot*len(aggs)+j
+	sumI     []int64
+	sumF     []float64
+	best     []vector.Value // MIN or MAX
+	distinct []map[string]struct{}
+
+	// The fold's columns, bound to one node's rows (bindColumns).
+	bound []aggCol
+	row   []vector.Value
+	held  [][]int32 // parent-row maps to release
 }
 
 type keyMode uint8
 
 const (
 	keyGlobal keyMode = iota
+	keyVID
 	keyInt
 	keyString
 	keyRow
 )
 
-func newAggTable(groupBy []string, aggs []AggSpec) (aggTable, error) {
-	idx := make([]int, len(groupBy)+len(aggs))
-	t := aggTable{groupBy: groupBy, aggs: aggs, groupIdx: idx[:len(groupBy)],
-		argIdx: idx[len(groupBy):], vals: make([]vector.Value, len(groupBy))}
+// aggCol is one column the fold reads, at the fold node's row i or,
+// for a column on an ancestor, at rows[i].
+type aggCol struct {
+	col  *vector.Column
+	rows []int32
+}
+
+func (c *aggCol) row(i int) int {
+	if c.rows != nil {
+		return int(c.rows[i])
+	}
+	return i
+}
+
+// weightBufs recycles tupleWeights' counts across queries.
+var weightBufs = sync.Pool{New: func() any { return new([]int64) }}
+
+func newAggTable(o *Aggregate) (*aggTable, error) {
+	idx := make([]int, len(o.GroupBy)+len(o.Aggs))
+	t := &aggTable{o: o, groupIdx: idx[:len(o.GroupBy)], argIdx: idx[len(o.GroupBy):],
+		vals: make([]vector.Value, len(o.GroupBy))}
 	pos := func(c string) int {
 		i := slices.Index(t.cols, c)
 		if i < 0 {
@@ -171,23 +236,27 @@ func newAggTable(groupBy []string, aggs []AggSpec) (aggTable, error) {
 		}
 		return i
 	}
-	for i, g := range groupBy {
+	for i, g := range o.GroupBy {
+		if o.KeyVar != "" {
+			g = o.KeyVar
+		}
 		t.groupIdx[i] = pos(g)
 	}
-	for j, a := range aggs {
+	for j, a := range o.Aggs {
 		if a.Arg == "" {
 			if a.Func != Count {
-				return t, fmt.Errorf("op: aggregate %s requires an argument", a.Func)
+				return nil, fmt.Errorf("op: aggregate %s requires an argument", a.Func)
 			}
 			t.argIdx[j] = -1
 			continue
 		}
 		t.argIdx[j] = pos(a.Arg)
 	}
-	if len(groupBy) == 0 {
+	t.cols = append(t.cols, o.Weights...)
+	if len(o.GroupBy) == 0 {
 		// Global aggregation over empty input still yields one row of zero
 		// aggregates, per SQL/Cypher semantics.
-		t.groups = []*aggState{newAggState(nil, aggs)}
+		t.open()
 	}
 	return t, nil
 }
@@ -198,27 +267,38 @@ func (t *aggTable) bind(kinds []vector.Kind) {
 	switch {
 	case len(t.groupIdx) == 0:
 		t.keyed = keyGlobal
+	case t.o.KeyVar != "":
+		t.keyed, t.byVID = keyVID, visits.Get().(*visitSet)
+		t.byVID.reset()
 	case len(t.groupIdx) > 1:
-		t.keyed, t.byKey = keyRow, make(map[string]*aggState)
+		t.keyed, t.byKey = keyRow, make(map[string]int32)
 	default:
 		switch kinds[t.groupIdx[0]] {
 		case vector.KindInt64, vector.KindDate, vector.KindVID, vector.KindBool:
-			t.keyed, t.byInt = keyInt, make(map[int64]*aggState)
+			t.keyed, t.byInt = keyInt, make(map[int64]int32)
 		case vector.KindString:
-			t.keyed, t.byKey = keyString, make(map[string]*aggState)
+			t.keyed, t.byKey = keyString, make(map[string]int32)
 		default:
-			t.keyed, t.byKey = keyRow, make(map[string]*aggState)
+			t.keyed, t.byKey = keyRow, make(map[string]int32)
 		}
 	}
 }
 
+// release returns the dense key array to its pool.
+func (t *aggTable) release() {
+	if t.byVID != nil {
+		visits.Put(t.byVID)
+		t.byVID = nil
+	}
+}
+
 // foldFlat folds every row of a flat block.
-func (t *aggTable) foldFlat(fb *core.FlatBlock) (*core.FlatBlock, error) {
+func (t *aggTable) foldFlat(fb *core.FlatBlock) error {
 	idx := make([]int, len(t.cols))
 	kinds := make([]vector.Kind, len(t.cols))
 	for i, c := range t.cols {
 		if idx[i] = fb.ColIndex(c); idx[i] < 0 {
-			return nil, errNoColumn("aggregate", c)
+			return errNoColumn("aggregate", c)
 		}
 		kinds[i] = fb.Kinds[idx[i]]
 	}
@@ -228,62 +308,208 @@ func (t *aggTable) foldFlat(fb *core.FlatBlock) (*core.FlatBlock, error) {
 		for i, j := range idx {
 			row[i] = r[j]
 		}
-		t.fold(row, 1)
+		t.foldValues(row)
 	}
-	return t.emit(), nil
+	return nil
 }
 
-// fold adds one row, standing for w tuples, to its group.
-func (t *aggTable) fold(row []vector.Value, w int64) {
-	var st *aggState
+// foldValues adds one boxed row of cols, standing for the product of its
+// weights in tuples, to its group.
+func (t *aggTable) foldValues(row []vector.Value) {
+	w := int64(1)
+	for _, v := range row[len(t.cols)-len(t.o.Weights):] {
+		w *= v.I
+	}
+	if w != 0 {
+		t.foldRow(row, w)
+	}
+}
+
+// foldRow adds one row, standing for w tuples, to its group.
+func (t *aggTable) foldRow(row []vector.Value, w int64) {
+	var s int32
+	fresh := false
 	switch t.keyed {
-	case keyGlobal:
-		st = t.groups[0]
+	case keyVID:
+		s = t.slotVID(row[t.groupIdx[0]].AsVID())
 	case keyInt:
-		k := row[t.groupIdx[0]].I
-		if st = t.byInt[k]; st == nil {
-			st = t.add(row)
-			t.byInt[k] = st
-		}
+		s, fresh = slot(t, t.byInt, row[t.groupIdx[0]].I)
 	case keyString:
-		k := row[t.groupIdx[0]].S
-		if st = t.byKey[k]; st == nil {
-			st = t.add(row)
-			t.byKey[k] = st
-		}
-	default:
+		s, fresh = slot(t, t.byKey, row[t.groupIdx[0]].S)
+	case keyRow:
 		for i, g := range t.groupIdx {
 			t.vals[i] = row[g]
 		}
-		k := rowKey(t.vals)
-		if st = t.byKey[k]; st == nil {
-			st = t.add(row)
-			t.byKey[k] = st
+		s, fresh = slot(t, t.byKey, rowKey(t.vals))
+	}
+	if fresh {
+		for _, g := range t.groupIdx {
+			t.keys = append(t.keys, row[g])
 		}
 	}
-	for j, a := range t.aggs {
+	for j, a := range t.o.Aggs {
 		var v vector.Value
 		if t.argIdx[j] >= 0 {
 			v = row[t.argIdx[j]]
 		}
-		st.update(j, a, v, w)
+		t.update(int(s)*len(t.o.Aggs)+j, a, v, w)
 	}
 }
 
-// add opens the group of row.
-func (t *aggTable) add(row []vector.Value) *aggState {
-	for i, g := range t.groupIdx {
-		t.vals[i] = row[g]
+// bindColumns binds the fold to the rows of node, the deepest node of the
+// chain holding refs: a column on an ancestor reads through a map from
+// node's rows to that ancestor's rows, composed level by level from the
+// index vectors up to the highest node refs reach.
+func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs []core.ColRef) {
+	nodes := ft.Nodes()
+	top := node
+	for _, r := range refs {
+		if n := nodes[r.Node]; depth(n) < depth(top) {
+			top = n
+		}
 	}
-	st := newAggState(t.vals, t.aggs)
-	st.key = rowKey(t.vals)
-	t.groups = append(t.groups, st)
-	return st
+	rows := make([][]int32, len(nodes)) // nil on node itself: the identity
+	n := node.Block.NumRows()
+	for c := node; c != top; c = c.Parent {
+		up := ctx.Arena.GetInt32s(c.Block.NumRows())[:c.Block.NumRows()]
+		for r, rg := range c.Index {
+			for j := rg.Start; j < rg.End; j++ {
+				up[j] = int32(r)
+			}
+		}
+		m, below := ctx.Arena.GetInt32s(n)[:n], rows[c.ID()]
+		for i := range m {
+			if below != nil {
+				m[i] = up[below[i]]
+			} else {
+				m[i] = up[i]
+			}
+		}
+		ctx.Arena.PutInt32s(up)
+		rows[c.Parent.ID()] = m
+		t.held = append(t.held, m)
+	}
+	t.bound = make([]aggCol, len(refs))
+	for k, r := range refs {
+		t.bound[k] = aggCol{col: nodes[r.Node].Block.Column(r.Col), rows: rows[r.Node]}
+	}
+	t.row = make([]vector.Value, len(refs))
+}
+
+// foldAt adds row i of the fold node, standing for w tuples, to its group.
+func (t *aggTable) foldAt(i int, w int64) {
+	for k, c := range t.bound {
+		t.row[k] = c.col.Get(c.row(i))
+	}
+	t.foldRow(t.row, w)
+}
+
+// slotVID returns the slot of a VID key, opening it — and recording the key
+// — when the key is new.
+func (t *aggTable) slotVID(v vector.VID) int32 {
+	s := t.byVID.slot(v, t.n)
+	if s == t.n {
+		t.open()
+		t.vids = append(t.vids, v)
+	}
+	return s
+}
+
+// slot returns the slot of key k in m, opening it when k is new (fresh), for
+// the caller to record the key's values.
+func slot[K comparable](t *aggTable, m map[K]int32, k K) (s int32, fresh bool) {
+	if s, ok := m[k]; ok {
+		return s, false
+	}
+	s = t.open()
+	m[k] = s
+	return s, true
+}
+
+// open adds a group slot: zeroed states in every slab the aggregates use.
+func (t *aggTable) open() int32 {
+	n := len(t.count) + len(t.o.Aggs)
+	t.count = grown(t.count, n)
+	for _, a := range t.o.Aggs {
+		switch a.Func {
+		case Sum, Avg:
+			t.sumI, t.sumF = grown(t.sumI, n), grown(t.sumF, n)
+		case Min, Max:
+			t.best = grown(t.best, n)
+		case CountDistinct:
+			t.distinct = grown(t.distinct, n)
+		}
+	}
+	t.n++
+	return t.n - 1
+}
+
+// grown extends a slab with zero states to n.
+func grown[T any](s []T, n int) []T {
+	if old := len(s); old < n {
+		s = slices.Grow(s, n-old)[:n]
+		clear(s[old:])
+	}
+	return s
+}
+
+// update folds one value (with multiplicity weight) into state k, aggregate
+// a of its group.
+func (t *aggTable) update(k int, a AggSpec, v vector.Value, weight int64) {
+	switch a.Func {
+	case Count:
+		t.count[k] += weight
+	case CountDistinct:
+		if t.distinct[k] == nil {
+			t.distinct[k] = make(map[string]struct{})
+		}
+		t.distinct[k][v.String()] = struct{}{}
+	case Sum, Avg:
+		t.count[k] += weight
+		if v.Kind == vector.KindFloat64 {
+			t.sumF[k] += v.F * float64(weight)
+		} else {
+			t.sumI[k] += v.I * weight
+		}
+	case Min, Max:
+		c := vector.Compare(v, t.best[k])
+		if t.count[k] == 0 || (a.Func == Min && c < 0) || (a.Func == Max && c > 0) {
+			t.best[k] = v
+		}
+		t.count[k]++
+	}
+}
+
+// result emits the final value of state k, aggregate a over argKind.
+func (t *aggTable) result(k int, a AggSpec, argKind vector.Kind) vector.Value {
+	switch a.Func {
+	case Count:
+		return vector.Int64(t.count[k])
+	case CountDistinct:
+		return vector.Int64(int64(len(t.distinct[k])))
+	case Sum:
+		if argKind == vector.KindFloat64 {
+			return vector.Float64(t.sumF[k])
+		}
+		return vector.Int64(t.sumI[k])
+	case Avg:
+		if t.count[k] == 0 {
+			return vector.Float64(0)
+		}
+		total := t.sumF[k]
+		if argKind != vector.KindFloat64 {
+			total = float64(t.sumI[k])
+		}
+		return vector.Float64(total / float64(t.count[k]))
+	case Min, Max:
+		return t.best[k]
+	}
+	return vector.Value{}
 }
 
 // floatSum reports whether a SUM or AVG adds float arguments.
 func (t *aggTable) floatSum() bool {
-	for j, a := range t.aggs {
+	for j, a := range t.o.Aggs {
 		if (a.Func == Sum || a.Func == Avg) && t.argIdx[j] >= 0 && t.kinds[t.argIdx[j]] == vector.KindFloat64 {
 			return true
 		}
@@ -299,134 +525,100 @@ func (t *aggTable) argKind(j int) vector.Kind {
 	return t.kinds[t.argIdx[j]]
 }
 
-// emit renders the group table, groups in ascending group-key order for
-// determinism.
-func (t *aggTable) emit() *core.FlatBlock {
-	names := append(make([]string, 0, len(t.groupBy)+len(t.aggs)), t.groupBy...)
-	kinds := make([]vector.Kind, 0, len(names))
-	for _, g := range t.groupIdx {
-		kinds = append(kinds, t.kinds[g])
+// keyKind is the kind of group column i as emitted: a KeyVar key emits the
+// variable's id.
+func (t *aggTable) keyKind(i int) vector.Kind {
+	if t.keyed == keyVID {
+		return vector.KindInt64
 	}
-	for j, a := range t.aggs {
+	return t.kinds[t.groupIdx[i]]
+}
+
+// slots returns the group slots: with ordered, in ascending rowKey order of
+// their keys — the order every consumer that can observe it sees; otherwise
+// in first-seen order. A KeyVar table reads every group's id here, in one
+// batch.
+func (t *aggTable) slots(ctx *Ctx, ordered bool) []int32 {
+	if t.keyed == keyVID {
+		ids := make([]int64, len(t.vids))
+		ctx.View.GatherExtIDs(t.vids, nil, ids)
+		t.keys = make([]vector.Value, len(ids))
+		for i, id := range ids {
+			t.keys[i] = vector.Int64(id)
+		}
+	}
+	slots := make([]int32, t.n)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	if ordered && len(slots) > 1 {
+		t.sortSlots(slots)
+	}
+	return slots
+}
+
+// value returns output column c — the group-by columns, then the
+// aggregates — of group s.
+func (t *aggTable) value(s int32, c int) vector.Value {
+	ng := len(t.o.GroupBy)
+	if c < ng {
+		return t.keys[int(s)*ng+c]
+	}
+	j := c - ng
+	return t.result(int(s)*len(t.o.Aggs)+j, t.o.Aggs[j], t.argKind(j))
+}
+
+// comparator orders two groups by output column c as vector.Compare orders
+// their values; a COUNT compares its slab directly.
+func (t *aggTable) comparator(c int) func(a, b int32) int {
+	na := len(t.o.Aggs)
+	if j := c - len(t.o.GroupBy); j >= 0 && t.o.Aggs[j].Func == Count {
+		return func(a, b int32) int { return cmp.Compare(t.count[int(a)*na+j], t.count[int(b)*na+j]) }
+	}
+	return func(a, b int32) int { return vector.Compare(t.value(a, c), t.value(b, c)) }
+}
+
+// block renders the groups of slots, in that order.
+func (t *aggTable) block(slots []int32) *core.FlatBlock {
+	o := t.o
+	names := append(make([]string, 0, len(o.GroupBy)+len(o.Aggs)), o.GroupBy...)
+	kinds := make([]vector.Kind, 0, len(names))
+	for i := range o.GroupBy {
+		kinds = append(kinds, t.keyKind(i))
+	}
+	for j, a := range o.Aggs {
 		names = append(names, a.As)
 		kinds = append(kinds, aggOutputKind(a, t.argKind(j)))
 	}
 	out := core.NewFlatBlock(names, kinds)
-	slices.SortFunc(t.groups, func(a, b *aggState) int { return strings.Compare(a.key, b.key) })
-	vals := make([]vector.Value, 0, len(t.groups)*len(names))
-	out.Rows = make([][]vector.Value, len(t.groups))
-	for i, st := range t.groups {
-		lo := len(vals)
-		vals = append(vals, st.groupVals...)
-		for j, a := range t.aggs {
-			vals = append(vals, st.result(j, a, t.argKind(j)))
+	w := len(names)
+	vals := make([]vector.Value, len(slots)*w)
+	out.Rows = make([][]vector.Value, len(slots))
+	for i, s := range slots {
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		for c := range row {
+			row[c] = t.value(s, c)
 		}
-		out.Rows[i] = vals[lo:len(vals):len(vals)]
+		out.Rows[i] = row
 	}
 	return out
 }
 
-// aggState accumulates one group.
-type aggState struct {
-	key       string // rowKey of groupVals, the emission order
-	groupVals []vector.Value
-	count     []int64
-	sumI      []int64
-	sumF      []float64
-	min       []vector.Value
-	max       []vector.Value
-	distinct  []map[string]struct{}
-}
-
-// newAggState allocates only the accumulator slices the aggregate specs
-// actually use — COUNT-only groups (the common case) carry just the count
-// slice.
-func newAggState(groupVals []vector.Value, aggs []AggSpec) *aggState {
-	s := &aggState{
-		groupVals: append([]vector.Value(nil), groupVals...),
-		count:     make([]int64, len(aggs)),
+// sortSlots orders group slots by the rowKeys of their keys, written once
+// per group into one buffer.
+func (t *aggTable) sortSlots(slots []int32) {
+	ng := len(t.o.GroupBy)
+	var buf []byte
+	ends := make([]int, t.n+1)
+	for s := range t.n {
+		for _, v := range t.keys[int(s)*ng : int(s+1)*ng] {
+			buf = appendKey(buf, v)
+		}
+		ends[s+1] = len(buf)
 	}
-	for _, a := range aggs {
-		switch a.Func {
-		case Sum, Avg:
-			if s.sumI == nil {
-				s.sumI = make([]int64, len(aggs))
-				s.sumF = make([]float64, len(aggs))
-			}
-		case Min:
-			if s.min == nil {
-				s.min = make([]vector.Value, len(aggs))
-			}
-		case Max:
-			if s.max == nil {
-				s.max = make([]vector.Value, len(aggs))
-			}
-		case CountDistinct:
-			if s.distinct == nil {
-				s.distinct = make([]map[string]struct{}, len(aggs))
-			}
-		}
-	}
-	return s
-}
-
-// update folds one value (with multiplicity weight) into aggregate j.
-func (s *aggState) update(j int, spec AggSpec, v vector.Value, weight int64) {
-	switch spec.Func {
-	case Count:
-		s.count[j] += weight
-	case CountDistinct:
-		if s.distinct[j] == nil {
-			s.distinct[j] = make(map[string]struct{})
-		}
-		s.distinct[j][v.String()] = struct{}{}
-	case Sum, Avg:
-		s.count[j] += weight
-		if v.Kind == vector.KindFloat64 {
-			s.sumF[j] += v.F * float64(weight)
-		} else {
-			s.sumI[j] += v.I * weight
-		}
-	case Min:
-		if s.count[j] == 0 || vector.Compare(v, s.min[j]) < 0 {
-			s.min[j] = v
-		}
-		s.count[j]++
-	case Max:
-		if s.count[j] == 0 || vector.Compare(v, s.max[j]) > 0 {
-			s.max[j] = v
-		}
-		s.count[j]++
-	}
-}
-
-// result emits the final value of aggregate j.
-func (s *aggState) result(j int, spec AggSpec, argKind vector.Kind) vector.Value {
-	switch spec.Func {
-	case Count:
-		return vector.Int64(s.count[j])
-	case CountDistinct:
-		return vector.Int64(int64(len(s.distinct[j])))
-	case Sum:
-		if argKind == vector.KindFloat64 {
-			return vector.Float64(s.sumF[j])
-		}
-		return vector.Int64(s.sumI[j])
-	case Avg:
-		if s.count[j] == 0 {
-			return vector.Float64(0)
-		}
-		total := s.sumF[j]
-		if argKind != vector.KindFloat64 {
-			total = float64(s.sumI[j])
-		}
-		return vector.Float64(total / float64(s.count[j]))
-	case Min:
-		return s.min[j]
-	case Max:
-		return s.max[j]
-	}
-	return vector.Value{}
+	slices.SortFunc(slots, func(a, b int32) int {
+		return bytes.Compare(buf[ends[a]:ends[a+1]], buf[ends[b]:ends[b+1]])
+	})
 }
 
 // aggOutputKind returns the result kind of an aggregate over argKind.
@@ -441,50 +633,73 @@ func aggOutputKind(spec AggSpec, argKind vector.Kind) vector.Kind {
 	}
 }
 
-// HashAggregateBlock exposes the flat grouping kernel for alternative
-// executors (volcano drains its child iterator into a block and reuses the
-// same aggregation semantics, keeping results comparable).
-func HashAggregateBlock(fb *core.FlatBlock, groupBy []string, aggs []AggSpec) (*core.FlatBlock, error) {
-	return aggregate(&core.Chunk{Flat: fb}, groupBy, aggs)
-}
-
 // tupleWeights returns, for every row of node, the number of valid full
 // tuples of R_FT the row takes part in: down × up. One bottom-up ("down")
-// pass over the whole tree counts each row's subtree; the top-down ("up")
-// pass runs only along the path from the root to node, carrying the product
-// of the rest of the tree. A root row's up is 1, so COUNT(*) — anchored at
-// the root — costs the bottom-up pass alone.
-func tupleWeights(ft *core.FTree, node *core.Node) []int64 {
+// pass over every node but node's ancestors counts each row's subtree — a
+// weight column (a count-only leaf) multiplying its node's rows; the
+// top-down ("up") pass runs only along the path from the root to node,
+// carrying the product of the rest of the tree. A root row's up is 1, so COUNT(*) — anchored at the
+// root — costs the bottom-up pass alone.
+//
+// The counts live in *scratch, grown as needed and recycled by the caller;
+// the returned weights alias it.
+func tupleWeights(ft *core.FTree, node *core.Node, weights []core.ColRef, scratch *[]int64) []int64 {
 	nodes := ft.Nodes()
-	// One backing array holds every node's down counts; small trees keep the
-	// per-node views on the stack.
+	// One backing array holds every node's down counts and the up counts of
+	// the path to node; small trees keep the per-node views on the stack.
 	var views [8][]int64
 	down := views[:0]
 	if len(nodes) > len(views) {
 		down = make([][]int64, 0, len(nodes))
 	}
-	total := 0
-	for _, nd := range nodes {
-		total += nd.Block.NumRows()
+	// node's strict ancestors need no down counts: the up pass reads those
+	// of node and of the siblings along its path only.
+	ancestor := func(nd *core.Node) bool {
+		for n := node.Parent; n != nil; n = n.Parent {
+			if n == nd {
+				return true
+			}
+		}
+		return false
 	}
-	buf := make([]int64, total)
+	total := ft.Root.Block.NumRows()
+	for _, nd := range nodes {
+		if !ancestor(nd) {
+			total += nd.Block.NumRows()
+		}
+	}
+	for n := node; n.Parent != nil; n = n.Parent {
+		total += n.Block.NumRows()
+	}
+	buf := slices.Grow((*scratch)[:0], total)[:total]
+	clear(buf)
+	*scratch = buf
 	for _, nd := range nodes {
 		n := nd.Block.NumRows()
+		if ancestor(nd) {
+			n = 0
+		}
 		down, buf = append(down, buf[:n:n]), buf[n:]
 	}
 	// Bottom-up: children have larger IDs than parents (preorder append).
 	for i := len(nodes) - 1; i >= 0; i-- {
 		nd := nodes[i]
 		d := down[i]
+		var wb [4][]int64
+		ws := weightsOn(wb[:0], nd, weights)
 		for r := range d {
 			if !nd.Sel.Get(r) {
 				continue
 			}
 			prod := int64(1)
+			for _, x := range ws {
+				prod *= x[r]
+			}
 			for _, c := range nd.Children {
-				if prod *= rangeSum(down[c.ID()], c.Index[r]); prod == 0 {
+				if prod == 0 {
 					break
 				}
+				prod *= rangeSum(down[c.ID()], c.Index[r])
 			}
 			d[r] = prod
 		}
@@ -497,7 +712,7 @@ func tupleWeights(ft *core.FTree, node *core.Node) []int64 {
 	for n := node; n.Parent != nil; n = n.Parent {
 		path = append(path, n)
 	}
-	up := make([]int64, ft.Root.Block.NumRows())
+	up, buf := buf[:ft.Root.Block.NumRows()], buf[ft.Root.Block.NumRows():]
 	for r := range up {
 		if ft.Root.Sel.Get(r) {
 			up[r] = 1
@@ -506,12 +721,18 @@ func tupleWeights(ft *core.FTree, node *core.Node) []int64 {
 	for k := len(path) - 1; k >= 0; k-- {
 		c := path[k]
 		p := c.Parent
-		next := make([]int64, c.Block.NumRows())
+		next := buf[:c.Block.NumRows()]
+		buf = buf[len(next):]
+		var wb [4][]int64
+		ws := weightsOn(wb[:0], p, weights)
 		for r, u := range up {
 			// Only valid parent rows extend tuples downward: up may be
 			// positive for rows the selection vector has since invalidated.
 			if u == 0 || !p.Sel.Get(r) {
 				continue
+			}
+			for _, x := range ws {
+				u *= x[r]
 			}
 			for _, s := range p.Children {
 				if s != c {
@@ -534,6 +755,16 @@ func tupleWeights(ft *core.FTree, node *core.Node) []int64 {
 		w[r] *= up[r]
 	}
 	return w
+}
+
+// weightsOn appends to dst the values of the weight columns on node nd.
+func weightsOn(dst [][]int64, nd *core.Node, weights []core.ColRef) [][]int64 {
+	for _, c := range weights {
+		if c.Node == nd.ID() {
+			dst = append(dst, nd.Block.Column(c.Col).Int64s())
+		}
+	}
+	return dst
 }
 
 // rangeSum adds the weights of one index-vector range.

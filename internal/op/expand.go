@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/core"
@@ -42,6 +43,13 @@ type Expand struct {
 	// VertexPred filters candidate neighbors by their own vertex data.
 	VertexPred *VertexPred
 
+	// Count makes the expand count-only, set by plan.Fuse when nothing reads
+	// To but the weights of the aggregate above (Aggregate.Weights): instead
+	// of a child node it adds an int64 column named To to From's node, each
+	// row's neighbor count (Batch.RunLen). On a flat chunk it appends that
+	// column to every row.
+	Count bool
+
 	// NoLazy disables the pointer-based join (lazy neighbor segments) and
 	// forces materialized neighbor IDs — the ablation knob for §5's
 	// pointer-based-join claim.
@@ -50,6 +58,9 @@ type Expand struct {
 
 // Name implements Operator.
 func (o *Expand) Name() string {
+	if o.Count {
+		return "Expand(count)"
+	}
 	if o.VertexPred != nil {
 		return "Expand(fused-filter)"
 	}
@@ -85,10 +96,66 @@ func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.IsFlat() {
+	switch {
+	case o.Count && in.IsFlat():
+		return o.countFlat(ctx, in.Flat)
+	case o.Count:
+		return o.countFactorized(ctx, in.FT)
+	case in.IsFlat():
 		return o.executeFlat(ctx, in.Flat, epp, pred)
 	}
 	return o.executeFactorized(ctx, in.FT, epp, pred)
+}
+
+// countFactorized adds From's node the column To of its rows' neighbor
+// counts; an invalid row counts 0.
+func (o *Expand) countFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error) {
+	parent, fromCol, err := vidColumn(ft, o.From)
+	if err != nil {
+		return nil, err
+	}
+	n := parent.Block.NumRows()
+	out := ctx.Arena.OwnColumn(o.To, vector.KindInt64)
+	out.Grow(n)
+	forRanges(ctx, n, expandMorselSize, func(lo, hi int) {
+		srcs := expandSrcs(parent, fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
+		o.runLens(ctx, srcs, out.Int64s()[lo:hi])
+		ctx.Arena.PutVIDs(srcs)
+	})
+	parent.Block.AddColumn(out)
+	assertFTree(ft)
+	return ctx.FTChunk(ft), nil
+}
+
+// countFlat appends to every input row its neighbor count.
+func (o *Expand) countFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
+	fromIdx := in.ColIndex(o.From)
+	if fromIdx < 0 {
+		return nil, errNoColumn("expand", o.From)
+	}
+	srcs := ctx.Arena.GetVIDs(len(in.Rows))
+	for _, row := range in.Rows {
+		srcs = append(srcs, row[fromIdx].AsVID())
+	}
+	counts := make([]int64, len(srcs))
+	o.runLens(ctx, srcs, counts)
+	ctx.Arena.PutVIDs(srcs)
+	out := core.NewFlatBlock(append(slices.Clone(in.Names), o.To), append(slices.Clone(in.Kinds), vector.KindInt64))
+	for i, row := range in.Rows {
+		out.AppendOwned(append(slices.Clip(row), vector.Int64(counts[i])))
+	}
+	return ctx.FlatChunk(out), nil
+}
+
+// runLens writes the neighbor count of every source — one NeighborsBatch
+// run's length — to counts.
+func (o *Expand) runLens(ctx *Ctx, srcs []vector.VID, counts []int64) {
+	batch := ctx.Arena.GetBatch()
+	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, batch)
+	for i := range batch.Runs {
+		counts[i] = int64(batch.RunLen(i))
+	}
+	ctx.Arena.PutBatch(batch)
 }
 
 func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, pred *vertexFilter) (*core.Chunk, error) {

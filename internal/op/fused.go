@@ -1,8 +1,11 @@
 package op
 
 import (
+	"slices"
+
 	"ges/internal/catalog"
 	"ges/internal/core"
+	"ges/internal/vector"
 )
 
 // This file implements the operator fusions of §4.3 (Operator Fusion):
@@ -51,17 +54,19 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 }
 
 // AggregateProjectTop is the paper's flagship fusion: Aggregate → Project →
-// Top-K collapsed into one operator. It is the aggregation kernel (aggregate,
-// aggregate.go) — a weighted pass over one f-Tree node or the enumeration
-// streamed into the group table, never a materialized relation — feeding the
-// ordering kernel (tupleOrder) over the group table's row indices, so peak
-// memory is the group table plus the kept ids: compare Table 2's IC5
-// collapse from hundreds of megabytes to under 2 KB.
+// Top-K collapsed into one operator. It is the aggregation kernel
+// (Aggregate.group, aggregate.go) — a weighted pass over one f-Tree chain or
+// the enumeration streamed into the group table, never a materialized
+// relation — feeding the ordering kernel (tupleOrder) over the group table's
+// slots, and only the kept groups become rows, so peak memory is the group
+// table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
+// megabytes to under 2 KB. When the sort keys include every group-by column
+// no two groups tie, so the groups are offered in slot order, without the
+// sort by group key that would break ties.
 type AggregateProjectTop struct {
-	GroupBy []string
-	Aggs    []AggSpec
-	Keys    []SortKey
-	Limit   int
+	Aggregate
+	Keys  []SortKey
+	Limit int
 }
 
 // Name implements Operator.
@@ -69,13 +74,47 @@ func (o *AggregateProjectTop) Name() string { return "AggregateProjectTop(fused)
 
 // Execute implements Operator.
 func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	grouped, err := aggregate(in, o.GroupBy, o.Aggs)
+	t, err := o.group(ctx, in)
 	if err != nil {
 		return nil, err
 	}
-	out, err := orderFlat(ctx, grouped, o.Keys, o.Limit, nil)
-	if err != nil {
-		return nil, err
+	defer t.release()
+	// The ordering kernel's tuples are group slots, offered in the order the
+	// table emits them; the keys compare the groups' output values.
+	names := slices.Clone(o.GroupBy)
+	for _, a := range o.Aggs {
+		names = append(names, a.As)
 	}
-	return ctx.FlatChunk(out), nil
+	keys := make([]orderKey, len(o.Keys))
+	for i, k := range o.Keys {
+		c := slices.Index(names, k.Col)
+		if c < 0 {
+			return nil, errNoColumn("order-by", k.Col)
+		}
+		keys[i] = orderKey{desc: k.Desc, cmp: t.comparator(c)}
+	}
+	ord := newTupleOrder(ctx, 1, o.Limit, keys)
+	defer ord.release()
+	for _, s := range t.slots(ctx, !o.keysSeparateGroups(t)) {
+		ord.next()[0] = s
+		ord.offer()
+	}
+	kept := ord.sorted()
+	slots := make([]int32, len(kept))
+	for i, id := range kept {
+		slots[i] = ord.tuple(id)[0]
+	}
+	return ctx.FlatChunk(t.block(slots)), nil
+}
+
+// keysSeparateGroups reports whether the sort keys include every group-by
+// column, none a float (0 and -0, or two NaNs, are distinct groups that
+// compare equal): no two groups tie then.
+func (o *AggregateProjectTop) keysSeparateGroups(t *aggTable) bool {
+	for i, g := range o.GroupBy {
+		if t.keyKind(i) == vector.KindFloat64 || !slices.ContainsFunc(o.Keys, func(k SortKey) bool { return k.Col == g }) {
+			return false
+		}
+	}
+	return true
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 
 	"ges/internal/catalog"
@@ -80,14 +82,11 @@ func TestWeightedAggregationMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := op.HashAggregateBlock(flat, []string{colName}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := flatAggregate(t, flat, []string{colName}, aggs)
 
 		// Fused: the weighted factorized path (single-node condition holds
 		// by construction).
-		fused := &op.AggregateProjectTop{GroupBy: []string{colName}, Aggs: aggs}
+		fused := &op.AggregateProjectTop{Aggregate: op.Aggregate{GroupBy: []string{colName}, Aggs: aggs}}
 		got, err := fused.Execute(&op.Ctx{}, &core.Chunk{FT: ft})
 		if err != nil {
 			t.Fatal(err)
@@ -123,11 +122,8 @@ func TestStreamingAggregationMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := op.HashAggregateBlock(flat, []string{groupCol}, aggs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fused := &op.AggregateProjectTop{GroupBy: []string{groupCol}, Aggs: aggs}
+		want := flatAggregate(t, flat, []string{groupCol}, aggs)
+		fused := &op.AggregateProjectTop{Aggregate: op.Aggregate{GroupBy: []string{groupCol}, Aggs: aggs}}
 		got, err := fused.Execute(&op.Ctx{}, &core.Chunk{FT: ft})
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +132,16 @@ func TestStreamingAggregationMatchesFlat(t *testing.T) {
 			t.Fatalf("trial %d: streaming aggregation diverges\n got: %s\nwant: %s", trial, got.Flat, want)
 		}
 	}
+}
+
+// flatAggregate groups a flat block row by row.
+func flatAggregate(t *testing.T, flat *core.FlatBlock, groupBy []string, aggs []op.AggSpec) *core.FlatBlock {
+	t.Helper()
+	out, err := (&op.Aggregate{GroupBy: groupBy, Aggs: aggs}).Execute(&op.Ctx{}, &core.Chunk{Flat: flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Flat
 }
 
 func sameTable(a, b *core.FlatBlock) bool {
@@ -165,6 +171,37 @@ func TestSeekExpandMatchesSeekPlusExpand(t *testing.T) {
 		})
 		if !reflect.DeepEqual(rowsAsStrings(fusedGot), rowsAsStrings(plainGot)) {
 			t.Fatalf("ext %d: fused %v != plain %v", ext, rowsAsStrings(fusedGot), rowsAsStrings(plainGot))
+		}
+	}
+}
+
+// TestAggregateEmitsInKeyOrder pins the emission order of integer groups,
+// which the group table reaches without building keys: the order of the
+// length-prefixed key strings — lengths compared as strings ("10:" before
+// "2:"), then the digits, negatives first.
+func TestAggregateEmitsInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fb := core.NewFlatBlock([]string{"k"}, []vector.Kind{vector.KindInt64})
+	var want []string
+	seen := map[int64]bool{}
+	for _, v := range []int64{0, -1, 9, 10, -10, 1 << 40, -1 << 63, 1<<63 - 1, 1234567890} {
+		fb.Append([]vector.Value{vector.Int64(v)})
+		seen[v] = true
+	}
+	for i := 0; i < 500; i++ {
+		v := rng.Int63n(1<<uint(rng.Intn(62)+1)) - rng.Int63n(1<<uint(rng.Intn(62)+1))
+		fb.Append([]vector.Value{vector.Int64(v)})
+		seen[v] = true
+	}
+	for v := range seen {
+		s := strconv.FormatInt(v, 10)
+		want = append(want, strconv.Itoa(len(s))+":"+s)
+	}
+	sort.Strings(want)
+	out := flatAggregate(t, fb, []string{"k"}, []op.AggSpec{{Func: op.Count, As: "n"}})
+	for i, row := range out.Rows {
+		if s := strconv.FormatInt(row[0].I, 10); strconv.Itoa(len(s))+":"+s != want[i] {
+			t.Fatalf("group %d is %d, want key %s", i, row[0].I, want[i])
 		}
 	}
 }

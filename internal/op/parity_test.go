@@ -87,6 +87,7 @@ func TestOperatorParity(t *testing.T) {
 				{Var: "g", As: "g.id", ExtID: true}}}}, tail...)
 	}
 	count := op.AggSpec{Func: op.Count, As: "n"}
+	pid := &op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", As: "p.id", ExtID: true}}}
 	agg := func(fn op.AggFunc, arg string) op.AggSpec { return op.AggSpec{Func: fn, Arg: arg, As: fn.String()} }
 	shapes := []struct {
 		name    string
@@ -375,10 +376,9 @@ func TestOperatorParity(t *testing.T) {
 			return plan.Plan{scan("p"),
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", Prop: "browserUsed", As: "p.browserUsed"}}},
 				&op.AggregateProjectTop{
-					GroupBy: []string{"p.browserUsed"},
-					Aggs:    []op.AggSpec{{Func: op.Count, As: "n"}},
-					Keys:    []op.SortKey{{Col: "n", Desc: true}, {Col: "p.browserUsed"}},
-					Limit:   10},
+					Aggregate: op.Aggregate{GroupBy: []string{"p.browserUsed"}, Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
+					Keys:      []op.SortKey{{Col: "n", Desc: true}, {Col: "p.browserUsed"}},
+					Limit:     10},
 			}
 		}},
 
@@ -412,6 +412,53 @@ func TestOperatorParity(t *testing.T) {
 			return twoHop(&op.Filter{Pred: expr.Lt(expr.C("p.id"), expr.LInt(0))},
 				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "g.id"), agg(op.Sum, "g.id")}})
 		}},
+		// Count-only leaves (GES_f* turns an expand nothing reads below a
+		// counting aggregate into its parent's run lengths): runs of several
+		// families (Both, AnyLabel), KNOWS runs the overlay views' deltas
+		// touch, two leaves on one node whose weights multiply, a leaf on a
+		// flat chunk, and the top-k over groups keyed by VID. The aggregate
+		// emits in group-key order, so every row is ordered.
+		{"count-leaf/both", true, func() plan.Plan {
+			return plan.Plan{scan("p"), &op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Both, DstLabel: h.Person},
+				pid, &op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count, agg(op.Max, "p.id")}}}
+		}},
+		{"count-leaf/any-label", true, func() plan.Plan {
+			return plan.Plan{scan("p"), pid,
+				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}}}
+		}},
+		{"count-leaf/two-leaves-delta-runs", true, func() plan.Plan {
+			return plan.Plan{scan("p"), pid, knows("p", "f"),
+				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count, agg(op.CountDistinct, "p.id")}}}
+		}},
+		{"count-leaf/global-under-hop", true, func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"), knows("f", "g"),
+				&op.Aggregate{Aggs: []op.AggSpec{count}}}
+		}},
+		{"count-leaf/flat", true, func() plan.Plan {
+			return plan.Plan{scan("p"), pid,
+				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"q.id"},
+					Right: []op.Operator{scan("q"), &op.ProjectProps{Specs: []op.ProjSpec{{Var: "q", As: "q.id", ExtID: true}}}}},
+				knows("p", "f"), &op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}}}
+		}},
+		{"count-leaf/top-k-by-vid", true, func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"), pid,
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "p.id"}}, Limit: 15}}
+		}},
+		// Path folds: every group-by and argument column on one root-to-leaf
+		// chain folds the deepest node's rows through parent-row maps; a
+		// sibling branch enumerates.
+		{"agg/path-fold-three-levels", true, func() plan.Plan {
+			return twoHop(&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "g.id"), agg(op.Min, "f.id")}})
+		}},
+		{"agg/sibling-branches", true, func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"),
+				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}, {Var: "m", As: "m.id", ExtID: true}}},
+				&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "m.id")}}}
+		}},
 	}
 	for _, sh := range shapes {
 		sh := sh
@@ -438,7 +485,7 @@ func TestOperatorParity(t *testing.T) {
 	degree := func(limit int) func() plan.Plan {
 		return func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"), props("f"),
-				&op.AggregateProjectTop{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count},
+				&op.AggregateProjectTop{Aggregate: op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count}},
 					Keys: []op.SortKey{{Col: "n", Desc: true}}, Limit: limit}}
 		}
 	}
@@ -476,6 +523,33 @@ func TestOperatorParity(t *testing.T) {
 						&op.Defactor{Cols: []string{"f.id", "q.id", "q.browserUsed"}}}},
 				&op.OrderBy{Keys: []op.SortKey{{Col: "q.browserUsed"}, {Col: "p.gender"}}, Limit: 20,
 					Cols: []string{"p.id", "q.id"}}}
+		}},
+		// Gather after the cut: late columns over Post ∪ Comment (a string
+		// property of several labels, and ids that may tie across them), on
+		// an f-Tree and on a flat chunk.
+		{"late/multi-label-string", true, 40, func() plan.Plan {
+			return plan.Plan{scan("p"), props("p", "firstName"),
+				&op.Expand{From: "p", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
+				props("m", "creationDate", "content"),
+				&op.OrderBy{Keys: []op.SortKey{{Col: "m.creationDate", Desc: true}, {Col: "m.id"}}, Limit: 40,
+					Cols: []string{"p.id", "p.firstName", "m.id", "m.content", "m.creationDate"}}}
+		}},
+		{"late/flat-after-join", true, 20, func() plan.Plan {
+			return plan.Plan{scan("p"), props("p", "gender"),
+				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
+					Right: []op.Operator{scan("q"), props("q", "browserUsed"), knows("q", "f"), props("f"),
+						&op.Defactor{Cols: []string{"f", "f.id", "q.id", "q.browserUsed"}}}},
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "lastName", As: "f.lastName"}}},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "q.browserUsed"}, {Col: "p.gender"}}, Limit: 20,
+					Cols: []string{"p.id", "q.id", "f.lastName"}}}
+		}},
+		// A path fold next to a float SUM: a float over several nodes stays
+		// on the enumeration, whose order the float rounding follows.
+		{"agg/path-fold-float-sum", false, -1, func() plan.Plan {
+			return twoHop(
+				&op.ProjectExpr{Expr: expr.Arith{Op: expr.Mul, L: expr.C("f.id"), R: expr.Lit{Val: vector.Float64(0.1)}},
+					As: "f.w", Kind: vector.KindFloat64},
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{agg(op.Sum, "g.id"), {Func: op.Sum, Arg: "f.w", As: "fsum"}}})
 		}},
 		{"order-ties/aggregate-top-1", true, 1, degree(1)},
 		{"order-ties/aggregate-top-k", true, 7, degree(7)},

@@ -25,23 +25,53 @@ type SortKey struct {
 // nodes the keys and Cols read, a flat block hands it row indices, and with
 // a Limit a bounded heap keeps only the best Limit tuples — Figure 8(b)(vi).
 // Only the returned tuples are boxed.
+//
+// Late holds the projections plan.Fuse moved past the cut (gather after the
+// cut): columns of Cols that no filter, sort key or group key reads. The
+// kept tuples carry the specs' variables instead, and OrderBy batch-gathers
+// the columns for their VIDs only.
 type OrderBy struct {
 	Keys  []SortKey
 	Limit int      // 0 = sort everything
 	Cols  []string // output columns; nil = full schema
+	Late  []ProjSpec
 }
 
 // Name implements Operator.
-func (o *OrderBy) Name() string { return "OrderBy" }
+func (o *OrderBy) Name() string {
+	if len(o.Late) == 0 {
+		return "OrderBy"
+	}
+	names := make([]string, len(o.Late))
+	for i, s := range o.Late {
+		names[i] = s.As
+	}
+	return "OrderBy(late " + strings.Join(names, ",") + ")"
+}
 
 // Execute implements Operator.
 func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+	cols := o.Cols
+	if len(o.Late) > 0 {
+		cols = make([]string, 0, len(o.Cols))
+		for _, c := range o.Cols {
+			if o.late(c) < 0 {
+				cols = append(cols, c)
+			}
+		}
+		for _, s := range o.Late {
+			cols = append(cols, s.Var)
+		}
+	}
 	var out *core.FlatBlock
 	var err error
 	if in.IsFlat() {
-		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, o.Cols)
+		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, cols)
 	} else {
-		out, err = o.orderTree(ctx, in.FT)
+		out, err = orderTree(ctx, in.FT, o.Keys, o.Limit, cols)
+	}
+	if err == nil && len(o.Late) > 0 {
+		out, err = o.gatherLate(ctx, out)
 	}
 	if err != nil {
 		return nil, err
@@ -49,18 +79,67 @@ func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	return ctx.FlatChunk(out), nil
 }
 
+// late returns the index in Late of the spec producing col, or -1.
+func (o *OrderBy) late(col string) int {
+	return slices.IndexFunc(o.Late, func(s ProjSpec) bool { return s.As == col })
+}
+
+// gatherLate renders Cols for the kept rows, each late column gathered in
+// one batch over the rows' VIDs of its variable.
+func (o *OrderBy) gatherLate(ctx *Ctx, kept *core.FlatBlock) (*core.FlatBlock, error) {
+	w := len(o.Cols)
+	out := core.NewFlatBlock(append([]string(nil), o.Cols...), make([]vector.Kind, w))
+	vals := make([]vector.Value, len(kept.Rows)*w)
+	out.Rows = make([][]vector.Value, len(kept.Rows))
+	for r := range out.Rows {
+		out.Rows[r] = vals[r*w : (r+1)*w : (r+1)*w]
+	}
+	var vids *vector.Column // the kept rows' VIDs of the last late variable
+	for c, name := range o.Cols {
+		l := o.late(name)
+		if l < 0 {
+			j := kept.ColIndex(name)
+			for r, row := range out.Rows {
+				row[c] = kept.Rows[r][j]
+			}
+			out.Kinds[c] = kept.Kinds[j]
+			continue
+		}
+		s := o.Late[l]
+		if vids == nil || vids.Name != s.Var {
+			vids = ctx.Arena.OwnColumn(s.Var, vector.KindVID)
+			j := kept.ColIndex(s.Var)
+			for _, row := range kept.Rows {
+				vids.AppendVID(row[j].AsVID())
+			}
+		}
+		var col *vector.Column
+		if s.ExtID {
+			col = gatherExtIDColumn(ctx, vids, s.As)
+		} else if g, err := newPropGetter(ctx.View, s.Prop); err != nil {
+			return nil, err
+		} else {
+			col = g.gatherColumn(ctx, vids, s.As)
+		}
+		for r, row := range out.Rows {
+			row[c] = col.Get(r)
+		}
+		out.Kinds[c] = col.Kind
+	}
+	return out, nil
+}
+
 // orderTree orders the tuples of an f-Tree. A tuple is the row of every node
 // a key or an output column lives on; the enumeration writes those rows into
 // the kernel's slot and the keys compare the node columns directly.
-func (o *OrderBy) orderTree(ctx *Ctx, ft *core.FTree) (*core.FlatBlock, error) {
-	cols := o.Cols
+func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []string) (*core.FlatBlock, error) {
 	if cols == nil {
 		cols = ft.Schema()
 	}
 	var nodeBuf [8]int
 	nodes := nodeBuf[:0] // node ID behind each position of a tuple
-	keys := make([]orderKey, len(o.Keys))
-	for i, k := range o.Keys {
+	keys := make([]orderKey, len(sortKeys))
+	for i, k := range sortKeys {
 		n, c := ft.FindColumn(k.Col)
 		if c == nil {
 			return nil, errNoColumn("order-by", k.Col)
@@ -82,7 +161,7 @@ func (o *OrderBy) orderTree(ctx *Ctx, ft *core.FTree) (*core.FlatBlock, error) {
 		outs[i].col, kinds[i] = c, c.Kind
 		nodes, outs[i].pos = tuplePos(nodes, n)
 	}
-	ord := newTupleOrder(ctx, len(nodes), o.Limit, keys)
+	ord := newTupleOrder(ctx, len(nodes), limit, keys)
 	defer ord.release()
 	full := false
 	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
@@ -436,14 +515,24 @@ func (o *Distinct) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 }
 
 // rowKey builds a collision-safe hash key for a tuple using length-prefixed
-// value encodings.
+// value encodings (appendKey).
 func rowKey(row []vector.Value) string {
-	var sb strings.Builder
+	var buf []byte
 	for _, v := range row {
-		s := v.String()
-		sb.WriteString(strconv.Itoa(len(s)))
-		sb.WriteByte(':')
-		sb.WriteString(s)
+		buf = appendKey(buf, v)
 	}
-	return sb.String()
+	return string(buf)
+}
+
+// appendKey appends v's part of a rowKey: the length of its string, a colon,
+// the string.
+func appendKey(dst []byte, v vector.Value) []byte {
+	var num [20]byte
+	s := num[:0]
+	if v.Kind == vector.KindInt64 || v.Kind == vector.KindDate {
+		s = strconv.AppendInt(s, v.I, 10)
+	} else {
+		s = append(s, v.String()...)
+	}
+	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
 }

@@ -109,10 +109,7 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 	}
 	if o.Distinct {
 		seen := visits.Get().(*visitSet)
-		if seen.epoch++; seen.epoch == 0 { // wrapped: stale stamps could match
-			clear(seen.stamp)
-			seen.epoch = 1
-		}
+		seen.reset()
 		if src != vector.NilVID {
 			seen.visit(src)
 		}
@@ -186,17 +183,27 @@ func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VI
 	o.traverse(ctx, nil, src, emit)
 }
 
-// visitSet is the distinct BFS's visited set: v is visited by the current
-// traversal iff stamp[v] == epoch, so the next one starts with an epoch bump,
-// not a clear or an allocation. It grows to the highest VID reached (created
-// vertices past the base range included) and is recycled across traversals
-// and queries.
+// visitSet is the distinct BFS's visited set and the aggregate's dense
+// VID-keyed group index: v is visited by the current pass iff stamp[v] ==
+// epoch, so the next pass starts with an epoch bump (reset), not a clear or
+// an allocation. A group table also keeps each visited vertex's group slot.
+// It grows to the highest VID reached (created vertices past the base range
+// included) and is recycled across passes and queries.
 type visitSet struct {
 	stamp []uint32
+	slots []int32 // slot of a visited v (slot)
 	epoch uint32
 }
 
 var visits = sync.Pool{New: func() any { return new(visitSet) }}
+
+// reset starts a pass with nothing visited.
+func (s *visitSet) reset() {
+	if s.epoch++; s.epoch == 0 { // wrapped: stale stamps could match
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
 
 // visit marks v visited and reports whether it was not already.
 func (s *visitSet) visit(v vector.VID) bool {
@@ -208,4 +215,17 @@ func (s *visitSet) visit(v vector.VID) bool {
 	}
 	s.stamp[v] = s.epoch
 	return true
+}
+
+// slot returns the slot of v, which becomes next when this pass has not
+// visited v yet.
+func (s *visitSet) slot(v vector.VID, next int32) int32 {
+	if !s.visit(v) {
+		return s.slots[v]
+	}
+	if len(s.slots) < len(s.stamp) {
+		s.slots = append(s.slots, make([]int32, len(s.stamp)-len(s.slots))...)
+	}
+	s.slots[v] = next
+	return next
 }

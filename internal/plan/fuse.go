@@ -1,14 +1,25 @@
 package plan
 
 import (
+	"slices"
+
 	"ges/internal/expr"
 	"ges/internal/op"
+	"ges/internal/storage"
 )
 
-// Fuse applies the operator-fusion rewrite rules until a fixpoint. The input
-// plan is not modified.
+// Fuse applies the operator-fusion rewrite rules until a fixpoint. Each hash
+// join's build side is fused once, as a plan of its own. The input plan is
+// not modified.
 func Fuse(p Plan) Plan {
-	out := append(Plan(nil), p...)
+	out := slices.Clone(p)
+	for i, o := range out {
+		if j, ok := o.(*op.HashJoin); ok {
+			c := *j
+			c.Right = Fuse(j.Right)
+			out[i] = &c
+		}
+	}
 	for {
 		next, changed := fuseOnce(out)
 		if !changed {
@@ -25,6 +36,15 @@ func fuseOnce(p Plan) (Plan, bool) {
 		return q, true
 	}
 	if q, ok := fuseSeekExpand(p); ok {
+		return q, true
+	}
+	if q, ok := fuseLateProject(p); ok {
+		return q, true
+	}
+	if q, ok := fuseCountLeaf(p); ok {
+		return q, true
+	}
+	if q, ok := fuseGroupByVID(p); ok {
 		return q, true
 	}
 	if q, ok := fuseAggregateProjectTop(p); ok {
@@ -46,9 +66,9 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 		if !ok || ex.From != seek.Var {
 			continue
 		}
-		// Only plain expands fuse; predicate-carrying expands keep their
-		// own shape.
-		if ex.VertexPred != nil || len(ex.EdgeProps) > 0 {
+		// Only plain expands fuse; predicate-carrying and count-only expands
+		// keep their own shape.
+		if !plainExpand(ex) {
 			continue
 		}
 		if referencedLater(p[i+2:], seek.Var) {
@@ -62,7 +82,7 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 			Dir:      ex.Dir,
 			DstLabel: ex.DstLabel,
 		}
-		q := append(Plan(nil), p[:i]...)
+		q := append(make(Plan, 0, len(p)), p[:i]...)
 		q = append(q, fused)
 		q = append(q, p[i+2:]...)
 		return q, true
@@ -77,7 +97,7 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 func fuseFilterPushDown(p Plan) (Plan, bool) {
 	for i := 0; i+2 < len(p); i++ {
 		ex, ok := p[i].(*op.Expand)
-		if !ok || ex.VertexPred != nil {
+		if !ok || ex.VertexPred != nil || ex.Count {
 			continue
 		}
 		proj, ok := p[i+1].(*op.ProjectProps)
@@ -120,7 +140,7 @@ func fuseFilterPushDown(p Plan) (Plan, bool) {
 		fusedExpand := *ex
 		fusedExpand.VertexPred = op.VertexPropPred(rewritten)
 
-		q := append(Plan(nil), p[:i]...)
+		q := append(make(Plan, 0, len(p)), p[:i]...)
 		q = append(q, &fusedExpand)
 		// Keep the projection only when its outputs are still consumed.
 		var projected []string
@@ -172,8 +192,10 @@ func fuseAggregateProjectTop(p Plan) (Plan, bool) {
 		if !ok {
 			continue
 		}
+		// An OrderBy with late columns gathers them for the groups it keeps
+		// (groups by a VID column); the fused operator would not.
 		ob, ok := p[i+1].(*op.OrderBy)
-		if !ok {
+		if !ok || len(ob.Late) > 0 {
 			continue
 		}
 		limit := ob.Limit
@@ -185,13 +207,8 @@ func fuseAggregateProjectTop(p Plan) (Plan, bool) {
 				consumed = 3
 			}
 		}
-		fused := &op.AggregateProjectTop{
-			GroupBy: agg.GroupBy,
-			Aggs:    agg.Aggs,
-			Keys:    ob.Keys,
-			Limit:   limit,
-		}
-		q := append(Plan(nil), p[:i]...)
+		fused := &op.AggregateProjectTop{Aggregate: *agg, Keys: ob.Keys, Limit: limit}
+		q := append(make(Plan, 0, len(p)), p[:i]...)
 		q = append(q, fused)
 		// The fused operator emits groupBy ++ aggregate columns; a sort
 		// that narrowed or reordered its output keeps doing so via an
@@ -224,4 +241,209 @@ func sameCols(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// keepsColumns reports whether o passes every column of its input through,
+// so a column read after it may have been produced before it.
+func keepsColumns(o op.Operator) bool {
+	switch o.(type) {
+	case *op.Expand, *op.VarLengthExpand, *op.ExpandInto, *op.ExpandIntersect,
+		*op.ProjectProps, *op.ProjectExpr, *op.Filter:
+		return true
+	}
+	return false
+}
+
+// fuseLateProject (gather after the cut) moves the ProjectProps specs that
+// an OrderBy(limit k) outputs but nothing before it reads — no filter, sort
+// key or expression — into the OrderBy, which gathers them for its ≤ k kept
+// tuples only. Only operators that keep every column may lie between.
+func fuseLateProject(p Plan) (Plan, bool) {
+	for j, o := range p {
+		ob, ok := o.(*op.OrderBy)
+		if !ok || ob.Limit <= 0 || ob.Cols == nil {
+			continue
+		}
+		var q Plan
+		late := slices.Clip(ob.Late)
+		next := j // the first operator of p not yet in q
+		for i := j - 1; i >= 0 && keepsColumns(p[i]); i-- {
+			proj, ok := p[i].(*op.ProjectProps)
+			if !ok || !slices.ContainsFunc(proj.Specs, func(s op.ProjSpec) bool { return isLate(p[i+1:j], ob, s) }) {
+				continue
+			}
+			var keep []op.ProjSpec
+			for _, s := range proj.Specs {
+				if isLate(p[i+1:j], ob, s) {
+					late = append(late, s)
+				} else {
+					keep = append(keep, s)
+				}
+			}
+			// q holds the operators after i, back to front.
+			for k := next - 1; k > i; k-- {
+				q = append(q, p[k])
+			}
+			if keep != nil {
+				q = append(q, &op.ProjectProps{Specs: keep})
+			}
+			next = i
+		}
+		if len(late) == len(ob.Late) {
+			continue
+		}
+		out := append(make(Plan, 0, len(p)), p[:next]...)
+		for k := len(q) - 1; k >= 0; k-- {
+			out = append(out, q[k])
+		}
+		fused := *ob
+		fused.Late = late
+		return append(append(out, &fused), p[j+1:]...), true
+	}
+	return p, false
+}
+
+// isLate reports whether ob may gather spec after the cut: ob outputs it,
+// and neither ob's keys nor the operators between read it.
+func isLate(between Plan, ob *op.OrderBy, spec op.ProjSpec) bool {
+	return slices.Contains(ob.Cols, spec.As) && !sortsBy(ob.Keys, spec.As) && !referencedLater(between, spec.As)
+}
+
+// fuseCountLeaf makes an Expand count-only (Expand.Count) when nothing reads
+// its destination and the aggregate above it — past only projections,
+// filters and count-only expands of other columns — folds only aggregates a
+// row's multiplicity scales but does not change in kind: COUNT, COUNT
+// DISTINCT, MIN and MAX. SUM and AVG are left alone: a float argument's
+// weighted sum would round differently. The expand leaves each parent row
+// its neighbor count, and the aggregate takes that column as a weight
+// instead of the child's rows.
+func fuseCountLeaf(p Plan) (Plan, bool) {
+	for i, o := range p {
+		ex, ok := o.(*op.Expand)
+		if !ok || !plainExpand(ex) {
+			continue
+		}
+		j := i + 1
+		for j < len(p) && nodeLocal(p[j]) {
+			j++
+		}
+		if j == len(p) || referencedLater(p[i+1:], ex.To) {
+			continue
+		}
+		g := aggregateOf(p[j])
+		if g == nil || slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Func == op.Sum || a.Func == op.Avg }) {
+			continue
+		}
+		leaf, weighted := *ex, *g
+		leaf.Count, weighted.Weights = true, append(slices.Clip(g.Weights), ex.To)
+		q := slices.Clone(p)
+		q[i], q[j] = &leaf, withAggregate(p[j], weighted)
+		return q, true
+	}
+	return p, false
+}
+
+// nodeLocal reports whether o only annotates the rows it is given: a
+// projection, a filter or a count-only expand.
+func nodeLocal(o op.Operator) bool {
+	switch n := o.(type) {
+	case *op.ProjectProps, *op.ProjectExpr, *op.Filter:
+		return true
+	case *op.Expand:
+		return n.Count
+	}
+	return false
+}
+
+// fuseGroupByVID keys an aggregate whose lone group column is id(v), for a
+// variable v of one label, by v's VID (Aggregate.KeyVar): ids are unique
+// within a label, so the groups are the same, and each group's id is read
+// once. The id projection goes when nothing else reads it. A variable of
+// several labels (AnyLabel) stays keyed by id: ids may collide across
+// labels.
+func fuseGroupByVID(p Plan) (Plan, bool) {
+	for j, o := range p {
+		g := aggregateOf(o)
+		if g == nil || g.KeyVar != "" || len(g.GroupBy) != 1 {
+			continue
+		}
+		key := g.GroupBy[0]
+		for i := j - 1; i >= 0 && keepsColumns(p[i]); i-- {
+			proj, ok := p[i].(*op.ProjectProps)
+			if !ok {
+				continue
+			}
+			k := slices.IndexFunc(proj.Specs, func(s op.ProjSpec) bool { return s.As == key })
+			if k < 0 {
+				continue
+			}
+			s := proj.Specs[k]
+			if !s.ExtID || !singleLabel(p[:i], s.Var) {
+				break
+			}
+			keyed := *g
+			keyed.KeyVar = s.Var
+			q := slices.Clone(p)
+			q[j] = withAggregate(o, keyed)
+			if !referencedLater(p[i+1:j], key) && !reads(&keyed, key) {
+				q[i] = &op.ProjectProps{Specs: slices.Delete(slices.Clone(proj.Specs), k, k+1)}
+				if len(proj.Specs) == 1 {
+					q = slices.Delete(q, i, i+1)
+				}
+			}
+			return q, true
+		}
+	}
+	return p, false
+}
+
+// singleLabel reports whether the operator of p that binds v gives it one
+// label; a variable no operator here binds (renamed, from an intersection)
+// has none known.
+func singleLabel(p Plan, v string) bool {
+	for i := len(p) - 1; i >= 0; i-- {
+		var to string
+		label := storage.AnyLabel
+		switch n := p[i].(type) {
+		case *op.NodeByIdSeek:
+			to, label = n.Var, n.Label
+		case *op.MultiSeek:
+			to, label = n.Var, n.Label
+		case *op.NodeScan:
+			to, label = n.Var, n.Label
+		case *op.SeekExpand:
+			to, label = n.To, n.DstLabel
+		case *op.Expand:
+			to, label = n.To, n.DstLabel
+		case *op.VarLengthExpand:
+			to, label = n.To, n.DstLabel
+		}
+		if to == v {
+			return label != storage.AnyLabel
+		}
+	}
+	return false
+}
+
+// aggregateOf returns the aggregate half of an Aggregate or an
+// AggregateProjectTop, or nil.
+func aggregateOf(o op.Operator) *op.Aggregate {
+	switch n := o.(type) {
+	case *op.Aggregate:
+		return n
+	case *op.AggregateProjectTop:
+		return &n.Aggregate
+	}
+	return nil
+}
+
+// withAggregate returns a copy of o, an Aggregate or AggregateProjectTop,
+// with the aggregate half g.
+func withAggregate(o op.Operator, g op.Aggregate) op.Operator {
+	if apt, ok := o.(*op.AggregateProjectTop); ok {
+		c := *apt
+		c.Aggregate = g
+		return &c
+	}
+	return &g
 }

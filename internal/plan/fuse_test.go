@@ -7,6 +7,7 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/expr"
 	"ges/internal/op"
+	"ges/internal/storage"
 )
 
 func TestFuseSeekExpand(t *testing.T) {
@@ -137,5 +138,113 @@ func TestPlanString(t *testing.T) {
 	}
 	if got := p.String(); got != "NodeByIdSeek -> Limit" {
 		t.Fatalf("String = %q", got)
+	}
+}
+
+// TestFuseRules pins each rewrite of the aggregation and ordering rules by
+// the fused plan's operator chain, with the shapes that must not fire.
+func TestFuseRules(t *testing.T) {
+	const person, post = catalog.LabelID(1), catalog.LabelID(2)
+	scan := func(v string) *op.NodeScan { return &op.NodeScan{Var: v, Label: person} }
+	expand := func(from, to string, dst catalog.LabelID) *op.Expand {
+		return &op.Expand{From: from, To: to, Et: 0, Dir: catalog.Out, DstLabel: dst}
+	}
+	id := func(v string) op.ProjSpec { return op.ProjSpec{Var: v, As: v + ".id", ExtID: true} }
+	prop := func(v, p string) op.ProjSpec { return op.ProjSpec{Var: v, Prop: p, As: v + "." + p} }
+	project := func(specs ...op.ProjSpec) *op.ProjectProps { return &op.ProjectProps{Specs: specs} }
+	count := op.AggSpec{Func: op.Count, As: "n"}
+	countBy := func(key string) *op.Aggregate {
+		return &op.Aggregate{GroupBy: []string{key}, Aggs: []op.AggSpec{count}}
+	}
+	aggOf := func(p Plan) *op.Aggregate { return p[len(p)-1].(*op.Aggregate) }
+	cases := []struct {
+		name  string
+		in    Plan
+		want  string
+		check func(t *testing.T, p Plan)
+	}{
+		// (a) Count-only leaves.
+		{"count-leaf", Plan{scan("f"), expand("f", "post", post), countBy("f")},
+			"NodeScan -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
+				if w := aggOf(p).Weights; len(w) != 1 || w[0] != "post" {
+					t.Fatalf("weights %v", w)
+				}
+			}},
+		{"count-leaf-past-projection", Plan{scan("p"),
+			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 2, MaxHops: 2, Distinct: true},
+			expand("f", "post", post), project(id("f")), countBy("f.id")},
+			"NodeScan -> VarLengthExpand -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "f" || len(g.Weights) != 1 {
+					t.Fatalf("aggregate %+v", g)
+				}
+			}},
+		{"count-leaf-under-top-k", Plan{scan("f"), expand("f", "post", post), countBy("f"),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}}, Limit: 5}},
+			"NodeScan -> Expand(count) -> AggregateProjectTop(fused)", nil},
+		{"leaf-read-by-filter", Plan{scan("f"), expand("f", "post", post), project(prop("post", "creationDate")),
+			&op.Filter{Pred: expr.Gt(expr.C("post.creationDate"), expr.LInt(3))}, countBy("f")},
+			"NodeScan -> Expand(fused-filter) -> Aggregate", nil},
+		{"leaf-under-sum", Plan{scan("f"), project(prop("f", "age")), expand("f", "post", post),
+			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Sum, Arg: "f.age", As: "s"}}}},
+			"NodeScan -> Project -> Expand -> Aggregate", nil},
+		// (b) Gather after the cut.
+		{"late", Plan{scan("f"), project(id("f"), prop("f", "name")), expand("f", "msg", storage.AnyLabel),
+			project(prop("msg", "creationDate"), id("msg"), prop("msg", "content")),
+			&op.Filter{Pred: expr.Lt(expr.C("msg.creationDate"), expr.LInt(9))},
+			&op.OrderBy{Keys: []op.SortKey{{Col: "msg.creationDate", Desc: true}, {Col: "msg.id"}}, Limit: 20,
+				Cols: []string{"f.id", "f.name", "msg.id", "msg.content", "msg.creationDate"}}},
+			"NodeScan -> Expand(fused-filter) -> Project -> OrderBy(late msg.content,f.id,f.name)", nil},
+		{"late-across-expands", Plan{scan("p"), project(prop("p", "name")), expand("p", "f", person), expand("f", "g", person),
+			project(id("g"), prop("g", "name")),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "g.id"}}, Limit: 3, Cols: []string{"p.name", "g.id", "g.name"}}},
+			"NodeScan -> Expand -> Expand -> Project -> OrderBy(late g.name,p.name)", nil},
+		{"late-whole-projection", Plan{scan("f"), project(id("f")), project(prop("f", "name")),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "f.id"}}, Limit: 3, Cols: []string{"f.id", "f.name"}}},
+			"NodeScan -> Project -> OrderBy(late f.name)", nil},
+		{"late-tie-break-key", Plan{scan("f"), project(id("f"), prop("f", "name")),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "f.name"}, {Col: "f.id"}}, Limit: 5, Cols: []string{"f.id", "f.name"}}},
+			"NodeScan -> Project -> OrderBy", nil},
+		{"late-without-limit", Plan{scan("f"), project(id("f"), prop("f", "name")),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "f.id"}}, Cols: []string{"f.id", "f.name"}}},
+			"NodeScan -> Project -> OrderBy", nil},
+		// (d) Groups keyed by VID.
+		{"vid-key", Plan{scan("p"), expand("p", "m", post), project(id("m")), countBy("m.id")},
+			"NodeScan -> Expand -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "m" {
+					t.Fatalf("aggregate %+v", g)
+				}
+			}},
+		{"vid-key-any-label", Plan{scan("p"), expand("p", "m", storage.AnyLabel), project(id("m")), countBy("m.id")},
+			"NodeScan -> Expand -> Project -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "" {
+					t.Fatalf("ids may collide across labels, but the aggregate groups by VID: %+v", g)
+				}
+			}},
+		// GES_f* fuses a hash join's build side too.
+		{"join-build-side", Plan{scan("a"), project(id("a")), &op.HashJoin{LeftKeys: []string{"a.id"}, RightKeys: []string{"f.id"},
+			Right: []op.Operator{
+				&op.NodeByIdSeek{Var: "p", Label: person, ExtID: 1}, expand("p", "f", person),
+				project(prop("f", "age")), &op.Filter{Pred: expr.Gt(expr.C("f.age"), expr.LInt(30))}, project(id("f")),
+			}}},
+			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
+				if got := Plan(p[2].(*op.HashJoin).Right).String(); got != "NodeByIdSeek -> Expand(fused-filter) -> Project" {
+					t.Fatalf("build side = %s", got)
+				}
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := c.in.String()
+			got := Fuse(c.in)
+			if got.String() != c.want {
+				t.Fatalf("fused plan = %s, want %s", got, c.want)
+			}
+			if c.in.String() != before {
+				t.Fatal("Fuse mutated its input")
+			}
+			if c.check != nil {
+				c.check(t, got)
+			}
+		})
 	}
 }

@@ -1,10 +1,16 @@
 // Package plan represents physical execution plans — linear chains of
 // operators — and implements the optimizer's operator-fusion rewrite rules
 // of §4.3: VertexExpand (seek+expand), FilterPushDown (project+filter folded
-// into the expand), and AggregateProjectTop (aggregate+order-by+limit).
+// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Three
+// more keep the fused plan from building what its result discards: an expand
+// only counted becomes its parent's run lengths (Expand.Count), a projection
+// only returned is gathered after the top-k cut (OrderBy.Late), and a group
+// key that is a single-label vertex's id groups by VID (Aggregate.KeyVar).
+// Fuse applies them to the plan and to each hash join's build side.
 package plan
 
 import (
+	"slices"
 	"strings"
 
 	"ges/internal/op"
@@ -22,95 +28,73 @@ func (p Plan) String() string {
 	return strings.Join(names, " -> ")
 }
 
-// wildcard marks operators that implicitly reference every column.
-const wildcard = "*"
-
-// refs returns the column names an operator reads from its input. The
-// wildcard means "everything" (full de-factor, full-schema sorts).
-func refs(o op.Operator) []string {
+// reads reports whether an operator reads column col from its input. An
+// operator that reads every column — a full de-factor, a full-schema sort,
+// an operator this list does not know — reads col whatever it is.
+func reads(o op.Operator, col string) bool {
 	switch n := o.(type) {
 	case *op.Expand:
-		return []string{n.From}
+		return n.From == col
 	case *op.VarLengthExpand:
-		return []string{n.From}
+		return n.From == col
 	case *op.ExpandInto:
-		return []string{n.From, n.To}
+		return n.From == col || n.To == col
 	case *op.ExpandIntersect:
-		var out []string
-		for _, s := range n.Sides {
-			out = append(out, s.Var)
-		}
-		return out
+		return slices.ContainsFunc(n.Sides, func(s op.IntersectSide) bool { return s.Var == col })
 	case *op.ProjectProps:
-		var out []string
-		for _, s := range n.Specs {
-			out = append(out, s.Var)
-		}
-		return out
+		return slices.ContainsFunc(n.Specs, func(s op.ProjSpec) bool { return s.Var == col })
 	case *op.ProjectExpr:
-		return n.Expr.Columns(nil)
+		return slices.Contains(n.Expr.Columns(nil), col)
 	case *op.Filter:
-		return n.Pred.Columns(nil)
+		return slices.Contains(n.Pred.Columns(nil), col)
 	case *op.OrderBy:
-		var out []string
-		if n.Cols == nil {
-			out = append(out, wildcard)
-		} else {
-			out = append(out, n.Cols...)
+		// A late column is the OrderBy's own output: it reads the column's
+		// variable instead.
+		if n.Cols == nil || sortsBy(n.Keys, col) || slices.ContainsFunc(n.Late, func(s op.ProjSpec) bool { return s.Var == col }) {
+			return true
 		}
-		for _, k := range n.Keys {
-			out = append(out, k.Col)
-		}
-		return out
+		return slices.Contains(n.Cols, col) && !slices.ContainsFunc(n.Late, func(s op.ProjSpec) bool { return s.As == col })
 	case *op.Aggregate:
-		out := append([]string(nil), n.GroupBy...)
-		for _, a := range n.Aggs {
-			if a.Arg != "" {
-				out = append(out, a.Arg)
-			}
-		}
-		return out
+		return aggReads(n, col)
 	case *op.AggregateProjectTop:
-		out := append([]string(nil), n.GroupBy...)
-		for _, a := range n.Aggs {
-			if a.Arg != "" {
-				out = append(out, a.Arg)
-			}
-		}
-		for _, k := range n.Keys {
-			out = append(out, k.Col)
-		}
-		return out
+		return aggReads(&n.Aggregate, col) || sortsBy(n.Keys, col)
 	case *op.HashJoin:
-		return append([]string{}, n.LeftKeys...)
+		return slices.Contains(n.LeftKeys, col)
 	case *op.Distinct:
-		if n.Cols == nil {
-			return []string{wildcard}
-		}
-		return n.Cols
+		return n.Cols == nil || slices.Contains(n.Cols, col)
 	case *op.Defactor:
-		if n.Cols == nil {
-			return []string{wildcard}
-		}
-		return n.Cols
+		return n.Cols == nil || slices.Contains(n.Cols, col)
 	case *op.Limit:
 		// Without Cols a Limit passes its input through; it follows the
 		// operator that narrowed it.
-		return n.Cols
-	default:
-		// Unknown operators are assumed to read everything.
-		return []string{wildcard}
+		return slices.Contains(n.Cols, col)
+	case *op.Rename:
+		// A rename passes every column through; only the renamed ones are
+		// read under another name later.
+		return slices.Contains(n.From, col)
 	}
+	return true
 }
 
-// referencedLater reports whether any operator in rest reads col (or reads
-// everything).
+// aggReads reports whether an aggregate reads col: its group key — the key
+// variable when it groups by VID — an argument or a weight.
+func aggReads(g *op.Aggregate, col string) bool {
+	if g.KeyVar == col || (g.KeyVar == "" && slices.Contains(g.GroupBy, col)) {
+		return true
+	}
+	return slices.Contains(g.Weights, col) || slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Arg == col })
+}
+
+// sortsBy reports whether col is one of the sort keys.
+func sortsBy(keys []op.SortKey, col string) bool {
+	return slices.ContainsFunc(keys, func(k op.SortKey) bool { return k.Col == col })
+}
+
+// referencedLater reports whether any operator in rest reads col.
 func referencedLater(rest Plan, col string) bool {
 	for _, o := range rest {
-		for _, r := range refs(o) {
-			if r == wildcard || r == col {
-				return true
-			}
+		if reads(o, col) {
+			return true
 		}
 	}
 	return false
