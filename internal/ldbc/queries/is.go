@@ -140,17 +140,21 @@ var IS6 = register(&Query{
 		if !ok {
 			return out, nil
 		}
-		// Walk to the root post.
+		// Walk to the root post. Each step depends on the last, so the walk
+		// and the one forum and moderator read after it are scalar.
 		for view.LabelOf(msg) == h.Comment {
+			//geslint:scalar-ok
 			segs := view.Neighbors(nil, msg, h.ReplyOf, catalog.Out, storage.AnyLabel, false)
 			if len(segs) == 0 || len(segs[0].VIDs) == 0 {
 				return out, nil
 			}
 			msg = segs[0].VIDs[0]
 		}
+		//geslint:scalar-ok
 		for _, fseg := range view.Neighbors(nil, msg, h.ContainerOf, catalog.In, h.Forum, false) {
 			for _, forum := range fseg.VIDs {
 				var modID int64 = -1
+				//geslint:scalar-ok
 				for _, mseg := range view.Neighbors(nil, forum, h.HasModerator, catalog.Out, h.Person, false) {
 					for _, mod := range mseg.VIDs {
 						modID = view.ExtID(mod)

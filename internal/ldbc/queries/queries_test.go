@@ -283,40 +283,6 @@ func TestOrderedQueriesAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestIC13PathLengths sanity-checks IC13 against a plain BFS oracle.
-func TestIC13PathLengths(t *testing.T) {
-	ds := smallDataset(t)
-	r := queries.NewRunner(ds, exec.ModeFused, nil)
-	ic13, _ := queries.ByName("IC13")
-	pg := ds.NewParamGen(77)
-	lengths := map[int64]int{}
-	for trial := 0; trial < 30; trial++ {
-		params := ic13.GenParams(ds, pg)
-		fb, _, err := r.Execute(ic13, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fb.NumRows() != 1 {
-			t.Fatalf("IC13 rows = %d", fb.NumRows())
-		}
-		l := fb.Rows[0][0].I
-		if l == 0 {
-			t.Fatal("distinct persons cannot have distance 0")
-		}
-		lengths[l]++
-	}
-	// On a small-world social graph most pairs are within a few hops.
-	sawShort := false
-	for l := range lengths {
-		if l >= 1 && l <= 6 {
-			sawShort = true
-		}
-	}
-	if !sawShort {
-		t.Fatalf("implausible IC13 distance distribution: %v", lengths)
-	}
-}
-
 // TestIC14WeightsOrdered verifies IC14 output: all rows share the shortest
 // length and weights descend.
 func TestIC14WeightsOrdered(t *testing.T) {

@@ -12,7 +12,8 @@ type Segment struct {
 }
 
 // View is the per-query read interface; Prop, ExtID, and Neighbors are the
-// scalar reads R1 polices inside internal/op.
+// scalar reads R1 polices inside internal/op (Neighbors also in
+// internal/ldbc/queries).
 type View interface {
 	Prop(v vector.VID, pid int32) vector.Value
 	ExtID(v vector.VID) int64

@@ -14,8 +14,8 @@ import (
 // between MinHops and MaxHops edges of one type — the KNOWS*1..2 pattern of
 // the paper's running example (§4.3). With Distinct (the LDBC-typical
 // semantics) each reachable vertex appears once per source, and the source
-// itself is excluded: a BFS reads each level's pieces in place, with one
-// NeighborsBatch, and marks visits in a recycled epoch-stamped array.
+// itself is excluded: the package's level-synchronous BFS (bfs.step) reads
+// each level with one NeighborsBatch and stamps visits in a recycled array.
 // Without it every distinct path contributes one row.
 type VarLengthExpand struct {
 	From, To string
@@ -108,37 +108,22 @@ func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 		}
 	}
 	if o.Distinct {
-		seen := visits.Get().(*visitSet)
-		seen.reset()
-		if src != vector.NilVID {
-			seen.visit(src)
-		}
-		// Frontier buffers and the per-level batch are transient scratch,
-		// returned to the pool when the BFS finishes (values are copied into
-		// the emit sink, never retained).
-		frontier := append(ctx.Arena.GetVIDs(8), src)
-		b := ctx.Arena.GetBatch()
-		for depth := 1; depth <= o.MaxHops && len(frontier) > 0; depth++ {
-			next := ctx.Arena.GetVIDs(len(frontier))
-			// One batched call per BFS level: run i holds frontier[i]'s
-			// neighbors in adjacency order.
-			ctx.View.NeighborsBatch(frontier, o.Et, o.Dir, o.DstLabel, false, b)
-			for _, pc := range b.Pieces {
-				for _, v := range b.PieceVIDs(pc) {
-					if seen.visit(v) {
-						next = append(next, v)
-						if depth >= o.MinHops {
-							maybeEmit(v)
-						}
-					}
+		// The frontier buffers and the batch are transient scratch: emitted
+		// values are copied into the sink, never retained.
+		s := bfs{view: ctx.View, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, b: ctx.Arena.GetBatch(),
+			front: ctx.Arena.GetVIDs(8), next: ctx.Arena.GetVIDs(8)}
+		s.start(src)
+		for int(s.level) < o.MaxHops && len(s.front) > 0 {
+			if s.step(); int(s.level) >= o.MinHops {
+				for _, v := range s.front {
+					maybeEmit(v)
 				}
 			}
-			ctx.Arena.PutVIDs(frontier)
-			frontier = next
 		}
-		ctx.Arena.PutVIDs(frontier)
-		ctx.Arena.PutBatch(b)
-		visits.Put(seen)
+		ctx.Arena.PutVIDs(s.front)
+		ctx.Arena.PutVIDs(s.next)
+		ctx.Arena.PutBatch(s.b)
+		visits.Put(s.seen)
 		return
 	}
 	// Path semantics: depth-first enumeration of all paths up to MaxHops
@@ -183,15 +168,16 @@ func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VI
 	o.traverse(ctx, nil, src, emit)
 }
 
-// visitSet is the distinct BFS's visited set and the aggregate's dense
-// VID-keyed group index: v is visited by the current pass iff stamp[v] ==
-// epoch, so the next pass starts with an epoch bump (reset), not a clear or
-// an allocation. A group table also keeps each visited vertex's group slot.
-// It grows to the highest VID reached (created vertices past the base range
-// included) and is recycled across passes and queries.
+// visitSet is the level-synchronous BFS's visited set and the aggregate's
+// dense VID-keyed group index: v is visited by the current pass iff
+// stamp[v] == epoch, so the next pass starts with an epoch bump (reset), not
+// a clear or an allocation. Each visited vertex keeps a slot: its level in a
+// BFS, its group in a group table, its node in a path DAG. It grows to the
+// highest VID reached (created vertices past the base range included) and is
+// recycled across passes and queries.
 type visitSet struct {
 	stamp []uint32
-	slots []int32 // slot of a visited v (slot)
+	slots []int32 // slot of a visited v (mark)
 	epoch uint32
 }
 
@@ -205,27 +191,33 @@ func (s *visitSet) reset() {
 	}
 }
 
-// visit marks v visited and reports whether it was not already.
-func (s *visitSet) visit(v vector.VID) bool {
+// mark visits v with slot n and reports whether this pass had not visited v
+// yet; a visited v keeps its slot.
+func (s *visitSet) mark(v vector.VID, n int32) bool {
 	if int(v) >= len(s.stamp) {
-		s.stamp = append(s.stamp, make([]uint32, int(v)+1)...)
+		s.stamp = append(s.stamp, make([]uint32, int(v)+1-len(s.stamp))...)
+		s.slots = append(s.slots, make([]int32, len(s.stamp)-len(s.slots))...)
 	}
 	if s.stamp[v] == s.epoch {
 		return false
 	}
-	s.stamp[v] = s.epoch
+	s.stamp[v], s.slots[v] = s.epoch, n
 	return true
+}
+
+// at returns the slot of v and whether this pass visited v.
+func (s *visitSet) at(v vector.VID) (int32, bool) {
+	if int(v) >= len(s.stamp) || s.stamp[v] != s.epoch {
+		return 0, false
+	}
+	return s.slots[v], true
 }
 
 // slot returns the slot of v, which becomes next when this pass has not
 // visited v yet.
 func (s *visitSet) slot(v vector.VID, next int32) int32 {
-	if !s.visit(v) {
-		return s.slots[v]
+	if s.mark(v, next) {
+		return next
 	}
-	if len(s.slots) < len(s.stamp) {
-		s.slots = append(s.slots, make([]int32, len(s.stamp)-len(s.slots))...)
-	}
-	s.slots[v] = next
-	return next
+	return s.slots[v]
 }
