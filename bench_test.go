@@ -245,8 +245,8 @@ func BenchmarkWCOJ(b *testing.B) {
 
 // BenchmarkOverlayExpand measures the merged read path under a live delta
 // overlay: the full-person batched KNOWS expansion on a clean sealed image,
-// then with ~5% of the edge set sitting in per-image deltas (inserts plus
-// tombstones), then again after the quiesced reseal drains them. The delta
+// then with ~5% of the edge set committed into per-image deltas, one commit
+// version per edge, then again after the quiesced reseal drains them. The delta
 // point is the steady-state cost readers pay between background reseals. Uses
 // a private dataset — the deltas must not leak into the shared one.
 func BenchmarkOverlayExpand(b *testing.B) {
@@ -270,13 +270,8 @@ func BenchmarkOverlayExpand(b *testing.B) {
 	for i := 0; i < n; i++ {
 		src := ds.Persons[i%len(ds.Persons)]
 		dst := ds.Persons[(i*7+1)%len(ds.Persons)]
-		if src == dst {
-			continue
-		}
-		if i%3 == 0 {
-			g.DeleteEdge(h.Knows, src, dst)
-		} else {
-			g.AddEdge(h.Knows, src, dst, vector.Date(int64(src)*31+int64(dst)))
+		if err := g.CommitEdge(uint64(1+i), h.Knows, src, dst, vector.Date(int64(src)*31+int64(dst))); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.Run("overlay", expand)

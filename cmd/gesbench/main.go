@@ -31,7 +31,7 @@ func main() {
 		runs    = flag.Int("runs", 0, "parameter draws per query measurement (overrides preset)")
 		workers = flag.Int("workers", 0, "workers for throughput runs (overrides preset)")
 		ops     = flag.Int("ops", 0, "operations per throughput run (overrides preset)")
-		jsonOut = flag.String("json", "", "path for machine-readable output (-exp parallel, -exp update)")
+		jsonOut = flag.String("json", "", "path for machine-readable output (-exp parallel)")
 	)
 	flag.Parse()
 

@@ -391,8 +391,11 @@ func (db *DB) Stats() (vertices, edges, bytes int) {
 }
 
 // Save writes a snapshot of the database (catalog + graph, every committed
-// vertex and edge included) to w. The database should be quiesced.
+// vertex and edge included) to w. Like the first query, it seals the database
+// first, so a write after a save is a transaction. The database should be
+// quiesced.
 func (db *DB) Save(w io.Writer) error {
+	db.Seal()
 	return db.graph.Save(w)
 }
 

@@ -34,7 +34,7 @@ type Config struct {
 	TraceBucket time.Duration
 	Seed        int64
 	// JSONPath, when non-empty, is where experiments that produce a
-	// machine-readable artifact ("parallel", "update") write it.
+	// machine-readable artifact ("parallel") write it.
 	JSONPath string
 }
 

@@ -27,8 +27,8 @@ func tinyConfig() bench.Config {
 }
 
 // TestEveryExperimentRuns executes the eleven table/figure reproductions
-// plus the morsel-runtime and sustained-update experiments at tiny scale and
-// sanity-checks their output shape.
+// plus the morsel-runtime experiment at tiny scale and sanity-checks their
+// output shape.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantFragments := map[string]string{
 		"table1":   "persons",
@@ -43,10 +43,9 @@ func TestEveryExperimentRuns(t *testing.T) {
 		"fig15":    "volcano",
 		"table4":   "volcano",
 		"parallel": "hit rate",
-		"update":   "reseals:",
 	}
 	if len(bench.All()) != len(wantFragments) {
-		t.Fatalf("registry has %d experiments, want %d (one per table/figure + parallel + update)",
+		t.Fatalf("registry has %d experiments, want %d (one per table/figure + parallel)",
 			len(bench.All()), len(wantFragments))
 	}
 	for _, e := range bench.All() {

@@ -178,12 +178,12 @@ func TestZeroRowFBlockThroughOperators(t *testing.T) {
 	}
 }
 
-// TestFusedPredPrunesZonesUnderOverlays: committed transaction overlays must
-// not switch zone pruning off for the rows they do not touch, and a pruned
-// zone must not swallow a row whose committed value now matches. A hub's
-// neighbor run spans every zone; the fused range predicate rules the low
-// zones out; one neighbor in a ruled-out zone is moved into range by a
-// transaction, another vertex gets an unrelated overlay.
+// TestFusedPredPrunesZonesUnderOverlays: committed transactions must not
+// switch zone pruning off for the rows they do not touch, and no zone may
+// swallow a committed row that matches. A hub's neighbor run spans every
+// zone; the fused range predicate rules the low zones out; a transaction
+// creates a person in range — a tail row, in no zone — and befriends it from
+// the hub, and another adds an unrelated edge.
 func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 	const n = 3*vector.ZoneSize + 123
 	g, s := bigPersonGraph(t, n) // VID i has creationDate i
@@ -217,11 +217,19 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 	}
 
 	m := txn.NewManager(g)
-	tx := m.Begin([]vector.VID{moved, 5})
-	if err := tx.SetProp(moved, s.PCreation, vector.Date(threshold+1)); err != nil {
+	tx := m.Begin([]vector.VID{hub})
+	nv, err := tx.AddVertex(s.Person, n, vector.String_("fn"), vector.String_("ln"), vector.Date(threshold+1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.SetProp(5, s.PFirstName, vector.String_("unrelated")); err != nil {
+	if err := tx.AddEdge(s.Knows, hub, nv, vector.Date(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = m.Begin([]vector.VID{5, 6})
+	if err := tx.AddEdge(s.Knows, 5, 6, vector.Date(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -229,11 +237,11 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 	}
 	snap := m.Snapshot()
 	got, res := count(snap)
-	if got <= base {
-		t.Fatalf("count on the snapshot = %d, base graph %d: the overlaid neighbor now matches and must survive its pruned zone", got, base)
+	if got != base+1 {
+		t.Fatalf("count on the snapshot = %d, base graph %d: the created neighbor matches and must survive pruning", got, base)
 	}
 	if res.ZonesPruned != baseRes.ZonesPruned {
-		t.Fatalf("snapshot pruned %d zones, base graph %d: overlays elsewhere must not disable pruning", res.ZonesPruned, baseRes.ZonesPruned)
+		t.Fatalf("snapshot pruned %d zones, base graph %d: commits elsewhere must not disable pruning", res.ZonesPruned, baseRes.ZonesPruned)
 	}
 	oracle, err := volcano.New().Run(snap, build())
 	if err != nil {

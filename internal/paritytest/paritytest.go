@@ -3,12 +3,13 @@
 // one reference the repository keeps — the tuple-at-a-time volcano
 // interpreter — over every physical representation a storage view can take:
 // a sealed CSR graph, a reloaded graph handed out unsealed (its first read
-// seals it, with its VIDs renumbered by the reload), a sealed graph carrying a
-// storage delta overlay, and a transaction snapshot carrying committed
-// overlays. The representations, not engine switches, are what select the
-// fallback paths (the merged batch pieces, the patched gather), so
-// sweeping them keeps those paths covered; the hash-set probes are reached on
-// every view by plans over Both or AnyLabel, whose runs join two families.
+// seals it, with its VIDs renumbered by the reload), a sealed graph whose
+// deltas hold commits, and a pinned transaction snapshot with a later commit
+// hidden by its version. The representations, not engine switches, are what
+// select the fallback paths (the merged batch pieces, the created vertices'
+// tail rows), so sweeping them keeps those paths covered; the hash-set probes
+// are reached on every view by plans over Both or AnyLabel, whose runs join
+// two families.
 package paritytest
 
 import (
@@ -160,17 +161,16 @@ func clip(rows []string) []string {
 // load.
 const CreatedPerson = 1 << 40
 
-// LDBCViews generates one LDBC graph, applies a fixed post-load mutation set
-// (KNOWS edges deleted, KNOWS edges added, two person properties rewritten,
-// a person created — past the base VID range — with a KNOWS edge each way)
-// and returns it behind the four representations. The mutations reach each
-// view the way that view's writes do — storage deletes and inserts into the
-// delta overlay, inserts and property writes through a committed
-// transaction — so all four hold the same logical graph; the transaction
-// view is a pinned snapshot with a later commit's edges in the deltas it
-// reads, hidden by their version. The dataset is
-// returned for its handles; plans must address vertices by label scan or
-// external id, because the unsealed view's load renumbers VIDs.
+// LDBCViews generates one LDBC graph, commits a fixed post-load mutation set
+// (KNOWS edges added, a person created — past the base VID range — with a
+// KNOWS edge each way) and returns it behind the four representations. Each
+// view holds the mutations the way the graph holds commits — folded into the
+// images by a reseal, left in the deltas, or read by a snapshot pinned after
+// the commit — so all four hold the same logical graph; the transaction view
+// is a pinned snapshot with a later commit's edges in the deltas it reads,
+// hidden by their version. The dataset is returned for its handles; plans
+// must address vertices by label scan or external id, because the unsealed
+// view's load renumbers VIDs.
 //
 // The unsealed view is a Save→Load round trip: it is handed out still in the
 // bulk phase, and the first read of it seals it.
@@ -188,14 +188,11 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	ds := gen()
 	h, ps := ds.H, ds.Persons
 	type edge struct{ src, dst vector.VID }
-	var dels, adds []edge
+	var adds []edge
 	var b storage.Batch
 	ds.Graph.NeighborsBatch(ps, h.Knows, catalog.Out, h.Person, false, &b)
 	for i, p := range ps {
 		run := b.Run(i)
-		if i%3 == 0 && len(run) > 1 {
-			dels = append(dels, edge{p, run[len(run)/2]})
-		}
 		// A pair absent from the generated edge set, both directions.
 		for j := 1; j < len(ps); j++ {
 			q := ps[(i*7+j)%len(ps)]
@@ -214,39 +211,26 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		person = append(person, ds.Graph.Prop(ps[4], catalog.PropID(p)))
 	}
 	createdDate := vector.Date(int64(ldbc.DayStart) + 17)
-	create := func(g *storage.Graph) {
+	// commit writes the mutation set into g as its first commit.
+	commit := func(g *storage.Graph) {
 		v := vector.VID(g.NumVertices())
-		if err := g.CommitVertex(0, v, h.Person, CreatedPerson, person...); err != nil {
+		if err := g.CommitVertex(1, v, h.Person, CreatedPerson, person...); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range []edge{{ps[4], v}, {v, ps[5]}} {
-			if err := g.AddEdge(h.Knows, e.src, e.dst, createdDate); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	name, created := vector.String_("Overlay"), vector.Date(int64(ldbc.DayEnd+100))
-	del := func(g *storage.Graph) {
-		for _, e := range dels {
-			if !g.DeleteEdge(h.Knows, e.src, e.dst) {
-				t.Fatalf("paritytest: KNOWS %d->%d missing", e.src, e.dst)
-			}
-		}
-	}
-	add := func(g *storage.Graph) {
 		for _, e := range adds {
-			if err := g.AddEdge(h.Knows, e.src, e.dst, date(e)); err != nil {
+			if err := g.CommitEdge(1, h.Knows, e.src, e.dst, date(e)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		g.SetProp(ps[0], h.PFirstName, name)
-		g.SetProp(ps[1], h.PCreation, created)
+		for _, e := range []edge{{ps[4], v}, {v, ps[5]}} {
+			if err := g.CommitEdge(1, h.Knows, e.src, e.dst, createdDate); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	// Sealed: mutations applied, then a quiesced rebuild — empty deltas.
-	del(ds.Graph)
-	add(ds.Graph)
-	create(ds.Graph)
+	// Sealed: the commit folded into the images by a quiesced reseal.
+	commit(ds.Graph)
 	ds.Graph.SealCSR()
 
 	// Unsealed: a save/load round trip yields a graph its first read seals.
@@ -262,21 +246,15 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		t.Fatal("paritytest: loaded graph is sealed; the unsealed view would not reach the first-read seal")
 	}
 
-	// Delta overlay: the same mutations after the seal stay in the deltas.
+	// Delta overlay: the same commit, left in the deltas.
 	delta := gen().Graph
-	del(delta)
-	add(delta)
-	create(delta)
-	if ov := delta.Overlay(); ov.Inserts == 0 || ov.Tombstones == 0 {
+	commit(delta)
+	if ov := delta.Overlay(); ov.Inserts == 0 {
 		t.Fatalf("paritytest: delta view carries no overlay (%+v)", ov)
 	}
 
-	// Txn overlay: transactions cannot delete, so the deletes are sealed in
-	// and the inserts and property writes commit through MV2PL.
-	base := gen().Graph
-	del(base)
-	base.SealCSR()
-	mgr := txn.NewManager(base)
+	// Txn overlay: the mutations commit through MV2PL.
+	mgr := txn.NewManager(gen().Graph)
 	tx := mgr.Begin(ps)
 	for _, e := range adds {
 		if err := tx.AddEdge(h.Knows, e.src, e.dst, date(e)); err != nil {
@@ -291,12 +269,6 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		if err := tx.AddEdge(h.Knows, e.src, e.dst, createdDate); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tx.SetProp(ps[0], h.PFirstName, name); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.SetProp(ps[1], h.PCreation, created); err != nil {
-		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)

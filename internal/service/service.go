@@ -210,16 +210,15 @@ func renderParams(p queries.Params) map[string]any {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.ds.Stats()
-	overlays, version := s.runner.Mgr.Stats()
+	_, version := s.runner.Mgr.Stats()
 	hits, misses, size, capacity := s.cache.Stats()
 	writeJSON(w, map[string]any{
-		"simSF":           st.SF,
-		"persons":         st.Persons,
-		"vertices":        st.Vertices,
-		"edges":           st.Edges,
-		"bytes":           st.Bytes,
-		"overlayVertices": overlays,
-		"commitVersion":   version,
+		"simSF":         st.SF,
+		"persons":       st.Persons,
+		"vertices":      st.Vertices,
+		"edges":         st.Edges,
+		"bytes":         st.Bytes,
+		"commitVersion": version,
 		"planCache": map[string]any{
 			"hits":     hits,
 			"misses":   misses,
@@ -248,7 +247,7 @@ func (s *Server) overlaySection() map[string]any {
 	cat := s.ds.H.Cat
 	ov := g.Overlay()
 	mgr := s.runner.Mgr
-	version := mgr.Version()
+	pins, version := mgr.Stats()
 	fams := make([]map[string]any, 0, ov.Families)
 	for _, f := range g.OverlayFamilies() {
 		fams = append(fams, map[string]any{
@@ -258,7 +257,6 @@ func (s *Server) overlaySection() map[string]any {
 			"dir":           f.Key.Dir.String(),
 			"sealedEntries": f.SealedEntries,
 			"inserts":       f.Inserts,
-			"tombstones":    f.Tombstones,
 			"deltaFraction": f.DeltaFraction,
 		})
 	}
@@ -266,11 +264,10 @@ func (s *Server) overlaySection() map[string]any {
 		"families":         ov.Families,
 		"withDelta":        ov.WithDelta,
 		"inserts":          ov.Inserts,
-		"tombstones":       ov.Tombstones,
 		"maxDeltaFraction": ov.MaxDeltaFraction,
 		"reseals":          ov.Reseals,
 		"resealMs":         float64(ov.ResealTime.Microseconds()) / 1000,
-		"pins":             mgr.Pins(),
+		"pins":             pins,
 		"foldLag":          version - min(mgr.GCHorizon(), version),
 		"statsEpoch":       ov.StatsEpoch,
 		"statsStaleOps":    ov.StatsStale,

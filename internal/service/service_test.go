@@ -13,6 +13,7 @@ import (
 	"ges/internal/ldbc"
 	"ges/internal/service"
 	"ges/internal/storage"
+	"ges/internal/txn"
 	"ges/internal/vector"
 )
 
@@ -291,19 +292,28 @@ func TestStatsEndpointOverlaySection(t *testing.T) {
 		t.Fatal("perFamily empty")
 	}
 	f0 := fams[0].(map[string]any)
-	for _, k := range []string{"src", "type", "dst", "dir", "sealedEntries", "inserts", "tombstones", "deltaFraction"} {
+	for _, k := range []string{"src", "type", "dst", "dir", "sealedEntries", "inserts", "deltaFraction"} {
 		if _, ok := f0[k]; !ok {
 			t.Fatalf("perFamily missing %q: %v", k, f0)
 		}
 	}
 
-	// Overlay mutations surface as delta depth and staleness; a forced
-	// reseal advances the counters and the stats epoch.
+	// Commits surface as delta depth and staleness; a forced reseal
+	// advances the counters and the stats epoch. The graph's manager is the
+	// server's.
 	epoch := ov["statsEpoch"].(float64)
-	h := ds.Graph
-	if err := h.AddEdge(ds.H.Knows, ds.Persons[0], ds.Persons[1], vector.Date(1)); err != nil {
-		t.Fatal(err)
+	h, mgr := ds.Graph, txn.NewManager(ds.Graph)
+	commit := func(a, b vector.VID, date int64) {
+		t.Helper()
+		tx := mgr.Begin([]vector.VID{a, b})
+		if err := tx.AddEdge(ds.H.Knows, a, b, vector.Date(date)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	commit(ds.Persons[0], ds.Persons[1], 1)
 	ov = getOverlay()
 	if ov["withDelta"].(float64) == 0 || ov["inserts"].(float64) == 0 {
 		t.Fatalf("overlay insert not visible: %v", ov)
@@ -316,9 +326,7 @@ func TestStatsEndpointOverlaySection(t *testing.T) {
 	}
 
 	h.SetResealPolicy(1e-9, 1)
-	if err := h.AddEdge(ds.H.Knows, ds.Persons[1], ds.Persons[2], vector.Date(2)); err != nil {
-		t.Fatal(err)
-	}
+	commit(ds.Persons[1], ds.Persons[2], 2)
 	ov = getOverlay()
 	if ov["reseals"].(float64) == 0 {
 		t.Fatalf("reseal counter did not advance: %v", ov)
@@ -333,9 +341,8 @@ func TestStatsEndpointOverlaySection(t *testing.T) {
 // graph's deltas (overlay.inserts), the reseal policy has folded some into
 // the images (overlay.reseals), nothing is pinned once the requests are done
 // so the fold horizon has caught up with the newest version (foldLag 0), no
-// arena is still checked out, the created vertices are graph vertices
-// (vertices), and the transaction layer holds no record, since no IU writes
-// a property version (overlayVertices).
+// arena is still checked out, and the created vertices are graph vertices
+// (vertices).
 func TestStatsShowTheFold(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
 	if err != nil {
@@ -383,9 +390,6 @@ func TestStatsShowTheFold(t *testing.T) {
 	}
 	if got := st["vertices"].(float64); got != float64(base+created) {
 		t.Fatalf("vertices = %v, want %d base + %d created", got, base, created)
-	}
-	if got := st["overlayVertices"].(float64); got != 0 {
-		t.Fatalf("overlayVertices = %v, want none", got)
 	}
 	if got := st["commitVersion"].(float64); got != updates {
 		t.Fatalf("commitVersion = %v, want %d", got, updates)

@@ -5,11 +5,11 @@
 // layer.
 //
 // A family's adjacency has one readable representation: an immutable CSR
-// image (csr.go) plus its small mutable delta (delta.go). Edge mutations land
+// image (csr.go) plus its small mutable delta (delta.go). Committed edges land
 // in the delta, readers merge the two sides, and a reseal folds the delta into
 // a fresh image. Before the graph's first read, the bulk phase appends each
 // family's edges to a write-only log (this file) that nothing reads; the first
-// seal sorts the log into the image and drops it, and every read or delete of
+// seal sorts the log into the image and drops it, and every read or commit of
 // a graph still in the bulk phase performs that seal first.
 //
 // The store is optimized for the read-dominant workloads the paper targets:
@@ -55,7 +55,7 @@ type AdjList struct {
 	propKinds []vector.Kind
 
 	// wmu serializes every mutator of the family — log appends, delta
-	// inserts and deletes, and the seal. Readers never take it: they go
+	// inserts, and the seal. Readers never take it: they go
 	// through snap (plus its delta's atomics).
 	wmu sync.Mutex
 
@@ -122,15 +122,6 @@ func (a *AdjList) insert(src, dst vector.VID, ver uint64, props []vector.Value) 
 			l.props.Str[p] = append(l.props.Str[p], v.S)
 		}
 	}
-}
-
-// del removes one edge from the sealed family's merged view (a delete seals
-// the graph first, so the family has an image).
-func (a *AdjList) del(src, dst vector.VID) bool {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	c := a.snap.Load()
-	return c.delta.remove(c, src, dst)
 }
 
 // memBytes returns the approximate resident size of the family: its image and

@@ -13,14 +13,14 @@ package storage
 //     aligned-run contract of Segment holds unchanged.
 //
 // The snapshot hangs off the AdjList behind an atomic pointer. Each image
-// carries a delta overlay (delta.go): once SealCSR has run, edge mutations —
-// committed transactions included — land in the delta instead of invalidating
-// the image, readers merge the two sides (at their version) without losing the
-// sorted-run contract, and a background reseal (reseal.go) swaps in the merge
-// of the two as a fresh image — one atomic store, concurrent readers keep
-// whichever image they already loaded. Only the bulk phase has families
-// without an image (one first created by a post-seal mutation is born with an
-// empty one), and no read reaches them: the graph seals at its first read.
+// carries a delta overlay (delta.go): once SealCSR has run, committed edges
+// land in the delta instead of invalidating the image, readers merge the two
+// sides (at their version) without losing the sorted-run contract, and a
+// background reseal (reseal.go) swaps in the merge of the two as a fresh
+// image — one atomic store, concurrent readers keep whichever image they
+// already loaded. Only the bulk phase has families without an image (one
+// first created by a commit is born with an empty one), and no read reaches
+// them: the graph seals at its first read.
 
 import (
 	"slices"
@@ -96,7 +96,7 @@ func (a *AdjList) sealCSR() *csr {
 			}
 		}
 	}
-	c.delta = newAdjDelta(len(keys), a.propKinds)
+	c.delta = newAdjDelta(a.propKinds)
 	return c
 }
 
@@ -121,54 +121,32 @@ func (c *csr) span(src vector.VID) (lo, hi int) {
 	return int(c.offsets[src]), int(c.offsets[src+1])
 }
 
-// runLen returns the length of src's run as a read at ver sees it, and
-// whether the delta changes the image's run there — a tombstone in its range
-// or an entry visible at ver — so that it must be merged, not shared.
+// runLen returns the length of src's run as a read at ver sees it: the
+// image's run plus the delta entries visible at ver.
 //
 //geslint:kernel
-func (c *csr) runLen(src vector.VID, ver uint64) (n int, merged bool) {
+func (c *csr) runLen(src vector.VID, ver uint64) int {
 	lo, hi := c.span(src)
-	return c.count(lo, hi, c.delta.runs.Load(src), ver)
-}
-
-// count is runLen for one source's image run [lo,hi) and delta run r.
-//
-//geslint:kernel
-func (c *csr) count(lo, hi int, r *deltaRun, ver uint64) (n int, merged bool) {
-	n = hi - lo
-	if t := c.delta.tombsIn(lo, hi); t > 0 {
-		n -= t
-		merged = true
-	}
-	if k := r.visible(ver); k > 0 {
-		n += k
-		merged = true
-	}
-	return n, merged
+	return hi - lo + c.delta.runs.Load(src).visible(ver)
 }
 
 // segmentAt builds the Segment of src's run as a read at ver sees it: a view
-// of the image where the delta leaves the run alone, an owned merge where it
-// does not.
+// of the image where no delta entry visible at ver joins the run, an owned
+// merge where one does.
 func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bool) {
 	lo, hi := c.span(src)
 	rows := edgeRows{vids: c.neighbors, cols: c.props}
-	for {
-		r := c.delta.runs.Load(src)
-		n, merged := c.count(lo, hi, r, ver)
-		if !merged {
-			break
-		}
+	r := c.delta.runs.Load(src)
+	if k := r.visible(ver); k > 0 {
 		var owned edgeRows
 		p := packer{out: &owned}
 		if withProps {
 			p.kinds = c.propKinds
 		}
+		n := hi - lo + k
 		p.reserve(n)
-		if p.merge(c, lo, hi, r, ver, n) { // else an unversioned write raced the count: read again
-			rows, lo, hi = owned, 0, n
-			break
-		}
+		p.merge(c, lo, hi, r, ver)
+		rows, lo, hi = owned, 0, n
 	}
 	if lo == hi {
 		return Segment{}, false
@@ -181,21 +159,15 @@ func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bo
 	return seg, true
 }
 
-// liveEntries is the merged view's entry count: the image's entries less
-// tombstones plus delta inserts.
-func (c *csr) liveEntries() int {
-	return len(c.neighbors) - int(c.delta.nTombs.Load()) + int(c.delta.nIns.Load())
-}
-
 // memBytes approximates the snapshot's resident size.
 func (c *csr) memBytes() int {
 	return len(c.offsets)*4 + len(c.neighbors)*4 + c.props.bytes(c.propKinds)
 }
 
 // resealed folds into a fresh image the delta entries a read at horizon h
-// sees — tombstones, unversioned inserts and commits at or below h — with the
-// merge readers already run, over every source, into exactly sized arrays;
-// the entries stamped after h are carried into the fresh image's delta.
+// sees — the commits at or below h — with the merge readers already run, over
+// every source, into exactly sized arrays; the entries stamped after h are
+// carried into the fresh image's delta.
 // Image entries precede delta entries of the same destination, so duplicates
 // stay in insertion order across any number of reseals — the image is what
 // sealing a graph rebuilt from the edge list visible at h would give. Caller
@@ -206,8 +178,7 @@ func (c *csr) resealed(h uint64) *csr {
 	d.runs.Range(func(src vector.VID, _ *deltaRun) { n = max(n, int(src)+1) })
 	total := 0
 	for v := 0; v < n; v++ {
-		k, _ := c.runLen(vector.VID(v), h)
-		total += k
+		total += c.runLen(vector.VID(v), h)
 	}
 	var rows edgeRows
 	p := packer{out: &rows, kinds: c.propKinds}
@@ -217,17 +188,11 @@ func (c *csr) resealed(h uint64) *csr {
 		nc.offsets[v] = uint32(p.at)
 		src := vector.VID(v)
 		lo, hi := c.span(src)
-		r := d.runs.Load(src)
-		k, merged := c.count(lo, hi, r, h)
-		if merged {
-			p.merge(c, lo, hi, r, h, k) // cannot fail: wmu freezes the delta
-		} else {
-			p.copy(c, lo, hi)
-		}
+		p.merge(c, lo, hi, d.runs.Load(src), h)
 	}
 	nc.offsets[n] = uint32(p.at)
 	nc.neighbors, nc.props = rows.vids, rows.cols
-	nc.delta = newAdjDelta(len(nc.neighbors), c.propKinds)
+	nc.delta = newAdjDelta(c.propKinds)
 	d.runs.Range(func(src vector.VID, r *deltaRun) {
 		if nr := r.newerThan(h, c.propKinds); nr != nil {
 			nc.delta.carry(src, nr)
@@ -258,11 +223,12 @@ func (a *AdjList) seal(h uint64) bool {
 }
 
 // SealCSR seals every adjacency family into a sorted CSR snapshot. The
-// graph's first read or delete calls it when the bulk load did not; calling it
-// again folds every family's delta, up to the fold horizon, into a fresh image
-// (a quiesced reseal); each family swaps in atomically. The first call also
-// opens the overlay phase: subsequent edge mutations land in per-image deltas,
-// and families they create are born sealed. Returns the number of families.
+// graph's first read calls it when the bulk load did not; calling it again
+// folds every family's delta, up to the fold horizon, into a fresh image (a
+// quiesced reseal); each family swaps in atomically. The first call also ends
+// the bulk phase: from then on the graph changes only by commits, whose edges
+// land in per-image deltas, and families they create are born sealed. Returns
+// the number of families.
 func (g *Graph) SealCSR() int {
 	if !g.sealedPhase.Load() {
 		// Bulk-load finish: vertex inserts are over (they are single-writer
@@ -286,7 +252,7 @@ func (g *Graph) SealCSR() int {
 // adjacency family serves from a CSR snapshot.
 func (g *Graph) CSRSealed() bool { return g.sealedPhase.Load() }
 
-// sealBulk ends the bulk phase at the graph's first read or delete. The check
+// sealBulk ends the bulk phase at the graph's first read or commit. The check
 // is one atomic load; concurrent first readers seal exactly once, and each
 // returns only after the seal has published every image.
 func (g *Graph) sealBulk() {

@@ -313,13 +313,9 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 
 	// A live delta in every family the requests touch.
 	g.SetResealPolicy(1e9, 1<<30)
-	for i := range bs { // tombstones where the edge exists, no-ops elsewhere
-		g.DeleteEdge(et, as[i], bs[i])
-		g.DeleteEdge(et, bs[i], as[i])
-	}
 	for i := range bs {
 		for _, e := range [][2]vector.VID{{as[i], bs[0]}, {bs[i], as[0]}, {as[i], as[1]}, {bs[i], bs[1]}} {
-			if err := g.AddEdge(et, e[0], e[1], vector.Date(int64(900+i)), vector.Float64(9), vector.String_("z")); err != nil {
+			if err := g.CommitEdge(uint64(1+i), et, e[0], e[1], vector.Date(int64(900+i)), vector.Float64(9), vector.String_("z")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -389,29 +385,15 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 	if !g.CSRSealed() {
 		t.Fatal("not sealed")
 	}
-	// Removing an edge lands in the delta overlay: the snapshot stays
-	// published and reads reflect the delete immediately.
-	if !g.DeleteEdge(livesIn, ps[0], cs[0]) {
-		t.Fatal("DeleteEdge failed")
-	}
-	if !g.CSRSealed() {
-		t.Fatal("snapshot must persist across DeleteEdge")
-	}
-	for _, d := range flattenSegs(g.Neighbors(nil, ps[0], livesIn, catalog.Out, city, false)) {
-		if d == cs[0] {
-			t.Fatal("deleted edge still visible through the overlay")
-		}
-	}
+	// A committed edge lands in the delta overlay: the snapshot stays
+	// published, and the batch stays sorted: ps[0]'s run is merged, every
+	// other one still views the image.
 	srcs := append([]vector.VID(nil), ps...)
-	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
-
-	// Adding an edge keeps the snapshot too, and the batch stays sorted: ps[0]'s
-	// run is merged, every other one still views the image.
-	if err := g.AddEdge(livesIn, ps[0], cs[0], vector.Date(7)); err != nil {
+	if err := g.CommitEdge(1, livesIn, ps[0], cs[0], vector.Date(7)); err != nil {
 		t.Fatal(err)
 	}
 	if !g.CSRSealed() {
-		t.Fatal("snapshot must persist across AddEdge")
+		t.Fatal("snapshot must persist across CommitEdge")
 	}
 	var b Batch
 	g.NeighborsBatch(srcs, livesIn, catalog.Out, city, true, &b)
@@ -463,8 +445,7 @@ func TestNeighborsBatchEmptyFamily(t *testing.T) {
 // TestMemBytesAccountsCSR: a family is held once. The bulk phase accounts its
 // edge log (source, destination and the date property: 16 B per directed
 // entry), sealing trades it for the image (4 B of offset per source, 12 B per
-// entry, one tombstone word per 64 entries), and delta entries are accounted
-// on top of the image.
+// entry), and delta entries are accounted on top of the image.
 func TestMemBytesAccountsCSR(t *testing.T) {
 	g, ps, cs, _, _, livesIn := csrGraph(t)
 	topology := func() int {
@@ -486,7 +467,7 @@ func TestMemBytesAccountsCSR(t *testing.T) {
 	image := 0
 	for _, l := range g.fams.Load().adj {
 		c := l.snap.Load()
-		image += 4*len(c.offsets) + 12*len(c.neighbors) + 8*len(c.delta.tombs)
+		image += 4*len(c.offsets) + 12*len(c.neighbors)
 	}
 	if got := topology(); got != image {
 		t.Fatalf("sealed families account %d B, their images hold %d", got, image)
@@ -496,7 +477,7 @@ func TestMemBytesAccountsCSR(t *testing.T) {
 		t.Fatalf("sealing must trade the log for the image: bulk=%d sealed=%d", bulk, sealed)
 	}
 	g.SetResealPolicy(1e9, 1<<30)
-	if err := g.AddEdge(livesIn, ps[0], cs[0], vector.Date(1)); err != nil {
+	if err := g.CommitEdge(1, livesIn, ps[0], cs[0], vector.Date(1)); err != nil {
 		t.Fatal(err)
 	}
 	if withDelta := g.MemBytes(); withDelta <= sealed {
@@ -504,15 +485,15 @@ func TestMemBytesAccountsCSR(t *testing.T) {
 	}
 }
 
-// TestBatchUnderUnversionedWrites races batched readers against unversioned
-// AddEdges (run with -race): a merged run whose count an insert overtakes is
-// read again, that run alone, so every run a reader sees is the scalar read
-// of its source at some moment — the run before the writes, plus a prefix of
-// the edges written to it, with their properties.
-func TestBatchUnderUnversionedWrites(t *testing.T) {
+// TestLatestBatchUnderCommits races batched readers of a graph no manager is
+// bound to — reads at Latest, which see every delta entry whatever its stamp
+// — against commits (run with -race). A read loads each delta run once and
+// counts and merges that immutable run, so every run a reader sees is the
+// scalar read of its source at some moment — the run before the commits,
+// plus a prefix of the edges committed to it, with their properties.
+func TestLatestBatchUnderCommits(t *testing.T) {
 	g, ps, cs, city, livesIn := overlayGraph(t, 12, 5)
 	g.SetResealPolicy(1e9, 1<<30)
-	g.DeleteEdge(livesIn, ps[0], cs[0]) // a tombstone under the writes too
 	type row struct {
 		dst  vector.VID
 		date int64
@@ -549,7 +530,7 @@ func TestBatchUnderUnversionedWrites(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < writes; k++ {
 				for i := w; i < len(ps); i += 2 {
-					if err := g.AddEdge(livesIn, ps[i], adds[i][k].dst, vector.Date(adds[i][k].date)); err != nil {
+					if err := g.CommitEdge(uint64(1+k), livesIn, ps[i], adds[i][k].dst, vector.Date(adds[i][k].date)); err != nil {
 						t.Error(err)
 						return
 					}

@@ -48,7 +48,7 @@ func overlayGraph(t *testing.T, nPersons, nCities int) (*Graph, []vector.VID, []
 }
 
 // edgeProp derives the single LIVES_IN date prop deterministically from the
-// endpoints, so re-adding an edge reproduces the prior tuple exactly.
+// endpoints.
 func edgeProp(src, dst vector.VID) vector.Value {
 	return vector.Date(int64(src)*100000 + int64(dst))
 }
@@ -91,85 +91,20 @@ func captureImageDir(g View, srcs []vector.VID, et catalog.EdgeTypeID, dir catal
 	return img
 }
 
-func TestOverlayDeleteThenReadd(t *testing.T) {
-	g, ps, cs, city, livesIn := overlayGraph(t, 8, 4)
-	src, dst := ps[0], cs[0] // (0*7+0*3)%2==0: edge exists
-	if !g.DeleteEdge(livesIn, src, dst) {
-		t.Fatal("DeleteEdge failed")
-	}
-	if err := g.AddEdge(livesIn, src, dst, edgeProp(src, dst)); err != nil {
-		t.Fatal(err)
-	}
-	// One occurrence, present, with the original prop tuple.
-	segs := g.Neighbors(nil, src, livesIn, catalog.Out, city, true)
-	count := 0
-	for _, s := range segs {
-		for k, d := range s.VIDs {
-			if d == dst {
-				count++
-				if got, want := s.PropI64[0][k], int64(src)*100000+int64(dst); got != want {
-					t.Fatalf("re-added edge prop = %d, want %d", got, want)
-				}
-			}
-		}
-	}
-	if count != 1 {
-		t.Fatalf("delete-then-readd left %d occurrences, want 1", count)
-	}
-	// Byte-identical to the quiesced reseal.
-	before := captureImage(g, ps, livesIn, city)
-	g.SealCSR()
-	after := captureImage(g, ps, livesIn, city)
-	if !reflect.DeepEqual(before, after) {
-		t.Fatal("overlay image diverges from resealed image after delete-then-readd")
-	}
-}
-
-func TestOverlayDeleteRetractsInsert(t *testing.T) {
-	g, ps, cs, city, livesIn := overlayGraph(t, 8, 4)
-	src, dst := ps[0], cs[1] // (0*7+1*3)%2==1: edge absent from the sealed image
-	if err := g.AddEdge(livesIn, src, dst, edgeProp(src, dst)); err != nil {
-		t.Fatal(err)
-	}
-	if !g.DeleteEdge(livesIn, src, dst) {
-		t.Fatal("delete of a delta insert failed")
-	}
-	for _, d := range flattenSegs(g.Neighbors(nil, src, livesIn, catalog.Out, city, false)) {
-		if d == dst {
-			t.Fatal("retracted insert still visible")
-		}
-	}
-	if g.DeleteEdge(livesIn, src, dst) {
-		t.Fatal("second delete of the same edge must fail")
-	}
-	before := captureImage(g, ps, livesIn, city)
-	g.SealCSR()
-	if after := captureImage(g, ps, livesIn, city); !reflect.DeepEqual(before, after) {
-		t.Fatal("overlay image diverges from resealed image after insert retraction")
-	}
-}
-
-// mutate applies one deterministic mutation step. Steps cycle through
-// duplicate-tolerant adds, deletes (of sealed or delta entries alike), and
-// explicit delete-then-readd pairs.
-func mutate(g *Graph, rng *rand.Rand, ps, cs []vector.VID, livesIn catalog.EdgeTypeID) {
+// mutate commits one random edge at version ver. Pairs repeat often, so
+// runs hold duplicates of a destination.
+func mutate(t *testing.T, g *Graph, rng *rand.Rand, ver uint64, ps, cs []vector.VID, livesIn catalog.EdgeTypeID) {
+	t.Helper()
 	src := ps[rng.Intn(len(ps))]
 	dst := cs[rng.Intn(len(cs))]
-	switch rng.Intn(4) {
-	case 0, 1:
-		_ = g.AddEdge(livesIn, src, dst, edgeProp(src, dst))
-	case 2:
-		g.DeleteEdge(livesIn, src, dst)
-	default:
-		if g.DeleteEdge(livesIn, src, dst) {
-			_ = g.AddEdge(livesIn, src, dst, edgeProp(src, dst))
-		}
+	if err := g.CommitEdge(ver, livesIn, src, dst, edgeProp(src, dst)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestOverlayConcurrentReadersMatchReseal is the overlay's core concurrency
 // contract, meant for -race: reader worker counts 1/2/4/8 expand batches
-// while a writer streams edge mutations through the overlay, with the reseal
+// while a writer streams commits through the overlay, with the reseal
 // policy cranked low enough that images swap mid-run. Readers assert the
 // sorted-run invariant on every expansion; after the writer quiesces, the
 // overlay read image must be byte-identical to a full reseal.
@@ -212,7 +147,7 @@ func TestOverlayConcurrentReadersMatchReseal(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(int64(workers)))
 			for i := 0; i < 4000; i++ {
-				mutate(g, rng, ps, cs, livesIn)
+				mutate(t, g, rng, uint64(1+i), ps, cs, livesIn)
 			}
 			done.Store(true)
 			wg.Wait()
@@ -235,7 +170,7 @@ func TestOverlayConcurrentReadersMatchReseal(t *testing.T) {
 
 // TestOverlayBackgroundResealSwap drives reseals through an asynchronous
 // submit (a private goroutine per task, tracked so the test can quiesce) so
-// the image swap genuinely overlaps reader loads and writer mutations.
+// the image swap genuinely overlaps reader loads and commits.
 func TestOverlayBackgroundResealSwap(t *testing.T) {
 	g, ps, cs, city, livesIn := overlayGraph(t, 32, 8)
 	var pending sync.WaitGroup
@@ -264,7 +199,7 @@ func TestOverlayBackgroundResealSwap(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 4000; i++ {
-		mutate(g, rng, ps, cs, livesIn)
+		mutate(t, g, rng, uint64(1+i), ps, cs, livesIn)
 	}
 	done.Store(true)
 	wg.Wait()
@@ -285,10 +220,9 @@ func TestOverlayBackgroundResealSwap(t *testing.T) {
 
 // TestOverlayMatchesRebuiltGraph is the overlay's differential, and the only
 // thing that vouches for a reseal now that a reseal is the readers' own
-// merge: each mutation script runs against a sealed graph (landing in the
+// merge: each commit script runs against a sealed graph (landing in the
 // deltas, with and without mid-script reseals) while a sequential model
-// tracks the edge list in insertion order (a delete drops the earliest
-// occurrence); the read image — every family, props included — must be
+// tracks the edge list in insertion order; the read image — every family, props included — must be
 // byte-identical to a graph rebuilt from the model's edge list and sealed,
 // never to the reseal itself. The same holds after a forced reseal and after
 // a Save/Load round trip taken while the deltas are live, and the bulk-phase
@@ -303,7 +237,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		prop     int64
 	}
 	type step struct {
-		op byte // '+' add, '-' delete the (src,dst) of e, 'R' quiesced reseal
+		op byte // '+' commit e, 'R' quiesced reseal
 		e  edge
 	}
 	// build adds the persons, the cities, then one vertex per extra label (the
@@ -365,7 +299,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		out := make([]step, n)
 		for i := range out {
 			// Three prop values: duplicates of a pair usually differ.
-			out[i] = step{"+-"[rng.Intn(2)], edge{rng.Intn(nPersons + 1), city0 + rng.Intn(nCities), int64(rng.Intn(3))}}
+			out[i] = step{'+', edge{rng.Intn(nPersons + 1), city0 + rng.Intn(nCities), int64(rng.Intn(3))}}
 		}
 		return out
 	}
@@ -387,40 +321,35 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		}
 		return out
 	}
-	p0c0, p0c1 := edge{0, city0, 7}, edge{0, city0 + 1, 7}
+	p0c0 := edge{0, city0, 7}
 	scripts := []struct {
 		name     string
 		bulk     []edge // loaded after initial, before the seal
 		steps    []step
 		resealAt int // delta depth that triggers an inline reseal; 0 = never
 	}{
-		{"delete-then-readd", nil, []step{{'-', p0c0}, {'+', p0c0}}, 0},
-		{"insert-then-retract", nil, []step{{'+', p0c1}, {'-', p0c1}}, 0},
-		{"duplicate-inserts", nil, []step{{'+', p0c0}, {'+', p0c0}, {'-', p0c0}}, 0},
-		// Duplicates of one pair carrying distinct props: each delete takes
-		// the oldest survivor, whichever side (image or delta) holds it.
+		{"duplicate-inserts", nil, []step{{'+', p0c0}, {'+', p0c0}}, 0},
+		// Duplicates of one pair carrying distinct props, on both sides of
+		// reseals: image and delta keep them in insertion order.
 		{"distinct-prop-duplicates", nil, []step{
-			{'+', edge{0, city0, 111}}, {'+', edge{0, city0, 222}},
-			{'-', p0c0}, {op: 'R'},
-			{'+', edge{0, city0, 333}}, {'-', p0c0}, {op: 'R'},
-			{'-', p0c0}, {'+', edge{0, city0, 444}},
+			{'+', edge{0, city0, 111}}, {'+', edge{0, city0, 222}}, {op: 'R'},
+			{'+', edge{0, city0, 333}}, {op: 'R'}, {'+', edge{0, city0, 444}},
 		}, 0},
 		// The same, with the duplicates loaded in the bulk phase between other
 		// edges of their source and destination: the seal must keep them in
-		// arrival order for the deletes to take the oldest.
+		// arrival order, ahead of the ones committed later.
 		{"bulk-distinct-prop-duplicates", []edge{
 			{0, city0, 111}, {0, city0 + 1, 5}, {0, city0, 222}, {1, city0, 9}, {0, city0, 333},
 		}, []step{
-			{'-', p0c0}, {'-', p0c0}, {op: 'R'}, {'+', edge{0, city0, 444}}, {'-', p0c0},
+			{'+', edge{0, city0, 444}}, {op: 'R'}, {'+', edge{0, city0, 555}},
 		}, 0},
 		// City→City: a family no bulk-phase edge ever touched.
 		{"family-born-sealed", nil, []step{
 			{'+', edge{city0, city0 + 2, 1}}, {'+', edge{city0, city0 + 1, 2}}, {'+', edge{city0 + 3, city0, 3}},
-			{'-', edge{src: city0, dst: city0 + 2}},
 		}, 0},
 		{"source-beyond-offsets", nil, []step{
 			{'+', edge{late, city0 + 5, 1}}, {'+', edge{late, city0 + 2, 2}}, {op: 'R'},
-			{'+', edge{late, city0 + 3, 3}}, {'-', edge{src: late, dst: city0 + 5}},
+			{'+', edge{late, city0 + 3, 3}},
 		}, 0},
 		{"random-deltas-kept", nil, random(1, 600), 0},
 		{"random-with-reseals", nil, random(2, 600), 8},
@@ -443,27 +372,13 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			} else {
 				g.SetResealPolicy(1e9, 1<<30)
 			}
-			for _, st := range sc.steps {
+			for i, st := range sc.steps {
 				switch st.op {
 				case '+':
-					if err := g.AddEdge(livesIn, vs[st.e.src], vs[st.e.dst], vector.Date(st.e.prop)); err != nil {
+					if err := g.CommitEdge(uint64(1+i), livesIn, vs[st.e.src], vs[st.e.dst], vector.Date(st.e.prop)); err != nil {
 						t.Fatal(err)
 					}
 					model = append(model, st.e)
-				case '-':
-					at := -1
-					for i, e := range model {
-						if e.src == st.e.src && e.dst == st.e.dst {
-							at = i
-							break
-						}
-					}
-					if ok := g.DeleteEdge(livesIn, vs[st.e.src], vs[st.e.dst]); ok != (at >= 0) {
-						t.Fatalf("DeleteEdge(%d,%d) = %v, model has it: %v", st.e.src, st.e.dst, ok, at >= 0)
-					}
-					if at >= 0 {
-						model = append(model[:at], model[at+1:]...)
-					}
 				case 'R':
 					g.SealCSR()
 				}
@@ -507,7 +422,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			}
 
 			g.SealCSR()
-			if ov := g.Overlay(); ov.Inserts != 0 || ov.Tombstones != 0 {
+			if ov := g.Overlay(); ov.Inserts != 0 {
 				t.Fatalf("a reseal leaves empty deltas, got %+v", ov)
 			}
 			if got := capture(g, vs, person, city, livesIn); !reflect.DeepEqual(got, want) {
@@ -531,8 +446,8 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		ver uint64
 	}
 	type vstep struct {
-		// '+' commit e at the next version, '-' delete (src,dst) of e, 'C'
-		// create a vertex (a person when e.src is 0, else a city), 'P' pin
+		// '+' commit e at the next version, 'C' create a vertex at the next
+		// version (a person when e.src is 0, else a city), 'P' pin
 		// the newest version, 'U' drop the oldest pin, 'R' reseal at the
 		// horizon, 'N' reseal at horizon 0.
 		op byte
@@ -548,10 +463,8 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			dsts := append([]int{city0 + rng.Intn(nCities)}, ccs...)
 			e := edge{srcs[rng.Intn(len(srcs))], dsts[rng.Intn(len(dsts))], int64(rng.Intn(3))}
 			switch r := rng.Intn(100); {
-			case r < 55:
-				out = append(out, vstep{'+', e})
 			case r < 65:
-				out = append(out, vstep{'-', e})
+				out = append(out, vstep{'+', e})
 			case r < 73:
 				at := created0 + len(cps) + len(ccs)
 				if rng.Intn(2) == 0 {
@@ -583,7 +496,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			{'+', edge{0, cc, 2}}, {'+', edge{cp, cc, 3}}, {op: 'P'},
 			{op: 'N'}, // three commits unfolded, none at or below 0
 			{op: 'R'}, // folds the first commit only: the oldest pin
-			{'+', edge{cp, cc, 4}}, {'-', edge{src: cp, dst: cc}},
+			{'+', edge{cp, cc, 4}},
 			{op: 'U'}, {op: 'R'}, {op: 'U'}, {op: 'R'},
 			{'+', edge{cp, city0 + 2, 5}},
 		}, 0},
@@ -612,7 +525,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			var pins []uint64
 			cur := uint64(0)
 			setHorizon := func() {
-				horizon.h = cur
+				horizon.h, horizon.v = cur, cur
 				if len(pins) > 0 {
 					horizon.h = pins[0]
 				}
@@ -663,25 +576,13 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 						t.Fatal(err)
 					}
 					model = append(model, vedge{st.e, cur})
-				case '-':
-					at := -1
-					for i, e := range model {
-						if e.src == st.e.src && e.dst == st.e.dst {
-							at = i
-							break
-						}
-					}
-					if ok := g.DeleteEdge(livesIn, vs[st.e.src], vs[st.e.dst]); ok != (at >= 0) {
-						t.Fatalf("step %d: DeleteEdge(%d,%d) = %v, model has it: %v", si, st.e.src, st.e.dst, ok, at >= 0)
-					}
-					if at >= 0 {
-						model = append(model[:at], model[at+1:]...)
-					}
 				case 'C':
 					l := person
 					if st.e.src != 0 {
 						l = city
 					}
+					cur++
+					setHorizon()
 					v := vector.VID(created0 + len(created))
 					if err := g.CommitVertex(cur, v, l, int64(5000+len(created))); err != nil {
 						t.Fatal(err)
@@ -736,7 +637,7 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 			pins = nil
 			setHorizon()
 			g.SealCSR()
-			if ov := g.Overlay(); ov.Inserts != 0 || ov.Tombstones != 0 {
+			if ov := g.Overlay(); ov.Inserts != 0 {
 				t.Fatalf("a reseal at the newest version leaves empty deltas, got %+v", ov)
 			}
 			check(cur)
@@ -745,10 +646,11 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 	}
 }
 
-// fakeVersions is a settable fold horizon, standing in for the transaction
-// manager a graph binds.
-type fakeVersions struct{ h uint64 }
+// fakeVersions is a settable published version and fold horizon, standing in
+// for the transaction manager a graph binds.
+type fakeVersions struct{ v, h uint64 }
 
+func (f *fakeVersions) Version() uint64   { return f.v }
 func (f *fakeVersions) GCHorizon() uint64 { return f.h }
 
 // TestOverlayMixedDirections exercises the In direction and Both through the
@@ -758,7 +660,7 @@ func TestOverlayMixedDirections(t *testing.T) {
 	person := g.LabelOf(ps[0])
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {
-		mutate(g, rng, ps, cs, livesIn)
+		mutate(t, g, rng, uint64(1+i), ps, cs, livesIn)
 	}
 	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, true)
 	batchMatchesScalar(t, g, cs, livesIn, catalog.In, person, true)

@@ -8,59 +8,6 @@ import (
 	"ges/internal/vector"
 )
 
-// TestRemoveKeepsEdgePropsAligned interleaves appends (forcing slot
-// relocations) with removals and asserts the edge-property columns stay
-// aligned with the adjacency array throughout: every surviving neighbor must
-// carry the property value it was inserted with.
-func TestRemoveKeepsEdgePropsAligned(t *testing.T) {
-	g, person, city, livesIn := twoLabelGraph(t)
-	p, _ := g.AddVertex(person, 1)
-	const n = 40
-	cities := make([]vector.VID, n)
-	for i := 0; i < n; i++ {
-		c, err := g.AddVertex(city, int64(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cities[i] = c
-		// since == external id, so alignment is checkable per neighbor.
-		if err := g.AddEdge(livesIn, p, c, vector.Date(int64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-		// Delete every third edge as we go, so removals hit slots both
-		// before and after relocations.
-		if i%3 == 2 {
-			if !g.DeleteEdge(livesIn, p, cities[i-1]) {
-				t.Fatalf("delete of %d failed", cities[i-1])
-			}
-		}
-	}
-	want := make(map[vector.VID]int64)
-	for i, c := range cities {
-		want[c] = int64(100 + i)
-	}
-	for i := 2; i < n; i += 3 {
-		delete(want, cities[i-1])
-	}
-	seen := 0
-	for _, seg := range g.Neighbors(nil, p, livesIn, catalog.Out, city, true) {
-		for k, v := range seg.VIDs {
-			wv, ok := want[v]
-			if !ok {
-				t.Fatalf("deleted neighbor %d still present", v)
-			}
-			if seg.PropI64[0][k] != wv {
-				t.Fatalf("edge prop misaligned after remove: vid %d since %d want %d",
-					v, seg.PropI64[0][k], wv)
-			}
-			seen++
-		}
-	}
-	if seen != len(want) {
-		t.Fatalf("neighbors = %d, want %d", seen, len(want))
-	}
-}
-
 // gatherFixture builds a graph with enough persons to span several zones and
 // two labels so cross-label gathers leave foreign rows untouched.
 func gatherFixture(t *testing.T, n int) (*Graph, catalog.LabelID, catalog.LabelID) {

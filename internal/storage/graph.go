@@ -27,11 +27,10 @@ type Segment struct {
 	PropStr [][]string
 }
 
-// View is the read interface the executor runs against. The *Graph
-// implements it directly, reading every committed vertex and edge;
-// transactional snapshots implement it over the graph as of their version
-// (At) and the transaction layer's property versions (§5, Concurrency
-// Control).
+// View is the read interface the executor runs against. It has two
+// implementations: the *Graph, reading every published commit, and the
+// VersionView a transaction snapshot reads, the graph as of one commit
+// version (At; §5, Concurrency Control).
 type View interface {
 	// Catalog returns the shared name catalog.
 	Catalog() *catalog.Catalog
@@ -74,17 +73,15 @@ type View interface {
 }
 
 // Graph is the storage. Bulk loading (AddVertex / AddEdge) is single-writer
-// and ends at the first SealCSR, which the graph's first read or delete
-// performs if the loader did not; after it, *edge* mutations may run
-// concurrently with readers — they
-// land in per-image delta overlays (delta.go) while the sealed CSR images stay
-// published — and bulk property writes remain single-writer by contract. A
-// committed transaction writes here too, stamped with its commit version:
-// the vertices it created as rows past the base arrays (CommitVertex), its
-// edges into the images' deltas (CommitEdge). The graph is their only home,
-// reads at an older version do not see them (At), and reseals fold the edges
-// into the images up to the bound manager's horizon (BindVersions). Only the
-// property versions a transaction writes stay in the transaction layer.
+// and ends at the first SealCSR, which the graph's first read performs if the
+// loader did not. The seal is the boundary: from then on the only way to
+// change the graph is a commit, stamped with its version (at least 1) — the
+// vertices a transaction created as rows past the base arrays (CommitVertex),
+// its edges into the sealed images' deltas (CommitEdge) — which may run
+// concurrently with readers. The graph is the commits' only home, reads at an
+// older version do not see them (At), and reseals fold the edges into the
+// images up to the bound manager's horizon (BindVersions). No row, vertex or
+// edge is ever changed or removed once written.
 type Graph struct {
 	cat *catalog.Catalog
 
@@ -204,10 +201,13 @@ func (g *Graph) SetResealPolicy(frac float64, minDelta int) {
 	}
 }
 
-// VersionSource is the transaction manager a graph's commits come from: a
-// reseal folds the delta entries stamped at or below its GCHorizon — the
-// oldest version a live snapshot may still read — and no newer ones.
+// VersionSource is the transaction manager a graph's commits come from: the
+// graph's own reads see the commits up to its Version — the last one
+// published — and a reseal folds the delta entries stamped at or below its
+// GCHorizon — the oldest version a live snapshot may still read — and no
+// newer ones.
 type VersionSource interface {
+	Version() uint64
 	GCHorizon() uint64
 }
 
@@ -222,6 +222,16 @@ func (g *Graph) BindVersions(src VersionSource) VersionSource {
 	g.sealBulk()
 	g.versions.CompareAndSwap(nil, &versionBinding{src: src})
 	return g.versions.Load().src
+}
+
+// readVersion is the version the graph's own reads see: the bound manager's
+// last published commit — so no read sees a commit still being written — or
+// every entry while none is bound.
+func (g *Graph) readVersion() uint64 {
+	if b := g.versions.Load(); b != nil {
+		return b.src.Version()
+	}
+	return Latest
 }
 
 // foldHorizon is the version up to which a reseal folds: the bound manager's
@@ -244,14 +254,14 @@ func (g *Graph) Catalog() *catalog.Catalog { return g.cat }
 
 // AddVertex inserts a vertex with an external identifier and property values
 // ordered per the label's schema, returning its dense VID. It is the bulk
-// path: once a transaction manager binds the graph, the VIDs past the base
-// are the manager's, and vertices are created in transactions.
+// path: once the graph is sealed, vertices are created by commits
+// (CommitVertex), at the VIDs past the base the bound manager allocates.
 func (g *Graph) AddVertex(label catalog.LabelID, extID int64, props ...vector.Value) (vector.VID, error) {
 	if int(label) >= g.cat.NumLabels() {
 		return vector.NilVID, fmt.Errorf("storage: unknown label %d", label)
 	}
-	if g.versions.Load() != nil {
-		return vector.NilVID, fmt.Errorf("storage: AddVertex on a graph a transaction manager is bound to")
+	if g.sealedPhase.Load() {
+		return vector.NilVID, fmt.Errorf("storage: AddVertex on a sealed graph")
 	}
 	t := g.tableFor(label)
 	if _, dup := t.byExt[extID]; dup {
@@ -262,25 +272,40 @@ func (g *Graph) AddVertex(label catalog.LabelID, extID int64, props ...vector.Va
 	g.labelOf = append(g.labelOf, label)
 	g.rowOf = append(g.rowOf, row)
 	g.extOf = append(g.extOf, extID)
-	g.noteMutation()
 	return vid, nil
 }
 
-// AddEdge inserts a directed edge src→dst of type et with edge-property
-// values ordered per the edge type's schema. Both the forward (Out) and
-// reverse (In) adjacency families are maintained. After SealCSR the insert
-// lands in the sealed images' deltas, unversioned — every read sees it — and
-// may run concurrently with readers.
+// AddEdge appends a directed edge src→dst of type et, with edge-property
+// values ordered per the edge type's schema, to the bulk load: both the
+// forward (Out) and reverse (In) adjacency families' edge logs. It is the bulk
+// path: once the graph is sealed, edges are written by commits (CommitEdge).
 func (g *Graph) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
-	return g.CommitEdge(0, et, src, dst, props...)
+	if g.sealedPhase.Load() {
+		return fmt.Errorf("storage: AddEdge on a sealed graph")
+	}
+	return g.addEdge(0, et, src, dst, props)
 }
 
-// CommitEdge is AddEdge for a committed transaction: the edge is stamped with
-// the commit version ver, so reads at an older version (At) do not see it
-// until a reseal at a horizon of at least ver folds it into the image.
-// Endpoints may be base vertices or vertices transactions created
+// CommitEdge writes the edge of a committed transaction, stamped with the
+// commit version ver (at least 1), into the sealed images' deltas — a graph
+// still in the bulk phase is sealed first — so reads at an older version (At)
+// do not see it until a reseal at a horizon of at least ver folds it into the
+// image. Endpoints may be base vertices or vertices transactions created
 // (CommitVertex).
 func (g *Graph) CommitEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
+	if ver == 0 {
+		return fmt.Errorf("storage: edge committed at version 0")
+	}
+	g.sealBulk()
+	return g.addEdge(ver, et, src, dst, props)
+}
+
+// addEdge checks the edge and writes both its directions: into the edge logs
+// in the bulk phase, into the deltas stamped ver after it.
+func (g *Graph) addEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props []vector.Value) error {
+	if int(et) >= g.cat.NumEdgeTypes() {
+		return fmt.Errorf("storage: unknown edge type %d", et)
+	}
 	sl, dl := g.labelAt(src), g.labelAt(dst)
 	if sl == noLabel || dl == noLabel {
 		return fmt.Errorf("storage: edge with unknown vertex (src=%d dst=%d)", src, dst)
@@ -303,14 +328,14 @@ func (g *Graph) CommitEdge(ver uint64, et catalog.EdgeTypeID, src, dst vector.VI
 type vidChunk [1024]atomic.Uint64
 
 // CommitVertex appends v, a vertex a committed transaction created, stamped
-// with the commit version ver: its label table's tail row (the external id
-// and the properties in the label's schema order) and its per-VID entry.
-// Its VID is past the base; reads at versions below ver (At) do not scan or
-// look it up. A commit calls it before it writes any edge naming v. Calls
-// are serialized by the caller.
+// with the commit version ver (at least 1): its label table's tail row (the
+// external id and the properties in the label's schema order) and its per-VID
+// entry. Its VID is past the base; reads at versions below ver (At) do not
+// scan or look it up. A commit calls it before it writes any edge naming v.
+// Calls are serialized by the caller.
 func (g *Graph) CommitVertex(ver uint64, v vector.VID, label catalog.LabelID, ext int64, props ...vector.Value) error {
-	if int(v) < len(g.labelOf) || v == vector.NilVID || int(label) >= g.cat.NumLabels() {
-		return fmt.Errorf("storage: created vertex %d with label %d", v, label)
+	if ver == 0 || int(v) < len(g.labelOf) || v == vector.NilVID || int(label) >= g.cat.NumLabels() {
+		return fmt.Errorf("storage: created vertex %d with label %d at version %d", v, label, ver)
 	}
 	r := g.tableFor(label).appendTail(v, ext, ver, props)
 	i := int(v) - len(g.labelOf)
@@ -374,32 +399,6 @@ func (g *Graph) tailAt(v vector.VID) (catalog.LabelID, int) {
 		}
 	}
 	return noLabel, 0
-}
-
-// DeleteEdge removes the edge src→dst of type et from both directions — the
-// occurrence inserted first. A graph still in the bulk phase is sealed first;
-// the removal tombstones the sealed images' entries (or retracts delta
-// inserts) and may run concurrently with readers; it is unversioned, like
-// AddEdge.
-func (g *Graph) DeleteEdge(et catalog.EdgeTypeID, src, dst vector.VID) bool {
-	g.sealBulk()
-	sl, dl := g.labelAt(src), g.labelAt(dst)
-	if sl == noLabel || dl == noLabel {
-		return false
-	}
-	outKey := AdjKey{Src: sl, Et: et, Dst: dl, Dir: catalog.Out}
-	inKey := AdjKey{Src: dl, Et: et, Dst: sl, Dir: catalog.In}
-	lo, li := g.family(outKey), g.family(inKey)
-	okOut := lo.del(src, dst)
-	okIn := li.del(dst, src)
-	if okOut && okIn {
-		g.edgeCount.Add(-1)
-		g.noteMutation()
-		g.maybeReseal(outKey, lo)
-		g.maybeReseal(inKey, li)
-		return true
-	}
-	return false
 }
 
 // family returns (creating on demand) the adjacency family for key.
@@ -468,9 +467,9 @@ func (g *Graph) ExtID(v vector.VID) int64 {
 	return 0
 }
 
-// VertexByExt implements View.
+// VertexByExt implements View at the graph's read version.
 func (g *Graph) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool) {
-	return g.At(Latest).VertexByExt(label, ext)
+	return g.At(g.readVersion()).VertexByExt(label, ext)
 }
 
 // Prop implements View: the zero Value for a VID the graph holds no vertex
@@ -483,13 +482,6 @@ func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 		return g.table(l).tailValue(r, p)
 	}
 	return vector.Value{}
-}
-
-// SetProp overwrites a base vertex's property. It is part of the
-// single-writer bulk path; transactional updates are property versions.
-func (g *Graph) SetProp(v vector.VID, p catalog.PropID, val vector.Value) {
-	g.table(g.labelOf[v]).set(g.rowOf[v], p, val)
-	g.noteMutation()
 }
 
 // families calls fn for every family Neighbors(src, et, dir, dstLabel) visits,
@@ -516,11 +508,11 @@ func (g *Graph) families(src vector.VID, et catalog.EdgeTypeID, dir catalog.Dire
 	}
 }
 
-// Neighbors implements View. A graph still in the bulk phase is sealed
-// first.
+// Neighbors implements View at the graph's read version. A graph still in
+// the bulk phase is sealed first.
 func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
 	g.sealBulk()
-	return g.neighbors(buf, src, et, dir, dstLabel, withProps, Latest)
+	return g.neighbors(buf, src, et, dir, dstLabel, withProps, g.readVersion())
 }
 
 // neighbors serves each family's sorted CSR run (loaded once, so neighbors
@@ -535,27 +527,28 @@ func (g *Graph) neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, 
 	return buf
 }
 
-// Degree implements View. A graph still in the bulk phase is sealed first.
+// Degree implements View at the graph's read version. A graph still in the
+// bulk phase is sealed first.
 func (g *Graph) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
 	g.sealBulk()
-	return g.degree(src, et, dir, dstLabel, Latest)
+	return g.degree(src, et, dir, dstLabel, g.readVersion())
 }
 
 func (g *Graph) degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, ver uint64) int {
 	n := 0
 	g.families(src, et, dir, dstLabel, func(l *AdjList) {
-		k, _ := l.snap.Load().runLen(src, ver)
-		n += k
+		n += l.snap.Load().runLen(src, ver)
 	})
 	return n
 }
 
-// VersionView is the graph as a read at one commit version sees it: delta
-// entries stamped after the version are hidden from every adjacency read, and
-// vertices committed after it from scans, counts and external-id lookups.
-// Every other read is the graph's own: a vertex is reached only through
-// those, so its label, external id and properties need no version check.
-// Transaction snapshots read the graph through it.
+// VersionView is the graph as a read at one commit version sees it — a
+// transaction snapshot: delta entries stamped after the version are hidden
+// from every adjacency read, and vertices committed after it from scans,
+// counts and external-id lookups. Every other read is the graph's own: a
+// vertex is reached only through those, and no property changes once its row
+// is written, so its label, external id and properties — gathers, zone
+// pruning and column sharing included — are exact at every version.
 type VersionView struct {
 	*Graph
 	ver uint64
@@ -563,6 +556,9 @@ type VersionView struct {
 
 // At returns the graph's view at commit version ver.
 func (g *Graph) At(ver uint64) VersionView { return VersionView{Graph: g, ver: ver} }
+
+// Version returns the commit version the view reads at.
+func (v VersionView) Version() uint64 { return v.ver }
 
 // Neighbors implements View at the view's version.
 func (v VersionView) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
@@ -628,14 +624,15 @@ func (v VersionView) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, 
 	return vector.NilVID, false
 }
 
-// ScanLabel implements View.
-func (g *Graph) ScanLabel(label catalog.LabelID) []vector.VID { return g.At(Latest).ScanLabel(label) }
+// ScanLabel implements View at the graph's read version.
+func (g *Graph) ScanLabel(label catalog.LabelID) []vector.VID {
+	return g.At(g.readVersion()).ScanLabel(label)
+}
 
-// NumVertices implements View: every committed vertex.
-func (g *Graph) NumVertices() int { return g.At(Latest).NumVertices() }
+// NumVertices implements View: every vertex at the graph's read version.
+func (g *Graph) NumVertices() int { return g.At(g.readVersion()).NumVertices() }
 
-// NumEdges returns the number of live directed edges, committed ones
-// included.
+// NumEdges returns the number of directed edges, committed ones included.
 func (g *Graph) NumEdges() int { return int(g.edgeCount.Load()) }
 
 // CountLabel returns how many committed vertices carry the given label.

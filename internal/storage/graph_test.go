@@ -168,9 +168,9 @@ func TestSlotRegrowthKeepsSegmentsValid(t *testing.T) {
 	if err := g.AddEdge(livesIn, p, cities[0], vector.Date(0)); err != nil {
 		t.Fatal(err)
 	}
-	early := g.Neighbors(nil, p, livesIn, catalog.Out, city, false)
+	early := g.Neighbors(nil, p, livesIn, catalog.Out, city, false) // seals
 	for i := 1; i < n; i++ {
-		if err := g.AddEdge(livesIn, p, cities[i], vector.Date(int64(i))); err != nil {
+		if err := g.CommitEdge(uint64(i), livesIn, p, cities[i], vector.Date(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,31 +190,6 @@ func TestSlotRegrowthKeepsSegmentsValid(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("neighbors after regrowth = %d, want %d", total, n)
-	}
-}
-
-func TestDeleteEdge(t *testing.T) {
-	g, person, city, livesIn := twoLabelGraph(t)
-	p, _ := g.AddVertex(person, 1)
-	c1, _ := g.AddVertex(city, 100)
-	c2, _ := g.AddVertex(city, 101)
-	_ = g.AddEdge(livesIn, p, c1, vector.Date(1))
-	_ = g.AddEdge(livesIn, p, c2, vector.Date(2))
-	if !g.DeleteEdge(livesIn, p, c1) {
-		t.Fatal("delete existing edge failed")
-	}
-	if g.DeleteEdge(livesIn, p, c1) {
-		t.Fatal("double delete should fail")
-	}
-	segs := g.Neighbors(nil, p, livesIn, catalog.Out, city, true)
-	if len(segs) != 1 || len(segs[0].VIDs) != 1 || segs[0].VIDs[0] != c2 {
-		t.Fatalf("neighbors after delete = %v", segs)
-	}
-	if segs[0].PropI64[0][0] != 2 {
-		t.Fatal("edge prop not moved with compaction")
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
 	}
 }
 
@@ -315,4 +290,48 @@ func TestPoolRoundTrip(t *testing.T) {
 		t.Fatal("big alloc failed")
 	}
 	p.PutVIDs(big)
+}
+
+// TestSealedGraphTakesOnlyCommits: the seal is the boundary after which the
+// only write is a commit stamped with a version of at least 1. A bulk-path
+// write, a commit at version 0 and an edge of an unknown type each return an
+// error and leave the edge count and every delta as they were.
+func TestSealedGraphTakesOnlyCommits(t *testing.T) {
+	g, ps, cs, person, _, livesIn := csrGraph(t)
+	g.SealCSR()
+	if err := g.CommitEdge(1, livesIn, ps[1], cs[0], vector.Date(1)); err != nil {
+		t.Fatal(err)
+	}
+	edges, overlay := g.NumEdges(), g.Overlay()
+	next := vector.VID(g.NumVertices())
+	for _, c := range []struct {
+		name  string
+		write func() error
+	}{
+		{"AddEdge", func() error { return g.AddEdge(livesIn, ps[0], cs[1], vector.Date(2)) }},
+		{"AddVertex", func() error { _, err := g.AddVertex(person, 999); return err }},
+		{"CommitEdge at version 0", func() error { return g.CommitEdge(0, livesIn, ps[0], cs[1], vector.Date(2)) }},
+		{"CommitVertex at version 0", func() error { return g.CommitVertex(0, next, person, 999) }},
+		{"CommitEdge of an unknown type", func() error { return g.CommitEdge(2, 200, ps[0], cs[1]) }},
+	} {
+		if err := c.write(); err == nil {
+			t.Errorf("%s on a sealed graph succeeded", c.name)
+		}
+		if g.NumEdges() != edges || g.Overlay() != overlay || g.NumVertices() != int(next) {
+			t.Fatalf("%s changed the graph: %d edges, overlay %+v, %d vertices", c.name, g.NumEdges(), g.Overlay(), g.NumVertices())
+		}
+	}
+}
+
+// TestBulkEdgeOfUnknownTypeRefused: the bulk path checks the edge type before
+// it creates a family for it.
+func TestBulkEdgeOfUnknownTypeRefused(t *testing.T) {
+	g, ps, cs, _, _, _ := csrGraph(t)
+	families := len(g.fams.Load().adj)
+	if err := g.AddEdge(200, ps[0], cs[0]); err == nil {
+		t.Fatal("AddEdge of an unknown edge type succeeded")
+	}
+	if n := len(g.fams.Load().adj); n != families {
+		t.Fatalf("a refused edge created %d families", n-families)
+	}
 }

@@ -114,14 +114,14 @@ func (b *Batch) reset(n int) {
 	b.backs = append(b.backs[:0], backing{cols: &b.merged.cols})
 }
 
-// NeighborsBatch implements View: one call resolves the neighbors of every
-// source, filling out's runs aligned with srcs (NilVID sources get empty
-// runs) with pieces viewing the sealed images, merged into the batch's own
-// rows only where the delta changes a run. A graph still in the bulk phase
-// is sealed first.
+// NeighborsBatch implements View at the graph's read version: one call
+// resolves the neighbors of every source, filling out's runs aligned with
+// srcs (NilVID sources get empty runs) with pieces viewing the sealed images,
+// merged into the batch's own rows only where the delta changes a run. A
+// graph still in the bulk phase is sealed first.
 func (g *Graph) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
 	g.sealBulk()
-	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, Latest, out)
+	g.neighborsBatch(srcs, et, dir, dstLabel, withProps, g.readVersion(), out)
 }
 
 // batchFam is one family in a call's table: its image, the backing its view
@@ -220,30 +220,18 @@ func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir cat
 
 // addPiece appends src's run of family f, whose delta is not empty, as a
 // read at ver sees it: nothing for an empty run, a view of the image for one
-// the delta leaves alone, and otherwise the merge of the two, carved from the
-// batch's merged rows. A merge an unversioned write raced is read again,
-// that run alone.
+// no visible delta entry joins, and otherwise the merge of the two, carved
+// from the batch's merged rows.
 func (b *Batch) addPiece(p *packer, f *batchFam, src vector.VID, ver uint64) {
 	c := f.c
 	lo, hi := c.span(src)
-	for {
-		r := c.delta.runs.Load(src)
-		n, merged := c.count(lo, hi, r, ver)
-		if !merged {
-			break
-		}
-		if n == 0 {
-			return
-		}
+	r := c.delta.runs.Load(src)
+	if k := r.visible(ver); k > 0 {
 		at := p.at
-		p.reserve(n)
-		if p.merge(c, lo, hi, r, ver, n) {
-			b.Pieces = append(b.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Back: 0, Label: f.dst})
-			return
-		}
-		p.at = at
-	}
-	if lo < hi {
+		p.reserve(hi - lo + k)
+		p.merge(c, lo, hi, r, ver)
+		b.Pieces = append(b.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Back: 0, Label: f.dst})
+	} else if lo < hi {
 		b.Pieces = append(b.Pieces, Piece{Lo: int32(lo), Hi: int32(hi), Back: f.back, Label: f.dst})
 	}
 }
@@ -348,49 +336,35 @@ func (p *packer) rows(vids []vector.VID, cols *EdgeCols, lo, hi int) {
 	p.at += hi - lo
 }
 
-// merge appends n rows, reserved: one source's image run [lo,hi)
-// (tombstones skipped) interleaved with the entries of its delta run r
-// stamped at or before ver, ascending by VID, image first on ties. Every
-// image entry was inserted before every delta entry, so duplicates of a
-// destination stay in insertion order and a merged read is byte-identical to
-// a read after a reseal. It reports false, having written no more than n
-// rows, when the run does not hold exactly n — an unversioned mutation
-// changed it since it was counted.
-func (p *packer) merge(c *csr, lo, hi int, r *deltaRun, ver uint64, n int) bool {
-	d := c.delta
+// merge appends the rows of one source, reserved: its image run [lo,hi)
+// interleaved with the entries of its delta run r stamped at or before ver,
+// ascending by VID, image first on ties. Every image entry was inserted before
+// every delta entry, so duplicates of a destination stay in insertion order
+// and a merged read is byte-identical to a read after a reseal.
+func (p *packer) merge(c *csr, lo, hi int, r *deltaRun, ver uint64) {
 	rn := 0
 	if r != nil {
 		rn = len(r.dsts)
 	}
-	end := p.at + n
 	i, j := lo, 0
 	for {
-		for i < hi && d.tombstoned(i) {
-			i++
-		}
 		for j < rn && r.vers[j] > ver {
 			j++
 		}
 		if i >= hi && j >= rn {
-			return p.at == end
+			return
 		}
-		// Copy stretches, not entries: the live image entries up to the next
+		// Copy stretches, not entries: the image entries up to the next
 		// visible delta entry, then the visible delta entries below the image
-		// entry that follows. Either stretch may stop early (at a tombstone, a
-		// hidden entry); the next round resumes there.
+		// entry that follows. The delta stretch may stop early (at a hidden
+		// entry); the next round resumes there.
 		k := hi
 		if j < rn {
 			k = i + upperBound(c.neighbors[i:hi], r.dsts[j])
 		}
-		k = d.nextTomb(i, k)
 		e := j
 		for e < rn && r.vers[e] <= ver && (k >= hi || r.dsts[e] < c.neighbors[k]) {
 			e++
-		}
-		if k == i && e == j || p.at+k-i+e-j > end {
-			// More rows than counted, or none at all: position i was
-			// tombstoned after the skip above.
-			return false
 		}
 		p.copy(c, i, k)
 		if e > j {

@@ -94,12 +94,6 @@ func (t *propTable) get(row uint32, p catalog.PropID) vector.Value {
 	return t.cols[p].Get(int(row))
 }
 
-// set overwrites property p at base row (the single-writer bulk path). Dict
-// codes are interned and zone maps widened by Column.Set.
-func (t *propTable) set(row uint32, p catalog.PropID, v vector.Value) {
-	t.cols[p].Set(int(row), normalize(v, t.defs[p].Kind))
-}
-
 // tailRow returns the chunk holding tail row r and r's index in it.
 func (t *propTable) tailRow(r int) (*rowChunk, int) {
 	return (*t.chunks.Load())[r>>tailShift], r & (tailRows - 1)

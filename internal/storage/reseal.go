@@ -25,7 +25,7 @@ func (g *Graph) maybeReseal(key AdjKey, l *AdjList) {
 	if c == nil {
 		return
 	}
-	n := int(c.delta.depth())
+	n := int(c.delta.nIns.Load())
 	if n < g.resealMin || float64(n) <= g.resealFrac*float64(len(c.neighbors)) || !c.delta.canFold(g.foldHorizon()) {
 		return
 	}
@@ -86,9 +86,8 @@ func (g *Graph) rebaseStats(key AdjKey, c *csr) {
 type OverlayFamilyStats struct {
 	Key           AdjKey
 	SealedEntries int     // neighbor entries in the published image
-	Inserts       int64   // live delta insert entries
-	Tombstones    int64   // tombstoned sealed positions
-	DeltaFraction float64 // overlay depth / sealed entries
+	Inserts       int64   // delta insert entries
+	DeltaFraction float64 // delta inserts / sealed entries
 }
 
 // OverlayStats aggregates delta-overlay and reseal gauges across families.
@@ -96,7 +95,6 @@ type OverlayStats struct {
 	Families         int // adjacency families
 	WithDelta        int // families with a non-empty delta
 	Inserts          int64
-	Tombstones       int64
 	MaxDeltaFraction float64
 	Reseals          int64         // background reseals completed
 	ResealTime       time.Duration // total wall time spent resealing
@@ -104,13 +102,13 @@ type OverlayStats struct {
 	StatsEpoch       uint64
 }
 
-// deltaFraction is the overlay depth relative to the sealed entry count
+// deltaFraction is the delta's insert count relative to the sealed entry count
 // (against max(entries,1) so tiny families still report pressure).
-func deltaFraction(depth int64, sealedEntries int) float64 {
+func deltaFraction(inserts int64, sealedEntries int) float64 {
 	if sealedEntries < 1 {
 		sealedEntries = 1
 	}
-	return float64(depth) / float64(sealedEntries)
+	return float64(inserts) / float64(sealedEntries)
 }
 
 // Overlay reports the aggregate overlay gauges. Safe under concurrent
@@ -128,13 +126,12 @@ func (g *Graph) Overlay() OverlayStats {
 		if c == nil {
 			continue // the bulk phase: nothing is sealed yet
 		}
-		ins, tombs := c.delta.nIns.Load(), c.delta.nTombs.Load()
-		if ins+tombs > 0 {
+		ins := c.delta.nIns.Load()
+		if ins > 0 {
 			o.WithDelta++
 		}
 		o.Inserts += ins
-		o.Tombstones += tombs
-		if f := deltaFraction(ins+tombs, len(c.neighbors)); f > o.MaxDeltaFraction {
+		if f := deltaFraction(ins, len(c.neighbors)); f > o.MaxDeltaFraction {
 			o.MaxDeltaFraction = f
 		}
 	}
@@ -151,8 +148,7 @@ func (g *Graph) OverlayFamilies() []OverlayFamilyStats {
 		if c := l.snap.Load(); c != nil {
 			fs.SealedEntries = len(c.neighbors)
 			fs.Inserts = c.delta.nIns.Load()
-			fs.Tombstones = c.delta.nTombs.Load()
-			fs.DeltaFraction = deltaFraction(fs.Inserts+fs.Tombstones, fs.SealedEntries)
+			fs.DeltaFraction = deltaFraction(fs.Inserts, fs.SealedEntries)
 		}
 		out = append(out, fs)
 	}

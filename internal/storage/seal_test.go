@@ -20,7 +20,7 @@ import (
 // a generated dataset holds no bulk-phase edge log in any family and fits the
 // one-copy size (10.4 MB at simSF 1; it was 24.0 MB when the bulk phase's
 // slot arrays were kept), and neither does one after reseals forced on every
-// mutation while readers and two writers run — whose final reads must equal
+// commit while readers and two writers run — whose final reads must equal
 // the sequential model. Meant for -race.
 func TestSealReleasesBuilder(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 1, Seed: 1})
@@ -35,36 +35,32 @@ func TestSealReleasesBuilder(t *testing.T) {
 		t.Fatalf("MemBytes = %d, more than one copy of the adjacency (12 MiB)", b)
 	}
 
-	// Every mutation reseals both KNOWS families, inline on the writer.
+	// Every commit reseals both KNOWS families, inline on the writer.
 	g.SetResealSubmit(nil)
 	g.SetResealPolicy(1e-9, 1)
 	srcs := ds.Persons[:48]
 	var b storage.Batch
 	g.NeighborsBatch(srcs, h.Knows, catalog.Out, h.Person, false, &b)
+	const rounds = 3
 	model := make([][]vector.VID, len(srcs))
-	adds, dels := make([]vector.VID, len(srcs)), make([]vector.VID, len(srcs))
+	adds := make([][]vector.VID, len(srcs))
 	for i, p := range srcs {
 		run := append([]vector.VID(nil), b.Run(i)...)
-		// One absent pair to toggle (it ends present), one present edge to
-		// delete for good; sources alternate between the two writers.
-		adds[i], dels[i] = vector.NilVID, vector.NilVID
+		// One absent pair per round; sources alternate between the two
+		// writers.
 		for _, q := range ds.Persons[len(srcs):] {
-			if k := sort.Search(len(run), func(k int) bool { return run[k] >= q }); k == len(run) || run[k] != q {
-				adds[i] = q
-				break
+			if k := sort.Search(len(run), func(k int) bool { return run[k] >= q }); q != p && (k == len(run) || run[k] != q) {
+				if adds[i] = append(adds[i], q); len(adds[i]) == rounds {
+					break
+				}
 			}
 		}
-		if len(run) > 0 {
-			dels[i] = run[len(run)/2]
-			at := sort.Search(len(run), func(k int) bool { return run[k] >= dels[i] })
-			run = append(run[:at], run[at+1:]...)
+		if len(adds[i]) < rounds {
+			t.Fatalf("fewer than %d absent KNOWS pairs for person %d", rounds, p)
 		}
-		run = append(run, adds[i])
+		run = append(run, adds[i]...)
 		sort.Slice(run, func(x, y int) bool { return run[x] < run[y] })
 		model[i] = run
-		if adds[i] == vector.NilVID || p == adds[i] {
-			t.Fatalf("no absent KNOWS pair for person %d", p)
-		}
 	}
 
 	var stop atomic.Bool
@@ -94,19 +90,10 @@ func TestSealReleasesBuilder(t *testing.T) {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
-			for round := 0; round < 3; round++ {
+			for round := 0; round < rounds; round++ {
 				for i := w; i < len(srcs); i += 2 {
-					if round == 1 {
-						if !g.DeleteEdge(h.Knows, srcs[i], adds[i]) {
-							t.Errorf("toggle delete %d->%d failed", srcs[i], adds[i])
-						}
-						continue
-					}
-					if err := g.AddEdge(h.Knows, srcs[i], adds[i], vector.Date(int64(ldbc.DayStart))); err != nil {
+					if err := g.CommitEdge(uint64(1+round), h.Knows, srcs[i], adds[i][round], vector.Date(int64(ldbc.DayStart))); err != nil {
 						t.Error(err)
-					}
-					if round == 0 && dels[i] != vector.NilVID && !g.DeleteEdge(h.Knows, srcs[i], dels[i]) {
-						t.Errorf("delete %d->%d failed", srcs[i], dels[i])
 					}
 				}
 			}
@@ -241,62 +228,6 @@ func TestFirstReadsSealOnce(t *testing.T) {
 	for w := range got {
 		if got[w] != want[w%3] {
 			t.Fatalf("reader %d diverges from the explicitly sealed twin", w)
-		}
-	}
-}
-
-// TestBulkDeleteSealsFirst: a delete on a graph still in the bulk phase seals
-// it, then removes the occurrence inserted first — in both directions, as a
-// tombstone in the sealed images' deltas.
-func TestBulkDeleteSealsFirst(t *testing.T) {
-	cat := catalog.New()
-	person := catalog.Must(cat.AddLabel("Person"))
-	knows := catalog.Must(cat.AddEdgeType("KNOWS", catalog.PropDef{Name: "since", Kind: vector.KindDate}))
-	g := storage.NewGraph(cat)
-	var p [3]vector.VID
-	for i := range p {
-		v, err := g.AddVertex(person, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p[i] = v
-	}
-	for _, e := range []struct {
-		dst   vector.VID
-		since int64
-	}{{p[1], 3}, {p[2], 1}, {p[1], 1}, {p[1], 2}} {
-		if err := g.AddEdge(knows, p[0], e.dst, vector.Date(e.since)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !g.DeleteEdge(knows, p[0], p[1]) {
-		t.Fatal("bulk-phase DeleteEdge found no edge")
-	}
-	if !g.CSRSealed() {
-		t.Fatal("a bulk-phase delete must seal the graph first")
-	}
-	if ov := g.Overlay(); ov.Tombstones != 2 || ov.Inserts != 0 {
-		t.Fatalf("overlay %+v, want one tombstone per direction", ov)
-	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
-	}
-	for _, c := range []struct {
-		src  vector.VID
-		dir  catalog.Direction
-		want string
-	}{
-		{p[0], catalog.Out, fmt.Sprint([]vector.VID{p[1], p[1], p[2]}, []int64{1, 2, 1})},
-		{p[1], catalog.In, fmt.Sprint([]vector.VID{p[0], p[0]}, []int64{1, 2})},
-	} {
-		var vids []vector.VID
-		var since []int64
-		for _, seg := range g.Neighbors(nil, c.src, knows, c.dir, person, true) {
-			vids = append(vids, seg.VIDs...)
-			since = append(since, seg.PropI64[0]...)
-		}
-		if got := fmt.Sprint(vids, since); got != c.want {
-			t.Fatalf("%v of %d after the delete: %s, want %s", c.dir, c.src, got, c.want)
 		}
 	}
 }

@@ -117,12 +117,13 @@ func (s *snapReader) value(k vector.Kind) vector.Value {
 }
 
 // Save writes the catalog and the graph as a snapshot: every vertex and
-// edge, committed ones included. Vertices are written by external id, so
-// Load renumbers them densely and the VIDs aborted transactions left unused
-// disappear. Callers persist a quiesced (or freshly loaded) graph; one still
-// in the bulk phase is sealed first.
+// edge at the graph's read version, committed ones included. Vertices are
+// written by external id, so Load renumbers them densely and the VIDs aborted
+// transactions left unused disappear. Callers persist a quiesced (or freshly
+// loaded) graph; one still in the bulk phase is sealed first.
 func (g *Graph) Save(w io.Writer) error {
 	g.sealBulk()
+	at := g.At(g.readVersion())
 	sw := &snapWriter{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := sw.w.WriteString(snapshotMagic); err != nil {
 		return err
@@ -157,7 +158,7 @@ func (g *Graph) Save(w io.Writer) error {
 	for l := 0; l < cat.NumLabels(); l++ {
 		id := catalog.LabelID(l)
 		defs := cat.LabelProps(id)
-		vids := g.ScanLabel(id)
+		vids := at.ScanLabel(id)
 		sw.uvarint(uint64(len(vids)))
 		for _, v := range vids {
 			sw.varint(g.ExtID(v))
@@ -194,12 +195,17 @@ func (g *Graph) Save(w io.Writer) error {
 		sw.uvarint(uint64(f.key.Dst))
 		defs := cat.EdgeTypeProps(f.key.Et)
 		c := f.list.snap.Load()
-		sw.uvarint(uint64(c.liveEntries()))
 		// Only a vertex of the family's source label can be a source. Each
 		// run is read the way Neighbors reads it: the sealed image merged
-		// with its delta.
-		for _, src := range g.ScanLabel(f.key.Src) {
-			seg, _ := c.segmentAt(src, true, Latest)
+		// with the delta entries visible at the read version.
+		srcs := at.ScanLabel(f.key.Src)
+		n := 0
+		for _, src := range srcs {
+			n += c.runLen(src, at.ver)
+		}
+		sw.uvarint(uint64(n))
+		for _, src := range srcs {
+			seg, _ := c.segmentAt(src, true, at.ver)
 			for i, dst := range seg.VIDs {
 				sw.varint(g.ExtID(src))
 				sw.varint(g.ExtID(dst))

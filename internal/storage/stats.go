@@ -59,10 +59,10 @@ func (g *Graph) StatsEpoch() uint64 {
 	return 0
 }
 
-// noteMutation records a base mutation against the statistics snapshot:
-// once one is published (first SealCSR) it stays published, mutations only
-// bump the staleness gauge, and background reseals rebase the families that
-// actually drift. Bulk-phase mutations have no snapshot to be stale against.
+// noteMutation records an edge write against the statistics snapshot: once
+// one is published (first SealCSR) it stays published, commits only bump the
+// staleness gauge, and background reseals rebase the families that actually
+// drift. Bulk-phase writes have no snapshot to be stale against.
 func (g *Graph) noteMutation() {
 	if g.sealedPhase.Load() {
 		g.statsStale.Add(1)

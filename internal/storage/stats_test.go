@@ -65,12 +65,17 @@ func TestSealPublishesStats(t *testing.T) {
 }
 
 func TestOverlayMutationKeepsStatsPublished(t *testing.T) {
-	g, person, _, _ := statsGraph(t)
+	g, person, city, livesIn := statsGraph(t)
 	epoch := g.StatsEpoch()
-	if _, err := g.AddVertex(person, 4); err != nil {
+	v := vector.VID(g.NumVertices())
+	if err := g.CommitVertex(1, v, person, 4); err != nil {
 		t.Fatal(err)
 	}
-	// Sealed-phase mutations keep the snapshot published (it goes stale, it
+	c, _ := g.VertexByExt(city, 100)
+	if err := g.CommitEdge(1, livesIn, v, c, vector.Date(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Sealed-phase commits keep the snapshot published (it goes stale, it
 	// does not go nil) so the planner never loses its cost model mid-stream.
 	s := g.Stats()
 	if s == nil || g.StatsEpoch() != epoch {
@@ -85,8 +90,9 @@ func TestOverlayMutationKeepsStatsPublished(t *testing.T) {
 	if s == nil || s.Epoch <= epoch {
 		t.Fatalf("re-seal epoch = %v, want > %d", s, epoch)
 	}
-	if s.Label(person) != 4 {
-		t.Fatalf("re-sealed person card = %d, want 4", s.Label(person))
+	out := stats.FamKey{Src: person, Et: livesIn, Dst: city, Dir: catalog.Out}
+	if f, ok := s.Family(out); !ok || f.Edges != 4 {
+		t.Fatalf("re-sealed out family = %+v, want the committed edge among 4", f)
 	}
 	if got := g.Overlay().StatsStale; got != 0 {
 		t.Fatalf("re-seal must clear staleness, got %d", got)
@@ -108,19 +114,20 @@ func TestBulkPhaseHasNoStats(t *testing.T) {
 	if got := g.Overlay().StatsStale; got != 0 {
 		t.Fatalf("bulk-phase mutations counted as staleness: %d", got)
 	}
-	// Once published the snapshot is never dropped: SetProp and DeleteEdge
-	// leave it in place and bump the staleness gauge instead.
+	// Once published the snapshot is never dropped: commits leave it in
+	// place and bump the staleness gauge instead.
 	g.SealCSR()
 	epoch := g.StatsEpoch()
-	g.SetProp(p1, 1, vector.Int64(31))
-	if !g.DeleteEdge(livesIn, p1, c1) {
-		t.Fatal("DeleteEdge failed")
+	for ver := uint64(1); ver <= 2; ver++ {
+		if err := g.CommitEdge(ver, livesIn, p1, c1, vector.Date(int64(10+ver))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if g.Stats() == nil || g.StatsEpoch() != epoch {
-		t.Fatal("sealed-phase mutation dropped the snapshot")
+		t.Fatal("sealed-phase commit dropped the snapshot")
 	}
 	if got := g.Overlay().StatsStale; got != 2 {
-		t.Fatalf("staleness = %d after two sealed-phase mutations, want 2", got)
+		t.Fatalf("staleness = %d after two sealed-phase commits, want 2", got)
 	}
 }
 
@@ -131,7 +138,7 @@ func TestResealRebasesStats(t *testing.T) {
 	c2, _ := g.VertexByExt(city, 101)
 	// Force an inline reseal on the very first overlay write.
 	g.SetResealPolicy(1e-9, 1)
-	if err := g.AddEdge(livesIn, p3, c2, vector.Date(20)); err != nil {
+	if err := g.CommitEdge(1, livesIn, p3, c2, vector.Date(20)); err != nil {
 		t.Fatal(err)
 	}
 	s := g.Stats()

@@ -7,10 +7,9 @@ import (
 )
 
 // VIDMap is a lock-free map from VID to *T, for the per-vertex state a reader
-// probes on every row — a delta's insert runs, the transaction layer's
-// property-version records. It is an open-addressing table of entries
-// published behind one atomic pointer: a Load takes no lock and allocates
-// nothing, and it sees every Store published before it. An entry is installed
+// probes on every row — a delta's insert runs. It is an open-addressing table
+// of entries published behind one atomic pointer: a Load takes no lock and
+// allocates nothing, and it sees every Store published before it. An entry is installed
 // once per key and its value swapped in place, and a table half full is
 // replaced by one twice its size holding the same entries, so memory follows
 // the keys present (some 40 bytes each), not the VID range they span. Stores

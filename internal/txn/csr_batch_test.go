@@ -129,7 +129,7 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 	ets := []catalog.EdgeTypeID{s.Knows, s.HasCreator, s.Likes, s.ReplyOf}
 	dsts := []catalog.LabelID{s.Person, s.Post, s.Comment, storage.AnyLabel}
 	for ver := uint64(0); ver <= o.m.Version(); ver++ {
-		snap := o.m.SnapshotAt(ver)
+		snap := o.m.Graph().At(ver)
 		for name, srcs := range o.sources() {
 			t.Run(fmt.Sprintf("v%d/%s", ver, name), func(t *testing.T) {
 				for _, et := range ets {
@@ -150,12 +150,12 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 	// visible.
 	p := o.f.Persons
 	var sealed []vector.VID
-	for _, seg := range o.m.SnapshotAt(0).Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false) {
+	for _, seg := range o.m.Graph().At(0).Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false) {
 		sealed = append(sealed, seg.VIDs...)
 	}
 	for ver, added := range map[uint64][]vector.VID{0: nil, 1: {p[9]}, 4: {p[9]}, 5: {p[9], p[8]}} {
 		var b storage.Batch
-		o.m.SnapshotAt(ver).NeighborsBatch([]vector.VID{p[0]}, s.Knows, catalog.Out, s.Person, false, &b)
+		o.m.Graph().At(ver).NeighborsBatch([]vector.VID{p[0]}, s.Knows, catalog.Out, s.Person, false, &b)
 		want := append(append([]vector.VID{}, sealed...), added...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if got := append([]vector.VID{}, b.Run(0)...); !reflect.DeepEqual(got, want) {
@@ -205,7 +205,7 @@ func TestSnapshotPiecesAcrossFamilies(t *testing.T) {
 	o := newOverlayFixture(t)
 	s, p := o.f.Schema, o.f.Persons
 	for ver := uint64(0); ver <= o.m.Version(); ver++ {
-		snap := o.m.SnapshotAt(ver)
+		snap := o.m.Graph().At(ver)
 		for _, dir := range []catalog.Direction{catalog.In, catalog.Both} {
 			b := assertBatchMatchesScalar(t, snap, p, s.HasCreator, dir, storage.AnyLabel, false)
 			for _, pc := range b.Pieces {

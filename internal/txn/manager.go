@@ -1,3 +1,19 @@
+// Package txn implements GES's concurrency control (§5): Multi-Version
+// Two-Phase Locking with vertex-level versioning. Write transactions declare
+// their write sets up front and acquire vertex locks in canonical order
+// (two-phase locking without deadlocks); a commit publishes all its writes
+// under one global version. Read queries run against snapshots — the graph as
+// of one version, storage.VersionView — and never block.
+//
+// A commit writes its vertices and edges into the storage graph, stamped with
+// its version: each created vertex as a row past the base arrays
+// (storage.Graph.CommitVertex), each edge into the sealed images' deltas
+// (storage.Graph.CommitEdge). Nothing else changes after the seal — no row is
+// updated or removed — so the graph is the only home of versioned state: a
+// snapshot reads it as of its version (storage.Graph.At), and a reseal folds
+// the edges into the images up to the GC horizon — the oldest pinned snapshot
+// — which the manager is the graph's source of: the fold is how old versions
+// are collected.
 package txn
 
 import (
@@ -17,8 +33,8 @@ type pin struct {
 }
 
 // Manager is the version manager of §5: it owns the global version counter
-// (initialized to zero), the vertex lock table, the property-version records,
-// and the pins that hold back the graph's fold horizon.
+// (initialized to zero), the vertex lock table, and the pins that hold back
+// the graph's fold horizon.
 //
 // Lock order (checked by geslint rule R2): commit publication holds commitMu
 // while appending created vertices to the graph (Dict.mu, interning their
@@ -37,12 +53,6 @@ type pin struct {
 //geslint:lockorder Manager.commitMu < Dict.mu
 type Manager struct {
 	graph *storage.Graph
-
-	// overlays holds the published record of every vertex with property
-	// versions, indexed by VID: one lock-free probe per row, and most rows
-	// have none. While count is zero no row needs a probe at all.
-	overlays storage.VIDMap[vertexOverlay]
-	count    atomic.Int64 // records published
 
 	version atomic.Uint64 // last committed version
 	nextVID atomic.Uint64 // next VID for transactionally created vertices
@@ -78,24 +88,7 @@ func (m *Manager) Version() uint64 { return m.version.Load() }
 // reads exactly that version only while nothing folds past it: a read that
 // may overlap later commits — and the reseals they trigger — pins its version
 // with AcquireSnapshot.
-func (m *Manager) Snapshot() *Snapshot { return m.SnapshotAt(m.version.Load()) }
-
-// SnapshotAt returns an unpinned read view at an explicit version (time
-// travel for tests and auditing), under Snapshot's caveat.
-func (m *Manager) SnapshotAt(ver uint64) *Snapshot {
-	return &Snapshot{m: m, ver: ver, at: m.graph.At(ver)}
-}
-
-// overlayOf returns the record of v, or nil.
-func (m *Manager) overlayOf(v vector.VID) *vertexOverlay { return m.overlays.Load(v) }
-
-// publish installs rec as v's record. Caller holds commitMu.
-func (m *Manager) publish(v vector.VID, rec *vertexOverlay) {
-	if m.overlays.Load(v) == nil {
-		m.count.Add(1)
-	}
-	m.overlays.Store(v, rec)
-}
+func (m *Manager) Snapshot() storage.VersionView { return m.graph.At(m.version.Load()) }
 
 // Begin starts a write transaction whose write set (the vertices it will
 // modify) is declared up front, per the paper: "write queries update the
@@ -143,10 +136,12 @@ func (lt *lockTable) release(vs []vector.VID) {
 	}
 }
 
-// Stats reports the record count — the vertices with property versions —
-// and the last committed version (instrumentation).
-func (m *Manager) Stats() (overlayVertices int, version uint64) {
-	return int(m.count.Load()), m.version.Load()
+// Stats reports the live pinned snapshots and the last committed version
+// (instrumentation).
+func (m *Manager) Stats() (pins int, version uint64) {
+	m.pinMu.Lock()
+	defer m.pinMu.Unlock()
+	return m.pinned, m.version.Load()
 }
 
 // errTxnDone guards against use-after-finish.

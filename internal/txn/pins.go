@@ -1,5 +1,7 @@
 package txn
 
+import "ges/internal/storage"
+
 // Version collection is the graph's fold: a reseal folds the delta entries
 // at or below the GC horizon into the next image (storage.Graph.BindVersions
 // makes this manager the horizon's source). Snapshots at versions older than
@@ -7,21 +9,22 @@ package txn
 // manager tracks pinned snapshot versions and derives the horizon from them.
 
 // AcquireSnapshot returns a snapshot whose version is pinned until Release
-// is called: no reseal folds past a pinned version.
-func (m *Manager) AcquireSnapshot() *Snapshot {
-	s := m.SnapshotAt(m.pin())
-	s.pinned = true
-	return s
+// is called: no reseal folds past a pinned version. The view is the one
+// allocation a pin makes.
+func (m *Manager) AcquireSnapshot() *storage.VersionView {
+	s := m.graph.At(m.pin())
+	return &s
 }
 
-// Release unpins a snapshot obtained from AcquireSnapshot. It is idempotent
-// per snapshot.
-func (m *Manager) Release(s *Snapshot) {
-	if s == nil || !s.pinned {
+// Release unpins a snapshot obtained from AcquireSnapshot and clears its
+// graph, so the view reads nothing more and a second Release is a no-op;
+// Version still reports the version it read at.
+func (m *Manager) Release(s *storage.VersionView) {
+	if s == nil || s.Graph == nil {
 		return
 	}
-	s.pinned = false
-	m.unpin(s.ver)
+	m.unpin(s.Version())
+	s.Graph = nil
 }
 
 // pin pins the current version and returns it. The version is read under
@@ -68,11 +71,4 @@ func (m *Manager) GCHorizon() uint64 {
 		return m.pins[0].ver
 	}
 	return m.version.Load()
-}
-
-// Pins returns the number of live pinned snapshots.
-func (m *Manager) Pins() int {
-	m.pinMu.Lock()
-	defer m.pinMu.Unlock()
-	return m.pinned
 }

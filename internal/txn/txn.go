@@ -18,7 +18,6 @@ type Txn struct {
 	done    bool
 
 	newVerts   []pendingVertex
-	propWrites []pendingProp
 	edgeWrites []pendingEdge
 }
 
@@ -27,12 +26,6 @@ type pendingVertex struct {
 	label catalog.LabelID
 	ext   int64
 	props []vector.Value
-}
-
-type pendingProp struct {
-	vid vector.VID
-	pid catalog.PropID
-	val vector.Value
 }
 
 type pendingEdge struct {
@@ -63,24 +56,14 @@ func (t *Txn) AddVertex(label catalog.LabelID, ext int64, props ...vector.Value)
 	return vid, nil
 }
 
-// SetProp buffers a property update on a vertex in the write set (or one
-// created by this transaction).
-func (t *Txn) SetProp(v vector.VID, pid catalog.PropID, val vector.Value) error {
-	if t.done {
-		return errTxnDone
-	}
-	if err := t.requireWritable(v); err != nil {
-		return err
-	}
-	t.propWrites = append(t.propWrites, pendingProp{vid: v, pid: pid, val: val})
-	return nil
-}
-
-// AddEdge buffers a directed edge between two vertices, each of which must
-// be in the declared write set or created by this transaction.
+// AddEdge buffers a directed edge of a known type between two vertices, each
+// of which must be in the declared write set or created by this transaction.
 func (t *Txn) AddEdge(et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) error {
 	if t.done {
 		return errTxnDone
+	}
+	if int(et) >= t.m.graph.Catalog().NumEdgeTypes() {
+		return fmt.Errorf("txn: unknown edge type %d", et)
 	}
 	if err := t.requireWritable(src); err != nil {
 		return err
@@ -110,10 +93,9 @@ func (t *Txn) creates(v vector.VID) bool {
 
 // Commit atomically publishes all buffered writes under a fresh version and
 // releases the locks: created vertices as graph rows and edges, both
-// directions, into the graph's deltas, stamped with the version, and
-// property versions as records. Nothing is visible to a snapshot before the
-// version is published, and snapshots at older versions never see any of
-// it.
+// directions, into the graph's deltas, stamped with the version. Nothing is
+// visible to a snapshot before the version is published, and snapshots at
+// older versions never see any of it.
 func (t *Txn) Commit() error {
 	if t.done {
 		return errTxnDone
@@ -139,12 +121,9 @@ func (t *Txn) Commit() error {
 			return err // unreachable: AddVertex checked the label
 		}
 	}
-	for _, pw := range t.propWrites {
-		m.publish(pw.vid, m.overlayOf(pw.vid).withProp(propVersion{version: ver, pid: pw.pid, val: pw.val}))
-	}
 	for _, e := range t.edgeWrites {
 		if err := g.CommitEdge(ver, e.et, e.src, e.dst, e.props...); err != nil {
-			return err // unreachable: both endpoints were checked above
+			return err // unreachable: AddEdge checked the type, and both endpoints were checked above
 		}
 	}
 	// Release point: snapshots taken after this see version ver.

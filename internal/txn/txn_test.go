@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -96,42 +97,6 @@ func TestAddVertexVisibility(t *testing.T) {
 	}
 }
 
-func TestSetPropVersions(t *testing.T) {
-	f := testgraph.New()
-	m := NewManager(f.Graph)
-	s := f.Schema
-	p0 := f.Persons[0]
-
-	v0 := m.Snapshot()
-	tx := m.Begin([]vector.VID{p0})
-	if err := tx.SetProp(p0, s.PFirstName, vector.String_("Ada2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	v1 := m.Snapshot()
-
-	tx2 := m.Begin([]vector.VID{p0})
-	if err := tx2.SetProp(p0, s.PFirstName, vector.String_("Ada3")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	v2 := m.Snapshot()
-
-	if got := v0.Prop(p0, s.PFirstName).S; got != "Ada" {
-		t.Fatalf("v0 = %q", got)
-	}
-	if got := v1.Prop(p0, s.PFirstName).S; got != "Ada2" {
-		t.Fatalf("v1 = %q", got)
-	}
-	if got := v2.Prop(p0, s.PFirstName).S; got != "Ada3" {
-		t.Fatalf("v2 = %q", got)
-	}
-}
-
 func TestWriteSetEnforcement(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
@@ -139,9 +104,6 @@ func TestWriteSetEnforcement(t *testing.T) {
 
 	tx := m.Begin([]vector.VID{f.Persons[0]})
 	defer tx.Abort()
-	if err := tx.SetProp(f.Persons[1], s.PFirstName, vector.String_("x")); err == nil {
-		t.Fatal("SetProp outside write set must fail")
-	}
 	if err := tx.AddEdge(s.Knows, f.Persons[0], f.Persons[1]); err == nil {
 		t.Fatal("AddEdge with unlocked endpoint must fail")
 	}
@@ -156,13 +118,22 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	s := f.Schema
 	p0 := f.Persons[0]
 
+	before := neighborsOf(m.Snapshot(), p0, s.Knows, catalog.Out)
 	tx := m.Begin([]vector.VID{p0})
-	if err := tx.SetProp(p0, s.PFirstName, vector.String_("Nope")); err != nil {
+	nv, err := tx.AddVertex(s.Person, 556, vector.String_("Nope"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddEdge(s.Knows, p0, nv); err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort()
-	if got := m.Snapshot().Prop(p0, s.PFirstName).S; got != "Ada" {
-		t.Fatalf("aborted write visible: %q", got)
+	snap := m.Snapshot()
+	if _, ok := snap.VertexByExt(s.Person, 556); ok || f.Graph.HasVertex(nv) {
+		t.Fatal("aborted vertex visible")
+	}
+	if got := neighborsOf(snap, p0, s.Knows, catalog.Out); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatalf("aborted edge visible: %v, want %v", got, before)
 	}
 	// Locks must be released: a new txn on the same vertex proceeds.
 	tx2 := m.Begin([]vector.VID{p0})
@@ -335,10 +306,8 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	if got, want := len(snap.ScanLabel(s.Post)), len(f.Posts)+writers*txPerWriter; got != want {
 		t.Fatalf("posts = %d, want %d", got, want)
 	}
-	// The commits wrote vertices and edges into the graph and no property
-	// version: no vertex has a record.
-	if ov, ver := m.Stats(); ov != 0 || ver != writers*txPerWriter {
-		t.Fatalf("stats = %d overlays, version %d", ov, ver)
+	if pins, ver := m.Stats(); pins != 0 || ver != writers*txPerWriter {
+		t.Fatalf("stats = %d pins, version %d", pins, ver)
 	}
 }
 
@@ -347,9 +316,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // readers probe the graph — HasVertex and ExtID — for every base and created
 // VID. A commit appends a vertex and never moves or removes one, so a vertex a
 // reader once saw is there, with the same external id, on every later probe;
-// at quiesce every created VID holds its post, and no vertex has a property
-// record — the commits wrote rows and edges into the graph and left nothing
-// behind in the transaction layer.
+// at quiesce every created VID holds its post.
 func TestOverlayPresenceUnderWriters(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
@@ -423,18 +390,28 @@ func TestOverlayPresenceUnderWriters(t *testing.T) {
 	if g.HasVertex(vector.VID(base + created)) {
 		t.Fatal("a VID no transaction allocated holds a vertex")
 	}
-	if total, _ := m.Stats(); total != 0 {
-		t.Fatalf("overlay vertices = %d, want none", total)
-	}
 }
 
 // TestConcurrentSameVertexWriters checks write-write serialization on one
-// vertex: all increments survive.
+// vertex: each transaction reads p0's self-loop count under its lock and
+// commits the next loop stamped with it, so the stamps are 0..n-1, each once,
+// only if no two transactions read the same count.
 func TestConcurrentSameVertexWriters(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
 	s := f.Schema
 	p0 := f.Persons[0]
+	loops := func(v storage.View) []int64 {
+		var out []int64
+		for _, seg := range v.Neighbors(nil, p0, s.Knows, catalog.Out, s.Person, true) {
+			for k, d := range seg.VIDs {
+				if d == p0 {
+					out = append(out, seg.PropI64[0][k])
+				}
+			}
+		}
+		return out
+	}
 
 	const n = 100
 	var wg sync.WaitGroup
@@ -444,8 +421,8 @@ func TestConcurrentSameVertexWriters(t *testing.T) {
 			defer wg.Done()
 			tx := m.Begin([]vector.VID{p0})
 			// Read-modify-write under the lock: read latest committed.
-			cur := m.Snapshot().Prop(p0, s.PCreation).I
-			if err := tx.SetProp(p0, s.PCreation, vector.Date(cur+1)); err != nil {
+			cur := len(loops(m.Snapshot()))
+			if err := tx.AddEdge(s.Knows, p0, p0, vector.Date(int64(cur))); err != nil {
 				t.Error(err)
 			}
 			if err := tx.Commit(); err != nil {
@@ -454,33 +431,67 @@ func TestConcurrentSameVertexWriters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got := m.Snapshot().Prop(p0, s.PCreation).I
-	if got != 19000+n {
-		t.Fatalf("lost updates: creationDate = %d, want %d", got, 19000+n)
+	got := loops(m.Snapshot())
+	slices.Sort(got)
+	for i, v := range got {
+		if v != int64(i) {
+			t.Fatalf("lost updates: loop stamps %v, want 0..%d once each", got, n-1)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("%d loops, want %d", len(got), n)
 	}
 }
 
+// TestSnapshotAtTimeTravel: the graph at each committed version holds
+// exactly the edges committed at or below it.
 func TestSnapshotAtTimeTravel(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
 	s := f.Schema
 	p0 := f.Persons[0]
+	base := len(neighborsOf(m.Snapshot(), p0, s.Knows, catalog.Out))
 	for i := 0; i < 5; i++ {
 		tx := m.Begin([]vector.VID{p0})
-		if err := tx.SetProp(p0, s.PFirstName, vector.String_(fmt.Sprintf("v%d", i+1))); err != nil {
+		if err := tx.AddEdge(s.Knows, p0, p0, vector.Date(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for ver := uint64(1); ver <= 5; ver++ {
-		snap := m.SnapshotAt(ver)
-		if got := snap.Prop(p0, s.PFirstName).S; got != fmt.Sprintf("v%d", ver) {
-			t.Fatalf("version %d sees %q", ver, got)
+	for ver := uint64(0); ver <= 5; ver++ {
+		if got := len(neighborsOf(m.Graph().At(ver), p0, s.Knows, catalog.Out)); got != base+int(ver) {
+			t.Fatalf("version %d sees %d KNOWS edges, want %d", ver, got, base+int(ver))
 		}
 	}
-	if got := m.SnapshotAt(0).Prop(p0, s.PFirstName).S; got != "Ada" {
-		t.Fatalf("version 0 sees %q", got)
+}
+
+// TestUnknownEdgeTypeKeepsCommitAtomic: an edge of a type the catalog does
+// not hold is refused when it is buffered, so a commit never fails half way —
+// after appending the transaction's created vertices, before publishing its
+// version — and no later commit's version makes such a vertex visible.
+func TestUnknownEdgeTypeKeepsCommitAtomic(t *testing.T) {
+	f := testgraph.New()
+	m := NewManager(f.Graph)
+	s := f.Schema
+	p0 := f.Persons[0]
+	tx := m.Begin([]vector.VID{p0})
+	nv, err := tx.AddVertex(s.Person, 777, vector.String_("Half"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.AddEdge(200, p0, nv); err == nil {
+		t.Fatal("AddEdge of an unknown edge type succeeded")
+	}
+	tx.Abort()
+	if err := m.Begin(nil).Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Snapshot().VertexByExt(s.Person, 777); ok || f.Graph.HasVertex(nv) {
+		t.Fatal("a vertex of an aborted transaction is visible")
+	}
+	if pins, ver := m.Stats(); pins != 0 || ver != 1 {
+		t.Fatalf("stats = %d pins, version %d; want 0, 1", pins, ver)
 	}
 }

@@ -100,3 +100,32 @@ func TestSaveLoadAfterTransactionalWrites(t *testing.T) {
 		t.Fatalf("reloaded %d vertices, want 7", n)
 	}
 }
+
+// TestWriteAfterSaveIsATransaction: Save seals the database the way the first
+// query does, so a write after it commits as a transaction rather than a bulk
+// write into a sealed graph, and the next query sees it.
+func TestWriteAfterSaveIsATransaction(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := Open(Fused)
+	must(db.DefineVertexType("Person", Prop{Name: "name", Type: String}))
+	must(db.DefineEdgeType("KNOWS"))
+	for _, id := range []int64{1, 2, 3} {
+		must(db.AddVertex("Person", id, Props{"name": string(rune('a' + id))}))
+	}
+	must(db.AddEdge("KNOWS", "Person", 1, "Person", 2, nil))
+	var buf bytes.Buffer
+	must(db.Save(&buf))
+	must(db.AddEdge("KNOWS", "Person", 1, "Person", 3, nil))
+	must(db.AddVertex("Person", 4, Props{"name": "eve"}))
+	must(db.AddEdge("KNOWS", "Person", 4, "Person", 1, nil))
+	res, err := db.Query(`MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN id(p) AS pid, id(f) AS fid ORDER BY pid, fid`)
+	must(err)
+	if want := [][]any{{int64(1), int64(2)}, {int64(1), int64(3)}, {int64(4), int64(1)}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("rows after writes past Save = %v, want %v", res.Rows, want)
+	}
+}
