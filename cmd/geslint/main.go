@@ -26,7 +26,7 @@
 // marked <why> require a one-line justification or they are inert and
 // themselves a finding, as is any directive not in this table (R0):
 //
-//	//geslint:scalar-ok               file may use scalar View.Prop/ExtID (R1)
+//	//geslint:scalar-ok               internal/op file may use scalar View.Prop/ExtID (R1)
 //	//geslint:lockorder A < B         declares lock A is acquired before B (R2)
 //	//geslint:go-ok                   the go statement on/below this line (R5)
 //	//geslint:kernel                  func must be transitively pure (R7)

@@ -188,7 +188,7 @@ func (b *binder) bindMatchSyntactic(m *MatchClause, first bool) error {
 		} else {
 			b.plan = append(b.plan, &op.VarLengthExpand{
 				From: from.Var, To: to.Var, Et: et, Dir: rel.Dir, DstLabel: toLabel,
-				MinHops: rel.MinHops, MaxHops: rel.MaxHops, Distinct: true,
+				MinHops: rel.MinHops, MaxHops: rel.MaxHops,
 			})
 		}
 		b.bound[to.Var] = true

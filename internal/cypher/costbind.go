@@ -233,11 +233,11 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 			b.rows = bestRows
 		case bestRight:
 			if varLen {
-				// Distinct var-length pairs are symmetric, so the reversed
-				// traversal enumerates the same set.
+				// A var-length pair's shortest distance is the same either
+				// way, so the reversed traversal enumerates the same set.
 				b.plan = append(b.plan, &op.VarLengthExpand{
 					From: rv, To: lv, Et: ets[bestJ], Dir: rel.Dir.Reverse(), DstLabel: labels[bestJ],
-					MinHops: rel.MinHops, MaxHops: rel.MaxHops, Distinct: true,
+					MinHops: rel.MinHops, MaxHops: rel.MaxHops,
 				})
 			} else {
 				b.plan = append(b.plan, &op.Expand{
@@ -253,7 +253,7 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 			if varLen {
 				b.plan = append(b.plan, &op.VarLengthExpand{
 					From: lv, To: rv, Et: ets[bestJ], Dir: rel.Dir, DstLabel: labels[bestJ+1],
-					MinHops: rel.MinHops, MaxHops: rel.MaxHops, Distinct: true,
+					MinHops: rel.MinHops, MaxHops: rel.MaxHops,
 				})
 			} else {
 				b.plan = append(b.plan, &op.Expand{

@@ -172,7 +172,15 @@ func TestParseErrors(t *testing.T) {
 		{"MATCH (p:Person) WHERE p.firstName = RETURN 1", "literal"},
 		{"MATCH (p:Person) RETURN id(q)", "unknown variable"},
 		{"MATCH (p:Person) RETURN id(p) ORDER BY nope", "unknown alias"},
+		{"MATCH (p:Person)-[:KNOWS*0..2]->(g:Person) WHERE id(p) = 100 RETURN id(g)", "hop bound 0"},
+		{"MATCH (p:Person)-[:KNOWS*0]->(g:Person) WHERE id(p) = 100 RETURN id(g)", "hop bound 0"},
+		{"MATCH (p:Person)-[:KNOWS*1..0]->(g:Person) RETURN id(g)", "hop bound 0"},
+		{"MATCH (p:Person)-[:KNOWS*1..99999999999999999999]->(g:Person) RETURN id(g)", "hop bound 99999999999999999999"},
+		{"MATCH (p:Person)-[:KNOWS*99999999999999999999]->(g:Person) RETURN id(g)", "hop bound 99999999999999999999"},
 	}
+	sealed := testgraph.New()
+	sealed.Graph.SealCSR()
+	cache := cypher.NewCache(sealed.Graph)
 	for _, c := range cases {
 		_, err := cypher.Compile(c.src, f.Cat)
 		if err == nil {
@@ -181,6 +189,11 @@ func TestParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%q: error %q does not mention %q", c.src, err, c.frag)
+		}
+		// The prepared path (normalize, cache, cost-based binder) refuses it
+		// the same way.
+		if _, err := cache.Prepare(c.src); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%q: Prepare error %v does not mention %q", c.src, err, c.frag)
 		}
 	}
 }

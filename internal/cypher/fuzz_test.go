@@ -28,6 +28,9 @@ func FuzzCompile(f *testing.F) {
 		"MATCH (p:Person) WHERE p.name STARTS WITH 'a' RETURN p.name ENDS",
 		"MATCH (🙂:Person) RETURN id(🙂)",
 		"MATCH (p:Person) WHERE id(p) = 99999999999999999999 RETURN id(p)",
+		"MATCH (p:Person)-[:KNOWS*0..2]->(g:Person) WHERE id(p) = 1 RETURN id(g)",
+		"MATCH (p:Person)-[:KNOWS*0]->(g:Person) RETURN id(g)",
+		"MATCH (p:Person)-[:KNOWS*1..99999999999999999999]->(g:Person) RETURN id(g)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -180,16 +180,20 @@ func (p *parser) parseRel() (RelPat, error) {
 	if p.at(tkStar) {
 		p.next()
 		if p.at(tkInt) {
-			v, _ := strconv.Atoi(p.next().text)
-			rel.MinHops = v
-			rel.MaxHops = v
+			v, err := hopBound(p.next())
+			if err != nil {
+				return rel, err
+			}
+			rel.MinHops, rel.MaxHops = v, v
 			if p.at(tkDotDot) {
 				p.next()
 				t, err := p.expect(tkInt, "max hops")
 				if err != nil {
 					return rel, err
 				}
-				rel.MaxHops, _ = strconv.Atoi(t.text)
+				if rel.MaxHops, err = hopBound(t); err != nil {
+					return rel, err
+				}
 			}
 		} else {
 			rel.MinHops, rel.MaxHops = 1, 3 // bare '*' default bound
@@ -217,6 +221,17 @@ func (p *parser) parseRel() (RelPat, error) {
 		return rel, fmt.Errorf("cypher: expected '->' or '-' after ']', got %s at %d", t, t.pos)
 	}
 	return rel, nil
+}
+
+// hopBound parses a var-length hop bound: a positive integer. Zero (a match
+// of the start vertex itself, which the traversal excludes) and a bound too
+// large to parse are refused, not answered wrongly.
+func hopBound(t token) (int, error) {
+	v, err := strconv.Atoi(t.text)
+	if err != nil || v < 1 {
+		return 0, fmt.Errorf("cypher: hop bound %s at %d must be a positive integer", t.text, t.pos)
+	}
+	return v, nil
 }
 
 func (p *parser) parseReturn() (ReturnClause, error) {

@@ -27,7 +27,7 @@ func paperPlan(f *testgraph.Fixture) plan.Plan {
 	return plan.Plan{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-			DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+			DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 		&op.Expand{From: "f", To: "msg", Et: s.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "msg", Prop: "length", As: "msg.len"}}},
 		&op.Filter{Pred: expr.Gt(expr.C("msg.len"), expr.LInt(125))},

@@ -2,11 +2,13 @@ package ldbc_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ges/internal/catalog"
 	"ges/internal/ldbc"
 	"ges/internal/storage"
+	"ges/internal/testgraph"
 )
 
 func gen(t testing.TB, cfg ldbc.Config) *ldbc.Dataset {
@@ -28,8 +30,8 @@ func TestDeterminism(t *testing.T) {
 	// Spot-check some structure, not just counts.
 	h := a.H
 	for _, p := range a.Persons[:10] {
-		da := a.Graph.Degree(p, h.Knows, catalog.Out, h.Person)
-		db := b.Graph.Degree(p, h.Knows, catalog.Out, h.Person)
+		da := len(testgraph.NeighborVIDs(a.Graph, p, h.Knows, catalog.Out, h.Person))
+		db := len(testgraph.NeighborVIDs(b.Graph, p, h.Knows, catalog.Out, h.Person))
 		if da != db {
 			t.Fatalf("degree of person %d differs: %d vs %d", p, da, db)
 		}
@@ -58,52 +60,39 @@ func TestSchemaIntegrity(t *testing.T) {
 
 	// Every post has exactly one creator and one container forum.
 	for _, post := range ds.Posts {
-		if got := g.Degree(post, h.HasCreator, catalog.Out, h.Person); got != 1 {
+		if got := len(testgraph.NeighborVIDs(g, post, h.HasCreator, catalog.Out, h.Person)); got != 1 {
 			t.Fatalf("post has %d creators", got)
 		}
-		if got := g.Degree(post, h.ContainerOf, catalog.In, h.Forum); got != 1 {
+		if got := len(testgraph.NeighborVIDs(g, post, h.ContainerOf, catalog.In, h.Forum)); got != 1 {
 			t.Fatalf("post has %d container forums", got)
 		}
-		if got := g.Degree(post, h.IsLocatedIn, catalog.Out, h.Country); got != 1 {
+		if got := len(testgraph.NeighborVIDs(g, post, h.IsLocatedIn, catalog.Out, h.Country)); got != 1 {
 			t.Fatalf("post has %d countries", got)
 		}
 	}
 	// Every comment replies to exactly one message and has one creator.
 	for _, c := range ds.Comments {
-		if got := g.Degree(c, h.ReplyOf, catalog.Out, storage.AnyLabel); got != 1 {
+		if got := len(testgraph.NeighborVIDs(g, c, h.ReplyOf, catalog.Out, storage.AnyLabel)); got != 1 {
 			t.Fatalf("comment has %d reply targets", got)
 		}
-		if got := g.Degree(c, h.HasCreator, catalog.Out, h.Person); got != 1 {
+		if got := len(testgraph.NeighborVIDs(g, c, h.HasCreator, catalog.Out, h.Person)); got != 1 {
 			t.Fatalf("comment has %d creators", got)
 		}
 	}
 	// KNOWS is symmetric.
 	for _, p := range ds.Persons {
-		for _, seg := range g.Neighbors(nil, p, h.Knows, catalog.Out, h.Person, false) {
-			for _, q := range seg.VIDs {
-				back := false
-				for _, rseg := range g.Neighbors(nil, q, h.Knows, catalog.Out, h.Person, false) {
-					for _, r := range rseg.VIDs {
-						if r == p {
-							back = true
-						}
-					}
-				}
-				if !back {
-					t.Fatalf("asymmetric KNOWS %d -> %d", p, q)
-				}
+		for _, q := range testgraph.NeighborVIDs(g, p, h.Knows, catalog.Out, h.Person) {
+			if !slices.Contains(testgraph.NeighborVIDs(g, q, h.Knows, catalog.Out, h.Person), p) {
+				t.Fatalf("asymmetric KNOWS %d -> %d", p, q)
 			}
 		}
 	}
 	// Comment dates are at or after their parent's date.
 	for _, c := range ds.Comments {
 		cd := g.Prop(c, h.MCreation).I
-		for _, seg := range g.Neighbors(nil, c, h.ReplyOf, catalog.Out, storage.AnyLabel, false) {
-			for _, parent := range seg.VIDs {
-				pd := g.Prop(parent, h.MCreation).I
-				if cd < pd {
-					t.Fatalf("reply at day %d precedes parent at day %d", cd, pd)
-				}
+		for _, parent := range testgraph.NeighborVIDs(g, c, h.ReplyOf, catalog.Out, storage.AnyLabel) {
+			if pd := g.Prop(parent, h.MCreation).I; cd < pd {
+				t.Fatalf("reply at day %d precedes parent at day %d", cd, pd)
 			}
 		}
 	}
@@ -116,7 +105,7 @@ func TestDegreeDistributionIsSkewed(t *testing.T) {
 	total := 0
 	maxDeg := 0
 	for _, p := range ds.Persons {
-		d := g.Degree(p, h.Knows, catalog.Out, h.Person)
+		d := len(testgraph.NeighborVIDs(g, p, h.Knows, catalog.Out, h.Person))
 		degs = append(degs, d)
 		total += d
 		if d > maxDeg {

@@ -18,7 +18,7 @@ func seekPerson(h *ldbc.Handles, ext int64) op.Operator {
 
 func friends(h *ldbc.Handles, from, to string, minHops, maxHops int) op.Operator {
 	return &op.VarLengthExpand{From: from, To: to, Et: h.Knows, Dir: catalog.Out,
-		DstLabel: h.Person, MinHops: minHops, MaxHops: maxHops, Distinct: true}
+		DstLabel: h.Person, MinHops: minHops, MaxHops: maxHops}
 }
 
 func personCols(v string) *op.ProjectProps {

@@ -24,7 +24,7 @@ func ic3JoinReference(h *ldbc.Handles, p queries.Params) plan.Plan {
 		return []op.Operator{
 			&op.NodeByIdSeek{Var: "p", Label: h.Person, ExtID: p.Int("personId")},
 			&op.VarLengthExpand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out,
-				DstLabel: h.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+				DstLabel: h.Person, MinHops: 1, MaxHops: 2},
 			&op.Expand{From: "f", To: "msg", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
 			&op.Expand{From: "msg", To: "ctry", Et: h.IsLocatedIn, Dir: catalog.Out, DstLabel: h.Country},
 			&op.ProjectProps{Specs: []op.ProjSpec{

@@ -125,6 +125,10 @@ var IS5 = register(&Query{
 	},
 })
 
+// procPool recycles the stored procedures' adjacency batches: a procedure
+// runs without a query arena to draw them from.
+var procPool = storage.NewPool()
+
 // IS6 — the forum containing a message (walking reply chains up to the root
 // post), with its moderator. Implemented as a stored procedure: the
 // root-post walk is an unbounded pointer chase, not a fixed pattern.
@@ -141,31 +145,30 @@ var IS6 = register(&Query{
 			return out, nil
 		}
 		// Walk to the root post. Each step depends on the last, so the walk
-		// and the one forum and moderator read after it are scalar.
-		for view.LabelOf(msg) == h.Comment {
-			//geslint:scalar-ok
-			segs := view.Neighbors(nil, msg, h.ReplyOf, catalog.Out, storage.AnyLabel, false)
-			if len(segs) == 0 || len(segs[0].VIDs) == 0 {
+		// reads one source at a time.
+		b := procPool.GetBatch()
+		defer procPool.PutBatch(b)
+		src := []vector.VID{msg}
+		for view.LabelOf(src[0]) == h.Comment {
+			view.NeighborsBatch(src, h.ReplyOf, catalog.Out, storage.AnyLabel, false, b)
+			if b.RunLen(0) == 0 {
 				return out, nil
 			}
-			msg = segs[0].VIDs[0]
+			src[0] = b.Run(0)[0]
 		}
-		//geslint:scalar-ok
-		for _, fseg := range view.Neighbors(nil, msg, h.ContainerOf, catalog.In, h.Forum, false) {
-			for _, forum := range fseg.VIDs {
-				var modID int64 = -1
-				//geslint:scalar-ok
-				for _, mseg := range view.Neighbors(nil, forum, h.HasModerator, catalog.Out, h.Person, false) {
-					for _, mod := range mseg.VIDs {
-						modID = view.ExtID(mod)
-					}
-				}
-				out.AppendOwned([]vector.Value{
-					vector.Int64(view.ExtID(forum)),
-					view.Prop(forum, h.FTitle),
-					vector.Int64(modID),
-				})
+		view.NeighborsBatch(src, h.ContainerOf, catalog.In, h.Forum, false, b)
+		forums := append([]vector.VID(nil), b.Run(0)...)
+		view.NeighborsBatch(forums, h.HasModerator, catalog.Out, h.Person, false, b)
+		for i, forum := range forums {
+			var modID int64 = -1
+			if mods := b.Run(i); len(mods) > 0 {
+				modID = view.ExtID(mods[len(mods)-1])
 			}
+			out.AppendOwned([]vector.Value{
+				vector.Int64(view.ExtID(forum)),
+				view.Prop(forum, h.FTitle),
+				vector.Int64(modID),
+			})
 		}
 		return out, nil
 	},

@@ -11,13 +11,15 @@ import (
 	"ges/internal/exec"
 	"ges/internal/ldbc"
 	"ges/internal/storage"
+	"ges/internal/testgraph"
 	"ges/internal/vector"
 )
 
-// The references below are the scalar procedures IC13 and IC14 ran before
-// their searches moved onto internal/op's batched BFS: an unbounded BFS into
-// a distance map, a recursive walk reading each vertex's neighbours afresh,
-// and every path edge weighed from scratch. They share no code with the
+// The references below are the per-vertex procedures IC13 and IC14 ran
+// before their searches moved onto internal/op's batched BFS: an unbounded
+// BFS into a distance map, a recursive walk reading each vertex's neighbours
+// afresh, and every path edge weighed from scratch. They share only the
+// storage read (one source at a time, testgraph.NeighborVIDs) with the
 // procedures, so a test comparing the two checks something.
 
 // bfsDistances runs a BFS from src over KNOWS and returns the distance map
@@ -28,14 +30,12 @@ func bfsDistances(view storage.View, h *ldbc.Handles, src vector.VID, maxDepth i
 	for d := 1; len(frontier) > 0 && (maxDepth < 0 || d <= maxDepth); d++ {
 		var next []vector.VID
 		for _, u := range frontier {
-			for _, seg := range view.Neighbors(nil, u, h.Knows, catalog.Out, h.Person, false) {
-				for _, v := range seg.VIDs {
-					if _, ok := dist[v]; ok {
-						continue
-					}
-					dist[v] = d
-					next = append(next, v)
+			for _, v := range testgraph.NeighborVIDs(view, u, h.Knows, catalog.Out, h.Person) {
+				if _, ok := dist[v]; ok {
+					continue
 				}
+				dist[v] = d
+				next = append(next, v)
 			}
 		}
 		frontier = next
@@ -49,23 +49,17 @@ func interactionWeight(view storage.View, h *ldbc.Handles, a, b vector.VID) floa
 	w := 0.0
 	scoreDir := func(x, y vector.VID) {
 		// Comments created by x ...
-		for _, seg := range view.Neighbors(nil, x, h.HasCreator, catalog.In, h.Comment, false) {
-			for _, c := range seg.VIDs {
-				// ... replying to a message created by y.
-				for _, pseg := range view.Neighbors(nil, c, h.ReplyOf, catalog.Out, storage.AnyLabel, false) {
-					for _, parent := range pseg.VIDs {
-						for _, cseg := range view.Neighbors(nil, parent, h.HasCreator, catalog.Out, h.Person, false) {
-							for _, creator := range cseg.VIDs {
-								if creator != y {
-									continue
-								}
-								if view.LabelOf(parent) == h.Post {
-									w += 1.0
-								} else {
-									w += 0.5
-								}
-							}
-						}
+		for _, c := range testgraph.NeighborVIDs(view, x, h.HasCreator, catalog.In, h.Comment) {
+			// ... replying to a message created by y.
+			for _, parent := range testgraph.NeighborVIDs(view, c, h.ReplyOf, catalog.Out, storage.AnyLabel) {
+				for _, creator := range testgraph.NeighborVIDs(view, parent, h.HasCreator, catalog.Out, h.Person) {
+					if creator != y {
+						continue
+					}
+					if view.LabelOf(parent) == h.Post {
+						w += 1.0
+					} else {
+						w += 0.5
 					}
 				}
 			}
@@ -114,11 +108,9 @@ func ic14Unmemoized(view storage.View, h *ldbc.Handles, p Params) []vector.Value
 			return
 		}
 		var nexts []vector.VID
-		for _, seg := range view.Neighbors(nil, u, h.Knows, catalog.Out, h.Person, false) {
-			for _, v := range seg.VIDs {
-				if d, ok := distTo[v]; ok && d == distTo[u]-1 {
-					nexts = append(nexts, v)
-				}
+		for _, v := range testgraph.NeighborVIDs(view, u, h.Knows, catalog.Out, h.Person) {
+			if d, ok := distTo[v]; ok && d == distTo[u]-1 {
+				nexts = append(nexts, v)
 			}
 		}
 		for _, v := range nexts {

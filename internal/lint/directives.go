@@ -9,10 +9,9 @@ import (
 // Directive grammar: `//geslint:<name> <argument...>`. Three attachment
 // scopes exist, resolved purely by position:
 //
-//   - file scope: anywhere in the file (scalar-ok for Prop/ExtID);
+//   - file scope: anywhere in the file (scalar-ok);
 //   - line scope: on, or on the line directly above, the statement it
-//     waives (scalar-ok for Neighbors, go-ok, alloc-ok, retain-ok, err-ok,
-//     leak-ok);
+//     waives (go-ok, alloc-ok, retain-ok, err-ok, leak-ok);
 //   - declaration scope: inside the doc comment of (or on the line directly
 //     above) a func or type (kernel, snapshot-owner), or in the
 //     declaration's same-line comment.

@@ -144,6 +144,7 @@ var selfCleanPkgs = []string{
 	"ges/internal/stats",
 	"ges/internal/storage",
 	"ges/internal/testgraph",
+	"ges/internal/testgraph/edgemodel",
 	"ges/internal/txn",
 	"ges/internal/vector",
 	"ges/internal/volcano",

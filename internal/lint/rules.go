@@ -17,16 +17,11 @@ import (
 //	R0  directive hygiene: a //geslint:<name> comment whose name is not a
 //	    live directive (a misspelling, or a deleted directive such as
 //	    atomicptr, seal, selwrite-ok, statswrite-ok) is inert and a finding.
-//	R1  no scalar storage reads in internal/op and the LDBC procedures.
-//	    In internal/op, View.Prop / View.ExtID must go through the vectorized
-//	    gather path; files implementing the deliberate scalar fallback opt out
-//	    with //geslint:scalar-ok. In internal/op and internal/ldbc/queries,
-//	    View.Neighbors must go through a batched read (View.NeighborsBatch);
-//	    the per-source walks that remain (the ExpandInto probe, the
-//	    path-semantics DFS, IS6's root-post walk) are each deliberate, so the
-//	    opt-out is line-scope only — //geslint:scalar-ok on or above the call
-//	    — and a file-level directive cannot silently exempt new per-source
-//	    adjacency loops.
+//	R1  no scalar property reads in internal/op: View.Prop / View.ExtID must
+//	    go through the vectorized gather path; files implementing the
+//	    deliberate scalar fallback opt out with //geslint:scalar-ok. (The
+//	    adjacency has no scalar read to police: View.NeighborsBatch is its
+//	    only one.)
 //	R2  lock acquisition in internal/storage and internal/txn must follow the
 //	    partial order declared by //geslint:lockorder A < B comments; both
 //	    inversions and undeclared nestings are findings. Acquire sets come
@@ -132,7 +127,7 @@ func (a *Analysis) Run() []Diag {
 	for _, pkg := range a.mod.Pkgs {
 		rel := pkg.Rel
 		for _, f := range pkg.Files {
-			if hasPrefix(rel, "internal/op") || rel == "internal/ldbc/queries" {
+			if hasPrefix(rel, "internal/op") {
 				a.checkScalarProps(pkg, f)
 			}
 			file := rel + "/" + filepath.Base(a.mod.Fset.Position(f.Pos()).Filename)
@@ -266,18 +261,13 @@ func (a *Analysis) collectOwners() {
 
 // ---------------------------------------------------------------- R1
 
-// checkScalarProps flags scalar storage reads resolved to internal/storage:
-// in internal/op, View.Prop / View.ExtID (the per-row calls the §5
-// vectorized gather path exists to batch away); in internal/op and the LDBC
-// procedures, View.Neighbors (the per-source call NeighborsBatch replaces).
-// A scalar-ok directive anywhere in the file exempts Prop/ExtID only.
-// Neighbors accepts just the line-scope form — a //geslint:scalar-ok comment
-// on or directly above the call — so each deliberate scalar adjacency loop
-// stays individually annotated.
+// checkScalarProps flags the scalar View.Prop / View.ExtID calls resolved
+// to internal/storage — the per-row calls the §5 vectorized gather path
+// exists to batch away — in a file without a scalar-ok directive.
 func (a *Analysis) checkScalarProps(pkg *Package, f *ast.File) {
-	okLines := directiveLines(a.mod.Fset, f, "scalar-ok")
-	// Prop and ExtID are policed in internal/op alone.
-	propsOK := len(okLines) > 0 || !hasPrefix(pkg.Rel, "internal/op")
+	if len(directiveLines(a.mod.Fset, f, "scalar-ok")) > 0 {
+		return
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -287,38 +277,13 @@ func (a *Analysis) checkScalarProps(pkg *Package, f *ast.File) {
 		if !ok {
 			return true
 		}
-		name := fn.Name()
-		if (name != "Prop" && name != "ExtID" && name != "Neighbors") ||
-			a.relOf(fn.Pkg()) != "internal/storage" {
-			return true
-		}
-		line := a.mod.Fset.Position(call.Pos()).Line
-		if okLines[line] || okLines[line-1] {
-			return true
-		}
-		if name == "Neighbors" {
+		if name := fn.Name(); (name == "Prop" || name == "ExtID") && a.relOf(fn.Pkg()) == "internal/storage" {
 			a.report(call.Pos(), "R1",
-				"scalar %s.Neighbors call in %s bypasses the batched adjacency read; use View.NeighborsBatch or annotate the line //geslint:scalar-ok",
-				recvTypeName(pkg, call), pkg.Rel)
-			return true
+				"scalar View.%s call in internal/op bypasses the vectorized gather path; batch with GatherProps/GatherExtIDs or annotate the file //geslint:scalar-ok",
+				name)
 		}
-		if propsOK {
-			return true
-		}
-		a.report(call.Pos(), "R1",
-			"scalar %s.%s call in internal/op bypasses the vectorized gather path; batch with GatherProps/GatherExtIDs or annotate the file //geslint:scalar-ok",
-			recvTypeName(pkg, call), name)
 		return true
 	})
-}
-
-// recvTypeName renders the receiver's named type for diagnostics.
-func recvTypeName(pkg *Package, call *ast.CallExpr) string {
-	sel := call.Fun.(*ast.SelectorExpr)
-	if n := namedOf(pkg.Info.TypeOf(sel.X)); n != nil {
-		return n.Obj().Name()
-	}
-	return "View"
 }
 
 // ---------------------------------------------------------------- R3

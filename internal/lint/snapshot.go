@@ -10,8 +10,7 @@ import (
 // still aliasing the old image reads stale (or, for shared Batch columns,
 // concurrently re-packed) memory. So values *derived from* a snapshot
 // source — a storage.Batch piece viewing an image (the VIDs/Runs/Pieces
-// fields, the Run/PieceVIDs/PieceCols calls), a Segment served from CSR
-// memory, a shared scan column
+// fields, the Run/PieceVIDs/PieceCols calls), a shared scan column
 // (ShareScanColumn / its ShareAs rename), or a *stats.Snapshot — must stay
 // morsel-scoped: they may not escape into package-level variables, struct
 // fields reachable from the caller, channels, or goroutines.
@@ -54,10 +53,8 @@ func (a *Analysis) snapshotSrc(pkg *Package, env *maskEnv) func(ast.Expr) uint64
 		case *ast.SelectorExpr:
 			if s := pkg.Info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
 				switch x.Sel.Name {
-				case "VIDs", "Runs", "Pieces", "PropI64", "PropF64", "PropStr":
-					t := pkg.Info.TypeOf(x.X)
-					if a.isType(t, "internal/storage", "Batch") ||
-						a.isType(t, "internal/storage", "Segment") {
+				case "VIDs", "Runs", "Pieces":
+					if a.isType(pkg.Info.TypeOf(x.X), "internal/storage", "Batch") {
 						return snapMask
 					}
 				}

@@ -19,12 +19,6 @@ func BadScalarExt(v storage.View, id vector.VID) int64 {
 	return v.ExtID(id) // want R1
 }
 
-// BadScalarNeighbors expands adjacency one source at a time instead of going
-// through the batched kernel.
-func BadScalarNeighbors(v storage.View, src vector.VID) []storage.Segment {
-	return v.Neighbors(nil, src, 0, 0, 0, false) // want R1
-}
-
 // BadSelWrite mutates a selection vector outside filter.go — directly and
 // through a local alias.
 func BadSelWrite(n *core.Node) {

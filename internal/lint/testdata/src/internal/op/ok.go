@@ -15,13 +15,6 @@ func OKScalar(v storage.View, id vector.VID) vector.Value {
 	return v.Prop(id, 0)
 }
 
-// OKScalarNeighbors is permitted by the line-level scalar-ok directive —
-// Neighbors ignores the file-level form (R1 negative).
-func OKScalarNeighbors(v storage.View, src vector.VID) []storage.Segment {
-	//geslint:scalar-ok
-	return v.Neighbors(nil, src, 0, 0, 0, false)
-}
-
 // OKSpawn is permitted by the line-level go-ok directive (R5 negative).
 func OKSpawn() {
 	done := make(chan struct{})

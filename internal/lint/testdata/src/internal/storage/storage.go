@@ -6,25 +6,23 @@ import (
 	"ges/internal/vector"
 )
 
-// Segment is one contiguous slice of a vertex's adjacency.
-type Segment struct {
-	VIDs []vector.VID
-}
-
-// View is the per-query read interface; Prop, ExtID, and Neighbors are the
-// scalar reads R1 polices inside internal/op (Neighbors also in
-// internal/ldbc/queries).
+// View is the per-query read interface; Prop and ExtID are the scalar reads
+// R1 polices inside internal/op.
 type View interface {
 	Prop(v vector.VID, pid int32) vector.Value
 	ExtID(v vector.VID) int64
-	Neighbors(buf []Segment, v vector.VID, et int32, dir int32, dstLabel int32, withProps bool) []Segment
+}
+
+// NeighborRun delimits one source's pieces inside a Batch.
+type NeighborRun struct {
+	Start, End int32
 }
 
 // Batch is the adjacency batch stub: its pieces view sealed CSR memory, so
 // values derived from its fields are R8 snapshot sources.
 type Batch struct {
 	VIDs   []vector.VID
-	Runs   []Segment
+	Runs   []NeighborRun
 	Pieces []Piece
 }
 
@@ -39,7 +37,7 @@ type EdgeCols struct {
 }
 
 // Run returns one run of the batch, aliasing sealed memory (R8 source).
-func (b *Batch) Run(i int) []vector.VID { return b.Runs[i].VIDs }
+func (b *Batch) Run(i int) []vector.VID { return b.VIDs[b.Runs[i].Start:b.Runs[i].End] }
 
 // PieceVIDs returns a piece's neighbors, aliasing sealed memory (R8 source).
 func (b *Batch) PieceVIDs(p Piece) []vector.VID { return b.VIDs[p.Lo:p.Hi] }

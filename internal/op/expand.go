@@ -6,7 +6,6 @@ import (
 
 	"ges/internal/catalog"
 	"ges/internal/core"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
@@ -259,30 +258,13 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 				}
 				s.toCol.AppendVID(v)
 				for p, c := range s.propCols {
-					c.Append(edgePropValue(cols, epp, p, off+k))
+					c.Append(cols.Value(epp.idx[p], epp.kind[p], off+k))
 				}
 				total++
 			}
 			base += pc.Len()
 		}
 		s.index[ri] = core.Range{Start: int32(start), End: int32(total)}
-	}
-}
-
-// edgePropValue extracts edge property p (plan position) of row k of cols.
-func edgePropValue(cols *storage.EdgeCols, epp edgePropPlan, p, k int) vector.Value {
-	si := epp.idx[p]
-	switch epp.kind[p] {
-	case vector.KindInt64:
-		return vector.Int64(cols.I64[si][k])
-	case vector.KindDate:
-		return vector.Date(cols.I64[si][k])
-	case vector.KindFloat64:
-		return vector.Float64(cols.F64[si][k])
-	case vector.KindString:
-		return vector.String_(cols.Str[si][k])
-	default:
-		return vector.Value{}
 	}
 }
 
@@ -342,7 +324,7 @@ func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
 				nr = append(nr, row...)
 				nr = append(nr, vector.VIDValue(v))
 				for p := range o.EdgeProps {
-					nr = append(nr, edgePropValue(cols, epp, p, off+k))
+					nr = append(nr, cols.Value(epp.idx[p], epp.kind[p], off+k))
 				}
 				out.AppendOwned(nr)
 			}

@@ -34,14 +34,10 @@ func cyclicFixture(t *testing.T) *testgraph.Fixture {
 	return f
 }
 
-// knowsAdj / knowsHas are scalar reference walks over KNOWS.
+// knowsAdj / knowsHas are one-source reference walks over KNOWS.
 func knowsAdj(f *testgraph.Fixture, v vector.VID) []vector.VID {
 	s := f.Schema
-	var out []vector.VID
-	for _, seg := range f.Graph.Neighbors(nil, v, s.Knows, catalog.Out, s.Person, false) {
-		out = append(out, seg.VIDs...)
-	}
-	return out
+	return testgraph.NeighborVIDs(f.Graph, v, s.Knows, catalog.Out, s.Person)
 }
 
 func knowsHas(f *testgraph.Fixture, v, w vector.VID) bool {
@@ -104,7 +100,7 @@ func diamondPlans(s *testgraph.Schema) (wcoj, flat plan.Plan) {
 	return wcoj, flat
 }
 
-// bruteDiamonds enumerates (a,b,c,d) with a→b→d, a→c→d, by scalar walks.
+// bruteDiamonds enumerates (a,b,c,d) with a→b→d, a→c→d, by one-source walks.
 func bruteDiamonds(f *testgraph.Fixture) []string {
 	g := f.Graph
 	var rows []string
@@ -298,11 +294,7 @@ func TestExpandIntersectAnyLabel(t *testing.T) {
 	}
 	g := f.Graph
 	likesAdj := func(v vector.VID) []vector.VID {
-		var out []vector.VID
-		for _, seg := range g.Neighbors(nil, v, s.Likes, catalog.Out, storage.AnyLabel, false) {
-			out = append(out, seg.VIDs...)
-		}
-		return out
+		return testgraph.NeighborVIDs(g, v, s.Likes, catalog.Out, storage.AnyLabel)
 	}
 	var want []string
 	for _, a := range f.Persons {
@@ -351,11 +343,7 @@ func TestExpandIntersectOverlay(t *testing.T) {
 	snap := m.Snapshot()
 	// Brute force through the snapshot view.
 	adj := func(v vector.VID) []vector.VID {
-		var out []vector.VID
-		for _, seg := range snap.Neighbors(nil, v, s.Knows, catalog.Out, s.Person, false) {
-			out = append(out, seg.VIDs...)
-		}
-		return out
+		return testgraph.NeighborVIDs(snap, v, s.Knows, catalog.Out, s.Person)
 	}
 	has := func(v, w vector.VID) bool {
 		for _, x := range adj(v) {

@@ -175,58 +175,41 @@ func ownerMap(deep, shallow *core.Node) []int32 {
 
 // adjProbe answers edge-membership queries against one source vertex's
 // adjacency, caching the loaded run across consecutive probes of the same
-// source (owner rows repeat along the deep node). A single-family run is
-// sorted and answers through a galloping search with a monotone cursor —
-// consecutive candidates from a CSR-sorted child run advance the cursor
-// instead of restarting, so a whole run intersects in a single merge pass.
-// Multi-family lookups fall back to a hash set.
+// source (owner rows repeat along the deep node). A sorted run (one family)
+// answers through a galloping search with a monotone cursor — consecutive
+// candidates from a CSR-sorted child run advance the cursor instead of
+// restarting, so a whole run intersects in a single merge pass. The runs of
+// several families (Both, AnyLabel) probe by hash set.
 type adjProbe struct {
 	ctx      *Ctx
 	et       catalog.EdgeTypeID
 	dir      catalog.Direction
 	dstLabel catalog.LabelID
 
-	src    vector.VID
+	src    [1]vector.VID
 	loaded bool
-	segs   []storage.Segment
-	sorted bool // true: cur answers probes over the single run
+	b      storage.Batch // Sorted: cur answers probes over the single run
 	cur    vector.RunCursor
 	set    map[vector.VID]struct{}
 }
 
-// load points the probe at src's adjacency (no-op when already loaded).
+// load points the probe at src's adjacency (no-op when already loaded): one
+// one-source NeighborsBatch per owner row, reused across all its deep rows —
+// batching whole-column lookups would load runs for owners that pruning
+// already skipped.
 func (p *adjProbe) load(src vector.VID) {
-	if p.loaded && src == p.src {
+	if p.loaded && src == p.src[0] {
 		return
 	}
-	p.src, p.loaded = src, true
-	p.sorted, p.set = false, nil
-	p.segs = p.segs[:0]
-	if src == vector.NilVID {
+	p.src[0], p.loaded = src, true
+	p.ctx.View.NeighborsBatch(p.src[:], p.et, p.dir, p.dstLabel, false, &p.b)
+	if p.b.Sorted {
+		p.cur.Reset(p.b.Run(0))
 		return
 	}
-	// One run per owner row, reused across all its deep rows; batching
-	// whole-column lookups would load runs for owners that pruning already
-	// skipped.
-	//geslint:scalar-ok
-	p.segs = p.ctx.View.Neighbors(p.segs, src, p.et, p.dir, p.dstLabel, false)
-	// A single segment (one family) is sorted and probes by cursor; the runs
-	// of several families (Both, AnyLabel) probe by set.
-	if len(p.segs) == 1 {
-		p.sorted = true
-		p.cur.Reset(p.segs[0].VIDs)
-		return
-	}
-	n := 0
-	for _, s := range p.segs {
-		n += len(s.VIDs)
-	}
-	if n == 0 {
-		return
-	}
-	p.set = make(map[vector.VID]struct{}, n)
-	for _, s := range p.segs {
-		for _, v := range s.VIDs {
+	p.set = make(map[vector.VID]struct{}, p.b.RunLen(0))
+	for _, pc := range p.b.Pieces {
+		for _, v := range p.b.PieceVIDs(pc) {
 			p.set[v] = struct{}{}
 		}
 	}
@@ -234,7 +217,7 @@ func (p *adjProbe) load(src vector.VID) {
 
 // contains reports whether v is in the loaded adjacency.
 func (p *adjProbe) contains(v vector.VID) bool {
-	if p.sorted {
+	if p.b.Sorted {
 		return p.cur.Contains(v)
 	}
 	_, ok := p.set[v]

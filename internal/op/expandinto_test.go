@@ -32,16 +32,12 @@ func triangleFixture(t *testing.T) *testgraph.Fixture {
 }
 
 // bruteTriangles enumerates (a,b,c) ext-ID triples with a→b→c→a over KNOWS
-// by scalar adjacency walks — the reference the operator must reproduce.
+// by one-source adjacency walks — the reference the operator must reproduce.
 func bruteTriangles(f *testgraph.Fixture) []string {
 	s := f.Schema
 	g := f.Graph
 	adj := func(v vector.VID) []vector.VID {
-		var out []vector.VID
-		for _, seg := range g.Neighbors(nil, v, s.Knows, catalog.Out, s.Person, false) {
-			out = append(out, seg.VIDs...)
-		}
-		return out
+		return testgraph.NeighborVIDs(g, v, s.Knows, catalog.Out, s.Person)
 	}
 	has := func(v, w vector.VID) bool {
 		for _, x := range adj(v) {
@@ -142,14 +138,10 @@ func TestExpandIntoReversedProbe(t *testing.T) {
 	g := f.Graph
 	var want []string
 	for _, p := range f.Persons {
-		for _, seg := range g.Neighbors(nil, p, s.Likes, catalog.Out, s.Post, false) {
-			for _, m := range seg.VIDs {
-				for _, cs := range g.Neighbors(nil, m, s.HasCreator, catalog.Out, s.Person, false) {
-					for _, c := range cs.VIDs {
-						if c == p {
-							want = append(want, fmt.Sprintf("%d|%d|", g.ExtID(p), g.ExtID(m)))
-						}
-					}
+		for _, m := range testgraph.NeighborVIDs(g, p, s.Likes, catalog.Out, s.Post) {
+			for _, c := range testgraph.NeighborVIDs(g, m, s.HasCreator, catalog.Out, s.Person) {
+				if c == p {
+					want = append(want, fmt.Sprintf("%d|%d|", g.ExtID(p), g.ExtID(m)))
 				}
 			}
 		}

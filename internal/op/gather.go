@@ -2,7 +2,6 @@ package op
 
 import (
 	"ges/internal/catalog"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
@@ -30,10 +29,8 @@ func materializedVIDs(col *vector.Column, buf []vector.VID) []vector.VID {
 // else is a plain typed column.
 func (g *propGetter) newGatherOutput(ctx *Ctx, as string, labels []catalog.LabelProp) *vector.Column {
 	if g.kind == vector.KindString && len(labels) == 1 {
-		if dp, ok := ctx.View.(storage.DictProvider); ok {
-			if d := dp.PropDict(labels[0].Label, labels[0].Prop); d != nil {
-				return ctx.Arena.OwnDictColumn(as, d)
-			}
+		if d := ctx.View.PropDict(labels[0].Label, labels[0].Prop); d != nil {
+			return ctx.Arena.OwnDictColumn(as, d)
 		}
 	}
 	return ctx.Arena.OwnColumn(as, g.kind)
@@ -85,13 +82,11 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	vids := materializedVIDs(vidCol, buf)
 	// A scan-ordered VID column matches at most one label's scan order, so
 	// probing every defining label is cheap (length mismatches reject in O(1)).
-	if sc, ok := ctx.View.(storage.ColumnSharer); ok {
-		for _, lp := range g.labels {
-			if col := sc.ShareScanColumn(lp.Label, lp.Prop, vids); col != nil {
-				ctx.Gather.Gathers.Add(1)
-				ctx.Gather.SharedCols.Add(1)
-				return col.ShareAs(as)
-			}
+	for _, lp := range g.labels {
+		if col := ctx.View.ShareScanColumn(lp.Label, lp.Prop, vids); col != nil {
+			ctx.Gather.Gathers.Add(1)
+			ctx.Gather.SharedCols.Add(1)
+			return col.ShareAs(as)
 		}
 	}
 	labels := g.presentLabels(ctx, vids)

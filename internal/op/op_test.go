@@ -186,7 +186,7 @@ func TestVarLengthExpandDistinct(t *testing.T) {
 		return plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-				DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+				DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 			&op.Defactor{Cols: []string{"f.id"}},
 		}
@@ -205,7 +205,7 @@ func TestVarLengthExpandMinHops(t *testing.T) {
 	fb := run(t, f, exec.ModeFactorized, plan.Plan{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-			DstLabel: s.Person, MinHops: 2, MaxHops: 2, Distinct: true},
+			DstLabel: s.Person, MinHops: 2, MaxHops: 2},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 		&op.Defactor{Cols: []string{"f.id"}},
 	})
@@ -226,7 +226,7 @@ func TestPaperExampleQuery(t *testing.T) {
 		return plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-				DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+				DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 			&op.Expand{From: "f", To: "msg", Et: s.HasCreator, Dir: catalog.In,
 				DstLabel: storage.AnyLabel},
 			&op.ProjectProps{Specs: []op.ProjSpec{
@@ -320,7 +320,7 @@ func TestAggregateAllModes(t *testing.T) {
 		return plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-				DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+				DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 			&op.Expand{From: "f", To: "msg", Et: s.HasCreator, Dir: catalog.In,
 				DstLabel: storage.AnyLabel},
 			&op.ProjectProps{Specs: []op.ProjSpec{
@@ -433,7 +433,7 @@ func TestHashJoinSemiAndAnti(t *testing.T) {
 		return plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-				DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+				DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 			&op.HashJoin{
 				Type:      jt,

@@ -45,7 +45,7 @@ func TestParallelVarExpandPredicateAgrees(t *testing.T) {
 			&op.NodeScan{Var: "p", Label: h.Person},
 			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
 			&op.VarLengthExpand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out,
-				DstLabel: h.Person, MinHops: 1, MaxHops: 2, Distinct: true,
+				DstLabel: h.Person, MinHops: 1, MaxHops: 2,
 				VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))))},
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
 			&op.Defactor{Cols: []string{"g.id"}},

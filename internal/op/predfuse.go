@@ -193,14 +193,12 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 	}
 	f.narrow(ctx, present)
 	cols := f.block.Columns()
-	if zp, ok := ctx.View.(storage.ZonePruner); ok {
-		for i := range f.conjs {
-			if c := &f.conjs[i]; c.kernel == kernRange && !c.negate {
-				for _, lp := range f.labels[slices.Index(cols, c.col)] {
-					pruned, total := zp.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
-					ctx.Gather.ZonesPruned.Add(int64(pruned))
-					ctx.Gather.ZonesTotal.Add(int64(total))
-				}
+	for i := range f.conjs {
+		if c := &f.conjs[i]; c.kernel == kernRange && !c.negate {
+			for _, lp := range f.labels[slices.Index(cols, c.col)] {
+				pruned, total := ctx.View.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
+				ctx.Gather.ZonesPruned.Add(int64(pruned))
+				ctx.Gather.ZonesTotal.Add(int64(total))
 			}
 		}
 	}

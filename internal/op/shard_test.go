@@ -108,12 +108,12 @@ func TestShardBoundaries(t *testing.T) {
 			}},
 			{"varexpand/bfs", shape(
 				&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
-					MinHops: 1, MaxHops: 2, Distinct: true},
+					MinHops: 1, MaxHops: 2},
 				fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})},
 			{"varexpand/bfs-pred", func() plan.Plan {
 				return shape(
 					&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
-						MinHops: 1, MaxHops: 2, Distinct: true, VertexPred: early()},
+						MinHops: 1, MaxHops: 2, VertexPred: early()},
 					fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})()
 			}},
 			{"intersect/mutual", shape(
@@ -200,7 +200,7 @@ func TestShardResourcesIndependentOfWorkers(t *testing.T) {
 
 	bfs := func() plan.Plan {
 		return plan.Plan{scan, &op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-			DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true}}
+			DstLabel: s.Person, MinHops: 1, MaxHops: 2}}
 	}
 	seq, _ = run(1, bfs())
 	par, _ = run(4, bfs())

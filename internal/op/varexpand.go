@@ -6,17 +6,16 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/core"
 	"ges/internal/expr"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
 
 // VarLengthExpand extends each source vertex to all vertices reachable over
-// between MinHops and MaxHops edges of one type — the KNOWS*1..2 pattern of
-// the paper's running example (§4.3). With Distinct (the LDBC-typical
-// semantics) each reachable vertex appears once per source, and the source
-// itself is excluded: the package's level-synchronous BFS (bfs.step) reads
-// each level with one NeighborsBatch and stamps visits in a recycled array.
-// Without it every distinct path contributes one row.
+// between MinHops (at least 1) and MaxHops edges of one type — the
+// KNOWS*1..2 pattern of the paper's running example (§4.3) — with the
+// LDBC-typical distinct semantics: each reachable vertex appears once per
+// source, at its shortest distance, and the source itself is excluded. The
+// package's level-synchronous BFS (bfs.step) reads each level with one
+// NeighborsBatch and stamps visits in a recycled array.
 type VarLengthExpand struct {
 	From, To string
 	Et       catalog.EdgeTypeID
@@ -24,7 +23,6 @@ type VarLengthExpand struct {
 	DstLabel catalog.LabelID
 	MinHops  int
 	MaxHops  int
-	Distinct bool
 
 	// VertexPred, when set, filters emitted vertices (fused filter); the
 	// traversal itself still passes through unfiltered vertices.
@@ -70,7 +68,7 @@ func (b traverseBody) rows(lo, hi int, s childSink) {
 		if b.parent.Valid(i) {
 			// The view is safe for concurrent reads; traversal scratch state
 			// is local to each call.
-			b.o.traverse(b.ctx, b.pred, b.fromCol.VIDAt(i), func(v vector.VID) {
+			b.o.Traverse(b.ctx, b.pred, b.fromCol.VIDAt(i), func(v vector.VID) {
 				s.toCol.AppendVID(v)
 				total++
 			})
@@ -88,7 +86,7 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Ge
 	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
 	out := core.NewFlatBlock(names, kinds)
 	for _, row := range in.Rows {
-		o.traverse(ctx, pred, row[fromIdx].AsVID(), func(v vector.VID) {
+		o.Traverse(ctx, pred, row[fromIdx].AsVID(), func(v vector.VID) {
 			nr := make([]vector.Value, 0, len(names))
 			nr = append(nr, row...)
 			nr = append(nr, vector.VIDValue(v))
@@ -98,74 +96,27 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Ge
 	return ctx.FlatChunk(out), nil
 }
 
-// traverse runs the bounded BFS (distinct) or DFS path walk (non-distinct)
-// from src, emitting the vertices that pass pred (VertexPred.Bind; nil
-// passes every vertex).
-func (o *VarLengthExpand) traverse(ctx *Ctx, pred expr.Getter, src vector.VID, emit func(vector.VID)) {
-	maybeEmit := func(v vector.VID) {
-		if pred == nil || pred(int(v)).AsBool() {
-			emit(v)
-		}
-	}
-	if o.Distinct {
-		// The frontier buffers and the batch are transient scratch: emitted
-		// values are copied into the sink, never retained.
-		s := bfs{view: ctx.View, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, b: ctx.Arena.GetBatch(),
-			front: ctx.Arena.GetVIDs(8), next: ctx.Arena.GetVIDs(8)}
-		s.start(src)
-		for int(s.level) < o.MaxHops && len(s.front) > 0 {
-			if s.step(); int(s.level) >= o.MinHops {
-				for _, v := range s.front {
-					maybeEmit(v)
+// Traverse runs the bounded BFS from src, emitting the vertices that pass
+// pred (VertexPred.Bind; nil passes every vertex).
+func (o *VarLengthExpand) Traverse(ctx *Ctx, pred expr.Getter, src vector.VID, emit func(vector.VID)) {
+	// The frontier buffers and the batch are transient scratch: emitted
+	// values are copied into the sink, never retained.
+	s := bfs{view: ctx.View, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, b: ctx.Arena.GetBatch(),
+		front: ctx.Arena.GetVIDs(8), next: ctx.Arena.GetVIDs(8)}
+	s.start(src)
+	for int(s.level) < o.MaxHops && len(s.front) > 0 {
+		if s.step(); int(s.level) >= o.MinHops {
+			for _, v := range s.front {
+				if pred == nil || pred(int(v)).AsBool() {
+					emit(v)
 				}
 			}
 		}
-		ctx.Arena.PutVIDs(s.front)
-		ctx.Arena.PutVIDs(s.next)
-		ctx.Arena.PutBatch(s.b)
-		visits.Put(s.seen)
-		return
 	}
-	// Path semantics: depth-first enumeration of all paths up to MaxHops
-	// without revisiting a vertex on the current path (Cypher trail
-	// semantics for relationships approximated at vertex granularity).
-	onPath := map[vector.VID]bool{src: true}
-	var dfs func(u vector.VID, depth int)
-	var segBuf []storage.Segment
-	dfs = func(u vector.VID, depth int) {
-		if depth == o.MaxHops {
-			return
-		}
-		// Path enumeration recurses per vertex; a one-src "batch" would only
-		// add overhead, so the scalar lookup is deliberate.
-		//geslint:scalar-ok
-		segBuf = ctx.View.Neighbors(segBuf[:0], u, o.Et, o.Dir, o.DstLabel, false)
-		// Copy: recursion below reuses segBuf.
-		var level []vector.VID
-		for _, seg := range segBuf {
-			level = append(level, seg.VIDs...)
-		}
-		for _, v := range level {
-			if onPath[v] {
-				continue
-			}
-			if depth+1 >= o.MinHops {
-				maybeEmit(v)
-			}
-			onPath[v] = true
-			dfs(v, depth+1)
-			delete(onPath, v)
-		}
-	}
-	dfs(src, 0)
-}
-
-// Traverse exposes the bounded traversal for alternative executors (the
-// volcano comparison engine interprets the same plan structs). It emits
-// every reachable vertex: the caller applies VertexPred, which filters
-// emissions only.
-func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VID)) {
-	o.traverse(ctx, nil, src, emit)
+	ctx.Arena.PutVIDs(s.front)
+	ctx.Arena.PutVIDs(s.next)
+	ctx.Arena.PutBatch(s.b)
+	visits.Put(s.seen)
 }
 
 // visitSet is the level-synchronous BFS's visited set and the aggregate's

@@ -171,7 +171,7 @@ func TestFuseRules(t *testing.T) {
 				}
 			}},
 		{"count-leaf-past-projection", Plan{scan("p"),
-			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 2, MaxHops: 2, Distinct: true},
+			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 2, MaxHops: 2},
 			expand("f", "post", post), project(id("f")), countBy("f.id")},
 			"NodeScan -> VarLengthExpand -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
 				if g := aggOf(p); g.KeyVar != "f" || len(g.Weights) != 1 {

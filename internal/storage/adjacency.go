@@ -13,10 +13,10 @@
 // a graph still in the bulk phase performs that seal first.
 //
 // The store is optimized for the read-dominant workloads the paper targets:
-// Neighbors hands out (pointer,length) views of storage-owned runs, and
-// NeighborsBatch (pack.go) answers a whole morsel as pieces — a view of the
-// image for every run the delta leaves alone, merged rows only for a run it
-// changes — that the executor's pointer-based join consumes without copying.
+// its one adjacency read, NeighborsBatch (pack.go), answers a whole morsel as
+// pieces — a (pointer,length) view of the image for every run the delta
+// leaves alone, merged rows only for a run it changes — that the executor's
+// pointer-based join consumes without copying.
 package storage
 
 import (
@@ -67,7 +67,7 @@ type AdjList struct {
 	// snap is the sealed CSR image (csr.go), carrying its delta overlay;
 	// nil exactly while the family is in the bulk phase. Readers load it
 	// once per operation so a concurrent reseal can never mix images within
-	// one Segment.
+	// one piece.
 	snap atomic.Pointer[csr]
 }
 
@@ -152,24 +152,18 @@ func newEdgeCols(nProps int) EdgeCols {
 	return EdgeCols{I64: make([][]int64, nProps), F64: make([][]float64, nProps), Str: make([][]string, nProps)}
 }
 
-// rows returns views of rows [lo,hi) of every column (no columns for a
-// schema without properties).
-func (e *EdgeCols) rows(kinds []vector.Kind, lo, hi int) EdgeCols {
-	if len(kinds) == 0 {
-		return EdgeCols{}
+// Value returns property q of row i, whose schema kind is kind. A kind the
+// columns do not store (Bool) reads as its zero value.
+func (e *EdgeCols) Value(q int, kind vector.Kind, i int) vector.Value {
+	switch kind {
+	case vector.KindInt64, vector.KindDate:
+		return vector.Value{Kind: kind, I: e.I64[q][i]}
+	case vector.KindFloat64:
+		return vector.Float64(e.F64[q][i])
+	case vector.KindString:
+		return vector.String_(e.Str[q][i])
 	}
-	out := newEdgeCols(len(kinds))
-	for p, k := range kinds {
-		switch k {
-		case vector.KindInt64, vector.KindDate:
-			out.I64[p] = e.I64[p][lo:hi:hi]
-		case vector.KindFloat64:
-			out.F64[p] = e.F64[p][lo:hi:hi]
-		case vector.KindString:
-			out.Str[p] = e.Str[p][lo:hi:hi]
-		}
-	}
-	return out
+	return vector.Value{Kind: kind}
 }
 
 // bytes approximates the columns' resident size.

@@ -9,8 +9,8 @@ package storage
 //
 //   - neighbor runs are sorted by destination VID, so cyclic pattern edges
 //     close by merge/galloping intersection instead of hash probes, and
-//   - edge-property columns are permuted alongside the neighbors, so the
-//     aligned-run contract of Segment holds unchanged.
+//   - edge-property columns are permuted alongside the neighbors, so a batch
+//     piece's properties are the same rows of its backing's columns.
 //
 // The snapshot hangs off the AdjList behind an atomic pointer. Each image
 // carries a delta overlay (delta.go): once SealCSR has run, committed edges
@@ -121,44 +121,6 @@ func (c *csr) span(src vector.VID) (lo, hi int) {
 	return int(c.offsets[src]), int(c.offsets[src+1])
 }
 
-// runLen returns the length of src's run as a read at ver sees it: the
-// image's run plus the delta entries visible at ver.
-//
-//geslint:kernel
-func (c *csr) runLen(src vector.VID, ver uint64) int {
-	lo, hi := c.span(src)
-	return hi - lo + c.delta.runs.Load(src).visible(ver)
-}
-
-// segmentAt builds the Segment of src's run as a read at ver sees it: a view
-// of the image where no delta entry visible at ver joins the run, an owned
-// merge where one does.
-func (c *csr) segmentAt(src vector.VID, withProps bool, ver uint64) (Segment, bool) {
-	lo, hi := c.span(src)
-	rows := edgeRows{vids: c.neighbors, cols: c.props}
-	r := c.delta.runs.Load(src)
-	if k := r.visible(ver); k > 0 {
-		var owned edgeRows
-		p := packer{out: &owned}
-		if withProps {
-			p.kinds = c.propKinds
-		}
-		n := hi - lo + k
-		p.reserve(n)
-		p.merge(c, lo, hi, r, ver)
-		rows, lo, hi = owned, 0, n
-	}
-	if lo == hi {
-		return Segment{}, false
-	}
-	seg := Segment{VIDs: rows.vids[lo:hi:hi]}
-	if withProps {
-		cols := rows.cols.rows(c.propKinds, lo, hi)
-		seg.PropI64, seg.PropF64, seg.PropStr = cols.I64, cols.F64, cols.Str
-	}
-	return seg, true
-}
-
 // memBytes approximates the snapshot's resident size.
 func (c *csr) memBytes() int {
 	return len(c.offsets)*4 + len(c.neighbors)*4 + c.props.bytes(c.propKinds)
@@ -178,7 +140,8 @@ func (c *csr) resealed(h uint64) *csr {
 	d.runs.Range(func(src vector.VID, _ *deltaRun) { n = max(n, int(src)+1) })
 	total := 0
 	for v := 0; v < n; v++ {
-		total += c.runLen(vector.VID(v), h)
+		lo, hi := c.span(vector.VID(v))
+		total += hi - lo + d.runs.Load(vector.VID(v)).visible(h)
 	}
 	var rows edgeRows
 	p := packer{out: &rows, kinds: c.propKinds}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ges/internal/catalog"
+	"ges/internal/testgraph/edgemodel"
 	"ges/internal/vector"
 )
 
@@ -37,9 +38,7 @@ func csrGraph(t *testing.T) (*Graph, []vector.VID, []vector.VID, catalog.LabelID
 	for pi := range ps {
 		for ci := len(cs) - 1; ci >= 0; ci-- {
 			if csrEdge(pi, ci) {
-				if err := g.AddEdge(livesIn, ps[pi], cs[ci], vector.Date(csrSince(pi, ci))); err != nil {
-					t.Fatal(err)
-				}
+				addEdge(t, g, 0, livesIn, ps[pi], cs[ci], vector.Date(csrSince(pi, ci)))
 			}
 		}
 	}
@@ -51,11 +50,30 @@ func csrGraph(t *testing.T) (*Graph, []vector.VID, []vector.VID, catalog.LabelID
 func csrEdge(pi, ci int) bool   { return (pi+ci)%2 == 0 }
 func csrSince(pi, ci int) int64 { return int64(1000*pi + ci) }
 
-// flattenSegs concatenates scalar segments in order.
-func flattenSegs(segs []Segment) []vector.VID {
-	var out []vector.VID
-	for _, s := range segs {
-		out = append(out, s.VIDs...)
+// nbrs returns src's neighbours as v reads them: one one-source
+// NeighborsBatch, its run copied.
+func nbrs(v View, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dst catalog.LabelID) []vector.VID {
+	var b Batch
+	v.NeighborsBatch([]vector.VID{src}, et, dir, dst, false, &b)
+	return append([]vector.VID(nil), b.Run(0)...)
+}
+
+// dated is one neighbour with its first edge property, the fixtures' date.
+type dated struct {
+	dst   vector.VID
+	since int64
+}
+
+// datedNbrs is nbrs with each neighbour's first edge property.
+func datedNbrs(v View, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dst catalog.LabelID) []dated {
+	var b Batch
+	v.NeighborsBatch([]vector.VID{src}, et, dir, dst, true, &b)
+	var out []dated
+	for _, p := range b.Pieces {
+		cols, off := b.PieceCols(p)
+		for k, n := range b.PieceVIDs(p) {
+			out = append(out, dated{n, cols.I64[0][off+k]})
+		}
 	}
 	return out
 }
@@ -81,7 +99,7 @@ func TestSealCSRSortsNeighbors(t *testing.T) {
 		t.Fatal("CSRSealed false after SealCSR")
 	}
 	for pi, p := range ps {
-		after := flattenSegs(g.Neighbors(nil, p, livesIn, catalog.Out, city, false))
+		after := nbrs(g, p, livesIn, catalog.Out, city)
 		var want []vector.VID
 		for ci, c := range cs {
 			if csrEdge(pi, ci) {
@@ -96,27 +114,18 @@ func TestSealCSRSortsNeighbors(t *testing.T) {
 
 func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 	g, ps, cs, _, city, livesIn := csrGraph(t)
-	type edge struct {
-		dst   vector.VID
-		since int64
-	}
-	want := map[vector.VID][]edge{}
+	want := map[vector.VID][]dated{}
 	for pi, p := range ps {
 		for ci := len(cs) - 1; ci >= 0; ci-- {
 			if csrEdge(pi, ci) {
-				want[p] = append(want[p], edge{dst: cs[ci], since: csrSince(pi, ci)})
+				want[p] = append(want[p], dated{dst: cs[ci], since: csrSince(pi, ci)})
 			}
 		}
 	}
 	g.SealCSR()
 	for _, p := range ps {
-		var got []edge
-		for _, s := range g.Neighbors(nil, p, livesIn, catalog.Out, city, true) {
-			for k, d := range s.VIDs {
-				got = append(got, edge{dst: d, since: s.PropI64[0][k]})
-			}
-		}
-		w := append([]edge(nil), want[p]...)
+		got := datedNbrs(g, p, livesIn, catalog.Out, city)
+		w := append([]dated(nil), want[p]...)
 		sort.Slice(w, func(i, j int) bool { return w[i].dst < w[j].dst })
 		if !reflect.DeepEqual(got, w) {
 			t.Fatalf("src %d: props misaligned after seal: got %v want %v", p, got, w)
@@ -124,65 +133,92 @@ func TestSealCSRKeepsEdgePropsAligned(t *testing.T) {
 	}
 }
 
-// batchMatchesScalar asserts the NeighborsBatch contract for one
-// parameterization against the per-source scalar reference
-// (AppendNeighborsBatch): the same pieces — destination label, neighbors and,
-// with props, every edge-property row of every kind — and Sorted exactly
-// when the reference says so (a run of two pieces voids it). The rule of
-// the pieces is per run: one the delta leaves alone at the read's version
-// aliases its family's image (pointer identity, ViewsImage) exactly where
-// the scalar read of the run does, and only a changed run is owned. It
-// returns the batch.
-func batchMatchesScalar(t *testing.T, v View, srcs []vector.VID, et catalog.EdgeTypeID,
+// models holds the edge-list model of every graph the tests write through
+// addEdge: the reference batchMatchesModel reads.
+var models sync.Map // *Graph → *edgemodel.Model
+
+// addEdge writes an edge into g — a bulk edge at version 0, a commit at ver
+// after — and, once g has accepted it, into g's model.
+func addEdge(t testing.TB, g *Graph, ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) {
+	t.Helper()
+	var err error
+	if ver == 0 {
+		err = g.AddEdge(et, src, dst, props...)
+	} else {
+		err = g.CommitEdge(ver, et, src, dst, props...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := models.LoadOrStore(g, new(edgemodel.Model))
+	m.(*edgemodel.Model).Add(edgemodel.Edge{Et: et, Src: src, Dst: dst, SrcLabel: g.LabelOf(src), DstLabel: g.LabelOf(dst), Ver: ver, Props: props})
+}
+
+// batchMatchesModel asserts the NeighborsBatch contract for one
+// parameterization against the edge-list model of v's graph (addEdge): the
+// model's pieces at the view's version — destination label, neighbors and,
+// with props, every edge-property row of every kind — with Sorted exactly
+// when the model has no run of two pieces. A piece views its family's image
+// (at the run's own offsets) iff its run has no delta entry visible at the
+// read's version; otherwise the batch owns it. It returns the batch.
+func batchMatchesModel(t *testing.T, v View, srcs []vector.VID, et catalog.EdgeTypeID,
 	dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *Batch {
 	t.Helper()
-	var b, ref Batch
+	if edgemodel.AnyLabel != AnyLabel {
+		t.Fatal("the model's wildcard label is not storage.AnyLabel")
+	}
+	var b Batch
 	v.NeighborsBatch(srcs, et, dir, dstLabel, withProps, &b)
-	AppendNeighborsBatch(v, srcs, et, dir, dstLabel, withProps, &ref)
+	g, ver := graphOf(v)
+	m := new(edgemodel.Model)
+	if rec, ok := models.Load(g); ok {
+		m = rec.(*edgemodel.Model)
+	}
+	want, sorted := m.Read(srcs, et, dir, dstLabel, ver)
 	if len(b.Runs) != len(srcs) {
 		t.Fatalf("got %d runs for %d srcs", len(b.Runs), len(srcs))
 	}
-	if b.Sorted != ref.Sorted {
-		t.Fatalf("dir=%v dst=%v: Sorted=%v, reference Sorted=%v", dir, dstLabel, b.Sorted, ref.Sorted)
+	if b.Sorted != sorted {
+		t.Fatalf("dir=%v dst=%v: Sorted=%v, model Sorted=%v", dir, dstLabel, b.Sorted, sorted)
 	}
-	if got, want := pieceLines(&b, withProps), pieceLines(&ref, withProps); !reflect.DeepEqual(got, want) {
+	var kinds []vector.Kind
+	if withProps {
+		for _, d := range g.Catalog().EdgeTypeProps(et) {
+			kinds = append(kinds, d.Kind)
+		}
+	}
+	if got, want := pieceLines(&b, withProps), edgemodel.Lines(want, kinds); !reflect.DeepEqual(got, want) {
 		t.Fatalf("dir=%v dst=%v: pieces\n%v\nwant\n%v", dir, dstLabel, got, want)
 	}
-	g := graphOf(v)
-	for i, src := range srcs {
-		if src == vector.NilVID {
-			continue
-		}
-		segs := v.Neighbors(nil, src, et, dir, dstLabel, false)
-		r := b.Runs[i]
-		for k, p := range b.Pieces[r.Start:r.End] {
-			got, seg := b.PieceVIDs(p), segs[k].VIDs
-			view := ViewsImage(g, seg)
-			if ViewsImage(g, got) != view || view && &got[0] != &seg[0] {
-				t.Fatalf("src %d (dir=%v dst=%v) piece %d: views the image %v, its scalar run %v", src, dir, dstLabel, k, ViewsImage(g, got), view)
-			}
+	for k, p := range b.Pieces {
+		src, mp := srcs[want[k].Row], want[k]
+		c := g.fams.Load().adj[AdjKey{Src: g.LabelOf(src), Et: et, Dst: mp.Label, Dir: mp.Dir}].snap.Load()
+		lo, _ := c.span(src)
+		touched := c.delta.runs.Load(src).visible(ver) > 0
+		if got := b.PieceVIDs(p); ViewsImage(g, got) == touched || !touched && &got[0] != &c.neighbors[lo] {
+			t.Fatalf("src %d (dir=%v dst=%v) piece %d: views the image %v, its run has visible delta entries %v", src, dir, dstLabel, k, ViewsImage(g, got), touched)
 		}
 	}
 	return &b
 }
 
-// pieceLines renders b one line per piece: row, label, neighbors and, with
-// props, every property column's rows.
+// pieceLines renders b one line per piece, as edgemodel.Lines renders the
+// model: row, label, neighbors and, with props, every property column's rows.
 func pieceLines(b *Batch, withProps bool) []string {
 	var out []string
 	for i, r := range b.Runs {
 		for _, p := range b.Pieces[r.Start:r.End] {
-			line := fmt.Sprint(i, p.Label, b.PieceVIDs(p))
+			line := fmt.Sprintf("row %d label %d %v", i, p.Label, b.PieceVIDs(p))
 			if withProps {
 				cols, off := b.PieceCols(p)
 				for q := range cols.I64 {
 					switch {
 					case cols.I64[q] != nil:
-						line += fmt.Sprint(cols.I64[q][off : off+p.Len()])
+						line += fmt.Sprint(" ", cols.I64[q][off:off+p.Len()])
 					case cols.F64[q] != nil:
-						line += fmt.Sprint(cols.F64[q][off : off+p.Len()])
+						line += fmt.Sprint(" ", cols.F64[q][off:off+p.Len()])
 					case cols.Str[q] != nil:
-						line += fmt.Sprintf("%q", cols.Str[q][off:off+p.Len()])
+						line += fmt.Sprintf(" %q", cols.Str[q][off:off+p.Len()])
 					}
 				}
 			}
@@ -192,12 +228,13 @@ func pieceLines(b *Batch, withProps bool) []string {
 	return out
 }
 
-// graphOf returns the graph a storage view reads.
-func graphOf(v View) *Graph {
+// graphOf returns the graph a storage view reads and the version it reads at.
+func graphOf(v View) (*Graph, uint64) {
 	if vv, ok := v.(VersionView); ok {
-		return vv.Graph
+		return vv.Graph, vv.ver
 	}
-	return v.(*Graph)
+	g := v.(*Graph)
+	return g, g.readVersion()
 }
 
 // matrixGraph is the equivalence-matrix fixture: labels A and B, one edge
@@ -240,9 +277,7 @@ func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.Labe
 			}
 			for rep := 0; rep <= (i+j)%2; rep++ { // every other pair twice
 				n++
-				if err := g.AddEdge(et, all[i], all[j], vector.Date(int64(n)), vector.Float64(float64(n)/2), vector.String_(string(rune('a'+n%26)))); err != nil {
-					t.Fatal(err)
-				}
+				addEdge(t, g, 0, et, all[i], all[j], vector.Date(int64(n)), vector.Float64(float64(n)/2), vector.String_(string(rune('a'+n%26))))
 			}
 		}
 	}
@@ -254,7 +289,7 @@ func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.Labe
 // NilVID holes and VIDs beyond the base range (empty runs), on a pristine
 // sealed graph (every piece a view of its image, labelled with its family's
 // destination) and again with a live storage delta (changed runs merged).
-// Degree must agree with every run, holes included.
+// A one-source read must agree with every run, holes included.
 func TestNeighborsBatchMatrix(t *testing.T) {
 	g, as, bs, a, b, et := matrixGraph(t)
 	g.SealCSR()
@@ -283,10 +318,10 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 			for _, dst := range []catalog.LabelID{a, b, AnyLabel} {
 				for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
 					for _, withProps := range []bool{false, true} {
-						got := batchMatchesScalar(t, g, srcs, et, dir, dst, withProps)
+						got := batchMatchesModel(t, g, srcs, et, dir, dst, withProps)
 						for i, s := range srcs { // NilVID and beyond-range rows included
-							if d := g.Degree(s, et, dir, dst); d != len(got.Run(i)) {
-								t.Fatalf("%s dst=%v dir=%v: Degree(%d) = %d, run holds %d", name, dst, dir, s, d, len(got.Run(i)))
+							if d := len(nbrs(g, s, et, dir, dst)); d != got.RunLen(i) {
+								t.Fatalf("%s dst=%v dir=%v: a one-source read of %d holds %d, its run %d", name, dst, dir, s, d, got.RunLen(i))
 							}
 						}
 						single := dst != AnyLabel && dir != catalog.Both && name != "mixed"
@@ -315,17 +350,16 @@ func TestNeighborsBatchMatrix(t *testing.T) {
 	g.SetResealPolicy(1e9, 1<<30)
 	for i := range bs {
 		for _, e := range [][2]vector.VID{{as[i], bs[0]}, {bs[i], as[0]}, {as[i], as[1]}, {bs[i], bs[1]}} {
-			if err := g.CommitEdge(uint64(1+i), et, e[0], e[1], vector.Date(int64(900+i)), vector.Float64(9), vector.String_("z")); err != nil {
-				t.Fatal(err)
-			}
+			addEdge(t, g, uint64(1+i), et, e[0], e[1], vector.Date(int64(900+i)), vector.Float64(9), vector.String_("z"))
 		}
 	}
 	t.Run("delta", func(t *testing.T) { run(t, false) })
 }
 
-// TestNeighborsBatchMatchesScalar checks the batch contract on a graph whose
-// first read seals it ("unsealed") and on one sealed explicitly.
-func TestNeighborsBatchMatchesScalar(t *testing.T) {
+// TestNeighborsBatchMatchesModel checks the batch contract against the
+// edge-list model on a graph whose first read seals it ("unsealed") and on
+// one sealed explicitly.
+func TestNeighborsBatchMatchesModel(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		g, ps, cs, person, city, livesIn := csrGraph(t)
 		srcs := append(append([]vector.VID{vector.NilVID}, ps...), vector.NilVID)
@@ -334,16 +368,16 @@ func TestNeighborsBatchMatchesScalar(t *testing.T) {
 		}
 		name := map[bool]string{false: "unsealed", true: "sealed"}[sealed]
 		t.Run(name, func(t *testing.T) {
-			batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, false)
-			batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
-			batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, AnyLabel, false)
-			batchMatchesScalar(t, g, srcs, livesIn, catalog.Both, city, false)
-			batchMatchesScalar(t, g, cs, livesIn, catalog.In, person, true)
-			// Mixed-label source list bails to the reference path.
+			batchMatchesModel(t, g, srcs, livesIn, catalog.Out, city, false)
+			batchMatchesModel(t, g, srcs, livesIn, catalog.Out, city, true)
+			batchMatchesModel(t, g, srcs, livesIn, catalog.Out, AnyLabel, false)
+			batchMatchesModel(t, g, srcs, livesIn, catalog.Both, city, false)
+			batchMatchesModel(t, g, cs, livesIn, catalog.In, person, true)
+			// A mixed-label source list.
 			mixed := append(append([]vector.VID(nil), ps[:3]...), cs...)
-			batchMatchesScalar(t, g, mixed, livesIn, catalog.Out, city, false)
+			batchMatchesModel(t, g, mixed, livesIn, catalog.Out, city, false)
 			// Empty src list.
-			batchMatchesScalar(t, g, nil, livesIn, catalog.Out, city, false)
+			batchMatchesModel(t, g, nil, livesIn, catalog.Out, city, false)
 			if !g.CSRSealed() {
 				t.Fatal("the first read must seal the graph")
 			}
@@ -389,9 +423,7 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 	// published, and the batch stays sorted: ps[0]'s run is merged, every
 	// other one still views the image.
 	srcs := append([]vector.VID(nil), ps...)
-	if err := g.CommitEdge(1, livesIn, ps[0], cs[0], vector.Date(7)); err != nil {
-		t.Fatal(err)
-	}
+	addEdge(t, g, 1, livesIn, ps[0], cs[0], vector.Date(7))
 	if !g.CSRSealed() {
 		t.Fatal("snapshot must persist across CommitEdge")
 	}
@@ -405,12 +437,12 @@ func TestCSRPersistsAcrossMutation(t *testing.T) {
 			t.Fatalf("piece %d views the image: %v; only ps[0]'s run is changed", i, !(i > 0))
 		}
 	}
-	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
+	batchMatchesModel(t, g, srcs, livesIn, catalog.Out, city, true)
 
 	// A quiesced re-seal after compaction must agree with what the overlay
 	// already served.
 	g.SealCSR()
-	batchMatchesScalar(t, g, srcs, livesIn, catalog.Out, city, true)
+	batchMatchesModel(t, g, srcs, livesIn, catalog.Out, city, true)
 
 }
 
@@ -439,7 +471,7 @@ func TestNeighborsBatchEmptyFamily(t *testing.T) {
 		t.Fatal("all-empty batch is trivially sorted")
 	}
 	g.SealCSR() // zero families: must not panic
-	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, false)
+	batchMatchesModel(t, g, ps, livesIn, catalog.Out, city, false)
 }
 
 // TestMemBytesAccountsCSR: a family is held once. The bulk phase accounts its
@@ -489,24 +521,13 @@ func TestMemBytesAccountsCSR(t *testing.T) {
 // bound to — reads at Latest, which see every delta entry whatever its stamp
 // — against commits (run with -race). A read loads each delta run once and
 // counts and merges that immutable run, so every run a reader sees is the
-// scalar read of its source at some moment — the run before the commits,
+// one-source read of its source at some moment — the run before the commits,
 // plus a prefix of the edges committed to it, with their properties.
 func TestLatestBatchUnderCommits(t *testing.T) {
 	g, ps, cs, city, livesIn := overlayGraph(t, 12, 5)
 	g.SetResealPolicy(1e9, 1<<30)
-	type row struct {
-		dst  vector.VID
-		date int64
-	}
-	read := func(src vector.VID) []row {
-		var out []row
-		for _, seg := range g.Neighbors(nil, src, livesIn, catalog.Out, city, true) {
-			for k, d := range seg.VIDs {
-				out = append(out, row{d, seg.PropI64[0][k]})
-			}
-		}
-		return out
-	}
+	type row = dated
+	read := func(src vector.VID) []row { return datedNbrs(g, src, livesIn, catalog.Out, city) }
 	const writes = 40
 	base := make([][]row, len(ps))
 	adds := make([][]row, len(ps)) // the edges each source gains, in write order
@@ -530,7 +551,7 @@ func TestLatestBatchUnderCommits(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < writes; k++ {
 				for i := w; i < len(ps); i += 2 {
-					if err := g.CommitEdge(uint64(1+k), livesIn, ps[i], adds[i][k].dst, vector.Date(adds[i][k].date)); err != nil {
+					if err := g.CommitEdge(uint64(1+k), livesIn, ps[i], adds[i][k].dst, vector.Date(adds[i][k].since)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -553,7 +574,7 @@ func TestLatestBatchUnderCommits(t *testing.T) {
 			}
 			c := len(got) - len(base[i])
 			if c < 0 || c > writes || !reflect.DeepEqual(got, model(i, c)) {
-				t.Fatalf("src %d: batch run %v is no moment of its scalar read", ps[i], got)
+				t.Fatalf("src %d: batch run %v is no moment of its one-source read", ps[i], got)
 			}
 		}
 	}
@@ -567,7 +588,7 @@ func TestLatestBatchUnderCommits(t *testing.T) {
 	}
 	for i, p := range ps {
 		if got := read(p); !reflect.DeepEqual(got, model(i, writes)) {
-			t.Fatalf("src %d: quiesced scalar run %v", p, got)
+			t.Fatalf("src %d: quiesced one-source run %v", p, got)
 		}
 	}
 	check()

@@ -37,9 +37,7 @@ func overlayGraph(t *testing.T, nPersons, nCities int) (*Graph, []vector.VID, []
 	for pi, p := range ps {
 		for ci, c := range cs {
 			if (pi*7+ci*3)%2 == 0 {
-				if err := g.AddEdge(livesIn, p, c, edgeProp(p, c)); err != nil {
-					t.Fatal(err)
-				}
+				addEdge(t, g, 0, livesIn, p, c, edgeProp(p, c))
 			}
 		}
 	}
@@ -54,14 +52,13 @@ func edgeProp(src, dst vector.VID) vector.Value {
 }
 
 // readImage captures everything a reader can observe for the given sources —
-// batched runs with props (and whether they are Sorted), scalar segments, and
-// view degrees — as one comparable value.
+// batched runs with props (and whether they are Sorted), and each source
+// read alone — as one comparable value.
 type readImage struct {
-	Sorted  bool
-	Runs    [][]vector.VID
-	Props   [][]int64
-	Scalar  [][]vector.VID
-	Degrees []int
+	Sorted bool
+	Runs   [][]vector.VID
+	Props  [][]int64
+	Single [][]vector.VID
 }
 
 func captureImage(g *Graph, srcs []vector.VID, et catalog.EdgeTypeID, dstLabel catalog.LabelID) readImage {
@@ -84,22 +81,18 @@ func captureImageDir(g View, srcs []vector.VID, et catalog.EdgeTypeID, dir catal
 		img.Props = append(img.Props, props)
 	}
 	for _, src := range srcs {
-		img.Scalar = append(img.Scalar, append([]vector.VID(nil),
-			flattenSegs(g.Neighbors(nil, src, et, dir, dstLabel, false))...))
-		img.Degrees = append(img.Degrees, g.Degree(src, et, dir, dstLabel))
+		img.Single = append(img.Single, nbrs(g, src, et, dir, dstLabel))
 	}
 	return img
 }
 
-// mutate commits one random edge at version ver. Pairs repeat often, so
-// runs hold duplicates of a destination.
+// mutate commits one random edge at version ver, recorded in g's model
+// (addEdge). Pairs repeat often, so runs hold duplicates of a destination.
 func mutate(t *testing.T, g *Graph, rng *rand.Rand, ver uint64, ps, cs []vector.VID, livesIn catalog.EdgeTypeID) {
 	t.Helper()
 	src := ps[rng.Intn(len(ps))]
 	dst := cs[rng.Intn(len(cs))]
-	if err := g.CommitEdge(ver, livesIn, src, dst, edgeProp(src, dst)); err != nil {
-		t.Fatal(err)
-	}
+	addEdge(t, g, ver, livesIn, src, dst, edgeProp(src, dst))
 }
 
 // TestOverlayConcurrentReadersMatchReseal is the overlay's core concurrency
@@ -312,11 +305,9 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 		}
 		out := map[[2]int][]int64{}
 		for i, v := range vs {
-			for _, seg := range g.Neighbors(nil, v, et, catalog.Out, AnyLabel, true) {
-				for k, d := range seg.VIDs {
-					key := [2]int{i, at[d]}
-					out[key] = append(out[key], seg.PropI64[0][k])
-				}
+			for _, e := range datedNbrs(g, v, et, catalog.Out, AnyLabel) {
+				key := [2]int{i, at[e.dst]}
+				out[key] = append(out[key], e.since)
 			}
 		}
 		return out
@@ -654,7 +645,7 @@ func (f *fakeVersions) Version() uint64   { return f.v }
 func (f *fakeVersions) GCHorizon() uint64 { return f.h }
 
 // TestOverlayMixedDirections exercises the In direction and Both through the
-// overlay, cross-checked against the scalar reference path.
+// overlay, cross-checked against the edge-list model.
 func TestOverlayMixedDirections(t *testing.T) {
 	g, ps, cs, city, livesIn := overlayGraph(t, 12, 6)
 	person := g.LabelOf(ps[0])
@@ -662,9 +653,9 @@ func TestOverlayMixedDirections(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		mutate(t, g, rng, uint64(1+i), ps, cs, livesIn)
 	}
-	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, city, true)
-	batchMatchesScalar(t, g, cs, livesIn, catalog.In, person, true)
-	batchMatchesScalar(t, g, ps, livesIn, catalog.Both, city, false)
-	batchMatchesScalar(t, g, ps, livesIn, catalog.Out, AnyLabel, false)
+	batchMatchesModel(t, g, ps, livesIn, catalog.Out, city, true)
+	batchMatchesModel(t, g, cs, livesIn, catalog.In, person, true)
+	batchMatchesModel(t, g, ps, livesIn, catalog.Both, city, false)
+	batchMatchesModel(t, g, ps, livesIn, catalog.Out, AnyLabel, false)
 	_ = city
 }

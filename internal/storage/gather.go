@@ -10,38 +10,12 @@ import (
 // hand the storage layer a whole VID column and receive a whole property
 // column back. Three tiers, fastest first:
 //
-//  1. aligned share — the VID column is exactly the label's scan order, so
-//     the gathered column IS the storage column: zero copies, and the
-//     storage zone map rides along for filter skipping;
-//  2. bulk gather — one tight loop over the raw backing slices, moving
-//     8-byte scalars or 4-byte dictionary codes;
+//  1. aligned share (ShareScanColumn) — the VID column is exactly the
+//     label's scan order, so the gathered column IS the storage column: zero
+//     copies, and the storage zone map rides along for filter skipping;
+//  2. bulk gather (GatherProps) — one tight loop over the raw backing
+//     slices, moving 8-byte scalars or 4-byte dictionary codes (PropDict);
 //  3. boxed fallback — per-row Get/Set for exotic kinds.
-
-// ColumnSharer is the optional zero-copy tier of the gather path. Views that
-// can prove vids is exactly the storage row order of label expose the
-// backing column itself.
-type ColumnSharer interface {
-	// ShareScanColumn returns the storage column of (label,pid) when vids is
-	// row-aligned with it, or nil. Callers must treat the result as
-	// read-only (wrap with ShareAs).
-	ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids []vector.VID) *vector.Column
-}
-
-// DictProvider exposes the dictionary of a string property column so
-// gathered output columns can share it and move codes instead of strings.
-type DictProvider interface {
-	PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict
-}
-
-// ZonePruner is the optional zone-map tier: clear selection bits of
-// candidates whose storage zone cannot contain a value in [lo,hi] before any
-// value is gathered.
-type ZonePruner interface {
-	// PruneZones returns how many zones were ruled out and how many zones
-	// the column has. Views that cannot prune (e.g. snapshots with property
-	// overlays) return (0, 0).
-	PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int)
-}
 
 // propColumn resolves the storage column for (label, pid), nil when absent.
 func (g *Graph) propColumn(label catalog.LabelID, pid catalog.PropID) *vector.Column {
@@ -141,7 +115,7 @@ func (g *Graph) GatherExtIDs(vids []vector.VID, sel *vector.Bitset, out []int64)
 	}
 }
 
-// ShareScanColumn implements ColumnSharer: when vids is element-for-element
+// ShareScanColumn implements View: when vids is element-for-element
 // the label's scan order (which is how NodeScan emits it), the storage
 // column itself is the gather result.
 func (g *Graph) ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids []vector.VID) *vector.Column {
@@ -161,7 +135,7 @@ func (g *Graph) ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids 
 	return col
 }
 
-// PropDict implements DictProvider.
+// PropDict implements View.
 func (g *Graph) PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict {
 	if col := g.propColumn(label, pid); col != nil {
 		return col.Dict()
@@ -169,8 +143,9 @@ func (g *Graph) PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict
 	return nil
 }
 
-// PruneZones implements ZonePruner over the base graph's zone maps. Zone
-// verdicts are computed lazily, once per touched zone.
+// PruneZones implements View over the base rows' zone maps, returning (0, 0)
+// for a column without one. Zone verdicts are computed lazily, once per
+// touched zone.
 func (g *Graph) PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int) {
 	col := g.propColumn(label, pid)
 	if col == nil {

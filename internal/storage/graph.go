@@ -10,22 +10,10 @@ import (
 	"ges/internal/vector"
 )
 
-// AnyLabel is the wildcard destination label: Neighbors probes every
+// AnyLabel is the wildcard destination label: NeighborsBatch probes every
 // adjacency family of the (srcLabel, edgeType, direction) prefix. Queries
 // over supertypes (e.g. LDBC "Message" = Post ∪ Comment) rely on this.
 const AnyLabel = catalog.LabelID(0xFFFF)
-
-// Segment is one family's run of neighbors handed to the executor's
-// pointer-based join: VIDs is ascending and a view into storage-owned memory
-// (never copy, never mutate), and the Prop* slices — populated only when
-// requested — are the edge-property runs aligned element-for-element with
-// VIDs.
-type Segment struct {
-	VIDs    []vector.VID
-	PropI64 [][]int64
-	PropF64 [][]float64
-	PropStr [][]string
-}
 
 // View is the read interface the executor runs against. It has two
 // implementations: the *Graph, reading every published commit, and the
@@ -50,21 +38,23 @@ type View interface {
 	// GatherExtIDs bulk-fetches external identifiers for selected rows into
 	// out (pre-sized to len(vids)).
 	GatherExtIDs(vids []vector.VID, sel *vector.Bitset, out []int64)
-	// Neighbors appends the neighbor segments of src over edge type et in
-	// direction dir toward dstLabel (or AnyLabel) to buf and returns it.
-	// withProps populates the aligned edge-property runs.
-	Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment
 	// NeighborsBatch resolves the neighbors of every source in one call,
 	// filling out with one run per source (aligned with srcs; NilVID
-	// sources yield empty runs). Run i holds one piece per segment of
-	// Neighbors(srcs[i]), in order and labelled with its destination — the
-	// batched and scalar paths are byte-identical — each a view of storage
-	// where the scalar segment is one; out.Sorted reports whether every run
-	// is ascending by VID (one piece: the precondition for intersection
-	// joins).
+	// sources yield empty runs). Run i holds one piece per non-empty family
+	// run, in family-directory order (Out before In under Both), labelled
+	// with its destination and ascending by VID; a run the view's delta
+	// leaves alone is a view of the sealed image. out.Sorted reports whether
+	// every run is ascending by VID (one piece: the precondition for
+	// intersection joins).
 	NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch)
-	// Degree returns the total neighbor count that Neighbors would yield.
-	Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int
+	// ShareScanColumn returns the storage column of (label,pid), read-only,
+	// when vids is exactly the label's scan order, or nil (gather.go).
+	ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids []vector.VID) *vector.Column
+	// PropDict returns the dictionary of a string property column, or nil.
+	PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict
+	// PruneZones clears the selection bits of candidates whose zone cannot
+	// hold a value in [lo,hi], returning the zones ruled out and the total.
+	PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int)
 	// ScanLabel returns all vertices of a label. The result is shared and
 	// must not be mutated.
 	ScanLabel(label catalog.LabelID) []vector.VID
@@ -484,64 +474,6 @@ func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 	return vector.Value{}
 }
 
-// families calls fn for every family Neighbors(src, et, dir, dstLabel) visits,
-// in its segment order (Out before In under Both).
-func (g *Graph) families(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, fn func(*AdjList)) {
-	if dir == catalog.Both {
-		g.families(src, et, catalog.Out, dstLabel, fn)
-		g.families(src, et, catalog.In, dstLabel, fn)
-		return
-	}
-	srcLabel := g.labelAt(src)
-	if srcLabel == noLabel {
-		return
-	}
-	ft := g.fams.Load()
-	if dstLabel != AnyLabel {
-		if l, ok := ft.adj[AdjKey{Src: srcLabel, Et: et, Dst: dstLabel, Dir: dir}]; ok {
-			fn(l)
-		}
-		return
-	}
-	for _, fe := range ft.famIdx[famKey{src: srcLabel, et: et, dir: dir}] {
-		fn(fe.list)
-	}
-}
-
-// Neighbors implements View at the graph's read version. A graph still in
-// the bulk phase is sealed first.
-func (g *Graph) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
-	g.sealBulk()
-	return g.neighbors(buf, src, et, dir, dstLabel, withProps, g.readVersion())
-}
-
-// neighbors serves each family's sorted CSR run (loaded once, so neighbors
-// and properties always come from the same image) as a read at ver sees it,
-// merged with the image's delta where it changes the run.
-func (g *Graph) neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64) []Segment {
-	g.families(src, et, dir, dstLabel, func(l *AdjList) {
-		if seg, ok := l.snap.Load().segmentAt(src, withProps, ver); ok {
-			buf = append(buf, seg)
-		}
-	})
-	return buf
-}
-
-// Degree implements View at the graph's read version. A graph still in the
-// bulk phase is sealed first.
-func (g *Graph) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
-	g.sealBulk()
-	return g.degree(src, et, dir, dstLabel, g.readVersion())
-}
-
-func (g *Graph) degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, ver uint64) int {
-	n := 0
-	g.families(src, et, dir, dstLabel, func(l *AdjList) {
-		n += l.snap.Load().runLen(src, ver)
-	})
-	return n
-}
-
 // VersionView is the graph as a read at one commit version sees it — a
 // transaction snapshot: delta entries stamped after the version are hidden
 // from every adjacency read, and vertices committed after it from scans,
@@ -560,19 +492,9 @@ func (g *Graph) At(ver uint64) VersionView { return VersionView{Graph: g, ver: v
 // Version returns the commit version the view reads at.
 func (v VersionView) Version() uint64 { return v.ver }
 
-// Neighbors implements View at the view's version.
-func (v VersionView) Neighbors(buf []Segment, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) []Segment {
-	return v.Graph.neighbors(buf, src, et, dir, dstLabel, withProps, v.ver)
-}
-
 // NeighborsBatch implements View at the view's version.
 func (v VersionView) NeighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
 	v.Graph.neighborsBatch(srcs, et, dir, dstLabel, withProps, v.ver, out)
-}
-
-// Degree implements View at the view's version.
-func (v VersionView) Degree(src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID) int {
-	return v.Graph.degree(src, et, dir, dstLabel, v.ver)
 }
 
 // ScanLabel implements View at the view's version: the base rows, then the

@@ -99,10 +99,7 @@ func TestEdgesAndNeighbors(t *testing.T) {
 	must(g.AddEdge(livesIn, p2, c2, vector.Date(30)))
 
 	collect := func(src vector.VID, dir catalog.Direction) []vector.VID {
-		var out []vector.VID
-		for _, seg := range g.Neighbors(nil, src, livesIn, dir, AnyLabel, false) {
-			out = append(out, seg.VIDs...)
-		}
+		out := nbrs(g, src, livesIn, dir, AnyLabel)
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
@@ -112,10 +109,10 @@ func TestEdgesAndNeighbors(t *testing.T) {
 	if got := collect(c1, catalog.In); len(got) != 2 || got[0] != p1 || got[1] != p2 {
 		t.Fatalf("c1 in = %v", got)
 	}
-	if g.Degree(p2, livesIn, catalog.Out, AnyLabel) != 2 {
+	if len(nbrs(g, p2, livesIn, catalog.Out, AnyLabel)) != 2 {
 		t.Fatal("degree p2")
 	}
-	if g.Degree(c1, livesIn, catalog.In, city) != 0 {
+	if len(nbrs(g, c1, livesIn, catalog.In, city)) != 0 {
 		t.Fatal("degree with wrong dst label should be 0")
 	}
 	if g.NumEdges() != 3 {
@@ -123,18 +120,13 @@ func TestEdgesAndNeighbors(t *testing.T) {
 	}
 
 	// Edge properties aligned with neighbors.
-	segs := g.Neighbors(nil, p2, livesIn, catalog.Out, city, true)
-	if len(segs) != 1 {
-		t.Fatalf("want one segment, got %d", len(segs))
-	}
-	for i, n := range segs[0].VIDs {
-		since := segs[0].PropI64[0][i]
+	for _, e := range datedNbrs(g, p2, livesIn, catalog.Out, city) {
 		want := int64(20)
-		if n == c2 {
+		if e.dst == c2 {
 			want = 30
 		}
-		if since != want {
-			t.Fatalf("edge prop for neighbor %d = %d, want %d", n, since, want)
+		if e.since != want {
+			t.Fatalf("edge prop for neighbor %d = %d, want %d", e.dst, e.since, want)
 		}
 	}
 }
@@ -147,10 +139,10 @@ func TestBothDirection(t *testing.T) {
 	if err := g.AddEdge(knows, p1, p2); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Degree(p1, knows, catalog.Both, AnyLabel); got != 1 {
+	if got := len(nbrs(g, p1, knows, catalog.Both, AnyLabel)); got != 1 {
 		t.Fatalf("both-degree p1 = %d (out edge only)", got)
 	}
-	if got := g.Degree(p2, knows, catalog.Both, AnyLabel); got != 1 {
+	if got := len(nbrs(g, p2, knows, catalog.Both, AnyLabel)); got != 1 {
 		t.Fatalf("both-degree p2 = %d (in edge only)", got)
 	}
 }
@@ -168,33 +160,30 @@ func TestSlotRegrowthKeepsSegmentsValid(t *testing.T) {
 	if err := g.AddEdge(livesIn, p, cities[0], vector.Date(0)); err != nil {
 		t.Fatal(err)
 	}
-	early := g.Neighbors(nil, p, livesIn, catalog.Out, city, false) // seals
+	var early Batch
+	g.NeighborsBatch([]vector.VID{p}, livesIn, catalog.Out, city, false, &early) // seals
 	for i := 1; i < n; i++ {
 		if err := g.CommitEdge(uint64(i), livesIn, p, cities[i], vector.Date(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(early) != 1 || len(early[0].VIDs) != 1 || early[0].VIDs[0] != cities[0] {
-		t.Fatal("pre-growth segment view corrupted by relocation")
+	if run := early.Run(0); len(run) != 1 || run[0] != cities[0] {
+		t.Fatal("pre-growth piece view corrupted by relocation")
 	}
-	segs := g.Neighbors(nil, p, livesIn, catalog.Out, city, true)
-	total := 0
-	for _, s := range segs {
-		total += len(s.VIDs)
-		for i, v := range s.VIDs {
-			// since == index of the city; verifies props moved with VIDs.
-			if s.PropI64[0][i] != int64(v-cities[0]) {
-				t.Fatalf("edge prop misaligned after regrowth: vid %d since %d", v, s.PropI64[0][i])
-			}
+	es := datedNbrs(g, p, livesIn, catalog.Out, city)
+	for _, e := range es {
+		// since == index of the city; verifies props moved with VIDs.
+		if e.since != int64(e.dst-cities[0]) {
+			t.Fatalf("edge prop misaligned after regrowth: vid %d since %d", e.dst, e.since)
 		}
 	}
-	if total != n {
+	if total := len(es); total != n {
 		t.Fatalf("neighbors after regrowth = %d, want %d", total, n)
 	}
 }
 
 // Property: adjacency round-trip — whatever set of edges we insert per
-// source, Neighbors returns exactly that multiset, regardless of insertion
+// source, a read returns exactly that multiset, regardless of insertion
 // interleaving (which exercises slot relocation).
 func TestAdjacencyRoundTripProperty(t *testing.T) {
 	f := func(edges []uint8) bool {
@@ -217,10 +206,7 @@ func TestAdjacencyRoundTripProperty(t *testing.T) {
 			want[src] = append(want[src], dst)
 		}
 		for _, src := range persons {
-			var got []vector.VID
-			for _, seg := range g.Neighbors(nil, src, livesIn, catalog.Out, city, false) {
-				got = append(got, seg.VIDs...)
-			}
+			got := nbrs(g, src, livesIn, catalog.Out, city)
 			if len(got) != len(want[src]) {
 				return false
 			}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ges/internal/catalog"
@@ -45,41 +46,53 @@ func knowsGraph(t *testing.T, n int, prob float64, seed int64) (*Graph, []vector
 	return g, vs, person, knows
 }
 
-// naiveRowIntersect filters the scalar base adjacency of srcs[0] by
-// membership in every other source's adjacency.
+// naiveRowIntersect filters the one-source read of srcs[0] by membership in
+// every other source's one-source read.
 func naiveRowIntersect(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, lbl catalog.LabelID) []vector.VID {
-	member := func(src, cand vector.VID) bool {
-		for _, s := range v.Neighbors(nil, src, et, dir, lbl, false) {
-			for _, w := range s.VIDs {
-				if w == cand {
-					return true
-				}
+	var out []vector.VID
+	for _, cand := range nbrs(v, srcs[0], et, dir, lbl) {
+		ok := true
+		for _, src := range srcs[1:] {
+			if !slices.Contains(nbrs(v, src, et, dir, lbl), cand) {
+				ok = false
+				break
 			}
 		}
-		return false
-	}
-	var out []vector.VID
-	for _, s := range v.Neighbors(nil, srcs[0], et, dir, lbl, false) {
-		for _, cand := range s.VIDs {
-			ok := true
-			for _, src := range srcs[1:] {
-				if !member(src, cand) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, cand)
-			}
+		if ok {
+			out = append(out, cand)
 		}
 	}
 	return out
 }
 
+// oneSourceFill fills out with a separate one-source read per row, each run
+// copied into rows the batch owns: the batch a per-source reader would
+// assemble, with no piece viewing an image.
+func oneSourceFill(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, lbl catalog.LabelID, out *Batch) {
+	out.reset(len(srcs))
+	p := packer{out: &out.merged}
+	var one Batch
+	sorted := true
+	for i, s := range srcs {
+		start := len(out.Pieces)
+		v.NeighborsBatch([]vector.VID{s}, et, dir, lbl, false, &one)
+		for _, pc := range one.Pieces {
+			at := p.at
+			p.reserve(pc.Len())
+			p.rows(one.PieceVIDs(pc), nil, 0, pc.Len())
+			out.Pieces = append(out.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Label: pc.Label})
+		}
+		out.Runs[i] = NeighborRun{Start: int32(start), End: int32(len(out.Pieces))}
+		sorted = sorted && len(out.Pieces)-start <= 1
+	}
+	out.Sorted = sorted
+	out.backs[0].vids = out.merged.vids[:p.at]
+}
+
 // TestIntersectorMatchesScalar sweeps sealed (explicitly, or by the first
-// read) × scalar-fill × intersect-knob combinations over random 2-way and
-// 3-way fan-outs and checks every path yields the scalar reference byte for
-// byte.
+// read) × scalar fill (oneSourceFill's owned rows, or the batch's image
+// views) × intersect-knob combinations over random 2-way and 3-way fan-outs
+// and checks every path yields the one-source reference byte for byte.
 func TestIntersectorMatchesScalar(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		for _, scalarFill := range []bool{false, true} {
@@ -106,7 +119,7 @@ func TestIntersectorMatchesScalar(t *testing.T) {
 						}
 						fill := func(s []vector.VID, out *Batch) {
 							if scalarFill {
-								AppendNeighborsBatch(g, s, knows, catalog.Out, person, false, out)
+								oneSourceFill(g, s, knows, catalog.Out, person, out)
 							} else {
 								g.NeighborsBatch(s, knows, catalog.Out, person, false, out)
 							}

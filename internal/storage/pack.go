@@ -1,11 +1,12 @@
 package storage
 
-// The batched neighbor read (§5's pointer-based join): per source, one piece
-// per non-empty family run in scalar Neighbors segment order. A run the
-// delta leaves alone at the read's version is a piece viewing its sealed
-// image — the paper's (pointer, length) — and only a run the delta changes
-// is merged into rows the batch owns. The same packer writes a reseal's
-// next image (csr.resealed) and a scalar merged segment (csr.segmentAt).
+// The batched neighbor read (§5's pointer-based join), the store's one
+// adjacency read: per source, one piece per non-empty family run in
+// family-directory order (Out before In under Both). A run the delta leaves
+// alone at the read's version is a piece viewing its sealed image — the
+// paper's (pointer, length) — and only a run the delta changes is merged
+// into rows the batch owns. The same packer writes a reseal's next image
+// (csr.resealed).
 
 import (
 	"ges/internal/catalog"
@@ -13,7 +14,7 @@ import (
 )
 
 // NeighborRun delimits one source's pieces inside a Batch:
-// Batch.Pieces[Start:End], in Neighbors segment order.
+// Batch.Pieces[Start:End], in family-directory order.
 type NeighborRun struct {
 	Start, End int32
 }
@@ -134,7 +135,7 @@ type batchFam struct {
 }
 
 // labelFams is one source label's entry in a call's table: fams[lo:hi], in
-// Neighbors segment order.
+// family-directory order.
 type labelFams struct {
 	label  catalog.LabelID
 	lo, hi int
@@ -143,8 +144,7 @@ type labelFams struct {
 // neighborsBatch is NeighborsBatch as a read at version ver sees it, in one
 // pass: the family list is resolved once per distinct source label, and a
 // source costs one label load and, per family, one offsets span plus at most
-// one lock-free delta probe (none while the image's delta is empty). It
-// equals AppendNeighborsBatch over the same view, piece for piece.
+// one lock-free delta probe (none while the image's delta is empty).
 func (g *Graph) neighborsBatch(srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, ver uint64, out *Batch) {
 	dirs := []catalog.Direction{dir}
 	if dir == catalog.Both {
@@ -236,40 +236,6 @@ func (b *Batch) addPiece(p *packer, f *batchFam, src vector.VID, ver uint64) {
 	}
 }
 
-// AppendNeighborsBatch is the reference implementation of the batched
-// neighbor API: per-source scalar Neighbors calls, each segment copied into
-// out's owned rows as one piece labelled with its neighbors' label. It
-// defines the batch/scalar equivalence contract — run i holds exactly
-// Neighbors(srcs[i])'s segments, in segment order — and any View can use it
-// to satisfy NeighborsBatch.
-func AppendNeighborsBatch(v View, srcs []vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool, out *Batch) {
-	out.reset(len(srcs))
-	p := packer{out: &out.merged}
-	if withProps {
-		for _, d := range v.Catalog().EdgeTypeProps(et) {
-			p.kinds = append(p.kinds, d.Kind)
-		}
-	}
-	sorted := true
-	var segBuf []Segment
-	for i, s := range srcs {
-		start := len(out.Pieces)
-		if s != vector.NilVID {
-			segBuf = v.Neighbors(segBuf[:0], s, et, dir, dstLabel, withProps)
-			for _, seg := range segBuf {
-				at := p.at
-				p.reserve(len(seg.VIDs))
-				p.rows(seg.VIDs, &EdgeCols{I64: seg.PropI64, F64: seg.PropF64, Str: seg.PropStr}, 0, len(seg.VIDs))
-				out.Pieces = append(out.Pieces, Piece{Lo: int32(at), Hi: int32(p.at), Back: 0, Label: v.LabelOf(seg.VIDs[0])})
-			}
-			sorted = sorted && len(segBuf) <= 1 // a run joining two families is not sorted
-		}
-		out.Runs[i] = NeighborRun{Start: int32(start), End: int32(len(out.Pieces))}
-	}
-	out.Sorted = sorted
-	out.backs[0].vids = out.merged.vids[:p.at]
-}
-
 // edgeRows is an owned neighbour array with its aligned property columns.
 type edgeRows struct {
 	vids []vector.VID
@@ -313,13 +279,8 @@ func fit[E any](s []E, n int) []E {
 	return append(s, make([]E, n-len(s))...)
 }
 
-// copy appends image rows [lo,hi) with the aligned property rows.
-func (p *packer) copy(c *csr, lo, hi int) {
-	p.rows(c.neighbors, &c.props, lo, hi)
-}
-
-// rows appends rows [lo,hi) of one run's columns — an image's, a delta
-// run's or a segment's.
+// rows appends rows [lo,hi) of one run's columns — an image's or a delta
+// run's.
 func (p *packer) rows(vids []vector.VID, cols *EdgeCols, lo, hi int) {
 	out := p.out
 	copy(out.vids[p.at:], vids[lo:hi])
@@ -366,7 +327,7 @@ func (p *packer) merge(c *csr, lo, hi int, r *deltaRun, ver uint64) {
 		for e < rn && r.vers[e] <= ver && (k >= hi || r.dsts[e] < c.neighbors[k]) {
 			e++
 		}
-		p.copy(c, i, k)
+		p.rows(c.neighbors, &c.props, i, k)
 		if e > j {
 			p.rows(r.dsts, &r.props, j, e)
 		}

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/vector"
@@ -169,57 +171,41 @@ func (g *Graph) Save(w io.Writer) error {
 	}
 
 	// Edges: every Out-direction family once (the In direction is rebuilt).
-	type famDump struct {
-		key  AdjKey
-		list *AdjList
-	}
-	var fams []famDump
-	for key, list := range g.fams.Load().adj {
+	var keys []AdjKey
+	for key := range g.fams.Load().adj {
 		if key.Dir == catalog.Out {
-			fams = append(fams, famDump{key, list})
+			keys = append(keys, key)
 		}
 	}
-	// Deterministic order.
-	for i := 0; i < len(fams); i++ {
-		for j := i + 1; j < len(fams); j++ {
-			a, b := fams[i].key, fams[j].key
-			if b.Src < a.Src || (b.Src == a.Src && (b.Et < a.Et || (b.Et == a.Et && b.Dst < a.Dst))) {
-				fams[i], fams[j] = fams[j], fams[i]
-			}
-		}
-	}
-	sw.uvarint(uint64(len(fams)))
-	for _, f := range fams {
-		sw.uvarint(uint64(f.key.Src))
-		sw.uvarint(uint64(f.key.Et))
-		sw.uvarint(uint64(f.key.Dst))
-		defs := cat.EdgeTypeProps(f.key.Et)
-		c := f.list.snap.Load()
-		// Only a vertex of the family's source label can be a source. Each
-		// run is read the way Neighbors reads it: the sealed image merged
-		// with the delta entries visible at the read version.
-		srcs := at.ScanLabel(f.key.Src)
+	slices.SortFunc(keys, func(a, b AdjKey) int { // deterministic order
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Et, b.Et), cmp.Compare(a.Dst, b.Dst))
+	})
+	sw.uvarint(uint64(len(keys)))
+	var b Batch
+	for _, key := range keys {
+		sw.uvarint(uint64(key.Src))
+		sw.uvarint(uint64(key.Et))
+		sw.uvarint(uint64(key.Dst))
+		defs := cat.EdgeTypeProps(key.Et)
+		// Only a vertex of the family's source label can be a source; one
+		// batch reads every run of the family at the read version.
+		srcs := at.ScanLabel(key.Src)
+		at.NeighborsBatch(srcs, key.Et, catalog.Out, key.Dst, true, &b)
 		n := 0
-		for _, src := range srcs {
-			n += c.runLen(src, at.ver)
+		for i := range srcs {
+			n += b.RunLen(i)
 		}
 		sw.uvarint(uint64(n))
-		for _, src := range srcs {
-			seg, _ := c.segmentAt(src, true, at.ver)
-			for i, dst := range seg.VIDs {
-				sw.varint(g.ExtID(src))
-				sw.varint(g.ExtID(dst))
-				for p, d := range defs {
-					var v vector.Value
-					switch d.Kind {
-					case vector.KindInt64, vector.KindDate:
-						v = vector.Value{Kind: d.Kind, I: seg.PropI64[p][i]}
-					case vector.KindFloat64:
-						v = vector.Float64(seg.PropF64[p][i])
-					case vector.KindString:
-						v = vector.String_(seg.PropStr[p][i])
+		for i, src := range srcs {
+			r := b.Runs[i]
+			for _, p := range b.Pieces[r.Start:r.End] {
+				cols, off := b.PieceCols(p)
+				for k, dst := range b.PieceVIDs(p) {
+					sw.varint(g.ExtID(src))
+					sw.varint(g.ExtID(dst))
+					for q, d := range defs {
+						sw.value(cols.Value(q, d.Kind, off+k), d.Kind)
 					}
-					sw.value(v, d.Kind)
 				}
 			}
 		}

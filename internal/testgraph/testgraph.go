@@ -7,6 +7,7 @@ package testgraph
 import (
 	"ges/internal/catalog"
 	"ges/internal/storage"
+	"ges/internal/testgraph/edgemodel"
 	"ges/internal/vector"
 )
 
@@ -72,6 +73,9 @@ type Fixture struct {
 	Cat    *catalog.Catalog
 	Schema *Schema
 	Graph  *storage.Graph
+	// Model is the edge list the graph was given (CheckBatch's reference);
+	// a test that commits edges records them with Record.
+	Model edgemodel.Model
 
 	Persons  []vector.VID // ext IDs 100..109
 	Posts    []vector.VID // ext IDs 200..206
@@ -105,11 +109,15 @@ func New() *Fixture {
 		}
 		f.Persons = append(f.Persons, v)
 	}
+	add := func(et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) {
+		must(g.AddEdge(et, src, dst, props...))
+		f.Record(0, et, src, dst, props...)
+	}
 	knows := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 6}, {4, 7}, {5, 8}, {6, 9}}
 	for i, e := range knows {
 		d := vector.Date(int64(19500 + i))
-		must(g.AddEdge(s.Knows, f.Persons[e[0]], f.Persons[e[1]], d))
-		must(g.AddEdge(s.Knows, f.Persons[e[1]], f.Persons[e[0]], d))
+		add(s.Knows, f.Persons[e[0]], f.Persons[e[1]], d)
+		add(s.Knows, f.Persons[e[1]], f.Persons[e[0]], d)
 	}
 	postCreators := []int{1, 2, 2, 4, 5, 6, 9}
 	for i, c := range postCreators {
@@ -122,7 +130,7 @@ func New() *Fixture {
 			panic(err)
 		}
 		f.Posts = append(f.Posts, v)
-		must(g.AddEdge(s.HasCreator, v, f.Persons[c]))
+		add(s.HasCreator, v, f.Persons[c])
 	}
 	commentCreators := []int{4, 5, 1, 7, 8}
 	for i, c := range commentCreators {
@@ -135,14 +143,20 @@ func New() *Fixture {
 			panic(err)
 		}
 		f.Comments = append(f.Comments, v)
-		must(g.AddEdge(s.HasCreator, v, f.Persons[c]))
-		must(g.AddEdge(s.ReplyOf, v, f.Posts[i%3]))
+		add(s.HasCreator, v, f.Persons[c])
+		add(s.ReplyOf, v, f.Posts[i%3])
 	}
 	likes := [][2]int{{0, 0}, {0, 1}, {1, 2}, {7, 0}}
 	for i, e := range likes {
-		must(g.AddEdge(s.Likes, f.Persons[e[0]], f.Posts[e[1]], vector.Date(int64(19950+i))))
+		add(s.Likes, f.Persons[e[0]], f.Posts[e[1]], vector.Date(int64(19950+i)))
 	}
 	return f
+}
+
+// Record adds to the fixture's model an edge its graph accepted, written at
+// version ver (0 for the bulk load).
+func (f *Fixture) Record(ver uint64, et catalog.EdgeTypeID, src, dst vector.VID, props ...vector.Value) {
+	f.Model.Add(edgemodel.Edge{Et: et, Src: src, Dst: dst, SrcLabel: f.Graph.LabelOf(src), DstLabel: f.Graph.LabelOf(dst), Ver: ver, Props: props})
 }
 
 func must(err error) {

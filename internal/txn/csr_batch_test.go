@@ -10,18 +10,18 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/storage"
 	"ges/internal/testgraph"
+	"ges/internal/testgraph/edgemodel"
 	"ges/internal/vector"
 )
 
-// assertBatchMatchesScalar checks the NeighborsBatch contract on a view
-// against the per-source scalar reference (testgraph.CheckBatch): the same
-// pieces with their labels and edge-property rows, Sorted exactly when the
-// reference says so (a multi-family run voids it), and a piece aliasing the
-// image exactly where the scalar read of its run does. It returns the batch.
-func assertBatchMatchesScalar(t testing.TB, v storage.View, srcs []vector.VID,
+// check asserts the NeighborsBatch contract on a view of the fixture's graph
+// against its edge-list model (testgraph.CheckBatch): the same pieces with
+// their labels and edge-property rows, and Sorted exactly when the model has
+// no multi-family run. It returns the batch.
+func (o *overlayFixture) check(t testing.TB, v storage.View, srcs []vector.VID,
 	et catalog.EdgeTypeID, dir catalog.Direction, dstLabel catalog.LabelID, withProps bool) *storage.Batch {
 	t.Helper()
-	return testgraph.CheckBatch(t, v, srcs, et, dir, dstLabel, withProps)
+	return testgraph.CheckBatch(t, &o.f.Model, v, srcs, et, dir, dstLabel, withProps)
 }
 
 // viewsImage reports whether every piece of b aliases b.VIDs, the image of
@@ -37,7 +37,7 @@ func viewsImage(b *storage.Batch) bool {
 
 // overlayFixture is the sealed test graph under a manager that has committed
 // one write of every shape the read path distinguishes, each in its own
-// version:
+// version, each recorded in the fixture's model:
 //
 //	v1  p0 KNOWS p9 (both directions)          delta runs on two base sources
 //	v2  new post np by p1                       a created source; p1 gains (HAS_CREATOR, In, Post)
@@ -56,6 +56,13 @@ func newOverlayFixture(t testing.TB) *overlayFixture {
 	f.Graph.SealCSR()
 	o := &overlayFixture{f: f, m: NewManager(f.Graph)}
 	s, p := f.Schema, f.Persons
+	// add writes an edge into the transaction and notes it for the model,
+	// which commit records it in at the commit's version.
+	var pending []edgemodel.Edge
+	add := func(tx *Txn, et catalog.EdgeTypeID, a, b vector.VID, props ...vector.Value) error {
+		pending = append(pending, edgemodel.Edge{Et: et, Src: a, Dst: b, Props: props})
+		return tx.AddEdge(et, a, b, props...)
+	}
 	commit := func(ws []vector.VID, body func(tx *Txn) error) {
 		t.Helper()
 		tx := o.m.Begin(ws)
@@ -65,13 +72,17 @@ func newOverlayFixture(t testing.TB) *overlayFixture {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		for _, e := range pending {
+			f.Record(o.m.Version(), e.Et, e.Src, e.Dst, e.Props...)
+		}
+		pending = nil
 	}
 	knows := func(a, b vector.VID, d int64) func(tx *Txn) error {
 		return func(tx *Txn) error {
-			if err := tx.AddEdge(s.Knows, a, b, vector.Date(d)); err != nil {
+			if err := add(tx, s.Knows, a, b, vector.Date(d)); err != nil {
 				return err
 			}
-			return tx.AddEdge(s.Knows, b, a, vector.Date(d))
+			return add(tx, s.Knows, b, a, vector.Date(d))
 		}
 	}
 	commit([]vector.VID{p[0], p[9]}, knows(p[0], p[9], 20001))
@@ -79,22 +90,22 @@ func newOverlayFixture(t testing.TB) *overlayFixture {
 		if o.np, err = tx.AddVertex(s.Post, 900, vector.String_("new post"), vector.Int64(8), vector.Date(20002)); err != nil {
 			return err
 		}
-		return tx.AddEdge(s.HasCreator, o.np, p[1])
+		return add(tx, s.HasCreator, o.np, p[1])
 	})
 	commit([]vector.VID{p[1], o.np}, func(tx *Txn) (err error) {
 		if o.nc, err = tx.AddVertex(s.Comment, 901, vector.String_("new comment"), vector.Int64(11), vector.Date(20003)); err != nil {
 			return err
 		}
-		if err = tx.AddEdge(s.HasCreator, o.nc, p[1]); err != nil {
+		if err = add(tx, s.HasCreator, o.nc, p[1]); err != nil {
 			return err
 		}
-		return tx.AddEdge(s.ReplyOf, o.nc, o.np)
+		return add(tx, s.ReplyOf, o.nc, o.np)
 	})
 	commit([]vector.VID{p[2], p[3], f.Posts[0], o.np}, func(tx *Txn) error {
-		if err := tx.AddEdge(s.Likes, p[2], f.Posts[0], vector.Date(20004)); err != nil {
+		if err := add(tx, s.Likes, p[2], f.Posts[0], vector.Date(20004)); err != nil {
 			return err
 		}
-		return tx.AddEdge(s.Likes, p[3], o.np, vector.Date(20004))
+		return add(tx, s.Likes, p[3], o.np, vector.Date(20004))
 	})
 	commit([]vector.VID{p[0], p[8]}, knows(p[0], p[8], 20005))
 	return o
@@ -122,7 +133,8 @@ func (o *overlayFixture) sources() map[string][]vector.VID {
 // Both} × {uniform, mixed source labels} × {no props, props} × {no overlay,
 // overlay on some sources, txn-created sources, NilVID holes} at every
 // committed version: a snapshot must never see an overlay entry newer than
-// itself, and must read exactly what the scalar path reads.
+// itself, and must read exactly what the edge-list model holds at its
+// version.
 func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 	o := newOverlayFixture(t)
 	s := o.f.Schema
@@ -135,8 +147,8 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 				for _, et := range ets {
 					for _, dst := range dsts {
 						for _, dir := range []catalog.Direction{catalog.Out, catalog.In, catalog.Both} {
-							assertBatchMatchesScalar(t, snap, srcs, et, dir, dst, false)
-							assertBatchMatchesScalar(t, snap, srcs, et, dir, dst, true)
+							o.check(t, snap, srcs, et, dir, dst, false)
+							o.check(t, snap, srcs, et, dir, dst, true)
 						}
 					}
 				}
@@ -149,10 +161,7 @@ func TestSnapshotNeighborsBatchMatrix(t *testing.T) {
 	// snapshot — Sorted always, a view of the image only while none is
 	// visible.
 	p := o.f.Persons
-	var sealed []vector.VID
-	for _, seg := range o.m.Graph().At(0).Neighbors(nil, p[0], s.Knows, catalog.Out, s.Person, false) {
-		sealed = append(sealed, seg.VIDs...)
-	}
+	sealed := testgraph.NeighborVIDs(o.m.Graph().At(0), p[0], s.Knows, catalog.Out, s.Person)
 	for ver, added := range map[uint64][]vector.VID{0: nil, 1: {p[9]}, 4: {p[9]}, 5: {p[9], p[8]}} {
 		var b storage.Batch
 		o.m.Graph().At(ver).NeighborsBatch([]vector.VID{p[0]}, s.Knows, catalog.Out, s.Person, false, &b)
@@ -182,14 +191,14 @@ func TestSnapshotBatchViewsUntouchedRuns(t *testing.T) {
 		"created, other family":  {o.np, p[4]},       // a created post has no KNOWS list
 		"untouched with NilVIDs": {vector.NilVID, p[5], vector.NilVID},
 	} {
-		b := assertBatchMatchesScalar(t, snap, srcs, s.Knows, catalog.Out, s.Person, true)
+		b := o.check(t, snap, srcs, s.Knows, catalog.Out, s.Person, true)
 		if !viewsImage(b) || !b.Sorted {
 			t.Fatalf("%s: view=%v Sorted=%v, want image views", name, viewsImage(b), b.Sorted)
 		}
 	}
 	// One touched source in the request merges its own run alone — and the
 	// batch stays Sorted.
-	b := assertBatchMatchesScalar(t, snap, []vector.VID{p[4], p[0]}, s.Knows, catalog.Out, s.Person, false)
+	b := o.check(t, snap, []vector.VID{p[4], p[0]}, s.Knows, catalog.Out, s.Person, false)
 	untouched, touched := b.Pieces[b.Runs[0].Start], b.Pieces[b.Runs[1].Start]
 	if !b.Sorted || &b.PieceVIDs(untouched)[0] != &b.VIDs[untouched.Lo] || &b.PieceVIDs(touched)[0] == &b.VIDs[touched.Lo] {
 		t.Fatalf("merged batch: Sorted=%v pieces %+v", b.Sorted, b.Pieces)
@@ -207,14 +216,14 @@ func TestSnapshotPiecesAcrossFamilies(t *testing.T) {
 	for ver := uint64(0); ver <= o.m.Version(); ver++ {
 		snap := o.m.Graph().At(ver)
 		for _, dir := range []catalog.Direction{catalog.In, catalog.Both} {
-			b := assertBatchMatchesScalar(t, snap, p, s.HasCreator, dir, storage.AnyLabel, false)
+			b := o.check(t, snap, p, s.HasCreator, dir, storage.AnyLabel, false)
 			for _, pc := range b.Pieces {
 				if l := snap.LabelOf(b.PieceVIDs(pc)[0]); l != pc.Label {
 					t.Fatalf("v%d dir=%v: piece labelled %d holds a vertex of label %d", ver, dir, pc.Label, l)
 				}
 			}
 		}
-		b := assertBatchMatchesScalar(t, snap, p[1:2], s.HasCreator, catalog.In, storage.AnyLabel, false)
+		b := o.check(t, snap, p[1:2], s.HasCreator, catalog.In, storage.AnyLabel, false)
 		var labels []catalog.LabelID
 		for _, pc := range b.Pieces {
 			labels = append(labels, pc.Label)
@@ -228,33 +237,30 @@ func TestSnapshotPiecesAcrossFamilies(t *testing.T) {
 // TestOverlayFamilyOrderDeterministic: a vertex whose committed edges of one
 // edge type land in two families (p1: a new post and a new comment on
 // HAS_CREATOR/In) must return them in the graph's family order on every read,
-// scalar and batched — each inside its family's sorted run.
+// one source or several — each inside its family's sorted run.
 func TestOverlayFamilyOrderDeterministic(t *testing.T) {
 	o := newOverlayFixture(t)
 	s, p1 := o.f.Schema, o.f.Persons[1]
 	snap := o.m.Snapshot()
 	// The graph reads every committed entry, as the latest snapshot does.
-	var want []vector.VID
-	for _, seg := range o.f.Graph.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
-		if !sort.SliceIsSorted(seg.VIDs, func(i, j int) bool { return seg.VIDs[i] < seg.VIDs[j] }) {
-			t.Fatalf("family run %v is not sorted", seg.VIDs)
+	var first storage.Batch
+	o.f.Graph.NeighborsBatch([]vector.VID{p1}, s.HasCreator, catalog.In, storage.AnyLabel, false, &first)
+	for _, pc := range first.Pieces {
+		if run := first.PieceVIDs(pc); !sort.SliceIsSorted(run, func(i, j int) bool { return run[i] < run[j] }) {
+			t.Fatalf("family run %v is not sorted", run)
 		}
-		want = append(want, seg.VIDs...)
 	}
+	want := append([]vector.VID{}, first.Run(0)...)
 	for _, v := range []vector.VID{o.np, o.nc} {
 		if !containsVID(want, v) {
 			t.Fatalf("created vertex %d missing from %v", v, want)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		var scalar []vector.VID
-		for _, seg := range snap.Neighbors(nil, p1, s.HasCreator, catalog.In, storage.AnyLabel, false) {
-			scalar = append(scalar, seg.VIDs...)
+		if one := testgraph.NeighborVIDs(snap, p1, s.HasCreator, catalog.In, storage.AnyLabel); !reflect.DeepEqual(one, want) {
+			t.Fatalf("read %d: one-source order %v, want %v", i, one, want)
 		}
-		if !reflect.DeepEqual(scalar, want) {
-			t.Fatalf("read %d: scalar order %v, want %v", i, scalar, want)
-		}
-		b := assertBatchMatchesScalar(t, snap, []vector.VID{p1}, s.HasCreator, catalog.In, storage.AnyLabel, false)
+		b := o.check(t, snap, []vector.VID{p1, o.np, p1}, s.HasCreator, catalog.In, storage.AnyLabel, false)
 		if got := append([]vector.VID{}, b.Run(0)...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("read %d: batch order %v, want %v", i, got, want)
 		}
@@ -272,11 +278,20 @@ func containsVID(vs []vector.VID, v vector.VID) bool {
 
 // TestSnapshotBatchUnderCommits runs batched snapshot readers against a
 // committer (run with -race): whatever the committer publishes meanwhile, a
-// snapshot's batched read equals its own scalar read.
+// snapshot's batched read equals the edge-list model at its version. The
+// committer records each commit's edges in the model, under mu, before it
+// publishes them. It runs until the last reader stops, paced by the reads: a
+// read that pins its snapshot grants it perRead commits, which keeps the
+// brute-force model as small as the reads are few while commits still land
+// under every pinned read. Most reads must pin a version below the final
+// one, or they raced nothing.
 func TestSnapshotBatchUnderCommits(t *testing.T) {
 	o := newOverlayFixture(t)
 	s, p := o.f.Schema, o.f.Persons
-	const readers, reads = 3, 150
+	const readers, reads, perRead = 3, 150, 4
+	var mu sync.Mutex
+	budget := make(chan struct{}, readers*perRead)
+	pinned := make([][]uint64, readers) // each reader's snapshot versions
 	var readersWG, wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -286,17 +301,24 @@ func TestSnapshotBatchUnderCommits(t *testing.T) {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-budget:
 			}
 			a, b := p[i%len(p)], p[(i*3+1)%len(p)]
+			ver := o.m.Version() + 1 // the one committer's next commit
 			tx := o.m.Begin([]vector.VID{a, b})
-			err := tx.AddEdge(s.Knows, a, b, vector.Date(int64(21000+i)))
+			d := vector.Date(int64(21000 + i))
+			es := []edgemodel.Edge{{Et: s.Knows, Src: a, Dst: b, SrcLabel: s.Person, DstLabel: s.Person, Ver: ver, Props: []vector.Value{d}}}
+			err := tx.AddEdge(s.Knows, a, b, d)
 			if err == nil && i%4 == 0 {
 				var nv vector.VID
-				if nv, err = tx.AddVertex(s.Post, int64(1000+i), vector.String_("p"), vector.Int64(1), vector.Date(int64(21000+i))); err == nil {
+				if nv, err = tx.AddVertex(s.Post, int64(1000+i), vector.String_("p"), vector.Int64(1), d); err == nil {
 					err = tx.AddEdge(s.HasCreator, nv, a)
+					es = append(es, edgemodel.Edge{Et: s.HasCreator, Src: nv, Dst: a, SrcLabel: s.Post, DstLabel: s.Person, Ver: ver})
 				}
 			}
+			mu.Lock()
+			o.f.Model.Add(es...)
+			mu.Unlock()
 			if err == nil {
 				err = tx.Commit()
 			}
@@ -313,16 +335,26 @@ func TestSnapshotBatchUnderCommits(t *testing.T) {
 			srcs := append([]vector.VID{vector.NilVID, o.np}, p...)
 			for i := 0; i < reads; i++ {
 				snap := o.m.AcquireSnapshot() // pinned: no reseal folds past it mid-read
+				pinned[r] = append(pinned[r], snap.Version())
+				for range perRead {
+					select {
+					case budget <- struct{}{}:
+					default:
+					}
+				}
+				// The model up to now holds every commit the snapshot sees;
+				// the committer only appends past this prefix.
+				mu.Lock()
+				m := edgemodel.Model{Edges: o.f.Model.Edges[:len(o.f.Model.Edges):len(o.f.Model.Edges)]}
+				mu.Unlock()
 				dir := []catalog.Direction{catalog.Out, catalog.In, catalog.Both}[(i+r)%3]
-				var b, ref storage.Batch
+				var b storage.Batch
 				for _, et := range []catalog.EdgeTypeID{s.Knows, s.HasCreator} {
 					snap.NeighborsBatch(srcs, et, dir, storage.AnyLabel, true, &b)
-					storage.AppendNeighborsBatch(snap, srcs, et, dir, storage.AnyLabel, true, &ref)
-					for k := range srcs {
-						if !reflect.DeepEqual(append([]vector.VID{}, b.Run(k)...), append([]vector.VID{}, ref.Run(k)...)) {
-							t.Errorf("reader %d, snapshot v%d, src %d: batch %v, scalar %v", r, snap.Version(), srcs[k], b.Run(k), ref.Run(k))
-							return
-						}
+					want, sorted := m.Read(srcs, et, dir, storage.AnyLabel, snap.Version())
+					if msg := testgraph.Mismatch(snap, &b, srcs, et, true, want, sorted); msg != "" {
+						t.Errorf("reader %d, snapshot v%d, et %d: %s", r, snap.Version(), et, msg)
+						return
 					}
 				}
 				o.m.Release(snap)
@@ -332,6 +364,17 @@ func TestSnapshotBatchUnderCommits(t *testing.T) {
 	readersWG.Wait()
 	close(stop)
 	wg.Wait()
+	raced := 0
+	for _, vs := range pinned {
+		for _, v := range vs {
+			if v < o.m.Version() {
+				raced++
+			}
+		}
+	}
+	if raced < readers*reads/2 {
+		t.Errorf("only %d of %d reads pinned a version below the final v%d", raced, readers*reads, o.m.Version())
+	}
 	// The quiesced end state is the sequential one.
-	assertBatchMatchesScalar(t, o.m.Snapshot(), p, s.Knows, catalog.Both, storage.AnyLabel, true)
+	o.check(t, o.m.Snapshot(), p, s.Knows, catalog.Both, storage.AnyLabel, true)
 }

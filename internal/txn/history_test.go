@@ -129,16 +129,15 @@ func TestPinAllocatesNothing(t *testing.T) {
 }
 
 // historyImage is everything the history test reads through one view: the
-// IU-shaped families, batched (with edge properties and Sorted), scalar and
-// by degree, from every person and every post the view holds; the posts'
+// IU-shaped families, batched (with edge properties and Sorted) and one
+// source at a time, from every person and every post the view holds; the posts'
 // external ids and creation dates, gathered and scalar; the lookup of every
 // external id a post may be created with; and the vertex count.
 type historyImage struct {
-	Sorted  []bool
-	Runs    [][][]vector.VID
-	Props   [][][]int64
-	Scalar  [][][]vector.VID
-	Degrees [][]int
+	Sorted []bool
+	Runs   [][][]vector.VID
+	Props  [][][]int64
+	Single [][][]vector.VID
 
 	PostExts, PostDates, ScalarDates []int64
 	ByExt                            []vector.VID
@@ -182,9 +181,8 @@ func captureHistory(v storage.View, s *testgraph.Schema, exts []int64) historyIm
 	for _, r := range reads {
 		var b storage.Batch
 		v.NeighborsBatch(r.srcs, r.et, r.dir, r.dst, r.withProp, &b)
-		var runs, scalar [][]vector.VID
+		var runs, single [][]vector.VID
 		var props [][]int64
-		var degrees []int
 		for i, src := range r.srcs {
 			runs = append(runs, append([]vector.VID{}, b.Run(i)...))
 			if r.withProp {
@@ -195,18 +193,12 @@ func captureHistory(v storage.View, s *testgraph.Schema, exts []int64) historyIm
 				}
 				props = append(props, row)
 			}
-			var sc []vector.VID
-			for _, seg := range v.Neighbors(nil, src, r.et, r.dir, r.dst, false) {
-				sc = append(sc, seg.VIDs...)
-			}
-			scalar = append(scalar, sc)
-			degrees = append(degrees, v.Degree(src, r.et, r.dir, r.dst))
+			single = append(single, testgraph.NeighborVIDs(v, src, r.et, r.dir, r.dst))
 		}
 		img.Sorted = append(img.Sorted, b.Sorted)
 		img.Runs = append(img.Runs, runs)
 		img.Props = append(img.Props, props)
-		img.Scalar = append(img.Scalar, scalar)
-		img.Degrees = append(img.Degrees, degrees)
+		img.Single = append(img.Single, single)
 	}
 	return img
 }

@@ -37,10 +37,7 @@ func TestRawGraphAnswersCreatedVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var friends []vector.VID
-	for _, seg := range g.Neighbors(nil, p0, s.Knows, catalog.Out, storage.AnyLabel, false) {
-		friends = append(friends, seg.VIDs...)
-	}
+	friends := testgraph.NeighborVIDs(g, p0, s.Knows, catalog.Out, storage.AnyLabel)
 	if want := []vector.VID{f.Persons[1], f.Persons[2], f.Persons[3], nv}; fmt.Sprint(friends) != fmt.Sprint(want) {
 		t.Fatalf("raw graph KNOWS of p0 = %v, want %v", friends, want)
 	}

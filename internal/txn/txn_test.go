@@ -13,11 +13,7 @@ import (
 )
 
 func neighborsOf(v storage.View, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction) []vector.VID {
-	var out []vector.VID
-	for _, seg := range v.Neighbors(nil, src, et, dir, storage.AnyLabel, false) {
-		out = append(out, seg.VIDs...)
-	}
-	return out
+	return testgraph.NeighborVIDs(v, src, et, dir, storage.AnyLabel)
 }
 
 func TestSnapshotSeesOnlyCommittedState(t *testing.T) {
@@ -206,16 +202,13 @@ func TestEdgePropsThroughOverlay(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	segs := m.Snapshot().Neighbors(nil, p0, s.Knows, catalog.Out, s.Person, true)
 	var found bool
-	for _, seg := range segs {
-		for i, v := range seg.VIDs {
-			if v == p9 {
-				if seg.PropI64[0][i] != 12345 {
-					t.Fatalf("overlay edge prop = %d", seg.PropI64[0][i])
-				}
-				found = true
+	for _, e := range testgraph.Edges(m.Snapshot(), p0, s.Knows, catalog.Out, s.Person) {
+		if e.Dst == p9 {
+			if e.Props[0].I != 12345 {
+				t.Fatalf("overlay edge prop = %d", e.Props[0].I)
 			}
+			found = true
 		}
 	}
 	if !found {
@@ -403,11 +396,9 @@ func TestConcurrentSameVertexWriters(t *testing.T) {
 	p0 := f.Persons[0]
 	loops := func(v storage.View) []int64 {
 		var out []int64
-		for _, seg := range v.Neighbors(nil, p0, s.Knows, catalog.Out, s.Person, true) {
-			for k, d := range seg.VIDs {
-				if d == p0 {
-					out = append(out, seg.PropI64[0][k])
-				}
+		for _, e := range testgraph.Edges(v, p0, s.Knows, catalog.Out, s.Person) {
+			if e.Dst == p0 {
+				out = append(out, e.Props[0].I)
 			}
 		}
 		return out

@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,7 +15,7 @@ import (
 )
 
 // expandIter streams (row × neighbor) pairs one at a time — the canonical
-// tuple-at-a-time Expand.
+// tuple-at-a-time Expand — buffering one input row's pairs.
 type expandIter struct {
 	view storage.View
 	in   iter
@@ -28,10 +29,10 @@ type expandIter struct {
 	epKind  []vector.Kind
 	pred    expr.Getter // the bound VertexPred; nil without one
 
-	curRow []vector.Value
-	segs   []storage.Segment
-	segPos int
-	offPos int
+	src   [1]vector.VID
+	b     storage.Batch // the current row's neighbors: one one-source read
+	queue [][]vector.Value
+	pos   int
 }
 
 func newExpandIter(view storage.View, in iter, spec *op.Expand) (iter, error) {
@@ -71,49 +72,30 @@ func (it *expandIter) schema() []string     { return it.names }
 func (it *expandIter) kinds() []vector.Kind { return it.ks }
 
 func (it *expandIter) next() ([]vector.Value, bool, error) {
-	for {
-		// Advance within the current row's neighbor stream.
-		for it.curRow != nil && it.segPos < len(it.segs) {
-			seg := it.segs[it.segPos]
-			if it.offPos >= len(seg.VIDs) {
-				it.segPos++
-				it.offPos = 0
-				continue
-			}
-			k := it.offPos
-			it.offPos++
-			v := seg.VIDs[k]
-			if it.pred != nil && !it.pred(int(v)).AsBool() {
-				continue
-			}
-			out := make([]vector.Value, 0, len(it.names))
-			out = append(out, it.curRow...)
-			out = append(out, vector.VIDValue(v))
-			for p, si := range it.epIdx {
-				switch it.epKind[p] {
-				case vector.KindInt64:
-					out = append(out, vector.Int64(seg.PropI64[si][k]))
-				case vector.KindDate:
-					out = append(out, vector.Date(seg.PropI64[si][k]))
-				case vector.KindFloat64:
-					out = append(out, vector.Float64(seg.PropF64[si][k]))
-				case vector.KindString:
-					out = append(out, vector.String_(seg.PropStr[si][k]))
-				}
-			}
-			return out, true, nil
-		}
-		// Pull the next input row.
+	for it.pos == len(it.queue) {
 		row, ok, err := it.in.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		it.curRow = row
-		src := row[it.fromIdx].AsVID()
-		it.segs = it.view.Neighbors(it.segs[:0], src, it.spec.Et, it.spec.Dir,
-			it.spec.DstLabel, len(it.epIdx) > 0)
-		it.segPos, it.offPos = 0, 0
+		it.src[0] = row[it.fromIdx].AsVID()
+		it.view.NeighborsBatch(it.src[:], it.spec.Et, it.spec.Dir, it.spec.DstLabel, len(it.epIdx) > 0, &it.b)
+		it.queue, it.pos = it.queue[:0], 0
+		for _, pc := range it.b.Pieces {
+			cols, off := it.b.PieceCols(pc)
+			for k, v := range it.b.PieceVIDs(pc) {
+				if it.pred != nil && !it.pred(int(v)).AsBool() {
+					continue
+				}
+				out := append(append(make([]vector.Value, 0, len(it.names)), row...), vector.VIDValue(v))
+				for p, si := range it.epIdx {
+					out = append(out, cols.Value(si, it.epKind[p], off+k))
+				}
+				it.queue = append(it.queue, out)
+			}
+		}
 	}
+	it.pos++
+	return it.queue[it.pos-1], true, nil
 }
 
 // varExpandIter runs the bounded traversal per input row, buffering that
@@ -162,16 +144,12 @@ func newExpandIntoIter(view storage.View, in iter, spec *op.ExpandInto) (iter, e
 	if err != nil {
 		return nil, err
 	}
+	var b storage.Batch
 	return &mapIter{
 		in: in, names: in.schema(), ks: in.kinds(),
 		fn: func(row []vector.Value) ([]vector.Value, bool) {
-			src, want := row[fromIdx].AsVID(), row[toIdx].AsVID()
-			for _, seg := range view.Neighbors(nil, src, spec.Et, spec.Dir, spec.DstLabel, false) {
-				for _, v := range seg.VIDs {
-					if v == want {
-						return row, true
-					}
-				}
+			if slices.Contains(neighbors(view, &b, row[fromIdx].AsVID(), spec.Et, spec.Dir, spec.DstLabel), row[toIdx].AsVID()) {
+				return row, true
 			}
 			return nil, false
 		},
@@ -198,10 +176,8 @@ func (it *varExpandIter) next() ([]vector.Value, bool, error) {
 		it.curRow = row
 		it.queue = it.queue[:0]
 		it.pos = 0
-		it.spec.Traverse(it.ctx, row[it.fromIdx].AsVID(), func(v vector.VID) {
-			if it.pred == nil || it.pred(int(v)).AsBool() {
-				it.queue = append(it.queue, v)
-			}
+		it.spec.Traverse(it.ctx, it.pred, row[it.fromIdx].AsVID(), func(v vector.VID) {
+			it.queue = append(it.queue, v)
 		})
 	}
 }
@@ -488,15 +464,23 @@ func bindRow(e expr.Expr, in iter, cur *[]vector.Value) (expr.Getter, error) {
 	return expr.Bind(e, rowBinding{names: in.schema(), cur: cur})
 }
 
+// neighbors returns src's neighbors, read into b by a one-source
+// NeighborsBatch — the oracle walks one row at a time. The run is valid
+// until b's next read.
+func neighbors(view storage.View, b *storage.Batch, src vector.VID, et catalog.EdgeTypeID, dir catalog.Direction, dst catalog.LabelID) []vector.VID {
+	view.NeighborsBatch([]vector.VID{src}, et, dir, dst, false, b)
+	return b.Run(0)
+}
+
 // intersectIter produces the n-way adjacency intersection one tuple at a
 // time: per input row it walks side 0's adjacency and keeps neighbors
-// present in every other side's adjacency — scalar lookups, per-row hash
-// sets, no batching, no galloping (the Volcano counterpart of the WCOJ
-// expand).
+// present in every other side's adjacency — one-source reads, per-row hash
+// sets, no galloping (the Volcano counterpart of the WCOJ expand).
 type intersectIter struct {
 	view storage.View
 	in   iter
 	spec *op.ExpandIntersect
+	b    storage.Batch
 
 	names []string
 	ks    []vector.Kind
@@ -530,56 +514,31 @@ func (it *intersectIter) schema() []string     { return it.names }
 func (it *intersectIter) kinds() []vector.Kind { return it.ks }
 
 func (it *intersectIter) next() ([]vector.Value, bool, error) {
-	for {
-		if it.curRow != nil && it.pos < len(it.queue) {
-			v := it.queue[it.pos]
-			it.pos++
-			out := make([]vector.Value, 0, len(it.names))
-			out = append(out, it.curRow...)
-			out = append(out, vector.VIDValue(v))
-			return out, true, nil
-		}
+	for it.curRow == nil || it.pos == len(it.queue) {
 		row, ok, err := it.in.next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		it.curRow = row
-		it.queue = it.queue[:0]
-		it.pos = 0
+		it.curRow, it.queue, it.pos = row, it.queue[:0], 0
 		// Membership sets for the probe sides, rebuilt per row.
-		sets := make([]map[vector.VID]struct{}, len(it.spec.Sides)-1)
-		empty := false
+		sets := make([]map[vector.VID]bool, len(it.spec.Sides)-1)
 		for p, s := range it.spec.Sides[1:] {
-			src := row[it.idxs[p+1]].AsVID()
-			set := map[vector.VID]struct{}{}
-			for _, seg := range it.view.Neighbors(nil, src, s.Et, s.Dir, s.DstLabel, false) {
-				for _, v := range seg.VIDs {
-					set[v] = struct{}{}
-				}
+			sets[p] = map[vector.VID]bool{}
+			for _, v := range neighbors(it.view, &it.b, row[it.idxs[p+1]].AsVID(), s.Et, s.Dir, s.DstLabel) {
+				sets[p][v] = true
 			}
-			if len(set) == 0 {
-				empty = true
-				break
-			}
-			sets[p] = set
-		}
-		if empty {
-			continue
 		}
 		s0 := it.spec.Sides[0]
-		for _, seg := range it.view.Neighbors(nil, row[it.idxs[0]].AsVID(), s0.Et, s0.Dir, s0.DstLabel, false) {
-			for _, v := range seg.VIDs {
-				keep := true
-				for _, set := range sets {
-					if _, ok := set[v]; !ok {
-						keep = false
-						break
-					}
-				}
-				if keep {
-					it.queue = append(it.queue, v)
+	candidates:
+		for _, v := range neighbors(it.view, &it.b, row[it.idxs[0]].AsVID(), s0.Et, s0.Dir, s0.DstLabel) {
+			for _, set := range sets {
+				if !set[v] {
+					continue candidates
 				}
 			}
+			it.queue = append(it.queue, v)
 		}
 	}
+	it.pos++
+	return append(append(make([]vector.Value, 0, len(it.names)), it.curRow...), vector.VIDValue(it.queue[it.pos-1])), true, nil
 }

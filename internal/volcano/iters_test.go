@@ -93,7 +93,7 @@ func TestVolcanoVarLengthAndAggregate(t *testing.T) {
 	out := runBoth(t, plan.Plan{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-			DstLabel: s.Person, MinHops: 1, MaxHops: 2, Distinct: true},
+			DstLabel: s.Person, MinHops: 1, MaxHops: 2},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "lastName", As: "ln"}}},
 		&op.Aggregate{GroupBy: []string{"ln"}, Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
 	})

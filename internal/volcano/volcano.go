@@ -105,10 +105,9 @@ func (e *Engine) buildOp(view storage.View, in iter, o op.Operator) (iter, error
 	case *op.SeekExpand:
 		var rows [][]vector.Value
 		if src, ok := view.VertexByExt(n.Label, n.ExtID); ok {
-			for _, seg := range view.Neighbors(nil, src, n.Et, n.Dir, n.DstLabel, false) {
-				for _, v := range seg.VIDs {
-					rows = append(rows, []vector.Value{vector.VIDValue(v)})
-				}
+			var b storage.Batch
+			for _, v := range neighbors(view, &b, src, n.Et, n.Dir, n.DstLabel) {
+				rows = append(rows, []vector.Value{vector.VIDValue(v)})
 			}
 		}
 		return &sliceIter{names: []string{n.To}, ks: []vector.Kind{vector.KindVID}, rows: rows}, nil

@@ -129,3 +129,35 @@ func TestWriteAfterSaveIsATransaction(t *testing.T) {
 		t.Fatalf("rows after writes past Save = %v, want %v", res.Rows, want)
 	}
 }
+
+// TestSaveLoadBoolEdgeProperty: edge columns store no Bool property, so Save
+// writes such a property as its zero value rather than reading a column that
+// was never written, for a bulk-loaded edge and a committed one alike, and
+// Load restores both edges.
+func TestSaveLoadBoolEdgeProperty(t *testing.T) {
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := Open(Fused)
+	must(db.DefineVertexType("V"))
+	must(db.DefineEdgeType("E", Prop{Name: "flag", Type: Bool}))
+	for _, id := range []int64{1, 2, 3} {
+		must(db.AddVertex("V", id, nil))
+	}
+	must(db.AddEdge("E", "V", 1, "V", 2, Props{"flag": true}))
+	db.Seal()
+	must(db.AddEdge("E", "V", 2, "V", 3, Props{"flag": true}))
+
+	var buf bytes.Buffer
+	must(db.Save(&buf))
+	db2, err := Load(&buf, Fused)
+	must(err)
+	res, err := db2.Query(`MATCH (a:V)-[:E]->(b:V) RETURN id(a) AS a, id(b) AS b ORDER BY a`)
+	must(err)
+	if want := [][]any{{int64(1), int64(2)}, {int64(2), int64(3)}}; !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("reloaded edges %v, want %v", res.Rows, want)
+	}
+}
