@@ -214,8 +214,8 @@ func benchPlan(b *testing.B, ds *ldbc.Dataset, p plan.Plan) {
 }
 
 // BenchmarkGatherScan is the vectorized property read path (§5): shared
-// columns, dictionary-code string equality and a zone-mapped date range over
-// the comment table.
+// columns, dictionary-code string equality and a date range through the
+// 64-row range kernel over the comment table.
 func BenchmarkGatherScan(b *testing.B) {
 	ds := dataset(b)
 	benchPlan(b, ds, bench.GatherScanPlan(ds))

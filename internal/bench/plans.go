@@ -49,7 +49,8 @@ func knowsSide(h *ldbc.Handles, v string, dir catalog.Direction) op.IntersectSid
 // GatherScanPlan is the property-read workload: a string-equality filter
 // over the comment table (the largest string-bearing label) with a date
 // range behind it. Both storage columns are shared zero-copy, the string
-// compare runs on dictionary codes and the date filter on zone maps.
+// compare runs on dictionary codes and the date filter on the 64-row range
+// kernel.
 func GatherScanPlan(ds *ldbc.Dataset) plan.Plan {
 	h := ds.H
 	return plan.Plan{

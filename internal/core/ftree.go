@@ -44,11 +44,6 @@ func (n *Node) ID() int { return n.id }
 // Valid reports whether row i of the node passes its selection vector.
 func (n *Node) Valid(i int) bool { return n.Sel.Get(i) }
 
-// ChildRange returns the row range of child rows for parent row i.
-func (n *Node) ChildRange(i int) Range {
-	return n.Index[i]
-}
-
 // FTree is the practical factorization tree of §4.2. It owns a preorder
 // registry of its nodes (parents before children) which both the operators
 // and the constant-delay enumerator walk.

@@ -365,9 +365,6 @@ func MeasureQuery(r *queries.Runner, q *queries.Query, runs int, seed int64, col
 	return stats, nil
 }
 
-// ModeName renders an engine mode using the paper's variant names.
-func ModeName(m exec.Mode) string { return m.String() }
-
 // DatasetFor memoizes generated datasets per scale factor so benchmarks and
 // experiments do not regenerate them repeatedly.
 var (

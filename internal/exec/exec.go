@@ -63,13 +63,10 @@ type Result struct {
 	PeakMem  int
 	Duration time.Duration
 
-	// Vectorized-gather instrumentation (§5): batch gathers issued,
-	// zero-copy column shares, and zone-map outcomes (zones pruned vs zones
-	// examined across all zone-mapped filters of the query).
-	Gathers     int64
-	SharedCols  int64
-	ZonesPruned int64
-	ZonesTotal  int64
+	// Vectorized-gather instrumentation (§5): batch gathers issued and
+	// zero-copy column shares.
+	Gathers    int64
+	SharedCols int64
 }
 
 // Engine executes plans against a storage view in one of the three variant
@@ -180,8 +177,6 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	res.Duration = time.Since(start)
 	res.Gathers = ctx.Gather.Gathers.Load()
 	res.SharedCols = ctx.Gather.SharedCols.Load()
-	res.ZonesPruned = ctx.Gather.ZonesPruned.Load()
-	res.ZonesTotal = ctx.Gather.ZonesTotal.Load()
 	return res, nil
 }
 

@@ -2,7 +2,6 @@ package exec_test
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"ges/internal/catalog"
@@ -102,28 +101,6 @@ func TestEmptyPlanErrors(t *testing.T) {
 	if _, err := exec.New(exec.ModeFused).Run(f.Graph, nil); err == nil {
 		t.Fatal("empty plan must fail")
 	}
-}
-
-func TestRuntimeWorkerPool(t *testing.T) {
-	r := exec.NewRuntime(4, 8)
-	var n atomic.Int64
-	for i := 0; i < 100; i++ {
-		r.Submit(func() { n.Add(1) })
-	}
-	r.Close()
-	if n.Load() != 100 {
-		t.Fatalf("tasks run = %d", n.Load())
-	}
-	// Close is idempotent.
-	r.Close()
-}
-
-func TestRuntimeMinimumWorkers(t *testing.T) {
-	r := exec.NewRuntime(0, 0)
-	done := make(chan struct{})
-	r.Submit(func() { close(done) })
-	<-done
-	r.Close()
 }
 
 // TestFusedModeRewritesPlans verifies the engine applies the fusion rules

@@ -37,7 +37,7 @@ func (o *Filter) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 				return nil, err
 			}
 			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-				filterRows(ctx, conjs, node.Sel, lo, hi)
+				filterRows(conjs, node.Sel, lo, hi)
 			})
 			if !o.NoPrune {
 				in.FT.PruneUp(node)
@@ -111,10 +111,8 @@ func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // VertexPred — into one of three kernels:
 //
 //   - an int/date range: column <op> int/date literal keeps the rows whose
-//     value lies in [lo,hi] (cmpRange), or outside it for NE. Over a column
-//     carrying a zone map of its length, zones disjoint from the range are
-//     cleared and zones inside it kept without a scan; the fused predicate
-//     prunes through View.PruneZones instead, before it gathers;
+//     value lies in [lo,hi] (cmpRange), or outside it for NE, testing 64
+//     rows per selection word;
 //   - a dictionary-code set: EQ, NE or IN against string literals over a
 //     dictionary-encoded column compares 4-byte codes with the literals'
 //     codes, looked up per run (a gather may intern overlay strings); a
@@ -135,7 +133,6 @@ type conjunct struct {
 	negate bool           // keep the rows outside the range / code set
 
 	lo, hi int64
-	zm     *vector.ZoneMap // range over a column zone-mapped at block length
 
 	lit  vector.Value   // code set of EQ / NE
 	lits []vector.Value // code set of IN
@@ -143,9 +140,9 @@ type conjunct struct {
 	eval expr.Getter // closure
 }
 
-// The zone loop of filterRows starts at the ranges forRanges hands out, so a
-// filter morsel must cover whole zones (this fails to compile otherwise).
-var _ = [1]struct{}{}[filterMorselSize%vector.ZoneSize]
+// The kernels start at the ranges forRanges hands out, so a filter morsel
+// must cover whole selection words (this fails to compile otherwise).
+var _ = [1]struct{}{}[filterMorselSize%64]
 
 // compileConjuncts appends the top-level conjuncts of e, compiled against
 // b, to dst — the one classifier of Filter and the fused predicate.
@@ -166,9 +163,6 @@ func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, 
 		case intOrDate(col.Kind) && intOrDate(lit.Kind):
 			c := conjunct{kernel: kernRange, col: col}
 			c.lo, c.hi, c.negate = cmpRange(op, lit.I)
-			if zm := col.ZoneMap(); zm != nil && !c.negate && zm.Rows() == col.Len() {
-				c.zm = zm
-			}
 			return append(dst, c), nil
 		case col.DictEncoded() && lit.Kind == vector.KindString && (op == expr.EQ || op == expr.NE):
 			return append(dst, conjunct{kernel: kernCodes, col: col, negate: op == expr.NE, lit: lit}), nil
@@ -191,34 +185,18 @@ func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, 
 
 // filterRows clears, over rows [lo,hi) of sel, every row some conjunct
 // rejects. Conjuncts run in order, so a closure only evaluates rows the
-// conjuncts before it kept. lo starts a zone whenever a conjunct is
-// zone-mapped.
-func filterRows(ctx *Ctx, conjs []conjunct, sel *vector.Bitset, lo, hi int) {
+// conjuncts before it kept.
+func filterRows(conjs []conjunct, sel *vector.Bitset, lo, hi int) {
 	for i := range conjs {
-		c := &conjs[i]
-		if c.zm == nil {
-			c.run(sel, lo, hi)
-			continue
-		}
-		for zlo := lo; zlo < hi; zlo += vector.ZoneSize {
-			z, zhi := zlo>>vector.ZoneShift, min(zlo+vector.ZoneSize, hi)
-			ctx.Gather.ZonesTotal.Add(1)
-			switch {
-			case !c.zm.OverlapsInt(z, c.lo, c.hi):
-				sel.ClearRange(zlo, zhi)
-				ctx.Gather.ZonesPruned.Add(1)
-			case !c.zm.ContainedInt(z, c.lo, c.hi):
-				c.run(sel, zlo, zhi)
-			}
-		}
+		conjs[i].run(sel, lo, hi)
 	}
 }
 
 // run clears, over rows [lo,hi) of sel, the rows the conjunct rejects. lo
-// is a multiple of 64 (forRanges, the zone loop and the fused predicate's
-// [0,n) all start on a selection word), so the range and code-set kernels
-// test 64 rows branch-free into a mask of the rows in the range or set and
-// clear the rejected ones with one word store.
+// is a multiple of 64 (forRanges and the fused predicate's [0,n) both start
+// on a selection word), so the range and code-set kernels test 64 rows
+// branch-free into a mask of the rows in the range or set and clear the
+// rejected ones with one word store.
 func (c *conjunct) run(sel *vector.Bitset, lo, hi int) {
 	var negMask uint64
 	if c.negate {

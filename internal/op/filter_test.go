@@ -17,7 +17,7 @@ import (
 )
 
 // kernelRows is one set of property values — i (int64), d (date), f
-// (float64), s (string) — spanning several zone-map zones, served both as
+// (float64), s (string) — spanning several filter morsels, served both as
 // the columns of an f-Block (Filter) and as vertex properties of a graph
 // (the fused VertexPred).
 type kernelRows struct {
@@ -32,7 +32,7 @@ var kernelStrings = []string{"red", "green", "blue", "grey", ""}
 func newKernelRows(n int, rng *rand.Rand) kernelRows {
 	var r kernelRows
 	for k := 0; k < n; k++ {
-		// Values rise with the row, so zones hold disjoint ranges.
+		// Values rise with the row, so a threshold splits the rows in two.
 		r.i = append(r.i, int64(4*k+rng.Intn(8)))
 		r.d = append(r.d, int64(19000+k/3+rng.Intn(3)))
 		r.f = append(r.f, float64(k%100)/10)
@@ -41,17 +41,13 @@ func newKernelRows(n int, rng *rand.Rand) kernelRows {
 	return r
 }
 
-// block returns the rows as an f-Block: zone-mapped int/date columns when
-// zoned, and a dictionary-encoded string column when dict.
-func (r kernelRows) block(zoned, dict bool) *core.FBlock {
+// block returns the rows as an f-Block, with a dictionary-encoded string
+// column when dict.
+func (r kernelRows) block(dict bool) *core.FBlock {
 	i := vector.NewColumn("i", vector.KindInt64)
 	d := vector.NewColumn("d", vector.KindDate)
 	f := vector.NewColumn("f", vector.KindFloat64)
 	s := vector.NewColumn("s", vector.KindString)
-	if zoned {
-		i.EnableZoneMap()
-		d.EnableZoneMap()
-	}
 	if dict {
 		s.EnableDict()
 	}
@@ -68,7 +64,7 @@ func (r kernelRows) block(zoned, dict bool) *core.FBlock {
 // columns — the semantics every kernel must reproduce.
 func (r kernelRows) reference(t testing.TB, pred expr.Expr) []bool {
 	t.Helper()
-	b := r.block(false, false)
+	b := r.block(false)
 	get, err := expr.BindBlock(pred, b)
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +78,11 @@ func (r kernelRows) reference(t testing.TB, pred expr.Expr) []bool {
 
 // filterMismatch runs Filter over the rows with the selection pre-cleared
 // where pre is false, and reports the first row whose selection bit differs
-// from pre && the reference. The context is returned for its zone counters.
-func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, zoned bool, workers int, pre func(int) bool) (string, *op.Ctx) {
+// from pre && the reference.
+func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, workers int, pre func(int) bool) string {
 	t.Helper()
 	want := r.reference(t, pred)
-	ft := core.NewFTree(r.block(zoned, true))
+	ft := core.NewFTree(r.block(true))
 	for k := range want {
 		if !pre(k) {
 			ft.Root.Sel.Clear(k)
@@ -99,15 +95,15 @@ func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, zoned bool, work
 	for k, w := range want {
 		if got := ft.Root.Sel.Get(k); got != (w && pre(k)) {
 			return fmt.Sprintf("row %d (i=%d d=%d f=%g s=%q, preselected %v): kept %v, reference %v",
-				k, r.i[k], r.d[k], r.f[k], r.s[k], pre(k), got, w), ctx
+				k, r.i[k], r.d[k], r.f[k], r.s[k], pre(k), got, w)
 		}
 	}
-	return "", ctx
+	return ""
 }
 
 // kernelGraph stores the rows as vertices 0..n-1 of one label and adds, per
 // run length, a hub whose KNOWS run reaches that many of them spread across
-// every zone.
+// every row.
 func kernelGraph(t *testing.T, r kernelRows, runs []int) (*storage.Graph, catalog.LabelID, catalog.EdgeTypeID, map[int][]vector.VID) {
 	t.Helper()
 	cat := catalog.New()
@@ -145,13 +141,13 @@ func kernelGraph(t *testing.T, r kernelRows, runs []int) (*storage.Graph, catalo
 
 // TestPredicateKernels holds the three conjunct kernels — int/date range,
 // dictionary-code set, compiled closure — to the compiled closure row by
-// row, through Filter (with and without zone maps, with a pre-cleared
-// selection, at one and four workers) and through the fused VertexPred on
-// candidate runs from empty to one spanning every zone: every non-empty run
-// is evaluated in batch, however short.
+// row, through Filter (with a pre-cleared selection, at 1, 2, 4 and 8
+// workers) and through the fused VertexPred on candidate runs from empty to
+// one spanning every row: every non-empty run is evaluated in batch, however
+// short.
 func TestPredicateKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	const n = 3*vector.ZoneSize + 123
+	const n = 3*2048 + 123 // two filter morsels, the second ragged
 	rows := newKernelRows(n, rng)
 	runs := []int{0, 1, 5, 16, 17, 400}
 	g, label, knows, targets := kernelGraph(t, rows, runs)
@@ -203,21 +199,14 @@ func TestPredicateKernels(t *testing.T) {
 			R: expr.Lt(expr.C("f"), expr.Lit{Val: vector.Float64(7)})}},
 	)
 
-	// Every fifth row and a stretch inside the second zone are cleared
-	// before the filter runs.
-	pre := func(k int) bool { return k%5 != 0 && (k < vector.ZoneSize || k >= vector.ZoneSize+300) }
-	var filterZones, fusedZones int64
+	// Every fifth row and a 300-row stretch are cleared before the filter
+	// runs.
+	pre := func(k int) bool { return k%5 != 0 && (k < 2048 || k >= 2048+300) }
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, zoned := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					msg, ctx := filterMismatch(t, rows, c.pred, zoned, workers, pre)
-					if msg != "" {
-						t.Fatalf("Filter (zone map %v, %d workers): %s", zoned, workers, msg)
-					}
-					if zoned {
-						filterZones += ctx.Gather.ZonesPruned.Load()
-					}
+			for _, workers := range []int{1, 2, 4, 8} {
+				if msg := filterMismatch(t, rows, c.pred, workers, pre); msg != "" {
+					t.Fatalf("Filter (%d workers): %s", workers, msg)
 				}
 			}
 
@@ -249,13 +238,9 @@ func TestPredicateKernels(t *testing.T) {
 					if batched := res.Gathers > 0; batched != (l > 0) {
 						t.Fatalf("fused, run of %d, %s: batch evaluation = %v", l, mode, batched)
 					}
-					fusedZones += res.ZonesPruned
 				}
 			}
 		})
-	}
-	if filterZones == 0 || fusedZones == 0 {
-		t.Fatalf("zones pruned: Filter %d, fused %d; both zone paths must engage", filterZones, fusedZones)
 	}
 }
 
@@ -290,7 +275,8 @@ func TestFusedExpandPrunesDeadParents(t *testing.T) {
 
 // FuzzPredicateKernels draws a random int/date column, comparison, threshold,
 // operand order and pre-cleared selection, plus a dictionary column with a
-// random literal, and holds Filter's kernels to the compiled closure.
+// random literal, and holds Filter's kernels to the compiled closure at 1, 2,
+// 4 and 8 workers.
 func FuzzPredicateKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), false, uint64(math.MaxUint64), "red")
 	f.Add(int64(2), uint8(5), int64(math.MinInt64), true, uint64(0xF0F0), "purple")
@@ -299,7 +285,7 @@ func FuzzPredicateKernels(f *testing.F) {
 	f.Add(int64(5), uint8(40), int64(-7), false, uint64(0x0123456789ABCDEF), "grey")
 	f.Fuzz(func(t *testing.T, seed int64, opSel uint8, threshold int64, mirrored bool, selMask uint64, lit string) {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3*vector.ZoneSize)
+		n := 1 + rng.Intn(6144)
 		rows := newKernelRows(n, rng)
 		if rng.Intn(4) == 0 {
 			rows.i[rng.Intn(n)] = math.MinInt64
@@ -325,8 +311,10 @@ func FuzzPredicateKernels(f *testing.F) {
 		}
 		pre := func(k int) bool { return selMask&(1<<(k%64)) != 0 }
 		for _, pred := range []expr.Expr{intPred, strPred, expr.And{L: intPred, R: strPred}} {
-			if msg, _ := filterMismatch(t, rows, pred, opSel&64 != 0, 1, pre); msg != "" {
-				t.Fatalf("%s: %s", pred, msg)
+			for _, workers := range []int{1, 2, 4, 8} {
+				if msg := filterMismatch(t, rows, pred, workers, pre); msg != "" {
+					t.Fatalf("%s (%d workers): %s", pred, workers, msg)
+				}
 			}
 		}
 	})

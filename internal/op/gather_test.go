@@ -12,8 +12,9 @@ import (
 
 // TestGatherPathEngages pins the instrumentation the parity table cannot
 // see: on a sealed base graph a scan-ordered projection shares the storage
-// columns zero-copy and the zone-mapped date filter consults its zones. (That
-// every tier returns the oracle's rows is TestOperatorParity's job.)
+// columns zero-copy, and the string and date filters over them keep some
+// rows. (That every tier returns the oracle's rows is TestOperatorParity's
+// job.)
 func TestGatherPathEngages(t *testing.T) {
 	ds, err := driver.SharedDataset(0.05)
 	if err != nil {
@@ -36,9 +37,6 @@ func TestGatherPathEngages(t *testing.T) {
 	}
 	if res.Gathers < 3 || res.SharedCols < 2 {
 		t.Fatalf("gathers=%d sharedCols=%d, want >=3 batch gathers of which >=2 zero-copy shares", res.Gathers, res.SharedCols)
-	}
-	if res.ZonesTotal == 0 {
-		t.Fatal("date filter did not consult the zone map")
 	}
 	if res.Block.NumRows() == 0 {
 		t.Fatal("plan produced no rows; test is vacuous")

@@ -72,10 +72,6 @@ type GatherStats struct {
 	Gathers atomic.Int64
 	// SharedCols counts zero-copy aligned column shares (tier 1).
 	SharedCols atomic.Int64
-	// ZonesPruned / ZonesTotal count zone-map outcomes: zones ruled out
-	// entirely versus zones considered.
-	ZonesPruned atomic.Int64
-	ZonesTotal  atomic.Int64
 }
 
 // RunMorsels shards [0,n) into size-row morsels executed on the shared

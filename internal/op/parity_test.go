@@ -218,8 +218,9 @@ func TestOperatorParity(t *testing.T) {
 				countSum("m")...)
 		}},
 
-		// Property reads: shared columns, bulk gather, dictionary codes, zone
-		// maps, and the overlay-patched gather on the views that carry one.
+		// Property reads: shared columns, bulk gather, dictionary codes, the
+		// range kernel, and the overlay-patched gather on the views that
+		// carry one.
 		{"gather/scan-filter-project", false, func() plan.Plan {
 			return plan.Plan{scan("p"),
 				&op.ProjectProps{Specs: []op.ProjSpec{
@@ -240,8 +241,8 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id"}},
 			}
 		}},
-		// Unfused scan filters through each conjunct kernel: two zone-mapped
-		// date ranges ANDed, a dictionary-code set for IN (one literal never
+		// Unfused scan filters through each conjunct kernel: two date ranges
+		// ANDed, a dictionary-code set for IN (one literal never
 		// interned) and for NE.
 		{"filter/and-of-date-ranges", false, func() plan.Plan {
 			return plan.Plan{scan("p"),

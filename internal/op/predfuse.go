@@ -75,7 +75,7 @@ type vertexBinding struct {
 }
 
 // extIDGetter is the resolution of ExtIDProp: it defines no label, so the
-// batch face gathers external IDs for it and prunes no zones.
+// batch face gathers external IDs for it.
 var extIDGetter = &propGetter{name: ExtIDProp, kind: vector.KindInt64}
 
 // Bind implements expr.Binding. A getter bound here reads one vertex — a
@@ -169,9 +169,8 @@ func (f *vertexFilter) mustBuild(ctx *Ctx) {
 // keep evaluates the predicate over every candidate of b's runs at once
 // (§5) and reports which pass, as a bitset over the pieces' candidates taken
 // in piece order, valid until the next call; nil when there is no predicate.
-// Names narrow first, range conjuncts then drop candidates whose storage
-// zone cannot match, each name is gathered once for the survivors, and the
-// conjunct kernels run over the whole batch.
+// Names narrow first, each name is then gathered once for every candidate,
+// and the conjunct kernels run over the whole batch.
 func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 	if f == nil {
 		return nil
@@ -192,27 +191,18 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 		present |= labelBit(pc.Label)
 	}
 	f.narrow(ctx, present)
-	cols := f.block.Columns()
-	for i := range f.conjs {
-		if c := &f.conjs[i]; c.kernel == kernRange && !c.negate {
-			for _, lp := range f.labels[slices.Index(cols, c.col)] {
-				pruned, total := ctx.View.PruneZones(cands, lp.Label, lp.Prop, c.lo, c.hi, f.sel)
-				ctx.Gather.ZonesPruned.Add(int64(pruned))
-				ctx.Gather.ZonesTotal.Add(int64(total))
-			}
-		}
-	}
-	for i, col := range cols {
+	// Every candidate is still selected, so the gathers take no selection.
+	for i, col := range f.block.Columns() {
 		col.Grow(n)
 		if f.getters[i] == extIDGetter {
-			ctx.View.GatherExtIDs(cands, f.sel, col.Int64s())
+			ctx.View.GatherExtIDs(cands, nil, col.Int64s())
 		}
 		for _, lp := range f.labels[i] {
-			ctx.View.GatherProps(cands, lp.Label, lp.Prop, f.sel, col)
+			ctx.View.GatherProps(cands, lp.Label, lp.Prop, nil, col)
 		}
 	}
 	ctx.Gather.Gathers.Add(1)
-	filterRows(ctx, f.conjs, f.sel, 0, n)
+	filterRows(f.conjs, f.sel, 0, n)
 	return f.sel
 }
 

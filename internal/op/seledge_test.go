@@ -17,7 +17,7 @@ import (
 
 // These tests pin down the selection-vector edge cases the runtime assertion
 // layer (-tags gesassert) and geslint's R3 rule guard: an all-cleared
-// selection, zone-map pruning clearing every zone at once, and a genuinely
+// selection, a range filter clearing every selection word at once, and a genuinely
 // empty (0-row) f-Block — each flowing through Expand, Projection and
 // Aggregate without panics and with identical results across engine modes.
 
@@ -55,7 +55,7 @@ func TestEmptySelectionFlowsThroughPlan(t *testing.T) {
 }
 
 // bigPersonGraph builds a Person-only graph large enough to span several
-// zone-map zones: n persons with creationDate = i, plus knows edges i→i+1
+// filter morsels: n persons with creationDate = i, plus knows edges i→i+1
 // among the first 100 so expansion over the graph is non-trivial.
 func bigPersonGraph(t *testing.T, n int) (*storage.Graph, *testgraph.Schema) {
 	t.Helper()
@@ -79,25 +79,26 @@ func bigPersonGraph(t *testing.T, n int) (*storage.Graph, *testgraph.Schema) {
 	return g, s
 }
 
-// TestZoneMapPrunesAllZones drives an unsatisfiable range predicate through
-// the zone-mapped filter fast path: every zone is ruled out by its min/max
-// summary, the selection vector is cleared in word-ranged sweeps, and the
-// all-cleared block must then expand and aggregate to zero.
-func TestZoneMapPrunesAllZones(t *testing.T) {
-	const n = 3*vector.ZoneSize + 123 // several full zones plus a ragged tail
+// TestRangeFilterMatchesOracle drives range predicates through the range
+// kernel over a scan's shared storage column: an unsatisfiable range clears
+// every selection word, and the all-cleared block must then expand and
+// aggregate to zero; a mid-range threshold keeps exactly the oracle's rows at
+// one worker and at four.
+func TestRangeFilterMatchesOracle(t *testing.T) {
+	const n = 3*2048 + 123 // two filter morsels, the second ragged
 	g, s := bigPersonGraph(t, n)
 	build := func(threshold int64) plan.Plan {
 		return plan.Plan{
 			&op.NodeScan{Var: "p", Label: s.Person},
 			// Scan-ordered VIDs share the storage column zero-copy, so the
-			// projected column carries the storage zone map into the filter.
+			// range kernel reads the storage column itself.
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", Prop: "creationDate", As: "cd"}}},
 			&op.Filter{Pred: expr.Lt(expr.C("cd"), expr.LDate(threshold))},
 			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
 		}
 	}
-	count := func(e *exec.Engine, threshold int64) (int64, *exec.Result) {
+	count := func(e *exec.Engine, threshold int64) int64 {
 		t.Helper()
 		res, err := e.Run(g, build(threshold))
 		if err != nil {
@@ -106,26 +107,18 @@ func TestZoneMapPrunesAllZones(t *testing.T) {
 		if res.Block.NumRows() != 1 {
 			t.Fatalf("aggregate emitted %d rows, want 1", res.Block.NumRows())
 		}
-		return res.Block.Rows[0][0].I, res
+		return res.Block.Rows[0][0].I
 	}
 
-	// creationDate is never negative: every zone's [min,max] misses the
-	// predicate range, so all zones prune and nothing survives.
-	e := exec.New(exec.ModeFactorized)
-	got, res := count(e, 0)
-	if got != 0 {
-		t.Fatalf("count after all-zone prune = %d, want 0", got)
-	}
-	if res.ZonesTotal == 0 {
-		t.Fatal("filter did not take the zone-map path (ZonesTotal = 0)")
-	}
-	if res.ZonesPruned != res.ZonesTotal {
-		t.Fatalf("pruned %d of %d zones, want all", res.ZonesPruned, res.ZonesTotal)
+	// creationDate is never negative: no row is in range and nothing
+	// survives.
+	if got := count(exec.New(exec.ModeFactorized), 0); got != 0 {
+		t.Fatalf("count after an impossible range = %d, want 0", got)
 	}
 
-	// A mid-range threshold prunes a proper subset of zones; the oracle (which
-	// reads no zone map) and the parallel runtime must agree on the count.
-	const mid = int64(vector.ZoneSize + 50) // knows edges exist only below row 100
+	// The oracle evaluates the predicate row by row; the kernel at one worker
+	// and at four must agree with it.
+	const mid = int64(2048 + 50) // knows edges exist only below row 100
 	oracle, err := volcano.New().Run(g, build(mid))
 	if err != nil {
 		t.Fatal(err)
@@ -134,18 +127,13 @@ func TestZoneMapPrunesAllZones(t *testing.T) {
 	if want == 0 {
 		t.Fatal("mid-range threshold should keep some edges")
 	}
-	gotMid, resMid := count(exec.New(exec.ModeFactorized), mid)
-	if gotMid != want {
-		t.Fatalf("zone-mapped count = %d, oracle = %d", gotMid, want)
-	}
-	if resMid.ZonesPruned == 0 || resMid.ZonesPruned >= resMid.ZonesTotal {
-		t.Fatalf("mid-range prune = %d of %d zones, want a proper nonzero subset",
-			resMid.ZonesPruned, resMid.ZonesTotal)
+	if got := count(exec.New(exec.ModeFactorized), mid); got != want {
+		t.Fatalf("range-filtered count = %d, oracle = %d", got, want)
 	}
 	par := exec.New(exec.ModeFactorized)
 	par.Parallel = 4
-	if gotPar, _ := count(par, mid); gotPar != want {
-		t.Fatalf("parallel zone-mapped count = %d, want %d", gotPar, want)
+	if got := count(par, mid); got != want {
+		t.Fatalf("parallel range-filtered count = %d, want %d", got, want)
 	}
 }
 
@@ -178,14 +166,13 @@ func TestZeroRowFBlockThroughOperators(t *testing.T) {
 	}
 }
 
-// TestFusedPredPrunesZonesUnderOverlays: committed transactions must not
-// switch zone pruning off for the rows they do not touch, and no zone may
-// swallow a committed row that matches. A hub's neighbor run spans every
-// zone; the fused range predicate rules the low zones out; a transaction
-// creates a person in range — a tail row, in no zone — and befriends it from
+// TestFusedRangePredUnderOverlays: the fused range predicate must keep a
+// committed row that matches. A hub's neighbor run spans every base row; the
+// fused range predicate rules the low rows out; a transaction creates a
+// person in range — a tail row, past the base columns — and befriends it from
 // the hub, and another adds an unrelated edge.
-func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
-	const n = 3*vector.ZoneSize + 123
+func TestFusedRangePredUnderOverlays(t *testing.T) {
+	const n = 3*2048 + 123
 	g, s := bigPersonGraph(t, n) // VID i has creationDate i
 	hub, moved := vector.VID(0), vector.VID(97)
 	for j := int(moved); j < n; j += 97 {
@@ -194,7 +181,7 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 		}
 	}
 	g.SealCSR()
-	const threshold = int64(2 * vector.ZoneSize)
+	const threshold = int64(2 * 2048)
 	build := func() plan.Plan {
 		return plan.Plan{
 			&op.NodeScan{Var: "p", Label: s.Person},
@@ -203,17 +190,17 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}},
 		}
 	}
-	count := func(view storage.View) (int64, *exec.Result) {
+	count := func(view storage.View) int64 {
 		t.Helper()
 		res, err := exec.New(exec.ModeFactorized).Run(view, build())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Block.Rows[0][0].I, res
+		return res.Block.Rows[0][0].I
 	}
-	base, baseRes := count(g)
-	if baseRes.ZonesPruned == 0 {
-		t.Fatal("fixture does not prune on the base graph")
+	base := count(g)
+	if base == 0 {
+		t.Fatal("fixture keeps no base neighbor")
 	}
 
 	m := txn.NewManager(g)
@@ -236,12 +223,9 @@ func TestFusedPredPrunesZonesUnderOverlays(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
-	got, res := count(snap)
+	got := count(snap)
 	if got != base+1 {
-		t.Fatalf("count on the snapshot = %d, base graph %d: the created neighbor matches and must survive pruning", got, base)
-	}
-	if res.ZonesPruned != baseRes.ZonesPruned {
-		t.Fatalf("snapshot pruned %d zones, base graph %d: commits elsewhere must not disable pruning", res.ZonesPruned, baseRes.ZonesPruned)
+		t.Fatalf("count on the snapshot = %d, base graph %d: the created neighbor matches and must be kept", got, base)
 	}
 	oracle, err := volcano.New().Run(snap, build())
 	if err != nil {

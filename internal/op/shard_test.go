@@ -127,7 +127,7 @@ func TestShardBoundaries(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id", "x"}})},
 			// No Defactor: the engine's final flatten enumerates every column.
 			{"defactor/all", shape(knows("f"))},
-			// The int kernel and its zone loop, over the scan's shared column.
+			// The range kernel, over the scan's shared column.
 			{"filter/int-kernel", func() plan.Plan {
 				return plan.Plan{&op.NodeScan{Var: "p", Label: s.Person},
 					&op.ProjectProps{Specs: []op.ProjSpec{

@@ -159,19 +159,6 @@ func (c *CostModel) InSel(label catalog.LabelID, prop string, n int) float64 {
 	return clampSel(float64(n)*c.EqSel(label, prop), 0)
 }
 
-// DegreeQuantile returns the degree at quantile q of a family's histogram
-// (0 when the family is unseen) — the skew measure exported via /stats.
-func (c *CostModel) DegreeQuantile(k stats.FamKey, q float64) int {
-	if c == nil {
-		return 0
-	}
-	f, ok := c.s.Families[k]
-	if !ok {
-		return 0
-	}
-	return f.Hist.Quantile(q)
-}
-
 func clampSel(s, floor float64) float64 {
 	if s < floor {
 		s = floor

@@ -48,7 +48,7 @@ type ColKey struct {
 }
 
 // Column summarizes one property column for selectivity estimation: value
-// bounds for ordered kinds (rolled up from the zone map) and a distinct
+// bounds for ordered kinds (a min/max pass over the values) and a distinct
 // count for dictionary-encoded strings.
 type Column struct {
 	Kind vector.Kind
@@ -180,26 +180,6 @@ func (h Histogram) Sources() int {
 	return n
 }
 
-// FracAtLeast estimates the fraction of sources with degree >= d, assuming
-// a uniform spread within each bucket's degree range.
-func (h Histogram) FracAtLeast(d int) float64 {
-	total := h.Sources()
-	if total == 0 {
-		return 0
-	}
-	n := 0.0
-	for _, b := range h.Buckets {
-		switch {
-		case b.Lo >= d:
-			n += float64(b.Count)
-		case b.Hi >= d:
-			span := float64(b.Hi - b.Lo + 1)
-			n += float64(b.Count) * float64(b.Hi-d+1) / span
-		}
-	}
-	return n / float64(total)
-}
-
 // Quantile returns the smallest degree bound that covers at least fraction
 // q of sources (0 for an empty histogram).
 func (h Histogram) Quantile(q float64) int {
@@ -218,45 +198,41 @@ func (h Histogram) Quantile(q float64) int {
 	return h.Buckets[len(h.Buckets)-1].Hi
 }
 
-// SummarizeColumn rolls a property column's zone map (ordered kinds) or
-// dictionary (strings) into the single-column summary the cost model reads.
-// It lives here, not in the caller, so geslint R3 can hold that stats types
-// are only ever written inside this package.
+// SummarizeColumn summarizes a property column into the single-column
+// summary the cost model reads: value bounds in one pass over an ordered
+// column, the dictionary size of a string one. It lives here, not in the
+// caller, so geslint R3 can hold that stats types are only ever written
+// inside this package.
 func SummarizeColumn(c *vector.Column) Column {
 	s := Column{Kind: c.Kind, Rows: c.Len()}
 	switch c.Kind {
 	case vector.KindInt64, vector.KindDate:
-		if zm := c.ZoneMap(); zm != nil && zm.Zones() > 0 {
-			s.MinI, s.MaxI = zm.IntBounds(0)
-			for zi := 1; zi < zm.Zones(); zi++ {
-				lo, hi := zm.IntBounds(zi)
-				if lo < s.MinI {
-					s.MinI = lo
-				}
-				if hi > s.MaxI {
-					s.MaxI = hi
-				}
-			}
-		}
+		s.MinI, s.MaxI = bounds(c.Int64s())
 	case vector.KindFloat64:
-		if zm := c.ZoneMap(); zm != nil && zm.Zones() > 0 {
-			s.MinF, s.MaxF = zm.FloatBounds(0)
-			for zi := 1; zi < zm.Zones(); zi++ {
-				lo, hi := zm.FloatBounds(zi)
-				if lo < s.MinF {
-					s.MinF = lo
-				}
-				if hi > s.MaxF {
-					s.MaxF = hi
-				}
-			}
-		}
+		s.MinF, s.MaxF = bounds(c.Float64s())
 	case vector.KindString:
 		if d := c.Dict(); d != nil {
 			s.Distinct = d.Len()
 		}
 	}
 	return s
+}
+
+// bounds returns the smallest and largest of vals, zeros when it is empty.
+func bounds[T int64 | float64](vals []T) (lo, hi T) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	lo, hi = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
 }
 
 // Builder accumulates a Snapshot. It is single-writer; Finish seals the

@@ -62,7 +62,7 @@ func TestHistogramEquiDepth(t *testing.T) {
 	}
 }
 
-func TestFracAtLeastAndQuantile(t *testing.T) {
+func TestHistogramQuantile(t *testing.T) {
 	b := NewBuilder(1)
 	k := FamKey{Dir: catalog.Out}
 	for i := 0; i < 90; i++ {
@@ -73,16 +73,6 @@ func TestFracAtLeastAndQuantile(t *testing.T) {
 	}
 	h := b.Finish(0).Families[k].Hist
 
-	if got := h.FracAtLeast(1); got != 1 {
-		t.Fatalf("FracAtLeast(1) = %g, want 1", got)
-	}
-	// Exactly the 10 heavy sources have degree >= 33 (cell (32,64]).
-	if got := h.FracAtLeast(64); got <= 0 || got > 0.2 {
-		t.Fatalf("FracAtLeast(64) = %g, want ~0.1", got)
-	}
-	if got := h.FracAtLeast(1000); got != 0 {
-		t.Fatalf("FracAtLeast(1000) = %g, want 0", got)
-	}
 	if q := h.Quantile(0.5); q != 1 {
 		t.Fatalf("median degree bound = %d, want 1", q)
 	}
@@ -96,7 +86,7 @@ func TestFracAtLeastAndQuantile(t *testing.T) {
 
 func TestEmptyHistogram(t *testing.T) {
 	var h Histogram
-	if h.Sources() != 0 || h.FracAtLeast(1) != 0 || h.Quantile(0.5) != 0 {
+	if h.Sources() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram must estimate zeros")
 	}
 }

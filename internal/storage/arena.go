@@ -40,7 +40,6 @@ type Arena struct {
 
 	mu      sync.Mutex
 	ranges  [][]core.Range
-	vals    [][]vector.Value
 	cols    []*vector.Column
 	bits    []*vector.Bitset
 	trees   []*core.FTree
@@ -77,18 +76,6 @@ func (a *Arena) OwnRanges(n int) []core.Range {
 	s := charge(a, a.pool.GetRanges(n), rangeSize)[:n] // the first n slots are zeroed on get
 	a.mu.Lock()
 	a.ranges = append(a.ranges, s)
-	a.mu.Unlock()
-	return s
-}
-
-// OwnVals returns a query-lifetime boxed-value buffer of length n, zeroed.
-func (a *Arena) OwnVals(n int) []vector.Value {
-	if !a.recycling() {
-		return make([]vector.Value, n)
-	}
-	s := charge(a, a.pool.GetVals(n), valueSize)[:n]
-	a.mu.Lock()
-	a.vals = append(a.vals, s)
 	a.mu.Unlock()
 	return s
 }
@@ -300,11 +287,6 @@ func (a *Arena) Release() {
 	}
 	clear(a.ranges)
 	a.ranges = a.ranges[:0]
-	for _, s := range a.vals {
-		a.pool.PutVals(s)
-	}
-	clear(a.vals)
-	a.vals = a.vals[:0]
 	for _, c := range a.cols {
 		a.pool.PutColumn(c)
 	}

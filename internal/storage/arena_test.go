@@ -64,7 +64,7 @@ func TestLiveBytesExact(t *testing.T) {
 	p := NewPool()
 	a := p.GetArena()
 	a.OwnRanges(100)
-	a.OwnVals(3)
+	a.GetVals(3) // dropped: never put back
 	grown := a.GetVIDs(8)
 	for i := 0; i < 5000; i++ { // leaves its class: put credits a different capacity than get drew
 		grown = append(grown, vector.VID(i))
@@ -113,7 +113,7 @@ func TestClearedBytesFollowUse(t *testing.T) {
 	smallQuery(p)
 	a := p.GetArena()
 	a.OwnRanges(100_000)
-	a.OwnVals(10_000)
+	a.PutVals(a.GetVals(10_000))
 	str := a.OwnColumn("s", vector.KindString)
 	lz := a.OwnLazyVIDColumn("l")
 	seg := []vector.VID{1, 2, 3}
@@ -139,7 +139,6 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	p := NewPool()
 	a := NewArena(p)
 	a.OwnRanges(32)
-	a.OwnVals(8)
 	a.OwnColumn("c", vector.KindInt64)
 	a.OwnLazyVIDColumn("l")
 	a.OwnBitset(100, true)
@@ -152,8 +151,8 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	_, putsBefore := p.Stats()
 	a.Release()
 	_, puts := p.Stats()
-	if n := puts - putsBefore; n != 9 {
-		t.Fatalf("Release returned %d structures, want 9", n)
+	if n := puts - putsBefore; n != 8 {
+		t.Fatalf("Release returned %d structures, want 8", n)
 	}
 	a.Release() // idempotent: nothing left to return
 	if _, again := p.Stats(); again != puts {

@@ -12,7 +12,7 @@ import (
 //
 //  1. aligned share (ShareScanColumn) — the VID column is exactly the
 //     label's scan order, so the gathered column IS the storage column: zero
-//     copies, and the storage zone map rides along for filter skipping;
+//     copies;
 //  2. bulk gather (GatherProps) — one tight loop over the raw backing
 //     slices, moving 8-byte scalars or 4-byte dictionary codes (PropDict);
 //  3. boxed fallback — per-row Get/Set for exotic kinds.
@@ -141,45 +141,4 @@ func (g *Graph) PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict
 		return col.Dict()
 	}
 	return nil
-}
-
-// PruneZones implements View over the base rows' zone maps, returning (0, 0)
-// for a column without one. Zone verdicts are computed lazily, once per
-// touched zone.
-func (g *Graph) PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int) {
-	col := g.propColumn(label, pid)
-	if col == nil {
-		return 0, 0
-	}
-	zm := col.ZoneMap()
-	if zm == nil || zm.Zones() == 0 {
-		return 0, 0
-	}
-	total = zm.Zones()
-	const (
-		unknown = iota
-		keep
-		prune
-	)
-	verdicts := make([]uint8, total)
-	labelOf, rowOf := g.labelOf, g.rowOf
-	nBase := vector.VID(len(labelOf))
-	for i, v := range vids {
-		if v >= nBase || labelOf[v] != label || (sel != nil && !sel.Get(i)) {
-			continue
-		}
-		z := int(rowOf[v]) >> vector.ZoneShift
-		if verdicts[z] == unknown {
-			if zm.OverlapsInt(z, lo, hi) {
-				verdicts[z] = keep
-			} else {
-				verdicts[z] = prune
-				pruned++
-			}
-		}
-		if verdicts[z] == prune && sel != nil {
-			sel.Clear(i)
-		}
-	}
-	return pruned, total
 }

@@ -8,8 +8,8 @@ import (
 	"ges/internal/vector"
 )
 
-// gatherFixture builds a graph with enough persons to span several zones and
-// two labels so cross-label gathers leave foreign rows untouched.
+// gatherFixture builds a graph with n persons and two labels, so cross-label
+// gathers leave foreign rows untouched.
 func gatherFixture(t *testing.T, n int) (*Graph, catalog.LabelID, catalog.LabelID) {
 	t.Helper()
 	cat := catalog.New()
@@ -102,29 +102,5 @@ func TestShareScanColumn(t *testing.T) {
 	}
 	if col := g.ShareScanColumn(person, 1, vids[:10]); col != nil {
 		t.Fatal("prefix must not share")
-	}
-}
-
-// TestPruneZones spans multiple zones with a monotone column and checks that
-// zones outside the range are pruned and their candidate bits cleared.
-func TestPruneZones(t *testing.T) {
-	n := 3*vector.ZoneSize + 100
-	g, person, _ := gatherFixture(t, n)
-	vids := g.ScanLabel(person)
-	var sel vector.Bitset
-	sel.Resize(len(vids), true)
-	// age == row index; [0, ZoneSize) satisfies only zone 0.
-	pruned, total := g.PruneZones(vids, person, 1, 0, int64(vector.ZoneSize-1), &sel)
-	if total != 4 {
-		t.Fatalf("total zones = %d, want 4", total)
-	}
-	if pruned != 3 {
-		t.Fatalf("pruned zones = %d, want 3", pruned)
-	}
-	for i := range vids {
-		want := i < vector.ZoneSize
-		if sel.Get(i) != want {
-			t.Fatalf("sel[%d] = %v, want %v", i, sel.Get(i), want)
-		}
 	}
 }

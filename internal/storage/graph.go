@@ -52,9 +52,6 @@ type View interface {
 	ShareScanColumn(label catalog.LabelID, pid catalog.PropID, vids []vector.VID) *vector.Column
 	// PropDict returns the dictionary of a string property column, or nil.
 	PropDict(label catalog.LabelID, pid catalog.PropID) *vector.Dict
-	// PruneZones clears the selection bits of candidates whose zone cannot
-	// hold a value in [lo,hi], returning the zones ruled out and the total.
-	PruneZones(vids []vector.VID, label catalog.LabelID, pid catalog.PropID, lo, hi int64, sel *vector.Bitset) (pruned, total int)
 	// ScanLabel returns all vertices of a label. The result is shared and
 	// must not be mutated.
 	ScanLabel(label catalog.LabelID) []vector.VID
@@ -479,8 +476,8 @@ func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 // from every adjacency read, and vertices committed after it from scans,
 // counts and external-id lookups. Every other read is the graph's own: a
 // vertex is reached only through those, and no property changes once its row
-// is written, so its label, external id and properties — gathers, zone
-// pruning and column sharing included — are exact at every version.
+// is written, so its label, external id and properties — gathers and
+// column sharing included — are exact at every version.
 type VersionView struct {
 	*Graph
 	ver uint64

@@ -20,7 +20,6 @@ import (
 // the rows below the count without a lock, while an append writes its row
 // before it stores the count — so no append copies or regrows a column.
 // Commit order makes the rows a read at version s sees a prefix of the tail.
-// Tail rows are in no zone map and never pruned.
 type propTable struct {
 	defs  []catalog.PropDef
 	cols  []*vector.Column
@@ -52,13 +51,9 @@ func newPropTable(defs []catalog.PropDef) *propTable {
 	t := &propTable{defs: defs, byExt: make(map[int64]vector.VID)}
 	for _, d := range defs {
 		c := vector.NewColumn(d.Name, d.Kind)
-		// Storage columns carry the layout upgrades of the gather path:
-		// strings are dictionary-encoded, ordered scalars get zone maps.
-		switch d.Kind {
-		case vector.KindString:
+		// Storage strings are dictionary-encoded, so a gather moves codes.
+		if d.Kind == vector.KindString {
 			c.EnableDict()
-		case vector.KindInt64, vector.KindDate, vector.KindFloat64:
-			c.EnableZoneMap()
 		}
 		t.cols = append(t.cols, c)
 	}
@@ -222,9 +217,6 @@ func (t *propTable) memBytes() int {
 		n += c.MemBytes()
 		if d := c.Dict(); d != nil {
 			n += d.MemBytes()
-		}
-		if zm := c.ZoneMap(); zm != nil {
-			n += zm.MemBytes()
 		}
 	}
 	if p := t.chunks.Load(); p != nil {

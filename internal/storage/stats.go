@@ -10,8 +10,8 @@ import (
 // sealStats derives the planner's statistics snapshot in one pass over the
 // freshly sealed graph: label cardinalities from the property tables,
 // per-family degree histograms from the images' offsets, and per-column
-// selectivity summaries rolled up from the zone maps and string
-// dictionaries the gather path already maintains. Published behind the same
+// selectivity summaries: value bounds from one min/max pass over each
+// ordered column, distinct counts from the string dictionaries. Published behind the same
 // atomic-pointer discipline as the CSR: every SealCSR rebuilds it under a
 // bumped epoch, later mutations leave it published and background reseals
 // rebase it family by family (reseal.go). SealCSR calls it right after

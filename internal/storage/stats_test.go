@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ges/internal/catalog"
@@ -50,8 +52,8 @@ func TestSealPublishesStats(t *testing.T) {
 		t.Fatalf("out family = %+v, want edges 3, sources 2, max 2", f)
 	}
 
-	// Column summaries: age bounds from the zone map, name distincts from
-	// the dictionary.
+	// Column summaries: age bounds from the column's values, name distincts
+	// from the dictionary.
 	age, ok := s.Column(stats.ColKey{Label: person, Prop: "age"})
 	if !ok || age.MinI != 30 || age.MaxI != 50 || age.Rows != 3 {
 		t.Fatalf("age column = %+v, %v", age, ok)
@@ -61,6 +63,40 @@ func TestSealPublishesStats(t *testing.T) {
 	name, ok := s.Column(stats.ColKey{Label: person, Prop: "name"})
 	if !ok || name.Distinct < 3 || name.Distinct > 4 {
 		t.Fatalf("name column = %+v, %v", name, ok)
+	}
+
+	// Ordered columns spanning several 2048-row blocks, each with its minimum
+	// and its maximum in different blocks: the planner's bounds are the
+	// brute-force min/max over every row.
+	cat := catalog.New()
+	reading, err := cat.AddLabel("Reading",
+		catalog.PropDef{Name: "at", Kind: vector.KindDate},
+		catalog.PropDef{Name: "x", Kind: vector.KindFloat64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := NewGraph(cat)
+	const n = 3*2048 + 100
+	rng := rand.New(rand.NewSource(7))
+	ats, xs := make([]int64, n), make([]float64, n)
+	for i := range ats {
+		ats[i], xs[i] = 19000+rng.Int63n(2000), rng.Float64()*100
+	}
+	ats[100], ats[5000] = 18000, 22000 // blocks 0 and 2
+	xs[4500], xs[300] = -1.5, 250.25   // blocks 2 and 0
+	for i := range ats {
+		if _, err := rg.AddVertex(reading, int64(i), vector.Date(ats[i]), vector.Float64(xs[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rg.SealCSR()
+	at, ok := rg.Stats().Column(stats.ColKey{Label: reading, Prop: "at"})
+	if lo, hi := slices.Min(ats), slices.Max(ats); !ok || at.Rows != n || at.MinI != lo || at.MaxI != hi {
+		t.Fatalf("date column = %+v, %v; want rows %d, bounds [%d, %d]", at, ok, n, lo, hi)
+	}
+	x, ok := rg.Stats().Column(stats.ColKey{Label: reading, Prop: "x"})
+	if lo, hi := slices.Min(xs), slices.Max(xs); !ok || x.Rows != n || x.MinF != lo || x.MaxF != hi {
+		t.Fatalf("float column = %+v, %v; want rows %d, bounds [%g, %g]", x, ok, n, lo, hi)
 	}
 }
 

@@ -75,12 +75,12 @@ func TestGatherAcrossOverlays(t *testing.T) {
 	}
 }
 
-// TestGatherTiersUnderOverlays pins the optional-interface contract: no row
-// changes once written, so a snapshot keeps the zero-copy share and zone
-// pruning tiers over the base rows however many commits have landed, at
-// every version. A created vertex is a tail row in no zone map: a scan that
-// holds one shares no column, and pruning leaves its selection bit for its
-// gathered value to decide.
+// TestGatherTiersUnderOverlays pins the read tiers' contract: no row changes
+// once written, so a snapshot keeps the zero-copy share over the base rows
+// however many commits have landed, at every version. A created vertex is a
+// tail row past the base columns: a scan that holds one shares no column,
+// and the bulk gather reads its committed value while leaving the rows the
+// caller rejected untouched.
 func TestGatherTiersUnderOverlays(t *testing.T) {
 	f := testgraph.New()
 	m := NewManager(f.Graph)
@@ -93,7 +93,6 @@ func TestGatherTiersUnderOverlays(t *testing.T) {
 	if err := tx.AddEdge(s.Knows, p0, p1, vector.Date(1)); err != nil {
 		t.Fatal(err)
 	}
-	// The created person falls into the probed range.
 	nv, err := tx.AddVertex(s.Person, 901, vector.String_("Newt"), vector.String_("Born"), vector.Date(7))
 	if err != nil {
 		t.Fatal(err)
@@ -103,16 +102,9 @@ func TestGatherTiersUnderOverlays(t *testing.T) {
 	}
 	after := m.Snapshot()
 
-	var sel vector.Bitset
 	for name, snap := range map[string]storage.VersionView{"before": clean, "after": after} {
 		if snap.ShareScanColumn(s.Person, s.PCreation, scan) == nil {
 			t.Fatalf("%s the commit: zero-copy share of the base rows refused", name)
-		}
-		sel.Resize(len(scan), true)
-		sel.SetAll()
-		pruned, total := snap.PruneZones(scan, s.Person, s.PCreation, 0, 10, &sel)
-		if total == 0 || pruned == 0 || sel.Any() {
-			t.Fatalf("%s the commit: pruned %d of %d zones, %d rows left; want every zone ruled out", name, pruned, total, sel.Count())
 		}
 	}
 
@@ -123,18 +115,21 @@ func TestGatherTiersUnderOverlays(t *testing.T) {
 	if after.ShareScanColumn(s.Person, s.PCreation, rows) != nil {
 		t.Fatal("a scan holding a tail row must not share the base column")
 	}
+	var sel vector.Bitset
 	sel.Resize(len(rows), true)
-	sel.SetAll()
-	sel.Clear(2) // a row the caller had already rejected stays rejected
-	after.PruneZones(rows, s.Person, s.PCreation, 0, 10, &sel)
-	for i, v := range rows {
-		if want := v == nv; sel.Get(i) != want {
-			t.Fatalf("row %d (vid %d): selected=%v, want %v (only the tail row survives)", i, v, sel.Get(i), want)
-		}
-	}
+	sel.Clear(2) // a row the caller rejected is not gathered
 	col := vector.NewColumn("creationDate", vector.KindDate)
 	col.Grow(len(rows))
 	after.GatherProps(rows, s.Person, s.PCreation, &sel, col)
+	for i, v := range rows {
+		want := after.Prop(v, s.PCreation).I
+		if i == 2 {
+			want = 0
+		}
+		if got := col.Int64s()[i]; got != want {
+			t.Fatalf("row %d (vid %d) gathered %d, want %d", i, v, got, want)
+		}
+	}
 	if got := col.Int64s()[len(scan)]; got != 7 {
 		t.Fatalf("tail row gathered %d, want the committed 7", got)
 	}

@@ -34,9 +34,6 @@ type pendingEdge struct {
 	props    []vector.Value
 }
 
-// ReadVersion returns the version the transaction started at.
-func (t *Txn) ReadVersion() uint64 { return t.readVer }
-
 // AddVertex buffers a new vertex with properties in the label's schema
 // order and returns its VID, allocated now and usable immediately as an edge
 // endpoint within this transaction. An aborted transaction leaves its VIDs

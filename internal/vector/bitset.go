@@ -126,24 +126,6 @@ func rangeMask(lo, hi uint) uint64 {
 	return ((1 << hi) - 1) &^ ((1 << lo) - 1)
 }
 
-// ClearRange clears every bit in [lo, hi) word-at-a-time — how a zone-map
-// prune drops a whole 2048-row zone from the selection vector.
-func (b *Bitset) ClearRange(lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	wLo, wHi := lo>>6, (hi-1)>>6
-	if wLo == wHi {
-		b.words[wLo] &^= rangeMask(uint(lo)&63, uint(hi-1)&63+1)
-		return
-	}
-	b.words[wLo] &^= ^uint64(0) &^ ((1 << (uint(lo) & 63)) - 1)
-	for w := wLo + 1; w < wHi; w++ {
-		b.words[w] = 0
-	}
-	b.words[wHi] &^= rangeMask(0, uint(hi-1)&63+1)
-}
-
 // ClearWord clears bit i+k for every set bit k of mask; i is a multiple of
 // 64. A vectorized kernel decides 64 rows into a mask and drops the
 // rejected ones with one store.

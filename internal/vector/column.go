@@ -40,9 +40,6 @@ type Column struct {
 	codes []uint32
 	dict  *Dict
 
-	// Optional per-zone min/max summaries (int64/date/float64 columns).
-	zm *ZoneMap
-
 	// Read-only view of storage-owned memory (aligned gather fast path).
 	shared bool
 
@@ -90,12 +87,6 @@ func (c *Column) Dict() *Dict { return c.dict }
 // Codes exposes the raw code slice of a dict-encoded column.
 func (c *Column) Codes() []uint32 { return c.codes }
 
-// Shared reports whether the column is a read-only view of storage memory.
-func (c *Column) Shared() bool { return c.shared }
-
-// ZoneMap returns the column's zone map, or nil.
-func (c *Column) ZoneMap() *ZoneMap { return c.zm }
-
 // EnableDict switches an empty string column to dictionary encoding with a
 // fresh dictionary.
 func (c *Column) EnableDict() {
@@ -105,30 +96,14 @@ func (c *Column) EnableDict() {
 	c.dict = NewDict()
 }
 
-// EnableZoneMap attaches an empty zone map to an empty int64/date/float64
-// column; subsequent appends maintain it incrementally.
-func (c *Column) EnableZoneMap() {
-	if c.Len() != 0 {
-		panic(fmt.Sprintf("vector: EnableZoneMap on non-empty column %q", c.Name))
-	}
-	switch c.Kind {
-	case KindInt64, KindDate:
-		c.zm = NewZoneMap(false)
-	case KindFloat64:
-		c.zm = NewZoneMap(true)
-	default:
-		panic(fmt.Sprintf("vector: EnableZoneMap on column %q of kind %v", c.Name, c.Kind))
-	}
-}
-
 // ShareAs returns a read-only zero-copy view of the column under a new name
 // — the aligned-gather fast path, where a NodeScan-ordered block can adopt
-// the storage column (codes, dict and zone map included) outright.
+// the storage column (codes and dict included) outright.
 func (c *Column) ShareAs(name string) *Column {
 	return &Column{
 		Name: name, Kind: c.Kind,
 		i64: c.i64, f64: c.f64, str: c.str, bl: c.bl, vid: c.vid,
-		codes: c.codes, dict: c.dict, zm: c.zm,
+		codes: c.codes, dict: c.dict,
 		shared: true,
 	}
 }
@@ -233,9 +208,6 @@ func (c *Column) AppendVIDRange(dst []VID, lo, hi int) []VID {
 // Int64At returns the int64 at row i for KindInt64/KindDate columns.
 func (c *Column) Int64At(i int) int64 { return c.i64[i] }
 
-// Float64At returns the float64 at row i.
-func (c *Column) Float64At(i int) float64 { return c.f64[i] }
-
 // StringAt returns the string at row i, resolving dictionary codes.
 func (c *Column) StringAt(i int) string {
 	if c.dict != nil {
@@ -243,9 +215,6 @@ func (c *Column) StringAt(i int) string {
 	}
 	return c.str[i]
 }
-
-// BoolAt returns the bool at row i.
-func (c *Column) BoolAt(i int) bool { return c.bl[i] }
 
 // Get returns the boxed value at row i.
 func (c *Column) Get(i int) Value {
@@ -282,9 +251,6 @@ func (c *Column) Append(v Value) {
 	switch c.Kind {
 	case KindInt64, KindDate:
 		c.i64 = append(c.i64, v.I)
-		if c.zm != nil {
-			c.zm.AppendInt64(v.I)
-		}
 	case KindVID:
 		if c.lazy {
 			panic("vector: scalar Append on a lazy column")
@@ -292,9 +258,6 @@ func (c *Column) Append(v Value) {
 		c.vid = append(c.vid, VID(v.I))
 	case KindFloat64:
 		c.f64 = append(c.f64, v.F)
-		if c.zm != nil {
-			c.zm.AppendFloat64(v.F)
-		}
 	case KindString:
 		if c.dict != nil {
 			c.codes = append(c.codes, c.dict.Intern(v.S))
@@ -308,23 +271,16 @@ func (c *Column) Append(v Value) {
 	}
 }
 
-// Set overwrites row i in place; the kind contract matches Append. Zone maps
-// are widened (never narrowed) so pruning stays conservative and correct.
+// Set overwrites row i in place; the kind contract matches Append.
 func (c *Column) Set(i int, v Value) {
 	c.mutCheck()
 	switch c.Kind {
 	case KindInt64, KindDate:
 		c.i64[i] = v.I
-		if c.zm != nil {
-			c.zm.WidenInt64(i, v.I)
-		}
 	case KindVID:
 		c.vid[i] = VID(v.I)
 	case KindFloat64:
 		c.f64[i] = v.F
-		if c.zm != nil {
-			c.zm.WidenFloat64(i, v.F)
-		}
 	case KindString:
 		if c.dict != nil {
 			c.codes[i] = c.dict.Intern(v.S)
@@ -352,9 +308,6 @@ func (c *Column) SetString(i int, s string) {
 func (c *Column) AppendInt64(v int64) {
 	c.mutCheck()
 	c.i64 = append(c.i64, v)
-	if c.zm != nil {
-		c.zm.AppendInt64(v)
-	}
 }
 
 // AppendVID appends a materialized VID.
@@ -368,9 +321,6 @@ func (c *Column) AppendVID(v VID) {
 func (c *Column) AppendFloat64(v float64) {
 	c.mutCheck()
 	c.f64 = append(c.f64, v)
-	if c.zm != nil {
-		c.zm.AppendFloat64(v)
-	}
 }
 
 // AppendString appends a raw string, interning dict codes.
@@ -538,9 +488,6 @@ func (c *Column) Reset() {
 		return
 	}
 	c.truncate()
-	if c.zm != nil {
-		c.zm.Reset()
-	}
 }
 
 // Pointer-bearing slots retired by truncate hold these in assert builds.
@@ -585,7 +532,7 @@ func (c *Column) truncate() (cleared int) {
 // backing slice but retaining capacity, and returns the bytes it zeroed. It
 // is the pooled counterpart of NewColumn (§5, memory pool): Reset preserves
 // Name/Kind for within-query reuse, Reinit additionally clears the
-// lazy/dict/shared/zone-map state a previous owner may have left behind.
+// lazy/dict/shared state a previous owner may have left behind.
 //
 // Invariant: in a column that is not a shared view, the pointer-bearing
 // slots (string headers, lazy segment references) at or past the slice
@@ -603,7 +550,6 @@ func (c *Column) Reinit(name string, kind Kind) (cleared int) {
 	c.Name, c.Kind = name, kind
 	c.lazy = false
 	c.dict = nil
-	c.zm = nil
 	return c.truncate()
 }
 
@@ -685,9 +631,6 @@ func (c *Column) Clone() *Column {
 	out.bl = append([]bool(nil), c.bl...)
 	out.vid = append([]VID(nil), c.vid...)
 	out.codes = append([]uint32(nil), c.codes...)
-	if c.zm != nil {
-		out.zm = c.zm.Clone()
-	}
 	out.segs = append([][]VID(nil), c.segs...)
 	out.segOff = append([]int(nil), c.segOff...)
 	return out

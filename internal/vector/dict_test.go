@@ -180,38 +180,3 @@ func TestSharedColumnPanicsOnMutation(t *testing.T) {
 	}()
 	sh.AppendInt64(8)
 }
-
-// TestZoneMapBounds covers append folding, widening, and the three pruning
-// verdicts (disjoint, overlapping, contained).
-func TestZoneMapBounds(t *testing.T) {
-	z := NewZoneMap(false)
-	for i := 0; i < 2*ZoneSize; i++ {
-		z.AppendInt64(int64(i))
-	}
-	if z.Zones() != 2 || z.Rows() != 2*ZoneSize {
-		t.Fatalf("zones=%d rows=%d", z.Zones(), z.Rows())
-	}
-	if lo, hi := z.IntBounds(0); lo != 0 || hi != ZoneSize-1 {
-		t.Fatalf("zone 0 bounds [%d,%d]", lo, hi)
-	}
-	if z.OverlapsInt(1, 0, int64(ZoneSize-1)) {
-		t.Fatal("disjoint zone reported overlap")
-	}
-	if !z.OverlapsInt(0, int64(ZoneSize-10), int64(ZoneSize+10)) {
-		t.Fatal("overlapping zone reported disjoint")
-	}
-	if !z.ContainedInt(0, 0, int64(ZoneSize)) {
-		t.Fatal("contained zone not detected")
-	}
-	if z.ContainedInt(0, 1, int64(ZoneSize)) {
-		t.Fatal("partially covered zone reported contained")
-	}
-	// In-place updates widen, never narrow.
-	z.WidenInt64(0, -5)
-	if lo, _ := z.IntBounds(0); lo != -5 {
-		t.Fatalf("widen failed: lo=%d", lo)
-	}
-	if z.OverlapsInt(0, -100, -6) {
-		t.Fatal("widened zone over-reports")
-	}
-}

@@ -51,9 +51,6 @@ func (v Value) AsVID() VID {
 // AsBool reports the boolean interpretation of a KindBool value.
 func (v Value) AsBool() bool { return v.Kind == KindBool && v.I != 0 }
 
-// IsZero reports whether v is the zero (invalid) Value.
-func (v Value) IsZero() bool { return v.Kind == KindInvalid }
-
 // String renders the value for debugging and result printing.
 func (v Value) String() string {
 	switch v.Kind {
