@@ -1,12 +1,12 @@
-// Command geslint is the GES invariant analyzer: nine rules (R0–R3, R5,
-// R7, R8, R10, R11, see internal/lint; R4 and R6 merged into R3, R9 was
-// deleted) enforced over the whole module with nothing but the standard
+// Command geslint is the GES invariant analyzer: eight rules (R0, R2, R3,
+// R5, R7, R8, R10, R11, see internal/lint; R4 and R6 merged into R3, R1 and
+// R9 were deleted) enforced over the whole module with nothing but the standard
 // library's go/ast, go/parser and go/types and the go command — no x/tools
 // dependency, so it builds wherever the engine does. Module packages are
 // type-checked from source; the standard library is read from the export
 // data one `go list -export` call locates.
 //
-// R0, R1, R2, R3 and R5 are structural (R0: every //geslint: directive is
+// R0, R2, R3 and R5 are structural (R0: every //geslint: directive is
 // a live one; R3: owner-only mutation); R7–R11 are interprocedural, from
 // module-wide per-function summaries (allocations, lock acquisitions,
 // spawns, parameter retention, discarded errors, pool discharges) computed
@@ -26,7 +26,6 @@
 // marked <why> require a one-line justification or they are inert and
 // themselves a finding, as is any directive not in this table (R0):
 //
-//	//geslint:scalar-ok               internal/op file may use scalar View.Prop/ExtID (R1)
 //	//geslint:lockorder A < B         declares lock A is acquired before B (R2)
 //	//geslint:go-ok                   the go statement on/below this line (R5)
 //	//geslint:kernel                  func must be transitively pure (R7)

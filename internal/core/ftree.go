@@ -14,9 +14,6 @@ type Range struct {
 	Start, End int32
 }
 
-// Empty reports whether the range covers no rows.
-func (r Range) Empty() bool { return r.Start >= r.End }
-
 // Len returns the number of rows in the range.
 func (r Range) Len() int { return int(r.End - r.Start) }
 

@@ -51,7 +51,7 @@ func TestPruneUpActuallyPrunes(t *testing.T) {
 		// now be invalid.
 		if p := leaf.Parent; p != nil {
 			for i := 0; i < p.Block.NumRows(); i++ {
-				if p.Sel.Get(i) && !leaf.Index[i].Empty() {
+				if p.Sel.Get(i) && !(leaf.Index[i].Len() <= 0) {
 					t.Fatalf("trial %d: parent row %d survived with only dead children", trial, i)
 				}
 			}

@@ -148,11 +148,12 @@ func Generate(cfg Config) (*Dataset, error) {
 // genLists is what generation remembers of its own edges, so that it never
 // reads the graph it is still loading: each person's KNOWS friends, indexed by
 // position in Persons (persons take consecutive VIDs) and appended in AddEdge
-// order, and the creator of every post and comment, aligned with Posts and
-// Comments. It lives only inside Generate.
+// order, and the creator and creation date of every post and comment,
+// aligned with Posts and Comments. It lives only inside Generate.
 type genLists struct {
 	friends                     [][]vector.VID
 	postCreator, commentCreator []vector.VID
+	postDate, commentDate       []int64
 }
 
 type placeIDs struct {
@@ -441,6 +442,7 @@ func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 			postExt++
 			ds.Posts = append(ds.Posts, post)
 			lists.postCreator = append(lists.postCreator, author)
+			lists.postDate = append(lists.postDate, created)
 			if err := g.AddEdge(h.HasCreator, post, author); err != nil {
 				return err
 			}
@@ -484,6 +486,7 @@ func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 				commentExt++
 				ds.Comments = append(ds.Comments, comm)
 				lists.commentCreator = append(lists.commentCreator, commAuthor)
+				lists.commentDate = append(lists.commentDate, cDate)
 				if err := g.AddEdge(h.HasCreator, comm, commAuthor); err != nil {
 					return err
 				}
@@ -531,12 +534,12 @@ func (ds *Dataset) genLikes(rng *rand.Rand, lists *genLists) error {
 		return nil
 	}
 	for i, p := range ds.Posts {
-		if err := like(p, lists.postCreator[i], g.Prop(p, ds.H.MCreation).I); err != nil {
+		if err := like(p, lists.postCreator[i], lists.postDate[i]); err != nil {
 			return err
 		}
 	}
 	for i, c := range ds.Comments {
-		if err := like(c, lists.commentCreator[i], g.Prop(c, ds.H.MCreation).I); err != nil {
+		if err := like(c, lists.commentCreator[i], lists.commentDate[i]); err != nil {
 			return err
 		}
 	}

@@ -125,8 +125,8 @@ var IS5 = register(&Query{
 	},
 })
 
-// procPool recycles the stored procedures' adjacency batches: a procedure
-// runs without a query arena to draw them from.
+// procPool recycles the stored procedures' adjacency batches and gather
+// buffers: a procedure runs without a query arena to draw them from.
 var procPool = storage.NewPool()
 
 // IS6 — the forum containing a message (walking reply chains up to the root
@@ -157,18 +157,33 @@ var IS6 = register(&Query{
 			src[0] = b.Run(0)[0]
 		}
 		view.NeighborsBatch(src, h.ContainerOf, catalog.In, h.Forum, false, b)
-		forums := append([]vector.VID(nil), b.Run(0)...)
-		view.NeighborsBatch(forums, h.HasModerator, catalog.Out, h.Person, false, b)
-		for i, forum := range forums {
-			var modID int64 = -1
-			if mods := b.Run(i); len(mods) > 0 {
-				modID = view.ExtID(mods[len(mods)-1])
+		// vids holds the n forums, then each one's moderator (the last of its
+		// run, NilVID when it has none); one gather reads all their ids.
+		n := b.RunLen(0)
+		vids := append(procPool.GetVIDs(2*n), b.Run(0)...)
+		defer procPool.PutVIDs(vids)
+		view.NeighborsBatch(vids[:n], h.HasModerator, catalog.Out, h.Person, false, b)
+		for i := range n {
+			mod := vector.NilVID
+			if run := b.Run(i); len(run) > 0 {
+				mod = run[len(run)-1]
 			}
-			out.AppendOwned([]vector.Value{
-				vector.Int64(view.ExtID(forum)),
-				view.Prop(forum, h.FTitle),
-				vector.Int64(modID),
-			})
+			vids = append(vids, mod)
+		}
+		ids := procPool.GetColumn("id", vector.KindInt64)
+		defer procPool.PutColumn(ids)
+		ids.Grow(2 * n)
+		view.GatherExtIDs(vids, nil, ids.Int64s())
+		titles := procPool.GetColumn("forum.title", vector.KindString)
+		defer procPool.PutColumn(titles)
+		titles.Grow(n)
+		view.GatherProps(vids[:n], h.Forum, h.FTitle, nil, titles)
+		for i := range n {
+			modID := int64(-1)
+			if vids[n+i] != vector.NilVID {
+				modID = ids.Int64s()[n+i]
+			}
+			out.AppendOwned([]vector.Value{vector.Int64(ids.Int64s()[i]), titles.Get(i), vector.Int64(modID)})
 		}
 		return out, nil
 	},

@@ -6,10 +6,9 @@ import (
 	"regexp"
 )
 
-// Directive grammar: `//geslint:<name> <argument...>`. Three attachment
+// Directive grammar: `//geslint:<name> <argument...>`. Two attachment
 // scopes exist, resolved purely by position:
 //
-//   - file scope: anywhere in the file (scalar-ok);
 //   - line scope: on, or on the line directly above, the statement it
 //     waives (go-ok, alloc-ok, retain-ok, err-ok, leak-ok);
 //   - declaration scope: inside the doc comment of (or on the line directly
@@ -32,7 +31,6 @@ var directives = map[string]struct {
 	rule   string
 	reason bool
 }{
-	"scalar-ok":      {"R1", false},
 	"lockorder":      {"R2", false},
 	"go-ok":          {"R5", false},
 	"kernel":         {"R7", false},

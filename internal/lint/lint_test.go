@@ -96,7 +96,7 @@ func TestRulesOnFixtureModule(t *testing.T) {
 
 	// Every rule must have at least one positive case in the fixture, so a
 	// rule silently dying cannot pass the test.
-	for _, rule := range []string{"R0", "R1", "R2", "R3", "R5", "R7", "R8", "R10", "R11"} {
+	for _, rule := range []string{"R0", "R2", "R3", "R5", "R7", "R8", "R10", "R11"} {
 		found := false
 		for k := range want {
 			if strings.HasSuffix(k, ":"+rule) {

@@ -11,17 +11,14 @@ import (
 // The invariant rules geslint enforces over the engine. Tags keep their
 // history and are not reused: R3 is the one owner-only-mutation rule that
 // replaced the former R3 (selection vectors), R4 (f-Block column appends)
-// and R6 (statistics values), whose findings it reports under R3; R9
-// (atomic publication) was deleted.
+// and R6 (statistics values), whose findings it reports under R3; R1
+// (scalar property reads in internal/op) and R9 (atomic publication) were
+// deleted — storage.View has no scalar property read left to police.
 //
 //	R0  directive hygiene: a //geslint:<name> comment whose name is not a
 //	    live directive (a misspelling, or a deleted directive such as
-//	    atomicptr, seal, selwrite-ok, statswrite-ok) is inert and a finding.
-//	R1  no scalar property reads in internal/op: View.Prop / View.ExtID must
-//	    go through the vectorized gather path; files implementing the
-//	    deliberate scalar fallback opt out with //geslint:scalar-ok. (The
-//	    adjacency has no scalar read to police: View.NeighborsBatch is its
-//	    only one.)
+//	    atomicptr, seal, scalar-ok, selwrite-ok, statswrite-ok) is inert and
+//	    a finding.
 //	R2  lock acquisition in internal/storage and internal/txn must follow the
 //	    partial order declared by //geslint:lockorder A < B comments; both
 //	    inversions and undeclared nestings are findings. Acquire sets come
@@ -73,7 +70,7 @@ var selWriters = map[string]bool{
 // bitsetWrites are the vector.Bitset mutators R3 polices.
 var bitsetWrites = map[string]bool{
 	"Set": true, "Clear": true, "SetTo": true, "SetAll": true, "ClearAll": true,
-	"ClearRange": true, "ClearWord": true, "And": true, "Append": true, "Resize": true,
+	"ClearWord": true, "Append": true, "Resize": true,
 }
 
 // columnAppends are the vector.Column cardinality-changing mutators R3
@@ -127,9 +124,6 @@ func (a *Analysis) Run() []Diag {
 	for _, pkg := range a.mod.Pkgs {
 		rel := pkg.Rel
 		for _, f := range pkg.Files {
-			if hasPrefix(rel, "internal/op") {
-				a.checkScalarProps(pkg, f)
-			}
 			file := rel + "/" + filepath.Base(a.mod.Fset.Position(f.Pos()).Filename)
 			for i := range ownedValues {
 				if ov := &ownedValues[i]; rel != ov.owner && !ov.files[file] {
@@ -257,33 +251,6 @@ func (a *Analysis) collectOwners() {
 			}
 		}
 	}
-}
-
-// ---------------------------------------------------------------- R1
-
-// checkScalarProps flags the scalar View.Prop / View.ExtID calls resolved
-// to internal/storage — the per-row calls the §5 vectorized gather path
-// exists to batch away — in a file without a scalar-ok directive.
-func (a *Analysis) checkScalarProps(pkg *Package, f *ast.File) {
-	if len(directiveLines(a.mod.Fset, f, "scalar-ok")) > 0 {
-		return
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		_, fn, ok := methodCall(pkg, call)
-		if !ok {
-			return true
-		}
-		if name := fn.Name(); (name == "Prop" || name == "ExtID") && a.relOf(fn.Pkg()) == "internal/storage" {
-			a.report(call.Pos(), "R1",
-				"scalar View.%s call in internal/op bypasses the vectorized gather path; batch with GatherProps/GatherExtIDs or annotate the file //geslint:scalar-ok",
-				name)
-		}
-		return true
-	})
 }
 
 // ---------------------------------------------------------------- R3

@@ -1,23 +1,12 @@
 // Package op holds the positive fixture cases: one deliberate violation per
-// rule (R1, R3, R5), marked with `// want Rn` comments the self-test
+// rule (R3, R5), marked with `// want Rn` comments the self-test
 // matches against geslint's findings.
 package op
 
 import (
 	"ges/internal/core"
-	"ges/internal/storage"
 	"ges/internal/vector"
 )
-
-// BadScalarProp reads a property one row at a time through the view.
-func BadScalarProp(v storage.View, id vector.VID) vector.Value {
-	return v.Prop(id, 0) // want R1
-}
-
-// BadScalarExt resolves an external ID one row at a time.
-func BadScalarExt(v storage.View, id vector.VID) int64 {
-	return v.ExtID(id) // want R1
-}
 
 // BadSelWrite mutates a selection vector outside filter.go — directly and
 // through a local alias.

@@ -8,5 +8,5 @@ import "ges/internal/core"
 func CloseCycle(n *core.Node) {
 	n.Sel.Clear(7)
 	alias := n.Sel
-	alias.ClearRange(1, 4)
+	alias.Clear(4)
 }

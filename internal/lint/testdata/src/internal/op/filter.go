@@ -6,5 +6,5 @@ import "ges/internal/core"
 // (R3 negative: internal/op/filter.go is the sanctioned writer).
 func ApplyFilter(n *core.Node) {
 	n.Sel.Clear(3)
-	n.Sel.ClearRange(0, 2)
+	n.Sel.Clear(2)
 }

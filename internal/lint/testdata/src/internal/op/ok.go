@@ -1,19 +1,9 @@
 // Negative fixture cases: the same shapes as bad.go, made legitimate by
 // directives or by operating on non-protected values. None of these lines
 // may be flagged.
-//
-//geslint:scalar-ok
 package op
 
-import (
-	"ges/internal/storage"
-	"ges/internal/vector"
-)
-
-// OKScalar is permitted by the file-level scalar-ok directive (R1 negative).
-func OKScalar(v storage.View, id vector.VID) vector.Value {
-	return v.Prop(id, 0)
-}
+import "ges/internal/vector"
 
 // OKSpawn is permitted by the line-level go-ok directive (R5 negative).
 func OKSpawn() {

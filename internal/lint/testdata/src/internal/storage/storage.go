@@ -6,13 +6,6 @@ import (
 	"ges/internal/vector"
 )
 
-// View is the per-query read interface; Prop and ExtID are the scalar reads
-// R1 polices inside internal/op.
-type View interface {
-	Prop(v vector.VID, pid int32) vector.Value
-	ExtID(v vector.VID) int64
-}
-
 // NeighborRun delimits one source's pieces inside a Batch.
 type NeighborRun struct {
 	Start, End int32

@@ -29,13 +29,6 @@ func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 // Clear clears bit i.
 func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 
-// ClearRange clears bits [lo,hi).
-func (b *Bitset) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Clear(i)
-	}
-}
-
 // Column is one attribute vector.
 type Column struct {
 	Name string

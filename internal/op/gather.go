@@ -5,12 +5,12 @@ import (
 	"ges/internal/vector"
 )
 
-// Vectorized property gather (§5, Vectorization): instead of one
-// View.Prop(v, p) interface call (and one boxed Value) per row, operators
-// hand the storage layer a whole VID column and receive a whole property
-// column back. Projection attaches the gathered column outright; fused
-// predicates gather into reusable scratch columns and evaluate tight kernels
-// over the raw slices.
+// Vectorized property gather (§5, Vectorization): operators hand the
+// storage layer a whole VID column and receive a whole property column back
+// — storage.View has no per-row property read. Projection attaches the
+// gathered column outright (the flat path gathers each morsel's rows and
+// appends the values to them); fused predicates gather into reusable scratch
+// columns and evaluate tight kernels over the raw slices.
 
 // materializedVIDs returns the VID slice of col, copying lazy segments into
 // buf when needed (batch gathers index vids randomly).

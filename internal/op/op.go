@@ -154,50 +154,27 @@ func errRowLimit(op string, rows, limit int) error {
 	return fmt.Errorf("op: %s exceeded row limit: %d > %d", op, rows, limit)
 }
 
-// propGetter resolves a property name across every label that defines it,
-// returning a per-vertex accessor. Mixed-label columns (e.g. LDBC Message =
-// Post ∪ Comment) resolve the property ID per row through the vertex label.
-// labels is the unit the batch gather path iterates (one GatherProps pass
-// per defining label).
+// propGetter resolves a property name across every label that defines it.
+// Mixed-label columns (e.g. LDBC Message = Post ∪ Comment) gather one pass
+// per defining label: labels is the unit the batch gather iterates.
 type propGetter struct {
 	name   string
 	kind   vector.Kind
-	pids   []int32 // per label; -1 when the label lacks the property
 	labels []catalog.LabelProp
-	view   storage.View
 }
 
 func newPropGetter(view storage.View, name string) (*propGetter, error) {
-	labels, numLabels := view.Catalog().PropLabels(name)
+	labels, _ := view.Catalog().PropLabels(name)
 	if len(labels) == 0 {
 		return nil, fmt.Errorf("op: property %q not defined by any label", name)
 	}
-	g := &propGetter{name: name, kind: labels[0].Kind, pids: make([]int32, numLabels), labels: labels, view: view}
-	for i := range g.pids {
-		g.pids[i] = -1
-	}
+	g := &propGetter{name: name, kind: labels[0].Kind, labels: labels}
 	for _, lp := range labels {
 		if lp.Kind != g.kind {
 			return nil, fmt.Errorf("op: property %q has conflicting kinds across labels", name)
 		}
-		g.pids[lp.Label] = int32(lp.Prop)
 	}
 	return g, nil
-}
-
-// get returns the property value of vertex v (typed zero when v's label
-// lacks the property). Row-at-a-time consumers — the flat-path projection,
-// var-length emissions and the volcano oracle (VertexPred.Bind,
-// NewPropReader) — have no column to batch over, so the scalar lookup is
-// deliberate; the batch gather must match it bit for bit.
-//
-//geslint:scalar-ok
-func (g *propGetter) get(v vector.VID) vector.Value {
-	pid := g.pids[g.view.LabelOf(v)]
-	if pid < 0 {
-		return vector.Value{Kind: g.kind}
-	}
-	return g.view.Prop(v, catalog.PropID(pid))
 }
 
 // ensureFlat returns the chunk's flat block, de-factoring the full tree when
@@ -230,15 +207,4 @@ func vidColumn(ft *core.FTree, name string) (*core.Node, *vector.Column, error) 
 		return nil, nil, fmt.Errorf("op: column %q is %s, want vid", name, c.Kind)
 	}
 	return n, c, nil
-}
-
-// NewPropReader returns a per-vertex property accessor and its kind,
-// resolved across all labels defining the property. Alternative executors
-// (volcano) use it to interpret ProjectProps specs.
-func NewPropReader(view storage.View, prop string) (func(vector.VID) vector.Value, vector.Kind, error) {
-	g, err := newPropGetter(view, prop)
-	if err != nil {
-		return nil, vector.KindInvalid, err
-	}
-	return g.get, g.kind, nil
 }

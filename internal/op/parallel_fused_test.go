@@ -32,8 +32,8 @@ func runPlanAt(t *testing.T, ds *ldbc.Dataset, mode exec.Mode, workers int, p pl
 }
 
 // TestParallelVarExpandPredicateAgrees covers the former sequential fallback:
-// a VarLengthExpand carrying a fused VertexPred must take the parallel path
-// and agree with sequential execution at Parallel=8.
+// a VarLengthExpand whose emissions a predicate then filters must take the
+// parallel path and agree with sequential execution at Parallel=8.
 func TestParallelVarExpandPredicateAgrees(t *testing.T) {
 	ds, err := driver.SharedDataset(0.05)
 	if err != nil {
@@ -45,9 +45,9 @@ func TestParallelVarExpandPredicateAgrees(t *testing.T) {
 			&op.NodeScan{Var: "p", Label: h.Person},
 			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
 			&op.VarLengthExpand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out,
-				DstLabel: h.Person, MinHops: 1, MaxHops: 2,
-				VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(midID(ds))))},
+				DstLabel: h.Person, MinHops: 1, MaxHops: 2},
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
+			&op.Filter{Pred: expr.Le(expr.C("g.id"), expr.LInt(midID(ds)))},
 			&op.Defactor{Cols: []string{"g.id"}},
 		}
 	}
@@ -57,6 +57,6 @@ func TestParallelVarExpandPredicateAgrees(t *testing.T) {
 	}
 	got := runPlanAt(t, ds, exec.ModeFactorized, 8, buildPlan())
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Parallel=8 var-expand with VertexPred diverges: %d vs %d rows", len(got), len(want))
+		t.Fatalf("Parallel=8 filtered var-expand diverges: %d vs %d rows", len(got), len(want))
 	}
 }

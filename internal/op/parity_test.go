@@ -652,12 +652,16 @@ func TestParityViewsReachFallbacks(t *testing.T) {
 func viewPieces(v storage.View, b *storage.Batch, srcs []vector.VID, et catalog.EdgeTypeID, withProps bool) []string {
 	var out []string
 	for _, p := range testgraph.Pieces(v, b, srcs, et, withProps) {
-		ids := make([]int64, len(p.Edges))
+		// The neighbours' ids, then the source's, in one gather.
+		vids := make([]vector.VID, 0, len(p.Edges)+1)
 		props := make([][]vector.Value, len(p.Edges))
 		for k, e := range p.Edges {
-			ids[k], props[k] = v.ExtID(e.Dst), e.Props
+			vids, props[k] = append(vids, e.Dst), e.Props
 		}
-		out = append(out, fmt.Sprintf("src %d label %d %v %v", v.ExtID(srcs[p.Row]), p.Label, ids, props))
+		vids = append(vids, srcs[p.Row])
+		ids := make([]int64, len(vids))
+		v.GatherExtIDs(vids, nil, ids)
+		out = append(out, fmt.Sprintf("src %d label %d %v %v", ids[len(p.Edges)], p.Label, ids[:len(p.Edges)], props))
 	}
 	slices.Sort(out)
 	return out

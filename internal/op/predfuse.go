@@ -17,10 +17,10 @@ const ExtIDProp = "@id"
 
 // VertexPred is the FilterPushDown predicate (§4.3, §5): an Expand applies
 // it to candidate neighbors by their own vertex data, so rejected neighbors
-// are never materialized, and a VarLengthExpand to the vertices it emits.
-// Column names in the expression are vertex property names (or ExtIDProp).
-// The value is immutable: operators bind it when they start, and a name no
-// label defines fails the query there.
+// are never materialized. Column names in the expression are vertex
+// property names (or ExtIDProp). The value is immutable: an Expand binds it
+// when it starts (vertexFilter, its one evaluator), and a name no label
+// defines fails the query there.
 type VertexPred struct {
 	pred  expr.Expr
 	names []string // the distinct names pred reads
@@ -34,21 +34,9 @@ func VertexPropPred(pred expr.Expr) *VertexPred {
 	return &VertexPred{pred: pred, names: slices.Compact(names)}
 }
 
-// Bind compiles the predicate for one vertex at a time: the getter's row
-// index is the VID of the vertex to test. It holds no state, so goroutines
-// share it. It serves var-length emissions and the volcano oracle; the fused
-// Expand evaluates whole morsels instead (vertexFilter). A nil VertexPred
-// binds to a nil getter: there is nothing to test.
-func (p *VertexPred) Bind(view storage.View) (expr.Getter, error) {
-	if p == nil {
-		return nil, nil
-	}
-	getters, err := p.resolve(view)
-	if err != nil {
-		return nil, err
-	}
-	return expr.Bind(p.pred, vertexBinding{view, getters})
-}
+// Expr returns the predicate's expression, whose column names are property
+// names or ExtIDProp.
+func (p *VertexPred) Expr() expr.Expr { return p.pred }
 
 // resolve returns one getter per name p reads, in p.names order.
 func (p *VertexPred) resolve(view storage.View) ([]*propGetter, error) {
@@ -67,30 +55,9 @@ func (p *VertexPred) resolve(view storage.View) ([]*propGetter, error) {
 	return getters, nil
 }
 
-// vertexBinding binds predicate column names, resolved into getters, to
-// property reads of the vertex whose VID is the row index.
-type vertexBinding struct {
-	view    storage.View
-	getters []*propGetter
-}
-
 // extIDGetter is the resolution of ExtIDProp: it defines no label, so the
 // batch face gathers external IDs for it.
 var extIDGetter = &propGetter{name: ExtIDProp, kind: vector.KindInt64}
-
-// Bind implements expr.Binding. A getter bound here reads one vertex — a
-// var-length emission, the oracle — so there is no column to gather over and
-// the scalar View calls are deliberate.
-//
-//geslint:scalar-ok
-func (b vertexBinding) Bind(name string) (expr.Getter, error) {
-	// VertexPred.resolve resolved every name the expression reads.
-	view, g := b.view, b.getters[slices.IndexFunc(b.getters, func(g *propGetter) bool { return g.name == name })]
-	if g == extIDGetter {
-		return func(v int) vector.Value { return vector.Int64(view.ExtID(vector.VID(v))) }, nil
-	}
-	return func(v int) vector.Value { return g.get(vector.VID(v)) }, nil
-}
 
 // vertexFilter is a VertexPred bound for one Expand execution, as one
 // goroutine applies it to the candidates of one NeighborsBatch at a time.

@@ -21,10 +21,8 @@ type ProjSpec struct {
 // (§4.3, Projection) — and lazy neighbor columns are read through their
 // segment views without being materialized.
 //
-// The flat path extends materialized rows in place, one View.ExtID /
-// propGetter.get call per row — there is no VID column to batch over.
-//
-//geslint:scalar-ok
+// The flat path extends materialized rows in place: each morsel collects its
+// rows' VIDs and gathers them in one batch per spec.
 type ProjectProps struct {
 	Specs []ProjSpec
 }
@@ -66,8 +64,8 @@ func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, e
 	kinds := append([]vector.Kind(nil), in.Kinds...)
 	type colPlan struct {
 		varIdx int
-		extID  bool
-		g      *propGetter
+		spec   ProjSpec
+		g      *propGetter // nil for an external id
 	}
 	plans := make([]colPlan, len(o.Specs))
 	for i, spec := range o.Specs {
@@ -75,7 +73,7 @@ func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, e
 		if vi < 0 {
 			return nil, errNoColumn("project", spec.Var)
 		}
-		p := colPlan{varIdx: vi, extID: spec.ExtID}
+		p := colPlan{varIdx: vi, spec: spec}
 		if spec.ExtID {
 			kinds = append(kinds, vector.KindInt64)
 		} else {
@@ -96,17 +94,24 @@ func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, e
 	// Each row is a distinct slice, so morsels over disjoint row ranges
 	// never share state.
 	forRanges(ctx, len(out.Rows), filterMorselSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := out.Rows[i]
-			for _, p := range plans {
-				v := row[p.varIdx].AsVID()
-				if p.extID {
-					row = append(row, vector.Int64(ctx.View.ExtID(v)))
-				} else {
-					row = append(row, p.g.get(v))
-				}
+		rows := out.Rows[lo:hi]
+		vids := ctx.Arena.GetVIDs(len(rows))
+		defer ctx.Arena.PutVIDs(vids)
+		for _, p := range plans {
+			vids = vids[:0]
+			for _, row := range rows {
+				vids = append(vids, row[p.varIdx].AsVID())
 			}
-			out.Rows[i] = row
+			vidCol := vector.ShareVIDs(p.spec.Var, vids)
+			var col *vector.Column
+			if p.g == nil {
+				col = gatherExtIDColumn(ctx, vidCol, p.spec.As)
+			} else {
+				col = p.g.gatherColumn(ctx, vidCol, p.spec.As)
+			}
+			for i := range rows {
+				rows[i] = append(rows[i], col.Get(i))
+			}
 		}
 	})
 	return ctx.FlatChunk(out), nil

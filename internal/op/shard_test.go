@@ -110,12 +110,12 @@ func TestShardBoundaries(t *testing.T) {
 				&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
 					MinHops: 1, MaxHops: 2},
 				fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})},
-			{"varexpand/bfs-pred", func() plan.Plan {
-				return shape(
-					&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
-						MinHops: 1, MaxHops: 2, VertexPred: early()},
-					fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})()
-			}},
+			{"varexpand/bfs-pred", shape(
+				&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
+					MinHops: 1, MaxHops: 2},
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "creationDate", As: "f.creationDate"}}},
+				&op.Filter{Pred: expr.Lt(expr.C("f.creationDate"), expr.LDate(int64(19000+n/2)))},
+				fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})},
 			{"intersect/mutual", shape(
 				&op.ExpandIntersect{To: "f", Sides: []op.IntersectSide{
 					{Var: "p", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},

@@ -5,7 +5,6 @@ import (
 
 	"ges/internal/catalog"
 	"ges/internal/core"
-	"ges/internal/expr"
 	"ges/internal/vector"
 )
 
@@ -23,10 +22,6 @@ type VarLengthExpand struct {
 	DstLabel catalog.LabelID
 	MinHops  int
 	MaxHops  int
-
-	// VertexPred, when set, filters emitted vertices (fused filter); the
-	// traversal itself still passes through unfiltered vertices.
-	VertexPred *VertexPred
 }
 
 // Name implements Operator.
@@ -34,21 +29,15 @@ func (o *VarLengthExpand) Name() string { return "VarLengthExpand" }
 
 // Execute implements Operator.
 func (o *VarLengthExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	// The emission test reads one vertex at a time and holds no state, so
-	// every morsel shares it.
-	pred, err := o.VertexPred.Bind(ctx.View)
-	if err != nil {
-		return nil, err
-	}
 	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat, pred)
+		return o.executeFlat(ctx, in.Flat)
 	}
 	ft := in.FT
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
 	}
-	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol, pred}), nil
+	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol}), nil
 }
 
 // traverseBody is the var-length range body: one bounded traversal per valid
@@ -58,7 +47,6 @@ type traverseBody struct {
 	ctx     *Ctx
 	parent  *core.Node
 	fromCol *vector.Column
-	pred    expr.Getter
 }
 
 func (b traverseBody) rows(lo, hi int, s childSink) {
@@ -68,7 +56,7 @@ func (b traverseBody) rows(lo, hi int, s childSink) {
 		if b.parent.Valid(i) {
 			// The view is safe for concurrent reads; traversal scratch state
 			// is local to each call.
-			b.o.Traverse(b.ctx, b.pred, b.fromCol.VIDAt(i), func(v vector.VID) {
+			b.o.Traverse(b.ctx, b.fromCol.VIDAt(i), func(v vector.VID) {
 				s.toCol.AppendVID(v)
 				total++
 			})
@@ -77,7 +65,7 @@ func (b traverseBody) rows(lo, hi int, s childSink) {
 	}
 }
 
-func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Getter) (*core.Chunk, error) {
+func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
 	fromIdx := in.ColIndex(o.From)
 	if fromIdx < 0 {
 		return nil, errNoColumn("var-expand", o.From)
@@ -86,7 +74,7 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Ge
 	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
 	out := core.NewFlatBlock(names, kinds)
 	for _, row := range in.Rows {
-		o.Traverse(ctx, pred, row[fromIdx].AsVID(), func(v vector.VID) {
+		o.Traverse(ctx, row[fromIdx].AsVID(), func(v vector.VID) {
 			nr := make([]vector.Value, 0, len(names))
 			nr = append(nr, row...)
 			nr = append(nr, vector.VIDValue(v))
@@ -96,9 +84,9 @@ func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock, pred expr.Ge
 	return ctx.FlatChunk(out), nil
 }
 
-// Traverse runs the bounded BFS from src, emitting the vertices that pass
-// pred (VertexPred.Bind; nil passes every vertex).
-func (o *VarLengthExpand) Traverse(ctx *Ctx, pred expr.Getter, src vector.VID, emit func(vector.VID)) {
+// Traverse runs the bounded BFS from src, emitting every vertex it reaches
+// within the hop bounds.
+func (o *VarLengthExpand) Traverse(ctx *Ctx, src vector.VID, emit func(vector.VID)) {
 	// The frontier buffers and the batch are transient scratch: emitted
 	// values are copied into the sink, never retained.
 	s := bfs{view: ctx.View, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, b: ctx.Arena.GetBatch(),
@@ -107,9 +95,7 @@ func (o *VarLengthExpand) Traverse(ctx *Ctx, pred expr.Getter, src vector.VID, e
 	for int(s.level) < o.MaxHops && len(s.front) > 0 {
 		if s.step(); int(s.level) >= o.MinHops {
 			for _, v := range s.front {
-				if pred == nil || pred(int(v)).AsBool() {
-					emit(v)
-				}
+				emit(v)
 			}
 		}
 	}

@@ -2,9 +2,9 @@
 // (§2.1, Runtime). One bounded pool of workers serves every source of
 // parallelism in the process: intra-query operators shard their parent
 // f-Block rows into fixed-size morsels claimed off a shared counter, and
-// inter-query drivers (the service layer, the benchmark driver) submit whole
-// queries through bounded Groups. Both draw from the same worker budget, so
-// a saturated service degrades intra-query fan-out gracefully instead of
+// concurrent queries — each on its caller's goroutine (an HTTP handler, a
+// benchmark client) — draw their helpers from the same worker budget, so a
+// saturated service degrades intra-query fan-out gracefully instead of
 // over-subscribing the machine with uncoordinated per-operator goroutines.
 //
 // Determinism contract: RunMorsels invokes fn once per morsel with a stable
@@ -272,40 +272,3 @@ func morselAt(i, size, n int) Morsel {
 	}
 	return Morsel{Index: i, Start: lo, End: hi}
 }
-
-// Group schedules whole-task units (typically one query each) on the shared
-// pool with a bounded in-flight limit — the inter-query half of the worker
-// budget. The service layer and benchmark driver use it for closed-loop
-// admission control.
-type Group struct {
-	s   *Scheduler
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-// NewGroup returns a group bounded to limit in-flight tasks (minimum 1).
-func (s *Scheduler) NewGroup(limit int) *Group {
-	if limit < 1 {
-		limit = 1
-	}
-	return &Group{s: s, sem: make(chan struct{}, limit)}
-}
-
-// Go submits one task, blocking while the group is at its in-flight limit
-// (closed-loop admission). If the pool queue is saturated the task runs on
-// the calling goroutine instead — backpressure surfaces as caller latency,
-// never as deadlock. Do not call Go from inside a pool task.
-func (g *Group) Go(task func()) {
-	g.sem <- struct{}{}
-	g.wg.Add(1)
-	run := func() {
-		defer func() { g.wg.Done(); <-g.sem }()
-		task()
-	}
-	if !g.s.trySubmit(run) {
-		run()
-	}
-}
-
-// Wait blocks until every task submitted so far has finished.
-func (g *Group) Wait() { g.wg.Wait() }

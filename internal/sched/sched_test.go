@@ -111,50 +111,34 @@ func TestRunMorselsPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestGroupBoundsInFlight(t *testing.T) {
-	s := sched.New(8)
-	defer s.Close()
-	g := s.NewGroup(3)
-	var inFlight, peak, total atomic.Int64
-	for i := 0; i < 200; i++ {
-		g.Go(func() {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			total.Add(1)
-			inFlight.Add(-1)
-		})
+// occupy submits n tasks that each hold a pool worker until release is
+// closed, and returns the group that waits for them.
+func occupy(t *testing.T, s *sched.Scheduler, n int, release chan struct{}) *sync.WaitGroup {
+	t.Helper()
+	var busy sync.WaitGroup
+	busy.Add(n)
+	for i := 0; i < n; i++ {
+		if !s.Submit(func() { defer busy.Done(); <-release }) {
+			t.Fatal("pool queue full")
+		}
 	}
-	g.Wait()
-	if total.Load() != 200 {
-		t.Fatalf("ran %d tasks, want 200", total.Load())
-	}
-	if peak.Load() > 3 {
-		t.Fatalf("in-flight peak %d exceeds group limit 3", peak.Load())
-	}
+	return &busy
 }
 
 func TestIntraQueryParallelismUnderInterQueryLoad(t *testing.T) {
 	// Morsel loops must finish even when every pool worker is occupied by
-	// long-running group tasks: the caller participates, so saturation
-	// degrades parallelism rather than deadlocking.
+	// long-running tasks: the caller participates, so saturation degrades
+	// parallelism rather than deadlocking.
 	s := sched.New(2)
 	defer s.Close()
-	g := s.NewGroup(2)
 	release := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		g.Go(func() { <-release })
-	}
+	busy := occupy(t, s, 2, release)
 	var rows atomic.Int64
 	s.RunMorsels(4, 5000, 64, func(m sched.Morsel) {
 		rows.Add(int64(m.End - m.Start))
 	})
 	close(release)
-	g.Wait()
+	busy.Wait()
 	if rows.Load() != 5000 {
 		t.Fatalf("covered %d rows, want 5000", rows.Load())
 	}
@@ -274,11 +258,8 @@ func TestClaimantGateTurnsAwayLateHelpers(t *testing.T) {
 	defer s.Close()
 	// Occupy every pool worker, so the helpers RunMorselsScratch submits sit
 	// in the queue until after it has returned.
-	g := s.NewGroup(workers)
 	release := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		g.Go(func() { <-release })
-	}
+	busy := occupy(t, s, workers, release)
 	var p gateProbe
 	s.RunMorselsScratch(4, 5000, 64, p.mk, p.done, func(sched.Morsel, any) {
 		p.enter()
@@ -292,7 +273,7 @@ func TestClaimantGateTurnsAwayLateHelpers(t *testing.T) {
 	}
 
 	close(release)
-	g.Wait()
+	busy.Wait()
 	// The queue is FIFO and each worker runs one task at a time, so once
 	// every worker is inside one of these sentinels at the same moment the
 	// queued helpers have all run to completion.

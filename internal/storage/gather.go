@@ -5,17 +5,19 @@ import (
 	"ges/internal/vector"
 )
 
-// This file is the batch side of the read path: instead of one
-// View.Prop(v,p) interface call per row (one boxed Value each), operators
-// hand the storage layer a whole VID column and receive a whole property
-// column back. Three tiers, fastest first:
+// This file is View's property read path, and its only one: operators hand
+// the storage layer a whole VID column and receive a whole property column
+// back. (Graph.Prop and Graph.ExtID read one vertex; they are the scalar
+// reference Save writes through and the gather contract test checks these
+// against, not part of View.) Two tiers, fastest first:
 //
 //  1. aligned share (ShareScanColumn) — the VID column is exactly the
 //     label's scan order, so the gathered column IS the storage column: zero
 //     copies;
-//  2. bulk gather (GatherProps) — one tight loop over the raw backing
-//     slices, moving 8-byte scalars or 4-byte dictionary codes (PropDict);
-//  3. boxed fallback — per-row Get/Set for exotic kinds.
+//  2. bulk gather (GatherProps, GatherExtIDs) — one tight loop over the raw
+//     backing slices, moving 8-byte scalars or 4-byte dictionary codes
+//     (PropDict); a kind with no typed loop is copied row by row through
+//     Get/Set inside the same pass.
 
 // propColumn resolves the storage column for (label, pid), nil when absent.
 func (g *Graph) propColumn(label catalog.LabelID, pid catalog.PropID) *vector.Column {

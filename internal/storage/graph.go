@@ -24,13 +24,8 @@ type View interface {
 	Catalog() *catalog.Catalog
 	// LabelOf returns the label of vertex v.
 	LabelOf(v vector.VID) catalog.LabelID
-	// ExtID returns the external 64-bit identifier of vertex v.
-	ExtID(v vector.VID) int64
 	// VertexByExt resolves an external identifier within a label.
 	VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool)
-	// Prop returns property p of vertex v, where p indexes the schema of
-	// v's label.
-	Prop(v vector.VID, p catalog.PropID) vector.Value
 	// GatherProps bulk-fetches property pid for every selected row whose
 	// vertex carries the given label, writing values into the matching rows
 	// of out (pre-sized to len(vids)); other rows are left untouched.
@@ -443,7 +438,10 @@ func (g *Graph) LabelOf(v vector.VID) catalog.LabelID {
 // HasVertex reports whether the graph holds a vertex at v.
 func (g *Graph) HasVertex(v vector.VID) bool { return g.labelAt(v) != noLabel }
 
-// ExtID implements View: 0 for a VID the graph holds no vertex for.
+// ExtID returns the external identifier of vertex v, 0 for a VID the graph
+// holds no vertex for. It is not part of View, whose one read of external
+// ids is GatherExtIDs: Save writes through it, and the gather contract test
+// holds GatherExtIDs to it.
 func (g *Graph) ExtID(v vector.VID) int64 {
 	if int(v) < len(g.extOf) {
 		return g.extOf[v]
@@ -459,8 +457,10 @@ func (g *Graph) VertexByExt(label catalog.LabelID, ext int64) (vector.VID, bool)
 	return g.At(g.readVersion()).VertexByExt(label, ext)
 }
 
-// Prop implements View: the zero Value for a VID the graph holds no vertex
-// for.
+// Prop returns property p of vertex v, where p indexes the schema of v's
+// label: the zero Value for a VID the graph holds no vertex for. It is not
+// part of View, whose one property read is GatherProps: Save writes through
+// it, and the gather contract test holds GatherProps to it.
 func (g *Graph) Prop(v vector.VID, p catalog.PropID) vector.Value {
 	if int(v) < len(g.labelOf) {
 		return g.table(g.labelOf[v]).get(g.rowOf[v], p)

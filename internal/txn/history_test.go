@@ -153,8 +153,13 @@ func captureHistory(v storage.View, s *testgraph.Schema, exts []int64) historyIm
 	dates.Grow(len(posts))
 	v.GatherProps(posts, s.Post, s.MCreation, nil, dates)
 	img.PostDates = dates.Int64s()
+	// Every view here is a *Graph or a VersionView, whose scalar Prop is the
+	// reference the gather is held to.
+	scalar := v.(interface {
+		Prop(vector.VID, catalog.PropID) vector.Value
+	})
 	for _, p := range posts {
-		img.ScalarDates = append(img.ScalarDates, v.Prop(p, s.MCreation).I)
+		img.ScalarDates = append(img.ScalarDates, scalar.Prop(p, s.MCreation).I)
 	}
 	for _, ext := range exts {
 		vid, ok := v.VertexByExt(s.Post, ext)

@@ -86,57 +86,10 @@ func (b *Bitset) Any() bool {
 	return false
 }
 
-// AnyInRange reports whether any bit in [lo, hi) is set.
-func (b *Bitset) AnyInRange(lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	wLo, wHi := lo>>6, (hi-1)>>6
-	if wLo == wHi {
-		mask := rangeMask(uint(lo)&63, uint(hi-1)&63+1)
-		return b.words[wLo]&mask != 0
-	}
-	if b.words[wLo]&^((1<<(uint(lo)&63))-1) != 0 {
-		return true
-	}
-	for w := wLo + 1; w < wHi; w++ {
-		if b.words[w] != 0 {
-			return true
-		}
-	}
-	return b.words[wHi]&rangeMask(0, uint(hi-1)&63+1) != 0
-}
-
-// CountInRange returns the number of set bits in [lo, hi).
-func (b *Bitset) CountInRange(lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ { // ranges are short (per-parent fan-out)
-		if b.Get(i) {
-			c++
-		}
-	}
-	return c
-}
-
-func rangeMask(lo, hi uint) uint64 {
-	// bits [lo, hi) set, hi <= 64, hi > lo.
-	if hi >= 64 {
-		return ^uint64(0) &^ ((1 << lo) - 1)
-	}
-	return ((1 << hi) - 1) &^ ((1 << lo) - 1)
-}
-
 // ClearWord clears bit i+k for every set bit k of mask; i is a multiple of
 // 64. A vectorized kernel decides 64 rows into a mask and drops the
 // rejected ones with one store.
 func (b *Bitset) ClearWord(i int, mask uint64) { b.words[i>>6] &^= mask }
-
-// And intersects b with other in place. Both must have the same length.
-func (b *Bitset) And(other *Bitset) {
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
-}
 
 // NextSet returns the index of the first set bit at or after i, or -1.
 func (b *Bitset) NextSet(i int) int {

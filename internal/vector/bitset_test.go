@@ -67,28 +67,6 @@ func TestBitsetNextSet(t *testing.T) {
 	}
 }
 
-func TestBitsetAnyInRange(t *testing.T) {
-	b := NewBitsetEmpty(256)
-	b.Set(100)
-	cases := []struct {
-		lo, hi int
-		want   bool
-	}{
-		{0, 100, false},
-		{0, 101, true},
-		{100, 101, true},
-		{101, 256, false},
-		{64, 128, true},
-		{0, 0, false},
-		{100, 100, false},
-	}
-	for _, c := range cases {
-		if got := b.AnyInRange(c.lo, c.hi); got != c.want {
-			t.Errorf("AnyInRange(%d,%d) = %v, want %v", c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
 func TestBitsetAppendResize(t *testing.T) {
 	b := NewBitsetEmpty(0)
 	for i := 0; i < 100; i++ {
@@ -180,39 +158,5 @@ func TestBitsetNextSetProperty(t *testing.T) {
 				t.Fatalf("trial %d: walk mismatch at %d", trial, i)
 			}
 		}
-	}
-}
-
-func TestBitsetAnd(t *testing.T) {
-	a := NewBitsetEmpty(128)
-	b := NewBitsetEmpty(128)
-	for i := 0; i < 128; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 128; i += 3 {
-		b.Set(i)
-	}
-	a.And(b)
-	for i := 0; i < 128; i++ {
-		want := i%2 == 0 && i%3 == 0
-		if a.Get(i) != want {
-			t.Fatalf("And: bit %d = %v, want %v", i, a.Get(i), want)
-		}
-	}
-}
-
-func TestBitsetCountInRange(t *testing.T) {
-	b := NewBitsetEmpty(100)
-	for i := 10; i < 20; i++ {
-		b.Set(i)
-	}
-	if got := b.CountInRange(0, 100); got != 10 {
-		t.Fatalf("CountInRange full = %d", got)
-	}
-	if got := b.CountInRange(15, 18); got != 3 {
-		t.Fatalf("CountInRange(15,18) = %d", got)
-	}
-	if got := b.CountInRange(20, 30); got != 0 {
-		t.Fatalf("CountInRange(20,30) = %d", got)
 	}
 }

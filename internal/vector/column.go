@@ -145,21 +145,6 @@ func (c *Column) AppendSegment(seg []VID) (start, end int) {
 	return start, c.segLen
 }
 
-// Materialize converts a lazy column into a materialized VID column by
-// copying every segment. It is a no-op on already-materialized columns.
-func (c *Column) Materialize() {
-	if !c.lazy {
-		return
-	}
-	out := make([]VID, 0, c.segLen)
-	for _, s := range c.segs {
-		out = append(out, s...)
-	}
-	c.vid = out
-	c.lazy = false
-	c.segs, c.segOff, c.segLen = nil, nil, 0
-}
-
 // segIndex locates the segment containing logical row i via binary search.
 func (c *Column) segIndex(i int) int {
 	lo, hi := 0, len(c.segOff)-1
@@ -204,9 +189,6 @@ func (c *Column) AppendVIDRange(dst []VID, lo, hi int) []VID {
 	}
 	return append(dst, seg[:n]...)
 }
-
-// Int64At returns the int64 at row i for KindInt64/KindDate columns.
-func (c *Column) Int64At(i int) int64 { return c.i64[i] }
 
 // StringAt returns the string at row i, resolving dictionary codes.
 func (c *Column) StringAt(i int) string {
@@ -294,16 +276,6 @@ func (c *Column) Set(i int, v Value) {
 	}
 }
 
-// SetString overwrites row i of a string column, interning dict codes.
-func (c *Column) SetString(i int, s string) {
-	c.mutCheck()
-	if c.dict != nil {
-		c.codes[i] = c.dict.Intern(s)
-		return
-	}
-	c.str[i] = s
-}
-
 // AppendInt64 appends a raw int64 (KindInt64/KindDate).
 func (c *Column) AppendInt64(v int64) {
 	c.mutCheck()
@@ -385,15 +357,6 @@ func (c *Column) Int64s() []int64 { return c.i64 }
 
 // Float64s exposes the raw float64 backing slice.
 func (c *Column) Float64s() []float64 { return c.f64 }
-
-// Strings exposes the raw string backing slice; it panics for dict-encoded
-// columns (use Codes/StringAt, or decode explicitly).
-func (c *Column) Strings() []string {
-	if c.dict != nil {
-		panic(fmt.Sprintf("vector: Strings on dict-encoded column %q", c.Name))
-	}
-	return c.str
-}
 
 // Bools exposes the raw bool backing slice.
 func (c *Column) Bools() []bool { return c.bl }

@@ -31,9 +31,9 @@ func TestDictEmptyStringIsCodeZero(t *testing.T) {
 			t.Fatalf(`zero-filled row %d = %q, want ""`, i, col.StringAt(i))
 		}
 	}
-	col.SetString(1, "b")
+	col.Set(1, String_("b"))
 	if col.StringAt(1) != "b" || col.StringAt(0) != "" {
-		t.Fatal("SetString broke neighbors")
+		t.Fatal("Set broke neighbors")
 	}
 }
 

@@ -41,7 +41,7 @@ func newExpandIter(view storage.View, in iter, spec *op.Expand) (iter, error) {
 		return nil, err
 	}
 	it := &expandIter{view: view, in: in, spec: spec, fromIdx: fromIdx}
-	if it.pred, err = spec.VertexPred.Bind(view); err != nil {
+	if it.pred, err = bindVertexPred(view, spec.VertexPred); err != nil {
 		return nil, err
 	}
 	it.names = append(append([]string(nil), in.schema()...), spec.To)
@@ -101,7 +101,6 @@ func (it *expandIter) next() ([]vector.Value, bool, error) {
 // varExpandIter runs the bounded traversal per input row, buffering that
 // row's frontier (tuple-at-a-time across rows).
 type varExpandIter struct {
-	view storage.View
 	in   iter
 	spec *op.VarLengthExpand
 
@@ -109,7 +108,6 @@ type varExpandIter struct {
 	ks      []vector.Kind
 	fromIdx int
 	ctx     *op.Ctx
-	pred    expr.Getter // the bound VertexPred; nil without one
 
 	curRow []vector.Value
 	queue  []vector.VID
@@ -121,12 +119,8 @@ func newVarExpandIter(view storage.View, in iter, spec *op.VarLengthExpand) (ite
 	if err != nil {
 		return nil, err
 	}
-	pred, err := spec.VertexPred.Bind(view)
-	if err != nil {
-		return nil, err
-	}
 	return &varExpandIter{
-		view: view, in: in, spec: spec, fromIdx: fromIdx, pred: pred,
+		in: in, spec: spec, fromIdx: fromIdx,
 		ctx:   &op.Ctx{View: view},
 		names: append(append([]string(nil), in.schema()...), spec.To),
 		ks:    append(append([]vector.Kind(nil), in.kinds()...), vector.KindVID),
@@ -176,10 +170,91 @@ func (it *varExpandIter) next() ([]vector.Value, bool, error) {
 		it.curRow = row
 		it.queue = it.queue[:0]
 		it.pos = 0
-		it.spec.Traverse(it.ctx, it.pred, row[it.fromIdx].AsVID(), func(v vector.VID) {
+		it.spec.Traverse(it.ctx, row[it.fromIdx].AsVID(), func(v vector.VID) {
 			it.queue = append(it.queue, v)
 		})
 	}
+}
+
+// vertexReader reads one property of one vertex at a time, or its external
+// id under op.ExtIDProp, through a one-row GatherProps / GatherExtIDs call —
+// as the oracle reads adjacency through one-source NeighborsBatch calls. It
+// resolves each vertex's label itself (Catalog().PropLabels plus LabelOf),
+// so it shares no property resolution with the engine it checks; the
+// gathers it calls are held to Graph.Prop / ExtID by storage's gather
+// contract test.
+type vertexReader struct {
+	view storage.View
+	kind vector.Kind
+	pids []int32 // per label; -1 where the label lacks the property; nil for the external id
+	vid  [1]vector.VID
+	ext  [1]int64
+	out  *vector.Column
+}
+
+func newVertexReader(view storage.View, name string) (*vertexReader, error) {
+	if name == op.ExtIDProp {
+		return &vertexReader{view: view, kind: vector.KindInt64}, nil
+	}
+	labels, numLabels := view.Catalog().PropLabels(name)
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("volcano: property %q not defined by any label", name)
+	}
+	r := &vertexReader{view: view, kind: labels[0].Kind, pids: make([]int32, numLabels)}
+	for i := range r.pids {
+		r.pids[i] = -1
+	}
+	for _, lp := range labels {
+		if lp.Kind != r.kind {
+			return nil, fmt.Errorf("volcano: property %q has conflicting kinds across labels", name)
+		}
+		r.pids[lp.Label] = int32(lp.Prop)
+	}
+	r.out = vector.NewColumn(name, r.kind)
+	r.out.Grow(1)
+	return r, nil
+}
+
+// read returns the value of vertex v: the typed zero when v's label lacks
+// the property, and 0 as the external id of a VID the view holds no vertex
+// for.
+func (r *vertexReader) read(v vector.VID) vector.Value {
+	r.vid[0] = v
+	if r.pids == nil {
+		r.ext[0] = 0
+		r.view.GatherExtIDs(r.vid[:], nil, r.ext[:])
+		return vector.Int64(r.ext[0])
+	}
+	zero := vector.Value{Kind: r.kind}
+	l := r.view.LabelOf(v)
+	if int(l) >= len(r.pids) || r.pids[l] < 0 {
+		return zero
+	}
+	r.out.Set(0, zero)
+	r.view.GatherProps(r.vid[:], l, catalog.PropID(r.pids[l]), nil, r.out)
+	return r.out.Get(0)
+}
+
+// predBinding binds a fused predicate's names to reads of the vertex whose
+// VID is the row index.
+type predBinding struct{ view storage.View }
+
+// Bind implements expr.Binding.
+func (b predBinding) Bind(name string) (expr.Getter, error) {
+	r, err := newVertexReader(b.view, name)
+	if err != nil {
+		return nil, err
+	}
+	return func(v int) vector.Value { return r.read(vector.VID(v)) }, nil
+}
+
+// bindVertexPred compiles an Expand's fused predicate for one vertex at a
+// time; nil without one.
+func bindVertexPred(view storage.View, p *op.VertexPred) (expr.Getter, error) {
+	if p == nil {
+		return nil, nil
+	}
+	return expr.Bind(p.Expr(), predBinding{view})
 }
 
 // projectIter appends fetched vertex properties per row.
@@ -192,8 +267,7 @@ type projectIter struct {
 
 type projPlan struct {
 	varIdx int
-	extID  bool
-	get    func(vector.VID) vector.Value
+	r      *vertexReader
 }
 
 func newProjectIter(view storage.View, in iter, spec *op.ProjectProps) (iter, error) {
@@ -206,20 +280,17 @@ func newProjectIter(view storage.View, in iter, spec *op.ProjectProps) (iter, er
 		if err != nil {
 			return nil, err
 		}
-		p := projPlan{varIdx: vi, extID: s.ExtID}
+		name := s.Prop
 		if s.ExtID {
-			p.get = func(v vector.VID) vector.Value { return vector.Int64(view.ExtID(v)) }
-			it.ks = append(it.ks, vector.KindInt64)
-		} else {
-			g, kind, err := op.NewPropReader(view, s.Prop)
-			if err != nil {
-				return nil, err
-			}
-			p.get = g
-			it.ks = append(it.ks, kind)
+			name = op.ExtIDProp
 		}
+		r, err := newVertexReader(view, name)
+		if err != nil {
+			return nil, err
+		}
+		it.ks = append(it.ks, r.kind)
 		it.names = append(it.names, s.As)
-		it.plans = append(it.plans, p)
+		it.plans = append(it.plans, projPlan{varIdx: vi, r: r})
 	}
 	return it, nil
 }
@@ -235,7 +306,7 @@ func (it *projectIter) next() ([]vector.Value, bool, error) {
 	out := make([]vector.Value, 0, len(it.names))
 	out = append(out, row...)
 	for _, p := range it.plans {
-		out = append(out, p.get(row[p.varIdx].AsVID()))
+		out = append(out, p.r.read(row[p.varIdx].AsVID()))
 	}
 	return out, true, nil
 }
