@@ -128,6 +128,8 @@ func BenchmarkIC6_Fused(b *testing.B)         { benchQuery(b, "IC6", exec.ModeFu
 func BenchmarkIC9_Flat(b *testing.B)          { benchQuery(b, "IC9", exec.ModeFlat) }
 func BenchmarkIC9_Factorized(b *testing.B)    { benchQuery(b, "IC9", exec.ModeFactorized) }
 func BenchmarkIC9_Fused(b *testing.B)         { benchQuery(b, "IC9", exec.ModeFused) }
+func BenchmarkIC11_Factorized(b *testing.B)   { benchQuery(b, "IC11", exec.ModeFactorized) }
+func BenchmarkIC11_Fused(b *testing.B)        { benchQuery(b, "IC11", exec.ModeFused) }
 func BenchmarkIC14(b *testing.B)              { benchQuery(b, "IC14", exec.ModeFused) }
 func BenchmarkIS2_Fused(b *testing.B)         { benchQuery(b, "IS2", exec.ModeFused) }
 func BenchmarkIC13_ShortestPath(b *testing.B) { benchQuery(b, "IC13", exec.ModeFused) }

@@ -78,11 +78,11 @@ func FuzzEnumerate(f *testing.F) {
 	// Seeds mirroring the shapes of the existing ftree tests: the figure-7
 	// two-child tree, a chain, a zero-extension tree, wide fan-out, and a
 	// few byte strings exercising selection-clearing paths.
-	f.Add([]byte{2, 1, 0, 2, 2, 3, 1, 0, 0, 0})          // root + two children (figure-7 shape)
-	f.Add([]byte{3, 1, 0, 1, 1, 1, 2, 1, 1, 1, 1, 0})    // three-node chain
-	f.Add([]byte{1, 5, 9, 9})                            // root only
-	f.Add([]byte{2, 3, 0, 0, 0, 0})                      // child with all-empty ranges
-	f.Add([]byte{3, 5, 0, 3, 3, 3, 3, 3, 0, 1, 1, 1, 1}) // wide fan-out
+	f.Add([]byte{2, 1, 0, 2, 2, 3, 1, 0, 0, 0})                               // root + two children (figure-7 shape)
+	f.Add([]byte{3, 1, 0, 1, 1, 1, 2, 1, 1, 1, 1, 0})                         // three-node chain
+	f.Add([]byte{1, 5, 9, 9})                                                 // root only
+	f.Add([]byte{2, 3, 0, 0, 0, 0})                                           // child with all-empty ranges
+	f.Add([]byte{3, 5, 0, 3, 3, 3, 3, 3, 0, 1, 1, 1, 1})                      // wide fan-out
 	f.Add([]byte{2, 4, 0, 2, 0, 2, 0, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0, 0, 4}) // heavy selection clearing
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft := fuzzTree(data)

@@ -167,17 +167,15 @@ func (b *binder) bindMatchSyntactic(m *MatchClause, first bool) error {
 		if b.bound[to.Var] {
 			// Cyclic pattern edge: both endpoints are bound, so close the
 			// cycle with an intersection-based semi-join instead of a
-			// re-expand + hash join.
-			if rel.MinHops != 1 || rel.MaxHops != 1 {
-				return fmt.Errorf("cypher: cyclic var-length patterns (%q already bound) are not supported; rewrite with separate MATCH clauses and joins", to.Var)
-			}
+			// re-expand + hash join; a var-length edge closes with the
+			// hop-bounded form, one BFS per source.
 			fromLabel, err := b.labelOf(from)
 			if err != nil {
 				return err
 			}
 			b.plan = append(b.plan, &op.ExpandInto{
 				From: from.Var, To: to.Var, Et: et, Dir: rel.Dir,
-				DstLabel: toLabel, SrcLabel: fromLabel,
+				DstLabel: toLabel, SrcLabel: fromLabel, MinHops: rel.MinHops, MaxHops: rel.MaxHops,
 			})
 			continue
 		}

@@ -223,12 +223,9 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 		varLen := rel.MinHops != 1 || rel.MaxHops != 1
 		switch {
 		case b.bound[lv] && b.bound[rv]:
-			if varLen {
-				return fmt.Errorf("cypher: cyclic var-length patterns (%q already bound) are not supported; rewrite with separate MATCH clauses and joins", rv)
-			}
 			b.plan = append(b.plan, &op.ExpandInto{
 				From: lv, To: rv, Et: ets[bestJ], Dir: rel.Dir,
-				DstLabel: labels[bestJ+1], SrcLabel: labels[bestJ],
+				DstLabel: labels[bestJ+1], SrcLabel: labels[bestJ], MinHops: rel.MinHops, MaxHops: rel.MaxHops,
 			})
 			b.rows = bestRows
 		case bestRight:

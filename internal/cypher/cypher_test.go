@@ -166,7 +166,6 @@ func TestParseErrors(t *testing.T) {
 		{"RETURN 1", "MATCH"},
 		{"MATCH (p:Nope) RETURN id(p)", "unknown label"},
 		{"MATCH (p:Person)-[:NOPE]->(q) RETURN id(p)", "unknown relationship"},
-		{"MATCH (p:Person)-[:KNOWS*1..2]->(p) RETURN id(p)", "cyclic"},
 		{"MATCH (p) RETURN id(p)", "needs a label"},
 		{"MATCH (p:Person RETURN id(p)", "expected"},
 		{"MATCH (p:Person) WHERE p.firstName = RETURN 1", "literal"},
@@ -314,26 +313,58 @@ func TestDiamondLowersToExpandIntersect(t *testing.T) {
 	}
 }
 
-// TestCyclicVarLengthRejected pins the binder's error for var-length
-// relationships that close a cycle (bind.go): those cannot lower to the
-// intersection operator and must be rejected with a rewrite hint.
-func TestCyclicVarLengthRejected(t *testing.T) {
-	f := testgraph.New()
-	src := `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS*1..2]->(a)
-	        RETURN count(*) AS n`
-	_, err := cypher.Compile(src, f.Cat)
-	if err == nil {
-		t.Fatal("cyclic var-length pattern compiled; want error")
+// TestCyclicVarLengthCloses checks that a var-length relationship between
+// two bound variables compiles to the hop-bounded ExpandInto under both
+// binders and returns, in every mode and at every worker count against the
+// volcano oracle, the rows of the rewrite TestCyclicVarLengthRewriteWorkaround
+// spells out: the closing endpoint under a fresh variable, equated by id.
+func TestCyclicVarLengthCloses(t *testing.T) {
+	f := triangleFixture(t)
+	cm := plan.NewCostModel(f.Graph.Stats())
+	if cm == nil {
+		t.Fatal("sealed fixture published no statistics")
 	}
-	const want = `cypher: cyclic var-length patterns ("a" already bound) are not supported; rewrite with separate MATCH clauses and joins`
-	if err.Error() != want {
-		t.Fatalf("error = %q, want %q", err.Error(), want)
+	for _, c := range []struct{ closed, rewritten string }{
+		{`MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS*1..2]->(a) RETURN count(*) AS n`,
+			`MATCH (a:Person)-[:KNOWS]->(b:Person) MATCH (b)-[:KNOWS*1..2]->(c:Person) WHERE id(c) = id(a) RETURN count(*) AS n`},
+		{`MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) MATCH (a)-[:KNOWS*2..2]->(c) RETURN count(*) AS n`,
+			`MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) MATCH (a)-[:KNOWS*2..2]->(d:Person) WHERE id(d) = id(c) RETURN count(*) AS n`},
+		{`MATCH (a:Person)-[:KNOWS*1..2]-(b:Person) MATCH (b)<-[:KNOWS*1..3]-(a) RETURN id(a) AS a, id(b) AS b ORDER BY a, b`,
+			`MATCH (a:Person)-[:KNOWS*1..2]-(b:Person) MATCH (a)-[:KNOWS*1..3]->(c:Person) WHERE id(c) = id(b) RETURN id(a) AS a, id(b) AS b ORDER BY a, b`},
+	} {
+		for _, cost := range []*plan.CostModel{nil, cm} {
+			closed, err := cypher.CompileWith(c.closed, f.Cat, cypher.Options{Cost: cost})
+			if err != nil {
+				t.Fatalf("compile %q (cost %v): %v", c.closed, cost != nil, err)
+			}
+			if !strings.Contains(closed.Plan.String(), "ExpandInto") {
+				t.Fatalf("%q did not close with ExpandInto: %s", c.closed, closed.Plan)
+			}
+			rewritten, err := cypher.CompileWith(c.rewritten, f.Cat, cypher.Options{Cost: cost})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := paritytest.Check(t, f.Graph, func() plan.Plan { return closed.Plan }, true)
+			want := paritytest.Check(t, f.Graph, func() plan.Plan { return rewritten.Plan }, true)
+			if !reflect.DeepEqual(got, want) || len(got) < 2 || got[1] == "0|" {
+				t.Fatalf("%q (cost %v) = %v, rewrite = %v", c.closed, cost != nil, got, want)
+			}
+		}
+	}
+	// A var-length edge from a variable back to itself: the search starts
+	// there, at level 0, so no hop count matches, as none does in the rewrite.
+	self, err := cypher.Compile(`MATCH (p:Person)-[:KNOWS*1..2]->(p) RETURN id(p)`, f.Cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := paritytest.Check(t, f.Graph, func() plan.Plan { return self }, true); len(rows) != 1 {
+		t.Fatalf("self closure returned %v, want no rows", rows)
 	}
 }
 
-// TestCyclicVarLengthRewriteWorkaround exercises the rewrite the error
-// message recommends: bind the closing endpoint under a fresh variable in a
-// separate MATCH and equate the ids in WHERE.
+// TestCyclicVarLengthRewriteWorkaround exercises the rewrite of a closing
+// var-length edge as joins: bind the closing endpoint under a fresh variable
+// in a separate MATCH and equate the ids in WHERE.
 func TestCyclicVarLengthRewriteWorkaround(t *testing.T) {
 	f := triangleFixture(t)
 	rewritten := `MATCH (a:Person)-[:KNOWS]->(b:Person)

@@ -31,6 +31,8 @@ func FuzzCompile(f *testing.F) {
 		"MATCH (p:Person)-[:KNOWS*0..2]->(g:Person) WHERE id(p) = 1 RETURN id(g)",
 		"MATCH (p:Person)-[:KNOWS*0]->(g:Person) RETURN id(g)",
 		"MATCH (p:Person)-[:KNOWS*1..99999999999999999999]->(g:Person) RETURN id(g)",
+		"MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS*1..2]->(a) RETURN count(*)",
+		"MATCH (a:Person)-[:KNOWS*3..2]-(b) MATCH (b)<-[:KNOWS*2]-(a) RETURN id(b)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

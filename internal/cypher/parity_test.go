@@ -10,7 +10,7 @@ import (
 )
 
 // TestCompiledPlanParity runs compiled queries — the cyclic patterns that
-// lower to ExpandIntersect, and the adversarially phrased ladder on which the
+// lower to ExpandIntersect or close a var-length edge with ExpandInto, and the adversarially phrased ladder on which the
 // cost model re-anchors and reverses expansions — through the parity sweep:
 // every engine mode × 1/2/4/8 workers × the four physical representations of
 // one LDBC graph, against the volcano oracle. Each query is planned twice,
@@ -57,6 +57,14 @@ func TestCompiledPlanParity(t *testing.T) {
 			RETURN id(b) AS b, COUNT(*) AS n, SUM(id(c)) AS s`},
 		{"min-max-avg-distinct", true, `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)
 			RETURN MIN(id(c)) AS lo, MAX(id(c)) AS hi, AVG(id(c)) AS mean, COUNT(DISTINCT id(c)) AS d`},
+		// A var-length edge between bound variables: the hop-bounded
+		// ExpandInto, a BFS from the root (forward) or from the closing
+		// end's root (reversed).
+		{"cyclic-var-length", true, `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS*1..2]->(a) WHERE id(a) <= 40
+			RETURN COUNT(*) AS n, SUM(id(b)) AS s`},
+		{"cyclic-exactly-2", true, `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WHERE id(a) <= 20
+			MATCH (a)-[:KNOWS*2..2]->(c)
+			RETURN COUNT(*) AS n, SUM(id(c)) AS s`},
 		{"empty-input", true, `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) WHERE id(a) < 0
 			RETURN COUNT(*) AS n, MIN(id(c)) AS lo, SUM(id(c)) AS s`},
 	}

@@ -22,7 +22,7 @@ func LeakDropped(a *storage.Arena) int {
 // shared pool must go back (the engine's per-query bracket).
 func LeakArena(p *storage.Pool) {
 	ar := p.GetArena() // want R11
-	ar.GetVals(0)           // want R11
+	ar.GetVals(0)      // want R11
 }
 
 // LeakBareWaiver carries a waiver with no justification: the directive is

@@ -11,9 +11,9 @@ func Card(s *stats.Snapshot, l uint16) int {
 
 // Mutate exercises every store shape R3 polices on statistics values.
 func Mutate(s *stats.Snapshot, l uint16) {
-	s.Vertices = 9     // want R3
-	s.Labels[l] = 3    // want R3
-	f := s.Families[l] // a copy — but its Histogram shares bucket storage
+	s.Vertices = 9            // want R3
+	s.Labels[l] = 3           // want R3
+	f := s.Families[l]        // a copy — but its Histogram shares bucket storage
 	f.Hist.Buckets[0].Count++ // want R3
 	m := s.Labels
 	m[l] = 4 // want R3

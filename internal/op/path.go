@@ -22,10 +22,13 @@ type bfs struct {
 	level       int32
 }
 
-// start begins the search at src, level 0, with a pooled visitSet. A NilVID
-// src is a frontier with no neighbours.
+// start begins the search at src, level 0, with a pooled visitSet (the one
+// an earlier search of s drew, when there is one). A NilVID src is a frontier
+// with no neighbours.
 func (s *bfs) start(src vector.VID) {
-	s.seen = visits.Get().(*visitSet)
+	if s.seen == nil {
+		s.seen = visits.Get().(*visitSet)
+	}
 	s.seen.reset()
 	if src != vector.NilVID {
 		s.seen.mark(src, 0)

@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/core"
@@ -37,10 +38,15 @@ func (o *NodeByIdSeek) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	return ctx.FTChunk(ctx.NewFTree(col)), nil
 }
 
-// NodeScan starts a plan from every vertex of a label.
+// NodeScan starts a plan from every vertex of a label. With From set it is
+// not a source: every valid row of From's node extends to every vertex of
+// the label, as one new child node — the f-Tree's cartesian product — so a
+// plan anchored at a seek can bind a dimension vertex (a country, a tag),
+// filter it by name, and expand from it (IC3, IC6, IC11).
 type NodeScan struct {
 	Var   string
 	Label catalog.LabelID
+	From  string
 }
 
 // Name implements Operator.
@@ -48,6 +54,12 @@ func (o *NodeScan) Name() string { return "NodeScan" }
 
 // Execute implements Operator.
 func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+	if o.From != "" {
+		if in == nil {
+			return nil, fmt.Errorf("op: NodeScan from %q needs an input", o.From)
+		}
+		return o.extend(ctx, in)
+	}
 	if in != nil {
 		return nil, fmt.Errorf("op: NodeScan must be a source operator")
 	}
@@ -55,6 +67,55 @@ func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	// instead of rewriting the column.
 	col := vector.ShareVIDs(o.Var, ctx.View.ScanLabel(o.Label))
 	return ctx.FTChunk(ctx.NewFTree(col)), nil
+}
+
+// extend adds the scan under From. Under a one-row parent the child is the
+// shared scan, as a source NodeScan's root is, so a projection gathers it
+// zero-copy; several parent rows each reference the scan as one lazy
+// segment. A flat input gets the cross product's rows.
+func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+	scan := ctx.View.ScanLabel(o.Label)
+	if in.IsFlat() {
+		fi := in.Flat.ColIndex(o.From)
+		if fi < 0 {
+			return nil, errNoColumn("node-scan", o.From)
+		}
+		out := core.NewFlatBlock(append(slices.Clone(in.Flat.Names), o.Var), append(slices.Clone(in.Flat.Kinds), vector.KindVID))
+		for _, row := range in.Flat.Rows {
+			for _, v := range scan {
+				out.AppendOwned(append(append(make([]vector.Value, 0, len(row)+1), row...), vector.VIDValue(v)))
+			}
+		}
+		if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
+			return nil, errRowLimit("flat node-scan", out.NumRows(), ctx.MaxRows)
+		}
+		return ctx.FlatChunk(out), nil
+	}
+	ft := in.FT
+	parent, _, err := vidColumn(ft, o.From)
+	if err != nil {
+		return nil, err
+	}
+	n := parent.Block.NumRows()
+	index := ctx.Arena.OwnRanges(n)
+	var col *vector.Column
+	if n == 1 && parent.Valid(0) {
+		col = vector.ShareVIDs(o.Var, scan)
+		index[0] = core.Range{End: int32(len(scan))}
+	} else {
+		col = ctx.Arena.OwnLazyVIDColumn(o.Var)
+		total := 0
+		for i := range index {
+			start := total
+			if parent.Valid(i) {
+				_, total = col.AppendSegment(scan)
+			}
+			index[i] = core.Range{Start: int32(start), End: int32(total)}
+		}
+	}
+	ft.AddChild(parent, ctx.NewFBlock(col), index)
+	assertFTree(ft)
+	return ctx.FTChunk(ft), nil
 }
 
 // MultiSeek starts a plan from an explicit list of external identifiers

@@ -37,6 +37,8 @@ func reads(o op.Operator, col string) bool {
 		return n.From == col
 	case *op.VarLengthExpand:
 		return n.From == col
+	case *op.NodeScan:
+		return n.From == col
 	case *op.ExpandInto:
 		return n.From == col || n.To == col
 	case *op.ExpandIntersect:

@@ -59,9 +59,12 @@ func plainExpand(ex *op.Expand) bool {
 // sideOfInto converts an ExpandInto closing an edge against the new vertex
 // to an intersection side. The side direction always points from the bound
 // variable toward to, so a closure written (to)-[e]->(x) probes x's reversed
-// adjacency. Self-loop closures (both endpoints == to) stay residual.
+// adjacency. Self-loop closures (both endpoints == to) and hop-bounded ones
+// (a path, not an adjacency run) stay residual.
 func sideOfInto(into *op.ExpandInto, to string) (op.IntersectSide, bool) {
 	switch {
+	case into.Hops():
+		return op.IntersectSide{}, false
 	case into.From != to && into.To == to:
 		return op.IntersectSide{Var: into.From, Et: into.Et, Dir: into.Dir,
 			DstLabel: into.DstLabel, SrcLabel: into.SrcLabel}, true

@@ -108,6 +108,15 @@ func TestLowerWCOJLeavesNonCyclicAlone(t *testing.T) {
 	if len(low2) != 3 {
 		t.Fatalf("unrelated closure fused: %s", low2)
 	}
+	// A hop-bounded closure is a path, not an adjacency run to intersect.
+	p3 := Plan{
+		&op.NodeScan{Var: "a", Label: 0},
+		&op.Expand{From: "a", To: "b", Et: 0, Dir: catalog.Out, DstLabel: 0},
+		&op.ExpandInto{From: "a", To: "b", Et: 0, Dir: catalog.Out, DstLabel: 0, SrcLabel: 0, MinHops: 1, MaxHops: 2},
+	}
+	if low3 := LowerWCOJ(p3); len(low3) != 3 {
+		t.Fatalf("hop-bounded closure lowered: %s", low3)
+	}
 }
 
 func TestLowerWCOJSkipsFusedExpands(t *testing.T) {

@@ -20,12 +20,12 @@ import (
 // gather moves 4-byte codes and code→string resolution is deferred to output
 // serialization or order-sensitive comparisons.
 //
-//geslint:snapshot-owner columns carry zero-copy shared segments and scan views by design; they hand off to the consuming f-Block within the same morsel
-//
 // A column may be *shared*: a zero-copy view of a storage-owned column
 // produced by an aligned gather. Shared columns are read-only — mutating
 // entry points panic — and account no payload memory, mirroring lazy
 // columns.
+//
+//geslint:snapshot-owner columns carry zero-copy shared segments and scan views by design; they hand off to the consuming f-Block within the same morsel
 type Column struct {
 	Name string
 	Kind Kind

@@ -128,7 +128,9 @@ func newVarExpandIter(view storage.View, in iter, spec *op.VarLengthExpand) (ite
 }
 
 // newExpandIntoIter filters tuples by closing-edge existence, one row at a
-// time — the Volcano counterpart of the GES intersection semi-join.
+// time — the Volcano counterpart of the GES intersection semi-join. A
+// hop-bounded closure runs VarLengthExpand's traversal from the row's From
+// vertex and looks for its To vertex among what it emits.
 func newExpandIntoIter(view storage.View, in iter, spec *op.ExpandInto) (iter, error) {
 	fromIdx, err := colIndex(in, spec.From)
 	if err != nil {
@@ -138,16 +140,68 @@ func newExpandIntoIter(view storage.View, in iter, spec *op.ExpandInto) (iter, e
 	if err != nil {
 		return nil, err
 	}
+	if spec.Hops() && spec.MinHops < 1 {
+		return nil, &opError{msg: "expand-into: a zero-hop bound is not supported"}
+	}
 	var b storage.Batch
+	path := &op.VarLengthExpand{Et: spec.Et, Dir: spec.Dir, DstLabel: spec.DstLabel, MinHops: spec.MinHops, MaxHops: spec.MaxHops}
+	ctx := &op.Ctx{View: view}
 	return &mapIter{
 		in: in, names: in.schema(), ks: in.kinds(),
 		fn: func(row []vector.Value) ([]vector.Value, bool) {
-			if slices.Contains(neighbors(view, &b, row[fromIdx].AsVID(), spec.Et, spec.Dir, spec.DstLabel), row[toIdx].AsVID()) {
+			from, to := row[fromIdx].AsVID(), row[toIdx].AsVID()
+			found := false
+			if spec.Hops() {
+				path.Traverse(ctx, from, func(v vector.VID) { found = found || v == to })
+			} else {
+				found = slices.Contains(neighbors(view, &b, from, spec.Et, spec.Dir, spec.DstLabel), to)
+			}
+			if found {
 				return row, true
 			}
 			return nil, false
 		},
 	}, nil
+}
+
+// crossIter extends every input row by every vertex of a label — NodeScan's
+// From form.
+type crossIter struct {
+	in    iter
+	vs    []vector.VID
+	names []string
+	ks    []vector.Kind
+
+	row []vector.Value
+	pos int
+}
+
+func newCrossIter(in iter, spec *op.NodeScan, vs []vector.VID) (iter, error) {
+	if in == nil {
+		return nil, &opError{msg: "NodeScan from " + spec.From + " needs an input"}
+	}
+	if _, err := colIndex(in, spec.From); err != nil {
+		return nil, err
+	}
+	return &crossIter{in: in, vs: vs,
+		names: append(append([]string(nil), in.schema()...), spec.Var),
+		ks:    append(append([]vector.Kind(nil), in.kinds()...), vector.KindVID)}, nil
+}
+
+func (it *crossIter) schema() []string     { return it.names }
+func (it *crossIter) kinds() []vector.Kind { return it.ks }
+
+func (it *crossIter) next() ([]vector.Value, bool, error) {
+	for it.row == nil || it.pos == len(it.vs) {
+		row, ok, err := it.in.next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		it.row, it.pos = row, 0
+	}
+	it.pos++
+	out := append(make([]vector.Value, 0, len(it.names)), it.row...)
+	return append(out, vector.VIDValue(it.vs[it.pos-1])), true, nil
 }
 
 func (it *varExpandIter) schema() []string     { return it.names }

@@ -97,6 +97,9 @@ func (e *Engine) buildOp(view storage.View, in iter, o op.Operator) (iter, error
 		return &sliceIter{names: []string{n.Var}, ks: []vector.Kind{vector.KindVID}, rows: rows}, nil
 	case *op.NodeScan:
 		vs := view.ScanLabel(n.Label)
+		if n.From != "" {
+			return newCrossIter(in, n, vs)
+		}
 		rows := make([][]vector.Value, len(vs))
 		for i, v := range vs {
 			rows[i] = []vector.Value{vector.VIDValue(v)}
