@@ -43,7 +43,7 @@ func knows(h *ldbc.Handles, from, to string) *op.Expand {
 }
 
 func knowsSide(h *ldbc.Handles, v string, dir catalog.Direction) op.IntersectSide {
-	return op.IntersectSide{Var: v, Et: h.Knows, Dir: dir, DstLabel: h.Person, SrcLabel: h.Person}
+	return op.IntersectSide{Var: v, Et: h.Knows, Dir: dir, DstLabel: h.Person}
 }
 
 // GatherScanPlan is the property-read workload: a string-equality filter

@@ -122,7 +122,7 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	// across queries.
 	arena := e.Pool.GetArena()
 	defer e.Pool.PutArena(arena)
-	ctx := &op.Ctx{View: view, Pool: e.Pool, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel, Sched: e.Sched}
+	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel, Sched: e.Sched}
 	start := time.Now()
 
 	var ch *core.Chunk

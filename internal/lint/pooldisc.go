@@ -20,10 +20,11 @@ import (
 //     reslices, appends, and closure captures don't hide the pairing;
 //   - an ownership hand-off: returning the buffer, storing it into a
 //     struct field / slice / map (the container's lifecycle now owns it —
-//     morsel scratch structs released by the RunMorselsScratch done hook
-//     are the canonical case), sending it on a channel, or passing it to a
-//     module-internal callee that (transitively) releases or retains it,
-//     closed over the discharge and retention summaries;
+//     VarLengthExpand's bfs state, whose frontier buffers and batch are put
+//     back when its traversal ends, is the canonical case), sending it on a
+//     channel, or passing it to a module-internal callee that (transitively)
+//     releases or retains it, closed over the discharge and retention
+//     summaries;
 //   - or a //geslint:leak-ok <why> waiver on or above the Get.
 //
 // Arena.Own* calls are deliberately out of scope: owned structures are
@@ -41,7 +42,6 @@ var poolPairs = map[string]string{
 	"GetVIDs":   "PutVIDs",
 	"GetInt32s": "PutInt32s",
 	"GetRanges": "PutRanges",
-	"GetVals":   "PutVals",
 	"GetBatch":  "PutBatch",
 	"GetChunk":  "PutChunk",
 	"GetFBlock": "PutFBlock",

@@ -22,7 +22,7 @@ func LeakDropped(a *storage.Arena) int {
 // shared pool must go back (the engine's per-query bracket).
 func LeakArena(p *storage.Pool) {
 	ar := p.GetArena() // want R11
-	ar.GetVals(0)      // want R11
+	ar.GetInt32s(0)    // want R11
 }
 
 // LeakBareWaiver carries a waiver with no justification: the directive is
@@ -44,12 +44,11 @@ func OKDeferredPair(a *storage.Arena) int {
 	return len(buf)
 }
 
-// OKClosurePair releases inside a deferred closure — the morsel-scratch
-// bracket shape.
+// OKClosurePair releases inside a deferred closure.
 func OKClosurePair(a *storage.Arena) {
-	vals := a.GetVals(4)
-	defer func() { a.PutVals(vals) }()
-	vals = append(vals, vector.Value{})
+	ints := a.GetInt32s(4)
+	defer func() { a.PutInt32s(ints) }()
+	ints = append(ints, 1)
 }
 
 // OKReturned transfers ownership to the caller.
@@ -57,8 +56,9 @@ func OKReturned(a *storage.Arena) []vector.VID {
 	return a.GetVIDs(16)
 }
 
-// scratch is a container whose lifecycle owns its buffers (released by the
-// scheduler's done hook in the real module).
+// scratch is a container whose lifecycle owns its buffers (released when
+// its owner is done with them, as VarLengthExpand's bfs state is in the
+// real module).
 type scratch struct {
 	vids []vector.VID
 }

@@ -66,8 +66,8 @@ func (a *Arena) GetVIDs(n int) []vector.VID { return make([]vector.VID, 0, n) }
 // PutVIDs releases a transient VID buffer (R11 discharge).
 func (a *Arena) PutVIDs(buf []vector.VID) {}
 
-// GetVals acquires a transient value buffer (R11 obligation).
-func (a *Arena) GetVals(n int) []vector.Value { return make([]vector.Value, 0, n) }
+// GetInt32s acquires a transient int32 buffer (R11 obligation).
+func (a *Arena) GetInt32s(n int) []int32 { return make([]int32, 0, n) }
 
-// PutVals releases a transient value buffer (R11 discharge).
-func (a *Arena) PutVals(buf []vector.Value) {}
+// PutInt32s releases a transient int32 buffer (R11 discharge).
+func (a *Arena) PutInt32s(buf []int32) {}

@@ -12,14 +12,13 @@ import (
 // IntersectSide is one bound input of an ExpandIntersect: the produced
 // vertex must be reachable from Var along Et in direction Dir. Dir points
 // from Var toward the produced vertex, so DstLabel names the label bound to
-// the *new* variable and SrcLabel the label bound to Var (either may be
-// storage.AnyLabel).
+// the *new* variable (or storage.AnyLabel). A side always reads the
+// adjacency of Var's bound vertex, so it needs no label for Var.
 type IntersectSide struct {
 	Var      string
 	Et       catalog.EdgeTypeID
 	Dir      catalog.Direction
 	DstLabel catalog.LabelID
-	SrcLabel catalog.LabelID
 }
 
 // ExpandIntersect produces a new vertex variable as the k-way intersection

@@ -56,8 +56,8 @@ func wcojTrianglePlan(s *testgraph.Schema) plan.Plan {
 		&op.NodeScan{Var: "a", Label: s.Person},
 		&op.Expand{From: "a", To: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 		&op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{
-			{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-			{Var: "a", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person, SrcLabel: s.Person},
+			{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+			{Var: "a", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person},
 		}},
 		&op.ProjectProps{Specs: []op.ProjSpec{
 			{Var: "a", As: "a.id", ExtID: true},
@@ -88,8 +88,8 @@ func diamondPlans(s *testgraph.Schema) (wcoj, flat plan.Plan) {
 		&op.Expand{From: "b", To: "d", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 	}
 	wcoj = append(append(plan.Plan{}, head...), &op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{
-		{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-		{Var: "d", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person, SrcLabel: s.Person},
+		{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+		{Var: "d", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person},
 	}})
 	wcoj = append(wcoj, tail...)
 	flat = append(append(plan.Plan{}, head...),
@@ -174,13 +174,13 @@ func TestExpandIntersectThreeWay(t *testing.T) {
 			&op.NodeScan{Var: "a", Label: s.Person},
 			&op.Expand{From: "a", To: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{
-				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-				{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
+				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			}},
 			&op.ExpandIntersect{To: "d", Sides: []op.IntersectSide{
-				{Var: "c", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-				{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
+				{Var: "c", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			}},
 			&op.ProjectProps{Specs: []op.ProjSpec{
 				{Var: "a", As: "a.id", ExtID: true},
@@ -227,8 +227,8 @@ func TestExpandIntersectSiblingFallback(t *testing.T) {
 			&op.Expand{From: "a", To: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.Expand{From: "a", To: "c", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.ExpandIntersect{To: "d", Sides: []op.IntersectSide{
-				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-				{Var: "c", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
+				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				{Var: "c", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			}},
 			&op.ProjectProps{Specs: []op.ProjSpec{
 				{Var: "a", As: "a.id", ExtID: true},
@@ -281,8 +281,8 @@ func TestExpandIntersectAnyLabel(t *testing.T) {
 			&op.NodeScan{Var: "a", Label: s.Person},
 			&op.Expand{From: "a", To: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.ExpandIntersect{To: "m", Sides: []op.IntersectSide{
-				{Var: "a", Et: s.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel, SrcLabel: s.Person},
-				{Var: "b", Et: s.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel, SrcLabel: s.Person},
+				{Var: "a", Et: s.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
+				{Var: "b", Et: s.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
 			}},
 			&op.ProjectProps{Specs: []op.ProjSpec{
 				{Var: "a", As: "a.id", ExtID: true},
@@ -381,8 +381,8 @@ func TestExpandIntersectZeroRows(t *testing.T) {
 			&op.NodeByIdSeek{Var: "a", Label: s.Person, ExtID: 999999},
 			&op.Expand{From: "a", To: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 			&op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{
-				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-				{Var: "a", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person, SrcLabel: s.Person},
+				{Var: "b", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				{Var: "a", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person},
 			}},
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "c", As: "c.id", ExtID: true}}},
 			&op.Defactor{Cols: []string{"c.id"}},
@@ -411,7 +411,7 @@ func TestExpandIntersectTooFewSides(t *testing.T) {
 	p := plan.Plan{
 		&op.NodeScan{Var: "a", Label: s.Person},
 		&op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{
-			{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
+			{Var: "a", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 		}},
 	}
 	if _, err := exec.New(exec.ModeFactorized).Run(f.Graph, p); err == nil {

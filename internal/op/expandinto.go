@@ -1,6 +1,6 @@
 // ExpandInto closes cyclic pattern edges by filtering selection vectors in
 // place; geslint R3 sanctions this file's Sel writes by name (see
-// cmd/geslint/rules.go) rather than through a blanket file directive.
+// internal/lint/rules.go) rather than through a blanket file directive.
 package op
 
 import (

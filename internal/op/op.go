@@ -25,11 +25,10 @@ import (
 )
 
 // Ctx carries the per-query execution environment: the storage view the
-// query reads (base graph or transaction snapshot), the shared memory pool,
-// and instrumentation sinks.
+// query reads (base graph or transaction snapshot), the query's arena over
+// the shared memory pool, and instrumentation sinks.
 type Ctx struct {
 	View storage.View
-	Pool *storage.Pool
 
 	// Arena brackets this query's scratch memory (§5, memory pool):
 	// query-lifetime structures (index vectors, f-Block columns, lazy
@@ -44,9 +43,9 @@ type Ctx struct {
 	// executor samples it after every operator (Table 2).
 	PeakMem int
 
-	// Rows limits defensive materialization: a de-factor producing more than
-	// MaxRows rows aborts the query instead of exhausting memory. Zero means
-	// no limit.
+	// MaxRows limits defensive materialization: a de-factor producing more
+	// than MaxRows rows aborts the query instead of exhausting memory. Zero
+	// means no limit.
 	MaxRows int
 
 	// Parallel is the intra-query parallelism degree (§2.1, Runtime): the

@@ -122,8 +122,7 @@ func TestExpandOneHopAllModes(t *testing.T) {
 func TestExpandUsesLazyColumn(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	e := exec.New(exec.ModeFactorized)
-	ctx := &op.Ctx{View: f.Graph, Pool: e.Pool}
+	ctx := &op.Ctx{View: f.Graph}
 	ch, err := op.RunPlan(ctx, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
@@ -159,8 +158,7 @@ func TestExpandUsesLazyColumn(t *testing.T) {
 func TestTwoHopExpandGrowsTree(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	e := exec.New(exec.ModeFactorized)
-	ctx := &op.Ctx{View: f.Graph, Pool: e.Pool}
+	ctx := &op.Ctx{View: f.Graph}
 	ch, err := op.RunPlan(ctx, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f1", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
@@ -258,8 +256,7 @@ func TestPaperExampleQuery(t *testing.T) {
 func TestFilterUpdatesSelectionVectorInPlace(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	e := exec.New(exec.ModeFactorized)
-	ctx := &op.Ctx{View: f.Graph, Pool: e.Pool}
+	ctx := &op.Ctx{View: f.Graph}
 	ch, err := op.RunPlan(ctx, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
@@ -284,8 +281,7 @@ func TestFilterUpdatesSelectionVectorInPlace(t *testing.T) {
 func TestCrossNodeFilterDefactors(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	e := exec.New(exec.ModeFactorized)
-	ctx := &op.Ctx{View: f.Graph, Pool: e.Pool}
+	ctx := &op.Ctx{View: f.Graph}
 	ch, err := op.RunPlan(ctx, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},

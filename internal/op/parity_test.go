@@ -62,7 +62,7 @@ func TestOperatorParity(t *testing.T) {
 		return &op.Expand{From: from, To: to, Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person}
 	}
 	side := func(v string, dir catalog.Direction) op.IntersectSide {
-		return op.IntersectSide{Var: v, Et: h.Knows, Dir: dir, DstLabel: h.Person, SrcLabel: h.Person}
+		return op.IntersectSide{Var: v, Et: h.Knows, Dir: dir, DstLabel: h.Person}
 	}
 	scan := func(v string) *op.NodeScan { return &op.NodeScan{Var: v, Label: h.Person} }
 	hops := func(from, to string, min, max int) *op.ExpandInto {
@@ -258,7 +258,7 @@ func TestOperatorParity(t *testing.T) {
 		}},
 		{"intersect/any-label", false, func() plan.Plan {
 			likes := func(v string) op.IntersectSide {
-				return op.IntersectSide{Var: v, Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel, SrcLabel: h.Person}
+				return op.IntersectSide{Var: v, Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel}
 			}
 			return append(plan.Plan{scan("a"), knows("a", "b"),
 				&op.ExpandIntersect{To: "m", Sides: []op.IntersectSide{likes("a"), likes("b")}}},

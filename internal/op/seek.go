@@ -117,28 +117,3 @@ func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	assertFTree(ft)
 	return ctx.FTChunk(ft), nil
 }
-
-// MultiSeek starts a plan from an explicit list of external identifiers
-// (used by short-read and update lookups that address several vertices).
-type MultiSeek struct {
-	Var    string
-	Label  catalog.LabelID
-	ExtIDs []int64
-}
-
-// Name implements Operator.
-func (o *MultiSeek) Name() string { return "MultiSeek" }
-
-// Execute implements Operator.
-func (o *MultiSeek) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if in != nil {
-		return nil, fmt.Errorf("op: MultiSeek must be a source operator")
-	}
-	col := ctx.Arena.OwnColumn(o.Var, vector.KindVID)
-	for _, ext := range o.ExtIDs {
-		if vid, ok := ctx.View.VertexByExt(o.Label, ext); ok {
-			col.AppendVID(vid)
-		}
-	}
-	return ctx.FTChunk(ctx.NewFTree(col)), nil
-}

@@ -118,8 +118,8 @@ func TestShardBoundaries(t *testing.T) {
 				fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})},
 			{"intersect/mutual", shape(
 				&op.ExpandIntersect{To: "f", Sides: []op.IntersectSide{
-					{Var: "p", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, SrcLabel: s.Person},
-					{Var: "p", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person, SrcLabel: s.Person}}},
+					{Var: "p", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+					{Var: "p", Et: s.Knows, Dir: catalog.In, DstLabel: s.Person}}},
 				fID, &op.Defactor{Cols: []string{"p.id", "f.id"}})},
 			{"project-expr", shape(
 				&op.ProjectExpr{Expr: expr.Arith{Op: expr.Add, L: expr.Arith{Op: expr.Mul, L: expr.C("p.id"), R: expr.LInt(2)}, R: expr.LInt(1)},

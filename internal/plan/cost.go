@@ -35,14 +35,6 @@ func NewCostModel(s *stats.Snapshot) *CostModel {
 	return &CostModel{s: s}
 }
 
-// Snapshot exposes the underlying statistics (nil for a nil model).
-func (c *CostModel) Snapshot() *stats.Snapshot {
-	if c == nil {
-		return nil
-	}
-	return c.s
-}
-
 // LabelCard estimates the number of vertices carrying a label. The
 // wildcard (storage.AnyLabel, which the binder never produces for scans)
 // and unseen labels estimate as the full vertex count.

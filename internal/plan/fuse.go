@@ -407,8 +407,6 @@ func singleLabel(p Plan, v string) bool {
 		switch n := p[i].(type) {
 		case *op.NodeByIdSeek:
 			to, label = n.Var, n.Label
-		case *op.MultiSeek:
-			to, label = n.Var, n.Label
 		case *op.NodeScan:
 			to, label = n.Var, n.Label
 		case *op.SeekExpand:

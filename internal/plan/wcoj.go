@@ -67,10 +67,10 @@ func sideOfInto(into *op.ExpandInto, to string) (op.IntersectSide, bool) {
 		return op.IntersectSide{}, false
 	case into.From != to && into.To == to:
 		return op.IntersectSide{Var: into.From, Et: into.Et, Dir: into.Dir,
-			DstLabel: into.DstLabel, SrcLabel: into.SrcLabel}, true
+			DstLabel: into.DstLabel}, true
 	case into.From == to && into.To != to:
 		return op.IntersectSide{Var: into.To, Et: into.Et, Dir: into.Dir.Reverse(),
-			DstLabel: into.SrcLabel, SrcLabel: into.DstLabel}, true
+			DstLabel: into.SrcLabel}, true
 	default:
 		return op.IntersectSide{}, false
 	}

@@ -12,9 +12,10 @@
 // shard outputs in index order, which reproduces sequential output exactly —
 // results are byte-identical regardless of worker count or scheduling order.
 //
-// There is one morsel loop, RunMorselsScratch: the claim counter, the panic
-// accounting and the two-phase claimant-gate barrier exist once, RunMorsels
-// is its no-scratch form, and a single claimant is a plain inline loop.
+// There is one morsel loop, RunMorsels, with one claim counter and one panic
+// accounting. It keeps no per-claimant scratch: a query's buffers come from
+// the query's own arena, which the caller may recycle as soon as RunMorsels
+// returns (see its completion contract).
 package sched
 
 import (
@@ -49,9 +50,8 @@ func NumMorsels(n, size int) int {
 
 // Scheduler owns a fixed set of worker goroutines draining one task queue.
 type Scheduler struct {
-	workers int
-	tasks   chan func()
-	close   sync.Once
+	tasks chan func()
+	close sync.Once
 }
 
 // New starts a scheduler with the given worker count; values < 1 default to
@@ -60,7 +60,7 @@ func New(workers int) *Scheduler {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{workers: workers, tasks: make(chan func(), 4*workers)}
+	s := &Scheduler{tasks: make(chan func(), 4*workers)}
 	for i := 0; i < workers; i++ {
 		go func() {
 			for t := range s.tasks {
@@ -70,9 +70,6 @@ func New(workers int) *Scheduler {
 	}
 	return s
 }
-
-// Workers returns the pool size.
-func (s *Scheduler) Workers() int { return s.workers }
 
 // Close stops the workers once queued tasks drain. Only private schedulers
 // (tests) call it; the global scheduler lives for the process.
@@ -117,40 +114,22 @@ func Global() *Scheduler {
 // across skewed shards. The caller always participates and helper submission
 // never blocks — when the pool is saturated by other queries the loop simply
 // runs with fewer claimants, guaranteeing progress without deadlock or
-// goroutine fan-out beyond the budget.
+// goroutine fan-out beyond the budget. One claimant is a plain inline loop in
+// index order.
 //
 // fn runs concurrently with itself; it must confine writes to state indexed
 // by Morsel.Index (or to non-overlapping row ranges). A panic in fn is
-// re-raised on the calling goroutine after all claimants stop.
+// re-raised on the calling goroutine.
 //
-// It is RunMorselsScratch with no scratch: there is one claim loop and one
-// barrier.
+// Completion contract: RunMorsels returns only once no fn call is in flight,
+// and no fn call starts after it returns. The morsel count covers every fn
+// call — a morsel counts as finished only after its fn returns, and a
+// panicking claimant counts its own morsel and every unclaimed one, which it
+// takes off the counter — so the caller wakes when the last fn has ended. A
+// helper that starts after the last claim finds the counter spent and
+// returns without calling fn. The caller may therefore recycle the query
+// arena fn drew from as soon as RunMorsels returns.
 func (s *Scheduler) RunMorsels(parallel, n, size int, fn func(Morsel)) {
-	s.RunMorselsScratch(parallel, n, size, func() any { return nil }, nil, func(m Morsel, _ any) { fn(m) })
-}
-
-// RunMorselsScratch is RunMorsels with claimant-local scratch: every
-// claimant (the caller and each helper that starts) calls mk once before its
-// claim loop, passes the value to fn for every morsel it claims, and runs
-// done on it when its loop ends — so worker buffers are allocated once per
-// claimant and reused across all the morsels that claimant drains, instead
-// of once per morsel (§5, memory pool). fn owns scratch exclusively for the
-// duration of one morsel; done (nil allowed) typically returns pooled
-// buffers to the query arena. done runs even when fn panics.
-//
-// The determinism contract of RunMorsels carries over unchanged: fn still
-// runs once per morsel with a stable Morsel.Index, and scratch must never
-// leak state between morsels that affects output.
-//
-// The barrier is two-phase. doneCh closes when every morsel has run, but a
-// claimant's done — and a late-queued helper's whole mk/done bracket — can
-// still be in flight at that instant, and both typically touch the query
-// arena. So after doneCh the caller seals the claimant gate and waits for
-// every registered claimant to exit; helpers that reach the gate after
-// sealing return without ever calling mk. Only then may the caller release
-// the arena (the engine recycles it into the next query, so a straggler
-// touching it would corrupt that query's scratch).
-func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done func(any), fn func(Morsel, any)) {
 	if n <= 0 {
 		return
 	}
@@ -161,18 +140,9 @@ func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done
 	if parallel > nm {
 		parallel = nm
 	}
-	release := func(sc any) {
-		if done != nil {
-			done(sc)
-		}
-	}
 	if parallel <= 1 {
-		// One claimant: a plain loop on the calling goroutine, in index
-		// order — no goroutine, channel or gate.
-		sc := mk()
-		defer release(sc)
 		for i := 0; i < nm; i++ {
-			fn(morselAt(i, size, n), sc)
+			fn(morselAt(i, size, n))
 		}
 		return
 	}
@@ -186,38 +156,14 @@ func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done
 		pmu            sync.Mutex
 		pval           any
 		pseen          bool
-
-		gmu    sync.Mutex
-		active int
-		sealed bool
 	)
 	doneCh := make(chan struct{})
-	idleCh := make(chan struct{})
 	finish := func(k int64) {
 		if finished.Add(k) >= int64(nm) {
 			closeOnce.Do(func() { close(doneCh) })
 		}
 	}
 	claim := func() {
-		// Entry gate: register as a claimant unless the caller has sealed.
-		gmu.Lock()
-		if sealed {
-			gmu.Unlock()
-			return
-		}
-		active++
-		gmu.Unlock()
-		defer func() {
-			gmu.Lock()
-			active--
-			last := sealed && active == 0
-			gmu.Unlock()
-			if last {
-				close(idleCh)
-			}
-		}()
-		sc := mk()
-		defer release(sc)
 		defer func() {
 			if r := recover(); r != nil {
 				pmu.Lock()
@@ -239,7 +185,7 @@ func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done
 			if i >= nm {
 				return
 			}
-			fn(morselAt(i, size, n), sc)
+			fn(morselAt(i, size, n))
 			finish(1)
 		}
 	}
@@ -251,13 +197,6 @@ func (s *Scheduler) RunMorselsScratch(parallel, n, size int, mk func() any, done
 	}
 	claim()
 	<-doneCh
-	gmu.Lock()
-	sealed = true
-	idle := active == 0
-	gmu.Unlock()
-	if !idle {
-		<-idleCh
-	}
 	if pseen {
 		panic(pval)
 	}

@@ -1,7 +1,6 @@
 package sched_test
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,33 +65,13 @@ func TestRunMorselsSequentialFallback(t *testing.T) {
 	s.RunMorsels(1, 500, 100, func(m sched.Morsel) {
 		order = append(order, m.Index)
 	})
-	// The scratch form brackets the same loop with one mk and one done.
-	var events []string
-	s.RunMorselsScratch(1, 500, 100,
-		func() any { events = append(events, "mk"); return &events },
-		func(sc any) {
-			if sc != &events {
-				t.Errorf("done received %v, want the value mk returned", sc)
-			}
-			events = append(events, "done")
-		},
-		func(m sched.Morsel, sc any) {
-			if sc != &events {
-				t.Errorf("fn received %v, want the value mk returned", sc)
-			}
-			events = append(events, "fn")
-			order = append(order, 5+m.Index)
-		})
-	if len(order) != 10 {
-		t.Fatalf("ran %d morsels, want 10", len(order))
+	if len(order) != 5 {
+		t.Fatalf("ran %d morsels, want 5", len(order))
 	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("sequential fallback out of order: %v", order)
 		}
-	}
-	if want := []string{"mk", "fn", "fn", "fn", "fn", "fn", "done"}; !reflect.DeepEqual(events, want) {
-		t.Fatalf("scratch bracket = %v, want %v", events, want)
 	}
 }
 
@@ -144,77 +123,44 @@ func TestIntraQueryParallelismUnderInterQueryLoad(t *testing.T) {
 	}
 }
 
-// The claimant gate (DESIGN §11): RunMorselsScratch must not return while
-// any claimant is still inside its mk/fn/done bracket, and a helper that
-// starts after the return must not enter the bracket at all — the caller
-// recycles the arena the bracket draws from as soon as the call returns.
+// The completion contract (DESIGN §11): RunMorsels must not return while
+// any fn call is still in flight, and a helper that starts after the return
+// must not call fn at all — the caller recycles the arena fn draws from as
+// soon as the call returns.
 
-// gateProbe counts bracket activity the way an arena would feel it.
-type gateProbe struct {
-	doneDelay       time.Duration // how long a done hook holds the arena
-	mks, dones, fns atomic.Int64
-	inFlight        atomic.Int64 // claimants between mk entry and done exit, plus fn calls in progress
-	returned        atomic.Bool  // set by the test once RunMorselsScratch is back
-	late            atomic.Int64 // mk, fn or done entered after returned
+// fnProbe counts fn calls the way an arena would feel them.
+type fnProbe struct {
+	fns      atomic.Int64
+	inFlight atomic.Int64 // fn calls in progress
+	returned atomic.Bool  // set by check once RunMorsels is back
+	late     atomic.Int64 // fn calls entered after returned
 }
 
-func (p *gateProbe) enter() {
+// enter marks an fn call's start; the caller defers p.inFlight.Add(-1).
+func (p *fnProbe) enter() {
 	if p.returned.Load() {
 		p.late.Add(1)
 	}
 	p.inFlight.Add(1)
+	p.fns.Add(1)
 }
 
-func (p *gateProbe) mk() any { p.enter(); p.mks.Add(1); return p }
-
-func (p *gateProbe) done(any) {
-	if p.returned.Load() {
-		p.late.Add(1)
-	}
-	time.Sleep(p.doneDelay)
-	p.dones.Add(1)
-	p.inFlight.Add(-1)
-}
-
-// check asserts what must hold the instant RunMorselsScratch has returned.
-func (p *gateProbe) check(t *testing.T) {
+// check asserts what must hold the instant RunMorsels has returned.
+func (p *fnProbe) check(t *testing.T) {
 	t.Helper()
-	if n := p.inFlight.Load(); n != 0 {
-		t.Errorf("%d claimant brackets or fn calls still in flight after return", n)
-	}
-	if mk, dn := p.mks.Load(), p.dones.Load(); mk != dn || mk == 0 {
-		t.Errorf("mk ran %d times, done %d times; want equal and > 0", mk, dn)
-	}
-}
-
-func TestClaimantGateBracketsEveryClaimant(t *testing.T) {
-	s := sched.New(4)
-	defer s.Close()
-	var p gateProbe
-	var rows atomic.Int64
-	s.RunMorselsScratch(4, 10000, 64, p.mk, p.done, func(m sched.Morsel, sc any) {
-		p.enter()
-		defer p.inFlight.Add(-1)
-		if sc != &p {
-			t.Errorf("fn received %v, want the claimant's scratch", sc)
-		}
-		rows.Add(int64(m.End - m.Start))
-	})
 	p.returned.Store(true)
-	p.check(t)
-	if rows.Load() != 10000 {
-		t.Fatalf("covered %d rows, want 10000", rows.Load())
+	if n := p.inFlight.Load(); n != 0 {
+		t.Errorf("%d fn calls still in flight after return", n)
 	}
 }
 
-func TestClaimantGateWaitsOutClaimantsOnPanic(t *testing.T) {
+func TestRunMorselsWaitsOutFnOnPanic(t *testing.T) {
 	s := sched.New(4)
 	defer s.Close()
-	// The first barrier phase ends when the last morsel finishes; that
-	// claimant's done hook has yet to run. Give it a duration, and make the
-	// last morsel a pool helper's, so a caller that returned on the first
-	// phase alone gets back with the hook in flight.
-	p := gateProbe{doneDelay: time.Millisecond}
+	// A middle morsel panics while two other claimants are inside fn, and
+	// their morsels outlast it: a caller that returned on the panic alone
+	// would get back with those calls in flight.
+	var p fnProbe
 	boom := make(chan struct{})
 	func() {
 		defer func() {
@@ -222,13 +168,10 @@ func TestClaimantGateWaitsOutClaimantsOnPanic(t *testing.T) {
 				t.Errorf("recovered %v, want the morsel's panic value", r)
 			}
 		}()
-		s.RunMorselsScratch(4, 6*64, 64, p.mk, p.done, func(m sched.Morsel, _ any) {
+		s.RunMorsels(4, 6*64, 64, func(m sched.Morsel) {
 			p.enter()
 			defer p.inFlight.Add(-1)
-			p.fns.Add(1)
 			if m.Index == 1 {
-				// A middle morsel panics, once two other claimants are
-				// inside fn.
 				for p.fns.Load() < 3 {
 					time.Sleep(10 * time.Microsecond)
 				}
@@ -245,31 +188,29 @@ func TestClaimantGateWaitsOutClaimantsOnPanic(t *testing.T) {
 			}
 		})
 	}()
-	p.returned.Store(true)
 	p.check(t)
-	if mk := p.mks.Load(); mk < 3 {
-		t.Errorf("only %d claimants started; the test needs three inside fn", mk)
+	if n := p.fns.Load(); n < 3 {
+		t.Errorf("only %d fn calls started; the test needs three at once", n)
 	}
 }
 
-func TestClaimantGateTurnsAwayLateHelpers(t *testing.T) {
+func TestRunMorselsTurnsAwayLateHelpers(t *testing.T) {
 	const workers = 2
 	s := sched.New(workers)
 	defer s.Close()
-	// Occupy every pool worker, so the helpers RunMorselsScratch submits sit
-	// in the queue until after it has returned.
+	// Occupy every pool worker, so the helpers RunMorsels submits sit in the
+	// queue until after it has returned.
 	release := make(chan struct{})
 	busy := occupy(t, s, workers, release)
-	var p gateProbe
-	s.RunMorselsScratch(4, 5000, 64, p.mk, p.done, func(sched.Morsel, any) {
+	var p fnProbe
+	nm := int64(sched.NumMorsels(5000, 64))
+	s.RunMorsels(4, 5000, 64, func(sched.Morsel) {
 		p.enter()
-		defer p.inFlight.Add(-1)
-		p.fns.Add(1)
+		p.inFlight.Add(-1)
 	})
-	p.returned.Store(true)
 	p.check(t)
-	if mk, fn := p.mks.Load(), p.fns.Load(); mk != 1 || fn != int64(sched.NumMorsels(5000, 64)) {
-		t.Fatalf("caller alone should have drained the loop: mk=%d fn=%d", mk, fn)
+	if n := p.fns.Load(); n != nm {
+		t.Fatalf("caller alone should have drained the loop: fn ran %d times, want %d", n, nm)
 	}
 
 	close(release)
@@ -288,9 +229,9 @@ func TestClaimantGateTurnsAwayLateHelpers(t *testing.T) {
 	arrived.Wait()
 	leave.Done()
 	if n := p.late.Load(); n != 0 {
-		t.Fatalf("%d bracket entries after RunMorselsScratch returned", n)
+		t.Fatalf("%d fn calls after RunMorsels returned", n)
 	}
-	if mk, dn := p.mks.Load(), p.dones.Load(); mk != 1 || dn != 1 {
-		t.Fatalf("late helpers ran the bracket: mk=%d done=%d, want 1/1", mk, dn)
+	if n := p.fns.Load(); n != nm {
+		t.Fatalf("late helpers ran fn: %d calls, want %d", n, nm)
 	}
 }

@@ -22,9 +22,10 @@ import (
 //     batches). The arena tracks them and Release returns them wholesale;
 //     callers never put them back individually.
 //   - Get*/Put* methods hand out transient scratch (batched source VIDs,
-//     per-morsel shard buffers, boxed-value staging). The caller must put
-//     the buffer back on every path — geslint R11 enforces this — and the
-//     arena passes it straight through to the shared pool.
+//     int32 tuple ids and row positions, materializing adjacency batches).
+//     The caller must put the buffer back on every path — geslint R11
+//     enforces this — and the arena passes it straight through to the
+//     shared pool.
 //
 // A nil *Arena is valid and recycles nothing: every getter falls back to
 // plain allocation and every release is a no-op, so operator code calls
@@ -217,38 +218,6 @@ func (a *Arena) GetInt32s(n int) []int32 {
 func (a *Arena) PutInt32s(buf []int32) {
 	if a.recycling() {
 		a.pool.PutInt32s(buf)
-	}
-}
-
-// GetRanges returns transient index-vector scratch; the caller must
-// PutRanges it on every path (geslint R11).
-func (a *Arena) GetRanges(n int) []core.Range {
-	if !a.recycling() {
-		return make([]core.Range, 0, n)
-	}
-	return charge(a, a.pool.GetRanges(n), rangeSize)
-}
-
-// PutRanges releases transient index-vector scratch.
-func (a *Arena) PutRanges(buf []core.Range) {
-	if a.recycling() {
-		a.pool.PutRanges(buf)
-	}
-}
-
-// GetVals returns transient boxed-value scratch of length n, zeroed; the
-// caller must PutVals it on every path (geslint R11).
-func (a *Arena) GetVals(n int) []vector.Value {
-	if !a.recycling() {
-		return make([]vector.Value, n)
-	}
-	return charge(a, a.pool.GetVals(n), valueSize)[:n]
-}
-
-// PutVals releases transient boxed-value scratch.
-func (a *Arena) PutVals(buf []vector.Value) {
-	if a.recycling() {
-		a.pool.PutVals(buf)
 	}
 }
 

@@ -35,24 +35,15 @@ func TestZeroOnGetRegression(t *testing.T) {
 			t.Fatalf("stale Range %+v at index %d after recycle", r, i)
 		}
 	}
-	// Boxed values hold string pointers, so put drops them as well: nothing
-	// of the previous owner survives anywhere in a pooled buffer.
-	vals := p.GetVals(8)[:8]
-	for i := range vals {
-		vals[i] = vector.String_("pinned")
+	ints := p.GetInt32s(32)
+	for i := 0; i < 32; i++ {
+		ints = append(ints, int32(i+1))
 	}
-	p.PutVals(vals)
-	if !core.AssertEnabled { // assert builds stamp the release sentinel instead
-		for i, v := range vals[:cap(vals)] {
-			if v != (vector.Value{}) {
-				t.Fatalf("Value %+v still at index %d after PutVals", v, i)
-			}
-		}
-	}
-	vals = p.GetVals(8)
-	for i, v := range vals[:8] {
-		if v != (vector.Value{}) {
-			t.Fatalf("stale Value %+v at index %d after recycle", v, i)
+	p.PutInt32s(ints)
+	ints = p.GetInt32s(20)
+	for i, v := range ints[:20] {
+		if v != 0 {
+			t.Fatalf("stale int32 %d at index %d after recycle", v, i)
 		}
 	}
 }
@@ -64,14 +55,14 @@ func TestLiveBytesExact(t *testing.T) {
 	p := NewPool()
 	a := p.GetArena()
 	a.OwnRanges(100)
-	a.GetVals(3) // dropped: never put back
+	a.GetInt32s(3) // dropped: never put back
 	grown := a.GetVIDs(8)
 	for i := 0; i < 5000; i++ { // leaves its class: put credits a different capacity than get drew
 		grown = append(grown, vector.VID(i))
 	}
 	a.PutVIDs(grown)
 	a.PutVIDs(a.GetVIDs(1 << 20)) // oversize: served by make, never pooled
-	a.GetRanges(64)               // dropped: never put back
+	a.GetVIDs(64)                 // dropped: never put back
 	if live := p.DetailedStats().LiveBytes; live <= 0 {
 		t.Fatalf("LiveBytes = %d with an arena holding buffers", live)
 	}
@@ -92,9 +83,6 @@ func smallQuery(p *Pool) int64 {
 	c.AppendString("b")
 	lz := a.OwnLazyVIDColumn("n")
 	lz.AppendSegment([]vector.VID{1})
-	vals := a.GetVals(2)
-	vals[0] = vector.String_("x")
-	a.PutVals(vals)
 	a.PutVIDs(append(a.GetVIDs(1), 7))
 	p.PutArena(a)
 	return p.DetailedStats().ClearedBytes - before
@@ -113,7 +101,6 @@ func TestClearedBytesFollowUse(t *testing.T) {
 	smallQuery(p)
 	a := p.GetArena()
 	a.OwnRanges(100_000)
-	a.PutVals(a.GetVals(10_000))
 	str := a.OwnColumn("s", vector.KindString)
 	lz := a.OwnLazyVIDColumn("l")
 	seg := []vector.VID{1, 2, 3}

@@ -11,9 +11,9 @@ import (
 // Pool is the size-classed memory pool of §5. Originally it recycled only
 // the copy-on-write transaction path's neighbor buffers; it now serves as
 // the process-wide arena parent for every executor scratch shape — VID
-// buffers, index vectors, boxed-value rows, f-Block columns, selection
-// bitsets, f-Trees and adjacency batches — with per-class get/put/hit
-// counters feeding the /stats memory section.
+// buffers, int32 scratch, index vectors, f-Block columns, selection bitsets,
+// f-Trees and adjacency batches — with per-class get/put/hit counters
+// feeding the /stats memory section.
 //
 // All methods are safe for concurrent use; per-query ownership bracketing
 // lives in Arena (arena.go).
@@ -21,7 +21,6 @@ type Pool struct {
 	vids   slicePool[vector.VID]
 	ints   slicePool[int32]
 	ranges slicePool[core.Range]
-	vals   slicePool[vector.Value]
 
 	cols    objPool[vector.Column]
 	bits    objPool[vector.Bitset]
@@ -51,7 +50,6 @@ const (
 	vidSize   = 4
 	int32Size = 4
 	rangeSize = 8
-	valueSize = 40
 )
 
 // Poison sentinels for the -tags gesassert release discipline. The values
@@ -61,7 +59,6 @@ var (
 	poisonVID   = vector.VID(0xDEADBEEF)
 	poisonInt32 = int32(-0x21524111)
 	poisonRange = core.Range{Start: -0x21524111, End: -0x21524111}
-	poisonValue = vector.Value{Kind: vector.Kind(0xEE), I: -0x21524111_21524111, F: -6.51e151, S: "\xde\xad"}
 )
 
 // NewPool returns a ready memory pool.
@@ -70,9 +67,7 @@ func NewPool() *Pool {
 	p.vids.poison, p.vids.elemSize = poisonVID, vidSize
 	p.ints.poison, p.ints.elemSize = poisonInt32, int32Size
 	p.ranges.poison, p.ranges.elemSize = poisonRange, rangeSize
-	p.vals.poison, p.vals.elemSize = poisonValue, valueSize
-	p.vals.hasPtrs = true
-	p.vids.cleared, p.ints.cleared, p.ranges.cleared, p.vals.cleared = &p.cleared, &p.cleared, &p.cleared, &p.cleared
+	p.vids.cleared, p.ints.cleared, p.ranges.cleared = &p.cleared, &p.cleared, &p.cleared
 	return p
 }
 
@@ -101,7 +96,6 @@ type slicePool[T comparable] struct {
 
 	poison   T
 	elemSize int
-	hasPtrs  bool // elements hold pointers: put must drop them
 	cleared  *atomic.Int64
 }
 
@@ -154,17 +148,6 @@ func (p *slicePool[T]) put(buf []T) {
 		}
 	}
 	p.puts[c].Add(1)
-	if p.hasPtrs {
-		// Drop what the owner stored, so a pooled buffer pins nothing; the
-		// slots past len(buf) were never handed out dirty (get zeroes what
-		// it hands out, append writes below len). Assert builds skip the
-		// clear: the stamp below overwrites every slot, and has to find a
-		// first release's stamp intact to catch a second.
-		p.cleared.Add(int64(len(buf) * p.elemSize))
-		if !core.AssertEnabled {
-			clear(buf)
-		}
-	}
 	s := buf[:cap(buf)]
 	applyPoison(s, p.poison)
 	box, _ := p.boxes.Get().(*sliceBox[T])
@@ -173,15 +156,6 @@ func (p *slicePool[T]) put(buf []T) {
 	}
 	box.s = s[:0]
 	p.classes[c].Put(box)
-}
-
-func (p *slicePool[T]) stats() (gets, hits, puts int64) {
-	for c := 0; c < numClasses; c++ {
-		gets += p.gets[c].Load()
-		hits += p.hits[c].Load()
-		puts += p.puts[c].Load()
-	}
-	return gets + p.big.Load(), hits, puts
 }
 
 // applyPoison stamps a released buffer with the sentinel in assert builds
@@ -270,13 +244,6 @@ func (p *Pool) GetRanges(n int) []core.Range { return p.ranges.get(n) }
 
 // PutRanges returns a buffer obtained from GetRanges to the pool.
 func (p *Pool) PutRanges(buf []core.Range) { p.ranges.put(buf) }
-
-// GetVals returns a zero-length boxed-value buffer with capacity at least n,
-// its first n slots zeroed.
-func (p *Pool) GetVals(n int) []vector.Value { return p.vals.get(n) }
-
-// PutVals returns a buffer obtained from GetVals to the pool.
-func (p *Pool) PutVals(buf []vector.Value) { p.vals.put(buf) }
 
 // GetColumn returns an empty column of the given identity, recycling a
 // previously released column's backing capacity when one is available.
@@ -461,10 +428,10 @@ type PoolStats struct {
 	Puts      int64 `json:"puts"`
 	LiveBytes int64 `json:"liveBytes"`
 	// ClearedBytes is the cumulative bytes get and put zeroed: the slots a
-	// slice get was asked for, the used rows of pointer-bearing buffers
-	// and columns on put. It is counted per call, not per sync.Pool hit, so
-	// it repeats exactly for a request sequence, and it follows the sizes
-	// the requests use — never the capacity recycled objects retain.
+	// slice get was asked for and the rows a column held on put. It is
+	// counted per call, not per sync.Pool hit, so it repeats exactly for a
+	// request sequence, and it follows the sizes the requests use — never
+	// the capacity recycled objects retain.
 	ClearedBytes int64       `json:"clearedBytes"`
 	Classes      []ClassStat `json:"classes,omitempty"`
 	Columns      ObjStat     `json:"columns"`
@@ -484,7 +451,8 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Gets)
 }
 
-// DetailedStats snapshots every pool counter. Classes lists only size
+// DetailedStats snapshots every pool counter: the VID, int32 and
+// index-vector slice classes and the object pools. Classes lists only size
 // classes that saw traffic.
 func (p *Pool) DetailedStats() PoolStats {
 	var s PoolStats
@@ -494,7 +462,6 @@ func (p *Pool) DetailedStats() PoolStats {
 			{&p.vids.gets[c], &p.vids.hits[c], &p.vids.puts[c]},
 			{&p.ints.gets[c], &p.ints.hits[c], &p.ints.puts[c]},
 			{&p.ranges.gets[c], &p.ranges.hits[c], &p.ranges.puts[c]},
-			{&p.vals.gets[c], &p.vals.hits[c], &p.vals.puts[c]},
 		} {
 			cs.Gets += sp.g.Load()
 			cs.Hits += sp.h.Load()
@@ -507,7 +474,7 @@ func (p *Pool) DetailedStats() PoolStats {
 		s.Hits += cs.Hits
 		s.Puts += cs.Puts
 	}
-	s.Gets += p.vids.big.Load() + p.ints.big.Load() + p.ranges.big.Load() + p.vals.big.Load()
+	s.Gets += p.vids.big.Load() + p.ints.big.Load() + p.ranges.big.Load()
 	s.Columns = p.cols.stats()
 	s.Bitsets = p.bits.stats()
 	s.Trees = p.trees.stats()

@@ -100,7 +100,7 @@ func (m *Manager) Begin(writeSet []vector.VID) *Txn {
 	slices.Sort(set)
 	set = slices.Compact(set)
 	m.locks.acquire(set)
-	return &Txn{m: m, locked: set, readVer: m.version.Load()}
+	return &Txn{m: m, locked: set}
 }
 
 // lockTable is a striped vertex lock table.

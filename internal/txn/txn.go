@@ -12,10 +12,9 @@ import (
 // atomically at Commit under a single new version; the declared write-set
 // locks are held throughout (2PL) and released at the end.
 type Txn struct {
-	m       *Manager
-	locked  []vector.VID
-	readVer uint64
-	done    bool
+	m      *Manager
+	locked []vector.VID
+	done   bool
 
 	newVerts   []pendingVertex
 	edgeWrites []pendingEdge

@@ -75,16 +75,19 @@ func TestVolcanoFilterAndExpr(t *testing.T) {
 	})
 }
 
-func TestVolcanoEdgePropsAndMultiSeek(t *testing.T) {
+func TestVolcanoEdgePropsOnScanRoot(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	runBoth(t, plan.Plan{
-		&op.MultiSeek{Var: "p", Label: s.Person, ExtIDs: []int64{100, 101, 999}},
+	out := runBoth(t, plan.Plan{
+		&op.NodeScan{Var: "p", Label: s.Person},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
 			EdgeProps: []op.EdgeProj{{Prop: "creationDate", As: "since"}}},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
 		&op.OrderBy{Keys: []op.SortKey{{Col: "since", Desc: true}, {Col: "f.id"}}},
 	})
+	if len(out) == 0 {
+		t.Fatal("no KNOWS edge out of any person")
+	}
 }
 
 func TestVolcanoVarLengthAndAggregate(t *testing.T) {

@@ -87,14 +87,6 @@ func (e *Engine) buildOp(view storage.View, in iter, o op.Operator) (iter, error
 			rows = append(rows, []vector.Value{vector.VIDValue(v)})
 		}
 		return &sliceIter{names: []string{n.Var}, ks: []vector.Kind{vector.KindVID}, rows: rows}, nil
-	case *op.MultiSeek:
-		var rows [][]vector.Value
-		for _, ext := range n.ExtIDs {
-			if v, ok := view.VertexByExt(n.Label, ext); ok {
-				rows = append(rows, []vector.Value{vector.VIDValue(v)})
-			}
-		}
-		return &sliceIter{names: []string{n.Var}, ks: []vector.Kind{vector.KindVID}, rows: rows}, nil
 	case *op.NodeScan:
 		vs := view.ScanLabel(n.Label)
 		if n.From != "" {
