@@ -73,6 +73,9 @@ func main() {
 		statsFn = func() string { return ds.Stats().String() }
 	}
 	cache := cypher.NewCache(g)
+	// One pool for the session, so each query's arena recycles the buffers
+	// the one before it released.
+	pool := storage.NewPool()
 
 	mode := exec.ModeFused
 	in := bufio.NewScanner(os.Stdin)
@@ -118,8 +121,7 @@ func main() {
 				fmt.Println(exec.Physical(mode, pr.Plan, pr.Params))
 				continue
 			}
-			eng := exec.New(mode)
-			eng.Params = pr.Params
+			eng := &exec.Engine{Mode: mode, Pool: pool, Params: pr.Params}
 			start := time.Now()
 			res, err := eng.Run(view, pr.Plan)
 			if err != nil {

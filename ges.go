@@ -108,6 +108,9 @@ type DB struct {
 	cat   *catalog.Catalog
 	graph *storage.Graph
 	cache *cypher.Cache
+	// pool is the memory pool every query's arena draws from, so buffers
+	// recycle from one query to the next.
+	pool *storage.Pool
 
 	mu       sync.Mutex
 	mode     exec.Mode
@@ -119,7 +122,7 @@ type DB struct {
 func Open(mode Mode) *DB {
 	cat := catalog.New()
 	g := storage.NewGraph(cat)
-	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), mode: mode.internal()}
+	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), pool: storage.NewPool(), mode: mode.internal()}
 }
 
 // DefineVertexType registers a vertex label and its property schema.
@@ -317,8 +320,7 @@ func (db *DB) Query(src string) (*Result, error) {
 	}
 	snap := mgr.AcquireSnapshot()
 	defer mgr.Release(snap)
-	eng := exec.New(mode)
-	eng.Parallel, eng.Params = parallel, pr.Params
+	eng := &exec.Engine{Mode: mode, Pool: db.pool, Parallel: parallel, Params: pr.Params}
 	res, err := eng.Run(snap, pr.Plan)
 	if err != nil {
 		return nil, err
@@ -418,7 +420,7 @@ func Load(r io.Reader, mode Mode) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), mode: mode.internal()}, nil
+	return &DB{cat: cat, graph: g, cache: cypher.NewCache(g), pool: storage.NewPool(), mode: mode.internal()}, nil
 }
 
 // LoadFile opens a database from a snapshot file.

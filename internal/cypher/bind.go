@@ -14,9 +14,10 @@ import (
 
 // Compile parses and binds a Cypher query against a catalog, producing a
 // physical plan for the GES engine (any variant) or the volcano engine.
-// The plan is the syntactic one — anchored and oriented as written — which
-// the oracles compare against; frontends prepare queries through
-// Cache.Prepare, which lets the cost model shape them.
+// It is the binder's walk run without statistics — anchored at the first
+// labelled node, relationships in written order and direction — which the
+// oracles compare against; frontends prepare queries through Cache.Prepare,
+// which lets the cost model shape them.
 func Compile(src string, cat *catalog.Catalog) (plan.Plan, error) {
 	c, err := CompileWith(src, cat, Options{})
 	if err != nil {
@@ -28,7 +29,8 @@ func Compile(src string, cat *catalog.Catalog) (plan.Plan, error) {
 // Options configures compilation.
 type Options struct {
 	// Cost is the statistics-driven cost model; nil (no statistics
-	// snapshot published yet) binds the syntactic plan exactly as written.
+	// snapshot published yet) estimates every scan, seek, hop and filter
+	// as 1, so ties bind the pattern as written.
 	Cost *plan.CostModel
 	// Params carries the values for $k placeholders in the query text
 	// (slot k = Params[k-1]), as produced by Normalize. The binder uses
@@ -44,12 +46,12 @@ type Compiled struct {
 	Est  plan.Estimate
 }
 
-// CompileWith parses and binds a query under the given options. With a
-// cost model the binder picks the scan anchor, orients every Expand and
-// orders the frontier by estimated cardinality; the chosen anchor also
-// becomes the f-Tree root, minimizing de-factoring under the highest-fanout
-// prefix. Without one it binds the pattern as written. Both shapes return
-// identical results.
+// CompileWith parses and binds a query under the given options. The binder
+// picks the scan anchor, orients every Expand and orders the frontier by
+// estimated cardinality; the chosen anchor also becomes the f-Tree root,
+// minimizing de-factoring under the highest-fanout prefix. Without a cost
+// model every estimate ties and the pattern binds as written. Every shape
+// returns identical results.
 func CompileWith(src string, cat *catalog.Catalog, opts Options) (*Compiled, error) {
 	q, err := Parse(src)
 	if err != nil {
@@ -65,7 +67,7 @@ func CompileWith(src string, cat *catalog.Catalog, opts Options) (*Compiled, err
 		rows:      1,
 	}
 	for i := range q.Matches {
-		if err := b.bindMatch(&q.Matches[i], i == 0); err != nil {
+		if err := b.bindMatchCosted(&q.Matches[i], i == 0); err != nil {
 			return nil, err
 		}
 	}
@@ -77,7 +79,7 @@ func CompileWith(src string, cat *catalog.Catalog, opts Options) (*Compiled, err
 	// intersections.
 	return &Compiled{
 		Plan: plan.LowerWCOJ(b.plan),
-		Est:  plan.Estimate{Rows: b.rows, CostBased: b.cost != nil, Anchor: b.anchor},
+		Est:  plan.Estimate{Rows: b.rows, Anchor: b.anchor},
 	}, nil
 }
 
@@ -89,18 +91,10 @@ type binder struct {
 	labels    map[string]catalog.LabelID // var -> label (AnyLabel when free)
 	projected map[string]bool            // canonical columns already projected
 
-	cost   *plan.CostModel // nil = syntactic binding
+	cost   *plan.CostModel // nil = no statistics: every estimate ties
 	params []vector.Value  // $k slot values (may be empty)
-	rows   float64         // running cardinality estimate (cost mode)
+	rows   float64         // running cardinality estimate
 	anchor string          // first clause's chosen anchor variable
-}
-
-// bindMatch lowers one MATCH clause, dispatching on the planning mode.
-func (b *binder) bindMatch(m *MatchClause, first bool) error {
-	if b.cost != nil {
-		return b.bindMatchCosted(m, first)
-	}
-	return b.bindMatchSyntactic(m, first)
 }
 
 func (b *binder) labelOf(n NodePat) (catalog.LabelID, error) {
@@ -121,133 +115,12 @@ func (b *binder) labelOf(n NodePat) (catalog.LabelID, error) {
 	return l, nil
 }
 
-// bindMatchSyntactic lowers one MATCH clause exactly as written: the scan
-// anchors on the first node, expansion follows syntax order and direction,
-// and the WHERE filters at the end of the clause.
-func (b *binder) bindMatchSyntactic(m *MatchClause, first bool) error {
-	start := m.Nodes[0]
-	startLabel, err := b.labelOf(start)
-	if err != nil {
-		return err
-	}
-	if !b.bound[start.Var] {
-		if !first {
-			return fmt.Errorf("cypher: MATCH must start from an already-bound variable (%q is new)", start.Var)
-		}
-		b.anchor = start.Var
-		// Seek by id when the WHERE contains id(start) = <int>; else scan.
-		if seek, rest, ok := b.extractIDSeek(m.Where, start.Var); ok {
-			if startLabel == storage.AnyLabel {
-				return fmt.Errorf("cypher: id() seek on %q requires a label", start.Var)
-			}
-			b.plan = append(b.plan, &op.NodeByIdSeek{Var: start.Var, Label: startLabel, ExtID: seek.ext, ExtParam: seek.slot})
-			m.Where = rest
-		} else {
-			if startLabel == storage.AnyLabel {
-				return fmt.Errorf("cypher: the first node %q needs a label (or an id() equality) to anchor the scan", start.Var)
-			}
-			b.plan = append(b.plan, &op.NodeScan{Var: start.Var, Label: startLabel})
-		}
-		b.bound[start.Var] = true
-	}
-
-	for i, rel := range m.Rels {
-		from, to := m.Nodes[i], m.Nodes[i+1]
-		if !b.bound[from.Var] {
-			return fmt.Errorf("cypher: relationship source %q is unbound", from.Var)
-		}
-		et, ok := b.cat.EdgeType(rel.Type)
-		if !ok {
-			return fmt.Errorf("cypher: unknown relationship type %q", rel.Type)
-		}
-		toLabel, err := b.labelOf(to)
-		if err != nil {
-			return err
-		}
-		if b.bound[to.Var] {
-			// Cyclic pattern edge: both endpoints are bound, so close the
-			// cycle with an intersection-based semi-join instead of a
-			// re-expand + hash join; a var-length edge closes with the
-			// hop-bounded form, one BFS per source.
-			fromLabel, err := b.labelOf(from)
-			if err != nil {
-				return err
-			}
-			b.plan = append(b.plan, &op.ExpandInto{
-				From: from.Var, To: to.Var, Et: et, Dir: rel.Dir,
-				DstLabel: toLabel, SrcLabel: fromLabel, MinHops: rel.MinHops, MaxHops: rel.MaxHops,
-			})
-			continue
-		}
-		if rel.MinHops == 1 && rel.MaxHops == 1 {
-			b.plan = append(b.plan, &op.Expand{
-				From: from.Var, To: to.Var, Et: et, Dir: rel.Dir, DstLabel: toLabel,
-			})
-		} else {
-			b.plan = append(b.plan, &op.VarLengthExpand{
-				From: from.Var, To: to.Var, Et: et, Dir: rel.Dir, DstLabel: toLabel,
-				MinHops: rel.MinHops, MaxHops: rel.MaxHops,
-			})
-		}
-		b.bound[to.Var] = true
-	}
-
-	if m.Where != nil {
-		if err := b.ensureProjections(m.Where); err != nil {
-			return err
-		}
-		pred, err := b.toExpr(m.Where)
-		if err != nil {
-			return err
-		}
-		b.plan = append(b.plan, &op.Filter{Pred: pred})
-	}
-	return nil
-}
-
 // idSeek is an extracted `id(v) = <int>` conjunct: an inline external id,
 // or a parameter slot when the literal was normalized out (slot > 0; the
 // value, when available, still fills ext for estimation).
 type idSeek struct {
 	ext  int64
 	slot int
-}
-
-// extractIDSeek finds a conjunct `id(v) = <int literal or int parameter>`
-// (either side) and returns the seek plus the remaining predicate.
-func (b *binder) extractIDSeek(e Expr, v string) (idSeek, Expr, bool) {
-	switch n := e.(type) {
-	case Bin:
-		if n.Op == "AND" {
-			if seek, rest, ok := b.extractIDSeek(n.L, v); ok {
-				if rest == nil {
-					return seek, n.R, true
-				}
-				return seek, Bin{Op: "AND", L: rest, R: n.R}, true
-			}
-			if seek, rest, ok := b.extractIDSeek(n.R, v); ok {
-				if rest == nil {
-					return seek, n.L, true
-				}
-				return seek, Bin{Op: "AND", L: n.L, R: rest}, true
-			}
-			return idSeek{}, nil, false
-		}
-		if n.Op != "=" {
-			return idSeek{}, nil, false
-		}
-		if id, ok := n.L.(IDRef); ok && id.Var == v {
-			if seek, ok := b.seekLit(n.R); ok {
-				return seek, nil, true
-			}
-		}
-		if id, ok := n.R.(IDRef); ok && id.Var == v {
-			if seek, ok := b.seekLit(n.L); ok {
-				return seek, nil, true
-			}
-		}
-	}
-	return idSeek{}, nil, false
 }
 
 // seekLit accepts an integer literal or an integer-valued parameter as the

@@ -77,8 +77,8 @@ func newCache(g *storage.Graph, capacity int) *Cache {
 
 // Prepare normalizes src (its literals become $k slots), looks the skeleton
 // up under the graph's current catalog version and statistics epoch, and on
-// a miss compiles it cost-based from the statistics snapshot that epoch
-// names — syntactically before the graph's first seal publishes one.
+// a miss compiles it from the statistics snapshot that epoch names — as
+// written (a nil cost model) before the graph's first seal publishes one.
 func (c *Cache) Prepare(src string) (Prepared, error) {
 	norm, params, err := Normalize(src)
 	if err != nil {

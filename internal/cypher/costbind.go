@@ -10,7 +10,12 @@ import (
 )
 
 // bindMatchCosted lowers one MATCH clause with the cost model driving plan
-// shape (DESIGN.md §10):
+// shape (DESIGN.md §10). It is the only MATCH walk: without statistics
+// (b.cost nil) every scan, seek, hop and filter estimates 1, the strict
+// comparisons below keep the first candidate on every tie, and the clause
+// binds as written — anchored at its first labelled node, relationships in
+// written order and direction — with single-variable filters where their
+// variable binds.
 //
 //   - anchor: among the clause's nodes (or, in continuing clauses, its
 //     already-bound ones) the binder picks the start with the smallest
@@ -145,7 +150,7 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 			}
 		}
 		if best < 0 {
-			return fmt.Errorf("cypher: the first node %q needs a label (or an id() equality) to anchor the scan", m.Nodes[0].Var)
+			return fmt.Errorf("cypher: the first node %q needs a label to anchor a scan or an id() seek", m.Nodes[0].Var)
 		}
 		v := m.Nodes[best].Var
 		b.anchor = v
@@ -164,8 +169,7 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 		}
 	}
 	// Conjuncts on variables bound before this clause filter immediately,
-	// before any fan-out (the syntactic binder would apply them at clause
-	// end — same rows, more work).
+	// before any fan-out.
 	for _, v := range varOrder {
 		if b.bound[v] && len(perVar[v]) > 0 {
 			if err := pushVar(v); err != nil {
@@ -267,8 +271,8 @@ func (b *binder) bindMatchCosted(m *MatchClause, first bool) error {
 	}
 
 	// Residual: multi-variable conjuncts, plus any single-variable group
-	// whose variable never bound (ensureProjections reports it, matching
-	// the syntactic path's error).
+	// whose variable never bound (ensureProjections reports it as an
+	// unknown variable).
 	for _, v := range varOrder {
 		if len(perVar[v]) > 0 {
 			residual = append(residual, perVar[v]...)
@@ -331,7 +335,12 @@ func (b *binder) seekFromConjs(v string, conjs []Expr) (idSeek, int, bool) {
 
 // conjSel estimates the selectivity of one conjunct over a variable with
 // the given label, reading the column summaries through the cost model.
+// Without statistics every conjunct estimates 1, so no filter moves the
+// anchor or the frontier.
 func (b *binder) conjSel(c Expr, label catalog.LabelID) float64 {
+	if b.cost == nil {
+		return 1
+	}
 	switch n := c.(type) {
 	case Bin:
 		switch n.Op {

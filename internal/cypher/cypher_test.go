@@ -314,8 +314,8 @@ func TestDiamondLowersToExpandIntersect(t *testing.T) {
 }
 
 // TestCyclicVarLengthCloses checks that a var-length relationship between
-// two bound variables compiles to the hop-bounded ExpandInto under both
-// binders and returns, in every mode and at every worker count against the
+// two bound variables compiles to the hop-bounded ExpandInto, planned
+// without statistics and with them, and returns, in every mode and at every worker count against the
 // volcano oracle, the rows of the rewrite TestCyclicVarLengthRewriteWorkaround
 // spells out: the closing endpoint under a fresh variable, equated by id.
 func TestCyclicVarLengthCloses(t *testing.T) {

@@ -113,8 +113,8 @@ func TestNormalizeQuoteEscaping(t *testing.T) {
 }
 
 // TestParamRoundTrip runs the paper's example query three ways — literal
-// text, normalized text + re-bound params, and normalized text under the
-// cost model — across all engine modes, and demands identical rows.
+// text, and normalized text + re-bound params planned without statistics
+// and with them — across all engine modes, and demands identical rows.
 func TestParamRoundTrip(t *testing.T) {
 	f := testgraph.New()
 	src := `
@@ -137,8 +137,8 @@ func TestParamRoundTrip(t *testing.T) {
 	for _, mode := range []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused} {
 		want := rowStrings(runCypher(t, f, mode, src))
 		for name, opts := range map[string]cypher.Options{
-			"syntactic": {Params: params},
-			"cost":      {Params: params, Cost: cm},
+			"without statistics": {Params: params},
+			"with statistics":    {Params: params, Cost: cm},
 		} {
 			c, err := cypher.CompileWith(norm, f.Cat, opts)
 			if err != nil {

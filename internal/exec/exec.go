@@ -13,7 +13,6 @@ import (
 	"ges/internal/core"
 	"ges/internal/op"
 	"ges/internal/plan"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -82,9 +81,6 @@ type Engine struct {
 	// Parallel sets the intra-query parallelism degree for expansion
 	// operators (<= 1 = sequential).
 	Parallel int
-	// Sched is the worker pool intra-query morsels run on; nil uses the
-	// process-wide scheduler.
-	Sched *sched.Scheduler
 	// Params is the per-execution parameter vector for plans compiled
 	// from normalized query text ($k placeholders). Bound once per Run
 	// (Physical), before fusion, so every downstream operator and
@@ -122,7 +118,7 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	// across queries.
 	arena := e.Pool.GetArena()
 	defer e.Pool.PutArena(arena)
-	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel, Sched: e.Sched}
+	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel}
 	start := time.Now()
 
 	var ch *core.Chunk

@@ -92,7 +92,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	case ancestorOf(nt, nf) && !o.Hops():
 		deep, deepCol = nf, fromCol
 		shallow, shallowCol = nt, toCol
-		probe.dir, probe.dstLabel = reverseDir(o.Dir), o.SrcLabel
+		probe.dir, probe.dstLabel = o.Dir.Reverse(), o.SrcLabel
 	default:
 		// Siblings (or a hop-bounded closure over a deeper From): neither
 		// row determines the other's probe, so the semi-join is not a
@@ -174,18 +174,6 @@ func ancestorOf(a, d *core.Node) bool {
 		}
 	}
 	return false
-}
-
-// reverseDir flips Out and In; Both stays Both.
-func reverseDir(d catalog.Direction) catalog.Direction {
-	switch d {
-	case catalog.Out:
-		return catalog.In
-	case catalog.In:
-		return catalog.Out
-	default:
-		return d
-	}
 }
 
 // ownerMap returns, for every deep-node row, the shallow-node (ancestor) row

@@ -54,11 +54,6 @@ type Ctx struct {
 	// <= 1 drive every range body with one shard (parallel.go).
 	Parallel int
 
-	// Sched is the worker pool morsels are scheduled on; nil uses the
-	// process-wide scheduler. Intra-query morsels and inter-query tasks
-	// draw from the same budget.
-	Sched *sched.Scheduler
-
 	// Gather counts batch-gather activity. Counters are atomic because fused
 	// predicates batch inside parallel morsels.
 	Gather GatherStats
@@ -73,16 +68,13 @@ type GatherStats struct {
 	SharedCols atomic.Int64
 }
 
-// RunMorsels shards [0,n) into size-row morsels executed on the shared
-// worker pool with up to Parallel claimants (the caller participates; see
+// RunMorsels shards [0,n) into size-row morsels executed on the process-wide
+// worker pool (sched.Global, which inter-query tasks share) with up to
+// Parallel claimants (the caller participates; see
 // sched.Scheduler.RunMorsels for the determinism contract). Only the three
 // shard drivers in parallel.go call it.
 func (c *Ctx) RunMorsels(n, size int, fn func(m sched.Morsel)) {
-	s := c.Sched
-	if s == nil {
-		s = sched.Global()
-	}
-	s.RunMorsels(c.Parallel, n, size, fn)
+	sched.Global().RunMorsels(c.Parallel, n, size, fn)
 }
 
 // NewFTree returns the query's root f-Tree over a block of the given

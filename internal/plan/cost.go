@@ -3,9 +3,11 @@
 // orient each Expand, order the frontier and shape the f-Tree root; the
 // formulas are documented in DESIGN.md §10.
 //
-// Every method tolerates a nil receiver — a nil *CostModel means "no
-// statistics" and callers fall back to the syntactic plan, so the planner
-// degrades rather than fails when the snapshot is invalidated.
+// LabelCard and FanOut tolerate a nil receiver — a nil *CostModel means
+// "no statistics": both estimate 1, the binder estimates every filter as 1
+// too, so its walk ties everywhere and binds the pattern as written, and
+// the planner degrades rather than fails when the snapshot is invalidated.
+// The selectivity methods read column summaries and need a model.
 package plan
 
 import (
@@ -77,9 +79,6 @@ func (c *CostModel) FanOut(src catalog.LabelID, et catalog.EdgeTypeID, dir catal
 // reciprocal of the distinct count for dict-encoded strings, the
 // reciprocal of the value span for bounded integers, else a default.
 func (c *CostModel) EqSel(label catalog.LabelID, prop string) float64 {
-	if c == nil {
-		return defaultEqSel
-	}
 	col, ok := c.s.Columns[stats.ColKey{Label: label, Prop: prop}]
 	if !ok || col.Rows == 0 {
 		return defaultEqSel
@@ -101,9 +100,6 @@ func (c *CostModel) EqSel(label catalog.LabelID, prop string) float64 {
 // `prop >= v` etc. by uniform interpolation over the column's bounds.
 // op is one of "<", "<=", ">", ">=".
 func (c *CostModel) RangeSel(label catalog.LabelID, prop string, op string, v vector.Value) float64 {
-	if c == nil {
-		return defaultRangeSel
-	}
 	col, ok := c.s.Columns[stats.ColKey{Label: label, Prop: prop}]
 	if !ok || col.Rows == 0 {
 		return defaultRangeSel
@@ -167,9 +163,6 @@ func clampSel(s, floor float64) float64 {
 type Estimate struct {
 	// Rows is the estimated result cardinality before aggregation.
 	Rows float64
-	// CostBased reports whether statistics drove the plan shape (false
-	// for the syntactic fallback).
-	CostBased bool
 	// Anchor is the variable the plan's first scan/seek binds.
 	Anchor string
 }

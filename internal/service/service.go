@@ -37,7 +37,7 @@ type Server struct {
 	// now is injectable for deterministic tests.
 	now func() time.Time
 
-	// Estimator drift: totals over cost-based /query executions. estRows is
+	// Estimator drift: totals over /query executions. estRows is
 	// the planner's pattern-cardinality estimate; actRows counts the rows
 	// each query actually returned. Aggregating queries return fewer rows
 	// than the pattern produced, so this is a coarse drift signal, not a
@@ -133,20 +133,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	reqStats := map[string]any{
+	s.estQueries.Add(1)
+	s.estRows.Add(uint64(pr.Est.Rows + 0.5))
+	if res.Block != nil {
+		s.actRows.Add(uint64(len(res.Block.Rows)))
+	}
+	writeResult(w, res.Block, map[string]any{
 		"durationMs":            float64(s.now().Sub(start).Microseconds()) / 1000,
 		"peakIntermediateBytes": res.PeakMem,
-	}
-	if est := pr.Est; est.CostBased {
-		s.estQueries.Add(1)
-		s.estRows.Add(uint64(est.Rows + 0.5))
-		if res.Block != nil {
-			s.actRows.Add(uint64(len(res.Block.Rows)))
-		}
-		reqStats["estimatedRows"] = est.Rows
-		reqStats["anchor"] = est.Anchor
-	}
-	writeResult(w, res.Block, reqStats)
+		"estimatedRows":         pr.Est.Rows,
+		"anchor":                pr.Est.Anchor,
+	})
 }
 
 // LDBCRequest is the body of POST /ldbc. Params may be omitted (or null) to
@@ -229,7 +226,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"overlay":    s.overlaySection(),
 		"memory":     s.memorySection(),
 		"planner": map[string]any{
-			"costBased":     s.ds.Graph.Stats() != nil,
 			"estQueries":    s.estQueries.Load(),
 			"estimatedRows": s.estRows.Load(),
 			"actualRows":    s.actRows.Load(),

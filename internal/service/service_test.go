@@ -512,13 +512,12 @@ func TestISClearsWhatItUsesAfterIC(t *testing.T) {
 	}
 }
 
-// TestStatsCostBasedFollowsStatistics pins /stats planner.costBased to what
-// the binder actually does: before the first seal no statistics snapshot is
-// published (and NewCostModel(nil) would bind syntactically); a server's
-// transaction manager seals a graph still in the bulk phase — commits write
-// into the sealed images — so a served graph is sealed, its plans are
-// cost-based and carry an estimate, whichever phase it was handed over in.
-func TestStatsCostBasedFollowsStatistics(t *testing.T) {
+// TestQueryReplyCarriesEstimate: every /query reply carries the binder's
+// estimate and anchor, whichever phase the graph was handed over in. A
+// server's transaction manager seals a graph still in the bulk phase —
+// commits write into the sealed images — so /stats statistics.present is
+// true on a served graph and its plans are shaped by the statistics.
+func TestQueryReplyCarriesEstimate(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
 		if err != nil {
@@ -539,13 +538,18 @@ func TestStatsCostBasedFollowsStatistics(t *testing.T) {
 		}
 		ts := httptest.NewServer(service.New(ds, exec.ModeFused).Mux())
 		resp, out := post(t, ts, "/query", service.QueryRequest{
-			Query: `MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 1 RETURN COUNT(*) AS c`,
+			Query: `MATCH (f:Person)<-[:KNOWS]-(p:Person) WHERE id(p) = 1 RETURN COUNT(*) AS c`,
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("sealed=%v: status = %d: %v", sealed, resp.StatusCode, out)
 		}
-		if _, ok := out["stats"].(map[string]any)["estimatedRows"]; !ok {
+		stats := out["stats"].(map[string]any)
+		if _, ok := stats["estimatedRows"]; !ok {
 			t.Fatalf("sealed=%v: query stats carry no estimate", sealed)
+		}
+		if got := stats["anchor"]; got != "p" {
+			// Without statistics the plan would anchor at f, as written.
+			t.Fatalf("sealed=%v: anchor = %v, want the id() seek on p", sealed, got)
 		}
 		r, err := http.Get(ts.URL + "/stats")
 		if err != nil {
@@ -558,8 +562,8 @@ func TestStatsCostBasedFollowsStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := st["planner"].(map[string]any)["costBased"]; got != true {
-			t.Fatalf("sealed=%v: planner.costBased = %v", sealed, got)
+		if got := st["statistics"].(map[string]any)["present"]; got != true {
+			t.Fatalf("sealed=%v: statistics.present = %v", sealed, got)
 		}
 	}
 }

@@ -135,14 +135,14 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	b.AddColumn(vector.NewColumn("x", vector.KindVID))
 	a.OwnChunk(nil, nil)
 
-	_, putsBefore := p.Stats()
+	putsBefore := p.DetailedStats().Puts
 	a.Release()
-	_, puts := p.Stats()
+	puts := p.DetailedStats().Puts
 	if n := puts - putsBefore; n != 8 {
 		t.Fatalf("Release returned %d structures, want 8", n)
 	}
 	a.Release() // idempotent: nothing left to return
-	if _, again := p.Stats(); again != puts {
+	if again := p.DetailedStats().Puts; again != puts {
 		t.Fatalf("second Release returned structures: puts %d -> %d", puts, again)
 	}
 }

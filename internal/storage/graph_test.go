@@ -266,9 +266,8 @@ func TestPoolRoundTrip(t *testing.T) {
 	if len(buf2) != 0 {
 		t.Fatal("pooled buffer not reset")
 	}
-	gets, puts := p.Stats()
-	if gets != 2 || puts != 1 {
-		t.Fatalf("stats = %d/%d", gets, puts)
+	if st := p.DetailedStats(); st.Gets != 2 || st.Puts != 1 {
+		t.Fatalf("stats = %d/%d", st.Gets, st.Puts)
 	}
 	// Oversized requests bypass the classes but still work.
 	big := p.GetVIDs(1 << 22)

@@ -397,13 +397,6 @@ func (p *Pool) PutBatch(b *Batch) {
 	p.batches.put(b)
 }
 
-// Stats returns cumulative Get/Put counts across every pooled shape
-// (instrumentation for tests and coarse monitoring).
-func (p *Pool) Stats() (gets, puts int64) {
-	s := p.DetailedStats()
-	return s.Gets, s.Puts
-}
-
 // ClassStat is one size class's cumulative slice-pool counters, aggregated
 // across the element types.
 type ClassStat struct {

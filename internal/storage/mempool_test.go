@@ -46,9 +46,8 @@ func TestPoolGetAlwaysFreshLength(t *testing.T) {
 			p.PutVIDs(buf)
 		}
 	}
-	gets, puts := p.Stats()
-	if gets == 0 || puts == 0 {
-		t.Fatalf("property test exercised nothing: gets=%d puts=%d", gets, puts)
+	if st := p.DetailedStats(); st.Gets == 0 || st.Puts == 0 {
+		t.Fatalf("property test exercised nothing: gets=%d puts=%d", st.Gets, st.Puts)
 	}
 }
 

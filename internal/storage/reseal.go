@@ -6,7 +6,7 @@
 // finish against the image they loaded; the published statistics snapshot is
 // rebased (the resealed family's summary replaced, epoch bumped) rather than
 // dropped, so the plan cache degrades to mildly-stale estimates instead of
-// syntactic planning.
+// the statistics-free, as-written plan.
 package storage
 
 import (

@@ -44,8 +44,8 @@ func (g *Graph) sealStats() {
 
 // Stats returns the current statistics snapshot, or nil before the first
 // SealCSR. Later mutations leave the snapshot published — mildly stale
-// between reseals — so cost-based planning never degrades to the syntactic
-// fallback under sustained writes.
+// between reseals — so planning never falls back to the statistics-free,
+// as-written plan under sustained writes.
 func (g *Graph) Stats() *stats.Snapshot { return g.statsSnap.Load() }
 
 // StatsEpoch returns the epoch of the current snapshot, or 0 before the

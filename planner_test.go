@@ -58,9 +58,6 @@ func TestEstimateQError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !compiled.Est.CostBased {
-				t.Fatal("estimate not cost-based despite a cost model")
-			}
 			res, err := exec.New(exec.ModeFused).Run(ds.Graph, compiled.Plan)
 			if err != nil {
 				t.Fatal(err)

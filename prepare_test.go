@@ -36,11 +36,11 @@ func TestExplainShowsThePlanQueryRuns(t *testing.T) {
 	const src = `MATCH (f:Person)<-[:KNOWS]-(p:Person) WHERE id(p) = %d RETURN id(f) ORDER BY id(f)`
 
 	// Written as is, the pattern scans f.
-	syntactic, err := cypher.Compile(fmt.Sprintf(src, 7), db.cat)
+	asWritten, err := cypher.Compile(fmt.Sprintf(src, 7), db.cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := syntactic.String(); !strings.Contains(s, "NodeScan") {
+	if s := asWritten.String(); !strings.Contains(s, "NodeScan") {
 		t.Fatalf("the as-written plan does not scan:\n%s", s)
 	}
 	explained, err := db.Explain(fmt.Sprintf(src, 7))
