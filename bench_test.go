@@ -134,67 +134,31 @@ func BenchmarkIC14(b *testing.B)              { benchQuery(b, "IC14", exec.ModeF
 func BenchmarkIS2_Fused(b *testing.B)         { benchQuery(b, "IS2", exec.ModeFused) }
 func BenchmarkIC13_ShortestPath(b *testing.B) { benchQuery(b, "IC13", exec.ModeFused) }
 
-// ---------------------------------------------------------------------------
-// Ablation benchmarks (design choices called out in DESIGN.md).
-// ---------------------------------------------------------------------------
-
-// twoHopPlan builds the paper's canonical two-hop expansion, optionally
-// disabling the pointer-based join.
-func twoHopPlan(h *ldbc.Handles, personExt int64, noLazy bool) plan.Plan {
+// threeHopPlan expands a person's friends, their friends and those
+// friends' messages, with no predicate or edge property: every hop copies
+// its neighbour pieces whole into the new node's VID column.
+func threeHopPlan(h *ldbc.Handles, personExt int64) plan.Plan {
 	return plan.Plan{
 		&op.NodeByIdSeek{Var: "p", Label: h.Person, ExtID: personExt},
-		&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person, NoLazy: noLazy},
-		&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person, NoLazy: noLazy},
-		&op.Expand{From: "g", To: "msg", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel, NoLazy: noLazy},
+		&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
+		&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
+		&op.Expand{From: "g", To: "msg", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
 		&op.Limit{N: 1}, // constant-delay early exit keeps the tree cost dominant
 	}
 }
 
-func benchPointerJoin(b *testing.B, noLazy bool) {
+// BenchmarkExpandThreeHop shows the cost of copying expand output: three
+// plain hops build the whole f-Tree before Limit reads one tuple.
+func BenchmarkExpandThreeHop(b *testing.B) {
 	ds := dataset(b)
 	eng := exec.New(exec.ModeFactorized)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := twoHopPlan(ds.H, int64(i%len(ds.Persons))+1, noLazy)
-		if _, err := eng.Run(ds.Graph, p); err != nil {
+		if _, err := eng.Run(ds.Graph, threeHopPlan(ds.H, int64(i%len(ds.Persons))+1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-// BenchmarkAblation_PointerJoin_On/Off isolate §5's pointer-based join: the
-// lazy segment columns should beat materialized neighbor copies.
-func BenchmarkAblation_PointerJoin_On(b *testing.B)  { benchPointerJoin(b, false) }
-func BenchmarkAblation_PointerJoin_Off(b *testing.B) { benchPointerJoin(b, true) }
-
-func benchPrune(b *testing.B, noPrune bool) {
-	ds := dataset(b)
-	eng := exec.New(exec.ModeFactorized)
-	h := ds.H
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p := plan.Plan{
-			&op.NodeByIdSeek{Var: "p", Label: h.Person, ExtID: int64(i%len(ds.Persons)) + 1},
-			&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
-			// A selective filter: pruning should spare the message expansion
-			// for filtered-out friends.
-			&op.Filter{Pred: benchFilterPred(), NoPrune: noPrune},
-			&op.Expand{From: "f", To: "msg", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
-			&op.Limit{N: 10},
-		}
-		if _, err := eng.Run(ds.Graph, p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_SelectionPruning_On(b *testing.B)  { benchPrune(b, false) }
-func BenchmarkAblation_SelectionPruning_Off(b *testing.B) { benchPrune(b, true) }
-
-// benchFilterPred is a selective friend filter (small external ids are the
-// zipf-popular persons).
-func benchFilterPred() expr.Expr { return expr.Le(expr.C("f.id"), expr.LInt(20)) }
 
 // ---------------------------------------------------------------------------
 // Read-path micro-benchmarks (the CI bench smoke): one benchmark per path,

@@ -48,10 +48,9 @@ var poolPairs = map[string]string{
 	"GetFTree":  "PutFTree",
 	"GetBitset": "PutBitset",
 	"GetArena":  "PutArena",
-	// The three column getters share one release path.
-	"GetColumn":        "PutColumn",
-	"GetLazyVIDColumn": "PutColumn",
-	"GetDictColumn":    "PutColumn",
+	// The two column getters share one release path.
+	"GetColumn":     "PutColumn",
+	"GetDictColumn": "PutColumn",
 }
 
 // poolPuts is the release-method name set of poolPairs.

@@ -77,7 +77,7 @@ var bitsetWrites = map[string]bool{
 // polices.
 var columnAppends = map[string]bool{
 	"Append": true, "AppendVID": true, "AppendInt64": true, "AppendFloat64": true,
-	"AppendString": true, "AppendBool": true, "AppendSegment": true,
+	"AppendString": true, "AppendBool": true, "AppendVIDs": true,
 	"Extend": true, "Grow": true,
 }
 

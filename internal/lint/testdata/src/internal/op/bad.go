@@ -21,8 +21,9 @@ func BadSelWrite(n *core.Node) {
 func BadAppend(b *core.FBlock) {
 	b.Column(0).AppendInt64(7) // want R3
 	c := b.ColumnByName("x")
-	c.Append(vector.Value{}) // want R3
-	b.Columns()[0].Extend(c) // want R3
+	c.Append(vector.Value{})      // want R3
+	b.Columns()[0].Extend(c)      // want R3
+	c.AppendVIDs([]vector.VID{1}) // want R3
 }
 
 // BadSpawn launches a goroutine without going through internal/sched.

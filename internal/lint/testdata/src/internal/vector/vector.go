@@ -47,6 +47,13 @@ func (c *Column) Append(v Value) { c.i64 = append(c.i64, v.I) }
 // AppendInt64 appends one int64.
 func (c *Column) AppendInt64(v int64) { c.i64 = append(c.i64, v) }
 
+// AppendVIDs appends a run of VIDs in one copy.
+func (c *Column) AppendVIDs(vs []VID) {
+	for _, v := range vs {
+		c.i64 = append(c.i64, int64(v))
+	}
+}
+
 // Extend appends all of src.
 func (c *Column) Extend(src *Column) { c.i64 = append(c.i64, src.i64...) }
 

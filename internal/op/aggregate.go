@@ -391,16 +391,7 @@ func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs [
 	}
 	t.bound = make([]aggCol, len(refs))
 	for k, r := range refs {
-		col := nodes[r.Node].Block.Column(r.Col)
-		if col.Lazy() {
-			// foldAt reads by row: one range copy here, not a search of the
-			// segments per row.
-			flat := ctx.Arena.OwnColumn(col.Name, vector.KindVID)
-			flat.Grow(col.Len())
-			col.AppendVIDRange(flat.VIDs()[:0], 0, col.Len())
-			col = flat
-		}
-		t.bound[k] = aggCol{col: col, rows: rows[r.Node]}
+		t.bound[k] = aggCol{col: nodes[r.Node].Block.Column(r.Col), rows: rows[r.Node]}
 	}
 	t.row = make([]vector.Value, len(refs))
 }

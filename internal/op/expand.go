@@ -21,11 +21,11 @@ type EdgeProj struct {
 //
 // On the factorized path each execution adds exactly one f-Tree node under
 // From's node: neighbor IDs land in a new f-Block and the per-parent row
-// ranges form the index vector of the new edge. When neither edge properties
-// nor a fused predicate are requested, the neighbor column stays *lazy* — it
-// records one (pointer,length) reference per batch piece — the pointer-based
-// join of §5 — and the materializing paths read the pieces in place, edge
-// properties at each piece's offset, copying a neighbor once, into the output.
+// ranges form the index vector of the new edge. The batch's pieces are read
+// in place — a piece views the sealed image, §5's (pointer, length) — and
+// copied into the f-Block's owned VID column: a whole piece per copy when
+// neither edge properties nor a fused predicate are requested, otherwise
+// each kept neighbor once, its edge properties read at the piece's offset.
 //
 // VertexPred implements the FilterPushDown (ExpandFilter) fusion, bound when
 // the operator starts (a property no label defines fails it there): Filter's
@@ -48,11 +48,6 @@ type Expand struct {
 	// row's neighbor count (Batch.RunLen). On a flat chunk it appends that
 	// column to every row.
 	Count bool
-
-	// NoLazy disables the pointer-based join (lazy neighbor segments) and
-	// forces materialized neighbor IDs — the ablation knob for §5's
-	// pointer-based-join claim.
-	NoLazy bool
 }
 
 // Name implements Operator.
@@ -162,11 +157,6 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, p
 	if err != nil {
 		return nil, err
 	}
-	if !o.NoLazy && len(o.EdgeProps) == 0 && pred == nil {
-		return produceChild(ctx, ft, parent, childCols{to: o.To, lazy: true},
-			lazyExpandBody{o, ctx, parent, fromCol}), nil
-	}
-	// Materializing path: edge properties or a fused predicate requested.
 	out := produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
 		expandBody{o, ctx, parent, fromCol, epp, pred})
 	if pred != nil {
@@ -178,9 +168,7 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, p
 // expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
 // buf (typically pooled VID scratch; the caller releases it after the batch
 // call returns): the From VID per valid row, NilVID (an empty run) for
-// invalid rows, so the returned runs stay aligned with the row range. The
-// column is read as one range — a lazy From column is walked segment by
-// segment, not searched per row.
+// invalid rows, so the returned runs stay aligned with the row range.
 func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vector.VID) []vector.VID {
 	srcs := buf[:0] // kept as its own statement: geslint R11 follows the pooled buffer through this alias
 	srcs = fromCol.AppendVIDRange(srcs, lo, hi)
@@ -192,37 +180,7 @@ func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vec
 	return srcs
 }
 
-// lazyExpandBody is the pointer-based-join range body: the child column
-// records references into storage adjacency instead of copying neighbor IDs.
-type lazyExpandBody struct {
-	o       *Expand
-	ctx     *Ctx
-	parent  *core.Node
-	fromCol *vector.Column
-}
-
-// rows resolves parent rows [lo,hi) with one NeighborsBatch call; each piece
-// appends as one lazy segment, uncopied. The lazy column retains the
-// pieces' VIDs (a view aliases the immutable image; merged rows belong to
-// the batch), so the batch is query-lifetime (OwnBatch), not morsel scratch.
-func (b lazyExpandBody) rows(lo, hi int, s childSink) {
-	o, ctx := b.o, b.ctx
-	batch := ctx.Arena.OwnBatch()
-	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, batch)
-	ctx.Arena.PutVIDs(srcs)
-	total := s.toCol.Len()
-	for i, r := range batch.Runs {
-		start := total
-		for _, pc := range batch.Pieces[r.Start:r.End] {
-			_, total = s.toCol.AppendSegment(batch.PieceVIDs(pc))
-		}
-		s.index[i] = core.Range{Start: int32(start), End: int32(total)}
-	}
-}
-
-// expandBody is the materializing range body (edge properties and/or a
-// fused predicate).
+// expandBody is the factorized expand's range body.
 type expandBody struct {
 	o       *Expand
 	ctx     *Ctx
@@ -233,7 +191,8 @@ type expandBody struct {
 }
 
 // rows expands parent rows [lo,hi). Candidates come from one batched
-// NeighborsBatch call per invocation, read piece by piece in place.
+// NeighborsBatch call per invocation, read piece by piece in place; a piece
+// with nothing to filter or project beside its VIDs is copied whole.
 func (b expandBody) rows(lo, hi int, s childSink) {
 	o, ctx, epp := b.o, b.ctx, b.epp
 	pred := shardPred(ctx, b.pred, lo, hi, b.parent.Block.NumRows())
@@ -251,8 +210,14 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 	for ri, r := range batch.Runs {
 		start := total
 		for _, pc := range batch.Pieces[r.Start:r.End] {
+			vids := batch.PieceVIDs(pc)
+			if keep == nil && len(s.propCols) == 0 {
+				s.toCol.AppendVIDs(vids)
+				total += len(vids)
+				continue
+			}
 			cols, off := batch.PieceCols(pc)
-			for k, v := range batch.PieceVIDs(pc) {
+			for k, v := range vids {
 				if keep != nil && !keep.Get(base+k) {
 					continue
 				}

@@ -19,9 +19,6 @@ import (
 // predicate row by row.
 type Filter struct {
 	Pred expr.Expr
-	// NoPrune disables upward selection-vector pruning (used by ablation
-	// benchmarks; pruning is on by default).
-	NoPrune bool
 }
 
 // Name implements Operator.
@@ -39,9 +36,7 @@ func (o *Filter) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
 				filterRows(conjs, node.Sel, lo, hi)
 			})
-			if !o.NoPrune {
-				in.FT.PruneUp(node)
-			}
+			in.FT.PruneUp(node)
 			assertFTree(in.FT)
 			return in, nil
 		}

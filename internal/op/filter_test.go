@@ -89,7 +89,7 @@ func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, workers int, pre
 		}
 	}
 	ctx := &op.Ctx{Parallel: workers}
-	if _, err := (&op.Filter{Pred: pred, NoPrune: true}).Execute(ctx, &core.Chunk{FT: ft}); err != nil {
+	if _, err := (&op.Filter{Pred: pred}).Execute(ctx, &core.Chunk{FT: ft}); err != nil {
 		t.Fatal(err)
 	}
 	for k, w := range want {
@@ -320,12 +320,11 @@ func FuzzPredicateKernels(f *testing.F) {
 	})
 }
 
-// TestFilterLazyColumnFallsBack ensures lazy (pointer-based) VID columns
-// take the compiled closure without breaking.
-func TestFilterLazyColumnFallsBack(t *testing.T) {
-	lazy := vector.NewLazyVIDColumn("v")
-	lazy.AppendSegment([]vector.VID{1, 2, 3})
-	ft := core.NewFTree(core.NewFBlock(lazy))
+// TestFilterVIDColumn filters a node on its VID column.
+func TestFilterVIDColumn(t *testing.T) {
+	vids := vector.NewColumn("v", vector.KindVID)
+	vids.AppendVIDs([]vector.VID{1, 2, 3})
+	ft := core.NewFTree(core.NewFBlock(vids))
 	_, err := (&op.Filter{Pred: expr.Gt(expr.C("v"), expr.LInt(1))}).Execute(&op.Ctx{}, &core.Chunk{FT: ft})
 	if err != nil {
 		t.Fatal(err)

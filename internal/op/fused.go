@@ -38,17 +38,16 @@ func (o *SeekExpand) Name() string { return "SeekExpand(fused)" }
 
 // Execute implements Operator.
 func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	col := ctx.Arena.OwnLazyVIDColumn(o.To)
+	col := ctx.Arena.OwnColumn(o.To, vector.KindVID)
 	if src, ok := ctx.View.VertexByExt(o.Label, o.ExtID); ok {
-		// The lazy column retains the batch's pieces, so the batch is
-		// query-lifetime (Own scope), not morsel scratch.
-		b := ctx.Arena.OwnBatch()
+		b := ctx.Arena.GetBatch()
 		srcs := append(ctx.Arena.GetVIDs(1), src)
 		ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, false, b)
 		ctx.Arena.PutVIDs(srcs)
 		for _, pc := range b.Pieces {
-			col.AppendSegment(b.PieceVIDs(pc))
+			col.AppendVIDs(b.PieceVIDs(pc))
 		}
+		ctx.Arena.PutBatch(b)
 	}
 	return ctx.FTChunk(ctx.NewFTree(col)), nil
 }

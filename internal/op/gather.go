@@ -12,17 +12,6 @@ import (
 // appends the values to them); fused predicates gather into reusable scratch
 // columns and evaluate tight kernels over the raw slices.
 
-// materializedVIDs returns the VID slice of col, copying lazy segments into
-// buf when needed (batch gathers index vids randomly).
-func materializedVIDs(col *vector.Column, buf []vector.VID) []vector.VID {
-	if !col.Lazy() {
-		return col.VIDs()
-	}
-	buf = buf[:0]
-	col.EachVID(func(_ int, v vector.VID) { buf = append(buf, v) })
-	return buf
-}
-
 // newGatherOutput returns the query-lifetime output column for a batch
 // gather over the given defining labels: single-label string properties
 // share the storage dictionary so the gather moves 4-byte codes; everything
@@ -72,14 +61,7 @@ func (g *propGetter) presentLabels(ctx *Ctx, vids []vector.VID) []catalog.LabelP
 // the label's scan order; tier 2 bulk-gathers into a fresh column (one pass
 // per defining label, so mixed-label variables work).
 func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *vector.Column {
-	// Lazy columns materialize into arena scratch; non-lazy columns return
-	// their own storage, so only buf (never vids) goes back to the pool.
-	var buf []vector.VID
-	if vidCol.Lazy() {
-		buf = ctx.Arena.GetVIDs(vidCol.Len())
-		defer ctx.Arena.PutVIDs(buf)
-	}
-	vids := materializedVIDs(vidCol, buf)
+	vids := vidCol.VIDs()
 	// A scan-ordered VID column matches at most one label's scan order, so
 	// probing every defining label is cheap (length mismatches reject in O(1)).
 	for _, lp := range g.labels {
@@ -101,12 +83,7 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 
 // gatherExtIDColumn batch-resolves external identifiers.
 func gatherExtIDColumn(ctx *Ctx, vidCol *vector.Column, as string) *vector.Column {
-	var buf []vector.VID
-	if vidCol.Lazy() {
-		buf = ctx.Arena.GetVIDs(vidCol.Len())
-		defer ctx.Arena.PutVIDs(buf)
-	}
-	vids := materializedVIDs(vidCol, buf)
+	vids := vidCol.VIDs()
 	out := ctx.Arena.OwnColumn(as, vector.KindInt64)
 	out.Grow(len(vids))
 	ctx.View.GatherExtIDs(vids, nil, out.Int64s())

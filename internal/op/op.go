@@ -31,8 +31,8 @@ type Ctx struct {
 	View storage.View
 
 	// Arena brackets this query's scratch memory (§5, memory pool):
-	// query-lifetime structures (index vectors, f-Block columns, lazy
-	// batches) come from Own* and are released wholesale when the engine
+	// query-lifetime structures (index vectors, f-Block columns, selection
+	// vectors) come from Own* and are released wholesale when the engine
 	// ends the query; transient morsel scratch cycles through Get*/Put*.
 	// A nil arena is valid and allocates fresh memory everywhere (operator
 	// unit tests build a Ctx without one), so operators call through it

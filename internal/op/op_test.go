@@ -2,6 +2,7 @@ package op_test
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -119,39 +120,35 @@ func TestExpandOneHopAllModes(t *testing.T) {
 	}
 }
 
-func TestExpandUsesLazyColumn(t *testing.T) {
+// TestExpandCopiesNeighbours checks the factorized expand's output node: the
+// neighbours copied into the new VID column, with and without a projected
+// edge property beside them.
+func TestExpandCopiesNeighbours(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
 	ctx := &op.Ctx{View: f.Graph}
-	ch, err := op.RunPlan(ctx, []op.Operator{
-		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.IsFlat() {
-		t.Fatal("expand output should stay factorized")
-	}
-	_, col := ch.FT.FindColumn("f")
-	if col == nil || !col.Lazy() {
-		t.Fatal("plain expand must produce a lazy (pointer-based join) column")
-	}
-	// Edge-property expansion must materialize.
-	ch2, err := op.RunPlan(ctx, []op.Operator{
-		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person,
-			EdgeProps: []op.EdgeProj{{Prop: "creationDate", As: "since"}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, col2 := ch2.FT.FindColumn("f")
-	if col2.Lazy() {
-		t.Fatal("edge-prop expand cannot stay lazy")
-	}
-	if _, c := ch2.FT.FindColumn("since"); c == nil {
-		t.Fatal("edge property column missing")
+	p0 := testgraph.NeighborVIDs(f.Graph, f.Persons[0], s.Knows, catalog.Out, s.Person)
+	for _, props := range [][]op.EdgeProj{nil, {{Prop: "creationDate", As: "since"}}} {
+		ch, err := op.RunPlan(ctx, []op.Operator{
+			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
+			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, EdgeProps: props},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch.IsFlat() {
+			t.Fatal("expand output should stay factorized")
+		}
+		_, col := ch.FT.FindColumn("f")
+		if col == nil || !slices.Equal(col.VIDs(), p0) {
+			t.Fatalf("edge props %v: neighbour column %v, want %v", props, col, p0)
+		}
+		if props == nil {
+			continue
+		}
+		if _, c := ch.FT.FindColumn("since"); c == nil || c.Len() != len(p0) {
+			t.Fatalf("edge property column %v, want %d rows", c, len(p0))
+		}
 	}
 }
 

@@ -75,12 +75,9 @@ func shardPred(ctx *Ctx, pred *vertexFilter, lo, hi, n int) *vertexFilter {
 }
 
 // childCols names the columns of the f-Tree node a producer adds: the new
-// variable's VID column — lazy when it only references storage adjacency
-// (the pointer-based join of §5) — and one column per projected edge
-// property.
+// variable's VID column and one column per projected edge property.
 type childCols struct {
 	to    string
-	lazy  bool
 	props []EdgeProj
 	kinds []vector.Kind
 }
@@ -99,11 +96,10 @@ type childSink struct {
 
 // sink returns empty query-lifetime columns over index.
 func (cc childCols) sink(ctx *Ctx, index []core.Range) childSink {
-	s := childSink{index: index, propCols: make([]*vector.Column, len(cc.props))}
-	if cc.lazy {
-		s.toCol = ctx.Arena.OwnLazyVIDColumn(cc.to)
-	} else {
-		s.toCol = ctx.Arena.OwnColumn(cc.to, vector.KindVID)
+	s := childSink{
+		toCol:    ctx.Arena.OwnColumn(cc.to, vector.KindVID),
+		propCols: make([]*vector.Column, len(cc.props)),
+		index:    index,
 	}
 	for p, ep := range cc.props {
 		s.propCols[p] = ctx.Arena.OwnColumn(ep.As, cc.kinds[p])

@@ -18,8 +18,7 @@ type ProjSpec struct {
 // ProjectProps fetches vertex properties (or external IDs) and appends them
 // as new columns. On the factorized path the column lands on the f-Tree node
 // owning the variable — columnar storage makes this a straight append
-// (§4.3, Projection) — and lazy neighbor columns are read through their
-// segment views without being materialized.
+// (§4.3, Projection).
 //
 // The flat path extends materialized rows in place: each morsel collects its
 // rows' VIDs and gathers them in one batch per spec.

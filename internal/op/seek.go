@@ -71,8 +71,8 @@ func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 
 // extend adds the scan under From. Under a one-row parent the child is the
 // shared scan, as a source NodeScan's root is, so a projection gathers it
-// zero-copy; several parent rows each reference the scan as one lazy
-// segment. A flat input gets the cross product's rows.
+// zero-copy; under several parent rows each valid row gets its own copy of
+// the scan. A flat input gets the cross product's rows.
 func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	scan := ctx.View.ScanLabel(o.Label)
 	if in.IsFlat() {
@@ -103,14 +103,13 @@ func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		col = vector.ShareVIDs(o.Var, scan)
 		index[0] = core.Range{End: int32(len(scan))}
 	} else {
-		col = ctx.Arena.OwnLazyVIDColumn(o.Var)
-		total := 0
+		col = ctx.Arena.OwnColumn(o.Var, vector.KindVID)
 		for i := range index {
-			start := total
+			start := col.Len()
 			if parent.Valid(i) {
-				_, total = col.AppendSegment(scan)
+				col.AppendVIDs(scan)
 			}
-			index[i] = core.Range{Start: int32(start), End: int32(total)}
+			index[i] = core.Range{Start: int32(start), End: int32(col.Len())}
 		}
 	}
 	ft.AddChild(parent, ctx.NewFBlock(col), index)

@@ -18,11 +18,12 @@ import (
 // Two ownership scopes exist:
 //
 //   - Own* methods hand out query-lifetime structures (index vectors that
-//     land in f-Tree nodes, f-Block columns, selection bitsets, lazy-segment
-//     batches). The arena tracks them and Release returns them wholesale;
-//     callers never put them back individually.
+//     land in f-Tree nodes, f-Block columns, selection bitsets, f-Trees,
+//     f-Blocks, chunks). The arena tracks them and Release returns them
+//     wholesale; callers never put them back individually.
 //   - Get*/Put* methods hand out transient scratch (batched source VIDs,
-//     int32 tuple ids and row positions, materializing adjacency batches).
+//     int32 tuple ids and row positions, adjacency batches — every consumer
+//     copies what it keeps out of a batch before putting it back).
 //     The caller must put the buffer back on every path — geslint R11
 //     enforces this — and the arena passes it straight through to the
 //     shared pool.
@@ -39,14 +40,13 @@ type Arena struct {
 	// owned and transient alike — and Release subtracts again.
 	drawn atomic.Int64
 
-	mu      sync.Mutex
-	ranges  [][]core.Range
-	cols    []*vector.Column
-	bits    []*vector.Bitset
-	trees   []*core.FTree
-	batches []*Batch
-	blocks  []*core.FBlock
-	chunks  []*core.Chunk
+	mu     sync.Mutex
+	ranges [][]core.Range
+	cols   []*vector.Column
+	bits   []*vector.Bitset
+	trees  []*core.FTree
+	blocks []*core.FBlock
+	chunks []*core.Chunk
 }
 
 // NewArena returns an arena over pool. A nil pool yields an arena that
@@ -87,18 +87,6 @@ func (a *Arena) OwnColumn(name string, kind vector.Kind) *vector.Column {
 		return vector.NewColumn(name, kind)
 	}
 	c := a.pool.GetColumn(name, kind)
-	a.mu.Lock()
-	a.cols = append(a.cols, c)
-	a.mu.Unlock()
-	return c
-}
-
-// OwnLazyVIDColumn returns a query-lifetime lazy VID column.
-func (a *Arena) OwnLazyVIDColumn(name string) *vector.Column {
-	if !a.recycling() {
-		return vector.NewLazyVIDColumn(name)
-	}
-	c := a.pool.GetLazyVIDColumn(name)
 	a.mu.Lock()
 	a.cols = append(a.cols, c)
 	a.mu.Unlock()
@@ -175,20 +163,6 @@ func (a *Arena) OwnChunk(ft *core.FTree, flat *core.FlatBlock) *core.Chunk {
 	return c
 }
 
-// OwnBatch returns a query-lifetime adjacency batch. Lazy expansion retains
-// run sub-slices of the batch inside f-Tree columns, so batches feeding lazy
-// columns must live until query end — exactly the Own scope.
-func (a *Arena) OwnBatch() *Batch {
-	if !a.recycling() {
-		return new(Batch)
-	}
-	b := a.pool.GetBatch()
-	a.mu.Lock()
-	a.batches = append(a.batches, b)
-	a.mu.Unlock()
-	return b
-}
-
 // GetVIDs returns transient VID scratch; the caller must PutVIDs it on
 // every path (geslint R11).
 func (a *Arena) GetVIDs(n int) []vector.VID {
@@ -221,10 +195,9 @@ func (a *Arena) PutInt32s(buf []int32) {
 	}
 }
 
-// GetBatch returns a transient adjacency batch for materializing paths
-// (every value is copied out of the batch before the morsel ends); the
-// caller must PutBatch it on every path (geslint R11). Lazy paths use
-// OwnBatch instead.
+// GetBatch returns a transient adjacency batch (every value is copied out
+// of the batch before the morsel ends); the caller must PutBatch it on
+// every path (geslint R11).
 func (a *Arena) GetBatch() *Batch {
 	if !a.recycling() {
 		return new(Batch)
@@ -271,11 +244,6 @@ func (a *Arena) Release() {
 	}
 	clear(a.trees)
 	a.trees = a.trees[:0]
-	for _, b := range a.batches {
-		a.pool.PutBatch(b)
-	}
-	clear(a.batches)
-	a.batches = a.batches[:0]
 	for _, b := range a.blocks {
 		a.pool.PutFBlock(b)
 	}

@@ -81,8 +81,8 @@ func smallQuery(p *Pool) int64 {
 	c := a.OwnColumn("name", vector.KindString)
 	c.AppendString("a")
 	c.AppendString("b")
-	lz := a.OwnLazyVIDColumn("n")
-	lz.AppendSegment([]vector.VID{1})
+	vc := a.OwnColumn("n", vector.KindVID)
+	vc.AppendVIDs([]vector.VID{1})
 	a.PutVIDs(append(a.GetVIDs(1), 7))
 	p.PutArena(a)
 	return p.DetailedStats().ClearedBytes - before
@@ -102,11 +102,11 @@ func TestClearedBytesFollowUse(t *testing.T) {
 	a := p.GetArena()
 	a.OwnRanges(100_000)
 	str := a.OwnColumn("s", vector.KindString)
-	lz := a.OwnLazyVIDColumn("l")
+	vc := a.OwnColumn("v", vector.KindVID)
 	seg := []vector.VID{1, 2, 3}
 	for i := 0; i < 50_000; i++ {
 		str.AppendString("s")
-		lz.AppendSegment(seg)
+		vc.AppendVIDs(seg)
 	}
 	big := a.GetVIDs(8)
 	for i := 0; i < 100_000; i++ {
@@ -127,10 +127,9 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	a := NewArena(p)
 	a.OwnRanges(32)
 	a.OwnColumn("c", vector.KindInt64)
-	a.OwnLazyVIDColumn("l")
+	a.OwnDictColumn("d", vector.NewDict())
 	a.OwnBitset(100, true)
 	a.OwnFTree(core.NewFBlock())
-	a.OwnBatch()
 	b := a.OwnFBlock()
 	b.AddColumn(vector.NewColumn("x", vector.KindVID))
 	a.OwnChunk(nil, nil)
@@ -138,8 +137,8 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	putsBefore := p.DetailedStats().Puts
 	a.Release()
 	puts := p.DetailedStats().Puts
-	if n := puts - putsBefore; n != 8 {
-		t.Fatalf("Release returned %d structures, want 8", n)
+	if n := puts - putsBefore; n != 7 {
+		t.Fatalf("Release returned %d structures, want 7", n)
 	}
 	a.Release() // idempotent: nothing left to return
 	if again := p.DetailedStats().Puts; again != puts {

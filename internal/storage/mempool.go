@@ -253,13 +253,6 @@ func (p *Pool) GetColumn(name string, kind vector.Kind) *vector.Column {
 	return c
 }
 
-// GetLazyVIDColumn is GetColumn for the lazy segmented VID representation.
-func (p *Pool) GetLazyVIDColumn(name string) *vector.Column {
-	c := p.cols.get()
-	c.ReinitLazyVID(name)
-	return c
-}
-
 // GetDictColumn is GetColumn for a dictionary-encoded string column over d.
 func (p *Pool) GetDictColumn(name string, d *vector.Dict) *vector.Column {
 	c := p.cols.get()
@@ -269,7 +262,7 @@ func (p *Pool) GetDictColumn(name string, d *vector.Dict) *vector.Column {
 
 // PutColumn returns a column to the pool. The caller must not retain any
 // reference to it or to its backing slices. This is where a column's
-// strings and lazy segments are dropped — once, over the rows it held; the
+// strings are dropped — once, over the rows it held; the
 // Reinit of the next GetColumn finds it empty (see Column.Reinit).
 func (p *Pool) PutColumn(c *vector.Column) {
 	if c == nil {

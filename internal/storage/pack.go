@@ -41,8 +41,8 @@ type backing struct {
 // with the request's source slice (an empty run for NilVID or isolated
 // sources) and indexes Pieces. A piece viewing a sealed image aliases
 // storage-owned memory (never mutate it); merged rows are owned by the
-// batch and replaced, not recycled, by the next fill. Either way a consumer
-// may retain a piece's VIDs (lazy columns do).
+// batch and replaced, not recycled, by the next fill. A consumer copies the
+// VIDs it keeps (Column.AppendVIDs) before the batch goes back to its pool.
 type Batch struct {
 	// VIDs is the one sealed image every view piece aliases when the request
 	// met a single family, nil otherwise.
@@ -106,8 +106,9 @@ func (b *Batch) Run(i int) []vector.VID {
 }
 
 // reset prepares the batch for refilling with n runs. Merged rows are
-// dropped, not reused (a consumer may retain their VIDs), and the backings
-// cleared, so a batch pins no image it no longer reads.
+// dropped, not reused (a consumer may still hold a previous fill's VIDs
+// while it refills the batch), and the backings cleared, so a batch pins no
+// image it no longer reads.
 func (b *Batch) reset(n int) {
 	b.VIDs, b.Sorted, b.merged = nil, false, edgeRows{}
 	b.Runs, b.Pieces = append(b.Runs[:0], make([]NeighborRun, n)...), b.Pieces[:0]

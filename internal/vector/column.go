@@ -8,12 +8,6 @@ import (
 // Column is a typed, contiguous column of singletons — one column of an
 // f-Block (§4.2). Exactly one backing slice is in use, selected by Kind.
 //
-// A VID column may additionally be *lazy*: instead of holding materialized
-// vertex IDs it holds (pointer,length) references into storage-owned
-// adjacency arrays. This is the paper's pointer-based join (§5): Expand
-// appends one segment per source vertex and neighbor IDs are only copied if
-// someone actually needs random access or de-factoring forces it.
-//
 // A string column may be *dictionary-encoded*: rows are uint32 codes into a
 // Dict and the str slice is unused. Storage property columns are always
 // dict-encoded; gathered intermediate columns share the storage dict so a
@@ -22,10 +16,9 @@ import (
 //
 // A column may be *shared*: a zero-copy view of a storage-owned column
 // produced by an aligned gather. Shared columns are read-only — mutating
-// entry points panic — and account no payload memory, mirroring lazy
-// columns.
+// entry points panic — and account no payload memory.
 //
-//geslint:snapshot-owner columns carry zero-copy shared segments and scan views by design; they hand off to the consuming f-Block within the same morsel
+//geslint:snapshot-owner shared columns are zero-copy scan views by design; they hand off to the consuming f-Block within the same morsel
 type Column struct {
 	Name string
 	Kind Kind
@@ -42,22 +35,11 @@ type Column struct {
 
 	// Read-only view of storage-owned memory (aligned gather fast path).
 	shared bool
-
-	// Lazy segmented representation (KindVID only).
-	lazy   bool
-	segs   [][]VID // storage-owned; never mutated through the column
-	segOff []int   // segOff[i] = logical offset of segs[i]; ascending
-	segLen int     // total logical length of all segments
 }
 
 // NewColumn returns an empty column of the given kind.
 func NewColumn(name string, kind Kind) *Column {
 	return &Column{Name: name, Kind: kind}
-}
-
-// NewLazyVIDColumn returns an empty lazy VID column for pointer-based joins.
-func NewLazyVIDColumn(name string) *Column {
-	return &Column{Name: name, Kind: KindVID, lazy: true}
 }
 
 // NewDictColumn returns an empty dictionary-encoded string column whose codes
@@ -74,9 +56,6 @@ func NewDictColumn(name string, d *Dict) *Column {
 func ShareVIDs(name string, vids []VID) *Column {
 	return &Column{Name: name, Kind: KindVID, vid: vids, shared: true}
 }
-
-// Lazy reports whether the column is in the lazy segmented representation.
-func (c *Column) Lazy() bool { return c.lazy }
 
 // DictEncoded reports whether the column stores uint32 dictionary codes.
 func (c *Column) DictEncoded() bool { return c.dict != nil }
@@ -110,9 +89,6 @@ func (c *Column) ShareAs(name string) *Column {
 
 // Len returns the logical number of rows.
 func (c *Column) Len() int {
-	if c.lazy {
-		return c.segLen
-	}
 	switch c.Kind {
 	case KindInt64, KindDate:
 		return len(c.i64)
@@ -132,62 +108,12 @@ func (c *Column) Len() int {
 	}
 }
 
-// AppendSegment appends a storage-owned adjacency segment to a lazy column
-// and returns the logical [start,end) range the segment now occupies.
-func (c *Column) AppendSegment(seg []VID) (start, end int) {
-	if !c.lazy {
-		panic("vector: AppendSegment on a non-lazy column")
-	}
-	start = c.segLen
-	c.segs = append(c.segs, seg)
-	c.segOff = append(c.segOff, start)
-	c.segLen += len(seg)
-	return start, c.segLen
-}
-
-// segIndex locates the segment containing logical row i via binary search.
-func (c *Column) segIndex(i int) int {
-	lo, hi := 0, len(c.segOff)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if c.segOff[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}
-
 // VIDAt returns the VID at row i; the column must be of KindVID.
-func (c *Column) VIDAt(i int) VID {
-	if c.lazy {
-		si := c.segIndex(i)
-		return c.segs[si][i-c.segOff[si]]
-	}
-	return c.vid[i]
-}
+func (c *Column) VIDAt(i int) VID { return c.vid[i] }
 
-// AppendVIDRange appends rows [lo,hi) of a VID column to dst. On a lazy
-// column that is one binary search for lo and then a walk over the segments
-// the range covers, instead of a search per row.
+// AppendVIDRange appends rows [lo,hi) of a VID column to dst.
 func (c *Column) AppendVIDRange(dst []VID, lo, hi int) []VID {
-	if !c.lazy {
-		return append(dst, c.vid[lo:hi]...)
-	}
-	if lo >= hi {
-		return dst
-	}
-	si := c.segIndex(lo)
-	seg := c.segs[si][lo-c.segOff[si]:]
-	n := hi - lo
-	for len(seg) < n {
-		dst = append(dst, seg...)
-		n -= len(seg)
-		si++
-		seg = c.segs[si]
-	}
-	return append(dst, seg[:n]...)
+	return append(dst, c.vid[lo:hi]...)
 }
 
 // StringAt returns the string at row i, resolving dictionary codes.
@@ -234,9 +160,6 @@ func (c *Column) Append(v Value) {
 	case KindInt64, KindDate:
 		c.i64 = append(c.i64, v.I)
 	case KindVID:
-		if c.lazy {
-			panic("vector: scalar Append on a lazy column")
-		}
 		c.vid = append(c.vid, VID(v.I))
 	case KindFloat64:
 		c.f64 = append(c.f64, v.F)
@@ -289,6 +212,13 @@ func (c *Column) AppendVID(v VID) {
 	c.vid = append(c.vid, v)
 }
 
+// AppendVIDs appends a run of VIDs in one copy — an expand's neighbour
+// piece. The column owns the copy; vs may be storage memory.
+func (c *Column) AppendVIDs(vs []VID) {
+	c.mutCheck()
+	c.vid = append(c.vid, vs...)
+}
+
 // AppendFloat64 appends a raw float64.
 func (c *Column) AppendFloat64(v float64) {
 	c.mutCheck()
@@ -332,9 +262,6 @@ func (c *Column) Grow(n int) {
 	case KindInt64, KindDate:
 		c.i64 = growZeroed(c.i64, n)
 	case KindVID:
-		if c.lazy {
-			panic("vector: Grow on a lazy column")
-		}
 		c.vid = growZeroed(c.vid, n)
 	case KindFloat64:
 		c.f64 = growZeroed(c.f64, n)
@@ -361,32 +288,8 @@ func (c *Column) Float64s() []float64 { return c.f64 }
 // Bools exposes the raw bool backing slice.
 func (c *Column) Bools() []bool { return c.bl }
 
-// VIDs exposes the raw materialized VID slice; it panics for lazy columns
-// (callers must Materialize first or iterate via VIDAt/EachVID).
-func (c *Column) VIDs() []VID {
-	if c.lazy {
-		panic("vector: VIDs on a lazy column")
-	}
-	return c.vid
-}
-
-// EachVID calls fn for every logical row of a VID column in order without
-// materializing lazy segments.
-func (c *Column) EachVID(fn func(i int, v VID)) {
-	if c.lazy {
-		i := 0
-		for _, seg := range c.segs {
-			for _, v := range seg {
-				fn(i, v)
-				i++
-			}
-		}
-		return
-	}
-	for i, v := range c.vid {
-		fn(i, v)
-	}
-}
+// VIDs exposes the raw VID backing slice.
+func (c *Column) VIDs() []VID { return c.vid }
 
 // decodeDict materializes a dict-encoded column into plain strings — the
 // slow path when columns with different dictionaries must be merged.
@@ -404,21 +307,10 @@ func (c *Column) decodeDict() {
 // Extend appends every row of src (same kind) to c. It backs the
 // deterministic morsel-order merge of the parallel operators: each worker
 // fills a private column and the coordinator extends the output shard by
-// shard. A lazy column extends only by another lazy column, segment by
-// segment (nothing is copied; c references the same storage runs).
-// Dict-encoded shards sharing one dictionary merge by code; mismatched
+// shard. Dict-encoded shards sharing one dictionary merge by code; mismatched
 // dictionaries fall back to decoded strings.
 func (c *Column) Extend(src *Column) {
 	c.mutCheck()
-	if c.lazy != src.lazy {
-		panic("vector: Extend between a lazy and a materialized column")
-	}
-	if c.lazy {
-		for _, seg := range src.segs {
-			c.AppendSegment(seg)
-		}
-		return
-	}
 	if c.Kind == KindString {
 		switch {
 		case c.Len() == 0 && src.dict != nil && c.dict == nil:
@@ -453,11 +345,8 @@ func (c *Column) Reset() {
 	c.truncate()
 }
 
-// Pointer-bearing slots retired by truncate hold these in assert builds.
-var (
-	poisonStr = "\xde\xad"
-	poisonSeg = []VID{0xDEADBEEF}
-)
+// String slots retired by truncate hold this in assert builds.
+const poisonStr = "\xde\xad"
 
 // retire drops the references held by the used rows of a pointer-bearing
 // slice and truncates it. Assert builds (-tags gesassert) stamp the rows
@@ -478,16 +367,13 @@ func retire[T any](s []T, poison T) []T {
 // returns the bytes it had to zero. Only the rows in use are touched — see
 // the invariant on Reinit.
 func (c *Column) truncate() (cleared int) {
-	cleared = len(c.str)*16 + len(c.segs)*24
+	cleared = len(c.str) * 16
 	c.i64 = c.i64[:0]
 	c.f64 = c.f64[:0]
 	c.bl = c.bl[:0]
 	c.vid = c.vid[:0]
 	c.codes = c.codes[:0]
 	c.str = retire(c.str, poisonStr)
-	c.segs = retire(c.segs, poisonSeg)
-	c.segOff = c.segOff[:0]
-	c.segLen = 0
 	return cleared
 }
 
@@ -495,14 +381,13 @@ func (c *Column) truncate() (cleared int) {
 // backing slice but retaining capacity, and returns the bytes it zeroed. It
 // is the pooled counterpart of NewColumn (§5, memory pool): Reset preserves
 // Name/Kind for within-query reuse, Reinit additionally clears the
-// lazy/dict/shared state a previous owner may have left behind.
+// dict/shared state a previous owner may have left behind.
 //
-// Invariant: in a column that is not a shared view, the pointer-bearing
-// slots (string headers, lazy segment references) at or past the slice
-// length are nil (or, in assert builds, the poison retire leaves). Appends
-// only ever write below the length, and every truncation — here, Reset, a
-// shrinking Grow — zeroes the rows it cuts off. So a pooled column never pins a prior query's strings or
-// storage snapshot, and recycling costs what the last owner used, not what
+// Invariant: in a column that is not a shared view, the string slots at or
+// past the slice length are empty (or, in assert builds, the poison retire
+// leaves). Appends only ever write below the length, and every truncation —
+// here, Reset, a shrinking Grow — zeroes the rows it cuts off. So a pooled
+// column never pins a prior query's strings, and recycling costs what the last owner used, not what
 // some earlier owner grew the capacity to: a Reinit of an empty column
 // touches nothing. Pool.PutColumn is the one place that pays; the Reinit on
 // the way out of the pool finds the column already empty.
@@ -511,16 +396,8 @@ func (c *Column) Reinit(name string, kind Kind) (cleared int) {
 		*c = Column{}
 	}
 	c.Name, c.Kind = name, kind
-	c.lazy = false
 	c.dict = nil
 	return c.truncate()
-}
-
-// ReinitLazyVID retargets a recycled column as an empty lazy VID column —
-// the pooled counterpart of NewLazyVIDColumn.
-func (c *Column) ReinitLazyVID(name string) {
-	c.Reinit(name, KindVID)
-	c.lazy = true
 }
 
 // ReinitDict retargets a recycled column as an empty dictionary-encoded
@@ -548,15 +425,12 @@ func (c *Column) Clip() {
 }
 
 // MemBytes returns the accounted intermediate-result memory of the column.
-// Lazy and shared columns account only their headers — the payload belongs
-// to graph storage, which is precisely the saving of pointer-based joins and
-// aligned gathers. Dict columns account 4 bytes per row; the dictionary
-// payload is accounted once by its owning storage table.
+// Shared columns account only their headers — the payload belongs to graph
+// storage, which is the saving of aligned gathers. Dict columns account 4
+// bytes per row; the dictionary payload is accounted once by its owning
+// storage table.
 func (c *Column) MemBytes() int {
 	const base = 64
-	if c.lazy {
-		return base + len(c.segs)*24 + len(c.segOff)*8
-	}
 	if c.shared {
 		return base
 	}
@@ -583,18 +457,15 @@ func (c *Column) MemBytes() int {
 	}
 }
 
-// Clone returns a deep copy of the column (lazy columns stay lazy; segment
-// payloads are shared with storage, as they are storage-owned; dictionaries
-// are shared, being append-only; a clone of a shared column owns its copy).
+// Clone returns a deep copy of the column (dictionaries are shared, being
+// append-only; a clone of a shared column owns its copy).
 func (c *Column) Clone() *Column {
-	out := &Column{Name: c.Name, Kind: c.Kind, lazy: c.lazy, segLen: c.segLen, dict: c.dict}
+	out := &Column{Name: c.Name, Kind: c.Kind, dict: c.dict}
 	out.i64 = append([]int64(nil), c.i64...)
 	out.f64 = append([]float64(nil), c.f64...)
 	out.str = append([]string(nil), c.str...)
 	out.bl = append([]bool(nil), c.bl...)
 	out.vid = append([]VID(nil), c.vid...)
 	out.codes = append([]uint32(nil), c.codes...)
-	out.segs = append([][]VID(nil), c.segs...)
-	out.segOff = append([]int(nil), c.segOff...)
 	return out
 }

@@ -33,79 +33,81 @@ func TestColumnScalarRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLazyColumnSegments(t *testing.T) {
-	col := NewLazyVIDColumn("n")
-	segA := []VID{1, 2, 3}
-	segB := []VID{7}
-	segC := []VID{9, 10}
-	s, e := col.AppendSegment(segA)
-	if s != 0 || e != 3 {
-		t.Fatalf("segment A range [%d,%d), want [0,3)", s, e)
+// TestColumnAppendVIDs is the VID column table: pieces appended in one copy
+// each (an expand's batch pieces), the shard columns extended in order (the
+// parallel merge), and the same rows again on the column a pooled Reinit
+// recycled. Every state reads back per row and, for every sub-range, as one
+// range.
+func TestColumnAppendVIDs(t *testing.T) {
+	cases := []struct {
+		name   string
+		shards [][][]VID // per shard, the pieces it appends
+	}{
+		{"empty", nil},
+		{"one piece", [][][]VID{{{1, 2, 3}}}},
+		{"pieces", [][][]VID{{{1, 2, 3}, {}, {7}, {9, 10}}}},
+		{"shards", [][][]VID{{{1, 2}}, {}, {{3}, {4, 5, 6}}, {{7}}}},
 	}
-	s, e = col.AppendSegment(segB)
-	if s != 3 || e != 4 {
-		t.Fatalf("segment B range [%d,%d), want [3,4)", s, e)
-	}
-	col.AppendSegment(segC)
-	if col.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", col.Len())
-	}
-	want := []VID{1, 2, 3, 7, 9, 10}
-	for i, w := range want {
-		if got := col.VIDAt(i); got != w {
-			t.Fatalf("VIDAt(%d) = %d, want %d", i, got, w)
+	check := func(t *testing.T, what string, c *Column, want []VID) {
+		t.Helper()
+		if c.Len() != len(want) || !slices.Equal(c.VIDs(), want) {
+			t.Fatalf("%s: rows %v, want %v", what, c.VIDs(), want)
 		}
-	}
-	var walked []VID
-	col.EachVID(func(i int, v VID) {
-		if i != len(walked) {
-			t.Fatalf("EachVID index %d out of order", i)
+		for i, w := range want {
+			if got := c.VIDAt(i); got != w {
+				t.Fatalf("%s: VIDAt(%d) = %d, want %d", what, i, got, w)
+			}
 		}
-		walked = append(walked, v)
-	})
-	for i, w := range want {
-		if walked[i] != w {
-			t.Fatalf("EachVID walk mismatch at %d", i)
-		}
-	}
-	// Every sub-range, read as one range, equals the per-row reads — on the
-	// lazy column and on its materialized twin.
-	flat := NewColumn("n", KindVID)
-	for _, v := range want {
-		flat.AppendVID(v)
-	}
-	for lo := 0; lo <= len(want); lo++ {
-		for hi := lo; hi <= len(want); hi++ {
-			for _, c := range []*Column{col, flat} {
+		for lo := 0; lo <= len(want); lo++ {
+			for hi := lo; hi <= len(want); hi++ {
 				got := c.AppendVIDRange([]VID{42}, lo, hi)
 				if got[0] != 42 || !slices.Equal(got[1:], want[lo:hi]) {
-					t.Fatalf("AppendVIDRange(%d,%d) lazy=%v = %v, want 42 then %v", lo, hi, c.Lazy(), got, want[lo:hi])
+					t.Fatalf("%s: AppendVIDRange(%d,%d) = %v, want 42 then %v", what, lo, hi, got, want[lo:hi])
 				}
 			}
 		}
+		if mb := c.MemBytes(); mb < 4*len(want) {
+			t.Fatalf("%s: MemBytes %d below the %d-row payload", what, mb, len(want))
+		}
 	}
-}
+	recycled := NewColumn("old", KindString)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []VID
+			out := NewColumn("n", KindVID)
+			for _, pieces := range tc.shards {
+				sh := NewColumn("n", KindVID)
+				for _, pc := range pieces {
+					sh.AppendVIDs(pc)
+					want = append(want, pc...)
+				}
+				out.Extend(sh)
+			}
+			check(t, "extended", out, want)
 
-func TestLazyColumnMemAccounting(t *testing.T) {
-	lazy := NewLazyVIDColumn("n")
-	seg := make([]VID, 10000)
-	lazy.AppendSegment(seg)
-	lazyBytes := lazy.MemBytes()
+			// The previous case's column, recycled as a pool would.
+			recycled.Reinit("n", KindVID)
+			if recycled.Len() != 0 {
+				t.Fatalf("Reinit left %d rows", recycled.Len())
+			}
+			for _, pieces := range tc.shards {
+				for _, pc := range pieces {
+					recycled.AppendVIDs(pc)
+				}
+			}
+			check(t, "recycled", recycled, want)
 
-	mat := NewColumn("n", KindVID)
-	for _, v := range seg {
-		mat.AppendVID(v)
-	}
-	matBytes := mat.MemBytes()
-	if lazyBytes >= matBytes {
-		t.Fatalf("lazy column (%dB) should be far cheaper than materialized (%dB)", lazyBytes, matBytes)
-	}
-	if matBytes < 10000*4 {
-		t.Fatalf("materialized accounting %dB below payload size", matBytes)
-	}
-	// Pointer-based join accounting: lazy cost is per segment, not per row.
-	if lazyBytes > 200 {
-		t.Fatalf("lazy accounting %dB too large for a single segment header", lazyBytes)
+			// The column owns its copy: the appended slices stay its own.
+			if len(want) > 0 {
+				src := slices.Clone(want)
+				own := NewColumn("n", KindVID)
+				own.AppendVIDs(src)
+				src[0]++
+				if own.VIDAt(0) != want[0] {
+					t.Fatal("AppendVIDs aliases its argument")
+				}
+			}
+		})
 	}
 }
 
@@ -133,19 +135,13 @@ func TestReinitDropsUsedRowsOnly(t *testing.T) {
 	// Rows [0,n) get retired below: zeroed, or stamped in assert builds.
 	stamped := func(i int) bool { return assertEnabled && i < n }
 	str := NewColumn("s", KindString)
-	lazy := NewLazyVIDColumn("l")
-	seg := []VID{1, 2}
 	for i := 0; i < n; i++ {
 		str.AppendString("x")
-		lazy.AppendSegment(seg)
 	}
 	if got := str.Reinit("", KindInvalid); got != n*16 {
 		t.Fatalf("string column: Reinit cleared %d bytes, want %d", got, n*16)
 	}
-	if got := lazy.Reinit("", KindInvalid); got != n*24 {
-		t.Fatalf("lazy column: Reinit cleared %d bytes, want %d", got, n*24)
-	}
-	if cap(str.str) < n || cap(lazy.segs) < n {
+	if cap(str.str) < n {
 		t.Fatal("Reinit dropped the capacity it is meant to retain")
 	}
 	for i, v := range str.str[:cap(str.str)] {
@@ -157,13 +153,8 @@ func TestReinitDropsUsedRowsOnly(t *testing.T) {
 			t.Fatalf("string slot %d of %d holds %q after Reinit, want %q", i, cap(str.str), v, want)
 		}
 	}
-	for i, v := range lazy.segs[:cap(lazy.segs)] {
-		if isPoison := len(v) == 1 && &v[0] == &poisonSeg[0]; isPoison != stamped(i) || (!isPoison && v != nil) {
-			t.Fatalf("segment slot %d of %d holds %v after Reinit", i, cap(lazy.segs), v)
-		}
-	}
-	if a, b := str.Reinit("again", KindString), lazy.Reinit("again", KindVID); a != 0 || b != 0 {
-		t.Fatalf("Reinit of an empty column cleared %d and %d bytes, want 0", a, b)
+	if got := str.Reinit("again", KindString); got != 0 {
+		t.Fatalf("Reinit of an empty column cleared %d bytes, want 0", got)
 	}
 
 	// Reset and a shrinking Grow keep the same invariant.

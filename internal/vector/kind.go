@@ -1,12 +1,12 @@
 // Package vector provides the low-level columnar building blocks of the GES
 // executor: typed scalar values, typed columns stored in contiguous slices,
-// lazy adjacency-reference columns used by the pointer-based join, and the
-// bitset selection vectors attached to every f-Tree node.
+// and the bitset selection vectors attached to every f-Tree node.
 //
 // Everything in this package is deliberately allocation-conscious: columns
-// are plain slices, selection vectors are word-packed bitsets, and adjacency
-// references hold (pointer,length) pairs into storage-owned memory rather
-// than copies, mirroring the cache-efficiency goals of the paper (§3.2, §5).
+// are plain positional slices (a VID column has one representation, owned
+// VIDs, which an expand fills one adjacency run per copy), and selection
+// vectors are word-packed bitsets, mirroring the cache-efficiency goals of
+// the paper (§3.2, §5).
 package vector
 
 import "fmt"
