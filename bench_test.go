@@ -120,6 +120,7 @@ func BenchmarkIC2_Factorized(b *testing.B)    { benchQuery(b, "IC2", exec.ModeFa
 func BenchmarkIC2_Fused(b *testing.B)         { benchQuery(b, "IC2", exec.ModeFused) }
 func BenchmarkIC3_Factorized(b *testing.B)    { benchQuery(b, "IC3", exec.ModeFactorized) }
 func BenchmarkIC3_Fused(b *testing.B)         { benchQuery(b, "IC3", exec.ModeFused) }
+func BenchmarkIC4_Fused(b *testing.B)         { benchQuery(b, "IC4", exec.ModeFused) }
 func BenchmarkIC5_Flat(b *testing.B)          { benchQuery(b, "IC5", exec.ModeFlat) }
 func BenchmarkIC5_Factorized(b *testing.B)    { benchQuery(b, "IC5", exec.ModeFactorized) }
 func BenchmarkIC5_Fused(b *testing.B)         { benchQuery(b, "IC5", exec.ModeFused) }
@@ -128,6 +129,7 @@ func BenchmarkIC6_Fused(b *testing.B)         { benchQuery(b, "IC6", exec.ModeFu
 func BenchmarkIC9_Flat(b *testing.B)          { benchQuery(b, "IC9", exec.ModeFlat) }
 func BenchmarkIC9_Factorized(b *testing.B)    { benchQuery(b, "IC9", exec.ModeFactorized) }
 func BenchmarkIC9_Fused(b *testing.B)         { benchQuery(b, "IC9", exec.ModeFused) }
+func BenchmarkIC10_Fused(b *testing.B)        { benchQuery(b, "IC10", exec.ModeFused) }
 func BenchmarkIC11_Factorized(b *testing.B)   { benchQuery(b, "IC11", exec.ModeFactorized) }
 func BenchmarkIC11_Fused(b *testing.B)        { benchQuery(b, "IC11", exec.ModeFused) }
 func BenchmarkIC14(b *testing.B)              { benchQuery(b, "IC14", exec.ModeFused) }

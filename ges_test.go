@@ -204,15 +204,26 @@ func TestExplainShowsFusion(t *testing.T) {
 	if !strings.Contains(s, "SeekExpand(fused)") {
 		t.Fatalf("fused plan missing SeekExpand: %s", s)
 	}
-	// Posts only counted become their authors' run lengths; an output column
-	// no sort key reads is gathered after the cut.
+	// Posts only counted per friend are counted once per friend, by the
+	// aggregate grouped by the friend; under a global count they become
+	// their authors' run lengths. An output column no sort key reads is
+	// gathered after the cut.
 	s, err = db.Explain(`
 		MATCH (p:Person)-[:KNOWS]->(f:Person)-[:WROTE]->(post:Post) WHERE id(p) = 1
 		RETURN id(f) AS fid, COUNT(*) AS n ORDER BY n DESC LIMIT 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "Expand(count) -> AggregateProjectTop(fused)") {
+	if !strings.Contains(s, "SeekExpand(fused) -> AggregateProjectTop(fused, per-group count post)") {
+		t.Fatalf("fused plan missing the per-group count leaf: %s", s)
+	}
+	s, err = db.Explain(`
+		MATCH (p:Person)-[:KNOWS]->(f:Person)-[:WROTE]->(post:Post) WHERE id(p) = 1
+		RETURN COUNT(*) AS n`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(s, "Expand(count) -> Aggregate") {
 		t.Fatalf("fused plan missing the count-only leaf: %s", s)
 	}
 	s, err = db.Explain(`

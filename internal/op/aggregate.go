@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"ges/internal/core"
@@ -52,10 +53,32 @@ type Aggregate struct {
 	// lone GroupBy column is. The table then keys groups by the variable's
 	// VID in a dense array and reads each group's id once, when it emits.
 	KeyVar string
+	// Leaves, set by plan.Fuse, are count-only expands from KeyVar, run once
+	// per group instead of once per row: the fold counts each key's rows, and
+	// one NeighborsBatch over the distinct keys multiplies every COUNT by
+	// the key's neighbor count. A key with no neighbors opens no group.
+	Leaves []*Expand
+	// Unordered, set by plan.Fuse when no consumer can observe the order of
+	// the groups, emits them in first-seen order, unsorted, unless a group
+	// column is a float.
+	Unordered bool
 }
 
 // Name implements Operator.
-func (o *Aggregate) Name() string { return "Aggregate" }
+func (o *Aggregate) Name() string { return "Aggregate" + o.leafNames("(", ")") }
+
+// leafNames lists the per-group leaves' variables between open and close,
+// or returns "" when there are none.
+func (o *Aggregate) leafNames(open, close string) string {
+	if len(o.Leaves) == 0 {
+		return ""
+	}
+	names := make([]string, len(o.Leaves))
+	for i, l := range o.Leaves {
+		names[i] = l.To
+	}
+	return open + "per-group count " + strings.Join(names, ",") + close
+}
 
 // Execute implements Operator.
 func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
@@ -64,7 +87,7 @@ func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		return nil, err
 	}
 	defer t.release()
-	return ctx.FlatChunk(t.block(t.slots(ctx, true))), nil
+	return ctx.FlatChunk(t.block(t.slots(ctx))), nil
 }
 
 // group is the one aggregation kernel; Aggregate and AggregateProjectTop
@@ -122,6 +145,10 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 			ctx.Arena.PutInt32s(m)
 		}
 	}()
+	if t.keyed == keyVID && nf == 1 && !slices.ContainsFunc(o.Aggs, func(a AggSpec) bool { return a.Func != Count }) {
+		t.foldVIDCounts(w)
+		return t, nil
+	}
 	for i, wi := range w {
 		if wi != 0 {
 			t.foldAt(i, wi)
@@ -182,6 +209,7 @@ type aggTable struct {
 	byInt map[int64]int32  // keyInt
 	byKey map[string]int32 // keyString, keyRow
 	vids  []vector.VID     // keyVID: each group's key
+	runs  []int64          // keyVID with leaves: each group's product of leaf runs
 	keys  []vector.Value   // each group's key values; keyVID's ids once read (slots)
 	vals  []vector.Value   // key scratch
 
@@ -404,6 +432,45 @@ func (t *aggTable) foldAt(i int, w int64) {
 	t.foldRow(t.row, w)
 }
 
+// foldVIDCounts is foldAt for a VID-keyed table that folds only COUNTs and
+// binds only its key column: it reads the key's VIDs and adds each row's
+// weight straight into the count slab.
+func (t *aggTable) foldVIDCounts(w []int64) {
+	key, na := t.bound[0], len(t.o.Aggs)
+	vids := key.col.VIDs()
+	for i, wi := range w {
+		if wi != 0 {
+			s := int(t.slotVID(vids[key.row(i)])) * na
+			for j := range na {
+				t.count[s+j] += wi
+			}
+		}
+	}
+}
+
+// runLeaves runs the per-group leaves (Aggregate.Leaves) over the distinct
+// keys, one NeighborsBatch each, and multiplies each group's COUNTs by the
+// product of its key's runs. COUNT DISTINCT, MIN and MAX saw the same rows
+// either way.
+func (t *aggTable) runLeaves(ctx *Ctx) {
+	t.runs = make([]int64, len(t.vids))
+	t.o.Leaves[0].runLens(ctx, t.vids, t.runs)
+	run := make([]int64, len(t.vids))
+	for _, l := range t.o.Leaves[1:] {
+		l.runLens(ctx, t.vids, run)
+		for s, r := range run {
+			t.runs[s] *= r
+		}
+	}
+	for s, r := range t.runs {
+		for j, a := range t.o.Aggs {
+			if a.Func == Count {
+				t.count[s*len(t.o.Aggs)+j] *= r
+			}
+		}
+	}
+}
+
 // slotVID returns the slot of a VID key, opening it — and recording the key
 // — when the key is new.
 func (t *aggTable) slotVID(v vector.VID) int32 {
@@ -534,11 +601,13 @@ func (t *aggTable) keyKind(i int) vector.Kind {
 	return t.kinds[t.groupIdx[i]]
 }
 
-// slots returns the group slots: with ordered, in ascending rowKey order of
-// their keys — the order every consumer that can observe it sees; otherwise
-// in first-seen order. A KeyVar table reads every group's id here, in one
-// batch.
-func (t *aggTable) slots(ctx *Ctx, ordered bool) []int32 {
+// slots returns the group slots in emission order: ascending rowKey order
+// of their keys — the order every consumer that can observe it sees — or,
+// when Unordered and no group column is a float, first-seen order. A
+// KeyVar table reads every group's id here, in one batch, and runs its
+// per-group leaves, leaving out the groups with an empty run: a weight-0
+// row would never have opened them.
+func (t *aggTable) slots(ctx *Ctx) []int32 {
 	if t.keyed == keyVID {
 		ids := make([]int64, len(t.vids))
 		ctx.View.GatherExtIDs(t.vids, nil, ids)
@@ -546,12 +615,18 @@ func (t *aggTable) slots(ctx *Ctx, ordered bool) []int32 {
 		for i, id := range ids {
 			t.keys[i] = vector.Int64(id)
 		}
+		if len(t.o.Leaves) > 0 && t.n > 0 {
+			t.runLeaves(ctx)
+		}
 	}
-	slots := make([]int32, t.n)
-	for i := range slots {
-		slots[i] = int32(i)
+	slots := make([]int32, 0, t.n)
+	for s := range t.n {
+		if t.runs == nil || t.runs[s] != 0 {
+			slots = append(slots, s)
+		}
 	}
-	if ordered && len(slots) > 1 {
+	float := slices.ContainsFunc(t.groupIdx, func(g int) bool { return t.kinds[g] == vector.KindFloat64 })
+	if len(slots) > 1 && (!t.o.Unordered || float) {
 		t.sortSlots(slots)
 	}
 	return slots

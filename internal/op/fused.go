@@ -60,8 +60,9 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // slots, and only the kept groups become rows, so peak memory is the group
 // table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
 // megabytes to under 2 KB. When the sort keys include every group-by column
-// no two groups tie, so the groups are offered in slot order, without the
-// sort by group key that would break ties.
+// no two groups tie, so plan.Fuse marks the aggregate Unordered and the
+// groups are offered in slot order, without the sort by group key that
+// would break ties.
 type AggregateProjectTop struct {
 	Aggregate
 	Keys  []SortKey
@@ -69,7 +70,9 @@ type AggregateProjectTop struct {
 }
 
 // Name implements Operator.
-func (o *AggregateProjectTop) Name() string { return "AggregateProjectTop(fused)" }
+func (o *AggregateProjectTop) Name() string {
+	return "AggregateProjectTop(fused" + o.leafNames(", ", "") + ")"
+}
 
 // Execute implements Operator.
 func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
@@ -94,7 +97,7 @@ func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, er
 	}
 	ord := newTupleOrder(ctx, 1, o.Limit, keys)
 	defer ord.release()
-	for _, s := range t.slots(ctx, !o.keysSeparateGroups(t)) {
+	for _, s := range t.slots(ctx) {
 		ord.next()[0] = s
 		ord.offer()
 	}
@@ -104,16 +107,4 @@ func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, er
 		slots[i] = ord.tuple(id)[0]
 	}
 	return ctx.FlatChunk(t.block(slots)), nil
-}
-
-// keysSeparateGroups reports whether the sort keys include every group-by
-// column, none a float (0 and -0, or two NaNs, are distinct groups that
-// compare equal): no two groups tie then.
-func (o *AggregateProjectTop) keysSeparateGroups(t *aggTable) bool {
-	for i, g := range o.GroupBy {
-		if t.keyKind(i) == vector.KindFloat64 || !slices.ContainsFunc(o.Keys, func(k SortKey) bool { return k.Col == g }) {
-			return false
-		}
-	}
-	return true
 }

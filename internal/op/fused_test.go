@@ -2,6 +2,7 @@ package op_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -203,5 +204,35 @@ func TestAggregateEmitsInKeyOrder(t *testing.T) {
 		if s := strconv.FormatInt(row[0].I, 10); strconv.Itoa(len(s))+":"+s != want[i] {
 			t.Fatalf("group %d is %d, want key %s", i, row[0].I, want[i])
 		}
+	}
+}
+
+// TestUnorderedAggregate pins what Aggregate.Unordered changes: groups come
+// out in first-seen order, except over a float group column, whose distinct
+// groups 0 and -0 compare equal and so stay in key order.
+func TestUnorderedAggregate(t *testing.T) {
+	run := func(kind vector.Kind, keys []vector.Value, unordered bool) []string {
+		fb := core.NewFlatBlock([]string{"k"}, []vector.Kind{kind})
+		for _, k := range keys {
+			fb.Append([]vector.Value{k})
+		}
+		g := &op.Aggregate{GroupBy: []string{"k"}, Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}, Unordered: unordered}
+		out, err := g.Execute(&op.Ctx{}, &core.Chunk{Flat: fb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var emitted []string
+		for _, row := range out.Flat.Rows {
+			emitted = append(emitted, row[0].String())
+		}
+		return emitted
+	}
+	ints := []vector.Value{vector.Int64(3), vector.Int64(1), vector.Int64(2), vector.Int64(1)}
+	if got, want := run(vector.KindInt64, ints, true), []string{"3", "1", "2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unordered int groups = %v, want first-seen %v", got, want)
+	}
+	floats := []vector.Value{vector.Float64(1.5), vector.Float64(0), vector.Float64(math.Copysign(0, -1)), vector.Float64(-2)}
+	if got, want := run(vector.KindFloat64, floats, true), run(vector.KindFloat64, floats, false); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unordered float groups = %v, want key order %v", got, want)
 	}
 }

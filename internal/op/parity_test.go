@@ -94,6 +94,12 @@ func TestOperatorParity(t *testing.T) {
 	}
 	count := op.AggSpec{Func: op.Count, As: "n"}
 	pid := &op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", As: "p.id", ExtID: true}}}
+	idOf := func(v string) *op.ProjectProps {
+		return &op.ProjectProps{Specs: []op.ProjSpec{{Var: v, As: v + ".id", ExtID: true}}}
+	}
+	likes := func(from string) *op.Expand {
+		return &op.Expand{From: from, To: "liked", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel}
+	}
 	agg := func(fn op.AggFunc, arg string) op.AggSpec { return op.AggSpec{Func: fn, Arg: arg, As: fn.String()} }
 	shapes := []struct {
 		name    string
@@ -496,6 +502,63 @@ func TestOperatorParity(t *testing.T) {
 			return plan.Plan{scan("p"), knows("p", "f"), pid,
 				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}},
 				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "p.id"}}, Limit: 15}}
+		}},
+		// A leaf on the group key runs once per group (GES_f*): keys reached
+		// by several tuples, persons who studied nowhere (a third of them,
+		// whose groups vanish), two leaves on the key, aggregates a weight
+		// does not scale beside the count, and a top-k over the per-group
+		// count.
+		{"count-leaf/per-group-multiplicity", true, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), knows("f", "g"), idOf("g"), likes("g"),
+				&op.Aggregate{GroupBy: []string{"g.id"}, Aggs: []op.AggSpec{count}})
+		}},
+		{"count-leaf/per-group-empty-runs", true, func() plan.Plan {
+			return plan.Plan{scan("p"), pid,
+				&op.Expand{From: "p", To: "u", Et: h.StudyAt, Dir: catalog.Out, DstLabel: h.University},
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}}}
+		}},
+		{"count-leaf/per-group-two-leaves", true, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), idOf("f"), likes("f"),
+				&op.Expand{From: "f", To: "w", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},
+				&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count}})
+		}},
+		{"count-leaf/per-group-beside-distinct-min-max", true, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), knows("f", "g"),
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}, {Var: "g", As: "g.id", ExtID: true}}},
+				likes("g"), &op.Aggregate{GroupBy: []string{"g.id"}, Aggs: []op.AggSpec{
+					count, agg(op.CountDistinct, "f.id"), agg(op.Min, "anchor.id"), agg(op.Max, "f.id")}})
+		}},
+		{"count-leaf/per-group-top-k", true, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), knows("f", "g"), idOf("g"), likes("g"),
+				&op.Aggregate{GroupBy: []string{"g.id"}, Aggs: []op.AggSpec{count}},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "g.id"}}, Limit: 15})
+		}},
+		// Groups emitted unsorted (GES_f*) where a later sort by every group
+		// column decides their order, or a join probes them by key; a sort
+		// by the count alone cuts inside ties, which group key order breaks.
+		{"agg/unordered-filter-order-by", true, func() plan.Plan {
+			return twoHop(&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "g.id")}},
+				&op.Filter{Pred: expr.Gt(expr.C("n"), expr.LInt(3))},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "f.id"}}})
+		}},
+		{"agg/sorted-order-by-ties", true, func() plan.Plan {
+			return twoHop(&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count}},
+				&op.Filter{Pred: expr.Gt(expr.C("n"), expr.LInt(3))},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}}, Limit: 25})
+		}},
+		{"agg/unordered-two-keys-order-by", true, func() plan.Plan {
+			return plan.Plan{scan("p"), knows("p", "f"), &op.ProjectProps{Specs: []op.ProjSpec{
+				{Var: "f", Prop: "gender", As: "f.gender"}, {Var: "f", Prop: "browserUsed", As: "f.browserUsed"}}},
+				&op.Aggregate{GroupBy: []string{"f.browserUsed", "f.gender"}, Aggs: []op.AggSpec{count}},
+				&op.Filter{Pred: expr.Gt(expr.C("n"), expr.LInt(0))},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "f.gender"}, {Col: "n"}, {Col: "f.browserUsed"}}}}
+		}},
+		{"agg/unordered-build-side", false, func() plan.Plan {
+			return plan.Plan{scan("p"), pid,
+				&op.HashJoin{Type: op.LeftOuter, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
+					Right: []op.Operator{scan("q"), knows("q", "f"), idOf("f"), likes("f"),
+						&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Max, "f.id")}}}},
+				&op.Defactor{Cols: []string{"p.id", "f.id", "n", "max"}}}
 		}},
 		// Path folds: every group-by and argument column on one root-to-leaf
 		// chain folds the deepest node's rows through parent-row maps; a

@@ -17,6 +17,16 @@ func Fuse(p Plan) Plan {
 		if j, ok := o.(*op.HashJoin); ok {
 			c := *j
 			c.Right = Fuse(j.Right)
+			// The build side's rows are probed by key: when its keys are
+			// the groups of its last aggregate, each key is one row, and
+			// the order of the rows is never read.
+			if n := len(c.Right); n > 0 {
+				if g, ok := c.Right[n-1].(*op.Aggregate); ok && sameCols(g.GroupBy, c.RightKeys) {
+					u := *g
+					u.Unordered = true
+					c.Right = append(slices.Clip(c.Right[:n-1]), &u)
+				}
+			}
 			out[i] = &c
 		}
 	}
@@ -41,13 +51,17 @@ func fuseOnce(p Plan) (Plan, bool) {
 	if q, ok := fuseLateProject(p); ok {
 		return q, true
 	}
-	if q, ok := fuseCountLeaf(p); ok {
-		return q, true
-	}
+	// Groups keyed by VID first: a count leaf on the key runs per group.
 	if q, ok := fuseGroupByVID(p); ok {
 		return q, true
 	}
+	if q, ok := fuseCountLeaf(p); ok {
+		return q, true
+	}
 	if q, ok := fuseAggregateProjectTop(p); ok {
+		return q, true
+	}
+	if q, ok := fuseUnordered(p); ok {
 		return q, true
 	}
 	return p, false
@@ -208,6 +222,7 @@ func fuseAggregateProjectTop(p Plan) (Plan, bool) {
 			}
 		}
 		fused := &op.AggregateProjectTop{Aggregate: *agg, Keys: ob.Keys, Limit: limit}
+		fused.Unordered = sortsEvery(ob.Keys, agg.GroupBy)
 		q := append(make(Plan, 0, len(p)), p[:i]...)
 		q = append(q, fused)
 		// The fused operator emits groupBy ++ aggregate columns; a sort
@@ -316,7 +331,9 @@ func isLate(between Plan, ob *op.OrderBy, spec op.ProjSpec) bool {
 // DISTINCT, MIN and MAX. SUM and AVG are left alone: a float argument's
 // weighted sum would round differently. The expand leaves each parent row
 // its neighbor count, and the aggregate takes that column as a weight
-// instead of the child's rows.
+// instead of the child's rows. An expand from the aggregate's key variable
+// counts the same for every row of a group, so it moves into the aggregate
+// (Aggregate.Leaves) and runs once per group instead.
 func fuseCountLeaf(p Plan) (Plan, bool) {
 	for i, o := range p {
 		ex, ok := o.(*op.Expand)
@@ -335,12 +352,64 @@ func fuseCountLeaf(p Plan) (Plan, bool) {
 			continue
 		}
 		leaf, weighted := *ex, *g
-		leaf.Count, weighted.Weights = true, append(slices.Clip(g.Weights), ex.To)
+		leaf.Count = true
 		q := slices.Clone(p)
+		if ex.From == g.KeyVar {
+			weighted.Leaves = append(slices.Clip(g.Leaves), &leaf)
+			q[j] = withAggregate(p[j], weighted)
+			return slices.Delete(q, i, i+1), true
+		}
+		weighted.Weights = append(slices.Clip(g.Weights), ex.To)
 		q[i], q[j] = &leaf, withAggregate(p[j], weighted)
 		return q, true
 	}
 	return p, false
+}
+
+// fuseUnordered marks an Aggregate whose group order nothing observes
+// (Aggregate.Unordered): past operators that pass rows through in order, an
+// OrderBy sorts by every group column, so distinct groups never tie and the
+// sort alone decides their order. A float group column, which could tie,
+// keeps the aggregate sorting when it runs. Hash-join build sides are
+// marked by Fuse.
+func fuseUnordered(p Plan) (Plan, bool) {
+	for j := 0; j+1 < len(p); j++ {
+		g, ok := p[j].(*op.Aggregate)
+		if !ok || g.Unordered || len(g.GroupBy) == 0 {
+			continue
+		}
+		k := j + 1
+		for k+1 < len(p) && keepsRows(p[k], g.GroupBy) {
+			k++
+		}
+		if ob, ok := p[k].(*op.OrderBy); !ok || !sortsEvery(ob.Keys, g.GroupBy) {
+			continue
+		}
+		u := *g
+		u.Unordered = true
+		q := slices.Clone(p)
+		q[j] = &u
+		return q, true
+	}
+	return p, false
+}
+
+// keepsRows reports whether o passes its input rows on in order, each row
+// once or, after a join, as a run of rows, without writing any of cols.
+func keepsRows(o op.Operator, cols []string) bool {
+	switch n := o.(type) {
+	case *op.Filter, *op.HashJoin:
+		return true
+	case *op.ProjectExpr:
+		return !slices.Contains(cols, n.As)
+	}
+	return false
+}
+
+// sortsEvery reports whether every one of cols is a sort key: rows that
+// differ in any of them never tie.
+func sortsEvery(keys []op.SortKey, cols []string) bool {
+	return !slices.ContainsFunc(cols, func(c string) bool { return !sortsBy(keys, c) })
 }
 
 // nodeLocal reports whether o only annotates the rows it is given: a

@@ -8,6 +8,7 @@ import (
 	"ges/internal/expr"
 	"ges/internal/op"
 	"ges/internal/storage"
+	"ges/internal/vector"
 )
 
 func TestFuseSeekExpand(t *testing.T) {
@@ -157,6 +158,17 @@ func TestFuseRules(t *testing.T) {
 		return &op.Aggregate{GroupBy: []string{key}, Aggs: []op.AggSpec{count}}
 	}
 	aggOf := func(p Plan) *op.Aggregate { return p[len(p)-1].(*op.Aggregate) }
+	sumBy := func(key string) *op.Aggregate {
+		return &op.Aggregate{GroupBy: []string{key}, Aggs: []op.AggSpec{{Func: op.Sum, Arg: "f.age", As: "s"}}}
+	}
+	positive := &op.Filter{Pred: expr.Gt(expr.C("s"), expr.LInt(0))}
+	unordered := func(at int, want bool) func(t *testing.T, p Plan) {
+		return func(t *testing.T, p Plan) {
+			if g := p[at].(*op.Aggregate); g.Unordered != want {
+				t.Fatalf("aggregate %+v, want Unordered %v", g, want)
+			}
+		}
+	}
 	cases := []struct {
 		name  string
 		in    Plan
@@ -170,11 +182,45 @@ func TestFuseRules(t *testing.T) {
 					t.Fatalf("weights %v", w)
 				}
 			}},
+		// A leaf on the group key runs once per group, in the aggregate.
 		{"count-leaf-past-projection", Plan{scan("p"),
 			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 2, MaxHops: 2},
 			expand("f", "post", post), project(id("f")), countBy("f.id")},
-			"NodeScan -> VarLengthExpand -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
-				if g := aggOf(p); g.KeyVar != "f" || len(g.Weights) != 1 {
+			"NodeScan -> VarLengthExpand -> Aggregate(per-group count post)", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "f" || len(g.Weights) != 0 || len(g.Leaves) != 1 || g.Leaves[0].To != "post" {
+					t.Fatalf("aggregate %+v", g)
+				}
+			}},
+		{"group-leaf-ic5", Plan{&op.NodeByIdSeek{Var: "p", Label: person, ExtID: 1},
+			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 1, MaxHops: 2},
+			&op.Expand{From: "f", To: "forum", DstLabel: post, EdgeProps: []op.EdgeProj{{Prop: "joinDate", As: "joinDate"}}},
+			&op.Filter{Pred: expr.Gt(expr.C("joinDate"), expr.LInt(3))},
+			project(id("forum")), expand("forum", "post", post), countBy("forum.id"),
+			&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "forum.id"}}, Limit: 20}},
+			"NodeByIdSeek -> VarLengthExpand -> Expand -> Filter -> AggregateProjectTop(fused, per-group count post)",
+			func(t *testing.T, p Plan) {
+				g := p[len(p)-1].(*op.AggregateProjectTop)
+				if g.KeyVar != "forum" || len(g.Weights) != 0 || len(g.Leaves) != 1 {
+					t.Fatalf("aggregate %+v", g.Aggregate)
+				}
+			}},
+		{"group-leaf-two-leaves", Plan{scan("f"), expand("f", "post", post), expand("f", "m", post),
+			project(id("f")), countBy("f.id")},
+			"NodeScan -> Aggregate(per-group count m,post)", nil},
+		{"group-leaf-off-key", Plan{scan("p"), expand("p", "f", person), expand("f", "post", post),
+			project(id("p")), countBy("p.id")},
+			"NodeScan -> Expand -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "p" || len(g.Leaves) != 0 || len(g.Weights) != 1 {
+					t.Fatalf("aggregate %+v", g)
+				}
+			}},
+		{"group-leaf-any-label-key", Plan{scan("p"), expand("p", "m", storage.AnyLabel), project(id("m")),
+			expand("m", "x", person), countBy("m.id")},
+			"NodeScan -> Expand -> Project -> Expand(count) -> Aggregate", nil},
+		{"group-leaf-under-sum", Plan{scan("f"), project(id("f"), prop("f", "age")), expand("f", "post", post),
+			&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, {Func: op.Sum, Arg: "f.age", As: "s"}}}},
+			"NodeScan -> Project -> Expand -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "f" || len(g.Leaves) != 0 {
 					t.Fatalf("aggregate %+v", g)
 				}
 			}},
@@ -218,6 +264,42 @@ func TestFuseRules(t *testing.T) {
 			"NodeScan -> Expand -> Project -> Aggregate", func(t *testing.T, p Plan) {
 				if g := aggOf(p); g.KeyVar != "" {
 					t.Fatalf("ids may collide across labels, but the aggregate groups by VID: %+v", g)
+				}
+			}},
+		// (c) Groups emitted unsorted where only a later sort or a join reads them.
+		{"unordered-ic3", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), positive,
+			&op.ProjectExpr{Expr: expr.C("s"), As: "total", Kind: vector.KindInt64},
+			&op.OrderBy{Keys: []op.SortKey{{Col: "total", Desc: true}, {Col: "f.id"}}, Limit: 20}},
+			"NodeScan -> Project -> Aggregate -> Filter -> ProjectExpr -> OrderBy", unordered(2, true)},
+		{"unordered-past-join", Plan{scan("t"), project(prop("t", "name")),
+			&op.Aggregate{GroupBy: []string{"t.name"}, Aggs: []op.AggSpec{count}},
+			&op.HashJoin{Type: op.LeftAnti, LeftKeys: []string{"t.name"}, RightKeys: []string{"o.name"},
+				Right: []op.Operator{scan("o"), project(prop("o", "name"))}},
+			&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "t.name"}}, Limit: 10}},
+			"NodeScan -> Project -> Aggregate -> HashJoin -> OrderBy", unordered(2, true)},
+		{"unordered-build-side", Plan{scan("a"), project(id("a")), &op.HashJoin{Type: op.LeftOuter,
+			LeftKeys: []string{"a.id"}, RightKeys: []string{"f.id"},
+			Right: []op.Operator{scan("f"), expand("f", "post", post), project(id("f")), countBy("f.id")}}},
+			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
+				right := Plan(p[2].(*op.HashJoin).Right)
+				if g := aggOf(right); right.String() != "NodeScan -> Aggregate(per-group count post)" || !g.Unordered {
+					t.Fatalf("build side = %s, %+v", right, g)
+				}
+			}},
+		{"sorted-last", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id")},
+			"NodeScan -> Project -> Aggregate", unordered(2, false)},
+		{"sorted-key-missing", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), positive,
+			&op.OrderBy{Keys: []op.SortKey{{Col: "s", Desc: true}}, Limit: 20}},
+			"NodeScan -> Project -> Aggregate -> Filter -> OrderBy", unordered(2, false)},
+		{"sorted-past-limit", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), &op.Limit{N: 3},
+			&op.OrderBy{Keys: []op.SortKey{{Col: "f.id"}}}},
+			"NodeScan -> Project -> Aggregate -> Limit -> OrderBy", unordered(2, false)},
+		{"sorted-build-side-other-key", Plan{scan("a"), project(id("a")), &op.HashJoin{Type: op.LeftOuter,
+			LeftKeys: []string{"a.id"}, RightKeys: []string{"s"},
+			Right: []op.Operator{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id")}}},
+			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
+				if g := aggOf(p[2].(*op.HashJoin).Right); g.Unordered {
+					t.Fatalf("build side keyed off its groups emits unsorted: %+v", g)
 				}
 			}},
 		// GES_f* fuses a hash join's build side too.

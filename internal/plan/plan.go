@@ -1,11 +1,13 @@
 // Package plan represents physical execution plans — linear chains of
 // operators — and implements the optimizer's operator-fusion rewrite rules
 // of §4.3: VertexExpand (seek+expand), FilterPushDown (project+filter folded
-// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Three
+// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Five
 // more keep the fused plan from building what its result discards: an expand
-// only counted becomes its parent's run lengths (Expand.Count), a projection
-// only returned is gathered after the top-k cut (OrderBy.Late), and a group
-// key that is a single-label vertex's id groups by VID (Aggregate.KeyVar).
+// only counted becomes its parent's run lengths (Expand.Count), or, from the
+// group key, runs once per group (Aggregate.Leaves); a projection only
+// returned is gathered after the top-k cut (OrderBy.Late); a group key that
+// is a single-label vertex's id groups by VID (Aggregate.KeyVar); and groups
+// only a later sort or a join reads are not sorted (Aggregate.Unordered).
 // Fuse applies them to the plan and to each hash join's build side.
 package plan
 
