@@ -160,9 +160,19 @@ func (t *FTree) NodeOfColumns(names []string) *Node {
 }
 
 // CountTuples returns the number of valid tuples encoded by the tree — the
-// cardinality of R_FT — without enumerating them. It runs one bottom-up
-// pass: count(u,i) = Π_c Σ_{j ∈ I(u,c)[i], valid j} count(c,j).
+// cardinality of R_FT — without enumerating them: the sum of RootCounts.
 func (t *FTree) CountTuples() int64 {
+	total := int64(0)
+	for _, c := range t.RootCounts() {
+		total += c
+	}
+	return total
+}
+
+// RootCounts returns, for every root row, the number of valid tuples it
+// takes part in (0 for an invalid row). It runs one bottom-up pass:
+// count(u,i) = Π_c Σ_{j ∈ I(u,c)[i], valid j} count(c,j).
+func (t *FTree) RootCounts() []int64 {
 	memo := make([][]int64, len(t.nodes))
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := t.nodes[i]
@@ -188,11 +198,7 @@ func (t *FTree) CountTuples() int64 {
 		}
 		memo[n.id] = cnt
 	}
-	total := int64(0)
-	for r := 0; r < t.Root.Block.NumRows(); r++ {
-		total += memo[0][r]
-	}
-	return total
+	return memo[0]
 }
 
 // PruneUp clears the selection bit of every row (bottom-up from the given

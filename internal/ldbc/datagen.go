@@ -287,7 +287,7 @@ func (ds *Dataset) genPersons(rng *rand.Rand) error {
 		// Interests.
 		for k := 0; k < ds.Config.TagsPerPerson; k++ {
 			tag := ds.tags[zipfIdx(rng, len(ds.tags))]
-			_ = g.AddEdge(h.HasInterest, v, tag) //geslint:err-ok duplicate interests are harmless; the generator retries nothing
+			_ = g.AddEdge(h.HasInterest, v, tag) //geslint:err-ok a repeated tag is a parallel edge, which IC10 counts once per edge; the generator retries nothing
 		}
 		// Education and employment.
 		if rng.Intn(3) > 0 {

@@ -32,7 +32,9 @@ type IntersectSide struct {
 //
 // Sides[0] is the base: its adjacency enumeration order (with multiplicity)
 // defines the output, so results are byte-identical to the de-fused
-// Expand(Sides[0]) + ExpandInto(Sides[1:]) chain. Sorted runs intersect by
+// Expand(Sides[0]) + ExpandInto(Sides[1:]) chain. A parallel edge on the
+// base side yields its neighbour once per edge; on any other side it is a
+// membership test, so it counts once. Sorted runs intersect by
 // leapfrog/galloping (storage.Intersector); runs a view returns unsorted
 // (the runs of several families joined under Both or AnyLabel) probe
 // per-source hash sets instead, byte-identical either way.

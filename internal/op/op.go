@@ -126,6 +126,23 @@ type Operator interface {
 	Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 }
 
+// RunPlan executes a linear operator chain over in (nil for a chain that
+// starts with a source operator) and returns its final chunk. The executor
+// package wraps this with per-operator timing; the plain version serves
+// sub-plans (PatternCount's path) and tests.
+func RunPlan(ctx *Ctx, in *core.Chunk, plan []Operator) (*core.Chunk, error) {
+	ch := in
+	var err error
+	for _, o := range plan {
+		ch, err = o.Execute(ctx, ch)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", o.Name(), err)
+		}
+		ctx.Observe(ch)
+	}
+	return ch, nil
+}
+
 // assertFTree verifies the factorized-representation invariants at an
 // operator block boundary in debug builds (-tags gesassert). AssertEnabled
 // is a constant, so release builds compile the call away.

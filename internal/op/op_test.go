@@ -129,7 +129,7 @@ func TestExpandCopiesNeighbours(t *testing.T) {
 	ctx := &op.Ctx{View: f.Graph}
 	p0 := testgraph.NeighborVIDs(f.Graph, f.Persons[0], s.Knows, catalog.Out, s.Person)
 	for _, props := range [][]op.EdgeProj{nil, {{Prop: "creationDate", As: "since"}}} {
-		ch, err := op.RunPlan(ctx, []op.Operator{
+		ch, err := op.RunPlan(ctx, nil, []op.Operator{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person, EdgeProps: props},
 		})
@@ -156,7 +156,7 @@ func TestTwoHopExpandGrowsTree(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
 	ctx := &op.Ctx{View: f.Graph}
-	ch, err := op.RunPlan(ctx, []op.Operator{
+	ch, err := op.RunPlan(ctx, nil, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f1", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 		&op.Expand{From: "f1", To: "f2", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
@@ -254,7 +254,7 @@ func TestFilterUpdatesSelectionVectorInPlace(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
 	ctx := &op.Ctx{View: f.Graph}
-	ch, err := op.RunPlan(ctx, []op.Operator{
+	ch, err := op.RunPlan(ctx, nil, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
@@ -279,7 +279,7 @@ func TestCrossNodeFilterDefactors(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
 	ctx := &op.Ctx{View: f.Graph}
-	ch, err := op.RunPlan(ctx, []op.Operator{
+	ch, err := op.RunPlan(ctx, nil, []op.Operator{
 		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
 		&op.Expand{From: "f", To: "g", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
@@ -418,77 +418,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestHashJoinSemiAndAnti(t *testing.T) {
-	f := testgraph.New()
-	s := f.Schema
-	// Friends of p0 who created at least one post (semi) / none (anti).
-	mkPlan := func(jt op.JoinType) plan.Plan {
-		return plan.Plan{
-			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-			&op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-				DstLabel: s.Person, MinHops: 1, MaxHops: 2},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
-			&op.HashJoin{
-				Type:      jt,
-				LeftKeys:  []string{"f.id"},
-				RightKeys: []string{"creator.id"},
-				Right: []op.Operator{
-					&op.NodeScan{Var: "post", Label: s.Post},
-					&op.Expand{From: "post", To: "creator", Et: s.HasCreator, Dir: catalog.Out, DstLabel: s.Person},
-					&op.ProjectProps{Specs: []op.ProjSpec{{Var: "creator", As: "creator.id", ExtID: true}}},
-					&op.Distinct{Cols: []string{"creator.id"}},
-				},
-			},
-			&op.Defactor{Cols: []string{"f.id"}},
-		}
-	}
-	semi := run(t, f, exec.ModeFactorized, mkPlan(op.LeftSemi))
-	if got, want := rowsAsStrings(semi), []string{"101|", "102|", "104|", "105|", "106|"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("semi = %v, want %v", got, want)
-	}
-	anti := run(t, f, exec.ModeFactorized, mkPlan(op.LeftAnti))
-	if got, want := rowsAsStrings(anti), []string{"103|"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("anti = %v, want %v", got, want)
-	}
-}
-
-func TestHashJoinInnerAndOuter(t *testing.T) {
-	f := testgraph.New()
-	s := f.Schema
-	mkPlan := func(jt op.JoinType) plan.Plan {
-		return plan.Plan{
-			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}}},
-			&op.HashJoin{
-				Type:      jt,
-				LeftKeys:  []string{"f.id"},
-				RightKeys: []string{"liker.id"},
-				Right: []op.Operator{
-					&op.NodeScan{Var: "post", Label: s.Post},
-					&op.Expand{From: "post", To: "liker", Et: s.Likes, Dir: catalog.In, DstLabel: s.Person},
-					&op.ProjectProps{Specs: []op.ProjSpec{
-						{Var: "liker", As: "liker.id", ExtID: true},
-						{Var: "post", As: "post.id", ExtID: true},
-					}},
-					&op.Defactor{Cols: []string{"liker.id", "post.id"}},
-				},
-			},
-			&op.Defactor{Cols: []string{"f.id", "post.id"}},
-		}
-	}
-	inner := run(t, f, exec.ModeFactorized, mkPlan(op.Inner))
-	// Friends of p0 = {101,102,103}; likers: 100->m0,m1; 101->m2; 107->m0.
-	// Only 101 matches, liking post 202.
-	if got, want := rowsAsStrings(inner), []string{"101|202|"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("inner = %v, want %v", got, want)
-	}
-	outer := run(t, f, exec.ModeFactorized, mkPlan(op.LeftOuter))
-	if outer.NumRows() != 3 {
-		t.Fatalf("outer rows = %d, want 3", outer.NumRows())
-	}
-}
-
 func TestOrderByKeyOutsideOutputColumns(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
@@ -581,10 +510,23 @@ func TestOperatorErrorPaths(t *testing.T) {
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
 			&op.Aggregate{Aggs: []op.AggSpec{{Func: op.Sum, As: "n"}}},
 		}},
-		{"join key arity", plan.Plan{
+		{"pattern count unknown from", plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-			&op.HashJoin{LeftKeys: []string{"a", "b"}, RightKeys: []string{"a"},
-				Right: []op.Operator{&op.NodeScan{Var: "q", Label: s.Person}}},
+			&op.PatternCount{From: "ghost", As: "n", Path: []op.Operator{
+				&op.Expand{From: "ghost", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person}}},
+		}},
+		{"pattern path de-factors", plan.Plan{
+			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
+			&op.PatternCount{From: "p", As: "n", Path: []op.Operator{
+				&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+				&op.Defactor{Cols: []string{"f"}}}},
+		}},
+		{"pattern path reads another branch", plan.Plan{
+			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
+			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+			&op.Expand{From: "p", To: "m", Et: s.Likes, Dir: catalog.Out, DstLabel: s.Post},
+			&op.PatternCount{From: "f", As: "n", Path: []op.Operator{
+				&op.Expand{From: "m", To: "c", Et: s.HasCreator, Dir: catalog.Out, DstLabel: s.Person}}},
 		}},
 		{"seek not source", plan.Plan{
 			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},

@@ -493,9 +493,7 @@ func TestOperatorParity(t *testing.T) {
 				&op.Aggregate{Aggs: []op.AggSpec{count}}}
 		}},
 		{"count-leaf/flat", true, func() plan.Plan {
-			return plan.Plan{scan("p"), pid,
-				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"q.id"},
-					Right: []op.Operator{scan("q"), &op.ProjectProps{Specs: []op.ProjSpec{{Var: "q", As: "q.id", ExtID: true}}}}},
+			return plan.Plan{scan("p"), pid, &op.Defactor{Cols: []string{"p", "p.id"}},
 				knows("p", "f"), &op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count}}}
 		}},
 		{"count-leaf/top-k-by-vid", true, func() plan.Plan {
@@ -534,8 +532,8 @@ func TestOperatorParity(t *testing.T) {
 				&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "g.id"}}, Limit: 15})
 		}},
 		// Groups emitted unsorted (GES_f*) where a later sort by every group
-		// column decides their order, or a join probes them by key; a sort
-		// by the count alone cuts inside ties, which group key order breaks.
+		// column decides their order; a sort by the count alone cuts inside
+		// ties, which group key order breaks.
 		{"agg/unordered-filter-order-by", true, func() plan.Plan {
 			return twoHop(&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "g.id")}},
 				&op.Filter{Pred: expr.Gt(expr.C("n"), expr.LInt(3))},
@@ -553,13 +551,6 @@ func TestOperatorParity(t *testing.T) {
 				&op.Filter{Pred: expr.Gt(expr.C("n"), expr.LInt(0))},
 				&op.OrderBy{Keys: []op.SortKey{{Col: "f.gender"}, {Col: "n"}, {Col: "f.browserUsed"}}}}
 		}},
-		{"agg/unordered-build-side", false, func() plan.Plan {
-			return plan.Plan{scan("p"), pid,
-				&op.HashJoin{Type: op.LeftOuter, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
-					Right: []op.Operator{scan("q"), knows("q", "f"), idOf("f"), likes("f"),
-						&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Max, "f.id")}}}},
-				&op.Defactor{Cols: []string{"p.id", "f.id", "n", "max"}}}
-		}},
 		// Path folds: every group-by and argument column on one root-to-leaf
 		// chain folds the deepest node's rows through parent-row maps; a
 		// sibling branch enumerates.
@@ -571,6 +562,52 @@ func TestOperatorParity(t *testing.T) {
 				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel},
 				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", As: "f.id", ExtID: true}, {Var: "m", As: "m.id", ExtID: true}}},
 				&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "m.id")}}}
+		}},
+		// COUNT { pattern } per row of From's node: rows with no match kept
+		// with 0 (a third of persons studied nowhere), a path reading a
+		// variable above From, a filter that rejects every match of most
+		// persons, flat input, From under a multi-row parent with a child of
+		// its own, and intersections whose base and probe runs hold parallel
+		// edges (a post tagged twice, an interest listed twice): the base
+		// side counts each, a probe side once.
+		{"pattern-count/no-match", false, func() plan.Plan {
+			return plan.Plan{scan("p"), pid, &op.PatternCount{From: "p", As: "n", Path: []op.Operator{
+				&op.Expand{From: "p", To: "u", Et: h.StudyAt, Dir: catalog.Out, DstLabel: h.University}}},
+				&op.Defactor{Cols: []string{"p.id", "n"}}}
+		}},
+		{"pattern-count/reads-above-from", false, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), idOf("f"),
+				&op.PatternCount{From: "f", As: "common", Path: []op.Operator{
+					&op.ExpandIntersect{To: "c", Sides: []op.IntersectSide{side("f", catalog.Out), side("p", catalog.Out)}}}},
+				&op.Defactor{Cols: []string{"anchor.id", "f.id", "common"}})
+		}},
+		{"pattern-count/filter-rejects-all", false, func() plan.Plan {
+			return plan.Plan{scan("p"), pid, &op.PatternCount{From: "p", As: "n", Path: []op.Operator{
+				&op.Expand{From: "p", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: h.Post},
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "m", Prop: "creationDate", As: "m.creationDate"}}},
+				&op.Filter{Pred: expr.Lt(expr.C("m.creationDate"), expr.LDate(ldbc.DayStart+60))}}},
+				&op.Defactor{Cols: []string{"p.id", "n"}}}
+		}},
+		{"pattern-count/flat", false, func() plan.Plan {
+			return plan.Plan{scan("p"), pid, &op.Defactor{Cols: []string{"p", "p.id"}},
+				&op.PatternCount{From: "p", As: "n", Path: []op.Operator{knows("p", "f")}},
+				&op.Defactor{Cols: []string{"p.id", "n"}}}
+		}},
+		{"pattern-count/multi-row-parent", true, func() plan.Plan {
+			return append(anchor20("p"), knows("p", "f"), knows("f", "g"),
+				&op.PatternCount{From: "f", As: "n", Path: []op.Operator{likes("f")}},
+				&op.Aggregate{GroupBy: []string{"anchor.id"}, Aggs: []op.AggSpec{count, agg(op.Sum, "n")}})
+		}},
+		{"pattern-count/parallel-edges", false, func() plan.Plan {
+			tagged := op.IntersectSide{Var: "m", Et: h.HasTag, Dir: catalog.Out, DstLabel: h.Tag}
+			interest := op.IntersectSide{Var: "p", Et: h.HasInterest, Dir: catalog.Out, DstLabel: h.Tag}
+			posts := &op.Expand{From: "p", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: h.Post}
+			return plan.Plan{scan("p"), pid,
+				&op.PatternCount{From: "p", As: "byTag", Path: []op.Operator{posts,
+					&op.ExpandIntersect{To: "t", Sides: []op.IntersectSide{tagged, interest}}}},
+				&op.PatternCount{From: "p", As: "byInterest", Path: []op.Operator{posts,
+					&op.ExpandIntersect{To: "t", Sides: []op.IntersectSide{interest, tagged}}}},
+				&op.Defactor{Cols: []string{"p.id", "byTag", "byInterest"}}}
 		}},
 	}
 	for _, sh := range shapes {
@@ -630,10 +667,8 @@ func TestOperatorParity(t *testing.T) {
 					Cols: []string{"g.id", "f.id", "p.id"}}}
 		}},
 		{"order-ties/flat-after-join", true, 20, func() plan.Plan {
-			return plan.Plan{scan("p"), props("p", "gender"),
-				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
-					Right: []op.Operator{scan("q"), props("q", "browserUsed"), knows("q", "f"), props("f"),
-						&op.Defactor{Cols: []string{"f.id", "q.id", "q.browserUsed"}}}},
+			return plan.Plan{scan("q"), props("q", "browserUsed"), knows("q", "p"), props("p", "gender"),
+				&op.Defactor{Cols: []string{"p.id", "p.gender", "q.id", "q.browserUsed"}},
 				&op.OrderBy{Keys: []op.SortKey{{Col: "q.browserUsed"}, {Col: "p.gender"}}, Limit: 20,
 					Cols: []string{"p.id", "q.id"}}}
 		}},
@@ -648,13 +683,11 @@ func TestOperatorParity(t *testing.T) {
 					Cols: []string{"p.id", "p.firstName", "m.id", "m.content", "m.creationDate"}}}
 		}},
 		{"late/flat-after-join", true, 20, func() plan.Plan {
-			return plan.Plan{scan("p"), props("p", "gender"),
-				&op.HashJoin{Type: op.Inner, LeftKeys: []string{"p.id"}, RightKeys: []string{"f.id"},
-					Right: []op.Operator{scan("q"), props("q", "browserUsed"), knows("q", "f"), props("f"),
-						&op.Defactor{Cols: []string{"f", "f.id", "q.id", "q.browserUsed"}}}},
-				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "lastName", As: "f.lastName"}}},
+			return plan.Plan{scan("q"), props("q", "browserUsed"), knows("q", "p"), props("p", "gender"),
+				&op.Defactor{Cols: []string{"p", "p.id", "p.gender", "q.id", "q.browserUsed"}},
+				&op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", Prop: "lastName", As: "p.lastName"}}},
 				&op.OrderBy{Keys: []op.SortKey{{Col: "q.browserUsed"}, {Col: "p.gender"}}, Limit: 20,
-					Cols: []string{"p.id", "q.id", "f.lastName"}}}
+					Cols: []string{"p.id", "q.id", "p.lastName"}}}
 		}},
 		// A path fold next to a float SUM: a float over several nodes stays
 		// on the enumeration, whose order the float rounding follows.

@@ -1,0 +1,134 @@
+package op
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"ges/internal/core"
+	"ges/internal/vector"
+)
+
+// PatternCount is Cypher's COUNT { pattern }: it gives every row of From's
+// node an int64 column As, the number of matches of Path from that row. A
+// row with no match keeps its row, with count 0, so the pattern extends the
+// tree as an optional edge would, without multiplying its tuples — the
+// correlated counts a flat plan computes in side traversals and joins back.
+//
+// Path runs once, over a one-level tree whose root rows are the valid rows
+// of From's node: each binds From, the other columns of its node, and the
+// columns of the nodes above it, read at the row's ancestor. Path may read
+// those, and no columns of other branches. A root row's count is its number
+// of tuples in the grown tree (FTree.RootCounts). On a flat chunk every row
+// is a root row, every column bound, and the count is appended to it.
+type PatternCount struct {
+	From string
+	Path []Operator
+	As   string
+}
+
+// Name implements Operator.
+func (o *PatternCount) Name() string {
+	names := make([]string, len(o.Path))
+	for i, p := range o.Path {
+		names[i] = p.Name()
+	}
+	return "PatternCount(" + o.As + ": " + strings.Join(names, " -> ") + ")"
+}
+
+// Execute implements Operator.
+func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+	var node *core.Node
+	var root *core.FBlock
+	var bound []int32 // node's row of each root row
+	if in.IsFlat() {
+		if in.Flat.ColIndex(o.From) < 0 {
+			return nil, errNoColumn("pattern count", o.From)
+		}
+		root = flatRoot(ctx, in.Flat)
+	} else {
+		n, _, err := vidColumn(in.FT, o.From)
+		if err != nil {
+			return nil, err
+		}
+		node = n
+		root, bound = nodeRoot(ctx, n)
+	}
+	ft := ctx.Arena.OwnFTree(root)
+	out, err := RunPlan(ctx, ctx.FTChunk(ft), o.Path)
+	if err != nil {
+		return nil, fmt.Errorf("pattern count %s: %w", o.As, err)
+	}
+	if out.FT != ft {
+		return nil, fmt.Errorf("op: pattern count %s: the path de-factored its tree", o.As)
+	}
+	counts := ft.RootCounts()
+	if node == nil {
+		fb := in.Flat
+		flat := core.NewFlatBlock(append(slices.Clone(fb.Names), o.As), append(slices.Clone(fb.Kinds), vector.KindInt64))
+		for i, row := range fb.Rows {
+			flat.AppendOwned(append(slices.Clip(row), vector.Int64(counts[i])))
+		}
+		return ctx.FlatChunk(flat), nil
+	}
+	col := ctx.Arena.OwnColumn(o.As, vector.KindInt64)
+	col.Grow(node.Block.NumRows())
+	vals := col.Int64s()
+	for k, r := range bound {
+		vals[r] = counts[k]
+	}
+	node.Block.AddColumn(col)
+	assertFTree(in.FT)
+	return in, nil
+}
+
+// nodeRoot returns the root block of node's pattern tree and the row of node
+// each root row binds: one root row per valid row of node, holding the
+// columns of node and of every node above it, read at the row's ancestor.
+func nodeRoot(ctx *Ctx, node *core.Node) (*core.FBlock, []int32) {
+	var bound []int32
+	for i := range node.Block.NumRows() {
+		if node.Valid(i) {
+			bound = append(bound, int32(i))
+		}
+	}
+	b := ctx.NewFBlock()
+	rows := append(ctx.Arena.GetInt32s(len(bound)), bound...) // the rows of c
+	defer ctx.Arena.PutInt32s(rows)
+	for c := node; ; c = c.Parent {
+		for _, src := range c.Block.Columns() {
+			col := ctx.Arena.OwnColumn(src.Name, src.Kind)
+			for _, r := range rows {
+				col.Append(src.Get(int(r)))
+			}
+			b.AddColumn(col)
+		}
+		if c.Parent == nil {
+			return b, bound
+		}
+		up := ctx.Arena.GetInt32s(c.Block.NumRows())[:c.Block.NumRows()]
+		for r, rg := range c.Index {
+			for j := rg.Start; j < rg.End; j++ {
+				up[j] = int32(r)
+			}
+		}
+		for i, r := range rows {
+			rows[i] = up[r]
+		}
+		ctx.Arena.PutInt32s(up)
+	}
+}
+
+// flatRoot returns the root block of a flat chunk's pattern tree: every
+// column of every row.
+func flatRoot(ctx *Ctx, fb *core.FlatBlock) *core.FBlock {
+	b := ctx.NewFBlock()
+	for j, name := range fb.Names {
+		col := ctx.Arena.OwnColumn(name, fb.Kinds[j])
+		for _, row := range fb.Rows {
+			col.Append(row[j])
+		}
+		b.AddColumn(col)
+	}
+	return b
+}

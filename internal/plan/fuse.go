@@ -8,25 +8,15 @@ import (
 	"ges/internal/storage"
 )
 
-// Fuse applies the operator-fusion rewrite rules until a fixpoint. Each hash
-// join's build side is fused once, as a plan of its own. The input plan is
-// not modified.
+// Fuse applies the operator-fusion rewrite rules until a fixpoint. Each
+// pattern count's path is fused once, as a plan of its own. The input plan
+// is not modified.
 func Fuse(p Plan) Plan {
 	out := slices.Clone(p)
 	for i, o := range out {
-		if j, ok := o.(*op.HashJoin); ok {
-			c := *j
-			c.Right = Fuse(j.Right)
-			// The build side's rows are probed by key: when its keys are
-			// the groups of its last aggregate, each key is one row, and
-			// the order of the rows is never read.
-			if n := len(c.Right); n > 0 {
-				if g, ok := c.Right[n-1].(*op.Aggregate); ok && sameCols(g.GroupBy, c.RightKeys) {
-					u := *g
-					u.Unordered = true
-					c.Right = append(slices.Clip(c.Right[:n-1]), &u)
-				}
-			}
+		if pc, ok := o.(*op.PatternCount); ok {
+			c := *pc
+			c.Path = Fuse(pc.Path)
 			out[i] = &c
 		}
 	}
@@ -263,7 +253,7 @@ func sameCols(a, b []string) bool {
 func keepsColumns(o op.Operator) bool {
 	switch o.(type) {
 	case *op.Expand, *op.VarLengthExpand, *op.ExpandInto, *op.ExpandIntersect,
-		*op.ProjectProps, *op.ProjectExpr, *op.Filter:
+		*op.ProjectProps, *op.ProjectExpr, *op.Filter, *op.PatternCount:
 		return true
 	}
 	return false
@@ -370,8 +360,7 @@ func fuseCountLeaf(p Plan) (Plan, bool) {
 // (Aggregate.Unordered): past operators that pass rows through in order, an
 // OrderBy sorts by every group column, so distinct groups never tie and the
 // sort alone decides their order. A float group column, which could tie,
-// keeps the aggregate sorting when it runs. Hash-join build sides are
-// marked by Fuse.
+// keeps the aggregate sorting when it runs.
 func fuseUnordered(p Plan) (Plan, bool) {
 	for j := 0; j+1 < len(p); j++ {
 		g, ok := p[j].(*op.Aggregate)
@@ -395,10 +384,10 @@ func fuseUnordered(p Plan) (Plan, bool) {
 }
 
 // keepsRows reports whether o passes its input rows on in order, each row
-// once or, after a join, as a run of rows, without writing any of cols.
+// once, without writing any of cols.
 func keepsRows(o op.Operator, cols []string) bool {
 	switch n := o.(type) {
-	case *op.Filter, *op.HashJoin:
+	case *op.Filter:
 		return true
 	case *op.ProjectExpr:
 		return !slices.Contains(cols, n.As)

@@ -266,26 +266,11 @@ func TestFuseRules(t *testing.T) {
 					t.Fatalf("ids may collide across labels, but the aggregate groups by VID: %+v", g)
 				}
 			}},
-		// (c) Groups emitted unsorted where only a later sort or a join reads them.
+		// (c) Groups emitted unsorted where only a later sort reads them.
 		{"unordered-ic3", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), positive,
 			&op.ProjectExpr{Expr: expr.C("s"), As: "total", Kind: vector.KindInt64},
 			&op.OrderBy{Keys: []op.SortKey{{Col: "total", Desc: true}, {Col: "f.id"}}, Limit: 20}},
 			"NodeScan -> Project -> Aggregate -> Filter -> ProjectExpr -> OrderBy", unordered(2, true)},
-		{"unordered-past-join", Plan{scan("t"), project(prop("t", "name")),
-			&op.Aggregate{GroupBy: []string{"t.name"}, Aggs: []op.AggSpec{count}},
-			&op.HashJoin{Type: op.LeftAnti, LeftKeys: []string{"t.name"}, RightKeys: []string{"o.name"},
-				Right: []op.Operator{scan("o"), project(prop("o", "name"))}},
-			&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}, {Col: "t.name"}}, Limit: 10}},
-			"NodeScan -> Project -> Aggregate -> HashJoin -> OrderBy", unordered(2, true)},
-		{"unordered-build-side", Plan{scan("a"), project(id("a")), &op.HashJoin{Type: op.LeftOuter,
-			LeftKeys: []string{"a.id"}, RightKeys: []string{"f.id"},
-			Right: []op.Operator{scan("f"), expand("f", "post", post), project(id("f")), countBy("f.id")}}},
-			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
-				right := Plan(p[2].(*op.HashJoin).Right)
-				if g := aggOf(right); right.String() != "NodeScan -> Aggregate(per-group count post)" || !g.Unordered {
-					t.Fatalf("build side = %s, %+v", right, g)
-				}
-			}},
 		{"sorted-last", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id")},
 			"NodeScan -> Project -> Aggregate", unordered(2, false)},
 		{"sorted-key-missing", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), positive,
@@ -294,25 +279,10 @@ func TestFuseRules(t *testing.T) {
 		{"sorted-past-limit", Plan{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id"), &op.Limit{N: 3},
 			&op.OrderBy{Keys: []op.SortKey{{Col: "f.id"}}}},
 			"NodeScan -> Project -> Aggregate -> Limit -> OrderBy", unordered(2, false)},
-		{"sorted-build-side-other-key", Plan{scan("a"), project(id("a")), &op.HashJoin{Type: op.LeftOuter,
-			LeftKeys: []string{"a.id"}, RightKeys: []string{"s"},
-			Right: []op.Operator{scan("f"), project(id("f"), prop("f", "age")), sumBy("f.id")}}},
-			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
-				if g := aggOf(p[2].(*op.HashJoin).Right); g.Unordered {
-					t.Fatalf("build side keyed off its groups emits unsorted: %+v", g)
-				}
-			}},
-		// GES_f* fuses a hash join's build side too.
-		{"join-build-side", Plan{scan("a"), project(id("a")), &op.HashJoin{LeftKeys: []string{"a.id"}, RightKeys: []string{"f.id"},
-			Right: []op.Operator{
-				&op.NodeByIdSeek{Var: "p", Label: person, ExtID: 1}, expand("p", "f", person),
-				project(prop("f", "age")), &op.Filter{Pred: expr.Gt(expr.C("f.age"), expr.LInt(30))}, project(id("f")),
-			}}},
-			"NodeScan -> Project -> HashJoin", func(t *testing.T, p Plan) {
-				if got := Plan(p[2].(*op.HashJoin).Right).String(); got != "NodeByIdSeek -> Expand(fused-filter) -> Project" {
-					t.Fatalf("build side = %s", got)
-				}
-			}},
+		// GES_f* fuses a pattern count's path too.
+		{"pattern-count-path", Plan{scan("a"), &op.PatternCount{From: "a", As: "n", Path: []op.Operator{
+			expand("a", "f", person), project(prop("f", "age")), &op.Filter{Pred: expr.Gt(expr.C("f.age"), expr.LInt(30))},
+		}}}, "NodeScan -> PatternCount(n: Expand(fused-filter))", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

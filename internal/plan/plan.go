@@ -7,8 +7,8 @@
 // group key, runs once per group (Aggregate.Leaves); a projection only
 // returned is gathered after the top-k cut (OrderBy.Late); a group key that
 // is a single-label vertex's id groups by VID (Aggregate.KeyVar); and groups
-// only a later sort or a join reads are not sorted (Aggregate.Unordered).
-// Fuse applies them to the plan and to each hash join's build side.
+// only a later sort reads are not sorted (Aggregate.Unordered). Fuse
+// applies them to the plan and to each pattern count's path.
 package plan
 
 import (
@@ -62,8 +62,8 @@ func reads(o op.Operator, col string) bool {
 		return aggReads(n, col)
 	case *op.AggregateProjectTop:
 		return aggReads(&n.Aggregate, col) || sortsBy(n.Keys, col)
-	case *op.HashJoin:
-		return slices.Contains(n.LeftKeys, col)
+	case *op.PatternCount:
+		return n.From == col || referencedLater(n.Path, col)
 	case *op.Distinct:
 		return n.Cols == nil || slices.Contains(n.Cols, col)
 	case *op.Defactor:

@@ -2,8 +2,8 @@
 // expanded variable into one op.ExpandIntersect. The binder emits cyclic
 // subpatterns as "expand to the new vertex, then close each remaining edge
 // with ExpandInto"; when two or more edges constrain the same new vertex
-// (diamonds, 4-cycles, k-cliques), that chain either de-factors into a flat
-// hash join (sibling owners) or filters a fully expanded candidate set —
+// (diamonds, 4-cycles, k-cliques), that chain either de-factors into flat
+// rows (sibling owners) or filters a fully expanded candidate set —
 // both strictly worse than intersecting the k sorted CSR adjacency runs
 // directly. See DESIGN.md §4, "ExpandIntersect / WCOJ lowering".
 package plan

@@ -158,110 +158,50 @@ func pick(row []vector.Value, idx []int) []vector.Value {
 	return out
 }
 
-// newJoinIter builds the right side with a recursive volcano run, hashes it,
-// and streams the probe side.
-func newJoinIter(e *Engine, view storage.View, in iter, spec *op.HashJoin) (iter, error) {
-	rightIt, err := e.build(view, spec.Right)
-	if err != nil {
+// newPatternCountIter appends to every input row the number of rows the
+// pattern's path yields from that row alone.
+func newPatternCountIter(e *Engine, view storage.View, in iter, spec *op.PatternCount) (iter, error) {
+	if _, err := colIndex(in, spec.From); err != nil {
 		return nil, err
 	}
-	rIdx := make([]int, len(spec.RightKeys))
-	for i, k := range spec.RightKeys {
-		if rIdx[i], err = colIndex(rightIt, k); err != nil {
-			return nil, err
-		}
+	return &patternCountIter{e: e, view: view, in: in, spec: spec,
+		names: append(append([]string(nil), in.schema()...), spec.As),
+		ks:    append(append([]vector.Kind(nil), in.kinds()...), vector.KindInt64),
+	}, nil
+}
+
+type patternCountIter struct {
+	e     *Engine
+	view  storage.View
+	in    iter
+	spec  *op.PatternCount
+	names []string
+	ks    []vector.Kind
+}
+
+func (it *patternCountIter) schema() []string     { return it.names }
+func (it *patternCountIter) kinds() []vector.Kind { return it.ks }
+
+func (it *patternCountIter) next() ([]vector.Value, bool, error) {
+	row, ok, err := it.in.next()
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	table := map[string][][]vector.Value{}
+	one := &sliceIter{names: it.in.schema(), ks: it.in.kinds(), rows: [][]vector.Value{row}}
+	path, err := it.e.build(it.view, one, it.spec.Path)
+	if err != nil {
+		return nil, false, err
+	}
+	n := int64(0)
 	for {
-		row, ok, err := rightIt.next()
+		_, ok, err := path.next()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if !ok {
 			break
 		}
-		key := make([]vector.Value, len(rIdx))
-		for i, j := range rIdx {
-			key[i] = row[j]
-		}
-		k := volKey(key)
-		table[k] = append(table[k], row)
+		n++
 	}
-	lIdx := make([]int, len(spec.LeftKeys))
-	for i, k := range spec.LeftKeys {
-		if lIdx[i], err = colIndex(in, k); err != nil {
-			return nil, err
-		}
-	}
-
-	names := in.schema()
-	ks := in.kinds()
-	if spec.Type == op.Inner || spec.Type == op.LeftOuter {
-		names = append(append([]string(nil), names...), rightIt.schema()...)
-		ks = append(append([]vector.Kind(nil), ks...), rightIt.kinds()...)
-	}
-	nullRight := make([]vector.Value, len(rightIt.schema()))
-	for i, k := range rightIt.kinds() {
-		nullRight[i] = vector.Value{Kind: k}
-	}
-	return &joinIter{
-		in: in, names: names, ks: ks, table: table, lIdx: lIdx,
-		jt: spec.Type, nullRight: nullRight,
-	}, nil
-}
-
-type joinIter struct {
-	in        iter
-	names     []string
-	ks        []vector.Kind
-	table     map[string][][]vector.Value
-	lIdx      []int
-	jt        op.JoinType
-	nullRight []vector.Value
-
-	curLeft []vector.Value
-	matches [][]vector.Value
-	pos     int
-}
-
-func (it *joinIter) schema() []string     { return it.names }
-func (it *joinIter) kinds() []vector.Kind { return it.ks }
-
-func (it *joinIter) next() ([]vector.Value, bool, error) {
-	for {
-		if it.curLeft != nil && it.pos < len(it.matches) {
-			r := it.matches[it.pos]
-			it.pos++
-			out := make([]vector.Value, 0, len(it.names))
-			out = append(out, it.curLeft...)
-			out = append(out, r...)
-			return out, true, nil
-		}
-		row, ok, err := it.in.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		key := make([]vector.Value, len(it.lIdx))
-		for i, j := range it.lIdx {
-			key[i] = row[j]
-		}
-		matches := it.table[volKey(key)]
-		switch it.jt {
-		case op.LeftSemi:
-			if len(matches) > 0 {
-				return row, true, nil
-			}
-		case op.LeftAnti:
-			if len(matches) == 0 {
-				return row, true, nil
-			}
-		case op.Inner:
-			it.curLeft, it.matches, it.pos = row, matches, 0
-		case op.LeftOuter:
-			if len(matches) == 0 {
-				matches = [][]vector.Value{it.nullRight}
-			}
-			it.curLeft, it.matches, it.pos = row, matches, 0
-		}
-	}
+	return append(append(make([]vector.Value, 0, len(it.names)), row...), vector.Int64(n)), true, nil
 }

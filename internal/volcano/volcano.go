@@ -34,7 +34,7 @@ func New() *Engine { return &Engine{} }
 // Run interprets the plan and returns all result rows as a flat block.
 func (e *Engine) Run(view storage.View, p plan.Plan) (*exec.Result, error) {
 	start := time.Now()
-	it, err := e.build(view, p)
+	it, err := e.build(view, nil, p)
 	if err != nil {
 		return nil, err
 	}
@@ -63,9 +63,10 @@ type iter interface {
 	next() ([]vector.Value, bool, error)
 }
 
-// build chains iterators for the plan.
-func (e *Engine) build(view storage.View, p plan.Plan) (iter, error) {
-	var cur iter
+// build chains iterators for the plan over in (nil for a plan that starts
+// with a source operator).
+func (e *Engine) build(view storage.View, in iter, p plan.Plan) (iter, error) {
+	cur := in
 	for _, o := range p {
 		var err error
 		cur, err = e.buildOp(view, cur, o)
@@ -136,8 +137,8 @@ func (e *Engine) buildOp(view storage.View, in iter, o op.Operator) (iter, error
 		return newAggIter(e, in, n.GroupBy, n.Aggs, nil, 0)
 	case *op.AggregateProjectTop:
 		return newAggIter(e, in, n.GroupBy, n.Aggs, n.Keys, n.Limit)
-	case *op.HashJoin:
-		return newJoinIter(e, view, in, n)
+	case *op.PatternCount:
+		return newPatternCountIter(e, view, in, n)
 	case *op.Defactor:
 		if n.Cols == nil {
 			return in, nil
