@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6) at CI scale, plus micro-benchmarks for the design choices DESIGN.md
-// calls out: the paper's own ablations (pointer-based join, selection-vector
-// pruning, factorized vs flat vs fused) and one benchmark per read path.
+// calls out: the paper's own ablation (factorized vs flat vs fused) and one
+// benchmark per read path.
 //
 // Run everything:
 //

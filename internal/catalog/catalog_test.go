@@ -129,3 +129,33 @@ func TestConcurrentReads(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestClusterKey declares a label's clustering key: an integer or date
+// property of that label; another kind, another label's or a missing
+// property is refused, and a label without one reports none.
+func TestClusterKey(t *testing.T) {
+	c := New()
+	m := Must(c.AddLabel("M", PropDef{Name: "text", Kind: vector.KindString}, PropDef{Name: "day", Kind: vector.KindDate}))
+	p := Must(c.AddLabel("P", PropDef{Name: "age", Kind: vector.KindInt64}))
+	if _, ok := c.ClusterKey(m); ok {
+		t.Fatal("a new label has a clustering key")
+	}
+	v := c.Version()
+	if err := c.SetClusterKey(m, "day"); err != nil {
+		t.Fatal(err)
+	}
+	if pid, ok := c.ClusterKey(m); !ok || pid != 1 || c.Version() == v {
+		t.Fatalf("ClusterKey(M) = %d, %v; version %d → %d", pid, ok, v, c.Version())
+	}
+	for _, bad := range []struct {
+		label LabelID
+		prop  string
+	}{{m, "text"}, {m, "age"}, {p, "day"}, {LabelID(9), "day"}} {
+		if err := c.SetClusterKey(bad.label, bad.prop); err == nil {
+			t.Fatalf("SetClusterKey(%d, %q) accepted", bad.label, bad.prop)
+		}
+	}
+	if _, ok := c.ClusterKey(p); ok {
+		t.Fatal("a refused key was set")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"ges/internal/catalog"
 	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
@@ -131,7 +132,7 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// End of the bulk phase: seal every family's edge log into its sorted
 	// CSR snapshot so queries run on the read-optimized layout.
-	g.SealCSR()
+	ds.seal()
 	// Post-seal edge mutations land in delta overlays; route the resulting
 	// background family reseals through the shared worker pool so they
 	// never run on a mutator's critical path.
@@ -143,6 +144,34 @@ func Generate(cfg Config) (*Dataset, error) {
 	ds.nextPostExt.Store(int64(len(ds.Posts)))
 	ds.nextCommentExt.Store(int64(len(ds.Comments)))
 	return ds, nil
+}
+
+// seal ends the bulk phase. The first seal lays the vertices out anew
+// (storage's VID layout: labels contiguous, messages by creation date), so
+// every VID the dataset keeps is re-resolved through its external id.
+func (ds *Dataset) seal() {
+	g, h, pl := ds.Graph, ds.H, ds.places
+	kept := []struct {
+		label catalog.LabelID
+		vids  []vector.VID
+	}{
+		{h.Person, ds.Persons}, {h.Post, ds.Posts}, {h.Comment, ds.Comments}, {h.Forum, ds.Forums},
+		{h.Tag, ds.tags}, {h.City, pl.cities}, {h.Country, pl.countries},
+		{h.University, pl.universities}, {h.Company, pl.companies},
+	}
+	exts := make([][]int64, len(kept))
+	for i, k := range kept {
+		exts[i] = make([]int64, len(k.vids))
+		for j, v := range k.vids {
+			exts[i][j] = g.ExtID(v)
+		}
+	}
+	g.SealCSR()
+	for i, k := range kept {
+		for j, ext := range exts[i] {
+			k.vids[j], _ = g.VertexByExt(k.label, ext)
+		}
+	}
 }
 
 // genLists is what generation remembers of its own edges, so that it never

@@ -68,6 +68,13 @@ func NewHandles() *Handles {
 		str("content"), i64("length"), date("creationDate"), str("browserUsed"), str("locationIP")))
 	h.MContent, h.MLength, h.MCreation, h.MBrowser, h.MLocationIP = 0, 1, 2, 3, 4
 	h.PostLanguage = 5
+	// Messages are read newest first (IC2, IC9, IS2): the seal lays each
+	// message label's rows out by creation date.
+	for _, l := range []catalog.LabelID{h.Post, h.Comment} {
+		if err := cat.SetClusterKey(l, "creationDate"); err != nil {
+			panic(err)
+		}
+	}
 
 	h.Forum = catalog.Must(cat.AddLabel("Forum", str("title"), date("creationDate")))
 	h.FTitle, h.FCreation = 0, 1

@@ -51,27 +51,12 @@ func (o *OrderBy) Name() string {
 
 // Execute implements Operator.
 func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	cols := o.Cols
-	if len(o.Late) > 0 {
-		cols = make([]string, 0, len(o.Cols))
-		for _, c := range o.Cols {
-			if o.late(c) < 0 {
-				cols = append(cols, c)
-			}
-		}
-		for _, s := range o.Late {
-			cols = append(cols, s.Var)
-		}
-	}
 	var out *core.FlatBlock
 	var err error
 	if in.IsFlat() {
-		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, cols)
+		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, o.Cols, o.Late)
 	} else {
-		out, err = orderTree(ctx, in.FT, o.Keys, o.Limit, cols)
-	}
-	if err == nil && len(o.Late) > 0 {
-		out, err = o.gatherLate(ctx, out)
+		out, err = orderTree(ctx, in.FT, o.Keys, o.Limit, o.Cols, o.Late)
 	}
 	if err != nil {
 		return nil, err
@@ -79,60 +64,49 @@ func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	return ctx.FlatChunk(out), nil
 }
 
-// late returns the index in Late of the spec producing col, or -1.
-func (o *OrderBy) late(col string) int {
-	return slices.IndexFunc(o.Late, func(s ProjSpec) bool { return s.As == col })
-}
-
-// gatherLate renders Cols for the kept rows, each late column gathered in
-// one batch over the rows' VIDs of its variable.
-func (o *OrderBy) gatherLate(ctx *Ctx, kept *core.FlatBlock) (*core.FlatBlock, error) {
-	w := len(o.Cols)
-	out := core.NewFlatBlock(append([]string(nil), o.Cols...), make([]vector.Kind, w))
-	vals := make([]vector.Value, len(kept.Rows)*w)
-	out.Rows = make([][]vector.Value, len(kept.Rows))
-	for r := range out.Rows {
-		out.Rows[r] = vals[r*w : (r+1)*w : (r+1)*w]
-	}
-	var vids *vector.Column // the kept rows' VIDs of the last late variable
-	for c, name := range o.Cols {
-		l := o.late(name)
+// gatherLate gathers, for the n kept tuples, every column of cols a late
+// spec produces (nil for the others) and its kind, one batch per variable over
+// the VIDs vidAt reads: the variable's VID in kept tuple i, for column c.
+func gatherLate(ctx *Ctx, cols []string, late []ProjSpec, kinds []vector.Kind, n int, vidAt func(c, i int) vector.VID) ([]*vector.Column, error) {
+	out := make([]*vector.Column, len(cols))
+	var vids *vector.Column // the kept tuples' VIDs of the last late variable
+	for c, name := range cols {
+		l := slices.IndexFunc(late, func(s ProjSpec) bool { return s.As == name })
 		if l < 0 {
-			j := kept.ColIndex(name)
-			for r, row := range out.Rows {
-				row[c] = kept.Rows[r][j]
-			}
-			out.Kinds[c] = kept.Kinds[j]
 			continue
 		}
-		s := o.Late[l]
+		s := late[l]
 		if vids == nil || vids.Name != s.Var {
 			vids = ctx.Arena.OwnColumn(s.Var, vector.KindVID)
-			j := kept.ColIndex(s.Var)
-			for _, row := range kept.Rows {
-				vids.AppendVID(row[j].AsVID())
+			for i := 0; i < n; i++ {
+				vids.AppendVID(vidAt(c, i))
 			}
 		}
-		var col *vector.Column
 		if s.ExtID {
-			col = gatherExtIDColumn(ctx, vids, s.As)
+			out[c] = gatherExtIDColumn(ctx, vids, s.As)
 		} else if g, err := newPropGetter(ctx.View, s.Prop); err != nil {
 			return nil, err
 		} else {
-			col = g.gatherColumn(ctx, vids, s.As)
+			out[c] = g.gatherColumn(ctx, vids, s.As)
 		}
-		for r, row := range out.Rows {
-			row[c] = col.Get(r)
-		}
-		out.Kinds[c] = col.Kind
+		kinds[c] = out[c].Kind
 	}
 	return out, nil
 }
 
+// source returns the column col reads: a late spec's variable, or col.
+func source(col string, late []ProjSpec) string {
+	if l := slices.IndexFunc(late, func(s ProjSpec) bool { return s.As == col }); l >= 0 {
+		return late[l].Var
+	}
+	return col
+}
+
 // orderTree orders the tuples of an f-Tree. A tuple is the row of every node
 // a key or an output column lives on; the enumeration writes those rows into
-// the kernel's slot and the keys compare the node columns directly.
-func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []string) (*core.FlatBlock, error) {
+// the kernel's slot and the keys compare the node columns directly. A late
+// column is read from its variable's node as VIDs and gathered after the cut.
+func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []string, late []ProjSpec) (*core.FlatBlock, error) {
 	if cols == nil {
 		cols = ft.Schema()
 	}
@@ -148,15 +122,15 @@ func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []s
 		nodes, keys[i].pos = tuplePos(nodes, n)
 	}
 	type outCol struct {
-		pos int
+		pos int // the column's tuple position
 		col *vector.Column
 	}
 	outs := make([]outCol, len(cols))
 	kinds := make([]vector.Kind, len(cols))
 	for i, name := range cols {
-		n, c := ft.FindColumn(name)
+		n, c := ft.FindColumn(source(name, late))
 		if c == nil {
-			return nil, errNoColumn("order-by", name)
+			return nil, errNoColumn("order-by", source(name, late))
 		}
 		outs[i].col, kinds[i] = c, c.Kind
 		nodes, outs[i].pos = tuplePos(nodes, n)
@@ -178,19 +152,37 @@ func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []s
 	if full {
 		return nil, fmt.Errorf("op: order-by: more than %d tuples", math.MaxInt32-1)
 	}
-	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
 	ids := ord.sorted()
-	out.Rows = make([][]vector.Value, len(ids))
+	gathered, err := gatherLate(ctx, cols, late, kinds, len(ids), func(c, i int) vector.VID {
+		return outs[c].col.VIDAt(int(ord.tuple(ids[i])[outs[c].pos]))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rowsOf(cols, kinds, gathered, len(ids), func(c, i int) vector.Value {
+		return outs[c].col.Get(int(ord.tuple(ids[i])[outs[c].pos]))
+	}), nil
+}
+
+// rowsOf builds the block of n rows of cols: a gathered column's value i, or
+// get's.
+func rowsOf(cols []string, kinds []vector.Kind, gathered []*vector.Column, n int, get func(c, i int) vector.Value) *core.FlatBlock {
+	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
+	out.Rows = make([][]vector.Value, n)
 	w := len(cols)
-	vals := make([]vector.Value, len(ids)*w)
-	for i, id := range ids {
-		t, row := ord.tuple(id), vals[i*w:(i+1)*w:(i+1)*w]
-		for c, oc := range outs {
-			row[c] = oc.col.Get(int(t[oc.pos]))
+	vals := make([]vector.Value, n*w)
+	for i := range out.Rows {
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		for c := range row {
+			if g := gathered[c]; g != nil {
+				row[c] = g.Get(i)
+			} else {
+				row[c] = get(c, i)
+			}
 		}
 		out.Rows[i] = row
 	}
-	return out, nil
+	return out
 }
 
 // tuplePos returns the tuple position of node n's row, adding the node to
@@ -203,10 +195,11 @@ func tuplePos(nodes []int, n *core.Node) ([]int, int) {
 }
 
 // orderFlat orders the rows of a flat block by keys, keeps the first limit
-// (all when limit <= 0) and narrows them to cols (every column when nil).
-// A tuple is one row index; keys compare row values. A kept row is shared,
-// not copied, when cols is the block's own schema.
-func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols []string) (*core.FlatBlock, error) {
+// (all when limit <= 0) and narrows them to cols (every column when nil),
+// the late ones gathered for the kept rows. A tuple is one row index; keys
+// compare row values. A kept row is shared, not copied, when cols is the
+// block's own schema.
+func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols []string, late []ProjSpec) (*core.FlatBlock, error) {
 	keys := make([]orderKey, len(sortKeys))
 	for i, k := range sortKeys {
 		j := fb.ColIndex(k.Col)
@@ -216,18 +209,16 @@ func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols
 		rows := fb.Rows
 		keys[i] = orderKey{desc: k.Desc, cmp: func(a, b int32) int { return vector.Compare(rows[a][j], rows[b][j]) }}
 	}
-	out := core.NewFlatBlock(fb.Names, fb.Kinds)
 	var idx []int
+	var kinds []vector.Kind
 	if cols != nil && !slices.Equal(cols, fb.Names) {
-		idx = make([]int, len(cols))
-		kinds := make([]vector.Kind, len(cols))
+		idx, kinds = make([]int, len(cols)), make([]vector.Kind, len(cols))
 		for i, name := range cols {
-			if idx[i] = fb.ColIndex(name); idx[i] < 0 {
-				return nil, errNoColumn("order-by", name)
+			if idx[i] = fb.ColIndex(source(name, late)); idx[i] < 0 {
+				return nil, errNoColumn("order-by", source(name, late))
 			}
 			kinds[i] = fb.Kinds[idx[i]]
 		}
-		out = core.NewFlatBlock(append([]string(nil), cols...), kinds)
 	}
 	ord := newTupleOrder(ctx, 1, limit, keys)
 	defer ord.release()
@@ -236,22 +227,20 @@ func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols
 		ord.offer()
 	}
 	ids := ord.sorted()
-	out.Rows = make([][]vector.Value, len(ids))
-	w := len(idx)
-	vals := make([]vector.Value, len(ids)*w)
-	for i, id := range ids {
-		src := fb.Rows[ord.tuple(id)[0]]
-		if idx == nil {
-			out.Rows[i] = src
-			continue
+	row := func(i int) []vector.Value { return fb.Rows[ord.tuple(ids[i])[0]] }
+	if idx == nil {
+		out := core.NewFlatBlock(fb.Names, fb.Kinds)
+		out.Rows = make([][]vector.Value, len(ids))
+		for i := range ids {
+			out.Rows[i] = row(i)
 		}
-		row := vals[i*w : (i+1)*w : (i+1)*w]
-		for c, j := range idx {
-			row[c] = src[j]
-		}
-		out.Rows[i] = row
+		return out, nil
 	}
-	return out, nil
+	gathered, err := gatherLate(ctx, cols, late, kinds, len(ids), func(c, i int) vector.VID { return row(i)[idx[c]].AsVID() })
+	if err != nil {
+		return nil, err
+	}
+	return rowsOf(cols, kinds, gathered, len(ids), func(c, i int) vector.Value { return row(i)[idx[c]] }), nil
 }
 
 // tupleOrder is the one ordering kernel: OrderBy, over an f-Tree or a flat

@@ -161,9 +161,19 @@ func clip(rows []string) []string {
 // load.
 const CreatedPerson = 1 << 40
 
+// CreatedMessage is the external id of both the post and the comment
+// LDBCViews creates after the load: ps[5] wrote them on CreatedMessageDate,
+// the last day of the activity window, so the newest messages of every
+// reader of ps[5] include them — tied on date and id across the two labels.
+const (
+	CreatedMessage     = 1 << 40
+	CreatedMessageDate = ldbc.DayEnd
+)
+
 // LDBCViews generates one LDBC graph, commits a fixed post-load mutation set
 // (KNOWS edges added, a person created — past the base VID range — with a
-// KNOWS edge each way) and returns it behind the four representations. Each
+// KNOWS edge each way, and a post and a comment by ps[5], CreatedMessage) and
+// returns it behind the four representations. Each
 // view holds the mutations the way the graph holds commits — folded into the
 // images by a reseal, left in the deltas, or read by a snapshot pinned after
 // the commit — so all four hold the same logical graph; the transaction view
@@ -211,11 +221,33 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		person = append(person, ds.Graph.Prop(ps[4], catalog.PropID(p)))
 	}
 	createdDate := vector.Date(int64(ldbc.DayStart) + 17)
+	// The created messages copy a post's and a comment's properties.
+	message := func(label catalog.LabelID, like vector.VID) []vector.Value {
+		var props []vector.Value
+		for p := range ds.Graph.Catalog().LabelProps(label) {
+			props = append(props, ds.Graph.Prop(like, catalog.PropID(p)))
+		}
+		props[h.MCreation] = vector.Date(CreatedMessageDate)
+		return props
+	}
+	post, comment := message(h.Post, ds.Posts[0]), message(h.Comment, ds.Comments[0])
 	// commit writes the mutation set into g as its first commit.
 	commit := func(g *storage.Graph) {
 		v := vector.VID(g.NumVertices())
 		if err := g.CommitVertex(1, v, h.Person, CreatedPerson, person...); err != nil {
 			t.Fatal(err)
+		}
+		for i, m := range []struct {
+			label catalog.LabelID
+			props []vector.Value
+		}{{h.Post, post}, {h.Comment, comment}} {
+			mv := v + 1 + vector.VID(i)
+			if err := g.CommitVertex(1, mv, m.label, CreatedMessage, m.props...); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CommitEdge(1, h.HasCreator, mv, ps[5]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, e := range adds {
 			if err := g.CommitEdge(1, h.Knows, e.src, e.dst, date(e)); err != nil {
@@ -267,6 +299,18 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 	}
 	for _, e := range []edge{{ps[4], nv}, {nv, ps[5]}} {
 		if err := tx.AddEdge(h.Knows, e.src, e.dst, createdDate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range []struct {
+		label catalog.LabelID
+		props []vector.Value
+	}{{h.Post, post}, {h.Comment, comment}} {
+		mv, err := tx.AddVertex(m.label, CreatedMessage, m.props...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.AddEdge(h.HasCreator, mv, ps[5]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,14 +1,14 @@
 // Package plan represents physical execution plans — linear chains of
 // operators — and implements the optimizer's operator-fusion rewrite rules
 // of §4.3: VertexExpand (seek+expand), FilterPushDown (project+filter folded
-// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Five
+// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Six
 // more keep the fused plan from building what its result discards: an expand
 // only counted becomes its parent's run lengths (Expand.Count), or, from the
 // group key, runs once per group (Aggregate.Leaves); a projection only
 // returned is gathered after the top-k cut (OrderBy.Late); a group key that
-// is a single-label vertex's id groups by VID (Aggregate.KeyVar); and groups
-// only a later sort reads are not sorted (Aggregate.Unordered). Fuse
-// applies them to the plan and to each pattern count's path.
+// is a single-label vertex's id groups by VID (Aggregate.KeyVar); groups only
+// a later sort reads are not sorted (Aggregate.Unordered); and an expand a
+// top-k reads by a clustering key keeps what it returns (Expand.Newest).
 package plan
 
 import (

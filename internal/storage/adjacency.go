@@ -15,8 +15,8 @@
 // The store is optimized for the read-dominant workloads the paper targets:
 // its one adjacency read, NeighborsBatch (pack.go), answers a whole morsel as
 // pieces — a (pointer,length) view of the image for every run the delta
-// leaves alone, merged rows only for a run it changes — that the executor's
-// pointer-based join consumes without copying.
+// leaves alone, merged rows only for a run it changes — out of which each
+// expand copies the neighbours it keeps.
 package storage
 
 import (

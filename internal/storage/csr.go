@@ -23,6 +23,7 @@ package storage
 // them: the graph seals at its first read.
 
 import (
+	"math"
 	"slices"
 
 	"ges/internal/vector"
@@ -30,9 +31,9 @@ import (
 
 // csr is the sealed image of one adjacency family.
 type csr struct {
-	// offsets has one entry per source up to the highest plus one: vertex
-	// v's neighbors occupy
-	// neighbors[offsets[v]:offsets[v+1]], sorted ascending by VID.
+	// offsets has one entry per source from the lowest, lo, to the highest
+	// plus one: v's neighbors are neighbors[offsets[v-lo]:offsets[v-lo+1]].
+	lo        vector.VID
 	offsets   []uint32
 	neighbors []vector.VID
 
@@ -59,13 +60,15 @@ func (a *AdjList) sealCSR() *csr {
 	if l == nil {
 		l = newEdgeLog(len(a.propKinds))
 	}
-	n := 0 // one past the highest source
+	lo, hi := math.MaxInt, 0
 	for _, s := range l.src {
-		n = max(n, int(s)+1)
+		lo, hi = min(lo, int(s)), max(hi, int(s)+1)
 	}
-	c := &csr{offsets: make([]uint32, n+1), propKinds: a.propKinds}
+	lo = min(lo, hi)
+	n := hi - lo
+	c := &csr{lo: vector.VID(lo), offsets: make([]uint32, n+1), propKinds: a.propKinds}
 	for _, s := range l.src {
-		c.offsets[s+1]++
+		c.offsets[int(s)-lo+1]++
 	}
 	for v := 0; v < n; v++ {
 		c.offsets[v+1] += c.offsets[v]
@@ -73,8 +76,8 @@ func (a *AdjList) sealCSR() *csr {
 	next := slices.Clone(c.offsets[:n])
 	keys := make([]uint64, len(l.src))
 	for i, s := range l.src {
-		keys[next[s]] = uint64(l.dst[i])<<32 | uint64(i)
-		next[s]++
+		keys[next[int(s)-lo]] = uint64(l.dst[i])<<32 | uint64(i)
+		next[int(s)-lo]++
 	}
 	for v := 0; v < n; v++ {
 		slices.Sort(keys[c.offsets[v]:c.offsets[v+1]])
@@ -110,15 +113,16 @@ func permuted[E any](col []E, keys []uint64) []E {
 	return out
 }
 
-// span returns the bounds of src's run in neighbors ([0,0) past the image's
-// sources).
+// span returns the bounds of src's run in neighbors ([0,0) outside the
+// image's sources).
 //
 //geslint:kernel
 func (c *csr) span(src vector.VID) (lo, hi int) {
-	if int(src) >= len(c.offsets)-1 {
+	i := uint(src) - uint(c.lo) // wraps below lo
+	if i >= uint(len(c.offsets)-1) {
 		return 0, 0
 	}
-	return int(c.offsets[src]), int(c.offsets[src+1])
+	return int(c.offsets[i]), int(c.offsets[i+1])
 }
 
 // memBytes approximates the snapshot's resident size.
@@ -136,20 +140,21 @@ func (c *csr) memBytes() int {
 // holds wmu, which freezes the delta.
 func (c *csr) resealed(h uint64) *csr {
 	d := c.delta
-	n := len(c.offsets) - 1
-	d.runs.Range(func(src vector.VID, _ *deltaRun) { n = max(n, int(src)+1) })
+	first, end := int(c.lo), int(c.lo)+len(c.offsets)-1
+	d.runs.Range(func(src vector.VID, _ *deltaRun) { first, end = min(first, int(src)), max(end, int(src)+1) })
 	total := 0
-	for v := 0; v < n; v++ {
+	for v := first; v < end; v++ {
 		lo, hi := c.span(vector.VID(v))
 		total += hi - lo + d.runs.Load(vector.VID(v)).visible(h)
 	}
 	var rows edgeRows
 	p := packer{out: &rows, kinds: c.propKinds}
 	p.reserve(total)
-	nc := &csr{offsets: make([]uint32, n+1), propKinds: c.propKinds}
-	for v := 0; v < n; v++ {
-		nc.offsets[v] = uint32(p.at)
-		src := vector.VID(v)
+	n := end - first
+	nc := &csr{lo: vector.VID(first), offsets: make([]uint32, n+1), propKinds: c.propKinds}
+	for i := 0; i < n; i++ {
+		nc.offsets[i] = uint32(p.at)
+		src := vector.VID(first + i)
 		lo, hi := c.span(src)
 		p.merge(c, lo, hi, d.runs.Load(src), h)
 	}
@@ -195,8 +200,10 @@ func (a *AdjList) seal(h uint64) bool {
 func (g *Graph) SealCSR() int {
 	if !g.sealedPhase.Load() {
 		// Bulk-load finish: vertex inserts are over (they are single-writer
-		// and pre-seal by contract), so their arrays shed their slack too.
+		// and pre-seal by contract), so their arrays shed their slack and
+		// take their final layout before any image is built.
 		g.trimVertexArrays()
+		g.layout()
 	}
 	h := g.foldHorizon()
 	n := 0

@@ -241,7 +241,9 @@ func graphOf(v View) (*Graph, uint64) {
 // type carrying a property of every kind, and edges between all four label
 // pairs (duplicates and descending insert order included), so a request from
 // either label fans out over two families under AnyLabel, over four under
-// Both, and a request from A ∪ B mixes source labels.
+// Both, and a request from A ∪ B mixes source labels. The vertices load
+// label by label, so the seal keeps their VIDs (the model's) and B's families
+// have sources that start past VID 0.
 func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.LabelID, et catalog.EdgeTypeID) {
 	t.Helper()
 	cat := catalog.New()
@@ -252,21 +254,19 @@ func matrixGraph(t *testing.T) (g *Graph, as, bs []vector.VID, a, b catalog.Labe
 		catalog.PropDef{Name: "w", Kind: vector.KindFloat64},
 		catalog.PropDef{Name: "note", Kind: vector.KindString}))
 	g = NewGraph(cat)
-	var all []vector.VID
-	for i := 0; i < 11; i++ {
-		label := a
-		if i%2 == 1 {
-			label = b
-		}
-		v, err := g.AddVertex(label, int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, v)
-		if label == a {
-			as = append(as, v)
-		} else {
-			bs = append(bs, v)
+	all := make([]vector.VID, 11)
+	for pass, label := range []catalog.LabelID{a, b} {
+		for i := pass; i < len(all); i += 2 {
+			v, err := g.AddVertex(label, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all[i] = v
+			if label == a {
+				as = append(as, v)
+			} else {
+				bs = append(bs, v)
+			}
 		}
 	}
 	n := 0

@@ -547,8 +547,28 @@ func TestOverlayMatchesRebuiltGraph(t *testing.T) {
 					}
 				}
 				rebuilt, rvs, rperson, rcity, rlives := build(t, upTo, created...)
+				// The created vertices load after the cities as base rows, so
+				// the seal moves them into their labels' VIDs (layout.go): read
+				// the rebuilt graph at its own VIDs and name them by g's. A
+				// piece holds one label, whose rows keep their relative order.
+				labels, exts := make([]catalog.LabelID, len(rvs)), make([]int64, len(rvs))
+				for i, v := range rvs {
+					labels[i], exts[i] = rebuilt.LabelOf(v), rebuilt.ExtID(v)
+				}
 				rebuilt.SealCSR()
+				toG := map[vector.VID]vector.VID{}
+				for i := range rvs {
+					rvs[i], _ = rebuilt.VertexByExt(labels[i], exts[i])
+					toG[rvs[i]] = vs[i]
+				}
 				want := read(rebuilt, rvs, rperson, rcity, rlives)
+				for _, img := range want {
+					for _, vids := range append(img.Runs, img.Single...) {
+						for k, v := range vids {
+							vids[k] = toG[v]
+						}
+					}
+				}
 				for _, img := range want[:2] {
 					if !img.Sorted {
 						t.Fatal("a sealed single-family batch must be Sorted")

@@ -25,6 +25,7 @@ type propTable struct {
 	cols  []*vector.Column
 	vids  []vector.VID // row -> global VID
 	byExt map[int64]vector.VID
+	key   int // the clustering key the base rows are in order of, plus one (layout.go)
 
 	nTail  atomic.Int64
 	chunks atomic.Pointer[[]*rowChunk]

@@ -424,6 +424,27 @@ func (c *Column) Clip() {
 	c.bl, c.vid, c.codes = Clipped(c.bl), Clipped(c.vid), Clipped(c.codes)
 }
 
+// Permute reorders a materialized column: entry i becomes the entry at
+// rows[i], rows a permutation of the column's rows. Storage lays out a
+// label's rows with it at the first seal.
+func (c *Column) Permute(rows []int32) {
+	c.mutCheck()
+	c.i64, c.f64, c.str = permuted(c.i64, rows), permuted(c.f64, rows), permuted(c.str, rows)
+	c.bl, c.vid, c.codes = permuted(c.bl, rows), permuted(c.vid, rows), permuted(c.codes, rows)
+}
+
+// permuted returns s[rows[0]], s[rows[1]], … (s itself when empty).
+func permuted[T any](s []T, rows []int32) []T {
+	if len(s) == 0 {
+		return s
+	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = s[r]
+	}
+	return out
+}
+
 // MemBytes returns the accounted intermediate-result memory of the column.
 // Shared columns account only their headers — the payload belongs to graph
 // storage, which is the saving of aligned gathers. Dict columns account 4
