@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ges/internal/vector"
@@ -160,45 +161,158 @@ func (t *FTree) NodeOfColumns(names []string) *Node {
 }
 
 // CountTuples returns the number of valid tuples encoded by the tree — the
-// cardinality of R_FT — without enumerating them: the sum of RootCounts.
+// cardinality of R_FT — without enumerating them: the sum of the root's
+// Weights.
 func (t *FTree) CountTuples() int64 {
 	total := int64(0)
-	for _, c := range t.RootCounts() {
+	for _, c := range t.Weights(t.Root, nil, new([]int64)) {
 		total += c
 	}
 	return total
 }
 
-// RootCounts returns, for every root row, the number of valid tuples it
-// takes part in (0 for an invalid row). It runs one bottom-up pass:
-// count(u,i) = Π_c Σ_{j ∈ I(u,c)[i], valid j} count(c,j).
-func (t *FTree) RootCounts() []int64 {
-	memo := make([][]int64, len(t.nodes))
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := t.nodes[i]
-		rows := n.Block.NumRows()
-		cnt := make([]int64, rows)
-		for r := 0; r < rows; r++ {
-			if !n.Sel.Get(r) {
+// Weights returns, for every row of node, the number of valid full tuples of
+// R_FT the row takes part in: down × up. One bottom-up ("down") pass over
+// every node but node's ancestors counts each row's subtree — a weight
+// column (a count-only leaf) multiplying its node's rows; the top-down ("up")
+// pass runs only along the path from the root to node, carrying the product
+// of the rest of the tree. A root row's up is 1, so the root's weights (a
+// root row's tuple count, COUNT(*)) cost the bottom-up pass alone. An
+// invalid row weighs 0.
+//
+// The counts live in *scratch, grown as needed and recycled by the caller;
+// the returned weights alias it.
+func (t *FTree) Weights(node *Node, weights []ColRef, scratch *[]int64) []int64 {
+	nodes := t.nodes
+	// One backing array holds every node's down counts and the up counts of
+	// the path to node; small trees keep the per-node views on the stack.
+	var views [8][]int64
+	down := views[:0]
+	if len(nodes) > len(views) {
+		down = make([][]int64, 0, len(nodes))
+	}
+	// node's strict ancestors need no down counts: the up pass reads those
+	// of node and of the siblings along its path only.
+	ancestor := func(nd *Node) bool {
+		for n := node.Parent; n != nil; n = n.Parent {
+			if n == nd {
+				return true
+			}
+		}
+		return false
+	}
+	total := t.Root.Block.NumRows()
+	for _, nd := range nodes {
+		if !ancestor(nd) {
+			total += nd.Block.NumRows()
+		}
+	}
+	for n := node; n.Parent != nil; n = n.Parent {
+		total += n.Block.NumRows()
+	}
+	buf := slices.Grow((*scratch)[:0], total)[:total]
+	clear(buf)
+	*scratch = buf
+	for _, nd := range nodes {
+		n := nd.Block.NumRows()
+		if ancestor(nd) {
+			n = 0
+		}
+		down, buf = append(down, buf[:n:n]), buf[n:]
+	}
+	// Bottom-up: children have larger IDs than parents (preorder append).
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nd := nodes[i]
+		d := down[i]
+		var wb [4][]int64
+		ws := weightsOn(wb[:0], nd, weights)
+		for r := range d {
+			if !nd.Sel.Get(r) {
 				continue
 			}
 			prod := int64(1)
-			for _, c := range n.Children {
-				sum := int64(0)
-				rg := c.Index[r]
-				for j := rg.Start; j < rg.End; j++ {
-					sum += memo[c.id][j]
-				}
-				prod *= sum
+			for _, x := range ws {
+				prod *= x[r]
+			}
+			for _, c := range nd.Children {
 				if prod == 0 {
 					break
 				}
+				prod *= rangeSum(down[c.id], c.Index[r])
 			}
-			cnt[r] = prod
+			d[r] = prod
 		}
-		memo[n.id] = cnt
 	}
-	return memo[0]
+	w := down[node.id]
+	if node == t.Root {
+		return w // down is already zero for invalid rows
+	}
+	var path []*Node
+	for n := node; n.Parent != nil; n = n.Parent {
+		path = append(path, n)
+	}
+	up, buf := buf[:t.Root.Block.NumRows()], buf[t.Root.Block.NumRows():]
+	for r := range up {
+		if t.Root.Sel.Get(r) {
+			up[r] = 1
+		}
+	}
+	for k := len(path) - 1; k >= 0; k-- {
+		c := path[k]
+		p := c.Parent
+		next := buf[:c.Block.NumRows()]
+		buf = buf[len(next):]
+		var wb [4][]int64
+		ws := weightsOn(wb[:0], p, weights)
+		for r, u := range up {
+			// Only valid parent rows extend tuples downward: up may be
+			// positive for rows the selection vector has since invalidated.
+			if u == 0 || !p.Sel.Get(r) {
+				continue
+			}
+			for _, x := range ws {
+				u *= x[r]
+			}
+			for _, s := range p.Children {
+				if s != c {
+					if u *= rangeSum(down[s.id], s.Index[r]); u == 0 {
+						break
+					}
+				}
+			}
+			if u == 0 {
+				continue
+			}
+			rg := c.Index[r]
+			for j := rg.Start; j < rg.End; j++ {
+				next[j] = u
+			}
+		}
+		up = next
+	}
+	for r := range w {
+		w[r] *= up[r]
+	}
+	return w
+}
+
+// weightsOn appends to dst the values of the weight columns on node nd.
+func weightsOn(dst [][]int64, nd *Node, weights []ColRef) [][]int64 {
+	for _, c := range weights {
+		if c.Node == nd.id {
+			dst = append(dst, nd.Block.Column(c.Col).Int64s())
+		}
+	}
+	return dst
+}
+
+// rangeSum adds the weights of one index-vector range.
+func rangeSum(w []int64, rg Range) int64 {
+	var s int64
+	for _, x := range w[rg.Start:rg.End] {
+		s += x
+	}
+	return s
 }
 
 // PruneUp clears the selection bit of every row (bottom-up from the given

@@ -97,7 +97,7 @@ func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 //   - when every group-by column and argument lies on one root-to-leaf chain
 //     (COUNT(*) alone anchors at the root), each row of the chain's deepest
 //     node is folded once, weighted by the number of full tuples it takes
-//     part in (tupleWeights), and the columns of its ancestors are read
+//     part in (FTree.Weights), and the columns of its ancestors are read
 //     through parent-row maps — no tuple is enumerated;
 //   - otherwise, for columns on sibling branches, the constant-delay
 //     enumeration of just those columns streams into the group table. So
@@ -138,7 +138,7 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
-	w := tupleWeights(ft, node, refs[nf:], buf)
+	w := ft.Weights(node, refs[nf:], buf)
 	t.bindColumns(ctx, ft, node, refs[:nf])
 	defer func() {
 		for _, m := range t.held {
@@ -249,7 +249,7 @@ func (c *aggCol) row(i int) int {
 	return i
 }
 
-// weightBufs recycles tupleWeights' counts across queries.
+// weightBufs recycles FTree.Weights' counts across queries.
 var weightBufs = sync.Pool{New: func() any { return new([]int64) }}
 
 func newAggTable(o *Aggregate) (*aggTable, error) {
@@ -706,147 +706,4 @@ func aggOutputKind(spec AggSpec, argKind vector.Kind) vector.Kind {
 	default:
 		return argKind
 	}
-}
-
-// tupleWeights returns, for every row of node, the number of valid full
-// tuples of R_FT the row takes part in: down × up. One bottom-up ("down")
-// pass over every node but node's ancestors counts each row's subtree — a
-// weight column (a count-only leaf) multiplying its node's rows; the
-// top-down ("up") pass runs only along the path from the root to node,
-// carrying the product of the rest of the tree. A root row's up is 1, so COUNT(*) — anchored at the
-// root — costs the bottom-up pass alone.
-//
-// The counts live in *scratch, grown as needed and recycled by the caller;
-// the returned weights alias it.
-func tupleWeights(ft *core.FTree, node *core.Node, weights []core.ColRef, scratch *[]int64) []int64 {
-	nodes := ft.Nodes()
-	// One backing array holds every node's down counts and the up counts of
-	// the path to node; small trees keep the per-node views on the stack.
-	var views [8][]int64
-	down := views[:0]
-	if len(nodes) > len(views) {
-		down = make([][]int64, 0, len(nodes))
-	}
-	// node's strict ancestors need no down counts: the up pass reads those
-	// of node and of the siblings along its path only.
-	ancestor := func(nd *core.Node) bool {
-		for n := node.Parent; n != nil; n = n.Parent {
-			if n == nd {
-				return true
-			}
-		}
-		return false
-	}
-	total := ft.Root.Block.NumRows()
-	for _, nd := range nodes {
-		if !ancestor(nd) {
-			total += nd.Block.NumRows()
-		}
-	}
-	for n := node; n.Parent != nil; n = n.Parent {
-		total += n.Block.NumRows()
-	}
-	buf := slices.Grow((*scratch)[:0], total)[:total]
-	clear(buf)
-	*scratch = buf
-	for _, nd := range nodes {
-		n := nd.Block.NumRows()
-		if ancestor(nd) {
-			n = 0
-		}
-		down, buf = append(down, buf[:n:n]), buf[n:]
-	}
-	// Bottom-up: children have larger IDs than parents (preorder append).
-	for i := len(nodes) - 1; i >= 0; i-- {
-		nd := nodes[i]
-		d := down[i]
-		var wb [4][]int64
-		ws := weightsOn(wb[:0], nd, weights)
-		for r := range d {
-			if !nd.Sel.Get(r) {
-				continue
-			}
-			prod := int64(1)
-			for _, x := range ws {
-				prod *= x[r]
-			}
-			for _, c := range nd.Children {
-				if prod == 0 {
-					break
-				}
-				prod *= rangeSum(down[c.ID()], c.Index[r])
-			}
-			d[r] = prod
-		}
-	}
-	w := down[node.ID()]
-	if node == ft.Root {
-		return w // down is already zero for invalid rows
-	}
-	var path []*core.Node
-	for n := node; n.Parent != nil; n = n.Parent {
-		path = append(path, n)
-	}
-	up, buf := buf[:ft.Root.Block.NumRows()], buf[ft.Root.Block.NumRows():]
-	for r := range up {
-		if ft.Root.Sel.Get(r) {
-			up[r] = 1
-		}
-	}
-	for k := len(path) - 1; k >= 0; k-- {
-		c := path[k]
-		p := c.Parent
-		next := buf[:c.Block.NumRows()]
-		buf = buf[len(next):]
-		var wb [4][]int64
-		ws := weightsOn(wb[:0], p, weights)
-		for r, u := range up {
-			// Only valid parent rows extend tuples downward: up may be
-			// positive for rows the selection vector has since invalidated.
-			if u == 0 || !p.Sel.Get(r) {
-				continue
-			}
-			for _, x := range ws {
-				u *= x[r]
-			}
-			for _, s := range p.Children {
-				if s != c {
-					if u *= rangeSum(down[s.ID()], s.Index[r]); u == 0 {
-						break
-					}
-				}
-			}
-			if u == 0 {
-				continue
-			}
-			rg := c.Index[r]
-			for j := rg.Start; j < rg.End; j++ {
-				next[j] = u
-			}
-		}
-		up = next
-	}
-	for r := range w {
-		w[r] *= up[r]
-	}
-	return w
-}
-
-// weightsOn appends to dst the values of the weight columns on node nd.
-func weightsOn(dst [][]int64, nd *core.Node, weights []core.ColRef) [][]int64 {
-	for _, c := range weights {
-		if c.Node == nd.ID() {
-			dst = append(dst, nd.Block.Column(c.Col).Int64s())
-		}
-	}
-	return dst
-}
-
-// rangeSum adds the weights of one index-vector range.
-func rangeSum(w []int64, rg core.Range) int64 {
-	var s int64
-	for _, x := range w[rg.Start:rg.End] {
-		s += x
-	}
-	return s
 }

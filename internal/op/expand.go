@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/core"
@@ -19,13 +18,13 @@ type EdgeProj struct {
 // vertices bound to From along one edge type to their neighbors, bound to
 // To.
 //
-// On the factorized path each execution adds exactly one f-Tree node under
-// From's node: neighbor IDs land in a new f-Block and the per-parent row
-// ranges form the index vector of the new edge. The batch's pieces are read
-// in place — a piece views the sealed image, §5's (pointer, length) — and
-// copied into the f-Block's owned VID column: a whole piece per copy when
-// neither edge properties nor a fused predicate are requested, otherwise
-// each kept neighbor once, its edge properties read at the piece's offset.
+// Each execution adds exactly one f-Tree node under From's node: neighbor
+// IDs land in a new f-Block and the per-parent row ranges form the index
+// vector of the new edge. The batch's pieces are read in place — a piece
+// views the sealed image, §5's (pointer, length) — and copied into the
+// f-Block's owned VID column: a whole piece per copy when neither edge
+// properties nor a fused predicate are requested, otherwise each kept
+// neighbor once, its edge properties read at the piece's offset.
 //
 // VertexPred implements the FilterPushDown (ExpandFilter) fusion, bound when
 // the operator starts (a property no label defines fails it there): Filter's
@@ -45,8 +44,7 @@ type Expand struct {
 	// Count makes the expand count-only, set by plan.Fuse when nothing reads
 	// To but the weights of the aggregate above (Aggregate.Weights): instead
 	// of a child node it adds an int64 column named To to From's node, each
-	// row's neighbor count (Batch.RunLen). On a flat chunk it appends that
-	// column to every row.
+	// row's neighbor count (Batch.RunLen).
 	Count bool
 
 	// Newest keeps only the neighbours an OrderBy above can return (newest.go).
@@ -88,8 +86,9 @@ func (o *Expand) resolveEdgeProps(cat *catalog.Catalog) (edgePropPlan, error) {
 
 // Execute implements Operator.
 func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if o.Newest != nil && !in.IsFlat() { // a flat input takes the plain expand
-		return o.newestFactorized(ctx, in.FT)
+	ft := ensureFTree(ctx, in).FT
+	if o.Newest != nil {
+		return o.newestFactorized(ctx, ft)
 	}
 	epp, err := o.resolveEdgeProps(ctx.View.Catalog())
 	if err != nil {
@@ -99,15 +98,10 @@ func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case o.Count && in.IsFlat():
-		return o.countFlat(ctx, in.Flat)
-	case o.Count:
-		return o.countFactorized(ctx, in.FT)
-	case in.IsFlat():
-		return o.executeFlat(ctx, in.Flat, epp, pred)
+	if o.Count {
+		return o.countFactorized(ctx, ft)
 	}
-	return o.executeFactorized(ctx, in.FT, epp, pred)
+	return o.executeFactorized(ctx, ft, epp, pred)
 }
 
 // countFactorized adds From's node the column To of its rows' neighbor
@@ -128,26 +122,6 @@ func (o *Expand) countFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error) 
 	parent.Block.AddColumn(out)
 	assertFTree(ft)
 	return ctx.FTChunk(ft), nil
-}
-
-// countFlat appends to every input row its neighbor count.
-func (o *Expand) countFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
-	fromIdx := in.ColIndex(o.From)
-	if fromIdx < 0 {
-		return nil, errNoColumn("expand", o.From)
-	}
-	srcs := ctx.Arena.GetVIDs(len(in.Rows))
-	for _, row := range in.Rows {
-		srcs = append(srcs, row[fromIdx].AsVID())
-	}
-	counts := make([]int64, len(srcs))
-	o.runLens(ctx, srcs, counts)
-	ctx.Arena.PutVIDs(srcs)
-	out := core.NewFlatBlock(append(slices.Clone(in.Names), o.To), append(slices.Clone(in.Kinds), vector.KindInt64))
-	for i, row := range in.Rows {
-		out.AppendOwned(append(slices.Clip(row), vector.Int64(counts[i])))
-	}
-	return ctx.FlatChunk(out), nil
 }
 
 // runLens writes the neighbor count of every source — one NeighborsBatch
@@ -239,70 +213,5 @@ func (b expandBody) rows(lo, hi int, s childSink) {
 			base += pc.Len()
 		}
 		s.index[ri] = core.Range{Start: int32(start), End: int32(total)}
-	}
-}
-
-func (o *Expand) executeFlat(ctx *Ctx, in *core.FlatBlock, epp edgePropPlan, pred *vertexFilter) (*core.Chunk, error) {
-	fromIdx := in.ColIndex(o.From)
-	if fromIdx < 0 {
-		return nil, errNoColumn("expand", o.From)
-	}
-	names := append(append([]string(nil), in.Names...), o.To)
-	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
-	for i, ep := range o.EdgeProps {
-		names = append(names, ep.As)
-		kinds = append(kinds, epp.kind[i])
-	}
-	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatExpandBody{o, ctx, in, fromIdx, epp, pred})
-	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
-		return nil, errRowLimit("flat expand", out.NumRows(), ctx.MaxRows)
-	}
-	return ctx.FlatChunk(out), nil
-}
-
-// flatExpandBody is the flat-path expansion range body.
-type flatExpandBody struct {
-	o       *Expand
-	ctx     *Ctx
-	in      *core.FlatBlock
-	fromIdx int
-	epp     edgePropPlan
-	pred    *vertexFilter
-}
-
-// rows expands input rows [lo,hi) into out. Candidates come from one batched
-// neighbor call per invocation.
-func (b flatExpandBody) rows(lo, hi int, out *core.FlatBlock) {
-	o, ctx, in, epp := b.o, b.ctx, b.in, b.epp
-	pred := shardPred(ctx, b.pred, lo, hi, len(in.Rows))
-	srcs := ctx.Arena.GetVIDs(hi - lo)
-	for i := lo; i < hi; i++ {
-		srcs = append(srcs, in.Rows[i][b.fromIdx].AsVID())
-	}
-	batch := ctx.Arena.GetBatch()
-	defer ctx.Arena.PutBatch(batch)
-	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
-	ctx.Arena.PutVIDs(srcs)
-	keep, base := pred.keep(ctx, batch), 0 // as in expandBody.rows
-	for ri, r := range batch.Runs {
-		row := in.Rows[lo+ri]
-		for _, pc := range batch.Pieces[r.Start:r.End] {
-			cols, off := batch.PieceCols(pc)
-			for k, v := range batch.PieceVIDs(pc) {
-				if keep != nil && !keep.Get(base+k) {
-					continue
-				}
-				// The output row escapes into the result block, so it is never
-				// pooled.
-				nr := make([]vector.Value, 0, len(out.Names))
-				nr = append(nr, row...)
-				nr = append(nr, vector.VIDValue(v))
-				for p := range o.EdgeProps {
-					nr = append(nr, cols.Value(epp.idx[p], epp.kind[p], off+k))
-				}
-				out.AppendOwned(nr)
-			}
-			base += pc.Len()
-		}
 	}
 }

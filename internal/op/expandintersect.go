@@ -41,8 +41,8 @@ type IntersectSide struct {
 //
 // The new f-Tree child hangs under the deepest side owner — the LCA-closed
 // placement: every other side owner must be an ancestor of it so each deep
-// row determines one source vertex per side. Sides on sibling branches fall
-// back to de-factored flat execution, like ExpandInto.
+// row determines one source vertex per side. Sides on sibling branches
+// de-factor first, like ExpandInto, and intersect over the rows.
 type ExpandIntersect struct {
 	To    string
 	Sides []IntersectSide
@@ -56,10 +56,7 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 	if len(o.Sides) < 2 {
 		return nil, fmt.Errorf("op: expand-intersect needs >= 2 sides, got %d", len(o.Sides))
 	}
-	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat)
-	}
-	ft := in.FT
+	ft := ensureFTree(ctx, in).FT
 	nodes := make([]*core.Node, len(o.Sides))
 	cols := make([]*vector.Column, len(o.Sides))
 	for i, s := range o.Sides {
@@ -81,12 +78,13 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 			// n is already an ancestor: nothing to do.
 		default:
 			// Sibling owners: no single node determines all sides — de-factor
-			// and intersect flat (the paper's "ultimate solution" fallback).
+			// (the paper's "ultimate solution" fallback) and intersect over
+			// the rows as a one-node tree.
 			fb, err := ensureFlat(ctx, in)
 			if err != nil {
 				return nil, err
 			}
-			return o.executeFlat(ctx, fb)
+			return o.Execute(ctx, ctx.FlatChunk(fb))
 		}
 	}
 	owners := make([][]int32, len(o.Sides))
@@ -170,76 +168,5 @@ func probeLoop(x *storage.Intersector, toCol *vector.Column, index []core.Range)
 		}
 		total += len(buf)
 		index[i] = core.Range{Start: int32(start), End: int32(total)}
-	}
-}
-
-// executeFlat intersects over materialized rows, appending one output row
-// per survivor.
-func (o *ExpandIntersect) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
-	idxs := make([]int, len(o.Sides))
-	for i, s := range o.Sides {
-		idxs[i] = in.ColIndex(s.Var)
-		if idxs[i] < 0 {
-			return nil, errNoColumn("expand-intersect", s.Var)
-		}
-	}
-	names := append(append([]string(nil), in.Names...), o.To)
-	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
-
-	out := produceFlat(ctx, len(in.Rows), expandMorselSize, names, kinds, flatIntersectBody{o, ctx, in, idxs})
-	if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
-		return nil, errRowLimit("flat expand-intersect", out.NumRows(), ctx.MaxRows)
-	}
-	return ctx.FlatChunk(out), nil
-}
-
-// flatIntersectBody is the flat ExpandIntersect range body.
-type flatIntersectBody struct {
-	o    *ExpandIntersect
-	ctx  *Ctx
-	in   *core.FlatBlock
-	idxs []int // column of each side's variable
-}
-
-func (b flatIntersectBody) rows(lo, hi int, out *core.FlatBlock) {
-	o, ctx, in := b.o, b.ctx, b.in
-	base := ctx.Arena.GetBatch()
-	defer ctx.Arena.PutBatch(base)
-	probes := make([]*storage.Batch, len(o.Sides)-1)
-	probeSrcs := make([][]vector.VID, len(o.Sides)-1)
-	srcsOf := func(si int) []vector.VID {
-		srcs := ctx.Arena.GetVIDs(hi - lo)[:hi-lo]
-		for i := lo; i < hi; i++ {
-			srcs[i-lo] = in.Rows[i][b.idxs[si]].AsVID()
-		}
-		return srcs
-	}
-	srcs0 := srcsOf(0)
-	defer ctx.Arena.PutVIDs(srcs0)
-	s0 := o.Sides[0]
-	ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
-	defer func() {
-		for p := range probes {
-			ctx.Arena.PutBatch(probes[p])
-			ctx.Arena.PutVIDs(probeSrcs[p])
-		}
-	}()
-	for p := range probes {
-		probeSrcs[p] = srcsOf(p + 1)
-		probes[p] = ctx.Arena.GetBatch()
-		s := o.Sides[p+1]
-		ctx.View.NeighborsBatch(probeSrcs[p], s.Et, s.Dir, s.DstLabel, false, probes[p])
-	}
-	var x storage.Intersector
-	x.Reset(base, probes, probeSrcs, true)
-	var buf []vector.VID
-	for i := 0; i < hi-lo; i++ {
-		buf = x.Row(buf[:0], i)
-		for _, v := range buf {
-			nr := make([]vector.Value, 0, len(out.Names))
-			nr = append(nr, in.Rows[lo+i]...)
-			nr = append(nr, vector.VIDValue(v))
-			out.AppendOwned(nr)
-		}
 	}
 }

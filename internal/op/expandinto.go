@@ -37,8 +37,8 @@ import (
 // never). The probe is then one bounded BFS (bfs) per owner row, and a
 // candidate is tested by its level in the search's visitSet — IC3, IC6 and
 // IC11 keep a message's creator when it is a friend within two hops this
-// way. A hop-bounded closure over a deeper From runs flat, so the search
-// always starts at From.
+// way. A hop-bounded closure over a deeper From de-factors first, so the
+// search always starts at From.
 type ExpandInto struct {
 	From, To string
 	Et       catalog.EdgeTypeID
@@ -65,10 +65,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if o.Hops() && o.MinHops < 1 {
 		return nil, fmt.Errorf("op: expand-into: hop bounds %d..%d: a zero-hop bound is not supported", o.MinHops, o.MaxHops)
 	}
-	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat)
-	}
-	ft := in.FT
+	ft := ensureFTree(ctx, in).FT
 	nf, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
@@ -96,13 +93,13 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	default:
 		// Siblings (or a hop-bounded closure over a deeper From): neither
 		// row determines the other's probe, so the semi-join is not a
-		// selection on one node — de-factor and filter flat (the paper's
-		// "ultimate solution" fallback).
+		// selection on one node — de-factor (the paper's "ultimate solution"
+		// fallback) and filter the rows as a one-node tree.
 		fb, err := ensureFlat(ctx, in)
 		if err != nil {
 			return nil, err
 		}
-		return o.executeFlat(ctx, fb)
+		return o.Execute(ctx, ctx.FlatChunk(fb))
 	}
 	owner := ownerMap(deep, shallow)
 
@@ -141,29 +138,6 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // probe returns the From-side probe of the closure.
 func (o *ExpandInto) probe(ctx *Ctx) adjProbe {
 	return adjProbe{ctx: ctx, et: o.Et, dir: o.Dir, dstLabel: o.DstLabel, hops: o.Hops(), minHops: o.MinHops, maxHops: o.MaxHops}
-}
-
-// executeFlat filters materialized rows by closing-edge (or closing-path)
-// existence.
-func (o *ExpandInto) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
-	fi := in.ColIndex(o.From)
-	if fi < 0 {
-		return nil, errNoColumn("expand-into", o.From)
-	}
-	ti := in.ColIndex(o.To)
-	if ti < 0 {
-		return nil, errNoColumn("expand-into", o.To)
-	}
-	out := core.NewFlatBlock(in.Names, in.Kinds)
-	p := o.probe(ctx)
-	for _, row := range in.Rows {
-		p.load(row[fi].AsVID())
-		if p.contains(row[ti].AsVID()) {
-			out.AppendOwned(row)
-		}
-	}
-	p.release()
-	return ctx.FlatChunk(out), nil
 }
 
 // ancestorOf reports whether a is d or an ancestor of d.

@@ -8,8 +8,7 @@ import (
 // Vectorized property gather (§5, Vectorization): operators hand the
 // storage layer a whole VID column and receive a whole property column back
 // — storage.View has no per-row property read. Projection attaches the
-// gathered column outright (the flat path gathers each morsel's rows and
-// appends the values to them); fused predicates gather into reusable scratch
+// gathered column outright; fused predicates gather into reusable scratch
 // columns and evaluate tight kernels over the raw slices.
 
 // newGatherOutput returns the query-lifetime output column for a batch

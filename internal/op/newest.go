@@ -38,7 +38,9 @@ func (o *Expand) newestFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error)
 	if err != nil {
 		return nil, err
 	}
-	w := tupleWeights(ft, parent, nil, new([]int64))
+	buf := weightBufs.Get().(*[]int64)
+	defer weightBufs.Put(buf)
+	w := ft.Weights(parent, nil, buf)
 	srcs := fromCol.AppendVIDRange(ctx.Arena.GetVIDs(len(w)), 0, len(w))
 	for i := range srcs {
 		if w[i] == 0 {

@@ -1,16 +1,13 @@
-// Package op implements the GES physical operators (§4.3) in both execution
-// styles the paper contrasts:
-//
-//   - the factorized path, where operators grow / annotate a shared f-Tree
-//     (Expand adds nodes, Projection appends columns, Filter updates
-//     selection vectors) and de-factor only when forced, and
-//   - the flat path, where every operator consumes and produces fully
-//     materialized row blocks — the classical engine the paper's baseline
-//     GES variant (and most graph databases) use.
-//
-// The executor picks the path per chunk: a factorized chunk runs the
-// factorized implementation until an operator with cross-node blocking logic
-// de-factors it, after which everything downstream runs block-based.
+// Package op implements the GES physical operators (§4.3) over the
+// factorized representation: operators grow or annotate a shared f-Tree
+// (Expand adds nodes, Projection appends columns, Filter updates selection
+// vectors) and de-factor only when forced. An operator with cross-node
+// blocking logic de-factors its input into a flat row block, and the
+// operators that read rows (Filter, ProjectExpr, Aggregate, OrderBy, Rename)
+// work on such a block as it is. An operator that grows or annotates the tree
+// takes a flat block as a one-node f-Tree over its rows (ensureFTree), so it
+// has one kernel. The paper's baseline GES variant is the executor
+// de-factoring every operator's output into rows (exec.ModeFlat).
 package op
 
 import (
@@ -157,11 +154,6 @@ func errNoColumn(op, col string) error {
 	return fmt.Errorf("op: %s: no column %q in input", op, col)
 }
 
-// errRowLimit standardizes MaxRows violations.
-func errRowLimit(op string, rows, limit int) error {
-	return fmt.Errorf("op: %s exceeded row limit: %d > %d", op, rows, limit)
-}
-
 // propGetter resolves a property name across every label that defines it.
 // Mixed-label columns (e.g. LDBC Message = Post ∪ Comment) gather one pass
 // per defining label: labels is the unit the batch gather iterates.
@@ -203,6 +195,29 @@ func ensureFlat(ctx *Ctx, in *core.Chunk) (*core.FlatBlock, error) {
 		return nil, fmt.Errorf("op: de-factoring produced %d rows, over limit %d", fb.NumRows(), ctx.MaxRows)
 	}
 	return fb, nil
+}
+
+// ensureFTree returns a chunk holding in's f-Tree: in itself, or for a flat
+// block a one-node tree over its rows (flatRoot), so the operators that grow
+// or annotate the tree keep one kernel: flat tuples are the one-node case.
+func ensureFTree(ctx *Ctx, in *core.Chunk) *core.Chunk {
+	if in.IsFlat() {
+		return ctx.FTChunk(ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat)))
+	}
+	return in
+}
+
+// flatRoot returns a root block holding every column of every row of fb.
+func flatRoot(ctx *Ctx, fb *core.FlatBlock) *core.FBlock {
+	b := ctx.NewFBlock()
+	for j, name := range fb.Names {
+		col := ctx.Arena.OwnColumn(name, fb.Kinds[j])
+		for _, row := range fb.Rows {
+			col.Append(row[j])
+		}
+		b.AddColumn(col)
+	}
+	return b
 }
 
 // vidColumn locates the f-Tree node and VID column for a variable name.

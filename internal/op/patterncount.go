@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"ges/internal/core"
@@ -19,8 +18,7 @@ import (
 // of From's node: each binds From, the other columns of its node, and the
 // columns of the nodes above it, read at the row's ancestor. Path may read
 // those, and no columns of other branches. A root row's count is its number
-// of tuples in the grown tree (FTree.RootCounts). On a flat chunk every row
-// is a root row, every column bound, and the count is appended to it.
+// of tuples in the grown tree (its FTree.Weights).
 type PatternCount struct {
 	From string
 	Path []Operator
@@ -38,39 +36,24 @@ func (o *PatternCount) Name() string {
 
 // Execute implements Operator.
 func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	var node *core.Node
-	var root *core.FBlock
-	var bound []int32 // node's row of each root row
-	if in.IsFlat() {
-		if in.Flat.ColIndex(o.From) < 0 {
-			return nil, errNoColumn("pattern count", o.From)
-		}
-		root = flatRoot(ctx, in.Flat)
-	} else {
-		n, _, err := vidColumn(in.FT, o.From)
-		if err != nil {
-			return nil, err
-		}
-		node = n
-		root, bound = nodeRoot(ctx, n)
+	in = ensureFTree(ctx, in)
+	ft := in.FT
+	node, _, err := vidColumn(ft, o.From)
+	if err != nil {
+		return nil, err
 	}
-	ft := ctx.Arena.OwnFTree(root)
-	out, err := RunPlan(ctx, ctx.FTChunk(ft), o.Path)
+	root, bound := nodeRoot(ctx, node)
+	pt := ctx.Arena.OwnFTree(root)
+	out, err := RunPlan(ctx, ctx.FTChunk(pt), o.Path)
 	if err != nil {
 		return nil, fmt.Errorf("pattern count %s: %w", o.As, err)
 	}
-	if out.FT != ft {
+	if out.FT != pt {
 		return nil, fmt.Errorf("op: pattern count %s: the path de-factored its tree", o.As)
 	}
-	counts := ft.RootCounts()
-	if node == nil {
-		fb := in.Flat
-		flat := core.NewFlatBlock(append(slices.Clone(fb.Names), o.As), append(slices.Clone(fb.Kinds), vector.KindInt64))
-		for i, row := range fb.Rows {
-			flat.AppendOwned(append(slices.Clip(row), vector.Int64(counts[i])))
-		}
-		return ctx.FlatChunk(flat), nil
-	}
+	buf := weightBufs.Get().(*[]int64)
+	defer weightBufs.Put(buf)
+	counts := pt.Weights(pt.Root, nil, buf)
 	col := ctx.Arena.OwnColumn(o.As, vector.KindInt64)
 	col.Grow(node.Block.NumRows())
 	vals := col.Int64s()
@@ -78,7 +61,7 @@ func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		vals[r] = counts[k]
 	}
 	node.Block.AddColumn(col)
-	assertFTree(in.FT)
+	assertFTree(ft)
 	return in, nil
 }
 
@@ -117,18 +100,4 @@ func nodeRoot(ctx *Ctx, node *core.Node) (*core.FBlock, []int32) {
 		}
 		ctx.Arena.PutInt32s(up)
 	}
-}
-
-// flatRoot returns the root block of a flat chunk's pattern tree: every
-// column of every row.
-func flatRoot(ctx *Ctx, fb *core.FlatBlock) *core.FBlock {
-	b := ctx.NewFBlock()
-	for j, name := range fb.Names {
-		col := ctx.Arena.OwnColumn(name, fb.Kinds[j])
-		for _, row := range fb.Rows {
-			col.Append(row[j])
-		}
-		b.AddColumn(col)
-	}
-	return b
 }

@@ -16,12 +16,8 @@ type ProjSpec struct {
 }
 
 // ProjectProps fetches vertex properties (or external IDs) and appends them
-// as new columns. On the factorized path the column lands on the f-Tree node
-// owning the variable — columnar storage makes this a straight append
-// (§4.3, Projection).
-//
-// The flat path extends materialized rows in place: each morsel collects its
-// rows' VIDs and gathers them in one batch per spec.
+// as new columns. Each column lands on the f-Tree node owning the variable —
+// columnar storage makes this a straight append (§4.3, Projection).
 type ProjectProps struct {
 	Specs []ProjSpec
 }
@@ -31,9 +27,7 @@ func (o *ProjectProps) Name() string { return "Project" }
 
 // Execute implements Operator.
 func (o *ProjectProps) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat)
-	}
+	in = ensureFTree(ctx, in)
 	ft := in.FT
 	for _, spec := range o.Specs {
 		node, col, err := vidColumn(ft, spec.Var)
@@ -54,66 +48,8 @@ func (o *ProjectProps) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		}
 		node.Block.AddColumn(out)
 	}
-	assertFTree(in.FT)
+	assertFTree(ft)
 	return in, nil
-}
-
-func (o *ProjectProps) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
-	names := append([]string(nil), in.Names...)
-	kinds := append([]vector.Kind(nil), in.Kinds...)
-	type colPlan struct {
-		varIdx int
-		spec   ProjSpec
-		g      *propGetter // nil for an external id
-	}
-	plans := make([]colPlan, len(o.Specs))
-	for i, spec := range o.Specs {
-		vi := in.ColIndex(spec.Var)
-		if vi < 0 {
-			return nil, errNoColumn("project", spec.Var)
-		}
-		p := colPlan{varIdx: vi, spec: spec}
-		if spec.ExtID {
-			kinds = append(kinds, vector.KindInt64)
-		} else {
-			g, err := newPropGetter(ctx.View, spec.Prop)
-			if err != nil {
-				return nil, err
-			}
-			p.g = g
-			kinds = append(kinds, g.kind)
-		}
-		names = append(names, spec.As)
-		plans[i] = p
-	}
-	out := core.NewFlatBlock(names, kinds)
-	out.Rows = in.Rows
-	// Flat pipelines are linear and each operator owns its input, so the
-	// projection extends rows in place instead of re-copying the table.
-	// Each row is a distinct slice, so morsels over disjoint row ranges
-	// never share state.
-	forRanges(ctx, len(out.Rows), filterMorselSize, func(lo, hi int) {
-		rows := out.Rows[lo:hi]
-		vids := ctx.Arena.GetVIDs(len(rows))
-		defer ctx.Arena.PutVIDs(vids)
-		for _, p := range plans {
-			vids = vids[:0]
-			for _, row := range rows {
-				vids = append(vids, row[p.varIdx].AsVID())
-			}
-			vidCol := vector.ShareVIDs(p.spec.Var, vids)
-			var col *vector.Column
-			if p.g == nil {
-				col = gatherExtIDColumn(ctx, vidCol, p.spec.As)
-			} else {
-				col = p.g.gatherColumn(ctx, vidCol, p.spec.As)
-			}
-			for i := range rows {
-				rows[i] = append(rows[i], col.Get(i))
-			}
-		}
-	})
-	return ctx.FlatChunk(out), nil
 }
 
 // ProjectExpr appends one computed column. On the factorized path the

@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"slices"
 
 	"ges/internal/catalog"
 	"ges/internal/core"
@@ -72,26 +71,10 @@ func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // extend adds the scan under From. Under a one-row parent the child is the
 // shared scan, as a source NodeScan's root is, so a projection gathers it
 // zero-copy; under several parent rows each valid row gets its own copy of
-// the scan. A flat input gets the cross product's rows.
+// the scan.
 func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	scan := ctx.View.ScanLabel(o.Label)
-	if in.IsFlat() {
-		fi := in.Flat.ColIndex(o.From)
-		if fi < 0 {
-			return nil, errNoColumn("node-scan", o.From)
-		}
-		out := core.NewFlatBlock(append(slices.Clone(in.Flat.Names), o.Var), append(slices.Clone(in.Flat.Kinds), vector.KindVID))
-		for _, row := range in.Flat.Rows {
-			for _, v := range scan {
-				out.AppendOwned(append(append(make([]vector.Value, 0, len(row)+1), row...), vector.VIDValue(v)))
-			}
-		}
-		if ctx.MaxRows > 0 && out.NumRows() > ctx.MaxRows {
-			return nil, errRowLimit("flat node-scan", out.NumRows(), ctx.MaxRows)
-		}
-		return ctx.FlatChunk(out), nil
-	}
-	ft := in.FT
+	ft := ensureFTree(ctx, in).FT
 	parent, _, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err

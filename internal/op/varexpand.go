@@ -29,10 +29,7 @@ func (o *VarLengthExpand) Name() string { return "VarLengthExpand" }
 
 // Execute implements Operator.
 func (o *VarLengthExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if in.IsFlat() {
-		return o.executeFlat(ctx, in.Flat)
-	}
-	ft := in.FT
+	ft := ensureFTree(ctx, in).FT
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
@@ -63,25 +60,6 @@ func (b traverseBody) rows(lo, hi int, s childSink) {
 		}
 		s.index[i-lo] = core.Range{Start: int32(start), End: int32(total)}
 	}
-}
-
-func (o *VarLengthExpand) executeFlat(ctx *Ctx, in *core.FlatBlock) (*core.Chunk, error) {
-	fromIdx := in.ColIndex(o.From)
-	if fromIdx < 0 {
-		return nil, errNoColumn("var-expand", o.From)
-	}
-	names := append(append([]string(nil), in.Names...), o.To)
-	kinds := append(append([]vector.Kind(nil), in.Kinds...), vector.KindVID)
-	out := core.NewFlatBlock(names, kinds)
-	for _, row := range in.Rows {
-		o.Traverse(ctx, row[fromIdx].AsVID(), func(v vector.VID) {
-			nr := make([]vector.Value, 0, len(names))
-			nr = append(nr, row...)
-			nr = append(nr, vector.VIDValue(v))
-			out.AppendOwned(nr)
-		})
-	}
-	return ctx.FlatChunk(out), nil
 }
 
 // Traverse runs the bounded BFS from src, emitting every vertex it reaches

@@ -23,9 +23,11 @@ import (
 
 // Server serves one dataset. A /query request runs through its own engine
 // value (it carries the request's parameter vector); /ldbc requests share the
-// runner's. Both draw from the server's one memory pool, so /stats memory
-// describes every request; the pool and the compiled-plan cache are the
-// shared, concurrency-safe pieces.
+// runner's. Every plan-built request draws from the server's one memory
+// pool, and /stats memory describes those. The stored procedures do not:
+// IS6 draws from the queries package's own pool and IC13 and IC14 allocate
+// their own batches, so /stats memory does not see them. The pool and the
+// compiled-plan cache are the shared, concurrency-safe pieces.
 type Server struct {
 	ds       *ldbc.Dataset
 	runner   *queries.Runner
