@@ -118,10 +118,10 @@ func main() {
 				continue
 			}
 			if explain {
-				fmt.Println(exec.Physical(mode, pr.Plan, pr.Params))
+				fmt.Println(exec.Physical(mode, pr.Plan))
 				continue
 			}
-			eng := &exec.Engine{Mode: mode, Pool: pool, Params: pr.Params}
+			eng := &exec.Engine{Mode: mode, Pool: pool}
 			start := time.Now()
 			res, err := eng.Run(view, pr.Plan)
 			if err != nil {

@@ -322,7 +322,7 @@ func (db *DB) Query(src string) (*Result, error) {
 	}
 	snap := mgr.AcquireSnapshot()
 	defer mgr.Release(snap)
-	eng := &exec.Engine{Mode: mode, Pool: db.pool, Parallel: parallel, Params: pr.Params}
+	eng := &exec.Engine{Mode: mode, Pool: db.pool, Parallel: parallel}
 	res, err := eng.Run(snap, pr.Plan)
 	if err != nil {
 		return nil, err
@@ -366,7 +366,7 @@ func (db *DB) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return exec.Physical(mode, pr.Plan, pr.Params).String(), nil
+	return exec.Physical(mode, pr.Plan).String(), nil
 }
 
 // SetMode switches the engine variant for subsequent queries (queries in

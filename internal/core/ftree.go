@@ -165,7 +165,7 @@ func (t *FTree) NodeOfColumns(names []string) *Node {
 // Weights.
 func (t *FTree) CountTuples() int64 {
 	total := int64(0)
-	for _, c := range t.Weights(t.Root, nil, new([]int64)) {
+	for _, c := range t.Weights(t.Root, new([]int64)) {
 		total += c
 	}
 	return total
@@ -173,16 +173,16 @@ func (t *FTree) CountTuples() int64 {
 
 // Weights returns, for every row of node, the number of valid full tuples of
 // R_FT the row takes part in: down × up. One bottom-up ("down") pass over
-// every node but node's ancestors counts each row's subtree — a weight
-// column (a count-only leaf) multiplying its node's rows; the top-down ("up")
-// pass runs only along the path from the root to node, carrying the product
-// of the rest of the tree. A root row's up is 1, so the root's weights (a
-// root row's tuple count, COUNT(*)) cost the bottom-up pass alone. An
-// invalid row weighs 0.
+// every node but node's ancestors counts each row's subtree — the product,
+// over its children, of the counts in its index-vector ranges; the top-down
+// ("up") pass runs only along the path from the root to node, carrying the
+// product of the rest of the tree. A root row's up is 1, so the root's
+// weights (a root row's tuple count, COUNT(*)) cost the bottom-up pass
+// alone. An invalid row weighs 0.
 //
 // The counts live in *scratch, grown as needed and recycled by the caller;
 // the returned weights alias it.
-func (t *FTree) Weights(node *Node, weights []ColRef, scratch *[]int64) []int64 {
+func (t *FTree) Weights(node *Node, scratch *[]int64) []int64 {
 	nodes := t.nodes
 	// One backing array holds every node's down counts and the up counts of
 	// the path to node; small trees keep the per-node views on the stack.
@@ -224,16 +224,11 @@ func (t *FTree) Weights(node *Node, weights []ColRef, scratch *[]int64) []int64 
 	for i := len(nodes) - 1; i >= 0; i-- {
 		nd := nodes[i]
 		d := down[i]
-		var wb [4][]int64
-		ws := weightsOn(wb[:0], nd, weights)
 		for r := range d {
 			if !nd.Sel.Get(r) {
 				continue
 			}
 			prod := int64(1)
-			for _, x := range ws {
-				prod *= x[r]
-			}
 			for _, c := range nd.Children {
 				if prod == 0 {
 					break
@@ -262,16 +257,11 @@ func (t *FTree) Weights(node *Node, weights []ColRef, scratch *[]int64) []int64 
 		p := c.Parent
 		next := buf[:c.Block.NumRows()]
 		buf = buf[len(next):]
-		var wb [4][]int64
-		ws := weightsOn(wb[:0], p, weights)
 		for r, u := range up {
 			// Only valid parent rows extend tuples downward: up may be
 			// positive for rows the selection vector has since invalidated.
 			if u == 0 || !p.Sel.Get(r) {
 				continue
-			}
-			for _, x := range ws {
-				u *= x[r]
 			}
 			for _, s := range p.Children {
 				if s != c {
@@ -294,16 +284,6 @@ func (t *FTree) Weights(node *Node, weights []ColRef, scratch *[]int64) []int64 
 		w[r] *= up[r]
 	}
 	return w
-}
-
-// weightsOn appends to dst the values of the weight columns on node nd.
-func weightsOn(dst [][]int64, nd *Node, weights []ColRef) [][]int64 {
-	for _, c := range weights {
-		if c.Node == nd.id {
-			dst = append(dst, nd.Block.Column(c.Col).Int64s())
-		}
-	}
-	return dst
 }
 
 // rangeSum adds the weights of one index-vector range.

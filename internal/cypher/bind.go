@@ -35,8 +35,8 @@ type Options struct {
 	// Params carries the values for $k placeholders in the query text
 	// (slot k = Params[k-1]), as produced by Normalize. The binder uses
 	// them for selectivity estimation and id()-seek detection; the plan
-	// skeleton keeps the slots, so it can be cached and re-bound per
-	// request via Engine.Params.
+	// skeleton keeps the slots, so it can be cached and bound per request
+	// (Cache.Prepare).
 	Params []vector.Value
 }
 

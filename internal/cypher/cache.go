@@ -14,10 +14,10 @@ import (
 // the most recently used normalized queries.
 const PlanCacheSize = 128
 
-// Prepared is a query ready to run: the compiled plan skeleton (its
-// literals still $k slots) with the binder's estimate, the request's values
-// for those slots, and whether the skeleton came from the cache.
-// exec.Physical turns it into the plan an engine runs or prints.
+// Prepared is a query ready to run: the compiled plan with the request's
+// values bound into its $k slots, the binder's estimate, those values, and
+// whether the skeleton came from the cache. exec.Physical turns its plan
+// into the plan an engine runs or prints.
 type Prepared struct {
 	Compiled
 	Params []vector.Value
@@ -45,8 +45,9 @@ type planKey struct {
 // turns text into a plan, through a bounded LRU of compiled (unfused) plan
 // skeletons that lets repeated queries skip the lex/parse/bind pipeline.
 // Cached plans are shared across concurrent callers: operators hold no
-// per-execution state, and binding the parameters and the fusion rewrite
-// run per execution on a copy (exec.Physical).
+// per-execution state, Prepare binds a request's parameters into a copy
+// (plan.BindParams), and the fusion rewrite runs per execution on a copy
+// (exec.Physical).
 type Cache struct {
 	g     *storage.Graph
 	mu    sync.Mutex
@@ -79,6 +80,7 @@ func newCache(g *storage.Graph, capacity int) *Cache {
 // up under the graph's current catalog version and statistics epoch, and on
 // a miss compiles it from the statistics snapshot that epoch names — as
 // written (a nil cost model) before the graph's first seal publishes one.
+// The returned plan has src's literals bound back into the slots.
 func (c *Cache) Prepare(src string) (Prepared, error) {
 	norm, params, err := Normalize(src)
 	if err != nil {
@@ -91,14 +93,20 @@ func (c *Cache) Prepare(src string) (Prepared, error) {
 		key.stats = st.Epoch
 	}
 	if comp, ok := c.get(key); ok {
-		return Prepared{Compiled: comp, Params: params, Hit: true}, nil
+		return bound(comp, params, true), nil
 	}
 	comp, err := CompileWith(norm, cat, Options{Cost: plan.NewCostModel(st), Params: params})
 	if err != nil {
 		return Prepared{}, err
 	}
 	c.put(key, *comp)
-	return Prepared{Compiled: *comp, Params: params}, nil
+	return bound(*comp, params, false), nil
+}
+
+// bound returns the skeleton comp prepared with params in its slots.
+func bound(comp Compiled, params []vector.Value, hit bool) Prepared {
+	comp.Plan = plan.BindParams(comp.Plan, params)
+	return Prepared{Compiled: comp, Params: params, Hit: hit}
 }
 
 // paramKinds fingerprints the extracted literal kinds so a query whose

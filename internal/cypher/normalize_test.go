@@ -144,9 +144,7 @@ func TestParamRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: compile: %v", mode, name, err)
 			}
-			eng := exec.New(mode)
-			eng.Params = params
-			res, err := eng.Run(f.Graph, c.Plan)
+			res, err := exec.New(mode).Run(f.Graph, plan.BindParams(c.Plan, params))
 			if err != nil {
 				t.Fatalf("%s/%s: run: %v", mode, name, err)
 			}

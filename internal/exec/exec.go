@@ -14,7 +14,6 @@ import (
 	"ges/internal/op"
 	"ges/internal/plan"
 	"ges/internal/storage"
-	"ges/internal/vector"
 )
 
 // Mode selects the engine variant.
@@ -81,11 +80,6 @@ type Engine struct {
 	// Parallel sets the intra-query parallelism degree for expansion
 	// operators (<= 1 = sequential).
 	Parallel int
-	// Params is the per-execution parameter vector for plans compiled
-	// from normalized query text ($k placeholders). Bound once per Run
-	// (Physical), before fusion, so every downstream operator and
-	// vectorized fast path sees plain literals.
-	Params []vector.Value
 }
 
 // New returns an engine in the given mode with a fresh memory pool.
@@ -93,14 +87,11 @@ func New(mode Mode) *Engine {
 	return &Engine{Mode: mode, Pool: storage.NewPool()}
 }
 
-// Physical returns the plan an engine in mode runs for a plan skeleton:
-// params bound into its $k slots, then, in ModeFused, the fusion rewrite.
-// Engine.Run and every EXPLAIN go through it, so a printed plan is the one
-// that runs.
-func Physical(mode Mode, p plan.Plan, params []vector.Value) plan.Plan {
-	if len(params) > 0 {
-		p = plan.BindParams(p, params)
-	}
+// Physical returns the plan an engine in mode runs for a plan whose
+// parameters are bound (cypher.Cache.Prepare): in ModeFused, the fusion
+// rewrite. Engine.Run and every EXPLAIN go through it, so a printed plan is
+// the one that runs.
+func Physical(mode Mode, p plan.Plan) plan.Plan {
 	if mode == ModeFused {
 		p = plan.Fuse(p)
 	}
@@ -109,7 +100,7 @@ func Physical(mode Mode, p plan.Plan, params []vector.Value) plan.Plan {
 
 // Run executes the plan and returns the flat result block.
 func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
-	p = Physical(e.Mode, p, e.Params)
+	p = Physical(e.Mode, p)
 	// The arena brackets plan execution: operators draw all scratch from
 	// it, and once the result is flattened into row values (which alias no
 	// arena memory) everything goes back to the engine's shared pool in one

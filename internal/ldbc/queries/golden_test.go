@@ -53,10 +53,11 @@ var adhocTemplates = []struct{ name, text, plan string }{
 // TestGoldenServedPlans pins the served plans of the 18 plan-built LDBC
 // reads (IC1–IC12, IS1–IS5, IS7) and the 8 ad-hoc templates on the
 // benchmark's graph (simSF 1, seed 1), and holds every plan to the shape the
-// operators rely on: no operator that grows or annotates the f-Tree runs on
-// a flat block, so none follows an operator that emits one (PatternCount
-// paths included), and no chunk that reaches one is flat. A flat chunk
-// would run as a one-node f-Tree; no served plan takes that entry.
+// operators rely on: no operator that runs on the f-Tree — one that grows or
+// annotates it, or an aggregate that folds it — runs on a flat block, so none
+// follows an operator that emits one (PatternCount paths included), and no
+// chunk that reaches one is flat. A flat chunk would run as a one-node
+// f-Tree; no served plan takes that entry.
 func TestGoldenServedPlans(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 1, Seed: 1})
 	if err != nil {
@@ -68,7 +69,7 @@ func TestGoldenServedPlans(t *testing.T) {
 		if q.Build == nil {
 			continue
 		}
-		served[q.Name] = exec.Physical(exec.ModeFused, q.Build(ds.H, q.GenParams(ds, pg)), nil)
+		served[q.Name] = exec.Physical(exec.ModeFused, q.Build(ds.H, q.GenParams(ds, pg)))
 	}
 	if len(served) != 18 {
 		t.Fatalf("%d plan-built reads, want 18 (IC1–IC12, IS1–IS5, IS7)", len(served))
@@ -85,7 +86,7 @@ func TestGoldenServedPlans(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
-		p := exec.Physical(exec.ModeFused, pr.Plan, pr.Params)
+		p := exec.Physical(exec.ModeFused, pr.Plan)
 		if got := p.String(); got != a.plan {
 			t.Errorf("%s plan:\n got %s\nwant %s", a.name, got, a.plan)
 		}
@@ -93,12 +94,13 @@ func TestGoldenServedPlans(t *testing.T) {
 	}
 }
 
-// growsTree reports whether o grows or annotates the f-Tree: the operators
-// that take a flat block as a one-node tree.
-func growsTree(o op.Operator) bool {
+// takesTree reports whether o runs on the f-Tree: the operators that take a
+// flat block as a one-node tree.
+func takesTree(o op.Operator) bool {
 	switch o.(type) {
 	case *op.Expand, *op.ExpandInto, *op.ExpandIntersect, *op.VarLengthExpand,
-		*op.ProjectProps, *op.PatternCount, *op.NodeScan:
+		*op.ProjectProps, *op.PatternCount, *op.NodeScan,
+		*op.Aggregate, *op.AggregateProjectTop:
 		return true
 	}
 	return false
@@ -113,16 +115,16 @@ func emitsFlat(o op.Operator) bool {
 	return false
 }
 
-// flatBeforeGrowth returns the first operator of p, or of a PatternCount
-// path in p, that grows the tree after an operator that emits a flat block.
-func flatBeforeGrowth(p []op.Operator) string {
+// flatBeforeTree returns the first operator of p, or of a PatternCount path
+// in p, that runs on the tree after an operator that emits a flat block.
+func flatBeforeTree(p []op.Operator) string {
 	flat := ""
 	for _, o := range p {
-		if growsTree(o) && flat != "" {
+		if takesTree(o) && flat != "" {
 			return fmt.Sprintf("%s after %s", o.Name(), flat)
 		}
 		if pc, ok := o.(*op.PatternCount); ok {
-			if bad := flatBeforeGrowth(pc.Path); bad != "" {
+			if bad := flatBeforeTree(pc.Path); bad != "" {
 				return bad
 			}
 		}
@@ -133,17 +135,17 @@ func flatBeforeGrowth(p []op.Operator) string {
 	return ""
 }
 
-// checkServedShape fails when a tree-growing operator follows a flat emitter
-// in p, or meets a flat chunk when p runs.
+// checkServedShape fails when an operator that runs on the tree follows a
+// flat emitter in p, or meets a flat chunk when p runs.
 func checkServedShape(t *testing.T, ds *ldbc.Dataset, name string, p plan.Plan) {
 	t.Helper()
-	if bad := flatBeforeGrowth(p); bad != "" {
+	if bad := flatBeforeTree(p); bad != "" {
 		t.Errorf("%s: %s", name, bad)
 	}
 	ctx := &op.Ctx{View: ds.Graph}
 	var ch *core.Chunk
 	for _, o := range p {
-		if growsTree(o) && ch != nil && ch.IsFlat() {
+		if takesTree(o) && ch != nil && ch.IsFlat() {
 			t.Errorf("%s: %s runs on a flat block", name, o.Name())
 		}
 		var err error

@@ -38,25 +38,20 @@ type AggSpec struct {
 }
 
 // Aggregate groups tuples and computes aggregates (§4.3, Aggregation). It
-// never de-factors: a factorized chunk goes through aggregate's f-Tree
-// kernel, a flat one is folded row by row, and both fold into one group
-// table.
+// never de-factors: it folds an f-Tree into one group table, and takes a
+// flat block as a one-node tree over its rows (ensureFTree).
 type Aggregate struct {
 	GroupBy []string
 	Aggs    []AggSpec
 
-	// Weights name the columns count-only expands (Expand.Count) leave in
-	// place of their leaves: a row stands for as many tuples as the product
-	// of its weights. plan.Fuse sets them.
-	Weights []string
 	// KeyVar, set by plan.Fuse, is the single-label variable whose id() the
 	// lone GroupBy column is. The table then keys groups by the variable's
 	// VID in a dense array and reads each group's id once, when it emits.
 	KeyVar string
-	// Leaves, set by plan.Fuse, are count-only expands from KeyVar, run once
-	// per group instead of once per row: the fold counts each key's rows, and
-	// one NeighborsBatch over the distinct keys multiplies every COUNT by
-	// the key's neighbor count. A key with no neighbors opens no group.
+	// Leaves, set by plan.Fuse, are expands from KeyVar only counted, run
+	// once per group instead of once per row: the fold counts each key's
+	// rows, and one NeighborsBatch over the distinct keys multiplies every
+	// COUNT by the key's neighbor count. A key with no neighbors opens no group.
 	Leaves []*Expand
 	// Unordered, set by plan.Fuse when no consumer can observe the order of
 	// the groups, emits them in first-seen order, unsorted, unless a group
@@ -91,8 +86,8 @@ func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 }
 
 // group is the one aggregation kernel; Aggregate and AggregateProjectTop
-// both call it. A flat block folds row by row. An f-Tree folds only the
-// columns the aggregates read:
+// both call it. A flat block is a one-node f-Tree over its rows
+// (ensureFTree). The tree folds only the columns the aggregates read:
 //
 //   - when every group-by column and argument lies on one root-to-leaf chain
 //     (COUNT(*) alone anchors at the root), each row of the chain's deepest
@@ -109,10 +104,7 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	if in.IsFlat() {
-		return t, t.foldFlat(in.Flat)
-	}
-	ft := in.FT
+	ft := ensureFTree(ctx, in).FT
 	if ft == nil {
 		return nil, fmt.Errorf("op: aggregate: empty chunk")
 	}
@@ -127,25 +119,24 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 		kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
 	}
 	t.bind(kinds)
-	nf := len(refs) - len(o.Weights)
-	node := foldNode(ft, refs[:nf])
+	node := foldNode(ft, refs)
 	if node == nil || (len(nodes) > 1 && t.floatSum()) {
 		ft.Enumerate(refs, func(row []vector.Value) bool {
-			t.foldValues(row)
+			t.foldRow(row, 1)
 			return true
 		})
 		return t, nil
 	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
-	w := ft.Weights(node, refs[nf:], buf)
-	t.bindColumns(ctx, ft, node, refs[:nf])
+	w := ft.Weights(node, buf)
+	t.bindColumns(ctx, ft, node, refs)
 	defer func() {
 		for _, m := range t.held {
 			ctx.Arena.PutInt32s(m)
 		}
 	}()
-	if t.keyed == keyVID && nf == 1 && !slices.ContainsFunc(o.Aggs, func(a AggSpec) bool { return a.Func != Count }) {
+	if t.keyed == keyVID && len(refs) == 1 && !slices.ContainsFunc(o.Aggs, func(a AggSpec) bool { return a.Func != Count }) {
 		t.foldVIDCounts(w)
 		return t, nil
 	}
@@ -187,8 +178,8 @@ func depth(n *core.Node) (d int) {
 }
 
 // aggTable is the group table every aggregation path folds into. A folded
-// row holds cols — the key columns, the distinct arguments, then the
-// weights — and stands for a number of tuples.
+// row holds cols — the key columns, then the distinct arguments — and stands
+// for a number of tuples.
 //
 // Groups are slots numbered in first-seen order, and their states live in
 // slabs indexed by slot (times the number of aggregates), so opening a
@@ -280,7 +271,6 @@ func newAggTable(o *Aggregate) (*aggTable, error) {
 		}
 		t.argIdx[j] = pos(a.Arg)
 	}
-	t.cols = append(t.cols, o.Weights...)
 	if len(o.GroupBy) == 0 {
 		// Global aggregation over empty input still yields one row of zero
 		// aggregates, per SQL/Cypher semantics.
@@ -317,39 +307,6 @@ func (t *aggTable) release() {
 	if t.byVID != nil {
 		visits.Put(t.byVID)
 		t.byVID = nil
-	}
-}
-
-// foldFlat folds every row of a flat block.
-func (t *aggTable) foldFlat(fb *core.FlatBlock) error {
-	idx := make([]int, len(t.cols))
-	kinds := make([]vector.Kind, len(t.cols))
-	for i, c := range t.cols {
-		if idx[i] = fb.ColIndex(c); idx[i] < 0 {
-			return errNoColumn("aggregate", c)
-		}
-		kinds[i] = fb.Kinds[idx[i]]
-	}
-	t.bind(kinds)
-	row := make([]vector.Value, len(idx))
-	for _, r := range fb.Rows {
-		for i, j := range idx {
-			row[i] = r[j]
-		}
-		t.foldValues(row)
-	}
-	return nil
-}
-
-// foldValues adds one boxed row of cols, standing for the product of its
-// weights in tuples, to its group.
-func (t *aggTable) foldValues(row []vector.Value) {
-	w := int64(1)
-	for _, v := range row[len(t.cols)-len(t.o.Weights):] {
-		w *= v.I
-	}
-	if w != 0 {
-		t.foldRow(row, w)
 	}
 }
 

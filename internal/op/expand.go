@@ -41,21 +41,12 @@ type Expand struct {
 	// VertexPred filters candidate neighbors by their own vertex data.
 	VertexPred *VertexPred
 
-	// Count makes the expand count-only, set by plan.Fuse when nothing reads
-	// To but the weights of the aggregate above (Aggregate.Weights): instead
-	// of a child node it adds an int64 column named To to From's node, each
-	// row's neighbor count (Batch.RunLen).
-	Count bool
-
 	// Newest keeps only the neighbours an OrderBy above can return (newest.go).
 	Newest *Newest
 }
 
 // Name implements Operator.
 func (o *Expand) Name() string {
-	if o.Count {
-		return "Expand(count)"
-	}
 	if o.Newest != nil {
 		return fmt.Sprintf("Expand(merge newest %d)", o.Newest.K)
 	}
@@ -98,30 +89,7 @@ func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Count {
-		return o.countFactorized(ctx, ft)
-	}
 	return o.executeFactorized(ctx, ft, epp, pred)
-}
-
-// countFactorized adds From's node the column To of its rows' neighbor
-// counts; an invalid row counts 0.
-func (o *Expand) countFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error) {
-	parent, fromCol, err := vidColumn(ft, o.From)
-	if err != nil {
-		return nil, err
-	}
-	n := parent.Block.NumRows()
-	out := ctx.Arena.OwnColumn(o.To, vector.KindInt64)
-	out.Grow(n)
-	forRanges(ctx, n, expandMorselSize, func(lo, hi int) {
-		srcs := expandSrcs(parent, fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
-		o.runLens(ctx, srcs, out.Int64s()[lo:hi])
-		ctx.Arena.PutVIDs(srcs)
-	})
-	parent.Block.AddColumn(out)
-	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
 }
 
 // runLens writes the neighbor count of every source — one NeighborsBatch

@@ -16,6 +16,7 @@ import (
 	"ges/internal/plan"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
+	"ges/internal/volcano"
 )
 
 // randomAggTree builds a random f-Tree whose every block carries one int64
@@ -135,14 +136,15 @@ func TestStreamingAggregationMatchesFlat(t *testing.T) {
 	}
 }
 
-// flatAggregate groups a flat block row by row.
+// flatAggregate groups a flat block row by row: the volcano oracle's
+// grouping, which shares nothing with the engine's group table.
 func flatAggregate(t *testing.T, flat *core.FlatBlock, groupBy []string, aggs []op.AggSpec) *core.FlatBlock {
 	t.Helper()
-	out, err := (&op.Aggregate{GroupBy: groupBy, Aggs: aggs}).Execute(&op.Ctx{}, &core.Chunk{Flat: flat})
+	out, err := volcano.GroupRows(flat, groupBy, aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Flat
+	return out
 }
 
 func sameTable(a, b *core.FlatBlock) bool {

@@ -40,7 +40,7 @@ func (o *Expand) newestFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error)
 	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
-	w := ft.Weights(parent, nil, buf)
+	w := ft.Weights(parent, buf)
 	srcs := fromCol.AppendVIDRange(ctx.Arena.GetVIDs(len(w)), 0, len(w))
 	for i := range srcs {
 		if w[i] == 0 {

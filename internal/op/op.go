@@ -3,10 +3,10 @@
 // (Expand adds nodes, Projection appends columns, Filter updates selection
 // vectors) and de-factor only when forced. An operator with cross-node
 // blocking logic de-factors its input into a flat row block, and the
-// operators that read rows (Filter, ProjectExpr, Aggregate, OrderBy, Rename)
-// work on such a block as it is. An operator that grows or annotates the tree
-// takes a flat block as a one-node f-Tree over its rows (ensureFTree), so it
-// has one kernel. The paper's baseline GES variant is the executor
+// operators that read rows (Filter, ProjectExpr, OrderBy, Rename) work on
+// such a block as it is. An operator that grows, annotates or folds the tree
+// (the aggregates) takes a flat block as a one-node f-Tree over its rows
+// (ensureFTree), so it has one kernel. The paper's baseline GES variant is the executor
 // de-factoring every operator's output into rows (exec.ModeFlat).
 package op
 
@@ -198,8 +198,9 @@ func ensureFlat(ctx *Ctx, in *core.Chunk) (*core.FlatBlock, error) {
 }
 
 // ensureFTree returns a chunk holding in's f-Tree: in itself, or for a flat
-// block a one-node tree over its rows (flatRoot), so the operators that grow
-// or annotate the tree keep one kernel: flat tuples are the one-node case.
+// block a one-node tree over its rows (flatRoot), so the operators that grow,
+// annotate or fold the tree keep one kernel: flat tuples are the one-node
+// case.
 func ensureFTree(ctx *Ctx, in *core.Chunk) *core.Chunk {
 	if in.IsFlat() {
 		return ctx.FTChunk(ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat)))

@@ -804,7 +804,7 @@ func TestNewestRowsReachTheirCases(t *testing.T) {
 		return res.Block.Rows
 	}
 	for _, b := range []func() plan.Plan{newestRow(h, nil, 1), newestRow(h, expr.Lt(expr.C("m.creationDate"), expr.LDate(9)), 1)} {
-		if got := exec.Physical(exec.ModeFused, b(), nil).String(); !strings.Contains(got, "merge newest") {
+		if got := exec.Physical(exec.ModeFused, b()).String(); !strings.Contains(got, "merge newest") {
 			t.Fatalf("fused plan %s runs no merge", got)
 		}
 	}

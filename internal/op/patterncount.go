@@ -53,7 +53,7 @@ func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
-	counts := pt.Weights(pt.Root, nil, buf)
+	counts := pt.Weights(pt.Root, buf)
 	col := ctx.Arena.OwnColumn(o.As, vector.KindInt64)
 	col.Grow(node.Block.NumRows())
 	vals := col.Int64s()

@@ -46,7 +46,7 @@ func fuseOnce(p Plan) (Plan, bool) {
 	if q, ok := fuseLateProject(p); ok {
 		return q, true
 	}
-	// Groups keyed by VID first: a count leaf on the key runs per group.
+	// Groups keyed by VID first: only a leaf on the key runs per group.
 	if q, ok := fuseGroupByVID(p); ok {
 		return q, true
 	}
@@ -88,7 +88,7 @@ func fuseNewest(p Plan) (Plan, bool) {
 			continue
 		}
 		cut := op.Newest{K: ob.Limit, Key: spec.Prop}
-		if ex, ok := p[i].(*op.Expand); ok && ex.To == spec.Var && ex.Newest == nil && !ex.Count &&
+		if ex, ok := p[i].(*op.Expand); ok && ex.To == spec.Var && ex.Newest == nil &&
 			len(ex.EdgeProps) == 0 && (ex.VertexPred == nil || boundsKey(&cut, ex.VertexPred)) {
 			c := *ex
 			c.Newest = &cut
@@ -125,8 +125,8 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 		if !ok || ex.From != seek.Var {
 			continue
 		}
-		// Only plain expands fuse; predicate-carrying and count-only expands
-		// keep their own shape.
+		// Only plain expands fuse; predicate-carrying expands keep their own
+		// shape.
 		if !plainExpand(ex) {
 			continue
 		}
@@ -156,7 +156,7 @@ func fuseSeekExpand(p Plan) (Plan, bool) {
 func fuseFilterPushDown(p Plan) (Plan, bool) {
 	for i := 0; i+2 < len(p); i++ {
 		ex, ok := p[i].(*op.Expand)
-		if !ok || ex.VertexPred != nil || ex.Count {
+		if !ok || ex.VertexPred != nil {
 			continue
 		}
 		proj, ok := p[i+1].(*op.ProjectProps)
@@ -369,16 +369,13 @@ func isLate(between Plan, ob *op.OrderBy, spec op.ProjSpec) bool {
 	return slices.Contains(ob.Cols, spec.As) && !sortsBy(ob.Keys, spec.As) && !referencedLater(between, spec.As)
 }
 
-// fuseCountLeaf makes an Expand count-only (Expand.Count) when nothing reads
-// its destination and the aggregate above it — past only projections,
-// filters and count-only expands of other columns — folds only aggregates a
+// fuseCountLeaf moves an Expand from an aggregate's key variable into the
+// aggregate (Aggregate.Leaves) when nothing reads its destination and the
+// aggregate — past only projections and filters — folds only aggregates a
 // row's multiplicity scales but does not change in kind: COUNT, COUNT
-// DISTINCT, MIN and MAX. SUM and AVG are left alone: a float argument's
-// weighted sum would round differently. The expand leaves each parent row
-// its neighbor count, and the aggregate takes that column as a weight
-// instead of the child's rows. An expand from the aggregate's key variable
-// counts the same for every row of a group, so it moves into the aggregate
-// (Aggregate.Leaves) and runs once per group instead.
+// DISTINCT, MIN and MAX. The expand counts the same for every row of a
+// group, so it runs once per group instead. SUM and AVG, which the leaf's
+// runs would have to scale, are left alone.
 func fuseCountLeaf(p Plan) (Plan, bool) {
 	for i, o := range p {
 		ex, ok := o.(*op.Expand)
@@ -393,20 +390,15 @@ func fuseCountLeaf(p Plan) (Plan, bool) {
 			continue
 		}
 		g := aggregateOf(p[j])
-		if g == nil || slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Func == op.Sum || a.Func == op.Avg }) {
+		if g == nil || ex.From != g.KeyVar ||
+			slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Func == op.Sum || a.Func == op.Avg }) {
 			continue
 		}
-		leaf, weighted := *ex, *g
-		leaf.Count = true
+		keyed := *g
+		keyed.Leaves = append(slices.Clip(g.Leaves), ex)
 		q := slices.Clone(p)
-		if ex.From == g.KeyVar {
-			weighted.Leaves = append(slices.Clip(g.Leaves), &leaf)
-			q[j] = withAggregate(p[j], weighted)
-			return slices.Delete(q, i, i+1), true
-		}
-		weighted.Weights = append(slices.Clip(g.Weights), ex.To)
-		q[i], q[j] = &leaf, withAggregate(p[j], weighted)
-		return q, true
+		q[j] = withAggregate(p[j], keyed)
+		return slices.Delete(q, i, i+1), true
 	}
 	return p, false
 }
@@ -457,13 +449,11 @@ func sortsEvery(keys []op.SortKey, cols []string) bool {
 }
 
 // nodeLocal reports whether o only annotates the rows it is given: a
-// projection, a filter or a count-only expand.
+// projection or a filter.
 func nodeLocal(o op.Operator) bool {
-	switch n := o.(type) {
+	switch o.(type) {
 	case *op.ProjectProps, *op.ProjectExpr, *op.Filter:
 		return true
-	case *op.Expand:
-		return n.Count
 	}
 	return false
 }

@@ -196,11 +196,12 @@ func TestFuseRules(t *testing.T) {
 		check func(t *testing.T, p Plan)
 	}
 	cases := []fuseCase{
-		// (a) Count-only leaves.
+		// (a) Leaves only counted. Off the group key a leaf stays a plain
+		// expand the aggregate folds through the f-Tree's weights.
 		{"count-leaf", Plan{scan("f"), expand("f", "post", post), countBy("f")},
-			"NodeScan -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
-				if w := aggOf(p).Weights; len(w) != 1 || w[0] != "post" {
-					t.Fatalf("weights %v", w)
+			"NodeScan -> Expand -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); len(g.Leaves) != 0 {
+					t.Fatalf("aggregate %+v", g)
 				}
 			}},
 		// A leaf on the group key runs once per group, in the aggregate.
@@ -208,7 +209,7 @@ func TestFuseRules(t *testing.T) {
 			&op.VarLengthExpand{From: "p", To: "f", DstLabel: person, MinHops: 2, MaxHops: 2},
 			expand("f", "post", post), project(id("f")), countBy("f.id")},
 			"NodeScan -> VarLengthExpand -> Aggregate(per-group count post)", func(t *testing.T, p Plan) {
-				if g := aggOf(p); g.KeyVar != "f" || len(g.Weights) != 0 || len(g.Leaves) != 1 || g.Leaves[0].To != "post" {
+				if g := aggOf(p); g.KeyVar != "f" || len(g.Leaves) != 1 || g.Leaves[0].To != "post" {
 					t.Fatalf("aggregate %+v", g)
 				}
 			}},
@@ -221,7 +222,7 @@ func TestFuseRules(t *testing.T) {
 			"NodeByIdSeek -> VarLengthExpand -> Expand -> Filter -> AggregateProjectTop(fused, per-group count post)",
 			func(t *testing.T, p Plan) {
 				g := p[len(p)-1].(*op.AggregateProjectTop)
-				if g.KeyVar != "forum" || len(g.Weights) != 0 || len(g.Leaves) != 1 {
+				if g.KeyVar != "forum" || len(g.Leaves) != 1 {
 					t.Fatalf("aggregate %+v", g.Aggregate)
 				}
 			}},
@@ -230,14 +231,14 @@ func TestFuseRules(t *testing.T) {
 			"NodeScan -> Aggregate(per-group count m,post)", nil},
 		{"group-leaf-off-key", Plan{scan("p"), expand("p", "f", person), expand("f", "post", post),
 			project(id("p")), countBy("p.id")},
-			"NodeScan -> Expand -> Expand(count) -> Aggregate", func(t *testing.T, p Plan) {
-				if g := aggOf(p); g.KeyVar != "p" || len(g.Leaves) != 0 || len(g.Weights) != 1 {
+			"NodeScan -> Expand -> Expand -> Aggregate", func(t *testing.T, p Plan) {
+				if g := aggOf(p); g.KeyVar != "p" || len(g.Leaves) != 0 {
 					t.Fatalf("aggregate %+v", g)
 				}
 			}},
 		{"group-leaf-any-label-key", Plan{scan("p"), expand("p", "m", storage.AnyLabel), project(id("m")),
 			expand("m", "x", person), countBy("m.id")},
-			"NodeScan -> Expand -> Project -> Expand(count) -> Aggregate", nil},
+			"NodeScan -> Expand -> Project -> Expand -> Aggregate", nil},
 		{"group-leaf-under-sum", Plan{scan("f"), project(id("f"), prop("f", "age")), expand("f", "post", post),
 			&op.Aggregate{GroupBy: []string{"f.id"}, Aggs: []op.AggSpec{count, {Func: op.Sum, Arg: "f.age", As: "s"}}}},
 			"NodeScan -> Project -> Expand -> Aggregate", func(t *testing.T, p Plan) {
@@ -247,7 +248,7 @@ func TestFuseRules(t *testing.T) {
 			}},
 		{"count-leaf-under-top-k", Plan{scan("f"), expand("f", "post", post), countBy("f"),
 			&op.OrderBy{Keys: []op.SortKey{{Col: "n", Desc: true}}, Limit: 5}},
-			"NodeScan -> Expand(count) -> AggregateProjectTop(fused)", nil},
+			"NodeScan -> Expand -> AggregateProjectTop(fused)", nil},
 		{"leaf-read-by-filter", Plan{scan("f"), expand("f", "post", post), project(prop("post", "creationDate")),
 			&op.Filter{Pred: expr.Gt(expr.C("post.creationDate"), expr.LInt(3))}, countBy("f")},
 			"NodeScan -> Expand(fused-filter) -> Aggregate", nil},

@@ -10,8 +10,9 @@ import (
 // the matching literal from params. Operators without parameters are shared
 // with the input plan; operators carrying placeholders are shallow-copied,
 // so a cached plan skeleton can be re-bound concurrently by many requests.
-// It runs once per execution (Engine.Run), before fusion, so the fused
-// predicates and the vectorized filter fast paths only ever see constants.
+// It runs once per request (cypher.Cache.Prepare), before fusion, so the
+// fused predicates and the vectorized filter fast paths only ever see
+// constants.
 func BindParams(p Plan, params []vector.Value) Plan {
 	out := make(Plan, len(p))
 	for i, o := range p {

@@ -1,14 +1,14 @@
 // Package plan represents physical execution plans — linear chains of
 // operators — and implements the optimizer's operator-fusion rewrite rules
 // of §4.3: VertexExpand (seek+expand), FilterPushDown (project+filter folded
-// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Six
+// into the expand), and AggregateProjectTop (aggregate+order-by+limit). Five
 // more keep the fused plan from building what its result discards: an expand
-// only counted becomes its parent's run lengths (Expand.Count), or, from the
-// group key, runs once per group (Aggregate.Leaves); a projection only
-// returned is gathered after the top-k cut (OrderBy.Late); a group key that
-// is a single-label vertex's id groups by VID (Aggregate.KeyVar); groups only
-// a later sort reads are not sorted (Aggregate.Unordered); and an expand a
-// top-k reads by a clustering key keeps what it returns (Expand.Newest).
+// from the group key only counted runs once per group (Aggregate.Leaves); a
+// projection only returned is gathered after the top-k cut (OrderBy.Late); a
+// group key that is a single-label vertex's id groups by VID
+// (Aggregate.KeyVar); groups only a later sort reads are not sorted
+// (Aggregate.Unordered); and an expand a top-k reads by a clustering key
+// keeps what it returns (Expand.Newest).
 package plan
 
 import (
@@ -81,12 +81,12 @@ func reads(o op.Operator, col string) bool {
 }
 
 // aggReads reports whether an aggregate reads col: its group key — the key
-// variable when it groups by VID — an argument or a weight.
+// variable when it groups by VID — or an argument.
 func aggReads(g *op.Aggregate, col string) bool {
 	if g.KeyVar == col || (g.KeyVar == "" && slices.Contains(g.GroupBy, col)) {
 		return true
 	}
-	return slices.Contains(g.Weights, col) || slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Arg == col })
+	return slices.ContainsFunc(g.Aggs, func(a op.AggSpec) bool { return a.Arg == col })
 }
 
 // sortsBy reports whether col is one of the sort keys.

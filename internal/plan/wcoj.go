@@ -53,7 +53,7 @@ func LowerWCOJ(p Plan) Plan {
 // no fused predicates, no edge-property projection — and therefore exactly
 // reproducible as an intersection base.
 func plainExpand(ex *op.Expand) bool {
-	return ex.VertexPred == nil && len(ex.EdgeProps) == 0 && !ex.Count && ex.Newest == nil
+	return ex.VertexPred == nil && len(ex.EdgeProps) == 0 && ex.Newest == nil
 }
 
 // sideOfInto converts an ExpandInto closing an edge against the new vertex

@@ -7,9 +7,9 @@ import (
 	"ges/internal/ldbc"
 )
 
-// TestLDBCEngineFollowsOptions pins that /ldbc requests run on an engine
-// with the server's pool and the configured parallel degree, like /query
-// ones (gesd -parallel used to reach /query only).
+// TestLDBCEngineFollowsOptions pins that /ldbc and /query requests run on
+// one engine, with the server's pool and the configured parallel degree
+// (gesd -parallel used to reach /query only).
 func TestLDBCEngineFollowsOptions(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
 	if err != nil {
@@ -20,8 +20,8 @@ func TestLDBCEngineFollowsOptions(t *testing.T) {
 	if !ok {
 		t.Fatalf("/ldbc engine is a %T", s.runner.Engine)
 	}
-	if q := s.newEngine(); eng.Parallel != 4 || eng.Pool != s.pool || eng.Mode != q.Mode || q.Pool != s.pool {
-		t.Fatalf("/ldbc engine = {mode %v, parallel %d, pool %p}, /query engine = {mode %v, parallel %d, pool %p}, server pool %p",
-			eng.Mode, eng.Parallel, eng.Pool, q.Mode, q.Parallel, q.Pool, s.pool)
+	if eng != s.eng || eng.Parallel != 4 || eng.Pool != s.pool || eng.Mode != exec.ModeFused {
+		t.Fatalf("/ldbc engine %p = {mode %v, parallel %d, pool %p}, /query engine %p, server pool %p",
+			eng, eng.Mode, eng.Parallel, eng.Pool, s.eng, s.pool)
 	}
 }

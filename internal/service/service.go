@@ -21,21 +21,19 @@ import (
 	"ges/internal/storage"
 )
 
-// Server serves one dataset. A /query request runs through its own engine
-// value (it carries the request's parameter vector); /ldbc requests share the
-// runner's. Every plan-built request draws from the server's one memory
-// pool, and /stats memory describes those. The stored procedures do not:
+// Server serves one dataset on one engine, which /query and /ldbc requests
+// share (the runner's). Every plan-built request draws from the server's one
+// memory pool, and /stats memory describes those. The stored procedures do not:
 // IS6 draws from the queries package's own pool and IC13 and IC14 allocate
 // their own batches, so /stats memory does not see them. The pool and the
 // compiled-plan cache are the shared, concurrency-safe pieces.
 type Server struct {
-	ds       *ldbc.Dataset
-	runner   *queries.Runner
-	mode     exec.Mode
-	pool     *storage.Pool
-	parallel int
-	cache    *cypher.Cache
-	ldbc     map[string]*ldbcQuery // by query name, with its parameter schema
+	ds     *ldbc.Dataset
+	runner *queries.Runner
+	eng    *exec.Engine
+	pool   *storage.Pool
+	cache  *cypher.Cache
+	ldbc   map[string]*ldbcQuery // by query name, with its parameter schema
 	// now is injectable for deterministic tests.
 	now func() time.Time
 
@@ -51,8 +49,8 @@ type Server struct {
 
 // Options tunes a server beyond the engine mode.
 type Options struct {
-	// Parallel is the intra-query parallelism degree given to each
-	// request's engine (<= 1 = sequential).
+	// Parallel is the server's engine's intra-query parallelism degree
+	// (<= 1 = sequential).
 	Parallel int
 }
 
@@ -68,22 +66,16 @@ func New(ds *ldbc.Dataset, mode exec.Mode) *Server {
 // NewWith wires a server with explicit options.
 func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 	s := &Server{
-		ds:       ds,
-		mode:     mode,
-		pool:     storage.NewPool(),
-		parallel: opts.Parallel,
-		cache:    cypher.NewCache(ds.Graph),
-		ldbc:     ldbcSchemas(ds),
-		now:      time.Now,
+		ds:    ds,
+		pool:  storage.NewPool(),
+		cache: cypher.NewCache(ds.Graph),
+		ldbc:  ldbcSchemas(ds),
+		now:   time.Now,
 	}
-	s.runner = queries.NewRunnerWith(ds, s.newEngine(), nil)
+	// Arenas released at the end of a request recycle into the next one.
+	s.eng = &exec.Engine{Mode: mode, Pool: s.pool, Parallel: opts.Parallel}
+	s.runner = queries.NewRunnerWith(ds, s.eng, nil)
 	return s
-}
-
-// newEngine returns a fresh engine sharing the server's pool, so arenas
-// released at end-of-request recycle into the next request.
-func (s *Server) newEngine() *exec.Engine {
-	return &exec.Engine{Mode: s.mode, Pool: s.pool, Parallel: s.parallel}
 }
 
 // Mux returns the HTTP handler.
@@ -118,19 +110,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A plan-cache hit skips the lex/parse/bind pipeline; the engine
-	// re-binds the request's literal values either way.
+	// A plan-cache hit skips the lex/parse/bind pipeline; Prepare binds the
+	// request's literal values either way.
 	pr, err := s.cache.Prepare(req.Query)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	eng := s.newEngine()
-	eng.Params = pr.Params
 	start := s.now()
 	snap := s.runner.Mgr.AcquireSnapshot()
 	defer s.runner.Mgr.Release(snap)
-	res, err := eng.Run(snap, pr.Plan)
+	res, err := s.eng.Run(snap, pr.Plan)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return

@@ -23,7 +23,7 @@ func newAggIter(e *Engine, in iter, groupBy []string, aggs []op.AggSpec, keys []
 		}
 		fb.Append(row)
 	}
-	grouped, err := groupRows(fb, groupBy, aggs)
+	grouped, err := GroupRows(fb, groupBy, aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -57,10 +57,11 @@ func newAggIter(e *Engine, in iter, groupBy []string, aggs []op.AggSpec, keys []
 	return &sliceIter{names: grouped.Names, ks: grouped.Kinds, rows: rows}, nil
 }
 
-// groupRows is the oracle's own grouping, independent of the engine's group
-// table: each group keeps its rows under their rowKey-encoded key (volKey),
-// and the groups come out in ascending key order, as the engine's do.
-func groupRows(fb *core.FlatBlock, groupBy []string, aggs []op.AggSpec) (*core.FlatBlock, error) {
+// GroupRows is the oracle's own grouping of a flat block, independent of the
+// engine's group table: each group keeps its rows under their rowKey-encoded
+// key (volKey), and the groups come out in ascending key order, as the
+// engine's do.
+func GroupRows(fb *core.FlatBlock, groupBy []string, aggs []op.AggSpec) (*core.FlatBlock, error) {
 	ng := len(groupBy)
 	names := append(append([]string(nil), groupBy...), make([]string, len(aggs))...)
 	idx := make([]int, len(names))           // group columns, then arguments (-1: COUNT(*))

@@ -1,9 +1,13 @@
 package ges
 
-import "testing"
+import (
+	"testing"
+
+	"ges/internal/storage"
+)
 
 // TestQueriesRecycleThroughOnePool: every Query draws its arena from the
-// DB's one memory pool, so a second query reuses what the first released.
+// DB's one memory pool, so a later query reuses what an earlier one released.
 func TestQueriesRecycleThroughOnePool(t *testing.T) {
 	db := Open(Fused)
 	if err := db.DefineVertexType("Person", Prop{Name: "age", Type: Int64}); err != nil {
@@ -30,11 +34,19 @@ func TestQueriesRecycleThroughOnePool(t *testing.T) {
 	if first.Gets == 0 {
 		t.Fatal("the first query drew nothing from the pool")
 	}
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
+	// sync.Pool drops some puts under -race: query again until an arena
+	// comes back.
+	var st storage.PoolStats
+	for try := 0; try < 32; try++ {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if st = db.pool.DetailedStats(); st.Arenas.Hits > 0 {
+			break
+		}
 	}
-	if st := db.pool.DetailedStats(); st.Hits <= first.Hits || st.Arenas.Hits == 0 {
-		t.Fatalf("the second query recycled nothing: hits %d -> %d, arena hits %d",
+	if st.Hits <= first.Hits || st.Arenas.Hits == 0 {
+		t.Fatalf("later queries recycled nothing: hits %d -> %d, arena hits %d",
 			first.Hits, st.Hits, st.Arenas.Hits)
 	}
 }
