@@ -172,27 +172,32 @@ func (t *FTree) CountTuples() int64 {
 }
 
 // Weights returns, for every row of node, the number of valid full tuples of
-// R_FT the row takes part in: down × up. One bottom-up ("down") pass over
-// every node but node's ancestors counts each row's subtree — the product,
-// over its children, of the counts in its index-vector ranges; the top-down
-// ("up") pass runs only along the path from the root to node, carrying the
-// product of the rest of the tree. A root row's up is 1, so the root's
-// weights (a root row's tuple count, COUNT(*)) cost the bottom-up pass
-// alone. An invalid row weighs 0.
+// R_FT the row takes part in: down × up. A row's down count is the product,
+// over its node's children, of the counts in its index-vector ranges; its up
+// count is the product, along the path from the root, of the ranges of the
+// path's siblings. A leaf's count over a range is its number of valid rows
+// there, read off the selection vector, so the bottom-up ("down") pass runs
+// only over node and the nodes with children off the root-to-node path; the
+// top-down ("up") pass runs only along the path and multiplies into node's
+// rows at its last step. When no node off the path has a child and node is
+// a leaf (IC5's forums), there is no down pass: a row's weight is its
+// ancestors' up count, or 0 when the row is invalid. A root row's up is 1,
+// so the root's weights (a root row's tuple count, COUNT(*)) cost the down
+// pass alone.
 //
 // The counts live in *scratch, grown as needed and recycled by the caller;
 // the returned weights alias it.
 func (t *FTree) Weights(node *Node, scratch *[]int64) []int64 {
 	nodes := t.nodes
-	// One backing array holds every node's down counts and the up counts of
-	// the path to node; small trees keep the per-node views on the stack.
+	// One backing array holds the down counts and the up counts of the path
+	// to node; small trees keep the per-node views on the stack.
 	var views [8][]int64
 	down := views[:0]
 	if len(nodes) > len(views) {
 		down = make([][]int64, 0, len(nodes))
 	}
 	// node's strict ancestors need no down counts: the up pass reads those
-	// of node and of the siblings along its path only.
+	// of the siblings along its path only.
 	ancestor := func(nd *Node) bool {
 		for n := node.Parent; n != nil; n = n.Parent {
 			if n == nd {
@@ -201,39 +206,46 @@ func (t *FTree) Weights(node *Node, scratch *[]int64) []int64 {
 		}
 		return false
 	}
-	total := t.Root.Block.NumRows()
+	counted := func(nd *Node) bool { return nd == node || (len(nd.Children) > 0 && !ancestor(nd)) }
+	total := 0
 	for _, nd := range nodes {
-		if !ancestor(nd) {
+		if counted(nd) || ancestor(nd) {
 			total += nd.Block.NumRows()
 		}
 	}
-	for n := node; n.Parent != nil; n = n.Parent {
-		total += n.Block.NumRows()
-	}
 	buf := slices.Grow((*scratch)[:0], total)[:total]
-	clear(buf)
 	*scratch = buf
 	for _, nd := range nodes {
-		n := nd.Block.NumRows()
-		if ancestor(nd) {
-			n = 0
+		n := 0
+		if counted(nd) {
+			n = nd.Block.NumRows()
 		}
 		down, buf = append(down, buf[:n:n]), buf[n:]
 	}
+	count := func(c *Node, rg Range) int64 {
+		if len(c.Children) == 0 {
+			return int64(c.Sel.CountRange(int(rg.Start), int(rg.End)))
+		}
+		return rangeSum(down[c.id], rg)
+	}
+	leaf := len(node.Children) == 0 && node != t.Root
 	// Bottom-up: children have larger IDs than parents (preorder append).
+	// A leaf node's rows are weighed by the up pass alone.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		nd := nodes[i]
+		if !counted(nd) || (nd == node && leaf) {
+			continue
+		}
 		d := down[i]
 		for r := range d {
-			if !nd.Sel.Get(r) {
-				continue
-			}
-			prod := int64(1)
-			for _, c := range nd.Children {
-				if prod == 0 {
-					break
+			prod := int64(0)
+			if nd.Sel.Get(r) {
+				prod = 1
+				for _, c := range nd.Children {
+					if prod *= count(c, c.Index[r]); prod == 0 {
+						break
+					}
 				}
-				prod *= rangeSum(down[c.id], c.Index[r])
 			}
 			d[r] = prod
 		}
@@ -248,40 +260,47 @@ func (t *FTree) Weights(node *Node, scratch *[]int64) []int64 {
 	}
 	up, buf := buf[:t.Root.Block.NumRows()], buf[t.Root.Block.NumRows():]
 	for r := range up {
-		if t.Root.Sel.Get(r) {
-			up[r] = 1
-		}
+		up[r] = 1
 	}
+	// Every child row lies in exactly one parent row's range (the index
+	// vector is contiguous and covers the block), so each level writes
+	// every row of the next.
 	for k := len(path) - 1; k >= 0; k-- {
 		c := path[k]
 		p := c.Parent
-		next := buf[:c.Block.NumRows()]
-		buf = buf[len(next):]
+		next := w // the last level writes a leaf node's weights
+		if k > 0 {
+			next, buf = buf[:c.Block.NumRows()], buf[c.Block.NumRows():]
+		}
 		for r, u := range up {
 			// Only valid parent rows extend tuples downward: up may be
 			// positive for rows the selection vector has since invalidated.
-			if u == 0 || !p.Sel.Get(r) {
-				continue
+			if u != 0 && !p.Sel.Get(r) {
+				u = 0
 			}
 			for _, s := range p.Children {
+				if u == 0 {
+					break
+				}
 				if s != c {
-					if u *= rangeSum(down[s.id], s.Index[r]); u == 0 {
-						break
-					}
+					u *= count(s, s.Index[r])
 				}
 			}
-			if u == 0 {
-				continue
-			}
 			rg := c.Index[r]
-			for j := rg.Start; j < rg.End; j++ {
-				next[j] = u
+			if k > 0 || leaf {
+				for j := rg.Start; j < rg.End; j++ {
+					next[j] = u
+				}
+			} else {
+				for j := rg.Start; j < rg.End; j++ {
+					w[j] *= u
+				}
 			}
 		}
 		up = next
 	}
-	for r := range w {
-		w[r] *= up[r]
+	if leaf {
+		node.Sel.Mask(w) // an invalid row weighs 0
 	}
 	return w
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ges/internal/vector"
@@ -214,4 +216,25 @@ func TestAddChildIndexLengthMismatchPanics(t *testing.T) {
 	ft := NewFTree(NewFBlock(a))
 	b := vector.NewColumn("b", vector.KindInt64)
 	ft.AddChild(ft.Root, NewFBlock(b), []Range{{0, 0}, {0, 0}})
+}
+
+// TestWeightsMatchEnumeration holds Weights, for every node of random trees
+// (selection holes, empty ranges, leaves off the path and siblings with
+// children), to the number of enumerated tuples each row takes part in.
+func TestWeightsMatchEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	scratch := new([]int64)
+	for trial := range 2000 {
+		ft := randomTree(rng)
+		for _, node := range ft.Nodes() {
+			want := make([]int64, node.Block.NumRows())
+			ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
+				want[rows[node.ID()]]++
+				return true
+			})
+			if got := ft.Weights(node, scratch); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, node %d: weights %v, want %v\n%s", trial, node.ID(), got, want, ft)
+			}
+		}
+	}
 }

@@ -86,14 +86,14 @@ func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 }
 
 // group is the one aggregation kernel; Aggregate and AggregateProjectTop
-// both call it. A flat block is a one-node f-Tree over its rows
-// (ensureFTree). The tree folds only the columns the aggregates read:
+// both call it. A flat block is a one-node f-Tree over the rows of just the
+// columns the aggregates read (flatRoot). The tree folds only those columns:
 //
 //   - when every group-by column and argument lies on one root-to-leaf chain
 //     (COUNT(*) alone anchors at the root), each row of the chain's deepest
 //     node is folded once, weighted by the number of full tuples it takes
 //     part in (FTree.Weights), and the columns of its ancestors are read
-//     through parent-row maps — no tuple is enumerated;
+//     through parent-row maps — no tuple is enumerated, no row boxed (fold);
 //   - otherwise, for columns on sibling branches, the constant-delay
 //     enumeration of just those columns streams into the group table. So
 //     does a float SUM or AVG over a tree of several nodes: a weight
@@ -104,7 +104,10 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	ft := ensureFTree(ctx, in).FT
+	ft := in.FT
+	if in.IsFlat() {
+		ft = ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat, t.cols))
+	}
 	if ft == nil {
 		return nil, fmt.Errorf("op: aggregate: empty chunk")
 	}
@@ -114,13 +117,13 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 		return nil, err
 	}
 	nodes := ft.Nodes()
-	kinds := make([]vector.Kind, len(refs))
+	t.kinds = make([]vector.Kind, len(refs))
 	for i, r := range refs {
-		kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
+		t.kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
 	}
-	t.bind(kinds)
 	node := foldNode(ft, refs)
 	if node == nil || (len(nodes) > 1 && t.floatSum()) {
+		t.bind()
 		ft.Enumerate(refs, func(row []vector.Value) bool {
 			t.foldRow(row, 1)
 			return true
@@ -136,15 +139,8 @@ func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
 			ctx.Arena.PutInt32s(m)
 		}
 	}()
-	if t.keyed == keyVID && len(refs) == 1 && !slices.ContainsFunc(o.Aggs, func(a AggSpec) bool { return a.Func != Count }) {
-		t.foldVIDCounts(w)
-		return t, nil
-	}
-	for i, wi := range w {
-		if wi != 0 {
-			t.foldAt(i, wi)
-		}
-	}
+	t.bind()
+	t.fold(ctx, w)
 	return t, nil
 }
 
@@ -182,11 +178,12 @@ func depth(n *core.Node) (d int) {
 // for a number of tuples.
 //
 // Groups are slots numbered in first-seen order, and their states live in
-// slabs indexed by slot (times the number of aggregates), so opening a
-// group allocates nothing of its own. A global aggregate has one slot,
-// folded into with no key at all; a KeyVar table finds a slot by VID in a
-// dense array (visitSet); a lone integer-like or string column finds it by
-// value in a map; anything else by rowKey.
+// slabs indexed by slot (times the number of aggregates), grown once per
+// folded morsel. A global aggregate has one slot; a KeyVar table finds a
+// slot by VID in a dense array (visitSet), a lone dictionary-coded string
+// column by code in one, rendering each group's string once, at emit; a lone
+// integer-like or plain string column by value in a map; anything else by
+// rowKey.
 type aggTable struct {
 	o        *Aggregate
 	cols     []string
@@ -196,10 +193,11 @@ type aggTable struct {
 
 	keyed keyMode
 	n     int32            // groups
-	byVID *visitSet        // keyVID
+	dense *visitSet        // keyVID by VID, keyCode by dictionary code
 	byInt map[int64]int32  // keyInt
 	byKey map[string]int32 // keyString, keyRow
-	vids  []vector.VID     // keyVID: each group's key
+	vids  []vector.VID     // keyVID: each group's key; keyCode: its code
+	dict  *vector.Dict     // keyCode: the key column's dictionary
 	runs  []int64          // keyVID with leaves: each group's product of leaf runs
 	keys  []vector.Value   // each group's key values; keyVID's ids once read (slots)
 	vals  []vector.Value   // key scratch
@@ -212,7 +210,6 @@ type aggTable struct {
 
 	// The fold's columns, bound to one node's rows (bindColumns).
 	bound []aggCol
-	row   []vector.Value
 	held  [][]int32 // parent-row maps to release
 }
 
@@ -221,6 +218,7 @@ type keyMode uint8
 const (
 	keyGlobal keyMode = iota
 	keyVID
+	keyCode
 	keyInt
 	keyString
 	keyRow
@@ -274,64 +272,55 @@ func newAggTable(o *Aggregate) (*aggTable, error) {
 	if len(o.GroupBy) == 0 {
 		// Global aggregation over empty input still yields one row of zero
 		// aggregates, per SQL/Cypher semantics.
-		t.open()
+		t.n = 1
+		t.grow()
 	}
 	return t, nil
 }
 
-// bind records the kinds of the folded columns and picks the group key.
-func (t *aggTable) bind(kinds []vector.Kind) {
-	t.kinds = kinds
-	switch {
-	case len(t.groupIdx) == 0:
+// bind picks the group key from the folded columns: a lone string column is
+// keyed by code when the fold reads it dictionary-coded (bindColumns).
+func (t *aggTable) bind() {
+	t.keyed = keyRow
+	switch g := t.groupIdx; {
+	case len(g) == 0:
 		t.keyed = keyGlobal
 	case t.o.KeyVar != "":
-		t.keyed, t.byVID = keyVID, visits.Get().(*visitSet)
-		t.byVID.reset()
-	case len(t.groupIdx) > 1:
-		t.keyed, t.byKey = keyRow, make(map[string]int32)
+		t.keyed = keyVID
+	case len(g) > 1 || t.kinds[g[0]] == vector.KindFloat64: // rowKey
+	case t.kinds[g[0]] != vector.KindString:
+		t.keyed = keyInt
+	case t.bound != nil && t.bound[g[0]].col.DictEncoded():
+		t.keyed, t.dict = keyCode, t.bound[g[0]].col.Dict()
 	default:
-		switch kinds[t.groupIdx[0]] {
-		case vector.KindInt64, vector.KindDate, vector.KindVID, vector.KindBool:
-			t.keyed, t.byInt = keyInt, make(map[int64]int32)
-		case vector.KindString:
-			t.keyed, t.byKey = keyString, make(map[string]int32)
-		default:
-			t.keyed, t.byKey = keyRow, make(map[string]int32)
-		}
+		t.keyed = keyString
+	}
+	switch t.keyed {
+	case keyVID, keyCode:
+		t.dense = visits.Get().(*visitSet)
+		t.dense.reset()
+	case keyInt:
+		t.byInt = make(map[int64]int32)
+	case keyString, keyRow:
+		t.byKey = make(map[string]int32)
 	}
 }
 
 // release returns the dense key array to its pool.
 func (t *aggTable) release() {
-	if t.byVID != nil {
-		visits.Put(t.byVID)
-		t.byVID = nil
+	if t.dense != nil {
+		visits.Put(t.dense)
+		t.dense = nil
 	}
 }
 
 // foldRow adds one row, standing for w tuples, to its group.
 func (t *aggTable) foldRow(row []vector.Value, w int64) {
-	var s int32
-	fresh := false
-	switch t.keyed {
-	case keyVID:
-		s = t.slotVID(row[t.groupIdx[0]].AsVID())
-	case keyInt:
-		s, fresh = slot(t, t.byInt, row[t.groupIdx[0]].I)
-	case keyString:
-		s, fresh = slot(t, t.byKey, row[t.groupIdx[0]].S)
-	case keyRow:
-		for i, g := range t.groupIdx {
-			t.vals[i] = row[g]
-		}
-		s, fresh = slot(t, t.byKey, rowKey(t.vals))
+	for i, g := range t.groupIdx {
+		t.vals[i] = row[g]
 	}
-	if fresh {
-		for _, g := range t.groupIdx {
-			t.keys = append(t.keys, row[g])
-		}
-	}
+	s := t.slotOf(t.vals)
+	t.grow()
 	for j, a := range t.o.Aggs {
 		var v vector.Value
 		if t.argIdx[j] >= 0 {
@@ -344,7 +333,9 @@ func (t *aggTable) foldRow(row []vector.Value, w int64) {
 // bindColumns binds the fold to the rows of node, the deepest node of the
 // chain holding refs: a column on an ancestor reads through a map from
 // node's rows to that ancestor's rows, composed level by level from the
-// index vectors up to the highest node refs reach.
+// index vectors up to the highest node refs reach. A level's map never
+// decreases (index vectors are contiguous and in parent order), so the next
+// one follows it with a forward cursor over the ranges.
 func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs []core.ColRef) {
 	nodes := ft.Nodes()
 	top := node
@@ -356,21 +347,17 @@ func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs [
 	rows := make([][]int32, len(nodes)) // nil on node itself: the identity
 	n := node.Block.NumRows()
 	for c := node; c != top; c = c.Parent {
-		up := ctx.Arena.GetInt32s(c.Block.NumRows())[:c.Block.NumRows()]
-		for r, rg := range c.Index {
-			for j := rg.Start; j < rg.End; j++ {
-				up[j] = int32(r)
-			}
-		}
-		m, below := ctx.Arena.GetInt32s(n)[:n], rows[c.ID()]
+		m, below, r := ctx.Arena.GetInt32s(n)[:n], rows[c.ID()], 0
 		for i := range m {
+			x := int32(i)
 			if below != nil {
-				m[i] = up[below[i]]
-			} else {
-				m[i] = up[i]
+				x = below[i]
 			}
+			for x >= c.Index[r].End {
+				r++
+			}
+			m[i] = int32(r)
 		}
-		ctx.Arena.PutInt32s(up)
 		rows[c.Parent.ID()] = m
 		t.held = append(t.held, m)
 	}
@@ -378,29 +365,107 @@ func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs [
 	for k, r := range refs {
 		t.bound[k] = aggCol{col: nodes[r.Node].Block.Column(r.Col), rows: rows[r.Node]}
 	}
-	t.row = make([]vector.Value, len(refs))
 }
 
-// foldAt adds row i of the fold node, standing for w tuples, to its group.
-func (t *aggTable) foldAt(i int, w int64) {
-	for k, c := range t.bound {
-		t.row[k] = c.col.Get(c.row(i))
+// foldMorsel is the number of rows fold slots before it updates the slabs.
+const foldMorsel = 1024
+
+// fold adds every row of the fold node, row i standing for w[i] tuples, to
+// its group, a morsel at a time in two passes over arena scratch: the rows
+// of weight above 0 and their group slots (slotRows), then each aggregate's
+// slab straight from its column (foldSlab).
+func (t *aggTable) fold(ctx *Ctx, w []int64) {
+	m := min(len(w), foldMorsel)
+	scratch := ctx.Arena.GetInt32s(2 * m)[:2*m]
+	defer ctx.Arena.PutInt32s(scratch)
+	live, ss := scratch[:m], scratch[m:]
+	for lo := 0; lo < len(w); lo += foldMorsel {
+		n := 0
+		for i := lo; i < min(lo+foldMorsel, len(w)); i++ {
+			live[n] = int32(i)
+			n += int(uint64(-w[i]) >> 63) // 1 when w[i] > 0: no branch
+		}
+		t.slotRows(live[:n], ss[:n])
+		t.grow()
+		for j, a := range t.o.Aggs {
+			t.foldSlab(j, a, w, live[:n], ss[:n])
+		}
 	}
-	t.foldRow(t.row, w)
 }
 
-// foldVIDCounts is foldAt for a VID-keyed table that folds only COUNTs and
-// binds only its key column: it reads the key's VIDs and adds each row's
-// weight straight into the count slab.
-func (t *aggTable) foldVIDCounts(w []int64) {
-	key, na := t.bound[0], len(t.o.Aggs)
-	vids := key.col.VIDs()
-	for i, wi := range w {
-		if wi != 0 {
-			s := int(t.slotVID(vids[key.row(i)])) * na
-			for j := range na {
-				t.count[s+j] += wi
+// slotRows writes the group slot of each of the fold node's rows into ss,
+// opening the groups that are new.
+func (t *aggTable) slotRows(rows, ss []int32) {
+	switch t.keyed {
+	case keyVID, keyCode:
+		key := t.bound[t.groupIdx[0]]
+		vids, codes := key.col.VIDs(), key.col.Codes()
+		for k, i := range rows {
+			if r := key.row(int(i)); t.keyed == keyVID {
+				ss[k] = t.slotVID(vids[r])
+			} else {
+				ss[k] = t.slotVID(vector.VID(codes[r]))
 			}
+		}
+	default:
+		for k, i := range rows {
+			for g, c := range t.groupIdx {
+				t.vals[g] = t.bound[c].col.Get(t.bound[c].row(int(i)))
+			}
+			ss[k] = t.slotOf(t.vals)
+		}
+	}
+}
+
+// slotOf returns the slot of the group whose key columns hold vals, opening
+// it — and recording its key — when it is new.
+func (t *aggTable) slotOf(vals []vector.Value) (s int32) {
+	fresh := false
+	switch t.keyed {
+	case keyGlobal:
+		return 0
+	case keyVID:
+		return t.slotVID(vals[0].AsVID())
+	case keyInt:
+		s, fresh = slot(t, t.byInt, vals[0].I)
+	case keyString:
+		s, fresh = slot(t, t.byKey, vals[0].S)
+	default:
+		s, fresh = slot(t, t.byKey, rowKey(vals))
+	}
+	if fresh {
+		t.keys = append(t.keys, vals...)
+	}
+	return s
+}
+
+// foldSlab adds the rows, in the groups ss, to aggregate j's states: COUNT
+// adds weights, SUM/AVG over integers or dates weight × value, MIN/MAX over
+// them compare unboxed; the rest fold the boxed value (update).
+func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
+	var c aggCol
+	var v []int64 // an integer or date argument's values
+	if a.Func != Count {
+		c = t.bound[t.argIdx[j]]
+		if c.col.Kind == vector.KindInt64 || c.col.Kind == vector.KindDate {
+			v = c.col.Int64s()
+		}
+	}
+	for k, i := range rows {
+		s, r := int(ss[k])*len(t.o.Aggs)+j, c.row(int(i))
+		switch {
+		case a.Func == Count:
+			t.count[s] += w[i]
+		case v == nil || a.Func == CountDistinct:
+			t.update(s, a, c.col.Get(r), w[i])
+		case a.Func == Sum || a.Func == Avg:
+			t.count[s] += w[i]
+			t.sumI[s] += w[i] * v[r]
+		default: // MIN or MAX
+			if b := t.best[s].I; t.count[s] == 0 || (a.Func == Min && v[r] < b) || (a.Func == Max && v[r] > b) {
+				t.best[s] = c.col.Get(r)
+			}
+			t.count[s]++
 		}
 	}
 }
@@ -428,12 +493,12 @@ func (t *aggTable) runLeaves(ctx *Ctx) {
 	}
 }
 
-// slotVID returns the slot of a VID key, opening it — and recording the key
-// — when the key is new.
+// slotVID returns the slot of a dense key — a VID, or a dictionary code —
+// opening it, and recording the key, when the key is new.
 func (t *aggTable) slotVID(v vector.VID) int32 {
-	s := t.byVID.slot(v, t.n)
+	s := t.dense.slot(v, t.n)
 	if s == t.n {
-		t.open()
+		t.n++
 		t.vids = append(t.vids, v)
 	}
 	return s
@@ -445,14 +510,17 @@ func slot[K comparable](t *aggTable, m map[K]int32, k K) (s int32, fresh bool) {
 	if s, ok := m[k]; ok {
 		return s, false
 	}
-	s = t.open()
+	s, t.n = t.n, t.n+1
 	m[k] = s
 	return s, true
 }
 
-// open adds a group slot: zeroed states in every slab the aggregates use.
-func (t *aggTable) open() int32 {
-	n := len(t.count) + len(t.o.Aggs)
+// grow extends the slabs the aggregates use with zeroed states to t.n groups.
+func (t *aggTable) grow() {
+	n := int(t.n) * len(t.o.Aggs)
+	if len(t.count) == n {
+		return
+	}
 	t.count = grown(t.count, n)
 	for _, a := range t.o.Aggs {
 		switch a.Func {
@@ -464,8 +532,6 @@ func (t *aggTable) open() int32 {
 			t.distinct = grown(t.distinct, n)
 		}
 	}
-	t.n++
-	return t.n - 1
 }
 
 // grown extends a slab with zero states to n.
@@ -563,7 +629,8 @@ func (t *aggTable) keyKind(i int) vector.Kind {
 // when Unordered and no group column is a float, first-seen order. A
 // KeyVar table reads every group's id here, in one batch, and runs its
 // per-group leaves, leaving out the groups with an empty run: a weight-0
-// row would never have opened them.
+// row would never have opened them. A code-keyed table renders every
+// group's string here.
 func (t *aggTable) slots(ctx *Ctx) []int32 {
 	if t.keyed == keyVID {
 		ids := make([]int64, len(t.vids))
@@ -574,6 +641,12 @@ func (t *aggTable) slots(ctx *Ctx) []int32 {
 		}
 		if len(t.o.Leaves) > 0 && t.n > 0 {
 			t.runLeaves(ctx)
+		}
+	}
+	if t.keyed == keyCode {
+		t.keys = make([]vector.Value, len(t.vids))
+		for s, c := range t.vids {
+			t.keys[s] = vector.String_(t.dict.Str(uint32(c)))
 		}
 	}
 	slots := make([]int32, 0, t.n)

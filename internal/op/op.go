@@ -12,6 +12,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ges/internal/catalog"
@@ -203,18 +204,32 @@ func ensureFlat(ctx *Ctx, in *core.Chunk) (*core.FlatBlock, error) {
 // case.
 func ensureFTree(ctx *Ctx, in *core.Chunk) *core.Chunk {
 	if in.IsFlat() {
-		return ctx.FTChunk(ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat)))
+		return ctx.FTChunk(ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat, nil)))
 	}
 	return in
 }
 
-// flatRoot returns a root block holding every column of every row of fb.
-func flatRoot(ctx *Ctx, fb *core.FlatBlock) *core.FBlock {
+// flatRoot returns a root block holding, over every row of fb, the columns
+// of fb that names lists, or every column when names is nil. Each column
+// appends its rows typed.
+func flatRoot(ctx *Ctx, fb *core.FlatBlock, names []string) *core.FBlock {
 	b := ctx.NewFBlock()
 	for j, name := range fb.Names {
+		if names != nil && !slices.Contains(names, name) {
+			continue
+		}
 		col := ctx.Arena.OwnColumn(name, fb.Kinds[j])
 		for _, row := range fb.Rows {
-			col.Append(row[j])
+			switch v := row[j]; col.Kind {
+			case vector.KindInt64, vector.KindDate:
+				col.AppendInt64(v.I)
+			case vector.KindVID:
+				col.AppendVID(vector.VID(v.I))
+			case vector.KindString:
+				col.AppendString(v.S)
+			default:
+				col.Append(v)
+			}
 		}
 		b.AddColumn(col)
 	}

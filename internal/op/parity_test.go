@@ -470,6 +470,32 @@ func TestOperatorParity(t *testing.T) {
 			return twoHop(&op.Filter{Pred: expr.Lt(expr.C("p.id"), expr.LInt(0))},
 				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "g.id"), agg(op.Sum, "g.id")}})
 		}},
+		// The weighted fold's key modes and typed slabs, with weights above 1
+		// from g's fan-out: a dictionary-coded key holding the created
+		// person's first name, which a commit interned after the seal; a
+		// plain string key on a flat chunk's one-node tree; date MIN and MAX
+		// and an integer SUM; and MIN and MAX over no rows, which stay null.
+		{"agg/dict-key-interned-after-seal", true, func() plan.Plan {
+			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "firstName", As: "f.firstName"}}},
+				&op.Aggregate{GroupBy: []string{"f.firstName"}, Aggs: []op.AggSpec{count, agg(op.Min, "p.id"), agg(op.Sum, "f.id")}})
+		}},
+		{"agg/flat-string-key", true, func() plan.Plan {
+			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "firstName", As: "f.firstName"}}},
+				&op.Defactor{Cols: []string{"f.firstName", "p.id", "g.id"}},
+				&op.Aggregate{GroupBy: []string{"f.firstName"}, Aggs: []op.AggSpec{count, agg(op.Max, "p.id"), agg(op.Sum, "g.id")}})
+		}},
+		{"agg/weighted-date-min-max-int-sum", true, func() plan.Plan {
+			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "creationDate", As: "f.creationDate"}}},
+				&op.Aggregate{GroupBy: []string{"p.id"}, Aggs: []op.AggSpec{count,
+					agg(op.Min, "f.creationDate"), agg(op.Max, "f.creationDate"), agg(op.Sum, "f.id")}})
+		}},
+		{"agg/empty-input-min-max", true, func() plan.Plan {
+			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{
+				{Var: "f", Prop: "creationDate", As: "f.creationDate"}, {Var: "f", Prop: "firstName", As: "f.firstName"}}},
+				&op.Filter{Pred: expr.Lt(expr.C("p.id"), expr.LInt(0))},
+				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "f.creationDate"), agg(op.Max, "f.creationDate"),
+					{Func: op.Min, Arg: "f.firstName", As: "minName"}, {Func: op.Max, Arg: "f.firstName", As: "maxName"}}})
+		}},
 		// Count-only leaves (GES_f* turns an expand nothing reads below a
 		// counting aggregate into its parent's run lengths): runs of several
 		// families (Both, AnyLabel), KNOWS runs the overlay views' deltas

@@ -158,8 +158,12 @@ func clip(rows []string) []string {
 }
 
 // CreatedPerson is the external id of the person LDBCViews creates after the
-// load.
-const CreatedPerson = 1 << 40
+// load, and CreatedFirstName its first name, a string no generated person
+// has: the commit after the seal interns it into the property's dictionary.
+const (
+	CreatedPerson    = 1 << 40
+	CreatedFirstName = "Newcomer"
+)
 
 // CreatedMessage is the external id of both the post and the comment
 // LDBCViews creates after the load: ps[5] wrote them on CreatedMessageDate,
@@ -213,13 +217,14 @@ func LDBCViews(t testing.TB, sf float64, seed int64) (*ldbc.Dataset, []View) {
 		}
 	}
 	date := func(e edge) vector.Value { return vector.Date(int64(ldbc.DayStart) + int64(e.src+e.dst)%1000) }
-	// The created person copies ps[4]'s properties; it knows ps[5] and ps[4]
-	// knows it, so ps[4]'s followers reach it at hop 2. Its edges carry one
-	// date whatever VID a view gives it.
+	// The created person copies ps[4]'s properties but its first name; it
+	// knows ps[5] and ps[4] knows it, so ps[4]'s followers reach it at hop 2.
+	// Its edges carry one date whatever VID a view gives it.
 	var person []vector.Value
 	for p := range ds.Graph.Catalog().LabelProps(h.Person) {
 		person = append(person, ds.Graph.Prop(ps[4], catalog.PropID(p)))
 	}
+	person[h.PFirstName] = vector.String_(CreatedFirstName)
 	createdDate := vector.Date(int64(ldbc.DayStart) + 17)
 	// The created messages copy a post's and a comment's properties.
 	message := func(label catalog.LabelID, like vector.VID) []vector.Value {

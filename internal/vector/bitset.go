@@ -76,6 +76,31 @@ func (b *Bitset) Count() int {
 	return c
 }
 
+// CountRange returns the number of set bits in [lo, hi).
+func (b *Bitset) CountRange(lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := b.words[first] &^ (1<<(uint(lo)&63) - 1)
+	tail := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if first == last {
+		return bits.OnesCount64(head & tail)
+	}
+	c := bits.OnesCount64(head) + bits.OnesCount64(b.words[last]&tail)
+	for _, w := range b.words[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// Mask zeroes dst[i] wherever bit i is clear, without a branch per bit.
+func (b *Bitset) Mask(dst []int64) {
+	for i := range dst {
+		dst[i] &= -int64(b.words[uint(i)>>6] >> (uint(i) & 63) & 1)
+	}
+}
+
 // Any reports whether at least one bit is set.
 func (b *Bitset) Any() bool {
 	for _, w := range b.words {

@@ -97,7 +97,9 @@ func TestBitsetAppendResize(t *testing.T) {
 	}
 }
 
-// Property: Count equals a naive per-bit count after arbitrary operations.
+// Property: Count, and CountRange over every range, equal a naive per-bit
+// count after arbitrary operations, and Mask keeps exactly the values at
+// set bits.
 func TestBitsetCountProperty(t *testing.T) {
 	f := func(n uint8, ops []uint16) bool {
 		size := int(n) + 1
@@ -124,6 +126,27 @@ func TestBitsetCountProperty(t *testing.T) {
 			}
 			if v {
 				want++
+			}
+		}
+		dst := make([]int64, size)
+		for i := range dst {
+			dst[i] = int64(i) + 1
+		}
+		b.Mask(dst)
+		for i, v := range dst {
+			if (ref[i] && v != int64(i)+1) || (!ref[i] && v != 0) {
+				return false
+			}
+		}
+		for lo := 0; lo <= size; lo++ {
+			in := 0
+			for hi := lo; hi <= size; hi++ {
+				if b.CountRange(lo, hi) != in {
+					return false
+				}
+				if hi < size && ref[hi] {
+					in++
+				}
 			}
 		}
 		return b.Count() == want
