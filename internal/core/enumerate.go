@@ -14,37 +14,13 @@ type ColRef struct {
 	Col  int
 }
 
-// proj pairs a projected column with its slot in the enumeration row buffer.
-type proj struct {
-	col    *vector.Column
-	bufPos int
-}
-
-// enumScratch is the reusable per-call state of an enumeration: the
-// per-node projection plan and the row buffer EnumerateRange hands its
-// callback, and one backing array split into the walk's parent-index /
-// cursor / end stacks.
+// enumScratch is the reusable per-call state of an enumeration: one backing
+// array split into the walk's parent-index / cursor / end stacks.
 type enumScratch struct {
-	projs [][]proj
-	idx   []int
-	buf   []vector.Value
+	idx []int
 }
 
 var enumPool = sync.Pool{New: func() any { return new(enumScratch) }}
-
-// grow sizes the scratch for an n-node tree projecting cols attributes and
-// returns the projection plan and the row buffer.
-func (sc *enumScratch) grow(n, cols int) (projs [][]proj, buf []vector.Value) {
-	if cap(sc.projs) < n {
-		sc.projs = make([][]proj, n)
-	}
-	sc.projs = sc.projs[:n]
-	if cap(sc.buf) < cols {
-		sc.buf = make([]vector.Value, cols)
-	}
-	sc.buf = sc.buf[:cols]
-	return sc.projs, sc.buf
-}
 
 // cursor returns the walk's three stacks for an n-node tree, zeroed and
 // full-length-capped so appends cannot bleed between them.
@@ -55,19 +31,6 @@ func (sc *enumScratch) cursor(n int) (parentIdx, cur, end []int) {
 	idx := sc.idx[:3*n]
 	clear(idx)
 	return idx[:n:n], idx[n : 2*n : 2*n], idx[2*n:]
-}
-
-// release drops every column and value reference the scratch picked up — so
-// a pooled scratch never pins graph or intermediate memory — and returns it
-// to the pool. Both slices are cut to what this call used (grow), so the
-// sweep follows this tree's width, not the widest tree the scratch has seen.
-func (sc *enumScratch) release() {
-	for i := range sc.projs {
-		clear(sc.projs[i])
-		sc.projs[i] = sc.projs[i][:0]
-	}
-	clear(sc.buf)
-	enumPool.Put(sc)
 }
 
 // Resolve maps attribute names to ColRefs, failing on unknown names.
@@ -103,30 +66,19 @@ func (t *FTree) Enumerate(refs []ColRef, fn func(row []vector.Value) bool) {
 
 // EnumerateRange is Enumerate restricted to root rows [lo,hi). Tuples are
 // produced in the same order Enumerate would produce them, so enumerating
-// consecutive ranges and concatenating yields exactly the full enumeration —
-// the property the morsel-parallel de-factoring relies on. It boxes from the
-// cursor of EnumerateRows's walk, re-reading only the nodes whose row changed.
+// consecutive ranges and concatenating yields exactly the full enumeration.
+// It boxes from the cursor of EnumerateRows's walk, re-reading only the
+// nodes whose row changed.
 func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.Value) bool) {
-	n := len(t.nodes)
-	if n == 0 || t.Root.Block.NumRows() == 0 || lo >= hi {
-		return
+	cols := make([]*vector.Column, len(refs))
+	for i, r := range refs {
+		cols[i] = t.nodes[r.Node].Block.Column(r.Col)
 	}
-	// The walk's per-call scratch (cursor stacks, projection plan, row
-	// buffer) cycles through a package pool so steady-state enumeration —
-	// one call per aggregate or de-factor morsel — allocates nothing. The
-	// pool (not the tree) carries the scratch because parallel de-factoring
-	// enumerates disjoint ranges of one tree concurrently.
-	sc := enumPool.Get().(*enumScratch)
-	defer sc.release()
-	projs, buf := sc.grow(n, len(refs))
-	for pos, r := range refs {
-		projs[r.Node] = append(projs[r.Node], proj{col: t.nodes[r.Node].Block.Column(r.Col), bufPos: pos})
-	}
-	sc.projs = projs // retain any inner-slice growth for reuse
-	t.walk(sc, lo, hi, func(cur []int, from int) bool {
-		for d := from; d < n; d++ {
-			for _, p := range projs[d] {
-				buf[p.bufPos] = p.col.Get(cur[d])
+	buf := make([]vector.Value, len(refs))
+	t.EnumerateRows(lo, hi, func(cur []int, from int) bool {
+		for i, r := range refs {
+			if r.Node >= from {
+				buf[i] = cols[i].Get(cur[r.Node])
 			}
 		}
 		return fn(buf)
@@ -142,9 +94,11 @@ func (t *FTree) EnumerateRows(lo, hi int, fn func(rows []int, from int) bool) {
 	if len(t.nodes) == 0 || t.Root.Block.NumRows() == 0 || lo >= hi {
 		return
 	}
+	// The walk's cursor stacks cycle through a package pool, not the tree,
+	// because parallel de-factoring enumerates disjoint ranges of one tree
+	// concurrently.
 	sc := enumPool.Get().(*enumScratch)
-	defer sc.release()
-	sc.grow(0, 0) // nothing projected: release has nothing to sweep
+	defer enumPool.Put(sc)
 	t.walk(sc, lo, hi, fn)
 }
 
@@ -196,16 +150,15 @@ func (t *FTree) walk(sc *enumScratch, lo, hi int, emit func(cur []int, from int)
 }
 
 // Defactor materializes the named attributes of every valid tuple into a
-// row-oriented FlatBlock — the "ultimate solution" the executor reverts to
-// for complex blocking logic (§4.2, Flat-Block).
+// row-oriented FlatBlock, one boxed value per attribute: the reference the
+// executor's columnar de-factor and its result boxing are tested against.
 func (t *FTree) Defactor(names []string) (*FlatBlock, error) {
 	return t.DefactorRange(names, 0, t.Root.Block.NumRows())
 }
 
 // DefactorRange materializes the named attributes of every valid tuple whose
 // root row falls in [lo,hi). Concatenating the blocks of consecutive ranges
-// reproduces Defactor exactly (see EnumerateRange) — the building block of
-// morsel-parallel de-factoring.
+// reproduces Defactor exactly (see EnumerateRange).
 func (t *FTree) DefactorRange(names []string, lo, hi int) (*FlatBlock, error) {
 	refs, err := t.Resolve(names)
 	if err != nil {
@@ -227,31 +180,4 @@ func (t *FTree) DefactorRange(names []string, lo, hi int) (*FlatBlock, error) {
 // order.
 func (t *FTree) DefactorAll() (*FlatBlock, error) {
 	return t.Defactor(t.Schema())
-}
-
-// Chunk is the intermediate-result currency flowing between operators: it
-// holds either a factorized tree or a flat block. Operators prefer the
-// factorized branch; the first operator needing global cross-node state
-// de-factors, and all downstream operators run block-based — the paper's
-// "seamlessly reverts to block-based execution" (§4).
-type Chunk struct {
-	FT   *FTree
-	Flat *FlatBlock
-}
-
-// IsFlat reports whether the chunk is in the flat representation.
-func (c *Chunk) IsFlat() bool { return c.Flat != nil }
-
-// MemBytes returns the accounted memory of whichever representation the
-// chunk holds; the executor samples this after every operator to report the
-// peak intermediate size (Table 2).
-func (c *Chunk) MemBytes() int {
-	n := 0
-	if c.FT != nil {
-		n += c.FT.MemBytes()
-	}
-	if c.Flat != nil {
-		n += c.Flat.MemBytes()
-	}
-	return n
 }

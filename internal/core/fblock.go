@@ -7,8 +7,9 @@
 // a selection vector per node marking valid rows. Together they factorize a
 // relation: the relation's schema is partitioned disjointly across the tree
 // nodes (disjoint schema partition property), redundancy is eliminated, and
-// the encoded tuples can be enumerated with constant delay (Lemma 4.4) into
-// a row-oriented flat-block when a blocking operator demands it.
+// the encoded tuples can be enumerated with constant delay (Lemma 4.4). A
+// blocking operator de-factors by that enumeration into a one-node f-Tree,
+// the columnar form of the paper's flat-block.
 package core
 
 import (

@@ -67,24 +67,6 @@ func TestFBlockReset(t *testing.T) {
 	}
 }
 
-func TestFlatBlockProject(t *testing.T) {
-	fb := NewFlatBlock([]string{"x", "y", "z"},
-		[]vector.Kind{vector.KindInt64, vector.KindString, vector.KindInt64})
-	fb.Append([]vector.Value{vector.Int64(1), vector.String_("a"), vector.Int64(10)})
-	fb.Append([]vector.Value{vector.Int64(2), vector.String_("b"), vector.Int64(20)})
-
-	p, err := fb.Project([]string{"z", "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCols() != 2 || p.Rows[0][0].I != 10 || p.Rows[0][1].I != 1 {
-		t.Fatalf("projected = %s", p)
-	}
-	if _, err := fb.Project([]string{"ghost"}); err == nil {
-		t.Fatal("projecting a missing column must fail")
-	}
-}
-
 func TestFlatBlockAppendCopies(t *testing.T) {
 	fb := NewFlatBlock([]string{"x"}, []vector.Kind{vector.KindInt64})
 	row := []vector.Value{vector.Int64(1)}
@@ -109,16 +91,4 @@ func TestFlatBlockSchemaMismatchPanics(t *testing.T) {
 	assertPanics(t, "NewFlatBlock", func() {
 		NewFlatBlock([]string{"a"}, nil)
 	})
-}
-
-func TestChunkMemBytes(t *testing.T) {
-	ft := figure7Tree()
-	flat, _ := ft.DefactorAll()
-	c := &Chunk{FT: ft, Flat: flat}
-	if c.MemBytes() != ft.MemBytes()+flat.MemBytes() {
-		t.Fatal("chunk memory must sum both representations")
-	}
-	if (&Chunk{Flat: flat}).IsFlat() != true || (&Chunk{FT: ft}).IsFlat() != false {
-		t.Fatal("IsFlat wrong")
-	}
 }

@@ -7,10 +7,11 @@ import (
 	"ges/internal/vector"
 )
 
-// FlatBlock is the row-oriented fallback representation (§4.2, Flat-Block):
-// each row is one fully materialized tuple. Blocking operators whose
-// attributes span several f-Tree nodes de-factor into a FlatBlock and
-// continue with traditional block-based execution.
+// FlatBlock is the result form: each row is one fully materialized tuple of
+// boxed values. Operators never pass one; the executor boxes a query's final
+// f-Tree into it once, for the readers of results (the service encoder, the
+// library, the oracles). The de-factored form operators continue on — the
+// paper's Flat-Block (§4.2) — is a one-node f-Tree of typed columns.
 type FlatBlock struct {
 	Names []string
 	Kinds []vector.Kind
@@ -81,32 +82,6 @@ func (f *FlatBlock) MemBytes() int {
 		}
 	}
 	return n
-}
-
-// Project returns a new FlatBlock containing only the named columns, in
-// order.
-func (f *FlatBlock) Project(names []string) (*FlatBlock, error) {
-	idx := make([]int, len(names))
-	kinds := make([]vector.Kind, len(names))
-	for i, name := range names {
-		j := f.ColIndex(name)
-		if j < 0 {
-			return nil, fmt.Errorf("core: project: no column %q in flat block", name)
-		}
-		idx[i] = j
-		kinds[i] = f.Kinds[j]
-	}
-	out := NewFlatBlock(append([]string(nil), names...), kinds)
-	out.Rows = make([][]vector.Value, 0, len(f.Rows))
-	vals := make([]vector.Value, len(f.Rows)*len(idx))
-	for r, row := range f.Rows {
-		nr := vals[r*len(idx) : (r+1)*len(idx) : (r+1)*len(idx)]
-		for i, j := range idx {
-			nr[i] = row[j]
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
 }
 
 // String renders schema and a few rows for debugging.

@@ -14,6 +14,7 @@ import (
 	"ges/internal/op"
 	"ges/internal/plan"
 	"ges/internal/storage"
+	"ges/internal/vector"
 )
 
 // Mode selects the engine variant.
@@ -21,8 +22,8 @@ type Mode int
 
 // Engine variants of the paper's ablation study (§6.1).
 const (
-	// ModeFlat is the baseline GES: every operator consumes and produces
-	// fully materialized flat tuple blocks.
+	// ModeFlat is the baseline GES: every operator's output is de-factored
+	// into a fully materialized one-node tree of tuples.
 	ModeFlat Mode = iota
 	// ModeFactorized is GES_f: operators run natively over the f-Tree,
 	// de-factoring only when blocking logic demands it.
@@ -50,8 +51,8 @@ func (m Mode) String() string {
 type OpStat struct {
 	Name     string
 	Duration time.Duration
-	OutRows  int // logical rows of the produced chunk (tuple count)
-	MemBytes int // accounted size of the produced chunk
+	OutRows  int // logical rows of the produced f-Tree (tuple count)
+	MemBytes int // accounted size of the produced f-Tree
 }
 
 // Result is a completed query execution.
@@ -98,11 +99,12 @@ func Physical(mode Mode, p plan.Plan) plan.Plan {
 	return p
 }
 
-// Run executes the plan and returns the flat result block.
+// Run executes the plan and returns its result: the final tree de-factored
+// (op.Defactor) and boxed into a flat block once.
 func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	p = Physical(e.Mode, p)
 	// The arena brackets plan execution: operators draw all scratch from
-	// it, and once the result is flattened into row values (which alias no
+	// it, and once the result is boxed into row values (which alias no
 	// arena memory) everything goes back to the engine's shared pool in one
 	// wholesale release — even on error paths. The arena struct itself is
 	// recycled too, so its ownership-tracking slices keep their capacity
@@ -112,7 +114,7 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel}
 	start := time.Now()
 
-	var ch *core.Chunk
+	var ft *core.FTree
 	var err error
 	res := &Result{}
 	for i, o := range p {
@@ -120,46 +122,38 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 		if e.CollectStats {
 			opStart = time.Now()
 		}
-		ch, err = o.Execute(ctx, ch)
+		ft, err = o.Execute(ctx, ft)
+		// The flat baseline de-factors after every operator, exactly like a
+		// classical tuple-pipeline engine.
+		if err == nil && e.Mode == ModeFlat && ft.NumNodes() > 1 {
+			ft, err = flatten(ctx, ft)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("exec: %s (op %d): %w", o.Name(), i, err)
 		}
-		// The flat baseline materializes after every operator, exactly like
-		// a classical tuple-pipeline engine.
-		if e.Mode == ModeFlat && !ch.IsFlat() {
-			fb, ferr := flatten(ctx, ch)
-			if ferr != nil {
-				return nil, fmt.Errorf("exec: %s (op %d): %w", o.Name(), i, ferr)
-			}
-			ch = ctx.FlatChunk(fb)
-		}
-		ctx.Observe(ch)
+		ctx.Observe(ft)
 		// Debug builds (-tags gesassert) re-verify the factorized
 		// representation between every pair of operators.
-		if core.AssertEnabled && ch != nil && ch.FT != nil {
-			core.CheckFTree(ch.FT)
+		if core.AssertEnabled {
+			core.CheckFTree(ft)
 		}
 		if e.CollectStats {
 			res.OpStats = append(res.OpStats, OpStat{
 				Name:     o.Name(),
 				Duration: time.Since(opStart),
-				OutRows:  chunkRows(ch),
-				MemBytes: ch.MemBytes(),
+				OutRows:  int(ft.CountTuples()),
+				MemBytes: ft.MemBytes(),
 			})
 		}
 	}
-	if ch == nil {
+	if ft == nil {
 		return nil, fmt.Errorf("exec: empty plan")
 	}
-	if !ch.IsFlat() {
-		fb, ferr := flatten(ctx, ch)
-		if ferr != nil {
-			return nil, ferr
-		}
-		ch = ctx.FlatChunk(fb)
-		ctx.Observe(ch)
+	if ft, err = flatten(ctx, ft); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
-	res.Block = ch.Flat
+	ctx.Observe(ft)
+	res.Block = box(ft)
 	res.PeakMem = ctx.PeakMem
 	res.Duration = time.Since(start)
 	res.Gathers = ctx.Gather.Gathers.Load()
@@ -167,20 +161,31 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	return res, nil
 }
 
-func flatten(ctx *op.Ctx, ch *core.Chunk) (*core.FlatBlock, error) {
-	fb, err := op.DefactorAll(ctx, ch.FT)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.MaxRows > 0 && fb.NumRows() > ctx.MaxRows {
-		return nil, fmt.Errorf("exec: materialization of %d rows exceeds limit %d", fb.NumRows(), ctx.MaxRows)
-	}
-	return fb, nil
+// flatten de-factors ft into a one-node tree of its columns (op.Defactor).
+func flatten(ctx *op.Ctx, ft *core.FTree) (*core.FTree, error) {
+	return (&op.Defactor{}).Execute(ctx, ft)
 }
 
-func chunkRows(ch *core.Chunk) int {
-	if ch.IsFlat() {
-		return ch.Flat.NumRows()
+// box renders the valid rows of a one-node tree as boxed values: the result
+// form every reader of a Result takes, and the only place a query's rows are
+// boxed.
+func box(ft *core.FTree) *core.FlatBlock {
+	root, cols := ft.Root, ft.Root.Block.Columns()
+	kinds := make([]vector.Kind, len(cols))
+	for c, col := range cols {
+		kinds[c] = col.Kind
 	}
-	return int(ch.FT.CountTuples())
+	out := core.NewFlatBlock(root.Block.Schema(), kinds)
+	n, w := root.Sel.Count(), len(cols)
+	vals := make([]vector.Value, n*w)
+	out.Rows = make([][]vector.Value, 0, n)
+	for r := root.Sel.NextSet(0); r >= 0; r = root.Sel.NextSet(r + 1) {
+		row := vals[:w:w]
+		vals = vals[w:]
+		for c, col := range cols {
+			row[c] = col.Get(r)
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out
 }

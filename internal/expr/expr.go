@@ -2,11 +2,9 @@
 // and Projection operators: column references, literals, comparisons,
 // boolean connectives, arithmetic, IN-lists and string predicates.
 //
-// Expressions evaluate two ways, matching the executor's two data paths:
-// compiled against an f-Block they become per-row closures running over the
-// block's contiguous columns (the factorized, vectorized path), and compiled
-// against a flat-block schema they evaluate over materialized tuple rows
-// (the block-based fallback path).
+// Expressions compile against an f-Block into per-row closures running over
+// the block's contiguous columns (BindBlock) — a node of the f-Tree, or the
+// one node of a de-factored tree — or against any other Binding (Bind).
 package expr
 
 import (
@@ -238,18 +236,6 @@ func (bb blockBinding) Bind(name string) (Getter, error) {
 	return c.Get, nil
 }
 
-// flatBinding binds names to column positions of a FlatBlock.
-type flatBinding struct{ f *core.FlatBlock }
-
-func (fb flatBinding) Bind(name string) (Getter, error) {
-	j := fb.f.ColIndex(name)
-	if j < 0 {
-		return nil, fmt.Errorf("expr: column %q not in flat schema %v", name, fb.f.Names)
-	}
-	rows := fb.f
-	return func(i int) vector.Value { return rows.Rows[i][j] }, nil
-}
-
 // Bind compiles e against an arbitrary binding (used by the fused
 // expand-filter predicate, which binds column names to vertex property
 // reads).
@@ -258,11 +244,6 @@ func Bind(e Expr, b Binding) (Getter, error) { return compile(e, b) }
 // BindBlock compiles e against an f-Block.
 func BindBlock(e Expr, b *core.FBlock) (Getter, error) {
 	return compile(e, blockBinding{b})
-}
-
-// BindFlat compiles e against a FlatBlock.
-func BindFlat(e Expr, f *core.FlatBlock) (Getter, error) {
-	return compile(e, flatBinding{f})
 }
 
 func compile(e Expr, bind Binding) (Getter, error) {

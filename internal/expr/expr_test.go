@@ -92,15 +92,22 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
+// TestBindFlat binds a predicate to the de-factored form: the one block of a
+// de-factored tree, bound like any other. A null row reads as vector.Value{}
+// and compares as it did in a boxed row.
 func TestBindFlat(t *testing.T) {
-	fb := core.NewFlatBlock([]string{"a"}, []vector.Kind{vector.KindInt64})
-	fb.AppendOwned([]vector.Value{vector.Int64(7)})
-	get, err := expr.BindFlat(expr.Gt(expr.C("a"), expr.LInt(3)), fb)
+	a := vector.NewColumn("a", vector.KindInt64)
+	a.Append(vector.Int64(7))
+	a.Append(vector.Value{})
+	get, err := expr.BindBlock(expr.Gt(expr.C("a"), expr.LInt(3)), core.NewFBlock(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !get(0).AsBool() {
 		t.Fatal("7 > 3 must hold")
+	}
+	if get(1).AsBool() {
+		t.Fatal("null > 3 must not hold")
 	}
 }
 
@@ -109,9 +116,8 @@ func TestBindUnknownColumn(t *testing.T) {
 	if _, err := expr.BindBlock(expr.C("ghost"), b); err == nil {
 		t.Fatal("unknown column must fail to bind")
 	}
-	fb := core.NewFlatBlock(nil, nil)
-	if _, err := expr.BindFlat(expr.C("ghost"), fb); err == nil {
-		t.Fatal("unknown flat column must fail to bind")
+	if _, err := expr.BindBlock(expr.C("ghost"), core.NewFBlock()); err == nil {
+		t.Fatal("unknown column of an empty block must fail to bind")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ges/internal/core"
 	"ges/internal/cypher"
 	"ges/internal/exec"
 	"ges/internal/ldbc"
@@ -53,11 +52,10 @@ var adhocTemplates = []struct{ name, text, plan string }{
 // TestGoldenServedPlans pins the served plans of the 18 plan-built LDBC
 // reads (IC1–IC12, IS1–IS5, IS7) and the 8 ad-hoc templates on the
 // benchmark's graph (simSF 1, seed 1), and holds every plan to the shape the
-// operators rely on: no operator that runs on the f-Tree — one that grows or
-// annotates it, or an aggregate that folds it — runs on a flat block, so none
-// follows an operator that emits one (PatternCount paths included), and no
-// chunk that reaches one is flat. A flat chunk would run as a one-node
-// f-Tree; no served plan takes that entry.
+// operators rely on: no operator that grows or annotates the f-Tree, or an
+// aggregate that folds it, follows an operator that emits the de-factored
+// one-node tree (PatternCount paths included). Such an operator would run on
+// the de-factored tuples; no served plan takes that entry.
 func TestGoldenServedPlans(t *testing.T) {
 	ds, err := ldbc.Generate(ldbc.Config{SF: 1, Seed: 1})
 	if err != nil {
@@ -78,7 +76,7 @@ func TestGoldenServedPlans(t *testing.T) {
 		if got := p.String(); got != goldenReads[name] {
 			t.Errorf("%s plan:\n got %s\nwant %s", name, got, goldenReads[name])
 		}
-		checkServedShape(t, ds, name, p)
+		checkServedShape(t, name, p)
 	}
 	cache := cypher.NewCache(ds.Graph)
 	for _, a := range adhocTemplates {
@@ -90,12 +88,12 @@ func TestGoldenServedPlans(t *testing.T) {
 		if got := p.String(); got != a.plan {
 			t.Errorf("%s plan:\n got %s\nwant %s", a.name, got, a.plan)
 		}
-		checkServedShape(t, ds, a.name, p)
+		checkServedShape(t, a.name, p)
 	}
 }
 
-// takesTree reports whether o runs on the f-Tree: the operators that take a
-// flat block as a one-node tree.
+// takesTree reports whether o runs on the f-Tree: the operators that grow,
+// annotate or fold it.
 func takesTree(o op.Operator) bool {
 	switch o.(type) {
 	case *op.Expand, *op.ExpandInto, *op.ExpandIntersect, *op.VarLengthExpand,
@@ -106,7 +104,7 @@ func takesTree(o op.Operator) bool {
 	return false
 }
 
-// emitsFlat reports whether o always emits a flat block.
+// emitsFlat reports whether o always emits the de-factored one-node tree.
 func emitsFlat(o op.Operator) bool {
 	switch o.(type) {
 	case *op.Aggregate, *op.AggregateProjectTop, *op.Defactor, *op.OrderBy, *op.Limit, *op.Distinct:
@@ -116,7 +114,8 @@ func emitsFlat(o op.Operator) bool {
 }
 
 // flatBeforeTree returns the first operator of p, or of a PatternCount path
-// in p, that runs on the tree after an operator that emits a flat block.
+// in p, that runs on the tree after an operator that emits the de-factored
+// form.
 func flatBeforeTree(p []op.Operator) string {
 	flat := ""
 	for _, o := range p {
@@ -135,22 +134,11 @@ func flatBeforeTree(p []op.Operator) string {
 	return ""
 }
 
-// checkServedShape fails when an operator that runs on the tree follows a
-// flat emitter in p, or meets a flat chunk when p runs.
-func checkServedShape(t *testing.T, ds *ldbc.Dataset, name string, p plan.Plan) {
+// checkServedShape fails when an operator that runs on the tree follows an
+// operator that emits the de-factored form in p.
+func checkServedShape(t *testing.T, name string, p plan.Plan) {
 	t.Helper()
 	if bad := flatBeforeTree(p); bad != "" {
 		t.Errorf("%s: %s", name, bad)
-	}
-	ctx := &op.Ctx{View: ds.Graph}
-	var ch *core.Chunk
-	for _, o := range p {
-		if takesTree(o) && ch != nil && ch.IsFlat() {
-			t.Errorf("%s: %s runs on a flat block", name, o.Name())
-		}
-		var err error
-		if ch, err = o.Execute(ctx, ch); err != nil {
-			t.Fatalf("%s: %s: %v", name, o.Name(), err)
-		}
 	}
 }

@@ -43,7 +43,6 @@ var poolPairs = map[string]string{
 	"GetInt32s": "PutInt32s",
 	"GetRanges": "PutRanges",
 	"GetBatch":  "PutBatch",
-	"GetChunk":  "PutChunk",
 	"GetFBlock": "PutFBlock",
 	"GetFTree":  "PutFTree",
 	"GetBitset": "PutBitset",

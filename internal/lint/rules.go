@@ -59,7 +59,8 @@ import (
 //	    Own* calls are exempt: Release returns them wholesale.
 
 // selWriters are the files sanctioned by name to write selection vectors
-// (R3): the Filter operator, and ExpandInto, whose intersection closure
+// (R3): the Filter operator and Distinct beside it, which clears the rows
+// that repeat an earlier one, and ExpandInto, whose intersection closure
 // narrows the child node's selection in place instead of copying the tree
 // through a Filter. New operators must earn a named entry here.
 var selWriters = map[string]bool{
@@ -78,7 +79,7 @@ var bitsetWrites = map[string]bool{
 var columnAppends = map[string]bool{
 	"Append": true, "AppendVID": true, "AppendInt64": true, "AppendFloat64": true,
 	"AppendString": true, "AppendBool": true, "AppendVIDs": true,
-	"Extend": true, "Grow": true,
+	"Extend": true, "Grow": true, "Gather": true,
 }
 
 // goScope lists the module-relative package prefixes R5 covers. internal/sched

@@ -24,6 +24,7 @@ func BadAppend(b *core.FBlock) {
 	c.Append(vector.Value{})      // want R3
 	b.Columns()[0].Extend(c)      // want R3
 	c.AppendVIDs([]vector.VID{1}) // want R3
+	c.Gather(b.Column(1), nil)    // want R3
 }
 
 // BadSpawn launches a goroutine without going through internal/sched.

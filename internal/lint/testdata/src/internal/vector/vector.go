@@ -57,6 +57,13 @@ func (c *Column) AppendVIDs(vs []VID) {
 // Extend appends all of src.
 func (c *Column) Extend(src *Column) { c.i64 = append(c.i64, src.i64...) }
 
+// Gather appends rows of src.
+func (c *Column) Gather(src *Column, rows []int32) {
+	for _, r := range rows {
+		c.i64 = append(c.i64, src.i64[r])
+	}
+}
+
 // ShareScanColumn returns a zero-copy scan view of the column — an R8
 // snapshot source in the fixture, matching the real module's shared-column
 // hand-off.

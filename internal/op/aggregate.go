@@ -38,8 +38,8 @@ type AggSpec struct {
 }
 
 // Aggregate groups tuples and computes aggregates (§4.3, Aggregation). It
-// never de-factors: it folds an f-Tree into one group table, and takes a
-// flat block as a one-node tree over its rows (ensureFTree).
+// never de-factors: it folds the f-Tree into one group table and emits the
+// groups as a one-node tree of typed columns.
 type Aggregate struct {
 	GroupBy []string
 	Aggs    []AggSpec
@@ -76,18 +76,17 @@ func (o *Aggregate) leafNames(open, close string) string {
 }
 
 // Execute implements Operator.
-func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	t, err := o.group(ctx, in)
+func (o *Aggregate) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	t, err := o.group(ctx, ft)
 	if err != nil {
 		return nil, err
 	}
 	defer t.release()
-	return ctx.FlatChunk(t.block(t.slots(ctx))), nil
+	return ctx.Arena.OwnFTree(t.block(ctx, t.slots(ctx))), nil
 }
 
 // group is the one aggregation kernel; Aggregate and AggregateProjectTop
-// both call it. A flat block is a one-node f-Tree over the rows of just the
-// columns the aggregates read (flatRoot). The tree folds only those columns:
+// both call it. The tree folds only the columns the aggregates read:
 //
 //   - when every group-by column and argument lies on one root-to-leaf chain
 //     (COUNT(*) alone anchors at the root), each row of the chain's deepest
@@ -99,17 +98,10 @@ func (o *Aggregate) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 //     does a float SUM or AVG over a tree of several nodes: a weight
 //     multiplies what the enumeration adds tuple by tuple, and float
 //     addition does not associate.
-func (o *Aggregate) group(ctx *Ctx, in *core.Chunk) (*aggTable, error) {
+func (o *Aggregate) group(ctx *Ctx, ft *core.FTree) (*aggTable, error) {
 	t, err := newAggTable(o)
 	if err != nil {
 		return nil, err
-	}
-	ft := in.FT
-	if in.IsFlat() {
-		ft = ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat, t.cols))
-	}
-	if ft == nil {
-		return nil, fmt.Errorf("op: aggregate: empty chunk")
 	}
 	assertFTree(ft)
 	refs, err := ft.Resolve(t.cols)
@@ -271,15 +263,15 @@ func newAggTable(o *Aggregate) (*aggTable, error) {
 	}
 	if len(o.GroupBy) == 0 {
 		// Global aggregation over empty input still yields one row of zero
-		// aggregates, per SQL/Cypher semantics.
+		// aggregates, per SQL/Cypher semantics (bind sizes its slabs).
 		t.n = 1
-		t.grow()
 	}
 	return t, nil
 }
 
-// bind picks the group key from the folded columns: a lone string column is
-// keyed by code when the fold reads it dictionary-coded (bindColumns).
+// bind picks the group key from the folded columns — a lone string column is
+// keyed by code when the fold reads it dictionary-coded and without nulls
+// (bindColumns) — and sizes the slabs of the groups open so far.
 func (t *aggTable) bind() {
 	t.keyed = keyRow
 	switch g := t.groupIdx; {
@@ -290,7 +282,7 @@ func (t *aggTable) bind() {
 	case len(g) > 1 || t.kinds[g[0]] == vector.KindFloat64: // rowKey
 	case t.kinds[g[0]] != vector.KindString:
 		t.keyed = keyInt
-	case t.bound != nil && t.bound[g[0]].col.DictEncoded():
+	case t.bound != nil && t.bound[g[0]].col.DictEncoded() && !t.bound[g[0]].col.HasNulls():
 		t.keyed, t.dict = keyCode, t.bound[g[0]].col.Dict()
 	default:
 		t.keyed = keyString
@@ -304,6 +296,7 @@ func (t *aggTable) bind() {
 	case keyString, keyRow:
 		t.byKey = make(map[string]int32)
 	}
+	t.grow()
 }
 
 // release returns the dense key array to its pool.
@@ -441,13 +434,14 @@ func (t *aggTable) slotOf(vals []vector.Value) (s int32) {
 
 // foldSlab adds the rows, in the groups ss, to aggregate j's states: COUNT
 // adds weights, SUM/AVG over integers or dates weight × value, MIN/MAX over
-// them compare unboxed; the rest fold the boxed value (update).
+// them compare unboxed; the rest, and a column with nulls, fold the boxed
+// value (update).
 func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
 	var c aggCol
 	var v []int64 // an integer or date argument's values
 	if a.Func != Count {
 		c = t.bound[t.argIdx[j]]
-		if c.col.Kind == vector.KindInt64 || c.col.Kind == vector.KindDate {
+		if intOrDate(c.col.Kind) && !c.col.HasNulls() {
 			v = c.col.Int64s()
 		}
 	}
@@ -515,17 +509,23 @@ func slot[K comparable](t *aggTable, m map[K]int32, k K) (s int32, fresh bool) {
 	return s, true
 }
 
-// grow extends the slabs the aggregates use with zeroed states to t.n groups.
+// grow extends the slabs the aggregates use with zeroed states to t.n
+// groups: a SUM or AVG grows the float slab for a float argument, the
+// integer slab otherwise.
 func (t *aggTable) grow() {
 	n := int(t.n) * len(t.o.Aggs)
 	if len(t.count) == n {
 		return
 	}
 	t.count = grown(t.count, n)
-	for _, a := range t.o.Aggs {
+	for j, a := range t.o.Aggs {
 		switch a.Func {
 		case Sum, Avg:
-			t.sumI, t.sumF = grown(t.sumI, n), grown(t.sumF, n)
+			if t.argKind(j) == vector.KindFloat64 {
+				t.sumF = grown(t.sumF, n)
+			} else {
+				t.sumI = grown(t.sumI, n)
+			}
 		case Min, Max:
 			t.best = grown(t.best, n)
 		case CountDistinct:
@@ -556,7 +556,7 @@ func (t *aggTable) update(k int, a AggSpec, v vector.Value, weight int64) {
 		t.distinct[k][v.String()] = struct{}{}
 	case Sum, Avg:
 		t.count[k] += weight
-		if v.Kind == vector.KindFloat64 {
+		if t.argKind(k%len(t.o.Aggs)) == vector.KindFloat64 {
 			t.sumF[k] += v.F * float64(weight)
 		} else {
 			t.sumI[k] += v.I * weight
@@ -586,11 +586,10 @@ func (t *aggTable) result(k int, a AggSpec, argKind vector.Kind) vector.Value {
 		if t.count[k] == 0 {
 			return vector.Float64(0)
 		}
-		total := t.sumF[k]
-		if argKind != vector.KindFloat64 {
-			total = float64(t.sumI[k])
+		if argKind == vector.KindFloat64 {
+			return vector.Float64(t.sumF[k] / float64(t.count[k]))
 		}
-		return vector.Float64(total / float64(t.count[k]))
+		return vector.Float64(float64(t.sumI[k]) / float64(t.count[k]))
 	case Min, Max:
 		return t.best[k]
 	}
@@ -683,30 +682,43 @@ func (t *aggTable) comparator(c int) func(a, b int32) int {
 	return func(a, b int32) int { return vector.Compare(t.value(a, c), t.value(b, c)) }
 }
 
-// block renders the groups of slots, in that order.
-func (t *aggTable) block(slots []int32) *core.FlatBlock {
-	o := t.o
-	names := append(make([]string, 0, len(o.GroupBy)+len(o.Aggs)), o.GroupBy...)
-	kinds := make([]vector.Kind, 0, len(names))
-	for i := range o.GroupBy {
-		kinds = append(kinds, t.keyKind(i))
+// block returns the groups of slots, in that order, as typed columns: the
+// group columns, then the aggregates. A code-keyed group column holds its
+// codes under the key column's dictionary; a MIN or MAX over no rows is
+// null.
+func (t *aggTable) block(ctx *Ctx, slots []int32) *core.FBlock {
+	o, b := t.o, ctx.NewFBlock()
+	ng := len(o.GroupBy)
+	for i, name := range o.GroupBy {
+		if t.keyed == keyCode {
+			col := ctx.Arena.OwnDictColumn(name, t.dict)
+			col.Grow(len(slots))
+			codes := col.Codes()
+			for k, s := range slots {
+				codes[k] = uint32(t.vids[s])
+			}
+			b.AddColumn(col)
+			continue
+		}
+		col := ctx.Arena.OwnColumn(name, t.keyKind(i))
+		for _, s := range slots {
+			col.Append(t.keys[int(s)*ng+i])
+		}
+		b.AddColumn(col)
 	}
 	for j, a := range o.Aggs {
-		names = append(names, a.As)
-		kinds = append(kinds, aggOutputKind(a, t.argKind(j)))
-	}
-	out := core.NewFlatBlock(names, kinds)
-	w := len(names)
-	vals := make([]vector.Value, len(slots)*w)
-	out.Rows = make([][]vector.Value, len(slots))
-	for i, s := range slots {
-		row := vals[i*w : (i+1)*w : (i+1)*w]
-		for c := range row {
-			row[c] = t.value(s, c)
+		col := ctx.Arena.OwnColumn(a.As, aggOutputKind(a, t.argKind(j)))
+		for _, s := range slots {
+			k := int(s)*len(o.Aggs) + j
+			if a.Func == Count {
+				col.AppendInt64(t.count[k])
+			} else {
+				col.Append(t.result(k, a, t.argKind(j)))
+			}
 		}
-		out.Rows[i] = row
+		b.AddColumn(col)
 	}
-	return out
+	return b
 }
 
 // sortSlots orders group slots by the rowKeys of their keys, written once

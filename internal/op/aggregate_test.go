@@ -12,10 +12,10 @@ import (
 	"ges/internal/vector"
 )
 
-// TestAggregateOnFlatBlock runs Aggregate and AggregateProjectTop on flat
-// blocks, which they fold as one-node f-Trees, against the row-by-row
-// reference (flatAggregate): global, int-keyed, string-keyed and
-// multi-column groups, every aggregate function — float SUM and AVG
+// TestAggregateOnFlatBlock runs Aggregate and AggregateProjectTop on the
+// de-factored form — a one-node f-Tree over a flat block's rows — against
+// the row-by-row reference (flatAggregate): global, int-keyed, string-keyed
+// and multi-column groups, every aggregate function — float SUM and AVG
 // included — over a block of rows and over an empty block, whose global MIN
 // and MAX stay null (vector.Value{}).
 func TestAggregateOnFlatBlock(t *testing.T) {
@@ -68,11 +68,11 @@ func TestAggregateOnFlatBlock(t *testing.T) {
 			} {
 				arena := pool.GetArena()
 				ctx := &op.Ctx{Arena: arena}
-				out, err := c.o.Execute(ctx, ctx.FlatChunk(fb))
+				out, err := c.o.Execute(ctx, flatTree(fb))
 				if err != nil {
 					t.Fatalf("%s by %v over %d rows: %v", c.o.Name(), groupBy, fb.NumRows(), err)
 				}
-				got := out.Flat
+				got := boxed(t, out)
 				if !slices.Equal(got.Names, c.want.Names) || !slices.Equal(got.Kinds, c.want.Kinds) ||
 					!slices.EqualFunc(got.Rows, c.want.Rows, sameRow) {
 					t.Fatalf("%s by %v over %d rows:\n got %v %v %v\nwant %v %v %v", c.o.Name(), groupBy, fb.NumRows(),
@@ -89,6 +89,29 @@ func TestAggregateOnFlatBlock(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flatTree returns a one-node tree over fb's rows: the de-factored form.
+func flatTree(fb *core.FlatBlock) *core.FTree {
+	b := core.NewFBlock()
+	for j, name := range fb.Names {
+		col := vector.NewColumn(name, fb.Kinds[j])
+		for _, row := range fb.Rows {
+			col.Append(row[j])
+		}
+		b.AddColumn(col)
+	}
+	return core.NewFTree(b)
+}
+
+// boxed renders ft's tuples through the reference de-factor.
+func boxed(t *testing.T, ft *core.FTree) *core.FlatBlock {
+	t.Helper()
+	fb, err := ft.DefactorAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fb
 }
 
 // sameRow compares two rows value by value, as their kinds print them.

@@ -76,8 +76,7 @@ func (o *Expand) resolveEdgeProps(cat *catalog.Catalog) (edgePropPlan, error) {
 }
 
 // Execute implements Operator.
-func (o *Expand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	ft := ensureFTree(ctx, in).FT
+func (o *Expand) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	if o.Newest != nil {
 		return o.newestFactorized(ctx, ft)
 	}
@@ -103,7 +102,7 @@ func (o *Expand) runLens(ctx *Ctx, srcs []vector.VID, counts []int64) {
 	ctx.Arena.PutBatch(batch)
 }
 
-func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, pred *vertexFilter) (*core.Chunk, error) {
+func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, pred *vertexFilter) (*core.FTree, error) {
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err

@@ -52,11 +52,10 @@ type ExpandIntersect struct {
 func (o *ExpandIntersect) Name() string { return "ExpandIntersect" }
 
 // Execute implements Operator.
-func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *ExpandIntersect) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	if len(o.Sides) < 2 {
 		return nil, fmt.Errorf("op: expand-intersect needs >= 2 sides, got %d", len(o.Sides))
 	}
-	ft := ensureFTree(ctx, in).FT
 	nodes := make([]*core.Node, len(o.Sides))
 	cols := make([]*vector.Column, len(o.Sides))
 	for i, s := range o.Sides {
@@ -79,12 +78,12 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
 		default:
 			// Sibling owners: no single node determines all sides — de-factor
 			// (the paper's "ultimate solution" fallback) and intersect over
-			// the rows as a one-node tree.
-			fb, err := ensureFlat(ctx, in)
+			// the one-node tree's rows.
+			ft, err := defactor(ctx, ft, nil)
 			if err != nil {
 				return nil, err
 			}
-			return o.Execute(ctx, ctx.FlatChunk(fb))
+			return o.Execute(ctx, ft)
 		}
 	}
 	owners := make([][]int32, len(o.Sides))

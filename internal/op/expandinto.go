@@ -61,11 +61,10 @@ func (o *ExpandInto) Name() string { return "ExpandInto" }
 func (o *ExpandInto) Hops() bool { return o.MinHops > 1 || o.MaxHops > 1 }
 
 // Execute implements Operator.
-func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *ExpandInto) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	if o.Hops() && o.MinHops < 1 {
 		return nil, fmt.Errorf("op: expand-into: hop bounds %d..%d: a zero-hop bound is not supported", o.MinHops, o.MaxHops)
 	}
-	ft := ensureFTree(ctx, in).FT
 	nf, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
@@ -94,12 +93,12 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		// Siblings (or a hop-bounded closure over a deeper From): neither
 		// row determines the other's probe, so the semi-join is not a
 		// selection on one node — de-factor (the paper's "ultimate solution"
-		// fallback) and filter the rows as a one-node tree.
-		fb, err := ensureFlat(ctx, in)
+		// fallback) and filter the one-node tree's rows.
+		ft, err := defactor(ctx, ft, nil)
 		if err != nil {
 			return nil, err
 		}
-		return o.Execute(ctx, ctx.FlatChunk(fb))
+		return o.Execute(ctx, ft)
 	}
 	owner := ownerMap(deep, shallow)
 
@@ -132,7 +131,7 @@ func (o *ExpandInto) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	})
 	ft.PruneUp(deep)
 	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
+	return ft, nil
 }
 
 // probe returns the From-side probe of the closure.

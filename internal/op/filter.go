@@ -2,21 +2,19 @@ package op
 
 import (
 	"math"
-	"slices"
 
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/vector"
 )
 
-// Filter evaluates a predicate. On the factorized path the disjoint schema
-// partition property locates the single f-Tree node owning the predicate's
-// attributes and the selection vector is updated in place — no data moves
-// (§4.3, Filter): the predicate's conjuncts compile against that node's
-// block into the conjunct kernels below, the ones the fused VertexPred runs
-// too, driven over word-aligned row ranges (forRanges). Predicates spanning
-// several nodes force a de-factor; a flat chunk evaluates the compiled
-// predicate row by row.
+// Filter evaluates a predicate. The disjoint schema partition property
+// locates the single f-Tree node owning the predicate's attributes and the
+// selection vector is updated in place — no data moves (§4.3, Filter): the
+// predicate's conjuncts compile against that node's block into the conjunct
+// kernels below, the ones the fused VertexPred runs too, driven over
+// word-aligned row ranges (forRanges). A predicate spanning several nodes
+// (or none) de-factors the tree first and filters its one node.
 type Filter struct {
 	Pred expr.Expr
 }
@@ -25,55 +23,31 @@ type Filter struct {
 func (o *Filter) Name() string { return "Filter" }
 
 // Execute implements Operator.
-func (o *Filter) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if !in.IsFlat() {
-		cols := o.Pred.Columns(nil)
-		if node := in.FT.NodeOfColumns(cols); node != nil {
-			conjs, err := compileConjuncts(o.Pred, node.Block, nil)
-			if err != nil {
-				return nil, err
-			}
-			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-				filterRows(conjs, node.Sel, lo, hi)
-			})
-			in.FT.PruneUp(node)
-			assertFTree(in.FT)
-			return in, nil
-		}
-		fb, err := ensureFlat(ctx, in)
-		if err != nil {
+func (o *Filter) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	node := ft.NodeOfColumns(o.Pred.Columns(nil))
+	if node == nil {
+		var err error
+		if ft, err = defactor(ctx, ft, nil); err != nil {
 			return nil, err
 		}
-		in = ctx.FlatChunk(fb)
+		node = ft.Root
 	}
-	get, err := expr.BindFlat(o.Pred, in.Flat)
+	conjs, err := compileConjuncts(o.Pred, node.Block, nil)
 	if err != nil {
 		return nil, err
 	}
-	// BindFlat getters are pure, so one getter serves all morsels.
-	out := produceFlat(ctx, len(in.Flat.Rows), filterMorselSize, in.Flat.Names, in.Flat.Kinds,
-		flatFilterBody{get, in.Flat.Rows})
-	return ctx.FlatChunk(out), nil
+	forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
+		filterRows(conjs, node.Sel, lo, hi)
+	})
+	ft.PruneUp(node)
+	assertFTree(ft)
+	return ft, nil
 }
 
-// flatFilterBody keeps the input rows of [lo,hi) that pass the predicate.
-type flatFilterBody struct {
-	get expr.Getter
-	in  [][]vector.Value
-}
-
-func (b flatFilterBody) rows(lo, hi int, out *core.FlatBlock) {
-	for i := lo; i < hi; i++ {
-		if b.get(i).AsBool() {
-			out.AppendOwned(b.in[i])
-		}
-	}
-}
-
-// Defactor explicitly converts a factorized chunk into a flat block holding
-// the named columns (all columns when Cols is nil). Plans insert it ahead of
-// blocking logic; it is a no-op on already-flat chunks unless Cols narrows
-// the schema.
+// Defactor converts an f-Tree into a one-node tree holding the named
+// columns (all columns when Cols is nil) of its tuples (defactor). Plans
+// insert it ahead of blocking logic; a one-node tree with just those
+// columns passes through.
 type Defactor struct {
 	Cols []string
 }
@@ -82,22 +56,41 @@ type Defactor struct {
 func (o *Defactor) Name() string { return "Defactor" }
 
 // Execute implements Operator.
-func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if in.IsFlat() {
-		if o.Cols == nil || slices.Equal(o.Cols, in.Flat.Names) {
-			return in, nil
-		}
-		fb, err := in.Flat.Project(o.Cols)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.FlatChunk(fb), nil
-	}
-	fb, err := DefactorNames(ctx, in.FT, o.Cols)
+func (o *Defactor) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	return defactor(ctx, ft, o.Cols)
+}
+
+// Distinct removes duplicate tuples over the named columns (all columns when
+// nil). It needs cross-tuple state, so it de-factors to those columns and
+// clears the selection bit of every row that repeats an earlier one.
+type Distinct struct {
+	Cols []string
+}
+
+// Name implements Operator.
+func (o *Distinct) Name() string { return "Distinct" }
+
+// Execute implements Operator.
+func (o *Distinct) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	ft, err := defactor(ctx, ft, o.Cols)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.FlatChunk(fb), nil
+	root, cols := ft.Root, ft.Root.Block.Columns()
+	seen := make(map[string]struct{}, root.Sel.Count())
+	var buf []byte
+	for r := root.Sel.NextSet(0); r >= 0; r = root.Sel.NextSet(r + 1) {
+		buf = buf[:0]
+		for _, c := range cols {
+			buf = appendKey(buf, c.Get(r))
+		}
+		if _, dup := seen[string(buf)]; dup {
+			root.Sel.Clear(r)
+			continue
+		}
+		seen[string(buf)] = struct{}{}
+	}
+	return ft, nil
 }
 
 // The conjunct kernels (§5, Vectorization). A predicate's top-level AND
@@ -112,7 +105,8 @@ func (o *Defactor) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 //     dictionary-encoded column compares 4-byte codes with the literals'
 //     codes, looked up per run (a gather may intern overlay strings); a
 //     literal never interned has no code and matches no row;
-//   - the conjunct's compiled closure, for every other shape.
+//   - the conjunct's compiled closure, for every other shape, and for a
+//     column with nulls, which the closure reads through Get.
 type kernel uint8
 
 const (
@@ -154,7 +148,7 @@ func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, 
 		name, lit, op, ok := colOpLit(n)
 		col := b.ColumnByName(name)
 		switch {
-		case !ok || col == nil:
+		case !ok || col == nil || col.HasNulls():
 		case intOrDate(col.Kind) && intOrDate(lit.Kind):
 			c := conjunct{kernel: kernRange, col: col}
 			c.lo, c.hi, c.negate = cmpRange(op, lit.I)
@@ -164,7 +158,7 @@ func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, 
 		}
 	case expr.In:
 		if x, ok := n.X.(expr.Col); ok {
-			if col := b.ColumnByName(x.Name); col != nil && col.DictEncoded() {
+			if col := b.ColumnByName(x.Name); col != nil && col.DictEncoded() && !col.HasNulls() {
 				// A non-string literal never equals a string value. An empty
 				// list keeps lits nil, so the set is the zero lit's: empty.
 				return append(dst, conjunct{kernel: kernCodes, col: col, lits: n.List}), nil

@@ -89,7 +89,7 @@ func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, workers int, pre
 		}
 	}
 	ctx := &op.Ctx{Parallel: workers}
-	if _, err := (&op.Filter{Pred: pred}).Execute(ctx, &core.Chunk{FT: ft}); err != nil {
+	if _, err := (&op.Filter{Pred: pred}).Execute(ctx, ft); err != nil {
 		t.Fatal(err)
 	}
 	for k, w := range want {
@@ -264,7 +264,7 @@ func TestFusedExpandPrunesDeadParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := ch.FT.Root
+	root := ch.Root
 	vids := root.Block.ColumnByName("v")
 	for i := 0; i < root.Block.NumRows(); i++ {
 		if v := vids.VIDAt(i); root.Sel.Get(i) != (v == hub) {
@@ -325,7 +325,7 @@ func TestFilterVIDColumn(t *testing.T) {
 	vids := vector.NewColumn("v", vector.KindVID)
 	vids.AppendVIDs([]vector.VID{1, 2, 3})
 	ft := core.NewFTree(core.NewFBlock(vids))
-	_, err := (&op.Filter{Pred: expr.Gt(expr.C("v"), expr.LInt(1))}).Execute(&op.Ctx{}, &core.Chunk{FT: ft})
+	_, err := (&op.Filter{Pred: expr.Gt(expr.C("v"), expr.LInt(1))}).Execute(&op.Ctx{}, ft)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,12 +121,15 @@ func foldCase(rng *rand.Rand, vids []vector.VID) (*core.FTree, *Aggregate) {
 // tuple enumerated and folded with weight 1. It reports whether group took
 // the weighted fold.
 func foldBoth(ctx *Ctx, o *Aggregate, ft *core.FTree) (got, want *core.FlatBlock, weighted bool, err error) {
-	t, err := o.group(ctx, ctx.FTChunk(ft))
+	t, err := o.group(ctx, ft)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	got = t.block(t.slots(ctx))
+	got, err = core.NewFTree(t.block(ctx, t.slots(ctx))).DefactorAll()
 	t.release()
+	if err != nil {
+		return nil, nil, false, err
+	}
 
 	e, err := newAggTable(o)
 	if err != nil {
@@ -144,7 +147,7 @@ func foldBoth(ctx *Ctx, o *Aggregate, ft *core.FTree) (got, want *core.FlatBlock
 		e.foldRow(row, 1)
 		return true
 	})
-	want = e.block(e.slots(ctx))
+	want, err = core.NewFTree(e.block(ctx, e.slots(ctx))).DefactorAll()
 	e.release()
 	weighted = foldNode(ft, refs) != nil && (ft.NumNodes() == 1 || !e.floatSum())
 	return got, want, weighted, nil

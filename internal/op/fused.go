@@ -37,7 +37,7 @@ type SeekExpand struct {
 func (o *SeekExpand) Name() string { return "SeekExpand(fused)" }
 
 // Execute implements Operator.
-func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *SeekExpand) Execute(ctx *Ctx, in *core.FTree) (*core.FTree, error) {
 	col := ctx.Arena.OwnColumn(o.To, vector.KindVID)
 	if src, ok := ctx.View.VertexByExt(o.Label, o.ExtID); ok {
 		b := ctx.Arena.GetBatch()
@@ -49,7 +49,7 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		}
 		ctx.Arena.PutBatch(b)
 	}
-	return ctx.FTChunk(ctx.NewFTree(col)), nil
+	return ctx.NewFTree(col), nil
 }
 
 // AggregateProjectTop is the paper's flagship fusion: Aggregate → Project →
@@ -57,8 +57,8 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 // (Aggregate.group, aggregate.go) — a weighted pass over one f-Tree chain or
 // the enumeration streamed into the group table, never a materialized
 // relation — feeding the ordering kernel (tupleOrder) over the group table's
-// slots, and only the kept groups become rows, so peak memory is the group
-// table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
+// slots, and only the kept groups become a one-node tree, so peak memory is
+// the group table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
 // megabytes to under 2 KB. When the sort keys include every group-by column
 // no two groups tie, so plan.Fuse marks the aggregate Unordered and the
 // groups are offered in slot order, without the sort by group key that
@@ -75,8 +75,8 @@ func (o *AggregateProjectTop) Name() string {
 }
 
 // Execute implements Operator.
-func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	t, err := o.group(ctx, in)
+func (o *AggregateProjectTop) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	t, err := o.group(ctx, ft)
 	if err != nil {
 		return nil, err
 	}
@@ -106,5 +106,5 @@ func (o *AggregateProjectTop) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, er
 	for i, id := range kept {
 		slots[i] = ord.tuple(id)[0]
 	}
-	return ctx.FlatChunk(t.block(slots)), nil
+	return ctx.Arena.OwnFTree(t.block(ctx, slots)), nil
 }

@@ -89,14 +89,14 @@ func TestWeightedAggregationMatchesFlat(t *testing.T) {
 		// Fused: the weighted factorized path (single-node condition holds
 		// by construction).
 		fused := &op.AggregateProjectTop{Aggregate: op.Aggregate{GroupBy: []string{colName}, Aggs: aggs}}
-		got, err := fused.Execute(&op.Ctx{}, &core.Chunk{FT: ft})
+		got, err := fused.Execute(&op.Ctx{}, ft)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if !sameTable(got.Flat, want) {
+		if fb := boxed(t, got); !sameTable(fb, want) {
 			t.Fatalf("trial %d: weighted aggregation diverges\n got: %s\nwant: %s\ntree:\n%s",
-				trial, got.Flat, want, ft)
+				trial, fb, want, ft)
 		}
 	}
 }
@@ -126,12 +126,12 @@ func TestStreamingAggregationMatchesFlat(t *testing.T) {
 		}
 		want := flatAggregate(t, flat, []string{groupCol}, aggs)
 		fused := &op.AggregateProjectTop{Aggregate: op.Aggregate{GroupBy: []string{groupCol}, Aggs: aggs}}
-		got, err := fused.Execute(&op.Ctx{}, &core.Chunk{FT: ft})
+		got, err := fused.Execute(&op.Ctx{}, ft)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameTable(got.Flat, want) {
-			t.Fatalf("trial %d: streaming aggregation diverges\n got: %s\nwant: %s", trial, got.Flat, want)
+		if fb := boxed(t, got); !sameTable(fb, want) {
+			t.Fatalf("trial %d: streaming aggregation diverges\n got: %s\nwant: %s", trial, fb, want)
 		}
 	}
 }
@@ -219,12 +219,12 @@ func TestUnorderedAggregate(t *testing.T) {
 			fb.Append([]vector.Value{k})
 		}
 		g := &op.Aggregate{GroupBy: []string{"k"}, Aggs: []op.AggSpec{{Func: op.Count, As: "n"}}, Unordered: unordered}
-		out, err := g.Execute(&op.Ctx{}, &core.Chunk{Flat: fb})
+		out, err := g.Execute(&op.Ctx{}, flatTree(fb))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var emitted []string
-		for _, row := range out.Flat.Rows {
+		for _, row := range boxed(t, out).Rows {
 			emitted = append(emitted, row[0].String())
 		}
 		return emitted

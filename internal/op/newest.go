@@ -33,7 +33,7 @@ func (n *Newest) passes(key int64) bool {
 
 // newestFactorized adds To's node of the kept neighbours of From's rows that
 // take part in a tuple: no other row's neighbours reach the sort.
-func (o *Expand) newestFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error) {
+func (o *Expand) newestFactorized(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
@@ -50,7 +50,7 @@ func (o *Expand) newestFactorized(ctx *Ctx, ft *core.FTree) (*core.Chunk, error)
 	col, index := o.Newest.kept(ctx, srcs, o.To, o.Et, o.Dir, o.DstLabel)
 	ctx.Arena.PutVIDs(srcs)
 	ft.PruneUp(ft.AddChild(parent, ctx.NewFBlock(col), index))
-	return ctx.FTChunk(ft), nil
+	return ft, nil
 }
 
 // labelCut is one destination label's cut: clustered rows [lo,hi) with keys

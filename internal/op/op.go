@@ -1,18 +1,19 @@
 // Package op implements the GES physical operators (§4.3) over the
-// factorized representation: operators grow or annotate a shared f-Tree
-// (Expand adds nodes, Projection appends columns, Filter updates selection
-// vectors) and de-factor only when forced. An operator with cross-node
-// blocking logic de-factors its input into a flat row block, and the
-// operators that read rows (Filter, ProjectExpr, OrderBy, Rename) work on
-// such a block as it is. An operator that grows, annotates or folds the tree
-// (the aggregates) takes a flat block as a one-node f-Tree over its rows
-// (ensureFTree), so it has one kernel. The paper's baseline GES variant is the executor
-// de-factoring every operator's output into rows (exec.ModeFlat).
+// factorized representation. Every operator takes and returns an f-Tree:
+// operators grow or annotate it (Expand adds nodes, Projection appends
+// columns, Filter updates selection vectors) and de-factor only when forced.
+// A de-factor (defactor, parallel.go) enumerates the tree's tuple indices and
+// gathers each column by row index into a one-node tree — the columnar form
+// of the paper's flat-block — so an operator whose logic spans nodes
+// (a cross-node Filter, ProjectExpr, ExpandInto or ExpandIntersect) runs its
+// one kernel on that tree, and the blocking operators (the aggregates,
+// OrderBy, Limit, Distinct, Defactor) emit one. Rows are boxed once, when
+// the executor hands a query's result out. The paper's baseline GES variant
+// is the executor de-factoring every operator's output (exec.ModeFlat).
 package op
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"ges/internal/catalog"
@@ -37,13 +38,13 @@ type Ctx struct {
 	// unconditionally.
 	Arena *storage.Arena
 
-	// PeakMem records the largest chunk observed between operators; the
+	// PeakMem records the largest f-Tree observed between operators; the
 	// executor samples it after every operator (Table 2).
 	PeakMem int
 
-	// MaxRows limits defensive materialization: a de-factor producing more
-	// than MaxRows rows aborts the query instead of exhausting memory. Zero
-	// means no limit.
+	// MaxRows limits defensive materialization: a de-factor of more than
+	// MaxRows tuples aborts the query before it gathers a column. Zero means
+	// no limit.
 	MaxRows int
 
 	// Parallel is the intra-query parallelism degree (§2.1, Runtime): the
@@ -94,51 +95,36 @@ func (c *Ctx) NewFBlock(cols ...*vector.Column) *core.FBlock {
 	return b
 }
 
-// FTChunk wraps a factorized result in a query-lifetime chunk. Chunks flow
-// between operators and die with the query (exec retains only the final flat
-// block), so the wrapper recycles through the arena.
-func (c *Ctx) FTChunk(ft *core.FTree) *core.Chunk {
-	return c.Arena.OwnChunk(ft, nil)
-}
-
-// FlatChunk wraps a flat result in a query-lifetime chunk.
-func (c *Ctx) FlatChunk(fb *core.FlatBlock) *core.Chunk {
-	return c.Arena.OwnChunk(nil, fb)
-}
-
-// Observe folds a chunk's size into the peak-memory statistic.
-func (c *Ctx) Observe(ch *core.Chunk) {
-	if ch == nil {
-		return
-	}
-	if m := ch.MemBytes(); m > c.PeakMem {
+// Observe folds a tree's size into the peak-memory statistic.
+func (c *Ctx) Observe(ft *core.FTree) {
+	if m := ft.MemBytes(); m > c.PeakMem {
 		c.PeakMem = m
 	}
 }
 
-// Operator is one step of a physical plan. Execute receives the chunk
+// Operator is one step of a physical plan. Execute receives the f-Tree
 // produced by the upstream operator (nil for source operators) and returns
-// the chunk for the downstream one.
+// the tree for the downstream one, which may be in itself.
 type Operator interface {
 	Name() string
-	Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error)
+	Execute(ctx *Ctx, in *core.FTree) (*core.FTree, error)
 }
 
 // RunPlan executes a linear operator chain over in (nil for a chain that
-// starts with a source operator) and returns its final chunk. The executor
+// starts with a source operator) and returns its final tree. The executor
 // package wraps this with per-operator timing; the plain version serves
 // sub-plans (PatternCount's path) and tests.
-func RunPlan(ctx *Ctx, in *core.Chunk, plan []Operator) (*core.Chunk, error) {
-	ch := in
+func RunPlan(ctx *Ctx, in *core.FTree, plan []Operator) (*core.FTree, error) {
+	ft := in
 	var err error
 	for _, o := range plan {
-		ch, err = o.Execute(ctx, ch)
+		ft, err = o.Execute(ctx, ft)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", o.Name(), err)
 		}
-		ctx.Observe(ch)
+		ctx.Observe(ft)
 	}
-	return ch, nil
+	return ft, nil
 }
 
 // assertFTree verifies the factorized-representation invariants at an
@@ -176,64 +162,6 @@ func newPropGetter(view storage.View, name string) (*propGetter, error) {
 		}
 	}
 	return g, nil
-}
-
-// ensureFlat returns the chunk's flat block, de-factoring the full tree when
-// necessary. Operators without a factorized implementation call this —
-// the paper's "ultimate solution".
-func ensureFlat(ctx *Ctx, in *core.Chunk) (*core.FlatBlock, error) {
-	if in.Flat != nil {
-		return in.Flat, nil
-	}
-	if in.FT == nil {
-		return nil, fmt.Errorf("op: empty chunk")
-	}
-	fb, err := DefactorAll(ctx, in.FT)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.MaxRows > 0 && fb.NumRows() > ctx.MaxRows {
-		return nil, fmt.Errorf("op: de-factoring produced %d rows, over limit %d", fb.NumRows(), ctx.MaxRows)
-	}
-	return fb, nil
-}
-
-// ensureFTree returns a chunk holding in's f-Tree: in itself, or for a flat
-// block a one-node tree over its rows (flatRoot), so the operators that grow,
-// annotate or fold the tree keep one kernel: flat tuples are the one-node
-// case.
-func ensureFTree(ctx *Ctx, in *core.Chunk) *core.Chunk {
-	if in.IsFlat() {
-		return ctx.FTChunk(ctx.Arena.OwnFTree(flatRoot(ctx, in.Flat, nil)))
-	}
-	return in
-}
-
-// flatRoot returns a root block holding, over every row of fb, the columns
-// of fb that names lists, or every column when names is nil. Each column
-// appends its rows typed.
-func flatRoot(ctx *Ctx, fb *core.FlatBlock, names []string) *core.FBlock {
-	b := ctx.NewFBlock()
-	for j, name := range fb.Names {
-		if names != nil && !slices.Contains(names, name) {
-			continue
-		}
-		col := ctx.Arena.OwnColumn(name, fb.Kinds[j])
-		for _, row := range fb.Rows {
-			switch v := row[j]; col.Kind {
-			case vector.KindInt64, vector.KindDate:
-				col.AppendInt64(v.I)
-			case vector.KindVID:
-				col.AppendVID(vector.VID(v.I))
-			case vector.KindString:
-				col.AppendString(v.S)
-			default:
-				col.Append(v)
-			}
-		}
-		b.AddColumn(col)
-	}
-	return b
 }
 
 // vidColumn locates the f-Tree node and VID column for a variable name.

@@ -136,17 +136,17 @@ func TestExpandCopiesNeighbours(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ch.IsFlat() {
+		if ch.NumNodes() != 2 {
 			t.Fatal("expand output should stay factorized")
 		}
-		_, col := ch.FT.FindColumn("f")
+		_, col := ch.FindColumn("f")
 		if col == nil || !slices.Equal(col.VIDs(), p0) {
 			t.Fatalf("edge props %v: neighbour column %v, want %v", props, col, p0)
 		}
 		if props == nil {
 			continue
 		}
-		if _, c := ch.FT.FindColumn("since"); c == nil || c.Len() != len(p0) {
+		if _, c := ch.FindColumn("since"); c == nil || c.Len() != len(p0) {
 			t.Fatalf("edge property column %v, want %d rows", c, len(p0))
 		}
 	}
@@ -164,12 +164,12 @@ func TestTwoHopExpandGrowsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.FT.NumNodes() != 3 {
-		t.Fatalf("tree has %d nodes, want 3 (each Expand adds one)", ch.FT.NumNodes())
+	if ch.NumNodes() != 3 {
+		t.Fatalf("tree has %d nodes, want 3 (each Expand adds one)", ch.NumNodes())
 	}
 	// p0 -> {p1,p2,p3} -> their knows-neighbors (symmetric edges):
 	// p1: p0,p4; p2: p0,p4,p5; p3: p0,p6 => 7 two-hop tuples.
-	if got := ch.FT.CountTuples(); got != 7 {
+	if got := ch.CountTuples(); got != 7 {
 		t.Fatalf("two-hop tuples = %d, want 7", got)
 	}
 }
@@ -263,14 +263,14 @@ func TestFilterUpdatesSelectionVectorInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.IsFlat() {
-		t.Fatal("single-node filter must keep the chunk factorized")
+	if ch.NumNodes() != 2 {
+		t.Fatal("single-node filter must keep the tree factorized")
 	}
-	n, _ := ch.FT.FindColumn("f.id")
+	n, _ := ch.FindColumn("f.id")
 	if n.Sel.Count() != 2 {
 		t.Fatalf("valid rows after filter = %d, want 2", n.Sel.Count())
 	}
-	if got := ch.FT.CountTuples(); got != 2 {
+	if got := ch.CountTuples(); got != 2 {
 		t.Fatalf("tuples = %d", got)
 	}
 }
@@ -293,12 +293,16 @@ func TestCrossNodeFilterDefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ch.IsFlat() {
-		t.Fatal("cross-node filter must revert to flat execution")
+	if ch.NumNodes() != 1 {
+		t.Fatal("cross-node filter must de-factor to one node")
 	}
-	for _, row := range ch.Flat.Rows {
-		fi := row[ch.Flat.ColIndex("f.id")].I
-		gi := row[ch.Flat.ColIndex("g.id")].I
+	fb, err := ch.DefactorAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range fb.Rows {
+		fi := row[fb.ColIndex("f.id")].I
+		gi := row[fb.ColIndex("g.id")].I
 		if fi >= gi {
 			t.Fatalf("filter violated: f.id=%d g.id=%d", fi, gi)
 		}

@@ -1,6 +1,9 @@
 package op
 
 import (
+	"fmt"
+	"slices"
+
 	"ges/internal/core"
 	"ges/internal/sched"
 	"ges/internal/vector"
@@ -20,8 +23,8 @@ import (
 //
 // Three drivers cover the operators: forRanges for in-place kernels that
 // write disjoint positions of pre-sized state and need no merge,
-// produceChild for operators that grow the f-Tree by one node, produceFlat
-// for operators that emit flat rows.
+// produceChild for operators that grow the f-Tree by one node, tupleRows
+// for the tuple-index enumeration of a de-factor.
 
 const (
 	// parallelMinRows is the input size below which the fork/join cannot be
@@ -118,7 +121,7 @@ type childBody interface {
 // produceChild runs body over every row of parent and hangs the result under
 // it as a new node. Shard sinks concatenate in morsel order, each morsel's
 // ranges rebased by the number of children the morsels before it produced.
-func produceChild[B childBody](ctx *Ctx, ft *core.FTree, parent *core.Node, cols childCols, body B) *core.Chunk {
+func produceChild[B childBody](ctx *Ctx, ft *core.FTree, parent *core.Node, cols childCols, body B) *core.FTree {
 	n := parent.Block.NumRows()
 	// The index vector lands in the new f-Tree node, so it is query-lifetime
 	// arena memory, released wholesale when the engine ends the query. There
@@ -155,70 +158,139 @@ func produceChild[B childBody](ctx *Ctx, ft *core.FTree, parent *core.Node, cols
 	}
 	ft.AddChild(parent, block, index)
 	assertFTree(ft)
-	return ctx.FTChunk(ft)
+	return ft
 }
 
-// flatBody is the range body of an operator that emits flat rows: the rows
-// produced from input rows [lo,hi), appended to out in input order.
-type flatBody interface {
-	rows(lo, hi int, out *core.FlatBlock)
-}
-
-// produceFlat runs body over n input rows into a block of the given schema,
-// concatenating per-morsel blocks in morsel order. Row limits are the
-// caller's single check on the merged block.
-func produceFlat[B flatBody](ctx *Ctx, n, size int, names []string, kinds []vector.Kind, body B) *core.FlatBlock {
-	out := core.NewFlatBlock(names, kinds)
-	if k := ctx.shards(n, size); k == 1 {
-		body.rows(0, n, out)
-	} else {
-		body := body // as in produceChild
-		shards := make([]*core.FlatBlock, k)
-		ctx.RunMorsels(n, size, func(m sched.Morsel) {
-			shards[m.Index] = core.NewFlatBlock(names, kinds)
-			body.rows(m.Start, m.End, shards[m.Index])
-		})
-		for _, sh := range shards {
-			out.Rows = append(out.Rows, sh.Rows...)
+// defactor returns a one-node tree over the named columns (every column
+// when names is nil) of the valid tuples of ft, in enumeration order: the
+// tuples' row indices (tupleRows), checked against ctx.MaxRows, then one
+// typed gather per column by row index (vector.Column.Gather), so a
+// dictionary column keeps its codes and its dictionary. A one-node tree is
+// de-factored already: asked for its own schema it comes back as it is, and
+// with every row valid a narrowed tree shares its columns, moving no row.
+func defactor(ctx *Ctx, ft *core.FTree, names []string) (*core.FTree, error) {
+	if root := ft.Root; ft.NumNodes() == 1 {
+		if names == nil || slices.Equal(names, root.Block.Schema()) {
+			return ft, checkRows(ctx, root.Sel.Count())
+		}
+		if root.Sel.Count() == root.Block.NumRows() {
+			b := ctx.NewFBlock()
+			for _, name := range names {
+				c := root.Block.ColumnByName(name)
+				if c == nil {
+					return nil, errNoColumn("defactor", name)
+				}
+				b.AddColumn(c)
+			}
+			return ctx.Arena.OwnFTree(b), checkRows(ctx, root.Block.NumRows())
 		}
 	}
-	return out
-}
-
-// defactorBody enumerates the tuples under root rows [lo,hi). Consecutive
-// ranges concatenate to the full enumeration (core.EnumerateRange).
-type defactorBody struct {
-	ft   *core.FTree
-	refs []core.ColRef
-}
-
-func (b defactorBody) rows(lo, hi int, out *core.FlatBlock) {
-	b.ft.EnumerateRange(b.refs, lo, hi, func(row []vector.Value) bool {
-		out.Append(row)
-		return true
-	})
-}
-
-// DefactorNames materializes the named attributes (the full schema when
-// names is nil) of every valid tuple — FTree.Defactor, driven by root-row
-// range.
-func DefactorNames(ctx *Ctx, ft *core.FTree, names []string) (*core.FlatBlock, error) {
 	if names == nil {
 		names = ft.Schema()
 	}
-	refs, err := ft.Resolve(names)
+	cols, pos, nodes, err := tupleCols(ft, names)
 	if err != nil {
 		return nil, err
 	}
-	kinds := make([]vector.Kind, len(refs))
-	for i, r := range refs {
-		kinds[i] = ft.Nodes()[r.Node].Block.Column(r.Col).Kind
+	rows := tupleRows(ctx, ft, nodes)
+	defer putRows(ctx, rows)
+	if len(rows) > 0 {
+		if err := checkRows(ctx, len(rows[0])); err != nil {
+			return nil, err
+		}
 	}
-	return produceFlat(ctx, ft.Root.Block.NumRows(), expandMorselSize,
-		append([]string(nil), names...), kinds, defactorBody{ft, refs}), nil
+	return ctx.Arena.OwnFTree(gatherBlock(ctx, names, cols, pos, rows)), nil
 }
 
-// DefactorAll materializes every attribute of the tree.
-func DefactorAll(ctx *Ctx, ft *core.FTree) (*core.FlatBlock, error) {
-	return DefactorNames(ctx, ft, nil)
+// checkRows fails a de-factor of n tuples past ctx.MaxRows.
+func checkRows(ctx *Ctx, n int) error {
+	if ctx.MaxRows > 0 && n > ctx.MaxRows {
+		return fmt.Errorf("op: de-factoring produced %d rows, over limit %d", n, ctx.MaxRows)
+	}
+	return nil
+}
+
+// tupleCols resolves names to their columns in ft, each with the position
+// of its node among nodes — the nodes a tuple's rows are recorded for.
+func tupleCols(ft *core.FTree, names []string) (cols []*vector.Column, pos, nodes []int, err error) {
+	refs, err := ft.Resolve(names)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cols, pos = make([]*vector.Column, len(refs)), make([]int, len(refs))
+	for i, r := range refs {
+		n := ft.Nodes()[r.Node]
+		cols[i] = n.Block.Column(r.Col)
+		nodes, pos[i] = tuplePos(nodes, n)
+	}
+	return cols, pos, nodes, nil
+}
+
+// tupleRows enumerates the valid tuples of ft and returns, for each node of
+// nodes, its row in every tuple: rows[k][t] is node nodes[k]'s row in tuple
+// t. Morsels of root rows enumerate on their own and concatenate in order,
+// so the rows are the same at every worker count (FTree.EnumerateRows). The
+// caller returns the rows with putRows.
+func tupleRows(ctx *Ctx, ft *core.FTree, nodes []int) [][]int32 {
+	n := ft.Root.Block.NumRows()
+	rows := make([][]int32, len(nodes))
+	for k := range rows {
+		rows[k] = ctx.Arena.GetInt32s(n)
+	}
+	if ctx.shards(n, expandMorselSize) == 1 {
+		appendTuples(ft, nodes, 0, n, 0, -1, rows)
+		return rows
+	}
+	shards := make([][][]int32, sched.NumMorsels(n, expandMorselSize))
+	ctx.RunMorsels(n, expandMorselSize, func(m sched.Morsel) {
+		sh := make([][]int32, len(nodes))
+		appendTuples(ft, nodes, m.Start, m.End, 0, -1, sh)
+		shards[m.Index] = sh
+	})
+	for _, sh := range shards {
+		for k := range rows {
+			rows[k] = append(rows[k], sh[k]...)
+		}
+	}
+	return rows
+}
+
+// appendTuples appends to rows[k] node nodes[k]'s row in each valid tuple
+// under root rows [lo,hi), after skipping skip tuples and up to limit tuples
+// (every one when limit < 0), and returns the tuples it appended.
+func appendTuples(ft *core.FTree, nodes []int, lo, hi, skip, limit int, rows [][]int32) (n int) {
+	if limit == 0 {
+		return 0
+	}
+	ft.EnumerateRows(lo, hi, func(cur []int, _ int) bool {
+		if skip > 0 {
+			skip--
+			return true
+		}
+		for k, id := range nodes {
+			rows[k] = append(rows[k], int32(cur[id]))
+		}
+		n++
+		return n != limit
+	})
+	return n
+}
+
+// putRows returns tupleRows' rows to the arena.
+func putRows(ctx *Ctx, rows [][]int32) {
+	for _, r := range rows {
+		ctx.Arena.PutInt32s(r)
+	}
+}
+
+// gatherBlock returns a block of the named columns: column i is cols[i]
+// gathered at rows[pos[i]].
+func gatherBlock(ctx *Ctx, names []string, cols []*vector.Column, pos []int, rows [][]int32) *core.FBlock {
+	b := ctx.NewFBlock()
+	for i, src := range cols {
+		col := ctx.Arena.OwnColumn(names[i], src.Kind)
+		col.Gather(src, rows[pos[i]])
+		b.AddColumn(col)
+	}
+	return b
 }

@@ -473,7 +473,7 @@ func TestOperatorParity(t *testing.T) {
 		// The weighted fold's key modes and typed slabs, with weights above 1
 		// from g's fan-out: a dictionary-coded key holding the created
 		// person's first name, which a commit interned after the seal; a
-		// plain string key on a flat chunk's one-node tree; date MIN and MAX
+		// plain string key on a de-factored tree; date MIN and MAX
 		// and an integer SUM; and MIN and MAX over no rows, which stay null.
 		{"agg/dict-key-interned-after-seal", true, func() plan.Plan {
 			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "firstName", As: "f.firstName"}}},
@@ -496,11 +496,35 @@ func TestOperatorParity(t *testing.T) {
 				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "f.creationDate"), agg(op.Max, "f.creationDate"),
 					{Func: op.Min, Arg: "f.firstName", As: "minName"}, {Func: op.Max, Arg: "f.firstName", As: "maxName"}}})
 		}},
+		// The null a global MIN or MAX over no rows yields, carried by its
+		// typed column through a Filter that reads it (the range kernel
+		// takes a column with nulls by Get), a ProjectExpr that copies it and
+		// one that adds to it, an OrderBy on it and a Limit.
+		{"null/empty-min-max-through-row-operators", true, func() plan.Plan {
+			return twoHop(&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "firstName", As: "f.firstName"}}},
+				&op.Filter{Pred: expr.Lt(expr.C("p.id"), expr.LInt(0))},
+				&op.Aggregate{Aggs: []op.AggSpec{count, agg(op.Min, "g.id"), {Func: op.Max, Arg: "f.firstName", As: "maxName"}}},
+				// A null orders below every integer, so it passes < 0; the
+				// zero its row holds would not.
+				&op.Filter{Pred: expr.And{L: expr.Eq(expr.C("n"), expr.LInt(0)), R: expr.Lt(expr.C("min"), expr.LInt(0))}},
+				&op.ProjectExpr{Expr: expr.C("maxName"), As: "name", Kind: vector.KindString},
+				&op.ProjectExpr{Expr: expr.Arith{Op: expr.Add, L: expr.C("min"), R: expr.LInt(1)}, As: "next", Kind: vector.KindInt64},
+				&op.OrderBy{Keys: []op.SortKey{{Col: "min"}, {Col: "name", Desc: true}}},
+				&op.Limit{N: 1, Cols: []string{"min", "name", "next", "n"}})
+		}},
+		// Distinct over a multi-node tree, narrowed to columns of two nodes,
+		// and over a de-factored tree's every column.
+		{"distinct/two-hop-narrowed", false, func() plan.Plan {
+			return twoHop(&op.Distinct{Cols: []string{"g.id", "p.id"}})
+		}},
+		{"distinct/defactored-all-columns", false, func() plan.Plan {
+			return twoHop(&op.Defactor{Cols: []string{"f.id", "g.id"}}, &op.Distinct{})
+		}},
 		// Count-only leaves (GES_f* turns an expand nothing reads below a
 		// counting aggregate into its parent's run lengths): runs of several
 		// families (Both, AnyLabel), KNOWS runs the overlay views' deltas
 		// touch, two leaves on one node whose weights multiply, a leaf on a
-		// flat chunk, and the top-k over groups keyed by VID. The aggregate
+		// de-factored tree, and the top-k over groups keyed by VID. The aggregate
 		// emits in group-key order, so every row is ordered.
 		{"count-leaf/both", true, func() plan.Plan {
 			return plan.Plan{scan("p"), &op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Both, DstLabel: h.Person},
@@ -684,6 +708,9 @@ func TestOperatorParity(t *testing.T) {
 		{"limit/one", false, 1, limit(1, 0)},
 		{"limit/skip-window", false, 50, limit(50, 100)},
 		{"limit/skip-past-end", false, 0, limit(5, 1<<30)},
+		{"limit/skip-every-node", false, 30, func() plan.Plan {
+			return twoHop(&op.Limit{N: 30, Skip: 7, Cols: []string{"g.id", "f", "p.id", "f.id"}})
+		}},
 		{"order-ties/single-node", true, 10, func() plan.Plan {
 			return plan.Plan{scan("p"), props("p", "gender"),
 				&op.OrderBy{Keys: []op.SortKey{{Col: "p.gender", Desc: true}}, Limit: 10, Cols: []string{"p.id", "p.gender"}}}
@@ -702,7 +729,7 @@ func TestOperatorParity(t *testing.T) {
 		}},
 		// Gather after the cut: late columns over Post ∪ Comment (a string
 		// property of several labels, and ids that may tie across them), on
-		// an f-Tree and on a flat chunk.
+		// an f-Tree and on a de-factored tree.
 		{"late/multi-label-string", true, 40, func() plan.Plan {
 			return plan.Plan{scan("p"), props("p", "firstName"),
 				&op.Expand{From: "p", To: "m", Et: h.HasCreator, Dir: catalog.In, DstLabel: storage.AnyLabel},

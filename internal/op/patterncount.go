@@ -35,20 +35,18 @@ func (o *PatternCount) Name() string {
 }
 
 // Execute implements Operator.
-func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	in = ensureFTree(ctx, in)
-	ft := in.FT
+func (o *PatternCount) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	node, _, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err
 	}
 	root, bound := nodeRoot(ctx, node)
 	pt := ctx.Arena.OwnFTree(root)
-	out, err := RunPlan(ctx, ctx.FTChunk(pt), o.Path)
+	out, err := RunPlan(ctx, pt, o.Path)
 	if err != nil {
 		return nil, fmt.Errorf("pattern count %s: %w", o.As, err)
 	}
-	if out.FT != pt {
+	if out != pt {
 		return nil, fmt.Errorf("op: pattern count %s: the path de-factored its tree", o.As)
 	}
 	buf := weightBufs.Get().(*[]int64)
@@ -62,12 +60,13 @@ func (o *PatternCount) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	}
 	node.Block.AddColumn(col)
 	assertFTree(ft)
-	return in, nil
+	return ft, nil
 }
 
 // nodeRoot returns the root block of node's pattern tree and the row of node
 // each root row binds: one root row per valid row of node, holding the
-// columns of node and of every node above it, read at the row's ancestor.
+// columns of node and of every node above it, each gathered at the row's
+// ancestor (vector.Column.Gather).
 func nodeRoot(ctx *Ctx, node *core.Node) (*core.FBlock, []int32) {
 	var bound []int32
 	for i := range node.Block.NumRows() {
@@ -81,9 +80,7 @@ func nodeRoot(ctx *Ctx, node *core.Node) (*core.FBlock, []int32) {
 	for c := node; ; c = c.Parent {
 		for _, src := range c.Block.Columns() {
 			col := ctx.Arena.OwnColumn(src.Name, src.Kind)
-			for _, r := range rows {
-				col.Append(src.Get(int(r)))
-			}
+			col.Gather(src, rows)
 			b.AddColumn(col)
 		}
 		if c.Parent == nil {

@@ -1,6 +1,8 @@
 package op
 
 import (
+	"slices"
+
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/vector"
@@ -26,9 +28,7 @@ type ProjectProps struct {
 func (o *ProjectProps) Name() string { return "Project" }
 
 // Execute implements Operator.
-func (o *ProjectProps) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	in = ensureFTree(ctx, in)
-	ft := in.FT
+func (o *ProjectProps) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	for _, spec := range o.Specs {
 		node, col, err := vidColumn(ft, spec.Var)
 		if err != nil {
@@ -49,12 +49,12 @@ func (o *ProjectProps) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 		node.Block.AddColumn(out)
 	}
 	assertFTree(ft)
-	return in, nil
+	return ft, nil
 }
 
-// ProjectExpr appends one computed column. On the factorized path the
-// expression must be confined to a single f-Tree node; otherwise the chunk
-// is de-factored first.
+// ProjectExpr appends one computed column to the f-Tree node owning the
+// expression's attributes; an expression spanning several nodes (or none)
+// de-factors the tree first and appends to its one node.
 type ProjectExpr struct {
 	Expr expr.Expr
 	As   string
@@ -65,49 +65,39 @@ type ProjectExpr struct {
 func (o *ProjectExpr) Name() string { return "ProjectExpr" }
 
 // Execute implements Operator.
-func (o *ProjectExpr) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if !in.IsFlat() {
-		cols := o.Expr.Columns(nil)
-		if node := in.FT.NodeOfColumns(cols); node != nil {
-			get, err := expr.BindBlock(o.Expr, node.Block)
-			if err != nil {
-				return nil, err
-			}
-			// The output column is query-lifetime arena memory sized up front;
-			// compiled getters read block state by row index only, so ranges
-			// fill disjoint slots of it with one getter.
-			out := ctx.Arena.OwnColumn(o.As, o.Kind)
-			out.Grow(node.Block.NumRows())
-			forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out.Set(i, coerce(get(i), o.Kind))
-				}
-			})
-			node.Block.AddColumn(out)
-			assertFTree(in.FT)
-			return in, nil
-		}
-		fb, err := ensureFlat(ctx, in)
-		if err != nil {
+func (o *ProjectExpr) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	node := ft.NodeOfColumns(o.Expr.Columns(nil))
+	if node == nil {
+		var err error
+		if ft, err = defactor(ctx, ft, nil); err != nil {
 			return nil, err
 		}
-		in = ctx.FlatChunk(fb)
+		node = ft.Root
 	}
-	get, err := expr.BindFlat(o.Expr, in.Flat)
+	get, err := expr.BindBlock(o.Expr, node.Block)
 	if err != nil {
 		return nil, err
 	}
-	out := core.NewFlatBlock(
-		append(append([]string(nil), in.Flat.Names...), o.As),
-		append(append([]vector.Kind(nil), in.Flat.Kinds...), o.Kind),
-	)
-	for i, row := range in.Flat.Rows {
-		nr := make([]vector.Value, 0, len(row)+1)
-		nr = append(nr, row...)
-		nr = append(nr, coerce(get(i), o.Kind))
-		out.AppendOwned(nr)
+	// The output column is query-lifetime arena memory sized up front;
+	// compiled getters read block state by row index only, so ranges fill
+	// disjoint slots of it with one getter. A null grows the column's
+	// bitmap, so a block with nulls fills it in one range.
+	out := ctx.Arena.OwnColumn(o.As, o.Kind)
+	n := node.Block.NumRows()
+	out.Grow(n)
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out.Set(i, coerce(get(i), o.Kind))
+		}
 	}
-	return ctx.FlatChunk(out), nil
+	if slices.ContainsFunc(node.Block.Columns(), (*vector.Column).HasNulls) {
+		fill(0, n)
+	} else {
+		forRanges(ctx, n, filterMorselSize, fill)
+	}
+	node.Block.AddColumn(out)
+	assertFTree(ft)
+	return ft, nil
 }
 
 func coerce(v vector.Value, k vector.Kind) vector.Value {

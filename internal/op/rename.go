@@ -1,12 +1,14 @@
 package op
 
 import (
+	"slices"
+
 	"ges/internal/core"
 )
 
 // Rename relabels columns (From[i] becomes To[i]). The frontend uses it to
 // apply RETURN aliases after execution runs on canonical column names. It is
-// metadata-only: no data moves in either representation.
+// metadata-only: no data moves.
 type Rename struct {
 	From []string
 	To   []string
@@ -16,32 +18,13 @@ type Rename struct {
 func (o *Rename) Name() string { return "Rename" }
 
 // Execute implements Operator.
-func (o *Rename) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	lookup := func(name string) (string, bool) {
-		for i, f := range o.From {
-			if f == name {
-				return o.To[i], true
-			}
-		}
-		return "", false
-	}
-	if in.IsFlat() {
-		names := append([]string(nil), in.Flat.Names...)
-		for i, n := range names {
-			if to, ok := lookup(n); ok {
-				names[i] = to
-			}
-		}
-		out := core.NewFlatBlock(names, in.Flat.Kinds)
-		out.Rows = in.Flat.Rows
-		return ctx.FlatChunk(out), nil
-	}
-	for _, node := range in.FT.Nodes() {
+func (o *Rename) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	for _, node := range ft.Nodes() {
 		for _, c := range node.Block.Columns() {
-			if to, ok := lookup(c.Name); ok {
-				c.Name = to
+			if i := slices.Index(o.From, c.Name); i >= 0 {
+				c.Name = o.To[i]
 			}
 		}
 	}
-	return in, nil
+	return ft, nil
 }

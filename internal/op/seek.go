@@ -26,7 +26,7 @@ type NodeByIdSeek struct {
 func (o *NodeByIdSeek) Name() string { return "NodeByIdSeek" }
 
 // Execute implements Operator.
-func (o *NodeByIdSeek) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *NodeByIdSeek) Execute(ctx *Ctx, in *core.FTree) (*core.FTree, error) {
 	if in != nil {
 		return nil, fmt.Errorf("op: NodeByIdSeek must be a source operator")
 	}
@@ -34,7 +34,7 @@ func (o *NodeByIdSeek) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	if vid, ok := ctx.View.VertexByExt(o.Label, o.ExtID); ok {
 		col.AppendVID(vid)
 	}
-	return ctx.FTChunk(ctx.NewFTree(col)), nil
+	return ctx.NewFTree(col), nil
 }
 
 // NodeScan starts a plan from every vertex of a label. With From set it is
@@ -52,7 +52,7 @@ type NodeScan struct {
 func (o *NodeScan) Name() string { return "NodeScan" }
 
 // Execute implements Operator.
-func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *NodeScan) Execute(ctx *Ctx, in *core.FTree) (*core.FTree, error) {
 	if o.From != "" {
 		if in == nil {
 			return nil, fmt.Errorf("op: NodeScan from %q needs an input", o.From)
@@ -65,17 +65,16 @@ func (o *NodeScan) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 	// Expose the scan order zero-copy; filters narrow the selection vector
 	// instead of rewriting the column.
 	col := vector.ShareVIDs(o.Var, ctx.View.ScanLabel(o.Label))
-	return ctx.FTChunk(ctx.NewFTree(col)), nil
+	return ctx.NewFTree(col), nil
 }
 
 // extend adds the scan under From. Under a one-row parent the child is the
 // shared scan, as a source NodeScan's root is, so a projection gathers it
 // zero-copy; under several parent rows each valid row gets its own copy of
 // the scan.
-func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
+func (o *NodeScan) extend(ctx *Ctx, in *core.FTree) (*core.FTree, error) {
 	scan := ctx.View.ScanLabel(o.Label)
-	ft := ensureFTree(ctx, in).FT
-	parent, _, err := vidColumn(ft, o.From)
+	parent, _, err := vidColumn(in, o.From)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +94,7 @@ func (o *NodeScan) extend(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
 			index[i] = core.Range{Start: int32(start), End: int32(col.Len())}
 		}
 	}
-	ft.AddChild(parent, ctx.NewFBlock(col), index)
-	assertFTree(ft)
-	return ctx.FTChunk(ft), nil
+	in.AddChild(parent, ctx.NewFBlock(col), index)
+	assertFTree(in)
+	return in, nil
 }

@@ -178,12 +178,13 @@ func TestShardResourcesIndependentOfWorkers(t *testing.T) {
 	for name, e := range map[string]*op.Expand{"lazy": knows(), "fused": fused} {
 		// One shard: the index vector and the whole-block source buffer.
 		// k shards: the index vector alone — morsels fill sub-slices of it
-		// and draw 256-slot source buffers.
-		if _, got := run(1, plan.Plan{scan, e}); got != 2 {
-			t.Errorf("%s expand, 1 worker: %d gets of %d-slot buffers, want 2", name, got, n)
+		// and draw 256-slot source buffers. At every count the result's
+		// de-factor adds one tuple-row buffer per node, sized by the root.
+		if _, got := run(1, plan.Plan{scan, e}); got != 2+2 {
+			t.Errorf("%s expand, 1 worker: %d gets of %d-slot buffers, want 2+2", name, got, n)
 		}
-		if _, got := run(4, plan.Plan{scan, e}); got != 1 {
-			t.Errorf("%s expand, 4 workers: %d gets of %d-slot buffers, want 1 (the index vector)", name, got, n)
+		if _, got := run(4, plan.Plan{scan, e}); got != 1+2 {
+			t.Errorf("%s expand, 4 workers: %d gets of %d-slot buffers, want 1+2 (the index vector)", name, got, n)
 		}
 	}
 

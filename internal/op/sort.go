@@ -20,11 +20,11 @@ type SortKey struct {
 }
 
 // OrderBy is a blocking operator: ordering is defined over whole tuples
-// (§4.3, Order-By). It never materializes the flat relation: an f-Tree's
+// (§4.3, Order-By). It never materializes the flat relation: the f-Tree's
 // enumeration hands the ordering kernel (tupleOrder) the rows of just the
-// nodes the keys and Cols read, a flat block hands it row indices, and with
-// a Limit a bounded heap keeps only the best Limit tuples — Figure 8(b)(vi).
-// Only the returned tuples are boxed.
+// nodes the keys and Cols read, and with a Limit a bounded heap keeps only
+// the best Limit tuples — Figure 8(b)(vi). The kept tuples come out as a
+// one-node tree, each column gathered at their rows.
 //
 // Late holds the projections plan.Fuse moved past the cut (gather after the
 // cut): columns of Cols that no filter, sort key or group key reads. The
@@ -47,21 +47,6 @@ func (o *OrderBy) Name() string {
 		names[i] = s.As
 	}
 	return "OrderBy(late " + strings.Join(names, ",") + ")"
-}
-
-// Execute implements Operator.
-func (o *OrderBy) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	var out *core.FlatBlock
-	var err error
-	if in.IsFlat() {
-		out, err = orderFlat(ctx, in.Flat, o.Keys, o.Limit, o.Cols, o.Late)
-	} else {
-		out, err = orderTree(ctx, in.FT, o.Keys, o.Limit, o.Cols, o.Late)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ctx.FlatChunk(out), nil
 }
 
 // gatherLate gathers, for the n kept tuples, every column of cols a late
@@ -102,11 +87,12 @@ func source(col string, late []ProjSpec) string {
 	return col
 }
 
-// orderTree orders the tuples of an f-Tree. A tuple is the row of every node
-// a key or an output column lives on; the enumeration writes those rows into
-// the kernel's slot and the keys compare the node columns directly. A late
+// Execute implements Operator. A tuple is the row of every node a key or an
+// output column lives on; the enumeration writes those rows into the
+// kernel's slot and the keys compare the node columns directly. A late
 // column is read from its variable's node as VIDs and gathered after the cut.
-func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []string, late []ProjSpec) (*core.FlatBlock, error) {
+func (o *OrderBy) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	cols, sortKeys, late := o.Cols, o.Keys, o.Late
 	if cols == nil {
 		cols = ft.Schema()
 	}
@@ -135,7 +121,7 @@ func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []s
 		outs[i].col, kinds[i] = c, c.Kind
 		nodes, outs[i].pos = tuplePos(nodes, n)
 	}
-	ord := newTupleOrder(ctx, len(nodes), limit, keys)
+	ord := newTupleOrder(ctx, len(nodes), o.Limit, keys)
 	defer ord.release()
 	full := false
 	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
@@ -153,36 +139,29 @@ func orderTree(ctx *Ctx, ft *core.FTree, sortKeys []SortKey, limit int, cols []s
 		return nil, fmt.Errorf("op: order-by: more than %d tuples", math.MaxInt32-1)
 	}
 	ids := ord.sorted()
+	rows := make([][]int32, len(nodes))
+	for p := range rows {
+		rows[p] = make([]int32, len(ids))
+		for i, id := range ids {
+			rows[p][i] = ord.tuple(id)[p]
+		}
+	}
 	gathered, err := gatherLate(ctx, cols, late, kinds, len(ids), func(c, i int) vector.VID {
-		return outs[c].col.VIDAt(int(ord.tuple(ids[i])[outs[c].pos]))
+		return outs[c].col.VIDAt(int(rows[outs[c].pos][i]))
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rowsOf(cols, kinds, gathered, len(ids), func(c, i int) vector.Value {
-		return outs[c].col.Get(int(ord.tuple(ids[i])[outs[c].pos]))
-	}), nil
-}
-
-// rowsOf builds the block of n rows of cols: a gathered column's value i, or
-// get's.
-func rowsOf(cols []string, kinds []vector.Kind, gathered []*vector.Column, n int, get func(c, i int) vector.Value) *core.FlatBlock {
-	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
-	out.Rows = make([][]vector.Value, n)
-	w := len(cols)
-	vals := make([]vector.Value, n*w)
-	for i := range out.Rows {
-		row := vals[i*w : (i+1)*w : (i+1)*w]
-		for c := range row {
-			if g := gathered[c]; g != nil {
-				row[c] = g.Get(i)
-			} else {
-				row[c] = get(c, i)
-			}
+	b := ctx.NewFBlock()
+	for c, name := range cols {
+		col := gathered[c]
+		if col == nil {
+			col = ctx.Arena.OwnColumn(name, kinds[c])
+			col.Gather(outs[c].col, rows[outs[c].pos])
 		}
-		out.Rows[i] = row
+		b.AddColumn(col)
 	}
-	return out
+	return ctx.Arena.OwnFTree(b), nil
 }
 
 // tuplePos returns the tuple position of node n's row, adding the node to
@@ -194,57 +173,8 @@ func tuplePos(nodes []int, n *core.Node) ([]int, int) {
 	return append(nodes, n.ID()), len(nodes)
 }
 
-// orderFlat orders the rows of a flat block by keys, keeps the first limit
-// (all when limit <= 0) and narrows them to cols (every column when nil),
-// the late ones gathered for the kept rows. A tuple is one row index; keys
-// compare row values. A kept row is shared, not copied, when cols is the
-// block's own schema.
-func orderFlat(ctx *Ctx, fb *core.FlatBlock, sortKeys []SortKey, limit int, cols []string, late []ProjSpec) (*core.FlatBlock, error) {
-	keys := make([]orderKey, len(sortKeys))
-	for i, k := range sortKeys {
-		j := fb.ColIndex(k.Col)
-		if j < 0 {
-			return nil, errNoColumn("order-by", k.Col)
-		}
-		rows := fb.Rows
-		keys[i] = orderKey{desc: k.Desc, cmp: func(a, b int32) int { return vector.Compare(rows[a][j], rows[b][j]) }}
-	}
-	var idx []int
-	var kinds []vector.Kind
-	if cols != nil && !slices.Equal(cols, fb.Names) {
-		idx, kinds = make([]int, len(cols)), make([]vector.Kind, len(cols))
-		for i, name := range cols {
-			if idx[i] = fb.ColIndex(source(name, late)); idx[i] < 0 {
-				return nil, errNoColumn("order-by", source(name, late))
-			}
-			kinds[i] = fb.Kinds[idx[i]]
-		}
-	}
-	ord := newTupleOrder(ctx, 1, limit, keys)
-	defer ord.release()
-	for r := range fb.Rows {
-		ord.next()[0] = int32(r)
-		ord.offer()
-	}
-	ids := ord.sorted()
-	row := func(i int) []vector.Value { return fb.Rows[ord.tuple(ids[i])[0]] }
-	if idx == nil {
-		out := core.NewFlatBlock(fb.Names, fb.Kinds)
-		out.Rows = make([][]vector.Value, len(ids))
-		for i := range ids {
-			out.Rows[i] = row(i)
-		}
-		return out, nil
-	}
-	gathered, err := gatherLate(ctx, cols, late, kinds, len(ids), func(c, i int) vector.VID { return row(i)[idx[c]].AsVID() })
-	if err != nil {
-		return nil, err
-	}
-	return rowsOf(cols, kinds, gathered, len(ids), func(c, i int) vector.Value { return row(i)[idx[c]] }), nil
-}
-
-// tupleOrder is the one ordering kernel: OrderBy, over an f-Tree or a flat
-// block, and AggregateProjectTop, over its group table, sort and cut int32
+// tupleOrder is the one ordering kernel: OrderBy, over an f-Tree, and
+// AggregateProjectTop, over its group table, sort and cut int32
 // tuple ids with it. The caller writes each tuple, in input order, into the
 // slot next returns — m int32 row positions — and offers it; sorted returns
 // the kept slots in order. Keys compare positions through per-column
@@ -378,9 +308,14 @@ func (o *tupleOrder) release() {
 
 // columnComparator returns a row-position comparator matching vector.Compare
 // on a column's values, reading typed storage directly where the kind has
-// one (dict strings resolve lazily — codes are not order-preserving).
+// one (dict strings resolve lazily — codes are not order-preserving) and
+// the column has no nulls.
 func columnComparator(c *vector.Column) func(a, b int32) int {
-	switch c.Kind {
+	kind := c.Kind
+	if c.HasNulls() {
+		kind = vector.KindInvalid
+	}
+	switch kind {
 	case vector.KindInt64, vector.KindDate:
 		vals := c.Int64s()
 		return func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) }
@@ -406,9 +341,10 @@ func columnComparator(c *vector.Column) func(a, b int32) int {
 }
 
 // Limit keeps tuples Skip+1 … Skip+N, narrowed to Cols (the full schema when
-// nil) — the de-factor of a RETURN … LIMIT without ORDER BY. On a factorized
-// chunk the constant-delay enumeration resolves only Cols and stops after
-// Skip+N tuples (Lemma 4.4) instead of materializing the relation first.
+// nil) — the de-factor of a RETURN … LIMIT without ORDER BY. The
+// constant-delay enumeration records the rows of just the nodes Cols live
+// on and stops after Skip+N tuples (Lemma 4.4); each column is gathered at
+// the kept tuples' rows into a one-node tree.
 type Limit struct {
 	N    int
 	Skip int
@@ -419,88 +355,18 @@ type Limit struct {
 func (o *Limit) Name() string { return "Limit" }
 
 // Execute implements Operator.
-func (o *Limit) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	if in.IsFlat() {
-		fb := in.Flat
-		lo := min(o.Skip, fb.NumRows())
-		hi := lo + min(max(o.N, 0), fb.NumRows()-lo)
-		out := core.NewFlatBlock(fb.Names, fb.Kinds)
-		out.Rows = fb.Rows[lo:hi]
-		if o.Cols != nil && !slices.Equal(o.Cols, fb.Names) {
-			var err error
-			if out, err = out.Project(o.Cols); err != nil {
-				return nil, err
-			}
-		}
-		return ctx.FlatChunk(out), nil
+func (o *Limit) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
+	names := o.Cols
+	if names == nil {
+		names = ft.Schema()
 	}
-	cols := o.Cols
-	if cols == nil {
-		cols = in.FT.Schema()
-	}
-	refs, err := in.FT.Resolve(cols)
+	cols, pos, nodes, err := tupleCols(ft, names)
 	if err != nil {
 		return nil, err
 	}
-	kinds := make([]vector.Kind, len(refs))
-	for i, r := range refs {
-		kinds[i] = in.FT.Nodes()[r.Node].Block.Column(r.Col).Kind
-	}
-	out := core.NewFlatBlock(append([]string(nil), cols...), kinds)
-	if o.N > 0 {
-		skip := o.Skip
-		in.FT.Enumerate(refs, func(row []vector.Value) bool {
-			if skip > 0 {
-				skip--
-				return true
-			}
-			out.Append(row)
-			return out.NumRows() < o.N
-		})
-	}
-	return ctx.FlatChunk(out), nil
-}
-
-// Distinct removes duplicate tuples over the named columns (all columns when
-// nil). It requires global cross-tuple state, so it is a de-factoring
-// operator.
-type Distinct struct {
-	Cols []string
-}
-
-// Name implements Operator.
-func (o *Distinct) Name() string { return "Distinct" }
-
-// Execute implements Operator.
-func (o *Distinct) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	var fb *core.FlatBlock
-	var err error
-	if in.IsFlat() {
-		fb = in.Flat
-		if o.Cols != nil {
-			if fb, err = fb.Project(o.Cols); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		d := &Defactor{Cols: o.Cols}
-		ch, err := d.Execute(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		fb = ch.Flat
-	}
-	out := core.NewFlatBlock(fb.Names, fb.Kinds)
-	seen := make(map[string]struct{}, fb.NumRows())
-	for _, row := range fb.Rows {
-		k := rowKey(row)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.AppendOwned(row)
-	}
-	return ctx.FlatChunk(out), nil
+	rows := make([][]int32, len(nodes))
+	appendTuples(ft, nodes, 0, ft.Root.Block.NumRows(), o.Skip, max(o.N, 0), rows)
+	return ctx.Arena.OwnFTree(gatherBlock(ctx, names, cols, pos, rows)), nil
 }
 
 // rowKey builds a collision-safe hash key for a tuple using length-prefixed

@@ -28,8 +28,7 @@ type VarLengthExpand struct {
 func (o *VarLengthExpand) Name() string { return "VarLengthExpand" }
 
 // Execute implements Operator.
-func (o *VarLengthExpand) Execute(ctx *Ctx, in *core.Chunk) (*core.Chunk, error) {
-	ft := ensureFTree(ctx, in).FT
+func (o *VarLengthExpand) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	parent, fromCol, err := vidColumn(ft, o.From)
 	if err != nil {
 		return nil, err

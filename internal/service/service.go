@@ -301,7 +301,6 @@ func (s *Server) memorySection() map[string]any {
 			"ftrees":  obj(st.Trees),
 			"batches": obj(st.Batches),
 			"fblocks": obj(st.Blocks),
-			"chunks":  obj(st.Chunks),
 			"arenas":  obj(st.Arenas),
 		},
 		"gc": map[string]any{

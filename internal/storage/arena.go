@@ -19,7 +19,7 @@ import (
 //
 //   - Own* methods hand out query-lifetime structures (index vectors that
 //     land in f-Tree nodes, f-Block columns, selection bitsets, f-Trees,
-//     f-Blocks, chunks). The arena tracks them and Release returns them
+//     f-Blocks). The arena tracks them and Release returns them
 //     wholesale; callers never put them back individually.
 //   - Get*/Put* methods hand out transient scratch (batched source VIDs,
 //     int32 tuple ids and row positions, adjacency batches — every consumer
@@ -46,7 +46,6 @@ type Arena struct {
 	bits   []*vector.Bitset
 	trees  []*core.FTree
 	blocks []*core.FBlock
-	chunks []*core.Chunk
 }
 
 // NewArena returns an arena over pool. A nil pool yields an arena that
@@ -148,21 +147,6 @@ func (a *Arena) OwnFBlock() *core.FBlock {
 	return b
 }
 
-// OwnChunk returns a query-lifetime operator-result wrapper. Chunks flow
-// between operators and die with the query (Result retains the flat block,
-// never the chunk), so the one-per-operator wrapper allocation recycles too.
-func (a *Arena) OwnChunk(ft *core.FTree, flat *core.FlatBlock) *core.Chunk {
-	if !a.recycling() {
-		return &core.Chunk{FT: ft, Flat: flat}
-	}
-	c := a.pool.GetChunk()
-	c.FT, c.Flat = ft, flat
-	a.mu.Lock()
-	a.chunks = append(a.chunks, c)
-	a.mu.Unlock()
-	return c
-}
-
 // GetVIDs returns transient VID scratch; the caller must PutVIDs it on
 // every path (geslint R11).
 func (a *Arena) GetVIDs(n int) []vector.VID {
@@ -249,9 +233,4 @@ func (a *Arena) Release() {
 	}
 	clear(a.blocks)
 	a.blocks = a.blocks[:0]
-	for _, c := range a.chunks {
-		a.pool.PutChunk(c)
-	}
-	clear(a.chunks)
-	a.chunks = a.chunks[:0]
 }

@@ -132,13 +132,12 @@ func TestArenaReleaseIdempotent(t *testing.T) {
 	a.OwnFTree(core.NewFBlock())
 	b := a.OwnFBlock()
 	b.AddColumn(vector.NewColumn("x", vector.KindVID))
-	a.OwnChunk(nil, nil)
 
 	putsBefore := p.DetailedStats().Puts
 	a.Release()
 	puts := p.DetailedStats().Puts
-	if n := puts - putsBefore; n != 7 {
-		t.Fatalf("Release returned %d structures, want 7", n)
+	if n := puts - putsBefore; n != 6 {
+		t.Fatalf("Release returned %d structures, want 6", n)
 	}
 	a.Release() // idempotent: nothing left to return
 	if again := p.DetailedStats().Puts; again != puts {
@@ -162,10 +161,6 @@ func TestNilArenaAllocates(t *testing.T) {
 	}
 	a.PutVIDs(nil)
 	a.Release()
-	ch := a.OwnChunk(nil, nil)
-	if ch == nil {
-		t.Fatal("nil arena OwnChunk returned nil")
-	}
 	blk := a.OwnFBlock()
 	if blk == nil {
 		t.Fatal("nil arena OwnFBlock returned nil")
@@ -214,20 +209,11 @@ func TestPoolArenaRecycling(t *testing.T) {
 	}
 }
 
-// TestChunkAndFBlockPooling checks the operator-wrapper recycling added for
-// the per-query steady state: chunks and blocks drop their references on Put
-// so a pooled wrapper never pins a tree, block, or column alive.
-func TestChunkAndFBlockPooling(t *testing.T) {
+// TestFBlockPooling checks the block recycling added for the per-query
+// steady state: a block drops its column references on Put so a pooled
+// block never pins a column alive.
+func TestFBlockPooling(t *testing.T) {
 	p := NewPool()
-	ft := core.NewFTree(core.NewFBlock())
-	c := p.GetChunk()
-	c.FT = ft
-	p.PutChunk(c)
-	c2 := p.GetChunk()
-	if c2.FT != nil || c2.Flat != nil {
-		t.Fatal("pooled chunk retained representation references")
-	}
-
 	col := vector.NewColumn("v", vector.KindVID)
 	b := p.GetFBlock()
 	b.AddColumn(col)

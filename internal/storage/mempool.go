@@ -27,7 +27,6 @@ type Pool struct {
 	trees   objPool[core.FTree]
 	batches objPool[Batch]
 	blocks  objPool[core.FBlock]
-	chunks  objPool[core.Chunk]
 	arenas  objPool[Arena]
 
 	// live is the slice-buffer bytes (capacity × element size) drawn by
@@ -331,21 +330,6 @@ func (p *Pool) PutFBlock(b *core.FBlock) {
 	p.blocks.put(b)
 }
 
-// GetChunk returns an empty operator-result wrapper.
-func (p *Pool) GetChunk() *core.Chunk {
-	return p.chunks.get()
-}
-
-// PutChunk drops a chunk's representation references and returns it to the
-// pool.
-func (p *Pool) PutChunk(c *core.Chunk) {
-	if c == nil {
-		return
-	}
-	c.FT, c.Flat = nil, nil
-	p.chunks.put(c)
-}
-
 // GetArena returns a query arena over this pool, recycling a released
 // arena's ownership-tracking slices when one is pooled — so steady-state
 // query execution allocates neither the arena struct nor its bookkeeping.
@@ -425,7 +409,6 @@ type PoolStats struct {
 	Trees        ObjStat     `json:"ftrees"`
 	Batches      ObjStat     `json:"batches"`
 	Blocks       ObjStat     `json:"fblocks"`
-	Chunks       ObjStat     `json:"chunks"`
 	Arenas       ObjStat     `json:"arenas"`
 }
 
@@ -466,9 +449,8 @@ func (p *Pool) DetailedStats() PoolStats {
 	s.Trees = p.trees.stats()
 	s.Batches = p.batches.stats()
 	s.Blocks = p.blocks.stats()
-	s.Chunks = p.chunks.stats()
 	s.Arenas = p.arenas.stats()
-	for _, o := range []ObjStat{s.Columns, s.Bitsets, s.Trees, s.Batches, s.Blocks, s.Chunks, s.Arenas} {
+	for _, o := range []ObjStat{s.Columns, s.Bitsets, s.Trees, s.Batches, s.Blocks, s.Arenas} {
 		s.Gets += o.Gets
 		s.Hits += o.Hits
 		s.Puts += o.Puts

@@ -18,6 +18,11 @@ import (
 // produced by an aligned gather. Shared columns are read-only — mutating
 // entry points panic — and account no payload memory.
 //
+// A typed column carries nulls in a validity bitmap that stays empty until
+// Append or Set writes the null Value{} (a global MIN or MAX over no rows):
+// a null row holds its kind's zero and Get returns Value{}. Typed kernels
+// read the raw slices, so they take a column with nulls (HasNulls) by Get.
+//
 //geslint:snapshot-owner shared columns are zero-copy scan views by design; they hand off to the consuming f-Block within the same morsel
 type Column struct {
 	Name string
@@ -35,6 +40,9 @@ type Column struct {
 
 	// Read-only view of storage-owned memory (aligned gather fast path).
 	shared bool
+
+	// nulls has bit i set when row i is null; empty while no row is.
+	nulls []uint64
 }
 
 // NewColumn returns an empty column of the given kind.
@@ -82,7 +90,7 @@ func (c *Column) ShareAs(name string) *Column {
 	return &Column{
 		Name: name, Kind: c.Kind,
 		i64: c.i64, f64: c.f64, str: c.str, bl: c.bl, vid: c.vid,
-		codes: c.codes, dict: c.dict,
+		codes: c.codes, dict: c.dict, nulls: c.nulls,
 		shared: true,
 	}
 }
@@ -124,8 +132,35 @@ func (c *Column) StringAt(i int) string {
 	return c.str[i]
 }
 
-// Get returns the boxed value at row i.
+// HasNulls reports whether some row may be null.
+func (c *Column) HasNulls() bool { return len(c.nulls) > 0 }
+
+// IsNull reports whether row i is null.
+func (c *Column) IsNull(i int) bool {
+	return i>>6 < len(c.nulls) && c.nulls[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// setNull marks row i null, or clears its mark, growing the bitmap to the
+// column's length on the first null.
+func (c *Column) setNull(i int, null bool) {
+	if w := i >> 6; w >= len(c.nulls) {
+		if !null {
+			return
+		}
+		c.nulls = append(c.nulls, make([]uint64, (c.Len()+63)/64-len(c.nulls))...)
+	}
+	if null {
+		c.nulls[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		c.nulls[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}
+
+// Get returns the boxed value at row i: Value{} when the row is null.
 func (c *Column) Get(i int) Value {
+	if c.IsNull(i) {
+		return Value{}
+	}
 	switch c.Kind {
 	case KindInt64:
 		return Int64(c.i64[i])
@@ -153,9 +188,11 @@ func (c *Column) mutCheck() {
 }
 
 // Append appends a boxed value; its kind must match the column kind (date
-// and int64 interconvert).
+// and int64 interconvert). The null Value{} appends a null row holding the
+// kind's zero (code 0, the pre-interned "", in a dictionary column).
 func (c *Column) Append(v Value) {
 	c.mutCheck()
+	null := v.Kind == KindInvalid
 	switch c.Kind {
 	case KindInt64, KindDate:
 		c.i64 = append(c.i64, v.I)
@@ -174,11 +211,18 @@ func (c *Column) Append(v Value) {
 	default:
 		panic(fmt.Sprintf("vector: Append on invalid column %q", c.Name))
 	}
+	if null {
+		c.setNull(c.Len()-1, true)
+	}
 }
 
 // Set overwrites row i in place; the kind contract matches Append.
 func (c *Column) Set(i int, v Value) {
 	c.mutCheck()
+	null := v.Kind == KindInvalid
+	if null || len(c.nulls) > 0 {
+		c.setNull(i, null)
+	}
 	switch c.Kind {
 	case KindInt64, KindDate:
 		c.i64[i] = v.I
@@ -258,6 +302,7 @@ func growZeroed[T any](s []T, n int) []T {
 // output shape of a batch gather, which then writes selected rows in place.
 func (c *Column) Grow(n int) {
 	c.mutCheck()
+	c.nulls = c.nulls[:0]
 	switch c.Kind {
 	case KindInt64, KindDate:
 		c.i64 = growZeroed(c.i64, n)
@@ -334,6 +379,51 @@ func (c *Column) Extend(src *Column) {
 	c.vid = append(c.vid, src.vid...)
 }
 
+// Gather appends rows[0], rows[1], … of src, a column of c's kind, to c —
+// the row gather of a de-factor. An empty string column adopts src's
+// dictionary, so codes copy as codes. A column with nulls goes row by row
+// through Get, which carries its nulls over.
+func (c *Column) Gather(src *Column, rows []int32) {
+	c.mutCheck()
+	if c.Kind == KindString && c.Len() == 0 && c.dict == nil && src.dict != nil {
+		c.dict = src.dict
+	}
+	if src.HasNulls() || c.dict != src.dict {
+		for _, r := range rows {
+			c.Append(src.Get(int(r)))
+		}
+		return
+	}
+	switch c.Kind {
+	case KindInt64, KindDate:
+		c.i64 = gathered(c.i64, src.i64, rows)
+	case KindVID:
+		c.vid = gathered(c.vid, src.vid, rows)
+	case KindFloat64:
+		c.f64 = gathered(c.f64, src.f64, rows)
+	case KindString:
+		if c.dict != nil {
+			c.codes = gathered(c.codes, src.codes, rows)
+		} else {
+			c.str = gathered(c.str, src.str, rows)
+		}
+	case KindBool:
+		c.bl = gathered(c.bl, src.bl, rows)
+	default:
+		panic(fmt.Sprintf("vector: Gather on invalid column %q", c.Name))
+	}
+}
+
+// gathered appends src[rows[0]], src[rows[1]], … to dst.
+func gathered[T any](dst, src []T, rows []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(rows))[:n+len(rows)]
+	for k, r := range rows {
+		dst[n+k] = src[r]
+	}
+	return dst
+}
+
 // Reset truncates the column to zero rows, retaining capacity. This backs
 // the paper's pre-allocated, reusable f-Trees (§5, Vectorization). A shared
 // column detaches from its storage backing instead of truncating it.
@@ -373,6 +463,8 @@ func (c *Column) truncate() (cleared int) {
 	c.bl = c.bl[:0]
 	c.vid = c.vid[:0]
 	c.codes = c.codes[:0]
+	clear(c.nulls)
+	c.nulls = c.nulls[:0]
 	c.str = retire(c.str, poisonStr)
 	return cleared
 }
@@ -455,26 +547,27 @@ func (c *Column) MemBytes() int {
 	if c.shared {
 		return base
 	}
+	n := base + len(c.nulls)*8
 	switch c.Kind {
 	case KindInt64, KindDate:
-		return base + len(c.i64)*8
+		return n + len(c.i64)*8
 	case KindVID:
-		return base + len(c.vid)*4
+		return n + len(c.vid)*4
 	case KindFloat64:
-		return base + len(c.f64)*8
+		return n + len(c.f64)*8
 	case KindString:
 		if c.dict != nil {
-			return base + len(c.codes)*4
+			return n + len(c.codes)*4
 		}
-		n := base + len(c.str)*16
+		n += len(c.str) * 16
 		for _, s := range c.str {
 			n += len(s)
 		}
 		return n
 	case KindBool:
-		return base + len(c.bl)
+		return n + len(c.bl)
 	default:
-		return base
+		return n
 	}
 }
 
@@ -488,5 +581,6 @@ func (c *Column) Clone() *Column {
 	out.bl = append([]bool(nil), c.bl...)
 	out.vid = append([]VID(nil), c.vid...)
 	out.codes = append([]uint32(nil), c.codes...)
+	out.nulls = append([]uint64(nil), c.nulls...)
 	return out
 }

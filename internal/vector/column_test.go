@@ -231,3 +231,79 @@ func TestKindWidth(t *testing.T) {
 		t.Fatal("kind widths changed; memory accounting depends on them")
 	}
 }
+
+// TestColumnNullBitmap holds the validity bitmap: it stays empty until the
+// null Value{} is appended or set, Get reads a null row as Value{} and every
+// other row as before, a dictionary column codes a null as the empty string, and
+// Clone and the row gather (Gather) carry the nulls while Reset, Reinit and
+// Grow clear them.
+func TestColumnNullBitmap(t *testing.T) {
+	for _, c := range []struct {
+		col *Column
+		val Value
+	}{
+		{NewColumn("i", KindInt64), Int64(7)},
+		{NewColumn("d", KindDate), Date(3)},
+		{NewColumn("f", KindFloat64), Float64(1.5)},
+		{NewColumn("s", KindString), String_("x")},
+		{NewDictColumn("c", NewDict()), String_("x")},
+		{NewColumn("b", KindBool), Bool(true)},
+		{NewColumn("v", KindVID), VIDValue(9)},
+	} {
+		col := c.col
+		for range 70 {
+			col.Append(c.val)
+		}
+		if col.HasNulls() {
+			t.Fatalf("%s: bitmap set before a null was written", col.Kind)
+		}
+		col.Append(Value{}) // row 70, in the bitmap's second word
+		col.Append(c.val)
+		col.Set(3, Value{})
+		want := func(i int) Value {
+			if i == 3 || i == 70 {
+				return Value{}
+			}
+			return c.val
+		}
+		check := func(what string, got *Column) {
+			t.Helper()
+			if !got.HasNulls() || got.Len() != 72 {
+				t.Fatalf("%s %s: HasNulls %v, %d rows", what, col.Kind, got.HasNulls(), got.Len())
+			}
+			for i := range 72 {
+				if got.Get(i) != want(i) || got.IsNull(i) != (want(i) == Value{}) {
+					t.Fatalf("%s %s: row %d is %v (null %v), want %v", what, col.Kind, i, got.Get(i), got.IsNull(i), want(i))
+				}
+			}
+		}
+		check("set", col)
+		if col.DictEncoded() && (col.Codes()[70] != 0 || col.Dict().Len() != 2) {
+			t.Fatalf("a null row holds code %d in a dictionary of %d strings, want the pre-interned \"\"", col.Codes()[70], col.Dict().Len())
+		}
+		e := col.Clone()
+		check("clone", e)
+		rows := make([]int32, 72)
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		g := NewColumn("g", col.Kind)
+		g.Gather(col, rows)
+		check("gather", g)
+
+		col.Set(3, c.val)
+		if col.IsNull(3) || col.Get(3) != c.val {
+			t.Fatalf("%s: Set of a value left row 3 null", col.Kind)
+		}
+		col.Reset()
+		col.Append(c.val)
+		if col.HasNulls() || col.Get(0) != c.val {
+			t.Fatalf("%s: Reset kept the bitmap", col.Kind)
+		}
+		g.Reinit("g", col.Kind)
+		e.Grow(72)
+		if g.HasNulls() || e.HasNulls() || e.Get(70) == (Value{}) {
+			t.Fatalf("%s: Reinit or Grow kept the bitmap", col.Kind)
+		}
+	}
+}
