@@ -71,23 +71,19 @@ func TestWorkloadPlanParity(t *testing.T) {
 	}
 }
 
-// Ceilings on steady-state allocations per fused two-hop query through one
-// engine. With every put honoured the query allocates 21 times (the result
-// block, the aggregate's group table, the fused predicate's binding, a few
-// per-operator closures). The race detector's sync.Pool drops one put in
-// four at random, so the same code measures 57-76 there, with or without
-// gesassert; with no pool behind the arena at all it is 105. A regression
-// that stops recycling, or starts allocating per row (110 persons scanned,
-// each expanded twice), goes through either ceiling.
-const (
-	recycleAllocCeiling         = 40
-	recycleAllocCeilingDropping = 80
-)
+// recycleAllocCeiling caps steady-state allocations per fused two-hop query
+// through one engine. With every put honoured the query allocates 21 times
+// (the result block, the aggregate's group table, the fused predicate's
+// binding, a few per-operator closures); with no pool behind the arena at
+// all it is 105. A regression that stops recycling, or starts allocating per
+// row (110 persons scanned, each expanded twice), goes through the ceiling.
+// The race detector's sync.Pool drops a share of puts at random, so there the
+// count is noise around the ceiling and the test skips.
+const recycleAllocCeiling = 40
 
 // poolDropsPuts reports whether this build's sync.Pool loses values between a
-// Put and the same goroutine's next Get, which is what decides the ceiling.
-// A stray false positive (the goroutine migrating between the two calls)
-// only picks the looser one.
+// Put and the same goroutine's next Get. A stray false positive (the
+// goroutine migrating between the two calls) only skips the ceiling.
 func poolDropsPuts() bool {
 	var p sync.Pool
 	for i := 0; i < 64; i++ {
@@ -106,9 +102,8 @@ func TestRecycleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc soak skipped in -short")
 	}
-	ceiling := recycleAllocCeiling
 	if poolDropsPuts() {
-		ceiling = recycleAllocCeilingDropping
+		t.Skip("sync.Pool drops puts in this build (race detector); the ceiling assumes recycling")
 	}
 	ds, err := driver.SharedDataset(0.1)
 	if err != nil {
@@ -124,8 +119,8 @@ func TestRecycleAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("allocs/op: %.0f (ceiling %d)", got, ceiling)
-	if got > float64(ceiling) {
-		t.Fatalf("fused two-hop allocates %.0f times per query, ceiling %d", got, ceiling)
+	t.Logf("allocs/op: %.0f (ceiling %d)", got, recycleAllocCeiling)
+	if got > recycleAllocCeiling {
+		t.Fatalf("fused two-hop allocates %.0f times per query, ceiling %d", got, recycleAllocCeiling)
 	}
 }

@@ -18,36 +18,17 @@ import (
 type Config struct {
 	SF   float64
 	Seed int64
-
-	// Knobs with sensible SNB-shaped defaults (0 = default).
-	AvgKnowsDegree  int // default 14
-	PostsPerForum   int // default 10 (mean)
-	CommentsPerPost int // default 2 (mean of geometric)
-	LikesPerMessage int // default 1 (mean of geometric)
-	TagsPerPerson   int // default 5
-	MembersPerForum int // default 12 (mean, zipf-skewed)
 }
 
-func (c *Config) defaults() {
-	if c.AvgKnowsDegree == 0 {
-		c.AvgKnowsDegree = 14
-	}
-	if c.PostsPerForum == 0 {
-		c.PostsPerForum = 10
-	}
-	if c.CommentsPerPost == 0 {
-		c.CommentsPerPost = 2
-	}
-	if c.LikesPerMessage == 0 {
-		c.LikesPerMessage = 1
-	}
-	if c.TagsPerPerson == 0 {
-		c.TagsPerPerson = 5
-	}
-	if c.MembersPerForum == 0 {
-		c.MembersPerForum = 12
-	}
-}
+// The generator's SNB-shaped degrees and fan-outs.
+const (
+	avgKnowsDegree  = 14
+	postsPerForum   = 10 // mean
+	commentsPerPost = 2  // mean of geometric
+	likesPerMessage = 1  // mean of geometric
+	tagsPerPerson   = 5
+	membersPerForum = 12 // mean, zipf-skewed
+)
 
 // Persons returns the person cardinality for the scale factor (≈1.1k at
 // simSF=1, mirroring SNB's 11k at SF1 divided by ten).
@@ -104,7 +85,6 @@ var (
 
 // Generate builds the dataset deterministically from the config.
 func Generate(cfg Config) (*Dataset, error) {
-	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x6765736c64626331)) // "gesldbc1"
 	h := NewHandles()
 	g := storage.NewGraph(h.Cat)
@@ -314,7 +294,7 @@ func (ds *Dataset) genPersons(rng *rand.Rand) error {
 			return err
 		}
 		// Interests.
-		for k := 0; k < ds.Config.TagsPerPerson; k++ {
+		for k := 0; k < tagsPerPerson; k++ {
 			tag := ds.tags[zipfIdx(rng, len(ds.tags))]
 			_ = g.AddEdge(h.HasInterest, v, tag) //geslint:err-ok a repeated tag is a parallel edge, which IC10 counts once per edge; the generator retries nothing
 		}
@@ -363,7 +343,7 @@ func (ds *Dataset) genKnows(rng *rand.Rand, lists *genLists) error {
 	// Power-law degrees: a zipf-skew over targets plus locality bias gives
 	// the community structure multi-hop queries feel.
 	for i := 0; i < n; i++ {
-		deg := 1 + zipfDegree(rng, ds.Config.AvgKnowsDegree)
+		deg := 1 + zipfDegree(rng, avgKnowsDegree)
 		for k := 0; k < deg; k++ {
 			var j int
 			if rng.Intn(3) > 0 {
@@ -433,7 +413,7 @@ func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 				members[f] = true
 			}
 		}
-		extra := zipfDegree(rng, ds.Config.MembersPerForum/2)
+		extra := zipfDegree(rng, membersPerForum/2)
 		for k := 0; k < extra; k++ {
 			members[ds.Persons[zipfIdx(rng, len(ds.Persons))]] = true
 		}
@@ -452,7 +432,7 @@ func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 		}
 
 		// Posts by members; replies form trees under each post.
-		nPosts := poisson(rng, float64(ds.Config.PostsPerForum))
+		nPosts := poisson(rng, postsPerForum)
 		for p := 0; p < nPosts; p++ {
 			author := memberList[rng.Intn(len(memberList))]
 			created := int64(DayStart + rng.Intn(DayEnd-DayStart))
@@ -494,7 +474,7 @@ func (ds *Dataset) genForums(rng *rand.Rand, lists *genLists) error {
 			// Reply tree.
 			parents := []vector.VID{post}
 			parentDates := []int64{created}
-			nComments := poisson(rng, float64(ds.Config.CommentsPerPost))
+			nComments := poisson(rng, commentsPerPost)
 			for cI := 0; cI < nComments; cI++ {
 				pi := rng.Intn(len(parents))
 				commAuthor := memberList[rng.Intn(len(memberList))]
@@ -538,7 +518,7 @@ func (ds *Dataset) genLikes(rng *rand.Rand, lists *genLists) error {
 	h, g := ds.H, ds.Graph
 	like := func(msg, creator vector.VID, when int64) error {
 		// Likers: friends of the creator, falling back to random persons.
-		n := poisson(rng, float64(ds.Config.LikesPerMessage))
+		n := poisson(rng, likesPerMessage)
 		candidates := lists.friends[creator-ds.Persons[0]]
 		seen := map[vector.VID]bool{}
 		for k := 0; k < n; k++ {

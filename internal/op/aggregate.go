@@ -86,18 +86,23 @@ func (o *Aggregate) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 }
 
 // group is the one aggregation kernel; Aggregate and AggregateProjectTop
-// both call it. The tree folds only the columns the aggregates read:
+// both call it. It folds only the columns the aggregates read, once per row
+// of one axis, each row standing for a weight of tuples (fold):
 //
 //   - when every group-by column and argument lies on one root-to-leaf chain
-//     (COUNT(*) alone anchors at the root), each row of the chain's deepest
-//     node is folded once, weighted by the number of full tuples it takes
+//     (COUNT(*) alone anchors at the root), the axis is the rows of the
+//     chain's deepest node, weighted by the number of full tuples each takes
 //     part in (FTree.Weights), and the columns of its ancestors are read
-//     through parent-row maps — no tuple is enumerated, no row boxed (fold);
-//   - otherwise, for columns on sibling branches, the constant-delay
-//     enumeration of just those columns streams into the group table. So
-//     does a float SUM or AVG over a tree of several nodes: a weight
-//     multiplies what the enumeration adds tuple by tuple, and float
-//     addition does not associate.
+//     through parent-row maps (bindColumns) — no tuple is enumerated;
+//   - otherwise, for columns on sibling branches, the axis is the tuples,
+//     each of weight 1: the enumeration a de-factor takes (tupleRows) gives
+//     every column its node's row in each tuple, and no value is gathered.
+//     So does a float SUM or AVG over a tree of several nodes: a weight
+//     multiplies what the tuples add one by one, and float addition does not
+//     associate.
+//
+// The rows the groups keep (their keys' and MIN/MAX's) are the columns' own,
+// so the input tree must outlive the table.
 func (o *Aggregate) group(ctx *Ctx, ft *core.FTree) (*aggTable, error) {
 	t, err := newAggTable(o)
 	if err != nil {
@@ -113,27 +118,42 @@ func (o *Aggregate) group(ctx *Ctx, ft *core.FTree) (*aggTable, error) {
 	for i, r := range refs {
 		t.kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
 	}
-	node := foldNode(ft, refs)
-	if node == nil || (len(nodes) > 1 && t.floatSum()) {
-		t.bind()
-		ft.Enumerate(refs, func(row []vector.Value) bool {
-			t.foldRow(row, 1)
-			return true
-		})
-		return t, nil
-	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
-	w := ft.Weights(node, buf)
-	t.bindColumns(ctx, ft, node, refs)
-	defer func() {
-		for _, m := range t.held {
-			ctx.Arena.PutInt32s(m)
+	var w []int64
+	if node := t.chainNode(ft, refs); node != nil {
+		w = ft.Weights(node, buf)
+		t.bindColumns(ctx, ft, node, refs)
+	} else {
+		var ids []int // the nodes refs lie on, in the order of their tuple rows
+		pos := make([]int, len(refs))
+		for k, r := range refs {
+			ids, pos[k] = tuplePos(ids, nodes[r.Node])
 		}
-	}()
+		t.held = tupleRows(ctx, ft, ids)
+		t.bound = make([]aggCol, len(refs))
+		for k, r := range refs {
+			t.bound[k] = aggCol{col: nodes[r.Node].Block.Column(r.Col), rows: t.held[pos[k]]}
+		}
+		w = (*buf)[:0]
+		for range t.held[0] {
+			w = append(w, 1)
+		}
+		*buf = w
+	}
+	defer putRows(ctx, t.held)
 	t.bind()
 	t.fold(ctx, w)
 	return t, nil
+}
+
+// chainNode returns the node whose rows the fold's axis is, weighted, or nil
+// when the axis is the tuples (group).
+func (t *aggTable) chainNode(ft *core.FTree, refs []core.ColRef) *core.Node {
+	if ft.NumNodes() > 1 && t.floatSum() {
+		return nil
+	}
+	return foldNode(ft, refs)
 }
 
 // foldNode returns the deepest node of the root-to-leaf chain holding every
@@ -165,17 +185,19 @@ func depth(n *core.Node) (d int) {
 	return d
 }
 
-// aggTable is the group table every aggregation path folds into. A folded
-// row holds cols — the key columns, then the distinct arguments — and stands
-// for a number of tuples.
+// aggTable is the group table the fold fills. A folded row holds cols — the
+// key columns, then the distinct arguments — and stands for a number of
+// tuples.
 //
 // Groups are slots numbered in first-seen order, and their states live in
-// slabs indexed by slot (times the number of aggregates), grown once per
-// folded morsel. A global aggregate has one slot; a KeyVar table finds a
-// slot by VID in a dense array (visitSet), a lone dictionary-coded string
-// column by code in one, rendering each group's string once, at emit; a lone
-// integer-like or plain string column by value in a map; anything else by
-// rowKey.
+// typed slabs indexed by slot (times the number of aggregates), grown once
+// per folded morsel. A group keeps no value: it records, per key column, the
+// row that opened it, and a MIN or MAX the row of its best value, and block
+// gathers both from their columns at emit. A global aggregate has one slot;
+// a KeyVar table finds a slot by VID in a dense array (visitSet), a lone
+// dictionary-coded string column without nulls by code in one, a lone
+// integer or date column without nulls by value in a map, and anything else
+// by its key's bytes (appendKey) in a map.
 type aggTable struct {
 	o        *Aggregate
 	cols     []string
@@ -183,26 +205,26 @@ type aggTable struct {
 	groupIdx []int         // position in cols of each key column
 	argIdx   []int         // position in cols of each argument; -1 for COUNT(*)
 
-	keyed keyMode
-	n     int32            // groups
-	dense *visitSet        // keyVID by VID, keyCode by dictionary code
-	byInt map[int64]int32  // keyInt
-	byKey map[string]int32 // keyString, keyRow
-	vids  []vector.VID     // keyVID: each group's key; keyCode: its code
-	dict  *vector.Dict     // keyCode: the key column's dictionary
-	runs  []int64          // keyVID with leaves: each group's product of leaf runs
-	keys  []vector.Value   // each group's key values; keyVID's ids once read (slots)
-	vals  []vector.Value   // key scratch
+	keyed   keyMode
+	n       int32            // groups
+	dense   *visitSet        // keyVID by VID, keyCode by dictionary code
+	byInt   map[int64]int32  // keyInt
+	byKey   map[string]int32 // keyBytes
+	key     []byte           // keyBytes scratch
+	keyRows [][]int32        // per key column, the row that opened each group
+	vids    []vector.VID     // keyVID: each group's key (slots)
+	ids     []int64          // keyVID: each group's id, read once (slots)
+	runs    []int64          // keyVID with leaves: each group's product of leaf runs
 
 	count    []int64 // slabs: slot*len(aggs)+j
 	sumI     []int64
 	sumF     []float64
-	best     []vector.Value // MIN or MAX
+	best     []int32 // MIN or MAX: the argument's row of the best value
 	distinct []map[string]struct{}
 
-	// The fold's columns, bound to one node's rows (bindColumns).
+	// The fold's columns, bound to the rows of its axis (group).
 	bound []aggCol
-	held  [][]int32 // parent-row maps to release
+	held  [][]int32 // the row maps bound reads through, to release
 }
 
 type keyMode uint8
@@ -212,12 +234,11 @@ const (
 	keyVID
 	keyCode
 	keyInt
-	keyString
-	keyRow
+	keyBytes
 )
 
-// aggCol is one column the fold reads, at the fold node's row i or,
-// for a column on an ancestor, at rows[i].
+// aggCol is one column the fold reads, at the axis's row i or, for a column
+// of another node, at rows[i].
 type aggCol struct {
 	col  *vector.Column
 	rows []int32
@@ -236,7 +257,7 @@ var weightBufs = sync.Pool{New: func() any { return new([]int64) }}
 func newAggTable(o *Aggregate) (*aggTable, error) {
 	idx := make([]int, len(o.GroupBy)+len(o.Aggs))
 	t := &aggTable{o: o, groupIdx: idx[:len(o.GroupBy)], argIdx: idx[len(o.GroupBy):],
-		vals: make([]vector.Value, len(o.GroupBy))}
+		keyRows: make([][]int32, len(o.GroupBy))}
 	pos := func(c string) int {
 		i := slices.Index(t.cols, c)
 		if i < 0 {
@@ -269,23 +290,20 @@ func newAggTable(o *Aggregate) (*aggTable, error) {
 	return t, nil
 }
 
-// bind picks the group key from the folded columns — a lone string column is
-// keyed by code when the fold reads it dictionary-coded and without nulls
-// (bindColumns) — and sizes the slabs of the groups open so far.
+// bind picks the group key from the bound columns — a lone key column is
+// keyed by code or by value only without nulls, which its bytes keep apart
+// from the zero a null row holds — and sizes the slabs of the groups open so
+// far.
 func (t *aggTable) bind() {
-	t.keyed = keyRow
-	switch g := t.groupIdx; {
-	case len(g) == 0:
+	t.keyed = keyBytes
+	if g := t.groupIdx; len(g) == 0 {
 		t.keyed = keyGlobal
-	case t.o.KeyVar != "":
+	} else if t.o.KeyVar != "" {
 		t.keyed = keyVID
-	case len(g) > 1 || t.kinds[g[0]] == vector.KindFloat64: // rowKey
-	case t.kinds[g[0]] != vector.KindString:
+	} else if c := t.bound[g[0]].col; len(g) == 1 && !c.HasNulls() && intOrDate(c.Kind) {
 		t.keyed = keyInt
-	case t.bound != nil && t.bound[g[0]].col.DictEncoded() && !t.bound[g[0]].col.HasNulls():
-		t.keyed, t.dict = keyCode, t.bound[g[0]].col.Dict()
-	default:
-		t.keyed = keyString
+	} else if len(g) == 1 && !c.HasNulls() && c.DictEncoded() {
+		t.keyed = keyCode
 	}
 	switch t.keyed {
 	case keyVID, keyCode:
@@ -293,7 +311,7 @@ func (t *aggTable) bind() {
 		t.dense.reset()
 	case keyInt:
 		t.byInt = make(map[int64]int32)
-	case keyString, keyRow:
+	case keyBytes:
 		t.byKey = make(map[string]int32)
 	}
 	t.grow()
@@ -304,22 +322,6 @@ func (t *aggTable) release() {
 	if t.dense != nil {
 		visits.Put(t.dense)
 		t.dense = nil
-	}
-}
-
-// foldRow adds one row, standing for w tuples, to its group.
-func (t *aggTable) foldRow(row []vector.Value, w int64) {
-	for i, g := range t.groupIdx {
-		t.vals[i] = row[g]
-	}
-	s := t.slotOf(t.vals)
-	t.grow()
-	for j, a := range t.o.Aggs {
-		var v vector.Value
-		if t.argIdx[j] >= 0 {
-			v = row[t.argIdx[j]]
-		}
-		t.update(int(s)*len(t.o.Aggs)+j, a, v, w)
 	}
 }
 
@@ -363,9 +365,9 @@ func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs [
 // foldMorsel is the number of rows fold slots before it updates the slabs.
 const foldMorsel = 1024
 
-// fold adds every row of the fold node, row i standing for w[i] tuples, to
-// its group, a morsel at a time in two passes over arena scratch: the rows
-// of weight above 0 and their group slots (slotRows), then each aggregate's
+// fold adds every row of the axis, row i standing for w[i] tuples, to its
+// group, a morsel at a time in two passes over arena scratch: the rows of
+// weight above 0 and their group slots (slotRows), then each aggregate's
 // slab straight from its column (foldSlab).
 func (t *aggTable) fold(ctx *Ctx, w []int64) {
 	m := min(len(w), foldMorsel)
@@ -386,63 +388,71 @@ func (t *aggTable) fold(ctx *Ctx, w []int64) {
 	}
 }
 
-// slotRows writes the group slot of each of the fold node's rows into ss,
+// slotRows writes the group slot of each of the axis's rows into ss,
 // opening the groups that are new.
 func (t *aggTable) slotRows(rows, ss []int32) {
-	switch t.keyed {
-	case keyVID, keyCode:
-		key := t.bound[t.groupIdx[0]]
-		vids, codes := key.col.VIDs(), key.col.Codes()
-		for k, i := range rows {
-			if r := key.row(int(i)); t.keyed == keyVID {
-				ss[k] = t.slotVID(vids[r])
-			} else {
-				ss[k] = t.slotVID(vector.VID(codes[r]))
+	if t.keyed == keyGlobal {
+		clear(ss)
+		return
+	}
+	key := t.bound[t.groupIdx[0]]
+	vids, codes, ints := key.col.VIDs(), key.col.Codes(), key.col.Int64s()
+	for k, i := range rows {
+		var s int32
+		var old bool
+		switch r := key.row(int(i)); t.keyed {
+		case keyVID:
+			s = t.dense.slot(vids[r], t.n)
+			old = s < t.n
+		case keyCode:
+			s = t.dense.slot(vector.VID(codes[r]), t.n)
+			old = s < t.n
+		case keyInt:
+			if s, old = t.byInt[ints[r]]; !old {
+				s = t.n
+				t.byInt[ints[r]] = s
+			}
+		default:
+			t.key = t.key[:0]
+			for _, c := range t.groupIdx {
+				t.key = appendKey(t.key, t.bound[c].col.Get(t.bound[c].row(int(i))))
+			}
+			if s, old = t.byKey[string(t.key)]; !old {
+				s = t.n
+				t.byKey[string(t.key)] = s
 			}
 		}
-	default:
-		for k, i := range rows {
+		if !old {
 			for g, c := range t.groupIdx {
-				t.vals[g] = t.bound[c].col.Get(t.bound[c].row(int(i)))
+				t.keyRows[g] = append(t.keyRows[g], int32(t.bound[c].row(int(i))))
 			}
-			ss[k] = t.slotOf(t.vals)
+			t.n++
 		}
+		ss[k] = s
 	}
-}
-
-// slotOf returns the slot of the group whose key columns hold vals, opening
-// it — and recording its key — when it is new.
-func (t *aggTable) slotOf(vals []vector.Value) (s int32) {
-	fresh := false
-	switch t.keyed {
-	case keyGlobal:
-		return 0
-	case keyVID:
-		return t.slotVID(vals[0].AsVID())
-	case keyInt:
-		s, fresh = slot(t, t.byInt, vals[0].I)
-	case keyString:
-		s, fresh = slot(t, t.byKey, vals[0].S)
-	default:
-		s, fresh = slot(t, t.byKey, rowKey(vals))
-	}
-	if fresh {
-		t.keys = append(t.keys, vals...)
-	}
-	return s
 }
 
 // foldSlab adds the rows, in the groups ss, to aggregate j's states: COUNT
-// adds weights, SUM/AVG over integers or dates weight × value, MIN/MAX over
-// them compare unboxed; the rest, and a column with nulls, fold the boxed
-// value (update).
+// adds weights, SUM and AVG weight × value read from the typed slice (a
+// null row holds its kind's zero), COUNT DISTINCT each value's string. A
+// MIN or MAX keeps the row of its best value: over integers or dates without
+// nulls it compares inline, otherwise through columnComparator, which orders
+// as vector.Compare does, nulls included.
 func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
 	var c aggCol
-	var v []int64 // an integer or date argument's values
+	var v []int64               // an integer or date argument's values
+	var f []float64             // a float argument's values
+	var by func(a, b int32) int // MIN or MAX, unless compared inline
 	if a.Func != Count {
 		c = t.bound[t.argIdx[j]]
-		if intOrDate(c.col.Kind) && !c.col.HasNulls() {
+		switch k := c.col.Kind; {
+		case intOrDate(k):
 			v = c.col.Int64s()
+		case k == vector.KindFloat64:
+			f = c.col.Float64s()
+		}
+		if (a.Func == Min || a.Func == Max) && (v == nil || c.col.HasNulls()) {
+			by = columnComparator(c.col)
 		}
 	}
 	for k, i := range rows {
@@ -450,14 +460,30 @@ func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
 		switch {
 		case a.Func == Count:
 			t.count[s] += w[i]
-		case v == nil || a.Func == CountDistinct:
-			t.update(s, a, c.col.Get(r), w[i])
+		case a.Func == CountDistinct:
+			if t.distinct[s] == nil {
+				t.distinct[s] = make(map[string]struct{})
+			}
+			t.distinct[s][c.col.Get(r).String()] = struct{}{}
 		case a.Func == Sum || a.Func == Avg:
 			t.count[s] += w[i]
-			t.sumI[s] += w[i] * v[r]
+			switch {
+			case f != nil:
+				t.sumF[s] += f[r] * float64(w[i])
+			case v != nil:
+				t.sumI[s] += w[i] * v[r]
+			default: // a string, VID or bool argument adds its boxed value's I
+				t.sumI[s] += w[i] * c.col.Get(r).I
+			}
 		default: // MIN or MAX
-			if b := t.best[s].I; t.count[s] == 0 || (a.Func == Min && v[r] < b) || (a.Func == Max && v[r] > b) {
-				t.best[s] = c.col.Get(r)
+			var d int // against the best row so far, row 0 before the first
+			if by != nil {
+				d = by(int32(r), t.best[s])
+			} else {
+				d = cmp.Compare(v[r], v[t.best[s]])
+			}
+			if t.count[s] == 0 || (a.Func == Min && d < 0) || (a.Func == Max && d > 0) {
+				t.best[s] = int32(r)
 			}
 			t.count[s]++
 		}
@@ -485,28 +511,6 @@ func (t *aggTable) runLeaves(ctx *Ctx) {
 			}
 		}
 	}
-}
-
-// slotVID returns the slot of a dense key — a VID, or a dictionary code —
-// opening it, and recording the key, when the key is new.
-func (t *aggTable) slotVID(v vector.VID) int32 {
-	s := t.dense.slot(v, t.n)
-	if s == t.n {
-		t.n++
-		t.vids = append(t.vids, v)
-	}
-	return s
-}
-
-// slot returns the slot of key k in m, opening it when k is new (fresh), for
-// the caller to record the key's values.
-func slot[K comparable](t *aggTable, m map[K]int32, k K) (s int32, fresh bool) {
-	if s, ok := m[k]; ok {
-		return s, false
-	}
-	s, t.n = t.n, t.n+1
-	m[k] = s
-	return s, true
 }
 
 // grow extends the slabs the aggregates use with zeroed states to t.n
@@ -543,34 +547,8 @@ func grown[T any](s []T, n int) []T {
 	return s
 }
 
-// update folds one value (with multiplicity weight) into state k, aggregate
-// a of its group.
-func (t *aggTable) update(k int, a AggSpec, v vector.Value, weight int64) {
-	switch a.Func {
-	case Count:
-		t.count[k] += weight
-	case CountDistinct:
-		if t.distinct[k] == nil {
-			t.distinct[k] = make(map[string]struct{})
-		}
-		t.distinct[k][v.String()] = struct{}{}
-	case Sum, Avg:
-		t.count[k] += weight
-		if t.argKind(k%len(t.o.Aggs)) == vector.KindFloat64 {
-			t.sumF[k] += v.F * float64(weight)
-		} else {
-			t.sumI[k] += v.I * weight
-		}
-	case Min, Max:
-		c := vector.Compare(v, t.best[k])
-		if t.count[k] == 0 || (a.Func == Min && c < 0) || (a.Func == Max && c > 0) {
-			t.best[k] = v
-		}
-		t.count[k]++
-	}
-}
-
-// result emits the final value of state k, aggregate a over argKind.
+// result emits the final value of state k, aggregate a over argKind, but
+// for a MIN or MAX, whose value block gathers.
 func (t *aggTable) result(k int, a AggSpec, argKind vector.Kind) vector.Value {
 	switch a.Func {
 	case Count:
@@ -590,8 +568,6 @@ func (t *aggTable) result(k int, a AggSpec, argKind vector.Kind) vector.Value {
 			return vector.Float64(t.sumF[k] / float64(t.count[k]))
 		}
 		return vector.Float64(float64(t.sumI[k]) / float64(t.count[k]))
-	case Min, Max:
-		return t.best[k]
 	}
 	return vector.Value{}
 }
@@ -599,7 +575,7 @@ func (t *aggTable) result(k int, a AggSpec, argKind vector.Kind) vector.Value {
 // floatSum reports whether a SUM or AVG adds float arguments.
 func (t *aggTable) floatSum() bool {
 	for j, a := range t.o.Aggs {
-		if (a.Func == Sum || a.Func == Avg) && t.argIdx[j] >= 0 && t.kinds[t.argIdx[j]] == vector.KindFloat64 {
+		if (a.Func == Sum || a.Func == Avg) && t.argKind(j) == vector.KindFloat64 {
 			return true
 		}
 	}
@@ -614,38 +590,22 @@ func (t *aggTable) argKind(j int) vector.Kind {
 	return t.kinds[t.argIdx[j]]
 }
 
-// keyKind is the kind of group column i as emitted: a KeyVar key emits the
-// variable's id.
-func (t *aggTable) keyKind(i int) vector.Kind {
-	if t.keyed == keyVID {
-		return vector.KindInt64
-	}
-	return t.kinds[t.groupIdx[i]]
-}
-
-// slots returns the group slots in emission order: ascending rowKey order
-// of their keys — the order every consumer that can observe it sees — or,
-// when Unordered and no group column is a float, first-seen order. A
-// KeyVar table reads every group's id here, in one batch, and runs its
-// per-group leaves, leaving out the groups with an empty run: a weight-0
-// row would never have opened them. A code-keyed table renders every
-// group's string here.
+// slots returns the group slots in emission order: ascending order of their
+// keys' bytes (appendKey) — the order every consumer that can observe it
+// sees — or, when Unordered and no group column is a float, first-seen
+// order. A KeyVar table reads every group's id here, in one batch, and runs
+// its per-group leaves, leaving out the groups with an empty run: a
+// weight-0 row would never have opened them.
 func (t *aggTable) slots(ctx *Ctx) []int32 {
 	if t.keyed == keyVID {
-		ids := make([]int64, len(t.vids))
-		ctx.View.GatherExtIDs(t.vids, nil, ids)
-		t.keys = make([]vector.Value, len(ids))
-		for i, id := range ids {
-			t.keys[i] = vector.Int64(id)
+		src := t.bound[t.groupIdx[0]].col.VIDs()
+		t.vids, t.ids = make([]vector.VID, t.n), make([]int64, t.n)
+		for s, r := range t.keyRows[0] {
+			t.vids[s] = src[r]
 		}
+		ctx.View.GatherExtIDs(t.vids, nil, t.ids)
 		if len(t.o.Leaves) > 0 && t.n > 0 {
 			t.runLeaves(ctx)
-		}
-	}
-	if t.keyed == keyCode {
-		t.keys = make([]vector.Value, len(t.vids))
-		for s, c := range t.vids {
-			t.keys[s] = vector.String_(t.dict.Str(uint32(c)))
 		}
 	}
 	slots := make([]int32, 0, t.n)
@@ -661,56 +621,78 @@ func (t *aggTable) slots(ctx *Ctx) []int32 {
 	return slots
 }
 
-// value returns output column c — the group-by columns, then the
-// aggregates — of group s.
-func (t *aggTable) value(s int32, c int) vector.Value {
-	ng := len(t.o.GroupBy)
-	if c < ng {
-		return t.keys[int(s)*ng+c]
-	}
-	j := c - ng
-	return t.result(int(s)*len(t.o.Aggs)+j, t.o.Aggs[j], t.argKind(j))
-}
-
-// comparator orders two groups by output column c as vector.Compare orders
-// their values; a COUNT compares its slab directly.
+// comparator orders two groups by output column c — the group-by columns,
+// then the aggregates — as vector.Compare orders their values, reading the
+// typed state: a key or a MIN or MAX compares its column at the groups'
+// rows.
 func (t *aggTable) comparator(c int) func(a, b int32) int {
 	na := len(t.o.Aggs)
-	if j := c - len(t.o.GroupBy); j >= 0 && t.o.Aggs[j].Func == Count {
-		return func(a, b int32) int { return cmp.Compare(t.count[int(a)*na+j], t.count[int(b)*na+j]) }
+	if c < len(t.o.GroupBy) {
+		if t.keyed == keyVID {
+			return func(a, b int32) int { return cmp.Compare(t.ids[a], t.ids[b]) }
+		}
+		by, rows := columnComparator(t.bound[t.groupIdx[c]].col), t.keyRows[c]
+		return func(a, b int32) int { return by(rows[a], rows[b]) }
 	}
-	return func(a, b int32) int { return vector.Compare(t.value(a, c), t.value(b, c)) }
+	j := c - len(t.o.GroupBy)
+	switch a := t.o.Aggs[j]; a.Func {
+	case Count:
+		return func(a, b int32) int { return cmp.Compare(t.count[int(a)*na+j], t.count[int(b)*na+j]) }
+	case Min, Max:
+		by := columnComparator(t.bound[t.argIdx[j]].col)
+		return func(a, b int32) int { return by(t.best[int(a)*na+j], t.best[int(b)*na+j]) }
+	default:
+		return func(x, y int32) int {
+			return vector.Compare(t.result(int(x)*na+j, a, t.argKind(j)), t.result(int(y)*na+j, a, t.argKind(j)))
+		}
+	}
 }
 
 // block returns the groups of slots, in that order, as typed columns: the
-// group columns, then the aggregates. A code-keyed group column holds its
-// codes under the key column's dictionary; a MIN or MAX over no rows is
-// null.
+// group columns, then the aggregates. A key column, and a MIN or MAX, is its
+// column gathered at the groups' rows, so dictionary codes and nulls carry
+// over; a MIN or MAX over no rows is null.
 func (t *aggTable) block(ctx *Ctx, slots []int32) *core.FBlock {
 	o, b := t.o, ctx.NewFBlock()
-	ng := len(o.GroupBy)
+	rows := ctx.Arena.GetInt32s(len(slots))[:len(slots)] // the groups' rows in one column
+	defer ctx.Arena.PutInt32s(rows)
+	gather := func(name string, src *vector.Column) {
+		col := ctx.Arena.OwnColumn(name, src.Kind)
+		col.Gather(src, rows)
+		b.AddColumn(col)
+	}
 	for i, name := range o.GroupBy {
-		if t.keyed == keyCode {
-			col := ctx.Arena.OwnDictColumn(name, t.dict)
-			col.Grow(len(slots))
-			codes := col.Codes()
-			for k, s := range slots {
-				codes[k] = uint32(t.vids[s])
+		if t.keyed == keyVID {
+			col := ctx.Arena.OwnColumn(name, vector.KindInt64)
+			for _, s := range slots {
+				col.AppendInt64(t.ids[s])
 			}
 			b.AddColumn(col)
 			continue
 		}
-		col := ctx.Arena.OwnColumn(name, t.keyKind(i))
-		for _, s := range slots {
-			col.Append(t.keys[int(s)*ng+i])
+		for k, s := range slots {
+			rows[k] = t.keyRows[i][s]
 		}
-		b.AddColumn(col)
+		gather(name, t.bound[t.groupIdx[i]].col)
 	}
+	na := len(o.Aggs)
 	for j, a := range o.Aggs {
+		if a.Func == Min || a.Func == Max {
+			for k, s := range slots {
+				rows[k] = t.best[int(s)*na+j]
+			}
+			if src := t.bound[t.argIdx[j]].col; len(o.GroupBy) > 0 || t.count[j] > 0 {
+				gather(a.As, src)
+			} else {
+				col := ctx.Arena.OwnColumn(a.As, src.Kind)
+				col.Append(vector.Value{})
+				b.AddColumn(col)
+			}
+			continue
+		}
 		col := ctx.Arena.OwnColumn(a.As, aggOutputKind(a, t.argKind(j)))
 		for _, s := range slots {
-			k := int(s)*len(o.Aggs) + j
-			if a.Func == Count {
+			if k := int(s)*na + j; a.Func == Count {
 				col.AppendInt64(t.count[k])
 			} else {
 				col.Append(t.result(k, a, t.argKind(j)))
@@ -721,15 +703,18 @@ func (t *aggTable) block(ctx *Ctx, slots []int32) *core.FBlock {
 	return b
 }
 
-// sortSlots orders group slots by the rowKeys of their keys, written once
-// per group into one buffer.
+// sortSlots orders group slots by their keys' bytes (appendKey), written
+// once per group into one buffer.
 func (t *aggTable) sortSlots(slots []int32) {
-	ng := len(t.o.GroupBy)
 	var buf []byte
 	ends := make([]int, t.n+1)
 	for s := range t.n {
-		for _, v := range t.keys[int(s)*ng : int(s+1)*ng] {
-			buf = appendKey(buf, v)
+		for i, rows := range t.keyRows {
+			if t.keyed == keyVID {
+				buf = appendKey(buf, vector.Int64(t.ids[s]))
+			} else {
+				buf = appendKey(buf, t.bound[t.groupIdx[i]].col.Get(int(rows[s])))
+			}
 		}
 		ends[s+1] = len(buf)
 	}

@@ -134,3 +134,23 @@ func sortRows(fb *core.FlatBlock, keys []op.SortKey) {
 		return false
 	})
 }
+
+// TestNullGroupKey groups an int, a date and a VID column holding 0, null,
+// 0: the null row is a group of its own, apart from the zero it holds, as
+// the volcano oracle groups it.
+func TestNullGroupKey(t *testing.T) {
+	for _, k := range []vector.Value{vector.Int64(0), vector.Date(0), vector.VIDValue(0)} {
+		fb := core.NewFlatBlock([]string{"k"}, []vector.Kind{k.Kind})
+		for _, v := range []vector.Value{k, {}, k} {
+			fb.Append([]vector.Value{v})
+		}
+		aggs := []op.AggSpec{{Func: op.Count, As: "n"}}
+		out, err := (&op.Aggregate{GroupBy: []string{"k"}, Aggs: aggs}).Execute(&op.Ctx{}, flatTree(fb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := boxed(t, out), flatAggregate(t, fb, []string{"k"}, aggs); !slices.EqualFunc(got.Rows, want.Rows, sameRow) {
+			t.Fatalf("group by a %s key over [0 null 0] = %v, want %v", k.Kind, got.Rows, want.Rows)
+		}
+	}
+}

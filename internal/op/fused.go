@@ -14,9 +14,9 @@ import (
 //     one step — the neighbor set of the start vertex becomes the f-Tree
 //     root directly.
 //   - AggregateProjectTop: Aggregation + Projection + Top-K fused so the
-//     aggregate consumes the constant-delay enumeration (or a weighted
-//     single-node factorized pass) and the ordering kernel's bounded heap
-//     cuts the groups — the full flat relation is never materialized.
+//     aggregate folds the f-Tree (a weighted pass over one chain's rows, or
+//     the tuples' row indices) and the ordering kernel's bounded heap cuts
+//     the groups — the full flat relation is never materialized.
 //
 // FilterPushDown fusion lives on Expand itself (Expand.VertexPred).
 
@@ -54,11 +54,13 @@ func (o *SeekExpand) Execute(ctx *Ctx, in *core.FTree) (*core.FTree, error) {
 
 // AggregateProjectTop is the paper's flagship fusion: Aggregate → Project →
 // Top-K collapsed into one operator. It is the aggregation kernel
-// (Aggregate.group, aggregate.go) — a weighted pass over one f-Tree chain or
-// the enumeration streamed into the group table, never a materialized
-// relation — feeding the ordering kernel (tupleOrder) over the group table's
-// slots, and only the kept groups become a one-node tree, so peak memory is
-// the group table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
+// (Aggregate.group, aggregate.go) — one fold over typed columns, a weighted
+// pass over one f-Tree chain or over the tuples' row indices, never a
+// materialized relation — feeding the ordering kernel (tupleOrder) over the
+// group table's slots, whose comparators read the table's typed state (a
+// key or a MIN or MAX compares its column at the groups' rows). Only the
+// kept groups are gathered into a one-node tree, so peak memory is the group
+// table plus the kept ids: compare Table 2's IC5 collapse from hundreds of
 // megabytes to under 2 KB. When the sort keys include every group-by column
 // no two groups tie, so plan.Fuse marks the aggregate Unordered and the
 // groups are offered in slot order, without the sort by group key that

@@ -442,8 +442,8 @@ func TestOperatorParity(t *testing.T) {
 
 		// Aggregation over the f-Tree: COUNT(*) anchors at the root, arguments
 		// and group keys on one node fold that node weighted, anything spanning
-		// nodes — and a float SUM/AVG, which must add in enumeration order —
-		// streams the enumeration into the group table.
+		// sibling nodes — and a float SUM/AVG, which must add in enumeration
+		// order — folds the tuples' row indices, each of weight 1.
 		{"agg/count-star-two-hop", false, func() plan.Plan {
 			return twoHop(&op.Aggregate{Aggs: []op.AggSpec{count}})
 		}},

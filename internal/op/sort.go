@@ -369,18 +369,8 @@ func (o *Limit) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	return ctx.Arena.OwnFTree(gatherBlock(ctx, names, cols, pos, rows)), nil
 }
 
-// rowKey builds a collision-safe hash key for a tuple using length-prefixed
-// value encodings (appendKey).
-func rowKey(row []vector.Value) string {
-	var buf []byte
-	for _, v := range row {
-		buf = appendKey(buf, v)
-	}
-	return string(buf)
-}
-
-// appendKey appends v's part of a rowKey: the length of its string, a colon,
-// the string.
+// appendKey appends v's part of a collision-safe key of several values: the
+// length of its string, a colon, the string.
 func appendKey(dst []byte, v vector.Value) []byte {
 	var num [20]byte
 	s := num[:0]
