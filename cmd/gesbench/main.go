@@ -7,8 +7,6 @@
 //	gesbench -exp all               # the whole evaluation section
 //	gesbench -exp fig11 -quick      # CI-sized configuration
 //	gesbench -list                  # enumerate experiment IDs
-//	gesbench -exp parallel -quick -json parallel.json
-//	                                # morsel-runtime scaling + JSON artifact
 package main
 
 import (
@@ -31,7 +29,6 @@ func main() {
 		runs    = flag.Int("runs", 0, "parameter draws per query measurement (overrides preset)")
 		workers = flag.Int("workers", 0, "workers for throughput runs (overrides preset)")
 		ops     = flag.Int("ops", 0, "operations per throughput run (overrides preset)")
-		jsonOut = flag.String("json", "", "path for machine-readable output (-exp parallel)")
 	)
 	flag.Parse()
 
@@ -65,7 +62,6 @@ func main() {
 	if *ops > 0 {
 		cfg.MixOps = *ops
 	}
-	cfg.JSONPath = *jsonOut
 
 	exps := bench.All()
 	if *exp != "all" {

@@ -1,8 +1,10 @@
 // Package bench implements the paper's evaluation section (§6): one
 // experiment per table and figure, each regenerating the corresponding rows
-// or series at simulated (laptop) scale. The experiments are shared by
-// cmd/gesbench and the root bench_test.go; EXPERIMENTS.md records the
-// paper-vs-measured comparison for each.
+// or series at simulated (laptop) scale, and nothing else — the
+// morsel-runtime sweeps are the root bench_test.go's
+// BenchmarkExpandFusedParallel and BenchmarkServicePlanCache. The
+// experiments are shared by cmd/gesbench and the root bench_test.go;
+// EXPERIMENTS.md records the paper-vs-measured comparison for each.
 package bench
 
 import (
@@ -33,9 +35,6 @@ type Config struct {
 	TraceFor    time.Duration
 	TraceBucket time.Duration
 	Seed        int64
-	// JSONPath, when non-empty, is where experiments that produce a
-	// machine-readable artifact ("parallel") write it.
-	JSONPath string
 }
 
 // Quick returns a configuration sized for CI / `go test -bench`.
@@ -337,6 +336,9 @@ func fig13(w io.Writer, cfg Config) error {
 		for _, n := range workerSweep {
 			r := queries.NewRunner(ds, exec.ModeFused, nil)
 			res := driver.Run(r, driver.Options{Workers: n, Ops: cfg.MixOps, Seed: cfg.Seed})
+			if res.Failed > 0 {
+				return fmt.Errorf("fig13: %d failed queries at %d workers", res.Failed, n)
+			}
 			line += fmt.Sprintf(" %10.0f", res.Throughput)
 		}
 		fmt.Fprintln(w, line)

@@ -26,26 +26,24 @@ func tinyConfig() bench.Config {
 	}
 }
 
-// TestEveryExperimentRuns executes the eleven table/figure reproductions
-// plus the morsel-runtime experiment at tiny scale and sanity-checks their
-// output shape.
+// TestEveryExperimentRuns executes the eleven table/figure reproductions at
+// tiny scale and sanity-checks their output shape.
 func TestEveryExperimentRuns(t *testing.T) {
 	wantFragments := map[string]string{
-		"table1":   "persons",
-		"fig2":     "IC14",
-		"fig3":     "Expand",
-		"fig11":    "GES_f*",
-		"fig12":    "p99.9",
-		"table2":   "R.R.",
-		"table3":   "GES_f",
-		"fig13":    "workers",
-		"fig14":    "IC/s",
-		"fig15":    "volcano",
-		"table4":   "volcano",
-		"parallel": "hit rate",
+		"table1": "persons",
+		"fig2":   "IC14",
+		"fig3":   "Expand",
+		"fig11":  "GES_f*",
+		"fig12":  "p99.9",
+		"table2": "R.R.",
+		"table3": "GES_f",
+		"fig13":  "workers",
+		"fig14":  "IC/s",
+		"fig15":  "volcano",
+		"table4": "volcano",
 	}
 	if len(bench.All()) != len(wantFragments) {
-		t.Fatalf("registry has %d experiments, want %d (one per table/figure + parallel)",
+		t.Fatalf("registry has %d experiments, want %d (one per table/figure)",
 			len(bench.All()), len(wantFragments))
 	}
 	for _, e := range bench.All() {

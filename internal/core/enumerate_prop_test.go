@@ -139,6 +139,48 @@ func sortedKeys(rows [][]vector.Value) []string {
 	return keys
 }
 
+// checkRowsAbove holds Node.RowsAbove to the enumeration: in every tuple
+// EnumerateRows yields, each node's row maps to the row its ancestors hold
+// (itself included), and every row of a child maps to the parent row whose
+// index-vector range holds it. dst starts as garbage of a varying capacity.
+func checkRowsAbove(t *testing.T, trial int, ft *FTree) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(trial)))
+	nodes := ft.Nodes()
+	maps := make([][][]int32, len(nodes)) // maps[n][a]: n's rows to a's
+	for _, n := range nodes {
+		maps[n.ID()] = make([][]int32, len(nodes))
+		for a := n; a != nil; a = a.Parent {
+			dst := make([]int32, rng.Intn(2*n.Block.NumRows()+1))
+			for i := range dst {
+				dst[i] = -7
+			}
+			maps[n.ID()][a.ID()] = n.RowsAbove(a, dst)
+		}
+		if n.Parent == nil {
+			continue
+		}
+		up := maps[n.ID()][n.Parent.ID()]
+		for pr, rg := range n.Index {
+			for j := rg.Start; j < rg.End; j++ {
+				if up[j] != int32(pr) {
+					t.Fatalf("trial %d: node %d row %d maps to parent row %d, its range is parent row %d's", trial, n.ID(), j, up[j], pr)
+				}
+			}
+		}
+	}
+	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(cur []int, _ int) bool {
+		for _, n := range nodes {
+			for a := n; a != nil; a = a.Parent {
+				if got := maps[n.ID()][a.ID()][cur[n.ID()]]; got != int32(cur[a.ID()]) {
+					t.Fatalf("trial %d: node %d row %d maps to row %d of node %d, the tuple holds row %d", trial, n.ID(), cur[n.ID()], got, a.ID(), cur[a.ID()])
+				}
+			}
+		}
+		return true
+	})
+}
+
 // The central invariant of the paper's data structure: enumeration of the
 // factorized representation is lossless — it yields exactly the relation a
 // naive expansion of Union/Cartesian-product semantics defines.
@@ -147,6 +189,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		ft := randomTree(rng)
 		want := bruteForce(ft)
+		checkRowsAbove(t, trial, ft)
 
 		fb, err := ft.DefactorAll()
 		if err != nil {

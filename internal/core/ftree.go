@@ -42,6 +42,30 @@ func (n *Node) ID() int { return n.id }
 // Valid reports whether row i of the node passes its selection vector.
 func (n *Node) Valid(i int) bool { return n.Sel.Get(i) }
 
+// RowsAbove returns, for every row of n, the row of anc it extends: anc is n
+// (the identity) or an ancestor of n. The map is written over dst, grown when
+// its capacity falls short, so callers pass arena scratch. Each level
+// composes in place: index vectors are contiguous and in parent order, so a
+// level's map never decreases and the next one follows it with a forward
+// cursor over the ranges.
+func (n *Node) RowsAbove(anc *Node, dst []int32) []int32 {
+	rows := n.Block.NumRows()
+	dst = slices.Grow(dst[:0], rows)[:rows]
+	for i := range dst {
+		dst[i] = int32(i)
+	}
+	for c := n; c != anc; c = c.Parent {
+		r := 0
+		for i, x := range dst {
+			for x >= c.Index[r].End {
+				r++
+			}
+			dst[i] = int32(r)
+		}
+	}
+	return dst
+}
+
 // FTree is the practical factorization tree of §4.2. It owns a preorder
 // registry of its nodes (parents before children) which both the operators
 // and the constant-delay enumerator walk.

@@ -439,6 +439,9 @@ func (b *binder) bindReturn(r *ReturnClause) error {
 					return fmt.Errorf("cypher: aggregate arguments must be properties or id()")
 				}
 				spec.Arg = c
+				if err := spec.CheckArg(b.kindOf(it.Expr)); err != nil {
+					return fmt.Errorf("cypher: %w", err)
+				}
 			}
 			aggs = append(aggs, spec)
 		}

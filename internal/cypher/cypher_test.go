@@ -176,6 +176,8 @@ func TestParseErrors(t *testing.T) {
 		{"MATCH (p:Person)-[:KNOWS*1..0]->(g:Person) RETURN id(g)", "hop bound 0"},
 		{"MATCH (p:Person)-[:KNOWS*1..99999999999999999999]->(g:Person) RETURN id(g)", "hop bound 99999999999999999999"},
 		{"MATCH (p:Person)-[:KNOWS*99999999999999999999]->(g:Person) RETURN id(g)", "hop bound 99999999999999999999"},
+		{"MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) = 100 RETURN SUM(f.firstName) AS s", "sum(f.firstName) takes a number, got string"},
+		{"MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN id(p) AS p, AVG(f.lastName) AS a", "avg(f.lastName) takes a number, got string"},
 	}
 	sealed := testgraph.New()
 	sealed.Graph.SealCSR()

@@ -1,15 +1,16 @@
 // Package driver is the in-process stand-in for the LDBC SNB benchmark
 // driver (§2.2): it draws queries from the frequency-weighted workload mix,
 // fires them at the system under test from a configurable number of
-// closed-loop workers, records per-query latencies and audit counters, and
-// computes throughput — locally, without the network hop the paper also
-// excludes from its execution analysis.
+// closed-loop workers, records per-query latencies, and computes throughput
+// — locally, without the network hop the paper also excludes from its
+// execution analysis.
 package driver
 
 import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ges/internal/exec"
@@ -118,13 +119,10 @@ type Mix struct {
 	sum int
 }
 
-// NewMix builds a weighted mix over the given queries (all 29 when nil).
-func NewMix(qs []*queries.Query) *Mix {
-	if qs == nil {
-		qs = queries.All()
-	}
-	m := &Mix{qs: qs}
-	for _, q := range qs {
+// NewMix builds the weighted mix over all 29 queries.
+func NewMix() *Mix {
+	m := &Mix{qs: queries.All()}
+	for _, q := range m.qs {
 		m.sum += q.Freq
 		m.cum = append(m.cum, m.sum)
 	}
@@ -145,10 +143,6 @@ type RunResult struct {
 	Elapsed    time.Duration
 	Throughput float64 // queries per second
 	Recorder   *Recorder
-	// Delayed counts queries slower than the audit threshold — the stand-in
-	// for the benchmark's delayed-query (TCR validity) audit.
-	Delayed        int
-	AuditThreshold time.Duration
 }
 
 // Options configures a benchmark run.
@@ -156,8 +150,6 @@ type Options struct {
 	Workers int
 	Ops     int // total operations (closed loop)
 	Seed    int64
-	Audit   time.Duration // delayed-query threshold; 0 = 100ms
-	Mix     *Mix          // nil = full 29-query mix
 }
 
 // Run fires Ops queries from Workers closed-loop workers against the
@@ -166,30 +158,10 @@ func Run(r *queries.Runner, opts Options) RunResult {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.Audit == 0 {
-		opts.Audit = 100 * time.Millisecond
-	}
-	mix := opts.Mix
-	if mix == nil {
-		mix = NewMix(nil)
-	}
+	mix := NewMix()
 	rec := NewRecorder()
-	var (
-		mu      sync.Mutex
-		delayed int
-		failed  int
-	)
-	var remaining = int64(opts.Ops)
-	var remMu sync.Mutex
-	take := func() bool {
-		remMu.Lock()
-		defer remMu.Unlock()
-		if remaining <= 0 {
-			return false
-		}
-		remaining--
-		return true
-	}
+	var remaining, failed atomic.Int64
+	remaining.Store(int64(opts.Ops))
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -202,34 +174,27 @@ func Run(r *queries.Runner, opts Options) RunResult {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
 			pg := r.DS.NewParamGen(opts.Seed + int64(w)*104729)
-			for take() {
+			for remaining.Add(-1) >= 0 {
 				q := mix.Draw(rng)
 				params := q.GenParams(r.DS, pg)
 				t0 := time.Now()
 				_, _, err := r.Execute(q, params)
 				d := time.Since(t0)
 				rec.Record(q.Name, q.Kind, d)
-				mu.Lock()
 				if err != nil {
-					failed++
+					failed.Add(1)
 				}
-				if d > opts.Audit {
-					delayed++
-				}
-				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	return RunResult{
-		Total:          opts.Ops,
-		Failed:         failed,
-		Elapsed:        elapsed,
-		Throughput:     float64(opts.Ops) / elapsed.Seconds(),
-		Recorder:       rec,
-		Delayed:        delayed,
-		AuditThreshold: opts.Audit,
+		Total:      opts.Ops,
+		Failed:     int(failed.Load()),
+		Elapsed:    elapsed,
+		Throughput: float64(opts.Ops) / elapsed.Seconds(),
+		Recorder:   rec,
 	}
 }
 
@@ -255,7 +220,7 @@ func RunTrace(r *queries.Runner, workers int, total time.Duration, bucket time.D
 	type cell struct{ ic, is, iu int }
 	cells := make([]cell, nBuckets)
 	var mu sync.Mutex
-	mix := NewMix(nil)
+	mix := NewMix()
 	start := time.Now()
 	deadline := start.Add(total)
 

@@ -37,6 +37,15 @@ type AggSpec struct {
 	As   string
 }
 
+// CheckArg returns an error when the aggregate cannot take an argument of
+// kind k: SUM and AVG take numbers only — an int64, a date or a float.
+func (a AggSpec) CheckArg(k vector.Kind) error {
+	if (a.Func == Sum || a.Func == Avg) && !intOrDate(k) && k != vector.KindFloat64 {
+		return fmt.Errorf("aggregate %s(%s) takes a number, got %s", a.Func, a.Arg, k)
+	}
+	return nil
+}
+
 // Aggregate groups tuples and computes aggregates (§4.3, Aggregation). It
 // never de-factors: it folds the f-Tree into one group table and emits the
 // groups as a one-node tree of typed columns.
@@ -117,6 +126,11 @@ func (o *Aggregate) group(ctx *Ctx, ft *core.FTree) (*aggTable, error) {
 	t.kinds = make([]vector.Kind, len(refs))
 	for i, r := range refs {
 		t.kinds[i] = nodes[r.Node].Block.Column(r.Col).Kind
+	}
+	for j, a := range o.Aggs {
+		if err := a.CheckArg(t.argKind(j)); err != nil {
+			return nil, err
+		}
 	}
 	buf := weightBufs.Get().(*[]int64)
 	defer weightBufs.Put(buf)
@@ -326,35 +340,16 @@ func (t *aggTable) release() {
 }
 
 // bindColumns binds the fold to the rows of node, the deepest node of the
-// chain holding refs: a column on an ancestor reads through a map from
-// node's rows to that ancestor's rows, composed level by level from the
-// index vectors up to the highest node refs reach. A level's map never
-// decreases (index vectors are contiguous and in parent order), so the next
-// one follows it with a forward cursor over the ranges.
+// chain holding refs: a column on an ancestor reads through node's map to
+// that ancestor's rows (core.Node.RowsAbove).
 func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs []core.ColRef) {
 	nodes := ft.Nodes()
-	top := node
-	for _, r := range refs {
-		if n := nodes[r.Node]; depth(n) < depth(top) {
-			top = n
-		}
-	}
 	rows := make([][]int32, len(nodes)) // nil on node itself: the identity
-	n := node.Block.NumRows()
-	for c := node; c != top; c = c.Parent {
-		m, below, r := ctx.Arena.GetInt32s(n)[:n], rows[c.ID()], 0
-		for i := range m {
-			x := int32(i)
-			if below != nil {
-				x = below[i]
-			}
-			for x >= c.Index[r].End {
-				r++
-			}
-			m[i] = int32(r)
+	for _, r := range refs {
+		if anc := nodes[r.Node]; anc != node && rows[r.Node] == nil {
+			rows[r.Node] = node.RowsAbove(anc, ctx.Arena.GetInt32s(node.Block.NumRows()))
+			t.held = append(t.held, rows[r.Node])
 		}
-		rows[c.Parent.ID()] = m
-		t.held = append(t.held, m)
 	}
 	t.bound = make([]aggCol, len(refs))
 	for k, r := range refs {
@@ -433,11 +428,11 @@ func (t *aggTable) slotRows(rows, ss []int32) {
 }
 
 // foldSlab adds the rows, in the groups ss, to aggregate j's states: COUNT
-// adds weights, SUM and AVG weight × value read from the typed slice (a
-// null row holds its kind's zero), COUNT DISTINCT each value's string. A
-// MIN or MAX keeps the row of its best value: over integers or dates without
-// nulls it compares inline, otherwise through columnComparator, which orders
-// as vector.Compare does, nulls included.
+// adds weights, SUM and AVG weight × value read from the typed slice of
+// their number argument (a null row holds its kind's zero), COUNT DISTINCT
+// each value's string. A MIN or MAX keeps the row of its best value: over
+// integers or dates without nulls it compares inline, otherwise through
+// columnComparator, which orders as vector.Compare does, nulls included.
 func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
 	var c aggCol
 	var v []int64               // an integer or date argument's values
@@ -467,13 +462,10 @@ func (t *aggTable) foldSlab(j int, a AggSpec, w []int64, rows, ss []int32) {
 			t.distinct[s][c.col.Get(r).String()] = struct{}{}
 		case a.Func == Sum || a.Func == Avg:
 			t.count[s] += w[i]
-			switch {
-			case f != nil:
+			if f != nil {
 				t.sumF[s] += f[r] * float64(w[i])
-			case v != nil:
+			} else {
 				t.sumI[s] += w[i] * v[r]
-			default: // a string, VID or bool argument adds its boxed value's I
-				t.sumI[s] += w[i] * c.col.Get(r).I
 			}
 		default: // MIN or MAX
 			var d int // against the best row so far, row 0 before the first

@@ -88,8 +88,9 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error)
 	}
 	owners := make([][]int32, len(o.Sides))
 	for i := range nodes {
-		owners[i] = ownerMap(deep, nodes[i])
+		owners[i] = deep.RowsAbove(nodes[i], ctx.Arena.GetInt32s(deep.Block.NumRows()))
 	}
+	defer putRows(ctx, owners)
 
 	return produceChild(ctx, ft, deep, childCols{to: o.To}, intersectBody{o, ctx, deep, cols, owners}), nil
 }

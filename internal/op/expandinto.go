@@ -100,7 +100,8 @@ func (o *ExpandInto) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 		}
 		return o.Execute(ctx, ft)
 	}
-	owner := ownerMap(deep, shallow)
+	owner := deep.RowsAbove(shallow, ctx.Arena.GetInt32s(deep.Block.NumRows()))
+	defer ctx.Arena.PutInt32s(owner)
 
 	// filterMorselSize is a multiple of 64, so concurrent ranges never write
 	// the same selection word; each range owns its probe state. Both columns
@@ -147,28 +148,6 @@ func ancestorOf(a, d *core.Node) bool {
 		}
 	}
 	return false
-}
-
-// ownerMap returns, for every deep-node row, the shallow-node (ancestor) row
-// it extends, composed by inverting the index vectors along the parent
-// chain. deep == shallow yields the identity.
-func ownerMap(deep, shallow *core.Node) []int32 {
-	owner := make([]int32, deep.Block.NumRows())
-	for i := range owner {
-		owner[i] = int32(i)
-	}
-	for n := deep; n != shallow; n = n.Parent {
-		inv := make([]int32, n.Block.NumRows())
-		for pi, rg := range n.Index {
-			for j := rg.Start; j < rg.End; j++ {
-				inv[j] = int32(pi)
-			}
-		}
-		for d, r := range owner {
-			owner[d] = inv[r]
-		}
-	}
-	return owner
 }
 
 // adjProbe answers edge-membership queries against one source vertex's

@@ -1,9 +1,11 @@
 package op_test
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ges/internal/catalog"
@@ -15,6 +17,8 @@ import (
 	"ges/internal/plan"
 	"ges/internal/storage"
 	"ges/internal/testgraph"
+	"ges/internal/vector"
+	"ges/internal/volcano"
 )
 
 var modes = []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused}
@@ -360,17 +364,38 @@ func TestAggregateAllModes(t *testing.T) {
 func TestAggregateAvgAndCountDistinct(t *testing.T) {
 	f := testgraph.New()
 	s := f.Schema
-	fb := run(t, f, exec.ModeFused, plan.Plan{
-		&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
-		&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
-		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "lastName", As: "ln"}}},
-		&op.Aggregate{GroupBy: nil, Aggs: []op.AggSpec{
-			{Func: op.CountDistinct, Arg: "ln", As: "distinctNames"},
-			{Func: op.Avg, Arg: "ln", As: "ignored"}, // avg over strings degrades to 0-sum; exercise no-crash
-		}},
-	})
+	build := func(aggs ...op.AggSpec) plan.Plan {
+		return plan.Plan{
+			&op.NodeByIdSeek{Var: "p", Label: s.Person, ExtID: 100},
+			&op.Expand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out, DstLabel: s.Person},
+			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "f", Prop: "lastName", As: "ln"}}},
+			&op.Aggregate{GroupBy: nil, Aggs: aggs},
+		}
+	}
+	fb := run(t, f, exec.ModeFused, build(op.AggSpec{Func: op.CountDistinct, Arg: "ln", As: "distinctNames"}))
 	if fb.NumRows() != 1 || fb.Rows[0][0].I != 1 {
 		t.Fatalf("count distinct lastName = %v", fb.Rows[0])
+	}
+	// SUM and AVG take numbers only: over a string or a VID they are an
+	// error, the same one in every mode and in the volcano oracle.
+	for _, c := range []struct {
+		fn   op.AggFunc
+		arg  string
+		kind vector.Kind
+	}{{op.Avg, "ln", vector.KindString}, {op.Sum, "ln", vector.KindString}, {op.Sum, "f", vector.KindVID}} {
+		p := build(op.AggSpec{Func: c.fn, Arg: c.arg, As: "x"})
+		want := fmt.Sprintf("%s(%s) takes a number, got %s", c.fn, c.arg, c.kind)
+		engines := map[string]interface {
+			Run(storage.View, plan.Plan) (*exec.Result, error)
+		}{"volcano": volcano.New()}
+		for _, mode := range modes {
+			engines[mode.String()] = exec.New(mode)
+		}
+		for name, eng := range engines {
+			if _, err := eng.Run(f.Graph, p); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %v, want %q", name, err, want)
+			}
+		}
 	}
 }
 

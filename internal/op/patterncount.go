@@ -86,12 +86,7 @@ func nodeRoot(ctx *Ctx, node *core.Node) (*core.FBlock, []int32) {
 		if c.Parent == nil {
 			return b, bound
 		}
-		up := ctx.Arena.GetInt32s(c.Block.NumRows())[:c.Block.NumRows()]
-		for r, rg := range c.Index {
-			for j := rg.Start; j < rg.End; j++ {
-				up[j] = int32(r)
-			}
-		}
+		up := c.RowsAbove(c.Parent, ctx.Arena.GetInt32s(c.Block.NumRows()))
 		for i, r := range rows {
 			rows[i] = up[r]
 		}

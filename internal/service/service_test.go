@@ -92,6 +92,11 @@ func TestQueryEndpointErrors(t *testing.T) {
 	if !strings.Contains(out["error"].(string), "cypher") {
 		t.Fatalf("error = %v", out["error"])
 	}
+	// SUM over a string: the binder refuses it.
+	resp, out = post(t, ts, "/query", service.QueryRequest{Query: "MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE id(p) = 1 RETURN SUM(f.firstName) AS s"})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out["error"].(string), "takes a number") {
+		t.Fatalf("SUM over a string: status %d, %v", resp.StatusCode, out)
+	}
 	// Malformed JSON body.
 	r2, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{nope"))
 	if err != nil {

@@ -78,6 +78,11 @@ func GroupRows(fb *core.FlatBlock, groupBy []string, aggs []op.AggSpec) (*core.F
 			}
 			args[i] = fb.Kinds[idx[i]]
 		}
+		if i >= ng {
+			if err := aggs[i-ng].CheckArg(args[i]); err != nil {
+				return nil, err
+			}
+		}
 		switch kinds[i] = args[i]; {
 		case i >= ng && (aggs[i-ng].Func == op.Count || aggs[i-ng].Func == op.CountDistinct):
 			kinds[i] = vector.KindInt64
