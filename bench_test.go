@@ -27,7 +27,6 @@ import (
 	"ges/internal/catalog"
 	"ges/internal/driver"
 	"ges/internal/exec"
-	"ges/internal/expr"
 	"ges/internal/ldbc"
 	"ges/internal/ldbc/queries"
 	"ges/internal/op"
@@ -190,7 +189,7 @@ func BenchmarkGatherScan(b *testing.B) {
 }
 
 // BenchmarkCSRExpand is the two-hop expansion through the batched adjacency
-// kernel (one NeighborsBatch per morsel over the sealed CSR).
+// kernel (one NeighborsBatch per hop over the sealed CSR).
 func BenchmarkCSRExpand(b *testing.B) {
 	ds := dataset(b)
 	benchPlan(b, ds, bench.CSRExpandPlan(ds))
@@ -305,45 +304,8 @@ func BenchmarkSnapshotExpand(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-runtime benchmarks (parallel expansion and service plan cache).
+// Service benchmarks.
 // ---------------------------------------------------------------------------
-
-// fusedExpandScalePlan is the morsel-runtime workload: a full-scan two-hop
-// expansion whose second hop carries a fused vertex predicate keeping roughly
-// half the neighbors, then a parallel property gather and defactorization.
-func fusedExpandScalePlan(ds *ldbc.Dataset) plan.Plan {
-	h := ds.H
-	mid := int64(ds.Stats().Persons / 2)
-	return plan.Plan{
-		&op.NodeScan{Var: "p", Label: h.Person},
-		&op.Expand{From: "p", To: "f", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person},
-		&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
-			VertexPred: op.VertexPropPred(expr.Le(expr.C(op.ExtIDProp), expr.LInt(mid)))},
-		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "g", As: "g.id", ExtID: true}}},
-		&op.Defactor{Cols: []string{"g.id"}},
-	}
-}
-
-// BenchmarkExpandFusedParallel sweeps the intra-query worker count over the
-// fused-predicate expansion. Speedup is visible only with real cores; on a
-// single-core host the curve is flat (the scheduler caps helpers at
-// GOMAXPROCS and the caller does all the work).
-func BenchmarkExpandFusedParallel(b *testing.B) {
-	ds := dataset(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := exec.New(exec.ModeFactorized)
-			eng.Parallel = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ds.Graph, fusedExpandScalePlan(ds)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkServicePlanCache drives POST /query through the service mux with
 // 1/2/4/8 concurrent clients repeating one query text, so every request

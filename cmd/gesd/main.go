@@ -31,11 +31,10 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		sf       = flag.Float64("sf", 0.1, "simulated scale factor of the served dataset")
-		seed     = flag.Int64("seed", 1, "dataset seed")
-		mode     = flag.String("mode", "fused", "engine variant: flat | factorized | fused")
-		parallel = flag.Int("parallel", 1, "intra-query worker count per request (morsel runtime)")
+		addr = flag.String("addr", ":8080", "listen address")
+		sf   = flag.Float64("sf", 0.1, "simulated scale factor of the served dataset")
+		seed = flag.Int64("seed", 1, "dataset seed")
+		mode = flag.String("mode", "fused", "engine variant: flat | factorized | fused")
 	)
 	flag.Parse()
 
@@ -58,7 +57,7 @@ func main() {
 	}
 	log.Printf("dataset ready: %s", ds.Stats())
 
-	srv := service.NewWith(ds, m, service.Options{Parallel: *parallel})
+	srv := service.New(ds, m)
 	log.Printf("gesd (%s engine) listening on %s", m, *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.Mux()))
 }

@@ -112,10 +112,9 @@ type DB struct {
 	// recycle from one query to the next.
 	pool *storage.Pool
 
-	mu       sync.Mutex
-	mode     exec.Mode
-	parallel int
-	mgr      *txn.Manager // nil until the seal
+	mu   sync.Mutex
+	mode exec.Mode
+	mgr  *txn.Manager // nil until the seal
 }
 
 // Open creates an empty database using the given engine variant.
@@ -273,16 +272,16 @@ func (db *DB) AddEdge(etype, srcLabel string, srcID int64, dstLabel string, dstI
 func (db *DB) Seal() { db.session() }
 
 // session seals the database on first use and returns what one query reads:
-// the transaction manager and the engine mode and parallelism, read once
-// under db.mu so SetMode and SetParallelism apply from the next call on.
-func (db *DB) session() (*txn.Manager, exec.Mode, int) {
+// the transaction manager and the engine mode, read once under db.mu so
+// SetMode applies from the next call on.
+func (db *DB) session() (*txn.Manager, exec.Mode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.mgr == nil {
 		db.graph.SealCSR()
 		db.mgr = txn.NewManager(db.graph)
 	}
-	return db.mgr, db.mode, db.parallel
+	return db.mgr, db.mode
 }
 
 // manager returns the transaction manager, nil before the seal.
@@ -315,14 +314,14 @@ type Result struct {
 // the statistics the seal publishes — and executes it on a snapshot pinned
 // for the call, sealing the database on first use.
 func (db *DB) Query(src string) (*Result, error) {
-	mgr, mode, parallel := db.session()
+	mgr, mode := db.session()
 	pr, err := db.cache.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
 	snap := mgr.AcquireSnapshot()
 	defer mgr.Release(snap)
-	eng := &exec.Engine{Mode: mode, Pool: db.pool, Parallel: parallel}
+	eng := &exec.Engine{Mode: mode, Pool: db.pool}
 	res, err := eng.Run(snap, pr.Plan)
 	if err != nil {
 		return nil, err
@@ -361,7 +360,7 @@ func blockRows(fb *core.FlatBlock) [][]any {
 // the same way, so cost-planned and, in Fused mode, fused — as a string,
 // without executing it. Like Query, it seals the database on first use.
 func (db *DB) Explain(src string) (string, error) {
-	_, mode, _ := db.session()
+	_, mode := db.session()
 	pr, err := db.cache.Prepare(src)
 	if err != nil {
 		return "", err
@@ -375,16 +374,6 @@ func (db *DB) SetMode(mode Mode) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.mode = mode.internal()
-}
-
-// SetParallelism sets the intra-query parallelism degree: expansion
-// operators over large intermediate blocks shard their work across this
-// many goroutines. Values <= 1 (the default) run sequentially. Results are
-// identical either way.
-func (db *DB) SetParallelism(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.parallel = n
 }
 
 // Stats reports database-level gauges: the vertices and directed edges the

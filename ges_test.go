@@ -129,8 +129,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSetModeDuringQueries switches the engine variant and parallelism while
-// other goroutines query and explain: each call reads both once under the
+// TestSetModeDuringQueries switches the engine variant while other
+// goroutines query and explain: each call reads it once under the
 // database's lock, so this passes under -race, and every variant returns
 // the same rows.
 func TestSetModeDuringQueries(t *testing.T) {
@@ -166,7 +166,6 @@ func TestSetModeDuringQueries(t *testing.T) {
 	modes := []ges.Mode{ges.Flat, ges.Factorized, ges.Fused}
 	for i := 0; i < 60; i++ {
 		db.SetMode(modes[i%len(modes)])
-		db.SetParallelism(1 + i%4)
 	}
 	wg.Wait()
 }
@@ -335,9 +334,9 @@ func TestSaveAndStatsAfterSealedWrites(t *testing.T) {
 	}
 }
 
-func TestParallelismKnob(t *testing.T) {
+// TestVarLengthCountFactorized counts a var-length pattern under GES_f.
+func TestVarLengthCountFactorized(t *testing.T) {
 	db := socialDB(t, ges.Factorized)
-	db.SetParallelism(4)
 	res, err := db.Query(`
 		MATCH (p:Person)-[:KNOWS*1..2]->(f) WHERE id(p) = 1
 		RETURN COUNT(*) AS n`)

@@ -1,8 +1,6 @@
 // Package bench implements the paper's evaluation section (§6): one
 // experiment per table and figure, each regenerating the corresponding rows
-// or series at simulated (laptop) scale, and nothing else — the
-// morsel-runtime sweeps are the root bench_test.go's
-// BenchmarkExpandFusedParallel and BenchmarkServicePlanCache. The
+// or series at simulated (laptop) scale, and nothing else. The
 // experiments are shared by cmd/gesbench and the root bench_test.go;
 // EXPERIMENTS.md records the paper-vs-measured comparison for each.
 package bench

@@ -70,7 +70,7 @@ func GatherScanPlan(ds *ldbc.Dataset) plan.Plan {
 }
 
 // CSRExpandPlan is the batched-expand workload: a full-scan two-hop KNOWS
-// count, one NeighborsBatch per morsel over the sealed CSR.
+// count, one NeighborsBatch per expand over the sealed CSR.
 func CSRExpandPlan(ds *ldbc.Dataset) plan.Plan {
 	h := ds.H
 	return plan.Plan{&op.NodeScan{Var: "p", Label: h.Person}, knows(h, "p", "f"), knows(h, "f", "g"), countOnly()}

@@ -18,7 +18,7 @@ import (
 // fusedExpandPlan is the executor-recycling workload: a fused-predicate
 // two-hop expansion followed by a batched external-id gather and a count.
 // Every structure the arena recycles is on the path — lazy expand batches and
-// index vectors, fused-predicate morsel scratch, gather staging, f-Tree nodes
+// index vectors, fused-predicate batch scratch, gather staging, f-Tree nodes
 // and selection vectors.
 func fusedExpandPlan(ds *ldbc.Dataset) plan.Plan {
 	h := ds.H
@@ -40,10 +40,10 @@ func fusedExpandPlan(ds *ldbc.Dataset) plan.Plan {
 }
 
 // TestWorkloadPlanParity runs every micro-workload plan through the parity
-// sweep: all three engine modes × 1/2/4/8 workers × sealed, unsealed,
-// delta-overlay and txn-overlay representations of one LDBC graph, against
-// the volcano oracle. Run under -race in CI, it is also the proof that
-// arena recycling across queries and workers is invisible in results.
+// sweep: all three engine modes × sealed, unsealed, delta-overlay and
+// txn-overlay representations of one LDBC graph, against the volcano
+// oracle. Run under -race in CI, it is also the proof that
+// arena recycling across queries is invisible in results.
 func TestWorkloadPlanParity(t *testing.T) {
 	ds, views := paritytest.LDBCViews(t, 0.03, 7)
 	plans := []struct {

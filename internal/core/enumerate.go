@@ -59,23 +59,16 @@ func (t *FTree) Resolve(names []string) ([]ColRef, error) {
 // to stop enumeration early. The walk is the constant-delay enumeration of
 // Lemma 4.4 realized as a preorder backtracking loop: each node's row
 // iterator ranges over the index-vector interval selected by its parent's
-// current row, so the work per emitted tuple is O(|schema|).
+// current row, so the work per emitted tuple is O(|schema|). It boxes from
+// the cursor of EnumerateRows's walk, re-reading only the nodes whose row
+// changed.
 func (t *FTree) Enumerate(refs []ColRef, fn func(row []vector.Value) bool) {
-	t.EnumerateRange(refs, 0, t.Root.Block.NumRows(), fn)
-}
-
-// EnumerateRange is Enumerate restricted to root rows [lo,hi). Tuples are
-// produced in the same order Enumerate would produce them, so enumerating
-// consecutive ranges and concatenating yields exactly the full enumeration.
-// It boxes from the cursor of EnumerateRows's walk, re-reading only the
-// nodes whose row changed.
-func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.Value) bool) {
 	cols := make([]*vector.Column, len(refs))
 	for i, r := range refs {
 		cols[i] = t.nodes[r.Node].Block.Column(r.Col)
 	}
 	buf := make([]vector.Value, len(refs))
-	t.EnumerateRows(lo, hi, func(cur []int, from int) bool {
+	t.EnumerateRows(func(cur []int, from int) bool {
 		for i, r := range refs {
 			if r.Node >= from {
 				buf[i] = cols[i].Get(cur[r.Node])
@@ -85,34 +78,33 @@ func (t *FTree) EnumerateRange(refs []ColRef, lo, hi int, fn func(row []vector.V
 	})
 }
 
-// EnumerateRows walks the valid tuples of root rows [lo,hi) in Enumerate's
-// order without boxing a value: fn receives the cursor, rows[id] being the
-// current row of the node with that ID, and from, the lowest node ID whose
-// row changed since the previous tuple (0 for the first). fn must not retain
-// or modify rows, and may return false to stop.
-func (t *FTree) EnumerateRows(lo, hi int, fn func(rows []int, from int) bool) {
-	if len(t.nodes) == 0 || t.Root.Block.NumRows() == 0 || lo >= hi {
+// EnumerateRows walks the valid tuples in Enumerate's order without boxing
+// a value: fn receives the cursor, rows[id] being the current row of the
+// node with that ID, and from, the lowest node ID whose row changed since
+// the previous tuple (0 for the first). fn must not retain or modify rows,
+// and may return false to stop.
+func (t *FTree) EnumerateRows(fn func(rows []int, from int) bool) {
+	if len(t.nodes) == 0 || t.Root.Block.NumRows() == 0 {
 		return
 	}
-	// The walk's cursor stacks cycle through a package pool, not the tree,
-	// because parallel de-factoring enumerates disjoint ranges of one tree
-	// concurrently.
+	// The walk's cursor stacks cycle through a package pool, so a warm walk
+	// allocates none.
 	sc := enumPool.Get().(*enumScratch)
 	defer enumPool.Put(sc)
-	t.walk(sc, lo, hi, fn)
+	t.walk(sc, fn)
 }
 
 // walk is the constant-delay enumeration of Lemma 4.4 realized as a preorder
 // backtracking loop: each node's row iterator ranges over the index-vector
 // interval selected by its parent's current row, so the work per tuple is
 // O(|nodes|). It emits the cursor at every valid tuple.
-func (t *FTree) walk(sc *enumScratch, lo, hi int, emit func(cur []int, from int) bool) {
+func (t *FTree) walk(sc *enumScratch, emit func(cur []int, from int) bool) {
 	n := len(t.nodes)
 	parentIdx, cur, end := sc.cursor(n)
 	for i := 1; i < n; i++ {
 		parentIdx[i] = t.nodes[i].Parent.id
 	}
-	cur[0], end[0] = lo, hi
+	cur[0], end[0] = 0, t.Root.Block.NumRows()
 	d, from := 0, 0
 	for d >= 0 {
 		// Advance node d's iterator to its next valid row.
@@ -153,13 +145,6 @@ func (t *FTree) walk(sc *enumScratch, lo, hi int, emit func(cur []int, from int)
 // row-oriented FlatBlock, one boxed value per attribute: the reference the
 // executor's columnar de-factor and its result boxing are tested against.
 func (t *FTree) Defactor(names []string) (*FlatBlock, error) {
-	return t.DefactorRange(names, 0, t.Root.Block.NumRows())
-}
-
-// DefactorRange materializes the named attributes of every valid tuple whose
-// root row falls in [lo,hi). Concatenating the blocks of consecutive ranges
-// reproduces Defactor exactly (see EnumerateRange).
-func (t *FTree) DefactorRange(names []string, lo, hi int) (*FlatBlock, error) {
 	refs, err := t.Resolve(names)
 	if err != nil {
 		return nil, err
@@ -169,7 +154,7 @@ func (t *FTree) DefactorRange(names []string, lo, hi int) (*FlatBlock, error) {
 		kinds[i] = t.nodes[r.Node].Block.Column(r.Col).Kind
 	}
 	out := NewFlatBlock(append([]string(nil), names...), kinds)
-	t.EnumerateRange(refs, lo, hi, func(row []vector.Value) bool {
+	t.Enumerate(refs, func(row []vector.Value) bool {
 		out.Append(row)
 		return true
 	})

@@ -69,8 +69,7 @@ func fuzzTree(data []byte) *FTree {
 // FuzzEnumerate drives random f-Tree shapes — index vectors and selection
 // patterns decoded from fuzz input — through the constant-delay enumerator
 // and cross-checks DefactorAll against the naive recursive expansion
-// (bruteForce), CountTuples, the structural invariants, and the
-// range-splitting property morsel-parallel de-factoring relies on.
+// (bruteForce), CountTuples and the structural invariants.
 //
 // Run `go test -fuzz=FuzzEnumerate ./internal/core` to explore beyond the
 // seed corpus.
@@ -109,26 +108,6 @@ func FuzzEnumerate(f *testing.F) {
 		for i := range wantKeys {
 			if gotKeys[i] != wantKeys[i] {
 				t.Fatalf("tuple multiset mismatch at %d:\n got %q\nwant %q", i, gotKeys[i], wantKeys[i])
-			}
-		}
-		// Splitting the root range and concatenating must reproduce the full
-		// enumeration exactly, in order (EnumerateRange contract).
-		mid := ft.Root.Block.NumRows() / 2
-		lo, err := ft.DefactorRange(ft.Schema(), 0, mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hi, err := ft.DefactorRange(ft.Schema(), mid, ft.Root.Block.NumRows())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo.NumRows()+hi.NumRows() != fb.NumRows() {
-			t.Fatalf("range split %d+%d != full %d", lo.NumRows(), hi.NumRows(), fb.NumRows())
-		}
-		both := append(append([][]vector.Value{}, lo.Rows...), hi.Rows...)
-		for i := range both {
-			if tupleKey(both[i]) != tupleKey(fb.Rows[i]) {
-				t.Fatalf("range-split enumeration diverges at tuple %d", i)
 			}
 		}
 	})

@@ -169,7 +169,7 @@ func checkRowsAbove(t *testing.T, trial int, ft *FTree) {
 			}
 		}
 	}
-	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(cur []int, _ int) bool {
+	ft.EnumerateRows(func(cur []int, _ int) bool {
 		for _, n := range nodes {
 			for a := n; a != nil; a = a.Parent {
 				if got := maps[n.ID()][a.ID()][cur[n.ID()]]; got != int32(cur[a.ID()]) {

@@ -228,7 +228,7 @@ func TestWeightsMatchEnumeration(t *testing.T) {
 		ft := randomTree(rng)
 		for _, node := range ft.Nodes() {
 			want := make([]int64, node.Block.NumRows())
-			ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
+			ft.EnumerateRows(func(rows []int, _ int) bool {
 				want[rows[node.ID()]]++
 				return true
 			})

@@ -276,7 +276,7 @@ func triangleFixture(t *testing.T) *testgraph.Fixture {
 // TestCyclicPatternCompilesToExpandIntersect checks that a triangle pattern —
 // whose closing relationship targets an already-bound variable — lowers to
 // the multiway intersection operator and returns the right count in every
-// mode and at every worker count, in agreement with the volcano oracle.
+// mode, in agreement with the volcano oracle.
 func TestCyclicPatternCompilesToExpandIntersect(t *testing.T) {
 	f := triangleFixture(t)
 	src := `MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person)-[:KNOWS]->(a)
@@ -317,7 +317,7 @@ func TestDiamondLowersToExpandIntersect(t *testing.T) {
 
 // TestCyclicVarLengthCloses checks that a var-length relationship between
 // two bound variables compiles to the hop-bounded ExpandInto, planned
-// without statistics and with them, and returns, in every mode and at every worker count against the
+// without statistics and with them, and returns, in every mode against the
 // volcano oracle, the rows of the rewrite TestCyclicVarLengthRewriteWorkaround
 // spells out: the closing endpoint under a fresh variable, equated by id.
 func TestCyclicVarLengthCloses(t *testing.T) {

@@ -12,8 +12,8 @@ import (
 // TestCompiledPlanParity runs compiled queries — the cyclic patterns that
 // lower to ExpandIntersect or close a var-length edge with ExpandInto, and
 // the adversarially phrased ladder on which the cost model re-anchors and
-// reverses expansions — through the parity sweep: every engine mode ×
-// 1/2/4/8 workers × the four physical representations of one LDBC graph,
+// reverses expansions — through the parity sweep: every engine mode × the
+// four physical representations of one LDBC graph,
 // against the volcano oracle. Each query is planned twice, without
 // statistics ("syntactic": the as-written plan Options{Cost: nil} binds) and
 // with them ("cost"): the planner may reshape the plan, never the rows, so

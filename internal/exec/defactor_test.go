@@ -26,8 +26,7 @@ func (s treeSource) Execute(*op.Ctx, *core.FTree) (*core.FTree, error) { return 
 // null rows, empty trees and one-node trees — the engine's exit (the
 // columnar de-factor, then the boxing of its one node) and an explicit
 // narrowing Defactor return the reference's names, kinds and rows, in its
-// order, at 1, 2, 4 and 8 workers. Roots of up to 1300 rows cross the
-// parallel threshold, so the tuple indices are enumerated per morsel.
+// order.
 func TestColumnarDefactorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dict := vector.NewDict()
@@ -46,20 +45,16 @@ func TestColumnarDefactorMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 2, 4, 8} {
-				eng := exec.New(exec.ModeFactorized)
-				eng.Parallel = w
-				res, err := eng.Run(nil, c.p)
-				if err != nil {
-					t.Fatalf("trial %d, %d workers: %v", trial, w, err)
-				}
-				got := res.Block
-				if !slices.Equal(got.Names, want.Names) || !slices.Equal(got.Kinds, want.Kinds) {
-					t.Fatalf("trial %d, %d workers: schema %v %v, want %v %v", trial, w, got.Names, got.Kinds, want.Names, want.Kinds)
-				}
-				if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]vector.Value]) {
-					t.Fatalf("trial %d, %d workers: %d rows differ from the reference's %d\n%s", trial, w, got.NumRows(), want.NumRows(), ft)
-				}
+			res, err := exec.New(exec.ModeFactorized).Run(nil, c.p)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			got := res.Block
+			if !slices.Equal(got.Names, want.Names) || !slices.Equal(got.Kinds, want.Kinds) {
+				t.Fatalf("trial %d: schema %v %v, want %v %v", trial, got.Names, got.Kinds, want.Names, want.Kinds)
+			}
+			if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal[[]vector.Value]) {
+				t.Fatalf("trial %d: %d rows differ from the reference's %d\n%s", trial, got.NumRows(), want.NumRows(), ft)
 			}
 		}
 	}

@@ -61,11 +61,6 @@ type Result struct {
 	OpStats  []OpStat
 	PeakMem  int
 	Duration time.Duration
-
-	// Vectorized-gather instrumentation (§5): batch gathers issued and
-	// zero-copy column shares.
-	Gathers    int64
-	SharedCols int64
 }
 
 // Engine executes plans against a storage view in one of the three variant
@@ -78,9 +73,6 @@ type Engine struct {
 	// CollectStats enables per-operator timing and sizing; benchmarks that
 	// only need end-to-end latency leave it off to avoid perturbation.
 	CollectStats bool
-	// Parallel sets the intra-query parallelism degree for expansion
-	// operators (<= 1 = sequential).
-	Parallel int
 }
 
 // New returns an engine in the given mode with a fresh memory pool.
@@ -111,7 +103,7 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	// across queries.
 	arena := e.Pool.GetArena()
 	defer e.Pool.PutArena(arena)
-	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows, Parallel: e.Parallel}
+	ctx := &op.Ctx{View: view, Arena: arena, MaxRows: e.MaxRows}
 	start := time.Now()
 
 	var ft *core.FTree
@@ -156,8 +148,6 @@ func (e *Engine) Run(view storage.View, p plan.Plan) (*Result, error) {
 	res.Block = box(ft)
 	res.PeakMem = ctx.PeakMem
 	res.Duration = time.Since(start)
-	res.Gathers = ctx.Gather.Gathers.Load()
-	res.SharedCols = ctx.Gather.SharedCols.Load()
 	return res, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"ges/internal/catalog"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -113,10 +112,10 @@ func Generate(cfg Config) (*Dataset, error) {
 	// End of the bulk phase: seal every family's edge log into its sorted
 	// CSR snapshot so queries run on the read-optimized layout.
 	ds.seal()
-	// Post-seal edge mutations land in delta overlays; route the resulting
-	// background family reseals through the shared worker pool so they
-	// never run on a mutator's critical path.
-	g.SetResealSubmit(sched.Global().Submit)
+	// Post-seal edge mutations land in delta overlays; each background
+	// family reseal runs on a goroutine of its own, off the mutator's
+	// critical path. The family's reseal claim bounds them to one per family.
+	g.SetResealSubmit(func(task func()) bool { go task(); return true })
 
 	// The wells hold the current maximum; NewXExt pre-increments.
 	ds.nextPersonExt.Store(int64(len(ds.Persons)))

@@ -268,8 +268,8 @@ func TestAnchoredPlansMatchReferences(t *testing.T) {
 }
 
 // TestAnchoredPlansSweepViews runs the served IC3, IC6, IC11, IC4 and IC10 plans
-// through the parity sweep — every engine mode × 1/2/4/8 workers × the four
-// physical representations of one LDBC graph (commits and a created person
+// through the parity sweep — every engine mode × the four physical
+// representations of one LDBC graph (commits and a created person
 // included) — against the volcano oracle, for a few parameter draws each.
 // Sweep fails a draw whose base view returns no data row, so every draw
 // compares rows.

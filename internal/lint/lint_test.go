@@ -139,7 +139,6 @@ var selfCleanPkgs = []string{
 	"ges/internal/op",
 	"ges/internal/paritytest",
 	"ges/internal/plan",
-	"ges/internal/sched",
 	"ges/internal/service",
 	"ges/internal/stats",
 	"ges/internal/storage",

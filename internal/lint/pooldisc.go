@@ -263,7 +263,7 @@ func (a *Analysis) checkPoolDiscipline() {
 				}
 			case *ast.AssignStmt:
 				// A store through a field, index, or pointer hands the buffer
-				// to the container's lifecycle (morsel scratch structs).
+				// to the container's lifecycle (scratch structs).
 				if len(x.Lhs) != len(x.Rhs) {
 					return true
 				}

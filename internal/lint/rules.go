@@ -34,16 +34,18 @@ import (
 //	    or element store goes through one outside internal/stats —
 //	    copy-conservatively, because a copied Family still shares bucket
 //	    storage with the published snapshot. There is no opt-out directive.
-//	R5  internal/{op,exec,service,driver,bench} spawn goroutines only through
-//	    internal/sched; a raw go statement escapes the scheduler's budget.
-//	    //geslint:go-ok on or above the line opts a single statement out.
+//	R5  internal/{op,exec,service,driver,bench} start no goroutine with a raw
+//	    go statement: a query runs on its caller's goroutine, and the
+//	    process's concurrency is its callers'. //geslint:go-ok on or above
+//	    the line opts a single deliberate spawn out (internal/driver's
+//	    closed-loop workers).
 //	R7  functions annotated //geslint:kernel are transitively allocation-,
 //	    lock-, and spawn-free with no unanalyzable calls; individual sites
 //	    are waived by //geslint:alloc-ok <why> on or above the line.
 //	R8  values reachable from a sealed snapshot (internal/stats Snapshot, a
 //	    storage.Batch run or piece, a shared scan column) must not escape
 //	    into struct fields, package variables, channels, or goroutines that
-//	    outlive the morsel, outside types annotated //geslint:snapshot-owner
+//	    outlive the read, outside types annotated //geslint:snapshot-owner
 //	    <why>. Escapes through module-internal calls are caught via the
 //	    retention summaries; //geslint:retain-ok <why> waives a line.
 //	R10 errors returned by module-internal functions are never silently
@@ -79,11 +81,11 @@ var bitsetWrites = map[string]bool{
 var columnAppends = map[string]bool{
 	"Append": true, "AppendVID": true, "AppendInt64": true, "AppendFloat64": true,
 	"AppendString": true, "AppendBool": true, "AppendVIDs": true,
-	"Extend": true, "Grow": true, "Gather": true,
+	"Grow": true, "Gather": true,
 }
 
-// goScope lists the module-relative package prefixes R5 covers. internal/sched
-// is deliberately absent: it is the sanctioned spawn point.
+// goScope lists the module-relative package prefixes R5 covers: the query
+// path and the harnesses that drive it.
 var goScope = []string{"internal/op", "internal/exec", "internal/service",
 	"internal/driver", "internal/bench"}
 
@@ -372,8 +374,7 @@ func storesThrough(target ast.Expr, guarded func(ast.Expr) bool) bool {
 
 // ---------------------------------------------------------------- R5
 
-// checkGoStmts flags raw go statements in packages that must spawn through
-// internal/sched.
+// checkGoStmts flags raw go statements in the goScope packages.
 func (a *Analysis) checkGoStmts(pkg *Package, f *ast.File) {
 	okLines := directiveLines(a.mod.Fset, f, "go-ok")
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -386,7 +387,7 @@ func (a *Analysis) checkGoStmts(pkg *Package, f *ast.File) {
 			return true
 		}
 		a.report(g.Pos(), "R5",
-			"raw go statement in %s; spawn through internal/sched so workers stay within the scheduler budget, or annotate //geslint:go-ok",
+			"raw go statement in %s; a query runs on its caller's goroutine, so annotate a deliberate spawn //geslint:go-ok",
 			pkg.Rel)
 		return true
 	})

@@ -12,8 +12,8 @@ import (
 // source — a storage.Batch piece viewing an image (the VIDs/Runs/Pieces
 // fields, the Run/PieceVIDs/PieceCols calls), a shared scan column
 // (ShareScanColumn / its ShareAs rename), or a *stats.Snapshot — must stay
-// morsel-scoped: they may not escape into package-level variables, struct
-// fields reachable from the caller, channels, or goroutines.
+// scoped to the read: they may not escape into package-level variables,
+// struct fields reachable from the caller, channels, or goroutines.
 //
 // Escapes are found by running the labelled-taint engine per function with
 // one extra label bit (snapMask) seeded by the source expressions above,
@@ -23,7 +23,7 @@ import (
 //
 // Sanctioned retention: types annotated //geslint:snapshot-owner <why> may
 // hold snapshot-derived values in their fields (the f-Block that carries
-// shared scan columns for one morsel, for example), and a line annotated
+// shared scan columns for one query, for example), and a line annotated
 // //geslint:retain-ok <why> waives a single site. The packages that build
 // and own the sealed structures (internal/storage, internal/stats,
 // internal/txn) are exempt wholesale — they are the owners the rule
@@ -108,7 +108,7 @@ func (a *Analysis) checkSnapshotLifetime() {
 				continue
 			}
 			a.report(esc.pos, "R8",
-				"snapshot-derived value %s and may outlive the morsel (use-after-reseal); copy it out, hold it in a //geslint:snapshot-owner type, or annotate //geslint:retain-ok <why>",
+				"snapshot-derived value %s and may outlive the read (use-after-reseal); copy it out, hold it in a //geslint:snapshot-owner type, or annotate //geslint:retain-ok <why>",
 				esc.desc)
 		}
 

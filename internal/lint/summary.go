@@ -430,7 +430,7 @@ func (a *Analysis) closeParams(flags func(*FuncInfo) []bool, takes func(callee *
 }
 
 // retainsArg reports whether callee keeps argument j beyond the call. A
-// function-literal argument is call-synchronous (RunMorsels) and does not
+// function-literal argument is call-synchronous (a callback) and does not
 // count; a spawned one is R5's beat.
 func retainsArg(callee *FuncInfo, j int, arg ast.Expr) bool {
 	_, isLit := ast.Unparen(arg).(*ast.FuncLit)

@@ -22,12 +22,11 @@ func BadAppend(b *core.FBlock) {
 	b.Column(0).AppendInt64(7) // want R3
 	c := b.ColumnByName("x")
 	c.Append(vector.Value{})      // want R3
-	b.Columns()[0].Extend(c)      // want R3
 	c.AppendVIDs([]vector.VID{1}) // want R3
 	c.Gather(b.Column(1), nil)    // want R3
 }
 
-// BadSpawn launches a goroutine without going through internal/sched.
+// BadSpawn launches a goroutine with a raw go statement.
 func BadSpawn() {
 	done := make(chan struct{})
 	go func() { close(done) }() // want R5

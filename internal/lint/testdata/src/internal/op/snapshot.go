@@ -1,6 +1,6 @@
 // Snapshot-lifetime fixtures (R8): values derived from a sealed snapshot —
 // a storage.Batch run or piece, a shared scan column, the published
-// *stats.Snapshot — must stay morsel-scoped. Positive cases escape into a
+// *stats.Snapshot — must stay scoped to the read. Positive cases escape into a
 // package-level variable, caller-owned struct fields, a channel, a
 // goroutine, and (interprocedurally) a callee that retains its parameter;
 // negative cases cover local alias shuffles, a sanctioned snapshot-owner
@@ -36,15 +36,15 @@ func LeakField(h *Holder, b *storage.Batch) {
 	h.Keep = b.VIDs // want R8
 }
 
-// Morsel carries shared scan state for exactly one morsel.
+// ExpandState carries shared scan state for exactly one expand.
 //
-//geslint:snapshot-owner fixture: dropped with the expand state at morsel end
-type Morsel struct {
+//geslint:snapshot-owner fixture: dropped with the expand state when the operator returns
+type ExpandState struct {
 	View []vector.VID
 }
 
 // OKOwnerField stores into a sanctioned snapshot-owner type (R8 negative).
-func OKOwnerField(m *Morsel, b *storage.Batch) {
+func OKOwnerField(m *ExpandState, b *storage.Batch) {
 	m.View = b.Run(0)
 }
 
@@ -56,7 +56,7 @@ func LeakChan(b *storage.Batch, ch chan []vector.VID) {
 // consume is the goroutine body for LeakGo.
 func consume(run []vector.VID) {}
 
-// LeakGo hands a batch run to a goroutine that outlives the morsel (the
+// LeakGo hands a batch run to a goroutine that outlives the read (the
 // go-ok directive settles R5; the escape is still R8's).
 func LeakGo(b *storage.Batch) {
 	//geslint:go-ok
@@ -117,9 +117,9 @@ func LeakPieceCols(b *storage.Batch) {
 	colsSink = cols // want R8
 }
 
-// OKPieceMorsel reads every piece in place within the morsel and keeps
+// OKPieceInPlace reads every piece in place within the read and keeps
 // only what it copied out (R8 negative).
-func OKPieceMorsel(b *storage.Batch, out []vector.VID) []vector.VID {
+func OKPieceInPlace(b *storage.Batch, out []vector.VID) []vector.VID {
 	for _, p := range b.Pieces {
 		cols, off := b.PieceCols(p)
 		for k, v := range b.PieceVIDs(p) {

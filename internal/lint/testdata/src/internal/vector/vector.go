@@ -54,9 +54,6 @@ func (c *Column) AppendVIDs(vs []VID) {
 	}
 }
 
-// Extend appends all of src.
-func (c *Column) Extend(src *Column) { c.i64 = append(c.i64, src.i64...) }
-
 // Gather appends rows of src.
 func (c *Column) Gather(src *Column, rows []int32) {
 	for _, r := range rows {

@@ -205,7 +205,7 @@ func depth(n *core.Node) (d int) {
 //
 // Groups are slots numbered in first-seen order, and their states live in
 // typed slabs indexed by slot (times the number of aggregates), grown once
-// per folded morsel. A group keeps no value: it records, per key column, the
+// per folded chunk. A group keeps no value: it records, per key column, the
 // row that opened it, and a MIN or MAX the row of its best value, and block
 // gathers both from their columns at emit. A global aggregate has one slot;
 // a KeyVar table finds a slot by VID in a dense array (visitSet), a lone
@@ -357,21 +357,21 @@ func (t *aggTable) bindColumns(ctx *Ctx, ft *core.FTree, node *core.Node, refs [
 	}
 }
 
-// foldMorsel is the number of rows fold slots before it updates the slabs.
-const foldMorsel = 1024
+// foldChunk is the number of rows fold slots before it updates the slabs.
+const foldChunk = 1024
 
 // fold adds every row of the axis, row i standing for w[i] tuples, to its
-// group, a morsel at a time in two passes over arena scratch: the rows of
+// group, a chunk at a time in two passes over arena scratch: the rows of
 // weight above 0 and their group slots (slotRows), then each aggregate's
 // slab straight from its column (foldSlab).
 func (t *aggTable) fold(ctx *Ctx, w []int64) {
-	m := min(len(w), foldMorsel)
+	m := min(len(w), foldChunk)
 	scratch := ctx.Arena.GetInt32s(2 * m)[:2*m]
 	defer ctx.Arena.PutInt32s(scratch)
 	live, ss := scratch[:m], scratch[m:]
-	for lo := 0; lo < len(w); lo += foldMorsel {
+	for lo := 0; lo < len(w); lo += foldChunk {
 		n := 0
-		for i := lo; i < min(lo+foldMorsel, len(w)); i++ {
+		for i := lo; i < min(lo+foldChunk, len(w)); i++ {
 			live[n] = int32(i)
 			n += int(uint64(-w[i]) >> 63) // 1 when w[i] > 0: no branch
 		}

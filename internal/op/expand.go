@@ -108,29 +108,29 @@ func (o *Expand) executeFactorized(ctx *Ctx, ft *core.FTree, epp edgePropPlan, p
 		return nil, err
 	}
 	out := produceChild(ctx, ft, parent, childCols{to: o.To, props: o.EdgeProps, kinds: epp.kind},
-		expandBody{o, ctx, parent, fromCol, epp, pred})
+		expandBody{o, ctx, parent, fromCol, epp, pred}.rows)
 	if pred != nil {
 		ft.PruneUp(ft.Nodes()[ft.NumNodes()-1])
 	}
 	return out, nil
 }
 
-// expandSrcs builds a batched neighbor request for parent rows [lo,hi) into
+// expandSrcs builds a batched neighbor request for every parent row into
 // buf (typically pooled VID scratch; the caller releases it after the batch
 // call returns): the From VID per valid row, NilVID (an empty run) for
-// invalid rows, so the returned runs stay aligned with the row range.
-func expandSrcs(parent *core.Node, fromCol *vector.Column, lo, hi int, buf []vector.VID) []vector.VID {
+// invalid rows, so the returned runs stay aligned with the rows.
+func expandSrcs(parent *core.Node, fromCol *vector.Column, buf []vector.VID) []vector.VID {
 	srcs := buf[:0] // kept as its own statement: geslint R11 follows the pooled buffer through this alias
-	srcs = fromCol.AppendVIDRange(srcs, lo, hi)
+	srcs = fromCol.AppendVIDRange(srcs, 0, parent.Block.NumRows())
 	for i := range srcs {
-		if !parent.Valid(lo + i) {
+		if !parent.Valid(i) {
 			srcs[i] = vector.NilVID
 		}
 	}
 	return srcs
 }
 
-// expandBody is the factorized expand's range body.
+// expandBody is the factorized expand's fill.
 type expandBody struct {
 	o       *Expand
 	ctx     *Ctx
@@ -140,19 +140,18 @@ type expandBody struct {
 	pred    *vertexFilter
 }
 
-// rows expands parent rows [lo,hi). Candidates come from one batched
-// NeighborsBatch call per invocation, read piece by piece in place; a piece
-// with nothing to filter or project beside its VIDs is copied whole.
-func (b expandBody) rows(lo, hi int, s childSink) {
-	o, ctx, epp := b.o, b.ctx, b.epp
-	pred := shardPred(ctx, b.pred, lo, hi, b.parent.Block.NumRows())
-	total := s.toCol.Len()
+// rows expands every parent row. Candidates come from one batched
+// NeighborsBatch call, read piece by piece in place; a piece with nothing to
+// filter or project beside its VIDs is copied whole.
+func (b expandBody) rows(s childSink) {
+	o, ctx, epp, pred := b.o, b.ctx, b.epp, b.pred
+	total := 0
 
 	// Every value is copied out of the batch before this call returns, so
 	// the batch is transient scratch.
 	batch := ctx.Arena.GetBatch()
 	defer ctx.Arena.PutBatch(batch)
-	srcs := expandSrcs(b.parent, b.fromCol, lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	srcs := expandSrcs(b.parent, b.fromCol, ctx.Arena.GetVIDs(len(s.index)))
 	ctx.View.NeighborsBatch(srcs, o.Et, o.Dir, o.DstLabel, len(o.EdgeProps) > 0, batch)
 	ctx.Arena.PutVIDs(srcs)
 	// keep numbers all pieces' candidates in piece order, piece pc's from base.

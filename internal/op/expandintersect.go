@@ -92,25 +92,25 @@ func (o *ExpandIntersect) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error)
 	}
 	defer putRows(ctx, owners)
 
-	return produceChild(ctx, ft, deep, childCols{to: o.To}, intersectBody{o, ctx, deep, cols, owners}), nil
+	return produceChild(ctx, ft, deep, childCols{to: o.To}, intersectBody{o, ctx, deep, cols, owners}.rows), nil
 }
 
-// sideSrcs builds side si's source column for deep rows [lo,hi) in buf
-// (capacity at least hi-lo, typically arena scratch): the side vertex of
-// each valid row, NilVID (an empty run) otherwise.
-func sideSrcs(deep *core.Node, col *vector.Column, owner []int32, lo, hi int, buf []vector.VID) []vector.VID {
-	srcs := buf[:hi-lo]
-	for i := lo; i < hi; i++ {
+// sideSrcs builds a side's source column for every deep row in buf
+// (capacity at least the row count, typically arena scratch): the side
+// vertex of each valid row, NilVID (an empty run) otherwise.
+func sideSrcs(deep *core.Node, col *vector.Column, owner []int32, buf []vector.VID) []vector.VID {
+	srcs := buf[:len(owner)]
+	for i := range srcs {
 		if deep.Valid(i) {
-			srcs[i-lo] = col.VIDAt(int(owner[i]))
+			srcs[i] = col.VIDAt(int(owner[i]))
 		} else {
-			srcs[i-lo] = vector.NilVID
+			srcs[i] = vector.NilVID
 		}
 	}
 	return srcs
 }
 
-// intersectBody is the factorized ExpandIntersect range body.
+// intersectBody is the factorized ExpandIntersect fill.
 type intersectBody struct {
 	o      *ExpandIntersect
 	ctx    *Ctx
@@ -119,15 +119,15 @@ type intersectBody struct {
 	owners [][]int32
 }
 
-// rows intersects deep rows [lo,hi).
-func (b intersectBody) rows(lo, hi int, s childSink) {
-	o, ctx := b.o, b.ctx
-	// Side batches and source buffers are morsel-transient: the survivors are
+// rows intersects every deep row.
+func (b intersectBody) rows(s childSink) {
+	o, ctx, n := b.o, b.ctx, len(s.index)
+	// Side batches and source buffers are transient: the survivors are
 	// copied into the sink before this call returns, so everything cycles
 	// back through the arena here.
 	base := ctx.Arena.GetBatch()
 	defer ctx.Arena.PutBatch(base)
-	srcs0 := sideSrcs(b.deep, b.cols[0], b.owners[0], lo, hi, ctx.Arena.GetVIDs(hi-lo))
+	srcs0 := sideSrcs(b.deep, b.cols[0], b.owners[0], ctx.Arena.GetVIDs(n))
 	defer ctx.Arena.PutVIDs(srcs0)
 	s0 := o.Sides[0]
 	ctx.View.NeighborsBatch(srcs0, s0.Et, s0.Dir, s0.DstLabel, false, base)
@@ -140,7 +140,7 @@ func (b intersectBody) rows(lo, hi int, s childSink) {
 		}
 	}()
 	for p := range probes {
-		probeSrcs[p] = sideSrcs(b.deep, b.cols[p+1], b.owners[p+1], lo, hi, ctx.Arena.GetVIDs(hi-lo))
+		probeSrcs[p] = sideSrcs(b.deep, b.cols[p+1], b.owners[p+1], ctx.Arena.GetVIDs(n))
 		probes[p] = ctx.Arena.GetBatch()
 		side := o.Sides[p+1]
 		ctx.View.NeighborsBatch(probeSrcs[p], side.Et, side.Dir, side.DstLabel, false, probes[p])
@@ -153,8 +153,8 @@ func (b intersectBody) rows(lo, hi int, s childSink) {
 // probeLoop is the ExpandIntersect inner loop: one Intersector reduction
 // per deep row, survivors appended to toCol and row i's range written to
 // index[i] (ranges relative to toCol's state at entry). Split out of the
-// range body so the hot loop is a checkable kernel, separate from the
-// per-morsel batch fills and Intersector setup that legitimately allocate.
+// fill so the hot loop is a checkable kernel, separate from the batch
+// fills and Intersector setup that legitimately allocate.
 //
 //geslint:kernel
 func probeLoop(x *storage.Intersector, toCol *vector.Column, index []core.Range) {

@@ -121,7 +121,7 @@ func bruteDiamonds(f *testgraph.Fixture) []string {
 
 // TestExpandIntersectTriangle checks the 2-way intersection against brute
 // force and the oracle, on a graph sealed explicitly and on one its first read
-// seals, across every mode × worker count.
+// seals, in every mode.
 func TestExpandIntersectTriangle(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		f := cyclicFixture(t)

@@ -103,33 +103,27 @@ func (o *ExpandInto) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	owner := deep.RowsAbove(shallow, ctx.Arena.GetInt32s(deep.Block.NumRows()))
 	defer ctx.Arena.PutInt32s(owner)
 
-	// filterMorselSize is a multiple of 64, so concurrent ranges never write
-	// the same selection word; each range owns its probe state. Both columns
-	// are read by range: owner rows are non-decreasing, so a range's owners
-	// are one range of the shallow column.
-	forRanges(ctx, deep.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-		if lo >= hi {
-			return
-		}
-		p := probe
-		dbuf := ctx.Arena.GetVIDs(hi - lo)
-		sbuf := ctx.Arena.GetVIDs(int(owner[hi-1]-owner[lo]) + 1)
-		cands := deepCol.AppendVIDRange(dbuf, lo, hi)
-		olo := owner[lo]
-		srcs := shallowCol.AppendVIDRange(sbuf, int(olo), int(owner[hi-1])+1)
-		for i := lo; i < hi; i++ {
+	// Owner rows are non-decreasing, so the deep rows' owners are one range
+	// of the shallow column.
+	if n := deep.Block.NumRows(); n > 0 {
+		dbuf := ctx.Arena.GetVIDs(n)
+		sbuf := ctx.Arena.GetVIDs(int(owner[n-1]-owner[0]) + 1)
+		cands := deepCol.AppendVIDRange(dbuf, 0, n)
+		olo := owner[0]
+		srcs := shallowCol.AppendVIDRange(sbuf, int(olo), int(owner[n-1])+1)
+		for i := range n {
 			if !deep.Sel.Get(i) {
 				continue
 			}
-			p.load(srcs[owner[i]-olo])
-			if !p.contains(cands[i-lo]) {
+			probe.load(srcs[owner[i]-olo])
+			if !probe.contains(cands[i]) {
 				deep.Sel.Clear(i)
 			}
 		}
-		p.release()
+		probe.release()
 		ctx.Arena.PutVIDs(cands)
 		ctx.Arena.PutVIDs(srcs)
-	})
+	}
 	ft.PruneUp(deep)
 	assertFTree(ft)
 	return ft, nil

@@ -87,7 +87,7 @@ func trianglePlan(s *testgraph.Schema) plan.Plan {
 }
 
 // TestExpandIntoTriangles checks the semi-join against brute force and the
-// volcano oracle in every engine mode × worker count, on a graph sealed
+// volcano oracle in every engine mode, on a graph sealed
 // explicitly and on one its first read seals — all must produce the identical
 // multiset.
 func TestExpandIntoTriangles(t *testing.T) {

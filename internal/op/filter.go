@@ -12,9 +12,9 @@ import (
 // locates the single f-Tree node owning the predicate's attributes and the
 // selection vector is updated in place — no data moves (§4.3, Filter): the
 // predicate's conjuncts compile against that node's block into the conjunct
-// kernels below, the ones the fused VertexPred runs too, driven over
-// word-aligned row ranges (forRanges). A predicate spanning several nodes
-// (or none) de-factors the tree first and filters its one node.
+// kernels below, the ones the fused VertexPred runs too. A predicate
+// spanning several nodes (or none) de-factors the tree first and filters its
+// one node.
 type Filter struct {
 	Pred expr.Expr
 }
@@ -36,9 +36,7 @@ func (o *Filter) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	forRanges(ctx, node.Block.NumRows(), filterMorselSize, func(lo, hi int) {
-		filterRows(conjs, node.Sel, lo, hi)
-	})
+	filterRows(conjs, node.Sel, node.Block.NumRows())
 	ft.PruneUp(node)
 	assertFTree(ft)
 	return ft, nil
@@ -129,10 +127,6 @@ type conjunct struct {
 	eval expr.Getter // closure
 }
 
-// The kernels start at the ranges forRanges hands out, so a filter morsel
-// must cover whole selection words (this fails to compile otherwise).
-var _ = [1]struct{}{}[filterMorselSize%64]
-
 // compileConjuncts appends the top-level conjuncts of e, compiled against
 // b, to dst — the one classifier of Filter and the fused predicate.
 func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, error) {
@@ -172,21 +166,19 @@ func compileConjuncts(e expr.Expr, b *core.FBlock, dst []conjunct) ([]conjunct, 
 	return append(dst, conjunct{kernel: kernClosure, eval: get}), nil
 }
 
-// filterRows clears, over rows [lo,hi) of sel, every row some conjunct
+// filterRows clears, over rows [0,n) of sel, every row some conjunct
 // rejects. Conjuncts run in order, so a closure only evaluates rows the
 // conjuncts before it kept.
-func filterRows(conjs []conjunct, sel *vector.Bitset, lo, hi int) {
+func filterRows(conjs []conjunct, sel *vector.Bitset, n int) {
 	for i := range conjs {
-		conjs[i].run(sel, lo, hi)
+		conjs[i].run(sel, n)
 	}
 }
 
-// run clears, over rows [lo,hi) of sel, the rows the conjunct rejects. lo
-// is a multiple of 64 (forRanges and the fused predicate's [0,n) both start
-// on a selection word), so the range and code-set kernels test 64 rows
-// branch-free into a mask of the rows in the range or set and clear the
-// rejected ones with one word store.
-func (c *conjunct) run(sel *vector.Bitset, lo, hi int) {
+// run clears, over rows [0,n) of sel, the rows the conjunct rejects. The
+// range and code-set kernels test 64 rows branch-free into a mask of the
+// rows in the range or set and clear the rejected ones with one word store.
+func (c *conjunct) run(sel *vector.Bitset, n int) {
 	var negMask uint64
 	if c.negate {
 		negMask = ^negMask
@@ -195,12 +187,12 @@ func (c *conjunct) run(sel *vector.Bitset, lo, hi int) {
 	case kernRange:
 		// One unsigned compare tests first <= v <= first+span.
 		vals, first, span := c.col.Int64s(), c.lo, uint64(c.hi-c.lo)
-		for w := lo; w < hi; w += 64 {
+		for w := 0; w < n; w += 64 {
 			var in uint64
-			for i, v := range vals[w:min(w+64, hi)] {
+			for i, v := range vals[w:min(w+64, n)] {
 				in |= b2u(uint64(v-first) <= span) << i
 			}
-			clearRejected(sel, w, hi, in, negMask)
+			clearRejected(sel, w, n, in, negMask)
 		}
 	case kernCodes:
 		lits := c.lits
@@ -215,18 +207,18 @@ func (c *conjunct) run(sel *vector.Bitset, lo, hi int) {
 			}
 		}
 		codes := c.col.Codes()
-		for w := lo; w < hi; w += 64 {
+		for w := 0; w < n; w += 64 {
 			var in uint64
-			chunk := codes[w:min(w+64, hi)]
+			chunk := codes[w:min(w+64, n)]
 			for _, x := range want {
 				for i, code := range chunk {
 					in |= b2u(code == x) << i
 				}
 			}
-			clearRejected(sel, w, hi, in, negMask)
+			clearRejected(sel, w, n, in, negMask)
 		}
 	default:
-		for i := lo; i < hi; i++ {
+		for i := range n {
 			if sel.Get(i) && !c.eval(i).AsBool() {
 				sel.Clear(i)
 			}

@@ -17,7 +17,7 @@ import (
 )
 
 // kernelRows is one set of property values — i (int64), d (date), f
-// (float64), s (string) — spanning several filter morsels, served both as
+// (float64), s (string) — spanning many selection words, served both as
 // the columns of an f-Block (Filter) and as vertex properties of a graph
 // (the fused VertexPred).
 type kernelRows struct {
@@ -79,7 +79,7 @@ func (r kernelRows) reference(t testing.TB, pred expr.Expr) []bool {
 // filterMismatch runs Filter over the rows with the selection pre-cleared
 // where pre is false, and reports the first row whose selection bit differs
 // from pre && the reference.
-func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, workers int, pre func(int) bool) string {
+func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, pre func(int) bool) string {
 	t.Helper()
 	want := r.reference(t, pred)
 	ft := core.NewFTree(r.block(true))
@@ -88,8 +88,7 @@ func filterMismatch(t testing.TB, r kernelRows, pred expr.Expr, workers int, pre
 			ft.Root.Sel.Clear(k)
 		}
 	}
-	ctx := &op.Ctx{Parallel: workers}
-	if _, err := (&op.Filter{Pred: pred}).Execute(ctx, ft); err != nil {
+	if _, err := (&op.Filter{Pred: pred}).Execute(&op.Ctx{}, ft); err != nil {
 		t.Fatal(err)
 	}
 	for k, w := range want {
@@ -141,13 +140,11 @@ func kernelGraph(t *testing.T, r kernelRows, runs []int) (*storage.Graph, catalo
 
 // TestPredicateKernels holds the three conjunct kernels — int/date range,
 // dictionary-code set, compiled closure — to the compiled closure row by
-// row, through Filter (with a pre-cleared selection, at 1, 2, 4 and 8
-// workers) and through the fused VertexPred on candidate runs from empty to
-// one spanning every row: every non-empty run is evaluated in batch, however
-// short.
+// row, through Filter (with a pre-cleared selection) and through the fused
+// VertexPred on candidate runs from empty to one spanning every row.
 func TestPredicateKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	const n = 3*2048 + 123 // two filter morsels, the second ragged
+	const n = 3*2048 + 123 // the last selection word ragged
 	rows := newKernelRows(n, rng)
 	runs := []int{0, 1, 5, 16, 17, 400}
 	g, label, knows, targets := kernelGraph(t, rows, runs)
@@ -204,10 +201,8 @@ func TestPredicateKernels(t *testing.T) {
 	pre := func(k int) bool { return k%5 != 0 && (k < 2048 || k >= 2048+300) }
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				if msg := filterMismatch(t, rows, c.pred, workers, pre); msg != "" {
-					t.Fatalf("Filter (%d workers): %s", workers, msg)
-				}
+			if msg := filterMismatch(t, rows, c.pred, pre); msg != "" {
+				t.Fatalf("Filter: %s", msg)
 			}
 
 			want := rows.reference(t, c.pred)
@@ -234,9 +229,6 @@ func TestPredicateKernels(t *testing.T) {
 					}
 					if fmt.Sprint(got) != fmt.Sprint(expect) {
 						t.Fatalf("fused, run of %d, %s: kept %v, reference %v", l, mode, got, expect)
-					}
-					if batched := res.Gathers > 0; batched != (l > 0) {
-						t.Fatalf("fused, run of %d, %s: batch evaluation = %v", l, mode, batched)
 					}
 				}
 			}
@@ -275,8 +267,7 @@ func TestFusedExpandPrunesDeadParents(t *testing.T) {
 
 // FuzzPredicateKernels draws a random int/date column, comparison, threshold,
 // operand order and pre-cleared selection, plus a dictionary column with a
-// random literal, and holds Filter's kernels to the compiled closure at 1, 2,
-// 4 and 8 workers.
+// random literal, and holds Filter's kernels to the compiled closure.
 func FuzzPredicateKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0), int64(0), false, uint64(math.MaxUint64), "red")
 	f.Add(int64(2), uint8(5), int64(math.MinInt64), true, uint64(0xF0F0), "purple")
@@ -311,10 +302,8 @@ func FuzzPredicateKernels(f *testing.F) {
 		}
 		pre := func(k int) bool { return selMask&(1<<(k%64)) != 0 }
 		for _, pred := range []expr.Expr{intPred, strPred, expr.And{L: intPred, R: strPred}} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				if msg := filterMismatch(t, rows, pred, workers, pre); msg != "" {
-					t.Fatalf("%s (%d workers): %s", pred, workers, msg)
-				}
+			if msg := filterMismatch(t, rows, pred, pre); msg != "" {
+				t.Fatalf("%s: %s", pred, msg)
 			}
 		}
 	})

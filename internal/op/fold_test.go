@@ -32,7 +32,7 @@ func foldCase(rng *rand.Rand, g *storage.Graph, vids []vector.VID) (*core.FTree,
 	for _, i := range rng.Perm(len(words)) {
 		dict.Intern(words[i])
 	}
-	wide := rng.Intn(8) == 0 // past one fold morsel
+	wide := rng.Intn(8) == 0 // past one fold chunk
 	block := func(id, rows int) *core.FBlock {
 		cols := []*vector.Column{
 			vector.NewColumn(fmt.Sprintf("v%d", id), vector.KindVID),

@@ -65,8 +65,6 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	// probing every defining label is cheap (length mismatches reject in O(1)).
 	for _, lp := range g.labels {
 		if col := ctx.View.ShareScanColumn(lp.Label, lp.Prop, vids); col != nil {
-			ctx.Gather.Gathers.Add(1)
-			ctx.Gather.SharedCols.Add(1)
 			return col.ShareAs(as)
 		}
 	}
@@ -76,7 +74,6 @@ func (g *propGetter) gatherColumn(ctx *Ctx, vidCol *vector.Column, as string) *v
 	for _, lp := range labels {
 		ctx.View.GatherProps(vids, lp.Label, lp.Prop, nil, out)
 	}
-	ctx.Gather.Gathers.Add(1)
 	return out
 }
 
@@ -86,6 +83,5 @@ func gatherExtIDColumn(ctx *Ctx, vidCol *vector.Column, as string) *vector.Colum
 	out := ctx.Arena.OwnColumn(as, vector.KindInt64)
 	out.Grow(len(vids))
 	ctx.View.GatherExtIDs(vids, nil, out.Int64s())
-	ctx.Gather.Gathers.Add(1)
 	return out
 }

@@ -2,7 +2,7 @@
 // factorized representation. Every operator takes and returns an f-Tree:
 // operators grow or annotate it (Expand adds nodes, Projection appends
 // columns, Filter updates selection vectors) and de-factor only when forced.
-// A de-factor (defactor, parallel.go) enumerates the tree's tuple indices and
+// A de-factor (defactor, reshape.go) enumerates the tree's tuple indices and
 // gathers each column by row index into a one-node tree — the columnar form
 // of the paper's flat-block — so an operator whose logic spans nodes
 // (a cross-node Filter, ProjectExpr, ExpandInto or ExpandIntersect) runs its
@@ -14,11 +14,9 @@ package op
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ges/internal/catalog"
 	"ges/internal/core"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/vector"
 )
@@ -32,7 +30,7 @@ type Ctx struct {
 	// Arena brackets this query's scratch memory (§5, memory pool):
 	// query-lifetime structures (index vectors, f-Block columns, selection
 	// vectors) come from Own* and are released wholesale when the engine
-	// ends the query; transient morsel scratch cycles through Get*/Put*.
+	// ends the query; transient scratch cycles through Get*/Put*.
 	// A nil arena is valid and allocates fresh memory everywhere (operator
 	// unit tests build a Ctx without one), so operators call through it
 	// unconditionally.
@@ -46,34 +44,6 @@ type Ctx struct {
 	// MaxRows tuples aborts the query before it gathers a column. Zero means
 	// no limit.
 	MaxRows int
-
-	// Parallel is the intra-query parallelism degree (§2.1, Runtime): the
-	// expansion, filter, projection and de-factoring operators shard large
-	// parent blocks into morsels claimed by up to this many workers. Values
-	// <= 1 drive every range body with one shard (parallel.go).
-	Parallel int
-
-	// Gather counts batch-gather activity. Counters are atomic because fused
-	// predicates batch inside parallel morsels.
-	Gather GatherStats
-}
-
-// GatherStats instruments the vectorized gather path of one query execution.
-type GatherStats struct {
-	// Gathers counts batch property/ext-ID gathers (each replacing one
-	// interface call per row).
-	Gathers atomic.Int64
-	// SharedCols counts zero-copy aligned column shares (tier 1).
-	SharedCols atomic.Int64
-}
-
-// RunMorsels shards [0,n) into size-row morsels executed on the process-wide
-// worker pool (sched.Global, which inter-query tasks share) with up to
-// Parallel claimants (the caller participates; see
-// sched.Scheduler.RunMorsels for the determinism contract). Only the three
-// shard drivers in parallel.go call it.
-func (c *Ctx) RunMorsels(n, size int, fn func(m sched.Morsel)) {
-	sched.Global().RunMorsels(c.Parallel, n, size, fn)
 }
 
 // NewFTree returns the query's root f-Tree over a block of the given

@@ -69,8 +69,8 @@ func assertModesAgree(t *testing.T, f *testgraph.Fixture, build func() plan.Plan
 	return ref
 }
 
-// checkRows runs the plan through the parity check (every mode at 1/2/4/8
-// workers, equal to the volcano oracle) and compares the rows with an
+// checkRows runs the plan through the parity check (every mode equal to the
+// volcano oracle) and compares the rows with an
 // independently computed, sorted expectation.
 func checkRows(t *testing.T, view storage.View, build func() plan.Plan, want []string, label string) {
 	t.Helper()

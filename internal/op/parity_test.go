@@ -25,13 +25,19 @@ import (
 // cursors, the runs of several families (Both, AnyLabel) are unsorted so
 // cyclic joins probe hash sets, a property overlay patches the bulk gather.
 // This table runs every plan shape that reaches one of those branches over
-// all four representations of one logical LDBC graph, large enough to cross
-// the morsel threshold, against the volcano oracle.
+// all four representations of one logical LDBC graph against the volcano
+// oracle.
 
 var parityLDBC struct {
 	once  sync.Once
 	ds    *ldbc.Dataset
 	views []paritytest.View
+}
+
+// midID returns a person-ID threshold selecting roughly half the persons
+// (person external IDs are 1..P).
+func midID(ds *ldbc.Dataset) int64 {
+	return int64(ds.Stats().Persons / 2)
 }
 
 func parityViews(t *testing.T) (*ldbc.Dataset, []paritytest.View) {
@@ -72,8 +78,8 @@ func TestOperatorParity(t *testing.T) {
 			DstLabel: h.Person, SrcLabel: h.Person, MinHops: min, MaxHops: max}
 	}
 	// anchor20 roots the quadratic shapes at the 20 lowest-id persons: their
-	// deep nodes still run to thousands of rows (morsel-parallel), at a third
-	// of the full scan's cost.
+	// deep nodes still run to thousands of rows, at a third of the full
+	// scan's cost.
 	anchor20 := func(v string) plan.Plan {
 		return plan.Plan{scan(v),
 			&op.ProjectProps{Specs: []op.ProjSpec{{Var: v, As: "anchor.id", ExtID: true}}},
@@ -123,11 +129,10 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id", "f.id", "since"}},
 			}
 		}},
-		// The second hop's parent block (every person's friends) crosses the
-		// morsel threshold, so these run the materializing body per morsel:
-		// the stateful predicate forked per morsel, the kept half of the
-		// neighbors exercising the merge offsets, and edge-property columns
-		// merged alongside. The flat mode runs the same through flat Expand.
+		// The second hop's parent block is every person's friends: the
+		// predicate keeps half of the neighbors, with edge-property columns
+		// appended alongside. The flat mode runs the same through flat
+		// Expand.
 		{"expand/second-hop-fused-pred", false, func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"),
 				&op.Expand{From: "f", To: "g", Et: h.Knows, Dir: catalog.Out, DstLabel: h.Person,
@@ -374,8 +379,7 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"p.id", "t.name"}},
 			}
 		}},
-		// From every person's friends: past the morsel threshold, so each
-		// morsel narrows its own fork's labels.
+		// From every person's friends: the labels narrow batch by batch.
 		{"expand/fused-any-label-mixed", false, func() plan.Plan {
 			return plan.Plan{scan("f"), knows("f", "p"),
 				&op.Expand{From: "p", To: "m", Et: h.Likes, Dir: catalog.Out, DstLabel: storage.AnyLabel,
@@ -407,8 +411,8 @@ func TestOperatorParity(t *testing.T) {
 				&op.Defactor{Cols: []string{"f.firstName", "f.creationDate"}},
 			}
 		}},
-		// Gather, the int filter kernel and the de-factor over a node past the
-		// morsel threshold.
+		// Gather, the int filter kernel and the de-factor over every person's
+		// friends.
 		{"gather/second-hop-project-filter-defactor", false, func() plan.Plan {
 			return plan.Plan{scan("p"), knows("p", "f"),
 				&op.ProjectProps{Specs: []op.ProjSpec{
@@ -948,19 +952,11 @@ func TestParityViewsReachFallbacks(t *testing.T) {
 			}
 		}
 		b := batches[0]
-		// The "second-hop" and "two-hop" rows shard only if every person's
-		// friends together pass the 512-row threshold.
-		edges, owned := 0, 0
-		for i := range b.Runs {
-			edges += b.RunLen(i)
-		}
+		owned := 0
 		for _, p := range b.Pieces {
 			if int(p.Lo) >= len(b.VIDs) || &b.PieceVIDs(p)[0] != &b.VIDs[p.Lo] {
 				owned++
 			}
-		}
-		if edges < 512 {
-			t.Fatalf("%s: %d KNOWS edges; the second-hop rows would run as one shard", v.Name, edges)
 		}
 		if !b.Sorted || (owned > 0) != merges[v.Name] {
 			t.Errorf("%s: KNOWS batch Sorted=%v with %d of %d pieces owned", v.Name, b.Sorted, owned, len(b.Pieces))

@@ -59,15 +59,14 @@ func (p *VertexPred) resolve(view storage.View) ([]*propGetter, error) {
 // batch face gathers external IDs for it.
 var extIDGetter = &propGetter{name: ExtIDProp, kind: vector.KindInt64}
 
-// vertexFilter is a VertexPred bound for one Expand execution, as one
-// goroutine applies it to the candidates of one NeighborsBatch at a time.
+// vertexFilter is a VertexPred bound for one Expand execution, applied to
+// the candidates of one NeighborsBatch at a time.
 //
 // Its batch face: column i of block gathers getters[i] over labels[i], and
 // conjs compile against the block. A single-label string column shares that
 // label's dictionary, so an equality or IN on it compares codes. Under
 // AnyLabel a name several labels define narrows per batch to the labels its
 // pieces carry, and the face is rebuilt when a string name's labels change.
-// labels[i] is replaced then, never written in place, so forks share it.
 type vertexFilter struct {
 	pred     expr.Expr
 	getters  []*propGetter // one per name pred reads
@@ -101,15 +100,6 @@ func (p *VertexPred) filter(ctx *Ctx, dst catalog.LabelID) (*vertexFilter, error
 		}
 	}
 	return f, f.build(ctx)
-}
-
-// fork returns the instance for one morsel of several, with its own face
-// and selection.
-func (f *vertexFilter) fork(ctx *Ctx) *vertexFilter {
-	g := *f
-	g.labels, g.sel = slices.Clone(f.labels), ctx.Arena.OwnBitset(0, true)
-	g.mustBuild(ctx)
-	return &g
 }
 
 // build (re)creates the face over the current labels. The scratch columns
@@ -168,8 +158,7 @@ func (f *vertexFilter) keep(ctx *Ctx, b *storage.Batch) *vector.Bitset {
 			ctx.View.GatherProps(cands, lp.Label, lp.Prop, nil, col)
 		}
 	}
-	ctx.Gather.Gathers.Add(1)
-	filterRows(f.conjs, f.sel, 0, n)
+	filterRows(f.conjs, f.sel, n)
 	return f.sel
 }
 

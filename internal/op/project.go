@@ -1,8 +1,6 @@
 package op
 
 import (
-	"slices"
-
 	"ges/internal/core"
 	"ges/internal/expr"
 	"ges/internal/vector"
@@ -78,22 +76,12 @@ func (o *ProjectExpr) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The output column is query-lifetime arena memory sized up front;
-	// compiled getters read block state by row index only, so ranges fill
-	// disjoint slots of it with one getter. A null grows the column's
-	// bitmap, so a block with nulls fills it in one range.
+	// The output column is query-lifetime arena memory sized up front.
 	out := ctx.Arena.OwnColumn(o.As, o.Kind)
 	n := node.Block.NumRows()
 	out.Grow(n)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Set(i, coerce(get(i), o.Kind))
-		}
-	}
-	if slices.ContainsFunc(node.Block.Columns(), (*vector.Column).HasNulls) {
-		fill(0, n)
-	} else {
-		forRanges(ctx, n, filterMorselSize, fill)
+	for i := range n {
+		out.Set(i, coerce(get(i), o.Kind))
 	}
 	node.Block.AddColumn(out)
 	assertFTree(ft)

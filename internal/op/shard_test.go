@@ -10,7 +10,6 @@ import (
 	"ges/internal/op"
 	"ges/internal/paritytest"
 	"ges/internal/plan"
-	"ges/internal/sched"
 	"ges/internal/storage"
 	"ges/internal/testgraph"
 	"ges/internal/vector"
@@ -21,7 +20,7 @@ import (
 // a parent block of exactly n rows. Person i knows i+1 and 3i+1 (mod n, self
 // loops dropped); every third person is also known back by i+1, so mutual
 // pairs exist for the intersection; every fifth person knows nobody, so
-// empty child ranges sit inside every morsel.
+// empty child ranges sit between full ones.
 func ringGraph(t testing.TB, n int) (*storage.Graph, *testgraph.Schema) {
 	t.Helper()
 	cat := catalog.New()
@@ -61,13 +60,13 @@ func ringGraph(t testing.TB, n int) (*storage.Graph, *testgraph.Schema) {
 }
 
 // TestShardBoundaries runs every ordered producer and the in-place kernels
-// around them over parent blocks sized at and either side of the shard
-// threshold (512) and of the morsel sizes (256, 4096), with a selection
-// vector that invalidates one whole 256-row morsel and the last row, in
-// three modes at 1/2/4/8 workers against the volcano oracle. The flat mode
-// drives the flat forms of Expand, ExpandIntersect and Filter with the same
-// plans. A merge that rebases a range wrongly, drops a morsel, or misplaces
-// an empty one diverges from the 1-worker run here.
+// around them over parent blocks of 1 to 4097 rows, sized at and either
+// side of multiples of the 64-row selection word (256, 512, 4096), with a
+// selection vector that invalidates persons 257 to 512 and the last one, in
+// the three modes against the volcano oracle. The flat mode drives the flat
+// forms of Expand, ExpandIntersect and Filter with the same plans. A kernel
+// that mishandles a ragged last word, a run of invalid rows or an empty
+// child range diverges from the oracle here.
 func TestShardBoundaries(t *testing.T) {
 	for _, n := range []int{1, 255, 256, 257, 511, 512, 513, 768, 4096, 4097} {
 		g, s := ringGraph(t, n)
@@ -145,20 +144,20 @@ func TestShardBoundaries(t *testing.T) {
 	}
 }
 
-// TestShardResourcesIndependentOfWorkers pins what an operator draws from the
-// pool to its input, not to the worker count: one index vector per expand,
-// an arena-owned ProjectExpr column, and pooled columns (not heap staging)
-// as the var-length shard sinks.
+// TestShardResourcesIndependentOfWorkers pins what each operator draws from
+// the pool for its one execution over a 4096-row parent block, so a change
+// that draws per row or per batch shows here. The result's de-factor adds
+// one pooled column per output column and, past a one-node tree, one
+// 4096-slot tuple-row buffer per node.
 func TestShardResourcesIndependentOfWorkers(t *testing.T) {
 	const n = 4096
 	g, s := ringGraph(t, n)
 	scan := &op.NodeScan{Var: "p", Label: s.Person}
-	// run returns the pool traffic of one execution at the given parallelism:
-	// column gets, and slice gets in the size class that holds n elements.
-	run := func(workers int, p plan.Plan) (cols, classN int64) {
+	// run returns the pool traffic of one execution: column gets, and slice
+	// gets in the size class that holds n elements.
+	run := func(p plan.Plan) (cols, classN int64) {
 		t.Helper()
 		eng := exec.New(exec.ModeFactorized)
-		eng.Parallel = workers
 		if _, err := eng.Run(g, p); err != nil {
 			t.Fatal(err)
 		}
@@ -175,37 +174,34 @@ func TestShardResourcesIndependentOfWorkers(t *testing.T) {
 	}
 	fused := knows()
 	fused.VertexPred = op.VertexPropPred(expr.Lt(expr.C("creationDate"), expr.LDate(19000+n/2)))
-	for name, e := range map[string]*op.Expand{"lazy": knows(), "fused": fused} {
-		// One shard: the index vector and the whole-block source buffer.
-		// k shards: the index vector alone — morsels fill sub-slices of it
-		// and draw 256-slot source buffers. At every count the result's
-		// de-factor adds one tuple-row buffer per node, sized by the root.
-		if _, got := run(1, plan.Plan{scan, e}); got != 2+2 {
-			t.Errorf("%s expand, 1 worker: %d gets of %d-slot buffers, want 2+2", name, got, n)
-		}
-		if _, got := run(4, plan.Plan{scan, e}); got != 1+2 {
-			t.Errorf("%s expand, 4 workers: %d gets of %d-slot buffers, want 1+2 (the index vector)", name, got, n)
+	// An expand takes its child column, one index vector and one whole-block
+	// source buffer; the fused predicate adds its one gather column.
+	for _, c := range []struct {
+		name string
+		e    *op.Expand
+		cols int64
+	}{{"lazy", knows(), 1 + 2}, {"fused", fused, 2 + 2}} {
+		if cols, got := run(plan.Plan{scan, c.e}); cols != c.cols || got != 2+2 {
+			t.Errorf("%s expand: %d pooled columns and %d gets of %d-slot buffers, want %d and 2+2",
+				c.name, cols, got, n, c.cols)
 		}
 	}
 
-	project := func() plan.Plan {
-		return plan.Plan{scan,
-			&op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", As: "p.id", ExtID: true}}},
-			&op.ProjectExpr{Expr: expr.Arith{Op: expr.Add, L: expr.C("p.id"), R: expr.LInt(1)}, As: "x", Kind: vector.KindInt64}}
-	}
-	seq, _ := run(1, project())
-	par, _ := run(4, project())
-	if seq != par {
-		t.Errorf("ProjectExpr draws %d pooled columns at 1 worker and %d at 4; the output column is arena-owned at every count", seq, par)
+	// ProjectExpr's output is one query-lifetime column beside the ext-ID
+	// column it reads; a one-node result passes the de-factor as it is.
+	project := plan.Plan{scan,
+		&op.ProjectProps{Specs: []op.ProjSpec{{Var: "p", As: "p.id", ExtID: true}}},
+		&op.ProjectExpr{Expr: expr.Arith{Op: expr.Add, L: expr.C("p.id"), R: expr.LInt(1)}, As: "x", Kind: vector.KindInt64}}
+	if cols, got := run(project); cols != 2 || got != 0 {
+		t.Errorf("ProjectExpr: %d pooled columns and %d gets of %d-slot buffers, want 2 and 0", cols, got, n)
 	}
 
-	bfs := func() plan.Plan {
-		return plan.Plan{scan, &op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
-			DstLabel: s.Person, MinHops: 1, MaxHops: 2}}
-	}
-	seq, _ = run(1, bfs())
-	par, _ = run(4, bfs())
-	if want := int64(sched.NumMorsels(n, 256)); par-seq != want {
-		t.Errorf("VarLengthExpand draws %d more pooled columns at 4 workers than at 1, want %d: one sink column per morsel", par-seq, want)
+	// A var-length expand takes its child column and one index vector; its
+	// traversal scratch is small and recycled from one parent row to the
+	// next.
+	bfs := plan.Plan{scan, &op.VarLengthExpand{From: "p", To: "f", Et: s.Knows, Dir: catalog.Out,
+		DstLabel: s.Person, MinHops: 1, MaxHops: 2}}
+	if cols, got := run(bfs); cols != 1+2 || got != 1+2 {
+		t.Errorf("VarLengthExpand: %d pooled columns and %d gets of %d-slot buffers, want 1+2 and 1+2", cols, got, n)
 	}
 }

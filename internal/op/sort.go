@@ -124,7 +124,7 @@ func (o *OrderBy) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 	ord := newTupleOrder(ctx, len(nodes), o.Limit, keys)
 	defer ord.release()
 	full := false
-	ft.EnumerateRows(0, ft.Root.Block.NumRows(), func(rows []int, _ int) bool {
+	ft.EnumerateRows(func(rows []int, _ int) bool {
 		if full = ord.n == math.MaxInt32; full {
 			return false
 		}
@@ -365,7 +365,7 @@ func (o *Limit) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error) {
 		return nil, err
 	}
 	rows := make([][]int32, len(nodes))
-	appendTuples(ft, nodes, 0, ft.Root.Block.NumRows(), o.Skip, max(o.N, 0), rows)
+	appendTuples(ft, nodes, o.Skip, max(o.N, 0), rows)
 	return ctx.Arena.OwnFTree(gatherBlock(ctx, names, cols, pos, rows)), nil
 }
 

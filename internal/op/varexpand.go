@@ -33,10 +33,10 @@ func (o *VarLengthExpand) Execute(ctx *Ctx, ft *core.FTree) (*core.FTree, error)
 	if err != nil {
 		return nil, err
 	}
-	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol}), nil
+	return produceChild(ctx, ft, parent, childCols{to: o.To}, traverseBody{o, ctx, parent, fromCol}.rows), nil
 }
 
-// traverseBody is the var-length range body: one bounded traversal per valid
+// traverseBody is the var-length fill: one bounded traversal per valid
 // parent row, emitted straight into the sink column.
 type traverseBody struct {
 	o       *VarLengthExpand
@@ -45,19 +45,17 @@ type traverseBody struct {
 	fromCol *vector.Column
 }
 
-func (b traverseBody) rows(lo, hi int, s childSink) {
-	total := s.toCol.Len()
-	for i := lo; i < hi; i++ {
+func (b traverseBody) rows(s childSink) {
+	total := 0
+	for i := range s.index {
 		start := total
 		if b.parent.Valid(i) {
-			// The view is safe for concurrent reads; traversal scratch state
-			// is local to each call.
 			b.o.Traverse(b.ctx, b.fromCol.VIDAt(i), func(v vector.VID) {
 				s.toCol.AppendVID(v)
 				total++
 			})
 		}
-		s.index[i-lo] = core.Range{Start: int32(start), End: int32(total)}
+		s.index[i] = core.Range{Start: int32(start), End: int32(total)}
 	}
 }
 

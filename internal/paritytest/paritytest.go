@@ -30,9 +30,6 @@ import (
 	"ges/internal/volcano"
 )
 
-// Workers is the intra-query worker ladder every check sweeps.
-var Workers = []int{1, 2, 4, 8}
-
 // View is one named physical representation of a graph.
 type View struct {
 	Name string
@@ -65,10 +62,9 @@ func sorted(rows []string) []string {
 // Modes are the paper's three engine variants.
 var Modes = []exec.Mode{exec.ModeFlat, exec.ModeFactorized, exec.ModeFused}
 
-// Check runs build() on view in every engine mode at every worker count, and
-// once on the volcano oracle. Parallel runs must be byte-identical to the
-// 1-worker run; each 1-worker run must equal the oracle — row for row when
-// the plan ends in a total order (ordered), as a multiset otherwise. It
+// Check runs build() on view once in every engine mode and once on the
+// volcano oracle. Each mode's rows must equal the oracle's — row for row
+// when the plan ends in a total order (ordered), as a multiset otherwise. It
 // returns the oracle's rows as a multiset (header first), for comparing
 // against an independent expectation or another view of the same graph.
 func Check(t testing.TB, view storage.View, build func() plan.Plan, ordered bool) []string {
@@ -83,26 +79,16 @@ func Check(t testing.TB, view storage.View, build func() plan.Plan, ordered bool
 		want = sorted(oracle)
 	}
 	for _, mode := range Modes {
-		var seq []string
-		for _, w := range Workers {
-			eng := exec.New(mode)
-			eng.Parallel = w
-			res, err := eng.Run(view, build())
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", mode, w, err)
-			}
-			got := Rows(res.Block)
-			if seq == nil {
-				seq = got
-			} else if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("%s workers=%d is not byte-identical to workers=1 (%d vs %d rows)", mode, w, len(got)-1, len(seq)-1)
-			}
+		res, err := exec.New(mode).Run(view, build())
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
 		}
+		got := Rows(res.Block)
 		if !ordered {
-			seq = sorted(seq)
+			got = sorted(got)
 		}
-		if !reflect.DeepEqual(seq, want) {
-			t.Fatalf("%s diverges from the volcano oracle:\n got %v\nwant %v", mode, clip(seq), clip(want))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverges from the volcano oracle:\n got %v\nwant %v", mode, clip(got), clip(want))
 		}
 	}
 	return sorted(oracle)

@@ -16,18 +16,6 @@ import (
 	"ges/internal/service"
 )
 
-func testServerWith(t *testing.T, opts service.Options) *httptest.Server {
-	t.Helper()
-	ds, err := ldbc.Generate(ldbc.Config{SF: 0.03, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := service.NewWith(ds, exec.ModeFused, opts)
-	ts := httptest.NewServer(srv.Mux())
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 func getStats(t *testing.T, ts *httptest.Server) map[string]any {
 	t.Helper()
 	r, err := http.Get(ts.URL + "/stats")
@@ -59,7 +47,7 @@ const countFriendsQuery = `MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 1
 // TestPlanCacheHitCounter asserts that repeated POST /query bodies hit the
 // compiled-plan cache and that /stats exposes the counters.
 func TestPlanCacheHitCounter(t *testing.T) {
-	ts := testServerWith(t, service.Options{})
+	ts := testServer(t)
 	var first map[string]any
 	for i := 0; i < 4; i++ {
 		resp, out := post(t, ts, "/query", service.QueryRequest{Query: countFriendsQuery})
@@ -91,7 +79,7 @@ func TestPlanCacheHitCounter(t *testing.T) {
 // values normalize onto one cached skeleton (one miss, then hits) while each
 // execution re-binds its own literals and returns its own answer.
 func TestPlanCacheParameterized(t *testing.T) {
-	ts := testServerWith(t, service.Options{})
+	ts := testServer(t)
 	for i, id := range []int{1, 2, 3, 7} {
 		q := fmt.Sprintf(
 			`MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = %d RETURN id(p) AS who, COUNT(*) AS friends`, id)
@@ -153,7 +141,7 @@ func TestPlanCacheStatsEpochInvalidation(t *testing.T) {
 // server. Each request gets its own engine value, so this passes under -race;
 // with a shared engine the per-run state would collide.
 func TestConcurrentQueries(t *testing.T) {
-	ts := testServerWith(t, service.Options{Parallel: 2})
+	ts := testServer(t)
 	queries := []string{
 		countFriendsQuery,
 		`MATCH (p:Person)-[:KNOWS]->(f) WHERE id(p) = 2 RETURN COUNT(*) AS friends`,

@@ -47,24 +47,16 @@ type Server struct {
 	actRows    atomic.Uint64
 }
 
-// Options tunes a server beyond the engine mode.
-type Options struct {
-	// Parallel is the server's engine's intra-query parallelism degree
-	// (<= 1 = sequential).
-	Parallel int
-}
+// Options is empty: a server has no setting beyond the engine mode. It
+// stays, with NewWith, because the repository benchmark's client builds its
+// server through NewWith(ds, mode, Options{}).
+type Options struct{}
 
 // MaxRequestBytes caps a POST body; a larger one is answered with 413.
 const MaxRequestBytes = 1 << 20
 
-// New wires a server for a dataset in the given engine mode with default
-// options.
+// New wires a server for a dataset in the given engine mode.
 func New(ds *ldbc.Dataset, mode exec.Mode) *Server {
-	return NewWith(ds, mode, Options{})
-}
-
-// NewWith wires a server with explicit options.
-func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 	s := &Server{
 		ds:    ds,
 		pool:  storage.NewPool(),
@@ -73,9 +65,15 @@ func NewWith(ds *ldbc.Dataset, mode exec.Mode, opts Options) *Server {
 		now:   time.Now,
 	}
 	// Arenas released at the end of a request recycle into the next one.
-	s.eng = &exec.Engine{Mode: mode, Pool: s.pool, Parallel: opts.Parallel}
+	s.eng = &exec.Engine{Mode: mode, Pool: s.pool}
 	s.runner = queries.NewRunnerWith(ds, s.eng, nil)
 	return s
+}
+
+// NewWith is New; it stays for the repository benchmark's client, as
+// Options does.
+func NewWith(ds *ldbc.Dataset, mode exec.Mode, _ Options) *Server {
+	return New(ds, mode)
 }
 
 // Mux returns the HTTP handler.

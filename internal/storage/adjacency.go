@@ -13,7 +13,7 @@
 // a graph still in the bulk phase performs that seal first.
 //
 // The store is optimized for the read-dominant workloads the paper targets:
-// its one adjacency read, NeighborsBatch (pack.go), answers a whole morsel as
+// its one adjacency read, NeighborsBatch (pack.go), answers a whole block of sources as
 // pieces — a (pointer,length) view of the image for every run the delta
 // leaves alone, merged rows only for a run it changes — out of which each
 // expand copies the neighbours it keeps.

@@ -1,9 +1,6 @@
 package storage
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"ges/internal/core"
 	"ges/internal/vector"
 )
@@ -32,15 +29,15 @@ import (
 // plain allocation and every release is a no-op, so operator code calls
 // through unconditionally. An arena over a nil pool behaves the same.
 //
-// Own* and Get*/Put* are safe for concurrent use by parallel morsel workers.
+// An arena serves one query, which runs on one goroutine, so it takes no
+// lock.
 type Arena struct {
 	pool *Pool
 
 	// drawn is the slice-buffer bytes this arena has added to pool.live —
 	// owned and transient alike — and Release subtracts again.
-	drawn atomic.Int64
+	drawn int64
 
-	mu     sync.Mutex
 	ranges [][]core.Range
 	cols   []*vector.Column
 	bits   []*vector.Bitset
@@ -63,7 +60,7 @@ func (a *Arena) recycling() bool { return a != nil && a.pool != nil }
 // be made to balance — the per-arena sum does by construction.
 func charge[T any](a *Arena, buf []T, elemSize int) []T {
 	b := int64(cap(buf) * elemSize)
-	a.drawn.Add(b)
+	a.drawn += b
 	a.pool.live.Add(b)
 	return buf
 }
@@ -74,9 +71,7 @@ func (a *Arena) OwnRanges(n int) []core.Range {
 		return make([]core.Range, n)
 	}
 	s := charge(a, a.pool.GetRanges(n), rangeSize)[:n] // the first n slots are zeroed on get
-	a.mu.Lock()
 	a.ranges = append(a.ranges, s)
-	a.mu.Unlock()
 	return s
 }
 
@@ -86,9 +81,7 @@ func (a *Arena) OwnColumn(name string, kind vector.Kind) *vector.Column {
 		return vector.NewColumn(name, kind)
 	}
 	c := a.pool.GetColumn(name, kind)
-	a.mu.Lock()
 	a.cols = append(a.cols, c)
-	a.mu.Unlock()
 	return c
 }
 
@@ -98,9 +91,7 @@ func (a *Arena) OwnDictColumn(name string, d *vector.Dict) *vector.Column {
 		return vector.NewDictColumn(name, d)
 	}
 	c := a.pool.GetDictColumn(name, d)
-	a.mu.Lock()
 	a.cols = append(a.cols, c)
-	a.mu.Unlock()
 	return c
 }
 
@@ -113,9 +104,7 @@ func (a *Arena) OwnBitset(n int, valid bool) *vector.Bitset {
 		return vector.NewBitsetEmpty(n)
 	}
 	b := a.pool.GetBitset(n, valid)
-	a.mu.Lock()
 	a.bits = append(a.bits, b)
-	a.mu.Unlock()
 	return b
 }
 
@@ -127,9 +116,7 @@ func (a *Arena) OwnFTree(rootBlock *core.FBlock) *core.FTree {
 		return core.NewFTree(rootBlock)
 	}
 	t := a.pool.GetFTree(rootBlock)
-	a.mu.Lock()
 	a.trees = append(a.trees, t)
-	a.mu.Unlock()
 	return t
 }
 
@@ -141,9 +128,7 @@ func (a *Arena) OwnFBlock() *core.FBlock {
 		return core.NewFBlock()
 	}
 	b := a.pool.GetFBlock()
-	a.mu.Lock()
 	a.blocks = append(a.blocks, b)
-	a.mu.Unlock()
 	return b
 }
 
@@ -180,7 +165,7 @@ func (a *Arena) PutInt32s(buf []int32) {
 }
 
 // GetBatch returns a transient adjacency batch (every value is copied out
-// of the batch before the morsel ends); the caller must PutBatch it on
+// of the batch before the operator returns); the caller must PutBatch it on
 // every path (geslint R11).
 func (a *Arena) GetBatch() *Batch {
 	if !a.recycling() {
@@ -205,9 +190,8 @@ func (a *Arena) Release() {
 	if !a.recycling() {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.pool.live.Add(-a.drawn.Swap(0))
+	a.pool.live.Add(-a.drawn)
+	a.drawn = 0
 	for _, s := range a.ranges {
 		a.pool.PutRanges(s)
 	}

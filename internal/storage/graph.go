@@ -111,8 +111,8 @@ type Graph struct {
 	// resealFrac/resealMin gate the background reseal: a family rebuilds
 	// once its delta holds at least resealMin entries and more than
 	// resealFrac of its sealed entry count. resealSubmit, when set, runs
-	// the rebuild off the mutating goroutine (internal/sched); nil or a
-	// false return reseals inline.
+	// the rebuild off the mutating goroutine; nil or a false return reseals
+	// inline.
 	resealFrac   float64
 	resealMin    int
 	resealSubmit func(task func()) bool
@@ -230,10 +230,9 @@ func (g *Graph) foldHorizon() uint64 {
 	return Latest
 }
 
-// SetResealSubmit injects the executor background reseals run on (the
-// scheduler's non-blocking submit); nil, or a false return when the pool is
-// saturated, reseals inline on the mutating goroutine. Set before
-// concurrent readers start.
+// SetResealSubmit injects the executor background reseals run on; nil, or a
+// false return (the executor declines the task), reseals inline on the
+// mutating goroutine. Set before concurrent readers start.
 func (g *Graph) SetResealSubmit(submit func(task func()) bool) { g.resealSubmit = submit }
 
 // Catalog returns the graph's catalog.

@@ -16,8 +16,7 @@ package storage
 import "ges/internal/vector"
 
 // Intersector computes per-row k-way intersections over one base batch and
-// k-1 probe batches. It is single-goroutine state; parallel callers use one
-// Intersector per morsel.
+// k-1 probe batches. It is single-goroutine state.
 type Intersector struct {
 	base      *Batch
 	probes    []*Batch

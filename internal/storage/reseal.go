@@ -33,8 +33,8 @@ func (g *Graph) maybeReseal(key AdjKey, l *AdjList) {
 }
 
 // scheduleReseal claims the family's reseal flag and hands the rebuild to
-// the injected executor; with none (or a saturated pool) it runs inline on
-// the calling goroutine.
+// the injected executor; with none (or one that declines it) it runs inline
+// on the calling goroutine.
 func (g *Graph) scheduleReseal(key AdjKey, l *AdjList) {
 	if !l.resealing.CompareAndSwap(false, true) {
 		return

@@ -23,7 +23,7 @@ import (
 // a null row holds its kind's zero and Get returns Value{}. Typed kernels
 // read the raw slices, so they take a column with nulls (HasNulls) by Get.
 //
-//geslint:snapshot-owner shared columns are zero-copy scan views by design; they hand off to the consuming f-Block within the same morsel
+//geslint:snapshot-owner shared columns are zero-copy scan views by design; they hand off to the consuming f-Block within the same query
 type Column struct {
 	Name string
 	Kind Kind
@@ -335,49 +335,6 @@ func (c *Column) Bools() []bool { return c.bl }
 
 // VIDs exposes the raw VID backing slice.
 func (c *Column) VIDs() []VID { return c.vid }
-
-// decodeDict materializes a dict-encoded column into plain strings — the
-// slow path when columns with different dictionaries must be merged.
-func (c *Column) decodeDict() {
-	if c.dict == nil {
-		return
-	}
-	c.str = make([]string, len(c.codes))
-	for i, code := range c.codes {
-		c.str[i] = c.dict.Str(code)
-	}
-	c.codes, c.dict = nil, nil
-}
-
-// Extend appends every row of src (same kind) to c. It backs the
-// deterministic morsel-order merge of the parallel operators: each worker
-// fills a private column and the coordinator extends the output shard by
-// shard. Dict-encoded shards sharing one dictionary merge by code; mismatched
-// dictionaries fall back to decoded strings.
-func (c *Column) Extend(src *Column) {
-	c.mutCheck()
-	if c.Kind == KindString {
-		switch {
-		case c.Len() == 0 && src.dict != nil && c.dict == nil:
-			c.dict = src.dict // adopt: shards gathered from one storage column
-		case c.dict != src.dict:
-			c.decodeDict()
-			for i, n := 0, src.Len(); i < n; i++ {
-				c.str = append(c.str, src.StringAt(i))
-			}
-			return
-		}
-		if c.dict != nil {
-			c.codes = append(c.codes, src.codes...)
-			return
-		}
-	}
-	c.i64 = append(c.i64, src.i64...)
-	c.f64 = append(c.f64, src.f64...)
-	c.str = append(c.str, src.str...)
-	c.bl = append(c.bl, src.bl...)
-	c.vid = append(c.vid, src.vid...)
-}
 
 // Gather appends rows[0], rows[1], … of src, a column of c's kind, to c —
 // the row gather of a de-factor. An empty string column adopts src's

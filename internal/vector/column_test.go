@@ -34,14 +34,13 @@ func TestColumnScalarRoundTrip(t *testing.T) {
 }
 
 // TestColumnAppendVIDs is the VID column table: pieces appended in one copy
-// each (an expand's batch pieces), the shard columns extended in order (the
-// parallel merge), and the same rows again on the column a pooled Reinit
-// recycled. Every state reads back per row and, for every sub-range, as one
+// each (an expand's batch pieces), in one group or several in turn, and the
+// same rows again on the column a pooled Reinit recycled. Every state reads back per row and, for every sub-range, as one
 // range.
 func TestColumnAppendVIDs(t *testing.T) {
 	cases := []struct {
 		name   string
-		shards [][][]VID // per shard, the pieces it appends
+		shards [][][]VID // groups of pieces, appended in order
 	}{
 		{"empty", nil},
 		{"one piece", [][][]VID{{{1, 2, 3}}}},
@@ -76,14 +75,12 @@ func TestColumnAppendVIDs(t *testing.T) {
 			var want []VID
 			out := NewColumn("n", KindVID)
 			for _, pieces := range tc.shards {
-				sh := NewColumn("n", KindVID)
 				for _, pc := range pieces {
-					sh.AppendVIDs(pc)
+					out.AppendVIDs(pc)
 					want = append(want, pc...)
 				}
-				out.Extend(sh)
 			}
-			check(t, "extended", out, want)
+			check(t, "appended", out, want)
 
 			// The previous case's column, recycled as a pool would.
 			recycled.Reinit("n", KindVID)

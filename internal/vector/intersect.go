@@ -43,7 +43,7 @@ func Gallop(run []VID, lo int, v VID) int {
 // the run costs one merge pass. A probe below the previous one resets the
 // cursor (correct, just slower), so callers may feed unsorted candidates.
 //
-//geslint:snapshot-owner morsel-scoped probe cursor over a shared sorted run; dropped with the expand state at morsel end
+//geslint:snapshot-owner probe cursor over a shared sorted run; dropped with the expand state when the operator returns
 type RunCursor struct {
 	run  []VID
 	pos  int
